@@ -1004,11 +1004,24 @@ func writeOverloadJSON(path string, quick bool) error {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// An ungated twin answers each query once, uncontended: the
+	// reference the overloaded server's answers must match.
+	refTS := httptest.NewServer(server.New(tbl, opts).Handler())
+	defer refTS.Close()
 
-	reqBody := []byte(`{"cql": "EXPLORE census WHERE age BETWEEN 20 AND 70"}`)
-	post := func() (int, time.Duration, []byte, string, error) {
+	// Every request is a query of its own — the same rows and the same
+	// work (ages are integers, so the fractional bound selects nothing
+	// new), a different text — because the server's result cache would
+	// answer a repeated query without running it, and an overload of
+	// cache hits measures nothing.
+	nextQuery := 0
+	newBody := func() []byte {
+		nextQuery++
+		return []byte(fmt.Sprintf(`{"cql": "EXPLORE census WHERE age BETWEEN 20 AND 70.%04d"}`, nextQuery))
+	}
+	post := func(base string, reqBody []byte) (int, time.Duration, []byte, string, error) {
 		start := time.Now()
-		resp, err := http.Post(ts.URL+"/api/explore", "application/json", bytes.NewReader(reqBody))
+		resp, err := http.Post(base+"/api/explore", "application/json", bytes.NewReader(reqBody))
 		if err != nil {
 			return 0, 0, nil, "", err
 		}
@@ -1038,12 +1051,24 @@ func writeOverloadJSON(path string, quick bool) error {
 		return durs[len(durs)*99/100]
 	}
 
+	// reference answers reqBody on the ungated twin.
+	reference := func(reqBody []byte) (string, error) {
+		status, _, body, _, err := post(refTS.URL, reqBody)
+		if err != nil {
+			return "", err
+		}
+		if status != http.StatusOK {
+			return "", fmt.Errorf("reference exploration answered %d: %s", status, body)
+		}
+		return canonical(body)
+	}
+
 	// Uncontended baseline: sequential explorations after a warmup.
 	const baselineRounds = 15
-	var reference string
 	var uncontended []time.Duration
 	for i := 0; i < baselineRounds+2; i++ {
-		status, dur, body, _, err := post()
+		reqBody := newBody()
+		status, dur, body, _, err := post(ts.URL, reqBody)
 		if err != nil {
 			return err
 		}
@@ -1057,10 +1082,10 @@ func writeOverloadJSON(path string, quick bool) error {
 		if err != nil {
 			return err
 		}
-		if reference == "" {
-			reference = canon
-		} else if canon != reference {
-			return fmt.Errorf("uncontended explorations disagree with each other")
+		if want, err := reference(reqBody); err != nil {
+			return err
+		} else if canon != want {
+			return fmt.Errorf("uncontended exploration differs from the reference server's")
 		}
 		uncontended = append(uncontended, dur)
 	}
@@ -1076,14 +1101,16 @@ func writeOverloadJSON(path string, quick bool) error {
 		err        error
 	}
 	outcomes := make([]outcome, clients)
+	bodies := make([][]byte, clients)
 	var start, wg sync.WaitGroup
 	start.Add(1)
 	for i := 0; i < clients; i++ {
+		bodies[i] = newBody()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			status, dur, body, retryAfter, err := post()
+			status, dur, body, retryAfter, err := post(ts.URL, bodies[i])
 			o := outcome{status: status, dur: dur, retryAfter: retryAfter, err: err}
 			if err == nil && status == http.StatusOK {
 				o.canon, o.err = canonical(body)
@@ -1096,13 +1123,15 @@ func writeOverloadJSON(path string, quick bool) error {
 
 	var admitted []time.Duration
 	shed, retryAfterSeen := 0, 0
-	for _, o := range outcomes {
+	for i, o := range outcomes {
 		if o.err != nil {
 			return o.err
 		}
 		switch o.status {
 		case http.StatusOK:
-			if o.canon != reference {
+			if want, err := reference(bodies[i]); err != nil {
+				return err
+			} else if o.canon != want {
 				return fmt.Errorf("admitted overload exploration differs from the uncontended result")
 			}
 			admitted = append(admitted, o.dur)

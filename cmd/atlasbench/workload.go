@@ -61,19 +61,22 @@ func runReplay(path string, cfg replayConfig) error {
 	if err != nil {
 		return err
 	}
-	target := cfg.Target
+	target, refTarget := cfg.Target, cfg.Target
 	if target == "" {
 		// No live server given: serve the bundled census table in
-		// process, the atlasd default shape.
+		// process, the atlasd default shape — one server per pass, so the
+		// reference pass does not warm the scored one's result cache.
 		tbl := datagen.Census(100_000, 1)
-		ts := httptest.NewServer(server.New(tbl, atlas.DefaultOptions()).Handler())
-		defer ts.Close()
-		target = ts.URL
+		var stop func()
+		target, stop = serveInProcess(tbl, atlas.DefaultOptions())
+		defer stop()
+		refTarget, stop = serveInProcess(tbl, atlas.DefaultOptions())
+		defer stop()
 		fmt.Printf("replay: no -target, serving census (100000 rows) in process\n")
 	}
 	fmt.Printf("replay: %s — %d entries, %d sessions, table %q\n",
 		path, len(w.Entries), len(w.Sessions()), w.Header.Table)
-	score, err := replayScored(w, target, cfg)
+	score, err := replayScored(w, refTarget, target, cfg)
 	if err != nil {
 		return err
 	}
@@ -89,12 +92,20 @@ func runReplay(path string, cfg replayConfig) error {
 	return nil
 }
 
-// replayScored runs the reference pass and the scored pass against
-// target, hard-fails on any byte drift between them, and returns the
-// scored pass's SLO scorecard.
-func replayScored(w *workload.Workload, target string, cfg replayConfig) (*workload.Score, error) {
+// serveInProcess starts a fresh server over tbl and returns its URL and
+// its stop function.
+func serveInProcess(tbl *atlas.Table, opts atlas.Options) (string, func()) {
+	ts := httptest.NewServer(server.New(tbl, opts).Handler())
+	return ts.URL, ts.Close
+}
+
+// replayScored runs the sequential reference pass against refTarget and
+// the scored pass against target (the same live server, or two fresh
+// in-process ones over the same table), hard-fails on any byte drift
+// between them, and returns the scored pass's SLO scorecard.
+func replayScored(w *workload.Workload, refTarget, target string, cfg replayConfig) (*workload.Score, error) {
 	ctx := context.Background()
-	ref, err := workload.Replay(ctx, w, workload.ReplayOptions{Target: target, Sequential: true})
+	ref, err := workload.Replay(ctx, w, workload.ReplayOptions{Target: refTarget, Sequential: true})
 	if err != nil {
 		return nil, fmt.Errorf("reference pass: %w", err)
 	}
@@ -159,9 +170,10 @@ func writeWorkloadJSON(path string, quick bool) error {
 	tbl := datagen.Census(n, 1)
 	opts := core.DefaultOptions()
 	opts.Parallelism = 2
-	srv := server.New(tbl, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	// The sequential reference answers come from a server of their own;
+	// each scored pass below starts on a fresh one, its caches cold.
+	refTarget, stopRef := serveInProcess(tbl, opts)
+	defer stopRef()
 
 	spec := workload.GenSpec{
 		Table:    "census",
@@ -193,7 +205,9 @@ func writeWorkloadJSON(path string, quick bool) error {
 		// the think-time tail short while still overlapping sessions.
 		{workload.OpenLoop, 4},
 	} {
-		sc, err := replayScored(w, ts.URL, replayConfig{Pacing: string(pass.pacing), Speed: pass.speed, SLO: slo})
+		target, stop := serveInProcess(tbl, opts)
+		sc, err := replayScored(w, refTarget, target, replayConfig{Pacing: string(pass.pacing), Speed: pass.speed, SLO: slo})
+		stop()
 		if err != nil {
 			return err
 		}

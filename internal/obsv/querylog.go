@@ -31,6 +31,9 @@ type QueryLogEntry struct {
 	Outcome string `json:"outcome,omitempty"`
 	// Slow marks entries at or over the server's slow-query threshold.
 	Slow bool `json:"slow,omitempty"`
+	// Cached marks queries the result cache answered: no pipeline ran, so
+	// the ledger bills no scan work.
+	Cached bool `json:"cached,omitempty"`
 	// Ledger is the query's resource bill.
 	Ledger *LedgerSnapshot `json:"ledger,omitempty"`
 	// Profile is the query's span tree, retained only for slow or

@@ -47,6 +47,9 @@ type queryRun struct {
 	led    *obsv.Ledger
 	mode   string
 	start  time.Time
+	// cached is set by the handler when the result cache answered the
+	// query (a hit, or a joined in-flight computation): no pipeline ran.
+	cached bool
 }
 
 // startQuery opens the instrumentation for one query named op. When
@@ -74,13 +77,23 @@ func (qr *queryRun) finish(s *Server, op, input string, sess int, qerr error) *o
 	qr.root.End()
 	qr.led.Finish()
 	tree := qr.tr.Tree()
-	s.observeQuery(op, obsv.RequestIDFrom(qr.ctx), input, sess, time.Since(qr.start), qerr, qr.mode != "", qr.led, tree)
+	s.observeQuery(op, obsv.RequestIDFrom(qr.ctx), input, sess, time.Since(qr.start), qerr, qr.mode != "", qr.cached, qr.led, tree)
 	return tree
 }
 
+// headerResultCache reports on every answered query whether the result
+// cache supplied it ("hit") or the pipeline ran ("miss"). It is a
+// header, not a body field: answers stay byte-identical either way.
+const headerResultCache = "X-Atlas-Result-Cache"
+
 // attach copies the run's bill (and, when asked for, its profile) onto
-// the response DTO.
-func (qr *queryRun) attach(dto *ResultDTO, tree *obsv.SpanJSON) {
+// the response DTO, and the cache verdict onto the response headers.
+func (qr *queryRun) attach(w http.ResponseWriter, dto *ResultDTO, tree *obsv.SpanJSON) {
+	if qr.cached {
+		w.Header().Set(headerResultCache, "hit")
+	} else {
+		w.Header().Set(headerResultCache, "miss")
+	}
 	snap := qr.led.Snapshot()
 	dto.Ledger = &snap
 	switch qr.mode {
@@ -278,7 +291,7 @@ func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
 // recorder. Inputs are capped at the workload byte budget before any
 // of them, so a pathological CQL string can't bloat the ring or a
 // recorded workload.
-func (s *Server) observeQuery(op, rid, input string, sess int, dur time.Duration, qerr error, profiled bool, led *obsv.Ledger, tree *obsv.SpanJSON) {
+func (s *Server) observeQuery(op, rid, input string, sess int, dur time.Duration, qerr error, profiled, cached bool, led *obsv.Ledger, tree *obsv.SpanJSON) {
 	s.Registry() // ensure metrics exist
 	input = workload.CapInput(input, 0)
 	s.metrics.explores.Inc()
@@ -306,6 +319,7 @@ func (s *Server) observeQuery(op, rid, input string, sess int, dur time.Duration
 		Input:     input,
 		DurNs:     dur.Nanoseconds(),
 		Slow:      slow,
+		Cached:    cached,
 		Ledger:    &snap,
 	}
 	if qerr != nil {

@@ -119,9 +119,24 @@ func (s *Server) Registry() *obsv.Registry {
 			return 0
 		})
 		r.GaugeFunc("atlas_sessions_open", "live drill-down sessions", nil, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.sessions))
+			return float64(s.sessions.len())
+		})
+		// Result cache: how much pipeline work sharing saved. hits +
+		// coalesced + misses = lookups; only misses ran the pipeline.
+		r.CounterFunc("atlas_result_cache_hits_total", "explorations answered by a cached result", nil, func() float64 {
+			return float64(s.results.Stats().Hits)
+		})
+		r.CounterFunc("atlas_result_cache_misses_total", "explorations that ran the pipeline", nil, func() float64 {
+			return float64(s.results.Stats().Misses)
+		})
+		r.CounterFunc("atlas_result_cache_coalesced_total", "explorations that joined an identical one in flight", nil, func() float64 {
+			return float64(s.results.Stats().Coalesced)
+		})
+		r.CounterFunc("atlas_result_cache_evictions_total", "cached results dropped to honor the byte budget", nil, func() float64 {
+			return float64(s.results.Stats().Evictions)
+		})
+		r.GaugeFunc("atlas_result_cache_bytes", "estimated bytes of cached results", nil, func() float64 {
+			return float64(s.results.Stats().Bytes)
 		})
 		if s.cart != nil {
 			lbl := map[string]string{"layer": "engine"}

@@ -100,6 +100,11 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 		"atlas_engine_chunks_pruned_total",
 		"atlas_store_bytes_read_total",
 		"atlas_fabric_rpcs_total",
+		"atlas_result_cache_hits_total", // shared result cache
+		"atlas_result_cache_misses_total",
+		"atlas_result_cache_coalesced_total",
+		"atlas_result_cache_evictions_total",
+		"atlas_result_cache_bytes",
 	} {
 		if !byName[want] {
 			t.Errorf("metric family %q missing from /metrics", want)

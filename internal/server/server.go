@@ -29,7 +29,9 @@ import (
 // Server holds one explorable table and its sessions. All requests that
 // run with the server's default options share a single Cartographer —
 // safe for concurrent use — so its column-stat cache warms once and
-// serves every session and stateless exploration.
+// serves every session and stateless exploration — and every request
+// shares one result cache, so a map is computed once however many
+// sessions, prefetches and stateless explorations ask for it.
 type Server struct {
 	table *storage.Table
 	opts  core.Options
@@ -48,9 +50,11 @@ type Server struct {
 	partials     []*shard.ColumnPartial
 	partialsErr  error
 
-	mu       sync.Mutex
-	sessions map[int]*session.Session
-	nextID   int
+	// sessions is the bounded session registry (see sessions.go).
+	sessions *sessionTable
+	// results is the single-flight result cache shared by stateless
+	// explorations, session explorations, drill-downs and prefetches.
+	results *session.ResultCache
 
 	// Observability (see obsv.go): the lazily-built metric registry
 	// behind GET /metrics, the fabric opener's traffic counters when
@@ -88,7 +92,7 @@ type Server struct {
 
 // New creates a server over a table with the given pipeline defaults.
 func New(table *storage.Table, opts core.Options) *Server {
-	s := &Server{table: table, opts: opts, sessions: map[int]*session.Session{},
+	s := &Server{table: table, opts: opts, sessions: newSessionTable(), results: session.NewResultCache(),
 		qlog: obsv.NewQueryLog(obsv.DefaultQueryLogDepth), totals: &obsv.Ledger{},
 		gate: newAdmissionGate(),
 		wrec: workload.NewRecorder(table.Name(), workload.RecorderOptions{MaxEntries: workloadCaptureDepth})}
@@ -103,7 +107,7 @@ func New(table *storage.Table, opts core.Options) *Server {
 // partials, and sessions keep their predicate-bitmap LRU keyed per
 // shard.
 func NewSharded(set *shard.Set, opts core.Options) *Server {
-	s := &Server{table: set.Table(), opts: opts, set: set, sessions: map[int]*session.Session{},
+	s := &Server{table: set.Table(), opts: opts, set: set, sessions: newSessionTable(), results: session.NewResultCache(),
 		qlog: obsv.NewQueryLog(obsv.DefaultQueryLogDepth), totals: &obsv.Ledger{},
 		gate: newAdmissionGate(),
 		wrec: workload.NewRecorder(set.Table().Name(), workload.RecorderOptions{MaxEntries: workloadCaptureDepth})}
@@ -180,13 +184,13 @@ func (s *Server) cartFor(opts core.Options) (*core.Cartographer, error) {
 	return core.NewCartographer(s.table, opts)
 }
 
-// newSession builds a session on the shared Cartographer, sharded when
-// the server serves a shard set.
+// newSession builds a session on the shared Cartographer and the shared
+// result cache, sharded when the server serves a shard set.
 func (s *Server) newSession(cart *core.Cartographer) *session.Session {
 	if s.set != nil {
-		return session.NewSharded(cart, s.set)
+		return session.NewWithCache(cart, s.set, s.results)
 	}
-	return session.New(cart)
+	return session.NewWithCache(cart, nil, s.results)
 }
 
 // Handler returns the HTTP routing for the API.
@@ -195,13 +199,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/schema", s.handleSchema)
 	mux.HandleFunc("POST /api/explore", s.handleExplore)
 	mux.HandleFunc("POST /api/sessions", s.handleNewSession)
-	mux.HandleFunc("GET /api/sessions/{id}", s.handleCurrent)
-	mux.HandleFunc("GET /api/sessions/{id}/history", s.handleHistory)
-	mux.HandleFunc("POST /api/sessions/{id}/explore", s.handleSessionExplore)
-	mux.HandleFunc("POST /api/sessions/{id}/drill", s.handleDrill)
-	mux.HandleFunc("POST /api/sessions/{id}/back", s.handleBack)
-	mux.HandleFunc("POST /api/sessions/{id}/describe", s.handleDescribe)
-	mux.HandleFunc("GET /api/sessions/{id}/personalized", s.handlePersonalized)
+	mux.HandleFunc("GET /api/sessions/{id}", s.withSession(s.handleCurrent))
+	mux.HandleFunc("GET /api/sessions/{id}/history", s.withSession(s.handleHistory))
+	mux.HandleFunc("POST /api/sessions/{id}/explore", s.withSession(s.handleSessionExplore))
+	mux.HandleFunc("POST /api/sessions/{id}/drill", s.withSession(s.handleDrill))
+	mux.HandleFunc("POST /api/sessions/{id}/back", s.withSession(s.handleBack))
+	mux.HandleFunc("POST /api/sessions/{id}/describe", s.withSession(s.handleDescribe))
+	mux.HandleFunc("GET /api/sessions/{id}/personalized", s.withSession(s.handlePersonalized))
 	mux.HandleFunc("GET /api/shards", s.handleShards)
 	mux.HandleFunc("POST /api/explain", s.handleExplain)
 	mux.HandleFunc("GET /api/querylog", s.handleQueryLog)
@@ -333,33 +337,39 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	qr := s.startQuery(r, "explore")
-	res, err := s.runCQL(qr.ctx, req.CQL)
+	res, cached, err := s.runCQL(qr.ctx, req.CQL)
+	qr.cached = cached
 	tree := qr.finish(s, "explore", req.CQL, workload.StatelessSession, err)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	dto := toResultDTO(res)
-	qr.attach(&dto, tree)
+	qr.attach(w, &dto, tree)
 	writeJSON(w, http.StatusOK, dto)
 }
 
 // runCQL parses, binds and executes a stateless CQL exploration,
-// honoring its WITH options. A trace span in ctx profiles the run.
-func (s *Server) runCQL(ctx context.Context, input string) (*core.Result, error) {
+// honoring its WITH options, through the shared result cache: WITH
+// overrides that change the pipeline options are cached under their own
+// key. cached reports that no pipeline ran for this call. A trace span
+// in ctx profiles the run.
+func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, cached bool, err error) {
 	q, opts, err := cql.ParseAndBind(input, s.table)
 	if err != nil {
-		return nil, &badRequest{err}
+		return nil, false, &badRequest{err}
 	}
 	effective, err := cql.ApplyOptions(s.opts, opts)
 	if err != nil {
-		return nil, &badRequest{err}
+		return nil, false, &badRequest{err}
 	}
-	cart, err := s.cartFor(effective)
-	if err != nil {
-		return nil, err
-	}
-	return cart.ExploreCtx(ctx, q)
+	return s.results.Get(ctx, effective, q, func() (*core.Result, error) {
+		cart, err := s.cartFor(effective)
+		if err != nil {
+			return nil, err
+		}
+		return cart.ExploreCtx(ctx, q)
+	})
 }
 
 func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
@@ -368,36 +378,10 @@ func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.sessions[id] = s.newSession(cart)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(s.newSession(cart))})
 }
 
-// sessionFor resolves the request's session and its id — the id rides
-// into the query log and the workload recorder (session affinity).
-func (s *Server) sessionFor(r *http.Request) (*session.Session, int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return nil, workload.StatelessSession, &badRequest{fmt.Errorf("invalid session id %q", r.PathValue("id"))}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return nil, id, &notFound{fmt.Errorf("no session %d", id)}
-	}
-	return sess, id, nil
-}
-
-func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request) {
-	sess, sid, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
 	var req exploreRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -415,6 +399,7 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	qr := s.startQuery(r, "session-explore")
 	node, err := sess.ExploreCtx(qr.ctx, q)
+	qr.cached = err == nil && node.Cached
 	tree := qr.finish(s, "session-explore", req.CQL, sid, err)
 	if err != nil {
 		writeError(w, err)
@@ -422,16 +407,11 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.Prefetch(4) // anticipative computation, Section 5.1
 	dto := toNodeDTO(node)
-	qr.attach(&dto.Result, tree)
+	qr.attach(w, &dto.Result, tree)
 	writeJSON(w, http.StatusOK, dto)
 }
 
-func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
-	sess, sid, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
 	var req drillRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -445,6 +425,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	qr := s.startQuery(r, "drill")
 	node, err := sess.DrillDownCtx(qr.ctx, req.Map, req.Region)
+	qr.cached = err == nil && node.Cached
 	tree := qr.finish(s, "drill", input, sid, err)
 	if err != nil {
 		// Cancellations and deadlines are the caller's lifecycle, not a
@@ -458,16 +439,11 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.Prefetch(4)
 	dto := toNodeDTO(node)
-	qr.attach(&dto.Result, tree)
+	qr.attach(w, &dto.Result, tree)
 	writeJSON(w, http.StatusOK, dto)
 }
 
-func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
-	sess, _, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleBack(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
 	node, err := sess.Back()
 	if err != nil {
 		writeError(w, &badRequest{err})
@@ -476,12 +452,7 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toNodeDTO(node))
 }
 
-func (s *Server) handleCurrent(w http.ResponseWriter, r *http.Request) {
-	sess, _, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleCurrent(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
 	node, err := sess.Current()
 	if err != nil {
 		writeError(w, &notFound{err})
@@ -490,12 +461,7 @@ func (s *Server) handleCurrent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toNodeDTO(node))
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	sess, _, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
 	var out []NodeDTO
 	for _, n := range sess.History() {
 		out = append(out, toNodeDTO(n))
@@ -512,12 +478,7 @@ type ProfileDTO struct {
 
 // handleDescribe explains one region of the current node's maps: the
 // Section 5.2 "why is this region interesting" view.
-func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	sess, _, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
 	var req drillRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -550,12 +511,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 
 // handlePersonalized returns the current node's maps re-ranked by the
 // session's learned attribute interests (Section 5.2 personalization).
-func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
-	sess, _, err := s.sessionFor(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
 	cur, err := sess.Current()
 	if err != nil {
 		writeError(w, &notFound{err})
@@ -787,6 +743,9 @@ type StatsDTO struct {
 	Fabric    *FabricStatsDTO    `json:"fabric,omitempty"`
 	Server    *ServerStatsDTO    `json:"server,omitempty"`
 	Admission *AdmissionStatsDTO `json:"admission,omitempty"`
+	// ResultCache reports the shared result cache: only its misses ran
+	// the pipeline.
+	ResultCache *session.ResultCacheStats `json:"resultCache,omitempty"`
 }
 
 // handleStats reports scan-level pruning counters and, for store-backed
@@ -864,6 +823,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		LedgerTotals:  &totals,
 	}
 	dto.Admission = s.admissionStats()
+	rc := s.results.Stats()
+	dto.ResultCache = &rc
 	writeJSON(w, http.StatusOK, dto)
 }
 

@@ -1,7 +1,8 @@
 // Package session implements exploration sessions: the drill-down tree a
-// user walks while "answering queries with queries" (Figure 1), a result
-// cache, and the anticipative computation of Section 5.1 (precomputing
-// the maps of regions the user is likely to open next during idle time).
+// user walks while "answering queries with queries" (Figure 1), the
+// result cache sessions share (see ResultCache), and the anticipative
+// computation of Section 5.1 (precomputing the maps of regions the user
+// is likely to open next during idle time).
 package session
 
 import (
@@ -27,8 +28,13 @@ type Node struct {
 	Parent int
 	// Query is the explored query.
 	Query query.Query
-	// Result holds the ranked maps for Query.
+	// Result holds the ranked maps for Query. It may be shared with other
+	// sessions through the result cache: read-only.
 	Result *core.Result
+	// Cached reports that the step that created this node ran no
+	// pipeline: the result cache (or a computation already in flight)
+	// supplied Result.
+	Cached bool
 	// Children lists nodes drilled down from this one.
 	Children []int
 }
@@ -85,7 +91,9 @@ type Session struct {
 	cart    *core.Cartographer
 	nodes   []*Node
 	current int
-	cache   map[string]*core.Result
+	// results caches whole explorations by (options, query): private to a
+	// standalone session, shared across sessions when a server owns it.
+	results *ResultCache
 	// preds is the bounded LRU of per-predicate selection bitmaps: a
 	// drill-down shares every predicate with its parent query, so its
 	// base selection is assembled from cached bitmaps plus one new scan.
@@ -100,14 +108,10 @@ type Session struct {
 	prefetching sync.WaitGroup
 }
 
-// New creates an empty session over the cartographer's table.
+// New creates an empty session over the cartographer's table, with a
+// result cache of its own.
 func New(cart *core.Cartographer) *Session {
-	return &Session{
-		cart:    cart,
-		current: -1,
-		cache:   map[string]*core.Result{},
-		preds:   newPredCache(predCacheCapForRows(cart.Table().NumRows())),
-	}
+	return NewWithCache(cart, nil, NewResultCache())
 }
 
 // NewSharded creates a session over a sharded table: cart must explore
@@ -116,9 +120,20 @@ func New(cart *core.Cartographer) *Session {
 // bitmaps are cached in a per-shard keyed LRU, so a drill-down
 // re-scans only the new predicate, and only shard-locally.
 func NewSharded(cart *core.Cartographer, layout ShardLayout) *Session {
-	s := New(cart)
-	s.shards = layout
-	s.preds = newPredCache(predCacheCapForShards(layout))
+	return NewWithCache(cart, layout, NewResultCache())
+}
+
+// NewWithCache creates a session that reads and fills results — the
+// cache a server shares across its sessions and stateless explorations,
+// so none of them recomputes a map another already holds. Every user of
+// one cache must explore the same table. layout may be nil (unsharded).
+func NewWithCache(cart *core.Cartographer, layout ShardLayout, results *ResultCache) *Session {
+	s := &Session{cart: cart, current: -1, results: results, shards: layout}
+	if layout != nil {
+		s.preds = newPredCache(predCacheCapForShards(layout))
+	} else {
+		s.preds = newPredCache(predCacheCapForRows(cart.Table().NumRows()))
+	}
 	return s
 }
 
@@ -259,11 +274,11 @@ func (s *Session) shardPredCompute(ctx context.Context, bitmapper ShardPredBitma
 // exploreLocked runs (or serves from cache) an exploration and appends a
 // node. Caller holds s.mu.
 func (s *Session) exploreLocked(ctx context.Context, q query.Query, parent int) (*Node, error) {
-	res, err := s.resultFor(ctx, q)
+	res, cached, err := s.resultFor(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{ID: len(s.nodes), Parent: parent, Query: q, Result: res}
+	n := &Node{ID: len(s.nodes), Parent: parent, Query: q, Result: res, Cached: cached}
 	s.nodes = append(s.nodes, n)
 	if parent >= 0 {
 		s.nodes[parent].Children = append(s.nodes[parent].Children, n.ID)
@@ -272,23 +287,13 @@ func (s *Session) exploreLocked(ctx context.Context, q query.Query, parent int) 
 	return n, nil
 }
 
-// resultFor serves a result from the cache or computes and caches it.
-// Caller holds s.mu; the pipeline runs without the lock would be nicer,
-// but explorations are short and correctness is simpler this way.
-func (s *Session) resultFor(ctx context.Context, q query.Query) (*core.Result, error) {
-	key := q.String()
-	if res, ok := s.cache[key]; ok {
-		if sp := obsv.SpanFrom(ctx); sp != nil {
-			sp.SetAttr("resultCached", true)
-		}
-		return res, nil
-	}
-	res, err := s.explore(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	s.cache[key] = res
-	return res, nil
+// resultFor serves q's result from the result cache, computing it (or
+// joining a computation already in flight, a prefetch included) on a
+// miss. Failed and cancelled explorations cache nothing.
+func (s *Session) resultFor(ctx context.Context, q query.Query) (*core.Result, bool, error) {
+	return s.results.Get(ctx, s.cart.Options(), q, func() (*core.Result, error) {
+		return s.explore(ctx, q)
+	})
 }
 
 // Explore starts a new exploration root for q.
@@ -377,65 +382,46 @@ func (s *Session) History() []*Node {
 	return append([]*Node(nil), s.nodes...)
 }
 
-// CacheSize returns the number of cached exploration results.
-func (s *Session) CacheSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
-
 // PredCacheSize returns the number of cached per-predicate bitmaps.
 func (s *Session) PredCacheSize() int { return s.preds.len() }
 
 // PredCacheStats returns the predicate-bitmap cache's (hits, misses).
 func (s *Session) PredCacheStats() (hits, misses int) { return s.preds.stats() }
 
-// Prefetch warms the cache with the explorations the user is most likely
-// to ask for next: the regions of the current node's top maps, up to
-// limit queries. It runs in background goroutines ("during the idle time
-// between each query", Section 5.1) and returns immediately; Wait blocks
-// until the warm-up finishes.
+// Prefetch warms the result cache with the explorations the user is
+// most likely to ask for next: the first limit non-empty regions of the
+// current node's top maps. Regions whose result is already cached, or
+// being computed by anyone sharing the cache, cost nothing — no
+// goroutine, no second computation; the rest run in background
+// goroutines ("during the idle time between each query", Section 5.1).
+// Prefetch returns immediately; Wait blocks until the warm-up finishes.
 func (s *Session) Prefetch(limit int) {
 	s.mu.Lock()
 	cur, err := s.currentLocked()
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return
 	}
-	var todo []query.Query
 	for _, m := range cur.Result.Maps {
 		for _, r := range m.Regions {
-			if len(todo) >= limit {
-				break
+			if limit <= 0 {
+				return
 			}
 			if r.Count == 0 {
 				continue
 			}
-			if _, cached := s.cache[r.Query.String()]; !cached {
-				todo = append(todo, r.Query)
+			limit--
+			if s.results.Contains(s.cart.Options(), r.Query) {
+				continue
 			}
+			q := r.Query
+			s.prefetching.Add(1)
+			go func() {
+				defer s.prefetching.Done()
+				// Best-effort: an error caches nothing and is dropped.
+				_, _, _ = s.resultFor(context.Background(), q)
+			}()
 		}
-		if len(todo) >= limit {
-			break
-		}
-	}
-	s.mu.Unlock()
-
-	for _, q := range todo {
-		q := q
-		s.prefetching.Add(1)
-		go func() {
-			defer s.prefetching.Done()
-			res, err := s.explore(context.Background(), q)
-			if err != nil {
-				return // prefetch is best-effort
-			}
-			s.mu.Lock()
-			if _, dup := s.cache[q.String()]; !dup {
-				s.cache[q.String()] = res
-			}
-			s.mu.Unlock()
-		}()
 	}
 }
 

@@ -112,17 +112,27 @@ func TestSessionHistory(t *testing.T) {
 
 func TestSessionCacheHit(t *testing.T) {
 	s := newSession(t)
-	if _, err := s.Explore(query.New("census")); err != nil {
+	n1, err := s.Explore(query.New("census"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	size := s.CacheSize()
+	if n1.Cached {
+		t.Fatal("first exploration cannot be a cache hit")
+	}
+	scans := s.cart.ScanStats()
 	// exploring the same query again must hit the cache
 	n2, err := s.Explore(query.New("census"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheSize() != size {
-		t.Fatal("repeat exploration should not grow the cache")
+	if st := s.results.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("repeat exploration: stats = %+v, want 1 hit, 1 miss, 1 entry", st)
+	}
+	if !n2.Cached || n2.Result != n1.Result {
+		t.Fatal("repeat exploration must be served the cached result")
+	}
+	if s.cart.ScanStats() != scans {
+		t.Fatal("a cache hit must not scan")
 	}
 	if n2.ID == 0 {
 		t.Fatal("repeat exploration still creates a node")
@@ -134,54 +144,43 @@ func TestSessionPrefetchWarmsCache(t *testing.T) {
 	if _, err := s.Explore(query.New("census")); err != nil {
 		t.Fatal(err)
 	}
-	before := s.CacheSize()
 	s.Prefetch(3)
 	s.Wait()
-	after := s.CacheSize()
-	if after <= before {
-		t.Fatalf("prefetch did not warm the cache: %d -> %d", before, after)
+	if st := s.results.Stats(); st.Entries != 4 || st.Misses != 4 {
+		t.Fatalf("prefetch(3) after one explore: stats = %+v, want 4 entries, 4 misses", st)
 	}
-	if after > before+3 {
-		t.Fatalf("prefetch exceeded limit: %d -> %d", before, after)
+	// A second prefetch of the same regions finds them cached: no work.
+	s.Prefetch(3)
+	s.Wait()
+	if st := s.results.Stats(); st.Entries != 4 || st.Misses != 4 {
+		t.Fatalf("repeated prefetch recomputed: stats = %+v", st)
 	}
-	// drilling into a prefetched region must not grow the cache
+	// drilling into a prefetched region must be a hit
 	cur, _ := s.Current()
-	var mapIdx, regionIdx = -1, -1
+	opts := s.cart.Options()
 	for mi, m := range cur.Result.Maps {
 		for ri, r := range m.Regions {
-			if _, ok := prefetchedRegion(s, r.Query.String()); ok {
-				mapIdx, regionIdx = mi, ri
-				break
+			if !s.results.Contains(opts, r.Query) {
+				continue
 			}
+			n, err := s.DrillDown(mi, ri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.results.Stats(); !n.Cached || st.Hits != 1 || st.Misses != 4 {
+				t.Fatalf("drill-down into prefetched region should hit the cache: cached=%v stats=%+v", n.Cached, st)
+			}
+			return
 		}
-		if mapIdx >= 0 {
-			break
-		}
 	}
-	if mapIdx < 0 {
-		t.Skip("no prefetched region found")
-	}
-	sizeBefore := s.CacheSize()
-	if _, err := s.DrillDown(mapIdx, regionIdx); err != nil {
-		t.Fatal(err)
-	}
-	if s.CacheSize() != sizeBefore {
-		t.Fatal("drill-down into prefetched region should hit the cache")
-	}
-}
-
-func prefetchedRegion(s *Session, key string) (*core.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.cache[key]
-	return r, ok
+	t.Fatal("no prefetched region found")
 }
 
 func TestSessionPrefetchBeforeExploreIsNoop(t *testing.T) {
 	s := newSession(t)
 	s.Prefetch(5)
 	s.Wait()
-	if s.CacheSize() != 0 {
+	if st := s.results.Stats(); st.Entries != 0 || st.Misses != 0 {
 		t.Fatal("prefetch on empty session should do nothing")
 	}
 }
