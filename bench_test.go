@@ -14,6 +14,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -68,6 +71,47 @@ func BenchmarkExplore(b *testing.B) {
 			benchExplore(b, n, 0)
 		})
 	}
+	// Every iteration explores another half-table band, so neither the
+	// stat cache (full selections only) nor a result cache serves it: the
+	// sub-selection CUT, partition and merge kernels do all the work.
+	b.Run("sky_wide", func(b *testing.B) {
+		tbl := skyByRA(200000, 1)
+		cart, err := core.NewCartographer(tbl, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := rnd.Float64() * 180
+			q := query.New("sky", query.NewRange("ra", lo, lo+180))
+			if i%2 == 1 {
+				q = query.New("sky", query.NewRange("dec", lo/2-90, lo/2))
+			}
+			if _, err := cart.Explore(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// skyByRA is the sky survey re-ordered by ra, the clustered ingest of the
+// repository's benchmark: an ra band is a contiguous row range whose ra
+// values arrive ascending, a dec band is scattered over the whole table.
+func skyByRA(n int, seed int64) *storage.Table {
+	t := datagen.SkySurvey(n, seed)
+	col, err := t.ColumnByName("ra")
+	if err != nil {
+		panic(err)
+	}
+	ra := col.(*storage.Float64Column).Values()
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return ra[idx[a]] < ra[idx[b]] })
+	return t.Gather("sky", idx)
 }
 
 // BenchmarkExploreSerial is BenchmarkExplore pinned to one worker — the
@@ -119,20 +163,95 @@ func BenchmarkExploreAnytime(b *testing.B) {
 
 // BenchmarkCutStrategies isolates the cost of the CUT primitive per
 // strategy (paper Section 3.1/5.1: CUT "is called many times", making it
-// the optimization target).
+// the optimization target). Inside an exploration the full selection is
+// served by the stat cache; the sub-selection variants are the path every
+// filtered query and every composition level takes: 1 %, 10 % and 50 % of
+// the rows, as one contiguous band of the table and scattered over it.
 func BenchmarkCutStrategies(b *testing.B) {
 	tbl, _ := datagen.ClusterPair(200000, 0.5, 1)
-	sel := bitvec.NewFull(tbl.NumRows())
+	n := tbl.NumRows()
+	type namedSel struct {
+		name string
+		sel  *bitvec.Vector
+	}
+	sels := []namedSel{{"full", bitvec.NewFull(n)}}
+	for _, pct := range []int{1, 10, 50} {
+		band, scattered := bitvec.New(n), bitvec.New(n)
+		rnd := rand.New(rand.NewSource(int64(pct)))
+		for i := 0; i < n; i++ {
+			if i >= n/4 && i < n/4+n*pct/100 {
+				band.Set(i)
+			}
+			if rnd.Intn(100) < pct {
+				scattered.Set(i)
+			}
+		}
+		sels = append(sels,
+			namedSel{fmt.Sprintf("band_%d%%", pct), band},
+			namedSel{fmt.Sprintf("scattered_%d%%", pct), scattered})
+	}
 	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance, core.CutSketch} {
-		b.Run(string(strat), func(b *testing.B) {
-			opts := core.DefaultCutOptions()
-			opts.Numeric = strat
+		for _, s := range sels {
+			name := string(strat) + "/" + s.name
+			if s.name == "full" {
+				name = string(strat)
+			}
+			b.Run(name, func(b *testing.B) {
+				opts := core.DefaultCutOptions()
+				opts.Numeric = strat
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.CutPredicates(tbl, s.sel, "x", opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPartitionBitsNumeric measures the compiled range-partition
+// kernel: the rows of a half-table selection split at the column's
+// median, over an in-memory column, the same column chunk-parallel, and
+// a lazy store whose chunk cache holds every chunk.
+func BenchmarkPartitionBitsNumeric(b *testing.B) {
+	const n = 200000
+	mem := skyByRA(n, 1)
+	path := filepath.Join(b.TempDir(), "sky.atl")
+	if err := colstore.WriteFile(path, mem, 4096); err != nil {
+		b.Fatal(err)
+	}
+	eager, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeEager})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eager.Close()
+	lazy, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeLazy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lazy.Close()
+	sel, err := engine.Eval(mem, query.New("sky", query.NewRange("dec", -45, 45)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds, err := core.CutPredicates(mem, sel, "mag_r", core.DefaultCutOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		tbl     *storage.Table
+		workers int
+	}{{"memory", mem, 1}, {"chunked_w2", eager.Table(), 2}, {"lazy_warm", lazy.Table(), 1}} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CutPredicates(tbl, sel, "x", opts); err != nil {
+				if _, err := engine.PartitionBitsOpts(tc.tbl, "mag_r", preds, sel, engine.ScanOptions{Workers: tc.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sel.Count()), "ns/row")
 		})
 	}
 }

@@ -130,9 +130,14 @@ func (x *cutter) reqCtx() context.Context {
 	return context.Background()
 }
 
-// valsPool recycles the float64 scratch slices CUT materializes column
-// values into on the uncached (sub-selection) path.
-var valsPool = sync.Pool{New: func() any { return new([]float64) }}
+// cutScratch is what CUT materializes on the uncached (sub-selection)
+// path: the column's values under the selection and, for median cuts,
+// the candidates the quantile selection narrows down to. The two are
+// recycled together so that a large values buffer is never handed out as
+// the small candidates buffer and grown again.
+type cutScratch struct{ vals, candidates []float64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
 // CutPredicates implements the CUT_k primitive of Definition 1: it splits
 // the range of attr, restricted to the rows selected by sel, into at most
@@ -164,59 +169,85 @@ func (x *cutter) cutPredicates(sel *bitvec.Vector, full bool, attr string, opts 
 	}
 }
 
+// cutNumeric never sorts the values of a sub-selection: one extraction
+// pass yields them with their NaN count and extremes, and each strategy
+// takes only what it still needs — nothing (equi-width), the stream
+// (sketch), a counting pass (variance) or a handful of order statistics
+// (median). Only the full-selection stat cache holds sorted values; its
+// quantiles are read off them, everything else is shared.
 func (x *cutter) cutNumeric(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
 	var (
-		sorted []float64
+		nn     []float64 // the non-NaN values under sel
+		sorted bool      // nn is ascending
+		total  int       // values under sel, NaN included
+		lo, hi float64   // extremes of nn
 		gk     *sketch.GK
+		// scratch backs nn when it is not the stat cache's
+		scratch *cutScratch
 	)
 	if x.cache != nil && full {
-		var err error
-		sorted, gk, err = x.cache.numericStats(x.reqCtx(), x.t, attr, sel, opts)
+		all, g, err := x.cache.numericStats(x.reqCtx(), x.t, attr, sel, opts)
 		if err != nil {
 			return nil, err
 		}
+		// sort.Float64s orders NaN before every number, so the real
+		// values start after any NaN prefix (a CSV "NaN" cell is non-NULL)
+		nn = all
+		for len(nn) > 0 && math.IsNaN(nn[0]) {
+			nn = nn[1:]
+		}
+		if len(nn) > 0 {
+			lo, hi = nn[0], nn[len(nn)-1]
+		}
+		sorted, total, gk = true, len(all), g
 	} else {
-		bufp := valsPool.Get().(*[]float64)
-		defer valsPool.Put(bufp)
-		vals, err := engine.AppendNumericValuesUnderCtx(x.ctx, (*bufp)[:0], x.t, attr, sel)
+		scratch = scratchPool.Get().(*cutScratch)
+		defer scratchPool.Put(scratch)
+		vals, sum, err := engine.ExtractNumericUnder(x.ctx, scratch.vals, x.t, attr, sel)
 		if err != nil {
 			return nil, err
 		}
-		*bufp = vals
+		scratch.vals = vals
 		if opts.Numeric == CutSketch && len(vals) > 0 {
-			// build from the selection-order stream before sorting, so the
+			// built from the selection-order stream, NaN included, so the
 			// sketch state matches the cached (table-order) construction
 			gk = newCutSketch(vals, opts.SketchEpsilon)
 		}
-		sort.Float64s(vals)
-		sorted = vals
+		nn, total, lo, hi = vals, len(vals), sum.Min, sum.Max
+		if sum.NaN > 0 {
+			nn = vals[:0]
+			for _, v := range vals {
+				if v == v {
+					nn = append(nn, v)
+				}
+			}
+		}
 	}
-	if len(sorted) == 0 {
+	if total == 0 {
 		return nil, &ErrDegenerate{attr, "no non-NULL values under selection"}
-	}
-	// sort.Float64s orders NaN before every number, so the real range
-	// starts after any NaN prefix (a CSV "NaN" cell is non-NULL)
-	nn := sorted
-	for len(nn) > 0 && math.IsNaN(nn[0]) {
-		nn = nn[1:]
 	}
 	if len(nn) == 0 {
 		return nil, &ErrDegenerate{attr, "no finite values under selection"}
 	}
-	lo, hi := nn[0], nn[len(nn)-1]
 	if lo == hi {
 		return nil, &ErrDegenerate{attr, "constant under selection"}
 	}
+	k := opts.Splits
 	var edges []float64
 	switch opts.Numeric {
 	case CutEquiWidth:
-		edges = equiWidthEdges(lo, hi, opts.Splits)
+		edges = equiWidthEdges(lo, hi, k)
 	case CutMedian:
-		edges = quantileEdgesSorted(sorted, lo, hi, opts.Splits)
+		if sorted {
+			edges = quantileEdges(lo, hi, k, func(q float64) float64 { return stats.QuantileSorted(nn, q) })
+		} else {
+			mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &scratch.candidates)
+			edges = append(append([]float64{lo}, mid...), hi)
+		}
 	case CutVariance:
-		edges = varianceEdges(sorted, lo, hi, opts.Splits)
+		edges = varianceEdges(nn, lo, hi, k)
 	case CutSketch:
-		edges = sketchEdgesFrom(gk, lo, hi, opts.Splits)
+		edges = quantileEdges(lo, hi, k, gk.Quantile)
 	}
 	edges = dedupEdges(edges)
 	if len(edges) < 3 {
@@ -243,14 +274,21 @@ func equiWidthEdges(lo, hi float64, k int) []float64 {
 	return edges
 }
 
-// quantileEdgesSorted computes quantile cut points over already-sorted
-// values — callers sort once (or read the sorted stat cache) instead of
-// copying and re-sorting per call.
-func quantileEdgesSorted(sorted []float64, lo, hi float64, k int) []float64 {
+// splitPoints are the quantiles a k-way cut reads: 1/k … (k−1)/k.
+func splitPoints(k int) []float64 {
+	qs := make([]float64, k-1)
+	for i := range qs {
+		qs[i] = float64(i+1) / float64(k)
+	}
+	return qs
+}
+
+// quantileEdges puts the split-point quantiles between the extremes.
+func quantileEdges(lo, hi float64, k int, quantile func(q float64) float64) []float64 {
 	edges := make([]float64, 0, k+1)
 	edges = append(edges, lo)
-	for i := 1; i < k; i++ {
-		edges = append(edges, stats.QuantileSorted(sorted, float64(i)/float64(k)))
+	for _, q := range splitPoints(k) {
+		edges = append(edges, quantile(q))
 	}
 	return append(edges, hi)
 }
@@ -266,25 +304,16 @@ func newCutSketch(vals []float64, eps float64) *sketch.GK {
 	return gk
 }
 
-// sketchEdgesFrom reads quantile cut points off a finalized sketch.
-func sketchEdgesFrom(gk *sketch.GK, lo, hi float64, k int) []float64 {
-	edges := make([]float64, 0, k+1)
-	edges = append(edges, lo)
-	for i := 1; i < k; i++ {
-		edges = append(edges, gk.Quantile(float64(i)/float64(k)))
-	}
-	return append(edges, hi)
-}
-
 // varianceEdges finds interval boundaries minimizing total within-interval
 // variance (weighted SSE), i.e. optimal 1-D k-means. To keep the cost
 // independent of n it runs an exact dynamic program over a compressed
-// equi-width histogram of the data. vals must be sorted ascending.
+// equi-width histogram of the data: one counting pass, in any order. vals
+// must be free of NaN, lo < hi its extremes.
 func varianceEdges(vals []float64, lo, hi float64, k int) []float64 {
 	const maxBins = 256
 	h, err := stats.EquiWidthHist(vals, maxBins)
-	if err != nil || h.NumBins() < 2 {
-		return quantileEdgesSorted(vals, lo, hi, k)
+	if err != nil {
+		return []float64{lo, hi} // no interior cut point
 	}
 	b := h.NumBins()
 	if k > b {

@@ -7,6 +7,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/obsv"
@@ -108,72 +110,103 @@ func Cover(t *storage.Table, q query.Query) (float64, error) {
 // NumericValuesUnder materializes the non-null float values of a numeric
 // column restricted to the selection. Int64 columns are widened.
 func NumericValuesUnder(t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	return AppendNumericValuesUnderCtx(nil, nil, t, attr, sel)
+	return NumericValuesUnderCtx(nil, t, attr, sel)
 }
 
 // NumericValuesUnderCtx is NumericValuesUnder with a request context:
 // lazy chunk fetches ride the caller's trace and resource ledger.
 func NumericValuesUnderCtx(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	return AppendNumericValuesUnderCtx(ctx, nil, t, attr, sel)
+	vals, _, err := ExtractNumericUnder(ctx, nil, t, attr, sel)
+	return vals, err
 }
 
-// AppendNumericValuesUnder is NumericValuesUnder appending into dst — the
-// scratch-buffer variant for callers that recycle value slices across
-// cuts.
-func AppendNumericValuesUnder(dst []float64, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	return AppendNumericValuesUnderCtx(nil, dst, t, attr, sel)
+// NumericSummary describes the values one extraction produced, gathered
+// in the same pass: what CUT needs before it looks at any value twice.
+type NumericSummary struct {
+	// NaN counts the NaN values (a CSV "NaN" cell is non-NULL).
+	NaN int
+	// Min and Max are the extremes of the other values; they are
+	// meaningless when there are none.
+	Min, Max float64
 }
 
-// AppendNumericValuesUnderCtx is AppendNumericValuesUnder with a
-// request context for lazy chunk fetches.
-func AppendNumericValuesUnderCtx(ctx context.Context, dst []float64, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
+func (s *NumericSummary) observe(v float64) {
+	if v < s.Min {
+		s.Min = v
+	}
+	if v > s.Max {
+		s.Max = v
+	}
+	if v != v {
+		s.NaN++
+	}
+}
+
+// ExtractNumericUnder is NumericValuesUnder for callers that recycle
+// value slices across cuts: the values overwrite dst when it is large
+// enough, and they are summarized on the way.
+func ExtractNumericUnder(ctx context.Context, dst []float64, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, NumericSummary, error) {
+	sum := NumericSummary{Min: math.Inf(1), Max: math.Inf(-1)}
 	if err := obsv.CheckCtx(ctx, "engine.stats"); err != nil {
-		return nil, err
+		return nil, sum, err
 	}
 	col, err := t.ColumnByName(attr)
 	if err != nil {
-		return nil, err
+		return nil, sum, err
 	}
-	out := dst
-	if cap(out)-len(out) < sel.Count() {
-		grown := make([]float64, len(out), len(out)+sel.Count())
-		copy(grown, out)
-		out = grown
+	out := dst[:0]
+	if n := sel.Count(); cap(out) < n {
+		out = make([]float64, 0, n)
 	}
 	switch c := col.(type) {
 	case *storage.Int64Column:
-		sel.ForEach(func(i int) bool {
-			if !c.IsNull(i) {
-				out = append(out, float64(c.At(i)))
-			}
-			return true
-		})
+		out = appendSelected(out, &sum, c.Values(), storage.NullWords(c), sel.Words())
 	case *storage.Float64Column:
-		sel.ForEach(func(i int) bool {
-			if !c.IsNull(i) {
-				out = append(out, c.At(i))
-			}
-			return true
-		})
+		out = appendSelected(out, &sum, c.Values(), storage.NullWords(c), sel.Words())
 	case *storage.LazyColumn:
 		if !c.Type().IsNumeric() {
-			return nil, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
+			return nil, sum, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 		}
 		// Chunk-wise: chunks with no selected rows are never fetched, so
 		// a selective extraction reads only the touched byte ranges.
 		err := c.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			if l := i - lo; !p.IsNull(l) {
-				out = append(out, p.Numeric(l))
+				v := p.Numeric(l)
+				out = append(out, v)
+				sum.observe(v)
 			}
 			return true
 		})
 		if err != nil {
-			return nil, err
+			return nil, sum, err
 		}
 	default:
-		return nil, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
+		return nil, sum, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 	}
-	return out, nil
+	return out, sum, nil
+}
+
+// appendSelected appends the selected non-NULL values of an in-memory
+// column, walking the selection a word at a time. nulls is nil or the
+// column's null words.
+func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nulls, sel []uint64) []float64 {
+	s := *sum
+	for wi, w := range sel {
+		if nulls != nil {
+			w &^= nulls[wi]
+		}
+		if w == 0 {
+			continue
+		}
+		row := vals[wi*64:]
+		for ; w != 0; w &= w - 1 {
+			v := float64(row[bits.TrailingZeros64(w)])
+			out = append(out, v)
+			s.observe(v)
+		}
+	}
+	*sum = s
+	return out
 }
 
 // CategoryCountsUnder returns per-dictionary-code counts of a string

@@ -54,53 +54,35 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		out[i] = bitvec.New(n)
 		outWords[i] = out[i].Words()
 	}
+	selWords := sel.Words()
 	place := func(i, ri int) {
 		outWords[ri][i>>6] |= uint64(1) << uint(i&63)
 	}
+	// visiting adapts a per-row visitor to a word range.
+	visiting := func(visit func(i int)) func(w0, w1 int, _ *storage.ChunkPayload) {
+		return func(w0, w1 int, _ *storage.ChunkPayload) { visitSelectedRange(selWords, w0, w1, visit) }
+	}
 
-	// visit resolves one selected row: tests it against the predicates in
-	// order and records the first match. Rows are only ever touched once
-	// and chunk boundaries are word-aligned, so driving visit over
-	// disjoint word ranges from several workers races on nothing. On
-	// memory-tiered columns mkVisit builds the visitor per chunk from the
-	// fetched payload; chunks with no selected rows are never fetched.
-	var visit func(i int)
+	// part resolves the selected rows of words [w0, w1): tests each against
+	// the predicates in order and records the first match. Rows are only
+	// ever touched once and chunk boundaries are word-aligned, so driving
+	// part over disjoint word ranges from several workers races on
+	// nothing. On memory-tiered columns p is the fetched payload of the
+	// chunk those words cover; chunks with no selected rows are never
+	// fetched. Numeric columns of every kind share one compiled kernel.
+	var part func(w0, w1 int, p *storage.ChunkPayload)
 	var lazyCol *storage.LazyColumn
-	var mkVisit func(p *storage.ChunkPayload, lo int) func(i int)
 	switch c := col.(type) {
 	case *storage.Int64Column:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
 			return nil, err
 		}
-		vals := c.Values()
-		visit = func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			v := float64(vals[i])
-			for ri := range preds {
-				if preds[ri].MatchFloat(v) {
-					place(i, ri)
-					return
-				}
-			}
-		}
+		part = eagerRangePart(compileRanges(preds), c.Values(), storage.NullWords(c), selWords, outWords)
 	case *storage.Float64Column:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
 			return nil, err
 		}
-		vals := c.Values()
-		visit = func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			for ri := range preds {
-				if preds[ri].MatchFloat(vals[i]) {
-					place(i, ri)
-					return
-				}
-			}
-		}
+		part = eagerRangePart(compileRanges(preds), c.Values(), storage.NullWords(c), selWords, outWords)
 	case *storage.StringColumn:
 		if err := predsAreKind(preds, query.In, col); err != nil {
 			return nil, err
@@ -118,7 +100,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			}
 		}
 		codes := c.Codes()
-		visit = func(i int) {
+		part = visiting(func(i int) {
 			// Null check first: null rows may carry placeholder codes.
 			if c.IsNull(i) {
 				return
@@ -126,13 +108,13 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			if ri := region[codes[i]]; ri >= 0 {
 				place(i, int(ri))
 			}
-		}
+		})
 	case *storage.BoolColumn:
 		if err := predsAreKind(preds, query.BoolEq, col); err != nil {
 			return nil, err
 		}
 		vals := c.Values()
-		visit = func(i int) {
+		part = visiting(func(i int) {
 			if c.IsNull(i) {
 				return
 			}
@@ -142,10 +124,10 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 					return
 				}
 			}
-		}
+		})
 	case *storage.LazyColumn:
 		lazyCol = c
-		mkVisit, err = compileLazyVisit(c, preds, place)
+		part, err = compileLazyPart(c, preds, selWords, outWords, place)
 		if err != nil {
 			return nil, err
 		}
@@ -154,18 +136,17 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	}
 
 	led := obsv.LedgerFrom(opts.Ctx)
-	selWords := sel.Words()
 	ck := t.Chunking()
 	if ck == nil {
 		if lazyCol != nil {
 			return nil, fmt.Errorf("engine: lazy column partition requires chunk metadata")
 		}
-		visitSelectedRange(selWords, 0, len(selWords), visit)
+		part(0, len(selWords), nil)
 		return out, nil
 	}
 	numChunks := ck.NumChunks(n)
 	wordsPerChunk := ck.Size / 64
-	visitChunk := func(k int) error {
+	partChunk := func(k int) error {
 		// Chunk-granular cancellation, before any fetch or row visit.
 		if err := obsv.CheckCtx(opts.Ctx, "engine.partition"); err != nil {
 			return err
@@ -175,20 +156,21 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		if w1 > len(selWords) {
 			w1 = len(selWords)
 		}
-		v := visit
+		var p *storage.ChunkPayload
 		if lazyCol != nil {
 			if !anyWordsRange(selWords, w0, w1) {
 				return nil
 			}
-			p, hit, err := lazyCol.ChunkCtx(opts.Ctx, k)
+			var hit bool
+			var err error
+			p, hit, err = lazyCol.ChunkCtx(opts.Ctx, k)
 			if err != nil {
 				return err
 			}
 			countFetch(opts.Stats, hit)
 			led.ChunkFetch(hit)
-			v = mkVisit(p, k*ck.Size)
 		}
-		visitSelectedRange(selWords, w0, w1, v)
+		part(w0, w1, p)
 		return nil
 	}
 	workers := opts.Workers
@@ -197,44 +179,50 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	}
 	if workers <= 1 {
 		if lazyCol == nil {
-			visitSelectedRange(selWords, 0, len(selWords), visit)
+			part(0, len(selWords), nil)
 			return out, nil
 		}
 		for k := 0; k < numChunks; k++ {
-			if err := visitChunk(k); err != nil {
+			if err := partChunk(k); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	}
-	if err := par.For(workers, numChunks, visitChunk); err != nil {
+	if err := par.For(workers, numChunks, partChunk); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// compileLazyVisit builds the per-chunk row visitor of a partition pass
-// over a memory-tiered column.
-func compileLazyVisit(c *storage.LazyColumn, preds []query.Predicate, place func(i, ri int)) (func(p *storage.ChunkPayload, lo int) func(i int), error) {
+// eagerRangePart is the numeric partition pass over an in-memory column.
+func eagerRangePart[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64, out [][]uint64) func(w0, w1 int, _ *storage.ChunkPayload) {
+	return func(w0, w1 int, _ *storage.ChunkPayload) {
+		var runNulls []uint64
+		if nulls != nil {
+			runNulls = nulls[w0:]
+		}
+		partitionRanges(ms, vals[w0*64:], runNulls, sel, out, w0, w1)
+	}
+}
+
+// compileLazyPart builds the per-chunk partition pass over a
+// memory-tiered column: p is the payload of the chunk starting at row
+// w0*64.
+func compileLazyPart(c *storage.LazyColumn, preds []query.Predicate, sel []uint64, out [][]uint64, place func(i, ri int)) (func(w0, w1 int, p *storage.ChunkPayload), error) {
 	switch c.Type() {
 	case storage.Int64, storage.Float64:
 		if err := predsAreKind(preds, query.Range, c); err != nil {
 			return nil, err
 		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
-				l := i - lo
-				if p.IsNull(l) {
-					return
-				}
-				v := p.Numeric(l)
-				for ri := range preds {
-					if preds[ri].MatchFloat(v) {
-						place(i, ri)
-						return
-					}
-				}
-			}
+		ms := compileRanges(preds)
+		if c.Type() == storage.Int64 {
+			return func(w0, w1 int, p *storage.ChunkPayload) {
+				partitionRanges(ms, p.Ints, p.Nulls, sel, out, w0, w1)
+			}, nil
+		}
+		return func(w0, w1 int, p *storage.ChunkPayload) {
+			partitionRanges(ms, p.Floats, p.Nulls, sel, out, w0, w1)
 		}, nil
 	case storage.String:
 		if err := predsAreKind(preds, query.In, c); err != nil {
@@ -260,8 +248,9 @@ func compileLazyVisit(c *storage.LazyColumn, preds []query.Predicate, place func
 				}
 			}
 		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
+		return func(w0, w1 int, p *storage.ChunkPayload) {
+			lo := w0 * 64
+			visitSelectedRange(sel, w0, w1, func(i int) {
 				l := i - lo
 				// Null check first: null rows may carry placeholder codes.
 				if p.IsNull(l) {
@@ -270,14 +259,15 @@ func compileLazyVisit(c *storage.LazyColumn, preds []query.Predicate, place func
 				if ri := region[p.Codes[l]]; ri >= 0 {
 					place(i, int(ri))
 				}
-			}
+			})
 		}, nil
 	case storage.Bool:
 		if err := predsAreKind(preds, query.BoolEq, c); err != nil {
 			return nil, err
 		}
-		return func(p *storage.ChunkPayload, lo int) func(i int) {
-			return func(i int) {
+		return func(w0, w1 int, p *storage.ChunkPayload) {
+			lo := w0 * 64
+			visitSelectedRange(sel, w0, w1, func(i int) {
 				l := i - lo
 				if p.IsNull(l) {
 					return
@@ -288,7 +278,7 @@ func compileLazyVisit(c *storage.LazyColumn, preds []query.Predicate, place func
 						return
 					}
 				}
-			}
+			})
 		}, nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported lazy column type %v", c.Type())

@@ -164,18 +164,18 @@ func compilePred(t *storage.Table, p query.Predicate) (compiledPred, error) {
 		if p.Kind != query.Range {
 			return compiledPred{}, kindErr(p, col)
 		}
-		vals := c.Values()
+		vals, m := c.Values(), compileRange(p)
 		cp.match = func(i int) bool {
-			return p.MatchFloat(float64(vals[i])) && !c.IsNull(i)
+			return m.match(float64(vals[i])) && !c.IsNull(i)
 		}
 		cp.zone = rangeZone(p)
 	case *storage.Float64Column:
 		if p.Kind != query.Range {
 			return compiledPred{}, kindErr(p, col)
 		}
-		vals := c.Values()
+		vals, m := c.Values(), compileRange(p)
 		cp.match = func(i int) bool {
-			return p.MatchFloat(vals[i]) && !c.IsNull(i)
+			return m.match(vals[i]) && !c.IsNull(i)
 		}
 		cp.zone = rangeZone(p)
 	case *storage.StringColumn:
@@ -232,10 +232,11 @@ func compileLazyPred(cp compiledPred, c *storage.LazyColumn, p query.Predicate) 
 			return compiledPred{}, kindErr(p, c)
 		}
 		cp.zone = rangeZone(p)
+		m := compileRange(p)
 		cp.mkMatch = func(pl *storage.ChunkPayload, lo int) func(i int) bool {
 			return func(i int) bool {
 				l := i - lo
-				return p.MatchFloat(pl.Numeric(l)) && !pl.IsNull(l)
+				return m.match(pl.Numeric(l)) && !pl.IsNull(l)
 			}
 		}
 	case storage.String:

@@ -159,20 +159,8 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	lo, hi, frac := quantilePos(len(sorted), q)
+	return interpolate(sorted[lo], sorted[hi], frac)
 }
 
 // Quantile sorts a copy of vals and returns the q-quantile.
