@@ -507,6 +507,9 @@ func (h *StoreHandle) NewExplorer(opts Options) (*Explorer, error) {
 // reassembled into one combined chunk-aware table with per-shard views.
 type ShardedTable struct {
 	set *shard.Set
+	// opener dials the set's remote shards; Close releases its pooled
+	// connections after the set's.
+	opener *remote.Opener
 }
 
 // Table returns the combined table (all shards, in manifest order).
@@ -548,8 +551,13 @@ func SaveSharded(t *Table, manifestPath string, o ShardIngestOptions) error {
 // files rather than a materialized concatenation.
 func (s *ShardedTable) Lazy() bool { return s.set.LazyViews() }
 
-// Close closes every opened shard file.
-func (s *ShardedTable) Close() error { return s.set.Close() }
+// Close closes every opened shard file and the idle connections to
+// remote shard servers.
+func (s *ShardedTable) Close() error {
+	err := s.set.Close()
+	s.opener.Close()
+	return err
+}
 
 // IOStats sums the lazy-I/O counters across the set's shard files.
 func (s *ShardedTable) IOStats() StoreIOStats { return s.set.IOStats() }
@@ -578,15 +586,17 @@ func OpenSharded(manifestPath string) (*ShardedTable, error) {
 // decoded-chunk cache. Explorations stay byte-identical to the local
 // sharded (and unsharded) table.
 func OpenShardedWith(manifestPath string, o StoreOpenOptions) (*ShardedTable, error) {
+	opener := remote.NewOpener(remote.Options{})
 	set, err := shard.OpenWith(manifestPath, shard.Options{
 		Store:  o.colstoreOptions(),
 		Defer:  o.Defer,
-		Remote: remote.NewOpener(remote.Options{}),
+		Remote: opener,
 	})
 	if err != nil {
+		opener.Close()
 		return nil, err
 	}
-	return &ShardedTable{set: set}, nil
+	return &ShardedTable{set: set, opener: opener}, nil
 }
 
 // IsShardManifest reports whether path holds a shard manifest (JSON)

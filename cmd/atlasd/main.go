@@ -144,12 +144,14 @@ func main() {
 	var srv *server.Server
 	if *store != "" {
 		sc := server.StoreConfig{Defer: *deferS}
-		sc.Remote = remote.NewOpener(remote.Options{
+		opener := remote.NewOpener(remote.Options{
 			Timeout:          *fabTimeout,
 			Retries:          *fabRetries,
 			BreakerThreshold: *breakerTrip,
 			BreakerCooldown:  *breakerCool,
 		})
+		defer opener.Close()
+		sc.Remote = opener
 		sc.Store.CacheBytes = *cacheB
 		switch {
 		case *lazy:
@@ -206,6 +208,9 @@ func main() {
 	// deadline) within the drain budget, then the process exits 0.
 	if err := serveWithDrain(*addr, handler, *drainTimeout, func() { srv.SetDraining(true) }); err != nil {
 		log.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		log.Printf("atlasd: closing store: %v", err)
 	}
 }
 

@@ -58,32 +58,6 @@ func NewChunkCache(budget int64) *ChunkCache {
 	return &ChunkCache{budget: budget, order: list.New(), byKey: map[chunkKey]*list.Element{}}
 }
 
-// Budget returns the cache's byte budget (<= 0 = unbounded).
-func (c *ChunkCache) Budget() int64 { return c.budget }
-
-// Get returns the payload cached under (owner, ci, k), loading it via
-// load on a miss — the hook composite sources (shard sets caching
-// remapped payloads) use to share one budget with the stores beneath
-// them. owner is compared by identity.
-func (c *ChunkCache) Get(owner any, ci, k int, load func() (*storage.ChunkPayload, error)) (*storage.ChunkPayload, bool, error) {
-	return c.getCtx(nil, chunkKey{src: owner, ci: ci, k: k}, load)
-}
-
-// GetCtx is Get with the caller's context governing the wait: a waiter
-// whose ctx is done abandons the flight with a named cancellation error
-// without disturbing the load, and a loader whose own load is cancelled
-// hands the slot off so waiting goroutines (or the next touch) retry
-// cleanly instead of inheriting the canceller's fate. load runs under
-// the caller's context — it is the caller's job to capture ctx in it.
-func (c *ChunkCache) GetCtx(ctx context.Context, owner any, ci, k int, load func() (*storage.ChunkPayload, error)) (*storage.ChunkPayload, bool, error) {
-	return c.getCtx(ctx, chunkKey{src: owner, ci: ci, k: k}, load)
-}
-
-// Drop removes every ready entry owned by owner and marks its in-flight
-// loads for discard — what a composite source (shard set) calls on
-// Close so a caller-shared cache does not pin payloads of a closed set.
-func (c *ChunkCache) Drop(owner any) { c.drop(owner) }
-
 // Contains reports whether (owner, ci, k) is resident or already
 // loading, without touching the LRU order — the cheap pre-check of a
 // prefetch, which must not promote entries it does not use.
@@ -104,10 +78,19 @@ func (c *ChunkCache) HasRoom(n int64) bool {
 	return c.budget <= 0 || c.used+n <= c.budget
 }
 
-// getCtx returns the payload for key, loading it via load on a miss.
-// The returned bool reports a cache hit (the payload existed or another
-// goroutine was already loading it). A nil ctx waits unconditionally.
-func (c *ChunkCache) getCtx(ctx context.Context, key chunkKey, load func() (*storage.ChunkPayload, error)) (*storage.ChunkPayload, bool, error) {
+// Get returns the payload cached under (owner, ci, k), loading it via
+// load on a miss. Stores and the composite sources above them (shard
+// sets caching remapped payloads) all come through here, which is how
+// they share one budget. owner is compared by identity. ctx governs the
+// wait: a waiter whose ctx is done abandons the flight with a named
+// cancellation error without disturbing the load, and a loader whose
+// own load is cancelled hands the slot off so waiting goroutines (or
+// the next touch) retry cleanly instead of inheriting the canceller's
+// fate. load runs under the caller's context — it is the caller's job
+// to capture ctx in it. The returned bool reports a cache hit (the
+// payload existed or another goroutine was already loading it).
+func (c *ChunkCache) Get(ctx context.Context, owner any, ci, k int, load func() (*storage.ChunkPayload, error)) (*storage.ChunkPayload, bool, error) {
+	key := chunkKey{src: owner, ci: ci, k: k}
 	for {
 		c.mu.Lock()
 		if el, ok := c.byKey[key]; ok {
@@ -115,16 +98,12 @@ func (c *ChunkCache) getCtx(ctx context.Context, key chunkKey, load func() (*sto
 			c.order.MoveToFront(el)
 			c.hits++
 			c.mu.Unlock()
-			if ctx != nil {
-				select {
-				case <-e.ready:
-				case <-ctx.Done():
-					// Abandon only this waiter: the flight (and its other
-					// waiters) continue unharmed.
-					return nil, false, obsv.Cancelled(ctx, "colstore.wait")
-				}
-			} else {
-				<-e.ready
+			select {
+			case <-e.ready:
+			case <-ctx.Done():
+				// Abandon only this waiter: the flight (and its other
+				// waiters) continue unharmed.
+				return nil, false, obsv.Cancelled(ctx, "colstore.wait")
 			}
 			if e.retry {
 				// The loader was cancelled before finishing. The slot was
@@ -230,15 +209,17 @@ func (c *ChunkCache) Stats() CacheStats {
 	}
 }
 
-// drop removes every entry owned by src — called when a store closes so
-// a shared cache does not pin payloads of a closed file.
-func (c *ChunkCache) drop(src any) {
+// Drop removes every ready entry owned by owner and marks its in-flight
+// loads for discard — what a store, or a composite source (shard set),
+// calls on Close so a shared cache does not pin payloads of a closed
+// source.
+func (c *ChunkCache) Drop(owner any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*cacheEntry)
-		if e.key.src == src {
+		if e.key.src == owner {
 			if e.p != nil || e.err != nil {
 				c.order.Remove(el)
 				delete(c.byKey, e.key)

@@ -33,7 +33,7 @@ func TestChunkCacheCancelledLoaderHandsOff(t *testing.T) {
 	aStarted := make(chan struct{})
 	aDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetCtx(ctxA, owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		_, _, err := c.Get(ctxA, owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			close(aStarted)
 			<-ctxA.Done() // a ctx-aware load observing its caller's death
 			return nil, obsv.Cancelled(ctxA, "colstore.load")
@@ -46,7 +46,7 @@ func TestChunkCacheCancelledLoaderHandsOff(t *testing.T) {
 	bDone := make(chan error, 1)
 	var bPayload *storage.ChunkPayload
 	go func() {
-		p, _, err := c.GetCtx(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		p, _, err := c.Get(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			bLoads.Add(1)
 			return payload(), nil
 		})
@@ -69,7 +69,7 @@ func TestChunkCacheCancelledLoaderHandsOff(t *testing.T) {
 		t.Fatalf("second reader's load ran %d times, want 1", got)
 	}
 	// The re-armed load cached normally: a later touch is a pure hit.
-	_, hit, err := c.Get(owner, 0, 0, func() (*storage.ChunkPayload, error) {
+	_, hit, err := c.Get(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
 		t.Fatal("payload was not cached after the hand-off")
 		return nil, nil
 	})
@@ -88,7 +88,7 @@ func TestChunkCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	started := make(chan struct{})
 	loaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetCtx(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		_, _, err := c.Get(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			close(started)
 			<-release
 			return payload(), nil
@@ -100,7 +100,7 @@ func TestChunkCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	ctxW, cancelW := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetCtx(ctxW, owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		_, _, err := c.Get(ctxW, owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			t.Error("waiter became a loader while the flight was live")
 			return nil, nil
 		})
@@ -133,7 +133,7 @@ func TestChunkCacheRealFailureFailsWaiters(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, _ = c.GetCtx(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		_, _, _ = c.Get(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			close(started)
 			<-release
 			return nil, boom
@@ -142,7 +142,7 @@ func TestChunkCacheRealFailureFailsWaiters(t *testing.T) {
 	<-started
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetCtx(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
+		_, _, err := c.Get(context.Background(), owner, 0, 0, func() (*storage.ChunkPayload, error) {
 			t.Error("waiter re-loaded after a non-cancellation failure")
 			return nil, nil
 		})

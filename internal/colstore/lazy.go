@@ -126,10 +126,7 @@ var errLazyUnsupported = fmt.Errorf("lazy open unsupported here")
 // budget, applying the package conventions: > 0 passes through, < 0
 // forces unbounded, 0 consults ATLAS_CHUNK_CACHE_BUDGET and falls back
 // to unbounded.
-func ResolveCacheBudget(cacheBytes int64) int64 { return resolveCacheBudget(cacheBytes) }
-
-// resolveCacheBudget applies the CacheBytes conventions (env fallback).
-func resolveCacheBudget(cacheBytes int64) int64 {
+func ResolveCacheBudget(cacheBytes int64) int64 {
 	if cacheBytes != 0 {
 		if cacheBytes < 0 {
 			return 0 // unbounded
@@ -244,7 +241,7 @@ func openLazy(path string, o Options, verifyOldCRC bool) (*Store, error) {
 	if o.Cache != nil {
 		lf.cache = o.Cache
 	} else {
-		lf.cache = NewChunkCache(resolveCacheBudget(o.CacheBytes))
+		lf.cache = NewChunkCache(ResolveCacheBudget(o.CacheBytes))
 	}
 
 	tbl, err := lf.buildTable(h.name)
@@ -534,22 +531,15 @@ func (lf *lazyFile) buildTable(name string) (*storage.Table, error) {
 }
 
 // FetchChunk implements storage.ChunkSource: cache lookup, then read +
-// CRC + decode on a miss.
-func (lf *lazyFile) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return lf.FetchChunkCtx(nil, ci, k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: identical to
-// FetchChunk, but a miss's read and decode are additionally billed to
-// the context's resource ledger — at the same sites the store's own
-// lifetime counters move, so a query's ledger delta equals its IOStats
-// delta.
-func (lf *lazyFile) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
+// CRC + decode on a miss. The miss's read and decode are billed to the
+// context's resource ledger at the same sites the store's own lifetime
+// counters move, so a query's ledger delta equals its IOStats delta.
+func (lf *lazyFile) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	if ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
 		return nil, false, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
 	}
 	led := obsv.LedgerFrom(ctx)
-	return lf.cache.getCtx(ctx, chunkKey{src: lf, ci: ci, k: k}, func() (*storage.ChunkPayload, error) {
+	return lf.cache.Get(ctx, lf, ci, k, func() (*storage.ChunkPayload, error) {
 		if err := obsv.CheckCtx(ctx, "colstore.load"); err != nil {
 			return nil, err
 		}
@@ -684,21 +674,16 @@ func decodeChunkPayload(raw []byte, f storage.Field, dictLen, chunkRows, k int, 
 // loads; the scan itself is never throttled by this.
 const maxPrefetchInFlight = 4
 
-// PrefetchChunk implements storage.ChunkPrefetcher: an asynchronous,
+// PrefetchChunk implements storage.ChunkSource: an asynchronous,
 // single-flight, eviction-aware fetch of a chunk a sequential scan is
 // about to touch. It is a no-op when the chunk is already resident (or
 // loading), when caching it would evict something, or when too many
 // prefetches are in flight — a prefetch must only ever hide latency,
-// never change what the scan decodes or keeps.
-func (lf *lazyFile) PrefetchChunk(ci, k int) {
-	lf.PrefetchChunkCtx(nil, ci, k)
-}
-
-// PrefetchChunkCtx implements storage.CtxChunkPrefetcher: the
-// speculative load carries the request's values (so its read and
-// decode bill the originating query's ledger) but detaches from its
-// cancellation — the query may finish before the flight does.
-func (lf *lazyFile) PrefetchChunkCtx(ctx context.Context, ci, k int) {
+// never change what the scan decodes or keeps. The load keeps the
+// request's values (its read and decode bill the originating query's
+// ledger) but detaches from its cancellation — the query may finish
+// before the flight does.
+func (lf *lazyFile) PrefetchChunk(ctx context.Context, ci, k int) {
 	if lf.closed.Load() || ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
 		return
 	}
@@ -718,14 +703,12 @@ func (lf *lazyFile) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 		lf.prefetching.Add(-1)
 		return
 	}
-	if ctx != nil {
-		ctx = context.WithoutCancel(ctx)
-	}
+	ctx = context.WithoutCancel(ctx)
 	go func() {
 		defer lf.prefetching.Add(-1)
 		// Errors are ignored: failed loads are never cached, so the scan's
 		// own fetch retries and reports them.
-		_, _, _ = lf.FetchChunkCtx(ctx, ci, k)
+		_, _, _ = lf.FetchChunk(ctx, ci, k)
 	}()
 }
 
@@ -740,9 +723,6 @@ func (lf *lazyFile) ioStats() IOStats {
 		CacheBytes:     cs.Bytes,
 	}
 }
-
-// Cache exposes the store's chunk cache (shared or private).
-func (lf *lazyFile) Cache() *ChunkCache { return lf.cache }
 
 // close releases the mapping and descriptor and drops this file's cache
 // entries. It waits for in-flight chunk reads (closeMu write lock), so
@@ -759,6 +739,6 @@ func (lf *lazyFile) close() error {
 		err = cerr
 	}
 	lf.closeMu.Unlock()
-	lf.cache.drop(lf)
+	lf.cache.Drop(lf)
 	return err
 }

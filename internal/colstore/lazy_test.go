@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -196,7 +197,7 @@ func TestLazyCorruptChunk(t *testing.T) {
 	}
 	defer s.Close()
 	lc := s.Table().Column(0).(*storage.LazyColumn)
-	_, _, err = lc.Chunk(1)
+	_, _, err = lc.Chunk(context.Background(), 1)
 	if err == nil {
 		t.Fatal("corrupt chunk must fail on first touch")
 	}
@@ -208,7 +209,7 @@ func TestLazyCorruptChunk(t *testing.T) {
 		t.Errorf("error should name the checksum failure, got %v", err)
 	}
 	// Other chunks stay readable.
-	if _, _, err := lc.Chunk(0); err != nil {
+	if _, _, err := lc.Chunk(context.Background(), 0); err != nil {
 		t.Errorf("intact chunk failed: %v", err)
 	}
 }
@@ -227,7 +228,7 @@ func TestLazyTruncatedOnTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := s.Table().Column(0).(*storage.LazyColumn)
-	_, _, err = lc.Chunk(2)
+	_, _, err = lc.Chunk(context.Background(), 2)
 	if err == nil {
 		t.Fatal("truncated chunk must fail on first touch")
 	}
@@ -246,13 +247,13 @@ func TestLazyClosedFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := s.Table().Column(0).(*storage.LazyColumn)
-	if _, _, err := lc.Chunk(0); err != nil {
+	if _, _, err := lc.Chunk(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lc.Chunk(1); err == nil {
+	if _, _, err := lc.Chunk(context.Background(), 1); err == nil {
 		t.Fatal("fetch after Close must fail")
 	}
 }
@@ -319,7 +320,7 @@ func TestLazyCloseDuringFetch(t *testing.T) {
 						return
 					default:
 					}
-					if _, _, err := lc.Chunk(k); err != nil && !strings.Contains(err.Error(), "store closed") {
+					if _, _, err := lc.Chunk(context.Background(), k); err != nil && !strings.Contains(err.Error(), "store closed") {
 						t.Errorf("unexpected fetch error: %v", err)
 						return
 					}
@@ -348,7 +349,7 @@ func TestChunkCacheBudget(t *testing.T) {
 	defer s.Close()
 	lc := s.Table().Column(0).(*storage.LazyColumn)
 	for k := 0; k < lc.NumChunks(); k++ {
-		if _, _, err := lc.Chunk(k); err != nil {
+		if _, _, err := lc.Chunk(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,7 +387,7 @@ func TestLazySharedCache(t *testing.T) {
 	for _, s := range []*Store{a, b} {
 		lc := s.Table().Column(1).(*storage.LazyColumn)
 		for k := 0; k < lc.NumChunks(); k++ {
-			if _, _, err := lc.Chunk(k); err != nil {
+			if _, _, err := lc.Chunk(context.Background(), k); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestSequentialPrefetchNoExtraDecodes(t *testing.T) {
 	s := prefetchStore(t, n, chunk, Options{})
 	col := s.Table().Column(0).(*storage.LazyColumn)
 	sum := int64(0)
-	err := col.ForEachChunk(func(k, lo int, p *storage.ChunkPayload) (bool, error) {
+	err := col.ForEachChunk(context.Background(), func(k, lo int, p *storage.ChunkPayload) (bool, error) {
 		for i := 0; i < p.Rows(); i++ {
 			sum += p.Ints[i]
 		}
@@ -70,7 +71,7 @@ func TestSelectedPrefetchOnlyTouchedChunks(t *testing.T) {
 	sel.Set(2*chunk + 5)
 	sel.Set(9*chunk + 7)
 	seen := 0
-	err := col.ForEachSelected(sel, func(p *storage.ChunkPayload, lo, i int) bool {
+	err := col.ForEachSelected(context.Background(), sel, func(p *storage.ChunkPayload, lo, i int) bool {
 		seen++
 		return true
 	})
@@ -95,7 +96,7 @@ func TestPrefetchEvictionAware(t *testing.T) {
 	s := prefetchStore(t, n, chunk, Options{CacheBytes: chunk * 8})
 	col := s.Table().Column(0).(*storage.LazyColumn)
 	rows := 0
-	err := col.ForEachChunk(func(k, lo int, p *storage.ChunkPayload) (bool, error) {
+	err := col.ForEachChunk(context.Background(), func(k, lo int, p *storage.ChunkPayload) (bool, error) {
 		rows += p.Rows()
 		return true, nil
 	})

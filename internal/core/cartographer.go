@@ -149,15 +149,10 @@ func (c *Cartographer) Options() Options { return c.opts }
 func (c *Cartographer) Workers() int { return resolveParallelism(c.opts.Parallelism) }
 
 // ScanOpts returns the scan options the Cartographer runs its own scans
-// with — workers plus its cumulative stats accumulator — so callers
-// (sessions) scanning on its behalf feed the same counters.
-func (c *Cartographer) ScanOpts() engine.ScanOptions {
-	return engine.ScanOptions{Workers: c.Workers(), Stats: &c.scan}
-}
-
-// ScanOptsCtx is ScanOpts carrying a request context, so lazy chunk
-// fetches made on the Cartographer's behalf ride the caller's trace.
-func (c *Cartographer) ScanOptsCtx(ctx context.Context) engine.ScanOptions {
+// with — workers, its cumulative stats accumulator and the request
+// context — so callers (sessions) scanning on its behalf feed the same
+// counters and their lazy chunk fetches ride the caller's trace.
+func (c *Cartographer) ScanOpts(ctx context.Context) engine.ScanOptions {
 	return engine.ScanOptions{Workers: c.Workers(), Stats: &c.scan, Ctx: ctx}
 }
 
@@ -231,7 +226,7 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Resu
 	}
 	bctx, sp := obsv.StartSpan(ctx, "base")
 	base := bitvec.NewFull(c.table.NumRows())
-	if err := engine.EvalAndIntoOpts(c.table, q, base, c.ScanOptsCtx(bctx)); err != nil {
+	if err := engine.EvalAndIntoOpts(c.table, q, base, c.ScanOpts(bctx)); err != nil {
 		sp.End()
 		return nil, err
 	}

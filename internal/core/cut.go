@@ -203,7 +203,7 @@ func (x *cutter) cutNumeric(sel *bitvec.Vector, full bool, attr string, opts Cut
 	} else {
 		scratch = scratchPool.Get().(*cutScratch)
 		defer scratchPool.Put(scratch)
-		vals, sum, err := engine.ExtractNumericUnder(x.ctx, scratch.vals, x.t, attr, sel)
+		vals, sum, err := engine.ExtractNumericUnder(x.reqCtx(), scratch.vals, x.t, attr, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +400,7 @@ func (x *cutter) cutCategorical(sel *bitvec.Vector, full bool, attr string, opts
 	if x.cache != nil && full {
 		dict, counts, err = x.cache.categoryStats(x.reqCtx(), x.t, attr, sel)
 	} else {
-		dict, counts, err = engine.CategoryCountsUnderCtx(x.ctx, x.t, attr, sel)
+		dict, counts, err = engine.CategoryCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
 	}
 	if err != nil {
 		return nil, err
@@ -496,7 +496,7 @@ func (x *cutter) cutBool(sel *bitvec.Vector, full bool, attr string) ([]query.Pr
 	if x.cache != nil && full {
 		falses, trues, err = x.cache.boolStats(x.reqCtx(), x.t, attr, sel)
 	} else {
-		falses, trues, err = engine.BoolCountsUnderCtx(x.ctx, x.t, attr, sel)
+		falses, trues, err = engine.BoolCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
 	}
 	if err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func DefaultScreenOptions() ScreenOptions {
 // cardinality and/or no semantics … a failure to detect this could lead
 // to very long and useless computations".
 func ScreenColumns(t *storage.Table, sel *bitvec.Vector, opts ScreenOptions) (keep []string, flagged []ScreenFinding) {
-	return screenColumnsN(nil, t, sel, opts, 1)
+	return screenColumnsN(context.Background(), t, sel, opts, 1)
 }
 
 // screenColumnsN is ScreenColumns over a bounded worker pool: columns
@@ -198,7 +198,7 @@ func screenColumn(ctx context.Context, col storage.Column, f storage.Field, sel 
 // with the ChunkError; the pipeline's recovery converts it to an error.
 func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Field, sel *bitvec.Vector, opts ScreenOptions, limit int) *ScreenFinding {
 	visit := func(fn func(p *storage.ChunkPayload, l int) bool) {
-		err := c.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			return fn(p, i-lo)
 		})
 		if err != nil {

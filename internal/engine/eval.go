@@ -110,7 +110,7 @@ func Cover(t *storage.Table, q query.Query) (float64, error) {
 // NumericValuesUnder materializes the non-null float values of a numeric
 // column restricted to the selection. Int64 columns are widened.
 func NumericValuesUnder(t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	return NumericValuesUnderCtx(nil, t, attr, sel)
+	return NumericValuesUnderCtx(context.Background(), t, attr, sel)
 }
 
 // NumericValuesUnderCtx is NumericValuesUnder with a request context:
@@ -169,7 +169,7 @@ func ExtractNumericUnder(ctx context.Context, dst []float64, t *storage.Table, a
 		}
 		// Chunk-wise: chunks with no selected rows are never fetched, so
 		// a selective extraction reads only the touched byte ranges.
-		err := c.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			if l := i - lo; !p.IsNull(l) {
 				v := p.Numeric(l)
 				out = append(out, v)
@@ -212,7 +212,7 @@ func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nul
 // CategoryCountsUnder returns per-dictionary-code counts of a string
 // column restricted to the selection, plus the dictionary.
 func CategoryCountsUnder(t *storage.Table, attr string, sel *bitvec.Vector) (dict []string, counts []int, err error) {
-	return CategoryCountsUnderCtx(nil, t, attr, sel)
+	return CategoryCountsUnderCtx(context.Background(), t, attr, sel)
 }
 
 // CategoryCountsUnderCtx is CategoryCountsUnder with a request context
@@ -234,7 +234,7 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 			return nil, nil, err
 		}
 		counts = make([]int, len(dict))
-		err = lc.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			if l := i - lo; !p.IsNull(l) {
 				counts[p.Codes[l]]++
 			}
@@ -263,7 +263,7 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 // BoolCountsUnder returns the (false, true) counts of a bool column under
 // the selection.
 func BoolCountsUnder(t *storage.Table, attr string, sel *bitvec.Vector) (falses, trues int, err error) {
-	return BoolCountsUnderCtx(nil, t, attr, sel)
+	return BoolCountsUnderCtx(context.Background(), t, attr, sel)
 }
 
 // BoolCountsUnderCtx is BoolCountsUnder with a request context for lazy
@@ -280,7 +280,7 @@ func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel 
 		if lc.Type() != storage.Bool {
 			return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 		}
-		err = lc.ForEachSelectedCtx(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			if l := i - lo; !p.IsNull(l) {
 				if p.Bools[l] {
 					trues++

@@ -135,7 +135,8 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		return nil, fmt.Errorf("engine: unsupported column type %T", col)
 	}
 
-	led := obsv.LedgerFrom(opts.Ctx)
+	ctx := opts.context()
+	led := obsv.LedgerFrom(ctx)
 	ck := t.Chunking()
 	if ck == nil {
 		if lazyCol != nil {
@@ -148,7 +149,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	wordsPerChunk := ck.Size / 64
 	partChunk := func(k int) error {
 		// Chunk-granular cancellation, before any fetch or row visit.
-		if err := obsv.CheckCtx(opts.Ctx, "engine.partition"); err != nil {
+		if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
 			return err
 		}
 		w0 := k * wordsPerChunk
@@ -163,7 +164,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			}
 			var hit bool
 			var err error
-			p, hit, err = lazyCol.ChunkCtx(opts.Ctx, k)
+			p, hit, err = lazyCol.Chunk(ctx, k)
 			if err != nil {
 				return err
 			}

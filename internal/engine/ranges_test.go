@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -165,7 +166,7 @@ func TestNumericKernelsMatchPerRowReference(t *testing.T) {
 				})
 				for _, kind := range kinds {
 					label := fmt.Sprintf("n=%d %s %s %s", n, attr, selName, kind.name)
-					got, sum, err := ExtractNumericUnder(nil, make([]float64, 3, 8), kind.tbl, attr, sel)
+					got, sum, err := ExtractNumericUnder(context.Background(), make([]float64, 3, 8), kind.tbl, attr, sel)
 					if err != nil {
 						t.Fatalf("%s: extract: %v", label, err)
 					}

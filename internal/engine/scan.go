@@ -81,6 +81,15 @@ type ScanOptions struct {
 	Ctx context.Context
 }
 
+// context returns the scan's context, never nil: the one place the
+// optional field is normalised, at the top of each scan driver.
+func (o ScanOptions) context() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
+	}
+	return o.Ctx
+}
+
 // EvalAndIntoOpts is EvalAndInto with scan options: zone-map pruning is
 // always on for chunked tables; Workers additionally shards the scan.
 func EvalAndIntoOpts(t *storage.Table, q query.Query, sel *bitvec.Vector, opts ScanOptions) error {
@@ -365,12 +374,13 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	}
 	// The context's ledger is billed at exactly the sites opts.Stats is,
 	// so a query's ledger delta equals the ScanStats delta it produced.
-	led := obsv.LedgerFrom(opts.Ctx)
+	ctx := opts.context()
+	led := obsv.LedgerFrom(ctx)
 	words := sel.Words()
 	ck := t.Chunking()
 	if ck == nil {
 		for i := range cps {
-			if err := obsv.CheckCtx(opts.Ctx, "engine.scan"); err != nil {
+			if err := obsv.CheckCtx(ctx, "engine.scan"); err != nil {
 				return err
 			}
 			if cps[i].never {
@@ -405,7 +415,7 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	scanChunk := func(k int) error {
 		// Chunk-granular cancellation: a dead caller abandons the scan
 		// here, before any fetch or row test for this chunk.
-		if err := obsv.CheckCtx(opts.Ctx, "engine.scan"); err != nil {
+		if err := obsv.CheckCtx(ctx, "engine.scan"); err != nil {
 			return err
 		}
 		w0 := k * wordsPerChunk
@@ -438,7 +448,7 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 			default:
 				match := cp.match
 				if cp.lazyCol != nil {
-					pl, hit, err := cp.lazyCol.ChunkCtx(opts.Ctx, k)
+					pl, hit, err := cp.lazyCol.Chunk(ctx, k)
 					if err != nil {
 						return err
 					}
@@ -446,7 +456,7 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 					led.ChunkFetch(hit)
 					if serial && !hit && k+1 < numChunks &&
 						cp.zone(ck.Zones[cp.colIdx][k+1], chunkRowsOf(k+1)) == zoneScan {
-						cp.lazyCol.PrefetchHintCtx(opts.Ctx, k+1)
+						cp.lazyCol.PrefetchHint(ctx, k+1)
 					}
 					match = cp.mkMatch(pl, k*ck.Size)
 				}

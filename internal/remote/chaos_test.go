@@ -137,7 +137,7 @@ func TestFailoverMidExploreByteIdentical(t *testing.T) {
 	if rf.injectors[1][1].Requests() == 0 {
 		t.Error("shard 1's surviving replica was never dialed")
 	}
-	h := set.ShardHealth(1)
+	h := set.ShardHealth(context.Background(), 1)
 	if len(h.Replicas) != 2 {
 		t.Fatalf("ShardHealth reports %d replicas, want 2", len(h.Replicas))
 	}
@@ -158,14 +158,14 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 		Timeout: 2 * time.Second, Retries: -1, RetryWait: time.Millisecond,
 		BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond,
 	})
-	be, err := opener.OpenShard(rf.urls[0], colstore.Options{})
+	be, err := opener.OpenShard(context.Background(), rf.urls[0], colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
 	c := be.(*Client)
 	p := query.NewRange("age", 30, 40)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	primary, secondary := rf.injectors[0][0], rf.injectors[0][1]
@@ -173,7 +173,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// The primary starts 500ing: the first strike trips its breaker
 	// (threshold 1) and the call still succeeds via the replica.
 	primary.SetFault(chaos.Error5xx)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("call failed despite a healthy replica: %v", err)
 	}
 	reps := c.Replicas()
@@ -197,7 +197,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// instead of hammering a dead peer.
 	before := primary.Requests()
 	for i := 0; i < 5; i++ {
-		if _, err := c.PredicateCount(context.Background(), p); err != nil {
+		if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	primary.Heal()
 	secondary.SetFault(chaos.Kill)
 	time.Sleep(80 * time.Millisecond)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("probe of the healed primary failed: %v", err)
 	}
 	reps = c.Replicas()
@@ -231,7 +231,7 @@ func TestBreakerSingleReplicaSelfHeals(t *testing.T) {
 		Timeout: 2 * time.Second, Retries: -1, RetryWait: time.Millisecond,
 		BreakerThreshold: 1, BreakerCooldown: time.Minute,
 	})
-	be, err := opener.OpenShard(rf.urls[0], colstore.Options{})
+	be, err := opener.OpenShard(context.Background(), rf.urls[0], colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +240,14 @@ func TestBreakerSingleReplicaSelfHeals(t *testing.T) {
 	p := query.NewRange("age", 30, 40)
 	inj := rf.injectors[0][0]
 	inj.SetFault(chaos.Error5xx)
-	if _, err := c.PredicateCount(context.Background(), p); err == nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err == nil {
 		t.Fatal("succeeded against a 500ing sole replica")
 	}
 	if state := c.Replicas()[0].State; state != "tripped" {
 		t.Errorf("sole replica state %q, want tripped", state)
 	}
 	inj.Heal()
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("tripped sole replica was never re-dialed: %v", err)
 	}
 	if state := c.Replicas()[0].State; state != "healthy" {
@@ -396,7 +396,7 @@ func TestServerMemoizesStatistics(t *testing.T) {
 	opener := testOpener()
 
 	touch := func() {
-		be, err := opener.OpenShard([]string{f.servers[0].URL}, colstore.Options{})
+		be, err := opener.OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestServerMemoizesStatistics(t *testing.T) {
 	}
 
 	// The per-attribute legacy path shares the same memo.
-	be, err := opener.OpenShard([]string{f.servers[0].URL}, colstore.Options{})
+	be, err := opener.OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestPredicateBitsWire(t *testing.T) {
 	tbl := datagen.Census(5_000, 37)
 	local := writeShardedInputs(t, tbl, 1, 256)
 	f := startFabric(t, local, nil)
-	be, err := testOpener().OpenShard([]string{f.servers[0].URL}, colstore.Options{})
+	be, err := testOpener().OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestPredicateBitsWire(t *testing.T) {
 
 	// Old server: count survives, words degrade to nil.
 	fOld := startFabric(t, local, func(_ int, h http.Handler) http.Handler { return stripBits(h) })
-	beOld, err := testOpener().OpenShard([]string{fOld.servers[0].URL}, colstore.Options{})
+	beOld, err := testOpener().OpenShard(context.Background(), []string{fOld.servers[0].URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,9 @@ type counters struct {
 
 // Client speaks the fabric protocol to one shard — a replica set of
 // servers holding the same immutable shard file. It implements
-// shard.Backend (+ StatBackend, PredBitsBackend, HealthBackend,
-// IOBackend, ReplicaBackend) and storage.ChunkSource/ChunkPrefetcher,
-// so a shard.Set routes through it exactly as it routes through a
-// local file. Requests share a pooled transport, are bounded in flight
+// shard.RemoteBackend and is its own storage.ChunkSource, so a
+// shard.Set routes through it exactly as it routes through a local
+// file. Requests share a pooled transport, are bounded in flight
 // per shard, and every fetched chunk is CRC-checked before it is
 // decoded. Failures rotate to the next healthy replica (see
 // replica.go); retries against the same replica back off exponentially
@@ -130,16 +129,18 @@ type Client struct {
 	closed      atomic.Bool
 }
 
+var _ shard.RemoteBackend = (*Client)(nil)
+
 type dictSlot struct {
 	mu   sync.Mutex
 	vals []string
 	done bool
 }
 
-// initCtx fetches and validates the shard's metadata and zone maps.
-// The context is the caller's: when a query forces a deferred shard
-// open, the open's own RPCs are traced and billed to that query.
-func (c *Client) initCtx(ctx context.Context) error {
+// init fetches and validates the shard's metadata and zone maps. The
+// context is the caller's: when a query forces a deferred shard open,
+// the open's own RPCs are traced and billed to that query.
+func (c *Client) init(ctx context.Context) error {
 	data, _, err := c.do(ctx, "meta", http.MethodGet, "/shard/v1/meta", nil, nil, nil)
 	if err != nil {
 		return err
@@ -250,9 +251,6 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 	rid := obsv.RequestIDFrom(ctx)
 	if c.closed.Load() {
 		return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: errors.New("client closed")}
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	select {
 	case c.sem <- struct{}{}:
@@ -395,7 +393,7 @@ func (c *Client) pick(start int, now time.Time) int {
 	return best
 }
 
-// Replicas implements shard.ReplicaBackend: each replica's breaker
+// Replicas implements shard.RemoteBackend: each replica's breaker
 // state for ShardHealth and GET /api/shards.
 func (c *Client) Replicas() []shard.ReplicaHealth {
 	now := time.Now()
@@ -510,21 +508,11 @@ func (c *Client) Meta() shard.BackendMeta {
 func (c *Client) Zones() [][]storage.ZoneMap { return c.zones }
 
 // Dicts implements shard.Backend, fetching each string dictionary once
-// (per-column locks, so different columns' first touches overlap).
-func (c *Client) Dicts(ci int) ([]string, error) {
-	return c.dictsCtx(context.Background(), ci)
-}
-
-// DictsCtx implements shard.CtxDictBackend — Dicts with the caller's
-// context riding into a first-touch fetch.
-func (c *Client) DictsCtx(ctx context.Context, ci int) ([]string, error) {
-	return c.dictsCtx(ctx, ci)
-}
-
-// dictsCtx is Dicts with the caller's context riding into a first-touch
-// fetch — so a chunk load's implied dictionary round trip is traced and
-// billed with the query that caused it.
-func (c *Client) dictsCtx(ctx context.Context, ci int) ([]string, error) {
+// (per-column locks, so different columns' first touches overlap). The
+// first-touch fetch runs under the caller's context — so a chunk load's
+// implied dictionary round trip is traced and billed with the query
+// that caused it.
+func (c *Client) Dicts(ctx context.Context, ci int) ([]string, error) {
 	if ci < 0 || ci >= c.schema.NumFields() {
 		return nil, &ShardError{Location: c.primary, Op: "dict", Err: fmt.Errorf("column %d out of range", ci)}
 	}
@@ -566,7 +554,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// IOStats implements shard.IOBackend: THIS shard's bytes over the wire
+// IOStats implements shard.Backend: THIS shard's bytes over the wire
 // and chunk fetches, so /api/stats and the bench counters see remote
 // I/O the way they see file I/O (a Set sums these across its shards).
 func (c *Client) IOStats() colstore.IOStats {
@@ -581,19 +569,13 @@ func (c *Client) IOStats() colstore.IOStats {
 // FetchChunk implements storage.ChunkSource: cache lookup, then one
 // RPC + CRC check + decode on a miss. Payload contents are identical to
 // a local open of the same shard file — the wire carries the file's own
-// chunk encoding.
-func (c *Client) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return c.FetchChunkCtx(context.Background(), ci, k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: FetchChunk with the
-// request context riding into the RPC, so a traced exploration sees
-// which phase pulled which chunk over the wire.
-func (c *Client) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
+// chunk encoding. The request context rides into the RPC, so a traced
+// exploration sees which phase pulled which chunk over the wire.
+func (c *Client) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	if ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return nil, false, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d) out of range", ci, k)}
 	}
-	return c.cache.GetCtx(ctx, c, ci, k, func() (*storage.ChunkPayload, error) {
+	return c.cache.Get(ctx, c, ci, k, func() (*storage.ChunkPayload, error) {
 		return c.loadChunk(ctx, ci, k)
 	})
 }
@@ -602,7 +584,7 @@ func (c *Client) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPa
 func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, error) {
 	dictLen := 0
 	if c.schema.Field(ci).Type == storage.String {
-		dict, err := c.dictsCtx(ctx, ci)
+		dict, err := c.Dicts(ctx, ci)
 		if err != nil {
 			return nil, err
 		}
@@ -649,20 +631,15 @@ func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayloa
 // maxClientPrefetch bounds a shard's concurrent speculative fetches.
 const maxClientPrefetch = 2
 
-// PrefetchChunk implements storage.ChunkPrefetcher: an asynchronous,
+// PrefetchChunk implements storage.ChunkSource: an asynchronous,
 // single-flight, eviction-aware fetch of the chunk a sequential scan
 // will touch next — this is where the fabric hides its round-trip
 // latency. Skipped when the chunk is resident, the cache has no room,
-// or enough prefetches are already in flight.
-func (c *Client) PrefetchChunk(ci, k int) {
-	c.PrefetchChunkCtx(nil, ci, k)
-}
-
-// PrefetchChunkCtx implements storage.CtxChunkPrefetcher: the
-// speculative RPC carries the request's values (resource ledger,
-// request ID) detached from its cancellation, so the fetch it hides
-// latency for is the query it bills.
-func (c *Client) PrefetchChunkCtx(ctx context.Context, ci, k int) {
+// or enough prefetches are already in flight. The speculative RPC
+// carries the request's values (resource ledger, request ID) detached
+// from its cancellation, so the fetch it hides latency for is the query
+// it bills.
+func (c *Client) PrefetchChunk(ctx context.Context, ci, k int) {
 	if c.closed.Load() || ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return
 	}
@@ -680,21 +657,17 @@ func (c *Client) PrefetchChunkCtx(ctx context.Context, ci, k int) {
 		c.prefetching.Add(-1)
 		return
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	} else {
-		// Detach from cancellation and drop the trace span: the flight may
-		// outlive the request, and a span ended after its parent would
-		// malform the exported tree. The ledger and request ID stay.
-		ctx = obsv.WithSpan(context.WithoutCancel(ctx), nil)
-	}
+	// Detach from cancellation and drop the trace span: the flight may
+	// outlive the request, and a span ended after its parent would
+	// malform the exported tree. The ledger and request ID stay.
+	ctx = obsv.WithSpan(context.WithoutCancel(ctx), nil)
 	go func() {
 		defer c.prefetching.Add(-1)
-		_, _, _ = c.FetchChunkCtx(ctx, ci, k)
+		_, _, _ = c.FetchChunk(ctx, ci, k)
 	}()
 }
 
-// ---- statistics plane (shard.StatBackend) ----
+// ---- statistics plane (shard.RemoteBackend) ----
 
 // loadBatchStats fetches EVERY attribute's statistics in one round
 // trip on the first statistics-plane demand and reports whether the
@@ -844,7 +817,7 @@ func (c *Client) cachedBatchDict(ci int) ([]string, bool) {
 	return dto.Dict, true
 }
 
-// NumericValues implements shard.StatBackend: the shard's non-NULL
+// NumericValues implements shard.RemoteBackend: the shard's non-NULL
 // values in row order, as one binary stream.
 func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, error) {
 	if vals, ok := c.batchNumeric(ctx, attr); ok {
@@ -872,7 +845,7 @@ func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, err
 	return vals, nil
 }
 
-// CategoryCounts implements shard.StatBackend (local dictionary space).
+// CategoryCounts implements shard.RemoteBackend (local dictionary space).
 func (c *Client) CategoryCounts(ctx context.Context, attr string) ([]string, []int, error) {
 	if dict, counts, ok := c.batchCat(ctx, attr); ok {
 		return dict, counts, nil
@@ -887,7 +860,7 @@ func (c *Client) CategoryCounts(ctx context.Context, attr string) ([]string, []i
 	return dto.Dict, dto.Counts, nil
 }
 
-// BoolCounts implements shard.StatBackend.
+// BoolCounts implements shard.RemoteBackend.
 func (c *Client) BoolCounts(ctx context.Context, attr string) (int, int, error) {
 	if falses, trues, ok := c.batchBool(ctx, attr); ok {
 		return falses, trues, nil
@@ -899,7 +872,7 @@ func (c *Client) BoolCounts(ctx context.Context, attr string) (int, int, error) 
 	return dto.Falses, dto.Trues, nil
 }
 
-// ColumnPartials implements shard.StatBackend: every requested column's
+// ColumnPartials implements shard.RemoteBackend: every requested column's
 // mergeable bundle in one round trip.
 func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) ([]*shard.ColumnPartial, error) {
 	req := partialsReqDTO{Specs: make([]partialSpecDTO, len(specs))}
@@ -928,22 +901,12 @@ func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) 
 	return out, nil
 }
 
-// PredicateCount implements shard.StatBackend: the per-predicate bitmap
-// count, answered where the shard lives.
-func (c *Client) PredicateCount(ctx context.Context, p query.Predicate) (int, error) {
-	var dto countDTO
-	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", predToDTO(p), &dto); err != nil {
-		return 0, err
-	}
-	return dto.Count, nil
-}
-
-// PredicateBits implements shard.PredBitsBackend: the predicate's
-// exact selection bitmap alongside its count, so the coordinator
-// assembles non-empty session bases without touching the chunk plane.
-// Old servers ignore the wantBits request field and answer count-only;
-// words is nil then and the caller decides (empty stays chunk-free,
-// non-empty falls back to scanning).
+// PredicateBits implements shard.RemoteBackend: the predicate's exact
+// selection bitmap alongside its count, answered where the shard lives,
+// so the coordinator assembles non-empty session bases without touching
+// the chunk plane. Old servers ignore the wantBits request field and
+// answer count-only; words is nil then and the caller decides (empty
+// stays chunk-free, non-empty falls back to scanning).
 func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []uint64, error) {
 	d := predToDTO(p)
 	d.WantBits = true
@@ -967,7 +930,7 @@ func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []u
 	return dto.Count, words, nil
 }
 
-// ServerStats implements shard.ServerStatsBackend: one RPC fetching
+// ServerStats implements shard.RemoteBackend: one RPC fetching
 // the shard server's own counter snapshot for fleet rollup.
 func (c *Client) ServerStats(ctx context.Context) (shard.ServerStats, error) {
 	var dto shardStatsDTO
@@ -987,12 +950,12 @@ func (c *Client) ServerStats(ctx context.Context) (shard.ServerStats, error) {
 	}, nil
 }
 
-// Health implements shard.HealthBackend: one uncached round trip,
+// Health implements shard.RemoteBackend: one uncached round trip,
 // timed.
-func (c *Client) Health() (time.Duration, error) {
+func (c *Client) Health(ctx context.Context) (time.Duration, error) {
 	start := time.Now()
 	var dto healthDTO
-	if err := c.getJSON(context.Background(), "health", "/shard/v1/health", nil, &dto); err != nil {
+	if err := c.getJSON(ctx, "health", "/shard/v1/health", nil, &dto); err != nil {
 		return 0, err
 	}
 	if !dto.OK {

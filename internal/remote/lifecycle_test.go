@@ -56,7 +56,7 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 		Timeout: 5 * time.Second, RetryWait: time.Millisecond,
 		BreakerThreshold: 1, BreakerCooldown: time.Minute,
 	})
-	be, err := opener.OpenShard(rf.urls[0], colstore.Options{})
+	be, err := opener.OpenShard(context.Background(), rf.urls[0], colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err = c.PredicateCount(ctx, p)
+	_, _, err = c.PredicateBits(ctx, p)
 	if !obsv.IsCancellation(err) {
 		t.Fatalf("cancelled call returned %v, want a cancellation", err)
 	}
@@ -85,7 +85,7 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 
 	// Contrast: a real failure (500s) with a live caller still strikes.
 	rf.injectors[0][0].SetFault(chaos.Error5xx)
-	if _, err := c.PredicateCount(context.Background(), p); err != nil {
+	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
 		t.Fatalf("call failed despite a healthy replica: %v", err)
 	}
 	if state := c.Replicas()[0].State; state != "tripped" {
@@ -142,6 +142,7 @@ func TestHungReplicaFailoverWithinDeadline(t *testing.T) {
 	if opener.Stats().Failovers == 0 {
 		t.Error("no failover recorded while a replica hung")
 	}
+	opener.Close() // idle keep-alive connections are not a leak
 	settleGoroutines(t, base, "hung-replica failover Explore")
 }
 
@@ -186,6 +187,7 @@ func TestAllReplicasHungDeadlineNamesShard(t *testing.T) {
 		t.Errorf("deadlined exploration returned after %s, more than deadline+500ms", elapsed)
 	}
 	assertNamedShardError(t, err, rf.urls[0][0])
+	opener.Close() // idle keep-alive connections are not a leak
 	settleGoroutines(t, base, "all-replicas-hung Explore")
 }
 
@@ -228,6 +230,7 @@ func TestCancelledExploreReleasesGoroutines(t *testing.T) {
 	if !obsv.IsCancellation(err) {
 		t.Fatalf("cancelled Explore returned %v, want a cancellation", err)
 	}
+	opener.Close() // idle keep-alive connections are not a leak
 	settleGoroutines(t, base, "cancelled Explore")
 }
 
@@ -275,5 +278,6 @@ func TestCancelledDrillReleasesGoroutines(t *testing.T) {
 	} else if !obsv.IsCancellation(err) {
 		t.Fatalf("cancelled drill returned %v, want a cancellation", err)
 	}
+	opener.Close() // idle keep-alive connections are not a leak
 	settleGoroutines(t, base, "cancelled drill-down")
 }

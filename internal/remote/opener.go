@@ -95,16 +95,10 @@ func NewOpener(o Options) *Opener {
 // and zones endpoints (rotating across the replica locations, primary
 // first) and returns a backend whose chunk fetches feed the set's
 // shared decoded-chunk cache (store.Cache; a private cache is created
-// when the caller shares none).
-func (o *Opener) OpenShard(locations []string, store colstore.Options) (shard.Backend, error) {
-	return o.OpenShardCtx(context.Background(), locations, store)
-}
-
-// OpenShardCtx is OpenShard with the caller's context riding into the
-// open's metadata and zone-map round trips — when a query forces a
-// deferred shard open, those RPCs are traced and billed to that query.
-// It implements shard.CtxRemoteOpener.
-func (o *Opener) OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (shard.Backend, error) {
+// when the caller shares none). The open's round trips run under ctx —
+// when a query forces a deferred shard open, they are traced and billed
+// to that query.
+func (o *Opener) OpenShard(ctx context.Context, locations []string, store colstore.Options) (shard.RemoteBackend, error) {
 	if len(locations) == 0 {
 		return nil, fmt.Errorf("remote: no locations to open")
 	}
@@ -135,11 +129,18 @@ func (o *Opener) OpenShardCtx(ctx context.Context, locations []string, store col
 		cache:            cache,
 		stats:            &o.stats,
 	}
-	if err := c.initCtx(ctx); err != nil {
+	if err := c.init(ctx); err != nil {
 		return nil, err
 	}
 	c.warmReplicas()
 	return c, nil
+}
+
+// Close closes the pooled transport's idle keep-alive connections (and
+// with them their read/write goroutines). Call it once the sets opened
+// through this Opener are closed; an Opener used again simply redials.
+func (o *Opener) Close() {
+	o.hc.CloseIdleConnections()
 }
 
 // Stats is the aggregate fabric traffic of an Opener's clients.

@@ -397,7 +397,7 @@ func TestRemotePartialsMatchLocal(t *testing.T) {
 }
 
 // TestRemotePredicateCount checks the statistics plane's per-predicate
-// bitmap counts against a local scan of the same shard.
+// bitmaps (and so their counts) against a local scan of the same shard.
 func TestRemotePredicateCount(t *testing.T) {
 	tbl := datagen.Census(5_000, 5)
 	local := writeShardedInputs(t, tbl, 2, 256)
@@ -419,7 +419,7 @@ func TestRemotePredicateCount(t *testing.T) {
 	}
 	for pi, p := range preds {
 		for i := 0; i < remoteSet.NumShards(); i++ {
-			got, ok, err := remoteSet.RemotePredicateCount(context.Background(), i, p)
+			got, ok, err := remoteSet.RemotePredicateBits(context.Background(), i, p)
 			if err != nil {
 				t.Fatalf("pred %d shard %d: %v", pi, i, err)
 			}
@@ -431,14 +431,14 @@ func TestRemotePredicateCount(t *testing.T) {
 			if err := engine.EvalAndIntoOpts(view, query.New("census", p), sel, engine.ScanOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if want := sel.Count(); got != want {
-				t.Errorf("pred %d shard %d: remote count %d, local %d", pi, i, got, want)
+			if !got.Equal(sel) {
+				t.Errorf("pred %d shard %d: remote bitmap selects %d rows, local scan %d", pi, i, got.Count(), sel.Count())
 			}
 		}
 	}
 	// Local sets have no statistics plane.
-	if _, ok, err := localSet.RemotePredicateCount(context.Background(), 0, preds[0]); err != nil || ok {
-		t.Errorf("local set RemotePredicateCount = ok=%v err=%v, want ok=false", ok, err)
+	if _, ok, err := localSet.RemotePredicateBits(context.Background(), 0, preds[0]); err != nil || ok {
+		t.Errorf("local set RemotePredicateBits = ok=%v err=%v, want ok=false", ok, err)
 	}
 }
 
@@ -455,7 +455,7 @@ func TestRemoteHealth(t *testing.T) {
 	}
 	defer set.Close()
 	for i := 0; i < set.NumShards(); i++ {
-		h := set.ShardHealth(i)
+		h := set.ShardHealth(context.Background(), i)
 		if !h.Remote {
 			t.Errorf("shard %d: expected remote", i)
 		}
@@ -489,7 +489,7 @@ func TestEagerStoreChunkPlane(t *testing.T) {
 	defer ts.Close()
 
 	opener := testOpener()
-	be, err := opener.OpenShard([]string{ts.URL}, colstore.Options{})
+	be, err := opener.OpenShard(context.Background(), []string{ts.URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,11 +503,11 @@ func TestEagerStoreChunkPlane(t *testing.T) {
 	want := lazy.Source()
 	for ci := 0; ci < tbl.NumCols(); ci++ {
 		for k := 0; k < eager.NumChunks(); k++ {
-			gp, _, err := src.FetchChunk(ci, k)
+			gp, _, err := src.FetchChunk(context.Background(), ci, k)
 			if err != nil {
 				t.Fatalf("remote chunk (%d,%d): %v", ci, k, err)
 			}
-			wp, _, err := want.FetchChunk(ci, k)
+			wp, _, err := want.FetchChunk(context.Background(), ci, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -548,7 +548,7 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	_, psp := obsv.StartSpan(r.Context(), "partials compute")
+	ctx, psp := obsv.StartSpan(r.Context(), "partials compute")
 	defer psp.End()
 	out := make([]partialDTO, len(req.Specs))
 	for i, spec := range req.Specs {
@@ -570,7 +570,7 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("column %d out of range", spec.Col))
 			return
 		}
-		p, err := shard.ComputeColumnPartial(s.tbl, spec.Col, lo, hi, spec.UseHist)
+		p, err := shard.ComputeColumnPartial(ctx, s.tbl, spec.Col, lo, hi, spec.UseHist)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return

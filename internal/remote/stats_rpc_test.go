@@ -17,15 +17,11 @@ func TestServerStatsRPC(t *testing.T) {
 	manifest := writeShardedInputs(t, datagen.Census(3_000, 23), 2, 256)
 	f := startFabric(t, manifest, nil)
 
-	be, err := testOpener().OpenShard([]string{f.servers[0].URL}, colstore.Options{})
+	be, err := testOpener().OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, ok := be.(shard.ServerStatsBackend)
-	if !ok {
-		t.Fatal("fabric client does not implement shard.ServerStatsBackend")
-	}
-	st, err := sb.ServerStats(context.Background())
+	st, err := be.ServerStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +39,7 @@ func TestServerStatsRPC(t *testing.T) {
 	// Draining servers still answer the stats RPC — drain must be
 	// observable, and report itself.
 	f.shardSrv[0].SetDraining(true)
-	st2, err := sb.ServerStats(context.Background())
+	st2, err := be.ServerStats(context.Background())
 	if err != nil {
 		t.Fatalf("stats RPC refused during drain: %v", err)
 	}

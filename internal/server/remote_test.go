@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/remote"
+	"repro/internal/remote/chaos"
 	"repro/internal/shard"
 )
 
@@ -20,6 +22,13 @@ import (
 // shard from an in-process fabric server, and returns the coordinator
 // manifest plus the local one.
 func startRemoteManifest(t *testing.T, shards int) (remoteManifest, localManifest string) {
+	t.Helper()
+	return startRemoteManifestWith(t, shards, func(_ int, h http.Handler) http.Handler { return h })
+}
+
+// startRemoteManifestWith is startRemoteManifest with shard i's fabric
+// handler passed through wrap first (a chaos injector, say).
+func startRemoteManifestWith(t *testing.T, shards int, wrap func(i int, h http.Handler) http.Handler) (remoteManifest, localManifest string) {
 	t.Helper()
 	tbl := datagen.Census(6_000, 41)
 	dir := t.TempDir()
@@ -37,7 +46,7 @@ func startRemoteManifest(t *testing.T, shards int) (remoteManifest, localManifes
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(remote.NewServer(st).Handler())
+		ts := httptest.NewServer(wrap(i, remote.NewServer(st).Handler()))
 		t.Cleanup(func() { ts.Close(); st.Close() })
 		urls[i] = ts.URL
 	}
@@ -125,6 +134,41 @@ func TestServerRemoteManifest(t *testing.T) {
 		if sd.Healthy == nil || !*sd.Healthy {
 			t.Errorf("shard %d: not healthy: %s", i, sd.Error)
 		}
+	}
+}
+
+// TestShardsProbeFollowsRequestContext: GET /api/shards probes remote
+// shards under the request's context, so a caller that gives up on a
+// hung replica gets its handler back promptly instead of waiting out
+// the probe (and the opener's timeout) against it.
+func TestShardsProbeFollowsRequestContext(t *testing.T) {
+	var inj *chaos.Injector
+	remoteManifest, _ := startRemoteManifestWith(t, 1, func(_ int, h http.Handler) http.Handler {
+		inj = chaos.Wrap(h)
+		return inj
+	})
+	opener := remote.NewOpener(remote.Options{Timeout: 10 * time.Second, Retries: -1})
+	defer opener.Close()
+	srv, err := NewFromStoreWith(remoteManifest, core.DefaultOptions(), StoreConfig{Remote: opener})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const hang = time.Second
+	inj.SetFault(chaos.Delay)
+	inj.SetDelay(hang)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/api/shards", nil).WithContext(ctx)
+	w := httptest.NewRecorder()
+	start := time.Now()
+	srv.Handler().ServeHTTP(w, req)
+	if elapsed := time.Since(start); elapsed > hang/2 {
+		t.Errorf("handler returned after %s with its caller gone at 50ms; the probe ignored the request context", elapsed)
+	}
+	if w.Code == http.StatusOK {
+		t.Errorf("abandoned request answered 200: %s", w.Body.String())
 	}
 }
 

@@ -43,6 +43,9 @@ type Server struct {
 	// store is non-nil when serving a single-file store; with set it
 	// feeds the lazy-I/O counters of /api/stats.
 	store *colstore.Store
+	// closeStore releases what NewFromStoreWith opened (see Close); nil
+	// when the caller owns the table or set.
+	closeStore func() error
 	// partialsOnce guards the merged per-column partials behind
 	// /api/shards: tables are immutable, so the per-shard scans run once
 	// and every later request serves the cached reduction.
@@ -145,8 +148,10 @@ type StoreConfig struct {
 func NewFromStoreWith(path string, opts core.Options, sc StoreConfig) (*Server, error) {
 	if shard.IsManifest(path) {
 		opener := sc.Remote
+		var own *remote.Opener
 		if opener == nil {
-			opener = remote.NewOpener(remote.Options{})
+			own = remote.NewOpener(remote.Options{})
+			opener = own
 		}
 		set, err := shard.OpenWith(path, shard.Options{Store: sc.Store, Defer: sc.Defer, Remote: opener})
 		if err != nil {
@@ -155,6 +160,13 @@ func NewFromStoreWith(path string, opts core.Options, sc StoreConfig) (*Server, 
 		srv := NewSharded(set, opts)
 		if f, ok := opener.(fabricStats); ok {
 			srv.fabric = f
+		}
+		srv.closeStore = func() error {
+			err := set.Close()
+			if own != nil {
+				own.Close()
+			}
+			return err
 		}
 		return srv, nil
 	}
@@ -165,7 +177,20 @@ func NewFromStoreWith(path string, opts core.Options, sc StoreConfig) (*Server, 
 	s := New(st.Table(), opts)
 	s.store = st
 	s.ioStats = st.IOStats
+	s.closeStore = st.Close
 	return s, nil
+}
+
+// Close releases what NewFromStoreWith opened: the store or shard set
+// and, when the server built its own remote opener, that opener's idle
+// connections (an opener passed in StoreConfig.Remote stays the
+// caller's to close). Call it once the HTTP side has stopped serving.
+// A server built by New or NewSharded owns nothing; Close is a no-op.
+func (s *Server) Close() error {
+	if s.closeStore == nil {
+		return nil
+	}
+	return s.closeStore()
 }
 
 // Table returns the served table.
@@ -599,7 +624,7 @@ type ShardColsDTO struct {
 // handleShards reports the shard layout and the merged partial
 // statistics of the served table; unsharded servers report
 // {"sharded": false}.
-func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if s.set == nil {
 		writeJSON(w, http.StatusOK, ShardsDTO{Sharded: false, Rows: s.table.NumRows()})
 		return
@@ -613,12 +638,17 @@ func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 		Rows:         m.Rows,
 	}
 	// Probe shards concurrently: one slow or down remote shard costs one
-	// probe's latency, not the sum over shards.
+	// probe's latency, not the sum over shards. The probes run under the
+	// request's context, so a caller that disconnects stops them.
 	healths := make([]shard.ShardHealthInfo, len(m.Shards))
 	_ = par.For(len(m.Shards), len(m.Shards), func(i int) error {
-		healths[i] = s.set.ShardHealth(i)
+		healths[i] = s.set.ShardHealth(r.Context(), i)
 		return nil
 	})
+	if err := obsv.CheckCtx(r.Context(), "server.shards"); err != nil {
+		writeError(w, err) // skip the partials pass nobody will read
+		return
+	}
 	for i, sf := range m.Shards {
 		sd := ShardDTO{File: sf.File, Rows: sf.Rows, Offset: s.set.ShardOffset(i)}
 		h := healths[i]

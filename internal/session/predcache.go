@@ -97,21 +97,21 @@ func newPredCache(capacity int) *predCache {
 // with the session's Cartographer). The returned vector must be
 // treated as read-only.
 func (c *predCache) getOrCompute(t *storage.Table, p query.Predicate, opts engine.ScanOptions) (*bitvec.Vector, error) {
-	return c.getOrComputeKeyed(t, p, opts, p.String(), nil)
+	return c.getOrComputeKeyed(p.String(), func() (*bitvec.Vector, error) { return engine.EvalPredicateOpts(t, p, opts) })
 }
 
 // getOrComputeShard is getOrCompute for one shard of a sharded table:
 // the entry is keyed by (predicate, shard), so each shard's bitmap is
 // computed against its own view, cached and evicted independently — the
 // granularity a multi-backend deployment needs, where a shard's bitmap
-// is only valid on the backend holding that shard. compute, when
-// non-nil, replaces the default predicate scan on a miss (remote shards
-// consult their statistics plane first).
-func (c *predCache) getOrComputeShard(view *storage.Table, p query.Predicate, shard int, opts engine.ScanOptions, compute func() (*bitvec.Vector, error)) (*bitvec.Vector, error) {
-	return c.getOrComputeKeyed(view, p, opts, fmt.Sprintf("%d|%s", shard, p.String()), compute)
+// is only valid on the backend holding that shard. compute evaluates
+// the predicate on a miss (remote shards consult their statistics plane
+// before scanning).
+func (c *predCache) getOrComputeShard(p query.Predicate, shard int, compute func() (*bitvec.Vector, error)) (*bitvec.Vector, error) {
+	return c.getOrComputeKeyed(fmt.Sprintf("%d|%s", shard, p.String()), compute)
 }
 
-func (c *predCache) getOrComputeKeyed(t *storage.Table, p query.Predicate, opts engine.ScanOptions, key string, compute func() (*bitvec.Vector, error)) (*bitvec.Vector, error) {
+func (c *predCache) getOrComputeKeyed(key string, compute func() (*bitvec.Vector, error)) (*bitvec.Vector, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
@@ -125,9 +125,6 @@ func (c *predCache) getOrComputeKeyed(t *storage.Table, p query.Predicate, opts 
 
 	// Evaluate outside the lock: predicate scans are the expensive part
 	// and must not serialize concurrent prefetches.
-	if compute == nil {
-		compute = func() (*bitvec.Vector, error) { return engine.EvalPredicateOpts(t, p, opts) }
-	}
 	bits, err := compute()
 	if err != nil {
 		return nil, err

@@ -40,7 +40,8 @@ type Node struct {
 }
 
 // ShardLayout describes a sharded table to a session: the per-shard
-// chunk-aware views and their row offsets in the combined table (see
+// chunk-aware views and their row offsets in the combined table, plus
+// the two shortcuts that spare a shard's predicate scan (see
 // internal/shard.Set, which implements it). Sessions over a layout scan
 // and cache predicate bitmaps per shard.
 type ShardLayout interface {
@@ -50,37 +51,17 @@ type ShardLayout interface {
 	ShardTable(i int) *storage.Table
 	// ShardOffset returns shard i's first row in the combined table.
 	ShardOffset(i int) int
-}
-
-// ShardPruner is the optional shard-file pruning interface of a layout
-// (implemented by shard.Set from manifest v2 statistics): a false
-// answer proves predicate p matches no row of shard i, letting the
-// session skip the shard's predicate scan entirely — on memory-tiered
-// sets, without even opening the shard's file.
-type ShardPruner interface {
+	// ShardMayMatch judges from shard-level statistics alone: a false
+	// answer proves predicate p matches no row of shard i, letting the
+	// session skip the shard's predicate scan entirely — on memory-tiered
+	// sets, without even opening the shard's file.
 	ShardMayMatch(shard int, p query.Predicate) bool
-}
-
-// ShardPredCounter is the optional statistics-plane probe of a layout
-// (implemented by shard.Set for shards served over the remote fabric):
-// with ok=true it answers how many rows of shard i satisfy p, computed
-// where the shard lives. The session consults it on predicate-bitmap
-// cache misses of remote shards — a zero count yields the empty bitmap
-// with no chunk payload ever crossing the wire, the per-predicate
-// bitmap-count half of the fabric's statistics plane.
-type ShardPredCounter interface {
-	RemotePredicateCount(ctx context.Context, shard int, p query.Predicate) (count int, ok bool, err error)
-}
-
-// ShardPredBitmapper is the bitmap extension of ShardPredCounter
-// (implemented by shard.Set against servers that answer predcount with
-// wantBits): with ok=true the returned bitmap IS shard i's selection
-// under p, computed where the shard lives and validated against the
-// server's own count. The session prefers it on cache misses — then
-// even non-empty predicates assemble without any chunk crossing the
-// wire. ok=false (old servers, local shards) falls back to the counter
-// and the scan.
-type ShardPredBitmapper interface {
+	// RemotePredicateBits asks a shard served over the remote fabric for
+	// p's selection where the shard lives: with ok=true the returned
+	// bitmap IS shard i's selection under p, validated against the
+	// server's own count, and no chunk crosses the wire even for a
+	// non-empty predicate. ok=false (local shards, old servers) means
+	// scan the view.
 	RemotePredicateBits(ctx context.Context, shard int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error)
 }
 
@@ -150,7 +131,7 @@ func (s *Session) explore(ctx context.Context, q query.Query) (*core.Result, err
 	// the chunk-parallel sharding of Explore and feeding its cumulative
 	// verdict counters.
 	bctx, sp := obsv.StartSpan(ctx, "base")
-	sopts := s.cart.ScanOptsCtx(bctx)
+	sopts := s.cart.ScanOpts(bctx)
 	if s.shards != nil {
 		base, err := s.shardedBase(bctx, q, sopts)
 		sp.End()
@@ -187,9 +168,6 @@ func (s *Session) explore(ctx context.Context, q query.Query) (*core.Result, err
 // identical at any shard count and parallelism.
 func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.ScanOptions) (*bitvec.Vector, error) {
 	n := s.shards.NumShards()
-	pruner, _ := s.shards.(ShardPruner)
-	counter, _ := s.shards.(ShardPredCounter)
-	bitmapper, _ := s.shards.(ShardPredBitmapper)
 	// Divide the worker budget: shards are the outer parallel axis; any
 	// leftover workers shard each predicate scan chunk-wise.
 	workers := sopts.Workers
@@ -215,13 +193,22 @@ func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.S
 			if err := obsv.CheckCtx(sctx, "session.base"); err != nil {
 				return err
 			}
-			if pruner != nil && !pruner.ShardMayMatch(i, p) {
+			if !s.shards.ShardMayMatch(i, p) {
 				// Manifest statistics prove the predicate is disjoint with
 				// this shard: empty selection, no scan, no file open.
 				sel.Zero()
 				break
 			}
-			bm, err := s.preds.getOrComputeShard(view, p, i, sopts, s.shardPredCompute(sctx, bitmapper, counter, view, p, i, sopts))
+			// On a miss, a remote shard's statistics plane is asked for the
+			// bitmap first; a probe failure or ok=false falls through to the
+			// ordinary scan (whose own error names the shard if it is really
+			// down).
+			bm, err := s.preds.getOrComputeShard(p, i, func() (*bitvec.Vector, error) {
+				if bm, ok, err := s.shards.RemotePredicateBits(sctx, i, p); err == nil && ok {
+					return bm, nil
+				}
+				return engine.EvalPredicateOpts(view, p, sopts)
+			})
 			if err != nil {
 				return err
 			}
@@ -241,34 +228,6 @@ func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.S
 		base.OrBlit(s.shards.ShardOffset(i), sel)
 	}
 	return base, nil
-}
-
-// shardPredCompute builds the cache-miss evaluator of one (predicate,
-// shard) bitmap. Layouts with a statistics plane (remote shards) are
-// asked for the predicate's bitmap first — the whole selection crosses
-// as packed words on the stats plane, so even non-empty predicates
-// pull no chunk. Layouts with only a counter still get the empty fast
-// path (a zero count proves the empty bitmap). A probe failure or an
-// unsupporting server falls through to the ordinary scan (whose own
-// error names the shard if it is really down). Local layouts get a nil
-// compute, so the cache scans directly.
-func (s *Session) shardPredCompute(ctx context.Context, bitmapper ShardPredBitmapper, counter ShardPredCounter, view *storage.Table, p query.Predicate, i int, opts engine.ScanOptions) func() (*bitvec.Vector, error) {
-	if bitmapper == nil && counter == nil {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return func() (*bitvec.Vector, error) {
-		if bitmapper != nil {
-			if bm, ok, err := bitmapper.RemotePredicateBits(ctx, i, p); err == nil && ok {
-				return bm, nil
-			}
-		} else if n, ok, err := counter.RemotePredicateCount(ctx, i, p); err == nil && ok && n == 0 {
-			return bitvec.New(view.NumRows()), nil
-		}
-		return engine.EvalPredicateOpts(view, p, opts)
-	}
 }
 
 // exploreLocked runs (or serves from cache) an exploration and appends a

@@ -17,7 +17,9 @@ import (
 // .atl file (fileBackend, below) or behind another process's RPC
 // endpoints (internal/remote's client). The Set's assembly, pruning and
 // fan-out logic is identical either way; only where bytes come from
-// differs.
+// differs. A Set knows which kind a shard is from its manifest location
+// (IsRemoteLocation) and holds it under the matching static type, so
+// nothing here is discovered by type assertion.
 
 // BackendMeta is a shard's identity: what the manifest's per-shard
 // entries are validated against at open.
@@ -32,9 +34,10 @@ type BackendMeta struct {
 	Schema *storage.Schema
 }
 
-// Backend serves one shard's data to a Set. Implementations must be
-// safe for concurrent use; every method after a successful open answers
-// from the same immutable snapshot.
+// Backend serves one shard's data to a Set — what a local file and a
+// remote client both have. Implementations must be safe for concurrent
+// use; every method after a successful open answers from the same
+// immutable snapshot.
 type Backend interface {
 	// Meta returns the shard's identity.
 	Meta() BackendMeta
@@ -42,27 +45,17 @@ type Backend interface {
 	// shard's own (local-dictionary) code space.
 	Zones() [][]storage.ZoneMap
 	// Dicts returns the dictionary of string column ci (nil for
-	// non-string columns). May fetch on first use.
-	Dicts(ci int) ([]string, error)
+	// non-string columns). A first-use fetch runs under ctx, so a
+	// dictionary pulled mid-query is traced and billed to that query.
+	Dicts(ctx context.Context, ci int) ([]string, error)
 	// Source serves the shard's decoded chunk payloads (local code
 	// space; the Set remaps into union space where needed).
 	Source() storage.ChunkSource
+	// IOStats reports the backend's cumulative I/O: bytes read (over the
+	// wire, for a remote shard) and chunks decoded.
+	IOStats() colstore.IOStats
 	// Close releases the backend's resources.
 	Close() error
-}
-
-// TableBackend is the optional fast path of backends that hold a whole
-// chunk-aware table in-process (local files): a single-shard set serves
-// it directly, with no routing layer.
-type TableBackend interface {
-	Backend
-	Table() *storage.Table
-}
-
-// IOBackend is the optional I/O-counter surface of a backend; remote
-// backends report bytes over the wire and chunk fetches here.
-type IOBackend interface {
-	IOStats() colstore.IOStats
 }
 
 // PartialSpec names one column's partial-statistics request: the
@@ -77,17 +70,19 @@ type PartialSpec struct {
 	UseHist bool
 }
 
-// StatBackend is the statistics plane of a backend: per-shard
-// statistics computed where the shard's data lives, so a sharded
-// exploration fans out as small requests instead of pulling chunks.
-// Answers are in the shard's local dictionary space — the Set remaps
-// them into union space during the reduce — and must be exactly what
-// the equivalent local scan would produce (values in row order, exact
-// counts), which is what keeps remote explorations byte-identical.
-// Every method takes the request context first, so a traced exploration
-// can attribute each fan-out RPC to the pipeline phase that issued it;
-// untraced callers pass context.Background().
-type StatBackend interface {
+// RemoteBackend is a shard served by another process: a Backend plus
+// the statistics plane — per-shard statistics computed where the
+// shard's data lives, so a sharded exploration fans out as small
+// requests instead of pulling chunks — and the fabric's diagnostics.
+// Statistics answers are in the shard's local dictionary space — the
+// Set remaps them into union space during the reduce — and must be
+// exactly what the equivalent local scan would produce (values in row
+// order, exact counts), which is what keeps remote explorations
+// byte-identical. Every call that may touch the wire takes the request
+// context first, so a traced exploration attributes each fan-out RPC to
+// the pipeline phase that issued it.
+type RemoteBackend interface {
+	Backend
 	// NumericValues returns attr's non-NULL values in row order under
 	// the full selection.
 	NumericValues(ctx context.Context, attr string) ([]float64, error)
@@ -99,24 +94,18 @@ type StatBackend interface {
 	// ColumnPartials computes one mergeable partial per spec, in one
 	// round trip.
 	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
-	// PredicateCount returns how many shard rows satisfy p — the
-	// per-predicate bitmap count of the statistics plane.
-	PredicateCount(ctx context.Context, p query.Predicate) (int, error)
-}
-
-// PredBitsBackend is the optional bitmap extension of the statistics
-// plane: a backend that can return the exact selection bitmap of a
-// predicate alongside its count, so session base assembly skips the
-// chunk plane even for non-empty predicates. words is nil when the
-// backend (an old server, say) answered count-only.
-type PredBitsBackend interface {
+	// PredicateBits returns how many shard rows satisfy p and their exact
+	// selection bitmap, so session base assembly skips the chunk plane
+	// even for non-empty predicates. words is nil when the server (an old
+	// one, say) answered count-only.
 	PredicateBits(ctx context.Context, p query.Predicate) (count int, words []uint64, err error)
-}
-
-// HealthBackend is the optional liveness probe of a backend.
-type HealthBackend interface {
 	// Health round-trips a liveness check, returning its latency.
-	Health() (time.Duration, error)
+	Health(ctx context.Context) (time.Duration, error)
+	// Replicas reports per-replica circuit-breaker state.
+	Replicas() []ReplicaHealth
+	// ServerStats fetches the shard server's own counters in one RPC, so
+	// a coordinator scrape can aggregate the whole fleet.
+	ServerStats(ctx context.Context) (ServerStats, error)
 }
 
 // ReplicaHealth is one replica's view from a backend's circuit
@@ -140,12 +129,6 @@ type ReplicaHealth struct {
 	Attempts int64
 	// Failures is the cumulative number of those that failed.
 	Failures int64
-}
-
-// ReplicaBackend is the optional replica-set surface of a backend:
-// per-replica breaker state for health reporting.
-type ReplicaBackend interface {
-	Replicas() []ReplicaHealth
 }
 
 // ServerStats is one remote shard server's own counter snapshot — what
@@ -183,39 +166,17 @@ func (s ServerStats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// ServerStatsBackend is the optional counter-rollup surface of a
-// remote backend: one RPC fetching the shard server's own counters, so
-// a coordinator scrape can aggregate the whole fleet.
-type ServerStatsBackend interface {
-	ServerStats(ctx context.Context) (ServerStats, error)
-}
-
 // RemoteOpener opens backends for http(s):// shard locations. The
 // locations are one shard's dial order — primary first, then replicas
 // serving the same immutable shard — and the backend fails over among
 // them. The store options carry the set's shared decoded-chunk cache,
-// so remote payloads honor the same byte budget as local ones.
-// Implemented by internal/remote.Opener; shard itself stays
-// transport-free.
+// so remote payloads honor the same byte budget as local ones. The
+// open's own round trips (metadata, zone maps) run under ctx: when a
+// query forces a deferred shard open they land in its trace and
+// resource ledger. Implemented by internal/remote.Opener; shard itself
+// stays transport-free.
 type RemoteOpener interface {
-	OpenShard(locations []string, store colstore.Options) (Backend, error)
-}
-
-// CtxRemoteOpener is the optional context-aware extension of
-// RemoteOpener: when a query forces a deferred shard open, the open's
-// own round trips (metadata, zone maps) run under that query's context,
-// so they land in its trace and resource ledger. Openers without it
-// fall back to OpenShard.
-type CtxRemoteOpener interface {
-	OpenShardCtx(ctx context.Context, locations []string, store colstore.Options) (Backend, error)
-}
-
-// CtxDictBackend is the optional context-aware dictionary fetch of a
-// backend: deferred sets load dictionaries on first categorical
-// demand, and a dictionary pulled mid-query is then traced and billed
-// to the query that forced it. Backends without it fall back to Dicts.
-type CtxDictBackend interface {
-	DictsCtx(ctx context.Context, ci int) ([]string, error)
+	OpenShard(ctx context.Context, locations []string, store colstore.Options) (RemoteBackend, error)
 }
 
 // IsRemoteLocation reports whether a manifest shard location names a
@@ -229,6 +190,8 @@ type fileBackend struct {
 	st  *colstore.Store
 	src storage.ChunkSource
 }
+
+var _ Backend = (*fileBackend)(nil)
 
 // openFileBackend opens a shard file with the set's store options.
 func openFileBackend(path string, o colstore.Options) (*fileBackend, error) {
@@ -261,8 +224,8 @@ func (fb *fileBackend) Zones() [][]storage.ZoneMap {
 	return fb.st.Table().Chunking().Zones
 }
 
-// Dicts implements Backend.
-func (fb *fileBackend) Dicts(ci int) ([]string, error) {
+// Dicts implements Backend; a file's dictionaries are read at open.
+func (fb *fileBackend) Dicts(_ context.Context, ci int) ([]string, error) {
 	t := fb.st.Table()
 	if t.Schema().Field(ci).Type != storage.String {
 		return nil, nil
@@ -280,10 +243,11 @@ func (fb *fileBackend) Dicts(ci int) ([]string, error) {
 // Source implements Backend.
 func (fb *fileBackend) Source() storage.ChunkSource { return fb.src }
 
-// Table implements TableBackend.
+// Table returns the file's whole chunk-aware table: a single-shard set
+// serves it directly, with no routing layer.
 func (fb *fileBackend) Table() *storage.Table { return fb.st.Table() }
 
-// IOStats implements IOBackend.
+// IOStats implements Backend.
 func (fb *fileBackend) IOStats() colstore.IOStats { return fb.st.IOStats() }
 
 // Close implements Backend.

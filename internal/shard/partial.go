@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -144,12 +145,13 @@ func (p *ColumnPartial) Merge(o *ColumnPartial) error {
 // shard server computes where its data lives before shipping only the
 // bundle. lo/hi fix the histogram edges (the set-wide range the
 // coordinator agreed before the fan-out); useHist disables the
-// histogram when the set has no finite range.
-func ComputeColumnPartial(t *storage.Table, ci int, lo, hi float64, useHist bool) (*ColumnPartial, error) {
+// histogram when the set has no finite range. Lazy columns fetch their
+// chunks under ctx.
+func ComputeColumnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi float64, useHist bool) (*ColumnPartial, error) {
 	if ci < 0 || ci >= t.NumCols() {
 		return nil, fmt.Errorf("shard: column %d out of range", ci)
 	}
-	return columnPartial(t, ci, lo, hi, useHist)
+	return columnPartial(ctx, t, ci, lo, hi, useHist)
 }
 
 // partialHistBins is the bin count of per-shard summary histograms.
@@ -163,7 +165,7 @@ const partialEps = 0.005
 // numeric columns, lo/hi fix the histogram edges (the set-wide range,
 // agreed before the fan-out); useHist is false when the set has no
 // finite range.
-func columnPartial(t *storage.Table, ci int, lo, hi float64, useHist bool) (*ColumnPartial, error) {
+func columnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi float64, useHist bool) (*ColumnPartial, error) {
 	col := t.Column(ci)
 	p := &ColumnPartial{Rows: t.NumRows(), Nulls: col.NullCount()}
 	switch c := col.(type) {
@@ -198,7 +200,7 @@ func columnPartial(t *storage.Table, ci int, lo, hi float64, useHist bool) (*Col
 		}
 		return p, nil
 	case *storage.LazyColumn:
-		return lazyColumnPartial(p, c, lo, hi, useHist)
+		return lazyColumnPartial(ctx, p, c, lo, hi, useHist)
 	default:
 		return nil, fmt.Errorf("shard: unsupported column type %T", col)
 	}
@@ -208,7 +210,7 @@ func columnPartial(t *storage.Table, ci int, lo, hi float64, useHist bool) (*Col
 // chunk by chunk — a full pass (partials are whole-shard statistics)
 // that streams through the chunk cache instead of materializing the
 // column.
-func lazyColumnPartial(p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, useHist bool) (*ColumnPartial, error) {
+func lazyColumnPartial(ctx context.Context, p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, useHist bool) (*ColumnPartial, error) {
 	switch c.Type() {
 	case storage.Int64, storage.Float64:
 		if useHist {
@@ -219,7 +221,7 @@ func lazyColumnPartial(p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, 
 			p.Hist = h
 		}
 		p.Quantiles = sketch.MustGK(partialEps)
-		err := c.ForEachChunk(func(k, start int, pl *storage.ChunkPayload) (bool, error) {
+		err := c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
 			for i := 0; i < pl.Rows(); i++ {
 				if pl.IsNull(i) {
 					continue
@@ -257,7 +259,7 @@ func lazyColumnPartial(p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, 
 			return nil, err
 		}
 		p.CatCounts = make([]int, len(dict))
-		err = c.ForEachChunk(func(k, start int, pl *storage.ChunkPayload) (bool, error) {
+		err = c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
 			for i, code := range pl.Codes {
 				if !pl.IsNull(i) {
 					p.CatCounts[code]++
@@ -271,7 +273,7 @@ func lazyColumnPartial(p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, 
 		}
 		return p, nil
 	case storage.Bool:
-		err := c.ForEachChunk(func(k, start int, pl *storage.ChunkPayload) (bool, error) {
+		err := c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
 			for i, v := range pl.Bools {
 				if pl.IsNull(i) {
 					continue

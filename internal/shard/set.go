@@ -106,6 +106,7 @@ func Open(manifestPath string) (*Set, error) {
 // size) and the set's schema, with errors naming the bad shard; in
 // deferred mode that validation runs when the shard first opens.
 func OpenWith(manifestPath string, o Options) (*Set, error) {
+	ctx := context.TODO() // opening a set has no request behind it
 	m, err := ReadManifest(manifestPath)
 	if err != nil {
 		return nil, err
@@ -190,7 +191,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		// Open every shard now (cheap for lazy files and remote backends:
 		// metadata only), concurrently, and use their exact zone maps.
 		err = par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
-			_, err := s.shards[i].backend()
+			_, err := s.shards[i].backend(ctx)
 			return err
 		})
 		if err != nil {
@@ -203,7 +204,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 					m.Shards[0].File, i, m.Shards[i].File)
 			}
 		}
-		if err := s.loadDictsNow(schema); err != nil {
+		if err := s.loadDicts(ctx, schema); err != nil {
 			return nil, err
 		}
 		viewZones = make([][][]storage.ZoneMap, n)
@@ -273,28 +274,28 @@ type lazyShard struct {
 	idx  int
 	locs []string // one file path, or http(s):// locations (primary first)
 
-	mu  sync.Mutex
-	be  Backend
-	src storage.ChunkSource
-	err error
+	mu sync.Mutex
+	// be is the opened backend; exactly one of file and remote is set with
+	// it, under the static type its location implies.
+	be     Backend
+	file   *fileBackend
+	remote RemoteBackend
+	err    error
 }
+
+// isRemote reports whether the shard is served over the fabric.
+func (ls *lazyShard) isRemote() bool { return IsRemoteLocation(ls.locs[0]) }
 
 // backend opens the shard's backend if needed, validating it against
-// the manifest, and returns it.
-func (ls *lazyShard) backend() (Backend, error) {
-	return ls.backendCtx(context.Background())
-}
-
-// backendCtx is backend with the caller's context riding into a
-// deferred remote open, so the open's own RPCs are billed to the query
-// that forced it.
-func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
+// the manifest, and returns it. The open runs under ctx, so a deferred
+// remote open's own RPCs are billed to the query that forced it.
+func (ls *lazyShard) backend(ctx context.Context) (Backend, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.be != nil || ls.err != nil {
 		return ls.be, ls.err
 	}
-	remote := IsRemoteLocation(ls.locs[0])
+	remote := ls.isRemote()
 	// Remote failures are NOT cached: servers heal (restarts, network
 	// blips), so the next touch redials instead of serving a poisoned
 	// error until the whole set reopens. Local file errors stay sticky —
@@ -305,19 +306,20 @@ func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
 		}
 		return nil, err
 	}
-	var be Backend
-	var err error
+	var (
+		be   Backend
+		file *fileBackend
+		rb   RemoteBackend
+		err  error
+	)
 	if remote {
 		if ls.s.remote == nil {
 			return fail(fmt.Errorf("shard: shard %d is remote (%s) but no remote opener is configured", ls.idx, ls.locs[0]))
 		}
-		if co, ok := ls.s.remote.(CtxRemoteOpener); ok {
-			be, err = co.OpenShardCtx(ctx, ls.locs, ls.s.storeOpts)
-		} else {
-			be, err = ls.s.remote.OpenShard(ls.locs, ls.s.storeOpts)
-		}
-	} else {
-		be, err = openFileBackend(ls.locs[0], ls.s.storeOpts)
+		rb, err = ls.s.remote.OpenShard(ctx, ls.locs, ls.s.storeOpts)
+		be = rb
+	} else if file, err = openFileBackend(ls.locs[0], ls.s.storeOpts); err == nil {
+		be = file
 	}
 	if err != nil {
 		return fail(fmt.Errorf("shard: opening shard %d: %w", ls.idx, err))
@@ -334,46 +336,28 @@ func (ls *lazyShard) backendCtx(ctx context.Context) (Backend, error) {
 		return fail(fmt.Errorf("shard: shard %d (%s) schema disagrees with the manifest",
 			ls.idx, ls.s.manifest.Shards[ls.idx].File))
 	}
-	ls.be = be
-	ls.src = be.Source()
+	ls.be, ls.file, ls.remote = be, file, rb
 	return ls.be, nil
 }
 
-// source opens the shard backend if needed and returns its chunk source.
-func (ls *lazyShard) source() (storage.ChunkSource, error) {
-	return ls.sourceCtx(context.Background())
-}
-
-// sourceCtx is source with the caller's context riding into a deferred
-// open.
-func (ls *lazyShard) sourceCtx(ctx context.Context) (storage.ChunkSource, error) {
-	if _, err := ls.backendCtx(ctx); err != nil {
-		return nil, err
-	}
+// opened returns the shard's backend only if it is already open (nil
+// otherwise) — the side-effect-free lookup of prefetch hints, counters
+// and Close.
+func (ls *lazyShard) opened() Backend {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.src, nil
+	return ls.be
 }
 
-// openedSource returns the shard's chunk source only if the backend is
-// already open — the side-effect-free lookup of prefetch hints.
-func (ls *lazyShard) openedSource() storage.ChunkSource {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.src
-}
-
-// opened reports whether the shard backend has been opened.
-func (ls *lazyShard) opened() bool {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.be != nil
-}
-
-// setSource routes combined-table chunk fetches to the owning shard,
+// setSource routes chunk fetches of the combined table — or, offset by
+// a shard's first chunk, of that shard's view — to the owning shard,
 // remapping string codes into the union dictionary when shard
 // dictionaries differ. It implements storage.ChunkSource.
-type setSource struct{ s *Set }
+type setSource struct {
+	s *Set
+	// off is the combined index of this source's chunk 0.
+	off int
+}
 
 // shardOfChunk maps a combined chunk index to its shard.
 func (s *Set) shardOfChunk(gk int) int {
@@ -384,42 +368,24 @@ func (s *Set) shardOfChunk(gk int) int {
 	return i
 }
 
-// FetchChunk implements storage.ChunkSource.
-func (ss *setSource) FetchChunk(ci, gk int) (*storage.ChunkPayload, bool, error) {
-	return ss.fetch(context.Background(), ci, gk)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource: same routing, with
-// the request context riding into remote chunk fetches so their RPC
-// spans land in the right trace.
-func (ss *setSource) FetchChunkCtx(ctx context.Context, ci, gk int) (*storage.ChunkPayload, bool, error) {
-	return ss.fetch(ctx, ci, gk)
-}
-
-func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPayload, bool, error) {
-	s := ss.s
+// FetchChunk implements storage.ChunkSource: ctx rides into the owning
+// shard's fetch (and a deferred open it forces), so remote chunk RPCs
+// land in the right trace and ledger.
+func (ss *setSource) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
+	s, gk := ss.s, ss.off+k
 	i := s.shardOfChunk(gk)
-	lk := gk - s.chunkOffs[i]
 	remap, err := s.remapFor(ctx, i, ci)
 	if err != nil {
 		return nil, false, err
 	}
 	if remap == nil {
-		src, err := s.shards[i].sourceCtx(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		return fetchChunkCtx(ctx, src, ci, lk)
+		return s.shardChunk(ctx, i, ci, gk)
 	}
 	// Distinct shard dictionaries: the remapped payload is its own cache
-	// entry (keyed by the set source) so the copy happens once per
-	// residency, not per touch.
-	return s.cache.GetCtx(ctx, ss, ci, gk, func() (*storage.ChunkPayload, error) {
-		src, err := s.shards[i].sourceCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		p, _, err := fetchChunkCtx(ctx, src, ci, lk)
+	// entry (keyed by the combined table's source) so the copy happens
+	// once per residency, not per touch.
+	return s.cache.Get(ctx, s.src, ci, gk, func() (*storage.ChunkPayload, error) {
+		p, _, err := s.shardChunk(ctx, i, ci, gk)
 		if err != nil {
 			return nil, err
 		}
@@ -431,26 +397,28 @@ func (ss *setSource) fetch(ctx context.Context, ci, gk int) (*storage.ChunkPaylo
 	})
 }
 
-// fetchChunkCtx forwards the context when the underlying source (a
-// remote client) understands it, and drops it otherwise.
-func fetchChunkCtx(ctx context.Context, src storage.ChunkSource, ci, k int) (*storage.ChunkPayload, bool, error) {
-	if cs, ok := src.(storage.CtxChunkSource); ok && ctx != nil {
-		return cs.FetchChunkCtx(ctx, ci, k)
+// shardChunk fetches combined chunk gk of column ci from shard i's own
+// source (local code space), opening the shard if needed.
+func (s *Set) shardChunk(ctx context.Context, i, ci, gk int) (*storage.ChunkPayload, bool, error) {
+	be, err := s.shards[i].backend(ctx)
+	if err != nil {
+		return nil, false, err
 	}
-	return src.FetchChunk(ci, k)
+	return be.Source().FetchChunk(ctx, ci, gk-s.chunkOffs[i])
 }
 
-// PrefetchChunk implements storage.ChunkPrefetcher: hints are routed to
-// the owning shard's source only when that shard is already open (a
-// speculative load must never open a deferred file) and only for
-// identity-dictionary columns (remapped payloads are cache entries of
-// the set itself; speculating those buys little and complicates
+// PrefetchChunk implements storage.ChunkSource: hints are routed to the
+// owning shard's source — with the caller's ctx, so the speculative
+// load bills the query that hinted it — only when that shard is already
+// open (a speculative load must never open a deferred file) and only
+// for identity-dictionary columns (remapped payloads are cache entries
+// of the set itself; speculating those buys little and complicates
 // ownership).
-func (ss *setSource) PrefetchChunk(ci, gk int) {
-	s := ss.s
+func (ss *setSource) PrefetchChunk(ctx context.Context, ci, k int) {
+	s, gk := ss.s, ss.off+k
 	i := s.shardOfChunk(gk)
-	src := s.shards[i].openedSource()
-	if src == nil {
+	be := s.shards[i].opened()
+	if be == nil {
 		return
 	}
 	if s.combined != nil && s.combined.Schema().Field(ci).Type == storage.String {
@@ -458,31 +426,7 @@ func (ss *setSource) PrefetchChunk(ci, gk int) {
 			return
 		}
 	}
-	if p, ok := src.(storage.ChunkPrefetcher); ok {
-		p.PrefetchChunk(ci, gk-s.chunkOffs[i])
-	}
-}
-
-// viewSource is a shard view's chunk source: the combined source offset
-// by the shard's first chunk.
-type viewSource struct {
-	ss    *setSource
-	shard int
-}
-
-// FetchChunk implements storage.ChunkSource.
-func (vs *viewSource) FetchChunk(ci, k int) (*storage.ChunkPayload, bool, error) {
-	return vs.ss.fetch(context.Background(), ci, vs.ss.s.chunkOffs[vs.shard]+k)
-}
-
-// FetchChunkCtx implements storage.CtxChunkSource.
-func (vs *viewSource) FetchChunkCtx(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
-	return vs.ss.fetch(ctx, ci, vs.ss.s.chunkOffs[vs.shard]+k)
-}
-
-// PrefetchChunk implements storage.ChunkPrefetcher.
-func (vs *viewSource) PrefetchChunk(ci, k int) {
-	vs.ss.PrefetchChunk(ci, vs.ss.s.chunkOffs[vs.shard]+k)
+	be.Source().PrefetchChunk(ctx, ci, gk-s.chunkOffs[i])
 }
 
 // remapFor returns the local→union code remap of (shard, col), nil for
@@ -491,35 +435,20 @@ func (s *Set) remapFor(ctx context.Context, shard, ci int) ([]uint32, error) {
 	if s.combined.Schema().Field(ci).Type != storage.String {
 		return nil, nil
 	}
-	if err := s.loadDictsCtx(ctx); err != nil {
+	if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
 		return nil, err
 	}
 	return s.remaps[shard][ci], nil
 }
 
-// loadDicts runs the one-time union-dictionary build (all shards open).
-func (s *Set) loadDicts() error {
-	return s.loadDictsCtx(context.Background())
-}
-
-// loadDictsCtx is loadDicts with the caller's context riding into the
-// deferred first-demand build — the shard opens and dictionary fetches
-// are billed to the query that forced them.
-func (s *Set) loadDictsCtx(ctx context.Context) error {
+// loadDicts runs the one-time union-dictionary build (all shards open)
+// under the first caller's ctx: on a deferred set the shard opens and
+// dictionary fetches are billed to the query that forced them. schema
+// is the set's — passed in because the non-deferred open builds the
+// dictionaries before the combined table exists.
+func (s *Set) loadDicts(ctx context.Context, schema *storage.Schema) error {
 	s.dictsOnce.Do(func() {
-		s.dictsErr = s.buildDicts(ctx, s.combined.Schema())
-		if s.dictsErr == nil {
-			s.dictsDone.Store(true)
-		}
-	})
-	return s.dictsErr
-}
-
-// loadDictsNow is loadDicts for the non-deferred open path, where the
-// schema object is at hand before the combined table exists.
-func (s *Set) loadDictsNow(schema *storage.Schema) error {
-	s.dictsOnce.Do(func() {
-		s.dictsErr = s.buildDicts(context.Background(), schema)
+		s.dictsErr = s.buildDicts(ctx, schema)
 		if s.dictsErr == nil {
 			s.dictsDone.Store(true)
 		}
@@ -535,7 +464,7 @@ func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
 	n := len(s.shards)
 	shardDicts := make([][][]string, n) // [shard][col]
 	err := par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
-		be, err := s.shards[i].backendCtx(ctx)
+		be, err := s.shards[i].backend(ctx)
 		if err != nil {
 			return err
 		}
@@ -544,12 +473,7 @@ func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
 			if schema.Field(ci).Type != storage.String {
 				continue
 			}
-			var d []string
-			if cd, ok := be.(CtxDictBackend); ok {
-				d, err = cd.DictsCtx(ctx, ci)
-			} else {
-				d, err = be.Dicts(ci)
-			}
+			d, err := be.Dicts(ctx, ci)
 			if err != nil {
 				return fmt.Errorf("shard: shard %d column %d dictionary: %w", i, ci, err)
 			}
@@ -673,105 +597,78 @@ func (s *Set) remapShardZones(i int, shardZones [][]storage.ZoneMap) [][]storage
 func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, deferred bool) error {
 	m := s.manifest
 	n := len(s.shards)
-	if n == 1 && !deferred {
-		if tb, ok := s.shards[0].be.(TableBackend); ok {
-			// Single opened local shard: the combined table IS the shard
-			// file's table (chunk metadata included); no indirection needed.
-			tbl := tb.Table().Rename(m.Table)
-			s.combined = tbl
-			s.views = []*storage.Table{tbl}
-			return nil
-		}
-		// Single remote shard: fall through to the routed assembly.
+	if fb := s.shards[0].file; n == 1 && !deferred && fb != nil {
+		// Single opened local shard: the combined table IS the shard
+		// file's table (chunk metadata included); no indirection needed.
+		// (A single remote shard takes the routed assembly below.)
+		tbl := fb.Table().Rename(m.Table)
+		s.combined = tbl
+		s.views = []*storage.Table{tbl}
+		return nil
 	}
-	src := &setSource{s: s}
-	s.src = src
-	// Combined zone maps: concatenation of the shards' (alignment makes
-	// the chunk grids line up).
-	ck := &storage.Chunking{Size: m.ChunkSize, Zones: make([][]storage.ZoneMap, schema.NumFields())}
-	for ci := 0; ci < schema.NumFields(); ci++ {
-		var zones []storage.ZoneMap
-		for i := range s.shards {
-			zones = append(zones, viewZones[i][ci]...)
-		}
-		ck.Zones[ci] = zones
-	}
-	nullCounts := make([]int, schema.NumFields())
-	for ci := range nullCounts {
-		if deferred {
-			for _, sf := range m.Shards {
-				if ci < len(sf.Stats) {
-					nullCounts[ci] += sf.Stats[ci].Nulls
-				}
-			}
-		} else {
-			for _, zones := range ck.Zones[ci] {
-				nullCounts[ci] += zones.NullCount
-			}
-		}
-	}
-	dictFn := func(ci int) func() ([]string, error) {
-		return func() ([]string, error) {
-			if err := s.loadDicts(); err != nil {
-				return nil, err
-			}
-			return s.unionDict[ci], nil
-		}
-	}
-	cols := make([]storage.Column, schema.NumFields())
-	for ci := 0; ci < schema.NumFields(); ci++ {
-		cfg := storage.LazyColumnConfig{
-			Source: src, Col: ci, Type: schema.Field(ci).Type,
-			Rows: m.Rows, ChunkSize: m.ChunkSize, NullCount: nullCounts[ci],
-		}
-		if cfg.Type == storage.String {
-			cfg.DictFn = dictFn(ci)
-		}
-		col, err := storage.NewLazyColumn(cfg)
-		if err != nil {
-			return err
-		}
-		cols[ci] = col
-	}
-	combined, err := storage.NewChunkedTable(m.Table, schema, cols, ck)
-	if err != nil {
-		return err
-	}
-	s.combined = combined
-
-	s.views = make([]*storage.Table, n)
-	for i := range s.shards {
-		vsrc := &viewSource{ss: src, shard: i}
-		rows := m.Shards[i].Rows
-		vcols := make([]storage.Column, schema.NumFields())
-		for ci := 0; ci < schema.NumFields(); ci++ {
-			vnulls := 0
-			for _, zm := range viewZones[i][ci] {
-				vnulls += zm.NullCount
-			}
-			if deferred && ci < len(m.Shards[i].Stats) {
-				vnulls = m.Shards[i].Stats[ci].Nulls
-			}
+	nf := schema.NumFields()
+	// lazyTable builds one routed chunk-aware table: the combined table
+	// or a shard's view.
+	lazyTable := func(src *setSource, rows int, zones [][]storage.ZoneMap, nulls []int) (*storage.Table, error) {
+		cols := make([]storage.Column, nf)
+		for ci := range cols {
 			cfg := storage.LazyColumnConfig{
-				Source: vsrc, Col: ci, Type: schema.Field(ci).Type,
-				Rows: rows, ChunkSize: m.ChunkSize, NullCount: vnulls,
+				Source: src, Col: ci, Type: schema.Field(ci).Type,
+				Rows: rows, ChunkSize: m.ChunkSize, NullCount: nulls[ci],
 			}
 			if cfg.Type == storage.String {
-				cfg.DictFn = dictFn(ci)
+				cfg.DictFn = func() ([]string, error) {
+					// A column's dictionary resolves once for the set's
+					// lifetime, on an accessor with no context: run detached,
+					// so the first toucher's cancellation cannot fail the
+					// column for good.
+					if err := s.loadDicts(context.Background(), schema); err != nil {
+						return nil, err
+					}
+					return s.unionDict[ci], nil
+				}
 			}
 			col, err := storage.NewLazyColumn(cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			vcols[ci] = col
+			cols[ci] = col
 		}
-		vck := &storage.Chunking{Size: m.ChunkSize, Zones: viewZones[i]}
-		view, err := storage.NewChunkedTable(m.Table, schema, vcols, vck)
+		return storage.NewChunkedTable(m.Table, schema, cols, &storage.Chunking{Size: m.ChunkSize, Zones: zones})
+	}
+	// The combined table's zone maps are the shards' concatenated
+	// (alignment makes the chunk grids line up) and its NULL counts their
+	// sums, so both accumulate while the views are built.
+	zones := make([][]storage.ZoneMap, nf)
+	nulls := make([]int, nf)
+	s.views = make([]*storage.Table, n)
+	for i := range s.shards {
+		vnulls := make([]int, nf)
+		for ci := range vnulls {
+			if deferred {
+				// Manifest-derived zone maps only say none/some/all; the
+				// shard's statistics carry the count.
+				vnulls[ci] = m.Shards[i].Stats[ci].Nulls
+			} else {
+				for _, zm := range viewZones[i][ci] {
+					vnulls[ci] += zm.NullCount
+				}
+			}
+			nulls[ci] += vnulls[ci]
+			zones[ci] = append(zones[ci], viewZones[i][ci]...)
+		}
+		view, err := lazyTable(&setSource{s: s, off: s.chunkOffs[i]}, m.Shards[i].Rows, viewZones[i], vnulls)
 		if err != nil {
 			return err
 		}
 		s.views[i] = view
 	}
+	s.src = &setSource{s: s}
+	combined, err := lazyTable(s.src, m.Rows, zones, nulls)
+	if err != nil {
+		return err
+	}
+	s.combined = combined
 	return nil
 }
 
@@ -780,13 +677,11 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 func (s *Set) Close() error {
 	var first error
 	for _, ls := range s.shards {
-		ls.mu.Lock()
-		if ls.be != nil {
-			if err := ls.be.Close(); err != nil && first == nil {
+		if be := ls.opened(); be != nil {
+			if err := be.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
-		ls.mu.Unlock()
 	}
 	// Remapped string payloads are cached under the set's own source
 	// key; drop them so a caller-shared cache does not pin a closed set.
@@ -809,7 +704,7 @@ func (s *Set) OpenedShards() int {
 	}
 	n := 0
 	for _, ls := range s.shards {
-		if ls.opened() {
+		if ls.opened() != nil {
 			n++
 		}
 	}
@@ -821,13 +716,11 @@ func (s *Set) OpenedShards() int {
 func (s *Set) IOStats() colstore.IOStats {
 	var out colstore.IOStats
 	for _, ls := range s.shards {
-		ls.mu.Lock()
-		if iob, ok := ls.be.(IOBackend); ok {
-			st := iob.IOStats()
+		if be := ls.opened(); be != nil {
+			st := be.IOStats()
 			out.BytesRead += st.BytesRead
 			out.ChunksDecoded += st.ChunksDecoded
 		}
-		ls.mu.Unlock()
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -847,26 +740,18 @@ func (s *Set) ShardMayMatch(i int, p query.Predicate) bool {
 	return s.manifest.ShardMayMatch(i, p)
 }
 
-// statBackendFor returns the statistics-plane interface of shard i's
-// backend for remote shards, opening the backend if needed. Local
-// shards return (nil, nil): their statistics run against the shard
-// views, sharing the chunk cache and the scan-verdict counters.
-func (s *Set) statBackendFor(i int) (StatBackend, error) {
-	return s.statBackendForCtx(context.Background(), i)
-}
-
-// statBackendForCtx is statBackendFor with the caller's context riding
-// into a deferred open.
-func (s *Set) statBackendForCtx(ctx context.Context, i int) (StatBackend, error) {
-	if s.shards == nil || !IsRemoteLocation(s.shards[i].locs[0]) {
+// remoteBackend returns shard i's backend when it is served over the
+// fabric, opening it (under ctx) if needed. Local shards return
+// (nil, nil): their statistics run against the shard views, sharing the
+// chunk cache and the scan-verdict counters.
+func (s *Set) remoteBackend(ctx context.Context, i int) (RemoteBackend, error) {
+	if s.shards == nil || !s.shards[i].isRemote() {
 		return nil, nil
 	}
-	be, err := s.shards[i].backendCtx(ctx)
-	if err != nil {
+	if _, err := s.shards[i].backend(ctx); err != nil {
 		return nil, err
 	}
-	sb, _ := be.(StatBackend)
-	return sb, nil
+	return s.shards[i].remote, nil
 }
 
 // colIndex resolves an attribute name against the combined schema.
@@ -884,7 +769,7 @@ func (s *Set) colIndex(attr string) (int, error) {
 // column ci into union-code space — the reduce-side translation of
 // statistics computed where a remote shard lives.
 func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int, error) {
-	if err := s.loadDictsCtx(ctx); err != nil {
+	if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
 		return nil, err
 	}
 	out := make([]int, len(s.unionDict[ci]))
@@ -906,48 +791,19 @@ func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int
 	return out, nil
 }
 
-// RemotePredicateCount asks shard i's statistics plane how many of its
-// rows satisfy p — the per-predicate bitmap count, answered without any
-// chunk leaving the shard. Local shards (no statistics plane) return
-// ok=false; callers scan the view instead.
-func (s *Set) RemotePredicateCount(ctx context.Context, i int, p query.Predicate) (count int, ok bool, err error) {
-	sb, err := s.statBackendForCtx(ctx, i)
-	if err != nil || sb == nil {
-		return 0, false, err
-	}
-	count, err = sb.PredicateCount(ctx, p)
-	if err != nil {
-		return 0, true, err
-	}
-	return count, true, nil
-}
-
 // RemotePredicateBits asks shard i's statistics plane for the exact
 // selection bitmap of p, so a non-empty predicate is assembled without
-// any chunk leaving the shard. Local shards, backends without the
-// bitmap extension, and old servers answering a non-zero count without
-// words all return ok=false; callers scan the view instead. The bitmap
-// is validated against the server's own count before it is trusted —
-// on mismatch the caller falls back to scanning.
+// any chunk leaving the shard. Local shards, and old servers answering a
+// non-zero count without words, return ok=false; callers scan the view
+// instead. The bitmap is validated against the server's own count
+// before it is trusted — on mismatch the caller falls back to scanning.
 func (s *Set) RemotePredicateBits(ctx context.Context, i int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error) {
-	sb, err := s.statBackendForCtx(ctx, i)
-	if err != nil || sb == nil {
+	rb, err := s.remoteBackend(ctx, i)
+	if err != nil || rb == nil {
 		return nil, false, err
 	}
 	rows := s.views[i].NumRows()
-	pb, isPB := sb.(PredBitsBackend)
-	if !isPB {
-		// Count-only plane: the empty case still skips the chunk plane.
-		n, err := sb.PredicateCount(ctx, p)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return bitvec.New(rows), true, nil
-		}
-		return nil, false, nil
-	}
-	count, words, err := pb.PredicateBits(ctx, p)
+	count, words, err := rb.PredicateBits(ctx, p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -991,9 +847,10 @@ type ShardHealthInfo struct {
 
 // ShardHealth probes shard i: remote shards round-trip their health
 // endpoint (opening the backend if needed — this is a diagnostic, not a
-// data path), local shards report opened state. It is what GET
-// /api/shards surfaces per shard.
-func (s *Set) ShardHealth(i int) ShardHealthInfo {
+// data path), local shards report opened state. The open and the probe
+// run under ctx, so a caller that gives up stops waiting on a hung
+// replica. It is what GET /api/shards surfaces per shard.
+func (s *Set) ShardHealth(ctx context.Context, i int) ShardHealthInfo {
 	info := ShardHealthInfo{Location: s.manifest.Shards[i].File}
 	if s.shards == nil {
 		// Eagerly reassembled set: everything was opened and validated.
@@ -1001,27 +858,20 @@ func (s *Set) ShardHealth(i int) ShardHealthInfo {
 		return info
 	}
 	ls := s.shards[i]
-	info.Remote = IsRemoteLocation(ls.locs[0])
-	info.Opened = ls.opened()
+	info.Remote = ls.isRemote()
+	info.Opened = ls.opened() != nil
 	if !info.Remote {
 		info.Healthy = true
 		return info
 	}
-	be, err := ls.backend()
+	rb, err := s.remoteBackend(ctx, i)
 	if err != nil {
 		info.Err = err
 		return info
 	}
 	info.Opened = true
-	if rb, ok := be.(ReplicaBackend); ok {
-		info.Replicas = rb.Replicas()
-	}
-	hb, ok := be.(HealthBackend)
-	if !ok {
-		info.Healthy = true
-		return info
-	}
-	lat, err := hb.Health()
+	info.Replicas = rb.Replicas()
+	lat, err := rb.Health(ctx)
 	if err != nil {
 		info.Err = err
 		return info
@@ -1033,21 +883,17 @@ func (s *Set) ShardHealth(i int) ShardHealthInfo {
 // ShardServerStats polls shard i's server-side counters over the
 // fabric (GET /shard/v1/stats), opening the backend if needed — like
 // ShardHealth, a rollup scrape is a diagnostic, not a data path.
-// polled is false when the shard is local or its backend lacks the
-// capability (an old server, say); err carries open or RPC failures.
+// polled is false when the shard is local; err carries open or RPC
+// failures.
 func (s *Set) ShardServerStats(ctx context.Context, i int) (stats ServerStats, polled bool, err error) {
-	if s.shards == nil || !IsRemoteLocation(s.shards[i].locs[0]) {
-		return ServerStats{}, false, nil
-	}
-	be, err := s.shards[i].backendCtx(ctx)
+	rb, err := s.remoteBackend(ctx, i)
 	if err != nil {
 		return ServerStats{}, true, err
 	}
-	sb, ok := be.(ServerStatsBackend)
-	if !ok {
+	if rb == nil {
 		return ServerStats{}, false, nil
 	}
-	stats, err = sb.ServerStats(ctx)
+	stats, err = rb.ServerStats(ctx)
 	return stats, true, err
 }
 
@@ -1139,7 +985,7 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 
 // exactMinMax scans a numeric column for its finite (non-NaN, non-NULL)
 // value range — the fallback when zone maps dropped a chunk's bounds.
-func exactMinMax(col storage.Column) (lo, hi float64, ok bool) {
+func exactMinMax(ctx context.Context, col storage.Column) (lo, hi float64, ok bool) {
 	observe := func(v float64) {
 		if v != v { // NaN
 			return
@@ -1166,7 +1012,7 @@ func exactMinMax(col storage.Column) (lo, hi float64, ok bool) {
 			}
 		}
 	case *storage.LazyColumn:
-		_ = c.ForEachChunk(func(k, start int, p *storage.ChunkPayload) (bool, error) {
+		_ = c.ForEachChunk(ctx, func(k, start int, p *storage.ChunkPayload) (bool, error) {
 			for i := 0; i < p.Rows(); i++ {
 				if !p.IsNull(i) {
 					observe(p.Numeric(i))
@@ -1263,7 +1109,7 @@ type Provider struct {
 func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, *sketch.GK, error) {
 	runs := make([][]float64, p.s.NumShards())
 	err := par.For(p.workers, len(runs), func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			vals, err := sb.NumericValues(ctx, attr)
@@ -1318,7 +1164,7 @@ func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []
 	partCounts := make([][]int, n)
 	var dict []string
 	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			ci, err := p.s.colIndex(attr)
@@ -1357,7 +1203,7 @@ func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := p.s.loadDictsCtx(ctx); err != nil {
+		if err := p.s.loadDicts(ctx, p.s.combined.Schema()); err != nil {
 			return nil, nil, err
 		}
 		dict = p.s.unionDict[ci]
@@ -1377,7 +1223,7 @@ func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error)
 	falses := make([]int, n)
 	trues := make([]int, n)
 	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.statBackendForCtx(ctx, i); err != nil {
+		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			f, t, err := sb.BoolCounts(ctx, attr)
@@ -1413,6 +1259,7 @@ func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error)
 // are ever centralized — and the consistency check behind "do the
 // shards still sum to the table the manifest promises".
 func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
+	ctx := context.TODO() // the context-free signature is pinned by bench/
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -1455,12 +1302,12 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			}
 		}
 		if unbounded {
-			los[ci], his[ci], useHist[ci] = exactMinMax(s.combined.Column(ci))
+			los[ci], his[ci], useHist[ci] = exactMinMax(ctx, s.combined.Column(ci))
 		}
 	}
 	perShard := make([][]*ColumnPartial, s.NumShards())
 	err := par.For(parallelism, s.NumShards(), func(i int) error {
-		if sb, err := s.statBackendFor(i); err != nil {
+		if sb, err := s.remoteBackend(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			// Statistics plane: all columns in one round trip, computed
@@ -1470,7 +1317,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			for ci := range specs {
 				specs[ci] = PartialSpec{Col: ci, Lo: los[ci], Hi: his[ci], UseHist: useHist[ci]}
 			}
-			parts, err := sb.ColumnPartials(context.Background(), specs)
+			parts, err := sb.ColumnPartials(ctx, specs)
 			if err != nil {
 				return err
 			}
@@ -1479,7 +1326,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			}
 			for ci, p := range parts {
 				if p != nil && p.CatCounts != nil {
-					u, err := s.countsToUnion(context.Background(), i, ci, p.CatCounts)
+					u, err := s.countsToUnion(ctx, i, ci, p.CatCounts)
 					if err != nil {
 						return err
 					}
@@ -1491,7 +1338,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 		}
 		out := make([]*ColumnPartial, nCols)
 		for ci := 0; ci < nCols; ci++ {
-			p, err := columnPartial(s.views[i], ci, los[ci], his[ci], useHist[ci])
+			p, err := columnPartial(ctx, s.views[i], ci, los[ci], his[ci], useHist[ci])
 			if err != nil {
 				return err
 			}

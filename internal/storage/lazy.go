@@ -75,43 +75,28 @@ func (p *ChunkPayload) MemBytes() int64 {
 }
 
 // ChunkSource supplies decoded column chunks on demand — the
-// materialization hook behind lazy tables. Implementations must be safe
-// for concurrent use and must always return identical payload contents
-// for the same (column, chunk), regardless of cache state: that is what
+// materialization hook behind lazy tables, and the only chunk interface:
+// a local file, a remote shard client and a shard set's routing source
+// all implement exactly this. Implementations must be safe for
+// concurrent use and must always return identical payload contents for
+// the same (column, chunk), regardless of cache state: that is what
 // keeps lazy scans byte-identical to eager ones at any cache budget.
 type ChunkSource interface {
 	// FetchChunk returns chunk k of column ci. hit reports whether the
 	// payload was served from a decoded-chunk cache (false = this call
-	// decoded it).
-	FetchChunk(ci, k int) (p *ChunkPayload, hit bool, err error)
-}
-
-// CtxChunkSource is the optional context-aware side of a ChunkSource:
-// sources that do I/O with per-request state (remote shard clients
-// carrying trace spans and request IDs) implement it; ChunkCtx prefers
-// it when present. Semantics are identical to FetchChunk.
-type CtxChunkSource interface {
-	FetchChunkCtx(ctx context.Context, ci, k int) (p *ChunkPayload, hit bool, err error)
-}
-
-// ChunkPrefetcher is the optional speculative side of a ChunkSource: a
-// hint that chunk k of column ci is about to be fetched. Implementations
-// start an asynchronous single-flight load (sharing the fetch path's
-// cache, so the real fetch either hits or joins the flight) and must be
-// eviction-aware — a prefetch that would push resident chunks out of a
-// bounded cache is skipped, never traded. Sources without the method
-// simply ignore hints.
-type ChunkPrefetcher interface {
-	PrefetchChunk(ci, k int)
-}
-
-// CtxChunkPrefetcher is the context-aware side of a ChunkPrefetcher:
-// the asynchronous load carries the request's values (resource ledger,
-// request ID) so speculative I/O is billed to the query that caused it.
-// Implementations must detach from the context's cancellation — the
-// request may complete before the flight does.
-type CtxChunkPrefetcher interface {
-	PrefetchChunkCtx(ctx context.Context, ci, k int)
+	// decoded it). I/O on a miss runs under ctx: it is cancelled with
+	// it, traced under its span and billed to its resource ledger.
+	FetchChunk(ctx context.Context, ci, k int) (p *ChunkPayload, hit bool, err error)
+	// PrefetchChunk hints that chunk k of column ci is about to be
+	// fetched. Sources that do I/O start an asynchronous single-flight
+	// load sharing the fetch path's cache (the real fetch either hits or
+	// joins the flight) and must be eviction-aware — a prefetch that
+	// would push resident chunks out of a bounded cache is skipped, never
+	// traded. The load keeps ctx's values (ledger, request id), so
+	// speculative I/O is billed to the query that caused it, but detaches
+	// from its cancellation: the request may complete before the flight
+	// does. Sources with nothing to load ignore the hint.
+	PrefetchChunk(ctx context.Context, ci, k int)
 }
 
 // ChunkError is the named error for a chunk that could not be read or
@@ -208,15 +193,6 @@ func NewLazyColumn(cfg LazyColumnConfig) (*LazyColumn, error) {
 	return c, nil
 }
 
-// MustLazyColumn is NewLazyColumn that panics on error.
-func MustLazyColumn(cfg LazyColumnConfig) *LazyColumn {
-	c, err := NewLazyColumn(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Type implements Column.
 func (c *LazyColumn) Type() DataType { return c.typ }
 
@@ -238,33 +214,19 @@ func (c *LazyColumn) NumChunks() int {
 	return (c.rows + c.chunkSize - 1) / c.chunkSize
 }
 
-// Chunk fetches chunk k, reporting whether it came from cache.
-func (c *LazyColumn) Chunk(k int) (*ChunkPayload, bool, error) {
-	p, hit, err := c.src.FetchChunk(c.ci, k)
+// Chunk fetches chunk k under ctx, reporting whether it came from cache.
+func (c *LazyColumn) Chunk(ctx context.Context, k int) (*ChunkPayload, bool, error) {
+	p, hit, err := c.src.FetchChunk(ctx, c.ci, k)
 	if err != nil {
 		return nil, false, &ChunkError{Col: c.ci, Chunk: k, Err: err}
 	}
 	return p, hit, nil
 }
 
-// ChunkCtx is Chunk with a request context: when the source is
-// context-aware the fetch carries ctx (trace span, request ID) over
-// the wire. A nil ctx, or a plain source, degrades to Chunk.
-func (c *LazyColumn) ChunkCtx(ctx context.Context, k int) (*ChunkPayload, bool, error) {
-	cs, ok := c.src.(CtxChunkSource)
-	if !ok || ctx == nil {
-		return c.Chunk(k)
-	}
-	p, hit, err := cs.FetchChunkCtx(ctx, c.ci, k)
-	if err != nil {
-		return nil, false, &ChunkError{Col: c.ci, Chunk: k, Err: err}
-	}
-	return p, hit, nil
-}
-
-// chunkOrPanic is Chunk for the error-free Column accessors.
+// chunkOrPanic is Chunk for the error-free Column accessors, whose
+// signatures carry no context.
 func (c *LazyColumn) chunkOrPanic(k int) *ChunkPayload {
-	p, _, err := c.Chunk(k)
+	p, _, err := c.Chunk(context.TODO(), k)
 	if err != nil {
 		panic(err.(*ChunkError))
 	}
@@ -272,32 +234,16 @@ func (c *LazyColumn) chunkOrPanic(k int) *ChunkPayload {
 }
 
 // PrefetchHint tells the column's source that chunk k is about to be
-// fetched, if the source supports prefetching. Out-of-range hints are
-// dropped. The sequential drivers (ForEachChunk, ForEachSelected, the
-// engine's serial chunk scan) hint their next touched chunk after a
-// cache miss, overlapping the current chunk's work with the next one's
-// fetch — which is what hides a remote source's round-trip latency.
-func (c *LazyColumn) PrefetchHint(k int) {
-	c.PrefetchHintCtx(nil, k)
-}
-
-// PrefetchHintCtx is PrefetchHint with a request context: on
-// context-aware sources the speculative load is billed to the request's
-// resource ledger. A nil ctx, or a plain source, degrades to the
-// context-free hint.
-func (c *LazyColumn) PrefetchHintCtx(ctx context.Context, k int) {
+// fetched. Out-of-range hints are dropped. The sequential drivers
+// (ForEachChunk, ForEachSelected, the engine's serial chunk scan) hint
+// their next touched chunk after a cache miss, overlapping the current
+// chunk's work with the next one's fetch — which is what hides a remote
+// source's round-trip latency.
+func (c *LazyColumn) PrefetchHint(ctx context.Context, k int) {
 	if k < 0 || k >= c.NumChunks() {
 		return
 	}
-	if ctx != nil {
-		if p, ok := c.src.(CtxChunkPrefetcher); ok {
-			p.PrefetchChunkCtx(ctx, c.ci, k)
-			return
-		}
-	}
-	if p, ok := c.src.(ChunkPrefetcher); ok {
-		p.PrefetchChunk(c.ci, k)
-	}
+	c.src.PrefetchChunk(ctx, c.ci, k)
 }
 
 // DictValues returns the dictionary of a String column, resolving it on
@@ -450,7 +396,7 @@ func (c *LazyColumn) Materialize() (Column, error) {
 		codes = make([]uint32, c.rows)
 	}
 	var nulls *bitvec.Vector
-	err := c.ForEachChunk(func(k, lo int, p *ChunkPayload) (bool, error) {
+	err := c.ForEachChunk(context.TODO(), func(k, lo int, p *ChunkPayload) (bool, error) {
 		switch c.typ {
 		case Int64:
 			copy(ints[lo:], p.Ints)
@@ -490,25 +436,19 @@ func (c *LazyColumn) Materialize() (Column, error) {
 	}
 }
 
-// ForEachChunk fetches every chunk in order and calls fn(k, lo, payload)
-// where lo is the chunk's first row. fn returns false to stop early.
-// After a fetch that missed the cache, the next chunk is prefetched (on
-// sources that support it) so its load overlaps fn's work on this one.
-func (c *LazyColumn) ForEachChunk(fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
-	return c.ForEachChunkCtx(nil, fn)
-}
-
-// ForEachChunkCtx is ForEachChunk with a request context carried into
-// every fetch and prefetch hint.
-func (c *LazyColumn) ForEachChunkCtx(ctx context.Context, fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
+// ForEachChunk fetches every chunk in order under ctx and calls
+// fn(k, lo, payload) where lo is the chunk's first row. fn returns false
+// to stop early. After a fetch that missed the cache, the next chunk is
+// prefetched so its load overlaps fn's work on this one.
+func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
 	n := c.NumChunks()
 	for k := 0; k < n; k++ {
-		p, hit, err := c.ChunkCtx(ctx, k)
+		p, hit, err := c.Chunk(ctx, k)
 		if err != nil {
 			return err
 		}
 		if !hit {
-			c.PrefetchHintCtx(ctx, k+1)
+			c.PrefetchHint(ctx, k+1)
 		}
 		cont, err := fn(k, k*c.chunkSize, p)
 		if err != nil {
@@ -522,18 +462,12 @@ func (c *LazyColumn) ForEachChunkCtx(ctx context.Context, fn func(k, lo int, p *
 }
 
 // ForEachSelected visits the set bits of sel in ascending row order,
-// fetching each touched chunk at most once and skipping chunks with no
-// selected rows entirely — the chunk-wise counterpart of
+// fetching each touched chunk at most once (under ctx) and skipping
+// chunks with no selected rows entirely — the chunk-wise counterpart of
 // bitvec.Vector.ForEach for lazy columns. fn receives the row's chunk
 // payload, the chunk's first row lo, and the global row index i; it
 // returns false to stop.
-func (c *LazyColumn) ForEachSelected(sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
-	return c.ForEachSelectedCtx(nil, sel, fn)
-}
-
-// ForEachSelectedCtx is ForEachSelected with a request context carried
-// into every fetch and prefetch hint.
-func (c *LazyColumn) ForEachSelectedCtx(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
+func (c *LazyColumn) ForEachSelected(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
 	if sel.Len() != c.rows {
 		return fmt.Errorf("storage: selection length %d != column length %d", sel.Len(), c.rows)
 	}
@@ -563,12 +497,12 @@ func (c *LazyColumn) ForEachSelectedCtx(ctx context.Context, sel *bitvec.Vector,
 		if err := obsv.CheckCtx(ctx, "storage.extract"); err != nil {
 			return err
 		}
-		p, hit, err := c.ChunkCtx(ctx, k)
+		p, hit, err := c.Chunk(ctx, k)
 		if err != nil {
 			return err
 		}
 		if !hit && ti+1 < len(touched) {
-			c.PrefetchHintCtx(ctx, touched[ti+1])
+			c.PrefetchHint(ctx, touched[ti+1])
 		}
 		w0 := k * wordsPerChunk
 		w1 := w0 + wordsPerChunk
@@ -635,7 +569,7 @@ func TableChunkSource(t *Table) (ChunkSource, error) {
 }
 
 // FetchChunk implements ChunkSource.
-func (s *tableSource) FetchChunk(ci, k int) (*ChunkPayload, bool, error) {
+func (s *tableSource) FetchChunk(_ context.Context, ci, k int) (*ChunkPayload, bool, error) {
 	lo := k * s.ck.Size
 	hi := lo + s.ck.Size
 	if hi > s.t.NumRows() {
@@ -670,3 +604,6 @@ func (s *tableSource) FetchChunk(ci, k int) (*ChunkPayload, bool, error) {
 	}
 	return p, true, nil
 }
+
+// PrefetchChunk implements ChunkSource: the table is already in memory.
+func (s *tableSource) PrefetchChunk(context.Context, int, int) {}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -88,12 +89,13 @@ func Summarize(t *Table) []ColumnSummary {
 // chunk that fails to decode truncates the summary (display statistics
 // are best-effort; scans surface the error properly).
 func summarizeLazy(s *ColumnSummary, c *LazyColumn) {
+	ctx := context.TODO() // Summarize is a display helper with no request behind it
 	switch c.Type() {
 	case Int64, Float64:
 		s.Min, s.Max = 0, 0
 		sum, count := 0.0, 0
 		first := true
-		_ = c.ForEachChunk(func(k, lo int, p *ChunkPayload) (bool, error) {
+		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
 			for i := 0; i < p.Rows(); i++ {
 				if p.IsNull(i) {
 					continue
@@ -121,7 +123,7 @@ func summarizeLazy(s *ColumnSummary, c *LazyColumn) {
 		}
 		s.Cardinality = len(dict)
 		counts := make([]int, len(dict))
-		_ = c.ForEachChunk(func(k, lo int, p *ChunkPayload) (bool, error) {
+		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
 			for i, code := range p.Codes {
 				if !p.IsNull(i) {
 					counts[code]++
@@ -131,7 +133,7 @@ func summarizeLazy(s *ColumnSummary, c *LazyColumn) {
 		})
 		s.TopValues = topValues(dict, counts)
 	case Bool:
-		_ = c.ForEachChunk(func(k, lo int, p *ChunkPayload) (bool, error) {
+		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
 			for i, v := range p.Bools {
 				if v && !p.IsNull(i) {
 					s.TrueCount++
