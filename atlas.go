@@ -392,13 +392,11 @@ func OpenStore(path string) (*Table, error) {
 // stores (single-file or sharded).
 type StoreOpenOptions struct {
 	// Lazy forces on-demand chunk decoding; Eager forces a full decode
-	// at open. Neither set = automatic by file size (and the
-	// ATLAS_STORE_MODE environment variable).
+	// at open. Neither set = automatic by file size.
 	Lazy, Eager bool
 	// CacheBytes bounds the decoded-chunk cache of lazy opens: > 0 is a
-	// byte budget (shared across the files of a sharded set), < 0
-	// forces unbounded, 0 consults ATLAS_CHUNK_CACHE_BUDGET then
-	// defaults to unbounded.
+	// byte budget (shared across the files of a sharded set), <= 0 means
+	// unbounded.
 	CacheBytes int64
 	// Defer (sharded opens only) postpones opening shard files until a
 	// chunk or statistic of that shard is first touched; the manifest's
@@ -406,7 +404,7 @@ type StoreOpenOptions struct {
 	// selective explorations skip whole shard files.
 	Defer bool
 	// VerifyCRC forces the whole-file trailer checksum even on lazy
-	// opens (v3 lazy opens otherwise rely on per-chunk CRCs).
+	// opens (lazy opens otherwise rely on per-chunk CRCs).
 	VerifyCRC bool
 }
 

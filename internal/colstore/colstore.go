@@ -19,7 +19,7 @@
 //	  (String columns) dictionary: uv entries; per entry uv len | bytes
 //	  per chunk (ceil(rows/chunkSize) chunks):
 //	    u8 flags            // 1 = has null words, 2 = has min/max,
-//	                        // 4 = has code set (v2+)
+//	                        // 4 = has code set
 //	    (flag 2) f64 min | f64 max     // IEEE-754 bits
 //	    uv nullCount
 //	    uv distinct         // distinct non-null values in the chunk
@@ -31,8 +31,8 @@
 //	      Int64/Float64  chunkRows × u64 (two's-complement / IEEE bits)
 //	      Bool           ceil(chunkRows/64) × u64 packed bits
 //	      String         chunkRows × u32 dictionary codes
-//	directory (v3+):      // duplicates every segment's metadata so a
-//	                      // lazy open reads it in one seek — see below
+//	directory:            // duplicates every segment's metadata so an
+//	                      // open reads it in one seek — see below
 //	  per column:
 //	    (String columns) uv dictOff | uv dictLen   // dictionary byte range
 //	    per chunk:
@@ -40,16 +40,15 @@
 //	      u32 chunkCRC    // CRC-32 (IEEE) of those bytes
 //	      zone map        // same encoding as the chunk header
 //	                      // (flags..code set, no null bitmap or values)
-//	dirOff  u64 (v3+)     // absolute offset of the directory
-//	dirCRC  u32 (v3+)     // CRC-32 (IEEE) of the directory bytes, so a
+//	dirOff  u64           // absolute offset of the directory
+//	dirCRC  u32           // CRC-32 (IEEE) of the directory bytes, so a
 //	                      // lazy open verifies the metadata it prunes
 //	                      // by without reading the whole file
 //	trailer u32 CRC-32 (IEEE) of every preceding byte
 //
-// Version 1 files lack the code-set flag/payload and the directory;
-// version 2 files lack only the directory. Read accepts all three, so
-// stores ingested before v3 keep opening (eagerly, and lazily via a
-// one-time metadata walk).
+// Only version 3 is read. Files written by earlier releases (versions 1
+// and 2, without the directory) fail to open with ErrVersion; re-ingest
+// their source with `atlas ingest`.
 //
 // The per-chunk min/max, null count, distinct estimate and categorical
 // code set form the zone maps: Open hands them to
@@ -60,17 +59,19 @@
 //
 // # Memory tiers
 //
-// Open chooses between two residency modes (see Options):
+// Open chooses between two residency modes (see Options). Both parse
+// the header, the directory and the dictionaries with the same code and
+// decode chunks with the same decoder; they differ in when:
 //
 //   - eager: the whole file is read, verified against the trailer CRC
-//     and decoded into plain in-memory columns — the right call for
-//     tables that comfortably fit in RAM.
-//   - lazy: the file is mmapped (or pread on demand), only the header
-//     and the directory are parsed, and chunks decode on first touch
-//     into a bounded, shared decoded-chunk cache (lazy.go, cache.go).
-//     Zone maps then work as an I/O filter: a pruned chunk is never
-//     read or decoded at all, which is what lets tables larger than RAM
-//     serve from the same file format. Per-chunk CRCs (v3) keep
+//     and every chunk decoded into plain in-memory columns — the right
+//     call for tables that comfortably fit in RAM.
+//   - lazy: the file is mmapped (or pread on demand), only the header,
+//     the directory and the dictionaries are read, and chunks decode on
+//     first touch into a bounded, shared decoded-chunk cache (lazy.go,
+//     cache.go). Zone maps then work as an I/O filter: a pruned chunk is
+//     never read or decoded at all, which is what lets tables larger
+//     than RAM serve from the same file format. Per-chunk CRCs keep
 //     integrity checking without a whole-file read.
 //
 // Chunk sizes are multiples of 64 so chunk boundaries align with
@@ -83,10 +84,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -96,10 +99,10 @@ import (
 
 const (
 	magic = "ATLS"
-	// Version is the current format version byte. Version 2 added
-	// per-chunk categorical code sets; version 3 added the trailer
-	// directory with per-chunk offsets and CRCs (the lazy-open index).
-	// Version 1 and 2 files still open.
+	// Version is the format version byte this package writes and the only
+	// one it reads. Version 2 added per-chunk categorical code sets;
+	// version 3 added the trailer directory with per-chunk offsets and
+	// CRCs.
 	Version = 3
 	// DefaultChunkSize is the default rows-per-chunk at ingest.
 	DefaultChunkSize = storage.ChunkRows
@@ -108,7 +111,15 @@ const (
 	// always reopenable, and a crafted file cannot demand implausible
 	// allocations.
 	maxDictEntries = 1 << 24
+	// footerLen is the fixed tail of a file: u64 dirOff | u32 dirCRC |
+	// u32 trailer CRC.
+	footerLen = 16
 )
+
+// ErrVersion reports a file or chunk encoded at a format version other
+// than Version. Stores ingested before version 3 are not converted in
+// place: re-ingest their source with `atlas ingest`.
+var ErrVersion = errors.New("unsupported format version")
 
 // Store is an opened .atl file: the table plus file-level metadata. The
 // table carries the store's chunk metadata, so scans over it prune via
@@ -180,7 +191,7 @@ func WriteFileStats(path string, t *storage.Table, chunkSize int) (*storage.Chun
 		return nil, err
 	}
 	tmp := f.Name()
-	ck, err := writeVersioned(f, t, chunkSize, Version)
+	ck, err := write(f, t, chunkSize)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -200,27 +211,22 @@ func WriteFileStats(path string, t *storage.Table, chunkSize int) (*storage.Chun
 // Write serializes a table in .atl format. Zone maps are computed here,
 // at ingest, so Open never rescans values.
 func Write(w io.Writer, t *storage.Table, chunkSize int) error {
-	_, err := writeVersioned(w, t, chunkSize, Version)
+	_, err := write(w, t, chunkSize)
 	return err
 }
 
 // chunkRef locates one encoded chunk inside the file: the byte range
-// holding its header and values, and (v3+) the CRC of those bytes.
+// holding its header and values, and the CRC of those bytes.
 type chunkRef struct {
 	off, length int64
 	crc         uint32
-	hasCRC      bool
 }
 
 // byteRange is a (offset, length) pair into the file.
 type byteRange struct{ off, length int64 }
 
-// writeVersioned is Write at an explicit format version; version 1
-// omits code sets, versions 1 and 2 omit the directory. It exists so
-// compatibility tests can produce genuine old-format images with the
-// current writer. The segment bytes are identical across versions 2 and
-// 3 — v3 only appends the directory.
-func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) (*storage.Chunking, error) {
+// write serializes t and returns the chunk metadata it computed.
+func write(w io.Writer, t *storage.Table, chunkSize int) (*storage.Chunking, error) {
 	if chunkSize == 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -236,10 +242,10 @@ func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) 
 	}
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	e := &encoder{w: bw, version: version}
+	e := &encoder{w: bw}
 
 	e.raw([]byte(magic))
-	e.u8(version)
+	e.u8(Version)
 	e.bytes([]byte(t.Name()))
 	e.uv(uint64(t.NumRows()))
 	e.uv(uint64(chunkSize))
@@ -272,56 +278,46 @@ func writeVersioned(w io.Writer, t *storage.Table, chunkSize int, version byte) 
 		dir[c] = make([]chunkRef, numChunks)
 		for k := 0; k < numChunks; k++ {
 			lo := k * chunkSize
-			hi := lo + chunkSize
-			if hi > t.NumRows() {
-				hi = t.NumRows()
+			hi := min(lo+chunkSize, t.NumRows())
+			// Encode the chunk through a scratch buffer so its byte range
+			// can be CRCed for the directory.
+			chunkBuf.Reset()
+			ce := &encoder{w: &chunkBuf}
+			ce.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
+			if ce.err != nil {
+				return nil, ce.err
 			}
-			if version >= 3 {
-				// Encode the chunk through a scratch buffer so its byte
-				// range can be CRCed for the directory. The bytes written
-				// are identical to a direct encode.
-				chunkBuf.Reset()
-				ce := &encoder{w: &chunkBuf, version: version}
-				ce.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
-				if ce.err != nil {
-					return nil, ce.err
-				}
-				b := chunkBuf.Bytes()
-				dir[c][k] = chunkRef{off: e.n, length: int64(len(b)), crc: crc32.ChecksumIEEE(b), hasCRC: true}
-				e.raw(b)
-			} else {
-				e.chunk(col, ck.Zones[c][k], nullWords, lo, hi)
-			}
+			b := chunkBuf.Bytes()
+			dir[c][k] = chunkRef{off: e.n, length: int64(len(b)), crc: crc32.ChecksumIEEE(b)}
+			e.raw(b)
 		}
 	}
-	if version >= 3 {
-		dirOff := e.n
-		// The directory is encoded through the scratch buffer so its own
-		// CRC lands in the footer: a lazy open can then verify the exact
-		// bytes its pruning decisions come from.
-		chunkBuf.Reset()
-		de := &encoder{w: &chunkBuf, version: version}
-		for c := 0; c < t.NumCols(); c++ {
-			if t.Schema().Field(c).Type == storage.String {
-				de.uv(uint64(dictRanges[c].off))
-				de.uv(uint64(dictRanges[c].length))
-			}
-			for k := 0; k < numChunks; k++ {
-				ref := dir[c][k]
-				de.uv(uint64(ref.off))
-				de.uv(uint64(ref.length))
-				de.u32(ref.crc)
-				de.zoneHeader(ck.Zones[c][k])
-			}
+	dirOff := e.n
+	// The directory is encoded through the scratch buffer so its own CRC
+	// lands in the footer: a lazy open can then verify the exact bytes
+	// its pruning decisions come from.
+	chunkBuf.Reset()
+	de := &encoder{w: &chunkBuf}
+	for c := 0; c < t.NumCols(); c++ {
+		if t.Schema().Field(c).Type == storage.String {
+			de.uv(uint64(dictRanges[c].off))
+			de.uv(uint64(dictRanges[c].length))
 		}
-		if de.err != nil {
-			return nil, de.err
+		for k := 0; k < numChunks; k++ {
+			ref := dir[c][k]
+			de.uv(uint64(ref.off))
+			de.uv(uint64(ref.length))
+			de.u32(ref.crc)
+			de.zoneHeader(ck.Zones[c][k])
 		}
-		dirBytes := chunkBuf.Bytes()
-		e.raw(dirBytes)
-		e.u64(uint64(dirOff))
-		e.u32(crc32.ChecksumIEEE(dirBytes))
 	}
+	if de.err != nil {
+		return nil, de.err
+	}
+	dirBytes := chunkBuf.Bytes()
+	e.raw(dirBytes)
+	e.u64(uint64(dirOff))
+	e.u32(crc32.ChecksumIEEE(dirBytes))
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -372,11 +368,10 @@ type byteWriter interface {
 // encoder wraps a writer with little-endian primitives, sticky errors
 // and a running byte count (file offsets for the directory).
 type encoder struct {
-	w       byteWriter
-	version byte
-	err     error
-	n       int64
-	buf     [binary.MaxVarintLen64]byte
+	w   byteWriter
+	err error
+	n   int64
+	buf [binary.MaxVarintLen64]byte
 }
 
 func (e *encoder) raw(b []byte) {
@@ -421,7 +416,7 @@ const (
 
 // zoneHeader writes one zone map in the shared header encoding (flags,
 // optional min/max, null count, distinct, optional code set) — the
-// prefix of every chunk, and the per-chunk metadata record of the v3
+// prefix of every chunk, and the per-chunk metadata record of the
 // directory.
 func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	var flags byte
@@ -431,8 +426,7 @@ func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	if zm.HasMinMax {
 		flags |= flagMinMax
 	}
-	writeCodes := e.version >= 2 && zm.CodeSet != nil
-	if writeCodes {
+	if zm.CodeSet != nil {
 		flags |= flagCodeSet
 	}
 	e.u8(flags)
@@ -442,7 +436,7 @@ func (e *encoder) zoneHeader(zm storage.ZoneMap) {
 	}
 	e.uv(uint64(zm.NullCount))
 	e.uv(uint64(zm.Distinct))
-	if writeCodes {
+	if zm.CodeSet != nil {
 		e.uv(uint64(len(zm.CodeSet)))
 		for _, w := range zm.CodeSet {
 			e.u64(w)
@@ -501,15 +495,13 @@ func (e *encoder) chunk(col storage.Column, zm storage.ZoneMap, nullWords []uint
 
 // Open opens an .atl file. The residency mode is chosen automatically:
 // files below AutoLazyThreshold decode eagerly, larger files open
-// lazily (override with OpenWith or the ATLAS_STORE_MODE environment
-// variable — see Options).
+// lazily (override with OpenWith — see Options).
 func Open(path string) (*Store, error) {
 	return OpenWith(path, Options{})
 }
 
 // header is the decoded fixed part of an .atl file.
 type header struct {
-	version   byte
 	name      string
 	rows      int
 	chunkSize int
@@ -518,14 +510,17 @@ type header struct {
 	end int
 }
 
+// numChunks returns the chunk count of every column.
+func (h *header) numChunks() int {
+	return (h.rows + h.chunkSize - 1) / h.chunkSize
+}
+
 // parseHeader decodes and validates the file header from d (positioned
 // at the version byte, after the magic).
 func parseHeader(d *decoder) (*header, error) {
 	h := &header{}
-	d.version = d.u8()
-	h.version = d.version
-	if d.err == nil && (d.version < 1 || d.version > Version) {
-		return nil, fmt.Errorf("unsupported version %d (this reader handles 1..%d)", d.version, Version)
+	if v := d.u8(); d.err == nil && v != Version {
+		return nil, fmt.Errorf("%w %d: this reader handles version %d only; re-ingest the table with `atlas ingest`", ErrVersion, v, Version)
 	}
 	h.name = string(d.bytes())
 	rowsU := d.uv()
@@ -586,7 +581,9 @@ func (h *header) minBitsPerRow() int {
 }
 
 // Read decodes an .atl image eagerly. The CRC trailer is verified
-// before any decoding, so a truncated or corrupted file fails fast.
+// before any decoding, so a truncated or corrupted file fails fast; the
+// header, directory and dictionaries then parse exactly as a lazy open
+// parses them, and every chunk decodes straight into its column.
 func Read(data []byte) (*Store, error) {
 	if len(data) < len(magic)+1+4 {
 		return nil, fmt.Errorf("file too short (%d bytes)", len(data))
@@ -598,72 +595,86 @@ func Read(data []byte) (*Store, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	d := &decoder{data: body, off: 4}
-	h, err := parseHeader(d)
+	lf := &lazyFile{data: data, size: int64(len(data))}
+	h, err := lf.load()
 	if err != nil {
 		return nil, err
 	}
-	rows, chunkSize, numCols := h.rows, h.chunkSize, len(h.fields)
-	// Before allocating row-sized slices, check the claimed row count
-	// against the bytes actually present: every row needs at least
-	// minBitsPerRow of value payload, so a corrupted or crafted header
-	// fails here instead of panicking in makeslice (or OOMing).
-	remaining := uint64(len(d.data) - d.off)
-	if mb := h.minBitsPerRow(); mb > 0 && uint64(rows) > remaining*8/uint64(mb) {
-		return nil, fmt.Errorf("implausible row count %d for %d remaining bytes", rows, remaining)
-	}
-	schema, err := storage.NewSchema(h.fields...)
+	tbl, err := lf.buildTable(h.name, true)
 	if err != nil {
 		return nil, err
 	}
-	ck := &storage.Chunking{Size: chunkSize, Zones: make([][]storage.ZoneMap, numCols)}
-	numChunks := ck.NumChunks(rows)
-	cols := make([]storage.Column, numCols)
-	for c := range cols {
-		col, zones, err := d.column(h.fields[c], rows, chunkSize, numChunks)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", h.fields[c].Name, err)
-		}
-		cols[c] = col
-		ck.Zones[c] = zones
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if h.version >= 3 {
-		// The directory duplicates segment metadata for lazy opens; an
-		// eager read validates its structure, position and CRC.
-		dirStart := d.off
-		if _, _, _, err := d.directory(h, numChunks); err != nil {
-			return nil, fmt.Errorf("directory: %w", err)
-		}
-		dirEnd := d.off
-		dirOff := d.u64()
-		dirCRC := d.u32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if int(dirOff) != dirStart {
-			return nil, fmt.Errorf("directory offset %d does not match its position %d", dirOff, dirStart)
-		}
-		if got := crc32.ChecksumIEEE(d.data[dirStart:dirEnd]); got != dirCRC {
-			return nil, fmt.Errorf("directory checksum mismatch (footer %08x, computed %08x)", dirCRC, got)
-		}
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%d trailing bytes after last segment", len(d.data)-d.off)
-	}
-	tbl, err := storage.NewChunkedTable(h.name, schema, cols, ck)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{ChunkSize: chunkSize, table: tbl}, nil
+	return &Store{ChunkSize: h.chunkSize, table: tbl}, nil
 }
 
-// directory parses the v3 trailer directory from d's current position,
+// decodeColumn decodes every chunk of column c into column-sized
+// arrays: chunks are 64-row aligned, so each chunk's values and null
+// words are sub-slices of the column's, filled in place by the one
+// chunk decoder.
+func (lf *lazyFile) decodeColumn(c int) (storage.Column, error) {
+	f, rows := lf.fields[c], lf.rows
+	var col storage.ChunkPayload
+	switch f.Type {
+	case storage.Int64:
+		col.Ints = make([]int64, rows)
+	case storage.Float64:
+		col.Floats = make([]float64, rows)
+	case storage.Bool:
+		col.Bools = make([]bool, rows)
+	case storage.String:
+		col.Codes = make([]uint32, rows)
+	}
+	nulls := bitvec.New(rows)
+	nullWords := nulls.Words()
+	hasNulls := false
+	for k, ref := range lf.dir[c] {
+		raw, err := lf.readRange(ref.off, ref.length)
+		if err != nil {
+			return nil, err
+		}
+		lo := k * lf.chunkSize
+		hi := lo + lf.chunkRows(k)
+		chunk := storage.ChunkPayload{Nulls: nullWords[lo/64 : (hi+63)/64]}
+		switch f.Type {
+		case storage.Int64:
+			chunk.Ints = col.Ints[lo:hi]
+		case storage.Float64:
+			chunk.Floats = col.Floats[lo:hi]
+		case storage.Bool:
+			chunk.Bools = col.Bools[lo:hi]
+		case storage.String:
+			chunk.Codes = col.Codes[lo:hi]
+		}
+		if err := lf.decodeChunk(c, k, raw, &chunk); err != nil {
+			return nil, err
+		}
+		hasNulls = hasNulls || chunk.Nulls != nil
+	}
+	if !hasNulls {
+		nulls = nil
+	}
+	switch f.Type {
+	case storage.Int64:
+		return storage.NewInt64Column(col.Ints, nulls), nil
+	case storage.Float64:
+		return storage.NewFloat64Column(col.Floats, nulls), nil
+	case storage.Bool:
+		return storage.NewBoolColumn(col.Bools, nulls), nil
+	default:
+		return storage.NewStringColumnFromDict(lf.dicts[c], col.Codes, nulls), nil
+	}
+}
+
+// directory parses the trailer directory from d's current position,
 // returning per-column dictionary ranges, chunk references, and the
 // zone maps recorded in it.
 func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, dir [][]chunkRef, zones [][]storage.ZoneMap, err error) {
+	// Every entry takes at least 9 bytes (two varints, the CRC, flags and
+	// two count varints): a crafted header cannot make the reader
+	// allocate entries the directory's bytes could never hold.
+	if entries := int64(numChunks) * int64(len(h.fields)); entries > int64(len(d.data)-d.off)/9 {
+		return nil, nil, nil, fmt.Errorf("%d bytes cannot hold %d chunk entries", len(d.data)-d.off, entries)
+	}
 	dictRanges = make([]byteRange, len(h.fields))
 	dir = make([][]chunkRef, len(h.fields))
 	zones = make([][]storage.ZoneMap, len(h.fields))
@@ -674,20 +685,14 @@ func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, d
 		dir[c] = make([]chunkRef, numChunks)
 		zones[c] = make([]storage.ZoneMap, numChunks)
 		for k := 0; k < numChunks; k++ {
-			ref := chunkRef{off: int64(d.uv()), length: int64(d.uv()), crc: d.u32(), hasCRC: true}
-			chunkRows := h.chunkSize
-			if hi := (k + 1) * h.chunkSize; hi > h.rows {
-				chunkRows = h.rows - k*h.chunkSize
-			}
-			// Code-set sizing is validated against the real dictionary when
-			// chunks decode; the directory pass applies the structural
-			// bound only (dictLen -1).
+			ref := chunkRef{off: int64(d.uv()), length: int64(d.uv()), crc: d.u32()}
+			chunkRows := min(h.chunkSize, h.rows-k*h.chunkSize)
+			// Code-set sizing is validated against the real dictionary once
+			// it is loaded (validateDir); the directory pass applies the
+			// structural bound only (dictLen -1).
 			zm, _, zerr := d.zoneHeader(f, -1, chunkRows, k)
 			if zerr != nil {
 				return nil, nil, nil, zerr
-			}
-			if d.err != nil {
-				return nil, nil, nil, d.err
 			}
 			dir[c][k] = ref
 			zones[c][k] = zm
@@ -698,10 +703,9 @@ func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, d
 
 // decoder walks a byte image with sticky errors and bounds checks.
 type decoder struct {
-	data    []byte
-	off     int
-	version byte
-	err     error
+	data []byte
+	off  int
+	err  error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -781,12 +785,8 @@ func (d *decoder) bytes() []byte {
 // applies the structural bound only.
 func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storage.ZoneMap, byte, error) {
 	flags := d.u8()
-	known := byte(flagNulls | flagMinMax)
-	if d.version >= 2 {
-		known |= flagCodeSet
-	}
-	if d.err == nil && flags&^known != 0 {
-		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: unknown flags %#x for version %d", k, flags, d.version)
+	if d.err == nil && flags&^(flagNulls|flagMinMax|flagCodeSet) != 0 {
+		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: unknown flags %#x", k, flags)
 	}
 	zm := storage.ZoneMap{}
 	if flags&flagMinMax != 0 {
@@ -831,125 +831,114 @@ func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storag
 	return zm, flags, nil
 }
 
-// column decodes one column segment: optional dictionary, then
-// numChunks chunks of zone map + nulls + values.
-func (d *decoder) column(f storage.Field, rows, chunkSize, numChunks int) (storage.Column, []storage.ZoneMap, error) {
-	var dict []string
-	if f.Type == storage.String {
-		// Shared dictionaries (gathers, samples) may exceed the row
-		// count, so only guard against the format bound Write enforces.
-		n := int(d.uv())
-		if n < 0 || n > maxDictEntries {
-			return nil, nil, fmt.Errorf("implausible dictionary size %d", n)
-		}
-		dict = make([]string, n)
-		for i := range dict {
-			dict[i] = string(d.bytes())
-		}
+// decodeChunk is the one chunk decoder: it decodes an encoded chunk
+// (zone-map header, null words, values) into p and returns the header's
+// zone map. The value slice of p matching f's type is filled in place
+// when non-nil (an eager read hands in sub-slices of its column arrays)
+// and allocated otherwise; p.Nulls likewise receives the null words in
+// place, and is reset to nil when the chunk has no NULLs. dictLen is the
+// column's dictionary size (0 for non-string columns), chunkRows the
+// chunk's row count and k its index (error context).
+func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *storage.ChunkPayload) (storage.ZoneMap, error) {
+	d := &decoder{data: raw}
+	zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
+	if err != nil {
+		return zm, err
 	}
-	var (
-		ints   []int64
-		floats []float64
-		bools  []bool
-		codes  []uint32
-	)
+	chunkWords := (chunkRows + 63) / 64
+	nullDst := p.Nulls
+	p.Nulls = nil
+	if flags&flagNulls != 0 {
+		if !d.need(8 * chunkWords) {
+			return zm, d.err
+		}
+		if nullDst == nil {
+			nullDst = make([]uint64, chunkWords)
+		}
+		count := 0
+		for wi := range nullDst {
+			w := binary.LittleEndian.Uint64(d.data[d.off+wi*8:])
+			nullDst[wi] = w
+			count += bits.OnesCount64(w)
+		}
+		d.off += 8 * chunkWords
+		if tail := uint(chunkRows % 64); tail != 0 && nullDst[chunkWords-1]>>tail != 0 {
+			return zm, fmt.Errorf("null bitmap marks rows past the chunk's %d", chunkRows)
+		}
+		if count != zm.NullCount {
+			return zm, fmt.Errorf("null bitmap holds %d NULLs, header claims %d", count, zm.NullCount)
+		}
+		p.Nulls = nullDst
+	} else if zm.NullCount > 0 {
+		return zm, fmt.Errorf("chunk claims %d nulls but carries no bitmap", zm.NullCount)
+	}
+	// Values decode with one bounds check per chunk, not per element,
+	// into local slices the loops can keep in registers.
 	switch f.Type {
 	case storage.Int64:
-		ints = make([]int64, rows)
+		if !d.need(8 * chunkRows) {
+			return zm, d.err
+		}
+		if p.Ints == nil {
+			p.Ints = make([]int64, chunkRows)
+		}
+		vals, buf := p.Ints, d.data[d.off:]
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		d.off += 8 * chunkRows
 	case storage.Float64:
-		floats = make([]float64, rows)
+		if !d.need(8 * chunkRows) {
+			return zm, d.err
+		}
+		if p.Floats == nil {
+			p.Floats = make([]float64, chunkRows)
+		}
+		vals, buf := p.Floats, d.data[d.off:]
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		d.off += 8 * chunkRows
 	case storage.Bool:
-		bools = make([]bool, rows)
+		if !d.need(8 * chunkWords) {
+			return zm, d.err
+		}
+		if p.Bools == nil {
+			p.Bools = make([]bool, chunkRows)
+		}
+		vals, buf := p.Bools, d.data[d.off:]
+		for wi := 0; wi < chunkWords; wi++ {
+			w := binary.LittleEndian.Uint64(buf[wi*8:])
+			for b := 0; b < 64 && wi*64+b < chunkRows; b++ {
+				vals[wi*64+b] = w&(1<<uint(b)) != 0
+			}
+		}
+		d.off += 8 * chunkWords
 	case storage.String:
-		codes = make([]uint32, rows)
-	}
-	nulls := bitvec.New(rows)
-	nullWords := nulls.Words()
-	totalNulls := 0
-	zones := make([]storage.ZoneMap, numChunks)
-	for k := 0; k < numChunks; k++ {
-		lo := k * chunkSize
-		hi := lo + chunkSize
-		if hi > rows {
-			hi = rows
+		if !d.need(4 * chunkRows) {
+			return zm, d.err
 		}
-		chunkRows := hi - lo
-		chunkWords := (chunkRows + 63) / 64
-		zm, flags, err := d.zoneHeader(f, len(dict), chunkRows, k)
-		if err != nil {
-			return nil, nil, err
+		if p.Codes == nil {
+			p.Codes = make([]uint32, chunkRows)
 		}
-		zones[k] = zm
-		if flags&flagNulls != 0 {
-			for wi := 0; wi < chunkWords; wi++ {
-				nullWords[lo/64+wi] = d.u64()
-			}
-			totalNulls += zm.NullCount
-		}
-		// Values decode with one bounds check per chunk, not per element.
-		switch f.Type {
-		case storage.Int64:
-			if !d.need(8 * chunkRows) {
-				return nil, nil, d.err
-			}
-			buf := d.data[d.off:]
-			for i := 0; i < chunkRows; i++ {
-				ints[lo+i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			d.off += 8 * chunkRows
-		case storage.Float64:
-			if !d.need(8 * chunkRows) {
-				return nil, nil, d.err
-			}
-			buf := d.data[d.off:]
-			for i := 0; i < chunkRows; i++ {
-				floats[lo+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			d.off += 8 * chunkRows
-		case storage.Bool:
-			for wi := 0; wi < chunkWords; wi++ {
-				w := d.u64()
-				for b := 0; b < 64 && lo+wi*64+b < hi; b++ {
-					bools[lo+wi*64+b] = w&(1<<uint(b)) != 0
-				}
-			}
-		case storage.String:
-			if !d.need(4 * chunkRows) {
-				return nil, nil, d.err
-			}
-			buf := d.data[d.off:]
-			for i := 0; i < chunkRows; i++ {
-				codes[lo+i] = binary.LittleEndian.Uint32(buf[i*4:])
-			}
-			d.off += 4 * chunkRows
-		}
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-	}
-	var nv *bitvec.Vector
-	if totalNulls > 0 {
-		nv = nulls
-	}
-	switch f.Type {
-	case storage.Int64:
-		return storage.NewInt64Column(ints, nv), zones, nil
-	case storage.Float64:
-		return storage.NewFloat64Column(floats, nv), zones, nil
-	case storage.Bool:
-		return storage.NewBoolColumn(bools, nv), zones, nil
-	default:
-		for i, code := range codes {
-			if int(code) >= len(dict) {
-				if nv == nil || !nv.Get(i) {
-					return nil, nil, fmt.Errorf("row %d: code %d out of dictionary range %d", i, code, len(dict))
+		codes, buf := p.Codes, d.data[d.off:]
+		for i := range codes {
+			code := binary.LittleEndian.Uint32(buf[i*4:])
+			if int(code) >= dictLen {
+				if !p.IsNull(i) {
+					return zm, fmt.Errorf("row %d: code %d out of dictionary range %d", i, code, dictLen)
 				}
 				// NULL rows never have their code read, but clamp them
-				// in-range so every downstream kernel can index the
-				// dictionary before checking the null bitmap.
-				codes[i] = 0
+				// in-range so downstream kernels can index the dictionary
+				// before checking the null bitmap.
+				code = 0
 			}
+			codes[i] = code
 		}
-		return storage.NewStringColumnFromDict(dict, codes, nv), zones, nil
+		d.off += 4 * chunkRows
 	}
+	if d.off != len(d.data) {
+		return zm, fmt.Errorf("%d trailing bytes in chunk", len(d.data)-d.off)
+	}
+	return zm, nil
 }

@@ -3,11 +3,14 @@ package colstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -204,17 +207,66 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestBadVersionRejected: every version but the current one — future
+// files and the pre-directory versions 1 and 2 alike — fails with
+// ErrVersion and a re-ingest hint, eagerly and lazily.
 func TestBadVersionRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, mixedTable(t, 10), 64); err != nil {
 		t.Fatal(err)
 	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[4] = 99 // version byte
-	// Re-seal the checksum so only the version check can reject it.
-	reseal(data)
-	if _, err := Read(data); err == nil {
-		t.Error("future version must be rejected")
+	for _, v := range []byte{99, 1, 2} {
+		data := append([]byte(nil), buf.Bytes()...)
+		data[4] = v // version byte
+		// Re-seal the checksum so only the version check can reject it.
+		reseal(data)
+		path := filepath.Join(t.TempDir(), "old.atl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, eagerErr := Read(data)
+		_, lazyErr := OpenWith(path, Options{Mode: ModeLazy})
+		for _, err := range []error{eagerErr, lazyErr} {
+			if !errors.Is(err, ErrVersion) || !strings.Contains(fmt.Sprint(err), "atlas ingest") {
+				t.Errorf("version %d: err = %v, want ErrVersion with a re-ingest hint", v, err)
+			}
+		}
+	}
+}
+
+// TestV2CodeSetsRoundTrip: the writer persists code sets and the reader
+// hands them back exactly as ingest computed them.
+func TestV2CodeSetsRoundTrip(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "n", Type: storage.Int64},
+		storage.Field{Name: "s", Type: storage.String},
+	)
+	b := storage.NewBuilder("old", schema)
+	for i := 0; i < 500; i++ {
+		b.MustAppendRow(int64(i), []string{"x", "y", "z"}[i%3])
+	}
+	tbl := b.MustBuild()
+	want, err := storage.ComputeChunking(tbl, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tbl, 128); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Read(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := st.Table().Chunking()
+	si := tbl.Schema().Index("s")
+	for k, zm := range got.Zones[si] {
+		if !reflect.DeepEqual(zm.CodeSet, want.Zones[si][k].CodeSet) {
+			t.Fatalf("chunk %d: code set %v, want %v", k, zm.CodeSet, want.Zones[si][k].CodeSet)
+		}
+		if zm.CodeSet == nil {
+			t.Fatalf("chunk %d: no code set", k)
+		}
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +18,7 @@ type Mode int
 
 const (
 	// ModeAuto decodes eagerly below AutoLazyThreshold and lazily above
-	// it; the ATLAS_STORE_MODE environment variable ("eager"/"lazy")
-	// overrides the size heuristic.
+	// it.
 	ModeAuto Mode = iota
 	// ModeEager reads, CRC-verifies and decodes the whole file at open.
 	ModeEager
@@ -39,21 +36,17 @@ type Options struct {
 	// Mode selects eager or lazy residency (default ModeAuto).
 	Mode Mode
 	// CacheBytes bounds the decoded-chunk cache of a lazy store: > 0 is
-	// a byte budget, < 0 forces unbounded, 0 consults the
-	// ATLAS_CHUNK_CACHE_BUDGET environment variable (bytes) and falls
-	// back to unbounded. Ignored when Cache is set or the store opens
-	// eagerly.
+	// a byte budget, <= 0 means unbounded. Ignored when Cache is set or
+	// the store opens eagerly.
 	CacheBytes int64
 	// Cache, when non-nil, is used instead of a store-private cache so
 	// several stores (a shard set) share one byte budget.
 	Cache *ChunkCache
-	// DisableMmap forces pread-on-demand instead of mmap. Version 1/2
-	// files cannot lazily open without mmap and fall back to eager.
+	// DisableMmap forces pread-on-demand instead of mmap.
 	DisableMmap bool
 	// VerifyCRC forces the whole-file trailer CRC check even for lazy
-	// opens (one full sequential read). Lazy v3 opens default to
-	// per-chunk CRCs instead; lazy v1/v2 opens otherwise rely on the
-	// decoder's structural checks alone.
+	// opens (one full sequential read). Lazy opens otherwise verify the
+	// directory at open and each chunk's CRC when it is first read.
 	VerifyCRC bool
 }
 
@@ -76,35 +69,17 @@ type IOStats struct {
 func OpenWith(path string, o Options) (*Store, error) {
 	mode := o.Mode
 	if mode == ModeAuto {
-		switch os.Getenv("ATLAS_STORE_MODE") {
-		case "eager":
-			mode = ModeEager
-		case "lazy":
-			mode = ModeLazy
-		}
-	}
-	if mode == ModeAuto {
+		mode = ModeEager
 		if fi, err := os.Stat(path); err == nil && fi.Size() >= AutoLazyThreshold {
 			mode = ModeLazy
-		} else {
-			mode = ModeEager
 		}
 	}
 	if mode == ModeLazy {
-		// Opens that were not explicitly asked to be lazy (size/env
-		// auto-detection) keep eager mode's integrity guarantee for
-		// directory-less v1/v2 files: one streaming CRC pass at open.
-		// Explicit ModeLazy opts into skipping it (v3 files verify per
-		// chunk and per directory either way).
-		autoLazy := o.Mode != ModeLazy
-		s, err := openLazy(path, o, autoLazy)
-		if err == errLazyUnsupported {
-			mode = ModeEager
-		} else if err != nil {
+		s, err := openLazy(path, o)
+		if err != nil {
 			return nil, fmt.Errorf("colstore: %s: %w", path, err)
-		} else {
-			return s, nil
 		}
+		return s, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -118,39 +93,17 @@ func OpenWith(path string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// errLazyUnsupported marks files that cannot open lazily in this
-// configuration (v1/v2 without mmap); OpenWith falls back to eager.
-var errLazyUnsupported = fmt.Errorf("lazy open unsupported here")
-
-// ResolveCacheBudget maps an Options.CacheBytes value to a ChunkCache
-// budget, applying the package conventions: > 0 passes through, < 0
-// forces unbounded, 0 consults ATLAS_CHUNK_CACHE_BUDGET and falls back
-// to unbounded.
-func ResolveCacheBudget(cacheBytes int64) int64 {
-	if cacheBytes != 0 {
-		if cacheBytes < 0 {
-			return 0 // unbounded
-		}
-		return cacheBytes
-	}
-	if v := os.Getenv("ATLAS_CHUNK_CACHE_BUDGET"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// lazyFile is an open memory-tiered .atl file: the mmap (or fd), the
-// parsed header and directory, and the chunk cache. It implements
-// storage.ChunkSource.
+// lazyFile is an .atl image behind its parsed header, directory and
+// dictionaries — the metadata every open reads. A lazy store holds one
+// over the mmap (or fd) with a chunk cache, and implements
+// storage.ChunkSource through it; Read builds a transient one over the
+// in-memory image and decodes every chunk up front.
 type lazyFile struct {
 	path string
-	f    *os.File
-	data []byte // mmap; nil = pread via f
+	f    *os.File // nil for an in-memory image
+	data []byte   // mmap or in-memory image; nil = pread via f
 	size int64
 
-	version   byte
 	rows      int
 	chunkSize int
 	fields    []storage.Field
@@ -170,85 +123,73 @@ type lazyFile struct {
 	closed  atomic.Bool
 }
 
-// openLazy opens path in lazy mode. verifyOldCRC forces the whole-file
-// CRC pass for directory-less (v1/v2) files.
-func openLazy(path string, o Options, verifyOldCRC bool) (*Store, error) {
+// openLazy opens path in lazy mode.
+func openLazy(path string, o Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Store, error) {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() < int64(len(magic))+1+4 {
+		err = fmt.Errorf("file too short (%d bytes)", fi.Size())
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return fail(err)
+	lf := &lazyFile{path: path, f: f, size: fi.Size(), cache: o.Cache}
+	if lf.cache == nil {
+		lf.cache = NewChunkCache(o.CacheBytes)
 	}
-	size := fi.Size()
-	if size < int64(len(magic))+1+4 {
-		return fail(fmt.Errorf("file too short (%d bytes)", size))
-	}
-	lf := &lazyFile{path: path, f: f, size: size}
 	if !o.DisableMmap {
-		lf.data = mmapFile(f, size)
+		lf.data = mmapFile(f, lf.size)
 	}
-
-	// Parse the header. With mmap it reads in place; with pread a
-	// growing prefix is fetched until the header fits.
-	h, err := lf.parseFileHeader()
-	if err != nil {
-		return fail(err)
+	fail := func(err error) (*Store, error) {
+		lf.close() // a failed open must not leak its mapping
+		return nil, err
 	}
-	lf.version = h.version
-	lf.rows = h.rows
-	lf.chunkSize = h.chunkSize
-	lf.fields = h.fields
-
-	if o.VerifyCRC || (verifyOldCRC && h.version < 3) {
+	if o.VerifyCRC {
 		if err := lf.verifyFileCRC(); err != nil {
 			return fail(err)
 		}
 	}
-
-	numChunks := 0
-	if h.rows > 0 {
-		numChunks = (h.rows + h.chunkSize - 1) / h.chunkSize
-	}
-	var dictRanges []byteRange
-	if h.version >= 3 {
-		dictRanges, err = lf.loadDirectory(h, numChunks)
-	} else {
-		if lf.data == nil {
-			// Walking a directory-less file needs random access to the
-			// whole image; without mmap that degenerates to a full read,
-			// so take the eager path instead.
-			f.Close()
-			return nil, errLazyUnsupported
-		}
-		dictRanges, err = lf.walkSegments(h, numChunks)
-	}
+	h, err := lf.load()
 	if err != nil {
 		return fail(err)
 	}
-	if err := lf.loadDicts(dictRanges); err != nil {
-		return fail(err)
-	}
-	if err := lf.validateDir(numChunks); err != nil {
-		return fail(err)
-	}
-
-	if o.Cache != nil {
-		lf.cache = o.Cache
-	} else {
-		lf.cache = NewChunkCache(ResolveCacheBudget(o.CacheBytes))
-	}
-
-	tbl, err := lf.buildTable(h.name)
+	tbl, err := lf.buildTable(h.name, false)
 	if err != nil {
 		return fail(err)
 	}
 	return &Store{Path: path, ChunkSize: h.chunkSize, table: tbl, lazy: lf}, nil
+}
+
+// load parses the header, the directory and the dictionaries, and
+// validates the directory against the file — everything an open reads
+// before it touches a chunk.
+func (lf *lazyFile) load() (*header, error) {
+	h, err := lf.parseFileHeader()
+	if err != nil {
+		return nil, err
+	}
+	// Every row costs at least minBitsPerRow of value payload, so a
+	// corrupted or crafted row count fails here instead of sizing
+	// row-sized allocations.
+	if mb := h.minBitsPerRow(); mb > 0 && uint64(h.rows) > uint64(lf.size)*8/uint64(mb) {
+		return nil, fmt.Errorf("implausible row count %d for a file of %d bytes", h.rows, lf.size)
+	}
+	lf.rows, lf.chunkSize, lf.fields = h.rows, h.chunkSize, h.fields
+	dictRanges, err := lf.loadDirectory(h)
+	if err != nil {
+		return nil, err
+	}
+	if err := lf.loadDicts(dictRanges); err != nil {
+		return nil, err
+	}
+	if err := lf.validateDir(h); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // readRange fetches bytes [off, off+n) of the file: an mmap slice
@@ -288,11 +229,8 @@ func (lf *lazyFile) parseFileHeader() (*header, error) {
 		if string(prefix[:4]) != magic {
 			return nil, fmt.Errorf("bad magic %q", prefix[:4])
 		}
-		body := prefix
-		if n == lf.size {
-			body = prefix[:n-4]
-		}
-		d := &decoder{data: body, off: 4}
+		// The trailer CRC is never header bytes, however short the file.
+		d := &decoder{data: prefix[:min(n, lf.size-4)], off: 4}
 		h, herr := parseHeader(d)
 		if herr == nil {
 			return h, nil
@@ -340,11 +278,9 @@ func (lf *lazyFile) verifyFileCRC() error {
 	return nil
 }
 
-// loadDirectory reads the v3 trailer directory: dictionary ranges,
-// chunk references and zone maps, in one footer seek plus one directory
-// read.
-func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error) {
-	const footerLen = 16 // u64 dirOff | u32 dirCRC | u32 fileCRC
+// loadDirectory reads the trailer directory: dictionary ranges, chunk
+// references and zone maps, in one footer seek plus one directory read.
+func (lf *lazyFile) loadDirectory(h *header) ([]byteRange, error) {
 	if lf.size < int64(h.end)+footerLen {
 		return nil, fmt.Errorf("file too short for directory footer")
 	}
@@ -366,8 +302,8 @@ func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error)
 	if got := crc32.ChecksumIEEE(dirBytes); got != dirCRC {
 		return nil, fmt.Errorf("directory checksum mismatch (footer %08x, computed %08x)", dirCRC, got)
 	}
-	d := &decoder{data: dirBytes, version: h.version}
-	dictRanges, dir, zones, err := d.directory(h, numChunks)
+	d := &decoder{data: dirBytes}
+	dictRanges, dir, zones, err := d.directory(h, h.numChunks())
 	if err != nil {
 		return nil, fmt.Errorf("directory: %w", err)
 	}
@@ -376,72 +312,6 @@ func (lf *lazyFile) loadDirectory(h *header, numChunks int) ([]byteRange, error)
 	}
 	lf.dir = dir
 	lf.zones = zones
-	return dictRanges, nil
-}
-
-// walkSegments builds an in-memory directory for a v1/v2 file by
-// parsing every chunk header and skipping value payloads by arithmetic
-// — a metadata-only pass that touches a few bytes per chunk.
-func (lf *lazyFile) walkSegments(h *header, numChunks int) ([]byteRange, error) {
-	d := &decoder{data: lf.data[:lf.size-4], off: h.end, version: h.version}
-	dictRanges := make([]byteRange, len(h.fields))
-	lf.dir = make([][]chunkRef, len(h.fields))
-	lf.zones = make([][]storage.ZoneMap, len(h.fields))
-	for c, f := range h.fields {
-		dictLen := 0
-		if f.Type == storage.String {
-			dictStart := d.off
-			n := int(d.uv())
-			if n < 0 || n > maxDictEntries {
-				return nil, fmt.Errorf("column %q: implausible dictionary size %d", f.Name, n)
-			}
-			dictLen = n
-			for i := 0; i < n; i++ {
-				d.bytes()
-			}
-			if d.err != nil {
-				return nil, fmt.Errorf("column %q: %w", f.Name, d.err)
-			}
-			dictRanges[c] = byteRange{off: int64(dictStart), length: int64(d.off - dictStart)}
-		}
-		lf.dir[c] = make([]chunkRef, numChunks)
-		lf.zones[c] = make([]storage.ZoneMap, numChunks)
-		for k := 0; k < numChunks; k++ {
-			lo := k * h.chunkSize
-			hi := lo + h.chunkSize
-			if hi > h.rows {
-				hi = h.rows
-			}
-			chunkRows := hi - lo
-			chunkWords := (chunkRows + 63) / 64
-			start := d.off
-			zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", f.Name, err)
-			}
-			skip := 0
-			if flags&flagNulls != 0 {
-				skip += 8 * chunkWords
-			}
-			switch f.Type {
-			case storage.Int64, storage.Float64:
-				skip += 8 * chunkRows
-			case storage.Bool:
-				skip += 8 * chunkWords
-			case storage.String:
-				skip += 4 * chunkRows
-			}
-			if !d.need(skip) {
-				return nil, fmt.Errorf("column %q: %w", f.Name, d.err)
-			}
-			d.off += skip
-			lf.dir[c][k] = chunkRef{off: int64(start), length: int64(d.off - start)}
-			lf.zones[c][k] = zm
-		}
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%d trailing bytes after last segment", len(d.data)-d.off)
-	}
 	return dictRanges, nil
 }
 
@@ -461,9 +331,10 @@ func (lf *lazyFile) loadDicts(dictRanges []byteRange) error {
 		if err != nil {
 			return fmt.Errorf("column %q dictionary: %w", f.Name, err)
 		}
-		d := &decoder{data: buf, version: lf.version}
+		d := &decoder{data: buf}
+		// Every entry takes at least its one-byte length.
 		n := int(d.uv())
-		if n < 0 || n > maxDictEntries {
+		if n < 0 || n > maxDictEntries || n > len(buf) {
 			return fmt.Errorf("column %q: implausible dictionary size %d", f.Name, n)
 		}
 		dict := make([]string, n)
@@ -484,14 +355,11 @@ func (lf *lazyFile) loadDicts(dictRanges []byteRange) error {
 // validateDir cross-checks every chunk reference against the file
 // bounds, and code-set zone maps against the loaded dictionaries, so a
 // crafted directory fails at open rather than at first touch.
-func (lf *lazyFile) validateDir(numChunks int) error {
+func (lf *lazyFile) validateDir(h *header) error {
 	for c, f := range lf.fields {
-		if len(lf.dir[c]) != numChunks {
-			return fmt.Errorf("column %q: %d directory entries for %d chunks", f.Name, len(lf.dir[c]), numChunks)
-		}
 		for k, ref := range lf.dir[c] {
-			if ref.off < 0 || ref.length <= 0 || ref.off+ref.length > lf.size-4 {
-				return fmt.Errorf("column %q chunk %d: byte range [%d,+%d) outside file", f.Name, k, ref.off, ref.length)
+			if ref.off < int64(h.end) || ref.length <= 0 || ref.off+ref.length > lf.size-footerLen {
+				return fmt.Errorf("column %q chunk %d: byte range [%d,+%d) outside the file body", f.Name, k, ref.off, ref.length)
 			}
 			if set := lf.zones[c][k].CodeSet; set != nil {
 				dictLen := len(lf.dicts[c])
@@ -505,29 +373,52 @@ func (lf *lazyFile) validateDir(numChunks int) error {
 	return nil
 }
 
-// buildTable assembles the lazy chunk-aware table over this file.
-func (lf *lazyFile) buildTable(name string) (*storage.Table, error) {
+// buildTable assembles the chunk-aware table over this file: columns
+// decoded up front when decode is set (Read), lazy columns serving
+// chunks through the file otherwise.
+func (lf *lazyFile) buildTable(name string, decode bool) (*storage.Table, error) {
 	schema, err := storage.NewSchema(lf.fields...)
 	if err != nil {
 		return nil, err
 	}
 	cols := make([]storage.Column, len(lf.fields))
 	for c, f := range lf.fields {
-		nullCount := 0
-		for _, zm := range lf.zones[c] {
-			nullCount += zm.NullCount
+		if decode {
+			cols[c], err = lf.decodeColumn(c)
+		} else {
+			nullCount := 0
+			for _, zm := range lf.zones[c] {
+				nullCount += zm.NullCount
+			}
+			cols[c], err = storage.NewLazyColumn(storage.LazyColumnConfig{
+				Source: lf, Col: c, Type: f.Type,
+				Rows: lf.rows, ChunkSize: lf.chunkSize,
+				NullCount: nullCount, Dict: lf.dicts[c],
+			})
 		}
-		cols[c], err = storage.NewLazyColumn(storage.LazyColumnConfig{
-			Source: lf, Col: c, Type: f.Type,
-			Rows: lf.rows, ChunkSize: lf.chunkSize,
-			NullCount: nullCount, Dict: lf.dicts[c],
-		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("column %q: %w", f.Name, err)
 		}
 	}
 	ck := &storage.Chunking{Size: lf.chunkSize, Zones: lf.zones}
 	return storage.NewChunkedTable(name, schema, cols, ck)
+}
+
+// chunkRows returns the row count of chunk k.
+func (lf *lazyFile) chunkRows(k int) int {
+	return min(lf.chunkSize, lf.rows-k*lf.chunkSize)
+}
+
+// decodeChunk decodes chunk (ci, k) from its encoded bytes into p (see
+// decodeChunk) and checks the chunk's own NULL count against the
+// directory's — the count a lazy column reports — so every open of one
+// file sees the same cells.
+func (lf *lazyFile) decodeChunk(ci, k int, raw []byte, p *storage.ChunkPayload) error {
+	zm, err := decodeChunk(raw, lf.fields[ci], len(lf.dicts[ci]), lf.chunkRows(k), k, p)
+	if err == nil && zm.NullCount != lf.zones[ci][k].NullCount {
+		err = fmt.Errorf("chunk %d: header counts %d NULLs, directory %d", k, zm.NullCount, lf.zones[ci][k].NullCount)
+	}
+	return err
 }
 
 // FetchChunk implements storage.ChunkSource: cache lookup, then read +
@@ -555,119 +446,18 @@ func (lf *lazyFile) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPa
 		}
 		lf.bytesRead.Add(ref.length)
 		led.ReadBytes(ref.length)
-		if ref.hasCRC {
-			if got := crc32.ChecksumIEEE(raw); got != ref.crc {
-				return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
-					lf.path, ci, k, ref.crc, got)
-			}
+		if got := crc32.ChecksumIEEE(raw); got != ref.crc {
+			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
+				lf.path, ci, k, ref.crc, got)
 		}
-		chunkRows := lf.chunkSize
-		if hi := (k + 1) * lf.chunkSize; hi > lf.rows {
-			chunkRows = lf.rows - k*lf.chunkSize
-		}
-		p, err := decodeChunkPayload(raw, lf.fields[ci], len(lf.dicts[ci]), chunkRows, k, lf.version)
-		if err != nil {
+		p := &storage.ChunkPayload{}
+		if err := lf.decodeChunk(ci, k, raw, p); err != nil {
 			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d): %w", lf.path, ci, k, err)
 		}
 		lf.chunksDecoded.Add(1)
 		led.StoreChunkDecoded()
 		return p, nil
 	})
-}
-
-// decodeChunkPayload decodes one chunk's bytes (header + values) into a
-// chunk-local payload.
-func decodeChunkPayload(raw []byte, f storage.Field, dictLen, chunkRows, k int, version byte) (*storage.ChunkPayload, error) {
-	d := &decoder{data: raw, version: version}
-	zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
-	if err != nil {
-		return nil, err
-	}
-	chunkWords := (chunkRows + 63) / 64
-	p := &storage.ChunkPayload{}
-	if flags&flagNulls != 0 {
-		if !d.need(8 * chunkWords) {
-			return nil, d.err
-		}
-		nulls := make([]uint64, chunkWords)
-		for wi := range nulls {
-			nulls[wi] = binary.LittleEndian.Uint64(d.data[d.off+wi*8:])
-		}
-		d.off += 8 * chunkWords
-		p.Nulls = nulls
-	}
-	switch f.Type {
-	case storage.Int64:
-		if !d.need(8 * chunkRows) {
-			return nil, d.err
-		}
-		buf := d.data[d.off:]
-		vals := make([]int64, chunkRows)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		d.off += 8 * chunkRows
-		p.Ints = vals
-	case storage.Float64:
-		if !d.need(8 * chunkRows) {
-			return nil, d.err
-		}
-		buf := d.data[d.off:]
-		vals := make([]float64, chunkRows)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		d.off += 8 * chunkRows
-		p.Floats = vals
-	case storage.Bool:
-		if !d.need(8 * chunkWords) {
-			return nil, d.err
-		}
-		vals := make([]bool, chunkRows)
-		for wi := 0; wi < chunkWords; wi++ {
-			w := binary.LittleEndian.Uint64(d.data[d.off+wi*8:])
-			for b := 0; b < 64 && wi*64+b < chunkRows; b++ {
-				vals[wi*64+b] = w&(1<<uint(b)) != 0
-			}
-		}
-		d.off += 8 * chunkWords
-		p.Bools = vals
-	case storage.String:
-		if !d.need(4 * chunkRows) {
-			return nil, d.err
-		}
-		buf := d.data[d.off:]
-		codes := make([]uint32, chunkRows)
-		for i := range codes {
-			codes[i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-		d.off += 4 * chunkRows
-		codesOK := func(i int) bool {
-			return p.Nulls != nil && p.Nulls[i>>6]&(1<<uint(i&63)) != 0
-		}
-		for i, code := range codes {
-			if int(code) >= dictLen {
-				if !codesOK(i) {
-					return nil, fmt.Errorf("row %d: code %d out of dictionary range %d", i, code, dictLen)
-				}
-				// NULL rows never have their code read, but clamp them
-				// in-range so downstream kernels can index the dictionary
-				// before checking the null bitmap.
-				codes[i] = 0
-			}
-		}
-		p.Codes = codes
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%d trailing bytes in chunk", len(d.data)-d.off)
-	}
-	// The zone map was already recorded at open; decoding re-parses it
-	// only to locate the values. Cross-check the null count so a header
-	// mismatch surfaces as a decode error.
-	if zm.NullCount > 0 && p.Nulls == nil {
-		return nil, fmt.Errorf("chunk claims %d nulls but carries no bitmap", zm.NullCount)
-	}
-	return p, nil
 }
 
 // maxPrefetchInFlight bounds a file's concurrent speculative chunk
@@ -692,11 +482,7 @@ func (lf *lazyFile) PrefetchChunk(ctx context.Context, ci, k int) {
 	}
 	// Estimate the decoded footprint from the chunk's row count (8 bytes
 	// per row bounds every column type this store encodes).
-	chunkRows := lf.chunkSize
-	if hi := (k + 1) * lf.chunkSize; hi > lf.rows {
-		chunkRows = lf.rows - k*lf.chunkSize
-	}
-	if !lf.cache.HasRoom(int64(chunkRows) * 8) {
+	if !lf.cache.HasRoom(int64(lf.chunkRows(k)) * 8) {
 		return
 	}
 	if lf.prefetching.Add(1) > maxPrefetchInFlight {

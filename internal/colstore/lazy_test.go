@@ -130,46 +130,6 @@ func TestLazyOpenMatchesEager(t *testing.T) {
 	}
 }
 
-// TestLazyOpenCompat: v1 and v2 images (no directory) must open lazily
-// via the metadata walk and match their eager decode.
-func TestLazyOpenCompat(t *testing.T) {
-	tbl := lazyTestTable(t, 700)
-	for _, version := range []byte{1, 2} {
-		var buf bytes.Buffer
-		if _, err := writeVersioned(&buf, tbl, 64, version); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.atl", version))
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		eager, err := Read(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenWith(path, Options{Mode: ModeLazy})
-		if err != nil {
-			t.Fatalf("v%d lazy open: %v", version, err)
-		}
-		if !s.Lazy() {
-			t.Fatalf("v%d: expected lazy store", version)
-		}
-		tablesEqual(t, eager.Table(), s.Table(), fmt.Sprintf("v%d", version))
-		s.Close()
-
-		// Without mmap a directory-less file cannot open lazily; the
-		// fallback must be a correct eager open, not an error.
-		s2, err := OpenWith(path, Options{Mode: ModeLazy, DisableMmap: true})
-		if err != nil {
-			t.Fatalf("v%d pread fallback: %v", version, err)
-		}
-		if s2.Lazy() {
-			t.Fatalf("v%d: pread open of a directory-less file should fall back to eager", version)
-		}
-		tablesEqual(t, eager.Table(), s2.Table(), fmt.Sprintf("v%d-fallback", version))
-	}
-}
-
 // TestLazyCorruptChunk: a chunk whose bytes fail the directory CRC must
 // surface a named *storage.ChunkError on first touch — not a panic, and
 // not silently wrong data.
@@ -446,8 +406,8 @@ func FuzzChunkDecode(f *testing.F) {
 		dirOff := int(uint64(data[len(data)-16]) | uint64(data[len(data)-15])<<8 |
 			uint64(data[len(data)-14])<<16 | uint64(data[len(data)-13])<<24 |
 			uint64(data[len(data)-12])<<32)
-		d := &decoder{data: data[dirOff : len(data)-16], version: Version}
-		h := &header{version: Version, rows: rows, chunkSize: 64, fields: schema.Fields()}
+		d := &decoder{data: data[dirOff : len(data)-16]}
+		h := &header{rows: rows, chunkSize: 64, fields: schema.Fields()}
 		_, dir, _, err := d.directory(h, (rows+63)/64)
 		if err != nil {
 			f.Fatal(err)
@@ -463,7 +423,7 @@ func FuzzChunkDecode(f *testing.F) {
 		typ := types[int(colType)%len(types)]
 		fld := storage.Field{Name: "x", Type: typ}
 		for _, dictLen := range []int{0, 3, 100} {
-			p, err := decodeChunkPayload(raw, fld, dictLen, 64, 0, Version)
+			p, err := DecodeChunk(raw, fld, dictLen, 64, 0, Version)
 			if err == nil && p.Rows() != 64 {
 				t.Fatalf("decoded %d rows, want 64", p.Rows())
 			}

@@ -5,7 +5,7 @@ package colstore
 import "os"
 
 // mmapFile is unavailable on this platform; lazy stores fall back to
-// pread (and v1/v2 files to eager decode).
+// pread.
 func mmapFile(*os.File, int64) []byte { return nil }
 
 // munmapFile matches mmap_unix.go; nothing to release.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -47,11 +48,11 @@ func TestCensusPlantedDependencies(t *testing.T) {
 	sel := bitvec.NewFull(tbl.NumRows())
 
 	// Education ↔ Salary must be strongly dependent; eye color independent
-	// of salary. Compare chi-square statistics.
-	ct := crossCat(t, tbl, "education", "salary", sel)
-	ctEye := crossCat(t, tbl, "eye_color", "salary", sel)
-	if ct.ChiSquare() < 10*ctEye.ChiSquare() {
-		t.Errorf("edu-salary chi2 %v should dwarf eye-salary chi2 %v", ct.ChiSquare(), ctEye.ChiSquare())
+	// of salary. Compare mutual information.
+	mi := crossCat(t, tbl, "education", "salary", sel).MutualInformation()
+	miEye := crossCat(t, tbl, "eye_color", "salary", sel).MutualInformation()
+	if mi < 10*miEye {
+		t.Errorf("edu-salary MI %v should dwarf eye-salary MI %v", mi, miEye)
 	}
 
 	// Age is bimodal with a gap at 55: both cohorts populated.
@@ -72,7 +73,7 @@ func TestCensusPlantedDependencies(t *testing.T) {
 	}
 }
 
-func crossCat(t *testing.T, tbl *storage.Table, a, b string, sel *bitvec.Vector) *statsContingency {
+func crossCat(t *testing.T, tbl *storage.Table, a, b string, sel *bitvec.Vector) *stats.Contingency {
 	t.Helper()
 	qa := regionsOfCat(t, tbl, a)
 	qb := regionsOfCat(t, tbl, b)
@@ -88,12 +89,8 @@ func crossCat(t *testing.T, tbl *storage.Table, a, b string, sel *bitvec.Vector)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &statsContingency{ct.ChiSquare()}
+	return ct
 }
-
-type statsContingency struct{ chi2 float64 }
-
-func (s *statsContingency) ChiSquare() float64 { return s.chi2 }
 
 func regionsOfCat(t *testing.T, tbl *storage.Table, attr string) []query.Query {
 	t.Helper()

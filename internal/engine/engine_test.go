@@ -498,70 +498,3 @@ func eqInts(a, b []int) bool {
 	}
 	return true
 }
-
-func TestSemiJoinFilter(t *testing.T) {
-	ot, ct := orders(t)
-	// select gold customers on the dimension side
-	dimSel, err := EvalPredicate(ct, query.NewIn("segment", "gold"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := SemiJoinFilter(ot, "cid", ct, "cid", dimSel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// gold customer is cid=100; orders 1 and 3 reference it
-	want := []int{0, 2}
-	if got := sel.Indexes(); !eqInts(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	// semijoin result must equal filtering the materialized join
-	j, err := JoinFK(ot, "cid", ct, "cid", "j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jSel, err := EvalPredicate(j, query.NewIn("segment", "gold"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jSel.Count() != sel.Count() {
-		t.Fatalf("semijoin %d rows != joined filter %d rows", sel.Count(), jSel.Count())
-	}
-}
-
-func TestSemiJoinFilterStringKey(t *testing.T) {
-	fs := storage.MustSchema(
-		storage.Field{Name: "k", Type: storage.String},
-		storage.Field{Name: "v", Type: storage.Int64},
-	)
-	fb := storage.NewBuilder("f", fs)
-	fb.MustAppendRow("a", 1)
-	fb.MustAppendRow("b", 2)
-	fb.MustAppendRow("a", 3)
-	ds := storage.MustSchema(storage.Field{Name: "k", Type: storage.String})
-	db := storage.NewBuilder("d", ds)
-	db.MustAppendRow("a")
-	db.MustAppendRow("b")
-	dim := db.MustBuild()
-	sel, err := SemiJoinFilter(fb.MustBuild(), "k", dim, "k", bitvec.FromIndexes(2, []int{0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sel.Indexes(); !eqInts(got, []int{0, 2}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestSemiJoinFilterErrors(t *testing.T) {
-	ot, ct := orders(t)
-	if _, err := SemiJoinFilter(ot, "cid", ct, "cid", bitvec.New(1)); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	full := bitvec.NewFull(ct.NumRows())
-	if _, err := SemiJoinFilter(ot, "ghost", ct, "cid", full); err == nil {
-		t.Fatal("missing fact key should error")
-	}
-	if _, err := SemiJoinFilter(ot, "cid", ct, "segment", full); err == nil {
-		t.Fatal("type mismatch should error")
-	}
-}

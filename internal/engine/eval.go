@@ -62,17 +62,6 @@ func EvalInto(t *storage.Table, q query.Query, sel *bitvec.Vector) error {
 	return evalAndInto(t, q, sel)
 }
 
-// EvalAndInto narrows sel to the rows that also satisfy q — the fused
-// equivalent of sel.And(Eval(t, q)). Callers that already hold a base
-// selection skip the full-table predicate scans: only still-selected
-// rows are tested.
-func EvalAndInto(t *storage.Table, q query.Query, sel *bitvec.Vector) error {
-	if sel.Len() != t.NumRows() {
-		return fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
-	}
-	return evalAndInto(t, q, sel)
-}
-
 // evalAndInto ANDs every predicate of q into sel using the fused
 // word-level kernel: each predicate is checked only on still-selected
 // rows and cleared bits never allocate an intermediate bitmap. Tables

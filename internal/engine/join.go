@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/storage"
 )
 
@@ -80,77 +79,6 @@ func JoinFK(fact *storage.Table, factKey string, dim *storage.Table, dimKey stri
 		return nil, err
 	}
 	return storage.NewTable(resultName, schema, cols)
-}
-
-// SemiJoinFilter is the push-down alternative to materialization the
-// paper wishes for in Section 5.2 ("push some computations down to
-// individual tables"): it filters fact rows by a predicate evaluated on
-// the dimension table, without building the joined table. Returns the
-// fact-side selection bitmap of rows whose FK points at a dimension row
-// inside dimSel.
-func SemiJoinFilter(fact *storage.Table, factKey string, dim *storage.Table, dimKey string, dimSel *bitvec.Vector) (*bitvec.Vector, error) {
-	if dimSel.Len() != dim.NumRows() {
-		return nil, fmt.Errorf("engine: dimension selection length %d != %d rows", dimSel.Len(), dim.NumRows())
-	}
-	fkCol, err := fact.ColumnByName(factKey)
-	if err != nil {
-		return nil, err
-	}
-	dkCol, err := dim.ColumnByName(dimKey)
-	if err != nil {
-		return nil, err
-	}
-	if fkCol.Type() != dkCol.Type() {
-		return nil, fmt.Errorf("engine: join key type mismatch %v vs %v", fkCol.Type(), dkCol.Type())
-	}
-	if fkCol, err = storage.MaterializeColumn(fkCol); err != nil {
-		return nil, err
-	}
-	if dkCol, err = storage.MaterializeColumn(dkCol); err != nil {
-		return nil, err
-	}
-	// Collect the selected dimension keys into a hash set, then probe
-	// with every fact row.
-	out := bitvec.New(fact.NumRows())
-	switch dk := dkCol.(type) {
-	case *storage.Int64Column:
-		keep := make(map[int64]struct{}, dimSel.Count())
-		dimSel.ForEach(func(i int) bool {
-			if !dk.IsNull(i) {
-				keep[dk.At(i)] = struct{}{}
-			}
-			return true
-		})
-		fk := fkCol.(*storage.Int64Column)
-		for i := 0; i < fact.NumRows(); i++ {
-			if fk.IsNull(i) {
-				continue
-			}
-			if _, ok := keep[fk.At(i)]; ok {
-				out.Set(i)
-			}
-		}
-	case *storage.StringColumn:
-		keep := make(map[string]struct{}, dimSel.Count())
-		dimSel.ForEach(func(i int) bool {
-			if !dk.IsNull(i) {
-				keep[dk.At(i)] = struct{}{}
-			}
-			return true
-		})
-		fk := fkCol.(*storage.StringColumn)
-		for i := 0; i < fact.NumRows(); i++ {
-			if fk.IsNull(i) {
-				continue
-			}
-			if _, ok := keep[fk.At(i)]; ok {
-				out.Set(i)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("engine: unsupported key type %v", dkCol.Type())
-	}
-	return out, nil
 }
 
 type keyIndex struct {

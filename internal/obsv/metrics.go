@@ -15,7 +15,7 @@ import (
 
 // Registry is a process-level metric set exported in Prometheus text
 // exposition format (version 0.0.4). It holds owned metrics (Counter,
-// Gauge, Histogram) and collector functions sampling counters that
+// Histogram) and collector functions sampling values that
 // already exist elsewhere (engine scan stats, store I/O, fabric
 // traffic). No dependencies, atomics throughout.
 type Registry struct {
@@ -32,7 +32,7 @@ type metricEntry struct {
 	labels string // rendered `k="v",...` (no braces), "" if none
 	value  func() float64
 	hist   *Histogram
-	owned  any // the *Counter/*Gauge/*Histogram handle, for idempotent re-registration
+	owned  any // the *Counter/*Histogram handle, for idempotent re-registration
 }
 
 // NewRegistry builds an empty registry.
@@ -59,31 +59,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket latency/size distribution. Buckets are
@@ -177,15 +152,6 @@ func (r *Registry) NewCounter(name, help string, labels map[string]string) *Coun
 		return prior
 	}
 	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string, labels map[string]string) *Gauge {
-	g := &Gauge{}
-	if prior, ok := r.register("gauge", name, help, labels, func() float64 { return float64(g.Value()) }, nil, g).(*Gauge); ok {
-		return prior
-	}
-	return g
 }
 
 // NewHistogram registers and returns a histogram with the given upper

@@ -181,8 +181,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("atlas_test_total", "test counter", nil)
 	c.Add(3)
-	g := r.NewGauge("atlas_test_gauge", "test gauge", map[string]string{"layer": "engine"})
-	g.Set(-2)
+	r.GaugeFunc("atlas_test_gauge", "test gauge", map[string]string{"layer": "engine"}, func() float64 { return -2 })
 	r.CounterFunc("atlas_test_fn_total", "sampled", nil, func() float64 { return 7 })
 	h := r.NewHistogram("atlas_test_seconds", "latency", nil, []float64{0.01, 0.1, 1})
 	h.Observe(0.004)

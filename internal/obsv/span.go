@@ -88,9 +88,6 @@ func newTraceID(id, rootName string) (*Trace, *Span) {
 // ID returns the trace ID.
 func (t *Trace) ID() string { return t.id }
 
-// Root returns the root span.
-func (t *Trace) Root() *Span { return t.root }
-
 // Tree snapshots the whole span tree. Call after the root span ended;
 // spans still running are reported with their duration so far.
 func (t *Trace) Tree() *SpanJSON { return t.root.snapshot() }

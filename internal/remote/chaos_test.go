@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -326,62 +325,50 @@ func TestAllReplicasDeadNamesShard(t *testing.T) {
 	assertNamedShardError(t, err, rf.urls[1][0])
 }
 
-// stripBatch simulates a pre-batch shard server: 404 on /batchstats,
-// everything else faithful. The client must fall back per-attribute.
-func stripBatch(_ int, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/batchstats") {
-			http.NotFound(w, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// TestBatchStatsFallbackAndSavings runs the same cold Explore against a
-// batch-capable fabric and a legacy one: results must be identical, and
-// the batch endpoint must cut statistics-plane RPCs at least 4×.
-func TestBatchStatsFallbackAndSavings(t *testing.T) {
+// TestBatchStatsOneRPCPerShard: a cold Explore over the fabric asks
+// each shard's statistics plane exactly once — one batchstats RPC per
+// shard carries every attribute — and answers byte-identically to the
+// unsharded table.
+func TestBatchStatsOneRPCPerShard(t *testing.T) {
 	tbl := datagen.Census(10_000, 23)
 	local := writeShardedInputs(t, tbl, 4, 256)
 	q := query.New("census")
 	want := unshardedRef(t, tbl, q)
 
-	run := func(wrap func(int, http.Handler) http.Handler) (string, int64) {
-		f := startFabric(t, local, wrap)
-		opener := testOpener()
-		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		opts := core.DefaultOptions()
-		opts.Parallelism = 2
-		cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s0 := opener.Stats()
-		res, err := cart.Explore(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1 := opener.Stats()
-		statsRPCs := (s1.RPCs - s0.RPCs) - (s1.ChunkFetches - s0.ChunkFetches)
-		return renderResult(res), statsRPCs
+	var batchRPCs atomic.Int64
+	f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/batchstats") {
+				batchRPCs.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	opener := testOpener()
+	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	gotBatch, batchRPCs := run(nil)
-	gotLegacy, legacyRPCs := run(stripBatch)
-	if gotBatch != want {
-		t.Errorf("batch-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, gotBatch)
+	defer set.Close()
+	opts := core.DefaultOptions()
+	opts.Parallelism = 2
+	cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotLegacy != want {
-		t.Errorf("legacy-fallback result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, gotLegacy)
+	s0 := opener.Stats()
+	res, err := cart.Explore(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("stats-plane RPCs: batch=%d legacy=%d", batchRPCs, legacyRPCs)
-	if batchRPCs*4 > legacyRPCs {
-		t.Errorf("batch stats cut stats-plane RPCs %d → %d: less than the required 4×", legacyRPCs, batchRPCs)
+	s1 := opener.Stats()
+	if got := renderResult(res); got != want {
+		t.Errorf("batch-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	statsRPCs := (s1.RPCs - s0.RPCs) - (s1.ChunkFetches - s0.ChunkFetches)
+	if n := int64(set.NumShards()); batchRPCs.Load() != n || statsRPCs != n {
+		t.Errorf("cold explore made %d batchstats and %d statistics-plane RPCs over %d shards, want one each per shard",
+			batchRPCs.Load(), statsRPCs, n)
 	}
 }
 
@@ -418,60 +405,10 @@ func TestServerMemoizesStatistics(t *testing.T) {
 	if got := srv.Stats().StatComputes; got != after {
 		t.Errorf("second client recomputed statistics: %d → %d computes", after, got)
 	}
-
-	// The per-attribute legacy path shares the same memo.
-	be, err := opener.OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	c := be.(*Client)
-	c.statsMu.Lock()
-	c.batchOff = true
-	c.statsMu.Unlock()
-	for i := 0; i < 3; i++ {
-		if _, err := c.NumericValues(context.Background(), "age"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.Stats().StatComputes; got != after {
-		t.Errorf("legacy per-attribute calls recomputed statistics: %d → %d computes", after, got)
-	}
-}
-
-// stripBits simulates a pre-bitmap shard server: /predcount answers
-// lose their "bits" field, so clients only learn the count.
-func stripBits(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasSuffix(r.URL.Path, "/predcount") {
-			h.ServeHTTP(w, r)
-			return
-		}
-		rec := newRecorder()
-		h.ServeHTTP(rec, r)
-		body := rec.body
-		if rec.status == http.StatusOK {
-			var m map[string]any
-			if err := json.Unmarshal(rec.body, &m); err == nil {
-				delete(m, "bits")
-				if out, err := json.Marshal(m); err == nil {
-					body = out
-				}
-			}
-		}
-		for k, vs := range rec.hdr {
-			if k == "Content-Length" {
-				continue
-			}
-			w.Header()[k] = vs
-		}
-		w.WriteHeader(rec.status)
-		_, _ = w.Write(body)
-	})
 }
 
 // TestPredicateBitsWire: the bitmap a shard serves over the stats plane
-// is exactly the local scan's, and old servers degrade to count-only.
+// is exactly the local scan's.
 func TestPredicateBitsWire(t *testing.T) {
 	tbl := datagen.Census(5_000, 37)
 	local := writeShardedInputs(t, tbl, 1, 256)
@@ -508,84 +445,46 @@ func TestPredicateBitsWire(t *testing.T) {
 			}
 		}
 	}
-
-	// Old server: count survives, words degrade to nil.
-	fOld := startFabric(t, local, func(_ int, h http.Handler) http.Handler { return stripBits(h) })
-	beOld, err := testOpener().OpenShard(context.Background(), []string{fOld.servers[0].URL}, colstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beOld.Close()
-	cOld := beOld.(*Client)
-	p := query.NewRange("age", 20, 40)
-	want, err := engine.EvalPredicate(tbl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, words, err := cOld.PredicateBits(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words != nil {
-		t.Error("legacy predcount answer produced bitmap words")
-	}
-	if count != want.Count() {
-		t.Errorf("legacy count %d, want %d", count, want.Count())
-	}
 }
 
 // TestSessionBaseBitsSkipChunkPlane: assembling a session base over the
-// bitmap plane must pull no chunk from any shard, where the count-only
-// fallback has to scan — and both produce the same result.
+// bitmap plane must pull no chunk from any shard, and answer exactly as
+// the unsharded table does.
 func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 	tbl := datagen.Census(8_000, 41)
 	local := writeShardedInputs(t, tbl, 4, 256)
 	q := query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F"))
 
-	run := func(legacy bool) (string, int64) {
-		var chunkRPCs atomic.Int64
-		f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
-			if legacy {
-				h = stripBits(h)
+	var chunkRPCs atomic.Int64
+	f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/chunk") {
+				chunkRPCs.Add(1)
 			}
-			inner := h
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasSuffix(r.URL.Path, "/chunk") {
-					chunkRPCs.Add(1)
-				}
-				inner.ServeHTTP(w, r)
-			})
+			h.ServeHTTP(w, r)
 		})
-		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		opts := core.DefaultOptions()
-		opts.Parallelism = 2
-		cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := session.NewSharded(cart, set)
-		before := chunkRPCs.Load()
-		node, err := sess.Explore(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderResult(node.Result), chunkRPCs.Load() - before
+	})
+	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	gotBits, bitsChunks := run(false)
-	gotLegacy, legacyChunks := run(true)
-	if gotBits != gotLegacy {
-		t.Errorf("bitmap-plane session result differs from scan fallback:\nbits:\n%s\nscan:\n%s", gotBits, gotLegacy)
+	defer set.Close()
+	opts := core.DefaultOptions()
+	opts.Parallelism = 2
+	cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("session chunk RPCs: bits=%d legacy=%d", bitsChunks, legacyChunks)
-	if bitsChunks != 0 {
-		t.Errorf("session base assembly fetched %d chunks despite the bitmap plane", bitsChunks)
+	sess := session.NewSharded(cart, set)
+	before := chunkRPCs.Load()
+	node, err := sess.Explore(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if legacyChunks == 0 {
-		t.Error("count-only fallback fetched no chunks — test lost its teeth")
+	if want, got := unshardedRef(t, tbl, q), renderResult(node.Result); got != want {
+		t.Errorf("bitmap-plane session result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if n := chunkRPCs.Load() - before; n != 0 {
+		t.Errorf("session base assembly fetched %d chunks despite the bitmap plane", n)
 	}
 }

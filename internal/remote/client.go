@@ -31,7 +31,7 @@ import (
 type ShardError struct {
 	// Location is the shard's URL as the manifest names it.
 	Location string
-	// Op is the failing operation ("chunk", "values", "meta", ...).
+	// Op is the failing operation ("chunk", "batchstats", "meta", ...).
 	Op string
 	// RequestID is the query request id the failing RPC belonged to
 	// ("" when the request carried none) — the join key between a
@@ -104,7 +104,6 @@ type Client struct {
 	table     string
 	rows      int
 	chunkSize int
-	version   byte
 	schema    *storage.Schema
 	zones     [][]storage.ZoneMap
 
@@ -116,11 +115,9 @@ type Client struct {
 	// Batch statistics cache: the first statistics-plane demand fetches
 	// every attribute's stats in ONE round trip (POST batchstats) and
 	// answers later calls from memory — the table is immutable, so the
-	// answers never go stale. batchOff remembers a server without the
-	// endpoint (404); per-attribute calls then carry the load, so old
-	// servers keep working.
+	// answers never go stale. A failed or cancelled fetch caches nothing:
+	// the next demand retries.
 	statsMu   sync.Mutex
-	batchOff  bool
 	numStats  map[string][]float64
 	catStats  map[string]catCountsDTO
 	boolStats map[string]boolCountsDTO
@@ -152,8 +149,8 @@ func (c *Client) init(ctx context.Context) error {
 	if meta.Rows < 0 || meta.ChunkSize <= 0 || meta.ChunkSize%64 != 0 {
 		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("implausible shape rows=%d chunkSize=%d", meta.Rows, meta.ChunkSize)}
 	}
-	if meta.Version < 1 || meta.Version > int(colstore.Version) {
-		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("unsupported chunk encoding version %d (this client handles 1..%d)", meta.Version, colstore.Version)}
+	if meta.Version != colstore.Version {
+		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("chunk encoding: %w %d (this client reads version %d only)", colstore.ErrVersion, meta.Version, colstore.Version)}
 	}
 	fields := make([]storage.Field, len(meta.Columns))
 	for i, col := range meta.Columns {
@@ -168,7 +165,6 @@ func (c *Client) init(ctx context.Context) error {
 		return &ShardError{Location: c.primary, Op: "meta", Err: err}
 	}
 	c.table, c.rows, c.chunkSize = meta.Table, meta.Rows, meta.ChunkSize
-	c.version = byte(meta.Version)
 	c.schema = schema
 	c.dicts = make([]dictSlot, len(fields))
 
@@ -618,7 +614,7 @@ func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayloa
 	if hi := (k + 1) * c.chunkSize; hi > c.rows {
 		chunkRows = c.rows - k*c.chunkSize
 	}
-	p, err := colstore.DecodeChunk(data, c.schema.Field(ci), dictLen, chunkRows, k, c.version)
+	p, err := colstore.DecodeChunk(data, c.schema.Field(ci), dictLen, chunkRows, k, colstore.Version)
 	if err != nil {
 		return nil, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d): %w", ci, k, err)}
 	}
@@ -669,21 +665,14 @@ func (c *Client) PrefetchChunk(ctx context.Context, ci, k int) {
 
 // ---- statistics plane (shard.RemoteBackend) ----
 
-// loadBatchStats fetches EVERY attribute's statistics in one round
-// trip on the first statistics-plane demand and reports whether the
-// cache is usable. Servers without the endpoint (old deployments
-// answer 404) or serving an undecodable body turn the batch off for
-// this client; callers then fall back to the per-attribute endpoints,
-// which also own error reporting — a dead batch plane never masks a
-// live per-attribute answer.
-func (c *Client) loadBatchStats(ctx context.Context) bool {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+// loadBatchStats fetches EVERY attribute's statistics in one round trip
+// on the first statistics-plane demand. Caller holds statsMu, so
+// concurrent first demands share one fetch. A failure — a *ShardError,
+// carrying the CancelledError when ctx ended — caches nothing, so the
+// next demand retries.
+func (c *Client) loadBatchStats(ctx context.Context) error {
 	if c.numStats != nil {
-		return true
-	}
-	if c.batchOff {
-		return false
+		return nil
 	}
 	req := batchReqDTO{Attrs: make([]string, c.schema.NumFields())}
 	for i := range req.Attrs {
@@ -691,33 +680,31 @@ func (c *Client) loadBatchStats(ctx context.Context) bool {
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		c.batchOff = true
-		return false
+		return &ShardError{Location: c.primary, Op: "batchstats", Err: err}
 	}
-	check := func(data []byte, _ http.Header) error {
-		_, _, _, _, err := c.parseBatchStats(data)
+	var (
+		num   map[string][]float64
+		cat   map[string]catCountsDTO
+		boolc map[string]boolCountsDTO
+	)
+	// The body is parsed as the response check, so a malformed answer is
+	// retried like a transport failure.
+	check := func(data []byte, _ http.Header) (err error) {
+		num, cat, boolc, err = parseBatchStats(data)
 		return err
 	}
-	data, _, err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, check)
-	if err != nil {
-		c.batchOff = true
-		return false
-	}
-	num, cat, boolc, _, err := c.parseBatchStats(data)
-	if err != nil {
-		c.batchOff = true
-		return false
+	if _, _, err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, check); err != nil {
+		return err
 	}
 	c.numStats, c.catStats, c.boolStats = num, cat, boolc
-	return true
+	return nil
 }
 
-// parseBatchStats decodes and validates a batchstats body (it doubles
-// as the retryable response check of the batch RPC).
-func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]catCountsDTO, map[string]boolCountsDTO, int, error) {
+// parseBatchStats decodes and validates a batchstats body.
+func parseBatchStats(data []byte) (map[string][]float64, map[string]catCountsDTO, map[string]boolCountsDTO, error) {
 	hdr, blob, err := decodeBatch(data)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	num := make(map[string][]float64)
 	cat := make(map[string]catCountsDTO)
@@ -726,16 +713,16 @@ func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]
 		switch st.Kind {
 		case "numeric":
 			if st.Off < 0 || st.Count < 0 || st.Off+st.Count*8 > len(blob) {
-				return nil, nil, nil, 0, fmt.Errorf("batch stat %q: %d values at offset %d overflow %d blob bytes", st.Attr, st.Count, st.Off, len(blob))
+				return nil, nil, nil, fmt.Errorf("batch stat %q: %d values at offset %d overflow %d blob bytes", st.Attr, st.Count, st.Off, len(blob))
 			}
 			vals, err := decodeFloats(blob[st.Off : st.Off+st.Count*8])
 			if err != nil {
-				return nil, nil, nil, 0, err
+				return nil, nil, nil, err
 			}
 			num[st.Attr] = vals
 		case "cat":
 			if len(st.Dict) != len(st.Counts) {
-				return nil, nil, nil, 0, fmt.Errorf("batch stat %q: %d dictionary entries with %d counts", st.Attr, len(st.Dict), len(st.Counts))
+				return nil, nil, nil, fmt.Errorf("batch stat %q: %d dictionary entries with %d counts", st.Attr, len(st.Dict), len(st.Counts))
 			}
 			d := st.Dict
 			if d == nil {
@@ -745,59 +732,17 @@ func (c *Client) parseBatchStats(data []byte) (map[string][]float64, map[string]
 		case "bool":
 			boolc[st.Attr] = boolCountsDTO{Falses: st.Falses, Trues: st.Trues}
 		default:
-			return nil, nil, nil, 0, fmt.Errorf("batch stat %q: unknown kind %q", st.Attr, st.Kind)
+			return nil, nil, nil, fmt.Errorf("batch stat %q: unknown kind %q", st.Attr, st.Kind)
 		}
 	}
-	return num, cat, boolc, len(hdr.Stats), nil
+	return num, cat, boolc, nil
 }
 
-// batchNumeric answers NumericValues from the batch cache. The slice
-// is copied out: callers sort their copy in place, and the cached row
-// order must survive for the next exploration's sketch replay.
-func (c *Client) batchNumeric(ctx context.Context, attr string) ([]float64, bool) {
-	if !c.loadBatchStats(ctx) {
-		return nil, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	vals, ok := c.numStats[attr]
-	if !ok {
-		return nil, false
-	}
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	return out, true
-}
-
-// batchCat answers CategoryCounts from the batch cache (counts copied;
-// the shared dictionary is read-only by contract).
-func (c *Client) batchCat(ctx context.Context, attr string) ([]string, []int, bool) {
-	if !c.loadBatchStats(ctx) {
-		return nil, nil, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	dto, ok := c.catStats[attr]
-	if !ok {
-		return nil, nil, false
-	}
-	counts := make([]int, len(dto.Counts))
-	copy(counts, dto.Counts)
-	return dto.Dict, counts, true
-}
-
-// batchBool answers BoolCounts from the batch cache.
-func (c *Client) batchBool(ctx context.Context, attr string) (int, int, bool) {
-	if !c.loadBatchStats(ctx) {
-		return 0, 0, false
-	}
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	dto, ok := c.boolStats[attr]
-	if !ok {
-		return 0, 0, false
-	}
-	return dto.Falses, dto.Trues, true
+// missingStat is the error of a statistics call naming an attribute the
+// batch answer has no statistics of that kind for.
+func (c *Client) missingStat(ctx context.Context, kind, attr string) error {
+	return &ShardError{Location: c.primary, Op: "batchstats", RequestID: obsv.RequestIDFrom(ctx),
+		Err: fmt.Errorf("no %s statistics for attribute %q", kind, attr)}
 }
 
 // cachedBatchDict returns column ci's dictionary if a batch fetch
@@ -818,56 +763,48 @@ func (c *Client) cachedBatchDict(ci int) ([]string, bool) {
 }
 
 // NumericValues implements shard.RemoteBackend: the shard's non-NULL
-// values in row order, as one binary stream.
+// values in row order, from the batch statistics. The slice is copied
+// out: callers sort their copy in place, and the cached row order must
+// survive for the next exploration's sketch replay.
 func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, error) {
-	if vals, ok := c.batchNumeric(ctx, attr); ok {
-		return vals, nil
-	}
-	check := func(data []byte, hdr http.Header) error {
-		if cs := hdr.Get(headerCount); cs != "" {
-			if want, err := strconv.Atoi(cs); err == nil && want*8 != len(data) {
-				return fmt.Errorf("truncated value stream for %q: got %d of %d bytes", attr, len(data), want*8)
-			}
-		}
-		if len(data)%8 != 0 {
-			return fmt.Errorf("value stream for %q: %d bytes is not a multiple of 8", attr, len(data))
-		}
-		return nil
-	}
-	data, _, err := c.do(ctx, "values", http.MethodGet, "/shard/v1/values", url.Values{"attr": {attr}}, nil, check)
-	if err != nil {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	if err := c.loadBatchStats(ctx); err != nil {
 		return nil, err
 	}
-	vals, err := decodeFloats(data)
-	if err != nil {
-		return nil, &ShardError{Location: c.primary, Op: "values", Err: err}
+	vals, ok := c.numStats[attr]
+	if !ok {
+		return nil, c.missingStat(ctx, "numeric", attr)
 	}
-	return vals, nil
+	return append([]float64(nil), vals...), nil
 }
 
-// CategoryCounts implements shard.RemoteBackend (local dictionary space).
+// CategoryCounts implements shard.RemoteBackend (local dictionary space)
+// from the batch statistics. The counts are copied; the shared
+// dictionary is read-only by contract.
 func (c *Client) CategoryCounts(ctx context.Context, attr string) ([]string, []int, error) {
-	if dict, counts, ok := c.batchCat(ctx, attr); ok {
-		return dict, counts, nil
-	}
-	var dto catCountsDTO
-	if err := c.getJSON(ctx, "catcounts", "/shard/v1/catcounts", url.Values{"attr": {attr}}, &dto); err != nil {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	if err := c.loadBatchStats(ctx); err != nil {
 		return nil, nil, err
 	}
-	if len(dto.Dict) != len(dto.Counts) {
-		return nil, nil, &ShardError{Location: c.primary, Op: "catcounts", Err: fmt.Errorf("%d dictionary entries with %d counts", len(dto.Dict), len(dto.Counts))}
+	dto, ok := c.catStats[attr]
+	if !ok {
+		return nil, nil, c.missingStat(ctx, "category", attr)
 	}
-	return dto.Dict, dto.Counts, nil
+	return dto.Dict, append([]int(nil), dto.Counts...), nil
 }
 
-// BoolCounts implements shard.RemoteBackend.
+// BoolCounts implements shard.RemoteBackend from the batch statistics.
 func (c *Client) BoolCounts(ctx context.Context, attr string) (int, int, error) {
-	if falses, trues, ok := c.batchBool(ctx, attr); ok {
-		return falses, trues, nil
-	}
-	var dto boolCountsDTO
-	if err := c.getJSON(ctx, "boolcounts", "/shard/v1/boolcounts", url.Values{"attr": {attr}}, &dto); err != nil {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	if err := c.loadBatchStats(ctx); err != nil {
 		return 0, 0, err
+	}
+	dto, ok := c.boolStats[attr]
+	if !ok {
+		return 0, 0, c.missingStat(ctx, "boolean", attr)
 	}
 	return dto.Falses, dto.Trues, nil
 }
@@ -904,18 +841,11 @@ func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) 
 // PredicateBits implements shard.RemoteBackend: the predicate's exact
 // selection bitmap alongside its count, answered where the shard lives,
 // so the coordinator assembles non-empty session bases without touching
-// the chunk plane. Old servers ignore the wantBits request field and
-// answer count-only; words is nil then and the caller decides (empty
-// stays chunk-free, non-empty falls back to scanning).
+// the chunk plane.
 func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []uint64, error) {
-	d := predToDTO(p)
-	d.WantBits = true
 	var dto countDTO
-	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", d, &dto); err != nil {
+	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", predToDTO(p), &dto); err != nil {
 		return 0, nil, err
-	}
-	if dto.Bits == "" {
-		return dto.Count, nil, nil
 	}
 	words, err := decodeWords(dto.Bits)
 	if err != nil {

@@ -66,8 +66,7 @@ func assertNamedShardError(t *testing.T, err error, url string) {
 // statistics); metadata requests stay healthy so the set opens and the
 // failure hits mid-exploration — the harder case.
 func dataPlane(r *http.Request) bool {
-	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/values") ||
-		strings.HasSuffix(r.URL.Path, "/catcounts") || strings.HasSuffix(r.URL.Path, "/boolcounts")
+	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/batchstats")
 }
 
 func TestRemoteShardTimeout(t *testing.T) {
@@ -192,9 +191,7 @@ func TestRemoteStatsPlaneError(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Break both the per-attribute endpoint and its batch
-			// shortcut, else the client just routes around the fault.
-			if strings.HasSuffix(r.URL.Path, "/values") || strings.HasSuffix(r.URL.Path, "/batchstats") {
+			if strings.HasSuffix(r.URL.Path, "/batchstats") {
 				http.Error(w, "synthetic shard failure", http.StatusInternalServerError)
 				return
 			}

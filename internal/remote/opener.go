@@ -104,7 +104,7 @@ func (o *Opener) OpenShard(ctx context.Context, locations []string, store colsto
 	}
 	cache := store.Cache
 	if cache == nil {
-		cache = colstore.NewChunkCache(colstore.ResolveCacheBudget(store.CacheBytes))
+		cache = colstore.NewChunkCache(store.CacheBytes)
 	}
 	reps := make([]*replica, 0, len(locations))
 	seen := make(map[string]bool, len(locations))

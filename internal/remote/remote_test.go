@@ -32,6 +32,12 @@ type fabric struct {
 	shardSrv []*Server
 }
 
+// lazyThrash is the store configuration of the fabric's shard servers,
+// and the one every identity test runs its coordinator with next to the
+// auto-mode open: lazy, behind a 64 KiB decoded-chunk cache, so eviction
+// races and budget edge cases cannot hide behind the default eager mode.
+var lazyThrash = colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 65536}
+
 // startFabric spins one shard server per shard of localManifest. wrap,
 // when non-nil, decorates shard i's handler (failure injection).
 func startFabric(t *testing.T, localManifest string, wrap func(i int, h http.Handler) http.Handler) *fabric {
@@ -44,7 +50,7 @@ func startFabric(t *testing.T, localManifest string, wrap func(i int, h http.Han
 	f := &fabric{}
 	urls := make([]string, len(m.Shards))
 	for i, sf := range m.Shards {
-		st, err := colstore.OpenWith(filepath.Join(dir, sf.File), colstore.Options{Mode: colstore.ModeLazy})
+		st, err := colstore.OpenWith(filepath.Join(dir, sf.File), lazyThrash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,26 +141,28 @@ func TestRemoteExploreByteIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		local := writeShardedInputs(t, tbl, shards, 256)
 		f := startFabric(t, local, nil)
-		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		for _, workers := range []int{1, 2, 8} {
-			opts := core.DefaultOptions()
-			opts.Parallelism = workers
-			cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(workers))
+		for _, store := range []colstore.Options{{}, lazyThrash} {
+			set, err := shard.OpenWith(f.manifest, shard.Options{Store: store, Remote: testOpener()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range queries {
-				res, err := cart.Explore(q)
+			defer set.Close()
+			for _, workers := range []int{1, 2, 8} {
+				opts := core.DefaultOptions()
+				opts.Parallelism = workers
+				cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(workers))
 				if err != nil {
-					t.Fatalf("shards=%d workers=%d query %d: %v", shards, workers, qi, err)
+					t.Fatal(err)
 				}
-				if got := renderResult(res); got != refs[qi] {
-					t.Errorf("shards=%d workers=%d query %d: remote result differs from unsharded\nwant:\n%s\ngot:\n%s",
-						shards, workers, qi, refs[qi], got)
+				for qi, q := range queries {
+					res, err := cart.Explore(q)
+					if err != nil {
+						t.Fatalf("shards=%d workers=%d query %d: %v", shards, workers, qi, err)
+					}
+					if got := renderResult(res); got != refs[qi] {
+						t.Errorf("store=%+v shards=%d workers=%d query %d: remote result differs from unsharded\nwant:\n%s\ngot:\n%s",
+							store, shards, workers, qi, refs[qi], got)
+					}
 				}
 			}
 		}
@@ -221,14 +229,22 @@ func TestRemoteSelectiveTransfersOnlyTouchedChunks(t *testing.T) {
 func TestRemoteSessionMatchesLocal(t *testing.T) {
 	tbl := datagen.Census(8_000, 7)
 	local := writeShardedInputs(t, tbl, 2, 256)
+	f := startFabric(t, local, nil)
+	for _, store := range []colstore.Options{{}, lazyThrash} {
+		testRemoteSessionMatchesLocal(t, local, f.manifest, store)
+	}
+}
 
-	localSet, err := shard.Open(local)
+// testRemoteSessionMatchesLocal runs one explore-and-drill session over
+// the local and the remote manifest, both opened with store.
+func testRemoteSessionMatchesLocal(t *testing.T, local, remote string, store colstore.Options) {
+	t.Helper()
+	localSet, err := shard.OpenWith(local, shard.Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer localSet.Close()
-	f := startFabric(t, local, nil)
-	remoteSet, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
+	remoteSet, err := shard.OpenWith(remote, shard.Options{Store: store, Remote: testOpener()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +274,7 @@ func TestRemoteSessionMatchesLocal(t *testing.T) {
 	remoteRes := run(remoteSet)
 	for i := range localRes {
 		if localRes[i] != remoteRes[i] {
-			t.Errorf("session step %d differs between local and remote:\nlocal:\n%s\nremote:\n%s", i, localRes[i], remoteRes[i])
+			t.Errorf("store=%+v: session step %d differs between local and remote:\nlocal:\n%s\nremote:\n%s", store, i, localRes[i], remoteRes[i])
 		}
 	}
 }
@@ -297,29 +313,31 @@ func TestRemoteSessionPredCountSkipsChunks(t *testing.T) {
 		}
 		return renderResult(node.Result)
 	}
-	localSet, err := shard.Open(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer localSet.Close()
-	want := run(localSet)
-
 	f := startFabric(t, local, nil)
-	opener := testOpener()
-	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if got := run(set); got != want {
-		t.Errorf("empty-band session differs:\nlocal:\n%s\nremote:\n%s", want, got)
-	}
-	st := opener.Stats()
-	if st.ChunkFetches != 0 {
-		t.Errorf("%d chunk payloads crossed the wire for an empty predicate; predcount should have answered", st.ChunkFetches)
-	}
-	if st.RPCs == 0 {
-		t.Error("no RPCs recorded; expected predcount probes")
+	for _, store := range []colstore.Options{{}, lazyThrash} {
+		localSet, err := shard.OpenWith(local, shard.Options{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer localSet.Close()
+		want := run(localSet)
+
+		opener := testOpener()
+		set, err := shard.OpenWith(f.manifest, shard.Options{Store: store, Remote: opener})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		if got := run(set); got != want {
+			t.Errorf("store=%+v: empty-band session differs:\nlocal:\n%s\nremote:\n%s", store, want, got)
+		}
+		st := opener.Stats()
+		if st.ChunkFetches != 0 {
+			t.Errorf("store=%+v: %d chunk payloads crossed the wire for an empty predicate; predcount should have answered", store, st.ChunkFetches)
+		}
+		if st.RPCs == 0 {
+			t.Errorf("store=%+v: no RPCs recorded; expected predcount probes", store)
+		}
 	}
 }
 
@@ -330,13 +348,22 @@ func TestRemoteSessionPredCountSkipsChunks(t *testing.T) {
 func TestRemotePartialsMatchLocal(t *testing.T) {
 	tbl := datagen.Census(6_000, 11)
 	local := writeShardedInputs(t, tbl, 3, 256)
-	localSet, err := shard.Open(local)
+	f := startFabric(t, local, nil)
+	for _, store := range []colstore.Options{{}, lazyThrash} {
+		testRemotePartialsMatchLocal(t, local, f.manifest, store)
+	}
+}
+
+// testRemotePartialsMatchLocal compares the merged partials of the local
+// and the remote manifest, both opened with store.
+func testRemotePartialsMatchLocal(t *testing.T, local, remote string, store colstore.Options) {
+	t.Helper()
+	localSet, err := shard.OpenWith(local, shard.Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer localSet.Close()
-	f := startFabric(t, local, nil)
-	remoteSet, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
+	remoteSet, err := shard.OpenWith(remote, shard.Options{Store: store, Remote: testOpener()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,5 @@
 // Package sample provides the row-sampling machinery behind Section 5.1:
-// uniform samples without replacement, Bernoulli samples, and nested
-// progressive samples for the anytime algorithm (each round's sample
+// uniform samples without replacement, and nested progressive samples for the anytime algorithm (each round's sample
 // extends the previous one, so successive results converge rather than
 // jitter).
 package sample
@@ -26,22 +25,6 @@ func Rows(n, k int, seed int64) []int {
 	perm := r.Perm(n)[:k]
 	sort.Ints(perm)
 	return perm
-}
-
-// Bernoulli returns each row index with independent probability p, in
-// ascending order, deterministic in seed.
-func Bernoulli(n int, p float64, seed int64) []int {
-	if p <= 0 {
-		return nil
-	}
-	r := rand.New(rand.NewSource(seed))
-	var out []int
-	for i := 0; i < n; i++ {
-		if p >= 1 || r.Float64() < p {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Table materializes a uniform sample of k rows as a new table with the

@@ -42,19 +42,6 @@ func TestRows(t *testing.T) {
 	}
 }
 
-func TestBernoulli(t *testing.T) {
-	got := Bernoulli(10000, 0.1, 2)
-	if len(got) < 800 || len(got) > 1200 {
-		t.Fatalf("p=0.1 sampled %d of 10000", len(got))
-	}
-	if len(Bernoulli(100, 0, 1)) != 0 {
-		t.Fatal("p=0 should be empty")
-	}
-	if len(Bernoulli(100, 1, 1)) != 100 {
-		t.Fatal("p=1 should be all")
-	}
-}
-
 func TestTableSample(t *testing.T) {
 	b := storage.NewBuilder("t", storage.MustSchema(storage.Field{Name: "x", Type: storage.Int64}))
 	for i := 0; i < 100; i++ {

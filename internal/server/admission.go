@@ -240,9 +240,6 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 // queries keep running (their deadline still applies).
 func (s *Server) SetDraining(on bool) { s.gate.setDraining(on) }
 
-// Draining reports the drain state.
-func (s *Server) Draining() bool { return s.gate.isDraining() }
-
 // admit passes one query through the gate. A refusal is recorded in
 // the shed counters, the query log (Outcome "shed") and the workload
 // recorder (shed requests are offered load) before the error returns;

@@ -42,7 +42,7 @@ func startRemoteManifestWith(t *testing.T, shards int, wrap func(i int, h http.H
 	}
 	urls := make([]string, len(m.Shards))
 	for i, sf := range m.Shards {
-		st, err := colstore.OpenWith(filepath.Join(dir, sf.File), colstore.Options{Mode: colstore.ModeLazy})
+		st, err := colstore.OpenWith(filepath.Join(dir, sf.File), lazyThrash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,22 +64,33 @@ func startRemoteManifestWith(t *testing.T, shards int, wrap func(i int, h http.H
 // TestServerRemoteManifest serves a remote manifest end to end: the
 // coordinator server must sniff it, fan explorations out over the
 // fabric, answer identically to the local sharded server, and report
-// per-shard health on /api/shards.
+// per-shard health on /api/shards — with both coordinators opened in
+// auto mode and lazily behind a tiny cache.
 func TestServerRemoteManifest(t *testing.T) {
 	remoteManifest, localManifest := startRemoteManifest(t, 2)
+	for _, store := range []colstore.Options{{}, lazyThrash} {
+		testRemoteManifestServer(t, remoteManifest, localManifest, store)
+	}
+}
 
+// testRemoteManifestServer compares a coordinator over remoteManifest
+// with one over localManifest, both opened with the given store options.
+func testRemoteManifestServer(t *testing.T, remoteManifest, localManifest string, store colstore.Options) {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Parallelism = 2
-	localSrv, err := NewFromStoreWith(localManifest, opts, StoreConfig{})
+	localSrv, err := NewFromStoreWith(localManifest, opts, StoreConfig{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteSrv, err := NewFromStoreWith(remoteManifest, opts, StoreConfig{
-		Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
-	})
+	defer localSrv.Close()
+	opener := remote.NewOpener(remote.Options{Timeout: 10 * time.Second})
+	defer opener.Close()
+	remoteSrv, err := NewFromStoreWith(remoteManifest, opts, StoreConfig{Store: store, Remote: opener})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer remoteSrv.Close()
 
 	explore := func(srv *Server, cql string) string {
 		req := httptest.NewRequest(http.MethodPost, "/api/explore",

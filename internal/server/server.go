@@ -122,29 +122,24 @@ func NewSharded(set *shard.Set, opts core.Options) *Server {
 	return s
 }
 
-// NewFromStore opens an on-disk store and serves its table directly: no
-// CSV re-parse on start, and every exploration scans with zone-map
-// pruning and chunk-parallel sharding. path may be a single ".atl"
-// segment store (see internal/colstore) or a shard manifest (see
-// internal/shard) — manifests open every shard and serve the sharded
-// table with fan-out explorations.
-func NewFromStore(path string, opts core.Options) (*Server, error) {
-	return NewFromStoreWith(path, opts, StoreConfig{})
-}
-
 // StoreConfig carries the memory-tier knobs of a store-backed server.
 type StoreConfig struct {
 	// Store is passed to every file open (residency mode, cache budget).
 	Store colstore.Options
 	// Defer postpones opening shard files until first touch (sharded
-	// stores with a v2 manifest only).
+	// stores only).
 	Defer bool
 	// Remote opens http(s):// shard locations; nil uses a default
 	// internal/remote opener, so remote manifests serve out of the box.
 	Remote shard.RemoteOpener
 }
 
-// NewFromStoreWith is NewFromStore with explicit memory-tier options.
+// NewFromStoreWith opens an on-disk store and serves its table
+// directly: no CSV re-parse on start, and every exploration scans with
+// zone-map pruning and chunk-parallel sharding. path may be a single
+// ".atl" segment store (see internal/colstore) or a shard manifest (see
+// internal/shard) — manifests open every shard and serve the sharded
+// table with fan-out explorations. sc carries the memory-tier options.
 func NewFromStoreWith(path string, opts core.Options, sc StoreConfig) (*Server, error) {
 	if shard.IsManifest(path) {
 		opener := sc.Remote

@@ -9,13 +9,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
 )
 
 // TestNewFromStoreManifest: -store accepts a shard manifest, serves the
-// combined table, runs sharded sessions and reports the layout.
+// combined table, runs sharded sessions and reports the layout — opened
+// in auto mode and lazily behind a tiny cache.
 func TestNewFromStoreManifest(t *testing.T) {
 	tbl := datagen.Census(6000, 2)
 	dir := t.TempDir()
@@ -23,10 +25,20 @@ func TestNewFromStoreManifest(t *testing.T) {
 	if _, err := shard.WriteSharded(path, tbl, shard.IngestOptions{Shards: 3, ChunkSize: 256}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewFromStore(path, core.DefaultOptions())
+	for _, store := range []colstore.Options{{}, lazyThrash} {
+		testManifestServer(t, path, store)
+	}
+}
+
+// testManifestServer serves the 3-shard census manifest at path with
+// the given store options and drives it over HTTP.
+func testManifestServer(t *testing.T, path string, store colstore.Options) {
+	t.Helper()
+	srv, err := NewFromStoreWith(path, core.DefaultOptions(), StoreConfig{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	if srv.Table().NumRows() != 6000 || srv.Table().Chunking() == nil {
 		t.Fatal("sharded table not served chunk-aware")
 	}

@@ -60,8 +60,7 @@ type ShardLayout interface {
 	// p's selection where the shard lives: with ok=true the returned
 	// bitmap IS shard i's selection under p, validated against the
 	// server's own count, and no chunk crosses the wire even for a
-	// non-empty predicate. ok=false (local shards, old servers) means
-	// scan the view.
+	// non-empty predicate. ok=false (local shards) means scan the view.
 	RemotePredicateBits(ctx context.Context, shard int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error)
 }
 

@@ -4,13 +4,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
 
-func shardedFixture(t *testing.T, shards, workers int) (*Session, *Session) {
+// lazyThrash is the store configuration the identity test runs next to
+// the auto-mode open: lazy, behind a 64 KiB decoded-chunk cache.
+var lazyThrash = colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 65536}
+
+func shardedFixture(t *testing.T, shards, workers int, store colstore.Options) (*Session, *Session) {
 	t.Helper()
 	tbl := datagen.Census(12_000, 9)
 	dir := t.TempDir()
@@ -18,10 +23,11 @@ func shardedFixture(t *testing.T, shards, workers int) (*Session, *Session) {
 	if _, err := shard.WriteSharded(path, tbl, shard.IngestOptions{Shards: shards, ChunkSize: 256}); err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Open(path)
+	set, err := shard.OpenWith(path, shard.Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { set.Close() })
 	opts := core.DefaultOptions()
 	opts.Parallelism = workers
 	plainCart, err := core.NewCartographer(tbl, opts)
@@ -37,10 +43,17 @@ func shardedFixture(t *testing.T, shards, workers int) (*Session, *Session) {
 
 // TestShardedSessionMatchesPlain: a sharded session walks the same
 // drill-down tree to the same results as an unsharded one, while
-// caching predicate bitmaps per shard.
+// caching predicate bitmaps per shard — with the set opened in auto mode
+// and lazily behind a tiny cache.
 func TestShardedSessionMatchesPlain(t *testing.T) {
-	for _, cfg := range []struct{ shards, workers int }{{2, 1}, {4, 2}, {8, 8}} {
-		plain, sharded := shardedFixture(t, cfg.shards, cfg.workers)
+	for _, cfg := range []struct {
+		shards, workers int
+		store           colstore.Options
+	}{
+		{2, 1, colstore.Options{}}, {4, 2, colstore.Options{}}, {8, 8, colstore.Options{}},
+		{2, 1, lazyThrash}, {4, 2, lazyThrash}, {8, 8, lazyThrash},
+	} {
+		plain, sharded := shardedFixture(t, cfg.shards, cfg.workers, cfg.store)
 		q := query.New("census", query.NewRange("age", 20, 70))
 		np, err := plain.Explore(q)
 		if err != nil {
@@ -88,7 +101,7 @@ func TestShardedSessionMatchesPlain(t *testing.T) {
 // TestShardedSessionNoPredicates: an unfiltered exploration selects
 // every row through the per-shard assembly.
 func TestShardedSessionNoPredicates(t *testing.T) {
-	_, sharded := shardedFixture(t, 4, 2)
+	_, sharded := shardedFixture(t, 4, 2, colstore.Options{})
 	n, err := sharded.Explore(query.New("census"))
 	if err != nil {
 		t.Fatal(err)

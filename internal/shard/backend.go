@@ -96,8 +96,7 @@ type RemoteBackend interface {
 	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
 	// PredicateBits returns how many shard rows satisfy p and their exact
 	// selection bitmap, so session base assembly skips the chunk plane
-	// even for non-empty predicates. words is nil when the server (an old
-	// one, say) answered count-only.
+	// even for non-empty predicates.
 	PredicateBits(ctx context.Context, p query.Predicate) (count int, words []uint64, err error)
 	// Health round-trips a liveness check, returning its latency.
 	Health(ctx context.Context) (time.Duration, error)

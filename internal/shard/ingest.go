@@ -107,8 +107,8 @@ func WriteSharded(manifestPath string, t *storage.Table, o IngestOptions) (*Mani
 	return m, nil
 }
 
-// shardStats reduces a shard's ingest-time zone maps into the manifest
-// v2 per-shard column statistics: file-level min/max and NULL counts,
+// shardStats reduces a shard's ingest-time zone maps into the manifest's
+// per-shard column statistics: file-level min/max and NULL counts,
 // and the 256-bit category hash bitset — the index a selective Explore
 // prunes whole shard files with, before opening them.
 func shardStats(p *storage.Table, ck *storage.Chunking) []ColumnStats {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -196,8 +195,9 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	}
 }
 
-// TestManifestV2Stats: WriteSharded records schema and per-shard stats,
-// and ShardMayMatch prunes on them.
+// TestManifestV2Stats: WriteSharded records schema and per-shard stats
+// (the fields manifest version 2 introduced), and ShardMayMatch prunes
+// on them.
 func TestManifestV2Stats(t *testing.T) {
 	tbl := eventsTable(t, 2_048)
 	dir := t.TempDir()
@@ -252,67 +252,6 @@ func TestManifestV2Stats(t *testing.T) {
 	}
 	if !m2.ShardMayMatch(0, query.NewBoolEq("ok", true)) {
 		t.Error("bool predicates must not prune")
-	}
-}
-
-// TestManifestV1Compat: a version-1 manifest (no schema, no stats)
-// still opens, explores correctly, and simply never prunes or defers.
-func TestManifestV1Compat(t *testing.T) {
-	tbl := datagen.Census(3_000, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "census.atlm")
-	if _, err := WriteSharded(path, tbl, IngestOptions{Shards: 2, ChunkSize: 256}); err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade the manifest to v1 by stripping the v2 fields.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mm map[string]any
-	if err := json.Unmarshal(raw, &mm); err != nil {
-		t.Fatal(err)
-	}
-	mm["version"] = 1
-	delete(mm, "columns")
-	shards := mm["shards"].([]any)
-	for _, sh := range shards {
-		delete(sh.(map[string]any), "stats")
-	}
-	v1, err := json.Marshal(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenWith(path, Options{Defer: true}) // Defer must degrade gracefully
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Manifest().Version != 1 {
-		t.Fatalf("manifest version %d, want 1", s.Manifest().Version)
-	}
-	opts := core.DefaultOptions()
-	cart, err := core.NewCartographerWith(s.Table(), opts, s.Provider(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cart.Explore(query.New("census", query.NewRange("age", 30, 60)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.NewCartographer(tbl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Explore(query.New("census", query.NewRange("age", 30, 60)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if formatStable(res) != formatStable(want) {
-		t.Errorf("v1 manifest explore differs:\n got: %s\nwant: %s", formatStable(res), formatStable(want))
 	}
 }
 

@@ -39,9 +39,9 @@ import (
 // each chunk fetch to its shard file through one shared decoded-chunk
 // cache, so open touches no values and holds no concatenated copy (the
 // old transient 2× peak is gone). With Options.Defer the shard files
-// themselves open on first touch, and the manifest's v2 statistics
-// stand in for zone maps until then — a selective exploration skips
-// whole shard files without ever opening them.
+// themselves open on first touch, and the manifest's statistics stand
+// in for zone maps until then — a selective exploration skips whole
+// shard files without ever opening them.
 type Set struct {
 	manifest *Manifest
 	combined *storage.Table
@@ -79,14 +79,13 @@ type Options struct {
 	// bounds the whole set's decoded bytes, not each file's.
 	Store colstore.Options
 	// Defer postpones opening shard files until a chunk, dictionary or
-	// statistic of that shard is first touched. Requires a v2 manifest
-	// with complete per-shard stats; others open non-deferred. The
-	// engine then prunes on manifest-level statistics (file min/max
-	// spread to every chunk) until a shard actually opens. Note that
-	// the union dictionary of a string column spans every shard, so the
-	// first categorical predicate compile or category statistic opens
-	// all files (cheaply: metadata only) — whole-file skipping is at
-	// its best on numeric workloads.
+	// statistic of that shard is first touched. The engine then prunes
+	// on manifest-level statistics (file min/max spread to every chunk)
+	// until a shard actually opens. Note that the union dictionary of a
+	// string column spans every shard, so the first categorical
+	// predicate compile or category statistic opens all files (cheaply:
+	// metadata only) — whole-file skipping is at its best on numeric
+	// workloads.
 	Defer bool
 	// Remote opens backends for manifests whose shard locations are
 	// http(s):// URLs (see internal/remote). Opening such a manifest
@@ -145,7 +144,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 
 	s := &Set{manifest: m, dir: dir, storeOpts: o.Store, remote: o.Remote}
 	if s.storeOpts.Cache == nil {
-		s.storeOpts.Cache = colstore.NewChunkCache(colstore.ResolveCacheBudget(s.storeOpts.CacheBytes))
+		s.storeOpts.Cache = colstore.NewChunkCache(s.storeOpts.CacheBytes)
 	}
 	s.cache = s.storeOpts.Cache
 	s.offsets = make([]int, n)
@@ -168,20 +167,9 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		s.shards[i] = &lazyShard{s: s, idx: i, locs: locs}
 	}
 
-	// Deferring needs the full v2 statistics: without a shard's stats
-	// there is no NULL count to seed the lazy columns with (IsNull would
-	// silently report false) and nothing to prune on — open such sets
-	// non-deferred instead.
-	deferred := o.Defer && len(m.Columns) > 0
-	for _, sf := range m.Shards {
-		if len(sf.Stats) != len(m.Columns) {
-			deferred = false
-			break
-		}
-	}
 	var schema *storage.Schema
 	var viewZones [][][]storage.ZoneMap // [shard][col][chunk]
-	if deferred {
+	if o.Defer {
 		schema, err = m.Schema()
 		if err != nil {
 			return nil, err
@@ -212,7 +200,7 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 			viewZones[i] = s.remapShardZones(i, s.shards[i].be.Zones())
 		}
 	}
-	if err := s.build(schema, viewZones, deferred); err != nil {
+	if err := s.build(schema, viewZones, o.Defer); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -521,7 +509,7 @@ func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
 	return nil
 }
 
-// manifestZones synthesizes per-shard zone maps from the manifest's v2
+// manifestZones synthesizes per-shard zone maps from the manifest's
 // statistics for a deferred open: every chunk of a shard inherits the
 // file-level min/max, and the null count degrades to the sound
 // three-state {none, some, all} the pruning rules need. Coarser than
@@ -535,14 +523,8 @@ func manifestZones(m *Manifest) [][][]storage.ZoneMap {
 		cols := make([][]storage.ZoneMap, len(m.Columns))
 		for ci := range m.Columns {
 			zones := make([]storage.ZoneMap, numChunks)
-			var st *ColumnStats
-			if ci < len(sf.Stats) {
-				st = &sf.Stats[ci]
-			}
+			st := sf.Stats[ci]
 			for k := range zones {
-				if st == nil {
-					continue
-				}
 				chunkRows := m.ChunkSize
 				if hi := (k + 1) * m.ChunkSize; hi > sf.Rows {
 					chunkRows = sf.Rows - k*m.ChunkSize
@@ -793,10 +775,10 @@ func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int
 
 // RemotePredicateBits asks shard i's statistics plane for the exact
 // selection bitmap of p, so a non-empty predicate is assembled without
-// any chunk leaving the shard. Local shards, and old servers answering a
-// non-zero count without words, return ok=false; callers scan the view
-// instead. The bitmap is validated against the server's own count
-// before it is trusted — on mismatch the caller falls back to scanning.
+// any chunk leaving the shard. Local shards return ok=false; callers
+// scan the view instead. The bitmap is validated against the server's
+// own count before it is trusted — on mismatch the caller falls back to
+// scanning.
 func (s *Set) RemotePredicateBits(ctx context.Context, i int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error) {
 	rb, err := s.remoteBackend(ctx, i)
 	if err != nil || rb == nil {
@@ -806,12 +788,6 @@ func (s *Set) RemotePredicateBits(ctx context.Context, i int, p query.Predicate)
 	count, words, err := rb.PredicateBits(ctx, p)
 	if err != nil {
 		return nil, false, err
-	}
-	if words == nil {
-		if count == 0 {
-			return bitvec.New(rows), true, nil
-		}
-		return nil, false, nil
 	}
 	v := bitvec.New(rows)
 	w := v.Words()

@@ -312,15 +312,17 @@ func TestOpenMixedSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	cols, stats := schemaColumns(a.Schema())
 	m := &Manifest{
 		Version:      ManifestVersion,
 		Table:        "mixed",
 		Partitioning: PartitionRange,
 		ChunkSize:    128,
 		Rows:         2_000,
+		Columns:      cols,
 		Shards: []ShardFile{
-			{File: "t.00000.atl", Rows: 1_000},
-			{File: "t.00001.atl", Rows: 1_000},
+			{File: "t.00000.atl", Rows: 1_000, Stats: stats},
+			{File: "t.00001.atl", Rows: 1_000, Stats: stats},
 		},
 	}
 	path := filepath.Join(dir, "t.atlm")
@@ -360,7 +362,8 @@ func TestManifestValidation(t *testing.T) {
 	base := func() *Manifest {
 		return &Manifest{
 			Version: ManifestVersion, Table: "t", Partitioning: PartitionRange,
-			ChunkSize: 128, Rows: 10, Shards: []ShardFile{{File: "x.atl", Rows: 10}},
+			ChunkSize: 128, Rows: 10, Columns: []ColumnSchema{{Name: "x", Type: "int64"}},
+			Shards: []ShardFile{{File: "x.atl", Rows: 10, Stats: []ColumnStats{{}}}},
 		}
 	}
 	cases := []struct {
@@ -369,6 +372,10 @@ func TestManifestValidation(t *testing.T) {
 		wants string
 	}{
 		{"bad version", func(m *Manifest) { m.Version = 99 }, "version"},
+		{"pre-v3 version", func(m *Manifest) { m.Version = 2 }, "atlas ingest"},
+		{"no columns", func(m *Manifest) { m.Columns = nil }, "no columns"},
+		{"bad column type", func(m *Manifest) { m.Columns[0].Type = "decimal" }, "unknown column type"},
+		{"missing stats", func(m *Manifest) { m.Shards[0].Stats = nil }, "column stats"},
 		{"bad partitioning", func(m *Manifest) { m.Partitioning = "round-robin" }, "partitioning"},
 		{"hash without key", func(m *Manifest) { m.Partitioning = PartitionHash }, "key"},
 		{"range with key", func(m *Manifest) { m.Key = "x" }, "key"},

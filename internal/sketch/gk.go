@@ -1,8 +1,6 @@
-// Package sketch implements the one-pass streaming summaries the paper's
+// Package sketch implements the one-pass streaming summary the paper's
 // Section 5.1 proposes for accelerating the CUT primitive: a
-// Greenwald–Khanna quantile sketch (approximate medians in one pass),
-// Misra–Gries heavy hitters and a Count-Min sketch (categorical frequency
-// ordering and high-cardinality screening), and reservoir sampling.
+// Greenwald–Khanna quantile sketch (approximate medians in one pass).
 package sketch
 
 import (

@@ -128,176 +128,3 @@ func TestGKQuantileClamping(t *testing.T) {
 		t.Error("q>1 should clamp to 1")
 	}
 }
-
-func TestMisraGriesGuarantee(t *testing.T) {
-	// Stream: "a" appears 60%, "b" 30%, rest split among 8 keys.
-	mg := MustMisraGries(4)
-	n := 10000
-	r := rand.New(rand.NewSource(2))
-	trueCounts := map[string]int{}
-	keys := []string{"c", "d", "e", "f", "g", "h", "i", "j"}
-	for i := 0; i < n; i++ {
-		var k string
-		switch x := r.Float64(); {
-		case x < 0.6:
-			k = "a"
-		case x < 0.9:
-			k = "b"
-		default:
-			k = keys[r.Intn(len(keys))]
-		}
-		mg.Add(k)
-		trueCounts[k]++
-	}
-	if mg.Count() != n {
-		t.Fatalf("Count = %d", mg.Count())
-	}
-	// any key with freq > n/k must be present
-	for k, c := range trueCounts {
-		if c > n/4 && mg.Estimate(k) == 0 {
-			t.Errorf("heavy key %q (count %d) missing", k, c)
-		}
-	}
-	// estimates undercount by at most n/k
-	for k, c := range trueCounts {
-		if est := mg.Estimate(k); est > c || est < c-n/4 {
-			t.Errorf("estimate for %q = %d, true %d, bound %d", k, est, c, n/4)
-		}
-	}
-	top := mg.TopK()
-	if len(top) == 0 || top[0].Key != "a" {
-		t.Errorf("TopK[0] = %+v, want a", top)
-	}
-}
-
-func TestMisraGriesValidation(t *testing.T) {
-	if _, err := NewMisraGries(0); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestMisraGriesSmallStream(t *testing.T) {
-	mg := MustMisraGries(2)
-	for _, k := range []string{"x", "x", "y"} {
-		mg.Add(k)
-	}
-	if mg.Estimate("x") != 2 {
-		t.Errorf("Estimate(x) = %d", mg.Estimate("x"))
-	}
-}
-
-func TestCountMinNeverUndercounts(t *testing.T) {
-	cm := MustCountMin(256, 4)
-	r := rand.New(rand.NewSource(3))
-	trueCounts := map[string]int{}
-	for i := 0; i < 5000; i++ {
-		k := string(rune('a' + r.Intn(50)))
-		cm.Add(k, 1)
-		trueCounts[k]++
-	}
-	for k, c := range trueCounts {
-		if est := cm.Estimate(k); est < c {
-			t.Errorf("CountMin undercounts %q: %d < %d", k, est, c)
-		}
-	}
-	if cm.Count() != 5000 {
-		t.Errorf("Count = %d", cm.Count())
-	}
-}
-
-func TestCountMinOverestimateBounded(t *testing.T) {
-	cm := MustCountMin(1024, 5)
-	n := 20000
-	r := rand.New(rand.NewSource(4))
-	trueCounts := map[string]int{}
-	for i := 0; i < n; i++ {
-		k := string(rune('a'+r.Intn(26))) + string(rune('a'+r.Intn(26)))
-		cm.Add(k, 1)
-		trueCounts[k]++
-	}
-	// expected overcount ~ n/width; allow 10x slack
-	bound := 10 * n / 1024
-	for k, c := range trueCounts {
-		if est := cm.Estimate(k); est-c > bound {
-			t.Errorf("overcount for %q: est %d true %d", k, est, c)
-		}
-	}
-}
-
-func TestCountMinValidationAndNoOps(t *testing.T) {
-	if _, err := NewCountMin(0, 1); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := NewCountMin(1, 0); err == nil {
-		t.Fatal("expected error")
-	}
-	cm := MustCountMin(16, 2)
-	cm.Add("x", 0)
-	cm.Add("x", -5)
-	if cm.Count() != 0 || cm.Estimate("x") != 0 {
-		t.Fatal("non-positive adds should be no-ops")
-	}
-}
-
-func TestReservoirFillsThenSamples(t *testing.T) {
-	res := MustReservoir(10, 1)
-	for i := 0; i < 5; i++ {
-		res.Add(i)
-	}
-	if len(res.Sample()) != 5 {
-		t.Fatalf("sample size = %d, want 5", len(res.Sample()))
-	}
-	for i := 5; i < 1000; i++ {
-		res.Add(i)
-	}
-	if len(res.Sample()) != 10 {
-		t.Fatalf("sample size = %d, want 10", len(res.Sample()))
-	}
-	if res.Count() != 1000 {
-		t.Fatalf("Count = %d", res.Count())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of 100 items should appear in a size-10 reservoir with p=0.1.
-	// Across 2000 trials, item 0 and item 99 should both appear ~200 times.
-	hits := map[int]int{}
-	for trial := 0; trial < 2000; trial++ {
-		res := MustReservoir(10, int64(trial))
-		for i := 0; i < 100; i++ {
-			res.Add(i)
-		}
-		for _, it := range res.Sample() {
-			hits[it]++
-		}
-	}
-	for _, item := range []int{0, 50, 99} {
-		got := hits[item]
-		if got < 120 || got > 290 {
-			t.Errorf("item %d appeared %d times, expected ~200", item, got)
-		}
-	}
-}
-
-func TestReservoirValidation(t *testing.T) {
-	if _, err := NewReservoir(0, 1); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func BenchmarkGKAdd(b *testing.B) {
-	s := MustGK(0.01)
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(r.Float64())
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	cm := MustCountMin(1024, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm.Add("some-key", 1)
-	}
-}

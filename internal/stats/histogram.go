@@ -121,38 +121,6 @@ func (h *Histogram) Merge(o *Histogram) error {
 	return nil
 }
 
-// EquiDepthHist builds a k-bin equal-frequency histogram over vals. Bins
-// may be fewer than k when duplicate values collapse edges.
-func EquiDepthHist(vals []float64, k int) (*Histogram, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs k > 0, got %d", k)
-	}
-	if len(vals) == 0 {
-		return nil, fmt.Errorf("stats: histogram of empty data")
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	edges := []float64{sorted[0]}
-	for i := 1; i < k; i++ {
-		q := QuantileSorted(sorted, float64(i)/float64(k))
-		if q > edges[len(edges)-1] {
-			edges = append(edges, q)
-		}
-	}
-	if hi := sorted[len(sorted)-1]; hi > edges[len(edges)-1] {
-		edges = append(edges, hi)
-	} else if len(edges) == 1 {
-		edges = append(edges, edges[0]) // degenerate: all equal
-	}
-	h := &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
-	for _, v := range vals {
-		if b := h.BinOf(v); b >= 0 {
-			h.Counts[b]++
-		}
-	}
-	return h, nil
-}
-
 // QuantileSorted returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted
 // slice using linear interpolation between order statistics.
 func QuantileSorted(sorted []float64, q float64) float64 {

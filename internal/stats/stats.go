@@ -35,30 +35,6 @@ func EntropyCounts(counts []int) float64 {
 	return h
 }
 
-// EntropyProbs returns the Shannon entropy (bits) of a probability vector.
-// The vector need not be normalized; it is normalized by its sum.
-func EntropyProbs(probs []float64) float64 {
-	total := 0.0
-	for _, p := range probs {
-		if p < 0 {
-			panic(fmt.Sprintf("stats: negative probability %g", p))
-		}
-		total += p
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, p := range probs {
-		if p == 0 {
-			continue
-		}
-		q := p / total
-		h -= q * math.Log2(q)
-	}
-	return h
-}
-
 // Contingency is a joint count table between two discrete variables
 // ("maps" in the paper: the cell (i,j) counts tuples falling in region i
 // of the first map and region j of the second).
@@ -182,27 +158,6 @@ func (c *Contingency) NormalizedMI() float64 {
 		return 1
 	}
 	return v
-}
-
-// ChiSquare returns the Pearson chi-square statistic of independence.
-func (c *Contingency) ChiSquare() float64 {
-	if c.total == 0 {
-		return 0
-	}
-	rm, cm := c.RowMarginals(), c.ColMarginals()
-	chi := 0.0
-	ft := float64(c.total)
-	for r := 0; r < c.rows; r++ {
-		for cl := 0; cl < c.cols; cl++ {
-			expected := float64(rm[r]) * float64(cm[cl]) / ft
-			if expected == 0 {
-				continue
-			}
-			d := float64(c.counts[r*c.cols+cl]) - expected
-			chi += d * d / expected
-		}
-	}
-	return chi
 }
 
 // Mean returns the arithmetic mean; 0 for an empty slice.

@@ -41,19 +41,6 @@ func TestEntropyCountsNegativePanics(t *testing.T) {
 	EntropyCounts([]int{1, -1})
 }
 
-func TestEntropyProbs(t *testing.T) {
-	if got := EntropyProbs([]float64{0.5, 0.5}); !almostEq(got, 1) {
-		t.Errorf("uniform = %v", got)
-	}
-	// unnormalized input is normalized
-	if got := EntropyProbs([]float64{2, 2}); !almostEq(got, 1) {
-		t.Errorf("unnormalized = %v", got)
-	}
-	if got := EntropyProbs(nil); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-}
-
 func TestContingencyMarginals(t *testing.T) {
 	c := NewContingency(2, 3)
 	c.Add(0, 0, 1)
@@ -125,19 +112,6 @@ func TestMutualInformationIndependentVars(t *testing.T) {
 	}
 	if got := c.VariationOfInformation(); !almostEq(got, 2) {
 		t.Errorf("VI = %v, want 2", got)
-	}
-	if got := c.ChiSquare(); !almostEq(got, 0) {
-		t.Errorf("ChiSquare = %v, want 0", got)
-	}
-}
-
-func TestChiSquarePerfectAssociation(t *testing.T) {
-	// Perfect association in 2x2 with n=100: chi-square = n.
-	c := NewContingency(2, 2)
-	c.Add(0, 0, 50)
-	c.Add(1, 1, 50)
-	if got := c.ChiSquare(); !almostEq(got, 100) {
-		t.Errorf("ChiSquare = %v, want 100", got)
 	}
 }
 
@@ -275,40 +249,6 @@ func TestEquiWidthHistDegenerate(t *testing.T) {
 	}
 }
 
-func TestEquiDepthHist(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	h, err := EquiDepthHist(vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumBins() != 4 {
-		t.Fatalf("bins = %d", h.NumBins())
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c < 20 || c > 30 {
-			t.Errorf("bin %d count = %d, want ~25", i, c)
-		}
-	}
-}
-
-func TestEquiDepthHistDuplicates(t *testing.T) {
-	// heavy duplicates: edges collapse but bins must still partition.
-	vals := []float64{1, 1, 1, 1, 1, 1, 1, 1, 2, 3}
-	h, err := EquiDepthHist(vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != len(vals) {
-		t.Fatalf("total = %d, want %d", h.Total(), len(vals))
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
@@ -343,20 +283,7 @@ func TestPropertyHistogramTotalsAndPartition(t *testing.T) {
 			vals[i] = r.NormFloat64() * 10
 		}
 		ew, err := EquiWidthHist(vals, k)
-		if err != nil || ew.Total() != n {
-			return false
-		}
-		ed, err := EquiDepthHist(vals, k)
-		if err != nil || ed.Total() != n {
-			return false
-		}
-		// edges are strictly increasing for equi-depth
-		for i := 1; i < len(ed.Edges); i++ {
-			if ed.Edges[i] < ed.Edges[i-1] {
-				return false
-			}
-		}
-		return true
+		return err == nil && ew.Total() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

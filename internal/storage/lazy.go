@@ -203,9 +203,6 @@ func (c *LazyColumn) Len() int { return c.rows }
 // chunk is touched.
 func (c *LazyColumn) NullCount() int { return c.nullCount }
 
-// ChunkSize returns the rows per chunk.
-func (c *LazyColumn) ChunkSize() int { return c.chunkSize }
-
 // NumChunks returns the chunk count covering the column.
 func (c *LazyColumn) NumChunks() int {
 	if c.rows == 0 {

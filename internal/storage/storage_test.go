@@ -237,11 +237,6 @@ func TestTableGather(t *testing.T) {
 	if g.Column(0).(*Int64Column).At(0) != 28 {
 		t.Fatal("values wrong")
 	}
-	sel := bitvec.FromIndexes(4, []int{0, 1})
-	g2 := tbl.GatherBits("sel", sel)
-	if g2.NumRows() != 2 || g2.Column(0).(*Int64Column).At(1) != 42 {
-		t.Fatal("GatherBits wrong")
-	}
 }
 
 func TestTableProject(t *testing.T) {

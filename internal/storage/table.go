@@ -81,11 +81,6 @@ func (t *Table) Gather(name string, idx []int) *Table {
 	return &Table{name: name, schema: t.schema, cols: cols, rows: len(idx)}
 }
 
-// GatherBits materializes the rows selected by sel.
-func (t *Table) GatherBits(name string, sel *bitvec.Vector) *Table {
-	return t.Gather(name, sel.Indexes())
-}
-
 // Project returns a table restricted to the named columns, sharing column
 // storage with the original.
 func (t *Table) Project(name string, colNames ...string) (*Table, error) {

@@ -257,8 +257,8 @@ func NewRecorder(table string, opts RecorderOptions) *Recorder {
 }
 
 // SetSink adds a write-through sink: the header (immediately) and every
-// later entry are written as JSONL lines. Sink write errors are
-// remembered and reported by SinkErr; recording continues in memory.
+// later entry are written as JSONL lines. The first sink write error
+// stops the stream; recording continues in memory.
 func (r *Recorder) SetSink(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,13 +267,6 @@ func (r *Recorder) SetSink(w io.Writer) {
 		r.writeSinkLine(&r.hdr)
 		r.sinkHdr = true
 	}
-}
-
-// SinkErr returns the first sink write failure, if any.
-func (r *Recorder) SinkErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
 }
 
 func (r *Recorder) writeSinkLine(v any) {

@@ -122,9 +122,6 @@ func TestRecorderBoundsAndSink(t *testing.T) {
 	if lines != 5 {
 		t.Fatalf("sink has %d lines, want 5 (header + 4 entries)", lines)
 	}
-	if err := r.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
 	parsed, err := Parse(&sink)
 	if err != nil {
 		t.Fatalf("sink output not a parsable workload: %v", err)

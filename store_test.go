@@ -17,9 +17,14 @@ import (
 	"repro/internal/storage"
 )
 
+// lazyThrash is the open every identity test runs next to the auto-mode
+// one: lazy, behind a 64 KiB decoded-chunk cache, so eviction races and
+// budget edge cases cannot hide behind the default eager mode.
+var lazyThrash = StoreOpenOptions{Lazy: true, CacheBytes: 65536}
+
 // storeCSVTables runs one table through CSV and through CSV→store,
-// returning both loads.
-func storeCSVTables(t *testing.T, src *Table, chunkSize int) (fromCSV, fromStore *Table) {
+// returning the CSV load and the store's path.
+func storeCSVTables(t *testing.T, src *Table, chunkSize int) (fromCSV *Table, path string) {
 	t.Helper()
 	var csvBuf bytes.Buffer
 	if err := WriteCSV(src, &csvBuf); err != nil {
@@ -29,16 +34,11 @@ func storeCSVTables(t *testing.T, src *Table, chunkSize int) (fromCSV, fromStore
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.atl")
+	path = filepath.Join(t.TempDir(), "t.atl")
 	if err := colstore.WriteFile(path, fromCSV, chunkSize); err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err = OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fromCSV, fromStore
+	return fromCSV, path
 }
 
 // TestStoreExploreByteIdentical is the acceptance test: CSV→store→Table
@@ -56,39 +56,54 @@ func TestStoreExploreByteIdentical(t *testing.T) {
 	}
 	for _, ds := range datasets {
 		t.Run(ds.name, func(t *testing.T) {
-			fromCSV, fromStore := storeCSVTables(t, ds.tbl, 1024)
-			if fromStore.Chunking() == nil {
-				t.Fatal("store table lost chunk metadata")
+			fromCSV, path := storeCSVTables(t, ds.tbl, 1024)
+			auto, err := OpenStore(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, parallelism := range []int{1, 2, 8, 0} {
-				opts := DefaultOptions()
-				opts.Parallelism = parallelism
-				exCSV, err := New(fromCSV, opts)
-				if err != nil {
-					t.Fatal(err)
+			thrash, err := OpenStoreWith(path, lazyThrash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer thrash.Close()
+			for _, open := range []struct {
+				mode string
+				tbl  *Table
+			}{{"auto", auto}, {"lazy/64KiB", thrash.Table()}} {
+				fromStore := open.tbl
+				if fromStore.Chunking() == nil {
+					t.Fatalf("%s: store table lost chunk metadata", open.mode)
 				}
-				exStore, err := New(fromStore, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resCSV, err := exCSV.Explore(ds.cql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resStore, err := exStore.Explore(ds.cql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := FormatResult(resStore)
-				want := FormatResult(resCSV)
-				// Elapsed differs run to run; compare everything after the
-				// timing line plus the structural counts.
-				if resStore.BaseCount != resCSV.BaseCount || resStore.TotalRows != resCSV.TotalRows {
-					t.Fatalf("parallelism %d: counts differ: %d/%d vs %d/%d", parallelism,
-						resStore.BaseCount, resStore.TotalRows, resCSV.BaseCount, resCSV.TotalRows)
-				}
-				if g, w := stripTiming(got), stripTiming(want); g != w {
-					t.Errorf("parallelism %d: store-backed result differs:\n got: %s\nwant: %s", parallelism, g, w)
+				for _, parallelism := range []int{1, 2, 8, 0} {
+					opts := DefaultOptions()
+					opts.Parallelism = parallelism
+					exCSV, err := New(fromCSV, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exStore, err := New(fromStore, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resCSV, err := exCSV.Explore(ds.cql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resStore, err := exStore.Explore(ds.cql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := FormatResult(resStore)
+					want := FormatResult(resCSV)
+					// Elapsed differs run to run; compare everything after the
+					// timing line plus the structural counts.
+					if resStore.BaseCount != resCSV.BaseCount || resStore.TotalRows != resCSV.TotalRows {
+						t.Fatalf("%s parallelism %d: counts differ: %d/%d vs %d/%d", open.mode, parallelism,
+							resStore.BaseCount, resStore.TotalRows, resCSV.BaseCount, resCSV.TotalRows)
+					}
+					if g, w := stripTiming(got), stripTiming(want); g != w {
+						t.Errorf("%s parallelism %d: store-backed result differs:\n got: %s\nwant: %s", open.mode, parallelism, g, w)
+					}
 				}
 			}
 		})
