@@ -3,6 +3,7 @@ package colstore
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/obsv"
@@ -47,6 +48,10 @@ type cacheEntry struct {
 	// dropped marks a loading entry whose source closed mid-flight: the
 	// finished payload is handed to waiters but never cached.
 	dropped bool
+	// ahead marks an entry loaded ahead of demand (a Claim): the first
+	// fetch that takes it reports the decode as its own, so a scan's
+	// decode count does not depend on whether a hint beat it to a chunk.
+	ahead bool
 }
 
 // NewChunkCache creates a cache with the given byte budget; budget <= 0
@@ -78,6 +83,9 @@ func (c *ChunkCache) HasRoom(n int64) bool {
 	return c.budget <= 0 || c.used+n <= c.budget
 }
 
+// Budget returns the cache's byte budget (<= 0: unbounded).
+func (c *ChunkCache) Budget() int64 { return c.budget }
+
 // Get returns the payload cached under (owner, ci, k), loading it via
 // load on a miss. Stores and the composite sources above them (shard
 // sets caching remapped payloads) all come through here, which is how
@@ -87,8 +95,10 @@ func (c *ChunkCache) HasRoom(n int64) bool {
 // own load is cancelled hands the slot off so waiting goroutines (or
 // the next touch) retry cleanly instead of inheriting the canceller's
 // fate. load runs under the caller's context — it is the caller's job
-// to capture ctx in it. The returned bool reports a cache hit (the
-// payload existed or another goroutine was already loading it).
+// to capture ctx in it. The returned bool reports a cache hit: the
+// payload existed or another fetch was already loading it. The first
+// fetch of a payload loaded ahead of demand (Claim) is no hit — that
+// decode was made for it.
 func (c *ChunkCache) Get(ctx context.Context, owner any, ci, k int, load func() (*storage.ChunkPayload, error)) (*storage.ChunkPayload, bool, error) {
 	key := chunkKey{src: owner, ci: ci, k: k}
 	for {
@@ -114,49 +124,118 @@ func (c *ChunkCache) Get(ctx context.Context, owner any, ci, k int, load func() 
 			if e.err != nil {
 				return nil, false, e.err
 			}
-			return e.p, true, nil
+			c.mu.Lock()
+			first := e.ahead
+			e.ahead = false
+			c.mu.Unlock()
+			return e.p, !first, nil
 		}
-		e := &cacheEntry{key: key, ready: make(chan struct{})}
-		el := c.order.PushFront(e)
-		c.byKey[key] = el
-		c.misses++
+		el := c.claimLocked(key)
 		c.mu.Unlock()
 
 		// Decode outside the lock: loads are the expensive part and must not
 		// serialize fetches of different chunks.
 		p, err := load()
-
-		c.mu.Lock()
+		c.settle(el, p, err)
 		if err != nil {
-			// Failed loads are not cached: drop the entry so a later touch
-			// retries. Cancelled loads additionally mark the flight for
-			// retry so waiters re-arm instead of inheriting the error.
-			e.err = err
-			e.retry = obsv.IsCancellation(err)
-			if el2, ok := c.byKey[key]; ok && el2 == el {
-				c.order.Remove(el)
-				delete(c.byKey, key)
-			}
-			c.mu.Unlock()
-			close(e.ready)
 			return nil, false, err
 		}
+		return p, false, nil
+	}
+}
+
+// claimLocked inserts a loading entry for key at the front of the LRU
+// and counts the miss. Caller holds c.mu and has checked key is absent.
+func (c *ChunkCache) claimLocked(key chunkKey) *list.Element {
+	el := c.order.PushFront(&cacheEntry{key: key, ready: make(chan struct{})})
+	c.byKey[key] = el
+	c.misses++
+	return el
+}
+
+// settle finishes the flight of a claimed entry and wakes its waiters.
+// A payload is cached (evicting LRU entries to honor the budget) unless
+// its source closed mid-flight. Failed loads are not cached: the entry
+// is dropped so a later touch retries, and a cancelled load
+// additionally marks the flight for retry so waiters re-arm instead of
+// inheriting the canceller's error.
+func (c *ChunkCache) settle(el *list.Element, p *storage.ChunkPayload, err error) {
+	e := el.Value.(*cacheEntry)
+	c.mu.Lock()
+	if err != nil {
+		e.err = err
+		e.retry = obsv.IsCancellation(err)
+	} else {
 		e.p = p
 		e.bytes = p.MemBytes()
-		if e.dropped {
-			// The source closed while this load was in flight: serve the
-			// waiters but leave nothing cached under the dead source.
-			if el2, ok := c.byKey[key]; ok && el2 == el {
-				c.order.Remove(el)
-				delete(c.byKey, key)
-			}
-		} else {
-			c.used += e.bytes
-			c.evictLocked()
+	}
+	if err != nil || e.dropped {
+		if el2, ok := c.byKey[e.key]; ok && el2 == el {
+			c.order.Remove(el)
+			delete(c.byKey, e.key)
 		}
-		c.mu.Unlock()
-		close(e.ready)
-		return p, false, nil
+	} else {
+		c.used += e.bytes
+		c.evictLocked()
+	}
+	c.mu.Unlock()
+	close(e.ready)
+}
+
+// Claim is a batch of loading slots one loader reserved together (see
+// ChunkCache.Claim): Ks lists the claimed chunks in order.
+type Claim struct {
+	c   *ChunkCache
+	Ks  []int
+	els []*list.Element
+}
+
+// Claim reserves a loading slot for each chunk of ks (column ci of
+// owner) that is neither resident nor already loading, in order, up to
+// limit slots — the multi-chunk counterpart of Get's miss path, for a
+// source that loads a window of chunks in one round trip. Concurrent
+// Gets of a claimed chunk join its flight exactly as they join a Get's.
+// The caller must settle every claimed slot, through Fill for each
+// loaded payload and then Finish.
+func (c *ChunkCache) Claim(owner any, ci int, ks []int, limit int) *Claim {
+	cl := &Claim{c: c}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range ks {
+		if len(cl.Ks) == limit {
+			break
+		}
+		key := chunkKey{src: owner, ci: ci, k: k}
+		if _, ok := c.byKey[key]; ok {
+			continue
+		}
+		el := c.claimLocked(key)
+		el.Value.(*cacheEntry).ahead = true
+		cl.Ks = append(cl.Ks, k)
+		cl.els = append(cl.els, el)
+	}
+	return cl
+}
+
+// Fill publishes the payload of the claim's i-th chunk (Ks[i]).
+func (cl *Claim) Fill(i int, p *storage.ChunkPayload) {
+	cl.c.settle(cl.els[i], p, nil)
+	cl.els[i] = nil
+}
+
+// Finish fails every slot Fill has not published with err (a nil err is
+// a loader bug and fails them all the same), so a cancelled batch
+// re-arms each slot it claimed and waiters retry under their own
+// contexts.
+func (cl *Claim) Finish(err error) {
+	if err == nil {
+		err = errors.New("colstore: chunk claim finished without a payload")
+	}
+	for i, el := range cl.els {
+		if el != nil {
+			cl.c.settle(el, nil, err)
+			cl.els[i] = nil
+		}
 	}
 }
 

@@ -872,8 +872,8 @@ func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *stor
 	} else if zm.NullCount > 0 {
 		return zm, fmt.Errorf("chunk claims %d nulls but carries no bitmap", zm.NullCount)
 	}
-	// Values decode with one bounds check per chunk, not per element,
-	// into local slices the loops can keep in registers.
+	// Values decode with one bounds check per chunk, not per element;
+	// 8-byte runs are one copy on little-endian hosts (see words.go).
 	switch f.Type {
 	case storage.Int64:
 		if !d.need(8 * chunkRows) {
@@ -882,10 +882,7 @@ func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *stor
 		if p.Ints == nil {
 			p.Ints = make([]int64, chunkRows)
 		}
-		vals, buf := p.Ints, d.data[d.off:]
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		decodeInt64s(p.Ints, d.data[d.off:])
 		d.off += 8 * chunkRows
 	case storage.Float64:
 		if !d.need(8 * chunkRows) {
@@ -894,10 +891,7 @@ func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *stor
 		if p.Floats == nil {
 			p.Floats = make([]float64, chunkRows)
 		}
-		vals, buf := p.Floats, d.data[d.off:]
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		decodeFloat64s(p.Floats, d.data[d.off:])
 		d.off += 8 * chunkRows
 	case storage.Bool:
 		if !d.need(8 * chunkWords) {

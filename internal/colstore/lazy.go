@@ -429,57 +429,66 @@ func (lf *lazyFile) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPa
 	if ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
 		return nil, false, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
 	}
-	led := obsv.LedgerFrom(ctx)
 	return lf.cache.Get(ctx, lf, ci, k, func() (*storage.ChunkPayload, error) {
-		if err := obsv.CheckCtx(ctx, "colstore.load"); err != nil {
-			return nil, err
-		}
-		lf.closeMu.RLock()
-		defer lf.closeMu.RUnlock()
-		if lf.closed.Load() {
-			return nil, fmt.Errorf("colstore: %s: store closed", lf.path)
-		}
-		ref := lf.dir[ci][k]
-		raw, err := lf.readRange(ref.off, ref.length)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: %s: reading chunk (%d,%d): %w", lf.path, ci, k, err)
-		}
-		lf.bytesRead.Add(ref.length)
-		led.ReadBytes(ref.length)
-		if got := crc32.ChecksumIEEE(raw); got != ref.crc {
-			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
-				lf.path, ci, k, ref.crc, got)
-		}
-		p := &storage.ChunkPayload{}
-		if err := lf.decodeChunk(ci, k, raw, p); err != nil {
-			return nil, fmt.Errorf("colstore: %s: chunk (%d,%d): %w", lf.path, ci, k, err)
-		}
-		lf.chunksDecoded.Add(1)
-		led.StoreChunkDecoded()
-		return p, nil
+		return lf.loadChunk(ctx, ci, k)
 	})
+}
+
+// loadChunk reads, CRC-checks and decodes chunk (ci, k) — the cache-miss
+// path of a fetch or a prefetch.
+func (lf *lazyFile) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, error) {
+	if err := obsv.CheckCtx(ctx, "colstore.load"); err != nil {
+		return nil, err
+	}
+	lf.closeMu.RLock()
+	defer lf.closeMu.RUnlock()
+	if lf.closed.Load() {
+		return nil, fmt.Errorf("colstore: %s: store closed", lf.path)
+	}
+	ref := lf.dir[ci][k]
+	raw, err := lf.readRange(ref.off, ref.length)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: %s: reading chunk (%d,%d): %w", lf.path, ci, k, err)
+	}
+	led := obsv.LedgerFrom(ctx)
+	lf.bytesRead.Add(ref.length)
+	led.ReadBytes(ref.length)
+	if got := crc32.ChecksumIEEE(raw); got != ref.crc {
+		return nil, fmt.Errorf("colstore: %s: chunk (%d,%d) checksum mismatch (directory %08x, computed %08x)",
+			lf.path, ci, k, ref.crc, got)
+	}
+	p := &storage.ChunkPayload{}
+	if err := lf.decodeChunk(ci, k, raw, p); err != nil {
+		return nil, fmt.Errorf("colstore: %s: chunk (%d,%d): %w", lf.path, ci, k, err)
+	}
+	lf.chunksDecoded.Add(1)
+	led.StoreChunkDecoded()
+	return p, nil
 }
 
 // maxPrefetchInFlight bounds a file's concurrent speculative chunk
 // loads; the scan itself is never throttled by this.
 const maxPrefetchInFlight = 4
 
-// PrefetchChunk implements storage.ChunkSource: an asynchronous,
-// single-flight, eviction-aware fetch of a chunk a sequential scan is
-// about to touch. It is a no-op when the chunk is already resident (or
-// loading), when caching it would evict something, or when too many
-// prefetches are in flight — a prefetch must only ever hide latency,
-// never change what the scan decodes or keeps. The load keeps the
-// request's values (its read and decode bill the originating query's
-// ledger) but detaches from its cancellation — the query may finish
-// before the flight does.
-func (lf *lazyFile) PrefetchChunk(ctx context.Context, ci, k int) {
-	if lf.closed.Load() || ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
+// PrefetchChunks implements storage.ChunkSource: when the scan's next
+// chunk ks[0] is about to miss, an asynchronous, single-flight,
+// eviction-aware fetch of the chunk after it, so that chunk's read
+// overlaps the scan's decode of this one; a local read gains nothing
+// from batching more. It is a no-op when ks[0] is resident (or loading),
+// when the chunk after it is, when caching that chunk would evict
+// something, or when too many prefetches are in flight — a prefetch must
+// only ever hide latency, never change what the scan decodes or keeps.
+// The load keeps the request's values (its read and decode bill the
+// originating query's ledger) but detaches from its cancellation — the
+// query may finish before the flight does.
+func (lf *lazyFile) PrefetchChunks(ctx context.Context, ci int, ks []int) {
+	if len(ks) < 2 || lf.closed.Load() || ci < 0 || ci >= len(lf.dir) || ks[0] < 0 || ks[1] >= len(lf.dir[ci]) {
 		return
 	}
-	if lf.cache.Contains(lf, ci, k) {
+	if lf.cache.Contains(lf, ci, ks[0]) {
 		return
 	}
+	k := ks[1]
 	// Estimate the decoded footprint from the chunk's row count (8 bytes
 	// per row bounds every column type this store encodes).
 	if !lf.cache.HasRoom(int64(lf.chunkRows(k)) * 8) {
@@ -489,12 +498,23 @@ func (lf *lazyFile) PrefetchChunk(ctx context.Context, ci, k int) {
 		lf.prefetching.Add(-1)
 		return
 	}
+	// The slot is claimed before the load starts, so the scan's fetch of
+	// k always joins this flight instead of racing it.
+	cl := lf.cache.Claim(lf, ci, []int{k}, 1)
+	if len(cl.Ks) == 0 {
+		lf.prefetching.Add(-1)
+		return
+	}
 	ctx = context.WithoutCancel(ctx)
 	go func() {
 		defer lf.prefetching.Add(-1)
-		// Errors are ignored: failed loads are never cached, so the scan's
-		// own fetch retries and reports them.
-		_, _, _ = lf.FetchChunk(ctx, ci, k)
+		// A failed load is not cached: the scan's own fetch retries and
+		// reports it.
+		p, err := lf.loadChunk(ctx, ci, k)
+		if err == nil {
+			cl.Fill(0, p)
+		}
+		cl.Finish(err)
 	}()
 }
 

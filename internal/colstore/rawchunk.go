@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -21,55 +22,73 @@ import (
 func (s *Store) WireVersion() byte { return Version }
 
 // RawChunk returns the encoded bytes of chunk k of column ci (the
-// flags..values range the directory names) and their CRC-32 (IEEE).
-// Lazy stores serve the stored byte range and the directory's per-chunk
-// CRC without decoding; eager stores re-encode the chunk. The returned
-// slice is caller-owned.
+// flags..values range the directory names) and their CRC-32 (IEEE), in
+// a caller-owned slice (see AppendRawChunk).
 func (s *Store) RawChunk(ci, k int) ([]byte, uint32, error) {
+	return s.AppendRawChunk(nil, ci, k)
+}
+
+// AppendRawChunk appends the encoded bytes of chunk k of column ci to
+// dst and returns the extended slice with the chunk's CRC-32 (IEEE).
+// Lazy stores copy the stored byte range straight out of the file and
+// return the directory's per-chunk CRC without decoding; eager stores
+// re-encode the chunk. A server framing many chunks into one reused
+// buffer pays no per-chunk allocation.
+func (s *Store) AppendRawChunk(dst []byte, ci, k int) ([]byte, uint32, error) {
 	if s.lazy != nil {
-		return s.lazy.rawChunk(ci, k)
+		return s.lazy.appendRawChunk(dst, ci, k)
 	}
 	t := s.table
 	if ci < 0 || ci >= t.NumCols() {
-		return nil, 0, fmt.Errorf("colstore: column %d out of range", ci)
+		return dst, 0, fmt.Errorf("colstore: column %d out of range", ci)
 	}
 	ck := t.Chunking()
 	if ck == nil {
-		return nil, 0, fmt.Errorf("colstore: store table has no chunk metadata")
+		return dst, 0, fmt.Errorf("colstore: store table has no chunk metadata")
 	}
 	numChunks := ck.NumChunks(t.NumRows())
 	if k < 0 || k >= numChunks {
-		return nil, 0, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
+		return dst, 0, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
 	}
 	lo := k * ck.Size
 	hi := min(lo+ck.Size, t.NumRows())
-	var buf bytes.Buffer
-	e := &encoder{w: &buf}
+	buf := bytes.NewBuffer(dst)
+	e := &encoder{w: buf}
 	e.chunk(t.Column(ci), ck.Zones[ci][k], storage.NullWords(t.Column(ci)), lo, hi)
 	if e.err != nil {
-		return nil, 0, e.err
+		return dst, 0, e.err
 	}
-	raw := buf.Bytes()
-	return raw, crc32.ChecksumIEEE(raw), nil
+	out := buf.Bytes()
+	return out, crc32.ChecksumIEEE(out[len(dst):]), nil
 }
 
-// rawChunk reads the stored byte range of chunk (ci, k), copying it out
-// of the mapping so the caller's slice survives Close.
-func (lf *lazyFile) rawChunk(ci, k int) ([]byte, uint32, error) {
+// appendRawChunk appends the stored byte range of chunk (ci, k) to dst,
+// copying it out of the mapping so the caller's slice survives Close.
+func (lf *lazyFile) appendRawChunk(dst []byte, ci, k int) ([]byte, uint32, error) {
 	if ci < 0 || ci >= len(lf.dir) || k < 0 || k >= len(lf.dir[ci]) {
-		return nil, 0, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
+		return dst, 0, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)
 	}
 	lf.closeMu.RLock()
 	defer lf.closeMu.RUnlock()
 	if lf.closed.Load() {
-		return nil, 0, fmt.Errorf("colstore: %s: store closed", lf.path)
+		return dst, 0, fmt.Errorf("colstore: %s: store closed", lf.path)
 	}
 	ref := lf.dir[ci][k]
 	raw, err := lf.readRange(ref.off, ref.length)
 	if err != nil {
-		return nil, 0, fmt.Errorf("colstore: %s: reading chunk (%d,%d): %w", lf.path, ci, k, err)
+		return dst, 0, fmt.Errorf("colstore: %s: reading chunk (%d,%d): %w", lf.path, ci, k, err)
 	}
-	return append([]byte(nil), raw...), ref.crc, nil
+	return append(dst, raw...), ref.crc, nil
+}
+
+// MaxChunkBytes bounds the encoded size of a chunk of chunkRows rows in
+// any column: the largest zone-map header (flags, min/max, two varints
+// and a full code set), the null words, and 8 bytes per row — the
+// widest value encoding. A reader checks wire lengths against it before
+// allocating for them.
+func MaxChunkBytes(chunkRows int) int {
+	const maxHeader = 1 + 16 + 3*binary.MaxVarintLen64 + 8*((storage.MaxZoneCodes+63)/64)
+	return maxHeader + 8*((chunkRows+63)/64) + 8*chunkRows
 }
 
 // NumChunks returns the store's chunk count per column.

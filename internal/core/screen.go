@@ -198,7 +198,7 @@ func screenColumn(ctx context.Context, col storage.Column, f storage.Field, sel 
 // with the ChunkError; the pipeline's recovery converts it to an error.
 func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Field, sel *bitvec.Vector, opts ScreenOptions, limit int) *ScreenFinding {
 	visit := func(fn func(p *storage.ChunkPayload, l int) bool) {
-		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err := c.ForEachSelectedUntil(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
 			return fn(p, i-lo)
 		})
 		if err != nil {

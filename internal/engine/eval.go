@@ -158,13 +158,12 @@ func ExtractNumericUnder(ctx context.Context, dst []float64, t *storage.Table, a
 		}
 		// Chunk-wise: chunks with no selected rows are never fetched, so
 		// a selective extraction reads only the touched byte ranges.
-		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
 			if l := i - lo; !p.IsNull(l) {
 				v := p.Numeric(l)
 				out = append(out, v)
 				sum.observe(v)
 			}
-			return true
 		})
 		if err != nil {
 			return nil, sum, err
@@ -223,11 +222,10 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 			return nil, nil, err
 		}
 		counts = make([]int, len(dict))
-		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
 			if l := i - lo; !p.IsNull(l) {
 				counts[p.Codes[l]]++
 			}
-			return true
 		})
 		if err != nil {
 			return nil, nil, err
@@ -269,7 +267,7 @@ func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel 
 		if lc.Type() != storage.Bool {
 			return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 		}
-		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
+		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
 			if l := i - lo; !p.IsNull(l) {
 				if p.Bools[l] {
 					trues++
@@ -277,7 +275,6 @@ func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel 
 					falses++
 				}
 			}
-			return true
 		})
 		if err != nil {
 			return 0, 0, err

@@ -147,50 +147,51 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	}
 	numChunks := ck.NumChunks(n)
 	wordsPerChunk := ck.Size / 64
-	partChunk := func(k int) error {
+	partChunk := func(k int, p *storage.ChunkPayload) {
+		w0 := k * wordsPerChunk
+		part(w0, min(w0+wordsPerChunk, len(selWords)), p)
+	}
+	workers := min(opts.Workers, numChunks)
+	if lazyCol == nil {
+		if workers <= 1 {
+			part(0, len(selWords), nil)
+			return out, nil
+		}
+		err := par.For(workers, numChunks, func(k int) error {
+			// Chunk-granular cancellation, before any row visit.
+			if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
+				return err
+			}
+			partChunk(k, nil)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	// Only chunks holding a selected row are fetched, and that list is
+	// known up front: each fetch is preceded by the hint of the touched
+	// chunks from it on, so a remote source that would miss loads them in
+	// one round trip instead.
+	touched := storage.TouchedChunks(selWords, wordsPerChunk)
+	err = par.For(workers, len(touched), func(ti int) error {
 		// Chunk-granular cancellation, before any fetch or row visit.
 		if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
 			return err
 		}
-		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(selWords) {
-			w1 = len(selWords)
+		k := touched[ti]
+		lazyCol.PrefetchHint(ctx, storage.HintWindow(touched, ti))
+		p, hit, err := lazyCol.Chunk(ctx, k)
+		if err != nil {
+			return err
 		}
-		var p *storage.ChunkPayload
-		if lazyCol != nil {
-			if !anyWordsRange(selWords, w0, w1) {
-				return nil
-			}
-			var hit bool
-			var err error
-			p, hit, err = lazyCol.Chunk(ctx, k)
-			if err != nil {
-				return err
-			}
-			countFetch(opts.Stats, hit)
-			led.ChunkFetch(hit)
-		}
-		part(w0, w1, p)
+		countFetch(opts.Stats, hit)
+		led.ChunkFetch(hit)
+		partChunk(k, p)
 		return nil
-	}
-	workers := opts.Workers
-	if workers > numChunks {
-		workers = numChunks
-	}
-	if workers <= 1 {
-		if lazyCol == nil {
-			part(0, len(selWords), nil)
-			return out, nil
-		}
-		for k := 0; k < numChunks; k++ {
-			if err := partChunk(k); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := par.For(workers, numChunks, partChunk); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

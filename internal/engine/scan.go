@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -406,12 +407,11 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		}
 		return ck.Size
 	}
-	// On the serial path (one chunk in flight at a time) a lazy fetch of
-	// chunk k hints the source to prefetch the next chunk this predicate
-	// will also scan — verdict-checked first, so pruned and all-match
-	// chunks are never speculatively decoded. The parallel path skips the
-	// hint: its workers already overlap fetches.
-	serial := false
+	// A lazy fetch is preceded by the hint of the window it opens — the
+	// chunk, then those this predicate will certainly scan after it — so a
+	// remote source that would miss loads them in one round trip instead;
+	// pruned, all-match and possibly-emptied chunks are never named.
+	certain := certainFetches(cps, ck.Zones, words, wordsPerChunk, numChunks, chunkRowsOf)
 	scanChunk := func(k int) error {
 		// Chunk-granular cancellation: a dead caller abandons the scan
 		// here, before any fetch or row test for this chunk.
@@ -448,16 +448,14 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 			default:
 				match := cp.match
 				if cp.lazyCol != nil {
+					var window [storage.PrefetchWindow]int
+					cp.lazyCol.PrefetchHint(ctx, fetchWindow(window[:0], certain[i], k))
 					pl, hit, err := cp.lazyCol.Chunk(ctx, k)
 					if err != nil {
 						return err
 					}
 					countFetch(opts.Stats, hit)
 					led.ChunkFetch(hit)
-					if serial && !hit && k+1 < numChunks &&
-						cp.zone(ck.Zones[cp.colIdx][k+1], chunkRowsOf(k+1)) == zoneScan {
-						cp.lazyCol.PrefetchHint(ctx, k+1)
-					}
 					match = cp.mkMatch(pl, k*ck.Size)
 				}
 				andWordsRange(words, w0, w1, match)
@@ -474,7 +472,6 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		workers = numChunks
 	}
 	if workers <= 1 {
-		serial = true
 		for k := 0; k < numChunks; k++ {
 			if err := scanChunk(k); err != nil {
 				return err
@@ -483,6 +480,49 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		return nil
 	}
 	return par.For(workers, numChunks, scanChunk)
+}
+
+// certainFetches lists, per predicate on a lazy column (nil entries
+// otherwise), the chunks the scan will certainly fetch for it: chunks
+// holding a selected row at scan start, on which every earlier
+// predicate's zone verdict is full — so their bits are untouched when
+// this predicate's turn comes — and its own is scan. Only these may be
+// hinted: a hint names chunks the scan reads, never ones an earlier
+// predicate could still empty.
+func certainFetches(cps []compiledPred, zones [][]storage.ZoneMap, words []uint64, wordsPerChunk, numChunks int, chunkRows func(int) int) [][]int {
+	certain := make([][]int, len(cps))
+	lazy := false
+	for i := range cps {
+		lazy = lazy || cps[i].lazyCol != nil
+	}
+	if !lazy {
+		return certain
+	}
+	for k := 0; k < numChunks; k++ {
+		w0 := k * wordsPerChunk
+		if !anyWordsRange(words, w0, min(w0+wordsPerChunk, len(words))) {
+			continue
+		}
+		for i := range cps {
+			v := cps[i].zone(zones[cps[i].colIdx][k], chunkRows(k))
+			if v == zoneScan && cps[i].lazyCol != nil {
+				certain[i] = append(certain[i], k)
+			}
+			if v != zoneFull {
+				break
+			}
+		}
+	}
+	return certain
+}
+
+// fetchWindow appends to dst the hint that precedes a fetch of chunk k
+// for a predicate whose certain fetches are certain: k, then the certain
+// chunks after it.
+func fetchWindow(dst, certain []int, k int) []int {
+	dst = append(dst, k)
+	ti := sort.SearchInts(certain, k+1)
+	return append(dst, certain[ti:min(ti+storage.PrefetchWindow-1, len(certain))]...)
 }
 
 // andWordsRange clears, in every non-zero word of words[w0:w1], the bits

@@ -1,7 +1,10 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -254,9 +257,10 @@ func TestBreakerSingleReplicaSelfHeals(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptionFailsOver: one shard's primary corrupts chunk
-// bodies, another's truncates them. The CRC/length checks must catch
-// both and rotate to the clean replica, byte-identically.
+// TestChaosCorruptionFailsOver: one shard's primary corrupts one chunk
+// inside every multi-chunk window it answers, another's truncates its
+// chunk bodies. The per-frame CRC and length checks must catch both, and
+// the whole window fails over to the clean replica, byte-identically.
 func TestChaosCorruptionFailsOver(t *testing.T) {
 	tbl := datagen.Census(8_000, 5)
 	local := writeShardedInputs(t, tbl, 2, 256)
@@ -265,7 +269,21 @@ func TestChaosCorruptionFailsOver(t *testing.T) {
 	want := unshardedRef(t, tbl, q)
 
 	chunkOnly := func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/chunk") }
-	rf.injectors[0][0].Match(chunkOnly)
+	// A window of several chunks: the flipped byte lands inside one of
+	// its frames, and the rest of the window is sound.
+	windowOnly := func(r *http.Request) bool {
+		if !chunkOnly(r) {
+			return false
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return false
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req chunkReqDTO
+		return json.Unmarshal(body, &req) == nil && len(req.Chunks) > 1
+	}
+	rf.injectors[0][0].Match(windowOnly)
 	rf.injectors[0][0].SetFault(chaos.Corrupt)
 	rf.injectors[1][0].Match(chunkOnly)
 	rf.injectors[1][0].SetFault(chaos.Truncate)
@@ -291,6 +309,9 @@ func TestChaosCorruptionFailsOver(t *testing.T) {
 	}
 	if rf.injectors[0][0].Injected() == 0 || rf.injectors[1][0].Injected() == 0 {
 		t.Error("chaos faults were never exercised — test lost its teeth")
+	}
+	if served := rf.shardSrv[0][1].Stats().ChunkServes; served == 0 {
+		t.Error("no window failed over to shard 0's clean replica")
 	}
 	if opener.Stats().Failovers == 0 {
 		t.Error("no failover recorded despite tampered payloads")
@@ -335,11 +356,14 @@ func TestBatchStatsOneRPCPerShard(t *testing.T) {
 	q := query.New("census")
 	want := unshardedRef(t, tbl, q)
 
-	var batchRPCs atomic.Int64
+	var batchRPCs, chunkRPCs atomic.Int64
 	f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/batchstats") {
+			switch {
+			case strings.HasSuffix(r.URL.Path, "/batchstats"):
 				batchRPCs.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/chunk"):
+				chunkRPCs.Add(1)
 			}
 			h.ServeHTTP(w, r)
 		})
@@ -356,16 +380,16 @@ func TestBatchStatsOneRPCPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0 := opener.Stats()
+	s0, c0 := opener.Stats(), chunkRPCs.Load()
 	res, err := cart.Explore(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := opener.Stats()
+	s1, c1 := opener.Stats(), chunkRPCs.Load()
 	if got := renderResult(res); got != want {
 		t.Errorf("batch-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	statsRPCs := (s1.RPCs - s0.RPCs) - (s1.ChunkFetches - s0.ChunkFetches)
+	statsRPCs := (s1.RPCs - s0.RPCs) - (c1 - c0)
 	if n := int64(set.NumShards()); batchRPCs.Load() != n || statsRPCs != n {
 		t.Errorf("cold explore made %d batchstats and %d statistics-plane RPCs over %d shards, want one each per shard",
 			batchRPCs.Load(), statsRPCs, n)

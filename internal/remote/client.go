@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -75,11 +74,11 @@ type counters struct {
 // servers holding the same immutable shard file. It implements
 // shard.RemoteBackend and is its own storage.ChunkSource, so a
 // shard.Set routes through it exactly as it routes through a local
-// file. Requests share a pooled transport, are bounded in flight
-// per shard, and every fetched chunk is CRC-checked before it is
-// decoded. Failures rotate to the next healthy replica (see
-// replica.go); retries against the same replica back off exponentially
-// with jitter.
+// file. Requests share a pooled transport, are bounded in flight per
+// shard and read into recycled buffers; chunks travel a window per
+// request, every one CRC-checked before it is decoded. Failures rotate
+// to the next healthy replica (see replica.go); retries against the same
+// replica back off exponentially with jitter.
 type Client struct {
 	primary string     // manifest's primary location — names this shard in errors
 	reps    []*replica // dial order: primary first, then replicas
@@ -95,6 +94,7 @@ type Client struct {
 
 	cache *colstore.ChunkCache
 	stats *counters // opener-wide aggregates
+	bufs  *bufPool  // opener-wide recycled response buffers
 	// Per-shard counters behind IOStats (a Set sums its shards', so
 	// these must not alias the opener-wide totals).
 	ownBytes  atomic.Int64
@@ -122,8 +122,7 @@ type Client struct {
 	catStats  map[string]catCountsDTO
 	boolStats map[string]boolCountsDTO
 
-	prefetching atomic.Int64
-	closed      atomic.Bool
+	closed atomic.Bool
 }
 
 var _ shard.RemoteBackend = (*Client)(nil)
@@ -138,13 +137,9 @@ type dictSlot struct {
 // context is the caller's: when a query forces a deferred shard open,
 // the open's own RPCs are traced and billed to that query.
 func (c *Client) init(ctx context.Context) error {
-	data, _, err := c.do(ctx, "meta", http.MethodGet, "/shard/v1/meta", nil, nil, nil)
-	if err != nil {
-		return err
-	}
 	var meta metaDTO
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return &ShardError{Location: c.primary, Op: "meta", Err: err}
+	if err := c.getJSON(ctx, "meta", "/shard/v1/meta", nil, &meta); err != nil {
+		return err
 	}
 	if meta.Rows < 0 || meta.ChunkSize <= 0 || meta.ChunkSize%64 != 0 {
 		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("implausible shape rows=%d chunkSize=%d", meta.Rows, meta.ChunkSize)}
@@ -168,13 +163,9 @@ func (c *Client) init(ctx context.Context) error {
 	c.schema = schema
 	c.dicts = make([]dictSlot, len(fields))
 
-	data, _, err = c.do(ctx, "zones", http.MethodGet, "/shard/v1/zones", nil, nil, nil)
-	if err != nil {
-		return err
-	}
 	var zdto zonesDTO
-	if err := json.Unmarshal(data, &zdto); err != nil {
-		return &ShardError{Location: c.primary, Op: "zones", Err: err}
+	if err := c.getJSON(ctx, "zones", "/shard/v1/zones", nil, &zdto); err != nil {
+		return err
 	}
 	numChunks := c.numChunks()
 	if len(zdto.Zones) != len(fields) {
@@ -228,10 +219,12 @@ func (c *Client) numChunks() int {
 // ---- transport ----
 
 // do runs one fabric request with bounded in-flight admission,
-// replica rotation and per-shard retries. check validates a successful
-// response (length and CRC tests); its failures are retried like
-// transport errors, because a truncated or corrupted body may be
-// transient. A failed attempt strikes that replica's circuit breaker
+// replica rotation and per-shard retries. A successful response body —
+// at most limit bytes when limit > 0 — is handed to read, which must
+// copy out whatever it keeps: the buffer is recycled once read returns.
+// read's failures (malformed, truncated or corrupted bodies) are retried
+// like transport errors, because they may be transient. A failed
+// attempt strikes that replica's circuit breaker
 // and the next attempt rotates forward to the next admissible replica
 // — sleeping (jittered exponential backoff) only when it lands on the
 // same replica again, because waiting is pointless when a different
@@ -243,15 +236,15 @@ func (c *Client) numChunks() int {
 // "rpc <op>" span with one child per attempt; the server's own span
 // subtree comes back in the response headers and is grafted under the
 // attempt that succeeded. Untraced contexts skip all of it.
-func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, body []byte, check func([]byte, http.Header) error) ([]byte, http.Header, error) {
+func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, body []byte, limit int64, read func([]byte) error) error {
 	rid := obsv.RequestIDFrom(ctx)
 	if c.closed.Load() {
-		return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: errors.New("client closed")}
+		return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: errors.New("client closed")}
 	}
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.admit")}
+		return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.admit")}
 	}
 	defer func() { <-c.sem }()
 	rctx, rsp := obsv.StartSpan(ctx, "rpc "+op)
@@ -267,7 +260,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 		if ctx.Err() != nil {
 			// The caller is gone or out of time: stop retrying. Whatever
 			// the last replica did, the cause here is ours — no strike.
-			return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.rpc")}
+			return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.rpc")}
 		}
 		i := c.pick(start, time.Now())
 		r := c.reps[i]
@@ -279,7 +272,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 			} else {
 				sameStreak++
 				if !sleepCtx(ctx, backoffJitter(c.retryWait, sameStreak, c.maxRetryWait)) {
-					return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.backoff")}
+					return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.backoff")}
 				}
 			}
 		}
@@ -299,17 +292,14 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 			}
 		}
 		began := time.Now()
-		data, hdr, err := c.doOnce(actx, r.url, method, path, q, body, rid)
-		if err == nil && check != nil {
-			err = check(data, hdr)
-		}
+		err := c.doOnce(actx, r.url, method, path, q, body, rid, limit, read)
 		cancelAttempt()
 		elapsed := time.Since(began)
 		if err == nil {
 			r.onSuccess(elapsed)
 			asp.End()
 			c.cur.Store(int32(i))
-			return data, hdr, nil
+			return nil
 		}
 		lastErr = err
 		asp.SetAttr("error", err.Error())
@@ -327,7 +317,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 			// while the caller is still live is NOT this case — that one
 			// strikes below, because the replica really did hang.
 			asp.End()
-			return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.rpc")}
+			return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: obsv.Cancelled(ctx, "fabric.rpc")}
 		}
 		// The time burned on a failed attempt — timeout included — is
 		// charged to the replica that failed, so ShardHealth latencies
@@ -339,7 +329,7 @@ func (c *Client) do(ctx context.Context, op, method, path string, q url.Values, 
 		asp.End()
 		start = i + 1 // rotate past the replica that just failed
 	}
-	return nil, nil, &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: lastErr}
+	return &ShardError{Location: c.primary, Op: op, RequestID: rid, Err: lastErr}
 }
 
 // minAttemptBudget is the smallest remaining-deadline slice worth
@@ -405,8 +395,11 @@ func (c *Client) Replicas() []shard.ReplicaHealth {
 // counters, the attempt bills the context's resource ledger at the very
 // same sites: one RPC, and the response body both as wire traffic
 // (fabric plane) and as bytes read (store plane — ownBytes is what this
-// shard's IOStats reports as BytesRead).
-func (c *Client) doOnce(ctx context.Context, base, method, path string, q url.Values, body []byte, rid string) ([]byte, http.Header, error) {
+// shard's IOStats reports as BytesRead). A body with a declared length
+// is read into one recycled buffer of exactly that size, after the
+// length is checked against limit — so a lying Content-Length costs
+// nothing — and handed to read.
+func (c *Client) doOnce(ctx context.Context, base, method, path string, q url.Values, body []byte, rid string, limit int64, read func([]byte) error) error {
 	u := base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -417,7 +410,7 @@ func (c *Client) doOnce(ctx context.Context, base, method, path string, q url.Va
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -441,19 +434,40 @@ func (c *Client) doOnce(ctx context.Context, base, method, path string, q url.Va
 	led.RPC()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	if resp.StatusCode == http.StatusOK && limit > 0 && resp.ContentLength > limit {
+		return fmt.Errorf("declared body of %d bytes exceeds the %d bytes the request can encode to", resp.ContentLength, limit)
+	}
+	var data []byte
+	// A declared length sizes the buffer only when it is bounded — by
+	// limit, or by what the pool keeps — so a lying Content-Length on an
+	// unbounded answer costs no more than the bytes that really arrive.
+	if n := resp.ContentLength; n >= 0 && resp.StatusCode == http.StatusOK && (limit > 0 || n <= poolBufMax) {
+		data = c.bufs.get(int(n))
+		defer func() { c.bufs.put(data) }()
+		var got int
+		got, err = io.ReadFull(resp.Body, data)
+		if err != nil {
+			err = fmt.Errorf("truncated body: %d of %d bytes: %w", got, n, err)
+		}
+		data = data[:got]
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
 	c.stats.bytesIn.Add(int64(len(data)))
 	c.ownBytes.Add(int64(len(data)))
 	led.WireBytes(int64(len(data)))
 	led.ReadBytes(int64(len(data)))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, &httpStatusError{status: resp.StatusCode, msg: strings.TrimSpace(string(data))}
+		return &httpStatusError{status: resp.StatusCode, msg: strings.TrimSpace(string(data))}
+	}
+	if limit > 0 && int64(len(data)) > limit {
+		return fmt.Errorf("body of %d bytes exceeds the %d bytes the request can encode to", len(data), limit)
 	}
 	if sp != nil {
 		if enc := resp.Header.Get(headerSpans); enc != "" {
@@ -462,19 +476,15 @@ func (c *Client) doOnce(ctx context.Context, base, method, path string, q url.Va
 			}
 		}
 	}
-	return data, resp.Header, nil
+	return read(data)
 }
 
-// getJSON runs a GET and decodes its JSON answer.
+// getJSON runs a GET and decodes its JSON answer; a malformed answer is
+// retried like a truncated one.
 func (c *Client) getJSON(ctx context.Context, op, path string, q url.Values, into any) error {
-	data, _, err := c.do(ctx, op, http.MethodGet, path, q, nil, nil)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, into); err != nil {
-		return &ShardError{Location: c.primary, Op: op, RequestID: obsv.RequestIDFrom(ctx), Err: err}
-	}
-	return nil
+	return c.do(ctx, op, http.MethodGet, path, q, nil, 0, func(data []byte) error {
+		return json.Unmarshal(data, into)
+	})
 }
 
 // postJSON runs a POST with a JSON body and decodes the JSON answer.
@@ -483,14 +493,9 @@ func (c *Client) postJSON(ctx context.Context, op, path string, reqBody, into an
 	if err != nil {
 		return &ShardError{Location: c.primary, Op: op, Err: err}
 	}
-	data, _, err := c.do(ctx, op, http.MethodPost, path, nil, body, nil)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, into); err != nil {
-		return &ShardError{Location: c.primary, Op: op, RequestID: obsv.RequestIDFrom(ctx), Err: err}
-	}
-	return nil
+	return c.do(ctx, op, http.MethodPost, path, nil, body, 0, func(data []byte) error {
+		return json.Unmarshal(data, into)
+	})
 }
 
 // ---- shard.Backend ----
@@ -562,105 +567,123 @@ func (c *Client) IOStats() colstore.IOStats {
 
 // ---- chunk plane ----
 
-// FetchChunk implements storage.ChunkSource: cache lookup, then one
-// RPC + CRC check + decode on a miss. Payload contents are identical to
-// a local open of the same shard file — the wire carries the file's own
-// chunk encoding. The request context rides into the RPC, so a traced
-// exploration sees which phase pulled which chunk over the wire.
+// FetchChunk implements storage.ChunkSource: a cache lookup, then — on a
+// miss — a window of one through fetchChunks, the path every chunk takes
+// over the wire. Payload contents are identical to a local open of the
+// same shard file: the wire carries the file's own chunk encoding. The
+// request context rides into the RPC, so a traced exploration sees which
+// phase pulled which chunk over the wire.
 func (c *Client) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	if ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return nil, false, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d) out of range", ci, k)}
 	}
 	return c.cache.Get(ctx, c, ci, k, func() (*storage.ChunkPayload, error) {
-		return c.loadChunk(ctx, ci, k)
+		ps, err := c.fetchChunks(ctx, ci, []int{k})
+		if err != nil {
+			return nil, err
+		}
+		return ps[0], nil
 	})
 }
 
-// loadChunk is the cache-miss path of FetchChunk.
-func (c *Client) loadChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, error) {
+// PrefetchChunks implements storage.ChunkSource: when the window's first
+// chunk — the scan's next — is neither resident nor loading, the
+// window's non-resident chunks are claimed as single-flight cache slots,
+// which the scan's FetchChunk of each joins or hits, and loaded in one
+// round trip under ctx before the call returns. The window is demand, so
+// its loads may evict LRU entries, but windowCap keeps it from evicting
+// itself or a concurrent window. A failed or cancelled load caches
+// nothing and re-arms every claimed slot: the scan's own fetch retries
+// and reports the failure.
+func (c *Client) PrefetchChunks(ctx context.Context, ci int, ks []int) {
+	if c.closed.Load() || ci < 0 || ci >= c.schema.NumFields() {
+		return
+	}
+	for i, k := range ks {
+		if k < 0 || k >= c.numChunks() || i > 0 && k <= ks[i-1] {
+			return
+		}
+	}
+	if len(ks) == 0 || c.cache.Contains(c, ci, ks[0]) {
+		return // the scan's next chunk is there or on its way
+	}
+	cl := c.cache.Claim(c, ci, ks, c.windowCap())
+	if len(cl.Ks) == 0 {
+		return
+	}
+	ps, err := c.fetchChunks(ctx, ci, cl.Ks)
+	for i, p := range ps {
+		cl.Fill(i, p)
+	}
+	cl.Finish(err)
+}
+
+// windowCap is the most chunks one window may claim: PrefetchWindow, and
+// under a bounded cache no more than an eighth of its budget holds (at 8
+// decoded bytes a row) — none when not even one chunk fits.
+func (c *Client) windowCap() int {
+	n := storage.PrefetchWindow
+	if b := c.cache.Budget(); b > 0 {
+		n = min(n, int(b/8/(int64(c.chunkSize)*8)))
+	}
+	return n
+}
+
+// chunkRows returns the row count of chunk k.
+func (c *Client) chunkRows(k int) int {
+	return min(c.chunkSize, c.rows-k*c.chunkSize)
+}
+
+// fetchChunks is the chunk plane's one fetch: chunks ks (ascending) of
+// column ci in one POST, answered by one framed body. The body is read
+// into a recycled buffer sized from its declared length — bounded, like
+// every frame, by what the requested chunks can encode to — its frames
+// checked against the request and their CRCs, and each chunk decoded
+// from its sub-slice into fresh payload arrays, so no payload aliases
+// the buffer. A bad answer is retried like a truncated one. Each chunk
+// is billed as a store decode; the RPC once.
+func (c *Client) fetchChunks(ctx context.Context, ci int, ks []int) ([]*storage.ChunkPayload, error) {
+	f := c.schema.Field(ci)
 	dictLen := 0
-	if c.schema.Field(ci).Type == storage.String {
+	if f.Type == storage.String {
 		dict, err := c.Dicts(ctx, ci)
 		if err != nil {
 			return nil, err
 		}
 		dictLen = len(dict)
 	}
-	check := func(data []byte, hdr http.Header) error {
-		if lenStr := hdr.Get(headerChunkLen); lenStr != "" {
-			if want, err := strconv.Atoi(lenStr); err == nil && want != len(data) {
-				return fmt.Errorf("truncated chunk (%d,%d): got %d of %d bytes", ci, k, len(data), want)
-			}
-		}
-		crcStr := hdr.Get(headerChunkCRC)
-		if crcStr == "" {
-			return fmt.Errorf("chunk (%d,%d): missing CRC header", ci, k)
-		}
-		want, err := strconv.ParseUint(crcStr, 16, 32)
+	body, err := json.Marshal(chunkReqDTO{Col: ci, Chunks: ks})
+	if err != nil {
+		return nil, &ShardError{Location: c.primary, Op: "chunk", Err: err}
+	}
+	frameLimit := func(k int) int { return colstore.MaxChunkBytes(c.chunkRows(k)) }
+	var limit int64
+	for _, k := range ks {
+		limit += int64(frameHeaderLen + frameLimit(k))
+	}
+	ps := make([]*storage.ChunkPayload, len(ks))
+	read := func(data []byte) error {
+		raws, err := parseFrames(data, ks, frameLimit)
 		if err != nil {
-			return fmt.Errorf("chunk (%d,%d): bad CRC header %q", ci, k, crcStr)
+			return err
 		}
-		if got := crc32.ChecksumIEEE(data); got != uint32(want) {
-			return fmt.Errorf("chunk (%d,%d): checksum mismatch (header %08x, computed %08x)", ci, k, want, got)
+		for i, raw := range raws {
+			if ps[i], err = colstore.DecodeChunk(raw, f, dictLen, c.chunkRows(ks[i]), ks[i], colstore.Version); err != nil {
+				return fmt.Errorf("chunk (%d,%d): %w", ci, ks[i], err)
+			}
 		}
 		return nil
 	}
-	q := url.Values{"col": {strconv.Itoa(ci)}, "chunk": {strconv.Itoa(k)}}
-	data, _, err := c.do(ctx, "chunk", http.MethodGet, "/shard/v1/chunk", q, nil, check)
-	if err != nil {
+	if err := c.do(ctx, "chunk", http.MethodPost, "/shard/v1/chunk", nil, body, limit, read); err != nil {
 		return nil, err
 	}
-	chunkRows := c.chunkSize
-	if hi := (k + 1) * c.chunkSize; hi > c.rows {
-		chunkRows = c.rows - k*c.chunkSize
+	c.stats.chunkFetches.Add(int64(len(ks)))
+	c.ownChunks.Add(int64(len(ks)))
+	led := obsv.LedgerFrom(ctx)
+	for range ks {
+		led.StoreChunkDecoded()
 	}
-	p, err := colstore.DecodeChunk(data, c.schema.Field(ci), dictLen, chunkRows, k, colstore.Version)
-	if err != nil {
-		return nil, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d): %w", ci, k, err)}
-	}
-	c.stats.chunkFetches.Add(1)
-	c.ownChunks.Add(1)
-	obsv.LedgerFrom(ctx).StoreChunkDecoded()
-	return p, nil
-}
-
-// maxClientPrefetch bounds a shard's concurrent speculative fetches.
-const maxClientPrefetch = 2
-
-// PrefetchChunk implements storage.ChunkSource: an asynchronous,
-// single-flight, eviction-aware fetch of the chunk a sequential scan
-// will touch next — this is where the fabric hides its round-trip
-// latency. Skipped when the chunk is resident, the cache has no room,
-// or enough prefetches are already in flight. The speculative RPC
-// carries the request's values (resource ledger, request ID) detached
-// from its cancellation, so the fetch it hides latency for is the query
-// it bills.
-func (c *Client) PrefetchChunk(ctx context.Context, ci, k int) {
-	if c.closed.Load() || ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
-		return
-	}
-	if c.cache.Contains(c, ci, k) {
-		return
-	}
-	chunkRows := c.chunkSize
-	if hi := (k + 1) * c.chunkSize; hi > c.rows {
-		chunkRows = c.rows - k*c.chunkSize
-	}
-	if !c.cache.HasRoom(int64(chunkRows) * 8) {
-		return
-	}
-	if c.prefetching.Add(1) > maxClientPrefetch {
-		c.prefetching.Add(-1)
-		return
-	}
-	// Detach from cancellation and drop the trace span: the flight may
-	// outlive the request, and a span ended after its parent would
-	// malform the exported tree. The ledger and request ID stay.
-	ctx = obsv.WithSpan(context.WithoutCancel(ctx), nil)
-	go func() {
-		defer c.prefetching.Add(-1)
-		_, _, _ = c.FetchChunk(ctx, ci, k)
-	}()
+	return ps, nil
 }
 
 // ---- statistics plane (shard.RemoteBackend) ----
@@ -687,13 +710,12 @@ func (c *Client) loadBatchStats(ctx context.Context) error {
 		cat   map[string]catCountsDTO
 		boolc map[string]boolCountsDTO
 	)
-	// The body is parsed as the response check, so a malformed answer is
-	// retried like a transport failure.
-	check := func(data []byte, _ http.Header) (err error) {
+	// A malformed answer is retried like a transport failure.
+	read := func(data []byte) (err error) {
 		num, cat, boolc, err = parseBatchStats(data)
 		return err
 	}
-	if _, _, err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, check); err != nil {
+	if err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, 0, read); err != nil {
 		return err
 	}
 	c.numStats, c.catStats, c.boolStats = num, cat, boolc
@@ -847,15 +869,9 @@ func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []u
 	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", predToDTO(p), &dto); err != nil {
 		return 0, nil, err
 	}
-	words, err := decodeWords(dto.Bits)
+	words, err := parsePredicateBits(dto.Bits, c.rows)
 	if err != nil {
 		return 0, nil, &ShardError{Location: c.primary, Op: "predcount", Err: err}
-	}
-	if want := (c.rows + 63) / 64; len(words) != want {
-		return 0, nil, &ShardError{Location: c.primary, Op: "predcount", Err: fmt.Errorf("predicate bitmap has %d words for %d rows", len(words), c.rows)}
-	}
-	if tail := uint(c.rows % 64); tail != 0 && len(words) > 0 && words[len(words)-1]>>tail != 0 {
-		return 0, nil, &ShardError{Location: c.primary, Op: "predcount", Err: fmt.Errorf("predicate bitmap sets bits past row %d", c.rows)}
 	}
 	return dto.Count, words, nil
 }

@@ -1,0 +1,123 @@
+package remote
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
+	"testing"
+
+	"repro/internal/colstore"
+)
+
+// Fuzz targets for the fabric's byte-facing decoders: whatever a shard
+// (or something posing as one) sends, the coordinator's parsers return a
+// named error or a result that honours the request — they never panic.
+// Seed corpora live under testdata/fuzz.
+
+// frame encodes one chunk-plane frame around raw.
+func frame(k int, raw []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(k))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(raw)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(raw))
+	return append(b, raw...)
+}
+
+// FuzzChunkFrames: a chunk-plane body answering a request for count
+// chunks from first on either parses into one CRC-checked frame per
+// requested chunk, in order, none longer than a chunk can encode to and
+// with nothing left over — or fails with an error.
+func FuzzChunkFrames(f *testing.F) {
+	f.Add(append(frame(0, []byte("chunk zero")), frame(1, []byte("chunk one"))...), uint16(0), uint8(2))
+	f.Add(frame(3, []byte{1, 2, 3}), uint16(3), uint8(1))
+	f.Add(frame(5, nil), uint16(4), uint8(2))
+	f.Add([]byte{1, 0, 0, 0, 255, 255, 255, 255}, uint16(1), uint8(1))
+	const chunkRows = 64
+	limit := func(int) int { return colstore.MaxChunkBytes(chunkRows) }
+	f.Fuzz(func(t *testing.T, body []byte, first uint16, count uint8) {
+		ks := make([]int, count%(16+1))
+		for i := range ks {
+			ks[i] = int(first) + i
+		}
+		raws, err := parseFrames(body, ks, limit)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed error")
+			}
+			return
+		}
+		if len(raws) != len(ks) {
+			t.Fatalf("%d frames for %d requested chunks", len(raws), len(ks))
+		}
+		total := 0
+		for i, raw := range raws {
+			if len(raw) > limit(ks[i]) {
+				t.Fatalf("frame %d of %d bytes passed a %d-byte bound", i, len(raw), limit(ks[i]))
+			}
+			total += frameHeaderLen + len(raw)
+		}
+		if total != len(body) {
+			t.Fatalf("frames cover %d of %d body bytes", total, len(body))
+		}
+	})
+}
+
+// FuzzBatchStats: a batchstats body decodes into consistent statistics
+// — every categorical answer with one count per dictionary entry — or
+// fails with an error.
+func FuzzBatchStats(f *testing.F) {
+	ok, err := encodeBatch(batchHeaderDTO{Stats: []batchStatDTO{
+		{Attr: "age", Kind: "numeric", Off: 0, Count: 2},
+		{Attr: "sex", Kind: "cat", Dict: []string{"F", "M"}, Counts: []int{3, 4}},
+		{Attr: "ok", Kind: "bool", Falses: 1, Trues: 2},
+	}}, encodeFloats([]float64{1.5, -2}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ok)
+	f.Add(ok[:len(ok)-3])
+	f.Add([]byte{255, 255, 255, 127})
+	f.Add([]byte("\x10\x00\x00\x00{\"stats\":null}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		num, cat, boolc, err := parseBatchStats(data)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed error")
+			}
+			return
+		}
+		if num == nil || cat == nil || boolc == nil {
+			t.Fatal("a successful parse left a statistics map nil")
+		}
+		for attr, dto := range cat {
+			if len(dto.Dict) != len(dto.Counts) {
+				t.Fatalf("%q: %d dictionary entries with %d counts", attr, len(dto.Dict), len(dto.Counts))
+			}
+		}
+	})
+}
+
+// FuzzPredicateBits: a predcount bitmap for a shard of rows rows decodes
+// into exactly one bit per row with nothing set past the last — or fails
+// with an error.
+func FuzzPredicateBits(f *testing.F) {
+	f.Add(encodeWords([]uint64{0xff, 1}), uint32(65))
+	f.Add(encodeWords([]uint64{1 << 63}), uint32(63))
+	f.Add("not base64!", uint32(10))
+	f.Add(strings.Repeat("A", 4096), uint32(64))
+	f.Fuzz(func(t *testing.T, bits string, rows32 uint32) {
+		rows := int(rows32 % (1 << 20))
+		words, err := parsePredicateBits(bits, rows)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed error")
+			}
+			return
+		}
+		if len(words) != (rows+63)/64 {
+			t.Fatalf("%d words for %d rows", len(words), rows)
+		}
+		if tail := uint(rows % 64); tail != 0 && words[len(words)-1]>>tail != 0 {
+			t.Fatalf("bits set past row %d", rows)
+		}
+	})
+}

@@ -48,6 +48,7 @@ type Opener struct {
 	opts  Options
 	hc    *http.Client
 	stats counters
+	bufs  *bufPool
 }
 
 // NewOpener builds an Opener; zero Options give production defaults.
@@ -88,7 +89,7 @@ func NewOpener(o Options) *Opener {
 			IdleConnTimeout:     90 * time.Second,
 		}
 	}
-	return &Opener{opts: o, hc: &http.Client{Timeout: o.Timeout, Transport: transport}}
+	return &Opener{opts: o, hc: &http.Client{Timeout: o.Timeout, Transport: transport}, bufs: newBufPool()}
 }
 
 // OpenShard implements shard.RemoteOpener: it dials the shard's meta
@@ -128,6 +129,7 @@ func (o *Opener) OpenShard(ctx context.Context, locations []string, store colsto
 		breakerCooldown:  o.opts.BreakerCooldown,
 		cache:            cache,
 		stats:            &o.stats,
+		bufs:             o.bufs,
 	}
 	if err := c.init(ctx); err != nil {
 		return nil, err

@@ -17,20 +17,22 @@
 // and reduce through the existing merge layer
 // (internal/shard/partial.go), byte-identical to the local computation.
 //
-// The chunk plane serves raw encoded chunk payloads by (column, chunk):
-// the coordinator's storage.ChunkSource for that shard, feeding the
-// shared decoded-chunk cache. The wire format IS the .atl chunk
-// encoding, so the per-chunk CRCs travel along and are re-verified on
-// the client; zone-map pruning and manifest-level shard pruning
-// (ShardMayMatch, deferred opens) skip whole requests the way they skip
-// file reads locally.
+// The chunk plane serves raw encoded chunk payloads: the coordinator's
+// storage.ChunkSource for that shard, feeding the shared decoded-chunk
+// cache. One POST names a column and an ascending list of chunks — a
+// scan's window, or a single missed chunk — and the answer is one body
+// of frames (k, len, crc, bytes). The wire format IS the .atl chunk
+// encoding, so the directory's per-chunk CRCs travel in the frames and
+// are re-verified on the client; zone-map pruning and manifest-level
+// shard pruning (ShardMayMatch, deferred opens) keep chunks out of the
+// request the way they skip file reads locally.
 //
 // # Endpoints (all under /shard/v1/)
 //
 //	GET  meta                         shard identity (rows, chunk size, schema)
 //	GET  zones                        per-(column, chunk) zone maps
 //	GET  dict?col=N                   string column dictionary
-//	GET  chunk?col=N&chunk=K          raw encoded chunk bytes + CRC header
+//	POST chunk                        one column's listed chunks, one CRC'd frame each
 //	POST batchstats                   every listed attribute's stats, one trip
 //	POST partials                     mergeable ColumnPartial per requested column
 //	POST predcount                    one predicate's selection bitmap + count
@@ -45,6 +47,7 @@ package remote
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -79,6 +82,9 @@ type Server struct {
 	bytesOut    atomic.Int64
 	chunkServes atomic.Int64
 
+	// bufs recycles the framed chunk answers.
+	bufs *bufPool
+
 	// draining flips when the process received SIGTERM: health answers
 	// not-OK with 503 so coordinators rotate away, while data-plane
 	// endpoints keep serving until the listener drains.
@@ -94,7 +100,7 @@ type Server struct {
 // NewServer wraps an opened shard store. The store stays owned by the
 // caller (Close it after the HTTP server stops).
 func NewServer(st *colstore.Store) *Server {
-	return &Server{st: st, tbl: st.Table(), statCache: make(map[string]*statEntry)}
+	return &Server{st: st, tbl: st.Table(), statCache: make(map[string]*statEntry), bufs: newBufPool()}
 }
 
 // ServerStats counts what a shard server has sent.
@@ -201,7 +207,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /shard/v1/meta", s.wrap("meta", s.handleMeta))
 	mux.HandleFunc("GET /shard/v1/zones", s.wrap("zones", s.handleZones))
 	mux.HandleFunc("GET /shard/v1/dict", s.wrap("dict", s.handleDict))
-	mux.HandleFunc("GET /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
+	mux.HandleFunc("POST /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
 	mux.HandleFunc("POST /shard/v1/batchstats", s.wrap("batchstats", s.handleBatchStats))
 	mux.HandleFunc("POST /shard/v1/partials", s.wrap("partials", s.handlePartials))
 	mux.HandleFunc("POST /shard/v1/predcount", s.wrap("predcount", s.handlePredCount))
@@ -395,26 +401,47 @@ func (s *Server) handleDict(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, dictDTO{Values: dict})
 }
 
+// handleChunk answers POST /shard/v1/chunk: one frame per requested
+// chunk (see chunkReqDTO), each chunk's stored bytes appended straight
+// into one recycled buffer with its directory CRC — no per-chunk copy,
+// header or allocation.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	ci, err := s.colParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	var req chunkReqDTO
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("chunk"))
-	if err != nil || k < 0 || k >= s.st.NumChunks() {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad chunk %q", r.URL.Query().Get("chunk")))
+	if req.Col < 0 || req.Col >= s.tbl.NumCols() {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("column %d out of range", req.Col))
 		return
 	}
-	raw, crc, err := s.st.RawChunk(ci, k)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+	if len(req.Chunks) == 0 || len(req.Chunks) > storage.PrefetchWindow {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("%d chunks requested, want 1 to %d", len(req.Chunks), storage.PrefetchWindow))
 		return
 	}
-	w.Header().Set(headerChunkCRC, fmt.Sprintf("%08x", crc))
-	w.Header().Set(headerChunkLen, strconv.Itoa(len(raw)))
-	s.chunkServes.Add(1)
-	s.writeBody(w, "application/octet-stream", raw)
+	for i, k := range req.Chunks {
+		if k < 0 || k >= s.st.NumChunks() || i > 0 && k <= req.Chunks[i-1] {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("chunk list %v is not distinct, ascending chunks of %d", req.Chunks, s.st.NumChunks()))
+			return
+		}
+	}
+	buf := s.bufs.get(0)
+	defer func() { s.bufs.put(buf) }()
+	for _, k := range req.Chunks {
+		at := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // len and crc, known once appended
+		var crc uint32
+		var err error
+		if buf, crc, err = s.st.AppendRawChunk(buf, req.Col, k); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		binary.LittleEndian.PutUint32(buf[at+4:], uint32(len(buf)-at-frameHeaderLen))
+		binary.LittleEndian.PutUint32(buf[at+8:], crc)
+	}
+	s.chunkServes.Add(int64(len(req.Chunks)))
+	s.writeBody(w, "application/octet-stream", buf)
 }
 
 // attrType resolves an attr parameter. An unknown attribute is a 400 —

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"sort"
 	"strconv"
 
 	"repro/internal/query"
@@ -40,14 +42,8 @@ func parseFbits(s string) (float64, error) {
 	return math.Float64frombits(u), nil
 }
 
-// Header names of the chunk plane.
+// Header names of the fabric.
 const (
-	// headerChunkCRC carries the chunk payload's CRC-32 (IEEE) in hex —
-	// for lazy shard stores, the same CRC the on-disk directory stores.
-	headerChunkCRC = "X-Atlas-Chunk-Crc"
-	// headerChunkLen carries the payload's byte length, so a truncated
-	// body is detected even when the transport hid the short read.
-	headerChunkLen = "X-Atlas-Chunk-Len"
 	// headerTrace propagates the coordinator's trace context to a shard
 	// server ("<traceID>/<parentSpanID>"), so the server's spans nest
 	// under the RPC attempt that asked.
@@ -171,6 +167,120 @@ type dictDTO struct {
 	Values []string `json:"values"`
 }
 
+// chunkReqDTO is POST /shard/v1/chunk: one column and the chunks wanted
+// from it — distinct, ascending, at most storage.PrefetchWindow, which
+// bounds the server's answer buffer. The answer is one frame per chunk, in
+// the same order: k (u32), len (u32), crc (u32), all little-endian, then
+// len bytes of the chunk's .atl encoding — for a lazy shard store the
+// stored byte range and its directory CRC.
+type chunkReqDTO struct {
+	Col    int   `json:"col"`
+	Chunks []int `json:"chunks"`
+}
+
+// frameHeaderLen is the size of a chunk frame's (k, len, crc) header.
+const frameHeaderLen = 12
+
+// parseFrames splits a chunk-plane answer into the encoded chunks of ks
+// (ascending), in order, trusting nothing the request did not ask for:
+// each frame must name the next requested chunk, declare no more bytes
+// than limit(k) — what a chunk of its rows can encode to — and match its
+// CRC, and nothing may follow the last frame. The returned slices alias
+// body.
+func parseFrames(body []byte, ks []int, limit func(k int) int) ([][]byte, error) {
+	raws := make([][]byte, len(ks))
+	off := 0
+	for i, want := range ks {
+		if rest := len(body) - off; rest < frameHeaderLen {
+			if rest == 0 {
+				return nil, fmt.Errorf("truncated body: frames missing after %d of %d", i, len(ks))
+			}
+			return nil, fmt.Errorf("truncated frame header for chunk %d", want)
+		}
+		k := int(binary.LittleEndian.Uint32(body[off:]))
+		n := int(binary.LittleEndian.Uint32(body[off+4:]))
+		crc := binary.LittleEndian.Uint32(body[off+8:])
+		if k != want {
+			return nil, frameOrderError(ks, i, k)
+		}
+		if most := limit(k); n > most {
+			return nil, fmt.Errorf("frame for chunk %d declares %d bytes, more than its rows can encode to (%d)", k, n, most)
+		}
+		off += frameHeaderLen
+		if n > len(body)-off {
+			return nil, fmt.Errorf("truncated frame for chunk %d: %d of %d bytes", k, len(body)-off, n)
+		}
+		raw := body[off : off+n]
+		if got := crc32.ChecksumIEEE(raw); got != crc {
+			return nil, fmt.Errorf("chunk %d: checksum mismatch (frame %08x, computed %08x)", k, crc, got)
+		}
+		raws[i] = raw
+		off += n
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("%d trailing bytes after %d frames", len(body)-off, len(ks))
+	}
+	return raws, nil
+}
+
+// frameOrderError names what is wrong with a frame for chunk k arriving
+// where ks[i] was due.
+func frameOrderError(ks []int, i, k int) error {
+	switch j := sort.SearchInts(ks, k); {
+	case j == len(ks) || ks[j] != k:
+		return fmt.Errorf("frame for chunk %d, which was not asked for", k)
+	case j < i:
+		return fmt.Errorf("duplicate frame for chunk %d", k)
+	default:
+		return fmt.Errorf("frame for chunk %d out of order: chunk %d missing before it", k, ks[i])
+	}
+}
+
+// bufPool recycles wire buffers — a response body on the client, a
+// framed chunk answer on the server — so the chunk plane allocates no
+// buffer per request in steady state. Unlike a sync.Pool it survives
+// garbage collections, which a workload allocating little else would
+// otherwise trigger often enough to empty it.
+type bufPool struct {
+	// free holds idle buffers: one per request a busy client or server
+	// typically has in flight.
+	free chan []byte
+}
+
+const (
+	// poolBufs bounds the idle buffers a pool keeps.
+	poolBufs = 4
+	// poolBufMax bounds the size of a buffer a pool keeps; larger ones
+	// (a full-column statistics answer) go to the garbage collector.
+	poolBufMax = 8 << 20
+)
+
+func newBufPool() *bufPool { return &bufPool{free: make(chan []byte, poolBufs)} }
+
+// get returns a buffer of length n, recycled when an idle one is large
+// enough.
+func (p *bufPool) get(n int) []byte {
+	select {
+	case b := <-p.free:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// put hands b back for reuse. The caller must hold no reference into it.
+func (p *bufPool) put(b []byte) {
+	if cap(b) > poolBufMax {
+		return
+	}
+	select {
+	case p.free <- b:
+	default:
+	}
+}
+
 // catCountsDTO is one string attribute's batch statistics (local
 // dictionary space; the coordinator remaps into union space).
 type catCountsDTO struct {
@@ -251,6 +361,25 @@ func decodeWords(s string) ([]uint64, error) {
 	words := make([]uint64, len(buf)/8)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	}
+	return words, nil
+}
+
+// parsePredicateBits decodes a predcount bitmap of a shard of rows rows:
+// exactly one bit per row, none set past the last row.
+func parsePredicateBits(bits string, rows int) ([]uint64, error) {
+	if want := (rows + 63) / 64; base64.StdEncoding.DecodedLen(len(bits)) > 8*want+8 {
+		return nil, fmt.Errorf("predicate bitmap of %d encoded bytes for %d rows", len(bits), rows)
+	}
+	words, err := decodeWords(bits)
+	if err != nil {
+		return nil, err
+	}
+	if want := (rows + 63) / 64; len(words) != want {
+		return nil, fmt.Errorf("predicate bitmap has %d words for %d rows", len(words), rows)
+	}
+	if tail := uint(rows % 64); tail != 0 && len(words) > 0 && words[len(words)-1]>>tail != 0 {
+		return nil, fmt.Errorf("predicate bitmap sets bits past row %d", rows)
 	}
 	return words, nil
 }

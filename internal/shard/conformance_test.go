@@ -60,10 +60,11 @@ func viewOf(t *testing.T, be shard.Backend) backendView {
 // TestBackendConformance holds the two Backend implementations to the
 // one contract: the same shard file opened as a local file and through
 // the fabric client must present identical metadata, zone maps,
-// dictionaries and chunk payloads, and account the same decode work.
+// dictionaries and chunk payloads — fetched one by one and as a
+// 16-chunk window — and account the same decode work.
 func TestBackendConformance(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "census.atl")
-	if err := colstore.WriteFile(path, datagen.Census(3_000, 19), 256); err != nil {
+	if err := colstore.WriteFile(path, datagen.Census(4_500, 19), 256); err != nil {
 		t.Fatal(err)
 	}
 	lazy := colstore.Options{Mode: colstore.ModeLazy}
@@ -111,5 +112,43 @@ func TestBackendConformance(t *testing.T) {
 				t.Errorf("%s backend: %s differs from the file backend's", tc.name, gv.Type().Field(f).Name)
 			}
 		}
+	}
+
+	// A window: one chunk-plane round trip per column loads 16 chunks,
+	// every one the file's payload.
+	windowed, err := opener.OpenShard(context.Background(), []string{ts.URL}, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer windowed.Close()
+	ks := make([]int, storage.PrefetchWindow)
+	for i := range ks {
+		ks[i] = i
+	}
+	ctx := context.Background()
+	for ci := range ref.Fields {
+		if _, err := windowed.Dicts(ctx, ci); err != nil {
+			t.Fatal(err)
+		}
+		before := opener.Stats().RPCs
+		windowed.Source().PrefetchChunks(ctx, ci, ks)
+		if rpcs := opener.Stats().RPCs - before; rpcs != 1 {
+			t.Errorf("column %d: a %d-chunk window took %d RPCs, want 1", ci, len(ks), rpcs)
+		}
+		for _, k := range ks {
+			p, hit, err := windowed.Source().FetchChunk(ctx, ci, k)
+			if err != nil {
+				t.Fatalf("windowed FetchChunk(%d,%d): %v", ci, k, err)
+			}
+			if hit {
+				t.Errorf("FetchChunk(%d,%d): the first fetch of a windowed chunk reported a cache hit, not its decode", ci, k)
+			}
+			if !reflect.DeepEqual(p, ref.Chunks[ci][k]) {
+				t.Errorf("windowed chunk (%d,%d) differs from the file backend's", ci, k)
+			}
+		}
+	}
+	if got, want := windowed.IOStats().ChunksDecoded, int64(len(ref.Fields)*len(ks)); got != want {
+		t.Errorf("windowed client counts %d decoded chunks for %d fetched", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,13 +16,15 @@ import (
 // each prefetch hint arrives with instead of loading anything.
 type recordingSource struct {
 	storage.ChunkSource
-	mu    sync.Mutex
-	hints []*obsv.Ledger
+	mu      sync.Mutex
+	hints   []*obsv.Ledger
+	windows [][]int // each hint's chunks, in the shard's own indexes
 }
 
-func (r *recordingSource) PrefetchChunk(ctx context.Context, _, _ int) {
+func (r *recordingSource) PrefetchChunks(ctx context.Context, _ int, ks []int) {
 	r.mu.Lock()
 	r.hints = append(r.hints, obsv.LedgerFrom(ctx))
+	r.windows = append(r.windows, append([]int(nil), ks...))
 	r.mu.Unlock()
 }
 
@@ -99,26 +102,26 @@ func TestPrefetchHintCarriesCallerLedger(t *testing.T) {
 	led := obsv.NewLedger()
 	ctx := obsv.WithLedger(context.Background(), led)
 	const loadCol = 1 // "load": numeric, so no dictionary remap is involved
-	hints := []struct {
-		name string
-		col  storage.Column
-		k    int
-		url  string
-	}{
-		{"combined table", set.Table().Column(loadCol), 5, urls[1]}, // chunk 5 = shard 1's chunk 1
-		{"shard view", set.ShardTable(0).Column(loadCol), 2, urls[0]},
-	}
-	for _, h := range hints {
-		h.col.(*storage.LazyColumn).PrefetchHint(ctx, h.k)
-		src := opener.srcs[h.url]
+	// Shards hold chunks 0–3 and 4–7 of the combined table. A combined
+	// window across the boundary splits into one part per shard, in each
+	// shard's own indexes; a shard view's window goes to its shard alone.
+	set.Table().Column(loadCol).(*storage.LazyColumn).PrefetchHint(ctx, []int{3, 4, 5})
+	set.ShardTable(0).Column(loadCol).(*storage.LazyColumn).PrefetchHint(ctx, []int{2})
+	for url, want := range map[string][][]int{
+		urls[0]: {{3}, {2}},
+		urls[1]: {{0, 1}},
+	} {
+		src := opener.srcs[url]
 		src.mu.Lock()
-		got := src.hints
+		hints, windows := src.hints, src.windows
 		src.mu.Unlock()
-		if len(got) != 1 {
-			t.Fatalf("%s: backend source saw %d hints, want 1", h.name, len(got))
+		if !reflect.DeepEqual(windows, want) {
+			t.Errorf("%s: backend source saw windows %v, want %v", url, windows, want)
 		}
-		if got[0] != led {
-			t.Errorf("%s: hint reached the backend without the caller's ledger", h.name)
+		for _, l := range hints {
+			if l != led {
+				t.Errorf("%s: hint reached the backend without the caller's ledger", url)
+			}
 		}
 	}
 }

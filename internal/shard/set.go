@@ -395,26 +395,35 @@ func (s *Set) shardChunk(ctx context.Context, i, ci, gk int) (*storage.ChunkPayl
 	return be.Source().FetchChunk(ctx, ci, gk-s.chunkOffs[i])
 }
 
-// PrefetchChunk implements storage.ChunkSource: hints are routed to the
-// owning shard's source — with the caller's ctx, so the speculative
-// load bills the query that hinted it — only when that shard is already
-// open (a speculative load must never open a deferred file) and only
-// for identity-dictionary columns (remapped payloads are cache entries
-// of the set itself; speculating those buys little and complicates
-// ownership).
-func (ss *setSource) PrefetchChunk(ctx context.Context, ci, k int) {
-	s, gk := ss.s, ss.off+k
-	i := s.shardOfChunk(gk)
-	be := s.shards[i].opened()
-	if be == nil {
-		return
-	}
-	if s.combined != nil && s.combined.Schema().Field(ci).Type == storage.String {
-		if !s.dictsDone.Load() || s.remaps[i][ci] != nil {
-			return
+// PrefetchChunks implements storage.ChunkSource: the window is split by
+// shard and each part routed to its shard's source, in local chunk
+// indexes — with the caller's ctx, so the load bills the query that
+// hinted it. A part is dropped when its shard is not open yet (a hint
+// never opens a deferred file; the scan's own fetch will) or its column
+// is remapped into the union dictionary (remapped payloads are cache
+// entries of the set itself, loaded by the fetch that needs them).
+func (ss *setSource) PrefetchChunks(ctx context.Context, ci int, ks []int) {
+	s := ss.s
+	remapped := s.combined != nil && s.combined.Schema().Field(ci).Type == storage.String
+	var buf [storage.PrefetchWindow]int
+	for len(ks) > 0 {
+		i := s.shardOfChunk(ss.off + ks[0])
+		n := len(ks)
+		if i+1 < len(s.chunkOffs) {
+			n = sort.SearchInts(ks, s.chunkOffs[i+1]-ss.off)
 		}
+		part := ks[:n]
+		ks = ks[n:]
+		be := s.shards[i].opened()
+		if be == nil || remapped && (!s.dictsDone.Load() || s.remaps[i][ci] != nil) {
+			continue
+		}
+		local := buf[:0]
+		for _, k := range part {
+			local = append(local, ss.off+k-s.chunkOffs[i])
+		}
+		be.Source().PrefetchChunks(ctx, ci, local)
 	}
-	be.Source().PrefetchChunk(ctx, ci, gk-s.chunkOffs[i])
 }
 
 // remapFor returns the local→union code remap of (shard, col), nil for

@@ -83,20 +83,42 @@ func (p *ChunkPayload) MemBytes() int64 {
 // keeps lazy scans byte-identical to eager ones at any cache budget.
 type ChunkSource interface {
 	// FetchChunk returns chunk k of column ci. hit reports whether the
-	// payload was served from a decoded-chunk cache (false = this call
-	// decoded it). I/O on a miss runs under ctx: it is cancelled with
-	// it, traced under its span and billed to its resource ledger.
+	// payload was served from a decoded-chunk cache (false = it was
+	// decoded for this call: by the call itself, or by a prefetch or
+	// window hinted ahead of it). I/O on a miss runs under ctx: it is
+	// cancelled with it, traced under its span and billed to its
+	// resource ledger.
 	FetchChunk(ctx context.Context, ci, k int) (p *ChunkPayload, hit bool, err error)
-	// PrefetchChunk hints that chunk k of column ci is about to be
-	// fetched. Sources that do I/O start an asynchronous single-flight
-	// load sharing the fetch path's cache (the real fetch either hits or
-	// joins the flight) and must be eviction-aware — a prefetch that
-	// would push resident chunks out of a bounded cache is skipped, never
-	// traded. The load keeps ctx's values (ledger, request id), so
-	// speculative I/O is billed to the query that caused it, but detaches
-	// from its cancellation: the request may complete before the flight
-	// does. Sources with nothing to load ignore the hint.
-	PrefetchChunk(ctx context.Context, ci, k int)
+	// PrefetchChunks hands the source the window a scan is about to read:
+	// chunks ks of column ci, ascending, at most PrefetchWindow of them,
+	// every one of which the scan will fetch, ks[0] next. Loads share the
+	// fetch path's single-flight cache, so the scan's FetchChunk either
+	// hits or joins them, and bill ctx's ledger — the query that hinted
+	// them. When ks[0] is neither resident nor loading, a remote source
+	// loads the window's non-resident chunks in one round trip under ctx,
+	// before it returns: the window is demand, so it may evict LRU
+	// entries, but it is capped at a fraction of the cache budget so it
+	// never evicts itself or a concurrent window. A local file, whose
+	// reads are cheap, overlaps one: when ks[0] is about to miss, it
+	// prefetches ks[1] asynchronously, detached from ctx's cancellation,
+	// and only when it fits without evicting. Sources with nothing to load
+	// ignore the hint. ks is only read during the call.
+	PrefetchChunks(ctx context.Context, ci int, ks []int)
+}
+
+// PrefetchWindow bounds the chunks one PrefetchChunks hint names. The
+// chunk drivers hint, before each fetch, the window it opens: the
+// fetched chunk and the ones they will read after it. A remote source
+// with nothing to do for a window whose first chunk is resident or
+// loading returns at once, so windows load exactly where the scan would
+// otherwise miss.
+const PrefetchWindow = 16
+
+// HintWindow returns the window of the chunks of touched, read in order,
+// that starts at touched[ti]: at most PrefetchWindow of them. The result
+// aliases touched.
+func HintWindow(touched []int, ti int) []int {
+	return touched[ti:min(ti+PrefetchWindow, len(touched))]
 }
 
 // ChunkError is the named error for a chunk that could not be read or
@@ -230,17 +252,16 @@ func (c *LazyColumn) chunkOrPanic(k int) *ChunkPayload {
 	return p
 }
 
-// PrefetchHint tells the column's source that chunk k is about to be
-// fetched. Out-of-range hints are dropped. The sequential drivers
-// (ForEachChunk, ForEachSelected, the engine's serial chunk scan) hint
-// their next touched chunk after a cache miss, overlapping the current
-// chunk's work with the next one's fetch — which is what hides a remote
-// source's round-trip latency.
-func (c *LazyColumn) PrefetchHint(ctx context.Context, k int) {
-	if k < 0 || k >= c.NumChunks() {
-		return
+// PrefetchHint hands the column's source the window of chunks ks
+// (ascending, at most PrefetchWindow, all of which the caller will
+// fetch, ks[0] next) — see ChunkSource.PrefetchChunks. The chunk drivers
+// (ForEachChunk, ForEachSelected, the engine's scan and partition
+// passes) hint before their fetches, which is what turns a remote
+// source's per-chunk round trips into one per window.
+func (c *LazyColumn) PrefetchHint(ctx context.Context, ks []int) {
+	if len(ks) > 0 {
+		c.src.PrefetchChunks(ctx, c.ci, ks)
 	}
-	c.src.PrefetchChunk(ctx, c.ci, k)
 }
 
 // DictValues returns the dictionary of a String column, resolving it on
@@ -435,17 +456,22 @@ func (c *LazyColumn) Materialize() (Column, error) {
 
 // ForEachChunk fetches every chunk in order under ctx and calls
 // fn(k, lo, payload) where lo is the chunk's first row. fn returns false
-// to stop early. After a fetch that missed the cache, the next chunk is
-// prefetched so its load overlaps fn's work on this one.
+// to stop early, so the window from a chunk on is hinted only once the
+// walk is past its first chunk (see walkSelected).
 func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
 	n := c.NumChunks()
+	var window [PrefetchWindow]int
 	for k := 0; k < n; k++ {
-		p, hit, err := c.Chunk(ctx, k)
+		if k > 0 {
+			ks := window[:0]
+			for j := k; j < n && len(ks) < PrefetchWindow; j++ {
+				ks = append(ks, j)
+			}
+			c.PrefetchHint(ctx, ks)
+		}
+		p, _, err := c.Chunk(ctx, k)
 		if err != nil {
 			return err
-		}
-		if !hit {
-			c.PrefetchHint(ctx, k+1)
 		}
 		cont, err := fn(k, k*c.chunkSize, p)
 		if err != nil {
@@ -458,66 +484,97 @@ func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *Chu
 	return nil
 }
 
-// ForEachSelected visits the set bits of sel in ascending row order,
+// ForEachSelected visits every set bit of sel in ascending row order,
 // fetching each touched chunk at most once (under ctx) and skipping
 // chunks with no selected rows entirely — the chunk-wise counterpart of
 // bitvec.Vector.ForEach for lazy columns. fn receives the row's chunk
-// payload, the chunk's first row lo, and the global row index i; it
-// returns false to stop.
-func (c *LazyColumn) ForEachSelected(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
+// payload, the chunk's first row lo, and the global row index i. The
+// walk cannot stop early, so every fetch is preceded by the hint of the
+// window it opens: a remote source loads the touched chunks a window per
+// round trip.
+func (c *LazyColumn) ForEachSelected(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int)) error {
+	words := sel.Words()
+	return c.walkSelected(ctx, sel, false, func(p *ChunkPayload, lo, w0, w1 int) bool {
+		for wi := w0; wi < w1; wi++ {
+			base := wi * 64
+			for w := words[wi]; w != 0; w &= w - 1 {
+				fn(p, lo, base+bits.TrailingZeros64(w))
+			}
+		}
+		return true
+	})
+}
+
+// ForEachSelectedUntil is ForEachSelected for a walk fn stops by
+// returning false. Windows are hinted once the walk is past its first
+// chunk, so a walk that stops inside it — a screen that has seen enough
+// — hints nothing.
+func (c *LazyColumn) ForEachSelectedUntil(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
+	words := sel.Words()
+	return c.walkSelected(ctx, sel, true, func(p *ChunkPayload, lo, w0, w1 int) bool {
+		for wi := w0; wi < w1; wi++ {
+			base := wi * 64
+			for w := words[wi]; w != 0; w &= w - 1 {
+				if !fn(p, lo, base+bits.TrailingZeros64(w)) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// walkSelected fetches the chunks holding selected rows in order and
+// hands each to visit with its first row and its word range of sel;
+// visit returns false to stop. Each fetch is preceded by the hint of the
+// window it opens — except the first when mayStop says visit can stop:
+// a walk that may end inside its first chunk has no window to promise
+// until it is past it.
+func (c *LazyColumn) walkSelected(ctx context.Context, sel *bitvec.Vector, mayStop bool, visit func(p *ChunkPayload, lo, w0, w1 int) bool) error {
 	if sel.Len() != c.rows {
 		return fmt.Errorf("storage: selection length %d != column length %d", sel.Len(), c.rows)
 	}
 	words := sel.Words()
 	wordsPerChunk := c.chunkSize / 64
-	n := c.NumChunks()
 	// The touched chunk set is known from the selection alone, so collect
-	// it up front: the loop then prefetches exactly the next chunk it
-	// will fetch — never one a zone map already ruled out.
-	touched := make([]int, 0, n)
-	for k := 0; k < n; k++ {
-		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(words) {
-			w1 = len(words)
-		}
-		for wi := w0; wi < w1; wi++ {
-			if words[wi] != 0 {
-				touched = append(touched, k)
-				break
-			}
-		}
-	}
+	// it up front: the walk then hints exactly the chunks it will fetch —
+	// never one a zone map already ruled out.
+	touched := TouchedChunks(words, wordsPerChunk)
 	for ti, k := range touched {
 		// Chunk-granular cancellation: resident chunks would never
 		// surface the dead context through the fetch, so poll here.
 		if err := obsv.CheckCtx(ctx, "storage.extract"); err != nil {
 			return err
 		}
-		p, hit, err := c.Chunk(ctx, k)
+		if ti > 0 || !mayStop {
+			c.PrefetchHint(ctx, HintWindow(touched, ti))
+		}
+		p, _, err := c.Chunk(ctx, k)
 		if err != nil {
 			return err
 		}
-		if !hit && ti+1 < len(touched) {
-			c.PrefetchHint(ctx, touched[ti+1])
-		}
 		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(words) {
-			w1 = len(words)
-		}
-		lo := k * c.chunkSize
-		for wi := w0; wi < w1; wi++ {
-			base := wi * 64
-			for w := words[wi]; w != 0; w &= w - 1 {
-				i := base + bits.TrailingZeros64(w)
-				if !fn(p, lo, i) {
-					return nil
-				}
-			}
+		if !visit(p, k*c.chunkSize, w0, min(w0+wordsPerChunk, len(words))) {
+			return nil
 		}
 	}
 	return nil
+}
+
+// TouchedChunks lists, ascending, the chunks (wordsPerChunk selection
+// words each) that hold at least one selected row — the chunks a
+// selection-driven pass fetches, known before it fetches any.
+func TouchedChunks(words []uint64, wordsPerChunk int) []int {
+	var touched []int
+	for w0 := 0; w0 < len(words); w0 += wordsPerChunk {
+		for _, w := range words[w0:min(w0+wordsPerChunk, len(words))] {
+			if w != 0 {
+				touched = append(touched, w0/wordsPerChunk)
+				break
+			}
+		}
+	}
+	return touched
 }
 
 // renderValue formats a boxed value exactly as the typed columns do.
@@ -602,5 +659,5 @@ func (s *tableSource) FetchChunk(_ context.Context, ci, k int) (*ChunkPayload, b
 	return p, true, nil
 }
 
-// PrefetchChunk implements ChunkSource: the table is already in memory.
-func (s *tableSource) PrefetchChunk(context.Context, int, int) {}
+// PrefetchChunks implements ChunkSource: the table is already in memory.
+func (s *tableSource) PrefetchChunks(context.Context, int, []int) {}
