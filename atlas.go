@@ -22,9 +22,9 @@
 // primitive over every usable attribute, dependency clustering of the
 // resulting candidate maps (variation of information + SLINK), per-cluster
 // merging (product or composition) and entropy ranking — plus the
-// Section 5 extensions: sketch-accelerated cuts, sampling with an anytime
-// loop, anticipative session caching, FK-join exploration and
-// high-cardinality column screening.
+// Section 5 extensions: sampling with an anytime loop, anticipative
+// session caching, FK-join exploration and high-cardinality column
+// screening.
 //
 // # Performance
 //
@@ -35,8 +35,7 @@
 // are collected by index, so the ranked answer is byte-for-byte
 // identical at any parallelism.
 //
-// Each Explorer also keeps a per-table column-stat cache: sorted numeric
-// values, quantile sketches and category counts under the full
+// Each Explorer also memoizes every attribute's CUT under the full
 // selection, computed once and shared read-only across goroutines,
 // repeated Explore calls, sessions and anytime rounds. Explorers (and
 // the underlying Cartographer) are safe for concurrent use.
@@ -129,8 +128,11 @@ const (
 	// CutVariance minimizes within-interval variance (optimal 1-D
 	// k-means).
 	CutVariance = core.CutVariance
-	// CutSketch approximates median cuts with a one-pass GK sketch.
-	CutSketch = core.CutSketch
+	// CutSketch is an alias of CutMedian.
+	//
+	// Deprecated: the GK sketch it named approximated the median, which
+	// the exact selection now computes faster. Use CutMedian.
+	CutSketch = core.CutMedian
 	// MergeProduct merges cluster maps with the ×-product grid.
 	MergeProduct = core.MergeProduct
 	// MergeCompose merges by locally re-cutting regions (default).
@@ -174,9 +176,9 @@ func New(table *Table, opts Options) (*Explorer, error) {
 // NewSharded builds an Explorer over an opened sharded table. The
 // pipeline runs on the reassembled combined table — scans, partition
 // bitmaps and contingency counts fan out chunk-by-chunk across shard
-// boundaries — while column statistics (sorted values, sketches,
-// category counts) are computed as per-shard partials on the worker
-// pool and merged, and sessions keep per-shard predicate bitmaps.
+// boundaries — while full-selection column statistics (values in row
+// order, category counts) are computed per shard on the worker pool and
+// reduced exactly, and sessions keep per-shard predicate bitmaps.
 // Results are byte-identical to exploring the equivalent unsharded
 // table, at any shard count and parallelism.
 func NewSharded(st *ShardedTable, opts Options) (*Explorer, error) {
@@ -195,8 +197,8 @@ func (e *Explorer) Table() *Table { return e.table }
 // options override the explorer's defaults for this call only; WITH
 // SAMPLE f runs the pipeline on a uniform f-fraction sample. Calls
 // without overrides run on the explorer's shared Cartographer, so
-// repeated explorations reuse its column-stat cache instead of
-// re-sorting the same columns.
+// repeated explorations reuse its memoized full-selection cuts instead
+// of re-cutting the same columns.
 func (e *Explorer) Explore(cqlText string) (res *Result, err error) {
 	return e.exploreCtx(context.Background(), cqlText)
 }

@@ -55,6 +55,35 @@ func TestFacadeExploreErrors(t *testing.T) {
 	}
 }
 
+// TestCutSketchAliasesMedian: the deprecated sketch strategy — as CQL
+// WITH CUT sketch and as the CutSketch constant — answers exactly what
+// the median strategy answers.
+func TestCutSketchAliasesMedian(t *testing.T) {
+	tbl := SkySurveyDataset(5000, 2)
+	explore := func(opts Options, cql string) string {
+		t.Helper()
+		ex, err := New(tbl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ex.Explore(cql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		return FormatResult(res)
+	}
+	want := explore(DefaultOptions(), "EXPLORE sky WITH CUT median")
+	if got := explore(DefaultOptions(), "EXPLORE sky WITH CUT sketch"); got != want {
+		t.Errorf("WITH CUT sketch:\n%s\nWITH CUT median:\n%s", got, want)
+	}
+	opts := DefaultOptions()
+	opts.Cut.Numeric = CutSketch
+	if got := explore(opts, "EXPLORE sky"); got != want {
+		t.Errorf("CutSketch:\n%s\nCutMedian:\n%s", got, want)
+	}
+}
+
 func TestFacadeExploreQueryAndCount(t *testing.T) {
 	ex, err := New(CensusDataset(5000, 4), DefaultOptions())
 	if err != nil {

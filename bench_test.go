@@ -54,7 +54,6 @@ func BenchmarkE7_SplitsAblation(b *testing.B)           { benchExperiment(b, "E7
 func BenchmarkE8_DistanceAblation(b *testing.B)         { benchExperiment(b, "E8") }
 func BenchmarkE9_EntropyRanking(b *testing.B)           { benchExperiment(b, "E9") }
 func BenchmarkE10_SamplingAnytime(b *testing.B)         { benchExperiment(b, "E10") }
-func BenchmarkE11_SketchCut(b *testing.B)               { benchExperiment(b, "E11") }
 func BenchmarkE12_MultiTableJoin(b *testing.B)          { benchExperiment(b, "E12") }
 func BenchmarkE13_Screening(b *testing.B)               { benchExperiment(b, "E13") }
 func BenchmarkE14_SLINKVsNaive(b *testing.B)            { benchExperiment(b, "E14") }
@@ -72,7 +71,7 @@ func BenchmarkExplore(b *testing.B) {
 		})
 	}
 	// Every iteration explores another half-table band, so neither the
-	// stat cache (full selections only) nor a result cache serves it: the
+	// cut memo (full selections only) nor a result cache serves it: the
 	// sub-selection CUT, partition and merge kernels do all the work.
 	b.Run("sky_wide", func(b *testing.B) {
 		tbl := skyByRA(200000, 1)
@@ -164,7 +163,7 @@ func BenchmarkExploreAnytime(b *testing.B) {
 // BenchmarkCutStrategies isolates the cost of the CUT primitive per
 // strategy (paper Section 3.1/5.1: CUT "is called many times", making it
 // the optimization target). Inside an exploration the full selection is
-// served by the stat cache; the sub-selection variants are the path every
+// served by the Cartographer's memo; the sub-selection variants are the path every
 // filtered query and every composition level takes: 1 %, 10 % and 50 % of
 // the rows, as one contiguous band of the table and scattered over it.
 func BenchmarkCutStrategies(b *testing.B) {
@@ -190,7 +189,7 @@ func BenchmarkCutStrategies(b *testing.B) {
 			namedSel{fmt.Sprintf("band_%d%%", pct), band},
 			namedSel{fmt.Sprintf("scattered_%d%%", pct), scattered})
 	}
-	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance, core.CutSketch} {
+	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance} {
 		for _, s := range sels {
 			name := string(strat) + "/" + s.name
 			if s.name == "full" {

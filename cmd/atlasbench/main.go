@@ -406,8 +406,8 @@ func writeBenchJSON(path string, quick bool) error {
 	}
 
 	// Sharded Explore: the same census table as a sharded store at
-	// several shard counts. Cold explorations (fresh stat cache per
-	// iteration) exercise the per-shard partial-statistics fan-out;
+	// several shard counts. Cold explorations (fresh cut memo per
+	// iteration) exercise the per-shard statistics fan-out;
 	// shards=1 runs the identical code path on a single file, so the
 	// single-file baseline and the sharded scenario are directly
 	// comparable. Scaling with shard count needs multiple cores.

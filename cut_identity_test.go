@@ -31,14 +31,6 @@ var cutIdentityGoldens = map[string]string{
 	"median/3/dec":     "b30b98f95c6fede4",
 	"median/3/full":    "faf9e4a0d1b163d5",
 	"median/3/ra":      "feb413216995c545",
-	"sketch/2/both":    "c69769d30e7d79bf",
-	"sketch/2/dec":     "ee48a3acf974e9e9",
-	"sketch/2/full":    "28e063efd3ee7318",
-	"sketch/2/ra":      "14b401442c07529f",
-	"sketch/3/both":    "5c2c8a039e6ba7cb",
-	"sketch/3/dec":     "3f16524051dcf3a1",
-	"sketch/3/full":    "3afad3524c62c8f6",
-	"sketch/3/ra":      "a15218f71294df36",
 	"variance/2/both":  "2d3817c73951ff43",
 	"variance/2/dec":   "44a552c95c47f752",
 	"variance/2/full":  "a9283b828376dc7e",
@@ -50,7 +42,7 @@ var cutIdentityGoldens = map[string]string{
 }
 
 // TestCutStrategiesByteIdentical runs ExploreSel over a clustered sky
-// table — full selection (stat cache), a contiguous ra band (ascending
+// table — full selection (the Cartographer's cut memo), a contiguous ra band (ascending
 // values) and a scattered dec band — with every numeric strategy.
 func TestCutStrategiesByteIdentical(t *testing.T) {
 	tbl := skyByRA(30000, 5)
@@ -60,7 +52,7 @@ func TestCutStrategiesByteIdentical(t *testing.T) {
 		"dec":  query.New("sky", query.NewRange("dec", -60, 10)),
 		"both": query.New("sky", query.NewRange("ra", 20, 300), query.NewRange("mag_r", 15, 17.5)),
 	}
-	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance, core.CutSketch} {
+	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance} {
 		for _, splits := range []int{2, 3} {
 			opts := core.DefaultOptions()
 			opts.Cut.Numeric, opts.Cut.Splits = strat, splits

@@ -102,8 +102,8 @@ func (c *Cartographer) ExploreAnytime(ctx context.Context, q query.Query, opts A
 		start := time.Now()
 		// A sample covering every row is the ascending identity (samples
 		// are sorted row indexes), so the final round can run on the
-		// cartographer itself — reusing its warm column-stat cache
-		// instead of re-materializing the table and re-sorting columns.
+		// cartographer itself — reusing its warm full-selection cut memo
+		// instead of re-materializing the table and re-cutting columns.
 		cart := c
 		if len(rows) < c.table.NumRows() {
 			sub := c.table.Gather(c.table.Name(), rows)

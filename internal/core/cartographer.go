@@ -100,14 +100,14 @@ func (o Options) validate() error {
 // Cartographer generates ranked data maps over one table — the mapping
 // engine of the paper's architecture (Section 4, layer 2). A
 // Cartographer is safe for concurrent use: the table and options are
-// immutable and the column-stat cache is internally synchronized, so one
+// immutable and the full-selection cut memo is internally synchronized, so one
 // instance can serve many sessions or HTTP requests at once.
 type Cartographer struct {
 	table *storage.Table
 	opts  Options
-	// stats caches per-column statistics under the full selection
-	// (sorted values, sketches, category counts), computed once and
-	// shared read-only across goroutines and Explore calls.
+	// stats memoizes each attribute's CUT answer under the full
+	// selection, computed once and shared read-only across goroutines
+	// and Explore calls.
 	stats *statCache
 	// scan accumulates chunk-level scan decisions (pruned / full /
 	// scanned, and lazy decodes / cache hits) across every exploration
@@ -132,9 +132,7 @@ func NewCartographerWith(t *storage.Table, opts Options, sp StatProvider) (*Cart
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	stats := newStatCache()
-	stats.provider = sp
-	return &Cartographer{table: t, opts: opts, stats: stats}, nil
+	return &Cartographer{table: t, opts: opts, stats: newStatCache(opts.Cut, sp)}, nil
 }
 
 // Table returns the table being explored.

@@ -16,7 +16,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/query"
-	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -35,9 +34,6 @@ const (
 	// k-means by dynamic programming over a compressed histogram) — the
 	// paper's "intra-cluster distance" criterion.
 	CutVariance NumericCut = "variance"
-	// CutSketch approximates CutMedian with a one-pass Greenwald–Khanna
-	// quantile sketch — the Section 5.1 streaming acceleration.
-	CutSketch NumericCut = "sketch"
 )
 
 // CategoricalCut selects how CUT groups values of a categorical attribute.
@@ -66,14 +62,12 @@ type CutOptions struct {
 	// value instead of grouping (the paper's Figure 2 treats Education
 	// levels and Salary bands as individual regions). 0 disables.
 	CatPerValue int
-	// SketchEpsilon is the GK sketch error bound for CutSketch.
-	SketchEpsilon float64
 }
 
 // DefaultCutOptions returns the paper's choices: 2 splits, median cuts,
 // frequency grouping with per-value regions for small domains.
 func DefaultCutOptions() CutOptions {
-	return CutOptions{Splits: 2, Numeric: CutMedian, Categorical: CatFrequency, CatPerValue: 4, SketchEpsilon: 0.005}
+	return CutOptions{Splits: 2, Numeric: CutMedian, Categorical: CatFrequency, CatPerValue: 4}
 }
 
 func (o CutOptions) validate() error {
@@ -81,7 +75,7 @@ func (o CutOptions) validate() error {
 		return fmt.Errorf("core: cut needs at least 2 splits, got %d", o.Splits)
 	}
 	switch o.Numeric {
-	case CutEquiWidth, CutMedian, CutVariance, CutSketch:
+	case CutEquiWidth, CutMedian, CutVariance:
 	default:
 		return fmt.Errorf("core: unknown numeric cut strategy %q", o.Numeric)
 	}
@@ -105,12 +99,12 @@ func (e *ErrDegenerate) Error() string {
 }
 
 // cutter bundles the inputs of the CUT primitive: the table and an
-// optional per-Cartographer stat cache (hit when the selection covers
-// every row). A cutter is cheap to create and confined to one
-// goroutine; the cache it points to is shared.
+// optional per-Cartographer memo of full-selection answers. A cutter is
+// cheap to create and confined to one goroutine; the memo it points to
+// is shared.
 type cutter struct {
 	t     *storage.Table
-	cache *statCache // nil = uncached
+	cache *statCache // nil = unmemoized
 	// ctx carries the exploration's trace span, request ID and resource
 	// ledger into provider fan-outs and lazy chunk fetches; nil means
 	// untraced.
@@ -130,11 +124,11 @@ func (x *cutter) reqCtx() context.Context {
 	return context.Background()
 }
 
-// cutScratch is what CUT materializes on the uncached (sub-selection)
-// path: the column's values under the selection and, for median cuts,
-// the candidates the quantile selection narrows down to. The two are
-// recycled together so that a large values buffer is never handed out as
-// the small candidates buffer and grown again.
+// cutScratch is what numeric CUT materializes: the column's values under
+// the selection and, for median cuts, the candidates the quantile
+// selection narrows down to. The two are recycled together so that a
+// large values buffer is never handed out as the small candidates buffer
+// and grown again.
 type cutScratch struct{ vals, candidates []float64 }
 
 var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
@@ -149,81 +143,73 @@ func CutPredicates(t *storage.Table, sel *bitvec.Vector, attr string, opts CutOp
 	return x.cutPredicates(sel, false, attr, opts)
 }
 
+// cutPredicates is CUT; full reports that sel selects every row, in
+// which case the answer comes from (and goes to) the memo. The returned
+// predicates are shared with the memo and must not be modified.
 func (x *cutter) cutPredicates(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	if x.cache != nil && full && opts == x.cache.opts {
+		return x.cache.cut(attr, func() ([]query.Predicate, error) {
+			return x.cut(sel, attr, opts, x.cache.provider)
+		})
+	}
+	return x.cut(sel, attr, opts, nil)
+}
+
+// cut computes CUT from the column's statistics under sel — or, when sp
+// is non-nil, from sp's full-selection statistics.
+func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
 	col, err := x.t.ColumnByName(attr)
 	if err != nil {
 		return nil, err
 	}
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
-		return x.cutNumeric(sel, full, attr, opts)
+		return x.cutNumeric(sel, attr, opts, sp)
 	case storage.String:
-		return x.cutCategorical(sel, full, attr, opts)
+		return x.cutCategorical(sel, attr, opts, sp)
 	case storage.Bool:
-		return x.cutBool(sel, full, attr)
+		return x.cutBool(sel, attr, sp)
 	default:
 		return nil, fmt.Errorf("core: unsupported column type %v", col.Type())
 	}
 }
 
-// cutNumeric never sorts the values of a sub-selection: one extraction
-// pass yields them with their NaN count and extremes, and each strategy
-// takes only what it still needs — nothing (equi-width), the stream
-// (sketch), a counting pass (variance) or a handful of order statistics
-// (median). Only the full-selection stat cache holds sorted values; its
-// quantiles are read off them, everything else is shared.
-func (x *cutter) cutNumeric(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
+// cutNumeric never sorts: one extraction pass yields the values with
+// their NaN count and extremes, and each strategy takes only what it
+// still needs — nothing (equi-width), a counting pass (variance) or a
+// handful of order statistics (median).
+func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
+	scratch := scratchPool.Get().(*cutScratch)
+	defer scratchPool.Put(scratch)
 	var (
-		nn     []float64 // the non-NaN values under sel
-		sorted bool      // nn is ascending
-		total  int       // values under sel, NaN included
-		lo, hi float64   // extremes of nn
-		gk     *sketch.GK
-		// scratch backs nn when it is not the stat cache's
-		scratch *cutScratch
+		vals []float64
+		sum  engine.NumericSummary
+		err  error
 	)
-	if x.cache != nil && full {
-		all, g, err := x.cache.numericStats(x.reqCtx(), x.t, attr, sel, opts)
-		if err != nil {
-			return nil, err
-		}
-		// sort.Float64s orders NaN before every number, so the real
-		// values start after any NaN prefix (a CSV "NaN" cell is non-NULL)
-		nn = all
-		for len(nn) > 0 && math.IsNaN(nn[0]) {
-			nn = nn[1:]
-		}
-		if len(nn) > 0 {
-			lo, hi = nn[0], nn[len(nn)-1]
-		}
-		sorted, total, gk = true, len(all), g
+	if sp != nil {
+		vals, sum, err = sp.NumericStats(x.reqCtx(), attr, opts)
 	} else {
-		scratch = scratchPool.Get().(*cutScratch)
-		defer scratchPool.Put(scratch)
-		vals, sum, err := engine.ExtractNumericUnder(x.reqCtx(), scratch.vals, x.t, attr, sel)
-		if err != nil {
-			return nil, err
+		vals, sum, err = engine.ExtractNumericUnder(x.reqCtx(), scratch.vals, x.t, attr, sel)
+		if err == nil {
+			scratch.vals = vals
 		}
-		scratch.vals = vals
-		if opts.Numeric == CutSketch && len(vals) > 0 {
-			// built from the selection-order stream, NaN included, so the
-			// sketch state matches the cached (table-order) construction
-			gk = newCutSketch(vals, opts.SketchEpsilon)
-		}
-		nn, total, lo, hi = vals, len(vals), sum.Min, sum.Max
-		if sum.NaN > 0 {
-			nn = vals[:0]
-			for _, v := range vals {
-				if v == v {
-					nn = append(nn, v)
-				}
+	}
+	if err != nil {
+		return nil, err
+	}
+	nn, lo, hi := vals, sum.Min, sum.Max // nn: the non-NaN values
+	if sum.NaN > 0 {
+		nn = vals[:0]
+		for _, v := range vals {
+			if v == v {
+				nn = append(nn, v)
 			}
 		}
 	}
-	if total == 0 {
+	if len(vals) == 0 {
 		return nil, &ErrDegenerate{attr, "no non-NULL values under selection"}
 	}
 	if len(nn) == 0 {
@@ -238,16 +224,10 @@ func (x *cutter) cutNumeric(sel *bitvec.Vector, full bool, attr string, opts Cut
 	case CutEquiWidth:
 		edges = equiWidthEdges(lo, hi, k)
 	case CutMedian:
-		if sorted {
-			edges = quantileEdges(lo, hi, k, func(q float64) float64 { return stats.QuantileSorted(nn, q) })
-		} else {
-			mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &scratch.candidates)
-			edges = append(append([]float64{lo}, mid...), hi)
-		}
+		mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &scratch.candidates)
+		edges = append(append([]float64{lo}, mid...), hi)
 	case CutVariance:
 		edges = varianceEdges(nn, lo, hi, k)
-	case CutSketch:
-		edges = quantileEdges(lo, hi, k, gk.Quantile)
 	}
 	edges = dedupEdges(edges)
 	if len(edges) < 3 {
@@ -281,27 +261,6 @@ func splitPoints(k int) []float64 {
 		qs[i] = float64(i+1) / float64(k)
 	}
 	return qs
-}
-
-// quantileEdges puts the split-point quantiles between the extremes.
-func quantileEdges(lo, hi float64, k int, quantile func(q float64) float64) []float64 {
-	edges := make([]float64, 0, k+1)
-	edges = append(edges, lo)
-	for _, q := range splitPoints(k) {
-		edges = append(edges, quantile(q))
-	}
-	return append(edges, hi)
-}
-
-// newCutSketch builds a finalized GK sketch over the value stream.
-func newCutSketch(vals []float64, eps float64) *sketch.GK {
-	if eps <= 0 || eps >= 1 {
-		eps = 0.005
-	}
-	gk := sketch.MustGK(eps)
-	gk.AddAll(vals) // one pass; no sort, sublinear state
-	gk.Finalize()
-	return gk
 }
 
 // varianceEdges finds interval boundaries minimizing total within-interval
@@ -391,14 +350,14 @@ func dedupEdges(edges []float64) []float64 {
 	return out
 }
 
-func (x *cutter) cutCategorical(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
+func (x *cutter) cutCategorical(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
 	var (
 		dict   []string
 		counts []int
 		err    error
 	)
-	if x.cache != nil && full {
-		dict, counts, err = x.cache.categoryStats(x.reqCtx(), x.t, attr, sel)
+	if sp != nil {
+		dict, counts, err = sp.CategoryStats(x.reqCtx(), attr)
 	} else {
 		dict, counts, err = engine.CategoryCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
 	}
@@ -488,13 +447,13 @@ func (x *cutter) cutCategorical(sel *bitvec.Vector, full bool, attr string, opts
 	return preds, nil
 }
 
-func (x *cutter) cutBool(sel *bitvec.Vector, full bool, attr string) ([]query.Predicate, error) {
+func (x *cutter) cutBool(sel *bitvec.Vector, attr string, sp StatProvider) ([]query.Predicate, error) {
 	var (
 		falses, trues int
 		err           error
 	)
-	if x.cache != nil && full {
-		falses, trues, err = x.cache.boolStats(x.reqCtx(), x.t, attr, sel)
+	if sp != nil {
+		falses, trues, err = sp.BoolStats(x.reqCtx(), attr)
 	} else {
 		falses, trues, err = engine.BoolCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
 	}

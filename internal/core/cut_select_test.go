@@ -46,11 +46,13 @@ func referenceNumericEdges(vals []float64, opts CutOptions) (edges []float64, ok
 	case CutEquiWidth:
 		edges = equiWidthEdges(lo, hi, k)
 	case CutMedian:
-		edges = quantileEdges(lo, hi, k, quantile)
+		edges = []float64{lo}
+		for _, q := range splitPoints(k) {
+			edges = append(edges, quantile(q))
+		}
+		edges = append(edges, hi)
 	case CutVariance:
 		edges = varianceEdges(sorted, lo, hi, k)
-	case CutSketch:
-		edges = quantileEdges(lo, hi, k, newCutSketch(vals, opts.SketchEpsilon).Quantile)
 	}
 	edges = dedupEdges(edges)
 	return edges, len(edges) >= 3
@@ -153,11 +155,11 @@ func TestNumericCutMatchesSortReference(t *testing.T) {
 			}
 			return vals
 		}
-		for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance, CutSketch} {
+		for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance} {
 			for splits := 2; splits <= 5; splits++ {
 				opts := DefaultCutOptions()
 				opts.Numeric, opts.Splits = strat, splits
-				cached := cutter{t: tbl, cache: newStatCache()}
+				cached := cutter{t: tbl, cache: newStatCache(opts, nil)}
 				for _, tc := range []struct {
 					path string
 					sel  *bitvec.Vector
@@ -243,7 +245,7 @@ func TestCutIgnoresNaNForQuantiles(t *testing.T) {
 			name string
 			tbl  *storage.Table
 		}{{"memory", mem}, {"lazy", store.Table()}} {
-			cached := cutter{t: tc.tbl, cache: newStatCache()}
+			cached := cutter{t: tc.tbl, cache: newStatCache(opts, nil)}
 			for path, cut := range map[string]func() ([]query.Predicate, error){
 				"full/cached":   func() ([]query.Predicate, error) { return cached.cutPredicates(full, true, "x", opts) },
 				"full/uncached": func() ([]query.Predicate, error) { return CutPredicates(tc.tbl, full, "x", opts) },

@@ -133,41 +133,13 @@ func TestCutVarianceFindsClusterGap(t *testing.T) {
 	}
 }
 
-func TestCutSketchApproximatesMedian(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	vals := make([]float64, 50000)
-	for i := range vals {
-		vals[i] = r.NormFloat64() * 10
-	}
-	tbl := numTable(t, vals)
-	exact := DefaultCutOptions()
-	sk := DefaultCutOptions()
-	sk.Numeric = CutSketch
-	pe, err := CutPredicates(tbl, fullSel(tbl), "x", exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := CutPredicates(tbl, fullSel(tbl), "x", sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sketch cut within epsilon-rank of the exact cut: compare by rank
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	re := sort.SearchFloat64s(sorted, pe[0].Hi)
-	rs := sort.SearchFloat64s(sorted, ps[0].Hi)
-	if diff := math.Abs(float64(re - rs)); diff > 0.02*float64(len(vals)) {
-		t.Errorf("sketch cut rank off by %v (exact %d vs sketch %d)", diff, re, rs)
-	}
-}
-
 func TestCutMultiWay(t *testing.T) {
 	vals := make([]float64, 1000)
 	for i := range vals {
 		vals[i] = float64(i)
 	}
 	tbl := numTable(t, vals)
-	for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance, CutSketch} {
+	for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance} {
 		opts := DefaultCutOptions()
 		opts.Numeric = strat
 		opts.Splits = 4
@@ -201,7 +173,7 @@ func TestCutIntColumn(t *testing.T) {
 // exactly one predicate (Definition 1's disjoint cover requirement).
 func TestPropertyCutIsPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance, CutSketch} {
+	for _, strat := range []NumericCut{CutEquiWidth, CutMedian, CutVariance} {
 		for trial := 0; trial < 10; trial++ {
 			n := 50 + r.Intn(500)
 			vals := make([]float64, n)

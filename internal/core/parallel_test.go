@@ -92,7 +92,7 @@ func TestExploreDeterministicAcrossParallelism(t *testing.T) {
 		query.New("census", query.NewRange("age", 25, 60)),
 		query.New("census", query.NewIn("education", "BSc", "MSc", "PhD")),
 	}
-	for _, numeric := range []NumericCut{CutMedian, CutEquiWidth, CutVariance, CutSketch} {
+	for _, numeric := range []NumericCut{CutMedian, CutEquiWidth, CutVariance} {
 		serialOpts := DefaultOptions()
 		serialOpts.Cut.Numeric = numeric
 		serialOpts.Parallelism = 1

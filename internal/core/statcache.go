@@ -2,139 +2,85 @@ package core
 
 import (
 	"context"
-	"sort"
+	"errors"
 	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/engine"
-	"repro/internal/sketch"
-	"repro/internal/storage"
+	"repro/internal/query"
 )
 
 // StatProvider supplies full-selection column statistics from a
 // substrate that can compute them better than a whole-column pass — a
-// sharded store merging per-shard partials, or a future remote backend.
-// A provider's answers must be exactly what the table-order computation
-// would produce: sorted ascending values (merged per-shard runs equal a
-// global sort), a GK sketch fed the table-order stream, and exact count
-// vectors. The Cartographer consults it inside its stat cache, so each
-// column is still computed at most once.
+// sharded store reducing per-shard statistics, or a remote backend. A
+// provider's answers must be exactly what the table-order computation
+// would produce. The Cartographer consults it only on the first touch of
+// an attribute under the full selection (see statCache).
 type StatProvider interface {
-	// NumericStats returns attr's non-NULL values sorted ascending and,
-	// when opts.Numeric is CutSketch, the finalized GK sketch over the
-	// table-order value stream. ctx carries the caller's trace span and
-	// request ID into remote fan-outs; providers that stay local may
-	// ignore it.
-	NumericStats(ctx context.Context, attr string, opts CutOptions) (sorted []float64, gk *sketch.GK, err error)
+	// NumericStats returns attr's non-NULL values in table row order, in
+	// a fresh slice the caller may overwrite, with their summary. opts is
+	// the cut the values serve; every strategy reads the same values, so
+	// providers may ignore it. ctx carries the caller's trace span and
+	// request ID into remote fan-outs.
+	NumericStats(ctx context.Context, attr string, opts CutOptions) ([]float64, engine.NumericSummary, error)
 	// CategoryStats returns attr's dictionary and per-code counts.
 	CategoryStats(ctx context.Context, attr string) (dict []string, counts []int, err error)
 	// BoolStats returns attr's (false, true) tallies.
 	BoolStats(ctx context.Context, attr string) (falses, trues int, err error)
 }
 
-// statCache memoizes per-column statistics under the full selection
-// (every row of the table): sorted numeric values, the GK quantile
-// sketch for sketch cuts, category counts and boolean tallies. Tables
-// are immutable, so entries never invalidate; each column is computed at
-// most once per Cartographer and then shared read-only across
-// goroutines, repeated Explore calls and anytime rounds. Selections that
-// do not cover the whole table bypass the cache (their statistics depend
-// on the selection).
+// statCache memoizes the CUT answer under the full selection (every row
+// of the table), one entry per attribute: the predicates, or the
+// *ErrDegenerate saying the attribute cannot be cut. Tables are
+// immutable and a Cartographer's CutOptions never change, so an answer
+// never goes stale and the memo is bounded by the schema. Answers are
+// shared read-only across goroutines, repeated Explore calls and anytime
+// rounds; selections that do not cover the whole table, or cuts under
+// other options, bypass the memo.
 //
-// When a StatProvider is attached, first touches delegate to it instead
-// of scanning the table; everything downstream is unchanged.
+// No other failure is cached: a cancelled first touch, or a remote
+// shard's transient error, must not poison the attribute, so the next
+// caller recomputes under its own context.
 type statCache struct {
-	mu       sync.Mutex
-	provider StatProvider
-	cols     map[string]*colStats
+	opts     CutOptions
+	provider StatProvider // nil: first touches scan the table
+
+	mu   sync.Mutex
+	cuts map[string]*cutMemo
 }
 
-// colStats holds one column's cached full-selection statistics. The
-// sync.Once makes concurrent first touches populate exactly once; after
-// that every field is read-only.
-type colStats struct {
-	once sync.Once
-	err  error
-
-	// numeric columns
-	sorted []float64  // non-NULL values, ascending
-	gk     *sketch.GK // finalized; built only when the strategy is CutSketch
-
-	// categorical columns
-	dict   []string
-	counts []int
-
-	// boolean columns
-	falses, trues int
+// cutMemo is one attribute's memoized answer. Its mutex single-flights
+// concurrent first touches; done is set once the answer is final.
+type cutMemo struct {
+	mu    sync.Mutex
+	done  bool
+	preds []query.Predicate
+	err   error // nil or *ErrDegenerate
 }
 
-func newStatCache() *statCache {
-	return &statCache{cols: map[string]*colStats{}}
+func newStatCache(opts CutOptions, sp StatProvider) *statCache {
+	return &statCache{opts: opts, provider: sp, cuts: map[string]*cutMemo{}}
 }
 
-// col returns the (possibly empty) stats entry for attr, creating it
-// under the cache lock. Population happens outside the lock via the
-// entry's own sync.Once.
-func (s *statCache) col(attr string) *colStats {
+// cut returns attr's memoized answer, running compute on the first touch
+// and again after any failure that is not *ErrDegenerate.
+func (s *statCache) cut(attr string, compute func() ([]query.Predicate, error)) ([]query.Predicate, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	cs, ok := s.cols[attr]
-	if !ok {
-		cs = &colStats{}
-		s.cols[attr] = cs
+	m := s.cuts[attr]
+	if m == nil {
+		m = &cutMemo{}
+		s.cuts[attr] = m
 	}
-	return cs
-}
+	s.mu.Unlock()
 
-// numericStats returns the cached sorted values (and, for sketch cuts,
-// the finalized GK sketch) of a numeric column under the full selection.
-// The sketch is built from the table-order value stream before sorting,
-// so cached and uncached sketch cuts agree bit for bit.
-func (s *statCache) numericStats(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector, opts CutOptions) ([]float64, *sketch.GK, error) {
-	cs := s.col(attr)
-	cs.once.Do(func() {
-		if s.provider != nil {
-			cs.sorted, cs.gk, cs.err = s.provider.NumericStats(ctx, attr, opts)
-			return
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done {
+		preds, err := compute()
+		var deg *ErrDegenerate
+		if err != nil && !errors.As(err, &deg) {
+			return nil, err
 		}
-		vals, err := engine.NumericValuesUnderCtx(ctx, t, attr, sel)
-		if err != nil {
-			cs.err = err
-			return
-		}
-		if opts.Numeric == CutSketch {
-			cs.gk = newCutSketch(vals, opts.SketchEpsilon)
-		}
-		sort.Float64s(vals)
-		cs.sorted = vals
-	})
-	return cs.sorted, cs.gk, cs.err
-}
-
-// categoryStats returns the cached dictionary and per-code counts of a
-// categorical column under the full selection.
-func (s *statCache) categoryStats(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) ([]string, []int, error) {
-	cs := s.col(attr)
-	cs.once.Do(func() {
-		if s.provider != nil {
-			cs.dict, cs.counts, cs.err = s.provider.CategoryStats(ctx, attr)
-			return
-		}
-		cs.dict, cs.counts, cs.err = engine.CategoryCountsUnderCtx(ctx, t, attr, sel)
-	})
-	return cs.dict, cs.counts, cs.err
-}
-
-// boolStats returns the cached (false, true) tallies of a boolean column
-// under the full selection.
-func (s *statCache) boolStats(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) (falses, trues int, err error) {
-	cs := s.col(attr)
-	cs.once.Do(func() {
-		if s.provider != nil {
-			cs.falses, cs.trues, cs.err = s.provider.BoolStats(ctx, attr)
-			return
-		}
-		cs.falses, cs.trues, cs.err = engine.BoolCountsUnderCtx(ctx, t, attr, sel)
-	})
-	return cs.falses, cs.trues, cs.err
+		m.preds, m.err, m.done = preds, err, true
+	}
+	return m.preds, m.err
 }

@@ -23,7 +23,7 @@ type Options struct {
 	Regions    int     // WITH REGIONS n
 	Predicates int     // WITH PREDICATES n
 	Splits     int     // WITH SPLITS n
-	Cut        string  // WITH CUT median|equiwidth|variance|sketch
+	Cut        string  // WITH CUT median|equiwidth|variance (sketch: alias of median)
 	Merge      string  // WITH MERGE compose|product
 	Distance   string  // WITH DISTANCE vi|nvi|nmi
 	Threshold  float64 // WITH THRESHOLD x (0 = unset)

@@ -26,10 +26,14 @@ func ApplyOptions(base core.Options, o Options) (core.Options, error) {
 	}
 	if o.Cut != "" {
 		switch core.NumericCut(o.Cut) {
-		case core.CutEquiWidth, core.CutMedian, core.CutVariance, core.CutSketch:
+		case core.CutEquiWidth, core.CutMedian, core.CutVariance:
 			out.Cut.Numeric = core.NumericCut(o.Cut)
+		case "sketch":
+			// Deprecated alias: the GK sketch approximated the median,
+			// which an exact selection now computes faster.
+			out.Cut.Numeric = core.CutMedian
 		default:
-			return core.Options{}, fmt.Errorf("cql: unknown CUT strategy %q (want equiwidth, median, variance or sketch)", o.Cut)
+			return core.Options{}, fmt.Errorf("cql: unknown CUT strategy %q (want equiwidth, median or variance)", o.Cut)
 		}
 	}
 	if o.Merge != "" {

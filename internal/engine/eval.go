@@ -119,6 +119,16 @@ type NumericSummary struct {
 	Min, Max float64
 }
 
+// SummarizeNumeric is the summary ExtractNumericUnder gathers, taken
+// over values already materialized.
+func SummarizeNumeric(vals []float64) NumericSummary {
+	sum := NumericSummary{Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, v := range vals {
+		sum.observe(v)
+	}
+	return sum
+}
+
 func (s *NumericSummary) observe(v float64) {
 	if v < s.Min {
 		s.Min = v
@@ -135,7 +145,7 @@ func (s *NumericSummary) observe(v float64) {
 // value slices across cuts: the values overwrite dst when it is large
 // enough, and they are summarized on the way.
 func ExtractNumericUnder(ctx context.Context, dst []float64, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, NumericSummary, error) {
-	sum := NumericSummary{Min: math.Inf(1), Max: math.Inf(-1)}
+	sum := SummarizeNumeric(nil)
 	if err := obsv.CheckCtx(ctx, "engine.stats"); err != nil {
 		return nil, sum, err
 	}

@@ -70,7 +70,7 @@ func runE6(w io.Writer, quick bool) error {
 		purity float64
 	}
 	var rows []row
-	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance, core.CutSketch} {
+	for _, strat := range []core.NumericCut{core.CutEquiWidth, core.CutMedian, core.CutVariance} {
 		cut := core.DefaultCutOptions()
 		cut.Numeric = strat
 		start := time.Now()

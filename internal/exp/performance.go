@@ -9,13 +9,9 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/engine"
 	"repro/internal/query"
-	"repro/internal/sketch"
-	"repro/internal/storage"
 )
 
 func init() {
@@ -30,12 +26,6 @@ func init() {
 		Title:    "Sampling accuracy and the anytime loop",
 		Artifact: "Section 5.1 (sampling and refinement)",
 		Run:      runE10,
-	})
-	register(Experiment{
-		ID:       "E11",
-		Title:    "Sketch-accelerated CUT vs exact median",
-		Artifact: "Section 5.1 (algorithm optimization, sketches [1])",
-		Run:      runE11,
 	})
 	register(Experiment{
 		ID:       "E14",
@@ -251,90 +241,6 @@ func runE10(w io.Writer, quick bool) error {
 	return nil
 }
 
-func runE11(w io.Writer, quick bool) error {
-	ns := []int{100000, 1000000}
-	if quick {
-		ns = []int{50000, 200000}
-	}
-	section(w, "E11: one-pass sketch median vs exact median for CUT")
-	t := newTable(w, "n", "exact_ms", "sketch_ms", "rank_error_frac", "same_downstream_grouping")
-	for _, n := range ns {
-		tbl, _ := datagen.ClusterPair(n, 0.5, 9)
-		base := bitvec.NewFull(tbl.NumRows())
-
-		exactOpts := core.DefaultCutOptions()
-		start := time.Now()
-		pe, err := core.CutPredicates(tbl, base, "x", exactOpts)
-		if err != nil {
-			return err
-		}
-		exactT := time.Since(start)
-
-		skOpts := core.DefaultCutOptions()
-		skOpts.Numeric = core.CutSketch
-		start = time.Now()
-		ps, err := core.CutPredicates(tbl, base, "x", skOpts)
-		if err != nil {
-			return err
-		}
-		sketchT := time.Since(start)
-
-		// rank error of the sketch cut
-		vals, err := numericColumn(tbl, "x")
-		if err != nil {
-			return err
-		}
-		sort.Float64s(vals)
-		re := sort.SearchFloat64s(vals, pe[0].Hi)
-		rs := sort.SearchFloat64s(vals, ps[0].Hi)
-		rankErr := abs(re-rs) / float64(n)
-
-		// downstream grouping equality under both cut strategies
-		sameGrouping, err := groupingsMatch(tbl, exactOpts, skOpts)
-		if err != nil {
-			return err
-		}
-		t.row(n, ms(exactT), ms(sketchT), rankErr, sameGrouping)
-	}
-	t.flush()
-	fmt.Fprintln(w, "note: the sketch reads the column once (streaming); the exact cut sorts a copy.")
-
-	// GK sketch space bound
-	gk := sketch.MustGK(0.005)
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 500000; i++ {
-		gk.Add(r.Float64())
-	}
-	check(w, gk.Size() < 5000, "GK sketch state stays sublinear: %d tuples for 500k values", gk.Size())
-	return nil
-}
-
-// groupingsMatch runs the full pipeline under two cut configurations and
-// reports whether the resulting attribute groupings are identical.
-func groupingsMatch(tbl *storage.Table, a, b core.CutOptions) (bool, error) {
-	oa := core.DefaultOptions()
-	oa.Cut = a
-	ob := core.DefaultOptions()
-	ob.Cut = b
-	ca, err := core.NewCartographer(tbl, oa)
-	if err != nil {
-		return false, err
-	}
-	cb, err := core.NewCartographer(tbl, ob)
-	if err != nil {
-		return false, err
-	}
-	ra, err := ca.Explore(query.New(tbl.Name()))
-	if err != nil {
-		return false, err
-	}
-	rb, err := cb.Explore(query.New(tbl.Name()))
-	if err != nil {
-		return false, err
-	}
-	return core.GroupingJaccard(ra.AttrClusters, rb.AttrClusters) == 1, nil
-}
-
 func runE14(w io.Writer, quick bool) error {
 	section(w, "E14: SLINK vs naive single-linkage (correctness + scaling)")
 	r := rand.New(rand.NewSource(7))
@@ -412,20 +318,9 @@ func interactiveMs() float64 {
 	return 1000
 }
 
-func abs(x int) float64 {
-	if x < 0 {
-		return float64(-x)
-	}
-	return float64(x)
-}
-
 func sampleRows(n, k int, seed int64) []int {
 	r := rand.New(rand.NewSource(seed))
 	rows := r.Perm(n)[:k]
 	sort.Ints(rows)
 	return rows
-}
-
-func numericColumn(tbl *storage.Table, attr string) ([]float64, error) {
-	return engine.NumericValuesUnder(tbl, attr, bitvec.NewFull(tbl.NumRows()))
 }

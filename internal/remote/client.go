@@ -785,9 +785,8 @@ func (c *Client) cachedBatchDict(ci int) ([]string, bool) {
 }
 
 // NumericValues implements shard.RemoteBackend: the shard's non-NULL
-// values in row order, from the batch statistics. The slice is copied
-// out: callers sort their copy in place, and the cached row order must
-// survive for the next exploration's sketch replay.
+// values in row order, from the batch statistics. The slice is shared
+// with the cache and read-only.
 func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, error) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -798,7 +797,7 @@ func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, err
 	if !ok {
 		return nil, c.missingStat(ctx, "numeric", attr)
 	}
-	return append([]float64(nil), vals...), nil
+	return vals, nil
 }
 
 // CategoryCounts implements shard.RemoteBackend (local dictionary space)
@@ -842,20 +841,18 @@ func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) 
 		}
 		req.Specs[i] = d
 	}
-	var dtos []partialDTO
-	if err := c.postJSON(ctx, "partials", "/shard/v1/partials", req, &dtos); err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, &ShardError{Location: c.primary, Op: "partials", Err: err}
+	}
+	var out []*shard.ColumnPartial
+	// A malformed answer is retried like a transport failure.
+	read := func(data []byte) (err error) {
+		out, err = parsePartials(data, len(specs))
+		return err
+	}
+	if err := c.do(ctx, "partials", http.MethodPost, "/shard/v1/partials", nil, body, 0, read); err != nil {
 		return nil, err
-	}
-	if len(dtos) != len(specs) {
-		return nil, &ShardError{Location: c.primary, Op: "partials", Err: fmt.Errorf("%d partials for %d specs", len(dtos), len(specs))}
-	}
-	out := make([]*shard.ColumnPartial, len(dtos))
-	for i, d := range dtos {
-		p, err := partialFromDTO(d)
-		if err != nil {
-			return nil, &ShardError{Location: c.primary, Op: "partials", Err: err}
-		}
-		out[i] = p
 	}
 	return out, nil
 }

@@ -2,11 +2,14 @@ package remote
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"strings"
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/shard"
+	"repro/internal/stats"
 )
 
 // Fuzz targets for the fabric's byte-facing decoders: whatever a shard
@@ -118,6 +121,47 @@ func FuzzPredicateBits(f *testing.F) {
 		}
 		if tail := uint(rows % 64); tail != 0 && words[len(words)-1]>>tail != 0 {
 			t.Fatalf("bits set past row %d", rows)
+		}
+	})
+}
+
+// FuzzPartials: a partials answer to a request for n columns decodes
+// into exactly n bundles, each histogram with one count per bin — or
+// fails with an error.
+func FuzzPartials(f *testing.F) {
+	ok, err := json.Marshal([]partialDTO{
+		partialToDTO(&shard.ColumnPartial{Rows: 4, Nulls: 1, Count: 3, Sum: 6, Min: 1, Max: 3, HasMinMax: true,
+			Hist: &stats.Histogram{Edges: []float64{1, 2, 3}, Counts: []int{1, 2}}}),
+		partialToDTO(&shard.ColumnPartial{Rows: 4, Count: 4, CatCounts: []int{3, 1}}),
+		partialToDTO(&shard.ColumnPartial{Rows: 4, Count: 4, Falses: 1, Trues: 3}),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ok, uint8(3))
+	f.Add(ok, uint8(2))
+	f.Add(ok[:len(ok)-5], uint8(3))
+	f.Add([]byte(`[{"rows":1,"histEdges":["0"],"histCounts":[]}]`), uint8(1))
+	f.Add([]byte(`[{"rows":1,"hasMinMax":true,"min":"zz"}]`), uint8(1))
+	f.Add([]byte(`null`), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		parts, err := parsePartials(data, int(n))
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed error")
+			}
+			return
+		}
+		if len(parts) != int(n) {
+			t.Fatalf("%d partials for %d specs", len(parts), n)
+		}
+		for i, p := range parts {
+			if p == nil {
+				t.Fatalf("partial %d is nil", i)
+			}
+			if h := p.Hist; h != nil && (len(h.Edges) < 2 || len(h.Counts) != len(h.Edges)-1) {
+				t.Fatalf("partial %d: histogram of %d edges with %d counts", i, len(h.Edges), len(h.Counts))
+			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package remote
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -116,14 +115,27 @@ func renderResult(r *core.Result) string {
 // TestRemoteExploreByteIdentical is the tentpole acceptance test: a
 // sharded Explore whose shards are served over the fabric must be
 // byte-identical to the local sharded run — and to the unsharded
-// table — at every (shard count, parallelism) pair.
+// table — at every (shard count, parallelism) pair. The no-predicate sky
+// query runs six float columns through the statistics plane's numeric
+// values.
 func TestRemoteExploreByteIdentical(t *testing.T) {
-	tbl := datagen.Census(12_000, 3)
-	queries := []query.Query{
-		query.New("census"),
-		query.New("census", query.NewRange("age", 20, 70)),
-		query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F")),
+	for _, tc := range []struct {
+		tbl     *storage.Table
+		queries []query.Query
+	}{
+		{datagen.Census(12_000, 3), []query.Query{
+			query.New("census"),
+			query.New("census", query.NewRange("age", 20, 70)),
+			query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F")),
+		}},
+		{datagen.SkySurvey(12_000, 3), []query.Query{query.New("sky")}},
+	} {
+		testRemoteExploreByteIdentical(t, tc.tbl, tc.queries)
 	}
+}
+
+func testRemoteExploreByteIdentical(t *testing.T, tbl *storage.Table, queries []query.Query) {
+	t.Helper()
 	refs := make([]string, len(queries))
 	refOpts := core.DefaultOptions()
 	refOpts.Parallelism = 1
@@ -157,11 +169,11 @@ func TestRemoteExploreByteIdentical(t *testing.T) {
 				for qi, q := range queries {
 					res, err := cart.Explore(q)
 					if err != nil {
-						t.Fatalf("shards=%d workers=%d query %d: %v", shards, workers, qi, err)
+						t.Fatalf("%s shards=%d workers=%d query %d: %v", tbl.Name(), shards, workers, qi, err)
 					}
 					if got := renderResult(res); got != refs[qi] {
-						t.Errorf("store=%+v shards=%d workers=%d query %d: remote result differs from unsharded\nwant:\n%s\ngot:\n%s",
-							store, shards, workers, qi, refs[qi], got)
+						t.Errorf("store=%+v shards=%d workers=%d query %s: remote result differs from unsharded\nwant:\n%s\ngot:\n%s",
+							store, shards, workers, q, refs[qi], got)
 					}
 				}
 			}
@@ -344,7 +356,7 @@ func TestRemoteSessionPredCountSkipsChunks(t *testing.T) {
 // TestRemotePartialsMatchLocal checks the statistics plane's mergeable
 // bundles: the merged per-column partials of a remote set must agree
 // with the local set's on every exact field and on the approximate
-// summaries (same sketches, same histograms).
+// summaries (same histograms).
 func TestRemotePartialsMatchLocal(t *testing.T) {
 	tbl := datagen.Census(6_000, 11)
 	local := writeShardedInputs(t, tbl, 3, 256)
@@ -407,16 +419,6 @@ func testRemotePartialsMatchLocal(t *testing.T, local, remote string, store cols
 			for e := range w.Hist.Edges {
 				if w.Hist.Edges[e] != g.Hist.Edges[e] {
 					t.Errorf("column %d edge %d: %g vs %g", ci, e, w.Hist.Edges[e], g.Hist.Edges[e])
-				}
-			}
-		}
-		if (w.Quantiles == nil) != (g.Quantiles == nil) {
-			t.Errorf("column %d: sketch presence differs", ci)
-		} else if w.Quantiles != nil {
-			for _, qq := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				wv, gv := w.Quantiles.Quantile(qq), g.Quantiles.Quantile(qq)
-				if wv != gv && !(math.IsNaN(wv) && math.IsNaN(gv)) {
-					t.Errorf("column %d q%.2f: %g vs %g", ci, qq, wv, gv)
 				}
 			}
 		}

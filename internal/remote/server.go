@@ -11,7 +11,7 @@
 // The statistics plane answers per-shard aggregate questions where the
 // data lives, in three calls: batchstats (every attribute's values in
 // row order, category or boolean counts, in one round trip), partials
-// (mergeable ColumnPartial bundles: fixed-edge histograms, GK sketches)
+// (mergeable ColumnPartial bundles: counts and fixed-edge histograms)
 // and predcount (one predicate's selection bitmap and count) — so a
 // sharded exploration's column statistics fan out as N small requests
 // and reduce through the existing merge layer

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/shard"
-	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -455,20 +454,6 @@ type partialSpecDTO struct {
 	UseHist bool   `json:"useHist,omitempty"`
 }
 
-// gkEntryDTO is one GK sketch tuple on the wire.
-type gkEntryDTO struct {
-	V     string `json:"v"`
-	G     int    `json:"g"`
-	Delta int    `json:"d,omitempty"`
-}
-
-// gkDTO serializes a finalized GK sketch.
-type gkDTO struct {
-	Eps     string       `json:"eps"`
-	N       int          `json:"n"`
-	Entries []gkEntryDTO `json:"entries"`
-}
-
 // partialDTO is one column's mergeable bundle on the wire (local
 // dictionary space for CatCounts).
 type partialDTO struct {
@@ -481,7 +466,6 @@ type partialDTO struct {
 	HasMinMax  bool     `json:"hasMinMax,omitempty"`
 	HistEdges  []string `json:"histEdges,omitempty"`
 	HistCounts []int    `json:"histCounts,omitempty"`
-	GK         *gkDTO   `json:"gk,omitempty"`
 	CatCounts  []int    `json:"catCounts,omitempty"`
 	Falses     int      `json:"falses,omitempty"`
 	Trues      int      `json:"trues,omitempty"`
@@ -503,15 +487,28 @@ func partialToDTO(p *shard.ColumnPartial) partialDTO {
 		}
 		d.HistCounts = p.Hist.Counts
 	}
-	if p.Quantiles != nil {
-		n, entries := p.Quantiles.Export()
-		g := &gkDTO{Eps: fbits(p.Quantiles.Epsilon()), N: n, Entries: make([]gkEntryDTO, len(entries))}
-		for i, e := range entries {
-			g.Entries[i] = gkEntryDTO{V: fbits(e.V), G: e.G, Delta: e.Delta}
-		}
-		d.GK = g
-	}
 	return d
+}
+
+// parsePartials decodes a partials answer to a request for n columns:
+// exactly n bundles, each with a histogram of one count per bin.
+func parsePartials(data []byte, n int) ([]*shard.ColumnPartial, error) {
+	var dtos []partialDTO
+	if err := json.Unmarshal(data, &dtos); err != nil {
+		return nil, fmt.Errorf("remote: partials answer: %w", err)
+	}
+	if len(dtos) != n {
+		return nil, fmt.Errorf("remote: %d partials for %d specs", len(dtos), n)
+	}
+	out := make([]*shard.ColumnPartial, n)
+	for i, d := range dtos {
+		p, err := partialFromDTO(d)
+		if err != nil {
+			return nil, fmt.Errorf("remote: partial %d: %w", i, err)
+		}
+		out[i] = p
+	}
+	return out, nil
 }
 
 func partialFromDTO(d partialDTO) (*shard.ColumnPartial, error) {
@@ -535,7 +532,7 @@ func partialFromDTO(d partialDTO) (*shard.ColumnPartial, error) {
 		}
 	}
 	if len(d.HistEdges) > 0 {
-		if len(d.HistCounts) != len(d.HistEdges)-1 {
+		if len(d.HistEdges) < 2 || len(d.HistCounts) != len(d.HistEdges)-1 {
 			return nil, fmt.Errorf("remote: histogram of %d edges with %d counts", len(d.HistEdges), len(d.HistCounts))
 		}
 		edges := make([]float64, len(d.HistEdges))
@@ -545,23 +542,6 @@ func partialFromDTO(d partialDTO) (*shard.ColumnPartial, error) {
 			}
 		}
 		p.Hist = &stats.Histogram{Edges: edges, Counts: d.HistCounts}
-	}
-	if d.GK != nil {
-		eps, err := parseFbits(d.GK.Eps)
-		if err != nil {
-			return nil, err
-		}
-		entries := make([]sketch.GKEntry, len(d.GK.Entries))
-		for i, e := range d.GK.Entries {
-			v, err := parseFbits(e.V)
-			if err != nil {
-				return nil, err
-			}
-			entries[i] = sketch.GKEntry{V: v, G: e.G, Delta: e.Delta}
-		}
-		if p.Quantiles, err = sketch.GKFromEntries(eps, d.GK.N, entries); err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
 }

@@ -28,7 +28,7 @@ import (
 
 // Server holds one explorable table and its sessions. All requests that
 // run with the server's default options share a single Cartographer —
-// safe for concurrent use — so its column-stat cache warms once and
+// safe for concurrent use — so its full-selection cut memo warms once and
 // serves every session and stateless exploration — and every request
 // shares one result cache, so a map is computed once however many
 // sessions, prefetches and stateless explorations ask for it.
@@ -37,8 +37,8 @@ type Server struct {
 	opts  core.Options
 	cart  *core.Cartographer // shared; nil only when opts fail validation
 	// set is non-nil when serving a sharded table: sessions assemble
-	// selections per shard, the stat cache fills from merged per-shard
-	// partials, and /api/shards reports the layout.
+	// selections per shard, the cut memo fills from per-shard statistics,
+	// and /api/shards reports the layout.
 	set *shard.Set
 	// store is non-nil when serving a single-file store; with set it
 	// feeds the lazy-I/O counters of /api/stats.
@@ -602,18 +602,17 @@ type ShardsDTO struct {
 	Columns      []ShardColsDTO `json:"columns,omitempty"`
 }
 
-// ShardColsDTO is one column's merged aggregate: exact counts plus
-// approximate quantiles from the merged per-shard sketches.
+// ShardColsDTO is one column's merged aggregate: exact counts, extremes
+// and mean plus the merged fixed-edge histogram.
 type ShardColsDTO struct {
-	Name   string    `json:"name"`
-	Rows   int       `json:"rows"`
-	Nulls  int       `json:"nulls"`
-	Min    float64   `json:"min,omitempty"`
-	Max    float64   `json:"max,omitempty"`
-	Mean   float64   `json:"mean,omitempty"`
-	Median float64   `json:"median,omitempty"`
-	Hist   []int     `json:"hist,omitempty"`
-	Edges  []float64 `json:"histEdges,omitempty"`
+	Name  string    `json:"name"`
+	Rows  int       `json:"rows"`
+	Nulls int       `json:"nulls"`
+	Min   float64   `json:"min,omitempty"`
+	Max   float64   `json:"max,omitempty"`
+	Mean  float64   `json:"mean,omitempty"`
+	Hist  []int     `json:"hist,omitempty"`
+	Edges []float64 `json:"histEdges,omitempty"`
 }
 
 // handleShards reports the shard layout and the merged partial
@@ -683,9 +682,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			col.Min, col.Max = p.Min, p.Max
 			if p.Count > 0 {
 				col.Mean = p.Sum / float64(p.Count)
-			}
-			if p.Quantiles != nil && p.Quantiles.Count() > 0 {
-				col.Median = p.Quantiles.Median()
 			}
 			if p.Hist != nil {
 				col.Hist = p.Hist.Counts

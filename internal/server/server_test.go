@@ -97,6 +97,26 @@ func TestExploreWithOptions(t *testing.T) {
 	}
 }
 
+// TestExploreCutSketchIsMedian: WITH CUT sketch, kept for captured
+// workloads, answers exactly what WITH CUT median answers.
+func TestExploreCutSketchIsMedian(t *testing.T) {
+	ts := newTestServer(t)
+	answer := func(cql string) map[string]json.RawMessage {
+		resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": cql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status = %d body=%v", cql, resp.StatusCode, body)
+		}
+		return body
+	}
+	sketch := answer("EXPLORE census WHERE age > 20 WITH CUT sketch")
+	median := answer("EXPLORE census WHERE age > 20 WITH CUT median")
+	for _, key := range []string{"input", "totalRows", "baseCount", "maps", "flagged"} {
+		if !bytes.Equal(sketch[key], median[key]) {
+			t.Errorf("%s: sketch %s, median %s", key, sketch[key], median[key])
+		}
+	}
+}
+
 func TestExploreBadCQL(t *testing.T) {
 	ts := newTestServer(t)
 	cases := []string{

@@ -84,7 +84,8 @@ type PartialSpec struct {
 type RemoteBackend interface {
 	Backend
 	// NumericValues returns attr's non-NULL values in row order under
-	// the full selection.
+	// the full selection. The slice may be the backend's cached copy and
+	// must not be modified.
 	NumericValues(ctx context.Context, attr string) ([]float64, error)
 	// CategoryCounts returns attr's local dictionary and per-code
 	// counts under the full selection.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -13,51 +12,11 @@ import (
 // This file is the mergeable partial-statistics layer: every statistic
 // the pipeline (or a front-end) needs over a sharded table is computed
 // as one partial per shard and reduced by an associative merge —
-// counts and category-count vectors add, sorted runs merge-sort,
-// fixed-edge histograms add bin-wise, GK sketches merge entry lists.
-// The exact reductions (counts, sorted runs) feed Explore and stay
+// counts and category-count vectors add, fixed-edge histograms add
+// bin-wise. The exact reductions (counts) feed Explore and stay
 // byte-identical to the unsharded computation; the approximate ones
-// (histograms, sketches) feed aggregate summaries where a shard's raw
-// values never need to leave it.
-
-// MergeSortedRuns merge-sorts ascending runs into one ascending slice —
-// the exact reduction behind distributed sorted-value statistics: each
-// shard sorts its own values and the merged result equals a global sort
-// (sort.Float64s order, NaNs first). Ties break toward the earlier run,
-// so the output is independent of how the runs were computed.
-func MergeSortedRuns(runs [][]float64) []float64 {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]float64, 0, total)
-	heads := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for ri, r := range runs {
-			if heads[ri] >= len(r) {
-				continue
-			}
-			if best < 0 || floatLess(r[heads[ri]], runs[best][heads[best]]) {
-				best = ri
-			}
-		}
-		out = append(out, runs[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-// floatLess is sort.Float64s order: NaN sorts before every number.
-func floatLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
+// (histograms) feed aggregate summaries where a shard's raw values never
+// need to leave it.
 
 // AddCounts adds src into dst element-wise — the reduction for category
 // counts and any other count vector keyed by a shared dictionary.
@@ -73,7 +32,7 @@ func AddCounts(dst, src []int) error {
 
 // ColumnPartial is one shard's mergeable statistic bundle for one
 // column: exact counts plus, for numeric columns, a fixed-edge histogram
-// and a GK quantile sketch that merge across shards.
+// that merges across shards.
 type ColumnPartial struct {
 	// Rows and Nulls count the shard's rows and NULLs in this column.
 	Rows, Nulls int
@@ -86,8 +45,6 @@ type ColumnPartial struct {
 	// Hist is a fixed-edge histogram over the set-wide value range
 	// (numeric columns; nil otherwise).
 	Hist *stats.Histogram
-	// Quantiles is the shard's GK sketch (numeric columns; nil otherwise).
-	Quantiles *sketch.GK
 	// CatCounts are per-code counts against the set's union dictionary
 	// (string columns; nil otherwise).
 	CatCounts []int
@@ -95,8 +52,7 @@ type ColumnPartial struct {
 	Falses, Trues int
 }
 
-// Merge folds o into p. Histograms must share edges; sketches merge with
-// summed error budgets.
+// Merge folds o into p. Histograms must share edges.
 func (p *ColumnPartial) Merge(o *ColumnPartial) error {
 	p.Rows += o.Rows
 	p.Nulls += o.Nulls
@@ -119,13 +75,6 @@ func (p *ColumnPartial) Merge(o *ColumnPartial) error {
 			p.Hist = o.Hist
 		} else if err := p.Hist.Merge(o.Hist); err != nil {
 			return err
-		}
-	}
-	if o.Quantiles != nil {
-		if p.Quantiles == nil {
-			p.Quantiles = o.Quantiles
-		} else {
-			p.Quantiles.Merge(o.Quantiles)
 		}
 	}
 	if o.CatCounts != nil {
@@ -156,10 +105,6 @@ func ComputeColumnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi 
 
 // partialHistBins is the bin count of per-shard summary histograms.
 const partialHistBins = 64
-
-// partialEps is the per-shard sketch error; k merged shards answer
-// within k·partialEps.
-const partialEps = 0.005
 
 // columnPartial computes one shard's partial for column ci of t. For
 // numeric columns, lo/hi fix the histogram edges (the set-wide range,
@@ -220,7 +165,6 @@ func lazyColumnPartial(ctx context.Context, p *ColumnPartial, c *storage.LazyCol
 			}
 			p.Hist = h
 		}
-		p.Quantiles = sketch.MustGK(partialEps)
 		err := c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
 			for i := 0; i < pl.Rows(); i++ {
 				if pl.IsNull(i) {
@@ -244,14 +188,12 @@ func lazyColumnPartial(ctx context.Context, p *ColumnPartial, c *storage.LazyCol
 				if p.Hist != nil {
 					p.Hist.Observe(v)
 				}
-				p.Quantiles.Add(v)
 			}
 			return true, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		p.Quantiles.Finalize()
 		return p, nil
 	case storage.String:
 		dict, err := c.DictValues()
@@ -304,7 +246,6 @@ func (p *ColumnPartial) observeNumeric(lo, hi float64, useHist bool, n int, isNu
 		}
 		p.Hist = h
 	}
-	p.Quantiles = sketch.MustGK(partialEps)
 	for i := 0; i < n; i++ {
 		if isNull(i) {
 			continue
@@ -327,8 +268,6 @@ func (p *ColumnPartial) observeNumeric(lo, hi float64, useHist bool, n int, isNu
 		if p.Hist != nil {
 			p.Hist.Observe(v)
 		}
-		p.Quantiles.Add(v)
 	}
-	p.Quantiles.Finalize()
 	return nil
 }

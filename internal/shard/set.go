@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/par"
 	"repro/internal/query"
-	"repro/internal/sketch"
 	"repro/internal/storage"
 )
 
@@ -1067,11 +1067,9 @@ func (s *Set) ShardTable(i int) *storage.Table { return s.views[i] }
 func (s *Set) ShardOffset(i int) int { return s.offsets[i] }
 
 // Provider returns the set's core.StatProvider: full-selection column
-// statistics computed as per-shard partials on up to parallelism
-// workers (0 means GOMAXPROCS) and reduced by the exact merges of
-// partial.go. Sorted values are per-shard sorted runs merge-sorted into
-// the global order; category and boolean counts are summed vectors; cut
-// sketches replay the shard value streams in shard order, so every
+// statistics computed per shard on up to parallelism workers (0 means
+// GOMAXPROCS) and reduced exactly — value runs concatenate in shard (=
+// combined row) order, category and boolean counts add — so every
 // answer matches the unsharded computation.
 func (s *Set) Provider(parallelism int) *Provider {
 	if parallelism <= 0 {
@@ -1086,58 +1084,32 @@ type Provider struct {
 	workers int
 }
 
-// NumericStats implements core.StatProvider. Remote shards answer over
-// the statistics plane — one small request returning the shard's values
-// in row order, computed where the data lives — and local shards scan
-// their views; either way the merged result is exactly the unsharded
-// computation.
-func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, *sketch.GK, error) {
+// NumericStats implements core.StatProvider: attr's non-NULL values in
+// combined row order, in a fresh slice, with their summary. Remote
+// shards answer over the statistics plane — one small request returning
+// the shard's values in row order, computed where the data lives — and
+// local shards scan their views. opts is unused: every numeric cut reads
+// the same values.
+func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, engine.NumericSummary, error) {
 	runs := make([][]float64, p.s.NumShards())
 	err := par.For(p.workers, len(runs), func(i int) error {
 		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
 			return err
 		} else if sb != nil {
 			vals, err := sb.NumericValues(ctx, attr)
-			if err != nil {
-				return err
-			}
 			runs[i] = vals
-			return nil
+			return err
 		}
 		view := p.s.views[i]
 		vals, err := engine.NumericValuesUnderCtx(ctx, view, attr, bitvec.NewFull(view.NumRows()))
-		if err != nil {
-			return err
-		}
 		runs[i] = vals
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, engine.NumericSummary{}, err
 	}
-	var gk *sketch.GK
-	if opts.Numeric == core.CutSketch {
-		// The sketch must equal the one a single pass over the combined
-		// table would build, so the shard streams are replayed in shard
-		// (= combined row) order rather than merged.
-		eps := opts.SketchEpsilon
-		if eps <= 0 || eps >= 1 {
-			eps = 0.005
-		}
-		gk = sketch.MustGK(eps)
-		for _, r := range runs {
-			gk.AddAll(r)
-		}
-		gk.Finalize()
-	}
-	err = par.For(p.workers, len(runs), func(i int) error {
-		sort.Float64s(runs[i])
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return MergeSortedRuns(runs), gk, nil
+	vals := slices.Concat(runs...)
+	return vals, engine.SummarizeNumeric(vals), nil
 }
 
 // CategoryStats implements core.StatProvider. Remote shards return
@@ -1238,8 +1210,8 @@ func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error)
 }
 
 // Partials computes one merged ColumnPartial per column: each shard
-// builds its bundle independently (counts, fixed-edge histogram, GK
-// sketch, category counts) and the bundles reduce in shard order. It is
+// builds its bundle independently (counts, fixed-edge histogram,
+// category counts) and the bundles reduce in shard order. It is
 // the aggregate-statistics path front-ends use — no shard's raw values
 // are ever centralized — and the consistency check behind "do the
 // shards still sum to the table the manifest promises".

@@ -48,15 +48,21 @@ func renderResult(r *core.Result) string {
 
 // TestShardedExploreByteIdentical is the tentpole acceptance test:
 // Explore over a shard set must be byte-identical to Explore over the
-// unsharded table, at every (shard count, parallelism) pair.
+// unsharded table, at every (shard count, parallelism) pair. The
+// no-predicate sky query runs six float columns through the provider's
+// numeric statistics.
 func TestShardedExploreByteIdentical(t *testing.T) {
-	tbl := datagen.Census(20_000, 3)
-	queries := []query.Query{
-		query.New("census"),
-		query.New("census", query.NewRange("age", 20, 70)),
-		query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F")),
-	}
-	for _, q := range queries {
+	census, sky := datagen.Census(20_000, 3), datagen.SkySurvey(20_000, 3)
+	for _, tc := range []struct {
+		tbl *storage.Table
+		q   query.Query
+	}{
+		{census, query.New("census")},
+		{census, query.New("census", query.NewRange("age", 20, 70))},
+		{census, query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F"))},
+		{sky, query.New("sky")},
+	} {
+		tbl, q := tc.tbl, tc.q
 		// Unsharded reference at serial parallelism.
 		refOpts := core.DefaultOptions()
 		refOpts.Parallelism = 1
@@ -90,42 +96,6 @@ func TestShardedExploreByteIdentical(t *testing.T) {
 						q.String(), shards, workers, got, want)
 				}
 			}
-		}
-	}
-}
-
-// TestShardedExploreSketchCut: the sketch-cut path must also be
-// byte-identical — the provider replays shard streams in order rather
-// than merging sketches.
-func TestShardedExploreSketchCut(t *testing.T) {
-	tbl := datagen.Census(10_000, 5)
-	opts := core.DefaultOptions()
-	opts.Cut.Numeric = core.CutSketch
-	opts.Parallelism = 1
-	refCart, err := core.NewCartographer(tbl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.New("census")
-	ref, err := refCart.Explore(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderResult(ref)
-	set, _ := writeTestSet(t, tbl, IngestOptions{Shards: 4, ChunkSize: 256})
-	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Parallelism = workers
-		cart, err := core.NewCartographerWith(set.Table(), o, set.Provider(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cart.Explore(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderResult(res); got != want {
-			t.Errorf("sketch cut, workers=%d: sharded result differs:\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
 }
@@ -417,31 +387,6 @@ func TestIsManifest(t *testing.T) {
 	}
 }
 
-// TestMergeSortedRuns: merged per-shard sorted runs equal a global sort.
-func TestMergeSortedRuns(t *testing.T) {
-	vals := []float64{3, math.NaN(), 1, 2, -5, 2, 8, 0.5, math.Inf(1), math.Inf(-1), 2}
-	runs := [][]float64{
-		append([]float64(nil), vals[:4]...),
-		append([]float64(nil), vals[4:7]...),
-		{},
-		append([]float64(nil), vals[7:]...),
-	}
-	for _, r := range runs {
-		sort.Float64s(r)
-	}
-	got := MergeSortedRuns(runs)
-	want := append([]float64(nil), vals...)
-	sort.Float64s(want)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d values, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("merged[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestPartialsWithNaN: a NaN-containing chunk drops its zone-map bounds,
 // but the merged histogram edges must still span every finite value —
 // Partials falls back to an exact range pass for such columns.
@@ -505,9 +450,6 @@ func TestPartials(t *testing.T) {
 			}
 			if p.Hist == nil || p.Hist.Total() != p.Count {
 				t.Errorf("col %s: merged histogram total %v, want %d", f.Name, p.Hist, p.Count)
-			}
-			if p.Quantiles == nil || p.Quantiles.Count() != p.Count {
-				t.Errorf("col %s: merged sketch count, want %d", f.Name, p.Count)
 			}
 		case storage.String:
 			total := 0

@@ -59,6 +59,7 @@ var reachAllowlist = map[string]string{
 	"internal/stats.Histogram.Total":          reachTestOnly,
 	"internal/stats.Median":                   reachOracle,
 	"internal/stats.Quantile":                 reachOracle,
+	"internal/stats.QuantileSorted":           reachOracle,
 	"internal/stats.RandIndex":                reachUnused,
 	"internal/storage.Builder.NumRows":        reachTestOnly,
 	"internal/storage.LazyColumn.CodeOf":      reachTestOnly,
