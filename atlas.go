@@ -160,7 +160,7 @@ type Explorer struct {
 	opts  Options
 	cart  *core.Cartographer
 	// set is non-nil for sharded explorers (NewSharded): column stats
-	// reduce from per-shard partials and sessions scan per shard.
+	// reduce from per-shard partials.
 	set *shard.Set
 }
 
@@ -178,7 +178,7 @@ func New(table *Table, opts Options) (*Explorer, error) {
 // bitmaps and contingency counts fan out chunk-by-chunk across shard
 // boundaries — while full-selection column statistics (values in row
 // order, category counts) are computed per shard on the worker pool and
-// reduced exactly, and sessions keep per-shard predicate bitmaps.
+// reduced exactly.
 // Results are byte-identical to exploring the equivalent unsharded
 // table, at any shard count and parallelism.
 func NewSharded(st *ShardedTable, opts Options) (*Explorer, error) {
@@ -288,13 +288,10 @@ func (e *Explorer) ExploreAnytime(ctx context.Context, cqlText string, opts Anyt
 }
 
 // NewSession starts a stateful drill-down session with result caching
-// and anticipative prefetching. On sharded explorers the session's
-// predicate-bitmap LRU is keyed per shard and selections assemble
-// shard by shard.
+// and anticipative prefetching. A session's root explorations run as
+// Explore does; a drill starts from the parent region's rows, which the
+// parent's map already holds, so it scans no base selection.
 func (e *Explorer) NewSession() *Session {
-	if e.set != nil {
-		return session.NewSharded(e.cart, e.set)
-	}
 	return session.New(e.cart)
 }
 

@@ -13,8 +13,9 @@
 // "atlas ingest" (or atlas.SaveStore): cold start skips CSV parsing
 // entirely and scans prune chunks via the store's zone maps. A shard
 // manifest (created with "atlas ingest -shards N") serves the sharded
-// table: explorations fan out across shards, sessions keep per-shard
-// predicate bitmaps, and GET /api/shards reports the layout with merged
+// table: explorations fan out across shards, a session drill starts
+// from the rows its parent map already holds, and GET /api/shards
+// reports the layout with merged
 // per-shard statistics. Manifests whose shard locations are http(s)://
 // URLs open through the remote shard fabric — this atlasd becomes the
 // coordinator of a scale-out deployment.
@@ -47,8 +48,8 @@
 // JSON. -pprof additionally mounts /debug/pprof/.
 //
 // With -serve-shard, the /shard/v1/* fabric endpoints are served
-// instead (meta, zones, dict, chunk, values, catcounts, boolcounts,
-// partials, predcount, health).
+// instead (meta, zones, dict, chunk, batchstats, partials, health,
+// stats).
 package main
 
 import (

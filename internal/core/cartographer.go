@@ -141,19 +141,6 @@ func (c *Cartographer) Table() *storage.Table { return c.table }
 // Options returns the pipeline configuration.
 func (c *Cartographer) Options() Options { return c.opts }
 
-// Workers returns the resolved worker count Options.Parallelism maps to
-// — the single source of truth for callers (sessions) that run scans on
-// the Cartographer's behalf.
-func (c *Cartographer) Workers() int { return resolveParallelism(c.opts.Parallelism) }
-
-// ScanOpts returns the scan options the Cartographer runs its own scans
-// with — workers, its cumulative stats accumulator and the request
-// context — so callers (sessions) scanning on its behalf feed the same
-// counters and their lazy chunk fetches ride the caller's trace.
-func (c *Cartographer) ScanOpts(ctx context.Context) engine.ScanOptions {
-	return engine.ScanOptions{Workers: c.Workers(), Stats: &c.scan, Ctx: ctx}
-}
-
 // ScanStats snapshots the cumulative chunk-level scan counters of every
 // exploration this Cartographer has run.
 func (c *Cartographer) ScanStats() engine.Snapshot { return c.scan.Snapshot() }
@@ -224,7 +211,8 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Resu
 	}
 	bctx, sp := obsv.StartSpan(ctx, "base")
 	base := bitvec.NewFull(c.table.NumRows())
-	if err := engine.EvalAndIntoOpts(c.table, q, base, c.ScanOpts(bctx)); err != nil {
+	sopts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Stats: &c.scan, Ctx: bctx}
+	if err := engine.EvalAndIntoOpts(c.table, q, base, sopts); err != nil {
 		sp.End()
 		return nil, err
 	}
@@ -234,9 +222,10 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Resu
 
 // ExploreSel runs the pipeline on a precomputed base selection — the
 // entry point for callers that already hold Eval(table, q) (for
-// example, a session assembling the selection from cached per-predicate
-// bitmaps). base must have exactly the table's length and must select
-// exactly the rows matching q; the Cartographer takes ownership of it.
+// example, a session drilling into a region: the parent map's
+// assignment holds the region's rows). base must have exactly the
+// table's length and must select exactly the rows matching q; the
+// Cartographer takes ownership of it.
 func (c *Cartographer) ExploreSel(q query.Query, base *bitvec.Vector) (*Result, error) {
 	return c.ExploreSelCtx(context.Background(), q, base)
 }

@@ -30,9 +30,14 @@ func people(t testing.TB) *storage.Table {
 	return b.MustBuild()
 }
 
+// evalPred evaluates one predicate as a one-predicate query.
+func evalPred(t *storage.Table, p query.Predicate) (*bitvec.Vector, error) {
+	return Eval(t, query.New(t.Name(), p))
+}
+
 func TestEvalPredicateRangeInt(t *testing.T) {
 	tbl := people(t)
-	sel, err := EvalPredicate(tbl, query.NewRange("age", 30, 55))
+	sel, err := evalPred(tbl, query.NewRange("age", 30, 55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +49,7 @@ func TestEvalPredicateRangeInt(t *testing.T) {
 
 func TestEvalPredicateRangeFloat(t *testing.T) {
 	tbl := people(t)
-	sel, err := EvalPredicate(tbl, query.NewRange("salary", 30000, 60000))
+	sel, err := evalPred(tbl, query.NewRange("salary", 30000, 60000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +62,7 @@ func TestEvalPredicateRangeFloat(t *testing.T) {
 
 func TestEvalPredicateIn(t *testing.T) {
 	tbl := people(t)
-	sel, err := EvalPredicate(tbl, query.NewIn("edu", "BSc", "MSc"))
+	sel, err := evalPred(tbl, query.NewIn("edu", "BSc", "MSc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func TestEvalPredicateIn(t *testing.T) {
 
 func TestEvalPredicateInUnknownValue(t *testing.T) {
 	tbl := people(t)
-	sel, err := EvalPredicate(tbl, query.NewIn("edu", "Diploma"))
+	sel, err := evalPred(tbl, query.NewIn("edu", "Diploma"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestEvalPredicateInUnknownValue(t *testing.T) {
 
 func TestEvalPredicateBool(t *testing.T) {
 	tbl := people(t)
-	sel, err := EvalPredicate(tbl, query.NewBoolEq("active", true))
+	sel, err := evalPred(tbl, query.NewBoolEq("active", true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestEvalPredicateErrors(t *testing.T) {
 		query.NewRange("ghost", 0, 1),   // missing column
 	}
 	for _, p := range cases {
-		if _, err := EvalPredicate(tbl, p); err == nil {
+		if _, err := evalPred(tbl, p); err == nil {
 			t.Errorf("predicate %v should fail", p)
 		}
 	}
@@ -149,28 +154,21 @@ func TestEvalShortCircuit(t *testing.T) {
 	}
 }
 
-func TestCountAndCover(t *testing.T) {
+func TestCount(t *testing.T) {
 	tbl := people(t)
 	q := query.New("people", query.NewIn("edu", "BSc"))
 	c, err := Count(tbl, q)
 	if err != nil || c != 2 {
 		t.Fatalf("Count = %d err %v, want 2", c, err)
 	}
-	cov, err := Cover(tbl, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2.0 / 7.0; math.Abs(cov-want) > 1e-12 {
-		t.Fatalf("Cover = %v, want %v", cov, want)
-	}
 }
 
-func TestCoverEmptyTable(t *testing.T) {
+func TestCountEmptyTable(t *testing.T) {
 	schema := storage.MustSchema(storage.Field{Name: "x", Type: storage.Int64})
 	tbl := storage.NewBuilder("empty", schema).MustBuild()
-	cov, err := Cover(tbl, query.New("empty"))
-	if err != nil || cov != 0 {
-		t.Fatalf("Cover = %v err %v", cov, err)
+	c, err := Count(tbl, query.New("empty"))
+	if err != nil || c != 0 {
+		t.Fatalf("Count = %d err %v", c, err)
 	}
 }
 

@@ -16,26 +16,6 @@ import (
 	"repro/internal/storage"
 )
 
-// EvalPredicate evaluates a single predicate over its column, returning a
-// selection bitmap. NULL rows never match.
-func EvalPredicate(t *storage.Table, p query.Predicate) (*bitvec.Vector, error) {
-	return EvalPredicateOpts(t, p, ScanOptions{})
-}
-
-// EvalPredicateOpts is EvalPredicate with scan options (chunk-parallel
-// workers, stats).
-func EvalPredicateOpts(t *storage.Table, p query.Predicate, opts ScanOptions) (*bitvec.Vector, error) {
-	out := bitvec.NewFull(t.NumRows())
-	cp, err := compilePred(t, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := evalCompiled(t, []compiledPred{cp}, out, opts); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func kindErr(p query.Predicate, col storage.Column) error {
 	return fmt.Errorf("engine: predicate kind %v cannot apply to column %q of type %v",
 		p.Kind, p.Attr, col.Type())
@@ -49,17 +29,6 @@ func Eval(t *storage.Table, q query.Query) (*bitvec.Vector, error) {
 		return nil, err
 	}
 	return sel, nil
-}
-
-// EvalInto evaluates q into sel, overwriting its contents — the
-// allocation-free variant of Eval for callers that reuse a scratch
-// vector. sel must have the table's length.
-func EvalInto(t *storage.Table, q query.Query, sel *bitvec.Vector) error {
-	if sel.Len() != t.NumRows() {
-		return fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
-	}
-	sel.Fill()
-	return evalAndInto(t, q, sel)
 }
 
 // evalAndInto ANDs every predicate of q into sel using the fused
@@ -81,19 +50,6 @@ func Count(t *storage.Table, q query.Query) (int, error) {
 		return 0, err
 	}
 	return sel.Count(), nil
-}
-
-// Cover returns C(Q): the fraction of the table's rows matched by q
-// (Section 3 of the paper). A table with no rows has cover 0.
-func Cover(t *storage.Table, q query.Query) (float64, error) {
-	if t.NumRows() == 0 {
-		return 0, nil
-	}
-	c, err := Count(t, q)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c) / float64(t.NumRows()), nil
 }
 
 // NumericValuesUnder materializes the non-null float values of a numeric

@@ -9,8 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// TestEvalIntoMatchesEval checks the fused scratch-vector evaluation
-// against the allocating path on a realistic table.
+// TestEvalIntoMatchesEval: evaluating a query into a full scratch
+// selection — the base scan of every exploration — selects exactly
+// Eval's rows.
 func TestEvalIntoMatchesEval(t *testing.T) {
 	tbl := datagen.Census(5000, 9)
 	queries := []query.Query{
@@ -26,14 +27,15 @@ func TestEvalIntoMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
-		if err := EvalInto(tbl, q, scratch); err != nil {
+		scratch.Fill()
+		if err := EvalAndIntoOpts(tbl, q, scratch, ScanOptions{}); err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
 		if !scratch.Equal(want) {
-			t.Fatalf("q%d: EvalInto disagrees with Eval (%d vs %d rows)", qi, scratch.Count(), want.Count())
+			t.Fatalf("q%d: EvalAndIntoOpts disagrees with Eval (%d vs %d rows)", qi, scratch.Count(), want.Count())
 		}
 	}
-	if err := EvalInto(tbl, queries[0], bitvec.New(3)); err == nil {
+	if err := EvalAndIntoOpts(tbl, queries[0], bitvec.New(3), ScanOptions{}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
 }

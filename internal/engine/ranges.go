@@ -12,24 +12,25 @@ import (
 // test every selected row; going through query.Predicate there copies its
 // ~100 bytes per call (MatchFloat has a value receiver).
 //
-// An inclusive end rejects with a strict comparison and an exclusive end
-// with a non-strict one, so each end holds its bound in the field of the
+// An inclusive end admits with a non-strict comparison and an exclusive
+// end with a strict one, so each end holds its bound in the field of the
 // comparison it needs and NaN — against which every comparison is false —
-// in the other. A row test is then four comparisons and no flag.
+// in the other. A row test is then four comparisons and no flag, and a
+// NaN value, like a NULL, satisfies no range.
 type rangeMatcher struct {
-	ltLo, leLo float64 // rejected when v < ltLo or v <= leLo
-	gtHi, geHi float64 // rejected when v > gtHi or v >= geHi
+	geLo, gtLo float64 // admitted from below when v >= geLo or v > gtLo
+	leHi, ltHi float64 // admitted from above when v <= leHi or v < ltHi
 }
 
 // compileRange compiles p, which the caller has checked is a Range.
 func compileRange(p query.Predicate) rangeMatcher {
 	nan := math.NaN()
-	m := rangeMatcher{ltLo: p.Lo, leLo: nan, gtHi: p.Hi, geHi: nan}
+	m := rangeMatcher{geLo: p.Lo, gtLo: nan, leHi: p.Hi, ltHi: nan}
 	if !p.LoIncl {
-		m.ltLo, m.leLo = nan, p.Lo
+		m.geLo, m.gtLo = nan, p.Lo
 	}
 	if !p.HiIncl {
-		m.gtHi, m.geHi = nan, p.Hi
+		m.leHi, m.ltHi = nan, p.Hi
 	}
 	return m
 }
@@ -42,11 +43,13 @@ func compileRanges(preds []query.Predicate) []rangeMatcher {
 	return ms
 }
 
-// match is query.Predicate.MatchFloat bit for bit. It rejects rather than
-// admits, so a NaN value matches any range; zone maps rely on that (a
-// chunk holding NaN drops its min/max and is never pruned).
+// match is query.Predicate.MatchFloat bit for bit. A NaN value matches
+// no range, so the ranges of one CUT are disjoint as queries: the
+// partition kernel's first-match claims are each range's own selection.
+// Zone maps stay sound: a chunk holding NaN drops its min/max and is
+// scanned, never pruned or taken whole.
 func (m *rangeMatcher) match(v float64) bool {
-	return !(v < m.ltLo || v <= m.leLo || v > m.gtHi || v >= m.geHi)
+	return (v >= m.geLo || v > m.gtLo) && (v <= m.leHi || v < m.ltHi)
 }
 
 // numeric is a column or chunk payload the numeric kernels read; Int64
@@ -79,9 +82,9 @@ func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64
 			var hits uint64
 			for w := free; w != 0; w &= w - 1 {
 				v := float64(row[bits.TrailingZeros64(w)])
-				// rejected is 1 exactly when rangeMatcher.match says false
-				rejected := b2u(v < m.ltLo) | b2u(v <= m.leLo) | b2u(v > m.gtHi) | b2u(v >= m.geHi)
-				hits |= (w & -w) & (rejected - 1)
+				// admitted is 1 exactly when rangeMatcher.match says true
+				admitted := (b2u(v >= m.geLo) | b2u(v > m.gtLo)) & (b2u(v <= m.leHi) | b2u(v < m.ltHi))
+				hits |= (w & -w) & -admitted
 			}
 			out[ri][wi] |= hits
 			if free &^= hits; free == 0 {

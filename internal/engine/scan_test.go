@@ -186,8 +186,10 @@ func TestChunkedEvalNullChunkPruned(t *testing.T) {
 	}
 }
 
-// TestChunkedNaNNeverPruned: chunks containing NaN keep scanning (NaN
-// satisfies every range under the kernel's comparisons).
+// TestChunkedNaNNeverPruned: chunks containing NaN keep scanning. A NaN
+// cell satisfies no range, so a range spanning every other value of its
+// chunk must not take the chunk whole, and chunked and plain scans agree
+// on ranges inside and outside the chunk's values.
 func TestChunkedNaNNeverPruned(t *testing.T) {
 	const n = 128
 	schema := storage.MustSchema(storage.Field{Name: "x", Type: storage.Float64})
@@ -206,29 +208,29 @@ func TestChunkedNaNNeverPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Predicate far outside chunk 0's real values: NaN still matches, so
-	// the chunk must be scanned, not pruned.
-	q := query.New("t", query.NewRange("x", 1000, 2000))
-	want, err := Eval(plain, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Eval(tbl, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("chunked NaN selection differs: got %d, want %d", got.Count(), want.Count())
-	}
-	if !got.Get(10) {
-		t.Error("NaN row must match any range predicate (kernel semantics)")
+	for _, p := range []query.Predicate{query.NewRange("x", 1000, 2000), query.NewRange("x", 0, 63)} {
+		q := query.New("t", p)
+		want, err := Eval(plain, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Eval(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: chunked NaN selection differs: got %d, want %d", p.String(), got.Count(), want.Count())
+		}
+		if got.Get(10) {
+			t.Errorf("%s: the NaN row matched a range predicate", p.String())
+		}
 	}
 }
 
-// TestEvalPredicateChunked: the single-predicate entry point also prunes.
+// TestEvalPredicateChunked: a one-predicate evaluation also prunes.
 func TestEvalPredicateChunked(t *testing.T) {
 	tbl := chunkedSorted(t, 64*8)
-	sel, err := EvalPredicate(tbl, query.NewRange("x", 70, 80))
+	sel, err := evalPred(tbl, query.NewRange("x", 70, 80))
 	if err != nil {
 		t.Fatal(err)
 	}

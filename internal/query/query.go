@@ -92,17 +92,12 @@ func dedupSorted(vs []string) []string {
 }
 
 // MatchFloat reports whether a numeric value satisfies a Range predicate.
+// NaN is unordered and, like NULL, satisfies no range.
 func (p Predicate) MatchFloat(v float64) bool {
 	if p.Kind != Range {
 		return false
 	}
-	if v < p.Lo || (v == p.Lo && !p.LoIncl) {
-		return false
-	}
-	if v > p.Hi || (v == p.Hi && !p.HiIncl) {
-		return false
-	}
-	return true
+	return (v > p.Lo || (v == p.Lo && p.LoIncl)) && (v < p.Hi || (v == p.Hi && p.HiIncl))
 }
 
 // MatchString reports whether a categorical value satisfies an In

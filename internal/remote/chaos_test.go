@@ -16,7 +16,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/engine"
+	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/remote/chaos"
 	"repro/internal/session"
@@ -148,6 +148,14 @@ func TestFailoverMidExploreByteIdentical(t *testing.T) {
 	}
 }
 
+// probe issues one statistics-plane RPC — one column's partials — the
+// round trip the breaker, failover and cancellation tests drive
+// replicas with.
+func probe(ctx context.Context, c *Client) error {
+	_, err := c.ColumnPartials(ctx, []shard.PartialSpec{{Col: 0}})
+	return err
+}
+
 // TestReplicaBreakerAndRecovery walks the breaker state machine:
 // trip on failure, out of rotation while open, half-open probe after
 // the cooldown, closed again on success — all without reopening the
@@ -166,8 +174,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	}
 	defer be.Close()
 	c := be.(*Client)
-	p := query.NewRange("age", 30, 40)
-	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+	if err := probe(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	primary, secondary := rf.injectors[0][0], rf.injectors[0][1]
@@ -175,7 +182,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// The primary starts 500ing: the first strike trips its breaker
 	// (threshold 1) and the call still succeeds via the replica.
 	primary.SetFault(chaos.Error5xx)
-	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+	if err := probe(context.Background(), c); err != nil {
 		t.Fatalf("call failed despite a healthy replica: %v", err)
 	}
 	reps := c.Replicas()
@@ -199,7 +206,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	// instead of hammering a dead peer.
 	before := primary.Requests()
 	for i := 0; i < 5; i++ {
-		if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+		if err := probe(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +220,7 @@ func TestReplicaBreakerAndRecovery(t *testing.T) {
 	primary.Heal()
 	secondary.SetFault(chaos.Kill)
 	time.Sleep(80 * time.Millisecond)
-	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+	if err := probe(context.Background(), c); err != nil {
 		t.Fatalf("probe of the healed primary failed: %v", err)
 	}
 	reps = c.Replicas()
@@ -239,17 +246,16 @@ func TestBreakerSingleReplicaSelfHeals(t *testing.T) {
 	}
 	defer be.Close()
 	c := be.(*Client)
-	p := query.NewRange("age", 30, 40)
 	inj := rf.injectors[0][0]
 	inj.SetFault(chaos.Error5xx)
-	if _, _, err := c.PredicateBits(context.Background(), p); err == nil {
+	if err := probe(context.Background(), c); err == nil {
 		t.Fatal("succeeded against a 500ing sole replica")
 	}
 	if state := c.Replicas()[0].State; state != "tripped" {
 		t.Errorf("sole replica state %q, want tripped", state)
 	}
 	inj.Heal()
-	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+	if err := probe(context.Background(), c); err != nil {
 		t.Fatalf("tripped sole replica was never re-dialed: %v", err)
 	}
 	if state := c.Replicas()[0].State; state != "healthy" {
@@ -431,63 +437,15 @@ func TestServerMemoizesStatistics(t *testing.T) {
 	}
 }
 
-// TestPredicateBitsWire: the bitmap a shard serves over the stats plane
-// is exactly the local scan's.
-func TestPredicateBitsWire(t *testing.T) {
-	tbl := datagen.Census(5_000, 37)
-	local := writeShardedInputs(t, tbl, 1, 256)
-	f := startFabric(t, local, nil)
-	be, err := testOpener().OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	c := be.(*Client)
-	for _, p := range []query.Predicate{
-		query.NewRange("age", 20, 40),
-		query.NewIn("sex", "F"),
-		query.NewRange("age", 200, 300), // empty
-	} {
-		want, err := engine.EvalPredicate(tbl, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, words, err := c.PredicateBits(context.Background(), p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.String(), err)
-		}
-		if count != want.Count() {
-			t.Errorf("%s: count %d, want %d", p.String(), count, want.Count())
-		}
-		ww := want.Words()
-		if len(words) != len(ww) {
-			t.Fatalf("%s: %d words, want %d", p.String(), len(words), len(ww))
-		}
-		for i := range ww {
-			if words[i] != ww[i] {
-				t.Fatalf("%s: bitmap word %d differs", p.String(), i)
-			}
-		}
-	}
-}
-
-// TestSessionBaseBitsSkipChunkPlane: assembling a session base over the
-// bitmap plane must pull no chunk from any shard, and answer exactly as
-// the unsharded table does.
+// TestSessionBaseBitsSkipChunkPlane: a session drill over the fabric
+// takes its base selection from the parent region's bitmap, so the base
+// costs nothing on the wire — no span of a base phase issues an RPC, no
+// chunk gets a scan verdict — and the drill answers exactly as the
+// unsharded table answers the region's query.
 func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 	tbl := datagen.Census(8_000, 41)
 	local := writeShardedInputs(t, tbl, 4, 256)
-	q := query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F"))
-
-	var chunkRPCs atomic.Int64
-	f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/chunk") {
-				chunkRPCs.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+	f := startFabric(t, local, nil)
 	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
 	if err != nil {
 		t.Fatal(err)
@@ -499,16 +457,50 @@ func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := session.NewSharded(cart, set)
-	before := chunkRPCs.Load()
-	node, err := sess.Explore(q)
+	sess := session.New(cart)
+	root, err := sess.Explore(query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "Female")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, got := unshardedRef(t, tbl, q), renderResult(node.Result); got != want {
-		t.Errorf("bitmap-plane session result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
+	ri := -1 // the last non-empty region, so region 0's bitmap would not do
+	for i, r := range root.Result.Maps[0].Regions {
+		if r.Count > 0 {
+			ri = i
+		}
 	}
-	if n := chunkRPCs.Load() - before; n != 0 {
-		t.Errorf("session base assembly fetched %d chunks despite the bitmap plane", n)
+	if ri < 1 {
+		t.Fatal("no non-empty region to drill into")
+	}
+
+	before := cart.ScanStats()
+	tr, sp := obsv.NewTrace("drill")
+	node, err := sess.DrillDownCtx(obsv.WithSpan(context.Background(), sp), 0, ri)
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if node.Cached {
+		t.Fatal("drill was served from the result cache; it must run the pipeline")
+	}
+	after := cart.ScanStats()
+	if n := (after.ChunksScanned + after.ChunksPruned + after.ChunksFull) -
+		(before.ChunksScanned + before.ChunksPruned + before.ChunksFull); n != 0 {
+		t.Errorf("drill judged %d chunks for its base selection, want 0", n)
+	}
+	var baseRPCs int
+	walkSpans(tr.Tree(), func(s *obsv.SpanJSON) {
+		if s.Name == "base" {
+			walkSpans(s, func(c *obsv.SpanJSON) {
+				if strings.HasPrefix(c.Name, "rpc ") {
+					baseRPCs++
+				}
+			})
+		}
+	})
+	if baseRPCs != 0 {
+		t.Errorf("drill's base selection issued %d RPCs, want 0", baseRPCs)
+	}
+	if want, got := unshardedRef(t, tbl, node.Query), renderResult(node.Result); got != want {
+		t.Errorf("remote drill differs from the unsharded region query:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/obsv"
-	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -855,22 +854,6 @@ func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// PredicateBits implements shard.RemoteBackend: the predicate's exact
-// selection bitmap alongside its count, answered where the shard lives,
-// so the coordinator assembles non-empty session bases without touching
-// the chunk plane.
-func (c *Client) PredicateBits(ctx context.Context, p query.Predicate) (int, []uint64, error) {
-	var dto countDTO
-	if err := c.postJSON(ctx, "predcount", "/shard/v1/predcount", predToDTO(p), &dto); err != nil {
-		return 0, nil, err
-	}
-	words, err := parsePredicateBits(dto.Bits, c.rows)
-	if err != nil {
-		return 0, nil, &ShardError{Location: c.primary, Op: "predcount", Err: err}
-	}
-	return dto.Count, words, nil
 }
 
 // ServerStats implements shard.RemoteBackend: one RPC fetching

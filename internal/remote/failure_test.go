@@ -210,7 +210,7 @@ func TestRemoteStatsPlaneError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := session.NewSharded(cart, set)
+	sess := session.New(cart)
 	if _, err := sess.Explore(query.New("census")); err == nil {
 		t.Fatal("session exploration succeeded despite a failing statistics plane")
 	} else {

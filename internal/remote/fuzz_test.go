@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
-	"strings"
 	"testing"
 
 	"repro/internal/colstore"
@@ -95,32 +94,6 @@ func FuzzBatchStats(f *testing.F) {
 			if len(dto.Dict) != len(dto.Counts) {
 				t.Fatalf("%q: %d dictionary entries with %d counts", attr, len(dto.Dict), len(dto.Counts))
 			}
-		}
-	})
-}
-
-// FuzzPredicateBits: a predcount bitmap for a shard of rows rows decodes
-// into exactly one bit per row with nothing set past the last — or fails
-// with an error.
-func FuzzPredicateBits(f *testing.F) {
-	f.Add(encodeWords([]uint64{0xff, 1}), uint32(65))
-	f.Add(encodeWords([]uint64{1 << 63}), uint32(63))
-	f.Add("not base64!", uint32(10))
-	f.Add(strings.Repeat("A", 4096), uint32(64))
-	f.Fuzz(func(t *testing.T, bits string, rows32 uint32) {
-		rows := int(rows32 % (1 << 20))
-		words, err := parsePredicateBits(bits, rows)
-		if err != nil {
-			if err.Error() == "" {
-				t.Fatal("unnamed error")
-			}
-			return
-		}
-		if len(words) != (rows+63)/64 {
-			t.Fatalf("%d words for %d rows", len(words), rows)
-		}
-		if tail := uint(rows % 64); tail != 0 && words[len(words)-1]>>tail != 0 {
-			t.Fatalf("bits set past row %d", rows)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/query"
+	"repro/internal/session"
 	"repro/internal/shard"
 )
 
@@ -153,5 +154,64 @@ func testLedgerExactness(t *testing.T, deferOpen bool) {
 				t.Errorf("cold pass billed no chunk verdicts: %+v", s)
 			}
 		}
+	}
+}
+
+// TestSessionRootBillsLikeStatelessExplore: a session's root
+// exploration takes the same base path as a stateless one, so over two
+// identically cold fabrics the two bill the same RPCs, wire bytes and
+// chunk verdicts for the same query.
+func TestSessionRootBillsLikeStatelessExplore(t *testing.T) {
+	tbl := datagen.Census(8_000, 43)
+	local := writeShardedInputs(t, tbl, 2, 256)
+	q := query.New("census", query.NewRange("age", 25, 60))
+	bill := func(explore func(ctx context.Context, cart *core.Cartographer) (*core.Result, error)) obsv.LedgerSnapshot {
+		f := startFabric(t, local, nil)
+		opener := testOpener()
+		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		opts := core.DefaultOptions()
+		opts.Parallelism = 1
+		cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(opts.Parallelism))
+		if err != nil {
+			t.Fatal(err)
+		}
+		led := obsv.NewLedger()
+		if _, err := explore(obsv.WithLedger(context.Background(), led), cart); err != nil {
+			t.Fatal(err)
+		}
+		led.Finish()
+		var s obsv.LedgerSnapshot
+		waitSettled(t, func() fabricCounters {
+			c := readFabricCounters(cart, set, opener)
+			s = led.Snapshot()
+			return c
+		})
+		return s
+	}
+	stateless := bill(func(ctx context.Context, cart *core.Cartographer) (*core.Result, error) {
+		return cart.ExploreCtx(ctx, q)
+	})
+	sess := bill(func(ctx context.Context, cart *core.Cartographer) (*core.Result, error) {
+		n, err := session.New(cart).ExploreCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return n.Result, nil
+	})
+	if stateless.RPCs == 0 {
+		t.Fatal("stateless explore billed no RPCs")
+	}
+	if sess.RPCs != stateless.RPCs || sess.BytesWire != stateless.BytesWire {
+		t.Errorf("session root billed %d RPCs / %d wire bytes, stateless explore %d / %d",
+			sess.RPCs, sess.BytesWire, stateless.RPCs, stateless.BytesWire)
+	}
+	if sess.ChunksScanned != stateless.ChunksScanned || sess.ChunksPruned != stateless.ChunksPruned || sess.ChunksFull != stateless.ChunksFull {
+		t.Errorf("session root chunk verdicts %d/%d/%d, stateless %d/%d/%d",
+			sess.ChunksScanned, sess.ChunksPruned, sess.ChunksFull,
+			stateless.ChunksScanned, stateless.ChunksPruned, stateless.ChunksFull)
 	}
 }

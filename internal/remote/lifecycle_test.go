@@ -62,7 +62,6 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 	}
 	defer be.Close()
 	c := be.(*Client)
-	p := query.NewRange("age", 30, 40)
 
 	// Hang the primary, then cancel our own context mid-call.
 	rf.injectors[0][0].SetFault(chaos.Delay)
@@ -72,7 +71,7 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err = c.PredicateBits(ctx, p)
+	err = probe(ctx, c)
 	if !obsv.IsCancellation(err) {
 		t.Fatalf("cancelled call returned %v, want a cancellation", err)
 	}
@@ -85,7 +84,7 @@ func TestBreakerNoStrikeOnCallerCancel(t *testing.T) {
 
 	// Contrast: a real failure (500s) with a live caller still strikes.
 	rf.injectors[0][0].SetFault(chaos.Error5xx)
-	if _, _, err := c.PredicateBits(context.Background(), p); err != nil {
+	if err := probe(context.Background(), c); err != nil {
 		t.Fatalf("call failed despite a healthy replica: %v", err)
 	}
 	if state := c.Replicas()[0].State; state != "tripped" {
@@ -235,8 +234,8 @@ func TestCancelledExploreReleasesGoroutines(t *testing.T) {
 }
 
 // TestCancelledDrillReleasesGoroutines: same assertion for a session
-// drill-down — the stateful path (per-shard base assembly, predicate
-// bitmaps) unwinds on cancellation too.
+// drill-down — the stateful path (a pipeline started from the parent
+// region's bitmap) unwinds on cancellation too.
 func TestCancelledDrillReleasesGoroutines(t *testing.T) {
 	tbl := datagen.Census(8_000, 47)
 	local := writeShardedInputs(t, tbl, 2, 256)
@@ -253,7 +252,7 @@ func TestCancelledDrillReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := session.NewSharded(cart, set)
+	sess := session.New(cart)
 	node, err := sess.Explore(query.New("census", query.NewRange("age", 25, 60)))
 	if err != nil {
 		t.Fatal(err)

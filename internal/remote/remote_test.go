@@ -10,11 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/session"
 	"repro/internal/shard"
@@ -269,7 +267,7 @@ func testRemoteSessionMatchesLocal(t *testing.T, local, remote string, store col
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := session.NewSharded(cart, set)
+		sess := session.New(cart)
 		node, err := sess.Explore(query.New("census", query.NewRange("age", 18, 80)))
 		if err != nil {
 			t.Fatal(err)
@@ -287,68 +285,6 @@ func testRemoteSessionMatchesLocal(t *testing.T, local, remote string, store col
 	for i := range localRes {
 		if localRes[i] != remoteRes[i] {
 			t.Errorf("store=%+v: session step %d differs between local and remote:\nlocal:\n%s\nremote:\n%s", store, i, localRes[i], remoteRes[i])
-		}
-	}
-}
-
-// TestRemoteSessionPredCountSkipsChunks exercises the per-predicate
-// bitmap-count half of the statistics plane: a session predicate that
-// selects nothing, over unclustered data whose per-chunk zone maps
-// cannot prove it (every chunk's min/max spans the queried band), must
-// be answered by predcount RPCs alone — zero chunk payloads cross the
-// wire.
-func TestRemoteSessionPredCountSkipsChunks(t *testing.T) {
-	const n = 4096
-	schema := storage.MustSchema(storage.Field{Name: "v", Type: storage.Int64})
-	vals := make([]int64, n)
-	for i := range vals {
-		v := int64(i*37) % 1000
-		if v >= 500 && v <= 510 {
-			v += 100 // a gap inside the value range: selectable, never matched
-		}
-		vals[i] = v
-	}
-	tbl := storage.MustTable("events", schema, []storage.Column{storage.NewInt64Column(vals, nil)})
-	local := writeShardedInputs(t, tbl, 4, 256)
-
-	run := func(set *shard.Set) string {
-		opts := core.DefaultOptions()
-		opts.Parallelism = 1
-		cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := session.NewSharded(cart, set)
-		node, err := sess.Explore(query.New("events", query.NewRange("v", 501, 509)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderResult(node.Result)
-	}
-	f := startFabric(t, local, nil)
-	for _, store := range []colstore.Options{{}, lazyThrash} {
-		localSet, err := shard.OpenWith(local, shard.Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer localSet.Close()
-		want := run(localSet)
-
-		opener := testOpener()
-		set, err := shard.OpenWith(f.manifest, shard.Options{Store: store, Remote: opener})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-		if got := run(set); got != want {
-			t.Errorf("store=%+v: empty-band session differs:\nlocal:\n%s\nremote:\n%s", store, want, got)
-		}
-		st := opener.Stats()
-		if st.ChunkFetches != 0 {
-			t.Errorf("store=%+v: %d chunk payloads crossed the wire for an empty predicate; predcount should have answered", store, st.ChunkFetches)
-		}
-		if st.RPCs == 0 {
-			t.Errorf("store=%+v: no RPCs recorded; expected predcount probes", store)
 		}
 	}
 }
@@ -422,52 +358,6 @@ func testRemotePartialsMatchLocal(t *testing.T, local, remote string, store cols
 				}
 			}
 		}
-	}
-}
-
-// TestRemotePredicateCount checks the statistics plane's per-predicate
-// bitmaps (and so their counts) against a local scan of the same shard.
-func TestRemotePredicateCount(t *testing.T) {
-	tbl := datagen.Census(5_000, 5)
-	local := writeShardedInputs(t, tbl, 2, 256)
-	localSet, err := shard.Open(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer localSet.Close()
-	f := startFabric(t, local, nil)
-	remoteSet, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remoteSet.Close()
-
-	preds := []query.Predicate{
-		query.NewRange("age", 30, 50),
-		query.NewIn("sex", "F"),
-	}
-	for pi, p := range preds {
-		for i := 0; i < remoteSet.NumShards(); i++ {
-			got, ok, err := remoteSet.RemotePredicateBits(context.Background(), i, p)
-			if err != nil {
-				t.Fatalf("pred %d shard %d: %v", pi, i, err)
-			}
-			if !ok {
-				t.Fatalf("pred %d shard %d: expected a statistics-plane answer", pi, i)
-			}
-			view := localSet.ShardTable(i)
-			sel := bitvec.NewFull(view.NumRows())
-			if err := engine.EvalAndIntoOpts(view, query.New("census", p), sel, engine.ScanOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(sel) {
-				t.Errorf("pred %d shard %d: remote bitmap selects %d rows, local scan %d", pi, i, got.Count(), sel.Count())
-			}
-		}
-	}
-	// Local sets have no statistics plane.
-	if _, ok, err := localSet.RemotePredicateBits(context.Background(), 0, preds[0]); err != nil || ok {
-		t.Errorf("local set RemotePredicateBits = ok=%v err=%v, want ok=false", ok, err)
 	}
 }
 

@@ -9,11 +9,10 @@
 // # Two RPC planes
 //
 // The statistics plane answers per-shard aggregate questions where the
-// data lives, in three calls: batchstats (every attribute's values in
-// row order, category or boolean counts, in one round trip), partials
-// (mergeable ColumnPartial bundles: counts and fixed-edge histograms)
-// and predcount (one predicate's selection bitmap and count) — so a
-// sharded exploration's column statistics fan out as N small requests
+// data lives, in two calls: batchstats (every attribute's values in row
+// order, category or boolean counts, in one round trip) and partials
+// (mergeable ColumnPartial bundles: counts and fixed-edge histograms) —
+// so a sharded exploration's column statistics fan out as N small requests
 // and reduce through the existing merge layer
 // (internal/shard/partial.go), byte-identical to the local computation.
 //
@@ -35,7 +34,6 @@
 //	POST chunk                        one column's listed chunks, one CRC'd frame each
 //	POST batchstats                   every listed attribute's stats, one trip
 //	POST partials                     mergeable ColumnPartial per requested column
-//	POST predcount                    one predicate's selection bitmap + count
 //	GET  health                       liveness probe
 //	GET  stats                        the server's own counters
 //
@@ -210,7 +208,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
 	mux.HandleFunc("POST /shard/v1/batchstats", s.wrap("batchstats", s.handleBatchStats))
 	mux.HandleFunc("POST /shard/v1/partials", s.wrap("partials", s.handlePartials))
-	mux.HandleFunc("POST /shard/v1/predcount", s.wrap("predcount", s.handlePredCount))
 	mux.HandleFunc("GET /shard/v1/health", s.wrap("health", s.handleHealth))
 	mux.HandleFunc("GET /shard/v1/stats", s.wrap("stats", s.handleStats))
 	return mux
@@ -534,33 +531,6 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 		out[i] = partialToDTO(p)
 	}
 	s.writeJSON(w, out)
-}
-
-func (s *Server) handlePredCount(w http.ResponseWriter, r *http.Request) {
-	var dto predDTO
-	if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	p, err := predFromDTO(dto)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := s.attrType(p.Attr); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	_, psp := obsv.StartSpan(r.Context(), "predicate eval")
-	defer psp.End()
-	// The bitmap itself travels, so session base assembly skips the
-	// chunk plane even for non-empty answers.
-	sel, err := engine.EvalPredicate(s.tbl, p)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, countDTO{Count: sel.Count(), Bits: encodeWords(sel.Words())})
 }
 
 // handleStats answers GET /shard/v1/stats: the server's own counters

@@ -172,7 +172,11 @@ func TestUntracedExploreStaysUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	if _, _, err := set.RemotePredicateBits(context.Background(), 0, query.NewRange("age", 10, 60)); err != nil {
+	cart, err := core.NewCartographerWith(set.Table(), core.DefaultOptions(), set.Provider(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cart.ExploreCtx(context.Background(), query.New("census", query.NewRange("age", 10, 60))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,10 +196,13 @@ func TestShardErrorCarriesRequestID(t *testing.T) {
 	defer set.Close()
 	rf.injectors[0][0].KillAfter(0)
 
+	cart, err := core.NewCartographerWith(set.Table(), core.DefaultOptions(), set.Provider(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := obsv.WithRequestID(context.Background(), "q-cafe01")
-	_, _, err = set.RemotePredicateBits(ctx, 0, query.NewRange("age", 0, 50))
-	if err == nil {
-		t.Fatal("predicate count succeeded against a dead shard")
+	if _, err = cart.ExploreCtx(ctx, query.New("census", query.NewRange("age", 0, 50))); err == nil {
+		t.Fatal("exploration succeeded against a dead shard")
 	}
 	if !strings.Contains(err.Error(), "rid q-cafe01") {
 		t.Errorf("shard error does not carry the request id: %v", err)

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -291,96 +290,6 @@ type catCountsDTO struct {
 type boolCountsDTO struct {
 	Falses int `json:"falses"`
 	Trues  int `json:"trues"`
-}
-
-// predDTO is the wire form of a query.Predicate (POST /shard/v1/predcount).
-type predDTO struct {
-	Attr    string   `json:"attr"`
-	Kind    int      `json:"kind"`
-	Lo      string   `json:"lo,omitempty"`
-	Hi      string   `json:"hi,omitempty"`
-	LoIncl  bool     `json:"loIncl,omitempty"`
-	HiIncl  bool     `json:"hiIncl,omitempty"`
-	Values  []string `json:"values,omitempty"`
-	BoolVal bool     `json:"boolVal,omitempty"`
-}
-
-func predToDTO(p query.Predicate) predDTO {
-	return predDTO{
-		Attr: p.Attr, Kind: int(p.Kind),
-		Lo: fbits(p.Lo), Hi: fbits(p.Hi),
-		LoIncl: p.LoIncl, HiIncl: p.HiIncl,
-		Values: p.Values, BoolVal: p.BoolVal,
-	}
-}
-
-func predFromDTO(d predDTO) (query.Predicate, error) {
-	p := query.Predicate{
-		Attr: d.Attr, Kind: query.PredKind(d.Kind),
-		LoIncl: d.LoIncl, HiIncl: d.HiIncl,
-		Values: d.Values, BoolVal: d.BoolVal,
-	}
-	var err error
-	if d.Lo != "" {
-		if p.Lo, err = parseFbits(d.Lo); err != nil {
-			return p, err
-		}
-	}
-	if d.Hi != "" {
-		if p.Hi, err = parseFbits(d.Hi); err != nil {
-			return p, err
-		}
-	}
-	return p, nil
-}
-
-// countDTO is the predcount answer: the matching row count and the
-// selection bitmap (base64 over little-endian u64 words, tail bits
-// zero).
-type countDTO struct {
-	Count int    `json:"count"`
-	Bits  string `json:"bits"`
-}
-
-// encodeWords packs a bitmap's u64 words as base64 (little-endian).
-func encodeWords(words []uint64) string {
-	buf := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-// decodeWords unpacks a base64 little-endian word stream.
-func decodeWords(s string) ([]uint64, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil || len(buf)%8 != 0 {
-		return nil, fmt.Errorf("remote: bad bitmap encoding")
-	}
-	words := make([]uint64, len(buf)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[i*8:])
-	}
-	return words, nil
-}
-
-// parsePredicateBits decodes a predcount bitmap of a shard of rows rows:
-// exactly one bit per row, none set past the last row.
-func parsePredicateBits(bits string, rows int) ([]uint64, error) {
-	if want := (rows + 63) / 64; base64.StdEncoding.DecodedLen(len(bits)) > 8*want+8 {
-		return nil, fmt.Errorf("predicate bitmap of %d encoded bytes for %d rows", len(bits), rows)
-	}
-	words, err := decodeWords(bits)
-	if err != nil {
-		return nil, err
-	}
-	if want := (rows + 63) / 64; len(words) != want {
-		return nil, fmt.Errorf("predicate bitmap has %d words for %d rows", len(words), rows)
-	}
-	if tail := uint(rows % 64); tail != 0 && len(words) > 0 && words[len(words)-1]>>tail != 0 {
-		return nil, fmt.Errorf("predicate bitmap sets bits past row %d", rows)
-	}
-	return words, nil
 }
 
 // batchReqDTO is POST /shard/v1/batchstats: the attributes whose

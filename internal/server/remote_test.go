@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -190,4 +191,83 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestDrillPipelineFailureIs5xx: a drill whose pipeline fails — every
+// replica of a shard answering 500, or serving corrupt chunks — answers
+// 5xx, as the same failure does on /api/explore. Only a drill the
+// session cannot take (no exploration yet, a bad map or region index)
+// is the client's fault and answers 400.
+func TestDrillPipelineFailureIs5xx(t *testing.T) {
+	for _, fc := range []struct {
+		name  string
+		fault chaos.Fault
+	}{{"500s", chaos.Error5xx}, {"corrupt chunks", chaos.Corrupt}} {
+		var injs []*chaos.Injector
+		remoteManifest, _ := startRemoteManifestWith(t, 2, func(_ int, h http.Handler) http.Handler {
+			inj := chaos.Wrap(h)
+			injs = append(injs, inj)
+			return inj
+		})
+		opener := remote.NewOpener(remote.Options{Timeout: 10 * time.Second, Retries: -1, RetryWait: time.Millisecond})
+		defer opener.Close()
+		// A cache far smaller than the table: the drill must fetch chunks.
+		store := colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4096}
+		srv, err := NewFromStoreWith(remoteManifest, core.DefaultOptions(), StoreConfig{Store: store, Remote: opener})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		post := func(path string, body any) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(mustJSON(t, body)))
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, req)
+			return w
+		}
+		var created struct{ ID int }
+		if w := post("/api/sessions", map[string]any{}); w.Code != http.StatusCreated {
+			t.Fatalf("new session: HTTP %d: %s", w.Code, w.Body.String())
+		} else if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+			t.Fatal(err)
+		}
+		base := fmt.Sprintf("/api/sessions/%d/", created.ID)
+		if w := post(base+"drill", drillRequest{Map: 0, Region: 0}); w.Code != http.StatusBadRequest {
+			t.Errorf("drill before any exploration: HTTP %d, want 400: %s", w.Code, w.Body.String())
+		}
+		if w := post(base+"explore", map[string]string{"cql": "EXPLORE census WHERE age BETWEEN 20 AND 70"}); w.Code != http.StatusOK {
+			t.Fatalf("explore: HTTP %d: %s", w.Code, w.Body.String())
+		}
+		for _, bad := range []drillRequest{{Map: 99, Region: 0}, {Map: 0, Region: 99}, {Map: -1, Region: 0}} {
+			if w := post(base+"drill", bad); w.Code != http.StatusBadRequest {
+				t.Errorf("drill %+v: HTTP %d, want 400: %s", bad, w.Code, w.Body.String())
+			}
+		}
+
+		// Let the explore's prefetches land, then drill into a region
+		// nobody has computed, with every shard failing.
+		sess, _ := srv.sessions.acquire(created.ID)
+		sess.Wait()
+		srv.sessions.release(created.ID)
+		cur, err := sess.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := drillRequest{Map: -1}
+		for mi, m := range cur.Result.Maps {
+			for ri, r := range m.Regions {
+				if target.Map < 0 && r.Count > 0 && !srv.results.Contains(srv.opts, r.Query) {
+					target = drillRequest{Map: mi, Region: ri}
+				}
+			}
+		}
+		if target.Map < 0 {
+			t.Fatal("every region was prefetched; nothing left to drill into cold")
+		}
+		for _, inj := range injs {
+			inj.SetFault(fc.fault)
+		}
+		if w := post(base+"drill", target); w.Code < 500 {
+			t.Errorf("%s: failed drill answered HTTP %d, want 5xx: %s", fc.name, w.Code, w.Body.String())
+		}
+	}
 }

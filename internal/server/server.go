@@ -105,10 +105,9 @@ func New(table *storage.Table, opts core.Options) *Server {
 	return s
 }
 
-// NewSharded creates a server over an opened shard set: explorations run
-// on the combined table with column statistics reduced from per-shard
-// partials, and sessions keep their predicate-bitmap LRU keyed per
-// shard.
+// NewSharded creates a server over an opened shard set: explorations —
+// stateless and session ones alike — run on the combined table with
+// column statistics reduced from per-shard partials.
 func NewSharded(set *shard.Set, opts core.Options) *Server {
 	s := &Server{table: set.Table(), opts: opts, set: set, sessions: newSessionTable(), results: session.NewResultCache(),
 		qlog: obsv.NewQueryLog(obsv.DefaultQueryLogDepth), totals: &obsv.Ledger{},
@@ -202,15 +201,6 @@ func (s *Server) cartFor(opts core.Options) (*core.Cartographer, error) {
 		return core.NewCartographerWith(s.table, opts, s.set.Provider(opts.Parallelism))
 	}
 	return core.NewCartographer(s.table, opts)
-}
-
-// newSession builds a session on the shared Cartographer and the shared
-// result cache, sharded when the server serves a shard set.
-func (s *Server) newSession(cart *core.Cartographer) *session.Session {
-	if s.set != nil {
-		return session.NewWithCache(cart, s.set, s.results)
-	}
-	return session.NewWithCache(cart, nil, s.results)
 }
 
 // Handler returns the HTTP routing for the API.
@@ -398,7 +388,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(s.newSession(cart))})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(session.NewWithCache(cart, s.results))})
 }
 
 func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
@@ -448,13 +438,12 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *sessi
 	qr.cached = err == nil && node.Cached
 	tree := qr.finish(s, "drill", input, sid, err)
 	if err != nil {
-		// Cancellations and deadlines are the caller's lifecycle, not a
-		// bad request — let writeError pick their status.
-		if obsv.IsCancellation(err) {
-			writeError(w, err)
-		} else {
-			writeError(w, &badRequest{err})
+		// Only a drill the session cannot take is the client's fault; a
+		// failed pipeline answers as it would on /explore.
+		if errors.Is(err, session.ErrBadDrill) {
+			err = &badRequest{err}
 		}
+		writeError(w, err)
 		return
 	}
 	sess.Prefetch(4)

@@ -11,7 +11,7 @@ import (
 )
 
 // maxLiveSessions caps the drill-down sessions a server keeps. A
-// session pins its history's results and its predicate bitmaps for as
+// session pins its history's results, region bitmaps included, for as
 // long as it lives and clients never close one, so past the cap the
 // least recently used idle session goes; its id then answers 404.
 const maxLiveSessions = 64

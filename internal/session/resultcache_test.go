@@ -318,7 +318,7 @@ func TestResultBytesCountsRegionBitmaps(t *testing.T) {
 // explorations and prefetches; sessions with private caches do not.
 func TestSessionsShareResults(t *testing.T) {
 	a := newSession(t)
-	b := NewWithCache(a.cart, nil, a.results)
+	b := NewWithCache(a.cart, a.results)
 	na, err := a.Explore(ageBand(20))
 	if err != nil {
 		t.Fatal(err)

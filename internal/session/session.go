@@ -7,17 +7,19 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/obsv"
-	"repro/internal/par"
 	"repro/internal/query"
-	"repro/internal/storage"
 )
+
+// ErrBadDrill marks a drill-down the session cannot take: no exploration
+// yet, or a map or region index out of range. Every other DrillDown
+// error is a failure of the exploration itself.
+var ErrBadDrill = errors.New("session: bad drill-down")
 
 // Node is one step of the exploration: a query and its ranked maps.
 type Node struct {
@@ -39,31 +41,6 @@ type Node struct {
 	Children []int
 }
 
-// ShardLayout describes a sharded table to a session: the per-shard
-// chunk-aware views and their row offsets in the combined table, plus
-// the two shortcuts that spare a shard's predicate scan (see
-// internal/shard.Set, which implements it). Sessions over a layout scan
-// and cache predicate bitmaps per shard.
-type ShardLayout interface {
-	// NumShards returns the number of shards.
-	NumShards() int
-	// ShardTable returns shard i's view over the combined table's rows.
-	ShardTable(i int) *storage.Table
-	// ShardOffset returns shard i's first row in the combined table.
-	ShardOffset(i int) int
-	// ShardMayMatch judges from shard-level statistics alone: a false
-	// answer proves predicate p matches no row of shard i, letting the
-	// session skip the shard's predicate scan entirely — on memory-tiered
-	// sets, without even opening the shard's file.
-	ShardMayMatch(shard int, p query.Predicate) bool
-	// RemotePredicateBits asks a shard served over the remote fabric for
-	// p's selection where the shard lives: with ok=true the returned
-	// bitmap IS shard i's selection under p, validated against the
-	// server's own count, and no chunk crosses the wire even for a
-	// non-empty predicate. ok=false (local shards) means scan the view.
-	RemotePredicateBits(ctx context.Context, shard int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error)
-}
-
 // Session is a stateful exploration over one table. It is safe for
 // concurrent use.
 type Session struct {
@@ -74,13 +51,6 @@ type Session struct {
 	// results caches whole explorations by (options, query): private to a
 	// standalone session, shared across sessions when a server owns it.
 	results *ResultCache
-	// preds is the bounded LRU of per-predicate selection bitmaps: a
-	// drill-down shares every predicate with its parent query, so its
-	// base selection is assembled from cached bitmaps plus one new scan.
-	// On sharded tables entries are keyed per (predicate, shard).
-	preds *predCache
-	// shards, when non-nil, fans base-selection assembly out per shard.
-	shards ShardLayout
 	// interest holds the decayed per-attribute weights behind
 	// personalized ranking (see preference.go).
 	interest map[string]float64
@@ -91,148 +61,21 @@ type Session struct {
 // New creates an empty session over the cartographer's table, with a
 // result cache of its own.
 func New(cart *core.Cartographer) *Session {
-	return NewWithCache(cart, nil, NewResultCache())
-}
-
-// NewSharded creates a session over a sharded table: cart must explore
-// the layout's combined table. Base selections are assembled shard by
-// shard — predicate scans run concurrently across shards and their
-// bitmaps are cached in a per-shard keyed LRU, so a drill-down
-// re-scans only the new predicate, and only shard-locally.
-func NewSharded(cart *core.Cartographer, layout ShardLayout) *Session {
-	return NewWithCache(cart, layout, NewResultCache())
+	return NewWithCache(cart, NewResultCache())
 }
 
 // NewWithCache creates a session that reads and fills results — the
 // cache a server shares across its sessions and stateless explorations,
 // so none of them recomputes a map another already holds. Every user of
-// one cache must explore the same table. layout may be nil (unsharded).
-func NewWithCache(cart *core.Cartographer, layout ShardLayout, results *ResultCache) *Session {
-	s := &Session{cart: cart, current: -1, results: results, shards: layout}
-	if layout != nil {
-		s.preds = newPredCache(predCacheCapForShards(layout))
-	} else {
-		s.preds = newPredCache(predCacheCapForRows(cart.Table().NumRows()))
-	}
-	return s
-}
-
-// explore runs one exploration, assembling the base selection from the
-// per-predicate bitmap cache. Safe without s.mu: the predicate cache
-// has its own lock and the Cartographer is concurrency-safe.
-func (s *Session) explore(ctx context.Context, q query.Query) (*core.Result, error) {
-	t := s.cart.Table()
-	if q.Table != "" && q.Table != t.Name() {
-		// Let the Cartographer surface its canonical mismatch error.
-		return s.cart.ExploreCtx(ctx, q)
-	}
-	// Cache misses scan with the cartographer's scan options, keeping
-	// the chunk-parallel sharding of Explore and feeding its cumulative
-	// verdict counters.
-	bctx, sp := obsv.StartSpan(ctx, "base")
-	sopts := s.cart.ScanOpts(bctx)
-	if s.shards != nil {
-		base, err := s.shardedBase(bctx, q, sopts)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		return s.cart.ExploreSelCtx(ctx, q, base)
-	}
-	base := bitvec.NewFull(t.NumRows())
-	for _, p := range q.Preds {
-		if err := obsv.CheckCtx(bctx, "session.base"); err != nil {
-			sp.End()
-			return nil, err
-		}
-		bm, err := s.preds.getOrCompute(t, p, sopts)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		base.And(bm)
-		if !base.Any() {
-			break
-		}
-	}
-	sp.End()
-	return s.cart.ExploreSelCtx(ctx, q, base)
-}
-
-// shardedBase assembles Eval(q) shard by shard: per shard, the cached
-// (or freshly scanned) per-predicate bitmaps AND together into the
-// shard's selection, and the shard selections blit into their row
-// ranges of the combined bitmap. Shards fan out over up to workers
-// goroutines; the assembled result is the exact concatenation, so it is
-// identical at any shard count and parallelism.
-func (s *Session) shardedBase(ctx context.Context, q query.Query, sopts engine.ScanOptions) (*bitvec.Vector, error) {
-	n := s.shards.NumShards()
-	// Divide the worker budget: shards are the outer parallel axis; any
-	// leftover workers shard each predicate scan chunk-wise.
-	workers := sopts.Workers
-	inner := sopts
-	inner.Workers = workers / n
-	if inner.Workers < 1 {
-		inner.Workers = 1
-	}
-	sels := make([]*bitvec.Vector, n)
-	err := par.For(workers, n, func(i int) error {
-		// Per-shard-work-item cancellation: a dead caller abandons the
-		// remaining shard assemblies before their scans or RPCs start.
-		if err := obsv.CheckCtx(ctx, "session.base"); err != nil {
-			return err
-		}
-		sctx, ssp := obsv.StartSpan(ctx, fmt.Sprintf("shard %d base", i))
-		defer ssp.End()
-		sopts := inner
-		sopts.Ctx = sctx
-		view := s.shards.ShardTable(i)
-		sel := bitvec.NewFull(view.NumRows())
-		for _, p := range q.Preds {
-			if err := obsv.CheckCtx(sctx, "session.base"); err != nil {
-				return err
-			}
-			if !s.shards.ShardMayMatch(i, p) {
-				// Manifest statistics prove the predicate is disjoint with
-				// this shard: empty selection, no scan, no file open.
-				sel.Zero()
-				break
-			}
-			// On a miss, a remote shard's statistics plane is asked for the
-			// bitmap first; a probe failure or ok=false falls through to the
-			// ordinary scan (whose own error names the shard if it is really
-			// down).
-			bm, err := s.preds.getOrComputeShard(p, i, func() (*bitvec.Vector, error) {
-				if bm, ok, err := s.shards.RemotePredicateBits(sctx, i, p); err == nil && ok {
-					return bm, nil
-				}
-				return engine.EvalPredicateOpts(view, p, sopts)
-			})
-			if err != nil {
-				return err
-			}
-			sel.And(bm)
-			if !sel.Any() {
-				break
-			}
-		}
-		sels[i] = sel
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := bitvec.New(s.cart.Table().NumRows())
-	for i, sel := range sels {
-		base.OrBlit(s.shards.ShardOffset(i), sel)
-	}
-	return base, nil
+// one cache must explore the same table.
+func NewWithCache(cart *core.Cartographer, results *ResultCache) *Session {
+	return &Session{cart: cart, current: -1, results: results}
 }
 
 // exploreLocked runs (or serves from cache) an exploration and appends a
 // node. Caller holds s.mu.
-func (s *Session) exploreLocked(ctx context.Context, q query.Query, parent int) (*Node, error) {
-	res, cached, err := s.resultFor(ctx, q)
+func (s *Session) exploreLocked(ctx context.Context, q query.Query, base *bitvec.Vector, parent int) (*Node, error) {
+	res, cached, err := s.resultFor(ctx, q, base)
 	if err != nil {
 		return nil, err
 	}
@@ -247,10 +90,16 @@ func (s *Session) exploreLocked(ctx context.Context, q query.Query, parent int) 
 
 // resultFor serves q's result from the result cache, computing it (or
 // joining a computation already in flight, a prefetch included) on a
-// miss. Failed and cancelled explorations cache nothing.
-func (s *Session) resultFor(ctx context.Context, q query.Query) (*core.Result, bool, error) {
+// miss. A nil base explores q from the table, as a stateless
+// exploration does; otherwise base is Eval(q) already in hand — a
+// parent region's bitmap — and the pipeline starts from a copy of it
+// with no base scan. Failed and cancelled explorations cache nothing.
+func (s *Session) resultFor(ctx context.Context, q query.Query, base *bitvec.Vector) (*core.Result, bool, error) {
 	return s.results.Get(ctx, s.cart.Options(), q, func() (*core.Result, error) {
-		return s.explore(ctx, q)
+		if base == nil {
+			return s.cart.ExploreCtx(ctx, q)
+		}
+		return s.cart.ExploreSelCtx(ctx, q, base.Clone())
 	})
 }
 
@@ -260,17 +109,20 @@ func (s *Session) Explore(q query.Query) (*Node, error) {
 }
 
 // ExploreCtx is Explore with a request context: when ctx carries a
-// trace span, the whole pipeline — base assembly included — records
-// into it (see core.Cartographer.ExploreCtx).
+// trace span, the whole pipeline records into it (see
+// core.Cartographer.ExploreCtx).
 func (s *Session) ExploreCtx(ctx context.Context, q query.Query) (*Node, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.exploreLocked(ctx, q, -1)
+	return s.exploreLocked(ctx, q, nil, -1)
 }
 
 // DrillDown explores region regionIdx of map mapIdx of the current
 // node's result — the user "submitting one of the queries for further
-// analysis".
+// analysis". The region's rows are already in hand (the map's
+// assignment holds exactly Eval of the region's query), so the drill
+// runs no base scan. A bad index, or no exploration yet, returns an
+// error wrapping ErrBadDrill.
 func (s *Session) DrillDown(mapIdx, regionIdx int) (*Node, error) {
 	return s.DrillDownCtx(context.Background(), mapIdx, regionIdx)
 }
@@ -281,17 +133,17 @@ func (s *Session) DrillDownCtx(ctx context.Context, mapIdx, regionIdx int) (*Nod
 	defer s.mu.Unlock()
 	cur, err := s.currentLocked()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadDrill, err)
 	}
 	if mapIdx < 0 || mapIdx >= len(cur.Result.Maps) {
-		return nil, fmt.Errorf("session: map index %d out of range (%d maps)", mapIdx, len(cur.Result.Maps))
+		return nil, fmt.Errorf("%w: map index %d out of range (%d maps)", ErrBadDrill, mapIdx, len(cur.Result.Maps))
 	}
 	m := cur.Result.Maps[mapIdx]
 	if regionIdx < 0 || regionIdx >= len(m.Regions) {
-		return nil, fmt.Errorf("session: region index %d out of range (%d regions)", regionIdx, len(m.Regions))
+		return nil, fmt.Errorf("%w: region index %d out of range (%d regions)", ErrBadDrill, regionIdx, len(m.Regions))
 	}
 	s.recordInterest(m.Attrs)
-	return s.exploreLocked(ctx, m.Regions[regionIdx].Query, cur.ID)
+	return s.exploreLocked(ctx, m.Regions[regionIdx].Query, m.Assignment().RegionBits(regionIdx), cur.ID)
 }
 
 // Back moves the cursor to the parent of the current node and returns it.
@@ -340,11 +192,11 @@ func (s *Session) History() []*Node {
 	return append([]*Node(nil), s.nodes...)
 }
 
-// PredCacheSize returns the number of cached per-predicate bitmaps.
-func (s *Session) PredCacheSize() int { return s.preds.len() }
-
-// PredCacheStats returns the predicate-bitmap cache's (hits, misses).
-func (s *Session) PredCacheStats() (hits, misses int) { return s.preds.stats() }
+// PredCacheStats returns (0, 0).
+//
+// Deprecated: sessions keep no predicate cache; a drill starts from its
+// parent region's bitmap. Kept one release for existing callers.
+func (s *Session) PredCacheStats() (hits, misses int) { return 0, 0 }
 
 // Prefetch warms the result cache with the explorations the user is
 // most likely to ask for next: the first limit non-empty regions of the
@@ -361,7 +213,7 @@ func (s *Session) Prefetch(limit int) {
 		return
 	}
 	for _, m := range cur.Result.Maps {
-		for _, r := range m.Regions {
+		for ri, r := range m.Regions {
 			if limit <= 0 {
 				return
 			}
@@ -372,12 +224,12 @@ func (s *Session) Prefetch(limit int) {
 			if s.results.Contains(s.cart.Options(), r.Query) {
 				continue
 			}
-			q := r.Query
+			q, base := r.Query, m.Assignment().RegionBits(ri)
 			s.prefetching.Add(1)
 			go func() {
 				defer s.prefetching.Done()
 				// Best-effort: an error caches nothing and is dropped.
-				_, _, _ = s.resultFor(context.Background(), q)
+				_, _, _ = s.resultFor(context.Background(), q, base)
 			}()
 		}
 	}

@@ -1,11 +1,13 @@
 package session
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 func newSession(t testing.TB) *Session {
@@ -71,21 +73,76 @@ func TestSessionDrillDownAndBack(t *testing.T) {
 
 func TestSessionDrillDownValidation(t *testing.T) {
 	s := newSession(t)
-	if _, err := s.DrillDown(0, 0); err == nil {
-		t.Fatal("drill-down before explore should error")
+	if _, err := s.DrillDown(0, 0); !errors.Is(err, ErrBadDrill) {
+		t.Fatalf("drill-down before explore: err %v, want ErrBadDrill", err)
 	}
 	if _, err := s.Explore(query.New("census")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DrillDown(99, 0); err == nil {
-		t.Fatal("bad map index")
+	if _, err := s.DrillDown(99, 0); !errors.Is(err, ErrBadDrill) {
+		t.Fatalf("bad map index: err %v, want ErrBadDrill", err)
 	}
-	if _, err := s.DrillDown(0, 99); err == nil {
-		t.Fatal("bad region index")
+	if _, err := s.DrillDown(0, -1); !errors.Is(err, ErrBadDrill) {
+		t.Fatalf("bad region index: err %v, want ErrBadDrill", err)
 	}
 	if _, err := s.Node(42); err == nil {
 		t.Fatal("bad node id")
 	}
+}
+
+// TestSessionDrillDownMatchesRequery: a drill starts from the parent
+// region's bitmap — no predicate of its query is scanned again — and
+// answers exactly what exploring the region's query from scratch does.
+func TestSessionDrillDownMatchesRequery(t *testing.T) {
+	plain := datagen.Census(5000, 1)
+	cols := make([]storage.Column, plain.NumCols())
+	for i := range cols {
+		cols[i] = plain.Column(i)
+	}
+	ck, err := storage.ComputeChunking(plain, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := storage.NewChunkedTable("census", plain.Schema(), cols, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cart, err := core.NewCartographer(tbl, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cart)
+	root, err := s.Explore(query.New("census", query.NewRange("age", 20, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last region: region 0's bitmap would not tell regions apart.
+	last := len(root.Result.Maps[0].Regions) - 1
+	before := cart.ScanStats()
+	node, err := s.DrillDown(0, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cart.ScanStats()
+	if verdicts := (after.ChunksScanned + after.ChunksPruned + after.ChunksFull) -
+		(before.ChunksScanned + before.ChunksPruned + before.ChunksFull); node.Cached || verdicts != 0 {
+		t.Errorf("drill: cached=%v, %d chunk verdicts; want a computed drill with no base scan", node.Cached, verdicts)
+	}
+	want, err := cart.Explore(node.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderMaps(node.Result.Maps), renderMaps(want.Maps); got != want {
+		t.Errorf("drill from the region bitmap differs from re-querying the region:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+func renderMaps(maps []*core.Map) string {
+	out := ""
+	for _, m := range maps {
+		out += m.String()
+	}
+	return out
 }
 
 func TestSessionHistory(t *testing.T) {

@@ -38,13 +38,12 @@ func shardedFixture(t *testing.T, shards, workers int, store colstore.Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(plainCart), NewSharded(shardCart, set)
+	return New(plainCart), New(shardCart)
 }
 
-// TestShardedSessionMatchesPlain: a sharded session walks the same
-// drill-down tree to the same results as an unsharded one, while
-// caching predicate bitmaps per shard — with the set opened in auto mode
-// and lazily behind a tiny cache.
+// TestShardedSessionMatchesPlain: a session over a sharded table walks
+// the same drill-down tree to the same results as an unsharded one —
+// with the set opened in auto mode and lazily behind a tiny cache.
 func TestShardedSessionMatchesPlain(t *testing.T) {
 	for _, cfg := range []struct {
 		shards, workers int
@@ -86,20 +85,14 @@ func TestShardedSessionMatchesPlain(t *testing.T) {
 		if dp.Result.BaseCount != ds.Result.BaseCount {
 			t.Fatalf("drill base %d vs %d", dp.Result.BaseCount, ds.Result.BaseCount)
 		}
-		// The sharded predicate cache is keyed per (predicate, shard):
-		// the root query's predicate appears once per shard.
-		if got := sharded.PredCacheSize(); got < cfg.shards {
-			t.Errorf("sharded pred cache holds %d entries, want >= %d", got, cfg.shards)
-		}
-		// Drilling re-used the parent's cached shard bitmaps.
-		if hits, _ := sharded.PredCacheStats(); hits < cfg.shards {
-			t.Errorf("drill-down hit %d cached shard bitmaps, want >= %d", hits, cfg.shards)
+		if got, want := renderMaps(ds.Result.Maps), renderMaps(dp.Result.Maps); got != want {
+			t.Fatalf("shards=%d workers=%d drill:\n got: %s\nwant: %s", cfg.shards, cfg.workers, got, want)
 		}
 	}
 }
 
-// TestShardedSessionNoPredicates: an unfiltered exploration selects
-// every row through the per-shard assembly.
+// TestShardedSessionNoPredicates: an unfiltered exploration of a sharded
+// table selects every row.
 func TestShardedSessionNoPredicates(t *testing.T) {
 	_, sharded := shardedFixture(t, 4, 2, colstore.Options{})
 	n, err := sharded.Explore(query.New("census"))

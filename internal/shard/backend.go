@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -95,10 +94,6 @@ type RemoteBackend interface {
 	// ColumnPartials computes one mergeable partial per spec, in one
 	// round trip.
 	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
-	// PredicateBits returns how many shard rows satisfy p and their exact
-	// selection bitmap, so session base assembly skips the chunk plane
-	// even for non-empty predicates.
-	PredicateBits(ctx context.Context, p query.Predicate) (count int, words []uint64, err error)
 	// Health round-trips a liveness check, returning its latency.
 	Health(ctx context.Context) (time.Duration, error)
 	// Replicas reports per-replica circuit-breaker state.

@@ -297,8 +297,9 @@ func TestParallelIngestDeterministic(t *testing.T) {
 	}
 }
 
-// TestSessionShardPruning: a sharded session must skip scanning (and
-// opening) shards the manifest proves disjoint with the query.
+// TestSessionShardPruning: the manifest proves exactly the shards
+// disjoint with the query, the judgement that lets a deferred set skip
+// scanning (and opening) them.
 func TestSessionShardPruning(t *testing.T) {
 	tbl := eventsTable(t, 4_096)
 	dir := t.TempDir()

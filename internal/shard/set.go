@@ -31,7 +31,7 @@ import (
 // counts — fan one pass out across shard boundaries on the shared
 // worker pool. The per-shard views carry the same zone maps restricted
 // to their row range; they are what per-shard work (partial statistics,
-// the session's per-shard predicate bitmaps) runs against.
+// EXPLAIN's per-shard verdicts) runs against.
 //
 // Chunk-aligned sets (range partitioning always; hash when every
 // non-final shard is a chunk multiple) assemble WITHOUT materializing:
@@ -724,9 +724,8 @@ func (s *Set) IOStats() colstore.IOStats {
 
 // ShardMayMatch reports whether predicate p could select rows of shard
 // i, judged from the manifest statistics alone (see
-// Manifest.ShardMayMatch). Sessions use it to skip per-shard predicate
-// scans — and in deferred mode the file open (or remote connection)
-// itself — for provably disjoint shards.
+// Manifest.ShardMayMatch). EXPLAIN uses it to report a shard as pruned
+// by the manifest, without opening its file (or remote connection).
 func (s *Set) ShardMayMatch(i int, p query.Predicate) bool {
 	return s.manifest.ShardMayMatch(i, p)
 }
@@ -780,34 +779,6 @@ func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int
 		out[remap[c]] += n
 	}
 	return out, nil
-}
-
-// RemotePredicateBits asks shard i's statistics plane for the exact
-// selection bitmap of p, so a non-empty predicate is assembled without
-// any chunk leaving the shard. Local shards return ok=false; callers
-// scan the view instead. The bitmap is validated against the server's
-// own count before it is trusted — on mismatch the caller falls back to
-// scanning.
-func (s *Set) RemotePredicateBits(ctx context.Context, i int, p query.Predicate) (bm *bitvec.Vector, ok bool, err error) {
-	rb, err := s.remoteBackend(ctx, i)
-	if err != nil || rb == nil {
-		return nil, false, err
-	}
-	rows := s.views[i].NumRows()
-	count, words, err := rb.PredicateBits(ctx, p)
-	if err != nil {
-		return nil, false, err
-	}
-	v := bitvec.New(rows)
-	w := v.Words()
-	if len(words) != len(w) {
-		return nil, false, fmt.Errorf("shard: shard %d predicate bitmap has %d words for %d rows", i, len(words), rows)
-	}
-	copy(w, words)
-	if got := v.Count(); got != count {
-		return nil, false, fmt.Errorf("shard: shard %d predicate bitmap counts %d bits, server said %d", i, got, count)
-	}
-	return v, true, nil
 }
 
 // ShardHealthInfo is one shard's liveness snapshot (see ShardHealth).

@@ -6,32 +6,6 @@ import "fmt"
 // recovered clusterings against planted ground truth in the experiment
 // harness and tests.
 
-// RandIndex returns the (unadjusted) Rand index between two labelings of
-// the same items: the fraction of item pairs on which the labelings
-// agree (both together or both apart). 1 means identical partitions.
-func RandIndex(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: labelings differ in length: %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n < 2 {
-		return 1, nil
-	}
-	agree := 0
-	total := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sameA := a[i] == a[j]
-			sameB := b[i] == b[j]
-			if sameA == sameB {
-				agree++
-			}
-			total++
-		}
-	}
-	return float64(agree) / float64(total), nil
-}
-
 // AdjustedRandIndex returns the Rand index corrected for chance
 // (Hubert & Arabie): 1 for identical partitions, ~0 for independent
 // ones, negative for worse-than-chance agreement.

@@ -8,10 +8,6 @@ import (
 
 func TestRandIndexIdentical(t *testing.T) {
 	a := []int{0, 0, 1, 1, 2}
-	ri, err := RandIndex(a, a)
-	if err != nil || ri != 1 {
-		t.Fatalf("ri = %v err %v", ri, err)
-	}
 	ari, err := AdjustedRandIndex(a, a)
 	if err != nil || math.Abs(ari-1) > 1e-12 {
 		t.Fatalf("ari = %v err %v", ari, err)
@@ -21,10 +17,6 @@ func TestRandIndexIdentical(t *testing.T) {
 func TestRandIndexRelabelInvariant(t *testing.T) {
 	a := []int{0, 0, 1, 1, 2, 2}
 	b := []int{5, 5, 9, 9, 7, 7} // same partition, different labels
-	ri, err := RandIndex(a, b)
-	if err != nil || ri != 1 {
-		t.Fatalf("ri = %v", ri)
-	}
 	ari, err := AdjustedRandIndex(a, b)
 	if err != nil || math.Abs(ari-1) > 1e-12 {
 		t.Fatalf("ari = %v", ari)
@@ -34,20 +26,20 @@ func TestRandIndexRelabelInvariant(t *testing.T) {
 func TestRandIndexDisagreement(t *testing.T) {
 	a := []int{0, 0, 1, 1}
 	b := []int{0, 1, 0, 1}
-	ri, err := RandIndex(a, b)
+	ari, err := AdjustedRandIndex(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pairs: (01)(23) together in a, apart in b; (02)(13) apart in a,
-	// together in b; (03)(12) apart in both → agree on 2 of 6
-	if math.Abs(ri-2.0/6.0) > 1e-12 {
-		t.Fatalf("ri = %v, want 1/3", ri)
+	// Every cell of the 2×2 contingency table holds one item: no pair is
+	// together in both, against 2·2/6 expected by chance, so the index
+	// sits below zero: (0 - 2/3) / (2 - 2/3) = -1/2.
+	if math.Abs(ari+0.5) > 1e-12 {
+		t.Fatalf("ari = %v, want -1/2", ari)
 	}
 }
 
 func TestAdjustedRandIndexChanceLevel(t *testing.T) {
-	// random labelings of many items: ARI should hover near 0 while the
-	// raw Rand index is far above 0.
+	// random labelings of many items: ARI should hover near 0.
 	r := rand.New(rand.NewSource(1))
 	n := 2000
 	a := make([]int, n)
@@ -63,13 +55,6 @@ func TestAdjustedRandIndexChanceLevel(t *testing.T) {
 	if math.Abs(ari) > 0.05 {
 		t.Fatalf("ari = %v, want ~0 for independent labelings", ari)
 	}
-	ri, err := RandIndex(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri < 0.5 {
-		t.Fatalf("raw rand index = %v, expected substantial chance agreement", ri)
-	}
 }
 
 func TestAdjustedRandIndexTrivialPartitions(t *testing.T) {
@@ -81,13 +66,10 @@ func TestAdjustedRandIndexTrivialPartitions(t *testing.T) {
 }
 
 func TestRandIndexErrors(t *testing.T) {
-	if _, err := RandIndex([]int{1}, []int{1, 2}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
 	if _, err := AdjustedRandIndex([]int{1}, []int{1, 2}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if ri, err := RandIndex([]int{1}, []int{2}); err != nil || ri != 1 {
+	if ari, err := AdjustedRandIndex([]int{1}, []int{2}); err != nil || ari != 1 {
 		t.Fatal("single item partitions are trivially equal")
 	}
 }

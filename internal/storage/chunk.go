@@ -186,9 +186,9 @@ func computeZone(col Column, lo, hi int) ZoneMap {
 			prev = v
 			first = false
 			if math.IsNaN(v) {
-				// NaN satisfies every range predicate under the scan
-				// kernel's comparison logic, so min/max pruning would drop
-				// rows a scan keeps. Disable value pruning for the chunk.
+				// NaN satisfies no range predicate, but it is unordered:
+				// the chunk's min/max would not bound every cell. Disable
+				// value pruning for the chunk; the scan decides each row.
 				sawNaN = true
 				continue
 			}

@@ -19,7 +19,6 @@ const (
 	reachOracle   = "oracle: tests check production code against it"
 	reachTestOnly = "test support: an accessor, fixture writer or fault control only tests use"
 	reachBaseline = "paper baseline run only by its tests; leaves with internal/exp"
-	reachUnused   = "no program calls it yet; its tests pin it until its package is next cleaned up"
 )
 
 // reachAllowlist names exported identifiers under internal/ that no
@@ -37,8 +36,7 @@ var reachAllowlist = map[string]string{
 	"internal/bitvec.Vector.Rank":             reachOracle,
 	"internal/bitvec.Vector.Xor":              reachOracle,
 	"internal/colstore.Write":                 reachTestOnly,
-	"internal/engine.Cover":                   reachUnused,
-	"internal/engine.EvalInto":                reachUnused,
+	"internal/core.Cartographer.Table":        reachTestOnly,
 	"internal/engine.PartitionBits":           reachOracle,
 	"internal/obsv.Registry.NumMetrics":       reachTestOnly,
 	"internal/obsv.Trace.ID":                  reachTestOnly,
@@ -54,13 +52,11 @@ var reachAllowlist = map[string]string{
 	"internal/remote/chaos.Injector.SetFault": reachTestOnly,
 	"internal/server.Server.WorkloadSnapshot": reachTestOnly,
 	"internal/session.Session.Node":           reachTestOnly,
-	"internal/session.Session.PredCacheSize":  reachTestOnly,
 	"internal/stats.Contingency.Total":        reachTestOnly,
 	"internal/stats.Histogram.Total":          reachTestOnly,
 	"internal/stats.Median":                   reachOracle,
 	"internal/stats.Quantile":                 reachOracle,
 	"internal/stats.QuantileSorted":           reachOracle,
-	"internal/stats.RandIndex":                reachUnused,
 	"internal/storage.Builder.NumRows":        reachTestOnly,
 	"internal/storage.LazyColumn.CodeOf":      reachTestOnly,
 }
