@@ -71,8 +71,9 @@ func TestSelectedPrefetchOnlyTouchedChunks(t *testing.T) {
 	sel.Set(2*chunk + 5)
 	sel.Set(9*chunk + 7)
 	seen := 0
-	err := col.ForEachSelected(context.Background(), sel, func(p *storage.ChunkPayload, lo, i int) {
+	err := col.ForEachSelectedUntil(context.Background(), sel, func(p *storage.ChunkPayload, lo, i int) bool {
 		seen++
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -319,18 +319,14 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		}
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
-		x := cutter{t: c.table, cache: c.stats, ctx: actx,
+		x := cutter{t: c.table, cache: c.stats,
 			scan: engine.ScanOptions{Workers: workers, Stats: &c.scan, Ctx: actx}}
-		preds, err := x.cutPredicates(base, baseFull, attrs[i], c.opts.Cut)
+		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			outs[i].flagged = true
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		bits, err := engine.PartitionBitsOpts(c.table, attrs[i], preds, base, engine.ScanOptions{Workers: workers, Stats: &c.scan, Ctx: actx})
 		if err != nil {
 			return err
 		}
@@ -390,10 +386,11 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		mctx, msp := obsv.StartSpan(mergeCtx, fmt.Sprintf("merge cluster %d", i))
 		defer msp.End()
 		// base IS the parent query's selection, so composition starts from
-		// it directly instead of re-evaluating q against the table
-		x := cutter{t: c.table, cache: c.stats, ctx: mctx,
+		// it directly instead of re-evaluating q against the table, and
+		// its first level is the cluster's first candidate map
+		x := cutter{t: c.table, cache: c.stats,
 			scan: engine.ScanOptions{Workers: workers, Stats: &c.scan, Ctx: mctx}}
-		m, err := x.mergeCluster(base, base, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
+		m, err := x.mergeCluster(base, base, true, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			return nil

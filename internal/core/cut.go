@@ -105,31 +105,33 @@ func (e *ErrDegenerate) Error() string {
 type cutter struct {
 	t     *storage.Table
 	cache *statCache // nil = unmemoized
-	// ctx carries the exploration's trace span, request ID and resource
-	// ledger into provider fan-outs and lazy chunk fetches; nil means
-	// untraced.
-	ctx context.Context
 	// scan carries the Cartographer's scan options (worker count, its
-	// ScanStats, ctx) into the partition passes the cutter drives, so
-	// merge-phase re-partitions bill the same stats — and the same
-	// ledger — as every other scan of the exploration.
+	// ScanStats, and the exploration's context with its trace span,
+	// request ID and resource ledger) into the column reads and provider
+	// fan-outs the cutter drives, so they bill the same stats — and the
+	// same ledger — as every other scan of the exploration. A nil Ctx
+	// means untraced.
 	scan engine.ScanOptions
 }
 
 // reqCtx returns the cutter's context, never nil.
 func (x *cutter) reqCtx() context.Context {
-	if x.ctx != nil {
-		return x.ctx
+	if x.scan.Ctx != nil {
+		return x.scan.Ctx
 	}
 	return context.Background()
 }
 
-// cutScratch is what numeric CUT materializes: the column's values under
-// the selection and, for median cuts, the candidates the quantile
-// selection narrows down to. The two are recycled together so that a
-// large values buffer is never handed out as the small candidates buffer
-// and grown again.
-type cutScratch struct{ vals, candidates []float64 }
+// cutScratch is what numeric CUT materializes: the extraction — the
+// column's values under the selection and the rows they came from, which
+// the cut then partitions from — a NaN-free copy of the values when they
+// hold NaN, and, for median cuts, the candidates the quantile selection
+// narrows down to. They are recycled together so that a large buffer is
+// never handed out as a small one and grown again.
+type cutScratch struct {
+	engine.NumericExtract
+	finite, candidates []float64
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
@@ -150,12 +152,49 @@ func (x *cutter) cutPredicates(sel *bitvec.Vector, full bool, attr string, opts 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if x.cache != nil && full && opts == x.cache.opts {
+	if x.memoized(full, opts) {
 		return x.cache.cut(attr, func() ([]query.Predicate, error) {
 			return x.cut(sel, attr, opts, x.cache.provider)
 		})
 	}
 	return x.cut(sel, attr, opts, nil)
+}
+
+// memoized reports whether the memo answers a cut under opts of a
+// selection that full says is, or is not, the whole table.
+func (x *cutter) memoized(full bool, opts CutOptions) bool {
+	return x.cache != nil && full && opts == x.cache.opts
+}
+
+// cutPartition is CUT followed by the partition of sel's rows into the
+// cut's regions, one bitmap per predicate. A numeric cut the memo does
+// not answer reads its column once: the regions are partitioned from the
+// values it extracted to find its edges. Memoized, categorical and bool
+// cuts have no values in hand and partition with a column pass.
+func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, error) {
+	col, err := x.t.ColumnByName(attr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if col.Type().IsNumeric() && !x.memoized(full, opts) {
+		if err := opts.validate(); err != nil {
+			return nil, nil, err
+		}
+		scratch := scratchPool.Get().(*cutScratch)
+		defer scratchPool.Put(scratch)
+		preds, err := x.cutNumeric(sel, attr, opts, nil, scratch)
+		if err != nil {
+			return nil, nil, err
+		}
+		bits, err := engine.PartitionValues(&scratch.NumericExtract, preds)
+		return preds, bits, err
+	}
+	preds, err := x.cutPredicates(sel, full, attr, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	bits, err := engine.PartitionBitsOpts(x.t, attr, preds, sel, x.scan)
+	return preds, bits, err
 }
 
 // cut computes CUT from the column's statistics under sel — or, when sp
@@ -167,7 +206,9 @@ func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, sp StatPr
 	}
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
-		return x.cutNumeric(sel, attr, opts, sp)
+		scratch := scratchPool.Get().(*cutScratch)
+		defer scratchPool.Put(scratch)
+		return x.cutNumeric(sel, attr, opts, sp, scratch)
 	case storage.String:
 		return x.cutCategorical(sel, attr, opts, sp)
 	case storage.Bool:
@@ -180,10 +221,10 @@ func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, sp StatPr
 // cutNumeric never sorts: one extraction pass yields the values with
 // their NaN count and extremes, and each strategy takes only what it
 // still needs — nothing (equi-width), a counting pass (variance) or a
-// handful of order statistics (median).
-func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
-	scratch := scratchPool.Get().(*cutScratch)
-	defer scratchPool.Put(scratch)
+// handful of order statistics (median). Without sp the extraction is
+// left in scratch, its values in row order and untouched, for the
+// partition that follows the cut.
+func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider, scratch *cutScratch) ([]query.Predicate, error) {
 	var (
 		vals []float64
 		sum  engine.NumericSummary
@@ -192,22 +233,21 @@ func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp
 	if sp != nil {
 		vals, sum, err = sp.NumericStats(x.reqCtx(), attr, opts)
 	} else {
-		vals, sum, err = engine.ExtractNumericUnder(x.reqCtx(), scratch.vals, x.t, attr, sel)
-		if err == nil {
-			scratch.vals = vals
-		}
+		err = engine.ExtractNumericUnder(&scratch.NumericExtract, x.t, attr, sel, x.scan)
+		vals, sum = scratch.Vals, scratch.Sum
 	}
 	if err != nil {
 		return nil, err
 	}
 	nn, lo, hi := vals, sum.Min, sum.Max // nn: the non-NaN values
 	if sum.NaN > 0 {
-		nn = vals[:0]
+		nn = scratch.finite[:0]
 		for _, v := range vals {
 			if v == v {
 				nn = append(nn, v)
 			}
 		}
+		scratch.finite = nn
 	}
 	if len(vals) == 0 {
 		return nil, &ErrDegenerate{attr, "no non-NULL values under selection"}
@@ -359,7 +399,7 @@ func (x *cutter) cutCategorical(sel *bitvec.Vector, attr string, opts CutOptions
 	if sp != nil {
 		dict, counts, err = sp.CategoryStats(x.reqCtx(), attr)
 	} else {
-		dict, counts, err = engine.CategoryCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
+		dict, counts, err = engine.CategoryCountsUnderOpts(x.t, attr, sel, x.scan)
 	}
 	if err != nil {
 		return nil, err
@@ -455,7 +495,7 @@ func (x *cutter) cutBool(sel *bitvec.Vector, attr string, sp StatProvider) ([]qu
 	if sp != nil {
 		falses, trues, err = sp.BoolStats(x.reqCtx(), attr)
 	} else {
-		falses, trues, err = engine.BoolCountsUnderCtx(x.reqCtx(), x.t, attr, sel)
+		falses, trues, err = engine.BoolCountsUnderOpts(x.t, attr, sel, x.scan)
 	}
 	if err != nil {
 		return nil, err

@@ -86,13 +86,16 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 // skipped entirely.
 func ComposeMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	x := cutter{t: t}
-	return x.composeMaps(base, nil, parent, attrs, opts, maxRegions)
+	return x.composeMaps(base, nil, nil, parent, attrs, opts, maxRegions)
 }
 
 // composeMaps takes parentSel — parent's selection under base — when the
 // caller already evaluated it (Explore holds it as base); nil computes
-// it here. The vector is only read.
-func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
+// it here. The vector is only read. seed, when non-nil, is the candidate
+// map of attrs[0] built by cutPartition under parentSel with opts and
+// parent as its parent query: exactly composition's first level, which
+// is then taken from it instead of being cut again.
+func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("core: composition over zero attributes")
 	}
@@ -100,10 +103,10 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, parent query.Query,
 		maxRegions = 2
 	}
 	// The selection of every region is threaded through the composition
-	// as a bitmap: each level cuts a region's bitmap with the partition
-	// kernel (one column pass per region) instead of re-evaluating the
-	// region's whole conjunctive query against the table — and the final
-	// map is assembled from the bitmaps directly.
+	// as a bitmap: each level cuts and partitions a region's bitmap (one
+	// column read per region) instead of re-evaluating the region's whole
+	// conjunctive query against the table — and the final map is
+	// assembled from the bitmaps directly.
 	n := x.t.NumRows()
 	if parentSel == nil {
 		sel, err := engine.Eval(x.t, parent)
@@ -115,7 +118,18 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, parent query.Query,
 	regions := []query.Query{parent}
 	bits := []*bitvec.Vector{parentSel}
 	var usedAttrs []string
-	for _, attr := range attrs {
+	rest := attrs
+	if seed != nil {
+		rest = attrs[1:]
+		if len(seed.Regions) <= maxRegions {
+			regions, bits = make([]query.Query, len(seed.Regions)), make([]*bitvec.Vector, len(seed.Regions))
+			for ri, r := range seed.Regions {
+				regions[ri], bits[ri] = r.Query, seed.assign.RegionBits(ri)
+			}
+			usedAttrs = []string{attrs[0]}
+		}
+	}
+	for _, attr := range rest {
 		if len(regions)*2 > maxRegions {
 			break // even binary cuts would blow the budget
 		}
@@ -123,14 +137,10 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, parent query.Query,
 		nextBits := make([]*bitvec.Vector, 0, len(regions)*opts.Splits)
 		for ri, r := range regions {
 			b := bits[ri]
-			preds, err := x.cutPredicates(b, b.Count() == n, attr, opts)
+			preds, pb, err := x.cutPartition(b, b.Count() == n, attr, opts)
 			var deg *ErrDegenerate
 			switch {
 			case err == nil:
-				pb, err := engine.PartitionBitsOpts(x.t, attr, preds, b, x.scan)
-				if err != nil {
-					return nil, err
-				}
 				for pi, p := range preds {
 					next = append(next, applyPredicate(r, p))
 					nextBits = append(nextBits, pb[pi])
@@ -160,10 +170,13 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, parent query.Query,
 // candidate order (base map first).
 func MergeCluster(t *storage.Table, base *bitvec.Vector, parent query.Query, cluster []*Map, kind MergeKind, cutOpts CutOptions, maxRegions int) (*Map, error) {
 	x := cutter{t: t}
-	return x.mergeCluster(base, nil, parent, cluster, kind, cutOpts, maxRegions)
+	return x.mergeCluster(base, nil, false, parent, cluster, kind, cutOpts, maxRegions)
 }
 
-func (x *cutter) mergeCluster(base, parentSel *bitvec.Vector, parent query.Query, cluster []*Map, kind MergeKind, cutOpts CutOptions, maxRegions int) (*Map, error) {
+// mergeCluster is MergeCluster. seeded says cluster[0] is a candidate
+// map cut by cutPartition under parentSel with cutOpts, so composition
+// starts from it (see composeMaps).
+func (x *cutter) mergeCluster(base, parentSel *bitvec.Vector, seeded bool, parent query.Query, cluster []*Map, kind MergeKind, cutOpts CutOptions, maxRegions int) (*Map, error) {
 	if err := kind.validate(); err != nil {
 		return nil, err
 	}
@@ -180,5 +193,9 @@ func (x *cutter) mergeCluster(base, parentSel *bitvec.Vector, parent query.Query
 	for _, m := range cluster {
 		attrs = append(attrs, m.Attrs...)
 	}
-	return x.composeMaps(base, parentSel, parent, attrs, cutOpts, maxRegions)
+	var seed *Map
+	if seeded {
+		seed = cluster[0]
+	}
+	return x.composeMaps(base, parentSel, seed, parent, attrs, cutOpts, maxRegions)
 }

@@ -27,15 +27,17 @@ func (p *failingProvider) NumericStats(ctx context.Context, attr string, _ CutOp
 	if p.calls.Add(1) == 1 {
 		return nil, engine.NumericSummary{}, p.fail(ctx)
 	}
-	return engine.ExtractNumericUnder(ctx, nil, p.t, attr, bitvec.NewFull(p.t.NumRows()))
+	var x engine.NumericExtract
+	err := engine.ExtractNumericUnder(&x, p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
+	return x.Vals, x.Sum, err
 }
 
 func (p *failingProvider) CategoryStats(ctx context.Context, attr string) ([]string, []int, error) {
-	return engine.CategoryCountsUnderCtx(ctx, p.t, attr, bitvec.NewFull(p.t.NumRows()))
+	return engine.CategoryCountsUnderOpts(p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
 }
 
 func (p *failingProvider) BoolStats(ctx context.Context, attr string) (int, int, error) {
-	return engine.BoolCountsUnderCtx(ctx, p.t, attr, bitvec.NewFull(p.t.NumRows()))
+	return engine.BoolCountsUnderOpts(p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
 }
 
 func renderMaps(r *Result) string {

@@ -296,3 +296,23 @@ func TestStatementStringWithOptions(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+// TestLexUTF8: identifiers are runs of Unicode letters, whatever their
+// encoded length, and a byte that is not UTF-8 is a syntax error rather
+// than a Latin-1 letter.
+func TestLexUTF8(t *testing.T) {
+	stmt, err := Parse("EXPLORE größe WHERE höhe_2 >= 1 WITH CUT Médian")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stmt.Table != "größe" || stmt.Preds[0].Attr() != "höhe_2" || stmt.Options.Cut != "médian" {
+		t.Errorf("parsed %q", stmt.String())
+	}
+	for _, in := range []string{"EXPLORE \xf3", "EXPLORE t WITH MERGE \xf3", "EXPLORE t WHERE a = 1\xff"} {
+		if _, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) accepted a byte that is not UTF-8", in)
+		} else if _, ok := err.(*SyntaxError); !ok {
+			t.Errorf("Parse(%q): %T, want *SyntaxError", in, err)
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -105,16 +106,20 @@ func (e *SyntaxError) Error() string {
 }
 
 // Lex tokenizes the input. It returns a token stream ending with TokEOF,
-// or a SyntaxError on malformed input.
+// or a SyntaxError on malformed input. Outside string literals the input
+// must be UTF-8: identifiers are runs of Unicode letters, digits and
+// underscores; numbers are ASCII.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
 	i := 0
 	n := len(input)
 	for i < n {
-		c := rune(input[i])
+		c, size := utf8.DecodeRuneInString(input[i:])
 		switch {
+		case c == utf8.RuneError && size == 1:
+			return nil, &SyntaxError{i, fmt.Sprintf("invalid UTF-8 byte %#x", input[i])}
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case c == ',':
 			toks = append(toks, Token{TokComma, ",", i})
 			i++
@@ -178,10 +183,10 @@ func Lex(input string) ([]Token, error) {
 				return nil, &SyntaxError{start, "unterminated string literal"}
 			}
 			toks = append(toks, Token{TokString, sb.String(), start})
-		case unicode.IsDigit(c) || c == '-' || c == '+' || c == '.':
+		case isASCIIDigit(input[i]) || c == '-' || c == '+' || c == '.':
 			start := i
 			i++
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.' ||
+			for i < n && (isASCIIDigit(input[i]) || input[i] == '.' ||
 				input[i] == 'e' || input[i] == 'E' ||
 				((input[i] == '-' || input[i] == '+') && (input[i-1] == 'e' || input[i-1] == 'E'))) {
 				i++
@@ -193,8 +198,12 @@ func Lex(input string) ([]Token, error) {
 			toks = append(toks, Token{TokNumber, text, start})
 		case unicode.IsLetter(c) || c == '_':
 			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
-				i++
+			for i < n {
+				r, size := utf8.DecodeRuneInString(input[i:])
+				if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+					break
+				}
+				i += size
 			}
 			toks = append(toks, Token{TokIdent, input[start:i], start})
 		default:
@@ -204,6 +213,8 @@ func Lex(input string) ([]Token, error) {
 	toks = append(toks, Token{TokEOF, "", n})
 	return toks, nil
 }
+
+func isASCIIDigit(b byte) bool { return '0' <= b && b <= '9' }
 
 // isKeyword reports whether an identifier token equals the keyword,
 // case-insensitively.

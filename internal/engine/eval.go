@@ -61,8 +61,11 @@ func NumericValuesUnder(t *storage.Table, attr string, sel *bitvec.Vector) ([]fl
 // NumericValuesUnderCtx is NumericValuesUnder with a request context:
 // lazy chunk fetches ride the caller's trace and resource ledger.
 func NumericValuesUnderCtx(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	vals, _, err := ExtractNumericUnder(ctx, nil, t, attr, sel)
-	return vals, err
+	var x NumericExtract
+	if err := ExtractNumericUnder(&x, t, attr, sel, ScanOptions{Ctx: ctx}); err != nil {
+		return nil, err
+	}
+	return x.Vals, nil
 }
 
 // NumericSummary describes the values one extraction produced, gathered
@@ -97,58 +100,83 @@ func (s *NumericSummary) observe(v float64) {
 	}
 }
 
-// ExtractNumericUnder is NumericValuesUnder for callers that recycle
-// value slices across cuts: the values overwrite dst when it is large
-// enough, and they are summarized on the way.
-func ExtractNumericUnder(ctx context.Context, dst []float64, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, NumericSummary, error) {
-	sum := SummarizeNumeric(nil)
-	if err := obsv.CheckCtx(ctx, "engine.stats"); err != nil {
-		return nil, sum, err
+// NumericExtract is what one pass of ExtractNumericUnder gathers. Its
+// slices are overwritten by the next extraction into the same value, so
+// a caller that cuts repeatedly recycles them.
+type NumericExtract struct {
+	// Vals are the selected non-NULL values in row order, Int64 widened.
+	Vals []float64
+	// Present marks the rows the values came from — the selection less
+	// the column's NULLs, one bit per row: Vals[j] is the value of the
+	// j-th set bit. PartitionValues reads the two in step.
+	Present []uint64
+	// Sum summarizes Vals.
+	Sum NumericSummary
+
+	rows int // table length, the length of the bitmaps Present spans
+}
+
+// ExtractNumericUnder reads a numeric column under the selection once:
+// it fills x with the selected non-NULL values, the rows they came from
+// and their summary. On memory-tiered columns only the chunks holding a
+// selected row are fetched, each billed to opts.Stats and the context's
+// ledger like a scan's fetches.
+func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) error {
+	x.Vals, x.Sum, x.rows = x.Vals[:0], SummarizeNumeric(nil), sel.Len()
+	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
+		return err
 	}
 	col, err := t.ColumnByName(attr)
 	if err != nil {
-		return nil, sum, err
+		return err
 	}
-	out := dst[:0]
-	if n := sel.Count(); cap(out) < n {
-		out = make([]float64, 0, n)
+	if sel.Len() != t.NumRows() {
+		return fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
 	}
+	if n := sel.Count(); cap(x.Vals) < n {
+		x.Vals = make([]float64, 0, n)
+	}
+	selWords := sel.Words()
+	if cap(x.Present) < len(selWords) {
+		x.Present = make([]uint64, len(selWords))
+	}
+	x.Present = x.Present[:len(selWords)]
 	switch c := col.(type) {
 	case *storage.Int64Column:
-		out = appendSelected(out, &sum, c.Values(), storage.NullWords(c), sel.Words())
+		x.Vals = appendSelected(x.Vals, &x.Sum, c.Values(), storage.NullWords(c), selWords, x.Present)
 	case *storage.Float64Column:
-		out = appendSelected(out, &sum, c.Values(), storage.NullWords(c), sel.Words())
+		x.Vals = appendSelected(x.Vals, &x.Sum, c.Values(), storage.NullWords(c), selWords, x.Present)
 	case *storage.LazyColumn:
 		if !c.Type().IsNumeric() {
-			return nil, sum, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
+			return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 		}
-		// Chunk-wise: chunks with no selected rows are never fetched, so
-		// a selective extraction reads only the touched byte ranges.
-		err := c.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
-			if l := i - lo; !p.IsNull(l) {
-				v := p.Numeric(l)
-				out = append(out, v)
-				sum.observe(v)
+		// Chunks with no selected row are never fetched and keep no
+		// present bits.
+		clear(x.Present)
+		return fetchTouched(t, c, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
+			if p.Ints != nil {
+				x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
+			} else {
+				x.Vals = appendSelected(x.Vals, &x.Sum, p.Floats, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
 			}
 		})
-		if err != nil {
-			return nil, sum, err
-		}
 	default:
-		return nil, sum, fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
+		return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 	}
-	return out, sum, nil
+	return nil
 }
 
-// appendSelected appends the selected non-NULL values of an in-memory
-// column, walking the selection a word at a time. nulls is nil or the
-// column's null words.
-func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nulls, sel []uint64) []float64 {
+// appendSelected appends the selected non-NULL values of a run of rows,
+// walking the selection a word at a time, and records each word's taken
+// rows in present. vals, nulls (nil when the run has no NULLs), sel and
+// present all start at the run's first row.
+func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nulls, sel, present []uint64) []float64 {
 	s := *sum
 	for wi, w := range sel {
 		if nulls != nil {
 			w &^= nulls[wi]
 		}
+		present[wi] = w
 		if w == 0 {
 			continue
 		}
@@ -166,13 +194,14 @@ func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nul
 // CategoryCountsUnder returns per-dictionary-code counts of a string
 // column restricted to the selection, plus the dictionary.
 func CategoryCountsUnder(t *storage.Table, attr string, sel *bitvec.Vector) (dict []string, counts []int, err error) {
-	return CategoryCountsUnderCtx(context.Background(), t, attr, sel)
+	return CategoryCountsUnderOpts(t, attr, sel, ScanOptions{})
 }
 
-// CategoryCountsUnderCtx is CategoryCountsUnder with a request context
-// for lazy chunk fetches.
-func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) (dict []string, counts []int, err error) {
-	if err := obsv.CheckCtx(ctx, "engine.stats"); err != nil {
+// CategoryCountsUnderOpts is CategoryCountsUnder with scan options: lazy
+// chunk fetches ride opts.Ctx and are billed to opts.Stats and the
+// context's ledger.
+func CategoryCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) (dict []string, counts []int, err error) {
+	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
 		return nil, nil, err
 	}
 	col, err := t.ColumnByName(attr)
@@ -188,10 +217,14 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 			return nil, nil, err
 		}
 		counts = make([]int, len(dict))
-		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
-			if l := i - lo; !p.IsNull(l) {
-				counts[p.Codes[l]]++
-			}
+		selWords := sel.Words()
+		err = fetchTouched(t, lc, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
+			visitSelectedRange(selWords, w0, w1, func(i int) {
+				// Null check first: null rows may carry placeholder codes.
+				if l := i - w0*64; !p.IsNull(l) {
+					counts[p.Codes[l]]++
+				}
+			})
 		})
 		if err != nil {
 			return nil, nil, err
@@ -216,13 +249,13 @@ func CategoryCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, 
 // BoolCountsUnder returns the (false, true) counts of a bool column under
 // the selection.
 func BoolCountsUnder(t *storage.Table, attr string, sel *bitvec.Vector) (falses, trues int, err error) {
-	return BoolCountsUnderCtx(context.Background(), t, attr, sel)
+	return BoolCountsUnderOpts(t, attr, sel, ScanOptions{})
 }
 
-// BoolCountsUnderCtx is BoolCountsUnder with a request context for lazy
-// chunk fetches.
-func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) (falses, trues int, err error) {
-	if err := obsv.CheckCtx(ctx, "engine.stats"); err != nil {
+// BoolCountsUnderOpts is BoolCountsUnder with scan options, billed like
+// CategoryCountsUnderOpts.
+func BoolCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) (falses, trues int, err error) {
+	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
 		return 0, 0, err
 	}
 	col, err := t.ColumnByName(attr)
@@ -233,14 +266,17 @@ func BoolCountsUnderCtx(ctx context.Context, t *storage.Table, attr string, sel 
 		if lc.Type() != storage.Bool {
 			return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 		}
-		err = lc.ForEachSelected(ctx, sel, func(p *storage.ChunkPayload, lo, i int) {
-			if l := i - lo; !p.IsNull(l) {
-				if p.Bools[l] {
-					trues++
-				} else {
-					falses++
+		selWords := sel.Words()
+		err = fetchTouched(t, lc, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
+			visitSelectedRange(selWords, w0, w1, func(i int) {
+				if l := i - w0*64; !p.IsNull(l) {
+					if p.Bools[l] {
+						trues++
+					} else {
+						falses++
+					}
 				}
-			}
+			})
 		})
 		if err != nil {
 			return 0, 0, err

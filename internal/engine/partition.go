@@ -135,65 +135,59 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		return nil, fmt.Errorf("engine: unsupported column type %T", col)
 	}
 
-	ctx := opts.context()
-	led := obsv.LedgerFrom(ctx)
-	ck := t.Chunking()
-	if ck == nil {
-		if lazyCol != nil {
-			return nil, fmt.Errorf("engine: lazy column partition requires chunk metadata")
-		}
-		part(0, len(selWords), nil)
-		return out, nil
-	}
-	numChunks := ck.NumChunks(n)
-	wordsPerChunk := ck.Size / 64
-	partChunk := func(k int, p *storage.ChunkPayload) {
-		w0 := k * wordsPerChunk
-		part(w0, min(w0+wordsPerChunk, len(selWords)), p)
-	}
-	workers := min(opts.Workers, numChunks)
-	if lazyCol == nil {
-		if workers <= 1 {
-			part(0, len(selWords), nil)
-			return out, nil
-		}
-		err := par.For(workers, numChunks, func(k int) error {
-			// Chunk-granular cancellation, before any row visit.
-			if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
-				return err
-			}
-			partChunk(k, nil)
-			return nil
-		})
-		if err != nil {
+	if lazyCol != nil {
+		// Only chunks holding a selected row are fetched.
+		if err := fetchTouched(t, lazyCol, selWords, opts.Workers, opts, "engine.partition", part); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	// Only chunks holding a selected row are fetched, and that list is
-	// known up front: each fetch is preceded by the hint of the touched
-	// chunks from it on, so a remote source that would miss loads them in
-	// one round trip instead.
-	touched := storage.TouchedChunks(selWords, wordsPerChunk)
-	err = par.For(workers, len(touched), func(ti int) error {
-		// Chunk-granular cancellation, before any fetch or row visit.
+	ck := t.Chunking()
+	if ck == nil || opts.Workers <= 1 {
+		part(0, len(selWords), nil)
+		return out, nil
+	}
+	ctx := opts.context()
+	numChunks := ck.NumChunks(n)
+	wordsPerChunk := ck.Size / 64
+	err = par.For(min(opts.Workers, numChunks), numChunks, func(k int) error {
+		// Chunk-granular cancellation, before any row visit.
 		if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
 			return err
 		}
-		k := touched[ti]
-		lazyCol.PrefetchHint(ctx, storage.HintWindow(touched, ti))
-		p, hit, err := lazyCol.Chunk(ctx, k)
-		if err != nil {
-			return err
-		}
-		countFetch(opts.Stats, hit)
-		led.ChunkFetch(hit)
-		partChunk(k, p)
+		w0 := k * wordsPerChunk
+		part(w0, min(w0+wordsPerChunk, len(selWords)), nil)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// PartitionValues is PartitionBits computed from an extraction instead
+// of the column: the row of each of x's values goes to the first of the
+// Range predicates admitting it, so the region bitmaps are bit-identical
+// to PartitionBits over the selection x was extracted under — NaN, like
+// NULL, falls in no region. x must be as ExtractNumericUnder left it.
+// Numeric CUT partitions this way from the values it already read to
+// find its edges, so a cut reads its column once.
+func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vector, error) {
+	if len(preds) == 0 {
+		return nil, fmt.Errorf("engine: partition with zero predicates")
+	}
+	for _, p := range preds {
+		if p.Kind != query.Range {
+			return nil, fmt.Errorf("engine: value partition needs Range predicates, got %v on %q", p.Kind, p.Attr)
+		}
+	}
+	out := make([]*bitvec.Vector, len(preds))
+	outWords := make([][]uint64, len(preds))
+	for i := range out {
+		out[i] = bitvec.New(x.rows)
+		outWords[i] = out[i].Words()
+	}
+	partitionValues(compileRanges(preds), x.Vals, x.Present, outWords)
 	return out, nil
 }
 

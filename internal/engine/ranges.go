@@ -82,9 +82,7 @@ func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64
 			var hits uint64
 			for w := free; w != 0; w &= w - 1 {
 				v := float64(row[bits.TrailingZeros64(w)])
-				// admitted is 1 exactly when rangeMatcher.match says true
-				admitted := (b2u(v >= m.geLo) | b2u(v > m.gtLo)) & (b2u(v <= m.leHi) | b2u(v < m.ltHi))
-				hits |= (w & -w) & -admitted
+				hits |= (w & -w) & -m.admits(v)
 			}
 			out[ri][wi] |= hits
 			if free &^= hits; free == 0 {
@@ -92,6 +90,38 @@ func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64
 			}
 		}
 	}
+}
+
+// partitionValues is partitionRanges over extracted values: present
+// marks the rows and vals holds their values in row order. A word's
+// values are consumed in bit order, so each matcher walks the word's
+// rows with a rank into vals instead of a row index.
+func partitionValues(ms []rangeMatcher, vals []float64, present []uint64, out [][]uint64) {
+	j := 0
+	for wi, word := range present {
+		if word == 0 {
+			continue
+		}
+		row := vals[j : j+bits.OnesCount64(word)]
+		j += len(row)
+		free := word
+		for ri := range ms {
+			m := ms[ri]
+			var hits uint64
+			for k, w := 0, word; w != 0; k, w = k+1, w&(w-1) {
+				hits |= (w & -w) & free & -m.admits(row[k])
+			}
+			out[ri][wi] |= hits
+			if free &^= hits; free == 0 {
+				break
+			}
+		}
+	}
+}
+
+// admits is 1 exactly when match says true, computed without a branch.
+func (m *rangeMatcher) admits(v float64) uint64 {
+	return (b2u(v >= m.geLo) | b2u(v > m.gtLo)) & (b2u(v <= m.leHi) | b2u(v < m.ltHi))
 }
 
 // b2u is 1 for true, 0 for false; the compiler turns it into a flag read.

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/colstore"
+	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -150,10 +152,12 @@ func TestNumericKernelsMatchPerRowReference(t *testing.T) {
 				// extraction
 				var wantVals []float64
 				wantSum := NumericSummary{Min: math.Inf(1), Max: math.Inf(-1)}
+				wantPresent := bitvec.New(n)
 				sel.ForEach(func(r int) bool {
 					if col.IsNull(r) {
 						return true
 					}
+					wantPresent.Set(r)
 					v := value(r)
 					wantVals = append(wantVals, v)
 					switch {
@@ -166,9 +170,13 @@ func TestNumericKernelsMatchPerRowReference(t *testing.T) {
 				})
 				for _, kind := range kinds {
 					label := fmt.Sprintf("n=%d %s %s %s", n, attr, selName, kind.name)
-					got, sum, err := ExtractNumericUnder(context.Background(), make([]float64, 3, 8), kind.tbl, attr, sel)
-					if err != nil {
+					x := NumericExtract{Vals: make([]float64, 3, 8), Present: []uint64{^uint64(0)}}
+					if err := ExtractNumericUnder(&x, kind.tbl, attr, sel, ScanOptions{}); err != nil {
 						t.Fatalf("%s: extract: %v", label, err)
+					}
+					got, sum := x.Vals, x.Sum
+					if !slices.Equal(x.Present, wantPresent.Words()) {
+						t.Errorf("%s: present bitmap differs from the selected non-NULL rows", label)
 					}
 					if len(got) != len(wantVals) {
 						t.Fatalf("%s: extracted %d values, want %d", label, len(got), len(wantVals))
@@ -216,6 +224,186 @@ func TestNumericKernelsMatchPerRowReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPartitionValuesMatchesPartitionBits: partitioning from an
+// extraction gives bitmaps bit-identical to the column pass, over
+// columns held in memory, chunked and lazy, for 2–8 ranges with every
+// inclusive/exclusive end. Values sit on the edges (duplicated), and the
+// columns carry NULL, NaN, ±Inf and −0.
+func TestPartitionValuesMatchesPartitionBits(t *testing.T) {
+	const n, chunkRows = 3000, 256
+	rnd := rand.New(rand.NewSource(7))
+	pool := []float64{-40, -7, -1, 0, 3, 8, 15, 22, 60, 90}
+	b := storage.NewBuilder("v", storage.MustSchema(
+		storage.Field{Name: "f", Type: storage.Float64},
+		storage.Field{Name: "i", Type: storage.Int64},
+	))
+	for r := 0; r < n; r++ {
+		var f, i any
+		switch d := rnd.Intn(20); {
+		case d == 0:
+			f = nil
+		case d == 1:
+			f = math.NaN()
+		case d == 2:
+			f = math.Inf(2*rnd.Intn(2) - 1)
+		case d == 3:
+			f = math.Copysign(0, -1)
+		case d < 12:
+			f = pool[rnd.Intn(len(pool))]
+		default:
+			f = rnd.Float64()*140 - 45
+		}
+		switch d := rnd.Intn(10); {
+		case d == 0:
+			i = nil
+		case d < 6:
+			i = int64(pool[rnd.Intn(len(pool))])
+		default:
+			i = int64(rnd.Intn(140) - 45)
+		}
+		b.MustAppendRow(f, i)
+	}
+	mem := b.MustBuild()
+	path := filepath.Join(t.TempDir(), "v.atl")
+	if err := colstore.WriteFile(path, mem, chunkRows); err != nil {
+		t.Fatal(err)
+	}
+	eager, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeEager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eager.Close()
+	lazy, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeLazy, CacheBytes: chunkRows * 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	tables := map[string]*storage.Table{"memory": mem, "chunked": eager.Table(), "lazy": lazy.Table()}
+
+	sels := map[string]*bitvec.Vector{"full": bitvec.NewFull(n), "half": bitvec.New(n), "sparse": bitvec.New(n)}
+	for r := 0; r < n; r++ {
+		if rnd.Intn(2) == 0 {
+			sels["half"].Set(r)
+		}
+		if r/chunkRows%3 == 1 && r%7 == 0 {
+			sels["sparse"].Set(r)
+		}
+	}
+
+	// rangeLists yields, for k ranges over k+1 edges drawn from the
+	// pool (the outer two sometimes infinite), the lists with every
+	// range's ends set one of the four ways, then mixed at random.
+	rangeLists := func(attr string, k int) [][]query.Predicate {
+		perm := rnd.Perm(len(pool))[:k+1]
+		edges := make([]float64, k+1)
+		for i, pi := range perm {
+			edges[i] = pool[pi]
+		}
+		slices.Sort(edges)
+		if k%2 == 0 {
+			edges[0], edges[k] = math.Inf(-1), math.Inf(1)
+		}
+		var lists [][]query.Predicate
+		for mode := 0; mode < 6; mode++ {
+			preds := make([]query.Predicate, k)
+			for ri := range preds {
+				flags := mode
+				if mode >= 4 {
+					flags = rnd.Intn(4)
+				}
+				preds[ri] = query.Predicate{Attr: attr, Kind: query.Range, Lo: edges[ri], Hi: edges[ri+1],
+					LoIncl: flags&1 != 0, HiIncl: flags&2 != 0}
+			}
+			lists = append(lists, preds)
+		}
+		return lists
+	}
+
+	for _, attr := range []string{"f", "i"} {
+		for k := 2; k <= 8; k++ {
+			for li, preds := range rangeLists(attr, k) {
+				for selName, sel := range sels {
+					for tblName, tbl := range tables {
+						label := fmt.Sprintf("%s k=%d list=%d %s %s", attr, k, li, selName, tblName)
+						want, err := PartitionBitsOpts(tbl, attr, preds, sel, ScanOptions{})
+						if err != nil {
+							t.Fatalf("%s: column pass: %v", label, err)
+						}
+						var x NumericExtract
+						if err := ExtractNumericUnder(&x, tbl, attr, sel, ScanOptions{}); err != nil {
+							t.Fatalf("%s: extract: %v", label, err)
+						}
+						got, err := PartitionValues(&x, preds)
+						if err != nil {
+							t.Fatalf("%s: value pass: %v", label, err)
+						}
+						for ri := range want {
+							if !got[ri].Equal(want[ri]) {
+								t.Fatalf("%s: region %d holds %d rows, column pass %d", label, ri, got[ri].Count(), want[ri].Count())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExtractionBillsChunkFetches: the extraction passes CUT runs —
+// numeric values, category counts, bool counts — bill each chunk they
+// fetch to ScanStats and to the context's ledger, as the scan and
+// partition passes do.
+func TestExtractionBillsChunkFetches(t *testing.T) {
+	const n, chunkRows = 2048, 256
+	b := storage.NewBuilder("b", storage.MustSchema(
+		storage.Field{Name: "x", Type: storage.Int64},
+		storage.Field{Name: "s", Type: storage.String},
+		storage.Field{Name: "f", Type: storage.Bool},
+	))
+	for r := 0; r < n; r++ {
+		b.MustAppendRow(int64(r%50), []string{"a", "b", "c"}[r%3], r%2 == 0)
+	}
+	path := filepath.Join(t.TempDir(), "b.atl")
+	if err := colstore.WriteFile(path, b.MustBuild(), chunkRows); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	tbl := lazy.Table()
+	sel := bitvec.New(n)
+	for _, k := range []int{0, 3, 4, 7} {
+		sel.Set(k*chunkRows + 17)
+	}
+	const touched = 4
+	for _, pass := range []struct {
+		name string
+		run  func(opts ScanOptions) error
+	}{
+		{"numeric", func(opts ScanOptions) error { return ExtractNumericUnder(&NumericExtract{}, tbl, "x", sel, opts) }},
+		{"categorical", func(opts ScanOptions) error { _, _, err := CategoryCountsUnderOpts(tbl, "s", sel, opts); return err }},
+		{"bool", func(opts ScanOptions) error { _, _, err := BoolCountsUnderOpts(tbl, "f", sel, opts); return err }},
+	} {
+		// Twice: the first pass decodes, the second hits the cache.
+		for round := 0; round < 2; round++ {
+			var st ScanStats
+			led := obsv.NewLedger()
+			if err := pass.run(ScanOptions{Stats: &st, Ctx: obsv.WithLedger(context.Background(), led)}); err != nil {
+				t.Fatalf("%s: %v", pass.name, err)
+			}
+			got := st.Snapshot()
+			if got.ChunksDecoded+got.ChunkCacheHits != touched {
+				t.Errorf("%s round %d: billed %d decodes + %d hits, want %d fetches", pass.name, round, got.ChunksDecoded, got.ChunkCacheHits, touched)
+			}
+			if ls := led.Snapshot(); ls.ChunksDecoded != got.ChunksDecoded || ls.ChunkCacheHits != got.ChunkCacheHits {
+				t.Errorf("%s round %d: ledger %d/%d, scan stats %d/%d", pass.name, round, ls.ChunksDecoded, ls.ChunkCacheHits, got.ChunksDecoded, got.ChunkCacheHits)
 			}
 		}
 	}

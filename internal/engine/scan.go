@@ -67,6 +67,43 @@ func countFetch(stats *ScanStats, hit bool) {
 	}
 }
 
+// fetchTouched fetches the chunks of lazy column c holding a selected
+// row and hands each payload to visit with the word range of selWords
+// it covers. Each fetch is preceded by the hint of the window of touched
+// chunks it opens — so a remote source that would miss loads them in one
+// round trip — and billed to opts.Stats and the context's ledger. With
+// workers <= 1 chunks are visited in row order; otherwise concurrently.
+func fetchTouched(t *storage.Table, c *storage.LazyColumn, selWords []uint64, workers int, opts ScanOptions, op string, visit func(w0, w1 int, p *storage.ChunkPayload)) error {
+	ck := t.Chunking()
+	if ck == nil {
+		return fmt.Errorf("engine: lazy column pass requires chunk metadata")
+	}
+	if len(selWords) != (t.NumRows()+63)/64 {
+		return fmt.Errorf("engine: selection of %d words over %d table rows", len(selWords), t.NumRows())
+	}
+	ctx := opts.context()
+	led := obsv.LedgerFrom(ctx)
+	wordsPerChunk := ck.Size / 64
+	touched := storage.TouchedChunks(selWords, wordsPerChunk)
+	return par.For(workers, len(touched), func(ti int) error {
+		// Chunk-granular cancellation, before any fetch or row visit.
+		if err := obsv.CheckCtx(ctx, op); err != nil {
+			return err
+		}
+		k := touched[ti]
+		c.PrefetchHint(ctx, storage.HintWindow(touched, ti))
+		p, hit, err := c.Chunk(ctx, k)
+		if err != nil {
+			return err
+		}
+		countFetch(opts.Stats, hit)
+		led.ChunkFetch(hit)
+		w0 := k * wordsPerChunk
+		visit(w0, min(w0+wordsPerChunk, len(selWords)), p)
+		return nil
+	})
+}
+
 // ScanOptions tunes one scan.
 type ScanOptions struct {
 	// Workers shards the scan across chunks when the table carries chunk

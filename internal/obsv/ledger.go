@@ -28,8 +28,8 @@ import (
 //   - the store plane (BytesRead/StoreChunksDecoded) mirrors
 //     colstore.IOStats (and, for remote shards, the client's per-shard
 //     I/O counters): it bills inside the chunk loaders themselves, so
-//     it also covers fetches the scan plane never sees (stat
-//     extraction, screening, merge re-cuts).
+//     it also covers fetches the scan plane never sees (screening,
+//     whole-column summaries and partials, prefetched windows).
 type Ledger struct {
 	// scan plane — mirrors engine.ScanStats.
 	chunksScanned  atomic.Int64

@@ -183,9 +183,9 @@ func (s *Server) statFor(ctx context.Context, attr string) (*statEntry, error) {
 			e.enc, e.count = encodeFloats(vals), len(vals)
 		}
 	case typ == storage.String:
-		e.dict, e.counts, err = engine.CategoryCountsUnderCtx(ctx, s.tbl, attr, full)
+		e.dict, e.counts, err = engine.CategoryCountsUnderOpts(s.tbl, attr, full, engine.ScanOptions{Ctx: ctx})
 	default:
-		e.falses, e.trues, err = engine.BoolCountsUnderCtx(ctx, s.tbl, attr, full)
+		e.falses, e.trues, err = engine.BoolCountsUnderOpts(s.tbl, attr, full, engine.ScanOptions{Ctx: ctx})
 	}
 	if err != nil {
 		s.statMu.Lock()

@@ -1111,7 +1111,7 @@ func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []
 			return nil
 		}
 		view := p.s.views[i]
-		d, counts, err := engine.CategoryCountsUnderCtx(ctx, view, attr, bitvec.NewFull(view.NumRows()))
+		d, counts, err := engine.CategoryCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
 		if err != nil {
 			return err
 		}
@@ -1162,7 +1162,7 @@ func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error)
 			return nil
 		}
 		view := p.s.views[i]
-		f, t, err := engine.BoolCountsUnderCtx(ctx, view, attr, bitvec.NewFull(view.NumRows()))
+		f, t, err := engine.BoolCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
 		if err != nil {
 			return err
 		}

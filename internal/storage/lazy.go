@@ -152,7 +152,7 @@ func AsChunkPanic(r any) *ChunkError {
 // ChunkSource on first touch. The interface accessors (IsNull, Value,
 // Render, At-style access via Value, Gather) fault chunks in
 // transparently and panic with a *ChunkError if the backing store fails;
-// performance-critical consumers use Chunk/ForEachSelected and get
+// performance-critical consumers use Chunk/ForEachSelectedUntil and get
 // errors instead.
 type LazyColumn struct {
 	src       ChunkSource
@@ -255,8 +255,8 @@ func (c *LazyColumn) chunkOrPanic(k int) *ChunkPayload {
 // PrefetchHint hands the column's source the window of chunks ks
 // (ascending, at most PrefetchWindow, all of which the caller will
 // fetch, ks[0] next) — see ChunkSource.PrefetchChunks. The chunk drivers
-// (ForEachChunk, ForEachSelected, the engine's scan and partition
-// passes) hint before their fetches, which is what turns a remote
+// (ForEachChunk, ForEachSelectedUntil, the engine's scan, extraction and
+// partition passes) hint before their fetches, which is what turns a remote
 // source's per-chunk round trips into one per window.
 func (c *LazyColumn) PrefetchHint(ctx context.Context, ks []int) {
 	if len(ks) > 0 {
@@ -457,7 +457,7 @@ func (c *LazyColumn) Materialize() (Column, error) {
 // ForEachChunk fetches every chunk in order under ctx and calls
 // fn(k, lo, payload) where lo is the chunk's first row. fn returns false
 // to stop early, so the window from a chunk on is hinted only once the
-// walk is past its first chunk (see walkSelected).
+// walk is past its first chunk (see ForEachSelectedUntil).
 func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
 	n := c.NumChunks()
 	var window [PrefetchWindow]int
@@ -484,53 +484,15 @@ func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *Chu
 	return nil
 }
 
-// ForEachSelected visits every set bit of sel in ascending row order,
-// fetching each touched chunk at most once (under ctx) and skipping
-// chunks with no selected rows entirely — the chunk-wise counterpart of
-// bitvec.Vector.ForEach for lazy columns. fn receives the row's chunk
-// payload, the chunk's first row lo, and the global row index i. The
-// walk cannot stop early, so every fetch is preceded by the hint of the
-// window it opens: a remote source loads the touched chunks a window per
-// round trip.
-func (c *LazyColumn) ForEachSelected(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int)) error {
-	words := sel.Words()
-	return c.walkSelected(ctx, sel, false, func(p *ChunkPayload, lo, w0, w1 int) bool {
-		for wi := w0; wi < w1; wi++ {
-			base := wi * 64
-			for w := words[wi]; w != 0; w &= w - 1 {
-				fn(p, lo, base+bits.TrailingZeros64(w))
-			}
-		}
-		return true
-	})
-}
-
-// ForEachSelectedUntil is ForEachSelected for a walk fn stops by
-// returning false. Windows are hinted once the walk is past its first
-// chunk, so a walk that stops inside it — a screen that has seen enough
-// — hints nothing.
+// ForEachSelectedUntil visits every set bit of sel in ascending row
+// order until fn returns false, fetching each touched chunk at most once
+// (under ctx) and skipping chunks with no selected rows entirely. fn
+// receives the row's chunk payload, the chunk's first row lo, and the
+// global row index i. Each fetch past the first is preceded by the hint
+// of the window it opens, so a remote source loads the touched chunks a
+// window per round trip; a walk that stops inside its first chunk — a
+// screen that has seen enough — hints nothing.
 func (c *LazyColumn) ForEachSelectedUntil(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
-	words := sel.Words()
-	return c.walkSelected(ctx, sel, true, func(p *ChunkPayload, lo, w0, w1 int) bool {
-		for wi := w0; wi < w1; wi++ {
-			base := wi * 64
-			for w := words[wi]; w != 0; w &= w - 1 {
-				if !fn(p, lo, base+bits.TrailingZeros64(w)) {
-					return false
-				}
-			}
-		}
-		return true
-	})
-}
-
-// walkSelected fetches the chunks holding selected rows in order and
-// hands each to visit with its first row and its word range of sel;
-// visit returns false to stop. Each fetch is preceded by the hint of the
-// window it opens — except the first when mayStop says visit can stop:
-// a walk that may end inside its first chunk has no window to promise
-// until it is past it.
-func (c *LazyColumn) walkSelected(ctx context.Context, sel *bitvec.Vector, mayStop bool, visit func(p *ChunkPayload, lo, w0, w1 int) bool) error {
 	if sel.Len() != c.rows {
 		return fmt.Errorf("storage: selection length %d != column length %d", sel.Len(), c.rows)
 	}
@@ -546,7 +508,7 @@ func (c *LazyColumn) walkSelected(ctx context.Context, sel *bitvec.Vector, maySt
 		if err := obsv.CheckCtx(ctx, "storage.extract"); err != nil {
 			return err
 		}
-		if ti > 0 || !mayStop {
+		if ti > 0 {
 			c.PrefetchHint(ctx, HintWindow(touched, ti))
 		}
 		p, _, err := c.Chunk(ctx, k)
@@ -554,8 +516,13 @@ func (c *LazyColumn) walkSelected(ctx context.Context, sel *bitvec.Vector, maySt
 			return err
 		}
 		w0 := k * wordsPerChunk
-		if !visit(p, k*c.chunkSize, w0, min(w0+wordsPerChunk, len(words))) {
-			return nil
+		for wi := w0; wi < min(w0+wordsPerChunk, len(words)); wi++ {
+			base := wi * 64
+			for w := words[wi]; w != 0; w &= w - 1 {
+				if !fn(p, k*c.chunkSize, base+bits.TrailingZeros64(w)) {
+					return nil
+				}
+			}
 		}
 	}
 	return nil
