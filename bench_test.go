@@ -1,8 +1,8 @@
 package atlas
 
 // The benchmark harness: one benchmark per experiment (E1–E15, the
-// regenerated figures and claims of the paper — see DESIGN.md for the
-// index and EXPERIMENTS.md for recorded results), plus micro-benchmarks
+// regenerated figures and claims of the paper — `atlasbench -list` names
+// them), plus micro-benchmarks
 // for the pipeline's cost drivers (CUT strategies, dependency distances,
 // SLINK, FK join, end-to-end exploration latency).
 //
@@ -10,7 +10,6 @@ package atlas
 // One experiment:   go test -bench=BenchmarkE4 -benchmem
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -347,82 +346,6 @@ func BenchmarkEval(b *testing.B) {
 		}
 	}
 	b.ReportMetric(1e6*float64(b.N)/float64(b.Elapsed().Seconds())/1e6, "Mrows/s")
-}
-
-// BenchmarkStoreOpen measures cold-starting from the on-disk columnar
-// store — the path that replaces CSV re-parsing at process start. The
-// acceptance bar is ≥5× faster than BenchmarkCSVParse at 1M rows.
-// Scenarios are shared with atlasbench -benchjson (exp.ColdStartInputs).
-func BenchmarkStoreOpen(b *testing.B) {
-	for _, n := range []int{100000, 1000000} {
-		b.Run(fmt.Sprintf("census_n=%d", n), func(b *testing.B) {
-			path, _, err := exp.ColdStartInputs(n, 1, b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := colstore.Open(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Table().NumRows() != n {
-					b.Fatal("short read")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCSVParse is the cold-start baseline StoreOpen replaces.
-func BenchmarkCSVParse(b *testing.B) {
-	for _, n := range []int{100000, 1000000} {
-		b.Run(fmt.Sprintf("census_n=%d", n), func(b *testing.B) {
-			_, data, err := exp.ColdStartInputs(n, 1, b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t, err := storage.ReadCSV("census", bytes.NewReader(data), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.NumRows() != n {
-					b.Fatal("short read")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEvalPruned measures a selective range scan with zone-map
-// pruning (chunked store table) against the same scan without chunk
-// metadata, on the shared exp.PrunedScanScenario workload.
-func BenchmarkEvalPruned(b *testing.B) {
-	const n = 1000000
-	chunked, plain, q, err := exp.PrunedScanScenario(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		tbl  *Table
-	}{{"chunked", chunked}, {"plain", plain}} {
-		tbl := tc.tbl
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sel := bitvec.NewFull(n)
-			for i := 0; i < b.N; i++ {
-				sel.Fill()
-				if err := engine.EvalAndIntoOpts(tbl, q, sel, engine.ScanOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkJoinFK measures FK-join materialization (Section 5.2).

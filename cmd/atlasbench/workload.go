@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -18,14 +16,12 @@ import (
 
 // This file is atlasbench's workload harness: -replay drives a recorded
 // workload file (atlasd -record-workload, or GET /api/workload) against
-// a live server and scores it against SLO thresholds, and -workloadjson
-// runs the synthetic 32-session zipf scenario end to end and writes
-// BENCH_10.json. Both modes replay twice — a sequential reference pass
-// and the concurrent scored pass — and hard-fail unless every response
-// is byte-identical across the two: concurrency must never change an
-// answer, only its timing.
+// a server and scores it against SLO thresholds. It replays twice — a
+// sequential reference pass and the concurrent scored pass — and
+// hard-fails unless every response is byte-identical across the two:
+// concurrency must never change an answer, only its timing.
 
-// replayConfig carries the -replay / -workloadjson flag values.
+// replayConfig carries the -replay flag values.
 type replayConfig struct {
 	Target    string
 	Pacing    string
@@ -34,7 +30,7 @@ type replayConfig struct {
 	SLO       workload.SLO
 }
 
-// defaultSLO is the declared service objective both modes score
+// defaultSLO is the declared service objective -replay scores
 // against. The latency bounds are generous on purpose — they catch
 // collapse (queueing runaway, lock convoys), not noise — while the
 // error and shed bounds are exact: a deterministic workload on an
@@ -80,7 +76,9 @@ func runReplay(path string, cfg replayConfig) error {
 	if err != nil {
 		return err
 	}
-	printScore(score)
+	fmt.Printf("replay: %d requests in %v — p50 %v, p99 %v, %.1f qps (%.2f qps/core), %d errors, %d shed, %d 4xx\n",
+		score.Requests, score.Wall.Round(time.Millisecond), score.P50.Round(time.Millisecond),
+		score.P99.Round(time.Millisecond), score.QPS, score.QPSPerCore, score.Errors, score.Shed, score.Client4xx)
 	if !score.Pass {
 		if cfg.SLOStrict {
 			return fmt.Errorf("SLO violated: %v", score.Violations)
@@ -122,127 +120,4 @@ func replayScored(w *workload.Workload, refTarget, target string, cfg replayConf
 	}
 	fmt.Printf("replay: %s pass byte-identical to the sequential reference\n", pacing)
 	return workload.ScoreReplay(got, cfg.SLO, runtime.NumCPU()), nil
-}
-
-func printScore(sc *workload.Score) {
-	fmt.Printf("replay: %d requests in %v — p50 %v, p99 %v, %.1f qps (%.2f qps/core), %d errors, %d shed, %d 4xx\n",
-		sc.Requests, sc.Wall.Round(time.Millisecond), sc.P50.Round(time.Millisecond),
-		sc.P99.Round(time.Millisecond), sc.QPS, sc.QPSPerCore, sc.Errors, sc.Shed, sc.Client4xx)
-}
-
-// scoreMetrics flattens a scorecard into a benchRecord metrics map.
-func scoreMetrics(sc *workload.Score) map[string]float64 {
-	pass := 0.0
-	if sc.Pass {
-		pass = 1
-	}
-	return map[string]float64{
-		"requests":     float64(sc.Requests),
-		"completed":    float64(sc.Completed),
-		"errors":       float64(sc.Errors),
-		"shed":         float64(sc.Shed),
-		"client_4xx":   float64(sc.Client4xx),
-		"p50_ms":       float64(sc.P50.Nanoseconds()) / 1e6,
-		"p99_ms":       float64(sc.P99.Nanoseconds()) / 1e6,
-		"wall_ms":      float64(sc.Wall.Nanoseconds()) / 1e6,
-		"qps":          sc.QPS,
-		"qps_per_core": sc.QPSPerCore,
-		"err_rate":     sc.ErrRate,
-		"shed_rate":    sc.ShedRate,
-		"slo_pass":     pass,
-		"cores":        float64(runtime.NumCPU()),
-	}
-}
-
-// writeWorkloadJSON is the -workloadjson mode: a 32-session zipf mix of
-// census explores and drill-downs, generated deterministically, replayed
-// closed-loop and open-loop against an in-process server. Each pass must
-// be byte-identical to its sequential reference; SLO violations warn at
-// -quick scale and fail the run at full scale.
-func writeWorkloadJSON(path string, quick bool) error {
-	n := 300_000
-	opsPerSession := 16
-	if quick {
-		n = 60_000
-		opsPerSession = 6
-	}
-	const sessions = 32
-	tbl := datagen.Census(n, 1)
-	opts := core.DefaultOptions()
-	opts.Parallelism = 2
-	// The sequential reference answers come from a server of their own;
-	// each scored pass below starts on a fresh one, its caches cold.
-	refTarget, stopRef := serveInProcess(tbl, opts)
-	defer stopRef()
-
-	spec := workload.GenSpec{
-		Table:    "census",
-		Sessions: sessions,
-		Explores: []string{
-			"EXPLORE census",
-			"EXPLORE census WHERE age BETWEEN 25 AND 60",
-			"EXPLORE census WHERE salary = '>50K'",
-			"EXPLORE census WHERE age BETWEEN 20 AND 40 AND education = 'BSc'",
-			"EXPLORE census WHERE education = 'MSc'",
-			"EXPLORE census WHERE eye_color = 'Blue' AND age > 50",
-		},
-		OpsPerSession: opsPerSession,
-		ThinkTime:     25 * time.Millisecond,
-		Seed:          7,
-	}
-	w := workload.Generate(spec)
-	fmt.Printf("workload: generated %d ops over %d sessions (zipf mix, seed %d)\n",
-		len(w.Entries), sessions, spec.Seed)
-
-	slo := defaultSLO()
-	results := map[string]benchRecord{}
-	for _, pass := range []struct {
-		pacing workload.Pacing
-		speed  float64
-	}{
-		{workload.ClosedLoop, 1},
-		// Open loop replays the recorded arrival schedule: 4× speed keeps
-		// the think-time tail short while still overlapping sessions.
-		{workload.OpenLoop, 4},
-	} {
-		target, stop := serveInProcess(tbl, opts)
-		sc, err := replayScored(w, refTarget, target, replayConfig{Pacing: string(pass.pacing), Speed: pass.speed, SLO: slo})
-		stop()
-		if err != nil {
-			return err
-		}
-		printScore(sc)
-		if !sc.Pass {
-			if quick {
-				fmt.Printf("warning: SLO violated at quick scale (noise-prone): %v\n", sc.Violations)
-			} else {
-				return fmt.Errorf("%s-loop pass violated the SLO: %v", pass.pacing, sc.Violations)
-			}
-		}
-		name := fmt.Sprintf("WorkloadReplay/census_n=%d/sessions=%d/ops=%d/%s", n, sessions, len(w.Entries), pass.pacing)
-		m := scoreMetrics(sc)
-		m["byte_identical"] = 1
-		m["speed"] = pass.speed
-		results[name] = benchRecord{
-			NsPerOp:    float64(sc.P99.Nanoseconds()),
-			Iterations: int(sc.Requests),
-			Metrics:    m,
-		}
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote workload results to %s\n", path)
-	return nil
 }

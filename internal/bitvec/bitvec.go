@@ -60,16 +60,6 @@ func (v *Vector) Len() int { return v.n }
 // word-level kernels, but must never set tail bits.
 func (v *Vector) Words() []uint64 { return v.words }
 
-// Fill sets every bit and returns v, reusing the backing storage — the
-// in-place equivalent of NewFull for scratch vectors.
-func (v *Vector) Fill() *Vector {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.trim()
-	return v
-}
-
 // Zero clears every bit and returns v.
 func (v *Vector) Zero() *Vector {
 	for i := range v.words {

@@ -57,15 +57,9 @@ func TestClaimInto(t *testing.T) {
 	}
 }
 
-func TestFillZeroCopyFrom(t *testing.T) {
+func TestZeroCopyFrom(t *testing.T) {
 	for _, n := range []int{0, 5, 64, 130} {
-		v := New(n)
-		if v.Fill().Count() != n {
-			t.Fatalf("n=%d: Fill should set every bit", n)
-		}
-		if !v.Fill().Equal(NewFull(n)) {
-			t.Fatalf("n=%d: Fill != NewFull", n)
-		}
+		v := NewFull(n)
 		if v.Zero().Count() != 0 {
 			t.Fatalf("n=%d: Zero should clear every bit", n)
 		}
@@ -74,10 +68,10 @@ func TestFillZeroCopyFrom(t *testing.T) {
 			t.Fatalf("n=%d: CopyFrom mismatch", n)
 		}
 	}
-	// Fill must not set tail bits: Not() after Fill stays consistent
+	// NewFull must not set tail bits: Not() after CopyFrom stays consistent
 	v := New(70)
-	v.Fill()
+	v.CopyFrom(NewFull(70))
 	if v.Not().Count() != 0 {
-		t.Fatal("Fill set tail bits beyond Len")
+		t.Fatal("NewFull set tail bits beyond Len")
 	}
 }

@@ -21,13 +21,14 @@ func TestEvalIntoMatchesEval(t *testing.T) {
 		query.New("census", query.NewIn("education", "no-such-level")),
 		query.New("census", query.NewRange("age", 1000, 2000)), // empty
 	}
+	full := bitvec.NewFull(tbl.NumRows())
 	scratch := bitvec.New(tbl.NumRows())
 	for qi, q := range queries {
 		want, err := Eval(tbl, q)
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
-		scratch.Fill()
+		scratch.CopyFrom(full)
 		if err := EvalAndIntoOpts(tbl, q, scratch, ScanOptions{}); err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one registered experiment per
-// figure and claim of the paper (see DESIGN.md's experiment index). Each
-// experiment regenerates its artifact as a printed table; cmd/atlasbench
-// runs them from the command line and bench_test.go runs them as Go
-// benchmarks. EXPERIMENTS.md records paper-vs-measured for each.
+// figure and claim of the paper. Each experiment regenerates its
+// artifact as a printed table with PASS/FAIL checks; cmd/atlasbench
+// runs them from the command line (-list prints the index) and
+// bench_test.go runs them as Go benchmarks.
 package exp
 
 import (
@@ -14,7 +14,7 @@ import (
 
 // Experiment is one reproducible artifact of the paper.
 type Experiment struct {
-	// ID is the experiment identifier (E1…E15, matching DESIGN.md).
+	// ID is the experiment identifier (E1…E15).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -90,7 +90,7 @@ func TestSetShardServerStats(t *testing.T) {
 		}
 	}
 
-	localSet, err := shard.Open(manifest)
+	localSet, err := shard.OpenWith(manifest, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,7 +384,7 @@ func TestRemoteExploreIdentityAcrossWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The in-memory reference holds the rows in the set's order.
-		localSet, err := shard.Open(local)
+		localSet, err := shard.OpenWith(local, shard.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obsv"
+	"repro/internal/workload"
 )
 
 // Admission-gate semantics: capacity refusals with 429 + Retry-After,
@@ -201,6 +203,106 @@ func TestExploreShed429WithRetryAfter(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-release explore status = %d, want 200", resp2.StatusCode)
+	}
+}
+
+// TestOverloadAdmittedAnswersMatchUngated sends 4× the gate's capacity
+// of explores at once, each a distinct query text so no result cache
+// answers one. Every slot is held by the test while they arrive, so
+// exactly QueueDepth of them queue and the rest are shed, whatever the
+// scheduling; releasing the slots then admits the queued ones. Every
+// reply is a 200 or a 429 with Retry-After, admitted + shed = sent, and
+// every admitted answer is byte-identical to an ungated twin's.
+func TestOverloadAdmittedAnswersMatchUngated(t *testing.T) {
+	const maxConcurrent, queueDepth = 2, 6
+	const clients = 4 * (maxConcurrent + queueDepth)
+	tbl := datagen.Census(4_000, 1)
+	srv := New(tbl, core.DefaultOptions())
+	srv.SetAdmission(AdmissionConfig{MaxConcurrent: maxConcurrent, QueueDepth: queueDepth, QueueTimeout: time.Minute})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	refTS := httptest.NewServer(New(tbl, core.DefaultOptions()).Handler())
+	t.Cleanup(refTS.Close)
+
+	type reply struct {
+		i          int
+		status     int
+		body       []byte
+		retryAfter string
+		err        error
+	}
+	post := func(base string, i int) reply {
+		// Ages are integers, so the fractional bound selects the same
+		// rows for every i: the same work under a different text.
+		cql := fmt.Sprintf(`{"cql": "EXPLORE census WHERE age BETWEEN 20 AND 70.%04d"}`, i+1)
+		resp, err := http.Post(base+"/api/explore", "application/json", strings.NewReader(cql))
+		if err != nil {
+			return reply{i: i, err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return reply{i: i, status: resp.StatusCode, body: body, retryAfter: resp.Header.Get("Retry-After"), err: err}
+	}
+
+	for i := 0; i < maxConcurrent; i++ {
+		if err := srv.gate.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := make(chan reply, clients)
+	for i := 0; i < clients; i++ {
+		go func(i int) { replies <- post(ts.URL, i) }(i)
+	}
+	var got []reply
+	// With every slot held nothing is admitted: the first
+	// clients-queueDepth replies are the shed ones.
+	for len(got) < clients-queueDepth {
+		got = append(got, <-replies)
+	}
+	for i := 0; i < maxConcurrent; i++ {
+		srv.gate.release()
+	}
+	for len(got) < clients {
+		got = append(got, <-replies)
+	}
+
+	admitted, shed := 0, 0
+	for _, r := range got {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		switch r.status {
+		case http.StatusOK:
+			admitted++
+			want := post(refTS.URL, r.i)
+			if want.err != nil || want.status != http.StatusOK {
+				t.Fatalf("ungated twin: status %d, err %v: %s", want.status, want.err, want.body)
+			}
+			a, err := workload.CanonicalBody(r.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := workload.CanonicalBody(want.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("admitted explore %d differs from the ungated twin's:\n got: %.200s\nwant: %.200s", r.i, a, b)
+			}
+		case http.StatusTooManyRequests:
+			shed++
+			if r.retryAfter == "" {
+				t.Errorf("explore %d: 429 without a Retry-After header", r.i)
+			}
+		default:
+			t.Fatalf("explore %d answered %d, want 200 or 429: %s", r.i, r.status, r.body)
+		}
+	}
+	if admitted != queueDepth || shed != clients-queueDepth {
+		t.Fatalf("admitted %d, shed %d of %d sent; want %d and %d", admitted, shed, clients, queueDepth, clients-queueDepth)
+	}
+	if st := srv.admissionStats(); st.Shed != int64(shed) {
+		t.Fatalf("admission stats count %d shed, replies %d", st.Shed, shed)
 	}
 }
 

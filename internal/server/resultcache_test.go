@@ -37,22 +37,31 @@ func statsOf(t *testing.T, url string) StatsDTO {
 }
 
 // TestSharedCacheConcurrentSessionsByteIdentical: sessions replaying
-// zipf-repeated op streams concurrently — sharing results, joining each
+// overlapping op streams concurrently — sharing results, joining each
 // other's flights and prefetches — answer byte-identically to a
 // sequential pass on a fresh server.
 func TestSharedCacheConcurrentSessionsByteIdentical(t *testing.T) {
-	w := workload.Generate(workload.GenSpec{
-		Table:    "census",
-		Sessions: 12, OpsPerSession: 8,
-		Explores: []string{
-			"EXPLORE census WHERE age BETWEEN 20 AND 70",
-			"EXPLORE census",
-			"EXPLORE census WHERE age BETWEEN 25 AND 60 AND sex IN ('Male')",
-			"EXPLORE census WHERE education IN ('BSc','MSc')",
-		},
-		ThinkTime: time.Millisecond,
-		Seed:      11,
-	})
+	explores := []string{
+		"EXPLORE census WHERE age BETWEEN 20 AND 70",
+		"EXPLORE census",
+		"EXPLORE census WHERE age BETWEEN 25 AND 60 AND sex IN ('Male')",
+		"EXPLORE census WHERE education IN ('BSc','MSc')",
+	}
+	// Twelve sessions of eight ops: each opens with an explore, then
+	// alternates a drill with the next explore of the list, starting
+	// from a session-dependent one, so sessions repeat each other's
+	// queries and drills.
+	w := &workload.Workload{Header: workload.Header{Format: "atlas-workload", Version: workload.FormatVersion, Table: "census"}}
+	for op := 0; op < 8; op++ {
+		for s := 0; s < 12; s++ {
+			e := workload.Entry{Seq: len(w.Entries), OffsetNs: int64(op) * int64(time.Millisecond), Session: s,
+				Op: "session-explore", Input: explores[(s+op/2)%len(explores)]}
+			if op%2 == 1 {
+				e.Op, e.Input = "drill", fmt.Sprintf("drill map=0 region=%d", (s+op/2)%2)
+			}
+			w.Entries = append(w.Entries, e)
+		}
+	}
 	ctx := context.Background()
 	_, refTS := startCensusServer(t)
 	ref, err := workload.Replay(ctx, w, workload.ReplayOptions{Target: refTS.URL, Sequential: true})

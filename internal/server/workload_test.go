@@ -150,22 +150,30 @@ func TestWorkloadInputCapped(t *testing.T) {
 	}
 }
 
-// TestWorkloadReplayByteIdentity: a generated session workload replayed
-// concurrently (closed and open loop) answers byte-identically to the
-// sequential reference pass, and scores cleanly.
+// TestWorkloadReplayByteIdentity: a hand-written workload — three
+// drill-down sessions interleaving explores and drills, stateless
+// explores and one deterministic error — replayed concurrently (closed
+// and open loop) answers byte-identically to the sequential reference
+// pass, and scores cleanly.
 func TestWorkloadReplayByteIdentity(t *testing.T) {
 	_, ts := startCensusServer(t)
-	w := workload.Generate(workload.GenSpec{
-		Table:    "census",
-		Sessions: 4, OpsPerSession: 4,
-		Explores: []string{
-			"EXPLORE census",
-			"EXPLORE census WHERE age BETWEEN 25 AND 60",
-			"EXPLORE census WHERE salary = '>50K'",
+	const ms = int64(time.Millisecond)
+	w := &workload.Workload{
+		Header: workload.Header{Format: "atlas-workload", Version: workload.FormatVersion, Table: "census"},
+		Entries: []workload.Entry{
+			{Seq: 0, OffsetNs: 0, Op: "session-explore", Input: "EXPLORE census", Session: 0},
+			{Seq: 1, OffsetNs: 1 * ms, Op: "session-explore", Input: "EXPLORE census WHERE age BETWEEN 25 AND 60", Session: 1},
+			{Seq: 2, OffsetNs: 1 * ms, Op: "explore", Input: "EXPLORE census WHERE salary = '>50K'", Session: workload.StatelessSession},
+			{Seq: 3, OffsetNs: 2 * ms, Op: "drill", Input: "drill map=0 region=1", Session: 0},
+			{Seq: 4, OffsetNs: 2 * ms, Op: "session-explore", Input: "EXPLORE census WHERE salary = '>50K'", Session: 2},
+			{Seq: 5, OffsetNs: 3 * ms, Op: "drill", Input: "drill map=0 region=0", Session: 1},
+			{Seq: 6, OffsetNs: 3 * ms, Op: "explore", Input: "EXPLORE nosuch", Session: workload.StatelessSession, Outcome: "error"},
+			{Seq: 7, OffsetNs: 4 * ms, Op: "drill", Input: "drill map=0 region=0", Session: 2},
+			{Seq: 8, OffsetNs: 4 * ms, Op: "drill", Input: "drill map=0 region=0", Session: 0},
+			{Seq: 9, OffsetNs: 5 * ms, Op: "session-explore", Input: "EXPLORE census WHERE age BETWEEN 25 AND 60", Session: 2},
+			{Seq: 10, OffsetNs: 5 * ms, Op: "explore", Input: "EXPLORE census", Session: workload.StatelessSession},
 		},
-		ThinkTime: 2 * time.Millisecond,
-		Seed:      5,
-	})
+	}
 	ctx := context.Background()
 	ref, err := workload.Replay(ctx, w, workload.ReplayOptions{Target: ts.URL, Sequential: true})
 	if err != nil {
@@ -189,8 +197,8 @@ func TestWorkloadReplayByteIdentity(t *testing.T) {
 	if sc.Requests != len(w.Entries) {
 		t.Fatalf("scored %d requests, want %d", sc.Requests, len(w.Entries))
 	}
-	if sc.Errors != 0 || sc.Shed != 0 {
-		t.Fatalf("replay saw errors=%d shed=%d", sc.Errors, sc.Shed)
+	if sc.Errors != 0 || sc.Shed != 0 || sc.Client4xx != 1 {
+		t.Fatalf("replay saw errors=%d shed=%d 4xx=%d, want 0, 0, 1", sc.Errors, sc.Shed, sc.Client4xx)
 	}
 	if !sc.Pass {
 		t.Fatalf("SLO violations: %v", sc.Violations)

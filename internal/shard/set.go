@@ -93,13 +93,6 @@ type Options struct {
 	Remote RemoteOpener
 }
 
-// Open opens a manifest and its shard files with default options:
-// chunk-aligned sets assemble as lazy views (no materialization), each
-// shard file opening per colstore.ModeAuto.
-func Open(manifestPath string) (*Set, error) {
-	return OpenWith(manifestPath, Options{})
-}
-
 // OpenWith opens a manifest with explicit memory-tier options. Every
 // opened shard is validated against the manifest (row count, chunk
 // size) and the set's schema, with errors naming the bad shard; in

@@ -25,7 +25,7 @@ func writeTestSet(t *testing.T, tbl *storage.Table, o IngestOptions) (*Set, stri
 	if _, err := WriteSharded(path, tbl, o); err != nil {
 		t.Fatal(err)
 	}
-	set, err := Open(path)
+	set, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestOpenMissingShard(t *testing.T) {
 	if err := os.Remove(victim); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(path)
+	_, err = OpenWith(path, Options{})
 	if err == nil {
 		t.Fatal("open with missing shard succeeded")
 	}
@@ -299,7 +299,7 @@ func TestOpenMixedSchema(t *testing.T) {
 	if err := writeManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(path)
+	_, err := OpenWith(path, Options{})
 	if err == nil {
 		t.Fatal("open with mixed schemas succeeded")
 	}
@@ -322,7 +322,7 @@ func TestOpenRowCountMismatch(t *testing.T) {
 	if err := writeManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "manifest says") {
+	if _, err := OpenWith(path, Options{}); err == nil || !strings.Contains(err.Error(), "manifest says") {
 		t.Errorf("row-count lie not caught: %v", err)
 	}
 }

@@ -6,8 +6,7 @@
 // the capture start, and is bounded by construction: inputs are capped
 // at a byte budget and the in-memory recorder stops at a fixed entry
 // count. Recorded workloads replay against a live server (replay.go)
-// and score against SLO thresholds (slo.go); gen.go synthesizes them
-// from a seeded zipf session mix.
+// and score against SLO thresholds (slo.go).
 package workload
 
 import (
@@ -155,14 +154,18 @@ func (w *Workload) Encode(out io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLineBytes bounds one JSONL line Parse accepts; a longer line is a
+// named error, not a truncated entry.
+const maxLineBytes = 1024 * 1024
+
 // Parse reads a JSONL workload, validating the header magic and
 // version.
 func Parse(r io.Reader) (*Workload, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("workload: line 1: %w", err)
 		}
 		return nil, fmt.Errorf("workload: empty input")
 	}
@@ -190,7 +193,7 @@ func Parse(r io.Reader) (*Workload, error) {
 		w.Entries = append(w.Entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload: line %d: %w", line+1, err)
 	}
 	return w, nil
 }

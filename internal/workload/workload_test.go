@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
-	"math/rand"
+	"errors"
 	"net/http"
 	"reflect"
 	"strings"
@@ -131,83 +132,6 @@ func TestRecorderBoundsAndSink(t *testing.T) {
 	}
 }
 
-// TestZipfDeterministic is the seeded-generator satellite: the same
-// seed yields the same draw sequence, and the skew prefers low ranks.
-func TestZipfDeterministic(t *testing.T) {
-	draw := func(seed int64, n int) []int {
-		z := NewZipf(rand.New(rand.NewSource(seed)), 6, 1.1)
-		out := make([]int, n)
-		for i := range out {
-			out[i] = z.Next()
-		}
-		return out
-	}
-	a, b := draw(42, 500), draw(42, 500)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different zipf sequences")
-	}
-	if c := draw(43, 500); reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical zipf sequences")
-	}
-	counts := map[int]int{}
-	for _, v := range a {
-		if v < 0 || v >= 6 {
-			t.Fatalf("draw %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[5] {
-		t.Fatalf("zipf skew missing: rank0=%d rank5=%d", counts[0], counts[5])
-	}
-}
-
-func TestGenerateDeterministic(t *testing.T) {
-	spec := GenSpec{
-		Table:         "census",
-		Sessions:      8,
-		OpsPerSession: 10,
-		Explores:      []string{"EXPLORE census", "EXPLORE census WHERE age > 30", "EXPLORE census WHERE salary > 50000"},
-		Seed:          9,
-	}
-	a, b := Generate(spec), Generate(spec)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same spec generated different workloads")
-	}
-	if len(a.Entries) != 80 {
-		t.Fatalf("generated %d entries, want 80", len(a.Entries))
-	}
-	if len(a.Sessions()) != 8 {
-		t.Fatalf("generated %d sessions, want 8", len(a.Sessions()))
-	}
-	firstOp := map[int]string{}
-	lastOffset := int64(-1)
-	for i := range a.Entries {
-		e := &a.Entries[i]
-		if e.Seq != i {
-			t.Fatalf("entry %d has Seq %d", i, e.Seq)
-		}
-		if e.OffsetNs < lastOffset {
-			t.Fatalf("offsets not sorted at %d", i)
-		}
-		lastOffset = e.OffsetNs
-		if _, ok := firstOp[e.Session]; !ok {
-			firstOp[e.Session] = e.Op
-		}
-		if !e.Replayable() {
-			t.Fatalf("generated entry %d not replayable", i)
-		}
-	}
-	for sess, op := range firstOp {
-		if op != "session-explore" {
-			t.Fatalf("session %d opens with %q, want session-explore (a drill needs a current node)", sess, op)
-		}
-	}
-	diff := Generate(GenSpec{Table: "census", Sessions: 8, OpsPerSession: 10, Explores: spec.Explores, Seed: 10})
-	if reflect.DeepEqual(a, diff) {
-		t.Fatal("different seeds generated identical workloads")
-	}
-}
-
 func TestCanonicalBody(t *testing.T) {
 	// Top-level volatile fields (explore answers).
 	a, err := CanonicalBody([]byte(`{"input":"q","elapsedMs":12.5,"ledger":{"rpcs":3},"maps":[1]}`))
@@ -269,5 +193,24 @@ func TestScoreReplayClassification(t *testing.T) {
 	}
 	if len(sc2.Violations) < 3 {
 		t.Fatalf("expected multiple violations, got %v", sc2.Violations)
+	}
+}
+
+// TestParseLongLineNamedError: a line past the parser's bound fails with
+// a workload: error naming the line, not a bare scanner error.
+func TestParseLongLineNamedError(t *testing.T) {
+	hdr := `{"format":"atlas-workload","version":1}` + "\n"
+	long := `{"input":"` + strings.Repeat("x", maxLineBytes) + `"}` + "\n"
+	for name, tc := range map[string]struct {
+		in   string
+		line string
+	}{
+		"header": {long, "workload: line 1: "},
+		"entry":  {hdr + `{"seq":0}` + "\n" + long, "workload: line 3: "},
+	} {
+		_, err := Parse(strings.NewReader(tc.in))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.line) || !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: Parse error %v, want %q wrapping bufio.ErrTooLong", name, err, tc.line)
+		}
 	}
 }

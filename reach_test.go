@@ -25,40 +25,55 @@ const (
 // root reaches on purpose, with the reason. An entry that becomes
 // reachable, or stops existing, fails the test too.
 var reachAllowlist = map[string]string{
-	"internal/baseline.DefaultCliqueOptions":  reachBaseline,
-	"internal/baseline.KMeans":                reachBaseline,
-	"internal/baseline.KMeansResult":          reachBaseline,
-	"internal/bitvec.Vector.AndNot":           reachOracle,
-	"internal/bitvec.Vector.Clear":            reachOracle,
-	"internal/bitvec.Vector.Equal":            reachOracle,
-	"internal/bitvec.Vector.Not":              reachOracle,
-	"internal/bitvec.Vector.Or":               reachOracle,
-	"internal/bitvec.Vector.Rank":             reachOracle,
-	"internal/bitvec.Vector.Xor":              reachOracle,
-	"internal/colstore.Write":                 reachTestOnly,
-	"internal/core.Cartographer.Table":        reachTestOnly,
-	"internal/engine.PartitionBits":           reachOracle,
-	"internal/obsv.Registry.NumMetrics":       reachTestOnly,
-	"internal/obsv.Trace.ID":                  reachTestOnly,
-	"internal/query.Predicate.Empty":          reachTestOnly,
-	"internal/query.Predicate.Equal":          reachOracle,
-	"internal/query.Query.Empty":              reachTestOnly,
-	"internal/query.Query.Equal":              reachOracle,
-	"internal/query.Query.NumPreds":           reachTestOnly,
-	"internal/remote/chaos.Injector.Injected": reachTestOnly,
-	"internal/remote/chaos.Injector.Match":    reachTestOnly,
-	"internal/remote/chaos.Injector.Requests": reachTestOnly,
-	"internal/remote/chaos.Injector.SetDelay": reachTestOnly,
-	"internal/remote/chaos.Injector.SetFault": reachTestOnly,
-	"internal/server.Server.WorkloadSnapshot": reachTestOnly,
-	"internal/session.Session.Node":           reachTestOnly,
-	"internal/stats.Contingency.Total":        reachTestOnly,
-	"internal/stats.Histogram.Total":          reachTestOnly,
-	"internal/stats.Median":                   reachOracle,
-	"internal/stats.Quantile":                 reachOracle,
-	"internal/stats.QuantileSorted":           reachOracle,
-	"internal/storage.Builder.NumRows":        reachTestOnly,
-	"internal/storage.LazyColumn.CodeOf":      reachTestOnly,
+	"internal/baseline.DefaultCliqueOptions":      reachBaseline,
+	"internal/baseline.KMeans":                    reachBaseline,
+	"internal/baseline.KMeansResult":              reachBaseline,
+	"internal/bitvec.Vector.AndNot":               reachOracle,
+	"internal/bitvec.Vector.Clear":                reachOracle,
+	"internal/bitvec.Vector.Equal":                reachOracle,
+	"internal/bitvec.Vector.Not":                  reachOracle,
+	"internal/bitvec.Vector.Or":                   reachOracle,
+	"internal/bitvec.Vector.Rank":                 reachOracle,
+	"internal/bitvec.Vector.Xor":                  reachOracle,
+	"internal/colstore.Write":                     reachTestOnly,
+	"internal/core.Cartographer.Table":            reachTestOnly,
+	"internal/engine.PartitionBits":               reachOracle,
+	"internal/obsv.Registry.NumMetrics":           reachTestOnly,
+	"internal/obsv.Trace.ID":                      reachTestOnly,
+	"internal/query.Predicate.Empty":              reachTestOnly,
+	"internal/query.Predicate.Equal":              reachOracle,
+	"internal/query.Query.Empty":                  reachTestOnly,
+	"internal/query.Query.Equal":                  reachOracle,
+	"internal/query.Query.NumPreds":               reachTestOnly,
+	"internal/remote/chaos.Corrupt":               reachTestOnly,
+	"internal/remote/chaos.Delay":                 reachTestOnly,
+	"internal/remote/chaos.Error5xx":              reachTestOnly,
+	"internal/remote/chaos.Fault":                 reachTestOnly,
+	"internal/remote/chaos.Injector":              reachTestOnly,
+	"internal/remote/chaos.Injector.Heal":         reachTestOnly,
+	"internal/remote/chaos.Injector.Injected":     reachTestOnly,
+	"internal/remote/chaos.Injector.KillAfter":    reachTestOnly,
+	"internal/remote/chaos.Injector.Match":        reachTestOnly,
+	"internal/remote/chaos.Injector.Requests":     reachTestOnly,
+	"internal/remote/chaos.Injector.ServeHTTP":    reachTestOnly,
+	"internal/remote/chaos.Injector.SetDelay":     reachTestOnly,
+	"internal/remote/chaos.Injector.SetFault":     reachTestOnly,
+	"internal/remote/chaos.Kill":                  reachTestOnly,
+	"internal/remote/chaos.None":                  reachTestOnly,
+	"internal/remote/chaos.Truncate":              reachTestOnly,
+	"internal/remote/chaos.Wrap":                  reachTestOnly,
+	"internal/remote/chaos.recording.Header":      reachTestOnly,
+	"internal/remote/chaos.recording.Write":       reachTestOnly,
+	"internal/remote/chaos.recording.WriteHeader": reachTestOnly,
+	"internal/server.Server.WorkloadSnapshot":     reachTestOnly,
+	"internal/session.Session.Node":               reachTestOnly,
+	"internal/stats.Contingency.Total":            reachTestOnly,
+	"internal/stats.Histogram.Total":              reachTestOnly,
+	"internal/stats.Median":                       reachOracle,
+	"internal/stats.Quantile":                     reachOracle,
+	"internal/stats.QuantileSorted":               reachOracle,
+	"internal/storage.Builder.NumRows":            reachTestOnly,
+	"internal/storage.LazyColumn.CodeOf":          reachTestOnly,
 }
 
 // TestInternalAPIReachable fails on any exported identifier under
