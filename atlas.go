@@ -207,9 +207,12 @@ func (e *Explorer) Explore(cqlText string) (res *Result, err error) {
 // exploration's span tree — per-phase timings (screen, cut, cluster,
 // merge, rank), chunk-scan deltas, and on sharded-remote stores the
 // shard servers' own spans grafted under the RPCs that triggered them.
+// The exploration runs under a resource ledger of its own, which is what
+// scopes each span's chunk counts to this exploration alone.
 func (e *Explorer) ExploreProfiled(cqlText string) (*Result, *SpanProfile, error) {
 	tr, root := obsv.NewTrace("explore")
-	res, err := e.exploreCtx(obsv.WithSpan(context.Background(), root), cqlText)
+	ctx := obsv.WithLedger(obsv.WithSpan(context.Background(), root), obsv.NewLedger())
+	res, err := e.exploreCtx(ctx, cqlText)
 	root.End()
 	if err != nil {
 		return nil, nil, err

@@ -117,7 +117,8 @@ func main() {
 			return run(context.Background())
 		}
 		tr, root := obsv.NewTrace(name)
-		node, err := run(obsv.WithSpan(context.Background(), root))
+		// A ledger of its own scopes the spans' chunk counts to this run.
+		node, err := run(obsv.WithLedger(obsv.WithSpan(context.Background(), root), obsv.NewLedger()))
 		root.End()
 		if err != nil {
 			return nil, err

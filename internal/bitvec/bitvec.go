@@ -60,14 +60,6 @@ func (v *Vector) Len() int { return v.n }
 // word-level kernels, but must never set tail bits.
 func (v *Vector) Words() []uint64 { return v.words }
 
-// Zero clears every bit and returns v.
-func (v *Vector) Zero() *Vector {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-	return v
-}
-
 // CopyFrom overwrites v with o's bits. Lengths must match.
 func (v *Vector) CopyFrom(o *Vector) *Vector {
 	v.sameLen(o)

@@ -60,8 +60,8 @@ func TestClaimInto(t *testing.T) {
 func TestZeroCopyFrom(t *testing.T) {
 	for _, n := range []int{0, 5, 64, 130} {
 		v := NewFull(n)
-		if v.Zero().Count() != 0 {
-			t.Fatalf("n=%d: Zero should clear every bit", n)
+		if v.CopyFrom(New(n)).Count() != 0 {
+			t.Fatalf("n=%d: copying an empty vector should clear every bit", n)
 		}
 		src := NewFull(n)
 		if !v.CopyFrom(src).Equal(src) {

@@ -74,6 +74,11 @@
 //     than RAM serve from the same file format. Per-chunk CRCs keep
 //     integrity checking without a whole-file read.
 //
+// Above the store the two modes are one: every pass over column values
+// reads storage.Runs, whose runs are zero-copy views of an eager
+// column's slices and the fetched chunks of a lazy one, so the engine,
+// screening, partials and summaries each have a single kernel.
+//
 // Chunk sizes are multiples of 64 so chunk boundaries align with
 // selection-bitmap words: null words and packed bool words of a chunk
 // are verbatim slices of the whole-column bitmaps, making both ingest
@@ -232,7 +237,7 @@ func write(w io.Writer, t *storage.Table, chunkSize int) (*storage.Chunking, err
 	}
 	// Re-ingesting an opened lazy store: materialize before computing
 	// zone maps, which need typed column access.
-	t, err := materializeLazyTable(t)
+	t, err := t.Materialize()
 	if err != nil {
 		return nil, err
 	}
@@ -330,32 +335,6 @@ func write(w io.Writer, t *storage.Table, chunkSize int) (*storage.Chunking, err
 		return nil, err
 	}
 	return ck, nil
-}
-
-// materializeLazyTable returns t with every memory-tiered column
-// decoded into a plain eager one (t itself when none is lazy) — the
-// adapter that lets an opened lazy store be re-ingested with full zone
-// maps.
-func materializeLazyTable(t *storage.Table) (*storage.Table, error) {
-	lazy := false
-	for c := 0; c < t.NumCols(); c++ {
-		if _, ok := t.Column(c).(*storage.LazyColumn); ok {
-			lazy = true
-			break
-		}
-	}
-	if !lazy {
-		return t, nil
-	}
-	cols := make([]storage.Column, t.NumCols())
-	for c := 0; c < t.NumCols(); c++ {
-		mat, err := storage.MaterializeColumn(t.Column(c))
-		if err != nil {
-			return nil, fmt.Errorf("colstore: materializing column %q: %w", t.Schema().Field(c).Name, err)
-		}
-		cols[c] = mat
-	}
-	return storage.NewTable(t.Name(), t.Schema(), cols)
 }
 
 // byteWriter is the sink an encoder writes to: bufio.Writer for the

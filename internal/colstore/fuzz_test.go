@@ -37,7 +37,7 @@ func FuzzReadAtl(f *testing.F) {
 			s, err := OpenWith(path, Options{Mode: ModeLazy, DisableMmap: disableMmap})
 			if err == nil {
 				// Touch every chunk: a lazy open has failed if any chunk does.
-				_, err = materializeLazyTable(s.Table())
+				_, err = s.Table().Materialize()
 			}
 			switch {
 			case eagerErr != nil && err != nil:

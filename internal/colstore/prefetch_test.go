@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"context"
+	"math/bits"
 	"path/filepath"
 	"testing"
 
@@ -38,13 +39,11 @@ func prefetchStore(t *testing.T, n, chunk int, o Options) *Store {
 func TestSequentialPrefetchNoExtraDecodes(t *testing.T) {
 	const n, chunk = 4096, 256
 	s := prefetchStore(t, n, chunk, Options{})
-	col := s.Table().Column(0).(*storage.LazyColumn)
 	sum := int64(0)
-	err := col.ForEachChunk(context.Background(), func(k, lo int, p *storage.ChunkPayload) (bool, error) {
-		for i := 0; i < p.Rows(); i++ {
-			sum += p.Ints[i]
+	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_, _ int, p *storage.ChunkPayload) {
+		for _, v := range p.Ints {
+			sum += v
 		}
-		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,15 +63,16 @@ func TestSequentialPrefetchNoExtraDecodes(t *testing.T) {
 func TestSelectedPrefetchOnlyTouchedChunks(t *testing.T) {
 	const n, chunk = 4096, 256
 	s := prefetchStore(t, n, chunk, Options{})
-	col := s.Table().Column(0).(*storage.LazyColumn)
 	// Select one row in chunk 2 and one in chunk 9 — two touched chunks
 	// with a gap, so naive k+1 prefetching would decode chunk 3.
 	sel := bitvec.New(n)
 	sel.Set(2*chunk + 5)
 	sel.Set(9*chunk + 7)
 	seen := 0
-	err := col.ForEachSelectedUntil(context.Background(), sel, func(p *storage.ChunkPayload, lo, i int) bool {
-		seen++
+	err := s.Table().Runs(0).WalkUntil(context.Background(), sel.Words(), "test", func(w0, w1 int, p *storage.ChunkPayload) bool {
+		for _, w := range sel.Words()[w0:w1] {
+			seen += bits.OnesCount64(w)
+		}
 		return true
 	})
 	if err != nil {
@@ -94,11 +94,9 @@ func TestPrefetchEvictionAware(t *testing.T) {
 	// Budget of one chunk's decoded bytes: prefetching chunk k+1 would
 	// evict chunk k mid-scan.
 	s := prefetchStore(t, n, chunk, Options{CacheBytes: chunk * 8})
-	col := s.Table().Column(0).(*storage.LazyColumn)
 	rows := 0
-	err := col.ForEachChunk(context.Background(), func(k, lo int, p *storage.ChunkPayload) (bool, error) {
+	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_, _ int, p *storage.ChunkPayload) {
 		rows += p.Rows()
-		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)

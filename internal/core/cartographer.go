@@ -199,8 +199,9 @@ func (c *Cartographer) Explore(q query.Query) (*Result, error) {
 // ExploreCtx is Explore with a request context. When ctx carries a
 // trace span (obsv.StartSpan), the pipeline records one child span per
 // phase — base scan, screening, per-attribute cuts, clustering,
-// per-cluster merges, ranking — with chunk-level scan deltas as span
-// attributes; RPC spans of remote statistic and chunk fetches nest
+// per-cluster merges, ranking — and, when ctx also carries a resource
+// ledger, this request's chunk-level scan deltas as span attributes; RPC
+// spans of remote statistic and chunk fetches nest
 // under the phase that issued them. Untraced contexts cost one nil
 // check per phase.
 func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Result, err error) {
@@ -209,14 +210,14 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Resu
 	if err := c.checkTable(q); err != nil {
 		return nil, err
 	}
-	bctx, sp := obsv.StartSpan(ctx, "base")
+	bctx, endBase := scanSpan(ctx, "base")
 	base := bitvec.NewFull(c.table.NumRows())
 	sopts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Stats: &c.scan, Ctx: bctx}
-	if err := engine.EvalAndIntoOpts(c.table, q, base, sopts); err != nil {
-		sp.End()
+	err = engine.EvalAndIntoOpts(c.table, q, base, sopts)
+	endBase()
+	if err != nil {
 		return nil, err
 	}
-	sp.End()
 	return c.exploreBase(ctx, q, base, start)
 }
 
@@ -243,34 +244,47 @@ func (c *Cartographer) ExploreSelCtx(ctx context.Context, q query.Query, base *b
 	return c.exploreBase(ctx, q, base, start)
 }
 
-// phaseSpan opens one pipeline-phase span and arranges for the
-// cumulative scan-counter delta of the phase to land in its attributes
-// at end time. When the context carries a resource ledger, the phase's
-// wall and CPU time are additionally billed to it — with or without a
-// trace. The returned end function is nil-safe to call.
-func (c *Cartographer) phaseSpan(ctx context.Context, name string) (context.Context, func()) {
+// phaseSpan opens one pipeline-phase span (see scanSpan). When the
+// context carries a resource ledger, the phase's wall and CPU time are
+// additionally billed to it — with or without a trace. The returned end
+// function is nil-safe to call.
+func phaseSpan(ctx context.Context, name string) (context.Context, func()) {
 	endPhase := obsv.LedgerFrom(ctx).StartPhase(name)
-	pctx, sp := obsv.StartSpan(ctx, name)
-	if sp == nil {
-		return pctx, endPhase
-	}
-	before := c.scan.Snapshot()
+	pctx, endSpan := scanSpan(ctx, name)
 	return pctx, func() {
-		after := c.scan.Snapshot()
-		if d := after.ChunksScanned - before.ChunksScanned; d > 0 {
-			sp.SetAttr("chunksScanned", d)
-		}
-		if d := after.ChunksPruned - before.ChunksPruned; d > 0 {
-			sp.SetAttr("chunksPruned", d)
-		}
-		if d := after.ChunksDecoded - before.ChunksDecoded; d > 0 {
-			sp.SetAttr("chunksDecoded", d)
-		}
-		if d := after.ChunkCacheHits - before.ChunkCacheHits; d > 0 {
-			sp.SetAttr("chunkCacheHits", d)
+		endSpan()
+		endPhase()
+	}
+}
+
+// scanSpan opens a span whose attributes, at end time, carry the delta
+// of the scan plane of the context's ledger over the span: the chunks
+// this request scanned, pruned, decoded and found cached, never those of
+// another exploration sharing the Cartographer. Without a ledger the
+// span carries no chunk attributes.
+func scanSpan(ctx context.Context, name string) (context.Context, func()) {
+	pctx, sp := obsv.StartSpan(ctx, name)
+	led := obsv.LedgerFrom(ctx)
+	if sp == nil || led == nil {
+		return pctx, sp.End
+	}
+	before := led.Snapshot()
+	return pctx, func() {
+		after := led.Snapshot()
+		for _, a := range []struct {
+			key   string
+			delta int64
+		}{
+			{"chunksScanned", after.ChunksScanned - before.ChunksScanned},
+			{"chunksPruned", after.ChunksPruned - before.ChunksPruned},
+			{"chunksDecoded", after.ChunksDecoded - before.ChunksDecoded},
+			{"chunkCacheHits", after.ChunkCacheHits - before.ChunkCacheHits},
+		} {
+			if a.delta > 0 {
+				sp.SetAttr(a.key, a.delta)
+			}
 		}
 		sp.End()
-		endPhase()
 	}
 }
 
@@ -295,7 +309,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 0 (Section 5.2): screen out keys, codes, comments, constants.
-	sctx, endScreen := c.phaseSpan(ctx, "screen")
+	sctx, endScreen := phaseSpan(ctx, "screen")
 	attrs := c.candidateAttrs(sctx, q, base, res, workers)
 	endScreen()
 
@@ -310,7 +324,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		flagged bool
 	}
 	outs := make([]candOut, len(attrs))
-	cutCtx, endCut := c.phaseSpan(ctx, "cut")
+	cutCtx, endCut := phaseSpan(ctx, "cut")
 	err := parallelFor(workers, len(attrs), func(i int) error {
 		// Work-item-granular cancellation: a dead caller abandons the
 		// remaining attributes instead of cutting them all.
@@ -360,7 +374,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 2 (Section 3.2): cluster candidates by statistical dependency.
-	clctx, endCluster := c.phaseSpan(ctx, "cluster")
+	clctx, endCluster := phaseSpan(ctx, "cluster")
 	clusters, err := c.clusterCandidates(clctx, candidates, workers)
 	endCluster()
 	if err != nil {
@@ -370,7 +384,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// Step 3 (Section 3.3): merge each cluster into one map, one worker
 	// per cluster; a nil slot marks a skipped or degenerate cluster.
 	merged := make([]*Map, len(clusters))
-	mergeCtx, endMerge := c.phaseSpan(ctx, "merge")
+	mergeCtx, endMerge := phaseSpan(ctx, "merge")
 	err = parallelFor(workers, len(clusters), func(i int) error {
 		if err := obsv.CheckCtx(mergeCtx, "core.merge"); err != nil {
 			return err
@@ -415,7 +429,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 4 (Section 3.4): rank by decreasing entropy, cap the answer.
-	_, endRank := c.phaseSpan(ctx, "rank")
+	_, endRank := phaseSpan(ctx, "rank")
 	defer endRank()
 	RankMaps(maps)
 	if len(maps) > c.opts.MaxMaps {

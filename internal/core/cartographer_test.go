@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/datagen"
+	"repro/internal/obsv"
 	"repro/internal/query"
 )
 
@@ -312,4 +317,78 @@ func mapKeys(maps []*Map) []string {
 		out[i] = m.Key()
 	}
 	return out
+}
+
+// TestPhaseSpanChunksAreTheRequests runs two traced explorations at once
+// on one Cartographer over a lazy table: the chunk attributes of each
+// exploration's spans must sum to its own ledger's scan plane, never
+// count the other exploration's chunks.
+func TestPhaseSpanChunksAreTheRequests(t *testing.T) {
+	mem := datagen.Census(20_000, 7)
+	path := filepath.Join(t.TempDir(), "census.atl")
+	if err := colstore.WriteFile(path, mem, 1024); err != nil {
+		t.Fatal(err)
+	}
+	store, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cart, err := NewCartographer(store.Table(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []query.Query{
+		query.New("census", query.NewRange("age", 20, 50)),
+		query.New("census", query.NewRange("age", 35, 80)),
+	}
+	trees := make([]*obsv.SpanJSON, len(queries))
+	bills := make([]obsv.LedgerSnapshot, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, root := obsv.NewTrace("explore")
+			led := obsv.NewLedger()
+			_, errs[i] = cart.ExploreCtx(obsv.WithLedger(obsv.WithSpan(context.Background(), root), led), q)
+			root.End()
+			trees[i], bills[i] = tr.Tree(), led.Snapshot()
+		}()
+	}
+	wg.Wait()
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatalf("exploration %d: %v", i, errs[i])
+		}
+		sums := map[string]int64{}
+		var add func(sp *obsv.SpanJSON)
+		add = func(sp *obsv.SpanJSON) {
+			for k, v := range sp.Attrs {
+				if n, ok := v.(int64); ok {
+					sums[k] += n
+				}
+			}
+			for _, c := range sp.Children {
+				add(c)
+			}
+		}
+		add(trees[i])
+		b := bills[i]
+		if b.ChunksDecoded+b.ChunkCacheHits == 0 {
+			t.Fatalf("exploration %d fetched no chunk; the test proves nothing", i)
+		}
+		want := map[string]int64{
+			"chunksScanned":  b.ChunksScanned,
+			"chunksPruned":   b.ChunksPruned,
+			"chunksDecoded":  b.ChunksDecoded,
+			"chunkCacheHits": b.ChunkCacheHits,
+		}
+		for k, w := range want {
+			if sums[k] != w {
+				t.Errorf("exploration %d: spans sum %s = %d, its ledger %d", i, k, sums[k], w)
+			}
+		}
+	}
 }

@@ -72,33 +72,19 @@ func RepresentativeExamples(t *storage.Table, q query.Query, k int) (out_ []Exam
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: region %s selects no rows", q.String())
 	}
-	// collect numeric columns with their region median and spread
-	type numCol struct {
-		col    storage.Column
-		median float64
-		scale  float64
-		// positional marks lazy columns gathered down to the selected
-		// rows: index by position in rows, not by table row.
-		positional bool
-	}
-	var numCols []numCol
+	// Score rows by their distance to the medians, column by column: one
+	// extraction reads a numeric column under the region, and its present
+	// bits tell which rows hold a value, in row order.
+	costs := make([]float64, len(rows))
+	var x engine.NumericExtract
 	for ci := 0; ci < t.NumCols(); ci++ {
-		col := t.Column(ci)
-		if !col.Type().IsNumeric() {
+		if !t.Column(ci).Type().IsNumeric() {
 			continue
 		}
-		positional := false
-		if lc, ok := col.(*storage.LazyColumn); ok {
-			// Row-by-row access through the chunk cache would take the
-			// cache lock per (row, column); gather the selected rows once
-			// instead (chunk-batched fetches, eager result).
-			col = lc.Gather(rows)
-			positional = true
-		}
-		vals, err := engine.NumericValuesUnder(t, t.Schema().Field(ci).Name, sel)
-		if err != nil {
+		if err := engine.ExtractNumericUnder(&x, t, t.Schema().Field(ci).Name, sel, engine.ScanOptions{}); err != nil {
 			return nil, err
 		}
+		vals := x.Vals
 		if len(vals) == 0 {
 			continue
 		}
@@ -116,39 +102,27 @@ func RepresentativeExamples(t *storage.Table, q query.Query, k int) (out_ []Exam
 		if scale == 0 {
 			scale = 1
 		}
-		numCols = append(numCols, numCol{col, med, scale, positional})
+		j := 0
+		for oi, row := range rows {
+			if x.Present[row>>6]&(1<<uint(row&63)) == 0 {
+				costs[oi] += 1 // penalize missing values
+				continue
+			}
+			d := (vals[j] - med) / scale
+			j++
+			if d < 0 {
+				d = -d
+			}
+			costs[oi] += d
+		}
 	}
-	// score rows by distance to the medians
 	type scored struct {
 		row  int
 		cost float64
 	}
-	scoredRows := make([]scored, 0, len(rows))
+	scoredRows := make([]scored, len(rows))
 	for oi, row := range rows {
-		cost := 0.0
-		for _, nc := range numCols {
-			idx := row
-			if nc.positional {
-				idx = oi
-			}
-			if nc.col.IsNull(idx) {
-				cost += 1 // penalize missing values
-				continue
-			}
-			var v float64
-			switch c := nc.col.(type) {
-			case *storage.Int64Column:
-				v = float64(c.At(idx))
-			case *storage.Float64Column:
-				v = c.At(idx)
-			}
-			d := (v - nc.median) / nc.scale
-			if d < 0 {
-				d = -d
-			}
-			cost += d
-		}
-		scoredRows = append(scoredRows, scored{row, cost})
+		scoredRows[oi] = scored{row, costs[oi]}
 	}
 	// partial selection sort for the k smallest (k is tiny)
 	if k > len(scoredRows) {

@@ -74,7 +74,7 @@ func screenColumnsN(ctx context.Context, t *storage.Table, sel *bitvec.Vector, o
 	}
 	findings := make([]*ScreenFinding, t.NumCols())
 	_ = parallelFor(workers, t.NumCols(), func(ci int) error {
-		findings[ci] = screenColumn(ctx, t.Column(ci), t.Schema().Field(ci), sel, opts)
+		findings[ci] = screenColumn(ctx, t.Runs(ci), t.Schema().Field(ci), sel, opts)
 		return nil
 	})
 	for ci, finding := range findings {
@@ -87,135 +87,35 @@ func screenColumnsN(ctx context.Context, t *storage.Table, sel *bitvec.Vector, o
 	return keep, flagged
 }
 
-func screenColumn(ctx context.Context, col storage.Column, f storage.Field, sel *bitvec.Vector, opts ScreenOptions) *ScreenFinding {
+// screenColumn visits the selected non-NULL rows of one column in row
+// order until its verdict is settled or the sample limit is reached,
+// reading only the runs that hold them. A chunk-fetch failure panics
+// with the ChunkError; the pipeline's recovery converts it to an error.
+func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel *bitvec.Vector, opts ScreenOptions) *ScreenFinding {
 	limit := opts.SampleRows
 	if limit <= 0 {
 		limit = sel.Count()
 	}
-	switch c := col.(type) {
-	case *storage.StringColumn:
+	// walk hands visit the runs holding selected rows, in row order, until
+	// it returns false; EachRow then visits a run's selected non-NULL rows.
+	words := sel.Words()
+	walk := func(visit func(w0, w1 int, p *storage.ChunkPayload) bool) {
+		if err := runs.WalkUntil(ctx, words, "storage.extract", visit); err != nil {
+			panic(&storage.ChunkError{Col: -1, Chunk: -1, Err: err})
+		}
+	}
+	switch runs.Type() {
+	case storage.String:
 		// Dictionary cardinality is the global distinct count; check the
 		// selection-local counts up to the sample limit.
 		distinct := map[uint32]struct{}{}
 		rows := 0
-		sel.ForEach(func(i int) bool {
-			if c.IsNull(i) {
-				return true
-			}
-			rows++
-			distinct[c.Codes()[i]] = struct{}{}
-			return rows < limit
-		})
-		switch {
-		case rows == 0:
-			return &ScreenFinding{f.Name, ScreenAllNull, 0}
-		case len(distinct) <= 1:
-			return &ScreenFinding{f.Name, ScreenConstant, len(distinct)}
-		case float64(len(distinct)) > opts.UniqueRatio*float64(rows):
-			return &ScreenFinding{f.Name, ScreenNearUnique, len(distinct)}
-		case len(distinct) > opts.MaxCardinality:
-			return &ScreenFinding{f.Name, ScreenHighCardinality, len(distinct)}
-		}
-		return nil
-	case *storage.Int64Column:
-		distinct := map[int64]struct{}{}
-		rows := 0
-		sel.ForEach(func(i int) bool {
-			if c.IsNull(i) {
-				return true
-			}
-			rows++
-			distinct[c.At(i)] = struct{}{}
-			return rows < limit
-		})
-		switch {
-		case rows == 0:
-			return &ScreenFinding{f.Name, ScreenAllNull, 0}
-		case len(distinct) <= 1:
-			return &ScreenFinding{f.Name, ScreenConstant, len(distinct)}
-		case rows >= 100 && float64(len(distinct)) > 0.95*float64(rows):
-			// integer keys: oid-style surrogate identifiers
-			return &ScreenFinding{f.Name, ScreenNearUnique, len(distinct)}
-		}
-		return nil
-	case *storage.Float64Column:
-		// Continuous columns are legitimately near-unique; only flag
-		// degenerate ones.
-		var first float64
-		rows, constant := 0, true
-		sel.ForEach(func(i int) bool {
-			if c.IsNull(i) {
-				return true
-			}
-			if rows == 0 {
-				first = c.At(i)
-			} else if c.At(i) != first {
-				constant = false
-				return false
-			}
-			rows++
-			return rows < limit
-		})
-		switch {
-		case rows == 0:
-			return &ScreenFinding{f.Name, ScreenAllNull, 0}
-		case constant:
-			return &ScreenFinding{f.Name, ScreenConstant, 1}
-		}
-		return nil
-	case *storage.BoolColumn:
-		falses, trues, rows := 0, 0, 0
-		sel.ForEach(func(i int) bool {
-			if c.IsNull(i) {
-				return true
-			}
-			rows++
-			if c.At(i) {
-				trues++
-			} else {
-				falses++
-			}
-			return rows < limit && (falses == 0 || trues == 0)
-		})
-		switch {
-		case rows == 0:
-			return &ScreenFinding{f.Name, ScreenAllNull, 0}
-		case falses == 0 || trues == 0:
-			return &ScreenFinding{f.Name, ScreenConstant, 1}
-		}
-		return nil
-	case *storage.LazyColumn:
-		return screenLazyColumn(ctx, c, f, sel, opts, limit)
-	default:
-		return &ScreenFinding{f.Name, ScreenReason(fmt.Sprintf("unsupported type %T", col)), 0}
-	}
-}
-
-// screenLazyColumn screens a memory-tiered column chunk-wise: rows are
-// visited in the same order with the same early exits as the eager
-// kinds (findings are identical), touching only chunks that hold
-// selected rows up to the sample limit. A chunk-fetch failure panics
-// with the ChunkError; the pipeline's recovery converts it to an error.
-func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Field, sel *bitvec.Vector, opts ScreenOptions, limit int) *ScreenFinding {
-	visit := func(fn func(p *storage.ChunkPayload, l int) bool) {
-		err := c.ForEachSelectedUntil(ctx, sel, func(p *storage.ChunkPayload, lo, i int) bool {
-			return fn(p, i-lo)
-		})
-		if err != nil {
-			panic(&storage.ChunkError{Col: -1, Chunk: -1, Err: err})
-		}
-	}
-	switch c.Type() {
-	case storage.String:
-		distinct := map[uint32]struct{}{}
-		rows := 0
-		visit(func(p *storage.ChunkPayload, l int) bool {
-			if p.IsNull(l) {
-				return true
-			}
-			rows++
-			distinct[p.Codes[l]] = struct{}{}
-			return rows < limit
+		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
+			return p.EachRow(words, w0, w1, func(_, l int) bool {
+				rows++
+				distinct[p.Codes[l]] = struct{}{}
+				return rows < limit
+			})
 		})
 		switch {
 		case rows == 0:
@@ -231,13 +131,12 @@ func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Fiel
 	case storage.Int64:
 		distinct := map[int64]struct{}{}
 		rows := 0
-		visit(func(p *storage.ChunkPayload, l int) bool {
-			if p.IsNull(l) {
-				return true
-			}
-			rows++
-			distinct[p.Ints[l]] = struct{}{}
-			return rows < limit
+		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
+			return p.EachRow(words, w0, w1, func(_, l int) bool {
+				rows++
+				distinct[p.Ints[l]] = struct{}{}
+				return rows < limit
+			})
 		})
 		switch {
 		case rows == 0:
@@ -245,24 +144,26 @@ func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Fiel
 		case len(distinct) <= 1:
 			return &ScreenFinding{f.Name, ScreenConstant, len(distinct)}
 		case rows >= 100 && float64(len(distinct)) > 0.95*float64(rows):
+			// integer keys: oid-style surrogate identifiers
 			return &ScreenFinding{f.Name, ScreenNearUnique, len(distinct)}
 		}
 		return nil
 	case storage.Float64:
+		// Continuous columns are legitimately near-unique; only flag
+		// degenerate ones.
 		var first float64
 		rows, constant := 0, true
-		visit(func(p *storage.ChunkPayload, l int) bool {
-			if p.IsNull(l) {
-				return true
-			}
-			if rows == 0 {
-				first = p.Floats[l]
-			} else if p.Floats[l] != first {
-				constant = false
-				return false
-			}
-			rows++
-			return rows < limit
+		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
+			return p.EachRow(words, w0, w1, func(_, l int) bool {
+				if rows == 0 {
+					first = p.Floats[l]
+				} else if p.Floats[l] != first {
+					constant = false
+					return false
+				}
+				rows++
+				return rows < limit
+			})
 		})
 		switch {
 		case rows == 0:
@@ -273,17 +174,16 @@ func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Fiel
 		return nil
 	case storage.Bool:
 		falses, trues, rows := 0, 0, 0
-		visit(func(p *storage.ChunkPayload, l int) bool {
-			if p.IsNull(l) {
-				return true
-			}
-			rows++
-			if p.Bools[l] {
-				trues++
-			} else {
-				falses++
-			}
-			return rows < limit && (falses == 0 || trues == 0)
+		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
+			return p.EachRow(words, w0, w1, func(_, l int) bool {
+				rows++
+				if p.Bools[l] {
+					trues++
+				} else {
+					falses++
+				}
+				return rows < limit && (falses == 0 || trues == 0)
+			})
 		})
 		switch {
 		case rows == 0:
@@ -293,6 +193,6 @@ func screenLazyColumn(ctx context.Context, c *storage.LazyColumn, f storage.Fiel
 		}
 		return nil
 	default:
-		return &ScreenFinding{f.Name, ScreenReason(fmt.Sprintf("unsupported type %v", c.Type())), 0}
+		return &ScreenFinding{f.Name, ScreenReason(fmt.Sprintf("unsupported type %v", runs.Type())), 0}
 	}
 }

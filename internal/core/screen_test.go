@@ -1,16 +1,44 @@
 package core
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/colstore"
 	"repro/internal/datagen"
 	"repro/internal/storage"
 )
 
+// screenEach screens tbl held in memory, as an eager .atl and as a lazy
+// .atl behind a one-chunk cache, fails unless all three agree, and
+// returns the findings.
+func screenEach(t *testing.T, tbl *storage.Table, sel *bitvec.Vector, opts ScreenOptions) (keep []string, flagged []ScreenFinding) {
+	t.Helper()
+	keep, flagged = ScreenColumns(tbl, sel, opts)
+	const chunkRows = 64
+	path := filepath.Join(t.TempDir(), "screen.atl")
+	if err := colstore.WriteFile(path, tbl, chunkRows); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []colstore.Options{{Mode: colstore.ModeEager}, {Mode: colstore.ModeLazy, CacheBytes: chunkRows * 9}} {
+		st, err := colstore.OpenWith(path, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, f := ScreenColumns(st.Table(), sel, opts)
+		st.Close()
+		if !reflect.DeepEqual(k, keep) || !reflect.DeepEqual(f, flagged) {
+			t.Errorf("mode %v: keep=%v flagged=%v, in memory keep=%v flagged=%v", o.Mode, k, f, keep, flagged)
+		}
+	}
+	return keep, flagged
+}
+
 func TestScreenFlagsJunkColumns(t *testing.T) {
 	tbl := datagen.WithJunkColumns(datagen.Census(2000, 1), 2)
-	keep, flagged := ScreenColumns(tbl, bitvec.NewFull(tbl.NumRows()), DefaultScreenOptions())
+	keep, flagged := screenEach(t, tbl, bitvec.NewFull(tbl.NumRows()), DefaultScreenOptions())
 
 	keepSet := map[string]bool{}
 	for _, k := range keep {
@@ -47,7 +75,7 @@ func TestScreenConstantAndNull(t *testing.T) {
 		b.MustAppendRow("same", 3.14, nil, true, float64(i))
 	}
 	tbl := b.MustBuild()
-	keep, flagged := ScreenColumns(tbl, bitvec.NewFull(100), DefaultScreenOptions())
+	keep, flagged := screenEach(t, tbl, bitvec.NewFull(100), DefaultScreenOptions())
 	if len(keep) != 1 || keep[0] != "ok" {
 		t.Fatalf("keep = %v", keep)
 	}
@@ -79,7 +107,7 @@ func TestScreenIntegerKeys(t *testing.T) {
 		b.MustAppendRow(i, i%7)
 	}
 	tbl := b.MustBuild()
-	keep, flagged := ScreenColumns(tbl, bitvec.NewFull(1000), DefaultScreenOptions())
+	keep, flagged := screenEach(t, tbl, bitvec.NewFull(1000), DefaultScreenOptions())
 	if len(keep) != 1 || keep[0] != "bucket" {
 		t.Fatalf("keep = %v", keep)
 	}
@@ -98,7 +126,7 @@ func TestScreenHighCardinalityCategorical(t *testing.T) {
 	}
 	tbl := catTable(t, vals)
 	opts := DefaultScreenOptions()
-	_, flagged := ScreenColumns(tbl, bitvec.NewFull(3000), opts)
+	_, flagged := screenEach(t, tbl, bitvec.NewFull(3000), opts)
 	if len(flagged) != 1 || flagged[0].Reason != ScreenHighCardinality {
 		t.Fatalf("flagged = %v", flagged)
 	}
@@ -109,7 +137,7 @@ func TestScreenRespectsSelection(t *testing.T) {
 	vals := []string{"a", "a", "a", "b", "c", "d"}
 	tbl := catTable(t, vals)
 	sel := bitvec.FromIndexes(6, []int{0, 1, 2})
-	_, flagged := ScreenColumns(tbl, sel, DefaultScreenOptions())
+	_, flagged := screenEach(t, tbl, sel, DefaultScreenOptions())
 	if len(flagged) != 1 || flagged[0].Reason != ScreenConstant {
 		t.Fatalf("flagged = %v", flagged)
 	}
@@ -117,7 +145,7 @@ func TestScreenRespectsSelection(t *testing.T) {
 
 func TestScreenDefaultsAppliedOnZeroOptions(t *testing.T) {
 	tbl := catTable(t, []string{"a", "b", "a", "b"})
-	keep, flagged := ScreenColumns(tbl, bitvec.NewFull(4), ScreenOptions{})
+	keep, flagged := screenEach(t, tbl, bitvec.NewFull(4), ScreenOptions{})
 	if len(keep) != 1 || len(flagged) != 0 {
 		t.Fatalf("keep=%v flagged=%v", keep, flagged)
 	}
@@ -130,7 +158,7 @@ func TestScreenFloatColumnsNotFlaggedForUniqueness(t *testing.T) {
 		vals[i] = float64(i) * 1.37
 	}
 	tbl := numTable(t, vals)
-	keep, flagged := ScreenColumns(tbl, bitvec.NewFull(500), DefaultScreenOptions())
+	keep, flagged := screenEach(t, tbl, bitvec.NewFull(500), DefaultScreenOptions())
 	if len(keep) != 1 || len(flagged) != 0 {
 		t.Fatalf("keep=%v flagged=%v", keep, flagged)
 	}

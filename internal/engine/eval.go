@@ -5,7 +5,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -55,14 +54,8 @@ func Count(t *storage.Table, q query.Query) (int, error) {
 // NumericValuesUnder materializes the non-null float values of a numeric
 // column restricted to the selection. Int64 columns are widened.
 func NumericValuesUnder(t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
-	return NumericValuesUnderCtx(context.Background(), t, attr, sel)
-}
-
-// NumericValuesUnderCtx is NumericValuesUnder with a request context:
-// lazy chunk fetches ride the caller's trace and resource ledger.
-func NumericValuesUnderCtx(ctx context.Context, t *storage.Table, attr string, sel *bitvec.Vector) ([]float64, error) {
 	var x NumericExtract
-	if err := ExtractNumericUnder(&x, t, attr, sel, ScanOptions{Ctx: ctx}); err != nil {
+	if err := ExtractNumericUnder(&x, t, attr, sel, ScanOptions{}); err != nil {
 		return nil, err
 	}
 	return x.Vals, nil
@@ -83,12 +76,13 @@ type NumericSummary struct {
 func SummarizeNumeric(vals []float64) NumericSummary {
 	sum := NumericSummary{Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, v := range vals {
-		sum.observe(v)
+		sum.Observe(v)
 	}
 	return sum
 }
 
-func (s *NumericSummary) observe(v float64) {
+// Observe folds one more value into the summary.
+func (s *NumericSummary) Observe(v float64) {
 	if v < s.Min {
 		s.Min = v
 	}
@@ -118,9 +112,9 @@ type NumericExtract struct {
 
 // ExtractNumericUnder reads a numeric column under the selection once:
 // it fills x with the selected non-NULL values, the rows they came from
-// and their summary. On memory-tiered columns only the chunks holding a
-// selected row are fetched, each billed to opts.Stats and the context's
-// ledger like a scan's fetches.
+// and their summary. Only the runs holding a selected row are read; a
+// lazy column's fetches are billed to opts.Stats and the context's ledger
+// like a scan's.
 func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) error {
 	x.Vals, x.Sum, x.rows = x.Vals[:0], SummarizeNumeric(nil), sel.Len()
 	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
@@ -141,29 +135,19 @@ func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *
 		x.Present = make([]uint64, len(selWords))
 	}
 	x.Present = x.Present[:len(selWords)]
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		x.Vals = appendSelected(x.Vals, &x.Sum, c.Values(), storage.NullWords(c), selWords, x.Present)
-	case *storage.Float64Column:
-		x.Vals = appendSelected(x.Vals, &x.Sum, c.Values(), storage.NullWords(c), selWords, x.Present)
-	case *storage.LazyColumn:
-		if !c.Type().IsNumeric() {
-			return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
-		}
-		// Chunks with no selected row are never fetched and keep no
-		// present bits.
-		clear(x.Present)
-		return fetchTouched(t, c, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
-			if p.Ints != nil {
-				x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
-			} else {
-				x.Vals = appendSelected(x.Vals, &x.Sum, p.Floats, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
-			}
-		})
-	default:
+	if !col.Type().IsNumeric() {
 		return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 	}
-	return nil
+	// Runs with no selected row are never read and keep no present bits.
+	clear(x.Present)
+	ctx := opts.context()
+	return t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+		if p.Ints != nil {
+			x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
+		} else {
+			x.Vals = appendSelected(x.Vals, &x.Sum, p.Floats, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
+		}
+	})
 }
 
 // appendSelected appends the selected non-NULL values of a run of rows,
@@ -184,7 +168,7 @@ func appendSelected[T numeric](out []float64, sum *NumericSummary, vals []T, nul
 		for ; w != 0; w &= w - 1 {
 			v := float64(row[bits.TrailingZeros64(w)])
 			out = append(out, v)
-			s.observe(v)
+			s.Observe(v)
 		}
 	}
 	*sum = s
@@ -208,42 +192,26 @@ func CategoryCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if lc, ok := col.(*storage.LazyColumn); ok {
-		if lc.Type() != storage.String {
-			return nil, nil, fmt.Errorf("engine: column %q is not categorical (type %v)", attr, col.Type())
-		}
-		dict, err = lc.DictValues()
-		if err != nil {
-			return nil, nil, err
-		}
-		counts = make([]int, len(dict))
-		selWords := sel.Words()
-		err = fetchTouched(t, lc, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
-			visitSelectedRange(selWords, w0, w1, func(i int) {
-				// Null check first: null rows may carry placeholder codes.
-				if l := i - w0*64; !p.IsNull(l) {
-					counts[p.Codes[l]]++
-				}
-			})
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return dict, counts, nil
-	}
-	c, ok := col.(*storage.StringColumn)
-	if !ok {
+	if col.Type() != storage.String {
 		return nil, nil, fmt.Errorf("engine: column %q is not categorical (type %v)", attr, col.Type())
 	}
-	counts = make([]int, c.Cardinality())
-	codes := c.Codes()
-	sel.ForEach(func(i int) bool {
-		if !c.IsNull(i) {
-			counts[codes[i]]++
-		}
-		return true
+	if dict, err = storage.Dictionary(col); err != nil {
+		return nil, nil, err
+	}
+	counts = make([]int, len(dict))
+	selWords := sel.Words()
+	ctx := opts.context()
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+		codes := p.Codes
+		p.EachRow(selWords, w0, w1, func(_, l int) bool {
+			counts[codes[l]]++
+			return true
+		})
 	})
-	return c.Dict(), counts, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return dict, counts, nil
 }
 
 // BoolCountsUnder returns the (false, true) counts of a bool column under
@@ -262,40 +230,24 @@ func BoolCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts
 	if err != nil {
 		return 0, 0, err
 	}
-	if lc, ok := col.(*storage.LazyColumn); ok {
-		if lc.Type() != storage.Bool {
-			return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
-		}
-		selWords := sel.Words()
-		err = fetchTouched(t, lc, selWords, 1, opts, "engine.stats", func(w0, w1 int, p *storage.ChunkPayload) {
-			visitSelectedRange(selWords, w0, w1, func(i int) {
-				if l := i - w0*64; !p.IsNull(l) {
-					if p.Bools[l] {
-						trues++
-					} else {
-						falses++
-					}
-				}
-			})
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return falses, trues, nil
-	}
-	c, ok := col.(*storage.BoolColumn)
-	if !ok {
+	if col.Type() != storage.Bool {
 		return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 	}
-	sel.ForEach(func(i int) bool {
-		if !c.IsNull(i) {
-			if c.At(i) {
+	selWords := sel.Words()
+	ctx := opts.context()
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+		vals := p.Bools
+		p.EachRow(selWords, w0, w1, func(_, l int) bool {
+			if vals[l] {
 				trues++
 			} else {
 				falses++
 			}
-		}
-		return true
+			return true
+		})
 	})
+	if err != nil {
+		return 0, 0, err
+	}
 	return falses, trues, nil
 }

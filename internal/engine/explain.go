@@ -143,7 +143,7 @@ func ExplainQuery(t *storage.Table, q query.Query) (*QueryExplain, error) {
 				if combined != VerdictPrune {
 					combined = VerdictScan
 				}
-				if cp.lazyCol != nil {
+				if cp.runs.Fetches() {
 					cc := colChunk{cp.colIdx, k}
 					if _, ok := fetched[cc]; !ok {
 						fetched[cc] = struct{}{}

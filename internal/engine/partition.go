@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
-	"repro/internal/obsv"
-	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -55,111 +53,78 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		outWords[i] = out[i].Words()
 	}
 	selWords := sel.Words()
-	place := func(i, ri int) {
-		outWords[ri][i>>6] |= uint64(1) << uint(i&63)
-	}
-	// visiting adapts a per-row visitor to a word range.
-	visiting := func(visit func(i int)) func(w0, w1 int, _ *storage.ChunkPayload) {
-		return func(w0, w1 int, _ *storage.ChunkPayload) { visitSelectedRange(selWords, w0, w1, visit) }
-	}
+	runs := t.Runs(t.Schema().Index(attr))
 
-	// part resolves the selected rows of words [w0, w1): tests each against
-	// the predicates in order and records the first match. Rows are only
-	// ever touched once and chunk boundaries are word-aligned, so driving
-	// part over disjoint word ranges from several workers races on
-	// nothing. On memory-tiered columns p is the fetched payload of the
-	// chunk those words cover; chunks with no selected rows are never
-	// fetched. Numeric columns of every kind share one compiled kernel.
+	// part resolves the selected rows of words [w0, w1), those of run p:
+	// tests each against the predicates in order and records the first
+	// match. Rows are only ever touched once and runs cover disjoint
+	// word ranges, so driving part over several runs from several
+	// workers races on nothing. Runs with no selected row are never
+	// read.
 	var part func(w0, w1 int, p *storage.ChunkPayload)
-	var lazyCol *storage.LazyColumn
-	switch c := col.(type) {
-	case *storage.Int64Column:
+	switch col.Type() {
+	case storage.Int64, storage.Float64:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
 			return nil, err
 		}
-		part = eagerRangePart(compileRanges(preds), c.Values(), storage.NullWords(c), selWords, outWords)
-	case *storage.Float64Column:
-		if err := predsAreKind(preds, query.Range, col); err != nil {
-			return nil, err
+		ms := compileRanges(preds)
+		part = func(w0, w1 int, p *storage.ChunkPayload) {
+			if p.Ints != nil {
+				partitionRanges(ms, p.Ints, p.Nulls, selWords, outWords, w0, w1)
+			} else {
+				partitionRanges(ms, p.Floats, p.Nulls, selWords, outWords, w0, w1)
+			}
 		}
-		part = eagerRangePart(compileRanges(preds), c.Values(), storage.NullWords(c), selWords, outWords)
-	case *storage.StringColumn:
+	case storage.String:
 		if err := predsAreKind(preds, query.In, col); err != nil {
 			return nil, err
 		}
+		dict, err := storage.Dictionary(col)
+		if err != nil {
+			return nil, err
+		}
 		// compile once: dictionary code → first admitting region
-		region := make([]int32, c.Cardinality())
+		region := make([]int32, len(dict))
 		for i := range region {
 			region[i] = -1
 		}
 		for ri, p := range preds {
 			for _, v := range p.Values {
-				if code, ok := c.CodeOf(v); ok && region[code] < 0 {
+				if code := slices.Index(dict, v); code >= 0 && region[code] < 0 {
 					region[code] = int32(ri)
 				}
 			}
 		}
-		codes := c.Codes()
-		part = visiting(func(i int) {
-			// Null check first: null rows may carry placeholder codes.
-			if c.IsNull(i) {
-				return
-			}
-			if ri := region[codes[i]]; ri >= 0 {
-				place(i, int(ri))
-			}
-		})
-	case *storage.BoolColumn:
+		part = func(w0, w1 int, p *storage.ChunkPayload) {
+			codes := p.Codes
+			p.EachRow(selWords, w0, w1, func(i, l int) bool {
+				if ri := region[codes[l]]; ri >= 0 {
+					outWords[ri][i>>6] |= uint64(1) << uint(i&63)
+				}
+				return true
+			})
+		}
+	case storage.Bool:
 		if err := predsAreKind(preds, query.BoolEq, col); err != nil {
 			return nil, err
 		}
-		vals := c.Values()
-		part = visiting(func(i int) {
-			if c.IsNull(i) {
-				return
-			}
-			for ri := range preds {
-				if preds[ri].MatchBool(vals[i]) {
-					place(i, ri)
-					return
+		part = func(w0, w1 int, p *storage.ChunkPayload) {
+			vals := p.Bools
+			p.EachRow(selWords, w0, w1, func(i, l int) bool {
+				for ri := range preds {
+					if preds[ri].MatchBool(vals[l]) {
+						outWords[ri][i>>6] |= uint64(1) << uint(i&63)
+						break
+					}
 				}
-			}
-		})
-	case *storage.LazyColumn:
-		lazyCol = c
-		part, err = compileLazyPart(c, preds, selWords, outWords, place)
-		if err != nil {
-			return nil, err
+				return true
+			})
 		}
 	default:
-		return nil, fmt.Errorf("engine: unsupported column type %T", col)
-	}
-
-	if lazyCol != nil {
-		// Only chunks holding a selected row are fetched.
-		if err := fetchTouched(t, lazyCol, selWords, opts.Workers, opts, "engine.partition", part); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	ck := t.Chunking()
-	if ck == nil || opts.Workers <= 1 {
-		part(0, len(selWords), nil)
-		return out, nil
+		return nil, fmt.Errorf("engine: unsupported column type %v", col.Type())
 	}
 	ctx := opts.context()
-	numChunks := ck.NumChunks(n)
-	wordsPerChunk := ck.Size / 64
-	err = par.For(min(opts.Workers, numChunks), numChunks, func(k int) error {
-		// Chunk-granular cancellation, before any row visit.
-		if err := obsv.CheckCtx(ctx, "engine.partition"); err != nil {
-			return err
-		}
-		w0 := k * wordsPerChunk
-		part(w0, min(w0+wordsPerChunk, len(selWords)), nil)
-		return nil
-	})
-	if err != nil {
+	if err := runs.Walk(ctx, selWords, opts.Workers, "engine.partition", opts.billFetch(ctx), part); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -191,96 +156,6 @@ func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vect
 	return out, nil
 }
 
-// eagerRangePart is the numeric partition pass over an in-memory column.
-func eagerRangePart[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64, out [][]uint64) func(w0, w1 int, _ *storage.ChunkPayload) {
-	return func(w0, w1 int, _ *storage.ChunkPayload) {
-		var runNulls []uint64
-		if nulls != nil {
-			runNulls = nulls[w0:]
-		}
-		partitionRanges(ms, vals[w0*64:], runNulls, sel, out, w0, w1)
-	}
-}
-
-// compileLazyPart builds the per-chunk partition pass over a
-// memory-tiered column: p is the payload of the chunk starting at row
-// w0*64.
-func compileLazyPart(c *storage.LazyColumn, preds []query.Predicate, sel []uint64, out [][]uint64, place func(i, ri int)) (func(w0, w1 int, p *storage.ChunkPayload), error) {
-	switch c.Type() {
-	case storage.Int64, storage.Float64:
-		if err := predsAreKind(preds, query.Range, c); err != nil {
-			return nil, err
-		}
-		ms := compileRanges(preds)
-		if c.Type() == storage.Int64 {
-			return func(w0, w1 int, p *storage.ChunkPayload) {
-				partitionRanges(ms, p.Ints, p.Nulls, sel, out, w0, w1)
-			}, nil
-		}
-		return func(w0, w1 int, p *storage.ChunkPayload) {
-			partitionRanges(ms, p.Floats, p.Nulls, sel, out, w0, w1)
-		}, nil
-	case storage.String:
-		if err := predsAreKind(preds, query.In, c); err != nil {
-			return nil, err
-		}
-		dict, err := c.DictValues()
-		if err != nil {
-			return nil, err
-		}
-		// compile once: dictionary code → first admitting region
-		index := make(map[string]int32, len(dict))
-		for code, v := range dict {
-			index[v] = int32(code)
-		}
-		region := make([]int32, len(dict))
-		for i := range region {
-			region[i] = -1
-		}
-		for ri, p := range preds {
-			for _, v := range p.Values {
-				if code, ok := index[v]; ok && region[code] < 0 {
-					region[code] = int32(ri)
-				}
-			}
-		}
-		return func(w0, w1 int, p *storage.ChunkPayload) {
-			lo := w0 * 64
-			visitSelectedRange(sel, w0, w1, func(i int) {
-				l := i - lo
-				// Null check first: null rows may carry placeholder codes.
-				if p.IsNull(l) {
-					return
-				}
-				if ri := region[p.Codes[l]]; ri >= 0 {
-					place(i, int(ri))
-				}
-			})
-		}, nil
-	case storage.Bool:
-		if err := predsAreKind(preds, query.BoolEq, c); err != nil {
-			return nil, err
-		}
-		return func(w0, w1 int, p *storage.ChunkPayload) {
-			lo := w0 * 64
-			visitSelectedRange(sel, w0, w1, func(i int) {
-				l := i - lo
-				if p.IsNull(l) {
-					return
-				}
-				for ri := range preds {
-					if preds[ri].MatchBool(p.Bools[l]) {
-						place(i, ri)
-						return
-					}
-				}
-			})
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: unsupported lazy column type %v", c.Type())
-	}
-}
-
 func predsAreKind(preds []query.Predicate, kind query.PredKind, col storage.Column) error {
 	for _, p := range preds {
 		if p.Kind != kind {
@@ -288,17 +163,6 @@ func predsAreKind(preds []query.Predicate, kind query.PredKind, col storage.Colu
 		}
 	}
 	return nil
-}
-
-// visitSelectedRange visits the set bits of words[w0:w1] in ascending
-// order; zero words cost one load each.
-func visitSelectedRange(words []uint64, w0, w1 int, fn func(i int)) {
-	for wi := w0; wi < w1; wi++ {
-		base := wi * 64
-		for w := words[wi]; w != 0; w &= w - 1 {
-			fn(base + bits.TrailingZeros64(w))
-		}
-	}
 }
 
 // AssignFromPartition builds an Assignment directly from the disjoint

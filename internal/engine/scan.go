@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -55,55 +56,6 @@ func (s *ScanStats) Snapshot() Snapshot {
 	}
 }
 
-// countFetch records a lazy chunk fetch in the stats.
-func countFetch(stats *ScanStats, hit bool) {
-	if stats == nil {
-		return
-	}
-	if hit {
-		stats.ChunkCacheHits.Add(1)
-	} else {
-		stats.ChunksDecoded.Add(1)
-	}
-}
-
-// fetchTouched fetches the chunks of lazy column c holding a selected
-// row and hands each payload to visit with the word range of selWords
-// it covers. Each fetch is preceded by the hint of the window of touched
-// chunks it opens — so a remote source that would miss loads them in one
-// round trip — and billed to opts.Stats and the context's ledger. With
-// workers <= 1 chunks are visited in row order; otherwise concurrently.
-func fetchTouched(t *storage.Table, c *storage.LazyColumn, selWords []uint64, workers int, opts ScanOptions, op string, visit func(w0, w1 int, p *storage.ChunkPayload)) error {
-	ck := t.Chunking()
-	if ck == nil {
-		return fmt.Errorf("engine: lazy column pass requires chunk metadata")
-	}
-	if len(selWords) != (t.NumRows()+63)/64 {
-		return fmt.Errorf("engine: selection of %d words over %d table rows", len(selWords), t.NumRows())
-	}
-	ctx := opts.context()
-	led := obsv.LedgerFrom(ctx)
-	wordsPerChunk := ck.Size / 64
-	touched := storage.TouchedChunks(selWords, wordsPerChunk)
-	return par.For(workers, len(touched), func(ti int) error {
-		// Chunk-granular cancellation, before any fetch or row visit.
-		if err := obsv.CheckCtx(ctx, op); err != nil {
-			return err
-		}
-		k := touched[ti]
-		c.PrefetchHint(ctx, storage.HintWindow(touched, ti))
-		p, hit, err := c.Chunk(ctx, k)
-		if err != nil {
-			return err
-		}
-		countFetch(opts.Stats, hit)
-		led.ChunkFetch(hit)
-		w0 := k * wordsPerChunk
-		visit(w0, min(w0+wordsPerChunk, len(selWords)), p)
-		return nil
-	})
-}
-
 // ScanOptions tunes one scan.
 type ScanOptions struct {
 	// Workers shards the scan across chunks when the table carries chunk
@@ -126,6 +78,23 @@ func (o ScanOptions) context() context.Context {
 		return context.Background()
 	}
 	return o.Ctx
+}
+
+// billFetch returns the hook a pass hands storage.Runs: each real chunk
+// fetch is counted in o.Stats and in ctx's ledger, at the same site, so
+// a query's ledger delta equals the ScanStats delta it produced.
+func (o ScanOptions) billFetch(ctx context.Context) func(hit bool) {
+	led := obsv.LedgerFrom(ctx)
+	return func(hit bool) {
+		if o.Stats != nil {
+			if hit {
+				o.Stats.ChunkCacheHits.Add(1)
+			} else {
+				o.Stats.ChunksDecoded.Add(1)
+			}
+		}
+		led.ChunkFetch(hit)
+	}
 }
 
 // EvalAndIntoOpts is EvalAndInto with scan options: zone-map pruning is
@@ -154,19 +123,17 @@ const (
 	zoneFull
 )
 
-// compiledPred is one predicate resolved against its column: a per-row
-// matcher plus a zone-map decision function. On memory-tiered columns
-// the matcher is built per chunk from the fetched payload instead —
-// chunks the zone map prunes (or proves all-match) are never fetched,
-// so zone maps filter I/O, not just CPU.
+// compiledPred is one predicate resolved against its column: a run
+// matcher plus a zone-map decision function. The matcher reads the run
+// the scan fetched for the chunk; chunks the zone map prunes (or proves
+// all-match) are never fetched, so zone maps filter I/O, not just CPU.
 type compiledPred struct {
 	colIdx int
-	match  func(i int) bool
+	runs   *storage.Runs
 	zone   func(zm storage.ZoneMap, chunkRows int) zoneVerdict
-	// lazyCol and mkMatch replace match on lazy columns: the payload of
-	// a chunk starting at row lo yields that chunk's row matcher.
-	lazyCol *storage.LazyColumn
-	mkMatch func(p *storage.ChunkPayload, lo int) func(i int) bool
+	// and clears, in words[w0:w1], the bits of the rows of run p (whose
+	// row 0 is row w0*64) that are NULL or fail the predicate.
+	and func(p *storage.ChunkPayload, words []uint64, w0, w1 int)
 	// never marks predicates proven unsatisfiable at compile time (an In
 	// set with no dictionary hits): the scan clears the selection without
 	// visiting rows.
@@ -205,104 +172,35 @@ func compilePred(t *storage.Table, p query.Predicate) (compiledPred, error) {
 	if err != nil {
 		return compiledPred{}, err
 	}
-	cp := compiledPred{colIdx: t.Schema().Index(p.Attr)}
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		if p.Kind != query.Range {
-			return compiledPred{}, kindErr(p, col)
-		}
-		vals, m := c.Values(), compileRange(p)
-		cp.match = func(i int) bool {
-			return m.match(float64(vals[i])) && !c.IsNull(i)
-		}
-		cp.zone = rangeZone(p)
-	case *storage.Float64Column:
-		if p.Kind != query.Range {
-			return compiledPred{}, kindErr(p, col)
-		}
-		vals, m := c.Values(), compileRange(p)
-		cp.match = func(i int) bool {
-			return m.match(vals[i]) && !c.IsNull(i)
-		}
-		cp.zone = rangeZone(p)
-	case *storage.StringColumn:
-		if p.Kind != query.In {
-			return compiledPred{}, kindErr(p, col)
-		}
-		admit := make([]bool, c.Cardinality())
-		admitWords := make([]uint64, (c.Cardinality()+63)/64)
-		any := false
-		for _, v := range p.Values {
-			if code, ok := c.CodeOf(v); ok {
-				admit[code] = true
-				admitWords[code/64] |= uint64(1) << uint(code%64)
-				any = true
-			}
-		}
-		if !any {
-			cp.match = func(int) bool { return false }
-			cp.zone = zonePruneAlways
-			cp.never = true
-			break
-		}
-		codes := c.Codes()
-		// Null check first: null rows may carry placeholder codes.
-		cp.match = func(i int) bool {
-			return !c.IsNull(i) && admit[codes[i]]
-		}
-		cp.zone = codeSetZone(admitWords)
-	case *storage.BoolColumn:
-		if p.Kind != query.BoolEq {
-			return compiledPred{}, kindErr(p, col)
-		}
-		vals := c.Values()
-		cp.match = func(i int) bool {
-			return vals[i] == p.BoolVal && !c.IsNull(i)
-		}
-		cp.zone = zoneNullOnly
-	case *storage.LazyColumn:
-		return compileLazyPred(cp, c, p)
-	default:
-		return compiledPred{}, fmt.Errorf("engine: unsupported column type %T", col)
-	}
-	return cp, nil
-}
-
-// compileLazyPred resolves a predicate against a memory-tiered column:
-// same zone rules as the eager kinds, but the row matcher is built per
-// chunk from the fetched payload.
-func compileLazyPred(cp compiledPred, c *storage.LazyColumn, p query.Predicate) (compiledPred, error) {
-	cp.lazyCol = c
-	switch c.Type() {
+	ci := t.Schema().Index(p.Attr)
+	cp := compiledPred{colIdx: ci, runs: t.Runs(ci)}
+	switch col.Type() {
 	case storage.Int64, storage.Float64:
 		if p.Kind != query.Range {
-			return compiledPred{}, kindErr(p, c)
+			return compiledPred{}, kindErr(p, col)
 		}
 		cp.zone = rangeZone(p)
 		m := compileRange(p)
-		cp.mkMatch = func(pl *storage.ChunkPayload, lo int) func(i int) bool {
-			return func(i int) bool {
-				l := i - lo
-				return m.match(pl.Numeric(l)) && !pl.IsNull(l)
+		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+			if pl.Ints != nil {
+				andRange(&m, pl.Ints, pl.Nulls, words, w0, w1)
+			} else {
+				andRange(&m, pl.Floats, pl.Nulls, words, w0, w1)
 			}
 		}
 	case storage.String:
 		if p.Kind != query.In {
-			return compiledPred{}, kindErr(p, c)
+			return compiledPred{}, kindErr(p, col)
 		}
-		dict, err := c.DictValues()
+		dict, err := storage.Dictionary(col)
 		if err != nil {
 			return compiledPred{}, err
 		}
 		admit := make([]bool, len(dict))
 		admitWords := make([]uint64, (len(dict)+63)/64)
-		index := make(map[string]uint32, len(dict))
-		for code, v := range dict {
-			index[v] = uint32(code)
-		}
 		any := false
 		for _, v := range p.Values {
-			if code, ok := index[v]; ok {
+			if code := slices.Index(dict, v); code >= 0 {
 				admit[code] = true
 				admitWords[code/64] |= uint64(1) << uint(code%64)
 				any = true
@@ -314,26 +212,21 @@ func compileLazyPred(cp compiledPred, c *storage.LazyColumn, p query.Predicate) 
 			return cp, nil
 		}
 		cp.zone = codeSetZone(admitWords)
-		cp.mkMatch = func(pl *storage.ChunkPayload, lo int) func(i int) bool {
-			return func(i int) bool {
-				l := i - lo
-				// Null check first: null rows may carry placeholder codes.
-				return !pl.IsNull(l) && admit[pl.Codes[l]]
-			}
+		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+			codes := pl.Codes
+			andRows(pl.Nulls, words, w0, w1, func(l int) bool { return admit[codes[l]] })
 		}
 	case storage.Bool:
 		if p.Kind != query.BoolEq {
-			return compiledPred{}, kindErr(p, c)
+			return compiledPred{}, kindErr(p, col)
 		}
 		cp.zone = zoneNullOnly
-		cp.mkMatch = func(pl *storage.ChunkPayload, lo int) func(i int) bool {
-			return func(i int) bool {
-				l := i - lo
-				return pl.Bools[l] == p.BoolVal && !pl.IsNull(l)
-			}
+		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+			vals := pl.Bools
+			andRows(pl.Nulls, words, w0, w1, func(l int) bool { return vals[l] == p.BoolVal })
 		}
 	default:
-		return compiledPred{}, fmt.Errorf("engine: unsupported lazy column type %v", c.Type())
+		return compiledPred{}, fmt.Errorf("engine: unsupported column type %v", col.Type())
 	}
 	return cp, nil
 }
@@ -399,13 +292,13 @@ func rangeZone(p query.Predicate) func(zm storage.ZoneMap, chunkRows int) zoneVe
 	}
 }
 
-// evalCompiled narrows sel by every compiled predicate. Chunked tables
-// go chunk by chunk, consulting zone maps and optionally sharding chunks
-// across workers; unchunked tables use the whole-range fused kernel.
-// On memory-tiered tables a chunk's payload is fetched only when a
-// predicate's verdict is "scan" — pruned and all-match chunks stay
-// undecoded — and fetch failures (corrupt or truncated chunks) surface
-// as errors.
+// evalCompiled narrows sel by every compiled predicate, chunk by chunk
+// — an unchunked table is one chunk without a zone map — optionally
+// sharding chunks across workers. On chunked tables each predicate
+// consults the chunk's zone map first, and its column's run is read
+// only when the verdict is "scan": pruned and all-match chunks of lazy
+// columns stay undecoded, and fetch failures (corrupt or truncated
+// chunks) surface as errors. Only chunked tables record chunk verdicts.
 func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts ScanOptions) error {
 	if len(cps) == 0 {
 		return nil
@@ -414,41 +307,27 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	// so a query's ledger delta equals the ScanStats delta it produced.
 	ctx := opts.context()
 	led := obsv.LedgerFrom(ctx)
+	bill := opts.billFetch(ctx)
 	words := sel.Words()
 	ck := t.Chunking()
-	if ck == nil {
-		for i := range cps {
-			if err := obsv.CheckCtx(ctx, "engine.scan"); err != nil {
-				return err
-			}
-			if cps[i].never {
-				sel.Zero()
-				return nil
-			}
-			if cps[i].lazyCol != nil {
-				return fmt.Errorf("engine: lazy column scan requires chunk metadata")
-			}
-			andWordsRange(words, 0, len(words), cps[i].match)
-			if !sel.Any() {
-				return nil
-			}
+	size := t.RunRows()
+	numChunks := (t.NumRows() + size - 1) / size
+	wordsPerChunk := size / 64
+	chunkRowsOf := func(k int) int { return min(size, t.NumRows()-k*size) }
+	verdict := func(cp *compiledPred, k int) zoneVerdict {
+		switch {
+		case ck != nil:
+			return cp.zone(ck.Zones[cp.colIdx][k], chunkRowsOf(k))
+		case cp.never:
+			return zonePrune
 		}
-		return nil
-	}
-	numChunks := ck.NumChunks(t.NumRows())
-	wordsPerChunk := ck.Size / 64
-	lastRows := t.NumRows() - (numChunks-1)*ck.Size
-	chunkRowsOf := func(k int) int {
-		if k == numChunks-1 {
-			return lastRows
-		}
-		return ck.Size
+		return zoneScan
 	}
 	// A lazy fetch is preceded by the hint of the window it opens — the
 	// chunk, then those this predicate will certainly scan after it — so a
 	// remote source that would miss loads them in one round trip instead;
 	// pruned, all-match and possibly-emptied chunks are never named.
-	certain := certainFetches(cps, ck.Zones, words, wordsPerChunk, numChunks, chunkRowsOf)
+	certain := certainFetches(cps, verdict, words, wordsPerChunk, numChunks)
 	scanChunk := func(k int) error {
 		// Chunk-granular cancellation: a dead caller abandons the scan
 		// here, before any fetch or row test for this chunk.
@@ -456,26 +335,21 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 			return err
 		}
 		w0 := k * wordsPerChunk
-		w1 := w0 + wordsPerChunk
-		if w1 > len(words) {
-			w1 = len(words)
-		}
-		chunkRows := ck.Size
-		if k == numChunks-1 {
-			chunkRows = lastRows
-		}
+		w1 := min(w0+wordsPerChunk, len(words))
 		for i := range cps {
 			if !anyWordsRange(words, w0, w1) {
 				return nil
 			}
 			cp := &cps[i]
-			switch cp.zone(ck.Zones[cp.colIdx][k], chunkRows) {
+			switch verdict(cp, k) {
 			case zonePrune:
 				zeroWordsRange(words, w0, w1)
-				if opts.Stats != nil {
-					opts.Stats.ChunksPruned.Add(1)
+				if ck != nil {
+					if opts.Stats != nil {
+						opts.Stats.ChunksPruned.Add(1)
+					}
+					led.ChunkPruned()
 				}
-				led.ChunkPruned()
 				return nil
 			case zoneFull:
 				if opts.Stats != nil {
@@ -483,66 +357,42 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 				}
 				led.ChunkFull()
 			default:
-				match := cp.match
-				if cp.lazyCol != nil {
-					var window [storage.PrefetchWindow]int
-					cp.lazyCol.PrefetchHint(ctx, fetchWindow(window[:0], certain[i], k))
-					pl, hit, err := cp.lazyCol.Chunk(ctx, k)
-					if err != nil {
-						return err
+				var window [storage.PrefetchWindow]int
+				cp.runs.Hint(ctx, fetchWindow(window[:0], certain[i], k))
+				pl, err := cp.runs.Run(ctx, k, bill)
+				if err != nil {
+					return err
+				}
+				cp.and(pl, words, w0, w1)
+				if ck != nil {
+					if opts.Stats != nil {
+						opts.Stats.ChunksScanned.Add(1)
 					}
-					countFetch(opts.Stats, hit)
-					led.ChunkFetch(hit)
-					match = cp.mkMatch(pl, k*ck.Size)
+					led.ChunkScanned()
 				}
-				andWordsRange(words, w0, w1, match)
-				if opts.Stats != nil {
-					opts.Stats.ChunksScanned.Add(1)
-				}
-				led.ChunkScanned()
 			}
 		}
 		return nil
 	}
-	workers := opts.Workers
-	if workers > numChunks {
-		workers = numChunks
-	}
-	if workers <= 1 {
-		for k := 0; k < numChunks; k++ {
-			if err := scanChunk(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return par.For(workers, numChunks, scanChunk)
+	return par.For(opts.Workers, numChunks, scanChunk)
 }
 
-// certainFetches lists, per predicate on a lazy column (nil entries
-// otherwise), the chunks the scan will certainly fetch for it: chunks
-// holding a selected row at scan start, on which every earlier
-// predicate's zone verdict is full — so their bits are untouched when
-// this predicate's turn comes — and its own is scan. Only these may be
-// hinted: a hint names chunks the scan reads, never ones an earlier
-// predicate could still empty.
-func certainFetches(cps []compiledPred, zones [][]storage.ZoneMap, words []uint64, wordsPerChunk, numChunks int, chunkRows func(int) int) [][]int {
+// certainFetches lists, per predicate, the chunks the scan will
+// certainly read for it: chunks holding a selected row at scan start, on
+// which every earlier predicate's verdict is full — so their bits are
+// untouched when this predicate's turn comes — and its own is scan.
+// Only these may be hinted: a hint names chunks the scan reads, never
+// ones an earlier predicate could still empty.
+func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, words []uint64, wordsPerChunk, numChunks int) [][]int {
 	certain := make([][]int, len(cps))
-	lazy := false
-	for i := range cps {
-		lazy = lazy || cps[i].lazyCol != nil
-	}
-	if !lazy {
-		return certain
-	}
 	for k := 0; k < numChunks; k++ {
 		w0 := k * wordsPerChunk
 		if !anyWordsRange(words, w0, min(w0+wordsPerChunk, len(words))) {
 			continue
 		}
 		for i := range cps {
-			v := cps[i].zone(zones[cps[i].colIdx][k], chunkRows(k))
-			if v == zoneScan && cps[i].lazyCol != nil {
+			v := verdict(&cps[i], k)
+			if v == zoneScan {
 				certain[i] = append(certain[i], k)
 			}
 			if v != zoneFull {
@@ -562,23 +412,48 @@ func fetchWindow(dst, certain []int, k int) []int {
 	return append(dst, certain[ti:min(ti+storage.PrefetchWindow-1, len(certain))]...)
 }
 
-// andWordsRange clears, in every non-zero word of words[w0:w1], the bits
-// whose rows fail match. Zero words are skipped entirely, so the cost of
-// a conjunction shrinks with its selectivity.
-func andWordsRange(words []uint64, w0, w1 int, match func(i int) bool) {
+// andRange clears, in words[w0:w1], the bits of the rows of a numeric
+// run (vals[0] is row w0*64; nulls, nil without NULLs, is the run's)
+// that are NULL or fall outside m. Zero words cost one load each, so
+// the cost of a conjunction shrinks with its selectivity; a word's
+// remaining rows are tested without a branch on the outcome.
+func andRange[T numeric](m *rangeMatcher, vals []T, nulls, words []uint64, w0, w1 int) {
 	for wi := w0; wi < w1; wi++ {
 		w := words[wi]
 		if w == 0 {
 			continue
 		}
-		keep := w
-		for m := w; m != 0; m &= m - 1 {
-			bi := bits.TrailingZeros64(m)
-			if !match(wi*64 + bi) {
-				keep &^= uint64(1) << uint(bi)
-			}
+		if nulls != nil {
+			w &^= nulls[wi-w0]
+		}
+		row := vals[(wi-w0)*64:]
+		var keep uint64
+		for m2 := w; m2 != 0; m2 &= m2 - 1 {
+			keep |= (m2 & -m2) & -m.admits(float64(row[bits.TrailingZeros64(m2)]))
 		}
 		words[wi] = keep
+	}
+}
+
+// andRows clears, in words[w0:w1], the bits of the rows of a run that
+// are NULL (per the run's nulls) or fail keep(l), l the row's index in
+// the run.
+func andRows(nulls, words []uint64, w0, w1 int, keep func(l int) bool) {
+	for wi := w0; wi < w1; wi++ {
+		w := words[wi]
+		if w == 0 {
+			continue
+		}
+		if nulls != nil {
+			w &^= nulls[wi-w0]
+		}
+		base := (wi - w0) * 64
+		for m := w; m != 0; m &= m - 1 {
+			if bi := bits.TrailingZeros64(m); !keep(base + bi) {
+				w &^= uint64(1) << uint(bi)
+			}
+		}
+		words[wi] = w
 	}
 }
 

@@ -178,9 +178,9 @@ func (s *Server) statFor(ctx context.Context, attr string) (*statEntry, error) {
 	// abandoned at chunk granularity instead of run to completion.
 	switch {
 	case typ.IsNumeric():
-		var vals []float64
-		if vals, err = engine.NumericValuesUnderCtx(ctx, s.tbl, attr, full); err == nil {
-			e.enc, e.count = encodeFloats(vals), len(vals)
+		var x engine.NumericExtract
+		if err = engine.ExtractNumericUnder(&x, s.tbl, attr, full, engine.ScanOptions{Ctx: ctx}); err == nil {
+			e.enc, e.count = encodeFloats(x.Vals), len(x.Vals)
 		}
 	case typ == storage.String:
 		e.dict, e.counts, err = engine.CategoryCountsUnderOpts(s.tbl, attr, full, engine.ScanOptions{Ctx: ctx})
@@ -381,18 +381,9 @@ func (s *Server) handleDict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("column %d is not a string column", ci))
 		return
 	}
-	var dict []string
-	switch c := s.tbl.Column(ci).(type) {
-	case *storage.StringColumn:
-		dict = c.Dict()
-	case *storage.LazyColumn:
-		dict, err = c.DictValues()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-	default:
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("column %d is %T", ci, s.tbl.Column(ci)))
+	dict, err := storage.Dictionary(s.tbl.Column(ci))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.writeJSON(w, dictDTO{Values: dict})

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -225,14 +224,7 @@ func (fb *fileBackend) Dicts(_ context.Context, ci int) ([]string, error) {
 	if t.Schema().Field(ci).Type != storage.String {
 		return nil, nil
 	}
-	switch c := t.Column(ci).(type) {
-	case *storage.StringColumn:
-		return c.Dict(), nil
-	case *storage.LazyColumn:
-		return c.DictValues()
-	default:
-		return nil, fmt.Errorf("shard: column %d is %T, want a string column", ci, t.Column(ci))
-	}
+	return storage.Dictionary(t.Column(ci))
 }
 
 // Source implements Backend.

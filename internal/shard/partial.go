@@ -106,57 +106,15 @@ func ComputeColumnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi 
 // partialHistBins is the bin count of per-shard summary histograms.
 const partialHistBins = 64
 
-// columnPartial computes one shard's partial for column ci of t. For
-// numeric columns, lo/hi fix the histogram edges (the set-wide range,
-// agreed before the fan-out); useHist is false when the set has no
-// finite range.
+// columnPartial computes one shard's partial for column ci of t in one
+// full pass over its runs. For numeric columns, lo/hi fix the histogram
+// edges (the set-wide range, agreed before the fan-out); useHist is
+// false when the set has no finite range.
 func columnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi float64, useHist bool) (*ColumnPartial, error) {
-	col := t.Column(ci)
-	p := &ColumnPartial{Rows: t.NumRows(), Nulls: col.NullCount()}
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		vals := c.Values()
-		return p, p.observeNumeric(lo, hi, useHist, c.Len(), c.IsNull, func(i int) float64 { return float64(vals[i]) })
-	case *storage.Float64Column:
-		vals := c.Values()
-		return p, p.observeNumeric(lo, hi, useHist, c.Len(), c.IsNull, func(i int) float64 { return vals[i] })
-	case *storage.StringColumn:
-		p.CatCounts = make([]int, c.Cardinality())
-		codes := c.Codes()
-		for i := 0; i < c.Len(); i++ {
-			if !c.IsNull(i) {
-				p.CatCounts[codes[i]]++
-				p.Count++
-			}
-		}
-		return p, nil
-	case *storage.BoolColumn:
-		vals := c.Values()
-		for i := 0; i < c.Len(); i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			if vals[i] {
-				p.Trues++
-			} else {
-				p.Falses++
-			}
-			p.Count++
-		}
-		return p, nil
-	case *storage.LazyColumn:
-		return lazyColumnPartial(ctx, p, c, lo, hi, useHist)
-	default:
-		return nil, fmt.Errorf("shard: unsupported column type %T", col)
-	}
-}
-
-// lazyColumnPartial computes the partial of a memory-tiered column
-// chunk by chunk — a full pass (partials are whole-shard statistics)
-// that streams through the chunk cache instead of materializing the
-// column.
-func lazyColumnPartial(ctx context.Context, p *ColumnPartial, c *storage.LazyColumn, lo, hi float64, useHist bool) (*ColumnPartial, error) {
-	switch c.Type() {
+	runs := t.Runs(ci)
+	p := &ColumnPartial{Rows: t.NumRows(), Nulls: t.Column(ci).NullCount()}
+	var visit func(pl *storage.ChunkPayload)
+	switch runs.Type() {
 	case storage.Int64, storage.Float64:
 		if useHist {
 			h, err := stats.FixedHist(lo, hi, partialHistBins)
@@ -165,109 +123,52 @@ func lazyColumnPartial(ctx context.Context, p *ColumnPartial, c *storage.LazyCol
 			}
 			p.Hist = h
 		}
-		err := c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
-			for i := 0; i < pl.Rows(); i++ {
-				if pl.IsNull(i) {
-					continue
-				}
-				v := pl.Numeric(i)
-				p.Count++
-				p.Sum += v
-				if !math.IsNaN(v) {
-					if !p.HasMinMax {
-						p.Min, p.Max, p.HasMinMax = v, v, true
-					} else {
-						if v < p.Min {
-							p.Min = v
-						}
-						if v > p.Max {
-							p.Max = v
-						}
-					}
-				}
-				if p.Hist != nil {
-					p.Hist.Observe(v)
-				}
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		visit = func(pl *storage.ChunkPayload) { pl.EachFloat(p.observe) }
 	case storage.String:
-		dict, err := c.DictValues()
+		dict, err := storage.Dictionary(t.Column(ci))
 		if err != nil {
 			return nil, err
 		}
 		p.CatCounts = make([]int, len(dict))
-		err = c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
-			for i, code := range pl.Codes {
-				if !pl.IsNull(i) {
-					p.CatCounts[code]++
-					p.Count++
-				}
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		visit = func(pl *storage.ChunkPayload) { pl.CountCodes(p.CatCounts) }
 	case storage.Bool:
-		err := c.ForEachChunk(ctx, func(k, start int, pl *storage.ChunkPayload) (bool, error) {
-			for i, v := range pl.Bools {
-				if pl.IsNull(i) {
-					continue
-				}
-				if v {
-					p.Trues++
-				} else {
-					p.Falses++
-				}
-				p.Count++
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
+		visit = func(pl *storage.ChunkPayload) {
+			falses, trues := pl.CountBools()
+			p.Falses += falses
+			p.Trues += trues
 		}
-		return p, nil
 	default:
-		return nil, fmt.Errorf("shard: unsupported lazy column type %v", c.Type())
+		return nil, fmt.Errorf("shard: unsupported column type %v", runs.Type())
 	}
+	err := runs.Walk(ctx, nil, 1, "shard.partial", nil, func(_, _ int, pl *storage.ChunkPayload) { visit(pl) })
+	if err != nil {
+		return nil, err
+	}
+	// Numeric values counted themselves; categories and booleans count here.
+	for _, n := range p.CatCounts {
+		p.Count += n
+	}
+	p.Count += p.Falses + p.Trues
+	return p, nil
 }
 
-func (p *ColumnPartial) observeNumeric(lo, hi float64, useHist bool, n int, isNull func(int) bool, at func(int) float64) error {
-	if useHist {
-		h, err := stats.FixedHist(lo, hi, partialHistBins)
-		if err != nil {
-			return err
-		}
-		p.Hist = h
-	}
-	for i := 0; i < n; i++ {
-		if isNull(i) {
-			continue
-		}
-		v := at(i)
-		p.Count++
-		p.Sum += v
-		if !math.IsNaN(v) {
-			if !p.HasMinMax {
-				p.Min, p.Max, p.HasMinMax = v, v, true
-			} else {
-				if v < p.Min {
-					p.Min = v
-				}
-				if v > p.Max {
-					p.Max = v
-				}
+// observe folds one non-NULL numeric value into the partial.
+func (p *ColumnPartial) observe(v float64) {
+	p.Count++
+	p.Sum += v
+	if !math.IsNaN(v) {
+		if !p.HasMinMax {
+			p.Min, p.Max, p.HasMinMax = v, v, true
+		} else {
+			if v < p.Min {
+				p.Min = v
+			}
+			if v > p.Max {
+				p.Max = v
 			}
 		}
-		if p.Hist != nil {
-			p.Hist.Observe(v)
-		}
 	}
-	return nil
+	if p.Hist != nil {
+		p.Hist.Observe(v)
+	}
 }

@@ -873,9 +873,13 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 	// string column is built once and shared across parts.
 	unionIndex := make([]map[string]uint32, combined.NumCols())
 	for ci := 0; ci < combined.NumCols(); ci++ {
-		if cc, ok := combined.Column(ci).(*storage.StringColumn); ok {
-			idx := make(map[string]uint32, cc.Cardinality())
-			for code, v := range cc.Dict() {
+		if combined.Schema().Field(ci).Type == storage.String {
+			dict, err := storage.Dictionary(combined.Column(ci))
+			if err != nil {
+				return nil, err
+			}
+			idx := make(map[string]uint32, len(dict))
+			for code, v := range dict {
 				idx[v] = uint32(code)
 			}
 			unionIndex[ci] = idx
@@ -883,7 +887,9 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 	}
 	viewZones := make([][][]storage.ZoneMap, len(parts)) // [part][col][chunk]
 	for i, p := range parts {
-		viewZones[i] = remapZones(p, combined, unionIndex)
+		if viewZones[i], err = remapZones(p, unionIndex); err != nil {
+			return nil, err
+		}
 	}
 
 	// Stitch the combined chunking when every shard boundary falls on a
@@ -932,70 +938,41 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 	return s, nil
 }
 
-// exactMinMax scans a numeric column for its finite (non-NaN, non-NULL)
-// value range — the fallback when zone maps dropped a chunk's bounds.
-func exactMinMax(ctx context.Context, col storage.Column) (lo, hi float64, ok bool) {
-	observe := func(v float64) {
-		if v != v { // NaN
-			return
-		}
-		if !ok {
-			lo, hi, ok = v, v, true
-		} else if v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
-	switch c := col.(type) {
-	case *storage.Int64Column:
-		for i, v := range c.Values() {
-			if !c.IsNull(i) {
-				observe(float64(v))
-			}
-		}
-	case *storage.Float64Column:
-		for i, v := range c.Values() {
-			if !c.IsNull(i) {
-				observe(v)
-			}
-		}
-	case *storage.LazyColumn:
-		_ = c.ForEachChunk(ctx, func(k, start int, p *storage.ChunkPayload) (bool, error) {
-			for i := 0; i < p.Rows(); i++ {
-				if !p.IsNull(i) {
-					observe(p.Numeric(i))
-				}
-			}
-			return true, nil
-		})
-	}
-	return lo, hi, ok
+// exactMinMax scans numeric column ci of t for its finite (non-NaN,
+// non-NULL) value range — the fallback when zone maps dropped a chunk's
+// bounds.
+func exactMinMax(ctx context.Context, t *storage.Table, ci int) (lo, hi float64, ok bool) {
+	sum := engine.SummarizeNumeric(nil)
+	_ = t.Runs(ci).Walk(ctx, nil, 1, "shard.partial", nil, func(_, _ int, p *storage.ChunkPayload) {
+		p.EachFloat(sum.Observe)
+	})
+	return sum.Min, sum.Max, sum.Min <= sum.Max
 }
 
 // remapZones copies part's zone maps, translating categorical code sets
 // from the part's dictionary into the combined table's union dictionary
 // via the precomputed per-column union indexes.
-func remapZones(part, combined *storage.Table, unionIndex []map[string]uint32) [][]storage.ZoneMap {
+func remapZones(part *storage.Table, unionIndex []map[string]uint32) ([][]storage.ZoneMap, error) {
 	ck := part.Chunking()
 	out := make([][]storage.ZoneMap, part.NumCols())
 	for ci := range out {
 		zones := append([]storage.ZoneMap(nil), ck.Zones[ci]...)
-		pc, ok := part.Column(ci).(*storage.StringColumn)
-		if ok {
-			cc := combined.Column(ci).(*storage.StringColumn)
-			partDict := pc.Dict()
+		if unionIndex[ci] != nil {
+			partDict, err := storage.Dictionary(part.Column(ci))
+			if err != nil {
+				return nil, err
+			}
 			remap := make([]uint32, len(partDict))
 			for code, v := range partDict {
 				remap[code] = unionIndex[ci][v]
 			}
 			for k := range zones {
-				zones[k].CodeSet = remapCodeSet(zones[k].CodeSet, remap, cc.Cardinality())
+				zones[k].CodeSet = remapCodeSet(zones[k].CodeSet, remap, len(unionIndex[ci]))
 			}
 		}
 		out[ci] = zones
 	}
-	return out
+	return out, nil
 }
 
 // remapCodeSet translates a code bitset through remap into a bitset over
@@ -1065,8 +1042,9 @@ func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutO
 			return err
 		}
 		view := p.s.views[i]
-		vals, err := engine.NumericValuesUnderCtx(ctx, view, attr, bitvec.NewFull(view.NumRows()))
-		runs[i] = vals
+		var x engine.NumericExtract
+		err := engine.ExtractNumericUnder(&x, view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
+		runs[i] = x.Vals
 		return err
 	})
 	if err != nil {
@@ -1223,7 +1201,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			}
 		}
 		if unbounded {
-			los[ci], his[ci], useHist[ci] = exactMinMax(ctx, s.combined.Column(ci))
+			los[ci], his[ci], useHist[ci] = exactMinMax(ctx, s.combined, ci)
 		}
 	}
 	perShard := make([][]*ColumnPartial, s.NumShards())

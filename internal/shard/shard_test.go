@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -424,13 +426,55 @@ func TestPartialsWithNaN(t *testing.T) {
 	}
 }
 
-// TestPartials: merged per-shard partials equal whole-table statistics.
+// TestPartials: merged per-shard partials equal whole-table statistics,
+// and neither depends on how the data is held: the set's shards opened
+// eagerly or lazily merge to the same partials, and one table's partial
+// is the same in memory, as an eager .atl and as a lazy .atl.
 func TestPartials(t *testing.T) {
 	tbl := datagen.Census(6_000, 13)
-	set, _ := writeTestSet(t, tbl, IngestOptions{Shards: 3, ChunkSize: 128})
+	set, path := writeTestSet(t, tbl, IngestOptions{Shards: 3, ChunkSize: 128})
 	partials, err := set.Partials(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, mode := range []colstore.Mode{colstore.ModeEager, colstore.ModeLazy} {
+		other, err := OpenWith(path, Options{Store: colstore.Options{Mode: mode, CacheBytes: 128 * 9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := other.Partials(0)
+		other.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, partials) {
+			t.Errorf("shards opened in mode %v: partials differ", mode)
+		}
+	}
+	atl := filepath.Join(t.TempDir(), "t.atl")
+	if err := colstore.WriteFile(atl, tbl, 128); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []colstore.Options{{Mode: colstore.ModeEager}, {Mode: colstore.ModeLazy, CacheBytes: 128 * 9}} {
+		st, err := colstore.OpenWith(atl, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, p := range partials {
+			lo, hi, useHist := p.Min, p.Max, p.Hist != nil
+			want, err := ComputeColumnPartial(context.Background(), tbl, ci, lo, hi, useHist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ComputeColumnPartial(context.Background(), st.Table(), ci, lo, hi, useHist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("column %d in mode %v: partial %+v, in memory %+v", ci, o.Mode, got, want)
+			}
+		}
+		st.Close()
 	}
 	sums := storage.Summarize(tbl)
 	for ci, p := range partials {

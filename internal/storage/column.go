@@ -177,9 +177,6 @@ func (c *BoolColumn) Len() int { return len(c.vals) }
 // Values returns the backing slice; callers must not modify it.
 func (c *BoolColumn) Values() []bool { return c.vals }
 
-// At returns the value at row i (undefined when NULL).
-func (c *BoolColumn) At(i int) bool { return c.vals[i] }
-
 // Value implements Column.
 func (c *BoolColumn) Value(i int) any {
 	if c.IsNull(i) {
@@ -265,16 +262,6 @@ func (c *StringColumn) Cardinality() int { return len(c.dict) }
 
 // At returns the string at row i (undefined when NULL).
 func (c *StringColumn) At(i int) string { return c.dict[c.codes[i]] }
-
-// CodeOf returns the dictionary code for value v, and whether it exists.
-func (c *StringColumn) CodeOf(v string) (uint32, bool) {
-	for code, s := range c.dict {
-		if s == v {
-			return uint32(code), true
-		}
-	}
-	return 0, false
-}
 
 // Value implements Column.
 func (c *StringColumn) Value(i int) any {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,8 +176,7 @@ func TestCategoricalZoneCodeSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codeA, _ := col.CodeOf("a")
-	codeB, _ := col.CodeOf("b")
+	codeA, codeB := slices.Index(col.Dict(), "a"), slices.Index(col.Dict(), "b")
 	z0, z1 := ck.Zones[0][0], ck.Zones[0][1]
 	if z0.CodeSet == nil || z1.CodeSet == nil {
 		t.Fatal("code sets missing")

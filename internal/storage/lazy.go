@@ -3,22 +3,21 @@ package storage
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"strconv"
 	"sync"
 
 	"repro/internal/bitvec"
-	"repro/internal/obsv"
 )
 
 // This file is the memory-tier boundary of the storage layer: columns
 // whose values live in a backing store (an mmapped .atl segment file, a
 // shard set routing to several of them) and decode chunk by chunk on
-// first touch. A LazyColumn satisfies Column, so every consumer keeps
-// working; the hot paths (engine scans, partitions, value extraction)
-// additionally recognize lazy columns and drive them chunk-wise through
-// the error-returning Chunk accessor, fetching a chunk's payload only
-// when a zone map could not rule the chunk out.
+// first touch. A LazyColumn satisfies Column, so the edges (rendering,
+// gathers) keep working row by row; the passes over column values do
+// not tell it apart from a resident column at all. They read every
+// column through Runs (runs.go), which serves a lazy column's chunks
+// through the error-returning Chunk accessor — fetching a chunk only
+// when a pass asks for it — and a resident column's as zero-copy views.
 
 // ChunkPayload is one decoded chunk of one column: exactly one of the
 // value slices is non-nil, matching the column type, with chunk-local
@@ -56,15 +55,6 @@ func (p *ChunkPayload) Rows() int {
 // IsNull reports whether chunk-local row i is NULL.
 func (p *ChunkPayload) IsNull(i int) bool {
 	return p.Nulls != nil && p.Nulls[i>>6]&(1<<uint(i&63)) != 0
-}
-
-// Numeric returns chunk-local row i widened to the engine's float
-// comparison space. Only valid on Int64/Float64 payloads.
-func (p *ChunkPayload) Numeric(i int) float64 {
-	if p.Ints != nil {
-		return float64(p.Ints[i])
-	}
-	return p.Floats[i]
 }
 
 // MemBytes estimates the payload's decoded size for cache accounting.
@@ -107,19 +97,13 @@ type ChunkSource interface {
 }
 
 // PrefetchWindow bounds the chunks one PrefetchChunks hint names. The
-// chunk drivers hint, before each fetch, the window it opens: the
-// fetched chunk and the ones they will read after it. A remote source
+// walkers of Runs and the engine's scan hint, before each fetch, the
+// window it opens: the fetched chunk and the ones they will read after
+// it. A remote source
 // with nothing to do for a window whose first chunk is resident or
 // loading returns at once, so windows load exactly where the scan would
 // otherwise miss.
 const PrefetchWindow = 16
-
-// HintWindow returns the window of the chunks of touched, read in order,
-// that starts at touched[ti]: at most PrefetchWindow of them. The result
-// aliases touched.
-func HintWindow(touched []int, ti int) []int {
-	return touched[ti:min(ti+PrefetchWindow, len(touched))]
-}
 
 // ChunkError is the named error for a chunk that could not be read or
 // decoded on first touch (CRC mismatch, short read, corrupt encoding).
@@ -152,8 +136,7 @@ func AsChunkPanic(r any) *ChunkError {
 // ChunkSource on first touch. The interface accessors (IsNull, Value,
 // Render, At-style access via Value, Gather) fault chunks in
 // transparently and panic with a *ChunkError if the backing store fails;
-// performance-critical consumers use Chunk/ForEachSelectedUntil and get
-// errors instead.
+// passes over its values read it through Runs and get errors instead.
 type LazyColumn struct {
 	src       ChunkSource
 	ci        int
@@ -254,10 +237,9 @@ func (c *LazyColumn) chunkOrPanic(k int) *ChunkPayload {
 
 // PrefetchHint hands the column's source the window of chunks ks
 // (ascending, at most PrefetchWindow, all of which the caller will
-// fetch, ks[0] next) — see ChunkSource.PrefetchChunks. The chunk drivers
-// (ForEachChunk, ForEachSelectedUntil, the engine's scan, extraction and
-// partition passes) hint before their fetches, which is what turns a remote
-// source's per-chunk round trips into one per window.
+// fetch, ks[0] next) — see ChunkSource.PrefetchChunks. The walkers of
+// Runs and the engine's scan hint before their fetches, which is what
+// turns a remote source's per-chunk round trips into one per window.
 func (c *LazyColumn) PrefetchHint(ctx context.Context, ks []int) {
 	if len(ks) > 0 {
 		c.src.PrefetchChunks(ctx, c.ci, ks)
@@ -287,16 +269,6 @@ func (c *LazyColumn) Dict() []string {
 
 // Cardinality returns the dictionary size of a String column.
 func (c *LazyColumn) Cardinality() int { return len(c.Dict()) }
-
-// CodeOf returns the dictionary code for value v, and whether it exists.
-func (c *LazyColumn) CodeOf(v string) (uint32, bool) {
-	for code, s := range c.Dict() {
-		if s == v {
-			return uint32(code), true
-		}
-	}
-	return 0, false
-}
 
 // IsNull implements Column, faulting in the row's chunk.
 func (c *LazyColumn) IsNull(i int) bool {
@@ -414,7 +386,8 @@ func (c *LazyColumn) Materialize() (Column, error) {
 		codes = make([]uint32, c.rows)
 	}
 	var nulls *bitvec.Vector
-	err := c.ForEachChunk(context.TODO(), func(k, lo int, p *ChunkPayload) (bool, error) {
+	err := lazyRuns(c).Walk(context.TODO(), nil, 1, "storage.materialize", nil, func(w0, _ int, p *ChunkPayload) {
+		lo := w0 * 64
 		switch c.typ {
 		case Int64:
 			copy(ints[lo:], p.Ints)
@@ -431,9 +404,8 @@ func (c *LazyColumn) Materialize() (Column, error) {
 			}
 			// Chunk boundaries are word-aligned, so the chunk's null words
 			// blit straight into the column bitmap.
-			copy(nulls.Words()[lo/64:], p.Nulls)
+			copy(nulls.Words()[w0:], p.Nulls)
 		}
-		return true, nil
 	})
 	if err != nil {
 		return nil, err
@@ -452,96 +424,6 @@ func (c *LazyColumn) Materialize() (Column, error) {
 		}
 		return NewStringColumnFromDict(dict, codes, nulls), nil
 	}
-}
-
-// ForEachChunk fetches every chunk in order under ctx and calls
-// fn(k, lo, payload) where lo is the chunk's first row. fn returns false
-// to stop early, so the window from a chunk on is hinted only once the
-// walk is past its first chunk (see ForEachSelectedUntil).
-func (c *LazyColumn) ForEachChunk(ctx context.Context, fn func(k, lo int, p *ChunkPayload) (bool, error)) error {
-	n := c.NumChunks()
-	var window [PrefetchWindow]int
-	for k := 0; k < n; k++ {
-		if k > 0 {
-			ks := window[:0]
-			for j := k; j < n && len(ks) < PrefetchWindow; j++ {
-				ks = append(ks, j)
-			}
-			c.PrefetchHint(ctx, ks)
-		}
-		p, _, err := c.Chunk(ctx, k)
-		if err != nil {
-			return err
-		}
-		cont, err := fn(k, k*c.chunkSize, p)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}
-
-// ForEachSelectedUntil visits every set bit of sel in ascending row
-// order until fn returns false, fetching each touched chunk at most once
-// (under ctx) and skipping chunks with no selected rows entirely. fn
-// receives the row's chunk payload, the chunk's first row lo, and the
-// global row index i. Each fetch past the first is preceded by the hint
-// of the window it opens, so a remote source loads the touched chunks a
-// window per round trip; a walk that stops inside its first chunk — a
-// screen that has seen enough — hints nothing.
-func (c *LazyColumn) ForEachSelectedUntil(ctx context.Context, sel *bitvec.Vector, fn func(p *ChunkPayload, lo, i int) bool) error {
-	if sel.Len() != c.rows {
-		return fmt.Errorf("storage: selection length %d != column length %d", sel.Len(), c.rows)
-	}
-	words := sel.Words()
-	wordsPerChunk := c.chunkSize / 64
-	// The touched chunk set is known from the selection alone, so collect
-	// it up front: the walk then hints exactly the chunks it will fetch —
-	// never one a zone map already ruled out.
-	touched := TouchedChunks(words, wordsPerChunk)
-	for ti, k := range touched {
-		// Chunk-granular cancellation: resident chunks would never
-		// surface the dead context through the fetch, so poll here.
-		if err := obsv.CheckCtx(ctx, "storage.extract"); err != nil {
-			return err
-		}
-		if ti > 0 {
-			c.PrefetchHint(ctx, HintWindow(touched, ti))
-		}
-		p, _, err := c.Chunk(ctx, k)
-		if err != nil {
-			return err
-		}
-		w0 := k * wordsPerChunk
-		for wi := w0; wi < min(w0+wordsPerChunk, len(words)); wi++ {
-			base := wi * 64
-			for w := words[wi]; w != 0; w &= w - 1 {
-				if !fn(p, k*c.chunkSize, base+bits.TrailingZeros64(w)) {
-					return nil
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// TouchedChunks lists, ascending, the chunks (wordsPerChunk selection
-// words each) that hold at least one selected row — the chunks a
-// selection-driven pass fetches, known before it fetches any.
-func TouchedChunks(words []uint64, wordsPerChunk int) []int {
-	var touched []int
-	for w0 := 0; w0 < len(words); w0 += wordsPerChunk {
-		for _, w := range words[w0:min(w0+wordsPerChunk, len(words))] {
-			if w != 0 {
-				touched = append(touched, w0/wordsPerChunk)
-				break
-			}
-		}
-	}
-	return touched
 }
 
 // renderValue formats a boxed value exactly as the typed columns do.
@@ -599,29 +481,9 @@ func (s *tableSource) FetchChunk(_ context.Context, ci, k int) (*ChunkPayload, b
 	if lo < 0 || lo >= hi {
 		return nil, false, fmt.Errorf("chunk %d out of range", k)
 	}
-	p := &ChunkPayload{}
-	col := s.t.Column(ci)
-	switch c := col.(type) {
-	case *Int64Column:
-		p.Ints = c.Values()[lo:hi]
-	case *Float64Column:
-		p.Floats = c.Values()[lo:hi]
-	case *BoolColumn:
-		p.Bools = c.Values()[lo:hi]
-	case *StringColumn:
-		p.Codes = c.Codes()[lo:hi]
-	default:
-		return nil, false, fmt.Errorf("unsupported column type %T", col)
-	}
-	if words := NullWords(col); words != nil {
-		w0, w1 := lo/64, (hi+63)/64
-		chunkWords := words[w0:w1]
-		for _, w := range chunkWords {
-			if w != 0 {
-				p.Nulls = chunkWords
-				break
-			}
-		}
+	p, err := residentRun(s.t.Column(ci), lo, hi)
+	if err != nil {
+		return nil, false, err
 	}
 	return p, true, nil
 }

@@ -49,99 +49,61 @@ func (s ColumnSummary) String() string {
 	}
 }
 
-// Summarize computes descriptive statistics for every column.
+// Summarize computes descriptive statistics for every column. Min and
+// Max are the extremes of the non-NULL values other than NaN (0 when
+// there are none); Mean averages every non-NULL value. A chunk that
+// fails to decode truncates the summary (display statistics are
+// best-effort; scans surface the error properly).
 func Summarize(t *Table) []ColumnSummary {
+	ctx := context.TODO() // Summarize is a display helper with no request behind it
 	out := make([]ColumnSummary, 0, t.NumCols())
 	for ci := 0; ci < t.NumCols(); ci++ {
 		f := t.Schema().Field(ci)
-		s := ColumnSummary{Name: f.Name, Type: f.Type, Rows: t.NumRows()}
-		col := t.Column(ci)
-		s.Nulls = col.NullCount()
-		switch c := col.(type) {
-		case *Int64Column:
-			summarizeNumeric(&s, c.Len(), c.IsNull, func(i int) float64 { return float64(c.At(i)) })
-		case *Float64Column:
-			summarizeNumeric(&s, c.Len(), c.IsNull, c.At)
-		case *StringColumn:
-			s.Cardinality = c.Cardinality()
-			counts := make([]int, c.Cardinality())
-			for i, code := range c.Codes() {
-				if !c.IsNull(i) {
-					counts[code]++
-				}
+		s := ColumnSummary{Name: f.Name, Type: f.Type, Rows: t.NumRows(), Nulls: t.Column(ci).NullCount()}
+		runs := t.Runs(ci)
+		walk := func(fn func(p *ChunkPayload)) {
+			_ = runs.Walk(ctx, nil, 1, "storage.summary", nil, func(_, _ int, p *ChunkPayload) { fn(p) })
+		}
+		switch f.Type {
+		case Int64, Float64:
+			sum, count := 0.0, 0
+			s.Min, s.Max = math.Inf(1), math.Inf(-1)
+			walk(func(p *ChunkPayload) {
+				p.EachFloat(func(v float64) {
+					if v < s.Min { // false for NaN
+						s.Min = v
+					}
+					if v > s.Max {
+						s.Max = v
+					}
+					sum += v
+					count++
+				})
+			})
+			if s.Min > s.Max { // no value but NaN
+				s.Min, s.Max = 0, 0
 			}
-			s.TopValues = topValues(c.Dict(), counts)
-		case *BoolColumn:
-			for i := 0; i < c.Len(); i++ {
-				if !c.IsNull(i) && c.At(i) {
-					s.TrueCount++
-				}
+			if count > 0 {
+				s.Mean = sum / float64(count)
 			}
-		case *LazyColumn:
-			summarizeLazy(&s, c)
+		case String:
+			dict, err := Dictionary(t.Column(ci))
+			if err != nil {
+				break
+			}
+			s.Cardinality = len(dict)
+			counts := make([]int, len(dict))
+			walk(func(p *ChunkPayload) { p.CountCodes(counts) })
+			s.TopValues = topValues(dict, counts)
+		case Bool:
+			walk(func(p *ChunkPayload) {
+				_, trues := p.CountBools()
+				s.TrueCount += trues
+			})
 		}
 		out = append(out, s)
 	}
 	return out
-}
-
-// summarizeLazy summarizes a store-backed column chunk by chunk. A
-// chunk that fails to decode truncates the summary (display statistics
-// are best-effort; scans surface the error properly).
-func summarizeLazy(s *ColumnSummary, c *LazyColumn) {
-	ctx := context.TODO() // Summarize is a display helper with no request behind it
-	switch c.Type() {
-	case Int64, Float64:
-		s.Min, s.Max = 0, 0
-		sum, count := 0.0, 0
-		first := true
-		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
-			for i := 0; i < p.Rows(); i++ {
-				if p.IsNull(i) {
-					continue
-				}
-				v := p.Numeric(i)
-				if first {
-					s.Min, s.Max, first = v, v, false
-				} else if v < s.Min {
-					s.Min = v
-				} else if v > s.Max {
-					s.Max = v
-				}
-				sum += v
-				count++
-			}
-			return true, nil
-		})
-		if count > 0 {
-			s.Mean = sum / float64(count)
-		}
-	case String:
-		dict, err := c.DictValues()
-		if err != nil {
-			return
-		}
-		s.Cardinality = len(dict)
-		counts := make([]int, len(dict))
-		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
-			for i, code := range p.Codes {
-				if !p.IsNull(i) {
-					counts[code]++
-				}
-			}
-			return true, nil
-		})
-		s.TopValues = topValues(dict, counts)
-	case Bool:
-		_ = c.ForEachChunk(ctx, func(k, lo int, p *ChunkPayload) (bool, error) {
-			for i, v := range p.Bools {
-				if v && !p.IsNull(i) {
-					s.TrueCount++
-				}
-			}
-			return true, nil
-		})
-	}
 }
 
 // topValues returns up to 5 dictionary values by descending count, ties
@@ -169,28 +131,4 @@ func topValues(dict []string, counts []int) []ValueCount {
 		out = append(out, ValueCount{all[i].v, all[i].n})
 	}
 	return out
-}
-
-func summarizeNumeric(s *ColumnSummary, n int, isNull func(int) bool, at func(int) float64) {
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	sum, count := 0.0, 0
-	for i := 0; i < n; i++ {
-		if isNull(i) {
-			continue
-		}
-		v := at(i)
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-		count++
-	}
-	if count == 0 {
-		s.Min, s.Max, s.Mean = 0, 0, 0
-		return
-	}
-	s.Mean = sum / float64(count)
 }
