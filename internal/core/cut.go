@@ -125,9 +125,10 @@ func (x *cutter) reqCtx() context.Context {
 // cutScratch is what numeric CUT materializes: the extraction — the
 // column's values under the selection and the rows they came from, which
 // the cut then partitions from — a NaN-free copy of the values when they
-// hold NaN, and, for median cuts, the candidates the quantile selection
-// narrows down to. They are recycled together so that a large buffer is
-// never handed out as a small one and grown again.
+// hold NaN, and, for median cuts, the quantile selection's scratch: its
+// sample, the values its bracket gathers and their spare. They are
+// recycled together so that a large buffer is never handed out as a small
+// one and grown again.
 type cutScratch struct {
 	engine.NumericExtract
 	finite, candidates []float64

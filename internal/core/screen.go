@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/bitvec"
 	"repro/internal/storage"
@@ -39,7 +40,10 @@ type ScreenOptions struct {
 	// MaxCardinality is the maximum distinct count a categorical column
 	// may have before it is flagged.
 	MaxCardinality int
-	// UniqueRatio flags a column when distinct/rows exceeds it.
+	// UniqueRatio flags a String column as near-unique when its
+	// distinct/rows exceeds it. Int64 columns follow a fixed key rule
+	// instead: flagged when more than 0.95 of at least 100 rows are
+	// distinct. Float64 columns are never flagged for uniqueness.
 	UniqueRatio float64
 	// SampleRows caps the rows examined per column (0 = all).
 	SampleRows int
@@ -91,11 +95,24 @@ func screenColumnsN(ctx context.Context, t *storage.Table, sel *bitvec.Vector, o
 // order until its verdict is settled or the sample limit is reached,
 // reading only the runs that hold them. A chunk-fetch failure panics
 // with the ChunkError; the pipeline's recovery converts it to an error.
+//
+// String and Int64 columns stop early only when the duplicates seen
+// prove the column will be kept: enough of them that it cannot turn out
+// near-unique however the sample ends, at least two distinct values, and
+// for a String column a dictionary no larger than MaxCardinality. Its
+// finding is then none, as the walk to the limit would have found, and a
+// column that is flagged is always walked to the limit, so every finding
+// and its Cardinality are those of the full sample.
 func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel *bitvec.Vector, opts ScreenOptions) *ScreenFinding {
+	selected := sel.Count()
 	limit := opts.SampleRows
 	if limit <= 0 {
-		limit = sel.Count()
+		limit = selected
 	}
+	// At most min(limit, selected) rows are visited. Once settled(share)
+	// of them are duplicates, at most 1−share of the rows visited by the
+	// end can be distinct, with a duplicate to spare against rounding.
+	settled := func(share float64) int { return int(math.Ceil(share*float64(min(limit, selected)))) + 1 }
 	// walk hands visit the runs holding selected rows, in row order, until
 	// it returns false; EachRow then visits a run's selected non-NULL rows.
 	words := sel.Words()
@@ -107,35 +124,50 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 	switch runs.Type() {
 	case storage.String:
 		// Dictionary cardinality is the global distinct count; check the
-		// selection-local counts up to the sample limit.
-		distinct := map[uint32]struct{}{}
-		rows := 0
+		// selection-local counts up to the sample limit. seen is a bitset
+		// over the codes met so far. The dictionary's length bounds the
+		// distinct count, but it is asked for only once the duplicates
+		// would settle the verdict, and used only when known without a
+		// load: the screen itself resolves no dictionary and opens no
+		// deferred shard.
+		var seen []uint64
+		rows, distinct := 0, 0
+		dups, checked, smallDict := settled(1-opts.UniqueRatio), false, false
 		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
 			return p.EachRow(words, w0, w1, func(_, l int) bool {
+				c := p.Codes[l]
+				if wi := int(c >> 6); wi >= len(seen) {
+					seen = append(seen, make([]uint64, wi+1-len(seen))...)
+				}
+				distinct += int(^seen[c>>6] >> (c & 63) & 1)
+				seen[c>>6] |= 1 << (c & 63)
 				rows++
-				distinct[p.Codes[l]] = struct{}{}
-				return rows < limit
+				if !checked && rows-distinct >= dups && distinct > 1 {
+					n, ok := runs.DictLen()
+					checked, smallDict = true, ok && n <= opts.MaxCardinality
+				}
+				return rows < limit && !smallDict
 			})
 		})
 		switch {
 		case rows == 0:
 			return &ScreenFinding{f.Name, ScreenAllNull, 0}
-		case len(distinct) <= 1:
-			return &ScreenFinding{f.Name, ScreenConstant, len(distinct)}
-		case float64(len(distinct)) > opts.UniqueRatio*float64(rows):
-			return &ScreenFinding{f.Name, ScreenNearUnique, len(distinct)}
-		case len(distinct) > opts.MaxCardinality:
-			return &ScreenFinding{f.Name, ScreenHighCardinality, len(distinct)}
+		case distinct <= 1:
+			return &ScreenFinding{f.Name, ScreenConstant, distinct}
+		case float64(distinct) > opts.UniqueRatio*float64(rows):
+			return &ScreenFinding{f.Name, ScreenNearUnique, distinct}
+		case distinct > opts.MaxCardinality:
+			return &ScreenFinding{f.Name, ScreenHighCardinality, distinct}
 		}
 		return nil
 	case storage.Int64:
 		distinct := map[int64]struct{}{}
-		rows := 0
+		rows, dups := 0, settled(0.05)
 		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
 			return p.EachRow(words, w0, w1, func(_, l int) bool {
 				rows++
 				distinct[p.Ints[l]] = struct{}{}
-				return rows < limit
+				return rows < limit && (rows-len(distinct) < dups || len(distinct) < 2)
 			})
 		})
 		switch {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -161,5 +165,241 @@ func TestScreenFloatColumnsNotFlaggedForUniqueness(t *testing.T) {
 	keep, flagged := screenEach(t, tbl, bitvec.NewFull(500), DefaultScreenOptions())
 	if len(keep) != 1 || len(flagged) != 0 {
 		t.Fatalf("keep=%v flagged=%v", keep, flagged)
+	}
+}
+
+// screenOracle is the screen without any early exit: every column's
+// selected non-NULL rows are read row by row up to the sample limit, and
+// the verdict rules are applied to what was read.
+func screenOracle(tbl *storage.Table, sel *bitvec.Vector, opts ScreenOptions) (keep []string, flagged []ScreenFinding) {
+	if opts.MaxCardinality <= 0 {
+		opts.MaxCardinality = DefaultScreenOptions().MaxCardinality
+	}
+	if opts.UniqueRatio <= 0 || opts.UniqueRatio > 1 {
+		opts.UniqueRatio = DefaultScreenOptions().UniqueRatio
+	}
+	limit := opts.SampleRows
+	if limit <= 0 {
+		limit = sel.Count()
+	}
+	for ci := 0; ci < tbl.NumCols(); ci++ {
+		f, col := tbl.Schema().Field(ci), tbl.Column(ci)
+		rows, distinct := 0, map[any]bool{}
+		sel.ForEach(func(r int) bool {
+			if !col.IsNull(r) {
+				rows++
+				distinct[col.Value(r)] = true
+			}
+			return rows < limit
+		})
+		d := len(distinct)
+		var finding *ScreenFinding
+		switch {
+		case rows == 0:
+			finding = &ScreenFinding{f.Name, ScreenAllNull, 0}
+		case d <= 1 && (f.Type == storage.String || f.Type == storage.Int64):
+			finding = &ScreenFinding{f.Name, ScreenConstant, d}
+		case d <= 1:
+			finding = &ScreenFinding{f.Name, ScreenConstant, 1}
+		case f.Type == storage.String && float64(d) > opts.UniqueRatio*float64(rows):
+			finding = &ScreenFinding{f.Name, ScreenNearUnique, d}
+		case f.Type == storage.String && d > opts.MaxCardinality:
+			finding = &ScreenFinding{f.Name, ScreenHighCardinality, d}
+		case f.Type == storage.Int64 && rows >= 100 && float64(d) > 0.95*float64(rows):
+			finding = &ScreenFinding{f.Name, ScreenNearUnique, d}
+		}
+		if finding == nil {
+			keep = append(keep, f.Name)
+		} else {
+			flagged = append(flagged, *finding)
+		}
+	}
+	return keep, flagged
+}
+
+// tallySource serves a chunked resident table's chunks to lazy
+// columns and counts the fetches.
+type tallySource struct {
+	tbl     *storage.Table
+	fetches atomic.Int64
+}
+
+func (s *tallySource) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
+	s.fetches.Add(1)
+	p, err := s.tbl.Runs(ci).Run(ctx, k, nil)
+	return p, true, err
+}
+
+func (s *tallySource) PrefetchChunks(context.Context, int, []int) {}
+
+// tallyTable holds tbl as lazy columns over a tallySource whose
+// dictionaries resolve on first use, counting the resolutions in loads.
+func tallyTable(t *testing.T, tbl *storage.Table, chunkRows int, loads *atomic.Int64) (*storage.Table, *tallySource) {
+	t.Helper()
+	ck, err := storage.ComputeChunking(tbl, chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]storage.Column, tbl.NumCols())
+	for ci := range cols {
+		cols[ci] = tbl.Column(ci)
+	}
+	chunked, err := storage.NewChunkedTable(tbl.Name(), tbl.Schema(), cols, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &tallySource{tbl: chunked}
+	lazy := make([]storage.Column, tbl.NumCols())
+	for ci := range lazy {
+		col := tbl.Column(ci)
+		cfg := storage.LazyColumnConfig{Source: src, Col: ci, Type: col.Type(), Rows: tbl.NumRows(), ChunkSize: chunkRows, NullCount: col.NullCount()}
+		if col.Type() == storage.String {
+			cfg.DictFn = func() ([]string, error) {
+				loads.Add(1)
+				return storage.Dictionary(col)
+			}
+		}
+		if lazy[ci], err = storage.NewLazyColumn(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := storage.NewChunkedTable(tbl.Name(), tbl.Schema(), lazy, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, src
+}
+
+// screenPropertyTable generates one column of each shape the early exit
+// must get right: near-unique and low-cardinality ints, ints right at the
+// key rule's 0.95, high-cardinality strings, strings with a dictionary of
+// at most 64 entries, strings whose large dictionary the selection uses
+// only a little of, strings right at UniqueRatio, columns constant over
+// their first half, constant and all-NULL columns of every type, and
+// NULLs sprinkled through the rest.
+func screenPropertyTable(n int, rnd *rand.Rand) *storage.Table {
+	fields := []storage.Field{
+		{Name: "int_key", Type: storage.Int64},
+		{Name: "int_low", Type: storage.Int64},
+		{Name: "int_edge", Type: storage.Int64},
+		{Name: "int_over", Type: storage.Int64},
+		{Name: "int_lead", Type: storage.Int64},
+		{Name: "int_const", Type: storage.Int64},
+		{Name: "int_null", Type: storage.Int64},
+		{Name: "str_high", Type: storage.String},
+		{Name: "str_small", Type: storage.String},
+		{Name: "str_skewed", Type: storage.String},
+		{Name: "str_edge", Type: storage.String},
+		{Name: "str_over", Type: storage.String},
+		{Name: "str_lead", Type: storage.String},
+		{Name: "str_const", Type: storage.String},
+		{Name: "str_null", Type: storage.String},
+		{Name: "flt", Type: storage.Float64},
+		{Name: "flt_const", Type: storage.Float64},
+		{Name: "bool", Type: storage.Bool},
+		{Name: "bool_null", Type: storage.Bool},
+	}
+	b := storage.NewBuilder("p", storage.MustSchema(fields...))
+	perm := rnd.Perm(n)
+	nullable := func(v any) any {
+		if rnd.Intn(25) == 0 {
+			return nil
+		}
+		return v
+	}
+	for r := 0; r < n; r++ {
+		key := perm[r]
+		if rnd.Intn(40) == 0 {
+			key = perm[rnd.Intn(n)]
+		}
+		// edge repeats its value once in twenty rows: 0.95 distinct, not
+		// above it; over has one duplicate less. str_edge and str_over
+		// do the same at 0.8.
+		edge, over := r, r
+		if r%20 == 19 {
+			edge, over = r-1, r-1
+		}
+		if r == n-1 {
+			over = -1
+		}
+		// lead is constant over the first half of the rows, then varies
+		lead := 0
+		if r >= n/2 {
+			lead = rnd.Intn(5)
+		}
+		strEdge := fmt.Sprintf("e%d", r*4/5)
+		strOver := strEdge
+		if r == n-1 {
+			strOver = "last"
+		}
+		skewed := fmt.Sprintf("s%d", rnd.Intn(3))
+		if r < n/3 {
+			skewed = fmt.Sprintf("tail%d", rnd.Intn(200))
+		}
+		b.MustAppendRow(
+			nullable(key), nullable(rnd.Intn(9)), edge, over, lead, 7, nil,
+			nullable(fmt.Sprintf("h%d", rnd.Intn(n/4+2))), nullable(fmt.Sprintf("c%d", rnd.Intn(1+rnd.Intn(64)))),
+			skewed, strEdge, strOver, fmt.Sprintf("l%d", lead), "same", nil,
+			nullable(rnd.NormFloat64()), 2.5, nullable(rnd.Intn(2) == 0), nil,
+		)
+	}
+	return b.MustBuild()
+}
+
+// TestScreenEarlyExitMatchesFullScan: over generated columns, selections
+// and options, the screen — in memory, and lazy with its dictionaries
+// unresolved and resolved — reports exactly the findings, reasons and
+// Cardinality included, of reading every column to the sample limit. It
+// resolves no dictionary of its own, and with a resolved one it stops
+// early on the columns whose verdict is settled.
+func TestScreenEarlyExitMatchesFullScan(t *testing.T) {
+	const chunkRows = 256
+	rnd := rand.New(rand.NewSource(41))
+	for _, n := range []int{150, 4000} {
+		tbl := screenPropertyTable(n, rnd)
+		half, band := bitvec.New(n), bitvec.New(n)
+		for r := 0; r < n; r++ {
+			if rnd.Intn(2) == 0 {
+				half.Set(r)
+			}
+			if r >= n/3 {
+				band.Set(r)
+			}
+		}
+		sels := map[string]*bitvec.Vector{"full": bitvec.NewFull(n), "half": half, "band": band, "empty": bitvec.New(n)}
+		for selName, sel := range sels {
+			for _, opts := range []ScreenOptions{DefaultScreenOptions(), {SampleRows: 100}, {MaxCardinality: 250}, {UniqueRatio: 0.5, MaxCardinality: 250}, {UniqueRatio: 0.99}} {
+				label := fmt.Sprintf("n=%d %s %+v", n, selName, opts)
+				wantKeep, wantFlagged := screenOracle(tbl, sel, opts)
+				keep, flagged := ScreenColumns(tbl, sel, opts)
+				if !reflect.DeepEqual(keep, wantKeep) || !reflect.DeepEqual(flagged, wantFlagged) {
+					t.Errorf("%s: in memory keep=%v flagged=%v, full scan keep=%v flagged=%v", label, keep, flagged, wantKeep, wantFlagged)
+				}
+				var loads atomic.Int64
+				lazy, src := tallyTable(t, tbl, chunkRows, &loads)
+				keep, flagged = ScreenColumns(lazy, sel, opts)
+				if !reflect.DeepEqual(keep, wantKeep) || !reflect.DeepEqual(flagged, wantFlagged) {
+					t.Errorf("%s: lazy keep=%v flagged=%v, full scan keep=%v flagged=%v", label, keep, flagged, wantKeep, wantFlagged)
+				}
+				if loads.Load() != 0 {
+					t.Errorf("%s: the screen resolved %d dictionaries", label, loads.Load())
+				}
+				cold := src.fetches.Swap(0)
+				for ci := 0; ci < lazy.NumCols(); ci++ {
+					if lazy.Schema().Field(ci).Type == storage.String {
+						if _, err := storage.Dictionary(lazy.Column(ci)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				keep, flagged = ScreenColumns(lazy, sel, opts)
+				if !reflect.DeepEqual(keep, wantKeep) || !reflect.DeepEqual(flagged, wantFlagged) {
+					t.Errorf("%s: resolved lazy keep=%v flagged=%v, full scan keep=%v flagged=%v", label, keep, flagged, wantKeep, wantFlagged)
+				}
+				if warm := src.fetches.Load(); warm > cold || n == 4000 && selName == "full" && opts.SampleRows == 0 && opts.UniqueRatio == 0.8 && warm == cold {
+					t.Errorf("%s: %d chunk fetches with dictionaries resolved, %d without", label, warm, cold)
+				}
+			}
+		}
 	}
 }

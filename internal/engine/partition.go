@@ -15,7 +15,10 @@ import (
 // disjoint bitmap per predicate; NULL rows and rows matching no
 // predicate are left out. For categorical columns the predicates are
 // compiled to a code→region table, making the per-row cost O(1)
-// regardless of the number of regions.
+// regardless of the number of regions. Numeric predicates in CUT's shape
+// — a chain [e0,e1) … [e(k−1),ek] — are compiled to their edges, one
+// comparison per interior edge (edgeChain); any other list is tested
+// range by range, first match wins.
 //
 // All predicates must target attr with the kind matching the column
 // type. Compared with evaluating each region query independently, this
@@ -66,6 +69,16 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	case storage.Int64, storage.Float64:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
 			return nil, err
+		}
+		if c, ok := chainOf(preds); ok {
+			part = func(w0, w1 int, p *storage.ChunkPayload) {
+				if p.Ints != nil {
+					partitionChain(&c, p.Ints, p.Nulls, selWords, outWords, w0, w1)
+				} else {
+					partitionChain(&c, p.Floats, p.Nulls, selWords, outWords, w0, w1)
+				}
+			}
+			break
 		}
 		ms := compileRanges(preds)
 		part = func(w0, w1 int, p *storage.ChunkPayload) {
@@ -136,7 +149,10 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 // to PartitionBits over the selection x was extracted under — NaN, like
 // NULL, falls in no region. x must be as ExtractNumericUnder left it.
 // Numeric CUT partitions this way from the values it already read to
-// find its edges, so a cut reads its column once.
+// find its edges, so a cut reads its column once. A cut's predicates are
+// a chain whose ends are the extremes of its values, so unless x holds
+// NaN its summary proves every value passes the chain's gate, which is
+// then skipped: a median split is one comparison per value.
 func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vector, error) {
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("engine: partition with zero predicates")
@@ -152,7 +168,12 @@ func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vect
 		out[i] = bitvec.New(x.rows)
 		outWords[i] = out[i].Words()
 	}
-	partitionValues(compileRanges(preds), x.Vals, x.Present, outWords)
+	if c, ok := chainOf(preds); ok {
+		gate := x.Sum.NaN > 0 || x.Sum.Min < c.lo || x.Sum.Max > c.hi
+		partitionChainValues(&c, gate, x.Vals, x.Present, outWords)
+	} else {
+		partitionValues(compileRanges(preds), x.Vals, x.Present, outWords)
+	}
 	return out, nil
 }
 

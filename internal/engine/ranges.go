@@ -92,6 +92,113 @@ func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64
 	}
 }
 
+// edgeChain is a CUT's region list compiled down to its edges. The
+// ranges of one cut form a chain [e0,e1) … [e(k−1),ek]: a value's region
+// is the number of interior edges e1 … e(k−1) at or below it, provided it
+// passes the gate e0 ≤ v ≤ ek. NaN fails the gate and so, as under
+// rangeMatcher, lands in no region; the regions are rangeMatcher's
+// first-match partition bit for bit, at one comparison per interior edge
+// (the default median split has one) instead of up to four per range.
+//
+// A word's region masks are built an edge at a time: of the lanes still
+// in play — at first those that pass the gate — the ones below the next
+// interior edge belong to the current region and the rest move on to the
+// next.
+type edgeChain struct {
+	lo, hi float64   // e0 and ek: the gate
+	inner  []float64 // e1 … e(k−1), ascending
+}
+
+// chainOf compiles preds — Range predicates — to an edgeChain when they
+// form one: no bound is NaN, each range ends where the next begins, the
+// chain is closed at both ends and half-open inside.
+func chainOf(preds []query.Predicate) (edgeChain, bool) {
+	k := len(preds)
+	if !preds[0].LoIncl || !preds[k-1].HiIncl {
+		return edgeChain{}, false
+	}
+	c := edgeChain{lo: preds[0].Lo, hi: preds[k-1].Hi, inner: make([]float64, 0, k-1)}
+	for i, p := range preds {
+		if !(p.Lo <= p.Hi) {
+			return edgeChain{}, false
+		}
+		if i > 0 {
+			if prev := preds[i-1]; prev.HiIncl || !p.LoIncl || prev.Hi != p.Lo {
+				return edgeChain{}, false
+			}
+			c.inner = append(c.inner, p.Lo)
+		}
+	}
+	return c, true
+}
+
+// partitionChain is partitionRanges for a chain: same layout, same
+// bitmaps.
+func partitionChain[T numeric](c *edgeChain, vals []T, nulls, sel []uint64, out [][]uint64, w0, w1 int) {
+	for wi := w0; wi < w1; wi++ {
+		lanes := sel[wi]
+		if nulls != nil {
+			lanes &^= nulls[wi-w0]
+		}
+		if lanes == 0 {
+			continue
+		}
+		row := vals[(wi-w0)*64:]
+		var in uint64
+		for m := lanes; m != 0; m &= m - 1 {
+			v := float64(row[bits.TrailingZeros64(m)])
+			in |= (m & -m) & -(b2u(v >= c.lo) & b2u(v <= c.hi))
+		}
+		r := 0
+		for ; r < len(c.inner) && in != 0; r++ {
+			e := c.inner[r]
+			var ge uint64
+			for m := in; m != 0; m &= m - 1 {
+				ge |= (m & -m) & -b2u(float64(row[bits.TrailingZeros64(m)]) >= e)
+			}
+			out[r][wi], in = in&^ge, ge
+		}
+		if in != 0 {
+			out[r][wi] = in
+		}
+	}
+}
+
+// partitionChainValues is partitionChain over extracted values, laid out
+// as partitionValues reads them. gate is false when the extraction's
+// summary proves every value passes it: no NaN, and its extremes inside
+// [e0, ek], as they are for a cut of the values themselves.
+func partitionChainValues(c *edgeChain, gate bool, vals []float64, present []uint64, out [][]uint64) {
+	j := 0
+	for wi, word := range present {
+		if word == 0 {
+			continue
+		}
+		row := vals[j : j+bits.OnesCount64(word)]
+		j += len(row)
+		in := word
+		if gate {
+			in = 0
+			for k, w := 0, word; w != 0; k, w = k+1, w&(w-1) {
+				in |= (w & -w) & -(b2u(row[k] >= c.lo) & b2u(row[k] <= c.hi))
+			}
+		}
+		r := 0
+		for ; r < len(c.inner) && in != 0; r++ {
+			e := c.inner[r]
+			var ge uint64
+			for k, w := 0, word; w != 0; k, w = k+1, w&(w-1) {
+				ge |= (w & -w) & -b2u(row[k] >= e)
+			}
+			ge &= in
+			out[r][wi], in = in&^ge, ge
+		}
+		if in != 0 {
+			out[r][wi] = in
+		}
+	}
+}
+
 // partitionValues is partitionRanges over extracted values: present
 // marks the rows and vals holds their values in row order. A word's
 // values are consumed in bit order, so each matcher walks the word's

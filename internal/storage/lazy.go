@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 )
@@ -151,6 +152,8 @@ type LazyColumn struct {
 	dictFn   func() ([]string, error)
 	dict     []string
 	dictErr  error
+	// dictReady is set once dict holds the resolved dictionary.
+	dictReady atomic.Bool
 }
 
 // LazyColumnConfig assembles a LazyColumn.
@@ -252,7 +255,10 @@ func (c *LazyColumn) DictValues() ([]string, error) {
 	if c.typ != String {
 		return nil, fmt.Errorf("storage: DictValues on %v column", c.typ)
 	}
-	c.dictOnce.Do(func() { c.dict, c.dictErr = c.dictFn() })
+	c.dictOnce.Do(func() {
+		c.dict, c.dictErr = c.dictFn()
+		c.dictReady.Store(c.dictErr == nil)
+	})
 	return c.dict, c.dictErr
 }
 

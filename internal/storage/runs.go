@@ -71,6 +71,21 @@ func Dictionary(c Column) ([]string, error) {
 	}
 }
 
+// DictLen returns the dictionary length of a String column when it is
+// known without loading anything — a resident column's, or a lazy
+// column's once resolved — and ok false otherwise.
+func (r *Runs) DictLen() (n int, ok bool) {
+	switch c := r.col.(type) {
+	case *StringColumn:
+		return len(c.dict), true
+	case *LazyColumn:
+		if c.dictReady.Load() {
+			return len(c.dict), true
+		}
+	}
+	return 0, false
+}
+
 // Hint hands a lazy column's source the window ks of runs the caller is
 // about to read (see ChunkSource.PrefetchChunks); resident runs need no
 // loading.
