@@ -182,6 +182,65 @@ func TestFacadeJoinFK(t *testing.T) {
 	}
 }
 
+// TestPaperFigure2 is the paper's introductory census query, run
+// through the CQL facade: {age, sex} and {education, salary} each come
+// back as one map, and the independent eye_color stays alone.
+func TestPaperFigure2(t *testing.T) {
+	ex, err := New(CensusDataset(10000, 7), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Explore("EXPLORE census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, m := range res.Maps {
+		keys[m.Key()] = true
+	}
+	for _, want := range []string{"age,sex", "education,salary", "eye_color"} {
+		if !keys[want] {
+			t.Errorf("no {%s} map; got %v", want, keysOf(res))
+		}
+	}
+	for k := range keys {
+		if strings.Contains(k, "eye_color") && k != "eye_color" {
+			t.Errorf("eye_color merged into {%s}", k)
+		}
+	}
+}
+
+// TestPaperJoinFactTableAlone is Section 5.2's multi-table claim: the
+// {amount, segment} dependency spans the FK join, so exploring the fact
+// table alone cannot expose it, while the joined table does.
+func TestPaperJoinFactTableAlone(t *testing.T) {
+	orders, customers := OrdersDataset(20000, 500, 13)
+	joined, err := JoinFK(orders, "cid", customers, "cid", "orders_x_customers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tbl  *Table
+		want bool
+	}{{orders, false}, {joined, true}} {
+		ex, err := New(c.tbl, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ex.Explore("EXPLORE " + c.tbl.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, m := range res.Maps {
+			found = found || m.Key() == "amount,segment"
+		}
+		if found != c.want {
+			t.Errorf("%s: {amount,segment} map found = %v, want %v; maps %v", c.tbl.Name(), found, c.want, keysOf(res))
+		}
+	}
+}
+
 func keysOf(r *Result) []string {
 	out := make([]string, len(r.Maps))
 	for i, m := range r.Maps {

@@ -1,18 +1,18 @@
 package atlas
 
-// The benchmark harness: one benchmark per experiment (E1–E15, the
-// regenerated figures and claims of the paper — `atlasbench -list` names
-// them), plus micro-benchmarks
-// for the pipeline's cost drivers (CUT strategies, dependency distances,
-// SLINK, FK join, end-to-end exploration latency).
+// Micro-benchmarks for the pipeline's cost drivers: end-to-end and
+// anytime exploration, CUT per strategy, the partition kernels,
+// dependency distances, SLINK, predicate evaluation and the FK join.
+// They guide work on one kernel; the pinned end-to-end benchmark is
+// bench/ (bash bench/run.sh), and the paper's claims are the TestPaper*
+// tests.
 //
-// Run everything:   go test -bench=. -benchmem
-// One experiment:   go test -bench=BenchmarkE4 -benchmem
+// Run everything:   go test -run=NONE -bench=. -benchmem .
+// One benchmark:    go test -run=NONE -bench=BenchmarkCutStrategies -benchmem .
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -23,40 +23,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
-
-// benchExperiment runs a registered experiment in quick mode, discarding
-// its printed tables; the benchmark time is the full experiment cost.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1_Figure2_TwoMaps(b *testing.B)          { benchExperiment(b, "E1") }
-func BenchmarkE2_Figure3_Cut(b *testing.B)              { benchExperiment(b, "E2") }
-func BenchmarkE3_Figure4_MapClustering(b *testing.B)    { benchExperiment(b, "E3") }
-func BenchmarkE4_Figure5_ProductVsCompose(b *testing.B) { benchExperiment(b, "E4") }
-func BenchmarkE5_LatencyVsBaselines(b *testing.B)       { benchExperiment(b, "E5") }
-func BenchmarkE6_CutMethodAblation(b *testing.B)        { benchExperiment(b, "E6") }
-func BenchmarkE7_SplitsAblation(b *testing.B)           { benchExperiment(b, "E7") }
-func BenchmarkE8_DistanceAblation(b *testing.B)         { benchExperiment(b, "E8") }
-func BenchmarkE9_EntropyRanking(b *testing.B)           { benchExperiment(b, "E9") }
-func BenchmarkE10_SamplingAnytime(b *testing.B)         { benchExperiment(b, "E10") }
-func BenchmarkE12_MultiTableJoin(b *testing.B)          { benchExperiment(b, "E12") }
-func BenchmarkE13_Screening(b *testing.B)               { benchExperiment(b, "E13") }
-func BenchmarkE14_SLINKVsNaive(b *testing.B)            { benchExperiment(b, "E14") }
-func BenchmarkE15_ReadabilityBudgets(b *testing.B)      { benchExperiment(b, "E15") }
 
 // ---- pipeline micro-benchmarks ----
 
@@ -296,9 +265,13 @@ func BenchmarkMapDistance(b *testing.B) {
 	tbl := datagen.Census(100000, 1)
 	base := bitvec.NewFull(tbl.NumRows())
 	mk := func(attr string) *core.Map {
-		regions, err := core.CutQuery(tbl, base, query.New("census"), attr, core.DefaultCutOptions())
+		preds, err := core.CutPredicates(tbl, base, attr, core.DefaultCutOptions())
 		if err != nil {
 			b.Fatal(err)
+		}
+		regions := make([]query.Query, len(preds))
+		for i, p := range preds {
+			regions[i] = query.New("census", p)
 		}
 		m, err := core.BuildMap(tbl, base, []string{attr}, regions)
 		if err != nil {

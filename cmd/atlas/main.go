@@ -12,6 +12,7 @@
 //	atlas remote-manifest -manifest data.atlm -out remote.atlm \
 //	    -urls http://host1:9001,http://host2:9001
 //	atlas workload -in workload.jsonl [-v]
+//	atlas replay [-target URL] [-pacing closed|open] [-speed 10] [-slo-strict] workload.jsonl
 //
 // The ingest subcommand converts a CSV file into the on-disk columnar
 // store format (".atl"): per-column chunked segments with zone maps,
@@ -26,6 +27,13 @@
 // locations into the URLs of atlasd -serve-shard processes, producing
 // the coordinator manifest of a scale-out deployment; -store (here and
 // in atlasd) opens such manifests through the remote shard fabric.
+//
+// The workload subcommand summarizes a recorded workload file (atlasd
+// -record-workload, or GET /api/workload); replay runs it against a
+// server twice — a sequential reference pass, then the paced concurrent
+// pass — fails unless the two answer byte-identically, and scores the
+// second against an SLO. Without -target it serves the bundled census
+// table (100000 rows) in process.
 //
 // REPL commands:
 //
@@ -60,26 +68,20 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "ingest" {
-		if err := runIngest(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "atlas ingest:", err)
-			os.Exit(1)
-		}
-		return
+	subcommands := map[string]func([]string, io.Writer) error{
+		"ingest":          runIngest,
+		"remote-manifest": runRemoteManifest,
+		"workload":        runWorkload,
+		"replay":          runReplay,
 	}
-	if len(os.Args) > 1 && os.Args[1] == "remote-manifest" {
-		if err := runRemoteManifest(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "atlas remote-manifest:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			if err := run(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "atlas %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "workload" {
-		if err := runWorkload(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "atlas workload:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	var (
 		dataset = flag.String("dataset", "census", "bundled dataset: census, body, sky, orders")

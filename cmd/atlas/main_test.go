@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,5 +90,44 @@ func TestIngestAndLoadStore(t *testing.T) {
 	}
 	if err := runIngest([]string{"-csv", csvPath, "-chunk", "100"}, &out); err == nil {
 		t.Error("chunk size not a multiple of 64 must fail")
+	}
+}
+
+// TestReplay replays a hand-built three-entry workload — a stateless
+// explore, then a session explore and a drill — against the in-process
+// census in both pacings, and checks that -pacing and -speed refuse
+// values they would otherwise have reinterpreted.
+func TestReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "workload.jsonl")
+	jsonl := `{"format":"atlas-workload","version":1,"table":"census","start":"2026-01-01T00:00:00Z"}
+{"seq":0,"offsetNs":0,"op":"explore","input":"EXPLORE census WHERE age BETWEEN 25 AND 60","session":-1}
+{"seq":1,"offsetNs":1000000,"op":"session-explore","input":"EXPLORE census WHERE age > 50","session":0}
+{"seq":2,"offsetNs":2000000,"op":"drill","input":"drill map=0 region=0","session":0}
+`
+	if err := os.WriteFile(path, []byte(jsonl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-slo-strict", path},
+		{"-pacing", "open", "-speed", "10", "-slo-strict", path},
+	} {
+		var out strings.Builder
+		if err := runReplay(args, &out); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out.String())
+		}
+		for _, want := range []string{"3 entries, 1 sessions", "byte-identical", "3 requests", "SLO: pass"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%v: output lacks %q:\n%s", args, want, out.String())
+			}
+		}
+	}
+	if err := runReplay([]string{"-pacing", "opne", path}, io.Discard); !errors.Is(err, errPacing) {
+		t.Errorf("-pacing opne: err = %v, want %v", err, errPacing)
+	}
+	if err := runReplay([]string{"-speed", "-1", path}, io.Discard); !errors.Is(err, errSpeed) {
+		t.Errorf("-speed -1: err = %v, want %v", err, errSpeed)
+	}
+	if err := runReplay([]string{path, "-slo-strict"}, io.Discard); err == nil {
+		t.Error("a flag after the workload file must fail, not be ignored")
 	}
 }

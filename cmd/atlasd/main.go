@@ -88,7 +88,7 @@ func main() {
 		deferS  = flag.Bool("defer", false, "defer opening shard files until first touch (sharded stores)")
 		slowQ   = flag.Duration("slow-query", 0, "log explorations (or, with -serve-shard, fabric requests) that take at least this long (0 = disabled)")
 		pprofF  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (coordinator and -serve-shard)")
-		recordW = flag.String("record-workload", "", "append the query workload (JSONL, replayable with 'atlasbench -replay') to this file as queries finish")
+		recordW = flag.String("record-workload", "", "append the query workload (JSONL, replayable with 'atlas replay') to this file as queries finish")
 
 		// Overload-safety knobs (see README "Production hardening").
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query wall-clock deadline; requests may shorten it via X-Atlas-Query-Timeout (0 = none)")

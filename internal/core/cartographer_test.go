@@ -74,7 +74,7 @@ func TestExploreEmptySelection(t *testing.T) {
 
 // TestExploreCensusFigure2 is the paper's introductory scenario: Atlas
 // must group {age, sex} into one map and {education, salary} into
-// another, leaving the independent eye_color alone (E1).
+// another, leaving the independent eye_color alone.
 func TestExploreCensusFigure2(t *testing.T) {
 	tbl := datagen.Census(20000, 7)
 	c, err := NewCartographer(tbl, DefaultOptions())
@@ -112,8 +112,8 @@ func TestExploreCensusFigure2(t *testing.T) {
 	}
 	// budgets hold
 	for _, m := range res.Maps {
-		if m.NumRegions() > 8 {
-			t.Errorf("map %s has %d regions", m.Key(), m.NumRegions())
+		if len(m.Regions) > 8 {
+			t.Errorf("map %s has %d regions", m.Key(), len(m.Regions))
 		}
 		if len(m.Attrs) > 3 {
 			t.Errorf("map %s cuts %d attrs", m.Key(), len(m.Attrs))
@@ -129,7 +129,7 @@ func TestExploreCensusFigure2(t *testing.T) {
 
 // TestExploreBodyMetricsFigure4 checks the Figure 4 clustering: the
 // candidate maps of {age, income, education_years} group together, and
-// {size, weight} group together, with no cross-contamination (E3).
+// {size, weight} group together, with no cross-contamination.
 func TestExploreBodyMetricsFigure4(t *testing.T) {
 	tbl, _ := datagen.BodyMetrics(20000, 3)
 	c, err := NewCartographer(tbl, DefaultOptions())
@@ -256,7 +256,7 @@ func TestExploreProductMerge(t *testing.T) {
 		t.Fatal("no maps from product pipeline")
 	}
 	for _, m := range res.Maps {
-		if m.NumRegions() > 8 {
+		if len(m.Regions) > 8 {
 			t.Errorf("map %s exceeds region budget", m.Key())
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -80,18 +79,13 @@ func (d *Dendrogram) Merges() []Merge {
 	return out
 }
 
-// Cut returns the clusters obtained by applying every merge with height
-// ≤ threshold. Each cluster is a sorted list of item indexes; clusters are
-// ordered by their smallest member.
-func (d *Dendrogram) Cut(threshold float64) [][]int {
-	return d.CutWithBudget(threshold, d.n)
-}
-
-// CutWithBudget is Cut with a readability constraint: merges are applied
-// in ascending height order, and a merge is skipped when the combined
-// cluster would exceed maxSize items. This implements the paper's
-// requirement that a hierarchical algorithm "allows us to control the
-// size of the clusters, and thus the number of areas in the result".
+// CutWithBudget returns the clusters obtained by applying every merge
+// with height ≤ threshold, in ascending height order, skipping a merge
+// when the combined cluster would exceed maxSize items. Each cluster is a
+// sorted list of item indexes; clusters are ordered by their smallest
+// member. The budget implements the paper's requirement that a
+// hierarchical algorithm "allows us to control the size of the
+// clusters, and thus the number of areas in the result".
 func (d *Dendrogram) CutWithBudget(threshold float64, maxSize int) [][]int {
 	if maxSize < 1 {
 		maxSize = 1
@@ -159,29 +153,11 @@ func (u *unionFind) clusters() [][]int {
 	return out
 }
 
-// Linkage selects the cluster-distance rule for the naive agglomerative
-// implementation (used to validate SLINK and for the linkage ablation).
-type Linkage string
-
-const (
-	// LinkSingle merges on the minimum pairwise distance.
-	LinkSingle Linkage = "single"
-	// LinkComplete merges on the maximum pairwise distance.
-	LinkComplete Linkage = "complete"
-	// LinkAverage merges on the mean pairwise distance (UPGMA).
-	LinkAverage Linkage = "average"
-)
-
-// AgglomerateNaive runs textbook O(n³) agglomerative clustering with the
-// given linkage, stopping when the next merge exceeds threshold or would
+// AgglomerateNaive runs textbook O(n³) single-linkage agglomerative
+// clustering, stopping when the next merge exceeds threshold or would
 // create a cluster larger than maxSize. It returns clusters in the same
-// format as Dendrogram.Cut.
-func AgglomerateNaive(n int, dist func(i, j int) float64, link Linkage, threshold float64, maxSize int) ([][]int, error) {
-	switch link {
-	case LinkSingle, LinkComplete, LinkAverage:
-	default:
-		return nil, fmt.Errorf("core: unknown linkage %q", link)
-	}
+// format as Dendrogram.CutWithBudget, which tests check against it.
+func AgglomerateNaive(n int, dist func(i, j int) float64, threshold float64, maxSize int) [][]int {
 	if maxSize < 1 {
 		maxSize = 1
 	}
@@ -190,36 +166,15 @@ func AgglomerateNaive(n int, dist func(i, j int) float64, link Linkage, threshol
 		clusters[i] = []int{i}
 	}
 	clusterDist := func(a, b []int) float64 {
-		switch link {
-		case LinkSingle:
-			best := math.Inf(1)
-			for _, i := range a {
-				for _, j := range b {
-					if d := dist(i, j); d < best {
-						best = d
-					}
+		best := math.Inf(1)
+		for _, i := range a {
+			for _, j := range b {
+				if d := dist(i, j); d < best {
+					best = d
 				}
 			}
-			return best
-		case LinkComplete:
-			worst := math.Inf(-1)
-			for _, i := range a {
-				for _, j := range b {
-					if d := dist(i, j); d > worst {
-						worst = d
-					}
-				}
-			}
-			return worst
-		default: // LinkAverage
-			sum := 0.0
-			for _, i := range a {
-				for _, j := range b {
-					sum += dist(i, j)
-				}
-			}
-			return sum / float64(len(a)*len(b))
 		}
+		return best
 	}
 	for len(clusters) > 1 {
 		bi, bj, best := -1, -1, math.Inf(1)
@@ -247,5 +202,5 @@ func AgglomerateNaive(n int, dist func(i, j int) float64, link Linkage, threshol
 		clusters = append(next, merged)
 	}
 	sort.Slice(clusters, func(a, b int) bool { return clusters[a][0] < clusters[b][0] })
-	return clusters, nil
+	return clusters
 }

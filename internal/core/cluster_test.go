@@ -52,19 +52,19 @@ func TestSLINKKnownHierarchy(t *testing.T) {
 		t.Fatalf("merge heights = %v %v %v", merges[0].Height, merges[1].Height, merges[2].Height)
 	}
 	// cut below 0.3: {0,1},{2},{3}
-	cl := d.Cut(0.2)
+	cl := d.CutWithBudget(0.2, 4)
 	if len(cl) != 3 || !eqIntSlice(cl[0], []int{0, 1}) {
-		t.Fatalf("Cut(0.2) = %v", cl)
+		t.Fatalf("CutWithBudget(0.2) = %v", cl)
 	}
 	// cut at 0.3: {0,1,2},{3}
-	cl = d.Cut(0.3)
+	cl = d.CutWithBudget(0.3, 4)
 	if len(cl) != 2 || !eqIntSlice(cl[0], []int{0, 1, 2}) {
-		t.Fatalf("Cut(0.3) = %v", cl)
+		t.Fatalf("CutWithBudget(0.3) = %v", cl)
 	}
 	// cut above all: single cluster
-	cl = d.Cut(1.0)
+	cl = d.CutWithBudget(1.0, 4)
 	if len(cl) != 1 || len(cl[0]) != 4 {
-		t.Fatalf("Cut(1.0) = %v", cl)
+		t.Fatalf("CutWithBudget(1.0) = %v", cl)
 	}
 }
 
@@ -73,15 +73,15 @@ func TestSLINKSingleItem(t *testing.T) {
 	if len(d.Merges()) != 0 {
 		t.Fatal("single item should have no merges")
 	}
-	cl := d.Cut(1)
+	cl := d.CutWithBudget(1, 1)
 	if len(cl) != 1 || !eqIntSlice(cl[0], []int{0}) {
-		t.Fatalf("Cut = %v", cl)
+		t.Fatalf("CutWithBudget = %v", cl)
 	}
 }
 
 func TestSLINKZeroItems(t *testing.T) {
 	d := SLINK(0, nil)
-	if len(d.Merges()) != 0 || len(d.Cut(1)) != 0 {
+	if len(d.Merges()) != 0 || len(d.CutWithBudget(1, 0)) != 0 {
 		t.Fatal("empty dendrogram should be empty")
 	}
 }
@@ -89,7 +89,7 @@ func TestSLINKZeroItems(t *testing.T) {
 // TestPropertySLINKMatchesNaiveSingleLinkage: the clusters from cutting a
 // SLINK dendrogram at any threshold must equal naive single-linkage
 // clusters (equivalently, connected components of the ≤-threshold graph).
-// This is experiment E14's correctness half.
+// This is Section 3.2's reason for choosing SLINK.
 func TestPropertySLINKMatchesNaiveSingleLinkage(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 40; trial++ {
@@ -97,16 +97,13 @@ func TestPropertySLINKMatchesNaiveSingleLinkage(t *testing.T) {
 		m := randomDistMatrix(r, n)
 		threshold := r.Float64()
 		d := SLINK(n, matrixDist(m))
-		got := d.Cut(threshold)
+		got := d.CutWithBudget(threshold, n)
 		want := connectedComponents(n, m, threshold)
 		if !eqClusters(got, want) {
 			t.Fatalf("n=%d t=%v:\nslink %v\nwant  %v", n, threshold, got, want)
 		}
 		// naive agglomerative single linkage must agree too
-		naive, err := AgglomerateNaive(n, matrixDist(m), LinkSingle, threshold, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		naive := AgglomerateNaive(n, matrixDist(m), threshold, n)
 		if !eqClusters(naive, want) {
 			t.Fatalf("naive single-link disagrees:\n%v\nwant %v", naive, want)
 		}
@@ -166,66 +163,10 @@ func TestSLINKMergeHeightsMonotone(t *testing.T) {
 	}
 }
 
-func TestAgglomerateNaiveCompleteVsSingle(t *testing.T) {
-	// chain: 0-1 close, 1-2 close, 0-2 far. Single linkage at 0.5 joins
-	// all three; complete linkage refuses the final merge.
-	m := [][]float64{
-		{0, 0.4, 0.9},
-		{0.4, 0, 0.4},
-		{0.9, 0.4, 0},
-	}
-	single, err := AgglomerateNaive(3, matrixDist(m), LinkSingle, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(single) != 1 {
-		t.Fatalf("single linkage should chain: %v", single)
-	}
-	complete, err := AgglomerateNaive(3, matrixDist(m), LinkComplete, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(complete) != 2 {
-		t.Fatalf("complete linkage should stop: %v", complete)
-	}
-}
-
-func TestAgglomerateNaiveAverage(t *testing.T) {
-	m := [][]float64{
-		{0, 0.2, 0.8},
-		{0.2, 0, 0.6},
-		{0.8, 0.6, 0},
-	}
-	// avg distance from {0,1} to {2} is 0.7
-	got, err := AgglomerateNaive(3, matrixDist(m), LinkAverage, 0.65, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("clusters = %v", got)
-	}
-	got, err = AgglomerateNaive(3, matrixDist(m), LinkAverage, 0.75, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("clusters = %v", got)
-	}
-}
-
-func TestAgglomerateNaiveValidation(t *testing.T) {
-	if _, err := AgglomerateNaive(2, func(i, j int) float64 { return 1 }, "bogus", 1, 2); err == nil {
-		t.Fatal("expected linkage validation error")
-	}
-}
-
 func TestAgglomerateNaiveBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	m := randomDistMatrix(r, 8)
-	cl, err := AgglomerateNaive(8, matrixDist(m), LinkSingle, 1.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := AgglomerateNaive(8, matrixDist(m), 1.0, 3)
 	for _, c := range cl {
 		if len(c) > 3 {
 			t.Fatalf("cluster %v exceeds budget", c)

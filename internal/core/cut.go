@@ -518,35 +518,3 @@ func applyPredicate(parent query.Query, p query.Predicate) query.Query {
 	}
 	return parent.And(p)
 }
-
-// CutQuery applies CUT to a parent region: it splits parent's rows (under
-// base) on attr and returns one region query per sub-range, each a copy of
-// parent with the attr predicate refined.
-func CutQuery(t *storage.Table, base *bitvec.Vector, parent query.Query, attr string, opts CutOptions) ([]query.Query, error) {
-	x := cutter{t: t}
-	return x.cutQuery(base, parent, attr, opts)
-}
-
-// cutQuery evaluates parent under base and cuts the resulting selection.
-func (x *cutter) cutQuery(base *bitvec.Vector, parent query.Query, attr string, opts CutOptions) ([]query.Query, error) {
-	sel, err := engine.Eval(x.t, parent)
-	if err != nil {
-		return nil, err
-	}
-	sel.And(base)
-	return x.cutQuerySel(sel, parent, attr, opts)
-}
-
-// cutQuerySel is cutQuery with the region's selection already evaluated.
-func (x *cutter) cutQuerySel(sel *bitvec.Vector, parent query.Query, attr string, opts CutOptions) ([]query.Query, error) {
-	full := sel.Count() == x.t.NumRows()
-	preds, err := x.cutPredicates(sel, full, attr, opts)
-	if err != nil {
-		return nil, err
-	}
-	regions := make([]query.Query, len(preds))
-	for i, p := range preds {
-		regions[i] = applyPredicate(parent, p)
-	}
-	return regions, nil
-}

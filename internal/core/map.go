@@ -37,9 +37,6 @@ type Map struct {
 	assign *engine.Assignment
 }
 
-// NumRegions returns the number of regions.
-func (m *Map) NumRegions() int { return len(m.Regions) }
-
 // Assignment returns the cached per-row region labeling, or nil when the
 // map was built without one.
 func (m *Map) Assignment() *engine.Assignment { return m.assign }

@@ -24,7 +24,7 @@ func TestBuildMapMeasuresRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRegions() != 2 {
+	if len(m.Regions) != 2 {
 		t.Fatal("regions wrong")
 	}
 	if m.Regions[0].Count != 50 || m.Regions[1].Count != 50 {
@@ -83,8 +83,8 @@ func TestDropEmptyRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.NumRegions() != 1 {
-		t.Fatalf("regions = %d, want 1", m2.NumRegions())
+	if len(m2.Regions) != 1 {
+		t.Fatalf("regions = %d, want 1", len(m2.Regions))
 	}
 	// no empties: same map returned
 	m3, err := m2.DropEmptyRegions(tbl, base)
@@ -238,7 +238,7 @@ func TestDistanceMatrixSymmetric(t *testing.T) {
 	base := fullSel(tbl)
 	var maps []*Map
 	for _, attr := range []string{"a", "b"} {
-		regions, err := CutQuery(tbl, base, query.New("t2"), attr, DefaultCutOptions())
+		regions, err := cutQuery(tbl, base, query.New("t2"), attr, DefaultCutOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,10 +261,10 @@ func TestDistanceMatrixSymmetric(t *testing.T) {
 }
 
 func TestAssignmentPartitionInvariant(t *testing.T) {
-	// regions produced by CutQuery never overlap: counts sum to base.
+	// regions produced by cutQuery never overlap: counts sum to base.
 	tbl, _ := twoColTable(t)
 	base := fullSel(tbl)
-	regions, err := CutQuery(tbl, base, query.New("t2"), "a", DefaultCutOptions())
+	regions, err := cutQuery(tbl, base, query.New("t2"), "a", DefaultCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,24 +77,20 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 	return built.DropEmptyRegions(t, base)
 }
 
-// ComposeMaps implements Definition 4: starting from the parent query,
+// composeMaps implements Definition 4: starting from the parent query,
 // successively CUT every region on each attribute in attrs, re-estimating
 // cut points inside the region (this is what lets composition reveal
 // local cluster structure, Figure 5). A region whose local cut is
 // degenerate (constant attribute inside the region) is kept unsplit. An
 // attribute whose cuts would push the region count beyond maxRegions is
 // skipped entirely.
-func ComposeMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
-	x := cutter{t: t}
-	return x.composeMaps(base, nil, nil, parent, attrs, opts, maxRegions)
-}
-
-// composeMaps takes parentSel — parent's selection under base — when the
-// caller already evaluated it (Explore holds it as base); nil computes
-// it here. The vector is only read. seed, when non-nil, is the candidate
-// map of attrs[0] built by cutPartition under parentSel with opts and
-// parent as its parent query: exactly composition's first level, which
-// is then taken from it instead of being cut again.
+//
+// parentSel is parent's selection under base when the caller already
+// evaluated it (Explore holds it as base); nil computes it here. The
+// vector is only read. seed, when non-nil, is the candidate map of
+// attrs[0] built by cutPartition under parentSel with opts and parent as
+// its parent query: exactly composition's first level, which is then
+// taken from it instead of being cut again.
 func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("core: composition over zero attributes")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/datagen"
 	"repro/internal/query"
 	"repro/internal/storage"
@@ -32,10 +33,12 @@ func clusteredTable(t testing.TB, n int) (*storage.Table, []int) {
 	return b.MustBuild(), labels
 }
 
-func candidateMap(t testing.TB, tbl *storage.Table, attr string) *Map {
+// candidateMap is the single-attribute candidate map of attr over the
+// whole table under the given cut options.
+func candidateMap(t testing.TB, tbl *storage.Table, attr string, opts CutOptions) *Map {
 	t.Helper()
 	base := fullSel(tbl)
-	regions, err := CutQuery(tbl, base, query.New(tbl.Name()), attr, DefaultCutOptions())
+	regions, err := cutQuery(tbl, base, query.New(tbl.Name()), attr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +49,27 @@ func candidateMap(t testing.TB, tbl *storage.Table, attr string) *Map {
 	return m
 }
 
+// compose is Definition 4's composition over attrs from the parent
+// query, as MergeCluster runs it on a cluster it has to cut from the
+// first level.
+func compose(tbl *storage.Table, base *bitvec.Vector, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
+	x := cutter{t: tbl}
+	return x.composeMaps(base, nil, nil, parent, attrs, opts, maxRegions)
+}
+
 func TestProductMapsGrid(t *testing.T) {
 	tbl, _ := clusteredTable(t, 1000)
 	base := fullSel(tbl)
-	ms := candidateMap(t, tbl, "size")
-	mw := candidateMap(t, tbl, "weight")
+	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
+	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
 	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2x2 grid, but the off-diagonal cells are nearly empty in this
 	// data; they are dropped only if exactly zero.
-	if prod.NumRegions() < 2 || prod.NumRegions() > 4 {
-		t.Fatalf("regions = %d", prod.NumRegions())
+	if len(prod.Regions) < 2 || len(prod.Regions) > 4 {
+		t.Fatalf("regions = %d", len(prod.Regions))
 	}
 	if prod.Key() != "size,weight" {
 		t.Fatalf("attrs = %v", prod.Attrs)
@@ -82,8 +93,8 @@ func TestProductMapsGrid(t *testing.T) {
 func TestProductMapsBudget(t *testing.T) {
 	tbl, _ := clusteredTable(t, 500)
 	base := fullSel(tbl)
-	ms := candidateMap(t, tbl, "size")
-	mw := candidateMap(t, tbl, "weight")
+	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
+	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
 	// budget 2: the second map cannot be folded in
 	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 2)
 	if err != nil {
@@ -108,18 +119,18 @@ func TestProductMapsErrors(t *testing.T) {
 func TestComposeRevealsClusters(t *testing.T) {
 	tbl, labels := clusteredTable(t, 4000)
 	base := fullSel(tbl)
-	comp, err := ComposeMaps(tbl, base, query.New("fig5"), []string{"size", "weight"}, DefaultCutOptions(), 8)
+	comp, err := compose(tbl, base, query.New("fig5"), []string{"size", "weight"}, DefaultCutOptions(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.NumRegions() != 4 {
-		t.Fatalf("regions = %d, want 4", comp.NumRegions())
+	if len(comp.Regions) != 4 {
+		t.Fatalf("regions = %d, want 4", len(comp.Regions))
 	}
 	// Cluster recovery: the two planted clusters should each be captured
 	// almost entirely by a single region. Compute per-region label purity
 	// on the dominant regions.
 	assign := comp.Assignment()
-	regionLabelCounts := make([]map[int]int, comp.NumRegions())
+	regionLabelCounts := make([]map[int]int, len(comp.Regions))
 	for i := range regionLabelCounts {
 		regionLabelCounts[i] = map[int]int{}
 	}
@@ -154,13 +165,13 @@ func TestComposeRevealsClusters(t *testing.T) {
 func TestProductVsComposeEntropy(t *testing.T) {
 	tbl, _ := clusteredTable(t, 4000)
 	base := fullSel(tbl)
-	ms := candidateMap(t, tbl, "size")
-	mw := candidateMap(t, tbl, "weight")
+	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
+	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
 	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := ComposeMaps(tbl, base, query.New("fig5"), []string{"size", "weight"}, DefaultCutOptions(), 8)
+	comp, err := compose(tbl, base, query.New("fig5"), []string{"size", "weight"}, DefaultCutOptions(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +207,12 @@ func TestComposeDegenerateAttributeKeptUnsplit(t *testing.T) {
 	}
 	tbl := b.MustBuild()
 	base := fullSel(tbl)
-	m, err := ComposeMaps(tbl, base, query.New("t"), []string{"x", "k"}, DefaultCutOptions(), 8)
+	m, err := compose(tbl, base, query.New("t"), []string{"x", "k"}, DefaultCutOptions(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRegions() != 2 {
-		t.Fatalf("regions = %d, want 2 (k uncuttable)", m.NumRegions())
+	if len(m.Regions) != 2 {
+		t.Fatalf("regions = %d, want 2 (k uncuttable)", len(m.Regions))
 	}
 	if m.Key() != "x" {
 		t.Fatalf("attrs = %v, want only x", m.Attrs)
@@ -210,7 +221,7 @@ func TestComposeDegenerateAttributeKeptUnsplit(t *testing.T) {
 
 func TestComposeAllDegenerate(t *testing.T) {
 	tbl := numTable(t, []float64{5, 5, 5})
-	_, err := ComposeMaps(tbl, fullSel(tbl), query.New("t"), []string{"x"}, DefaultCutOptions(), 8)
+	_, err := compose(tbl, fullSel(tbl), query.New("t"), []string{"x"}, DefaultCutOptions(), 8)
 	if err == nil {
 		t.Fatal("expected degenerate error")
 	}
@@ -221,12 +232,12 @@ func TestComposeBudget(t *testing.T) {
 	base := fullSel(tbl)
 	// 3 attrs with 2 splits each would give 8 regions; budget 4 limits
 	// to 2 attrs.
-	m, err := ComposeMaps(tbl, base, query.New("body"), []string{"age", "income", "education_years"}, DefaultCutOptions(), 4)
+	m, err := compose(tbl, base, query.New("body"), []string{"age", "income", "education_years"}, DefaultCutOptions(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRegions() > 4 {
-		t.Fatalf("regions = %d exceeds budget 4", m.NumRegions())
+	if len(m.Regions) > 4 {
+		t.Fatalf("regions = %d exceeds budget 4", len(m.Regions))
 	}
 	if len(m.Attrs) > 2 {
 		t.Fatalf("attrs = %v, want at most 2", m.Attrs)
@@ -235,7 +246,7 @@ func TestComposeBudget(t *testing.T) {
 
 func TestMergeClusterSingleton(t *testing.T) {
 	tbl, _ := clusteredTable(t, 200)
-	m := candidateMap(t, tbl, "size")
+	m := candidateMap(t, tbl, "size", DefaultCutOptions())
 	got, err := MergeCluster(tbl, fullSel(tbl), query.New("fig5"), []*Map{m}, MergeCompose, DefaultCutOptions(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +259,8 @@ func TestMergeClusterSingleton(t *testing.T) {
 func TestMergeClusterKinds(t *testing.T) {
 	tbl, _ := clusteredTable(t, 500)
 	base := fullSel(tbl)
-	ms := candidateMap(t, tbl, "size")
-	mw := candidateMap(t, tbl, "weight")
+	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
+	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
 	for _, kind := range []MergeKind{MergeProduct, MergeCompose} {
 		m, err := MergeCluster(tbl, base, query.New("fig5"), []*Map{ms, mw}, kind, DefaultCutOptions(), 8)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package datagen generates the seeded synthetic datasets used by tests,
-// examples and the experiment harness. Each generator plants a known
-// dependency or cluster structure so that experiments can check Atlas
-// against ground truth (see DESIGN.md "Substitutions": these stand in for
-// the paper's census-style survey data, SDSS and TPC datasets).
+// examples and the benchmark. Each generator plants a known dependency
+// or cluster structure so that tests can check Atlas against ground
+// truth (see DESIGN.md "Substitutions": these stand in for the paper's
+// census-style survey data, SDSS and TPC datasets).
 package datagen
 
 import (
@@ -114,30 +114,6 @@ func BodyMetrics(n int, seed int64) (*storage.Table, []int) {
 	return b.MustBuild(), labels
 }
 
-// DependentPair generates two numeric columns x and y whose statistical
-// dependency is tunable: with probability strength a row's y follows x's
-// latent cluster, otherwise it picks a cluster at random. strength=0 gives
-// independence, strength=1 full dependence. Used by the MI-vs-VI ablation.
-func DependentPair(n int, strength float64, seed int64) *storage.Table {
-	r := rand.New(rand.NewSource(seed))
-	schema := storage.MustSchema(
-		storage.Field{Name: "x", Type: storage.Float64},
-		storage.Field{Name: "y", Type: storage.Float64},
-	)
-	b := storage.NewBuilder("pair", schema)
-	for i := 0; i < n; i++ {
-		zx := r.Intn(2)
-		zy := zx
-		if r.Float64() >= strength {
-			zy = r.Intn(2)
-		}
-		x := float64(zx*10) + r.NormFloat64()
-		y := float64(zy*10) + r.NormFloat64()
-		b.MustAppendRow(x, y)
-	}
-	return b.MustBuild()
-}
-
 // Figure5 generates the exact scenario of the paper's Figure 5: four
 // clusters over (size, weight) where the weight boundary depends on the
 // size region —
@@ -189,46 +165,6 @@ func ClusterPair(n int, frac float64, seed int64) (*storage.Table, []int) {
 		}
 		labels[i] = c
 		b.MustAppendRow(float64(c*10)+r.NormFloat64(), float64(c*10)+r.NormFloat64())
-	}
-	return b.MustBuild(), labels
-}
-
-// SubspaceClusters generates n rows over dims numeric columns named
-// d0..d{dims-1}. k Gaussian clusters live in the first clusterDims
-// dimensions; the remaining columns are uniform noise. Returns the table
-// and the planted cluster label per row. This is the subspace-clustering
-// workload for the latency and quality comparisons against baselines.
-func SubspaceClusters(n, dims, clusterDims, k int, seed int64) (*storage.Table, []int) {
-	if clusterDims > dims {
-		panic(fmt.Sprintf("datagen: clusterDims %d > dims %d", clusterDims, dims))
-	}
-	r := rand.New(rand.NewSource(seed))
-	fields := make([]storage.Field, dims)
-	for d := 0; d < dims; d++ {
-		fields[d] = storage.Field{Name: fmt.Sprintf("d%d", d), Type: storage.Float64}
-	}
-	b := storage.NewBuilder("subspace", storage.MustSchema(fields...))
-	// cluster centers spaced on a grid to stay separable
-	centers := make([][]float64, k)
-	for c := 0; c < k; c++ {
-		centers[c] = make([]float64, clusterDims)
-		for d := 0; d < clusterDims; d++ {
-			centers[c][d] = float64(((c+d)%k)*20) + 10
-		}
-	}
-	labels := make([]int, n)
-	row := make([]any, dims)
-	for i := 0; i < n; i++ {
-		c := r.Intn(k)
-		labels[i] = c
-		for d := 0; d < dims; d++ {
-			if d < clusterDims {
-				row[d] = centers[c][d] + r.NormFloat64()*2
-			} else {
-				row[d] = r.Float64() * 100
-			}
-		}
-		b.MustAppendRow(row...)
 	}
 	return b.MustBuild(), labels
 }

@@ -133,55 +133,6 @@ func TestBodyMetricsClusters(t *testing.T) {
 	}
 }
 
-func TestDependentPairStrength(t *testing.T) {
-	indep := DependentPair(10000, 0, 5)
-	dep := DependentPair(10000, 1, 5)
-	// Measure dependency via 2x2 contingency over sign of x and y.
-	chi := func(tbl *storage.Table) float64 {
-		sel := bitvec.NewFull(tbl.NumRows())
-		ax, err := engine.Assign(tbl, []query.Query{
-			newRangeQuery(tbl.Name(), "x", -1e9, 5),
-			newRangeQuery(tbl.Name(), "x", 5, 1e9),
-		}, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ay, err := engine.Assign(tbl, []query.Query{
-			newRangeQuery(tbl.Name(), "y", -1e9, 5),
-			newRangeQuery(tbl.Name(), "y", 5, 1e9),
-		}, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := engine.Contingency(ax, ay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ct.MutualInformation()
-	}
-	if mi0, mi1 := chi(indep), chi(dep); mi1 < mi0+0.5 {
-		t.Errorf("MI at strength 1 (%v) should exceed MI at strength 0 (%v)", mi1, mi0)
-	}
-}
-
-func TestSubspaceClusters(t *testing.T) {
-	tbl, labels := SubspaceClusters(2000, 8, 3, 4, 9)
-	if tbl.NumRows() != 2000 || tbl.NumCols() != 8 || len(labels) != 2000 {
-		t.Fatal("dims wrong")
-	}
-	for _, l := range labels {
-		if l < 0 || l >= 4 {
-			t.Fatalf("label %d out of range", l)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("clusterDims > dims should panic")
-		}
-	}()
-	SubspaceClusters(10, 2, 3, 2, 1)
-}
-
 func TestSkySurvey(t *testing.T) {
 	tbl := SkySurvey(3000, 11)
 	if tbl.NumRows() != 3000 || !tbl.Schema().HasField("mag_r") {

@@ -1,10 +1,10 @@
 // Package chaos is the fabric's fault-injection proxy: an http.Handler
-// that fronts a shard server and misbehaves on command. Tests (and the
-// atlasbench failover scenario) wrap each replica of an in-process
-// fabric in an Injector, then script the failures a production fleet
-// actually sees — a peer that dies mid-run, a slow link, a truncated
-// or bit-flipped body, an overloaded server answering 500s — and
-// assert that explorations survive them byte-identically.
+// that fronts a shard server and misbehaves on command. Tests wrap each
+// replica of an in-process fabric in an Injector, then script the
+// failures a production fleet actually sees — a peer that dies mid-run,
+// a slow link, a truncated or bit-flipped body, an overloaded server
+// answering 500s — and assert that explorations survive them
+// byte-identically.
 //
 // The injector is deliberately dumb: no goroutines, no schedules, just
 // a mutable fault plan consulted per request. Faults are flipped at
@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,8 @@ const (
 	// None serves requests faithfully.
 	None Fault = iota
 	// Delay sleeps before serving (a slow peer; pair with a client
-	// timeout shorter than the delay to simulate a hang).
+	// timeout shorter than the delay to simulate a hang). A request
+	// whose caller hangs up during the sleep is dropped unanswered.
 	Delay
 	// Truncate serves only the first half of the response body while
 	// keeping the original headers — the declared length and CRC no
@@ -132,8 +134,22 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	in.injected.Add(1)
 	switch fault {
 	case Delay:
-		time.Sleep(delay)
-		in.inner.ServeHTTP(w, r)
+		// Reading the body to its end lets the server notice a caller
+		// that hangs up during the sleep.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			in.inner.ServeHTTP(w, r)
+		case <-r.Context().Done():
+			// The caller gave up: nobody is left to answer, so the
+			// handler ends instead of outliving the request.
+		}
 	case Error5xx:
 		http.Error(w, "chaos: injected server error", http.StatusInternalServerError)
 	case Kill:

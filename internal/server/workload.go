@@ -12,7 +12,7 @@ import (
 // query (observeQuery) and every shed request (recordShed) lands in a
 // bounded in-memory workload recorder, exported as versioned JSONL by
 // GET /api/workload and optionally streamed to disk via atlasd
-// -record-workload. Replay it with atlasbench -replay.
+// -record-workload. Replay it with atlas replay.
 
 // workloadCaptureDepth bounds the in-memory capture: past it entries
 // are dropped (counted, and still streamed to a configured sink), so an

@@ -2,9 +2,8 @@ package stats
 
 import "fmt"
 
-// This file provides external cluster-agreement indices used to score
-// recovered clusterings against planted ground truth in the experiment
-// harness and tests.
+// This file provides an external cluster-agreement index that tests use
+// to score recovered clusterings against planted ground truth.
 
 // AdjustedRandIndex returns the Rand index corrected for chance
 // (Hubert & Arabie): 1 for identical partitions, ~0 for independent

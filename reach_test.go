@@ -18,16 +18,12 @@ import (
 const (
 	reachOracle   = "oracle: tests check production code against it"
 	reachTestOnly = "test support: an accessor, fixture writer or fault control only tests use"
-	reachBaseline = "paper baseline run only by its tests; leaves with internal/exp"
 )
 
 // reachAllowlist names exported identifiers under internal/ that no
 // root reaches on purpose, with the reason. An entry that becomes
 // reachable, or stops existing, fails the test too.
 var reachAllowlist = map[string]string{
-	"internal/baseline.DefaultCliqueOptions":      reachBaseline,
-	"internal/baseline.KMeans":                    reachBaseline,
-	"internal/baseline.KMeansResult":              reachBaseline,
 	"internal/bitvec.Vector.AndNot":               reachOracle,
 	"internal/bitvec.Vector.Clear":                reachOracle,
 	"internal/bitvec.Vector.Equal":                reachOracle,
@@ -36,7 +32,10 @@ var reachAllowlist = map[string]string{
 	"internal/bitvec.Vector.Rank":                 reachOracle,
 	"internal/bitvec.Vector.Xor":                  reachOracle,
 	"internal/colstore.Write":                     reachTestOnly,
+	"internal/core.AgglomerateNaive":              reachOracle,
 	"internal/core.Cartographer.Table":            reachTestOnly,
+	"internal/datagen.ClusterPair":                reachTestOnly,
+	"internal/datagen.WithJunkColumns":            reachTestOnly,
 	"internal/engine.PartitionBits":               reachOracle,
 	"internal/obsv.Registry.NumMetrics":           reachTestOnly,
 	"internal/obsv.Trace.ID":                      reachTestOnly,
@@ -67,6 +66,10 @@ var reachAllowlist = map[string]string{
 	"internal/remote/chaos.recording.WriteHeader": reachTestOnly,
 	"internal/server.Server.WorkloadSnapshot":     reachTestOnly,
 	"internal/session.Session.Node":               reachTestOnly,
+	"internal/stats.AdjustedRandIndex":            reachOracle,
+	"internal/stats.Contingency.At":               reachTestOnly,
+	"internal/stats.Contingency.Cols":             reachTestOnly,
+	"internal/stats.Contingency.Rows":             reachTestOnly,
 	"internal/stats.Contingency.Total":            reachTestOnly,
 	"internal/stats.Histogram.Total":              reachTestOnly,
 	"internal/stats.Median":                       reachOracle,
@@ -74,7 +77,9 @@ var reachAllowlist = map[string]string{
 	"internal/stats.QuantileSorted":               reachOracle,
 	"internal/storage.Builder.NumRows":            reachTestOnly,
 	"internal/storage.ChunkPayload.Rows":          reachTestOnly,
+	"internal/storage.Float64Column.At":           reachTestOnly,
 	"internal/storage.LazyColumn.NumChunks":       reachTestOnly,
+	"internal/storage.MustTable":                  reachTestOnly,
 }
 
 // TestInternalAPIReachable fails on any exported identifier under
