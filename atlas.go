@@ -273,12 +273,6 @@ func (e *Explorer) ExploreQuery(q Query) (*Result, error) {
 	return e.cart.Explore(q)
 }
 
-// ScanStats snapshots the explorer's cumulative chunk-level scan
-// decisions: chunks pruned / matched in full / scanned, and — on
-// memory-tiered stores — chunks decoded and decoded-cache hits. It is
-// the observable measure of how well zone maps are filtering I/O.
-func (e *Explorer) ScanStats() ScanSnapshot { return e.cart.ScanStats() }
-
 // ExploreAnytime runs the progressive Section 5.1 loop: results refine
 // over growing samples until they stabilize, the data is exhausted, or
 // ctx is done.
@@ -423,10 +417,6 @@ func (o StoreOpenOptions) colstoreOptions() colstore.Options {
 
 // StoreIOStats is a snapshot of a lazy store's I/O counters.
 type StoreIOStats = colstore.IOStats
-
-// ScanSnapshot is a snapshot of an Explorer's cumulative chunk-level
-// scan decisions (pruned / full / scanned, decodes, cache hits).
-type ScanSnapshot = engine.Snapshot
 
 // StoreHandle is an opened on-disk store — a single ".atl" file or a
 // shard manifest, sniffed by content — with lifecycle control the plain

@@ -94,7 +94,7 @@ func main() {
 		eager   = flag.Bool("eager", false, "force eager store opens (full decode up front)")
 		cacheB  = flag.Int64("cachebudget", 0, "decoded-chunk cache budget in bytes for lazy opens (0 = env/unbounded)")
 		deferS  = flag.Bool("defer", false, "defer opening shard files until first touch (sharded stores)")
-		verbose = flag.Bool("v", false, "print scan statistics (chunks pruned/scanned/decoded) after each exploration")
+		verbose = flag.Bool("v", false, "print each exploration's own scan verdicts, decodes and cache hits (and a lazy store's I/O counters) after it")
 		profile = flag.Bool("profile", false, "trace every exploration and print its span tree as JSON (phase timings, chunk-scan deltas, remote shard spans)")
 	)
 	flag.Parse()
@@ -112,38 +112,47 @@ func main() {
 	table := ex.Table()
 	sess := ex.NewSession()
 
-	// With -profile, explorations and drill-downs run under a trace and
-	// the resulting span tree is printed after the maps.
-	traced := func(name string, run func(ctx context.Context) (*atlas.Node, error)) (*atlas.Node, error) {
-		if !*profile {
-			return run(context.Background())
-		}
-		tr, root := obsv.NewTrace(name)
-		// A ledger of its own scopes the spans' chunk counts to this run.
-		node, err := run(obsv.WithLedger(obsv.WithSpan(context.Background(), root), obsv.NewLedger()))
-		root.End()
-		if err != nil {
-			return nil, err
-		}
-		printNode(node)
-		printProfile(tr.Tree())
-		return node, nil
-	}
-	printStats := func() {
+	// -v prints an exploration's own ledger: its scan verdicts, decodes
+	// and cache hits, then the store's lifetime I/O counters.
+	printStats := func(led *obsv.Ledger) {
 		if !*verbose {
 			return
 		}
-		sn := ex.ScanStats()
-		fmt.Printf("[scan] pruned=%d full=%d scanned=%d", sn.ChunksPruned, sn.ChunksFull, sn.ChunksScanned)
+		sn := led.Snapshot()
+		fmt.Printf("[scan] pruned=%d full=%d scanned=%d decoded=%d cache-hits=%d",
+			sn.ChunksPruned, sn.ChunksFull, sn.ChunksScanned, sn.ChunksDecoded, sn.ChunkCacheHits)
 		if handle != nil && handle.Lazy() {
 			io := handle.IOStats()
-			fmt.Printf(" decoded=%d cache-hits=%d bytes-read=%d cache-bytes=%d",
+			fmt.Printf(" [store] decoded=%d cache-hits=%d bytes-read=%d cache-bytes=%d",
 				io.ChunksDecoded, io.CacheHits, io.BytesRead, io.CacheBytes)
 			if st := handle.Sharded(); st != nil {
 				fmt.Printf(" shards-open=%d/%d", st.OpenedShards(), st.NumShards())
 			}
 		}
 		fmt.Println()
+	}
+	// Explorations and drill-downs run under a ledger of their own. With
+	// -profile they also run under a trace, and the resulting span tree
+	// (whose chunk counts the ledger scopes to this run) is printed after
+	// the maps.
+	traced := func(name string, run func(ctx context.Context) (*atlas.Node, error)) error {
+		led := new(obsv.Ledger)
+		ctx := obsv.WithLedger(context.Background(), led)
+		tr, root := obsv.NewTrace(name)
+		if *profile {
+			ctx = obsv.WithSpan(ctx, root)
+		}
+		node, err := run(ctx)
+		root.End()
+		if err != nil {
+			return err
+		}
+		printNode(node)
+		if *profile {
+			printProfile(tr.Tree())
+		}
+		printStats(led)
+		return nil
 	}
 
 	fmt.Printf("Atlas explorer — table %q (%d rows, %d columns). Type 'help' for commands.\n",
@@ -184,17 +193,12 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
-			node, err := traced("explore", func(ctx context.Context) (*atlas.Node, error) {
+			if err := traced("explore", func(ctx context.Context) (*atlas.Node, error) {
 				return sess.ExploreCtx(ctx, q)
-			})
-			if err != nil {
+			}); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			if !*profile {
-				printNode(node)
-			}
-			printStats()
 			sess.Prefetch(4)
 		case "maps":
 			node, err := sess.Current()
@@ -215,17 +219,12 @@ func main() {
 				fmt.Println("usage: pick <map> <region> (1-based)")
 				continue
 			}
-			node, err := traced("drill", func(ctx context.Context) (*atlas.Node, error) {
+			if err := traced("drill", func(ctx context.Context) (*atlas.Node, error) {
 				return sess.DrillDownCtx(ctx, mi-1, ri-1)
-			})
-			if err != nil {
+			}); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			if !*profile {
-				printNode(node)
-			}
-			printStats()
 			sess.Prefetch(4)
 		case "why":
 			parts := strings.Fields(rest)

@@ -109,11 +109,6 @@ type Cartographer struct {
 	// selection, computed once and shared read-only across goroutines
 	// and Explore calls.
 	stats *statCache
-	// scan accumulates chunk-level scan decisions (pruned / full /
-	// scanned, and lazy decodes / cache hits) across every exploration
-	// this Cartographer runs — the pruning-efficacy counters front-ends
-	// surface.
-	scan engine.ScanStats
 }
 
 // NewCartographer validates the options and builds a Cartographer.
@@ -140,10 +135,6 @@ func (c *Cartographer) Table() *storage.Table { return c.table }
 
 // Options returns the pipeline configuration.
 func (c *Cartographer) Options() Options { return c.opts }
-
-// ScanStats snapshots the cumulative chunk-level scan counters of every
-// exploration this Cartographer has run.
-func (c *Cartographer) ScanStats() engine.Snapshot { return c.scan.Snapshot() }
 
 // recoverChunkPanic converts a lazy-column chunk-fetch panic into the
 // named *storage.ChunkError, so a corrupt or truncated chunk touched
@@ -210,9 +201,9 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Resu
 	if err := c.checkTable(q); err != nil {
 		return nil, err
 	}
-	bctx, endBase := scanSpan(ctx, "base")
+	bctx, endBase := scanSpan(ctx, BaseSpan)
 	base := bitvec.NewFull(c.table.NumRows())
-	sopts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Stats: &c.scan, Ctx: bctx}
+	sopts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Ctx: bctx}
 	err = engine.EvalAndIntoOpts(c.table, q, base, sopts)
 	endBase()
 	if err != nil {
@@ -244,33 +235,27 @@ func (c *Cartographer) ExploreSelCtx(ctx context.Context, q query.Query, base *b
 	return c.exploreBase(ctx, q, base, start)
 }
 
-// phaseSpan opens one pipeline-phase span (see scanSpan). When the
-// context carries a resource ledger, the phase's wall and CPU time are
-// additionally billed to it — with or without a trace. The returned end
-// function is nil-safe to call.
-func phaseSpan(ctx context.Context, name string) (context.Context, func()) {
-	endPhase := obsv.LedgerFrom(ctx).StartPhase(name)
-	pctx, endSpan := scanSpan(ctx, name)
-	return pctx, func() {
-		endSpan()
-		endPhase()
-	}
-}
+// BaseSpan names the base-scan span of an exploration. Every other span
+// an exploration opens under its caller's span is one pipeline phase
+// (screen, cut, cluster, merge, rank), so a query's phase timings are
+// the children of its root span but this one (see obsv.PhasesOf).
+const BaseSpan = "base"
 
-// scanSpan opens a span whose attributes, at end time, carry the delta
-// of the scan plane of the context's ledger over the span: the chunks
-// this request scanned, pruned, decoded and found cached, never those of
-// another exploration sharing the Cartographer. Without a ledger the
-// span carries no chunk attributes.
+// scanSpan opens the span of the base scan or of one pipeline phase.
+// Its attributes, at end time, carry the delta of the scan plane of the
+// context's ledger over the span: the chunks this request scanned,
+// pruned, decoded and found cached, never those of another exploration
+// sharing the Cartographer. Without a ledger the span carries no chunk
+// attributes.
 func scanSpan(ctx context.Context, name string) (context.Context, func()) {
 	pctx, sp := obsv.StartSpan(ctx, name)
 	led := obsv.LedgerFrom(ctx)
 	if sp == nil || led == nil {
 		return pctx, sp.End
 	}
-	before := led.Snapshot()
+	before := led.Scan().Snapshot()
 	return pctx, func() {
-		after := led.Snapshot()
+		after := led.Scan().Snapshot()
 		for _, a := range []struct {
 			key   string
 			delta int64
@@ -309,7 +294,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 0 (Section 5.2): screen out keys, codes, comments, constants.
-	sctx, endScreen := phaseSpan(ctx, "screen")
+	sctx, endScreen := scanSpan(ctx, "screen")
 	attrs := c.candidateAttrs(sctx, q, base, res, workers)
 	endScreen()
 
@@ -324,7 +309,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		flagged bool
 	}
 	outs := make([]candOut, len(attrs))
-	cutCtx, endCut := phaseSpan(ctx, "cut")
+	cutCtx, endCut := scanSpan(ctx, "cut")
 	err := parallelFor(workers, len(attrs), func(i int) error {
 		// Work-item-granular cancellation: a dead caller abandons the
 		// remaining attributes instead of cutting them all.
@@ -334,7 +319,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
 		x := cutter{t: c.table, cache: c.stats,
-			scan: engine.ScanOptions{Workers: workers, Stats: &c.scan, Ctx: actx}}
+			scan: engine.ScanOptions{Workers: workers, Ctx: actx}}
 		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
@@ -374,7 +359,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 2 (Section 3.2): cluster candidates by statistical dependency.
-	clctx, endCluster := phaseSpan(ctx, "cluster")
+	clctx, endCluster := scanSpan(ctx, "cluster")
 	clusters, err := c.clusterCandidates(clctx, candidates, workers)
 	endCluster()
 	if err != nil {
@@ -384,7 +369,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// Step 3 (Section 3.3): merge each cluster into one map, one worker
 	// per cluster; a nil slot marks a skipped or degenerate cluster.
 	merged := make([]*Map, len(clusters))
-	mergeCtx, endMerge := phaseSpan(ctx, "merge")
+	mergeCtx, endMerge := scanSpan(ctx, "merge")
 	err = parallelFor(workers, len(clusters), func(i int) error {
 		if err := obsv.CheckCtx(mergeCtx, "core.merge"); err != nil {
 			return err
@@ -403,7 +388,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		// it directly instead of re-evaluating q against the table, and
 		// its first level is the cluster's first candidate map
 		x := cutter{t: c.table, cache: c.stats,
-			scan: engine.ScanOptions{Workers: workers, Stats: &c.scan, Ctx: mctx}}
+			scan: engine.ScanOptions{Workers: workers, Ctx: mctx}}
 		m, err := x.mergeCluster(base, base, true, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
@@ -429,7 +414,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 
 	// Step 4 (Section 3.4): rank by decreasing entropy, cap the answer.
-	_, endRank := phaseSpan(ctx, "rank")
+	_, endRank := scanSpan(ctx, "rank")
 	defer endRank()
 	RankMaps(maps)
 	if len(maps) > c.opts.MaxMaps {

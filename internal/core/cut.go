@@ -105,12 +105,11 @@ func (e *ErrDegenerate) Error() string {
 type cutter struct {
 	t     *storage.Table
 	cache *statCache // nil = unmemoized
-	// scan carries the Cartographer's scan options (worker count, its
-	// ScanStats, and the exploration's context with its trace span,
-	// request ID and resource ledger) into the column reads and provider
-	// fan-outs the cutter drives, so they bill the same stats — and the
-	// same ledger — as every other scan of the exploration. A nil Ctx
-	// means untraced.
+	// scan carries the Cartographer's scan options (worker count, and
+	// the exploration's context with its trace span, request ID and
+	// resource ledger) into the column reads and provider fan-outs the
+	// cutter drives, so they bill the same ledger as every other scan of
+	// the exploration. A nil Ctx means untraced.
 	scan engine.ScanOptions
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
+	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -141,7 +142,8 @@ func TestCandidateCutLoadsEachChunkOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cart.ExploreSel(query.New("t"), sel)
+	led := new(obsv.Ledger)
+	res, err := cart.ExploreSelCtx(obsv.WithLedger(context.Background(), led), query.New("t"), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestCandidateCutLoadsEachChunkOnce(t *testing.T) {
 			t.Errorf("chunk %d loaded %d times, want %d", k, got, want)
 		}
 	}
-	if got, want := cart.ScanStats().ChunksDecoded, int64(len(touched)); got != want {
-		t.Errorf("scan stats bill %d chunk decodes, want %d", got, want)
+	if got, want := led.Snapshot().ChunksDecoded, int64(len(touched)); got != want {
+		t.Errorf("the ledger bills %d chunk decodes, want %d", got, want)
 	}
 }

@@ -113,8 +113,7 @@ type NumericExtract struct {
 // ExtractNumericUnder reads a numeric column under the selection once:
 // it fills x with the selected non-NULL values, the rows they came from
 // and their summary. Only the runs holding a selected row are read; a
-// lazy column's fetches are billed to opts.Stats and the context's ledger
-// like a scan's.
+// lazy column's fetches are billed like a scan's (see ScanOptions.Stats).
 func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) error {
 	x.Vals, x.Sum, x.rows = x.Vals[:0], SummarizeNumeric(nil), sel.Len()
 	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
@@ -141,7 +140,7 @@ func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *
 	// Runs with no selected row are never read and keep no present bits.
 	clear(x.Present)
 	ctx := opts.context()
-	return t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+	return t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
 		if p.Ints != nil {
 			x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
 		} else {
@@ -182,8 +181,7 @@ func CategoryCountsUnder(t *storage.Table, attr string, sel *bitvec.Vector) (dic
 }
 
 // CategoryCountsUnderOpts is CategoryCountsUnder with scan options: lazy
-// chunk fetches ride opts.Ctx and are billed to opts.Stats and the
-// context's ledger.
+// chunk fetches ride opts.Ctx and are billed like a scan's.
 func CategoryCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) (dict []string, counts []int, err error) {
 	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
 		return nil, nil, err
@@ -201,7 +199,7 @@ func CategoryCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, 
 	counts = make([]int, len(dict))
 	selWords := sel.Words()
 	ctx := opts.context()
-	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
 		codes := p.Codes
 		p.EachRow(selWords, w0, w1, func(_, l int) bool {
 			counts[codes[l]]++
@@ -235,7 +233,7 @@ func BoolCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts
 	}
 	selWords := sel.Words()
 	ctx := opts.context()
-	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.billFetch(ctx), func(w0, w1 int, p *storage.ChunkPayload) {
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
 		vals := p.Bools
 		p.EachRow(selWords, w0, w1, func(_, l int) bool {
 			if vals[l] {

@@ -137,7 +137,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		return nil, fmt.Errorf("engine: unsupported column type %v", col.Type())
 	}
 	ctx := opts.context()
-	if err := runs.Walk(ctx, selWords, opts.Workers, "engine.partition", opts.billFetch(ctx), part); err != nil {
+	if err := runs.Walk(ctx, selWords, opts.Workers, "engine.partition", opts.sink(ctx).BillFetch, part); err != nil {
 		return nil, err
 	}
 	return out, nil

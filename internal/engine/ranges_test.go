@@ -356,8 +356,8 @@ func TestPartitionValuesMatchesPartitionBits(t *testing.T) {
 
 // TestExtractionBillsChunkFetches: the extraction passes CUT runs —
 // numeric values, category counts, bool counts — bill each chunk they
-// fetch to ScanStats and to the context's ledger, as the scan and
-// partition passes do.
+// fetch once, as the scan and partition passes do: to the context's
+// ledger, or to ScanOptions.Stats in its place when that is set.
 func TestExtractionBillsChunkFetches(t *testing.T) {
 	const n, chunkRows = 2048, 256
 	b := storage.NewBuilder("b", storage.MustSchema(
@@ -391,19 +391,28 @@ func TestExtractionBillsChunkFetches(t *testing.T) {
 		{"categorical", func(opts ScanOptions) error { _, _, err := CategoryCountsUnderOpts(tbl, "s", sel, opts); return err }},
 		{"bool", func(opts ScanOptions) error { _, _, err := BoolCountsUnderOpts(tbl, "f", sel, opts); return err }},
 	} {
-		// Twice: the first pass decodes, the second hits the cache.
+		// Twice: the first pass decodes into the ledger, the second hits
+		// the cache and bills Stats, which takes the ledger's place.
 		for round := 0; round < 2; round++ {
 			var st ScanStats
+			opts := ScanOptions{}
+			if round == 1 {
+				opts.Stats = &st
+			}
 			led := obsv.NewLedger()
-			if err := pass.run(ScanOptions{Stats: &st, Ctx: obsv.WithLedger(context.Background(), led)}); err != nil {
+			opts.Ctx = obsv.WithLedger(context.Background(), led)
+			if err := pass.run(opts); err != nil {
 				t.Fatalf("%s: %v", pass.name, err)
 			}
-			got := st.Snapshot()
-			if got.ChunksDecoded+got.ChunkCacheHits != touched {
-				t.Errorf("%s round %d: billed %d decodes + %d hits, want %d fetches", pass.name, round, got.ChunksDecoded, got.ChunkCacheHits, touched)
+			billed, idle := led.Scan().Snapshot(), st.Snapshot()
+			if round == 1 {
+				billed, idle = idle, billed
 			}
-			if ls := led.Snapshot(); ls.ChunksDecoded != got.ChunksDecoded || ls.ChunkCacheHits != got.ChunkCacheHits {
-				t.Errorf("%s round %d: ledger %d/%d, scan stats %d/%d", pass.name, round, ls.ChunksDecoded, ls.ChunkCacheHits, got.ChunksDecoded, got.ChunkCacheHits)
+			if billed.ChunksDecoded+billed.ChunkCacheHits != touched {
+				t.Errorf("%s round %d: billed %d decodes + %d hits, want %d fetches", pass.name, round, billed.ChunksDecoded, billed.ChunkCacheHits, touched)
+			}
+			if idle != (obsv.ScanSnapshot{}) {
+				t.Errorf("%s round %d: the other sink was billed too: %+v", pass.name, round, idle)
 			}
 		}
 	}

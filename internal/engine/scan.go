@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/obsv"
@@ -15,46 +14,10 @@ import (
 	"repro/internal/storage"
 )
 
-// ScanStats counts chunk-level scan decisions for one evaluation. One
-// entry is recorded per (predicate, chunk) pair; tables without chunk
-// metadata record nothing. The counters are atomics so chunk-parallel
-// scans can share one ScanStats (and a Cartographer can accumulate one
-// across explorations).
-type ScanStats struct {
-	// ChunksScanned counts chunks whose rows were actually tested.
-	ChunksScanned atomic.Int64
-	// ChunksPruned counts chunks skipped because the zone map proves no
-	// row can match (disjoint min/max range or an all-NULL chunk).
-	ChunksPruned atomic.Int64
-	// ChunksFull counts chunks skipped because the zone map proves every
-	// non-pruned row matches (predicate covers [min,max], no NULLs).
-	ChunksFull atomic.Int64
-	// ChunksDecoded counts lazy chunk payloads decoded for this scan
-	// (cache misses on memory-tiered tables); pruned and all-match
-	// chunks never decode, which is what makes zone maps an I/O filter.
-	ChunksDecoded atomic.Int64
-	// ChunkCacheHits counts lazy chunk fetches served without a decode:
-	// decoded-cache hits, and zero-copy payloads of already-resident
-	// columns (eager shard files behind a lazy combined view).
-	ChunkCacheHits atomic.Int64
-}
-
-// Snapshot is a plain-value copy of a ScanStats for reporting.
-type Snapshot struct {
-	ChunksScanned, ChunksPruned, ChunksFull int64
-	ChunksDecoded, ChunkCacheHits           int64
-}
-
-// Snapshot copies the counters.
-func (s *ScanStats) Snapshot() Snapshot {
-	return Snapshot{
-		ChunksScanned:  s.ChunksScanned.Load(),
-		ChunksPruned:   s.ChunksPruned.Load(),
-		ChunksFull:     s.ChunksFull.Load(),
-		ChunksDecoded:  s.ChunksDecoded.Load(),
-		ChunkCacheHits: s.ChunkCacheHits.Load(),
-	}
-}
+// ScanStats counts chunk-level scan decisions: it is the scan plane of
+// a query's resource ledger (obsv.ScanStats), named here for callers
+// that count one pass of their own through ScanOptions.Stats.
+type ScanStats = obsv.ScanStats
 
 // ScanOptions tunes one scan.
 type ScanOptions struct {
@@ -63,7 +26,8 @@ type ScanOptions struct {
 	// of the selection bitmap, so results are byte-identical at any
 	// worker count.
 	Workers int
-	// Stats, when non-nil, accumulates chunk decisions.
+	// Stats, when non-nil, accumulates chunk decisions in place of the
+	// context's ledger: a pass bills exactly one of the two.
 	Stats *ScanStats
 	// Ctx rides along into lazy chunk fetches: remote chunk sources pick
 	// up its trace span and request ID, so chunk-plane RPCs appear in the
@@ -80,21 +44,14 @@ func (o ScanOptions) context() context.Context {
 	return o.Ctx
 }
 
-// billFetch returns the hook a pass hands storage.Runs: each real chunk
-// fetch is counted in o.Stats and in ctx's ledger, at the same site, so
-// a query's ledger delta equals the ScanStats delta it produced.
-func (o ScanOptions) billFetch(ctx context.Context) func(hit bool) {
-	led := obsv.LedgerFrom(ctx)
-	return func(hit bool) {
-		if o.Stats != nil {
-			if hit {
-				o.Stats.ChunkCacheHits.Add(1)
-			} else {
-				o.Stats.ChunksDecoded.Add(1)
-			}
-		}
-		led.ChunkFetch(hit)
+// sink resolves where a pass bills its verdicts and fetches: o.Stats
+// when set, otherwise the scan plane of ctx's ledger (nil, billing
+// nothing, when the context is unledgered).
+func (o ScanOptions) sink(ctx context.Context) *ScanStats {
+	if o.Stats != nil {
+		return o.Stats
 	}
+	return obsv.LedgerFrom(ctx).Scan()
 }
 
 // EvalAndIntoOpts is EvalAndInto with scan options: zone-map pruning is
@@ -303,11 +260,9 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	if len(cps) == 0 {
 		return nil
 	}
-	// The context's ledger is billed at exactly the sites opts.Stats is,
-	// so a query's ledger delta equals the ScanStats delta it produced.
 	ctx := opts.context()
-	led := obsv.LedgerFrom(ctx)
-	bill := opts.billFetch(ctx)
+	sink := opts.sink(ctx)
+	bill := sink.BillFetch
 	words := sel.Words()
 	ck := t.Chunking()
 	size := t.RunRows()
@@ -345,17 +300,11 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 			case zonePrune:
 				zeroWordsRange(words, w0, w1)
 				if ck != nil {
-					if opts.Stats != nil {
-						opts.Stats.ChunksPruned.Add(1)
-					}
-					led.ChunkPruned()
+					sink.BillPruned()
 				}
 				return nil
 			case zoneFull:
-				if opts.Stats != nil {
-					opts.Stats.ChunksFull.Add(1)
-				}
-				led.ChunkFull()
+				sink.BillFull()
 			default:
 				var window [storage.PrefetchWindow]int
 				cp.runs.Hint(ctx, fetchWindow(window[:0], certain[i], k))
@@ -365,10 +314,7 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 				}
 				cp.and(pl, words, w0, w1)
 				if ck != nil {
-					if opts.Stats != nil {
-						opts.Stats.ChunksScanned.Add(1)
-					}
-					led.ChunkScanned()
+					sink.BillScanned()
 				}
 			}
 		}

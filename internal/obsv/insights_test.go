@@ -135,17 +135,21 @@ func TestQueryLogConcurrent(t *testing.T) {
 
 func TestNilLedgerIsSafe(t *testing.T) {
 	var l *Ledger
-	l.ChunkScanned()
-	l.ChunkPruned()
-	l.ChunkFull()
-	l.ChunkFetch(true)
-	l.ChunkFetch(false)
+	if l.Scan() != nil {
+		t.Fatal("nil ledger has a scan plane")
+	}
+	l.Scan().BillScanned()
+	l.Scan().BillPruned()
+	l.Scan().BillFull()
+	l.Scan().BillFetch(true)
+	l.Scan().BillFetch(false)
+	if s := l.Scan().Snapshot(); s != (ScanSnapshot{}) {
+		t.Fatalf("nil scan plane snapshot moved: %+v", s)
+	}
 	l.ReadBytes(10)
 	l.StoreChunkDecoded()
 	l.RPC()
 	l.WireBytes(10)
-	l.AddPhase("p", 1, 1)
-	l.StartPhase("p")()
 	l.Finish()
 	l.Add(LedgerSnapshot{BytesRead: 5})
 	if s := l.Snapshot(); s.BytesRead != 0 {
@@ -170,16 +174,14 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if LedgerFrom(context.WithoutCancel(ctx)) != l {
 		t.Fatal("ledger lost across WithoutCancel")
 	}
-	got.ChunkScanned()
-	got.ChunkPruned()
-	got.ChunkFetch(false)
-	got.ChunkFetch(true)
+	got.Scan().BillScanned()
+	got.Scan().BillPruned()
+	got.Scan().BillFetch(false)
+	got.Scan().BillFetch(true)
 	got.ReadBytes(128)
 	got.StoreChunkDecoded()
 	got.RPC()
 	got.WireBytes(64)
-	end := got.StartPhase("cut")
-	end()
 	got.Finish()
 	s := l.Snapshot()
 	if s.ChunksScanned != 1 || s.ChunksPruned != 1 || s.ChunksDecoded != 1 || s.ChunkCacheHits != 1 {
@@ -188,14 +190,42 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if s.BytesRead != 128 || s.StoreChunksDecoded != 1 || s.RPCs != 1 || s.BytesWire != 64 {
 		t.Fatalf("store/fabric plane: %+v", s)
 	}
-	if len(s.Phases) != 1 || s.Phases[0].Name != "cut" || s.Phases[0].WallNs < 0 {
-		t.Fatalf("phases: %+v", s.Phases)
+	if s.Phases != nil {
+		t.Fatalf("a ledger keeps no phases: %+v", s.Phases)
 	}
 	var totals Ledger
 	totals.Add(s)
 	totals.Add(s)
 	if ts := totals.Snapshot(); ts.BytesRead != 256 || ts.ChunksScanned != 2 {
 		t.Fatalf("totals: %+v", ts)
+	}
+}
+
+// TestPhasesOfSpanTree: a query's phases are its root's direct children
+// but the skipped ones, timed by their spans and sorted by name; deeper
+// spans are not phases.
+func TestPhasesOfSpanTree(t *testing.T) {
+	tr, root := NewTrace("explore")
+	for _, name := range []string{"screen", "base", "cut"} {
+		sp := root.NewChild(name)
+		sp.NewChild("cut age").End()
+		sp.End()
+	}
+	root.End()
+	tree := tr.Tree()
+	got := PhasesOf(tree, "base")
+	if len(got) != 2 || got[0].Name != "cut" || got[1].Name != "screen" {
+		t.Fatalf("phases = %+v, want cut and screen", got)
+	}
+	for _, p := range got {
+		for _, c := range tree.Children {
+			if c.Name == p.Name && c.DurNs != p.WallNs {
+				t.Errorf("%s: wallNs %d, span durNs %d", p.Name, p.WallNs, c.DurNs)
+			}
+		}
+	}
+	if PhasesOf(nil, "base") != nil {
+		t.Fatal("a nil tree has phases")
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Ledger is the per-query resource bill: every counter the layers below
-// already keep (engine scan verdicts, store bytes/decodes, fabric RPCs)
-// is additionally charged to the context's Ledger at the same code
-// sites, so one Explore or drill-down gets an exact, query-scoped
-// account instead of store-lifetime aggregates.
+// keep for one query (engine scan verdicts, store bytes/decodes, fabric
+// RPCs) is charged to the context's Ledger at the code site that does
+// the work, so one Explore or drill-down gets an exact, query-scoped
+// account. Lifetime views (a server's /api/stats and metrics) are sums
+// of query ledgers, never a second counter.
 //
 // A nil *Ledger is the disabled ledger — every method is a no-op — so
 // unledgered paths pay one context lookup and a nil check, mirroring
@@ -21,22 +21,19 @@ import (
 //
 // Two planes are kept deliberately distinct:
 //
-//   - the scan plane (ChunksScanned/Pruned/Full/Decoded/CacheHits)
-//     mirrors engine.ScanStats: it bills exactly where a scan's
-//     ScanOptions.Stats bills, so the ledger delta of one query equals
-//     the ScanStats delta the same query produced;
+//   - the scan plane (ScanStats: chunks scanned/pruned/full, and the
+//     decodes and cache hits of the chunks a scan fetched) is billed by
+//     the engine, once per verdict and once per fetch;
 //   - the store plane (BytesRead/StoreChunksDecoded) mirrors
 //     colstore.IOStats (and, for remote shards, the client's per-shard
 //     I/O counters): it bills inside the chunk loaders themselves, so
 //     it also covers fetches the scan plane never sees (screening,
 //     whole-column summaries and partials, prefetched windows).
+//
+// Phase timings are not kept here: a query's phases are the spans of
+// its trace (see PhasesOf).
 type Ledger struct {
-	// scan plane — mirrors engine.ScanStats.
-	chunksScanned  atomic.Int64
-	chunksPruned   atomic.Int64
-	chunksFull     atomic.Int64
-	chunksDecoded  atomic.Int64
-	chunkCacheHits atomic.Int64
+	scan ScanStats
 
 	// store plane — mirrors colstore.IOStats / remote client I/O.
 	bytesRead          atomic.Int64
@@ -54,20 +51,95 @@ type Ledger struct {
 	allocBytes    atomic.Int64
 	finalizedOnce sync.Once
 
-	mu     sync.Mutex
-	phases []PhaseCost
-
 	// cancelledAt names the first stage that observed cancellation
 	// (empty for queries that ran to completion).
 	cancelledAt atomic.Pointer[string]
 }
 
-// PhaseCost is the wall-clock (and best-effort CPU) time one pipeline
-// phase spent, as recorded by the Cartographer's phase hooks.
+// ScanStats is the scan plane: chunk-level scan decisions, one per
+// (predicate, chunk) pair of a chunked table — ChunksScanned (rows
+// tested), ChunksPruned (the zone map proves no row matches: disjoint
+// range or all NULL) and ChunksFull (it proves every row matches) — and
+// the lazy chunk fetches of a pass: ChunksDecoded (cache misses; pruned
+// and all-match chunks never decode, which makes zone maps an I/O
+// filter) and ChunkCacheHits (decoded-cache hits and zero-copy payloads
+// of already-resident columns). The counters are atomics so
+// chunk-parallel scans share one ScanStats. A nil *ScanStats bills
+// nothing.
+type ScanStats struct {
+	ChunksScanned, ChunksPruned, ChunksFull atomic.Int64
+	ChunksDecoded, ChunkCacheHits           atomic.Int64
+}
+
+// ScanSnapshot is a plain-value copy of a ScanStats.
+type ScanSnapshot struct {
+	ChunksScanned  int64 `json:"chunksScanned"`
+	ChunksPruned   int64 `json:"chunksPruned"`
+	ChunksFull     int64 `json:"chunksFull"`
+	ChunksDecoded  int64 `json:"chunksDecoded"`
+	ChunkCacheHits int64 `json:"chunkCacheHits"`
+}
+
+// BillScanned bills one (predicate, chunk) pair whose rows were tested.
+func (s *ScanStats) BillScanned() {
+	if s != nil {
+		s.ChunksScanned.Add(1)
+	}
+}
+
+// BillPruned bills one zone-map prune verdict.
+func (s *ScanStats) BillPruned() {
+	if s != nil {
+		s.ChunksPruned.Add(1)
+	}
+}
+
+// BillFull bills one zone-map full-match verdict.
+func (s *ScanStats) BillFull() {
+	if s != nil {
+		s.ChunksFull.Add(1)
+	}
+}
+
+// BillFetch bills one lazy chunk fetch: a decode on miss, a cache hit
+// otherwise.
+func (s *ScanStats) BillFetch(hit bool) {
+	switch {
+	case s == nil:
+	case hit:
+		s.ChunkCacheHits.Add(1)
+	default:
+		s.ChunksDecoded.Add(1)
+	}
+}
+
+// Snapshot copies the counters; a nil ScanStats reads as zero.
+func (s *ScanStats) Snapshot() ScanSnapshot {
+	if s == nil {
+		return ScanSnapshot{}
+	}
+	return ScanSnapshot{
+		ChunksScanned:  s.ChunksScanned.Load(),
+		ChunksPruned:   s.ChunksPruned.Load(),
+		ChunksFull:     s.ChunksFull.Load(),
+		ChunksDecoded:  s.ChunksDecoded.Load(),
+		ChunkCacheHits: s.ChunkCacheHits.Load(),
+	}
+}
+
+func (s *ScanStats) add(d ScanSnapshot) {
+	s.ChunksScanned.Add(d.ChunksScanned)
+	s.ChunksPruned.Add(d.ChunksPruned)
+	s.ChunksFull.Add(d.ChunksFull)
+	s.ChunksDecoded.Add(d.ChunksDecoded)
+	s.ChunkCacheHits.Add(d.ChunkCacheHits)
+}
+
+// PhaseCost is the wall-clock time one pipeline phase spent, read off
+// the phase's span.
 type PhaseCost struct {
 	Name   string `json:"name"`
 	WallNs int64  `json:"wallNs"`
-	CPUNs  int64  `json:"cpuNs,omitempty"`
 }
 
 // NewLedger opens a ledger and captures the process CPU/allocation
@@ -79,40 +151,12 @@ func NewLedger() *Ledger {
 	return l
 }
 
-// --- scan plane ---
-
-// ChunkScanned bills one (predicate, chunk) pair whose rows were tested.
-func (l *Ledger) ChunkScanned() {
-	if l != nil {
-		l.chunksScanned.Add(1)
-	}
-}
-
-// ChunkPruned bills one zone-map prune verdict.
-func (l *Ledger) ChunkPruned() {
-	if l != nil {
-		l.chunksPruned.Add(1)
-	}
-}
-
-// ChunkFull bills one zone-map full-match verdict.
-func (l *Ledger) ChunkFull() {
-	if l != nil {
-		l.chunksFull.Add(1)
-	}
-}
-
-// ChunkFetch bills one lazy chunk fetch seen by the scan: a decode on
-// miss, a cache hit otherwise.
-func (l *Ledger) ChunkFetch(hit bool) {
+// Scan returns the ledger's scan plane, nil for the disabled ledger.
+func (l *Ledger) Scan() *ScanStats {
 	if l == nil {
-		return
+		return nil
 	}
-	if hit {
-		l.chunkCacheHits.Add(1)
-	} else {
-		l.chunksDecoded.Add(1)
-	}
+	return &l.scan
 }
 
 // --- store plane ---
@@ -170,31 +214,7 @@ func (l *Ledger) CancelledAt() string {
 	return ""
 }
 
-// --- process costs and phases ---
-
-// AddPhase records one pipeline phase's wall (and CPU) time.
-func (l *Ledger) AddPhase(name string, wallNs, cpuNs int64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.phases = append(l.phases, PhaseCost{Name: name, WallNs: wallNs, CPUNs: cpuNs})
-	l.mu.Unlock()
-}
-
-// StartPhase opens one phase bookend: the returned function records
-// the phase's wall-clock (and best-effort process CPU) time under name.
-// Nil ledgers return a no-op, so callers bookend unconditionally.
-func (l *Ledger) StartPhase(name string) func() {
-	if l == nil {
-		return func() {}
-	}
-	wall := time.Now()
-	cpu := processCPUNs()
-	return func() {
-		l.AddPhase(name, time.Since(wall).Nanoseconds(), processCPUNs()-cpu)
-	}
-}
+// --- process costs ---
 
 // Finish closes the CPU/allocation bookends opened by NewLedger. Safe
 // to call more than once; only the first call records.
@@ -213,13 +233,10 @@ func (l *Ledger) Finish() {
 }
 
 // LedgerSnapshot is a plain-value copy of a Ledger for DTOs and the
-// query log.
+// query log. Phases is filled by whoever holds the query's finished span
+// tree (see PhasesOf); a ledger's own Snapshot leaves it empty.
 type LedgerSnapshot struct {
-	ChunksScanned      int64       `json:"chunksScanned"`
-	ChunksPruned       int64       `json:"chunksPruned"`
-	ChunksFull         int64       `json:"chunksFull"`
-	ChunksDecoded      int64       `json:"chunksDecoded"`
-	ChunkCacheHits     int64       `json:"chunkCacheHits"`
+	ScanSnapshot
 	BytesRead          int64       `json:"bytesRead"`
 	StoreChunksDecoded int64       `json:"storeChunksDecoded"`
 	RPCs               int64       `json:"rpcs"`
@@ -230,22 +247,13 @@ type LedgerSnapshot struct {
 	Phases             []PhaseCost `json:"phases,omitempty"`
 }
 
-// Snapshot copies the ledger. Phases come back sorted by name so the
-// output is deterministic regardless of phase scheduling.
+// Snapshot copies the ledger.
 func (l *Ledger) Snapshot() LedgerSnapshot {
 	if l == nil {
 		return LedgerSnapshot{}
 	}
-	l.mu.Lock()
-	phases := append([]PhaseCost(nil), l.phases...)
-	l.mu.Unlock()
-	sort.Slice(phases, func(i, j int) bool { return phases[i].Name < phases[j].Name })
 	return LedgerSnapshot{
-		ChunksScanned:      l.chunksScanned.Load(),
-		ChunksPruned:       l.chunksPruned.Load(),
-		ChunksFull:         l.chunksFull.Load(),
-		ChunksDecoded:      l.chunksDecoded.Load(),
-		ChunkCacheHits:     l.chunkCacheHits.Load(),
+		ScanSnapshot:       l.scan.Snapshot(),
 		BytesRead:          l.bytesRead.Load(),
 		StoreChunksDecoded: l.storeChunksDecoded.Load(),
 		RPCs:               l.rpcs.Load(),
@@ -253,7 +261,6 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 		CPUNs:              l.cpuNs.Load(),
 		AllocBytes:         l.allocBytes.Load(),
 		CancelledAt:        l.CancelledAt(),
-		Phases:             phases,
 	}
 }
 
@@ -263,17 +270,31 @@ func (l *Ledger) Add(s LedgerSnapshot) {
 	if l == nil {
 		return
 	}
-	l.chunksScanned.Add(s.ChunksScanned)
-	l.chunksPruned.Add(s.ChunksPruned)
-	l.chunksFull.Add(s.ChunksFull)
-	l.chunksDecoded.Add(s.ChunksDecoded)
-	l.chunkCacheHits.Add(s.ChunkCacheHits)
+	l.scan.add(s.ScanSnapshot)
 	l.bytesRead.Add(s.BytesRead)
 	l.storeChunksDecoded.Add(s.StoreChunksDecoded)
 	l.rpcs.Add(s.RPCs)
 	l.bytesWire.Add(s.BytesWire)
 	l.cpuNs.Add(s.CPUNs)
 	l.allocBytes.Add(s.AllocBytes)
+}
+
+// PhasesOf reads a query's phase timings off its finished span tree:
+// one entry per direct child of the root but the one named skip, sorted
+// by name so the output is deterministic regardless of phase
+// scheduling. A nil tree has no phases.
+func PhasesOf(root *SpanJSON, skip string) []PhaseCost {
+	if root == nil {
+		return nil
+	}
+	var out []PhaseCost
+	for _, c := range root.Children {
+		if c.Name != skip {
+			out = append(out, PhaseCost{Name: c.Name, WallNs: c.DurNs})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // WithLedger returns a context carrying l as the current ledger.

@@ -472,9 +472,9 @@ func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 		t.Fatal("no non-empty region to drill into")
 	}
 
-	before := cart.ScanStats()
+	led := new(obsv.Ledger)
 	tr, sp := obsv.NewTrace("drill")
-	node, err := sess.DrillDownCtx(obsv.WithSpan(context.Background(), sp), 0, ri)
+	node, err := sess.DrillDownCtx(obsv.WithLedger(obsv.WithSpan(context.Background(), sp), led), 0, ri)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
@@ -482,10 +482,8 @@ func TestSessionBaseBitsSkipChunkPlane(t *testing.T) {
 	if node.Cached {
 		t.Fatal("drill was served from the result cache; it must run the pipeline")
 	}
-	after := cart.ScanStats()
-	if n := (after.ChunksScanned + after.ChunksPruned + after.ChunksFull) -
-		(before.ChunksScanned + before.ChunksPruned + before.ChunksFull); n != 0 {
-		t.Errorf("drill judged %d chunks for its base selection, want 0", n)
+	if sn := led.Snapshot(); sn.ChunksScanned+sn.ChunksPruned+sn.ChunksFull != 0 {
+		t.Errorf("drill judged chunks for its base selection: %+v, want none", sn.ScanSnapshot)
 	}
 	var baseRPCs int
 	walkSpans(tr.Tree(), func(s *obsv.SpanJSON) {

@@ -8,25 +8,23 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/session"
 	"repro/internal/shard"
 )
 
-// fabricCounters bundles every counter plane the ledger mirrors:
-// the cartographer's scan stats, the shard set's store I/O, and the
-// opener's fabric accounting. Comparable, so stability polling can
-// just compare struct values.
+// fabricCounters bundles the lifetime counter planes the ledger's store
+// and fabric planes mirror: the shard set's store I/O and the opener's
+// fabric accounting. Comparable, so stability polling can just compare
+// struct values.
 type fabricCounters struct {
-	scan engine.Snapshot
-	io   colstore.IOStats
-	fab  Stats
+	io  colstore.IOStats
+	fab Stats
 }
 
-func readFabricCounters(cart *core.Cartographer, set *shard.Set, op *Opener) fabricCounters {
-	return fabricCounters{scan: cart.ScanStats(), io: set.IOStats(), fab: op.Stats()}
+func readFabricCounters(set *shard.Set, op *Opener) fabricCounters {
+	return fabricCounters{io: set.IOStats(), fab: op.Stats()}
 }
 
 // waitSettled polls until two consecutive reads agree — detached
@@ -51,11 +49,12 @@ func waitSettled(t *testing.T, read func() fabricCounters) fabricCounters {
 
 // TestLedgerExactnessOnFabric is the resource-ledger acceptance test:
 // on a 2-shard × 2-replica fabric, an exploration run under a ledger
-// context must be billed EXACTLY — the ledger's scan, store, and
-// fabric planes equal the deltas of the pre-existing counters
-// (engine.ScanStats, colstore.IOStats, opener Stats) over the same
-// query. The ledger bills at the same call sites as those counters,
-// so any drift is a missed or double-billed site.
+// context must be billed EXACTLY — the ledger's store and fabric planes
+// equal the deltas of the lifetime counters (colstore.IOStats, opener
+// Stats) over the same query. The ledger bills at the same call sites
+// as those counters, so any drift is a missed or double-billed site.
+// (The scan plane has no second counter to compare with: the ledger is
+// the only one.)
 func TestLedgerExactnessOnFabric(t *testing.T) {
 	testLedgerExactness(t, false)
 }
@@ -86,7 +85,7 @@ func testLedgerExactness(t *testing.T, deferOpen bool) {
 		t.Fatal(err)
 	}
 
-	read := func() fabricCounters { return readFabricCounters(cart, set, opener) }
+	read := func() fabricCounters { return readFabricCounters(set, opener) }
 	q := query.New("census", query.NewRange("age", 25, 60))
 
 	// Two passes: a cold one (stats, dictionaries, and chunks all paid
@@ -116,21 +115,6 @@ func testLedgerExactness(t *testing.T, deferOpen bool) {
 			return c
 		})
 
-		if got, want := s.ChunksScanned, after.scan.ChunksScanned-before.scan.ChunksScanned; got != want {
-			t.Errorf("%s: ledger ChunksScanned = %d, scan-stat delta = %d", name, got, want)
-		}
-		if got, want := s.ChunksPruned, after.scan.ChunksPruned-before.scan.ChunksPruned; got != want {
-			t.Errorf("%s: ledger ChunksPruned = %d, scan-stat delta = %d", name, got, want)
-		}
-		if got, want := s.ChunksFull, after.scan.ChunksFull-before.scan.ChunksFull; got != want {
-			t.Errorf("%s: ledger ChunksFull = %d, scan-stat delta = %d", name, got, want)
-		}
-		if got, want := s.ChunksDecoded, after.scan.ChunksDecoded-before.scan.ChunksDecoded; got != want {
-			t.Errorf("%s: ledger ChunksDecoded = %d, scan-stat delta = %d", name, got, want)
-		}
-		if got, want := s.ChunkCacheHits, after.scan.ChunkCacheHits-before.scan.ChunkCacheHits; got != want {
-			t.Errorf("%s: ledger ChunkCacheHits = %d, scan-stat delta = %d", name, got, want)
-		}
 		if got, want := s.BytesRead, after.io.BytesRead-before.io.BytesRead; got != want {
 			t.Errorf("%s: ledger BytesRead = %d, store delta = %d", name, got, want)
 		}
@@ -186,7 +170,7 @@ func TestSessionRootBillsLikeStatelessExplore(t *testing.T) {
 		led.Finish()
 		var s obsv.LedgerSnapshot
 		waitSettled(t, func() fabricCounters {
-			c := readFabricCounters(cart, set, opener)
+			c := readFabricCounters(set, opener)
 			s = led.Snapshot()
 			return c
 		})

@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/workload"
 )
 
 // This file is the overload-safety surface of the HTTP layer: a bounded
@@ -240,41 +238,21 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 // queries keep running (their deadline still applies).
 func (s *Server) SetDraining(on bool) { s.gate.setDraining(on) }
 
-// admit passes one query through the gate. A refusal is recorded in
-// the shed counters, the query log (Outcome "shed") and the workload
-// recorder (shed requests are offered load) before the error returns;
-// on nil error the caller must call the returned release exactly once.
-// sess is the drill-down session the query targeted
-// (workload.StatelessSession for stateless explores).
+// admit passes one query through the gate. A request that never runs
+// — refused by the gate ("shed"), or abandoned by its caller while
+// queued ("cancelled") — still leaves its one record, in the outcome
+// counters, the query log and the workload recorder (shed requests are
+// offered load), before the error returns. It starts no trace or
+// ledger: the point of shedding is to not spend on it. On nil error the
+// caller must call the returned release exactly once. sess is the
+// drill-down session the query targeted (workload.StatelessSession for
+// stateless explores).
 func (s *Server) admit(r *http.Request, op, input string, sess int) (release func(), err error) {
 	if err := s.gate.acquire(r.Context()); err != nil {
-		s.recordShed(op, obsv.RequestIDFrom(r.Context()), input, sess, err)
+		s.record(newEntry(r, op, input), sess, err)
 		return nil, err
 	}
 	return s.gate.release, nil
-}
-
-// recordShed logs one refused query. Shed requests never start a
-// trace or ledger — the point of shedding is to not spend on them —
-// so the entry carries the outcome and the error only.
-func (s *Server) recordShed(op, rid, input string, sess int, err error) {
-	s.Registry()
-	var oe *overloadError
-	if !errors.As(err, &oe) {
-		// Cancelled while queued: the client gave up, not the gate.
-		s.metrics.cancelledQueries.Inc()
-		return
-	}
-	input = workload.CapInput(input, 0)
-	s.qlog.Add(&obsv.QueryLogEntry{
-		Time:      time.Now(),
-		RequestID: rid,
-		Op:        op,
-		Input:     input,
-		Err:       err.Error(),
-		Outcome:   "shed",
-	})
-	s.wrec.Observe(op, input, sess, "shed", 0, nil)
 }
 
 // queryBudget resolves the effective wall-clock budget of one request:

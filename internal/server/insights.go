@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/engine"
 	"repro/internal/obsv"
@@ -36,9 +38,10 @@ func profileMode(r *http.Request) string {
 }
 
 // queryRun bundles the per-query instrumentation every explore, session
-// explore and drill-down runs under: a trace (always on — slow and
-// failed queries keep their span tree in the query log), a resource
-// ledger threaded through the context, and the wall clock.
+// explore and drill-down runs under: a trace (always on — its spans are
+// the query's phase clock, and slow and failed queries keep the tree in
+// the query log), a resource ledger threaded through the context, the
+// wall clock, and the query's one record.
 type queryRun struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -47,16 +50,22 @@ type queryRun struct {
 	led    *obsv.Ledger
 	mode   string
 	start  time.Time
+	// entry is the query's record, filled in by finish; sess is the
+	// drill-down session it ran in (workload.StatelessSession for none).
+	entry *obsv.QueryLogEntry
+	sess  int
 	// cached is set by the handler when the result cache answered the
 	// query (a hit, or a joined in-flight computation): no pipeline ran.
 	cached bool
+	// tree is the finished span tree, set by finish.
+	tree *obsv.SpanJSON
 }
 
-// startQuery opens the instrumentation for one query named op. When
-// the server (or the request, via X-Atlas-Query-Timeout) sets a query
-// budget, the context carries the wall-clock deadline: every layer
-// below — scans, cuts, fabric RPCs, chunk loads — unwinds at it.
-func (s *Server) startQuery(r *http.Request, op string) *queryRun {
+// startQuery opens the instrumentation for one query. When the server
+// (or the request, via X-Atlas-Query-Timeout) sets a query budget, the
+// context carries the wall-clock deadline: every layer below — scans,
+// cuts, fabric RPCs, chunk loads — unwinds at it.
+func (s *Server) startQuery(r *http.Request, op, input string, sess int) *queryRun {
 	tr, root := obsv.NewTrace(op)
 	led := obsv.NewLedger()
 	rctx := r.Context()
@@ -65,20 +74,47 @@ func (s *Server) startQuery(r *http.Request, op string) *queryRun {
 		rctx, cancel = context.WithTimeout(rctx, d)
 	}
 	ctx := obsv.WithLedger(obsv.WithSpan(rctx, root), led)
-	return &queryRun{ctx: ctx, cancel: cancel, tr: tr, root: root, led: led, mode: profileMode(r), start: time.Now()}
+	return &queryRun{ctx: ctx, cancel: cancel, tr: tr, root: root, led: led, mode: profileMode(r), start: time.Now(),
+		entry: newEntry(r, op, input), sess: sess}
 }
 
-// finish closes the trace and the ledger, feeds the metrics, the slow
-// log, the query log and the workload recorder, and returns the
-// finished span tree. sess is the drill-down session the query ran in
-// (workload.StatelessSession for stateless explores).
-func (qr *queryRun) finish(s *Server, op, input string, sess int, qerr error) *obsv.SpanJSON {
+// finish closes the trace and the ledger and completes the query's
+// record: the ledger snapshot once, with the phases read off the span
+// tree. The record feeds the latency metrics, the lifetime totals, the
+// slow log, the query log and the workload capture, and attach copies
+// its bill onto the response.
+func (qr *queryRun) finish(s *Server, qerr error) {
 	qr.cancel()
 	qr.root.End()
 	qr.led.Finish()
-	tree := qr.tr.Tree()
-	s.observeQuery(op, obsv.RequestIDFrom(qr.ctx), input, sess, time.Since(qr.start), qerr, qr.mode != "", qr.cached, qr.led, tree)
-	return tree
+	qr.tree = qr.tr.Tree()
+	dur := time.Since(qr.start)
+	snap := qr.led.Snapshot()
+	snap.Phases = obsv.PhasesOf(qr.tree, core.BaseSpan)
+	e := qr.entry
+	e.DurNs, e.Cached, e.Ledger = dur.Nanoseconds(), qr.cached, &snap
+
+	s.metrics.exploreHist.ObserveDuration(dur)
+	s.metrics.opHistogram(e.Op).ObserveDuration(dur)
+	if qr.mode != "" {
+		s.metrics.profiled.Inc()
+	}
+	s.totals.Add(snap)
+	threshold, logf := s.slowConfig()
+	e.Slow = threshold > 0 && dur >= threshold
+	if e.Slow && logf != nil {
+		s.metrics.slowQueries.Inc()
+		rid := e.RequestID
+		if rid == "" {
+			rid = "-"
+		}
+		logf("slow query: rid=%s dur=%s cql=%q", rid, dur, e.Input)
+	}
+	// Fast successes drop the span tree to bound the log's memory.
+	if e.Slow || qerr != nil {
+		e.Profile = qr.tree
+	}
+	s.record(e, qr.sess, qerr)
 }
 
 // headerResultCache reports on every answered query whether the result
@@ -88,19 +124,18 @@ const headerResultCache = "X-Atlas-Result-Cache"
 
 // attach copies the run's bill (and, when asked for, its profile) onto
 // the response DTO, and the cache verdict onto the response headers.
-func (qr *queryRun) attach(w http.ResponseWriter, dto *ResultDTO, tree *obsv.SpanJSON) {
+func (qr *queryRun) attach(w http.ResponseWriter, dto *ResultDTO) {
 	if qr.cached {
 		w.Header().Set(headerResultCache, "hit")
 	} else {
 		w.Header().Set(headerResultCache, "miss")
 	}
-	snap := qr.led.Snapshot()
-	dto.Ledger = &snap
+	dto.Ledger = qr.entry.Ledger
 	switch qr.mode {
 	case "tree":
-		dto.Profile = tree
+		dto.Profile = qr.tree
 	case "perfetto":
-		if b, err := obsv.PerfettoTrace(tree); err == nil {
+		if b, err := obsv.PerfettoTrace(qr.tree); err == nil {
 			dto.ProfilePerfetto = b
 		}
 	}
@@ -254,7 +289,15 @@ func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	n, _ := strconv.Atoi(q.Get("n"))
+	n := 0
+	if nv := q.Get("n"); nv != "" {
+		parsed, err := strconv.Atoi(nv)
+		if err != nil || parsed < 0 {
+			writeError(w, &badRequest{fmt.Errorf("invalid n %q", nv)})
+			return
+		}
+		n = parsed
+	}
 	entries := s.qlog.Entries()
 	if slowOnly || errOnly || opOnly != "" || haveSince {
 		kept := entries[:0]
@@ -284,64 +327,39 @@ func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueryLogDTO{Total: s.qlog.Total(), Depth: s.qlog.Depth(), Entries: entries})
 }
 
-// observeQuery records one finished query: the explore counters and
-// per-op latency histogram, the lifetime ledger totals, the slow-query
-// log, the query-log ring (slow and failed entries keep their span
-// tree; fast successes drop it to bound memory) and the workload
-// recorder. Inputs are capped at the workload byte budget before any
-// of them, so a pathological CQL string can't bloat the ring or a
-// recorded workload.
-func (s *Server) observeQuery(op, rid, input string, sess int, dur time.Duration, qerr error, profiled, cached bool, led *obsv.Ledger, tree *obsv.SpanJSON) {
-	s.Registry() // ensure metrics exist
-	input = workload.CapInput(input, 0)
-	s.metrics.explores.Inc()
-	s.metrics.exploreHist.ObserveDuration(dur)
-	s.metrics.opHistogram(op).ObserveDuration(dur)
-	if profiled {
-		s.metrics.profiled.Inc()
-	}
-	snap := led.Snapshot()
-	s.totals.Add(snap)
-	threshold, logf := s.slowConfig()
-	slow := threshold > 0 && dur >= threshold
-	if slow && logf != nil {
-		s.metrics.slowQueries.Inc()
-		lrid := rid
-		if lrid == "" {
-			lrid = "-"
+// newEntry starts the record of one request: what it asks for. The
+// input is capped at the workload byte budget, so a pathological CQL
+// string can't bloat the query log or a recorded workload.
+func newEntry(r *http.Request, op, input string) *obsv.QueryLogEntry {
+	return &obsv.QueryLogEntry{RequestID: obsv.RequestIDFrom(r.Context()), Op: op, Input: workload.CapInput(input, 0)}
+}
+
+// record files one request's record — every request leaves exactly
+// one, whether it ran or not: its ending is stamped on the entry, and
+// the outcome counters, the query-log ring and the workload capture all
+// read that same entry. sess is the drill-down session the request
+// targeted (workload.StatelessSession for none).
+func (s *Server) record(e *obsv.QueryLogEntry, sess int, err error) {
+	e.Time = time.Now()
+	if err != nil {
+		e.Err = err.Error()
+		// Deadline expiries, caller cancellations and admission refusals
+		// are lifecycle outcomes, not ordinary errors: the log and the
+		// counters keep them apart so overload shows up as itself.
+		var oe *overloadError
+		switch {
+		case errors.As(err, &oe):
+			e.Outcome = "shed"
+		case obsv.IsDeadline(err):
+			e.Outcome = "deadline"
+			s.metrics.deadlineQueries.Inc()
+		case obsv.IsCancellation(err):
+			e.Outcome = "cancelled"
+			s.metrics.cancelledQueries.Inc()
+		default:
+			e.Outcome = "error"
 		}
-		logf("slow query: rid=%s dur=%s cql=%q", lrid, dur, input)
 	}
-	entry := &obsv.QueryLogEntry{
-		Time:      time.Now(),
-		RequestID: rid,
-		Op:        op,
-		Input:     input,
-		DurNs:     dur.Nanoseconds(),
-		Slow:      slow,
-		Cached:    cached,
-		Ledger:    &snap,
-	}
-	if qerr != nil {
-		entry.Err = qerr.Error()
-	}
-	// Classify the ending: deadline expiries and caller cancellations
-	// are lifecycle outcomes, not ordinary errors — the log and the
-	// counters keep them apart so overload shows up as itself.
-	switch {
-	case qerr == nil:
-	case obsv.IsDeadline(qerr):
-		entry.Outcome = "deadline"
-		s.metrics.deadlineQueries.Inc()
-	case obsv.IsCancellation(qerr):
-		entry.Outcome = "cancelled"
-		s.metrics.cancelledQueries.Inc()
-	default:
-		entry.Outcome = "error"
-	}
-	if slow || qerr != nil {
-		entry.Profile = tree
-	}
-	s.qlog.Add(entry)
-	s.wrec.Observe(op, input, sess, entry.Outcome, dur, &snap)
+	s.qlog.Add(e)
+	s.wrec.Record(e, sess)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -228,6 +229,19 @@ func TestQueryLogEndpoint(t *testing.T) {
 	}
 	if slow := get("/api/querylog?slow=1"); len(slow.Entries) != 0 {
 		t.Fatalf("?slow=1 returned %d entries with no threshold set", len(slow.Entries))
+	}
+	// A count that is not a non-negative integer is refused by name, as
+	// a bad ?since= is, instead of answering the whole ring.
+	for _, bad := range []string{"abc", "-1", "1.5"} {
+		resp, err := http.Get(ts.URL + "/api/querylog?n=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid n") {
+			t.Errorf("?n=%s: HTTP %d %s, want 400 naming n", bad, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"log"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/colstore"
@@ -29,7 +30,6 @@ type serverMetrics struct {
 	reg          *obsv.Registry
 	httpRequests *obsv.Counter
 	httpErrors   *obsv.Counter
-	explores     *obsv.Counter
 	exploreHist  *obsv.Histogram
 	slowQueries  *obsv.Counter
 	profiled     *obsv.Counter
@@ -75,7 +75,7 @@ func (m *serverMetrics) opLatencies() map[string]OpLatencyDTO {
 
 // Registry lazily builds and returns the server's metric registry. The
 // first call wires every layer's counters in: engine scan verdicts from
-// the shared Cartographer, store/cache I/O from the shard set or single
+// the lifetime ledger totals, store/cache I/O from the shard set or single
 // store, fabric traffic from the remote opener (when one is serving),
 // and the HTTP layer's own counters and explore-latency histogram.
 func (s *Server) Registry() *obsv.Registry {
@@ -86,7 +86,6 @@ func (s *Server) Registry() *obsv.Registry {
 			opHists:      map[string]*obsv.Histogram{},
 			httpRequests: r.NewCounter("atlas_http_requests_total", "API requests served", nil),
 			httpErrors:   r.NewCounter("atlas_http_errors_total", "API requests answered with status >= 400", nil),
-			explores:     r.NewCounter("atlas_explores_total", "explorations executed (stateless and session)", nil),
 			exploreHist:  r.NewHistogram("atlas_explore_duration_seconds", "end-to-end exploration latency", nil, nil),
 			slowQueries:  r.NewCounter("atlas_slow_queries_total", "explorations at or above the slow-query threshold", nil),
 			profiled:     r.NewCounter("atlas_profiled_explores_total", "explorations run with profile=1", nil),
@@ -94,6 +93,9 @@ func (s *Server) Registry() *obsv.Registry {
 			cancelledQueries: r.NewCounter("atlas_queries_cancelled_total", "queries abandoned by caller cancellation", nil),
 			deadlineQueries:  r.NewCounter("atlas_queries_deadline_total", "queries stopped at their wall-clock deadline", nil),
 		}
+		r.CounterFunc("atlas_explores_total", "explorations executed (stateless and session)", nil, func() float64 {
+			return float64(s.metrics.exploreHist.Count())
+		})
 		// Admission gate: the overload view. Gauges sample the gate's
 		// own state; the shed counter moves on every 429/503 refusal.
 		gate := s.gate
@@ -138,23 +140,20 @@ func (s *Server) Registry() *obsv.Registry {
 		r.GaugeFunc("atlas_result_cache_bytes", "estimated bytes of cached results", nil, func() float64 {
 			return float64(s.results.Stats().Bytes)
 		})
-		if s.cart != nil {
-			lbl := map[string]string{"layer": "engine"}
-			r.CounterFunc("atlas_engine_chunks_pruned_total", "chunks skipped by zone-map verdicts", lbl, func() float64 {
-				return float64(s.cart.ScanStats().ChunksPruned)
-			})
-			r.CounterFunc("atlas_engine_chunks_full_total", "chunks answered entirely by zone maps", lbl, func() float64 {
-				return float64(s.cart.ScanStats().ChunksFull)
-			})
-			r.CounterFunc("atlas_engine_chunks_scanned_total", "chunks scanned row by row", lbl, func() float64 {
-				return float64(s.cart.ScanStats().ChunksScanned)
-			})
-			r.CounterFunc("atlas_engine_chunks_decoded_total", "lazy chunk payloads decoded for scans", lbl, func() float64 {
-				return float64(s.cart.ScanStats().ChunksDecoded)
-			})
-			r.CounterFunc("atlas_engine_chunk_cache_hits_total", "scan chunk demands served from cache", lbl, func() float64 {
-				return float64(s.cart.ScanStats().ChunkCacheHits)
-			})
+		// Engine scan counters: sums of every query's ledger, prefetches
+		// and WITH overrides included.
+		scan := s.totals.Scan()
+		for _, c := range []struct {
+			name, help string
+			n          *atomic.Int64
+		}{
+			{"atlas_engine_chunks_pruned_total", "chunks skipped by zone-map verdicts", &scan.ChunksPruned},
+			{"atlas_engine_chunks_full_total", "chunks answered entirely by zone maps", &scan.ChunksFull},
+			{"atlas_engine_chunks_scanned_total", "chunks scanned row by row", &scan.ChunksScanned},
+			{"atlas_engine_chunks_decoded_total", "lazy chunk payloads decoded for scans", &scan.ChunksDecoded},
+			{"atlas_engine_chunk_cache_hits_total", "scan chunk demands served from cache", &scan.ChunkCacheHits},
+		} {
+			r.CounterFunc(c.name, c.help, map[string]string{"layer": "engine"}, func() float64 { return float64(c.n.Load()) })
 		}
 		ioStats := s.ioStats
 		if ioStats != nil {

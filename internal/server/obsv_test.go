@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -303,5 +304,75 @@ func TestStatsServerSection(t *testing.T) {
 	}
 	if dto.Server.ExploreP99s < dto.Server.ExploreP50s {
 		t.Errorf("p99 %v below p50 %v", dto.Server.ExploreP99s, dto.Server.ExploreP50s)
+	}
+}
+
+// TestMetricInventoryMatchesREADME: the metrics table in README lists
+// exactly the atlas_* families a coordinator registers. The coordinator
+// serves a remote sharded store, so the store, fabric and fleet families
+// register too, and answers one explore, so the per-op histogram does.
+func TestMetricInventoryMatchesREADME(t *testing.T) {
+	remoteManifest, _ := startRemoteManifest(t, 2)
+	srv, err := NewFromStoreWith(remoteManifest, core.DefaultOptions(), StoreConfig{
+		Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/explore",
+		bytes.NewReader(mustJSON(t, map[string]string{"cql": "EXPLORE census WHERE age > 30"}))))
+	if w.Code != http.StatusOK {
+		t.Fatalf("explore: HTTP %d: %s", w.Code, w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	registered := map[string]bool{}
+	for _, f := range parsePrometheus(t, w.Body.String()) {
+		if strings.HasPrefix(f, "atlas_") {
+			registered[f] = true
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Metrics (`GET /metrics`)")
+	if !ok {
+		t.Fatal("README has no Metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	name := regexp.MustCompile("`(atlas_[^`]*)`")
+	brace := regexp.MustCompile(`\{([^}]*)\}`)
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			// Expand one {a,b,…} group: atlas_x_{a,b}_total names two.
+			g := brace.FindStringSubmatchIndex(m[1])
+			if g == nil {
+				documented[m[1]] = true
+				continue
+			}
+			for _, alt := range strings.Split(m[1][g[2]:g[3]], ",") {
+				documented[m[1][:g[0]]+alt+m[1][g[1]:]] = true
+			}
+		}
+	}
+	for f := range registered {
+		if !documented[f] {
+			t.Errorf("%s is registered but has no row in README's metrics table", f)
+		}
+	}
+	for f := range documented {
+		if !registered[f] {
+			t.Errorf("README's metrics table lists %s, which the coordinator does not register", f)
+		}
 	}
 }

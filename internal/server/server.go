@@ -346,16 +346,16 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	qr := s.startQuery(r, "explore")
+	qr := s.startQuery(r, "explore", req.CQL, workload.StatelessSession)
 	res, cached, err := s.runCQL(qr.ctx, req.CQL)
 	qr.cached = cached
-	tree := qr.finish(s, "explore", req.CQL, workload.StatelessSession, err)
+	qr.finish(s, err)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	dto := toResultDTO(res)
-	qr.attach(w, &dto, tree)
+	qr.attach(w, &dto)
 	writeJSON(w, http.StatusOK, dto)
 }
 
@@ -388,7 +388,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(session.NewWithCache(cart, s.results))})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(session.NewWithCache(cart, s.results, s.totals))})
 }
 
 func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
@@ -407,17 +407,17 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, se
 		return
 	}
 	defer release()
-	qr := s.startQuery(r, "session-explore")
+	qr := s.startQuery(r, "session-explore", req.CQL, sid)
 	node, err := sess.ExploreCtx(qr.ctx, q)
 	qr.cached = err == nil && node.Cached
-	tree := qr.finish(s, "session-explore", req.CQL, sid, err)
+	qr.finish(s, err)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	sess.Prefetch(4) // anticipative computation, Section 5.1
 	dto := toNodeDTO(node)
-	qr.attach(w, &dto.Result, tree)
+	qr.attach(w, &dto.Result)
 	writeJSON(w, http.StatusOK, dto)
 }
 
@@ -433,10 +433,10 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *sessi
 		return
 	}
 	defer release()
-	qr := s.startQuery(r, "drill")
+	qr := s.startQuery(r, "drill", input, sid)
 	node, err := sess.DrillDownCtx(qr.ctx, req.Map, req.Region)
 	qr.cached = err == nil && node.Cached
-	tree := qr.finish(s, "drill", input, sid, err)
+	qr.finish(s, err)
 	if err != nil {
 		// Only a drill the session cannot take is the client's fault; a
 		// failed pipeline answers as it would on /explore.
@@ -448,7 +448,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *sessi
 	}
 	sess.Prefetch(4)
 	dto := toNodeDTO(node)
-	qr.attach(w, &dto.Result, tree)
+	qr.attach(w, &dto.Result)
 	writeJSON(w, http.StatusOK, dto)
 }
 
@@ -682,16 +682,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dto)
 }
 
-// ScanStatsDTO reports the shared Cartographer's cumulative chunk-level
-// scan decisions — the pruning-efficacy view of production traffic.
-type ScanStatsDTO struct {
-	ChunksPruned   int64 `json:"chunksPruned"`
-	ChunksFull     int64 `json:"chunksFull"`
-	ChunksScanned  int64 `json:"chunksScanned"`
-	ChunksDecoded  int64 `json:"chunksDecoded"`
-	ChunkCacheHits int64 `json:"chunkCacheHits"`
-}
-
 // StoreStatsDTO reports a memory-tiered store's I/O counters.
 type StoreStatsDTO struct {
 	Lazy           bool  `json:"lazy"`
@@ -748,7 +738,11 @@ type ServerStatsDTO struct {
 
 // StatsDTO is the /api/stats answer.
 type StatsDTO struct {
-	Scan      ScanStatsDTO       `json:"scan"`
+	// Scan is the chunk-level scan decisions of every query the server
+	// ran — the scan plane of LedgerTotals, prefetches and WITH
+	// overrides included: the pruning-efficacy view of production
+	// traffic.
+	Scan      obsv.ScanSnapshot  `json:"scan"`
 	Store     *StoreStatsDTO     `json:"store,omitempty"`
 	Fabric    *FabricStatsDTO    `json:"fabric,omitempty"`
 	Server    *ServerStatsDTO    `json:"server,omitempty"`
@@ -762,38 +756,16 @@ type StatsDTO struct {
 // servers, the lazy I/O counters — how many chunks production traffic
 // actually decoded versus pruned.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	dto := StatsDTO{}
-	if s.cart != nil {
-		sn := s.cart.ScanStats()
-		dto.Scan = ScanStatsDTO{
-			ChunksPruned:   sn.ChunksPruned,
-			ChunksFull:     sn.ChunksFull,
-			ChunksScanned:  sn.ChunksScanned,
-			ChunksDecoded:  sn.ChunksDecoded,
-			ChunkCacheHits: sn.ChunkCacheHits,
-		}
-	}
-	switch {
-	case s.set != nil:
-		io := s.set.IOStats()
-		dto.Store = &StoreStatsDTO{
-			Lazy:           s.set.LazyViews(),
-			BytesRead:      io.BytesRead,
-			ChunksDecoded:  io.ChunksDecoded,
-			CacheHits:      io.CacheHits,
-			CacheEvictions: io.CacheEvictions,
-			CacheBytes:     io.CacheBytes,
-			OpenedShards:   s.set.OpenedShards(),
-		}
-	case s.store != nil:
-		io := s.store.IOStats()
-		dto.Store = &StoreStatsDTO{
-			Lazy:           s.store.Lazy(),
-			BytesRead:      io.BytesRead,
-			ChunksDecoded:  io.ChunksDecoded,
-			CacheHits:      io.CacheHits,
-			CacheEvictions: io.CacheEvictions,
-			CacheBytes:     io.CacheBytes,
+	totals := s.totals.Snapshot()
+	dto := StatsDTO{Scan: totals.ScanSnapshot}
+	if s.ioStats != nil {
+		io := s.ioStats()
+		dto.Store = &StoreStatsDTO{BytesRead: io.BytesRead, ChunksDecoded: io.ChunksDecoded, CacheHits: io.CacheHits,
+			CacheEvictions: io.CacheEvictions, CacheBytes: io.CacheBytes}
+		if s.set != nil {
+			dto.Store.Lazy, dto.Store.OpenedShards = s.set.LazyViews(), s.set.OpenedShards()
+		} else {
+			dto.Store.Lazy = s.store.Lazy()
 		}
 	}
 	if s.fabric != nil {
@@ -819,11 +791,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	s.Registry()
-	totals := s.totals.Snapshot()
 	dto.Server = &ServerStatsDTO{
 		Requests:      s.metrics.httpRequests.Value(),
 		Errors:        s.metrics.httpErrors.Value(),
-		Explores:      s.metrics.explores.Value(),
+		Explores:      s.metrics.exploreHist.Count(),
 		SlowQueries:   s.metrics.slowQueries.Value(),
 		ExploreP50s:   s.metrics.exploreHist.Quantile(0.5),
 		ExploreP99s:   s.metrics.exploreHist.Quantile(0.99),

@@ -42,7 +42,8 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ageBand(20)
-	if _, err := ref.Explore(q); err != nil {
+	refLed := new(obsv.Ledger)
+	if _, err := ref.ExploreCtx(obsv.WithLedger(context.Background(), refLed), q); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,12 +51,13 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	c := NewResultCache()
 	started, release := make(chan struct{}), make(chan struct{})
 	var computes atomic.Int32
+	led := new(obsv.Ledger) // every computation's scan work
 	compute := func() (*core.Result, error) {
 		if computes.Add(1) == 1 {
 			close(started)
 		}
 		<-release
-		return cart.Explore(q)
+		return cart.ExploreCtx(obsv.WithLedger(context.Background(), led), q)
 	}
 	results := make([]*core.Result, k)
 	var wg, calling sync.WaitGroup
@@ -82,7 +84,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("pipeline ran %d times for %d identical lookups", n, k)
 	}
-	if got, want := cart.ScanStats(), ref.ScanStats(); got != want {
+	if got, want := led.Snapshot().ScanSnapshot, refLed.Snapshot().ScanSnapshot; got != want {
 		t.Fatalf("scan work of %d lookups = %+v, want one exploration's %+v", k, got, want)
 	}
 	for i, res := range results {
@@ -318,7 +320,7 @@ func TestResultBytesCountsRegionBitmaps(t *testing.T) {
 // explorations and prefetches; sessions with private caches do not.
 func TestSessionsShareResults(t *testing.T) {
 	a := newSession(t)
-	b := NewWithCache(a.cart, a.results)
+	b := NewWithCache(a.cart, a.results, nil)
 	na, err := a.Explore(ageBand(20))
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/obsv"
 	"repro/internal/query"
 )
 
@@ -51,6 +52,9 @@ type Session struct {
 	// results caches whole explorations by (options, query): private to a
 	// standalone session, shared across sessions when a server owns it.
 	results *ResultCache
+	// totals, when set, receives the ledger of every prefetch: the
+	// lifetime bill of the server that owns the session.
+	totals *obsv.Ledger
 	// interest holds the decayed per-attribute weights behind
 	// personalized ranking (see preference.go).
 	interest map[string]float64
@@ -61,15 +65,16 @@ type Session struct {
 // New creates an empty session over the cartographer's table, with a
 // result cache of its own.
 func New(cart *core.Cartographer) *Session {
-	return NewWithCache(cart, NewResultCache())
+	return NewWithCache(cart, NewResultCache(), nil)
 }
 
 // NewWithCache creates a session that reads and fills results — the
 // cache a server shares across its sessions and stateless explorations,
-// so none of them recomputes a map another already holds. Every user of
+// so none of them recomputes a map another already holds — and adds
+// each prefetch's bill to totals (nil keeps no totals). Every user of
 // one cache must explore the same table.
-func NewWithCache(cart *core.Cartographer, results *ResultCache) *Session {
-	return &Session{cart: cart, current: -1, results: results}
+func NewWithCache(cart *core.Cartographer, results *ResultCache, totals *obsv.Ledger) *Session {
+	return &Session{cart: cart, current: -1, results: results, totals: totals}
 }
 
 // exploreLocked runs (or serves from cache) an exploration and appends a
@@ -228,8 +233,12 @@ func (s *Session) Prefetch(limit int) {
 			s.prefetching.Add(1)
 			go func() {
 				defer s.prefetching.Done()
-				// Best-effort: an error caches nothing and is dropped.
-				_, _, _ = s.resultFor(context.Background(), q, base)
+				// A prefetch is no request's work: it bills a ledger of its
+				// own, added to the totals once it finishes. Best-effort: an
+				// error caches nothing and is dropped.
+				led := new(obsv.Ledger)
+				_, _, _ = s.resultFor(obsv.WithLedger(context.Background(), led), q, base)
+				s.totals.Add(led.Snapshot())
 			}()
 		}
 	}

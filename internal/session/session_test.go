@@ -1,11 +1,13 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -118,14 +120,13 @@ func TestSessionDrillDownMatchesRequery(t *testing.T) {
 	}
 	// The last region: region 0's bitmap would not tell regions apart.
 	last := len(root.Result.Maps[0].Regions) - 1
-	before := cart.ScanStats()
-	node, err := s.DrillDown(0, last)
+	led := new(obsv.Ledger)
+	node, err := s.DrillDownCtx(obsv.WithLedger(context.Background(), led), 0, last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := cart.ScanStats()
-	if verdicts := (after.ChunksScanned + after.ChunksPruned + after.ChunksFull) -
-		(before.ChunksScanned + before.ChunksPruned + before.ChunksFull); node.Cached || verdicts != 0 {
+	sn := led.Snapshot()
+	if verdicts := sn.ChunksScanned + sn.ChunksPruned + sn.ChunksFull; node.Cached || verdicts != 0 {
 		t.Errorf("drill: cached=%v, %d chunk verdicts; want a computed drill with no base scan", node.Cached, verdicts)
 	}
 	want, err := cart.Explore(node.Query)
@@ -176,9 +177,9 @@ func TestSessionCacheHit(t *testing.T) {
 	if n1.Cached {
 		t.Fatal("first exploration cannot be a cache hit")
 	}
-	scans := s.cart.ScanStats()
 	// exploring the same query again must hit the cache
-	n2, err := s.Explore(query.New("census"))
+	led := new(obsv.Ledger)
+	n2, err := s.ExploreCtx(obsv.WithLedger(context.Background(), led), query.New("census"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,8 @@ func TestSessionCacheHit(t *testing.T) {
 	if !n2.Cached || n2.Result != n1.Result {
 		t.Fatal("repeat exploration must be served the cached result")
 	}
-	if s.cart.ScanStats() != scans {
-		t.Fatal("a cache hit must not scan")
+	if sn := led.Snapshot().ScanSnapshot; sn != (obsv.ScanSnapshot{}) {
+		t.Fatalf("a cache hit must not scan: %+v", sn)
 	}
 	if n2.ID == 0 {
 		t.Fatal("repeat exploration still creates a node")

@@ -286,37 +286,37 @@ func (r *Recorder) writeSinkLine(v any) {
 	}
 }
 
-// Observe records one finished (or shed) query. The input is capped at
-// the recorder's byte budget; the arrival offset is computed from the
-// duration so the recorded timeline reflects when queries arrived, not
-// when they finished. Past MaxEntries the entry is dropped from memory
-// (counted) but still streamed to the sink.
-func (r *Recorder) Observe(op, input string, session int, outcome string, dur time.Duration, led *obsv.LedgerSnapshot) {
+// Record captures one request from its query-log entry: a finished
+// query, or one refused or abandoned before it ran. session is the
+// drill-down session it targeted (StatelessSession for none). The input
+// is capped at the recorder's byte budget; the arrival offset is the
+// entry's finish time less its duration, so the recorded timeline
+// reflects when queries arrived, not when they finished. Past
+// MaxEntries the entry is dropped from memory (counted) but still
+// streamed to the sink.
+func (r *Recorder) Record(e *obsv.QueryLogEntry, session int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	off := time.Since(r.hdr.Start) - dur
-	if off < 0 {
-		off = 0
-	}
-	e := Entry{
+	off := max(e.Time.Sub(r.hdr.Start)-time.Duration(e.DurNs), 0)
+	we := Entry{
 		Seq:      len(r.entries) + int(r.dropped),
 		OffsetNs: off.Nanoseconds(),
-		Op:       op,
-		Input:    CapInput(input, r.cap),
+		Op:       e.Op,
+		Input:    CapInput(e.Input, r.cap),
 		Session:  session,
-		DurNs:    dur.Nanoseconds(),
-		Outcome:  outcome,
-		Ledger:   SummarizeLedger(led),
+		DurNs:    e.DurNs,
+		Outcome:  e.Outcome,
+		Ledger:   SummarizeLedger(e.Ledger),
 	}
-	r.writeSinkLine(&e)
+	r.writeSinkLine(&we)
 	if len(r.entries) >= r.max {
 		r.dropped++
 		return
 	}
-	r.entries = append(r.entries, e)
+	r.entries = append(r.entries, we)
 }
 
 // Dropped counts entries past the in-memory bound.

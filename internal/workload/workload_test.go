@@ -98,7 +98,8 @@ func TestRecorderBoundsAndSink(t *testing.T) {
 	led.Finish()
 	snap := led.Snapshot()
 	for i := 0; i < 4; i++ {
-		r.Observe("explore", strings.Repeat("q", 40), StatelessSession, "", time.Millisecond, &snap)
+		r.Record(&obsv.QueryLogEntry{Time: time.Now(), Op: "explore", Input: strings.Repeat("q", 40),
+			DurNs: time.Millisecond.Nanoseconds(), Ledger: &snap}, StatelessSession)
 	}
 	if r.Len() != 2 || r.Dropped() != 2 {
 		t.Fatalf("Len=%d Dropped=%d, want 2/2", r.Len(), r.Dropped())

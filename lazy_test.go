@@ -7,6 +7,7 @@ package atlas
 // budgets, including a thrash-sized budget of about one chunk.
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -14,6 +15,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 // TestLazyExploreByteIdentical is the acceptance bar for the memory
@@ -77,14 +80,15 @@ func TestLazyExploreByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got, err := ex.Explore(cql)
+					led := new(obsv.Ledger)
+					got, err := ex.exploreCtx(obsv.WithLedger(context.Background(), led), cql)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if g, w := stripTiming(FormatResult(got)), stripTiming(FormatResult(want)); g != w {
 						t.Errorf("%s: lazy result differs:\n got: %s\nwant: %s", name, g, w)
 					}
-					if sn := ex.ScanStats(); sn.ChunksPruned == 0 && sn.ChunksScanned == 0 {
+					if sn := led.Snapshot(); sn.ChunksPruned == 0 && sn.ChunksScanned == 0 {
 						t.Errorf("%s: no scan decisions recorded", name)
 					}
 					if err := handle.Close(); err != nil {
