@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/colstore"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/par"
 	"repro/internal/query"
@@ -1006,150 +1003,6 @@ func (s *Set) ShardTable(i int) *storage.Table { return s.views[i] }
 
 // ShardOffset returns the combined-table row offset of shard i.
 func (s *Set) ShardOffset(i int) int { return s.offsets[i] }
-
-// Provider returns the set's core.StatProvider: full-selection column
-// statistics computed per shard on up to parallelism workers (0 means
-// GOMAXPROCS) and reduced exactly — value runs concatenate in shard (=
-// combined row) order, category and boolean counts add — so every
-// answer matches the unsharded computation.
-func (s *Set) Provider(parallelism int) *Provider {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	return &Provider{s: s, workers: parallelism}
-}
-
-// Provider implements core.StatProvider over a Set. See Set.Provider.
-type Provider struct {
-	s       *Set
-	workers int
-}
-
-// NumericStats implements core.StatProvider: attr's non-NULL values in
-// combined row order, in a fresh slice, with their summary. Remote
-// shards answer over the statistics plane — one small request returning
-// the shard's values in row order, computed where the data lives — and
-// local shards scan their views. opts is unused: every numeric cut reads
-// the same values.
-func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, engine.NumericSummary, error) {
-	runs := make([][]float64, p.s.NumShards())
-	err := par.For(p.workers, len(runs), func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			vals, err := sb.NumericValues(ctx, attr)
-			runs[i] = vals
-			return err
-		}
-		view := p.s.views[i]
-		var x engine.NumericExtract
-		err := engine.ExtractNumericUnder(&x, view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		runs[i] = x.Vals
-		return err
-	})
-	if err != nil {
-		return nil, engine.NumericSummary{}, err
-	}
-	vals := slices.Concat(runs...)
-	return vals, engine.SummarizeNumeric(vals), nil
-}
-
-// CategoryStats implements core.StatProvider. Remote shards return
-// counts in their local dictionary space; the reduce remaps them into
-// the set's union dictionary, so the summed vector equals the local
-// fan-out exactly.
-func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []int, error) {
-	n := p.s.NumShards()
-	partCounts := make([][]int, n)
-	var dict []string
-	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			ci, err := p.s.colIndex(attr)
-			if err != nil {
-				return err
-			}
-			_, counts, err := sb.CategoryCounts(ctx, attr)
-			if err != nil {
-				return err
-			}
-			u, err := p.s.countsToUnion(ctx, i, ci, counts)
-			if err != nil {
-				return err
-			}
-			partCounts[i] = u
-			return nil
-		}
-		view := p.s.views[i]
-		d, counts, err := engine.CategoryCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			dict = d
-		}
-		partCounts[i] = counts
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if dict == nil {
-		// Shard 0 answered over the stats plane: the output dictionary is
-		// the union dictionary (already loaded by the count remap).
-		ci, err := p.s.colIndex(attr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.s.loadDicts(ctx, p.s.combined.Schema()); err != nil {
-			return nil, nil, err
-		}
-		dict = p.s.unionDict[ci]
-	}
-	counts := partCounts[0]
-	for _, pc := range partCounts[1:] {
-		if err := AddCounts(counts, pc); err != nil {
-			return nil, nil, err
-		}
-	}
-	return dict, counts, nil
-}
-
-// BoolStats implements core.StatProvider.
-func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error) {
-	n := p.s.NumShards()
-	falses := make([]int, n)
-	trues := make([]int, n)
-	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			f, t, err := sb.BoolCounts(ctx, attr)
-			if err != nil {
-				return err
-			}
-			falses[i], trues[i] = f, t
-			return nil
-		}
-		view := p.s.views[i]
-		f, t, err := engine.BoolCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		if err != nil {
-			return err
-		}
-		falses[i], trues[i] = f, t
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	f, t := 0, 0
-	for i := range falses {
-		f += falses[i]
-		t += trues[i]
-	}
-	return f, t, nil
-}
 
 // Partials computes one merged ColumnPartial per column: each shard
 // builds its bundle independently (counts, fixed-edge histogram,
