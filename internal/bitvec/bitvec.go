@@ -44,6 +44,19 @@ func FromIndexes(n int, idx []int) *Vector {
 	return v
 }
 
+// FromWords returns a vector of length n over words, which it takes
+// ownership of: exactly the words n bits need, with every tail bit
+// beyond n clear — the check a bitmap read off the wire must pass.
+func FromWords(n int, words []uint64) (*Vector, error) {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		return nil, fmt.Errorf("bitvec: %d words for %d bits", len(words), n)
+	}
+	if r := n % wordBits; r != 0 && words[len(words)-1]>>uint(r) != 0 {
+		return nil, fmt.Errorf("bitvec: bits set beyond length %d", n)
+	}
+	return &Vector{n: n, words: words}, nil
+}
+
 // trim clears the unused tail bits of the last word so that Count and
 // word-wise equality stay exact.
 func (v *Vector) trim() {

@@ -13,7 +13,7 @@ import (
 var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // wordBytes views the backing memory of a slice of 8-byte words as bytes.
-func wordBytes[T int64 | float64](words []T) []byte {
+func wordBytes[T uint64 | int64 | float64](words []T) []byte {
 	if len(words) == 0 {
 		return nil
 	}
@@ -41,5 +41,30 @@ func decodeFloat64s(dst []float64, src []byte) {
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// AppendWords appends words to dst as little-endian 8-byte patterns —
+// the layout of every bulk value and bitmap on disk and on the wire —
+// in one memory copy on a little-endian host.
+func AppendWords[T uint64 | int64 | float64](dst []byte, words []T) []byte {
+	if littleEndianHost {
+		return append(dst, wordBytes(words)...)
+	}
+	for i := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, *(*uint64)(unsafe.Pointer(&words[i])))
+	}
+	return dst
+}
+
+// DecodeWords fills dst from the first 8*len(dst) bytes of src, as
+// AppendWords laid them out.
+func DecodeWords[T uint64 | int64 | float64](dst []T, src []byte) {
+	if littleEndianHost {
+		copy(wordBytes(dst), src)
+		return
+	}
+	for i := range dst {
+		*(*uint64)(unsafe.Pointer(&dst[i])) = binary.LittleEndian.Uint64(src[i*8:])
 	}
 }

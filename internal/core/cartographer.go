@@ -105,6 +105,8 @@ func (o Options) validate() error {
 type Cartographer struct {
 	table *storage.Table
 	opts  Options
+	// sp reads every column statistic CUT needs.
+	sp StatProvider
 	// stats memoizes each attribute's CUT answer under the full
 	// selection, computed once and shared read-only across goroutines
 	// and Explore calls.
@@ -117,9 +119,9 @@ func NewCartographer(t *storage.Table, opts Options) (*Cartographer, error) {
 }
 
 // NewCartographerWith is NewCartographer with an external stat provider:
-// full-selection column statistics are served by sp (e.g. a sharded
-// store's mergeable per-shard partials) instead of whole-column passes
-// over t. sp may be nil.
+// every column statistic CUT reads is served by sp (e.g. a sharded
+// store asking each shard about its slice of the selection) instead of
+// passes over t. A nil sp means NewTableProvider over t.
 func NewCartographerWith(t *storage.Table, opts Options, sp StatProvider) (*Cartographer, error) {
 	if t == nil {
 		return nil, errors.New("core: nil table")
@@ -127,7 +129,10 @@ func NewCartographerWith(t *storage.Table, opts Options, sp StatProvider) (*Cart
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Cartographer{table: t, opts: opts, stats: newStatCache(opts.Cut, sp)}, nil
+	if sp == nil {
+		sp = NewTableProvider(t, resolveParallelism(opts.Parallelism))
+	}
+	return &Cartographer{table: t, opts: opts, sp: sp, stats: newStatCache(opts.Cut)}, nil
 }
 
 // Table returns the table being explored.
@@ -302,13 +307,21 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// per attribute. Explore's base selection is exactly Eval(q), so the
 	// per-candidate re-evaluation of the parent query is skipped: the cut
 	// runs directly on base, and the partition kernel materializes every
-	// region's selection in a single column pass.
+	// region's selection in a single column pass. A numeric cut's values
+	// stay in hand until the exploration ends, for composition to cut
+	// regions from.
 	baseFull := res.BaseCount == res.TotalRows
 	type candOut struct {
 		m       *Map
 		flagged bool
+		held    *cutScratch
 	}
 	outs := make([]candOut, len(attrs))
+	defer func() {
+		for _, out := range outs {
+			recycle(out.held)
+		}
+	}()
 	cutCtx, endCut := scanSpan(ctx, "cut")
 	err := parallelFor(workers, len(attrs), func(i int) error {
 		// Work-item-granular cancellation: a dead caller abandons the
@@ -318,9 +331,9 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		}
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
-		x := cutter{t: c.table, cache: c.stats,
-			scan: engine.ScanOptions{Workers: workers, Ctx: actx}}
-		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut)
+		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: actx}
+		preds, bits, held, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut)
+		outs[i].held = held
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			outs[i].flagged = true
@@ -345,7 +358,11 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		return nil, err
 	}
 	candidates := make([]*Map, 0, len(attrs))
+	held := map[string]*engine.NumericExtract{}
 	for i, out := range outs {
+		if out.held != nil {
+			held[attrs[i]] = &out.held.NumericExtract
+		}
 		if out.flagged {
 			res.Flagged = append(res.Flagged, ScreenFinding{Attr: attrs[i], Reason: ScreenConstant})
 			continue
@@ -387,8 +404,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		// base IS the parent query's selection, so composition starts from
 		// it directly instead of re-evaluating q against the table, and
 		// its first level is the cluster's first candidate map
-		x := cutter{t: c.table, cache: c.stats,
-			scan: engine.ScanOptions{Workers: workers, Ctx: mctx}}
+		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: mctx, held: held}
 		m, err := x.mergeCluster(base, base, true, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {

@@ -98,27 +98,23 @@ func (e *ErrDegenerate) Error() string {
 	return fmt.Sprintf("core: cannot cut %q: %s", e.Attr, e.Reason)
 }
 
-// cutter bundles the inputs of the CUT primitive: the table and an
-// optional per-Cartographer memo of full-selection answers. A cutter is
-// cheap to create and confined to one goroutine; the memo it points to
-// is shared.
+// cutter bundles the inputs of the CUT primitive: the table, the
+// provider every column read goes through, and an optional
+// per-Cartographer memo of full-selection answers. A cutter is cheap to
+// create and confined to one goroutine; the memo it points to is shared.
 type cutter struct {
 	t     *storage.Table
+	sp    StatProvider
 	cache *statCache // nil = unmemoized
-	// scan carries the Cartographer's scan options (worker count, and
-	// the exploration's context with its trace span, request ID and
-	// resource ledger) into the column reads and provider fan-outs the
-	// cutter drives, so they bill the same ledger as every other scan of
-	// the exploration. A nil Ctx means untraced.
-	scan engine.ScanOptions
-}
-
-// reqCtx returns the cutter's context, never nil.
-func (x *cutter) reqCtx() context.Context {
-	if x.scan.Ctx != nil {
-		return x.scan.Ctx
-	}
-	return context.Background()
+	// ctx is the exploration's context — its trace span, request ID and
+	// resource ledger — which every provider read runs under, so it
+	// bills the same ledger as every other scan of the exploration.
+	ctx context.Context
+	// held are numeric extractions the exploration already has in hand,
+	// by attribute: its candidate cuts' values under the base selection,
+	// which composition filters instead of reading the column again.
+	// Read-only.
+	held map[string]*engine.NumericExtract
 }
 
 // cutScratch is what numeric CUT materializes: the extraction — the
@@ -135,29 +131,26 @@ type cutScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
+// recycle hands a scratch back to the pool; nil is fine.
+func recycle(s *cutScratch) {
+	if s != nil {
+		scratchPool.Put(s)
+	}
+}
+
 // CutPredicates implements the CUT_k primitive of Definition 1: it splits
 // the range of attr, restricted to the rows selected by sel, into at most
 // opts.Splits disjoint predicates that together cover the selected values.
 // The returned predicates partition the attribute's observed range:
 // every selected non-NULL row satisfies exactly one of them.
 func CutPredicates(t *storage.Table, sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, error) {
-	x := cutter{t: t}
-	return x.cutPredicates(sel, false, attr, opts)
-}
-
-// cutPredicates is CUT; full reports that sel selects every row, in
-// which case the answer comes from (and goes to) the memo. The returned
-// predicates are shared with the memo and must not be modified.
-func (x *cutter) cutPredicates(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if x.memoized(full, opts) {
-		return x.cache.cut(attr, func() ([]query.Predicate, error) {
-			return x.cut(sel, attr, opts, x.cache.provider)
-		})
-	}
-	return x.cut(sel, attr, opts, nil)
+	x := cutter{t: t, sp: NewTableProvider(t, 1), ctx: context.Background()}
+	s := scratchPool.Get().(*cutScratch)
+	defer scratchPool.Put(s)
+	return x.cut(sel, attr, opts, s)
 }
 
 // memoized reports whether the memo answers a cut under opts of a
@@ -167,87 +160,116 @@ func (x *cutter) memoized(full bool, opts CutOptions) bool {
 }
 
 // cutPartition is CUT followed by the partition of sel's rows into the
-// cut's regions, one bitmap per predicate. A numeric cut the memo does
-// not answer reads its column once: the regions are partitioned from the
-// values it extracted to find its edges. Memoized, categorical and bool
-// cuts have no values in hand and partition with a column pass.
-func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, error) {
-	col, err := x.t.ColumnByName(attr)
-	if err != nil {
-		return nil, nil, err
+// cut's regions, one bitmap per predicate; full reports that sel selects
+// every row, in which case the answer comes from (and goes to) the memo.
+// A numeric cut partitions from the values it extracted to find its
+// edges and returns that extraction as held, for the caller to use and
+// recycle; a categorical or boolean cut asks the provider for the
+// partition, and a memo hit reads nothing. The predicates and bitmaps
+// are shared with the memo and must not be modified.
+func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions) (preds []query.Predicate, bits []*bitvec.Vector, held *cutScratch, err error) {
+	if err := opts.validate(); err != nil {
+		return nil, nil, nil, err
 	}
-	if col.Type().IsNumeric() && !x.memoized(full, opts) {
-		if err := opts.validate(); err != nil {
-			return nil, nil, err
-		}
-		scratch := scratchPool.Get().(*cutScratch)
-		defer scratchPool.Put(scratch)
-		preds, err := x.cutNumeric(sel, attr, opts, nil, scratch)
-		if err != nil {
-			return nil, nil, err
-		}
-		bits, err := engine.PartitionValues(&scratch.NumericExtract, preds)
+	if !x.memoized(full, opts) {
+		return x.partition(sel, attr, opts)
+	}
+	preds, bits, err = x.cache.cut(attr, func() ([]query.Predicate, []*bitvec.Vector, error) {
+		var err error
+		preds, bits, held, err = x.partition(sel, attr, opts)
 		return preds, bits, err
+	})
+	if err != nil {
+		recycle(held)
+		held = nil
 	}
-	preds, err := x.cutPredicates(sel, full, attr, opts)
+	return preds, bits, held, err
+}
+
+// partition is cutPartition without the memo.
+func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, *cutScratch, error) {
+	s := scratchPool.Get().(*cutScratch)
+	preds, err := x.cut(sel, attr, opts, s)
+	if err != nil {
+		scratchPool.Put(s)
+		return nil, nil, nil, err
+	}
+	if preds[0].Kind == query.Range {
+		bits, err := engine.PartitionValues(&s.NumericExtract, preds)
+		if err != nil {
+			scratchPool.Put(s)
+			return nil, nil, nil, err
+		}
+		return preds, bits, s, nil
+	}
+	scratchPool.Put(s)
+	bits, err := x.sp.Partition(x.ctx, attr, preds, sel)
+	return preds, bits, nil, err
+}
+
+// cutRestricted cuts attr under sel, a selection within the one parent
+// was extracted under, and partitions sel's rows into the cut's regions:
+// from parent's values, restricted to sel, without reading the column.
+// It answers exactly as cutPartition over sel does.
+func (x *cutter) cutRestricted(parent *engine.NumericExtract, sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, error) {
+	s := scratchPool.Get().(*cutScratch)
+	defer scratchPool.Put(s)
+	parent.Restrict(&s.NumericExtract, sel)
+	preds, err := cutNumeric(&s.NumericExtract, attr, opts, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	bits, err := engine.PartitionBitsOpts(x.t, attr, preds, sel, x.scan)
+	bits, err := engine.PartitionValues(&s.NumericExtract, preds)
 	return preds, bits, err
 }
 
-// cut computes CUT from the column's statistics under sel — or, when sp
-// is non-nil, from sp's full-selection statistics.
-func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
+// cut computes CUT from the provider's statistics of the column under
+// sel. A numeric cut leaves its extraction in s, values in row order and
+// untouched, for the partition that follows.
+func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScratch) ([]query.Predicate, error) {
 	col, err := x.t.ColumnByName(attr)
 	if err != nil {
 		return nil, err
 	}
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
-		scratch := scratchPool.Get().(*cutScratch)
-		defer scratchPool.Put(scratch)
-		return x.cutNumeric(sel, attr, opts, sp, scratch)
+		if err := x.sp.Extract(x.ctx, &s.NumericExtract, attr, sel); err != nil {
+			return nil, err
+		}
+		return cutNumeric(&s.NumericExtract, attr, opts, s)
 	case storage.String:
-		return x.cutCategorical(sel, attr, opts, sp)
+		dict, counts, err := x.sp.Categories(x.ctx, attr, sel)
+		if err != nil {
+			return nil, err
+		}
+		return cutCategorical(attr, dict, counts, opts)
 	case storage.Bool:
-		return x.cutBool(sel, attr, sp)
+		falses, trues, err := x.sp.Bools(x.ctx, attr, sel)
+		if err != nil {
+			return nil, err
+		}
+		return cutBool(attr, falses, trues)
 	default:
 		return nil, fmt.Errorf("core: unsupported column type %v", col.Type())
 	}
 }
 
-// cutNumeric never sorts: one extraction pass yields the values with
-// their NaN count and extremes, and each strategy takes only what it
-// still needs — nothing (equi-width), a counting pass (variance) or a
-// handful of order statistics (median). Without sp the extraction is
-// left in scratch, its values in row order and untouched, for the
-// partition that follows the cut.
-func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider, scratch *cutScratch) ([]query.Predicate, error) {
-	var (
-		vals []float64
-		sum  engine.NumericSummary
-		err  error
-	)
-	if sp != nil {
-		vals, sum, err = sp.NumericStats(x.reqCtx(), attr, opts)
-	} else {
-		err = engine.ExtractNumericUnder(&scratch.NumericExtract, x.t, attr, sel, x.scan)
-		vals, sum = scratch.Vals, scratch.Sum
-	}
-	if err != nil {
-		return nil, err
-	}
+// cutNumeric cuts from an extraction and never sorts: the extraction
+// carries the values with their NaN count and extremes, and each
+// strategy takes only what it still needs — nothing (equi-width), a
+// counting pass (variance) or a handful of order statistics (median).
+// The extraction is left untouched; s holds the cut's own scratch.
+func cutNumeric(ext *engine.NumericExtract, attr string, opts CutOptions, s *cutScratch) ([]query.Predicate, error) {
+	vals, sum := ext.Vals, ext.Sum
 	nn, lo, hi := vals, sum.Min, sum.Max // nn: the non-NaN values
 	if sum.NaN > 0 {
-		nn = scratch.finite[:0]
+		nn = s.finite[:0]
 		for _, v := range vals {
 			if v == v {
 				nn = append(nn, v)
 			}
 		}
-		scratch.finite = nn
+		s.finite = nn
 	}
 	if len(vals) == 0 {
 		return nil, &ErrDegenerate{attr, "no non-NULL values under selection"}
@@ -264,7 +286,7 @@ func (x *cutter) cutNumeric(sel *bitvec.Vector, attr string, opts CutOptions, sp
 	case CutEquiWidth:
 		edges = equiWidthEdges(lo, hi, k)
 	case CutMedian:
-		mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &scratch.candidates)
+		mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &s.candidates)
 		edges = append(append([]float64{lo}, mid...), hi)
 	case CutVariance:
 		edges = varianceEdges(nn, lo, hi, k)
@@ -390,20 +412,9 @@ func dedupEdges(edges []float64) []float64 {
 	return out
 }
 
-func (x *cutter) cutCategorical(sel *bitvec.Vector, attr string, opts CutOptions, sp StatProvider) ([]query.Predicate, error) {
-	var (
-		dict   []string
-		counts []int
-		err    error
-	)
-	if sp != nil {
-		dict, counts, err = sp.CategoryStats(x.reqCtx(), attr)
-	} else {
-		dict, counts, err = engine.CategoryCountsUnderOpts(x.t, attr, sel, x.scan)
-	}
-	if err != nil {
-		return nil, err
-	}
+// cutCategorical groups the categories present under the selection,
+// given the column's dictionary and per-code counts.
+func cutCategorical(attr string, dict []string, counts []int, opts CutOptions) ([]query.Predicate, error) {
 	type vc struct {
 		val   string
 		count int
@@ -487,19 +498,8 @@ func (x *cutter) cutCategorical(sel *bitvec.Vector, attr string, opts CutOptions
 	return preds, nil
 }
 
-func (x *cutter) cutBool(sel *bitvec.Vector, attr string, sp StatProvider) ([]query.Predicate, error) {
-	var (
-		falses, trues int
-		err           error
-	)
-	if sp != nil {
-		falses, trues, err = sp.BoolStats(x.reqCtx(), attr)
-	} else {
-		falses, trues, err = engine.BoolCountsUnderOpts(x.t, attr, sel, x.scan)
-	}
-	if err != nil {
-		return nil, err
-	}
+// cutBool splits a boolean column given its tallies under the selection.
+func cutBool(attr string, falses, trues int) ([]query.Predicate, error) {
 	if falses == 0 || trues == 0 {
 		return nil, &ErrDegenerate{attr, "constant boolean under selection"}
 	}

@@ -159,7 +159,7 @@ func TestNumericCutMatchesSortReference(t *testing.T) {
 			for splits := 2; splits <= 5; splits++ {
 				opts := DefaultCutOptions()
 				opts.Numeric, opts.Splits = strat, splits
-				cached := cutter{t: tbl, cache: newStatCache(opts, nil)}
+				cached := testCutter(tbl, newStatCache(opts))
 				for _, tc := range []struct {
 					path string
 					sel  *bitvec.Vector
@@ -167,7 +167,7 @@ func TestNumericCutMatchesSortReference(t *testing.T) {
 				}{
 					{"uncached/full", full, func() ([]query.Predicate, error) { return CutPredicates(tbl, full, "x", opts) }},
 					{"uncached/sub", sub, func() ([]query.Predicate, error) { return CutPredicates(tbl, sub, "x", opts) }},
-					{"cached/full", full, func() ([]query.Predicate, error) { return cached.cutPredicates(full, true, "x", opts) }},
+					{"cached/full", full, func() ([]query.Predicate, error) { return cached.cutOf(full, true, "x", opts) }},
 				} {
 					label := fmt.Sprintf("%s %s k=%d %s", name, strat, splits, tc.path)
 					want, ok := referenceNumericEdges(under(tc.sel), opts)
@@ -245,11 +245,11 @@ func TestCutIgnoresNaNForQuantiles(t *testing.T) {
 			name string
 			tbl  *storage.Table
 		}{{"memory", mem}, {"lazy", store.Table()}} {
-			cached := cutter{t: tc.tbl, cache: newStatCache(opts, nil)}
+			cached := testCutter(tc.tbl, newStatCache(opts))
 			for path, cut := range map[string]func() ([]query.Predicate, error){
-				"full/cached":   func() ([]query.Predicate, error) { return cached.cutPredicates(full, true, "x", opts) },
+				"full/cached":   func() ([]query.Predicate, error) { return cached.cutOf(full, true, "x", opts) },
 				"full/uncached": func() ([]query.Predicate, error) { return CutPredicates(tc.tbl, full, "x", opts) },
-				"sub-selection": func() ([]query.Predicate, error) { return cached.cutPredicates(sub, false, "x", opts) },
+				"sub-selection": func() ([]query.Predicate, error) { return cached.cutOf(sub, false, "x", opts) },
 			} {
 				preds, err := cut()
 				if err != nil {

@@ -53,8 +53,9 @@ func TestCutPartitionNaNUnderSubSelection(t *testing.T) {
 			opts := DefaultCutOptions()
 			opts.Numeric, opts.Splits = strat, splits
 			label := fmt.Sprintf("%s/%d", strat, splits)
-			x := cutter{t: tbl}
-			preds, got, err := x.cutPartition(sel, false, "x", opts)
+			x := testCutter(tbl, nil)
+			preds, got, held, err := x.cutPartition(sel, false, "x", opts)
+			recycle(held)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -103,6 +104,20 @@ func (s *countingSource) FetchChunk(_ context.Context, _, k int) (*storage.Chunk
 		p.Nulls = nulls.Words()
 	}
 	return p, false, nil
+}
+
+// testCutter is a cutter over t reading through the table provider, as
+// a Cartographer built without a provider cuts.
+func testCutter(t *storage.Table, cache *statCache) cutter {
+	return cutter{t: t, sp: NewTableProvider(t, 1), cache: cache, ctx: context.Background()}
+}
+
+// cutOf is CUT through x's memo and provider, without the partition's
+// extraction kept.
+func (x *cutter) cutOf(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
+	preds, _, held, err := x.cutPartition(sel, full, attr, opts)
+	recycle(held)
+	return preds, err
 }
 
 func (s *countingSource) PrefetchChunks(context.Context, int, []int) {}

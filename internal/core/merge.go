@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -91,25 +92,53 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 // attrs[0] built by cutPartition under parentSel with opts and parent as
 // its parent query: exactly composition's first level, which is then
 // taken from it instead of being cut again.
+//
+// A numeric attribute's regions are cut from one extraction of its
+// values under parentSel — the one x holds from its candidate cut, or
+// one read here — each region restricting it to its own rows, so the
+// column is read at most once however many regions there are.
 func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("core: composition over zero attributes")
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if maxRegions < 2 {
 		maxRegions = 2
 	}
 	// The selection of every region is threaded through the composition
-	// as a bitmap: each level cuts and partitions a region's bitmap (one
-	// column read per region) instead of re-evaluating the region's whole
-	// conjunctive query against the table — and the final map is
-	// assembled from the bitmaps directly.
+	// as a bitmap: each level cuts and partitions a region's bitmap
+	// instead of re-evaluating the region's whole conjunctive query
+	// against the table — and the final map is assembled from the
+	// bitmaps directly.
 	n := x.t.NumRows()
+	held := x.held
 	if parentSel == nil {
 		sel, err := engine.Eval(x.t, parent)
 		if err != nil {
 			return nil, err
 		}
 		parentSel = sel.And(base)
+		held = nil // extracted under another selection
+	}
+	var read []*cutScratch
+	defer func() {
+		for _, s := range read {
+			scratchPool.Put(s)
+		}
+	}()
+	// parentExt returns attr's extraction under parentSel.
+	parentExt := func(attr string) (*engine.NumericExtract, error) {
+		if ext := held[attr]; ext != nil {
+			return ext, nil
+		}
+		s := scratchPool.Get().(*cutScratch)
+		read = append(read, s)
+		if err := x.sp.Extract(x.ctx, &s.NumericExtract, attr, parentSel); err != nil {
+			return nil, err
+		}
+		return &s.NumericExtract, nil
 	}
 	regions := []query.Query{parent}
 	bits := []*bitvec.Vector{parentSel}
@@ -129,11 +158,28 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 		if len(regions)*2 > maxRegions {
 			break // even binary cuts would blow the budget
 		}
+		col, err := x.t.ColumnByName(attr)
+		if err != nil {
+			return nil, err
+		}
 		next := make([]query.Query, 0, len(regions)*opts.Splits)
 		nextBits := make([]*bitvec.Vector, 0, len(regions)*opts.Splits)
 		for ri, r := range regions {
 			b := bits[ri]
-			preds, pb, err := x.cutPartition(b, b.Count() == n, attr, opts)
+			var (
+				preds []query.Predicate
+				pb    []*bitvec.Vector
+			)
+			if full := b.Count() == n; col.Type().IsNumeric() && !x.memoized(full, opts) {
+				var ext *engine.NumericExtract
+				if ext, err = parentExt(attr); err == nil {
+					preds, pb, err = x.cutRestricted(ext, b, attr, opts)
+				}
+			} else {
+				var s *cutScratch
+				preds, pb, s, err = x.cutPartition(b, full, attr, opts)
+				recycle(s)
+			}
 			var deg *ErrDegenerate
 			switch {
 			case err == nil:
@@ -165,7 +211,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 // budget. For MergeCompose the composition order follows the given
 // candidate order (base map first).
 func MergeCluster(t *storage.Table, base *bitvec.Vector, parent query.Query, cluster []*Map, kind MergeKind, cutOpts CutOptions, maxRegions int) (*Map, error) {
-	x := cutter{t: t}
+	x := cutter{t: t, sp: NewTableProvider(t, 1), ctx: context.Background()}
 	return x.mergeCluster(base, nil, false, parent, cluster, kind, cutOpts, maxRegions)
 }
 

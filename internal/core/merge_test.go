@@ -53,7 +53,7 @@ func candidateMap(t testing.TB, tbl *storage.Table, attr string, opts CutOptions
 // query, as MergeCluster runs it on a cluster it has to cut from the
 // first level.
 func compose(tbl *storage.Table, base *bitvec.Vector, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
-	x := cutter{t: tbl}
+	x := testCutter(tbl, nil)
 	return x.composeMaps(base, nil, nil, parent, attrs, opts, maxRegions)
 }
 

@@ -5,44 +5,81 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
-// StatProvider supplies full-selection column statistics from a
-// substrate that can compute them better than a whole-column pass — a
-// sharded store reducing per-shard statistics, or a remote backend. A
-// provider's answers must be exactly what the table-order computation
-// would produce. The Cartographer consults it only on the first touch of
-// an attribute under the full selection (see statCache).
+// StatProvider reads what CUT needs of one column under a selection:
+// a numeric column's selected values, the category or boolean counts of
+// the others, and the partition of the selected rows by a cut's
+// predicates. Every CUT data read goes through it. Its answers must be
+// exactly what a pass over the table gives — values in row order, exact
+// counts, identical bitmaps — so that an exploration answers alike
+// whoever computes them: a pass over the table (NewTableProvider), or a
+// sharded store that asks each shard about its slice of the selection.
+// sel has the table's length and is only read; ctx carries the caller's
+// trace span, request ID and ledger into the work.
 type StatProvider interface {
-	// NumericStats returns attr's non-NULL values in table row order, in
-	// a fresh slice the caller may overwrite, with their summary. opts is
-	// the cut the values serve; every strategy reads the same values, so
-	// providers may ignore it. ctx carries the caller's trace span and
-	// request ID into remote fan-outs.
-	NumericStats(ctx context.Context, attr string, opts CutOptions) ([]float64, engine.NumericSummary, error)
-	// CategoryStats returns attr's dictionary and per-code counts.
-	CategoryStats(ctx context.Context, attr string) (dict []string, counts []int, err error)
-	// BoolStats returns attr's (false, true) tallies.
-	BoolStats(ctx context.Context, attr string) (falses, trues int, err error)
+	// Extract fills x, as engine.ExtractNumericUnder does, with attr's
+	// non-NULL values under sel in row order, the rows they came from
+	// and their summary.
+	Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error
+	// Categories returns attr's dictionary and its per-code counts under
+	// sel.
+	Categories(ctx context.Context, attr string, sel *bitvec.Vector) (dict []string, counts []int, err error)
+	// Bools returns attr's (false, true) tallies under sel.
+	Bools(ctx context.Context, attr string, sel *bitvec.Vector) (falses, trues int, err error)
+	// Partition returns one bitmap per predicate on attr: the rows of
+	// sel it is the first to admit (see engine.PartitionBits).
+	Partition(ctx context.Context, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error)
+}
+
+// NewTableProvider returns the StatProvider that answers with passes
+// over t itself, partitioning on up to workers goroutines: what a
+// Cartographer built without a provider uses.
+func NewTableProvider(t *storage.Table, workers int) StatProvider {
+	return tableProvider{t: t, workers: workers}
+}
+
+type tableProvider struct {
+	t       *storage.Table
+	workers int
+}
+
+func (p tableProvider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
+	return engine.ExtractNumericUnder(x, p.t, attr, sel, engine.ScanOptions{Ctx: ctx})
+}
+
+func (p tableProvider) Categories(ctx context.Context, attr string, sel *bitvec.Vector) ([]string, []int, error) {
+	return engine.CategoryCountsUnderOpts(p.t, attr, sel, engine.ScanOptions{Ctx: ctx})
+}
+
+func (p tableProvider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (int, int, error) {
+	return engine.BoolCountsUnderOpts(p.t, attr, sel, engine.ScanOptions{Ctx: ctx})
+}
+
+func (p tableProvider) Partition(ctx context.Context, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error) {
+	return engine.PartitionBitsOpts(p.t, attr, preds, sel, engine.ScanOptions{Workers: p.workers, Ctx: ctx})
 }
 
 // statCache memoizes the CUT answer under the full selection (every row
-// of the table), one entry per attribute: the predicates, or the
+// of the table), one entry per attribute: the predicates with the
+// partition of the table's rows into their regions, or the
 // *ErrDegenerate saying the attribute cannot be cut. Tables are
 // immutable and a Cartographer's CutOptions never change, so an answer
 // never goes stale and the memo is bounded by the schema. Answers are
 // shared read-only across goroutines, repeated Explore calls and anytime
-// rounds; selections that do not cover the whole table, or cuts under
-// other options, bypass the memo.
+// rounds, so a repeated full exploration reads no column to build its
+// candidates; selections that do not cover the whole table, or cuts
+// under other options, bypass the memo.
 //
 // No other failure is cached: a cancelled first touch, or a remote
 // shard's transient error, must not poison the attribute, so the next
 // caller recomputes under its own context.
 type statCache struct {
-	opts     CutOptions
-	provider StatProvider // nil: first touches scan the table
+	opts CutOptions
 
 	mu   sync.Mutex
 	cuts map[string]*cutMemo
@@ -54,16 +91,17 @@ type cutMemo struct {
 	mu    sync.Mutex
 	done  bool
 	preds []query.Predicate
+	bits  []*bitvec.Vector
 	err   error // nil or *ErrDegenerate
 }
 
-func newStatCache(opts CutOptions, sp StatProvider) *statCache {
-	return &statCache{opts: opts, provider: sp, cuts: map[string]*cutMemo{}}
+func newStatCache(opts CutOptions) *statCache {
+	return &statCache{opts: opts, cuts: map[string]*cutMemo{}}
 }
 
 // cut returns attr's memoized answer, running compute on the first touch
 // and again after any failure that is not *ErrDegenerate.
-func (s *statCache) cut(attr string, compute func() ([]query.Predicate, error)) ([]query.Predicate, error) {
+func (s *statCache) cut(attr string, compute func() ([]query.Predicate, []*bitvec.Vector, error)) ([]query.Predicate, []*bitvec.Vector, error) {
 	s.mu.Lock()
 	m := s.cuts[attr]
 	if m == nil {
@@ -75,12 +113,12 @@ func (s *statCache) cut(attr string, compute func() ([]query.Predicate, error)) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.done {
-		preds, err := compute()
+		preds, bits, err := compute()
 		var deg *ErrDegenerate
 		if err != nil && !errors.As(err, &deg) {
-			return nil, err
+			return nil, nil, err
 		}
-		m.preds, m.err, m.done = preds, err, true
+		m.preds, m.bits, m.err, m.done = preds, bits, err, true
 	}
-	return m.preds, m.err
+	return m.preds, m.bits, m.err
 }

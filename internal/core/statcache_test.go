@@ -11,33 +11,22 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/query"
-	"repro/internal/storage"
 )
 
 // failingProvider is a StatProvider over an in-memory table whose first
-// NumericStats call fails through fail; every later call answers from
-// the table.
+// full-selection extraction fails through fail; every other call
+// answers from the table.
 type failingProvider struct {
-	t     *storage.Table
+	StatProvider
 	calls atomic.Int32
 	fail  func(ctx context.Context) error
 }
 
-func (p *failingProvider) NumericStats(ctx context.Context, attr string, _ CutOptions) ([]float64, engine.NumericSummary, error) {
-	if p.calls.Add(1) == 1 {
-		return nil, engine.NumericSummary{}, p.fail(ctx)
+func (p *failingProvider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
+	if sel.Count() == sel.Len() && p.calls.Add(1) == 1 {
+		return p.fail(ctx)
 	}
-	var x engine.NumericExtract
-	err := engine.ExtractNumericUnder(&x, p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
-	return x.Vals, x.Sum, err
-}
-
-func (p *failingProvider) CategoryStats(ctx context.Context, attr string) ([]string, []int, error) {
-	return engine.CategoryCountsUnderOpts(p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
-}
-
-func (p *failingProvider) BoolStats(ctx context.Context, attr string) (int, int, error) {
-	return engine.BoolCountsUnderOpts(p.t, attr, bitvec.NewFull(p.t.NumRows()), engine.ScanOptions{Ctx: ctx})
+	return p.StatProvider.Extract(ctx, x, attr, sel)
 }
 
 func renderMaps(r *Result) string {
@@ -66,7 +55,7 @@ func testMemoRecovers(t *testing.T, ctx context.Context, fail func(ctx context.C
 		t.Fatal(err)
 	}
 
-	p := &failingProvider{t: tbl, fail: fail}
+	p := &failingProvider{StatProvider: NewTableProvider(tbl, 1), fail: fail}
 	cart, err := NewCartographerWith(tbl, opts, p)
 	if err != nil {
 		t.Fatal(err)

@@ -81,6 +81,20 @@ func SummarizeNumeric(vals []float64) NumericSummary {
 	return sum
 }
 
+// Merge folds in the summary of values that follow the ones s
+// summarizes, with Observe's strict comparisons: of equal extremes the
+// earlier is kept, so −0 and +0 resolve as they do in row order, and a
+// NaN is never an extreme.
+func (s *NumericSummary) Merge(o NumericSummary) {
+	if o.Min < s.Min {
+		s.Min = o.Min
+	}
+	if o.Max > s.Max {
+		s.Max = o.Max
+	}
+	s.NaN += o.NaN
+}
+
 // Observe folds one more value into the summary.
 func (s *NumericSummary) Observe(v float64) {
 	if v < s.Min {
@@ -108,6 +122,84 @@ type NumericExtract struct {
 	Sum NumericSummary
 
 	rows int // table length, the length of the bitmaps Present spans
+	// lo and hi bound the words of Present that may hold a bit: every
+	// word outside [lo, hi) is zero, so the passes over an extraction —
+	// and clearing it for the next — cost its span, not the table's.
+	lo, hi int
+}
+
+// Reset empties x for an extraction over a table of rows rows, clearing
+// only the words the previous extraction used.
+func (x *NumericExtract) Reset(rows int) {
+	words := (rows + 63) / 64
+	switch {
+	case len(x.Present) == words:
+		clear(x.Present[x.lo:x.hi])
+	case cap(x.Present) >= words:
+		x.Present = x.Present[:words]
+		clear(x.Present)
+	default:
+		x.Present = make([]uint64, words)
+	}
+	x.Vals, x.Sum, x.rows, x.lo, x.hi = x.Vals[:0], SummarizeNumeric(nil), rows, 0, 0
+}
+
+// AppendRun appends the extraction of a run of rows that starts at word
+// w0, past every run appended before it: present marks its rows, vals
+// holds their values in row order and sum summarizes them. Runs
+// extracted apart and appended in row order make the extraction of
+// their union — how a sharded table's answers reassemble.
+func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum NumericSummary) {
+	if len(present) == 0 {
+		return
+	}
+	copy(x.Present[w0:], present)
+	if x.lo == x.hi {
+		x.lo = w0
+	}
+	x.hi = w0 + len(present)
+	x.Vals = append(x.Vals, vals...)
+	x.Sum.Merge(sum)
+}
+
+// Restrict sets dst to the extraction of x's column under sel, a
+// selection within the one x was extracted under: the values of x whose
+// rows sel keeps, in row order, and their summary. It reads no column,
+// and costs the words of x's span plus the values it keeps.
+func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
+	dst.Reset(x.rows)
+	selWords := sel.Words()
+	vals := x.Vals
+	for wi := x.lo; wi < x.hi; wi++ {
+		word := x.Present[wi]
+		if word == 0 {
+			continue
+		}
+		row := vals[:bits.OnesCount64(word)]
+		vals = vals[len(row):]
+		keep := word & selWords[wi]
+		if keep == 0 {
+			continue
+		}
+		if dst.lo == dst.hi {
+			dst.lo = wi
+		}
+		dst.hi = wi + 1
+		dst.Present[wi] = keep
+		if keep == word {
+			dst.Vals = append(dst.Vals, row...)
+			for _, v := range row {
+				dst.Sum.Observe(v)
+			}
+			continue
+		}
+		for k, w := 0, word; w != 0; k, w = k+1, w&(w-1) {
+			if keep&(w&-w) != 0 {
+				dst.Vals = append(dst.Vals, row[k])
+				dst.Sum.Observe(row[k])
+			}
+		}
+	}
 }
 
 // ExtractNumericUnder reads a numeric column under the selection once:
@@ -115,7 +207,7 @@ type NumericExtract struct {
 // and their summary. Only the runs holding a selected row are read; a
 // lazy column's fetches are billed like a scan's (see ScanOptions.Stats).
 func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) error {
-	x.Vals, x.Sum, x.rows = x.Vals[:0], SummarizeNumeric(nil), sel.Len()
+	x.Reset(sel.Len())
 	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
 		return err
 	}
@@ -129,18 +221,19 @@ func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *
 	if n := sel.Count(); cap(x.Vals) < n {
 		x.Vals = make([]float64, 0, n)
 	}
-	selWords := sel.Words()
-	if cap(x.Present) < len(selWords) {
-		x.Present = make([]uint64, len(selWords))
-	}
-	x.Present = x.Present[:len(selWords)]
 	if !col.Type().IsNumeric() {
 		return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 	}
-	// Runs with no selected row are never read and keep no present bits.
-	clear(x.Present)
+	// Runs with no selected row are never read and keep no present bits;
+	// the serial walk visits runs in row order, so the first and last it
+	// reads bound the span.
+	selWords := sel.Words()
 	ctx := opts.context()
 	return t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
+		if x.lo == x.hi {
+			x.lo = w0
+		}
+		x.hi = w1
 		if p.Ints != nil {
 			x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
 		} else {

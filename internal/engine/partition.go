@@ -162,17 +162,20 @@ func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vect
 			return nil, fmt.Errorf("engine: value partition needs Range predicates, got %v on %q", p.Kind, p.Attr)
 		}
 	}
+	// Only the words of x's span can hold a row: the kernels read and
+	// write that span alone.
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
 	for i := range out {
 		out[i] = bitvec.New(x.rows)
-		outWords[i] = out[i].Words()
+		outWords[i] = out[i].Words()[x.lo:x.hi]
 	}
+	present := x.Present[x.lo:x.hi]
 	if c, ok := chainOf(preds); ok {
 		gate := x.Sum.NaN > 0 || x.Sum.Min < c.lo || x.Sum.Max > c.hi
-		partitionChainValues(&c, gate, x.Vals, x.Present, outWords)
+		partitionChainValues(&c, gate, x.Vals, present, outWords)
 	} else {
-		partitionValues(compileRanges(preds), x.Vals, x.Present, outWords)
+		partitionValues(compileRanges(preds), x.Vals, present, outWords)
 	}
 	return out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,30 +351,19 @@ func TestAllReplicasDeadNamesShard(t *testing.T) {
 	assertNamedShardError(t, err, rf.urls[1][0])
 }
 
-// TestBatchStatsOneRPCPerShard: a cold Explore over the fabric asks
-// each shard's statistics plane exactly once — one batchstats RPC per
-// shard carries every attribute — and answers byte-identically to the
+// TestColdCutPhaseRPCs: a cold full-selection explore over the fabric
+// cuts every candidate with cut RPCs alone — one per shard for a
+// numeric attribute's values, two (counts, then partition) for any
+// other — pulls no chunk for it, and answers byte-identically to the
 // unsharded table.
-func TestBatchStatsOneRPCPerShard(t *testing.T) {
+func TestColdCutPhaseRPCs(t *testing.T) {
 	tbl := datagen.Census(10_000, 23)
 	local := writeShardedInputs(t, tbl, 4, 256)
 	q := query.New("census")
 	want := unshardedRef(t, tbl, q)
 
-	var batchRPCs, chunkRPCs atomic.Int64
-	f := startFabric(t, local, func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch {
-			case strings.HasSuffix(r.URL.Path, "/batchstats"):
-				batchRPCs.Add(1)
-			case strings.HasSuffix(r.URL.Path, "/chunk"):
-				chunkRPCs.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
-	opener := testOpener()
-	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+	f := startFabric(t, local, nil)
+	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: testOpener()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,54 +374,36 @@ func TestBatchStatsOneRPCPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, c0 := opener.Stats(), chunkRPCs.Load()
-	res, err := cart.Explore(q)
+	tr, sp := obsv.NewTrace("explore")
+	res, err := cart.ExploreCtx(obsv.WithSpan(context.Background(), sp), q)
+	sp.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, c1 := opener.Stats(), chunkRPCs.Load()
 	if got := renderResult(res); got != want {
-		t.Errorf("batch-fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
+		t.Errorf("fabric result differs from unsharded:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	statsRPCs := (s1.RPCs - s0.RPCs) - (c1 - c0)
-	if n := int64(set.NumShards()); batchRPCs.Load() != n || statsRPCs != n {
-		t.Errorf("cold explore made %d batchstats and %d statistics-plane RPCs over %d shards, want one each per shard",
-			batchRPCs.Load(), statsRPCs, n)
-	}
-}
-
-// TestServerMemoizesStatistics: a shard server computes each
-// attribute's statistics once, ever — a second client (a coordinator
-// restart) is served from the memo.
-func TestServerMemoizesStatistics(t *testing.T) {
-	tbl := datagen.Census(4_000, 31)
-	local := writeShardedInputs(t, tbl, 1, 256)
-	f := startFabric(t, local, nil)
-	srv := f.shardSrv[0]
-	opener := testOpener()
-
-	touch := func() {
-		be, err := opener.OpenShard(context.Background(), []string{f.servers[0].URL}, colstore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer be.Close()
-		c := be.(*Client)
-		if _, err := c.NumericValues(context.Background(), "age"); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.CategoryCounts(context.Background(), "sex"); err != nil {
-			t.Fatal(err)
+	wantCuts := 0
+	for _, m := range res.Candidates {
+		if col, _ := set.Table().ColumnByName(m.Attrs[0]); col.Type().IsNumeric() {
+			wantCuts += set.NumShards()
+		} else {
+			wantCuts += 2 * set.NumShards()
 		}
 	}
-	touch()
-	after := srv.Stats().StatComputes
-	if after == 0 {
-		t.Fatal("no statistics computed at all")
-	}
-	touch()
-	if got := srv.Stats().StatComputes; got != after {
-		t.Errorf("second client recomputed statistics: %d → %d computes", after, got)
+	rpcs := map[string]int{}
+	walkSpans(tr.Tree(), func(s *obsv.SpanJSON) {
+		if s.Name == "cut" {
+			walkSpans(s, func(c *obsv.SpanJSON) {
+				if strings.HasPrefix(c.Name, "rpc ") {
+					rpcs[c.Name]++
+				}
+			})
+		}
+	})
+	if rpcs["rpc cut"] != wantCuts || len(rpcs) != 1 {
+		t.Errorf("cold cut phase made RPCs %v, want exactly %d cut RPCs for %d candidates over %d shards",
+			rpcs, wantCuts, len(res.Candidates), set.NumShards())
 	}
 }
 

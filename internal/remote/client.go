@@ -29,7 +29,7 @@ import (
 type ShardError struct {
 	// Location is the shard's URL as the manifest names it.
 	Location string
-	// Op is the failing operation ("chunk", "batchstats", "meta", ...).
+	// Op is the failing operation ("chunk", "cut", "meta", ...).
 	Op string
 	// RequestID is the query request id the failing RPC belonged to
 	// ("" when the request carried none) — the join key between a
@@ -110,16 +110,6 @@ type Client struct {
 	// lock so first touches of different columns fetch concurrently; a
 	// failed fetch is not cached (the next touch retries).
 	dicts []dictSlot
-
-	// Batch statistics cache: the first statistics-plane demand fetches
-	// every attribute's stats in ONE round trip (POST batchstats) and
-	// answers later calls from memory — the table is immutable, so the
-	// answers never go stale. A failed or cancelled fetch caches nothing:
-	// the next demand retries.
-	statsMu   sync.Mutex
-	numStats  map[string][]float64
-	catStats  map[string]catCountsDTO
-	boolStats map[string]boolCountsDTO
 
 	closed atomic.Bool
 }
@@ -525,12 +515,6 @@ func (c *Client) Dicts(ctx context.Context, ci int) ([]string, error) {
 	if slot.done {
 		return slot.vals, nil
 	}
-	if vals, ok := c.cachedBatchDict(ci); ok {
-		// A batch stats fetch already carried this dictionary (catcounts
-		// answers include it); no separate dict round trip needed.
-		slot.vals, slot.done = vals, true
-		return slot.vals, nil
-	}
 	var dto dictDTO
 	if err := c.getJSON(ctx, "dict", "/shard/v1/dict", url.Values{"col": {strconv.Itoa(ci)}}, &dto); err != nil {
 		return nil, err
@@ -687,146 +671,18 @@ func (c *Client) fetchChunks(ctx context.Context, ci int, ks []int) ([]*storage.
 
 // ---- statistics plane (shard.RemoteBackend) ----
 
-// loadBatchStats fetches EVERY attribute's statistics in one round trip
-// on the first statistics-plane demand. Caller holds statsMu, so
-// concurrent first demands share one fetch. A failure — a *ShardError,
-// carrying the CancelledError when ctx ended — caches nothing, so the
-// next demand retries.
-func (c *Client) loadBatchStats(ctx context.Context) error {
-	if c.numStats != nil {
-		return nil
+// Cut implements shard.RemoteBackend: one POST /shard/v1/cut carrying
+// the request — the shard's slice of the selection, none for all its
+// rows — answered by one CRC'd frame, checked against the request and
+// decoded into a's recycled slices. A bad answer is retried like a
+// truncated one.
+func (c *Client) Cut(ctx context.Context, req shard.CutRequest, a *shard.CutAnswer) error {
+	if req.Col < 0 || req.Col >= c.schema.NumFields() {
+		return &ShardError{Location: c.primary, Op: "cut", Err: fmt.Errorf("column %d out of range", req.Col)}
 	}
-	req := batchReqDTO{Attrs: make([]string, c.schema.NumFields())}
-	for i := range req.Attrs {
-		req.Attrs[i] = c.schema.Field(i).Name
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return &ShardError{Location: c.primary, Op: "batchstats", Err: err}
-	}
-	var (
-		num   map[string][]float64
-		cat   map[string]catCountsDTO
-		boolc map[string]boolCountsDTO
-	)
-	// A malformed answer is retried like a transport failure.
-	read := func(data []byte) (err error) {
-		num, cat, boolc, err = parseBatchStats(data)
-		return err
-	}
-	if err := c.do(ctx, "batchstats", http.MethodPost, "/shard/v1/batchstats", nil, body, 0, read); err != nil {
-		return err
-	}
-	c.numStats, c.catStats, c.boolStats = num, cat, boolc
-	return nil
-}
-
-// parseBatchStats decodes and validates a batchstats body.
-func parseBatchStats(data []byte) (map[string][]float64, map[string]catCountsDTO, map[string]boolCountsDTO, error) {
-	hdr, blob, err := decodeBatch(data)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	num := make(map[string][]float64)
-	cat := make(map[string]catCountsDTO)
-	boolc := make(map[string]boolCountsDTO)
-	for _, st := range hdr.Stats {
-		switch st.Kind {
-		case "numeric":
-			if st.Off < 0 || st.Count < 0 || st.Off+st.Count*8 > len(blob) {
-				return nil, nil, nil, fmt.Errorf("batch stat %q: %d values at offset %d overflow %d blob bytes", st.Attr, st.Count, st.Off, len(blob))
-			}
-			vals, err := decodeFloats(blob[st.Off : st.Off+st.Count*8])
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			num[st.Attr] = vals
-		case "cat":
-			if len(st.Dict) != len(st.Counts) {
-				return nil, nil, nil, fmt.Errorf("batch stat %q: %d dictionary entries with %d counts", st.Attr, len(st.Dict), len(st.Counts))
-			}
-			d := st.Dict
-			if d == nil {
-				d = []string{}
-			}
-			cat[st.Attr] = catCountsDTO{Dict: d, Counts: st.Counts}
-		case "bool":
-			boolc[st.Attr] = boolCountsDTO{Falses: st.Falses, Trues: st.Trues}
-		default:
-			return nil, nil, nil, fmt.Errorf("batch stat %q: unknown kind %q", st.Attr, st.Kind)
-		}
-	}
-	return num, cat, boolc, nil
-}
-
-// missingStat is the error of a statistics call naming an attribute the
-// batch answer has no statistics of that kind for.
-func (c *Client) missingStat(ctx context.Context, kind, attr string) error {
-	return &ShardError{Location: c.primary, Op: "batchstats", RequestID: obsv.RequestIDFrom(ctx),
-		Err: fmt.Errorf("no %s statistics for attribute %q", kind, attr)}
-}
-
-// cachedBatchDict returns column ci's dictionary if a batch fetch
-// already brought it over — without triggering one: the dictionary
-// plane must stay cheap for opens and selective scans that never touch
-// statistics.
-func (c *Client) cachedBatchDict(ci int) ([]string, bool) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if c.numStats == nil {
-		return nil, false
-	}
-	dto, ok := c.catStats[c.schema.Field(ci).Name]
-	if !ok {
-		return nil, false
-	}
-	return dto.Dict, true
-}
-
-// NumericValues implements shard.RemoteBackend: the shard's non-NULL
-// values in row order, from the batch statistics. The slice is shared
-// with the cache and read-only.
-func (c *Client) NumericValues(ctx context.Context, attr string) ([]float64, error) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if err := c.loadBatchStats(ctx); err != nil {
-		return nil, err
-	}
-	vals, ok := c.numStats[attr]
-	if !ok {
-		return nil, c.missingStat(ctx, "numeric", attr)
-	}
-	return vals, nil
-}
-
-// CategoryCounts implements shard.RemoteBackend (local dictionary space)
-// from the batch statistics. The counts are copied; the shared
-// dictionary is read-only by contract.
-func (c *Client) CategoryCounts(ctx context.Context, attr string) ([]string, []int, error) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if err := c.loadBatchStats(ctx); err != nil {
-		return nil, nil, err
-	}
-	dto, ok := c.catStats[attr]
-	if !ok {
-		return nil, nil, c.missingStat(ctx, "category", attr)
-	}
-	return dto.Dict, append([]int(nil), dto.Counts...), nil
-}
-
-// BoolCounts implements shard.RemoteBackend from the batch statistics.
-func (c *Client) BoolCounts(ctx context.Context, attr string) (int, int, error) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if err := c.loadBatchStats(ctx); err != nil {
-		return 0, 0, err
-	}
-	dto, ok := c.boolStats[attr]
-	if !ok {
-		return 0, 0, c.missingStat(ctx, "boolean", attr)
-	}
-	return dto.Falses, dto.Trues, nil
+	body := appendCutRequest(nil, req, c.schema.Field(req.Col).Type)
+	read := func(data []byte) error { return parseCutAnswer(data, req, c.rows, a) }
+	return c.do(ctx, "cut", http.MethodPost, "/shard/v1/cut", nil, body, cutAnswerLimit(req, c.rows), read)
 }
 
 // ColumnPartials implements shard.RemoteBackend: every requested column's

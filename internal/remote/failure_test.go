@@ -191,7 +191,7 @@ func TestRemoteStatsPlaneError(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/batchstats") {
+			if strings.HasSuffix(r.URL.Path, "/cut") {
 				http.Error(w, "synthetic shard failure", http.StatusInternalServerError)
 				return
 			}

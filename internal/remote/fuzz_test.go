@@ -4,11 +4,16 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/engine"
+	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/storage"
 )
 
 // Fuzz targets for the fabric's byte-facing decoders: whatever a shard
@@ -63,36 +68,135 @@ func FuzzChunkFrames(f *testing.F) {
 	})
 }
 
-// FuzzBatchStats: a batchstats body decodes into consistent statistics
-// — every categorical answer with one count per dictionary entry — or
-// fails with an error.
-func FuzzBatchStats(f *testing.F) {
-	ok, err := encodeBatch(batchHeaderDTO{Stats: []batchStatDTO{
-		{Attr: "age", Kind: "numeric", Off: 0, Count: 2},
-		{Attr: "sex", Kind: "cat", Dict: []string{"F", "M"}, Counts: []int{3, 4}},
-		{Attr: "ok", Kind: "bool", Falses: 1, Trues: 2},
-	}}, encodeFloats([]float64{1.5, -2}))
-	if err != nil {
-		f.Fatal(err)
+// cutFuzzSchema is the shard FuzzCutFrames parses against: one column
+// of each type over cutFuzzRows rows, whose last selection word has
+// tail bits.
+var cutFuzzSchema = storage.MustSchema(
+	storage.Field{Name: "i", Type: storage.Int64},
+	storage.Field{Name: "f", Type: storage.Float64},
+	storage.Field{Name: "s", Type: storage.String},
+	storage.Field{Name: "b", Type: storage.Bool},
+)
+
+const cutFuzzRows = 130
+
+
+// FuzzCutFrames: a cut request either parses into one the shard can
+// answer — a kind that fits its column, a selection within its words
+// with no bit past its last row, predicates for a partition — or fails
+// with a named error; and an answer to a parsed request either decodes
+// consistently with it — its CRC matching, one value per present bit,
+// every bitmap within the selection, regions disjoint, counts no more
+// than the selected rows — or fails with a named error. Neither panics.
+func FuzzCutFrames(f *testing.F) {
+	// seed adds a request and the answer a to it.
+	seed := func(req shard.CutRequest, a *shard.CutAnswer) {
+		f.Add(appendCutRequest(nil, req, cutFuzzSchema.Field(req.Col).Type), appendCutAnswer(nil, req.Kind, a))
 	}
-	f.Add(ok)
-	f.Add(ok[:len(ok)-3])
-	f.Add([]byte{255, 255, 255, 127})
-	f.Add([]byte("\x10\x00\x00\x00{\"stats\":null}"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		num, cat, boolc, err := parseBatchStats(data)
+	sel := []uint64{0b1011, 0b11}
+	seed(shard.CutRequest{Kind: shard.CutValues, Col: 1},
+		&shard.CutAnswer{Vals: []float64{1.5, -2}, Present: []uint64{0b11, 0, 0}, Sum: engine.NumericSummary{Min: -2, Max: 1.5}})
+	seed(shard.CutRequest{Kind: shard.CutValues, Col: 0, W0: 1, Sel: sel},
+		&shard.CutAnswer{Vals: []float64{math.NaN(), 7}, Present: []uint64{0b10, 1}, Sum: engine.NumericSummary{NaN: 1, Min: 7, Max: 7}})
+	seed(shard.CutRequest{Kind: shard.CutPartition, Col: 2, W0: 1, Sel: sel,
+		Preds: []query.Predicate{query.NewIn("s", "a", "b"), query.NewIn("s", "c")}},
+		&shard.CutAnswer{Bits: [][]uint64{{0b11, 0}, {0b1000, 1}}})
+	seed(shard.CutRequest{Kind: shard.CutCategories, Col: 2},
+		&shard.CutAnswer{Counts: []int{3, 0, 4}})
+	seed(shard.CutRequest{Kind: shard.CutBools, Col: 3, W0: 2, Sel: []uint64{0b11}},
+		&shard.CutAnswer{Falses: 1, Trues: 1})
+	seed(shard.CutRequest{Kind: shard.CutPartition, Col: 3,
+		Preds: []query.Predicate{query.NewBoolEq("b", false), query.NewBoolEq("b", true)}},
+		&shard.CutAnswer{Bits: [][]uint64{{1, 0, 0}, {2, 0, 0}}})
+	f.Fuzz(func(t *testing.T, reqBody, answer []byte) {
+		req, err := parseCutRequest(reqBody, cutFuzzSchema, cutFuzzRows)
 		if err != nil {
 			if err.Error() == "" {
-				t.Fatal("unnamed error")
+				t.Fatal("unnamed request error")
 			}
 			return
 		}
-		if num == nil || cat == nil || boolc == nil {
-			t.Fatal("a successful parse left a statistics map nil")
+		if !req.Kind.Fits(cutFuzzSchema.Field(req.Col).Type) {
+			t.Fatalf("kind %d accepted for column %d", req.Kind, req.Col)
 		}
-		for attr, dto := range cat {
-			if len(dto.Dict) != len(dto.Counts) {
-				t.Fatalf("%q: %d dictionary entries with %d counts", attr, len(dto.Dict), len(dto.Counts))
+		const words = (cutFuzzRows + 63) / 64
+		if req.Sel != nil {
+			if len(req.Sel) == 0 || req.W0+len(req.Sel) > words {
+				t.Fatalf("selection words [%d,%d) accepted over %d", req.W0, req.W0+len(req.Sel), words)
+			}
+			if req.W0+len(req.Sel) == words && tailBits(req.Sel[len(req.Sel)-1], cutFuzzRows) != 0 {
+				t.Fatal("selection past the last row accepted")
+			}
+		}
+		if (req.Kind == shard.CutPartition) != (len(req.Preds) > 0) {
+			t.Fatalf("kind %d with %d predicates", req.Kind, len(req.Preds))
+		}
+		var a shard.CutAnswer
+		if err := parseCutAnswer(answer, req, cutFuzzRows, &a); err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed answer error")
+			}
+			return
+		}
+		if crc32.ChecksumIEEE(answer[4:]) != binary.LittleEndian.Uint32(answer) {
+			t.Fatal("answer with a bad checksum accepted")
+		}
+		nw := reqWords(req, cutFuzzRows)
+		selWord := func(j int) uint64 {
+			if req.Sel != nil {
+				return req.Sel[j]
+			}
+			if j == nw-1 {
+				return 1<<(cutFuzzRows%64) - 1
+			}
+			return ^uint64(0)
+		}
+		selected := 0
+		for j := 0; j < nw; j++ {
+			selected += bits.OnesCount64(selWord(j))
+		}
+		switch req.Kind {
+		case shard.CutValues:
+			if len(a.Present) != nw {
+				t.Fatalf("%d present words for %d selection words", len(a.Present), nw)
+			}
+			n := 0
+			for j, w := range a.Present {
+				if w&^selWord(j) != 0 {
+					t.Fatalf("present word %d outside the selection", j)
+				}
+				n += bits.OnesCount64(w)
+			}
+			if n != len(a.Vals) || a.Sum.NaN > n {
+				t.Fatalf("%d values, %d NaN, for %d present rows", len(a.Vals), a.Sum.NaN, n)
+			}
+		case shard.CutCategories:
+			total := 0
+			for _, c := range a.Counts {
+				total += c
+			}
+			if total > selected {
+				t.Fatalf("counts total %d over %d selected rows", total, selected)
+			}
+		case shard.CutBools:
+			if a.Falses+a.Trues > selected {
+				t.Fatalf("%d+%d tallies over %d selected rows", a.Falses, a.Trues, selected)
+			}
+		case shard.CutPartition:
+			if len(a.Bits) != len(req.Preds) {
+				t.Fatalf("%d bitmaps for %d predicates", len(a.Bits), len(req.Preds))
+			}
+			seen := make([]uint64, nw)
+			for _, b := range a.Bits {
+				if len(b) != nw {
+					t.Fatalf("bitmap of %d words for %d", len(b), nw)
+				}
+				for j, w := range b {
+					if w&^selWord(j) != 0 || w&seen[j] != 0 {
+						t.Fatalf("region word %d outside the selection or overlapping", j)
+					}
+					seen[j] |= w
+				}
 			}
 		}
 	})

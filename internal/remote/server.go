@@ -8,13 +8,15 @@
 //
 // # Two RPC planes
 //
-// The statistics plane answers per-shard aggregate questions where the
-// data lives, in two calls: batchstats (every attribute's values in row
-// order, category or boolean counts, in one round trip) and partials
+// The statistics plane answers per-shard questions where the data
+// lives, in two calls: cut (one CUT read under the shard's slice of a
+// selection — a numeric column's selected values with their rows and
+// summary, category or boolean counts, or the partition of the selected
+// rows by a cut's predicates; no slice means every row) and partials
 // (mergeable ColumnPartial bundles: counts and fixed-edge histograms) —
-// so a sharded exploration's column statistics fan out as N small requests
-// and reduce through the existing merge layer
-// (internal/shard/partial.go), byte-identical to the local computation.
+// so a sharded exploration's cuts fan out as small requests to the
+// shards holding selected rows, and reduce in shard order
+// (internal/shard/provider.go), byte-identical to the local computation.
 //
 // The chunk plane serves raw encoded chunk payloads: the coordinator's
 // storage.ChunkSource for that shard, feeding the shared decoded-chunk
@@ -32,15 +34,10 @@
 //	GET  zones                        per-(column, chunk) zone maps
 //	GET  dict?col=N                   string column dictionary
 //	POST chunk                        one column's listed chunks, one CRC'd frame each
-//	POST batchstats                   every listed attribute's stats, one trip
+//	POST cut                          one column's CUT read under a selection slice
 //	POST partials                     mergeable ColumnPartial per requested column
 //	GET  health                       liveness probe
 //	GET  stats                        the server's own counters
-//
-// Shard tables are immutable, so the server memoizes each attribute's
-// statistics the first time batchstats asks for them; repeat RPCs (a
-// restarted coordinator, a second client) answer from that cache
-// instead of rescanning the column.
 package remote
 
 import (
@@ -48,15 +45,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/colstore"
-	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -68,20 +64,17 @@ type Server struct {
 	st  *colstore.Store
 	tbl *storage.Table
 
-	// statCache memoizes per-attribute statistics (the table is
-	// immutable, so a column's sorted run never changes); statComputes
-	// counts actual column scans, so tests can prove repeat RPCs hit
-	// the cache.
-	statMu       sync.Mutex
-	statCache    map[string]*statEntry
+	// statComputes counts the cut answers computed.
 	statComputes atomic.Int64
 
 	requests    atomic.Int64
 	bytesOut    atomic.Int64
 	chunkServes atomic.Int64
 
-	// bufs recycles the framed chunk answers.
+	// bufs recycles the framed chunk and cut answers.
 	bufs *bufPool
+	// answers recycles the cut answers the frames are encoded from.
+	answers sync.Pool
 
 	// draining flips when the process received SIGTERM: health answers
 	// not-OK with 503 so coordinators rotate away, while data-plane
@@ -98,7 +91,8 @@ type Server struct {
 // NewServer wraps an opened shard store. The store stays owned by the
 // caller (Close it after the HTTP server stops).
 func NewServer(st *colstore.Store) *Server {
-	return &Server{st: st, tbl: st.Table(), statCache: make(map[string]*statEntry), bufs: newBufPool()}
+	return &Server{st: st, tbl: st.Table(), bufs: newBufPool(),
+		answers: sync.Pool{New: func() any { return new(shard.CutAnswer) }}}
 }
 
 // ServerStats counts what a shard server has sent.
@@ -107,8 +101,7 @@ type ServerStats struct {
 	Requests int64
 	// BytesOut counts response body bytes of successful answers.
 	BytesOut int64
-	// StatComputes counts per-attribute statistics actually computed
-	// (cache misses); repeat stats RPCs do not move it.
+	// StatComputes counts the cut answers computed.
 	StatComputes int64
 	// ChunkServes counts chunk-plane payloads served.
 	ChunkServes int64
@@ -130,74 +123,6 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// statEntry is one attribute's memoized statistics: exactly one of the
-// three shapes is populated, by the attribute's type.
-type statEntry struct {
-	mu   sync.Mutex
-	done bool
-
-	enc    []byte // numeric: the encoded row-order value stream
-	count  int    // numeric: value count
-	dict   []string
-	counts []int
-	falses int
-	trues  int
-}
-
-// statFor computes (once) and returns attr's statistics. Concurrent
-// first touches of one attribute single-flight behind its entry lock;
-// different attributes compute concurrently. Failures are NOT cached —
-// a lazy store's transient read error must not poison the attribute
-// until restart.
-func (s *Server) statFor(ctx context.Context, attr string) (*statEntry, error) {
-	s.statMu.Lock()
-	e := s.statCache[attr]
-	if e == nil {
-		e = &statEntry{}
-		s.statCache[attr] = e
-	}
-	s.statMu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		if sp := obsv.SpanFrom(ctx); sp != nil {
-			sp.SetAttr("statCached", true)
-		}
-		return e, nil
-	}
-	_, sp := obsv.StartSpan(ctx, "statcompute "+attr)
-	defer sp.End()
-	typ, err := s.attrType(attr)
-	if err != nil {
-		return nil, err
-	}
-	full := bitvec.NewFull(s.tbl.NumRows())
-	// The caller's context (deadline header included) rides into the
-	// column scan, so statcompute work whose caller already gave up is
-	// abandoned at chunk granularity instead of run to completion.
-	switch {
-	case typ.IsNumeric():
-		var x engine.NumericExtract
-		if err = engine.ExtractNumericUnder(&x, s.tbl, attr, full, engine.ScanOptions{Ctx: ctx}); err == nil {
-			e.enc, e.count = encodeFloats(x.Vals), len(x.Vals)
-		}
-	case typ == storage.String:
-		e.dict, e.counts, err = engine.CategoryCountsUnderOpts(s.tbl, attr, full, engine.ScanOptions{Ctx: ctx})
-	default:
-		e.falses, e.trues, err = engine.BoolCountsUnderOpts(s.tbl, attr, full, engine.ScanOptions{Ctx: ctx})
-	}
-	if err != nil {
-		s.statMu.Lock()
-		delete(s.statCache, attr)
-		s.statMu.Unlock()
-		return nil, err
-	}
-	e.done = true
-	s.statComputes.Add(1)
-	return e, nil
-}
-
 // Handler returns the fabric routing. Mount it at the server root (the
 // paths carry the /shard/v1/ prefix).
 func (s *Server) Handler() http.Handler {
@@ -206,7 +131,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /shard/v1/zones", s.wrap("zones", s.handleZones))
 	mux.HandleFunc("GET /shard/v1/dict", s.wrap("dict", s.handleDict))
 	mux.HandleFunc("POST /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
-	mux.HandleFunc("POST /shard/v1/batchstats", s.wrap("batchstats", s.handleBatchStats))
+	mux.HandleFunc("POST /shard/v1/cut", s.wrap("cut", s.handleCut))
 	mux.HandleFunc("POST /shard/v1/partials", s.wrap("partials", s.handlePartials))
 	mux.HandleFunc("GET /shard/v1/health", s.wrap("health", s.handleHealth))
 	mux.HandleFunc("GET /shard/v1/stats", s.wrap("stats", s.handleStats))
@@ -432,58 +357,41 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, "application/octet-stream", buf)
 }
 
-// attrType resolves an attr parameter. An unknown attribute is a 400 —
-// the request itself is wrong and retrying cannot help — leaving later
-// compute failures to surface as 500 so the client's transient-failure
-// retry applies to them.
-func (s *Server) attrType(attr string) (storage.DataType, error) {
-	for _, f := range s.tbl.Schema().Fields() {
-		if f.Name == attr {
-			return f.Type, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown attribute %q", attr)
-}
-
-// handleBatchStats answers every listed attribute's statistics in one
-// response: a JSON header locating each numeric attribute's float
-// stream in the binary blob that follows (see encodeBatch). Answers
-// come from the memoized per-attribute entries (statFor).
-func (s *Server) handleBatchStats(w http.ResponseWriter, r *http.Request) {
-	var req batchReqDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+// handleCut answers POST /shard/v1/cut: one CUT read of the shard
+// under the request's slice of the selection (see cutwire.go), computed
+// by shard.ComputeCut and framed into a recycled buffer under its CRC.
+// A malformed request is a 400; a failed computation a 500, which the
+// client retries.
+func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
+	// The largest well-formed request: a selection of every word, plus
+	// the predicates of a partition.
+	limit := int64(14 + 8*s.st.NumChunks()*s.st.ChunkSize/64 + 1<<20)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("reading cut request: %w", err))
 		return
 	}
-	hdr := batchHeaderDTO{Stats: make([]batchStatDTO, 0, len(req.Attrs))}
-	var blob []byte
-	for _, attr := range req.Attrs {
-		typ, err := s.attrType(attr)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		e, err := s.statFor(r.Context(), attr)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		switch {
-		case typ.IsNumeric():
-			hdr.Stats = append(hdr.Stats, batchStatDTO{Attr: attr, Kind: "numeric", Off: len(blob), Count: e.count})
-			blob = append(blob, e.enc...)
-		case typ == storage.String:
-			hdr.Stats = append(hdr.Stats, batchStatDTO{Attr: attr, Kind: "cat", Dict: e.dict, Counts: e.counts})
-		default:
-			hdr.Stats = append(hdr.Stats, batchStatDTO{Attr: attr, Kind: "bool", Falses: e.falses, Trues: e.trues})
-		}
+	req, err := parseCutRequest(body, s.tbl.Schema(), s.tbl.NumRows())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid cut request: %w", err))
+		return
 	}
-	body, err := encodeBatch(hdr, blob)
+	// The caller's context (deadline header included) rides into the
+	// column pass, so a cut whose caller already gave up is abandoned
+	// at chunk granularity instead of run to completion.
+	ctx, sp := obsv.StartSpan(r.Context(), "cut "+s.tbl.Schema().Field(req.Col).Name)
+	a := s.answers.Get().(*shard.CutAnswer)
+	defer s.answers.Put(a)
+	err = shard.ComputeCut(ctx, s.tbl, req, a)
+	sp.End()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeBody(w, "application/octet-stream", body)
+	s.statComputes.Add(1)
+	buf := appendCutAnswer(s.bufs.get(0), req.Kind, a)
+	defer func() { s.bufs.put(buf) }()
+	s.writeBody(w, "application/octet-stream", buf)
 }
 
 func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {

@@ -104,33 +104,27 @@ func TestSetShardServerStats(t *testing.T) {
 	}
 }
 
-// TestBatchStatsRetryAfterFailure: a first statistics demand that is
-// cancelled, or whose batchstats RPC fails, caches nothing and poisons
-// nothing. The error is a *ShardError (carrying the CancelledError when
-// the caller gave up), the next demand costs exactly one batchstats RPC
-// and no other statistics call, and later demands answer from memory.
-func TestBatchStatsRetryAfterFailure(t *testing.T) {
+// TestCutRetryAfterFailure: a cut whose caller gave up, or whose cut
+// RPC failed, leaves nothing behind. The error is a *ShardError
+// (carrying the CancelledError when the caller gave up), and the next
+// cut costs exactly one cut RPC and answers.
+func TestCutRetryAfterFailure(t *testing.T) {
 	manifest := writeShardedInputs(t, datagen.Census(3_000, 29), 1, 256)
 	for _, tc := range []struct {
 		name   string
 		cancel bool
 	}{{"cancelled", true}, {"failed", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var batchRPCs, otherStats, failNext atomic.Int64
+			var cutRPCs, failNext atomic.Int64
 			failNext.Store(1)
 			f := startFabric(t, manifest, func(_ int, h http.Handler) http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					switch p := r.URL.Path; {
-					case strings.HasSuffix(p, "/batchstats"):
-						batchRPCs.Add(1)
+					if strings.HasSuffix(r.URL.Path, "/cut") {
+						cutRPCs.Add(1)
 						if !tc.cancel && failNext.Add(-1) == 0 {
-							http.Error(w, "synthetic batch failure", http.StatusInternalServerError)
+							http.Error(w, "synthetic cut failure", http.StatusInternalServerError)
 							return
 						}
-					case strings.HasSuffix(p, "/values"), strings.HasSuffix(p, "/catcounts"), strings.HasSuffix(p, "/boolcounts"):
-						// Per-attribute statistics paths: a client that
-						// gave up on the batch would land here.
-						otherStats.Add(1)
 					}
 					h.ServeHTTP(w, r)
 				})
@@ -141,34 +135,33 @@ func TestBatchStatsRetryAfterFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer be.Close()
+			age := be.Meta().Schema.Index("age")
 
 			ctx, cancel := context.WithCancel(context.Background())
 			if tc.cancel {
 				cancel()
 			}
-			_, err = be.NumericValues(ctx, "age")
+			var a shard.CutAnswer
+			err = be.Cut(ctx, shard.CutRequest{Kind: shard.CutValues, Col: age}, &a)
 			cancel()
 			var se *ShardError
 			if !errors.As(err, &se) {
-				t.Fatalf("first demand: err = %v, want a *ShardError", err)
+				t.Fatalf("first cut: err = %v, want a *ShardError", err)
 			}
 			var ce *obsv.CancelledError
 			if tc.cancel != errors.As(err, &ce) {
-				t.Errorf("first demand: err = %v, carries CancelledError = %v, want %v", err, !tc.cancel, tc.cancel)
+				t.Errorf("first cut: err = %v, carries CancelledError = %v, want %v", err, !tc.cancel, tc.cancel)
 			}
 
-			before := batchRPCs.Load()
-			if _, err := be.NumericValues(context.Background(), "age"); err != nil {
-				t.Fatalf("retry after a %s first demand: %v", tc.name, err)
+			before := cutRPCs.Load()
+			if err := be.Cut(context.Background(), shard.CutRequest{Kind: shard.CutValues, Col: age}, &a); err != nil {
+				t.Fatalf("retry after a %s first cut: %v", tc.name, err)
 			}
-			if got := batchRPCs.Load() - before; got != 1 || otherStats.Load() != 0 {
-				t.Errorf("retry cost %d batchstats and %d other statistics RPCs, want exactly 1 batchstats", got, otherStats.Load())
+			if got := cutRPCs.Load() - before; got != 1 {
+				t.Errorf("retry cost %d cut RPCs, want exactly 1", got)
 			}
-			if _, _, err := be.CategoryCounts(context.Background(), "sex"); err != nil {
-				t.Fatal(err)
-			}
-			if got := batchRPCs.Load() - before; got != 1 || otherStats.Load() != 0 {
-				t.Errorf("a cached demand went to the wire: %d batchstats, %d other statistics RPCs", got, otherStats.Load())
+			if len(a.Vals) == 0 {
+				t.Error("retry answered no ages")
 			}
 		})
 	}

@@ -23,7 +23,7 @@ import (
 //     coordinator must reconstruct *exactly* the value the shard holds
 //     (byte-identical explorations depend on it), and JSON numbers
 //     cannot carry NaN or ±Inf at all.
-//   - Bulk payloads (chunk bytes, numeric value streams) are binary;
+//   - Bulk payloads (chunk bytes, cut requests and answers) are binary;
 //     everything metadata-shaped is JSON.
 
 // fbits encodes a float64 as its hex bit pattern.
@@ -279,78 +279,6 @@ func (p *bufPool) put(b []byte) {
 	}
 }
 
-// catCountsDTO is one string attribute's batch statistics (local
-// dictionary space; the coordinator remaps into union space).
-type catCountsDTO struct {
-	Dict   []string `json:"dict"`
-	Counts []int    `json:"counts"`
-}
-
-// boolCountsDTO is one boolean attribute's batch statistics.
-type boolCountsDTO struct {
-	Falses int `json:"falses"`
-	Trues  int `json:"trues"`
-}
-
-// batchReqDTO is POST /shard/v1/batchstats: the attributes whose
-// statistics the coordinator wants in one round trip.
-type batchReqDTO struct {
-	Attrs []string `json:"attrs"`
-}
-
-// batchStatDTO is one attribute's statistics in a batchstats answer.
-// Numeric value streams live in the response's binary blob (Off/Count
-// locate them) so floats travel as exact bit patterns; categorical and
-// boolean answers are small and inline.
-type batchStatDTO struct {
-	Attr string `json:"attr"`
-	// Kind is "numeric", "cat" or "bool".
-	Kind string `json:"kind"`
-	// Off/Count locate a numeric attribute's float stream in the blob:
-	// Count values at byte offset Off.
-	Off    int      `json:"off,omitempty"`
-	Count  int      `json:"count,omitempty"`
-	Dict   []string `json:"dict,omitempty"`
-	Counts []int    `json:"counts,omitempty"`
-	Falses int      `json:"falses,omitempty"`
-	Trues  int      `json:"trues,omitempty"`
-}
-
-// batchHeaderDTO is the JSON header of a batchstats response body.
-type batchHeaderDTO struct {
-	Stats []batchStatDTO `json:"stats"`
-}
-
-// encodeBatch frames a batchstats body: a u32 little-endian header
-// length, the JSON header, then the binary blob of float streams.
-func encodeBatch(hdr batchHeaderDTO, blob []byte) ([]byte, error) {
-	hj, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 4+len(hj)+len(blob))
-	binary.LittleEndian.PutUint32(out, uint32(len(hj)))
-	copy(out[4:], hj)
-	copy(out[4+len(hj):], blob)
-	return out, nil
-}
-
-// decodeBatch unframes a batchstats body.
-func decodeBatch(data []byte) (batchHeaderDTO, []byte, error) {
-	var hdr batchHeaderDTO
-	if len(data) < 4 {
-		return hdr, nil, fmt.Errorf("remote: batch body of %d bytes has no header", len(data))
-	}
-	hl := int(binary.LittleEndian.Uint32(data))
-	if hl < 0 || 4+hl > len(data) {
-		return hdr, nil, fmt.Errorf("remote: batch header of %d bytes overflows %d-byte body", hl, len(data))
-	}
-	if err := json.Unmarshal(data[4:4+hl], &hdr); err != nil {
-		return hdr, nil, fmt.Errorf("remote: batch header: %w", err)
-	}
-	return hdr, data[4+hl:], nil
-}
-
 // partialsReqDTO is POST /shard/v1/partials.
 type partialsReqDTO struct {
 	Specs []partialSpecDTO `json:"specs"`
@@ -479,26 +407,4 @@ type shardStatsDTO struct {
 	CacheHits     int64  `json:"cacheHits,omitempty"`
 	CacheBytes    int64  `json:"cacheBytes,omitempty"`
 	Version       string `json:"version,omitempty"`
-}
-
-// encodeFloats packs values as little-endian IEEE-754 bits — a numeric
-// attribute's stream in the batchstats blob.
-func encodeFloats(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// decodeFloats unpacks a little-endian float stream.
-func decodeFloats(buf []byte) ([]float64, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("remote: float stream of %d bytes is not a multiple of 8", len(buf))
-	}
-	vals := make([]float64, len(buf)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return vals, nil
 }

@@ -69,27 +69,22 @@ type PartialSpec struct {
 }
 
 // RemoteBackend is a shard served by another process: a Backend plus
-// the statistics plane — per-shard statistics computed where the
-// shard's data lives, so a sharded exploration fans out as small
-// requests instead of pulling chunks — and the fabric's diagnostics.
-// Statistics answers are in the shard's local dictionary space — the
-// Set remaps them into union space during the reduce — and must be
-// exactly what the equivalent local scan would produce (values in row
-// order, exact counts), which is what keeps remote explorations
-// byte-identical. Every call that may touch the wire takes the request
+// the statistics plane — CUT's reads and per-shard partials computed
+// where the shard's data lives, so a sharded exploration fans out as
+// small requests instead of pulling chunks — and the fabric's
+// diagnostics. Statistics answers are in the shard's local dictionary
+// space — the Set remaps them into union space during the reduce — and
+// must be exactly what ComputeCut over the shard's table produces
+// (values in row order, exact counts, identical bitmaps), which is what
+// keeps remote explorations byte-identical. Every call that may touch the wire takes the request
 // context first, so a traced exploration attributes each fan-out RPC to
 // the pipeline phase that issued it.
 type RemoteBackend interface {
 	Backend
-	// NumericValues returns attr's non-NULL values in row order under
-	// the full selection. The slice may be the backend's cached copy and
-	// must not be modified.
-	NumericValues(ctx context.Context, attr string) ([]float64, error)
-	// CategoryCounts returns attr's local dictionary and per-code
-	// counts under the full selection.
-	CategoryCounts(ctx context.Context, attr string) (dict []string, counts []int, err error)
-	// BoolCounts returns attr's (false, true) tallies.
-	BoolCounts(ctx context.Context, attr string) (falses, trues int, err error)
+	// Cut answers one CUT read of the shard into a (see CutRequest),
+	// reusing a's slices. Category counts are in the shard's own
+	// dictionary space.
+	Cut(ctx context.Context, req CutRequest, a *CutAnswer) error
 	// ColumnPartials computes one mergeable partial per spec, in one
 	// round trip.
 	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
@@ -135,8 +130,7 @@ type ServerStats struct {
 	Requests int64
 	// BytesOut counts response body bytes of successful answers.
 	BytesOut int64
-	// StatComputes counts per-attribute statistics actually computed
-	// (cache misses).
+	// StatComputes counts the cut answers the server computed.
 	StatComputes int64
 	// ChunkServes counts chunk-plane payloads served.
 	ChunkServes int64

@@ -2,155 +2,240 @@ package shard
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
-	"slices"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/par"
+	"repro/internal/query"
 )
 
-// Provider returns the set's core.StatProvider: full-selection column
-// statistics computed per shard on up to parallelism workers (0 means
-// GOMAXPROCS) and reduced exactly — value runs concatenate in shard (=
-// combined row) order, category and boolean counts add — so every
-// answer matches the unsharded computation.
+// Provider returns the set's core.StatProvider, fanning out on up to
+// parallelism workers (0 means GOMAXPROCS). A set with no remote shard
+// answers with passes over its combined table, whose chunks are the
+// shards' own. A set with remote shards asks each shard about its slice
+// of the selection — only shards holding a selected row, each sent the
+// words that hold one — and merges the answers exactly, in shard (=
+// combined row) order: values concatenate, summaries fold, counts add in
+// the union dictionary and bitmaps land in place, so every answer
+// matches the unsharded computation.
 func (s *Set) Provider(parallelism int) *Provider {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	return &Provider{s: s, workers: parallelism}
+	p := &Provider{s: s, workers: parallelism}
+	if !s.anyRemote() {
+		p.local = core.NewTableProvider(s.combined, parallelism)
+	}
+	return p
+}
+
+// anyRemote reports whether any shard is served over the fabric.
+func (s *Set) anyRemote() bool {
+	for _, ls := range s.shards {
+		if ls.isRemote() {
+			return true
+		}
+	}
+	return false
 }
 
 // Provider implements core.StatProvider over a Set. See Set.Provider.
 type Provider struct {
 	s       *Set
 	workers int
+	// local answers for a set with no remote shard; nil otherwise.
+	local core.StatProvider
 }
 
-// NumericStats implements core.StatProvider: attr's non-NULL values in
-// combined row order, in a fresh slice, with their summary. Remote
-// shards answer over the statistics plane — one small request returning
-// the shard's values in row order, computed where the data lives — and
-// local shards scan their views. opts is unused: every numeric cut reads
-// the same values.
+var _ core.StatProvider = (*Provider)(nil)
+
+// NumericStats returns attr's non-NULL values in combined row order, in
+// a fresh slice, with their summary: the full-selection extraction.
+// opts is unused: every numeric cut reads the same values.
 func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, engine.NumericSummary, error) {
-	runs := make([][]float64, p.s.NumShards())
-	err := par.For(p.workers, len(runs), func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			vals, err := sb.NumericValues(ctx, attr)
-			runs[i] = vals
-			return err
-		}
-		view := p.s.views[i]
-		var x engine.NumericExtract
-		err := engine.ExtractNumericUnder(&x, view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		runs[i] = x.Vals
-		return err
-	})
-	if err != nil {
-		return nil, engine.NumericSummary{}, err
-	}
-	vals := slices.Concat(runs...)
-	return vals, engine.SummarizeNumeric(vals), nil
+	var x engine.NumericExtract
+	err := p.Extract(ctx, &x, attr, bitvec.NewFull(p.s.combined.NumRows()))
+	return x.Vals, x.Sum, err
 }
 
-// CategoryStats implements core.StatProvider. Remote shards return
-// counts in their local dictionary space; the reduce remaps them into
-// the set's union dictionary, so the summed vector equals the local
-// fan-out exactly.
-func (p *Provider) CategoryStats(ctx context.Context, attr string) ([]string, []int, error) {
-	n := p.s.NumShards()
-	partCounts := make([][]int, n)
-	var dict []string
-	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			ci, err := p.s.colIndex(attr)
-			if err != nil {
-				return err
-			}
-			_, counts, err := sb.CategoryCounts(ctx, attr)
-			if err != nil {
-				return err
-			}
-			u, err := p.s.countsToUnion(ctx, i, ci, counts)
-			if err != nil {
-				return err
-			}
-			partCounts[i] = u
-			return nil
+// Extract implements core.StatProvider.
+func (p *Provider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
+	if p.local != nil {
+		return p.local.Extract(ctx, x, attr, sel)
+	}
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attr, sel)
+	defer releaseAnswers(answers)
+	if err != nil {
+		return err
+	}
+	x.Reset(sel.Len())
+	for i, a := range answers {
+		if a != nil {
+			x.AppendRun(p.s.offsets[i]/64+a.W0, a.Present, a.Vals, a.Sum)
 		}
-		view := p.s.views[i]
-		d, counts, err := engine.CategoryCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			dict = d
-		}
-		partCounts[i] = counts
-		return nil
-	})
+	}
+	return nil
+}
+
+// Categories implements core.StatProvider. Remote shards count in their
+// own dictionaries; the merge remaps each into the set's union
+// dictionary, which a local shard's view already counts in.
+func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vector) ([]string, []int, error) {
+	if p.local != nil {
+		return p.local.Categories(ctx, attr, sel)
+	}
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, attr, sel)
+	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, nil, err
 	}
-	if dict == nil {
-		// Shard 0 answered over the stats plane: the output dictionary is
-		// the union dictionary (already loaded by the count remap).
-		ci, err := p.s.colIndex(attr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.s.loadDicts(ctx, p.s.combined.Schema()); err != nil {
-			return nil, nil, err
-		}
-		dict = p.s.unionDict[ci]
+	ci, err := p.s.colIndex(attr)
+	if err != nil {
+		return nil, nil, err
 	}
-	counts := partCounts[0]
-	for _, pc := range partCounts[1:] {
-		if err := AddCounts(counts, pc); err != nil {
+	if err := p.s.loadDicts(ctx, p.s.combined.Schema()); err != nil {
+		return nil, nil, err
+	}
+	counts := make([]int, len(p.s.unionDict[ci]))
+	for i, a := range answers {
+		if a == nil {
+			continue
+		}
+		if !p.s.shards[i].isRemote() {
+			if err := AddCounts(counts, a.Counts); err != nil {
+				return nil, nil, err
+			}
+		} else if err := p.s.addUnionCounts(counts, i, ci, a.Counts); err != nil {
 			return nil, nil, err
 		}
 	}
-	return dict, counts, nil
+	return p.s.unionDict[ci], counts, nil
 }
 
-// BoolStats implements core.StatProvider.
-func (p *Provider) BoolStats(ctx context.Context, attr string) (int, int, error) {
-	n := p.s.NumShards()
-	falses := make([]int, n)
-	trues := make([]int, n)
-	err := par.For(p.workers, n, func(i int) error {
-		if sb, err := p.s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			f, t, err := sb.BoolCounts(ctx, attr)
-			if err != nil {
-				return err
-			}
-			falses[i], trues[i] = f, t
-			return nil
-		}
-		view := p.s.views[i]
-		f, t, err := engine.BoolCountsUnderOpts(view, attr, bitvec.NewFull(view.NumRows()), engine.ScanOptions{Ctx: ctx})
-		if err != nil {
-			return err
-		}
-		falses[i], trues[i] = f, t
-		return nil
-	})
+// Bools implements core.StatProvider.
+func (p *Provider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (int, int, error) {
+	if p.local != nil {
+		return p.local.Bools(ctx, attr, sel)
+	}
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, attr, sel)
+	defer releaseAnswers(answers)
 	if err != nil {
 		return 0, 0, err
 	}
 	f, t := 0, 0
-	for i := range falses {
-		f += falses[i]
-		t += trues[i]
+	for _, a := range answers {
+		if a != nil {
+			f += a.Falses
+			t += a.Trues
+		}
 	}
 	return f, t, nil
+}
+
+// Partition implements core.StatProvider for string and bool columns,
+// the ones a cut partitions without values in hand.
+func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error) {
+	if p.local != nil {
+		return p.local.Partition(ctx, attr, preds, sel)
+	}
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, attr, sel)
+	defer releaseAnswers(answers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*bitvec.Vector, len(preds))
+	for r := range out {
+		out[r] = bitvec.New(sel.Len())
+	}
+	for i, a := range answers {
+		if a == nil {
+			continue
+		}
+		w0 := p.s.offsets[i]/64 + a.W0
+		for r, words := range a.Bits {
+			copy(out[r].Words()[w0:], words)
+		}
+	}
+	return out, nil
+}
+
+// fanOut asks every shard holding a row of sel for req's statistic of
+// attr under its slice of sel, on up to p.workers goroutines: remote
+// shards over the fabric, local ones with ComputeCut over their views.
+// answers[i] is shard i's, nil when no row of it is selected; the caller
+// releases them, also on error.
+func (p *Provider) fanOut(ctx context.Context, req CutRequest, attr string, sel *bitvec.Vector) ([]*CutAnswer, error) {
+	ci, err := p.s.colIndex(attr)
+	if err != nil {
+		return nil, err
+	}
+	req.Col = ci
+	words := sel.Words()
+	answers := make([]*CutAnswer, p.s.NumShards())
+	err = par.For(p.workers, len(answers), func(i int) error {
+		r, ok := p.s.shardSlice(i, words)
+		if !ok {
+			return nil
+		}
+		r.Kind, r.Col, r.Preds = req.Kind, req.Col, req.Preds
+		a := answerPool.Get().(*CutAnswer)
+		answers[i] = a
+		sb, err := p.s.remoteBackend(ctx, i)
+		if err != nil {
+			return err
+		}
+		if sb != nil {
+			return sb.Cut(ctx, r, a)
+		}
+		return ComputeCut(ctx, p.s.views[i], r, a)
+	})
+	return answers, err
+}
+
+var answerPool = sync.Pool{New: func() any { return new(CutAnswer) }}
+
+func releaseAnswers(answers []*CutAnswer) {
+	for _, a := range answers {
+		if a != nil {
+			answerPool.Put(a)
+		}
+	}
+}
+
+// shardSlice is shard i's slice of the combined selection words: the
+// words from its first to its last selected row, in shard-local word
+// numbers, or no words when it selects every row of the shard. ok is
+// false when it selects none. Shards start on chunk boundaries, which
+// are word boundaries.
+func (s *Set) shardSlice(i int, words []uint64) (req CutRequest, ok bool) {
+	rows := s.manifest.Shards[i].Rows
+	lo := s.offsets[i] / 64
+	part := words[lo : lo+(rows+63)/64]
+	a, b := 0, len(part)
+	for a < b && part[a] == 0 {
+		a++
+	}
+	if a == b {
+		return req, false
+	}
+	for part[b-1] == 0 {
+		b--
+	}
+	if a == 0 && b == len(part) && allSelected(part, rows) {
+		return req, true
+	}
+	return CutRequest{W0: a, Sel: part[a:b]}, true
+}
+
+// allSelected reports whether words select every one of rows rows.
+func allSelected(words []uint64, rows int) bool {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n == rows
 }

@@ -745,30 +745,26 @@ func (s *Set) colIndex(attr string) (int, error) {
 	return -1, fmt.Errorf("shard: no column %q", attr)
 }
 
-// countsToUnion remaps shard i's local-dictionary count vector for
-// column ci into union-code space — the reduce-side translation of
-// statistics computed where a remote shard lives.
-func (s *Set) countsToUnion(ctx context.Context, i, ci int, counts []int) ([]int, error) {
-	if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(s.unionDict[ci]))
+// addUnionCounts adds shard i's local-dictionary count vector for
+// column ci into dst, which counts in union-code space — the reduce-side
+// translation of statistics computed where a remote shard lives. The
+// union dictionaries must be loaded.
+func (s *Set) addUnionCounts(dst []int, i, ci int, counts []int) error {
 	remap := s.remaps[i][ci]
 	if remap == nil {
 		// Identity remap: the shard's dictionary is a prefix of the union.
-		if len(counts) > len(out) {
-			return nil, fmt.Errorf("shard: shard %d column %d returned %d category counts for %d union codes", i, ci, len(counts), len(out))
+		if len(counts) > len(dst) {
+			return fmt.Errorf("shard: shard %d column %d returned %d category counts for %d union codes", i, ci, len(counts), len(dst))
 		}
-		copy(out, counts)
-		return out, nil
+		return AddCounts(dst[:len(counts)], counts)
 	}
 	if len(counts) > len(remap) {
-		return nil, fmt.Errorf("shard: shard %d column %d returned %d category counts for %d dictionary codes", i, ci, len(counts), len(remap))
+		return fmt.Errorf("shard: shard %d column %d returned %d category counts for %d dictionary codes", i, ci, len(counts), len(remap))
 	}
 	for c, n := range counts {
-		out[remap[c]] += n
+		dst[remap[c]] += n
 	}
-	return out, nil
+	return nil
 }
 
 // ShardHealthInfo is one shard's liveness snapshot (see ShardHealth).
@@ -1078,8 +1074,11 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			}
 			for ci, p := range parts {
 				if p != nil && p.CatCounts != nil {
-					u, err := s.countsToUnion(ctx, i, ci, p.CatCounts)
-					if err != nil {
+					if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
+						return err
+					}
+					u := make([]int, len(s.unionDict[ci]))
+					if err := s.addUnionCounts(u, i, ci, p.CatCounts); err != nil {
 						return err
 					}
 					p.CatCounts = u
