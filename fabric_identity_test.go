@@ -1,0 +1,242 @@
+package atlas
+
+// A generated identity net over the ways of holding a table that CUT's
+// pushdown changes the reader of: in memory, as lazy local range
+// shards, and behind loopback fabric servers. Seeded tables carry the
+// values that broke residency identity before — NULL, NaN, ±Inf, −0 and
+// +0, constant and all-NULL columns, row counts one off a chunk
+// boundary — and random band and IN queries, with a drill into a region
+// of each answer, must format byte-identically everywhere, at
+// Parallelism 1 and 2.
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/colstore"
+	"repro/internal/core"
+	"repro/internal/cql"
+	"repro/internal/remote"
+	"repro/internal/shard"
+	"repro/internal/storage"
+)
+
+var identitySeed = flag.Int64("identity.seed", 0, "run TestGeneratedFabricIdentity with this seed only")
+
+// identityChunk is the chunk size of the generated stores.
+const identityChunk = 64
+
+// identityTable generates a table of the given rows from seed: a
+// clustered float column salted with NULL, NaN, ±Inf and signed zeros,
+// a float column of signed zeros and small integers, a NULL-salted
+// integer, category and bool column, a constant column and an all-NULL
+// one.
+func identityTable(seed int64, rows int) *storage.Table {
+	r := rand.New(rand.NewSource(seed))
+	b := storage.NewBuilder("t", storage.MustSchema(
+		storage.Field{Name: "f", Type: storage.Float64},
+		storage.Field{Name: "z", Type: storage.Float64},
+		storage.Field{Name: "i", Type: storage.Int64},
+		storage.Field{Name: "c", Type: storage.String},
+		storage.Field{Name: "b", Type: storage.Bool},
+		storage.Field{Name: "k", Type: storage.Float64},
+		storage.Field{Name: "n", Type: storage.Int64},
+	))
+	cats := []string{"ash", "birch", "cedar", "elm", "fir"}[:2+r.Intn(4)]
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for row := 0; row < rows; row++ {
+		var f, z, i, c, bo any
+		switch d := r.Intn(20); {
+		case d == 0:
+			f = nil
+		case d <= 2:
+			f = special[r.Intn(len(special))]
+		default:
+			f = float64(10*r.Intn(3)) + r.NormFloat64()
+		}
+		z = float64(r.Intn(5) - 2)
+		if z == 0.0 && r.Intn(2) == 0 {
+			z = math.Copysign(0, -1)
+		}
+		if r.Intn(9) > 0 {
+			i = int64(r.Intn(40))
+		}
+		if r.Intn(11) > 0 {
+			c = cats[r.Intn(len(cats))]
+		}
+		if r.Intn(7) > 0 {
+			bo = r.Intn(3) == 0
+		}
+		b.MustAppendRow(f, z, i, c, bo, 2.5, nil)
+	}
+	return b.MustBuild()
+}
+
+// identityQueries draws random band and IN queries over tbl, plus the
+// full table.
+func identityQueries(r *rand.Rand, n int, cats []string) []string {
+	qs := []string{"EXPLORE t"}
+	for len(qs) < n {
+		switch r.Intn(3) {
+		case 0:
+			lo := -3 + r.Float64()*20
+			qs = append(qs, fmt.Sprintf("EXPLORE t WHERE f BETWEEN %g AND %g", lo, lo+2+r.Float64()*15))
+		case 1:
+			lo := r.Intn(30)
+			qs = append(qs, fmt.Sprintf("EXPLORE t WHERE i BETWEEN %d AND %d", lo, lo+5+r.Intn(20)))
+		default:
+			pick := cats[:1+r.Intn(len(cats))]
+			qs = append(qs, fmt.Sprintf("EXPLORE t WHERE c IN ('%s')", strings.Join(pick, "','")))
+		}
+	}
+	return qs
+}
+
+// residency is one way of holding the generated table.
+type residency struct {
+	name  string
+	table *storage.Table
+	sp    core.StatProvider // nil: the table's own passes
+}
+
+// identityAnswers explores every query, and a drill into the last
+// non-empty region of each answer's first map, on res at parallelism
+// par, and formats each answer.
+func identityAnswers(t *testing.T, res residency, par int, queries []string) []string {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	cart, err := core.NewCartographerWith(res.table, opts, res.sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	format := func(r *core.Result) string {
+		r.Elapsed = 0
+		return FormatResult(r)
+	}
+	var out []string
+	for _, text := range queries {
+		q, _, err := cql.ParseAndBind(text, res.table)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		r, err := cart.Explore(q)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", text, res.name, err)
+		}
+		out = append(out, format(r))
+		if len(r.Maps) == 0 {
+			continue
+		}
+		m, ri := r.Maps[0], -1
+		for i, reg := range m.Regions {
+			if reg.Count > 0 {
+				ri = i
+			}
+		}
+		if ri < 0 {
+			continue
+		}
+		d, err := cart.ExploreSel(m.Regions[ri].Query, m.Assignment().RegionBits(ri).Clone())
+		if err != nil {
+			t.Fatalf("drill %d of %s on %s: %v", ri, text, res.name, err)
+		}
+		out = append(out, format(d))
+	}
+	return out
+}
+
+// serveShards serves every shard file of a local manifest over loopback
+// fabric servers and returns the remote manifest.
+func serveShards(t *testing.T, local string) string {
+	t.Helper()
+	m, err := shard.ReadManifest(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, len(m.Shards))
+	for i, sf := range m.Shards {
+		st, err := colstore.OpenWith(filepath.Join(filepath.Dir(local), sf.File), colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(remote.NewServer(st).Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			st.Close()
+		})
+		urls[i] = ts.URL
+	}
+	rm, err := shard.RemoteManifest(m, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "remote.atlm")
+	if err := shard.WriteManifestFile(path, rm); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGeneratedFabricIdentity runs the net on a fixed seed and a fresh
+// one (or on -identity.seed alone); every failure names its seed.
+func TestGeneratedFabricIdentity(t *testing.T) {
+	seeds := []int64{1, time.Now().UnixNano()}
+	if *identitySeed != 0 {
+		seeds = []int64{*identitySeed}
+	}
+	for _, seed := range seeds {
+		t.Logf("seed %d (rerun with -identity.seed=%d)", seed, seed)
+		r := rand.New(rand.NewSource(seed))
+		rows := identityChunk*(4+r.Intn(12)) + r.Intn(3) - 1
+		tbl := identityTable(seed, rows)
+		cats, err := storage.Dictionary(tbl.Column(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := identityQueries(r, 5, cats)
+		want := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
+		for _, shards := range []int{1 + r.Intn(2), 3 + r.Intn(3)} {
+			local := filepath.Join(t.TempDir(), "t.atlm")
+			if _, err := shard.WriteSharded(local, tbl, shard.IngestOptions{Shards: shards, ChunkSize: identityChunk}); err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := shard.OpenWith(local, shard.Options{Store: colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lazy.Close()
+			fabric, err := shard.OpenWith(serveShards(t, local), shard.Options{
+				Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10},
+				Defer:  true,
+				Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fabric.Close()
+			for _, par := range []int{1, 2} {
+				for _, res := range []residency{
+					{"memory", tbl, nil},
+					{"lazy shards", lazy.Table(), lazy.Provider(par)},
+					{"fabric", fabric.Table(), fabric.Provider(par)},
+				} {
+					got := identityAnswers(t, res, par, queries)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("seed %d, %d rows, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
+								seed, rows, shards, res.name, par, i, want[i], got[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

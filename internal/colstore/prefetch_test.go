@@ -69,7 +69,7 @@ func TestSelectedPrefetchOnlyTouchedChunks(t *testing.T) {
 	sel.Set(2*chunk + 5)
 	sel.Set(9*chunk + 7)
 	seen := 0
-	err := s.Table().Runs(0).WalkUntil(context.Background(), sel.Words(), "test", func(w0, w1 int, p *storage.ChunkPayload) bool {
+	err := s.Table().Runs(0).WalkUntil(context.Background(), sel.Words(), "test", nil, func(w0, w1 int, p *storage.ChunkPayload) bool {
 		for _, w := range sel.Words()[w0:w1] {
 			seen += bits.OnesCount64(w)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/bitvec"
+	"repro/internal/obsv"
 	"repro/internal/storage"
 )
 
@@ -116,8 +117,9 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 	// walk hands visit the runs holding selected rows, in row order, until
 	// it returns false; EachRow then visits a run's selected non-NULL rows.
 	words := sel.Words()
+	bill := obsv.LedgerFrom(ctx).Scan().BillFetch
 	walk := func(visit func(w0, w1 int, p *storage.ChunkPayload) bool) {
-		if err := runs.WalkUntil(ctx, words, "storage.extract", visit); err != nil {
+		if err := runs.WalkUntil(ctx, words, "core.screen", bill, visit); err != nil {
 			panic(&storage.ChunkError{Col: -1, Chunk: -1, Err: err})
 		}
 	}

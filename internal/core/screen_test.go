@@ -12,6 +12,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/colstore"
 	"repro/internal/datagen"
+	"repro/internal/obsv"
 	"repro/internal/storage"
 )
 
@@ -401,5 +402,52 @@ func TestScreenEarlyExitMatchesFullScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScreenBillsChunkFetches: screening a lazy column bills every chunk
+// it fetches to the query's ledger, so its phase span counts them — and
+// counts exactly those.
+func TestScreenBillsChunkFetches(t *testing.T) {
+	const n, size = 16 * 256, 256
+	mem := nanColumnTable(n, 7)
+	ck, err := storage.ComputeChunking(mem, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{col: mem.Column(0).(*storage.Float64Column), size: size, loads: map[int]int{}}
+	lazy, err := storage.NewLazyColumn(storage.LazyColumnConfig{Source: src, Type: storage.Float64,
+		Rows: n, ChunkSize: size, NullCount: mem.Column(0).NullCount()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := storage.NewChunkedTable("t", mem.Schema(), []storage.Column{lazy}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := bitvec.New(n)
+	for r := 3 * size; r < 9*size; r += 5 {
+		sel.Set(r)
+	}
+	tr, root := obsv.NewTrace("explore")
+	ctx := obsv.WithLedger(obsv.WithSpan(context.Background(), root), new(obsv.Ledger))
+	sctx, end := scanSpan(ctx, "screen")
+	screenColumnsN(sctx, tbl, sel, DefaultScreenOptions(), 1)
+	end()
+	root.End()
+
+	fetches := 0
+	for _, c := range src.loads {
+		fetches += c
+	}
+	screen := tr.Tree().Children[0]
+	billed := int64(0)
+	for _, key := range []string{"chunksDecoded", "chunkCacheHits"} {
+		if v, ok := screen.Attrs[key].(int64); ok {
+			billed += v
+		}
+	}
+	if fetches == 0 || billed != int64(fetches) {
+		t.Errorf("the screen span bills %d chunk fetches (attrs %v), screening made %d", billed, screen.Attrs, fetches)
 	}
 }

@@ -170,6 +170,12 @@ func shardStats(p *storage.Table, ck *storage.Chunking) []ColumnStats {
 				}
 			}
 		}
+		if st.HasMinMax && (math.IsInf(st.Min, 0) || math.IsInf(st.Max, 0)) {
+			// The manifest's JSON cannot carry an infinite bound; a shard
+			// without bounds is never pruned, which is always sound.
+			st.HasMinMax = false
+			st.Min, st.Max = 0, 0
+		}
 		if catBits != nil {
 			for code := range dict {
 				if seen[code/64]&(1<<uint(code%64)) != 0 {

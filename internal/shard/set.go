@@ -532,10 +532,15 @@ func manifestZones(m *Manifest) [][][]storage.ZoneMap {
 				switch {
 				case sf.Rows > 0 && st.Nulls == sf.Rows:
 					zm.NullCount = chunkRows
-				case st.Nulls > 0:
+				case st.Nulls > 0 && chunkRows > 1:
 					// "Some nulls, unknown where": 1 blocks the all-match
 					// shortcut without enabling the all-NULL prune.
 					zm.NullCount = 1
+				case st.Nulls > 0:
+					// A one-row chunk that may be NULL: 1 would prune it as
+					// all NULL, and 0 with bounds would take it as matching.
+					// Without bounds every verdict scans it.
+					zm = storage.ZoneMap{}
 				}
 				zones[k] = zm
 			}

@@ -133,9 +133,10 @@ func (r *Runs) Walk(ctx context.Context, sel []uint64, workers int, op string, b
 
 // WalkUntil is a serial Walk that stops once fn returns false. Since it
 // may stop early, its first fetch is not hinted — a walk that ends in
-// its first run loads no window — and its fetches bill nothing.
-func (r *Runs) WalkUntil(ctx context.Context, sel []uint64, op string, fn func(w0, w1 int, p *ChunkPayload) bool) error {
-	return r.walk(ctx, sel, 1, op, nil, false, fn)
+// its first run loads no window. Its fetches are reported to bill as
+// Walk's are.
+func (r *Runs) WalkUntil(ctx context.Context, sel []uint64, op string, bill func(hit bool), fn func(w0, w1 int, p *ChunkPayload) bool) error {
+	return r.walk(ctx, sel, 1, op, bill, false, fn)
 }
 
 // errStopWalk ends a walk whose visitor has seen enough.
