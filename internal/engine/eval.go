@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/obsv"
@@ -148,7 +149,9 @@ func (x *NumericExtract) Reset(rows int) {
 // w0, past every run appended before it: present marks its rows, vals
 // holds their values in row order and sum summarizes them. Runs
 // extracted apart and appended in row order make the extraction of
-// their union — how a sharded table's answers reassemble.
+// their union — how a sharded table's answers reassemble. vals may
+// already lie where they belong, just past x.Vals in its spare
+// capacity; they are then not copied.
 func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum NumericSummary) {
 	if len(present) == 0 {
 		return
@@ -158,16 +161,23 @@ func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum
 		x.lo = w0
 	}
 	x.hi = w0 + len(present)
-	x.Vals = append(x.Vals, vals...)
+	if n := len(x.Vals); len(vals) > 0 && cap(x.Vals) > n && &x.Vals[:n+1][n] == &vals[0] {
+		x.Vals = x.Vals[:n+len(vals)]
+	} else {
+		x.Vals = append(x.Vals, vals...)
+	}
 	x.Sum.Merge(sum)
 }
 
 // Restrict sets dst to the extraction of x's column under sel, a
 // selection within the one x was extracted under: the values of x whose
 // rows sel keeps, in row order, and their summary. It reads no column,
-// and costs the words of x's span plus the values it keeps.
+// and costs the words of x's span plus its values, each copied without
+// a branch on whether it is kept.
 func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
 	dst.Reset(x.rows)
+	out := slices.Grow(dst.Vals[:0], len(x.Vals))[:len(x.Vals)]
+	n := 0
 	selWords := sel.Words()
 	vals := x.Vals
 	for wi := x.lo; wi < x.hi; wi++ {
@@ -187,18 +197,18 @@ func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
 		dst.hi = wi + 1
 		dst.Present[wi] = keep
 		if keep == word {
-			dst.Vals = append(dst.Vals, row...)
-			for _, v := range row {
-				dst.Sum.Observe(v)
-			}
+			n += copy(out[n:], row)
 			continue
 		}
+		// Every value is written at n; only a kept one moves n on.
 		for k, w := 0, word; w != 0; k, w = k+1, w&(w-1) {
-			if keep&(w&-w) != 0 {
-				dst.Vals = append(dst.Vals, row[k])
-				dst.Sum.Observe(row[k])
-			}
+			out[n] = row[k]
+			n += int(keep >> uint(bits.TrailingZeros64(w)) & 1)
 		}
+	}
+	dst.Vals = out[:n]
+	for _, v := range dst.Vals {
+		dst.Sum.Observe(v)
 	}
 }
 

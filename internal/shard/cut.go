@@ -65,8 +65,9 @@ type CutAnswer struct {
 	Bits [][]uint64
 }
 
-// extractPool recycles ComputeCut's extractions, which it copies out of:
-// an answer's slices are its own, whoever fills it next.
+// extractPool recycles ComputeCut's extractions. An answer's slices are
+// its own, whoever fills it next: an extraction's value buffer is traded
+// for the answer's, its present words copied.
 var extractPool = sync.Pool{New: func() any { return new(engine.NumericExtract) }}
 
 // ComputeCut answers req over t, a shard's table, into a: the one
@@ -106,7 +107,9 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 		x := extractPool.Get().(*engine.NumericExtract)
 		defer extractPool.Put(x)
 		if err = engine.ExtractNumericUnder(x, t, f.Name, sel, opts); err == nil {
-			a.Vals = append(a.Vals[:0], x.Vals...)
+			// The values change hands instead of being copied: each
+			// buffer stays owned by exactly one of x and a.
+			a.Vals, x.Vals = x.Vals, a.Vals[:0]
 			a.Present = append(a.Present[:0], x.Present[w0:w1]...)
 			a.Sum = x.Sum
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -62,17 +63,32 @@ func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutO
 	return x.Vals, x.Sum, err
 }
 
-// Extract implements core.StatProvider.
+// Extract implements core.StatProvider. A remote shard's values are
+// decoded straight into the part of x.Vals they end up in: each shard
+// gets room for as many values as it has selected rows, so unless a
+// NULL leaves a gap before them, the merge copies none.
 func (p *Provider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
 	if p.local != nil {
 		return p.local.Extract(ctx, x, attr, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attr, sel)
+	words := sel.Words()
+	room := make([]int, p.s.NumShards()+1) // shard i's values go from room[i] on
+	for i := range p.s.shards {
+		lo := p.s.offsets[i] / 64
+		room[i+1] = room[i]
+		for _, w := range words[lo : lo+(p.s.manifest.Shards[i].Rows+63)/64] {
+			room[i+1] += bits.OnesCount64(w)
+		}
+	}
+	x.Reset(sel.Len())
+	x.Vals = slices.Grow(x.Vals, room[len(room)-1])
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attr, sel, func(i int, a *CutAnswer) {
+		a.Vals = x.Vals[room[i]:room[i]:room[i+1]]
+	})
 	defer releaseAnswers(answers)
 	if err != nil {
 		return err
 	}
-	x.Reset(sel.Len())
 	for i, a := range answers {
 		if a != nil {
 			x.AppendRun(p.s.offsets[i]/64+a.W0, a.Present, a.Vals, a.Sum)
@@ -88,7 +104,7 @@ func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vect
 	if p.local != nil {
 		return p.local.Categories(ctx, attr, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, attr, sel)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, attr, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, nil, err
@@ -121,7 +137,7 @@ func (p *Provider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (
 	if p.local != nil {
 		return p.local.Bools(ctx, attr, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, attr, sel)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, attr, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return 0, 0, err
@@ -142,7 +158,7 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 	if p.local != nil {
 		return p.local.Partition(ctx, attr, preds, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, attr, sel)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, attr, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, err
@@ -166,9 +182,10 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 // fanOut asks every shard holding a row of sel for req's statistic of
 // attr under its slice of sel, on up to p.workers goroutines: remote
 // shards over the fabric, local ones with ComputeCut over their views.
+// place, when non-nil, readies a remote shard's answer before its RPC.
 // answers[i] is shard i's, nil when no row of it is selected; the caller
 // releases them, also on error.
-func (p *Provider) fanOut(ctx context.Context, req CutRequest, attr string, sel *bitvec.Vector) ([]*CutAnswer, error) {
+func (p *Provider) fanOut(ctx context.Context, req CutRequest, attr string, sel *bitvec.Vector, place func(i int, a *CutAnswer)) ([]*CutAnswer, error) {
 	ci, err := p.s.colIndex(attr)
 	if err != nil {
 		return nil, err
@@ -188,19 +205,25 @@ func (p *Provider) fanOut(ctx context.Context, req CutRequest, attr string, sel 
 		if err != nil {
 			return err
 		}
-		if sb != nil {
-			return sb.Cut(ctx, r, a)
+		if sb == nil {
+			return ComputeCut(ctx, p.s.views[i], r, a)
 		}
-		return ComputeCut(ctx, p.s.views[i], r, a)
+		if place != nil {
+			place(i, a)
+		}
+		return sb.Cut(ctx, r, a)
 	})
 	return answers, err
 }
 
 var answerPool = sync.Pool{New: func() any { return new(CutAnswer) }}
 
+// releaseAnswers recycles answers, less any values placed in a buffer
+// the caller owns.
 func releaseAnswers(answers []*CutAnswer) {
 	for _, a := range answers {
 		if a != nil {
+			a.Vals = nil
 			answerPool.Put(a)
 		}
 	}
