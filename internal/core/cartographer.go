@@ -323,7 +323,15 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		}
 	}()
 	cutCtx, endCut := scanSpan(ctx, "cut")
-	err := parallelFor(workers, len(attrs), func(i int) error {
+	pre, err := c.extractCandidates(cutCtx, base, baseFull, attrs)
+	for i, s := range pre {
+		outs[i].held = s
+	}
+	if err != nil {
+		endCut()
+		return nil, err
+	}
+	err = parallelFor(workers, len(attrs), func(i int) error {
 		// Work-item-granular cancellation: a dead caller abandons the
 		// remaining attributes instead of cutting them all.
 		if err := obsv.CheckCtx(cutCtx, "core.cut"); err != nil {
@@ -332,8 +340,10 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
 		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: actx}
-		preds, bits, held, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut)
-		outs[i].held = held
+		preds, bits, held, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut, pre[i])
+		if pre[i] == nil {
+			outs[i].held = held
+		}
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			outs[i].flagged = true
@@ -358,11 +368,13 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		return nil, err
 	}
 	candidates := make([]*Map, 0, len(attrs))
-	held := map[string]*engine.NumericExtract{}
+	held := map[string]heldCut{}
 	for i, out := range outs {
+		h := heldCut{m: out.m}
 		if out.held != nil {
-			held[attrs[i]] = &out.held.NumericExtract
+			h.ext = &out.held.NumericExtract
 		}
+		held[attrs[i]] = h
 		if out.flagged {
 			res.Flagged = append(res.Flagged, ScreenFinding{Attr: attrs[i], Reason: ScreenConstant})
 			continue
@@ -439,6 +451,35 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	res.Maps = maps
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// extractCandidates reads, in one provider call, the values under base
+// of every numeric attribute among attrs whose cut the memo does not
+// answer already, so that a sharded table answers a stage's numeric
+// cuts with one request per shard. out[i] holds attrs[i]'s extraction,
+// nil for the others; the caller recycles them, also on error.
+func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vector, full bool, attrs []string) ([]*cutScratch, error) {
+	out := make([]*cutScratch, len(attrs))
+	var (
+		xs    []*engine.NumericExtract
+		names []string
+	)
+	for i, attr := range attrs {
+		col, err := c.table.ColumnByName(attr)
+		if err != nil {
+			return out, err
+		}
+		if !col.Type().IsNumeric() || full && c.stats.answered(attr) {
+			continue
+		}
+		out[i] = scratchPool.Get().(*cutScratch)
+		xs = append(xs, &out[i].NumericExtract)
+		names = append(names, attr)
+	}
+	if len(xs) == 0 {
+		return out, nil
+	}
+	return out, c.sp.Extract(ctx, xs, names, base)
 }
 
 // candidateAttrs selects the attributes to cut, applying screening and

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -110,11 +111,17 @@ type cutter struct {
 	// resource ledger — which every provider read runs under, so it
 	// bills the same ledger as every other scan of the exploration.
 	ctx context.Context
-	// held are numeric extractions the exploration already has in hand,
-	// by attribute: its candidate cuts' values under the base selection,
-	// which composition filters instead of reading the column again.
-	// Read-only.
-	held map[string]*engine.NumericExtract
+	// held is what the exploration has in hand from its candidate cuts,
+	// by attribute, all under the base selection. Composition cuts
+	// regions from it instead of reading the column again. Read-only.
+	held map[string]heldCut
+}
+
+// heldCut is one candidate cut kept for composition: its map, and for
+// a numeric attribute the values it was cut from.
+type heldCut struct {
+	m   *Map
+	ext *engine.NumericExtract
 }
 
 // cutScratch is what numeric CUT materializes: the extraction — the
@@ -150,7 +157,7 @@ func CutPredicates(t *storage.Table, sel *bitvec.Vector, attr string, opts CutOp
 	x := cutter{t: t, sp: NewTableProvider(t, 1), ctx: context.Background()}
 	s := scratchPool.Get().(*cutScratch)
 	defer scratchPool.Put(s)
-	return x.cut(sel, attr, opts, s)
+	return x.cut(sel, attr, opts, s, false)
 }
 
 // memoized reports whether the memo answers a cut under opts of a
@@ -163,23 +170,25 @@ func (x *cutter) memoized(full bool, opts CutOptions) bool {
 // cut's regions, one bitmap per predicate; full reports that sel selects
 // every row, in which case the answer comes from (and goes to) the memo.
 // A numeric cut partitions from the values it extracted to find its
-// edges and returns that extraction as held, for the caller to use and
-// recycle; a categorical or boolean cut asks the provider for the
-// partition, and a memo hit reads nothing. The predicates and bitmaps
-// are shared with the memo and must not be modified.
-func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions) (preds []query.Predicate, bits []*bitvec.Vector, held *cutScratch, err error) {
+// edges — or from pre, when the caller extracted them already — and
+// returns that extraction as held: pre, which the caller owns, or a
+// scratch for the caller to use and recycle. A categorical or boolean
+// cut asks the provider for the partition, and a memo hit reads
+// nothing. The predicates and bitmaps are shared with the memo and must
+// not be modified.
+func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions, pre *cutScratch) (preds []query.Predicate, bits []*bitvec.Vector, held *cutScratch, err error) {
 	if err := opts.validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	if !x.memoized(full, opts) {
-		return x.partition(sel, attr, opts)
+		return x.partition(sel, attr, opts, pre)
 	}
 	preds, bits, err = x.cache.cut(attr, func() ([]query.Predicate, []*bitvec.Vector, error) {
 		var err error
-		preds, bits, held, err = x.partition(sel, attr, opts)
+		preds, bits, held, err = x.partition(sel, attr, opts, pre)
 		return preds, bits, err
 	})
-	if err != nil {
+	if err != nil && held != pre {
 		recycle(held)
 		held = nil
 	}
@@ -187,24 +196,85 @@ func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts C
 }
 
 // partition is cutPartition without the memo.
-func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, *cutScratch, error) {
-	s := scratchPool.Get().(*cutScratch)
-	preds, err := x.cut(sel, attr, opts, s)
-	if err != nil {
+func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions, pre *cutScratch) ([]query.Predicate, []*bitvec.Vector, *cutScratch, error) {
+	s := pre
+	if s == nil {
+		s = scratchPool.Get().(*cutScratch)
+	}
+	preds, err := x.cut(sel, attr, opts, s, pre != nil)
+	if err == nil && preds[0].Kind == query.Range {
+		var bits []*bitvec.Vector
+		if bits, err = engine.PartitionValues(&s.NumericExtract, preds); err == nil {
+			return preds, bits, s, nil
+		}
+	}
+	if pre == nil {
 		scratchPool.Put(s)
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if preds[0].Kind == query.Range {
-		bits, err := engine.PartitionValues(&s.NumericExtract, preds)
-		if err != nil {
-			scratchPool.Put(s)
-			return nil, nil, nil, err
-		}
-		return preds, bits, s, nil
-	}
-	scratchPool.Put(s)
 	bits, err := x.sp.Partition(x.ctx, attr, preds, sel)
 	return preds, bits, nil, err
+}
+
+// cutByCategory cuts a string or bool attr under sel from cand, attr's
+// candidate map cut one region per category under a selection that
+// holds sel: a category's count under sel is its region's rows in sel,
+// and a group's rows are its categories' — so no column is read, and
+// the answer is cutPartition's over sel. ok is false when cand groups
+// categories.
+func (x *cutter) cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts CutOptions) (preds []query.Predicate, bits []*bitvec.Vector, ok bool, err error) {
+	vals := make([]string, len(cand.Regions))
+	counts := make([]int, len(cand.Regions))
+	var falses, trues int
+	for ri, r := range cand.Regions {
+		p := r.Query.Preds[r.Query.PredOn(attr)]
+		switch {
+		case p.Kind == query.In && len(p.Values) == 1:
+			vals[ri] = p.Values[0]
+		case p.Kind != query.BoolEq:
+			return nil, nil, false, nil
+		}
+		counts[ri] = bitvec.AndCount(cand.assign.RegionBits(ri), sel)
+		if p.Kind == query.BoolEq && p.BoolVal {
+			trues += counts[ri]
+		} else if p.Kind == query.BoolEq {
+			falses += counts[ri]
+		}
+	}
+	if cand.Regions[0].Query.Preds[cand.Regions[0].Query.PredOn(attr)].Kind == query.BoolEq {
+		preds, err = cutBool(attr, falses, trues)
+	} else {
+		preds, err = cutCategorical(attr, vals, counts, opts)
+	}
+	if err != nil {
+		return nil, nil, true, err
+	}
+	bits = make([]*bitvec.Vector, len(preds))
+	for pi, p := range preds {
+		out := bitvec.New(sel.Len())
+		for ri, r := range cand.Regions {
+			if q := r.Query.Preds[r.Query.PredOn(attr)]; p.Kind == query.BoolEq && q.BoolVal == p.BoolVal ||
+				p.Kind == query.In && slices.Contains(p.Values, vals[ri]) {
+				orAnd(out.Words(), cand.assign.RegionBits(ri).Words(), sel.Words())
+			}
+		}
+		bits[pi] = out
+	}
+	return preds, bits, true, nil
+}
+
+// orAnd sets dst |= a & b, word by word.
+func orAnd(dst, a, b []uint64) {
+	for i := range dst {
+		dst[i] |= a[i] & b[i]
+	}
+}
+
+// extract reads attr's values under sel into s.
+func (x *cutter) extract(s *cutScratch, attr string, sel *bitvec.Vector) error {
+	return x.sp.Extract(x.ctx, []*engine.NumericExtract{&s.NumericExtract}, []string{attr}, sel)
 }
 
 // cutRestricted cuts attr under sel, a selection within the one parent
@@ -225,16 +295,19 @@ func (x *cutter) cutRestricted(parent *engine.NumericExtract, sel *bitvec.Vector
 
 // cut computes CUT from the provider's statistics of the column under
 // sel. A numeric cut leaves its extraction in s, values in row order and
-// untouched, for the partition that follows.
-func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScratch) ([]query.Predicate, error) {
+// untouched, for the partition that follows; extracted says s holds it
+// already.
+func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScratch, extracted bool) ([]query.Predicate, error) {
 	col, err := x.t.ColumnByName(attr)
 	if err != nil {
 		return nil, err
 	}
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
-		if err := x.sp.Extract(x.ctx, &s.NumericExtract, attr, sel); err != nil {
-			return nil, err
+		if !extracted {
+			if err := x.extract(s, attr, sel); err != nil {
+				return nil, err
+			}
 		}
 		return cutNumeric(&s.NumericExtract, attr, opts, s)
 	case storage.String:

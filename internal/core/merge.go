@@ -96,7 +96,9 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 // A numeric attribute's regions are cut from one extraction of its
 // values under parentSel — the one x holds from its candidate cut, or
 // one read here — each region restricting it to its own rows, so the
-// column is read at most once however many regions there are.
+// column is read at most once however many regions there are. A
+// categorical or boolean attribute whose candidate map x holds, cut one
+// region per category, is cut from that map's bitmaps alone.
 func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("core: composition over zero attributes")
@@ -130,12 +132,12 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 	}()
 	// parentExt returns attr's extraction under parentSel.
 	parentExt := func(attr string) (*engine.NumericExtract, error) {
-		if ext := held[attr]; ext != nil {
+		if ext := held[attr].ext; ext != nil {
 			return ext, nil
 		}
 		s := scratchPool.Get().(*cutScratch)
 		read = append(read, s)
-		if err := x.sp.Extract(x.ctx, &s.NumericExtract, attr, parentSel); err != nil {
+		if err := x.extract(s, attr, parentSel); err != nil {
 			return nil, err
 		}
 		return &s.NumericExtract, nil
@@ -162,36 +164,67 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 		if err != nil {
 			return nil, err
 		}
-		next := make([]query.Query, 0, len(regions)*opts.Splits)
-		nextBits := make([]*bitvec.Vector, 0, len(regions)*opts.Splits)
-		for ri, r := range regions {
+		// A numeric attribute cuts every region from its values in hand,
+		// and a categorical or boolean one whose candidate map has a
+		// region per category from that map's bitmaps. Otherwise the
+		// provider is asked twice per region — counts, then partition —
+		// and the regions are cut all at once, so a remote table's round
+		// trips overlap.
+		type regionCut struct {
+			preds []query.Predicate
+			bits  []*bitvec.Vector
+		}
+		cuts := make([]regionCut, len(regions))
+		var ext *engine.NumericExtract
+		workers := len(regions)
+		if col.Type().IsNumeric() {
+			if ext, err = parentExt(attr); err != nil {
+				return nil, err
+			}
+			workers = 1
+		}
+		err = parallelFor(workers, len(regions), func(ri int) error {
 			b := bits[ri]
 			var (
 				preds []query.Predicate
 				pb    []*bitvec.Vector
+				err   error
 			)
-			if full := b.Count() == n; col.Type().IsNumeric() && !x.memoized(full, opts) {
-				var ext *engine.NumericExtract
-				if ext, err = parentExt(attr); err == nil {
-					preds, pb, err = x.cutRestricted(ext, b, attr, opts)
-				}
-			} else {
+			full, inHand := b.Count() == n, false
+			switch cand := held[attr].m; {
+			case x.memoized(full, opts):
+			case ext != nil:
+				preds, pb, err = x.cutRestricted(ext, b, attr, opts)
+				inHand = true
+			case cand != nil:
+				preds, pb, inHand, err = x.cutByCategory(cand, b, attr, opts)
+			}
+			if !inHand {
 				var s *cutScratch
-				preds, pb, s, err = x.cutPartition(b, full, attr, opts)
+				preds, pb, s, err = x.cutPartition(b, full, attr, opts, nil)
 				recycle(s)
 			}
 			var deg *ErrDegenerate
-			switch {
-			case err == nil:
-				for pi, p := range preds {
-					next = append(next, applyPredicate(r, p))
-					nextBits = append(nextBits, pb[pi])
-				}
-			case errors.As(err, &deg):
-				next = append(next, r) // keep unsplit
-				nextBits = append(nextBits, b)
-			default:
-				return nil, err
+			if errors.As(err, &deg) {
+				return nil // keep the region unsplit
+			}
+			cuts[ri] = regionCut{preds, pb}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		next := make([]query.Query, 0, len(regions)*opts.Splits)
+		nextBits := make([]*bitvec.Vector, 0, len(regions)*opts.Splits)
+		for ri, r := range regions {
+			if cuts[ri].preds == nil {
+				next = append(next, r)
+				nextBits = append(nextBits, bits[ri])
+				continue
+			}
+			for pi, p := range cuts[ri].preds {
+				next = append(next, applyPredicate(r, p))
+				nextBits = append(nextBits, cuts[ri].bits[pi])
 			}
 		}
 		if len(next) > maxRegions || len(next) == len(regions) {

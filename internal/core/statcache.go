@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
@@ -22,10 +23,11 @@ import (
 // sel has the table's length and is only read; ctx carries the caller's
 // trace span, request ID and ledger into the work.
 type StatProvider interface {
-	// Extract fills x, as engine.ExtractNumericUnder does, with attr's
-	// non-NULL values under sel in row order, the rows they came from
-	// and their summary.
-	Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error
+	// Extract fills each xs[i], as engine.ExtractNumericUnder does, with
+	// the non-NULL values of numeric attribute attrs[i] under sel in row
+	// order, the rows they came from and their summary: one call reads
+	// every attribute a stage needs.
+	Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error
 	// Categories returns attr's dictionary and its per-code counts under
 	// sel.
 	Categories(ctx context.Context, attr string, sel *bitvec.Vector) (dict []string, counts []int, err error)
@@ -48,8 +50,13 @@ type tableProvider struct {
 	workers int
 }
 
-func (p tableProvider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
-	return engine.ExtractNumericUnder(x, p.t, attr, sel, engine.ScanOptions{Ctx: ctx})
+func (p tableProvider) Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error {
+	for i, x := range xs {
+		if err := engine.ExtractNumericUnder(x, p.t, attrs[i], sel, engine.ScanOptions{Ctx: ctx}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (p tableProvider) Categories(ctx context.Context, attr string, sel *bitvec.Vector) ([]string, []int, error) {
@@ -89,7 +96,7 @@ type statCache struct {
 // concurrent first touches; done is set once the answer is final.
 type cutMemo struct {
 	mu    sync.Mutex
-	done  bool
+	done  atomic.Bool
 	preds []query.Predicate
 	bits  []*bitvec.Vector
 	err   error // nil or *ErrDegenerate
@@ -112,13 +119,23 @@ func (s *statCache) cut(attr string, compute func() ([]query.Predicate, []*bitve
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.done {
+	if !m.done.Load() {
 		preds, bits, err := compute()
 		var deg *ErrDegenerate
 		if err != nil && !errors.As(err, &deg) {
 			return nil, nil, err
 		}
-		m.preds, m.bits, m.err, m.done = preds, bits, err, true
+		m.preds, m.bits, m.err = preds, bits, err
+		m.done.Store(true)
 	}
 	return m.preds, m.bits, m.err
+}
+
+// answered reports whether attr's answer is memoized, without waiting
+// for a first touch in flight.
+func (s *statCache) answered(attr string) bool {
+	s.mu.Lock()
+	m := s.cuts[attr]
+	s.mu.Unlock()
+	return m != nil && m.done.Load()
 }

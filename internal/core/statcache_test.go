@@ -22,11 +22,11 @@ type failingProvider struct {
 	fail  func(ctx context.Context) error
 }
 
-func (p *failingProvider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
+func (p *failingProvider) Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error {
 	if sel.Count() == sel.Len() && p.calls.Add(1) == 1 {
 		return p.fail(ctx)
 	}
-	return p.StatProvider.Extract(ctx, x, attr, sel)
+	return p.StatProvider.Extract(ctx, xs, attrs, sel)
 }
 
 func renderMaps(r *Result) string {

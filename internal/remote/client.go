@@ -677,10 +677,15 @@ func (c *Client) fetchChunks(ctx context.Context, ci int, ks []int) ([]*storage.
 // decoded into a's recycled slices. A bad answer is retried like a
 // truncated one.
 func (c *Client) Cut(ctx context.Context, req shard.CutRequest, a *shard.CutAnswer) error {
-	if req.Col < 0 || req.Col >= c.schema.NumFields() {
-		return &ShardError{Location: c.primary, Op: "cut", Err: fmt.Errorf("column %d out of range", req.Col)}
+	for _, ci := range req.Cols {
+		if ci < 0 || ci >= c.schema.NumFields() {
+			return &ShardError{Location: c.primary, Op: "cut", Err: fmt.Errorf("column %d out of range", ci)}
+		}
 	}
-	body := appendCutRequest(nil, req, c.schema.Field(req.Col).Type)
+	if len(req.Cols) == 0 {
+		return &ShardError{Location: c.primary, Op: "cut", Err: errors.New("cut of no column")}
+	}
+	body := appendCutRequest(nil, req, c.schema.Field(req.Cols[0]).Type)
 	read := func(data []byte) error { return parseCutAnswer(data, req, c.rows, a) }
 	return c.do(ctx, "cut", http.MethodPost, "/shard/v1/cut", nil, body, cutAnswerLimit(req, c.rows), read)
 }

@@ -54,9 +54,10 @@ func exploreTraced(t *testing.T, cart *core.Cartographer, q query.Query) (*core.
 }
 
 // TestFabricCutsFetchNoChunks: on a 4-shard fabric, a sub-selection
-// exploration's cut and merge phases fetch no chunk — every CUT read,
-// composition's included, is a cut RPC answered where the shard lives —
-// and the answer is the unsharded table's.
+// exploration's cut and merge phases fetch no chunk — every candidate's
+// CUT read is a cut RPC answered where the shard lives, and composition
+// cuts its regions from the candidates in hand with no RPC at all — and
+// the answer is the unsharded table's.
 func TestFabricCutsFetchNoChunks(t *testing.T) {
 	tbl := datagen.SkySurvey(12_000, 47)
 	local := writeShardedInputs(t, tbl, 4, 256)
@@ -85,13 +86,15 @@ func TestFabricCutsFetchNoChunks(t *testing.T) {
 		t.Fatal("no map composes two attributes: the merge phase went untested")
 	}
 	for _, phase := range []string{"cut", "merge"} {
-		w := work[phase]
-		if w.fetches != 0 || w.rpcs["chunk"] != 0 {
+		if w := work[phase]; w.fetches != 0 || w.rpcs["chunk"] != 0 {
 			t.Errorf("%s phase fetched %d chunks in %d chunk RPCs, want none", phase, w.fetches, w.rpcs["chunk"])
 		}
-		if w.rpcs["cut"] == 0 {
-			t.Errorf("%s phase made no cut RPC: %v", phase, w.rpcs)
-		}
+	}
+	if w := work["cut"]; len(w.rpcs) != 1 || w.rpcs["cut"] == 0 {
+		t.Errorf("cut phase made RPCs %v, want cut RPCs alone", w.rpcs)
+	}
+	if w := work["merge"]; len(w.rpcs) != 0 {
+		t.Errorf("merge phase made RPCs %v, want none: composition cuts from the candidates in hand", w.rpcs)
 	}
 }
 

@@ -22,15 +22,16 @@ import (
 //
 // Request:
 //
-//	u8 kind, u8 flags (bit 0: a selection follows), u32 column
+//	u8 kind, u8 flags (bit 0: a selection follows), u32 m, m u32 columns
 //	[selection]  u32 w0, u32 n, then n u64 words
 //	[partition]  u32 k, then k predicates: for a string column u32 m and
 //	             m values (u32 length, bytes); for a bool column one u8
 //
 // Answer: a u32 CRC-32 (IEEE) of everything after it, then by kind:
 //
-//	values      u32 n, u64 NaN count, u64 min bits, u64 max bits,
-//	            one present word per request word, n u64 values
+//	values      per requested column: u32 n, u64 NaN count, u64 min
+//	            bits, u64 max bits, one present word per request word,
+//	            n u64 values
 //	categories  u32 m, m u64 counts
 //	bools       u64 falses, u64 trues
 //	partition   u32 k, k bitmaps of one word per request word
@@ -46,14 +47,18 @@ const maxCutPreds = 1 << 10
 // cutRequestFlagSel marks a request that carries a selection.
 const cutRequestFlagSel = 1
 
-// appendCutRequest encodes req, a cut of a column of type typ.
+// appendCutRequest encodes req, a cut of columns whose first has type
+// typ.
 func appendCutRequest(dst []byte, req shard.CutRequest, typ storage.DataType) []byte {
 	flags := byte(0)
 	if req.Sel != nil {
 		flags = cutRequestFlagSel
 	}
 	dst = append(dst, byte(req.Kind), flags)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Col))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Cols)))
+	for _, ci := range req.Cols {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(ci))
+	}
 	if req.Sel != nil {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(req.W0))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Sel)))
@@ -152,7 +157,7 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 	var req shard.CutRequest
 	req.Kind = shard.CutKind(r.u8("kind"))
 	flags := r.u8("flags")
-	req.Col = r.u32("column")
+	m := r.u32("column count")
 	if r.err != nil {
 		return req, r.err
 	}
@@ -162,10 +167,23 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 	if flags&^cutRequestFlagSel != 0 {
 		return req, fmt.Errorf("unknown cut request flags %#x", flags)
 	}
-	if req.Col >= schema.NumFields() {
-		return req, fmt.Errorf("column %d out of range", req.Col)
+	if m == 0 || m > schema.NumFields() || req.Kind != shard.CutValues && m > 1 {
+		return req, fmt.Errorf("cut kind %d of %d columns", req.Kind, m)
 	}
-	typ := schema.Field(req.Col).Type
+	for i := 0; i < m; i++ {
+		ci := r.u32("column")
+		if r.err != nil {
+			return req, r.err
+		}
+		if ci >= schema.NumFields() {
+			return req, fmt.Errorf("column %d out of range", ci)
+		}
+		if typ := schema.Field(ci).Type; !req.Kind.Fits(typ) {
+			return req, fmt.Errorf("cut kind %d does not apply to %v column %d", req.Kind, typ, ci)
+		}
+		req.Cols = append(req.Cols, ci)
+	}
+	typ := schema.Field(req.Cols[0]).Type
 	words := (rows + 63) / 64
 	if flags&cutRequestFlagSel != 0 {
 		req.W0 = r.u32("selection start")
@@ -183,7 +201,7 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 		if r.err == nil && (k == 0 || k > maxCutPreds) {
 			return req, fmt.Errorf("%d partition predicates, want 1 to %d", k, maxCutPreds)
 		}
-		attr := schema.Field(req.Col).Name
+		attr := schema.Field(req.Cols[0]).Name
 		for i := 0; i < k && r.err == nil; i++ {
 			if typ == storage.Bool {
 				switch v := r.u8("bool predicate"); v {
@@ -206,13 +224,7 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 			req.Preds = append(req.Preds, query.NewIn(attr, vals...))
 		}
 	}
-	if err := r.done(); err != nil {
-		return req, err
-	}
-	if !req.Kind.Fits(typ) {
-		return req, fmt.Errorf("cut kind %d does not apply to %v column %d", req.Kind, typ, req.Col)
-	}
-	return req, nil
+	return req, r.done()
 }
 
 // tailBits returns the bits of a shard's last selection word that lie
@@ -229,14 +241,29 @@ func tailBits(last uint64, rows int) uint64 {
 func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
+	return sealCutAnswer(appendCutPayload(dst, k, a), at)
+}
+
+// sealCutAnswer fills in the CRC of the answer that starts at dst[at]
+// with 4 bytes reserved for it.
+func sealCutAnswer(dst []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
+	return dst
+}
+
+// appendCutPayload encodes a's fields of kind k, without the CRC. The
+// value runs of a CutValues answer may be appended a few at a time.
+func appendCutPayload(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
 	switch k {
 	case shard.CutValues:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.Vals)))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Sum.NaN))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Sum.Min))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Sum.Max))
-		dst = colstore.AppendWords(dst, a.Present)
-		dst = colstore.AppendWords(dst, a.Vals)
+		for _, v := range a.Values {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Vals)))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Sum.NaN))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Sum.Min))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Sum.Max))
+			dst = colstore.AppendWords(dst, v.Present)
+			dst = colstore.AppendWords(dst, v.Vals)
+		}
 	case shard.CutCategories:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.Counts)))
 		for _, c := range a.Counts {
@@ -251,7 +278,6 @@ func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
 			dst = colstore.AppendWords(dst, b)
 		}
 	}
-	binary.LittleEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
 	return dst
 }
 
@@ -261,7 +287,7 @@ func cutAnswerLimit(req shard.CutRequest, rows int) int64 {
 	n := int64(reqWords(req, rows))
 	switch req.Kind {
 	case shard.CutValues:
-		return 4 + 4 + 24 + 8*n + 8*min(64*n, int64(rows))
+		return 4 + int64(len(req.Cols))*(4+24+8*n+8*min(64*n, int64(rows)))
 	case shard.CutBools:
 		return 4 + 16
 	case shard.CutPartition:
@@ -326,26 +352,33 @@ func parseCutAnswer(body []byte, req shard.CutRequest, rows int, a *shard.CutAns
 	a.W0 = req.W0
 	switch req.Kind {
 	case shard.CutValues:
-		n := r.u32("value count")
-		nan := r.u64("NaN count")
-		a.Sum.Min = math.Float64frombits(r.u64("min"))
-		a.Sum.Max = math.Float64frombits(r.u64("max"))
-		a.Present = readWords(r, a.Present, nw, "present words")
-		a.Vals = readWords(r, a.Vals, n, "values")
+		a.Values = slices.Grow(a.Values[:0], len(req.Cols))[:len(req.Cols)]
+		for c := range a.Values {
+			v := &a.Values[c]
+			n := r.u32("value count")
+			nan := r.u64("NaN count")
+			v.Sum.Min = math.Float64frombits(r.u64("min"))
+			v.Sum.Max = math.Float64frombits(r.u64("max"))
+			v.Present = readWords(r, v.Present, nw, "present words")
+			v.Vals = readWords(r, v.Vals, n, "values")
+			if r.err != nil {
+				return r.err
+			}
+			got, err := within(v.Present, "present")
+			if err != nil {
+				return err
+			}
+			if got != n {
+				return fmt.Errorf("column %d: %d values for %d present rows", req.Cols[c], n, got)
+			}
+			if nan > uint64(n) {
+				return fmt.Errorf("column %d: %d NaN among %d values", req.Cols[c], nan, n)
+			}
+			v.Sum.NaN = int(nan)
+		}
 		if err := r.done(); err != nil {
 			return err
 		}
-		got, err := within(a.Present, "present")
-		if err != nil {
-			return err
-		}
-		if got != n {
-			return fmt.Errorf("%d values for %d present rows", n, got)
-		}
-		if nan > uint64(n) {
-			return fmt.Errorf("%d NaN among %d values", nan, n)
-		}
-		a.Sum.NaN = int(nan)
 	case shard.CutCategories:
 		m := r.u32("category count")
 		raw := r.take(8*m, "category counts")

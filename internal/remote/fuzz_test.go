@@ -91,21 +91,24 @@ const cutFuzzRows = 130
 func FuzzCutFrames(f *testing.F) {
 	// seed adds a request and the answer a to it.
 	seed := func(req shard.CutRequest, a *shard.CutAnswer) {
-		f.Add(appendCutRequest(nil, req, cutFuzzSchema.Field(req.Col).Type), appendCutAnswer(nil, req.Kind, a))
+		f.Add(appendCutRequest(nil, req, cutFuzzSchema.Field(req.Cols[0]).Type), appendCutAnswer(nil, req.Kind, a))
 	}
 	sel := []uint64{0b1011, 0b11}
-	seed(shard.CutRequest{Kind: shard.CutValues, Col: 1},
-		&shard.CutAnswer{Vals: []float64{1.5, -2}, Present: []uint64{0b11, 0, 0}, Sum: engine.NumericSummary{Min: -2, Max: 1.5}})
-	seed(shard.CutRequest{Kind: shard.CutValues, Col: 0, W0: 1, Sel: sel},
-		&shard.CutAnswer{Vals: []float64{math.NaN(), 7}, Present: []uint64{0b10, 1}, Sum: engine.NumericSummary{NaN: 1, Min: 7, Max: 7}})
-	seed(shard.CutRequest{Kind: shard.CutPartition, Col: 2, W0: 1, Sel: sel,
+	seed(shard.CutRequest{Kind: shard.CutValues, Cols: []int{1}},
+		&shard.CutAnswer{Values: []shard.ValueRun{{Vals: []float64{1.5, -2}, Present: []uint64{0b11, 0, 0}, Sum: engine.NumericSummary{Min: -2, Max: 1.5}}}})
+	seed(shard.CutRequest{Kind: shard.CutValues, Cols: []int{0, 1}, W0: 1, Sel: sel},
+		&shard.CutAnswer{Values: []shard.ValueRun{
+			{Vals: []float64{math.NaN(), 7}, Present: []uint64{0b10, 1}, Sum: engine.NumericSummary{NaN: 1, Min: 7, Max: 7}},
+			{Vals: []float64{-1}, Present: []uint64{0b1000, 0}, Sum: engine.NumericSummary{Min: -1, Max: -1}},
+		}})
+	seed(shard.CutRequest{Kind: shard.CutPartition, Cols: []int{2}, W0: 1, Sel: sel,
 		Preds: []query.Predicate{query.NewIn("s", "a", "b"), query.NewIn("s", "c")}},
 		&shard.CutAnswer{Bits: [][]uint64{{0b11, 0}, {0b1000, 1}}})
-	seed(shard.CutRequest{Kind: shard.CutCategories, Col: 2},
+	seed(shard.CutRequest{Kind: shard.CutCategories, Cols: []int{2}},
 		&shard.CutAnswer{Counts: []int{3, 0, 4}})
-	seed(shard.CutRequest{Kind: shard.CutBools, Col: 3, W0: 2, Sel: []uint64{0b11}},
+	seed(shard.CutRequest{Kind: shard.CutBools, Cols: []int{3}, W0: 2, Sel: []uint64{0b11}},
 		&shard.CutAnswer{Falses: 1, Trues: 1})
-	seed(shard.CutRequest{Kind: shard.CutPartition, Col: 3,
+	seed(shard.CutRequest{Kind: shard.CutPartition, Cols: []int{3},
 		Preds: []query.Predicate{query.NewBoolEq("b", false), query.NewBoolEq("b", true)}},
 		&shard.CutAnswer{Bits: [][]uint64{{1, 0, 0}, {2, 0, 0}}})
 	f.Fuzz(func(t *testing.T, reqBody, answer []byte) {
@@ -116,8 +119,13 @@ func FuzzCutFrames(f *testing.F) {
 			}
 			return
 		}
-		if !req.Kind.Fits(cutFuzzSchema.Field(req.Col).Type) {
-			t.Fatalf("kind %d accepted for column %d", req.Kind, req.Col)
+		for _, ci := range req.Cols {
+			if !req.Kind.Fits(cutFuzzSchema.Field(ci).Type) {
+				t.Fatalf("kind %d accepted for column %d", req.Kind, ci)
+			}
+		}
+		if len(req.Cols) == 0 || req.Kind != shard.CutValues && len(req.Cols) != 1 {
+			t.Fatalf("kind %d accepted over %d columns", req.Kind, len(req.Cols))
 		}
 		const words = (cutFuzzRows + 63) / 64
 		if req.Sel != nil {
@@ -157,18 +165,23 @@ func FuzzCutFrames(f *testing.F) {
 		}
 		switch req.Kind {
 		case shard.CutValues:
-			if len(a.Present) != nw {
-				t.Fatalf("%d present words for %d selection words", len(a.Present), nw)
+			if len(a.Values) != len(req.Cols) {
+				t.Fatalf("%d value runs for %d columns", len(a.Values), len(req.Cols))
 			}
-			n := 0
-			for j, w := range a.Present {
-				if w&^selWord(j) != 0 {
-					t.Fatalf("present word %d outside the selection", j)
+			for _, v := range a.Values {
+				if len(v.Present) != nw {
+					t.Fatalf("%d present words for %d selection words", len(v.Present), nw)
 				}
-				n += bits.OnesCount64(w)
-			}
-			if n != len(a.Vals) || a.Sum.NaN > n {
-				t.Fatalf("%d values, %d NaN, for %d present rows", len(a.Vals), a.Sum.NaN, n)
+				n := 0
+				for j, w := range v.Present {
+					if w&^selWord(j) != 0 {
+						t.Fatalf("present word %d outside the selection", j)
+					}
+					n += bits.OnesCount64(w)
+				}
+				if n != len(v.Vals) || v.Sum.NaN > n {
+					t.Fatalf("%d values, %d NaN, for %d present rows", len(v.Vals), v.Sum.NaN, n)
+				}
 			}
 		case shard.CutCategories:
 			total := 0

@@ -48,6 +48,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -379,18 +380,34 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 	// The caller's context (deadline header included) rides into the
 	// column pass, so a cut whose caller already gave up is abandoned
 	// at chunk granularity instead of run to completion.
-	ctx, sp := obsv.StartSpan(r.Context(), "cut "+s.tbl.Schema().Field(req.Col).Name)
+	names := make([]string, len(req.Cols))
+	for i, ci := range req.Cols {
+		names[i] = s.tbl.Schema().Field(ci).Name
+	}
+	ctx, sp := obsv.StartSpan(r.Context(), "cut "+strings.Join(names, ","))
+	defer sp.End()
 	a := s.answers.Get().(*shard.CutAnswer)
 	defer s.answers.Put(a)
-	err = shard.ComputeCut(ctx, s.tbl, req, a)
-	sp.End()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.statComputes.Add(1)
-	buf := appendCutAnswer(s.bufs.get(0), req.Kind, a)
+	buf := s.bufs.get(0)
 	defer func() { s.bufs.put(buf) }()
+	buf = append(buf, 0, 0, 0, 0)
+	// A values answer is computed and encoded a column at a time, so it
+	// holds one column's values, not every column's.
+	one := req
+	for c := range req.Cols {
+		if req.Kind == shard.CutValues {
+			one.Cols = req.Cols[c : c+1]
+		} else if c > 0 {
+			break
+		}
+		if err := shard.ComputeCut(ctx, s.tbl, one, a); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		buf = appendCutPayload(buf, req.Kind, a)
+	}
+	buf = sealCutAnswer(buf, 0)
+	s.statComputes.Add(1)
 	s.writeBody(w, "application/octet-stream", buf)
 }
 

@@ -142,7 +142,7 @@ func TestCutRetryAfterFailure(t *testing.T) {
 				cancel()
 			}
 			var a shard.CutAnswer
-			err = be.Cut(ctx, shard.CutRequest{Kind: shard.CutValues, Col: age}, &a)
+			err = be.Cut(ctx, shard.CutRequest{Kind: shard.CutValues, Cols: []int{age}}, &a)
 			cancel()
 			var se *ShardError
 			if !errors.As(err, &se) {
@@ -154,13 +154,13 @@ func TestCutRetryAfterFailure(t *testing.T) {
 			}
 
 			before := cutRPCs.Load()
-			if err := be.Cut(context.Background(), shard.CutRequest{Kind: shard.CutValues, Col: age}, &a); err != nil {
+			if err := be.Cut(context.Background(), shard.CutRequest{Kind: shard.CutValues, Cols: []int{age}}, &a); err != nil {
 				t.Fatalf("retry after a %s first cut: %v", tc.name, err)
 			}
 			if got := cutRPCs.Load() - before; got != 1 {
 				t.Errorf("retry cost %d cut RPCs, want exactly 1", got)
 			}
-			if len(a.Vals) == 0 {
+			if len(a.Values) != 1 || len(a.Values[0].Vals) == 0 {
 				t.Error("retry answered no ages")
 			}
 		})

@@ -16,8 +16,9 @@ import (
 type CutKind uint8
 
 const (
-	// CutValues asks for a numeric column's selected non-NULL values in
-	// row order, the rows they came from and their summary.
+	// CutValues asks for numeric columns' selected non-NULL values in
+	// row order, the rows they came from and their summary: any number
+	// of columns under one selection.
 	CutValues CutKind = 1 + iota
 	// CutCategories asks for a string column's per-code counts, in the
 	// shard's own dictionary.
@@ -29,17 +30,18 @@ const (
 	CutPartition
 )
 
-// CutRequest is one CUT read of one shard: a statistic of column Col
-// under the shard's slice of the selection. Sel holds the selection's
-// words from shard-local word W0 on; words outside it select nothing. A
-// nil Sel selects every row of the shard.
+// CutRequest is one CUT read of one shard: a statistic of columns Cols
+// under the shard's slice of the selection — one column, or for
+// CutValues any number. Sel holds the selection's words from
+// shard-local word W0 on; words outside it select nothing. A nil Sel
+// selects every row of the shard.
 type CutRequest struct {
 	Kind CutKind
-	Col  int
+	Cols []int
 	W0   int
 	Sel  []uint64
-	// Preds are a CutPartition's predicates, all on Col: In predicates
-	// for a string column, BoolEq for a bool one.
+	// Preds are a CutPartition's predicates, all on its column: In
+	// predicates for a string column, BoolEq for a bool one.
 	Preds []query.Predicate
 }
 
@@ -51,18 +53,23 @@ type CutRequest struct {
 type CutAnswer struct {
 	// W0 is the request's first word.
 	W0 int
-	// Vals, Present and Sum are CutValues' answer: the values, the rows
-	// they came from (Vals[j] belongs to Present's j-th set bit) and
-	// their summary.
-	Vals    []float64
-	Present []uint64
-	Sum     engine.NumericSummary
+	// Values is CutValues' answer, one run per requested column.
+	Values []ValueRun
 	// Counts is CutCategories' answer, one count per dictionary code.
 	Counts []int
 	// Falses and Trues are CutBools' answer.
 	Falses, Trues int
 	// Bits is CutPartition's answer, one bitmap per predicate.
 	Bits [][]uint64
+}
+
+// ValueRun is one column's values in a CutValues answer: the values,
+// the rows they came from (Vals[j] belongs to Present's j-th set bit)
+// and their summary.
+type ValueRun struct {
+	Vals    []float64
+	Present []uint64
+	Sum     engine.NumericSummary
 }
 
 // extractPool recycles ComputeCut's extractions. An answer's slices are
@@ -74,12 +81,16 @@ var extractPool = sync.Pool{New: func() any { return new(engine.NumericExtract) 
 // computation behind every shard's cut answers, local or served over
 // the fabric. It validates what the request asks of t's schema.
 func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAnswer) error {
-	if req.Col < 0 || req.Col >= t.NumCols() {
-		return fmt.Errorf("shard: cut of column %d out of range", req.Col)
+	if len(req.Cols) == 0 || req.Kind != CutValues && len(req.Cols) > 1 {
+		return fmt.Errorf("shard: cut kind %d of %d columns", req.Kind, len(req.Cols))
 	}
-	f := t.Schema().Field(req.Col)
-	if !req.Kind.Fits(f.Type) {
-		return fmt.Errorf("shard: cut kind %d does not apply to %v column %q", req.Kind, f.Type, f.Name)
+	for _, ci := range req.Cols {
+		if ci < 0 || ci >= t.NumCols() {
+			return fmt.Errorf("shard: cut of column %d out of range", ci)
+		}
+		if f := t.Schema().Field(ci); !req.Kind.Fits(f.Type) {
+			return fmt.Errorf("shard: cut kind %d does not apply to %v column %q", req.Kind, f.Type, f.Name)
+		}
 	}
 	rows := t.NumRows()
 	words := (rows + 63) / 64
@@ -100,26 +111,32 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 		}
 	}
 	a.W0 = w0
+	attr := t.Schema().Field(req.Cols[0]).Name
 	opts := engine.ScanOptions{Ctx: ctx}
 	var err error
 	switch req.Kind {
 	case CutValues:
+		a.Values = slices.Grow(a.Values[:0], len(req.Cols))[:len(req.Cols)]
 		x := extractPool.Get().(*engine.NumericExtract)
 		defer extractPool.Put(x)
-		if err = engine.ExtractNumericUnder(x, t, f.Name, sel, opts); err == nil {
+		for c, ci := range req.Cols {
+			if err := engine.ExtractNumericUnder(x, t, t.Schema().Field(ci).Name, sel, opts); err != nil {
+				return err
+			}
 			// The values change hands instead of being copied: each
 			// buffer stays owned by exactly one of x and a.
-			a.Vals, x.Vals = x.Vals, a.Vals[:0]
-			a.Present = append(a.Present[:0], x.Present[w0:w1]...)
-			a.Sum = x.Sum
+			v := &a.Values[c]
+			v.Vals, x.Vals = x.Vals, v.Vals[:0]
+			v.Present = append(v.Present[:0], x.Present[w0:w1]...)
+			v.Sum = x.Sum
 		}
 	case CutCategories:
-		_, a.Counts, err = engine.CategoryCountsUnderOpts(t, f.Name, sel, opts)
+		_, a.Counts, err = engine.CategoryCountsUnderOpts(t, attr, sel, opts)
 	case CutBools:
-		a.Falses, a.Trues, err = engine.BoolCountsUnderOpts(t, f.Name, sel, opts)
+		a.Falses, a.Trues, err = engine.BoolCountsUnderOpts(t, attr, sel, opts)
 	case CutPartition:
 		var out []*bitvec.Vector
-		if out, err = engine.PartitionBitsOpts(t, f.Name, req.Preds, sel, opts); err == nil {
+		if out, err = engine.PartitionBitsOpts(t, attr, req.Preds, sel, opts); err == nil {
 			a.Bits = slices.Grow(a.Bits[:0], len(out))[:len(out)]
 			for i, v := range out {
 				a.Bits[i] = append(a.Bits[i][:0], v.Words()[w0:w1]...)

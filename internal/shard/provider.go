@@ -14,10 +14,10 @@ import (
 	"repro/internal/query"
 )
 
-// Provider returns the set's core.StatProvider, fanning out on up to
-// parallelism workers (0 means GOMAXPROCS). A set with no remote shard
-// answers with passes over its combined table, whose chunks are the
-// shards' own. A set with remote shards asks each shard about its slice
+// Provider returns the set's core.StatProvider. A set with no remote
+// shard answers with passes over its combined table, whose chunks are
+// the shards' own, partitioning on up to parallelism workers (0 means
+// GOMAXPROCS). A set with remote shards asks each shard about its slice
 // of the selection — only shards holding a selected row, each sent the
 // words that hold one — and merges the answers exactly, in shard (=
 // combined row) order: values concatenate, summaries fold, counts add in
@@ -27,7 +27,7 @@ func (s *Set) Provider(parallelism int) *Provider {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	p := &Provider{s: s, workers: parallelism}
+	p := &Provider{s: s}
 	if !s.anyRemote() {
 		p.local = core.NewTableProvider(s.combined, parallelism)
 	}
@@ -46,8 +46,7 @@ func (s *Set) anyRemote() bool {
 
 // Provider implements core.StatProvider over a Set. See Set.Provider.
 type Provider struct {
-	s       *Set
-	workers int
+	s *Set
 	// local answers for a set with no remote shard; nil otherwise.
 	local core.StatProvider
 }
@@ -59,17 +58,18 @@ var _ core.StatProvider = (*Provider)(nil)
 // opts is unused: every numeric cut reads the same values.
 func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutOptions) ([]float64, engine.NumericSummary, error) {
 	var x engine.NumericExtract
-	err := p.Extract(ctx, &x, attr, bitvec.NewFull(p.s.combined.NumRows()))
+	err := p.Extract(ctx, []*engine.NumericExtract{&x}, []string{attr}, bitvec.NewFull(p.s.combined.NumRows()))
 	return x.Vals, x.Sum, err
 }
 
-// Extract implements core.StatProvider. A remote shard's values are
-// decoded straight into the part of x.Vals they end up in: each shard
-// gets room for as many values as it has selected rows, so unless a
-// NULL leaves a gap before them, the merge copies none.
-func (p *Provider) Extract(ctx context.Context, x *engine.NumericExtract, attr string, sel *bitvec.Vector) error {
+// Extract implements core.StatProvider: one cut RPC per shard carries
+// every attribute. A remote shard's values are decoded straight into
+// the part of each xs[c].Vals they end up in: each shard gets room for
+// as many values as it has selected rows, so unless a NULL leaves a gap
+// before them, the merge copies none.
+func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error {
 	if p.local != nil {
-		return p.local.Extract(ctx, x, attr, sel)
+		return p.local.Extract(ctx, xs, attrs, sel)
 	}
 	words := sel.Words()
 	room := make([]int, p.s.NumShards()+1) // shard i's values go from room[i] on
@@ -80,18 +80,27 @@ func (p *Provider) Extract(ctx context.Context, x *engine.NumericExtract, attr s
 			room[i+1] += bits.OnesCount64(w)
 		}
 	}
-	x.Reset(sel.Len())
-	x.Vals = slices.Grow(x.Vals, room[len(room)-1])
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attr, sel, func(i int, a *CutAnswer) {
-		a.Vals = x.Vals[room[i]:room[i]:room[i+1]]
+	for _, x := range xs {
+		x.Reset(sel.Len())
+		x.Vals = slices.Grow(x.Vals, room[len(room)-1])
+	}
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attrs, sel, func(i int, a *CutAnswer) {
+		a.Values = slices.Grow(a.Values[:0], len(xs))[:len(xs)]
+		for c, x := range xs {
+			a.Values[c].Vals = x.Vals[room[i]:room[i]:room[i+1]]
+		}
 	})
 	defer releaseAnswers(answers)
 	if err != nil {
 		return err
 	}
 	for i, a := range answers {
-		if a != nil {
-			x.AppendRun(p.s.offsets[i]/64+a.W0, a.Present, a.Vals, a.Sum)
+		if a == nil {
+			continue
+		}
+		for c, x := range xs {
+			v := &a.Values[c]
+			x.AppendRun(p.s.offsets[i]/64+a.W0, v.Present, v.Vals, v.Sum)
 		}
 	}
 	return nil
@@ -104,7 +113,7 @@ func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vect
 	if p.local != nil {
 		return p.local.Categories(ctx, attr, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, attr, sel, nil)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, []string{attr}, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, nil, err
@@ -137,7 +146,7 @@ func (p *Provider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (
 	if p.local != nil {
 		return p.local.Bools(ctx, attr, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, attr, sel, nil)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, []string{attr}, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return 0, 0, err
@@ -158,7 +167,7 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 	if p.local != nil {
 		return p.local.Partition(ctx, attr, preds, sel)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, attr, sel, nil)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, []string{attr}, sel, nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, err
@@ -180,25 +189,29 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 }
 
 // fanOut asks every shard holding a row of sel for req's statistic of
-// attr under its slice of sel, on up to p.workers goroutines: remote
-// shards over the fabric, local ones with ComputeCut over their views.
+// attrs under its slice of sel, all at once — remote shards over the
+// fabric, where the caller only waits; local ones with ComputeCut over
+// their views.
 // place, when non-nil, readies a remote shard's answer before its RPC.
 // answers[i] is shard i's, nil when no row of it is selected; the caller
 // releases them, also on error.
-func (p *Provider) fanOut(ctx context.Context, req CutRequest, attr string, sel *bitvec.Vector, place func(i int, a *CutAnswer)) ([]*CutAnswer, error) {
-	ci, err := p.s.colIndex(attr)
-	if err != nil {
-		return nil, err
+func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, sel *bitvec.Vector, place func(i int, a *CutAnswer)) ([]*CutAnswer, error) {
+	req.Cols = make([]int, len(attrs))
+	for c, attr := range attrs {
+		ci, err := p.s.colIndex(attr)
+		if err != nil {
+			return nil, err
+		}
+		req.Cols[c] = ci
 	}
-	req.Col = ci
 	words := sel.Words()
 	answers := make([]*CutAnswer, p.s.NumShards())
-	err = par.For(p.workers, len(answers), func(i int) error {
+	err := par.For(len(answers), len(answers), func(i int) error {
 		r, ok := p.s.shardSlice(i, words)
 		if !ok {
 			return nil
 		}
-		r.Kind, r.Col, r.Preds = req.Kind, req.Col, req.Preds
+		r.Kind, r.Cols, r.Preds = req.Kind, req.Cols, req.Preds
 		a := answerPool.Get().(*CutAnswer)
 		answers[i] = a
 		sb, err := p.s.remoteBackend(ctx, i)
@@ -223,7 +236,9 @@ var answerPool = sync.Pool{New: func() any { return new(CutAnswer) }}
 func releaseAnswers(answers []*CutAnswer) {
 	for _, a := range answers {
 		if a != nil {
-			a.Vals = nil
+			for c := range a.Values {
+				a.Values[c].Vals = nil
+			}
 			answerPool.Put(a)
 		}
 	}
