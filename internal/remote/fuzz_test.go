@@ -80,7 +80,6 @@ var cutFuzzSchema = storage.MustSchema(
 
 const cutFuzzRows = 130
 
-
 // FuzzCutFrames: a cut request either parses into one the shard can
 // answer — a kind that fits its column, a selection within its words
 // with no bit past its last row, predicates for a partition — or fails
