@@ -307,19 +307,21 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// per attribute. Explore's base selection is exactly Eval(q), so the
 	// per-candidate re-evaluation of the parent query is skipped: the cut
 	// runs directly on base, and the partition kernel materializes every
-	// region's selection in a single column pass. A numeric cut's values
-	// stay in hand until the exploration ends, for composition to cut
-	// regions from.
+	// region's selection in a single column pass. Under a sub-selection
+	// the numeric candidates' values are read together and stay in hand
+	// until the exploration ends, for composition to cut regions from.
 	baseFull := res.BaseCount == res.TotalRows
 	type candOut struct {
 		m       *Map
 		flagged bool
-		held    *cutScratch
+		held    *engine.NumericExtract
 	}
 	outs := make([]candOut, len(attrs))
 	defer func() {
 		for _, out := range outs {
-			recycle(out.held)
+			if out.held != nil {
+				extractPool.Put(out.held)
+			}
 		}
 	}()
 	cutCtx, endCut := scanSpan(ctx, "cut")
@@ -340,10 +342,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
 		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: actx}
-		preds, bits, held, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut, pre[i])
-		if pre[i] == nil {
-			outs[i].held = held
-		}
+		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut, pre[i])
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			outs[i].flagged = true
@@ -370,11 +369,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	candidates := make([]*Map, 0, len(attrs))
 	held := map[string]heldCut{}
 	for i, out := range outs {
-		h := heldCut{m: out.m}
-		if out.held != nil {
-			h.ext = &out.held.NumericExtract
-		}
-		held[attrs[i]] = h
+		held[attrs[i]] = heldCut{m: out.m, ext: out.held}
 		if out.flagged {
 			res.Flagged = append(res.Flagged, ScreenFinding{Attr: attrs[i], Reason: ScreenConstant})
 			continue
@@ -454,12 +449,16 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 }
 
 // extractCandidates reads, in one provider call, the values under base
-// of every numeric attribute among attrs whose cut the memo does not
-// answer already, so that a sharded table answers a stage's numeric
-// cuts with one request per shard. out[i] holds attrs[i]'s extraction,
-// nil for the others; the caller recycles them, also on error.
-func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vector, full bool, attrs []string) ([]*cutScratch, error) {
-	out := make([]*cutScratch, len(attrs))
+// of every numeric attribute among attrs, so that a sharded table
+// answers a stage's numeric cuts with one request per shard. out[i]
+// holds attrs[i]'s extraction, nil for the others; the caller recycles
+// them, also on error. The full selection reads nothing here: the memo
+// answers its cuts, and its first touches each read their own column.
+func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vector, full bool, attrs []string) ([]*engine.NumericExtract, error) {
+	out := make([]*engine.NumericExtract, len(attrs))
+	if full {
+		return out, nil
+	}
 	var (
 		xs    []*engine.NumericExtract
 		names []string
@@ -469,11 +468,11 @@ func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vecto
 		if err != nil {
 			return out, err
 		}
-		if !col.Type().IsNumeric() || full && c.stats.answered(attr) {
+		if !col.Type().IsNumeric() {
 			continue
 		}
-		out[i] = scratchPool.Get().(*cutScratch)
-		xs = append(xs, &out[i].NumericExtract)
+		out[i] = extractPool.Get().(*engine.NumericExtract)
+		xs = append(xs, out[i])
 		names = append(names, attr)
 	}
 	if len(xs) == 0 {

@@ -138,12 +138,9 @@ type cutScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
-// recycle hands a scratch back to the pool; nil is fine.
-func recycle(s *cutScratch) {
-	if s != nil {
-		scratchPool.Put(s)
-	}
-}
+// extractPool recycles the extractions an exploration keeps in hand
+// until it ends; they carry no cut scratch of their own.
+var extractPool = sync.Pool{New: func() any { return new(engine.NumericExtract) }}
 
 // CutPredicates implements the CUT_k primitive of Definition 1: it splits
 // the range of attr, restricted to the rows selected by sel, into at most
@@ -157,7 +154,7 @@ func CutPredicates(t *storage.Table, sel *bitvec.Vector, attr string, opts CutOp
 	x := cutter{t: t, sp: NewTableProvider(t, 1), ctx: context.Background()}
 	s := scratchPool.Get().(*cutScratch)
 	defer scratchPool.Put(s)
-	return x.cut(sel, attr, opts, s, false)
+	return x.cut(sel, attr, opts, s, &s.NumericExtract, false)
 }
 
 // memoized reports whether the memo answers a cut under opts of a
@@ -170,52 +167,40 @@ func (x *cutter) memoized(full bool, opts CutOptions) bool {
 // cut's regions, one bitmap per predicate; full reports that sel selects
 // every row, in which case the answer comes from (and goes to) the memo.
 // A numeric cut partitions from the values it extracted to find its
-// edges — or from pre, when the caller extracted them already — and
-// returns that extraction as held: pre, which the caller owns, or a
-// scratch for the caller to use and recycle. A categorical or boolean
-// cut asks the provider for the partition, and a memo hit reads
-// nothing. The predicates and bitmaps are shared with the memo and must
-// not be modified.
-func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions, pre *cutScratch) (preds []query.Predicate, bits []*bitvec.Vector, held *cutScratch, err error) {
+// edges — or from pre, attr's values under sel when the caller has them
+// in hand. A categorical or boolean cut asks the provider for the
+// partition, and a memo hit reads nothing. The predicates and bitmaps
+// are shared with the memo and must not be modified.
+func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts CutOptions, pre *engine.NumericExtract) ([]query.Predicate, []*bitvec.Vector, error) {
 	if err := opts.validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !x.memoized(full, opts) {
 		return x.partition(sel, attr, opts, pre)
 	}
-	preds, bits, err = x.cache.cut(attr, func() ([]query.Predicate, []*bitvec.Vector, error) {
-		var err error
-		preds, bits, held, err = x.partition(sel, attr, opts, pre)
-		return preds, bits, err
+	return x.cache.cut(attr, func() ([]query.Predicate, []*bitvec.Vector, error) {
+		return x.partition(sel, attr, opts, pre)
 	})
-	if err != nil && held != pre {
-		recycle(held)
-		held = nil
-	}
-	return preds, bits, held, err
 }
 
 // partition is cutPartition without the memo.
-func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions, pre *cutScratch) ([]query.Predicate, []*bitvec.Vector, *cutScratch, error) {
-	s := pre
-	if s == nil {
-		s = scratchPool.Get().(*cutScratch)
+func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions, pre *engine.NumericExtract) ([]query.Predicate, []*bitvec.Vector, error) {
+	s := scratchPool.Get().(*cutScratch)
+	defer scratchPool.Put(s)
+	ext := pre
+	if ext == nil {
+		ext = &s.NumericExtract
 	}
-	preds, err := x.cut(sel, attr, opts, s, pre != nil)
-	if err == nil && preds[0].Kind == query.Range {
-		var bits []*bitvec.Vector
-		if bits, err = engine.PartitionValues(&s.NumericExtract, preds); err == nil {
-			return preds, bits, s, nil
-		}
-	}
-	if pre == nil {
-		scratchPool.Put(s)
-	}
+	preds, err := x.cut(sel, attr, opts, s, ext, pre != nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	if preds[0].Kind == query.Range {
+		bits, err := engine.PartitionValues(ext, preds)
+		return preds, bits, err
 	}
 	bits, err := x.sp.Partition(x.ctx, attr, preds, sel)
-	return preds, bits, nil, err
+	return preds, bits, err
 }
 
 // cutByCategory cuts a string or bool attr under sel from cand, attr's
@@ -272,11 +257,6 @@ func orAnd(dst, a, b []uint64) {
 	}
 }
 
-// extract reads attr's values under sel into s.
-func (x *cutter) extract(s *cutScratch, attr string, sel *bitvec.Vector) error {
-	return x.sp.Extract(x.ctx, []*engine.NumericExtract{&s.NumericExtract}, []string{attr}, sel)
-}
-
 // cutRestricted cuts attr under sel, a selection within the one parent
 // was extracted under, and partitions sel's rows into the cut's regions:
 // from parent's values, restricted to sel, without reading the column.
@@ -294,10 +274,10 @@ func (x *cutter) cutRestricted(parent *engine.NumericExtract, sel *bitvec.Vector
 }
 
 // cut computes CUT from the provider's statistics of the column under
-// sel. A numeric cut leaves its extraction in s, values in row order and
-// untouched, for the partition that follows; extracted says s holds it
-// already.
-func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScratch, extracted bool) ([]query.Predicate, error) {
+// sel. A numeric cut reads the values into ext — unless extracted says
+// ext holds them already — and leaves them there, in row order and
+// untouched, for the partition that follows; s holds its scratch.
+func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScratch, ext *engine.NumericExtract, extracted bool) ([]query.Predicate, error) {
 	col, err := x.t.ColumnByName(attr)
 	if err != nil {
 		return nil, err
@@ -305,11 +285,11 @@ func (x *cutter) cut(sel *bitvec.Vector, attr string, opts CutOptions, s *cutScr
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
 		if !extracted {
-			if err := x.extract(s, attr, sel); err != nil {
+			if err := x.sp.Extract(x.ctx, []*engine.NumericExtract{ext}, []string{attr}, sel); err != nil {
 				return nil, err
 			}
 		}
-		return cutNumeric(&s.NumericExtract, attr, opts, s)
+		return cutNumeric(ext, attr, opts, s)
 	case storage.String:
 		dict, counts, err := x.sp.Categories(x.ctx, attr, sel)
 		if err != nil {

@@ -54,8 +54,7 @@ func TestCutPartitionNaNUnderSubSelection(t *testing.T) {
 			opts.Numeric, opts.Splits = strat, splits
 			label := fmt.Sprintf("%s/%d", strat, splits)
 			x := testCutter(tbl, nil)
-			preds, got, held, err := x.cutPartition(sel, false, "x", opts, nil)
-			recycle(held)
+			preds, got, err := x.cutPartition(sel, false, "x", opts, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -115,8 +114,7 @@ func testCutter(t *storage.Table, cache *statCache) cutter {
 // cutOf is CUT through x's memo and provider, without the partition's
 // extraction kept.
 func (x *cutter) cutOf(sel *bitvec.Vector, full bool, attr string, opts CutOptions) ([]query.Predicate, error) {
-	preds, _, held, err := x.cutPartition(sel, full, attr, opts, nil)
-	recycle(held)
+	preds, _, err := x.cutPartition(sel, full, attr, opts, nil)
 	return preds, err
 }
 

@@ -124,24 +124,6 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 		parentSel = sel.And(base)
 		held = nil // extracted under another selection
 	}
-	var read []*cutScratch
-	defer func() {
-		for _, s := range read {
-			scratchPool.Put(s)
-		}
-	}()
-	// parentExt returns attr's extraction under parentSel.
-	parentExt := func(attr string) (*engine.NumericExtract, error) {
-		if ext := held[attr].ext; ext != nil {
-			return ext, nil
-		}
-		s := scratchPool.Get().(*cutScratch)
-		read = append(read, s)
-		if err := x.extract(s, attr, parentSel); err != nil {
-			return nil, err
-		}
-		return &s.NumericExtract, nil
-	}
 	regions := []query.Query{parent}
 	bits := []*bitvec.Vector{parentSel}
 	var usedAttrs []string
@@ -175,13 +157,18 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			bits  []*bitvec.Vector
 		}
 		cuts := make([]regionCut, len(regions))
-		var ext *engine.NumericExtract
+		var ext, read *engine.NumericExtract // read: ext when read here, recycled after the level
 		workers := len(regions)
 		if col.Type().IsNumeric() {
-			if ext, err = parentExt(attr); err != nil {
-				return nil, err
-			}
 			workers = 1
+			if ext = held[attr].ext; ext == nil {
+				read = extractPool.Get().(*engine.NumericExtract)
+				if err := x.sp.Extract(x.ctx, []*engine.NumericExtract{read}, []string{attr}, parentSel); err != nil {
+					extractPool.Put(read)
+					return nil, err
+				}
+				ext = read
+			}
 		}
 		err = parallelFor(workers, len(regions), func(ri int) error {
 			b := bits[ri]
@@ -200,9 +187,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 				preds, pb, inHand, err = x.cutByCategory(cand, b, attr, opts)
 			}
 			if !inHand {
-				var s *cutScratch
-				preds, pb, s, err = x.cutPartition(b, full, attr, opts, nil)
-				recycle(s)
+				preds, pb, err = x.cutPartition(b, full, attr, opts, nil)
 			}
 			var deg *ErrDegenerate
 			if errors.As(err, &deg) {
@@ -211,6 +196,9 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			cuts[ri] = regionCut{preds, pb}
 			return err
 		})
+		if read != nil {
+			extractPool.Put(read)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
@@ -96,7 +95,7 @@ type statCache struct {
 // concurrent first touches; done is set once the answer is final.
 type cutMemo struct {
 	mu    sync.Mutex
-	done  atomic.Bool
+	done  bool
 	preds []query.Predicate
 	bits  []*bitvec.Vector
 	err   error // nil or *ErrDegenerate
@@ -119,23 +118,13 @@ func (s *statCache) cut(attr string, compute func() ([]query.Predicate, []*bitve
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.done.Load() {
+	if !m.done {
 		preds, bits, err := compute()
 		var deg *ErrDegenerate
 		if err != nil && !errors.As(err, &deg) {
 			return nil, nil, err
 		}
-		m.preds, m.bits, m.err = preds, bits, err
-		m.done.Store(true)
+		m.preds, m.bits, m.err, m.done = preds, bits, err, true
 	}
 	return m.preds, m.bits, m.err
-}
-
-// answered reports whether attr's answer is memoized, without waiting
-// for a first touch in flight.
-func (s *statCache) answered(attr string) bool {
-	s.mu.Lock()
-	m := s.cuts[attr]
-	s.mu.Unlock()
-	return m != nil && m.done.Load()
 }

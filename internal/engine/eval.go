@@ -176,9 +176,15 @@ func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum
 // a branch on whether it is kept.
 func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
 	dst.Reset(x.rows)
-	out := slices.Grow(dst.Vals[:0], len(x.Vals))[:len(x.Vals)]
-	n := 0
 	selWords := sel.Words()
+	kept := 0
+	for wi := x.lo; wi < x.hi; wi++ {
+		kept += bits.OnesCount64(x.Present[wi] & selWords[wi])
+	}
+	// One slot to spare: a value that is not kept is written past the
+	// last kept one.
+	out := slices.Grow(dst.Vals[:0], kept+1)[:kept+1]
+	n := 0
 	vals := x.Vals
 	for wi := x.lo; wi < x.hi; wi++ {
 		word := x.Present[wi]
