@@ -48,8 +48,7 @@
 // JSON. -pprof additionally mounts /debug/pprof/.
 //
 // With -serve-shard, the /shard/v1/* fabric endpoints are served
-// instead (meta, zones, dict, chunk, batchstats, partials, health,
-// stats).
+// instead (meta, zones, dict, chunk, cut, partials, health, stats).
 package main
 
 import (
@@ -292,7 +291,7 @@ func shardRegistry(rs *remote.Server, st *colstore.Store) *obsv.Registry {
 	r.CounterFunc("atlas_shard_bytes_out_total", "response body bytes of successful answers", fab, func() float64 {
 		return float64(rs.Stats().BytesOut)
 	})
-	r.CounterFunc("atlas_shard_stat_computes_total", "per-attribute statistics computed (stat-cache misses)", fab, func() float64 {
+	r.CounterFunc("atlas_shard_stat_computes_total", "cut answers computed", fab, func() float64 {
 		return float64(rs.Stats().StatComputes)
 	})
 	sto := map[string]string{"layer": "store"}

@@ -66,7 +66,7 @@ func assertNamedShardError(t *testing.T, err error, url string) {
 // statistics); metadata requests stay healthy so the set opens and the
 // failure hits mid-exploration — the harder case.
 func dataPlane(r *http.Request) bool {
-	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/batchstats")
+	return strings.HasSuffix(r.URL.Path, "/chunk") || strings.HasSuffix(r.URL.Path, "/cut")
 }
 
 func TestRemoteShardTimeout(t *testing.T) {

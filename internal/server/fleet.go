@@ -174,7 +174,7 @@ func (f *fleetPoller) register(r *obsv.Registry) {
 		r.CounterFunc("atlas_fabric_shard_bytes_out_total", "response bytes the shard server has sent", lbl, at(func(fs fleetShard) float64 {
 			return float64(fs.Stats.BytesOut)
 		}))
-		r.CounterFunc("atlas_fabric_shard_stat_computes_total", "statistics cache misses computed on the shard server", lbl, at(func(fs fleetShard) float64 {
+		r.CounterFunc("atlas_fabric_shard_stat_computes_total", "cut answers computed on the shard server", lbl, at(func(fs fleetShard) float64 {
 			return float64(fs.Stats.StatComputes)
 		}))
 		r.CounterFunc("atlas_fabric_shard_chunk_serves_total", "chunk payloads the shard server has served", lbl, at(func(fs fleetShard) float64 {
