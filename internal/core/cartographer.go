@@ -314,21 +314,17 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	type candOut struct {
 		m       *Map
 		flagged bool
-		held    *engine.NumericExtract
 	}
 	outs := make([]candOut, len(attrs))
+	cutCtx, endCut := scanSpan(ctx, "cut")
+	exts, err := c.extractCandidates(cutCtx, base, baseFull, attrs)
 	defer func() {
-		for _, out := range outs {
-			if out.held != nil {
-				extractPool.Put(out.held)
+		for _, ext := range exts {
+			if ext != nil {
+				extractPool.Put(ext)
 			}
 		}
 	}()
-	cutCtx, endCut := scanSpan(ctx, "cut")
-	pre, err := c.extractCandidates(cutCtx, base, baseFull, attrs)
-	for i, s := range pre {
-		outs[i].held = s
-	}
 	if err != nil {
 		endCut()
 		return nil, err
@@ -342,7 +338,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		actx, asp := obsv.StartSpan(cutCtx, "cut "+attrs[i])
 		defer asp.End()
 		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: actx}
-		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut, pre[i])
+		preds, bits, err := x.cutPartition(base, baseFull, attrs[i], c.opts.Cut, exts[i])
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {
 			outs[i].flagged = true
@@ -369,7 +365,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	candidates := make([]*Map, 0, len(attrs))
 	held := map[string]heldCut{}
 	for i, out := range outs {
-		held[attrs[i]] = heldCut{m: out.m, ext: out.held}
+		held[attrs[i]] = heldCut{m: out.m, ext: exts[i]}
 		if out.flagged {
 			res.Flagged = append(res.Flagged, ScreenFinding{Attr: attrs[i], Reason: ScreenConstant})
 			continue

@@ -209,28 +209,27 @@ func (x *cutter) partition(sel *bitvec.Vector, attr string, opts CutOptions, pre
 // and a group's rows are its categories' — so no column is read, and
 // the answer is cutPartition's over sel. ok is false when cand groups
 // categories.
-func (x *cutter) cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts CutOptions) (preds []query.Predicate, bits []*bitvec.Vector, ok bool, err error) {
-	vals := make([]string, len(cand.Regions))
+func cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts CutOptions) (preds []query.Predicate, bits []*bitvec.Vector, ok bool, err error) {
+	cats := make([]query.Predicate, len(cand.Regions)) // each region's predicate on attr
 	counts := make([]int, len(cand.Regions))
-	var falses, trues int
 	for ri, r := range cand.Regions {
-		p := r.Query.Preds[r.Query.PredOn(attr)]
-		switch {
-		case p.Kind == query.In && len(p.Values) == 1:
-			vals[ri] = p.Values[0]
-		case p.Kind != query.BoolEq:
+		cats[ri] = r.Query.Preds[r.Query.PredOn(attr)]
+		if cats[ri].Kind == query.In && len(cats[ri].Values) != 1 {
 			return nil, nil, false, nil
 		}
 		counts[ri] = bitvec.AndCount(cand.assign.RegionBits(ri), sel)
-		if p.Kind == query.BoolEq && p.BoolVal {
-			trues += counts[ri]
-		} else if p.Kind == query.BoolEq {
-			falses += counts[ri]
-		}
 	}
-	if cand.Regions[0].Query.Preds[cand.Regions[0].Query.PredOn(attr)].Kind == query.BoolEq {
-		preds, err = cutBool(attr, falses, trues)
+	if cats[0].Kind == query.BoolEq {
+		var tally [2]int // falses, trues
+		for ri, c := range cats {
+			tally[b2i(c.BoolVal)] += counts[ri]
+		}
+		preds, err = cutBool(attr, tally[0], tally[1])
 	} else {
+		vals := make([]string, len(cats))
+		for ri, c := range cats {
+			vals[ri] = c.Values[0]
+		}
 		preds, err = cutCategorical(attr, vals, counts, opts)
 	}
 	if err != nil {
@@ -238,16 +237,21 @@ func (x *cutter) cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts 
 	}
 	bits = make([]*bitvec.Vector, len(preds))
 	for pi, p := range preds {
-		out := bitvec.New(sel.Len())
-		for ri, r := range cand.Regions {
-			if q := r.Query.Preds[r.Query.PredOn(attr)]; p.Kind == query.BoolEq && q.BoolVal == p.BoolVal ||
-				p.Kind == query.In && slices.Contains(p.Values, vals[ri]) {
-				orAnd(out.Words(), cand.assign.RegionBits(ri).Words(), sel.Words())
+		bits[pi] = bitvec.New(sel.Len())
+		for ri, c := range cats {
+			if p.Kind == query.BoolEq && c.BoolVal == p.BoolVal || p.Kind == query.In && slices.Contains(p.Values, c.Values[0]) {
+				orAnd(bits[pi].Words(), cand.assign.RegionBits(ri).Words(), sel.Words())
 			}
 		}
-		bits[pi] = out
 	}
 	return preds, bits, true, nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // orAnd sets dst |= a & b, word by word.
@@ -261,7 +265,7 @@ func orAnd(dst, a, b []uint64) {
 // was extracted under, and partitions sel's rows into the cut's regions:
 // from parent's values, restricted to sel, without reading the column.
 // It answers exactly as cutPartition over sel does.
-func (x *cutter) cutRestricted(parent *engine.NumericExtract, sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, error) {
+func cutRestricted(parent *engine.NumericExtract, sel *bitvec.Vector, attr string, opts CutOptions) ([]query.Predicate, []*bitvec.Vector, error) {
 	s := scratchPool.Get().(*cutScratch)
 	defer scratchPool.Put(s)
 	parent.Restrict(&s.NumericExtract, sel)

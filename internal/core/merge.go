@@ -181,10 +181,10 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			switch cand := held[attr].m; {
 			case x.memoized(full, opts):
 			case ext != nil:
-				preds, pb, err = x.cutRestricted(ext, b, attr, opts)
+				preds, pb, err = cutRestricted(ext, b, attr, opts)
 				inHand = true
 			case cand != nil:
-				preds, pb, inHand, err = x.cutByCategory(cand, b, attr, opts)
+				preds, pb, inHand, err = cutByCategory(cand, b, attr, opts)
 			}
 			if !inHand {
 				preds, pb, err = x.cutPartition(b, full, attr, opts, nil)

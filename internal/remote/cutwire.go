@@ -40,10 +40,6 @@ import (
 // it sent none. Nothing may follow; the parsers below check every count
 // against the bytes and the selection, so a bad frame is a named error.
 
-// maxCutPreds bounds a partition request's predicates (a cut makes at
-// most MaxRegions of them).
-const maxCutPreds = 1 << 10
-
 // cutRequestFlagSel marks a request that carries a selection.
 const cutRequestFlagSel = 1
 
@@ -198,8 +194,8 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 	}
 	if req.Kind == shard.CutPartition {
 		k := r.u32("predicate count")
-		if r.err == nil && (k == 0 || k > maxCutPreds) {
-			return req, fmt.Errorf("%d partition predicates, want 1 to %d", k, maxCutPreds)
+		if r.err == nil && k == 0 {
+			return req, errors.New("partition of no predicate")
 		}
 		attr := schema.Field(req.Cols[0]).Name
 		for i := 0; i < k && r.err == nil; i++ {
@@ -234,14 +230,6 @@ func tailBits(last uint64, rows int) uint64 {
 		return last >> uint(r)
 	}
 	return 0
-}
-
-// appendCutAnswer encodes a, the answer to a request of kind k, under
-// its CRC.
-func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
-	at := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	return sealCutAnswer(appendCutPayload(dst, k, a), at)
 }
 
 // sealCutAnswer fills in the CRC of the answer that starts at dst[at]
@@ -304,9 +292,6 @@ func reqWords(req shard.CutRequest, rows int) int {
 	return len(req.Sel)
 }
 
-// errCutCRC names a cut answer whose checksum does not match.
-var errCutCRC = errors.New("cut answer checksum mismatch")
-
 // parseCutAnswer decodes the answer to req from a shard of rows rows
 // into a, trusting nothing: the CRC must match, every count agree with
 // the bytes that carry it, every bitmap lie within the request's
@@ -318,7 +303,7 @@ func parseCutAnswer(body []byte, req shard.CutRequest, rows int, a *shard.CutAns
 		return fmt.Errorf("cut answer of %d bytes has no checksum", len(body))
 	}
 	if crc32.ChecksumIEEE(body[4:]) != binary.LittleEndian.Uint32(body) {
-		return errCutCRC
+		return errors.New("cut answer checksum mismatch")
 	}
 	r := &frameReader{b: body[4:]}
 	nw := reqWords(req, rows)

@@ -80,6 +80,14 @@ var cutFuzzSchema = storage.MustSchema(
 
 const cutFuzzRows = 130
 
+// appendCutAnswer encodes a, the answer to a request of kind k, under
+// its CRC, as the server frames it.
+func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	return sealCutAnswer(appendCutPayload(dst, k, a), at)
+}
+
 // FuzzCutFrames: a cut request either parses into one the shard can
 // answer — a kind that fits its column, a selection within its words
 // with no bit past its last row, predicates for a partition — or fails

@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/datagen"
+	"repro/internal/query"
 	"repro/internal/remote"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -151,4 +154,103 @@ func TestBackendConformance(t *testing.T) {
 	if got, want := windowed.IOStats().ChunksDecoded, int64(len(ref.Fields)*len(ks)); got != want {
 		t.Errorf("windowed client counts %d decoded chunks for %d fetched", got, want)
 	}
+}
+
+// cutTable is one column of each type, NULLs and NaN among the numbers,
+// over rows that end mid-word.
+func cutTable(rows int) *storage.Table {
+	r := rand.New(rand.NewSource(29))
+	b := storage.NewBuilder("t", storage.MustSchema(
+		storage.Field{Name: "i", Type: storage.Int64},
+		storage.Field{Name: "f", Type: storage.Float64},
+		storage.Field{Name: "s", Type: storage.String},
+		storage.Field{Name: "b", Type: storage.Bool},
+	))
+	for row := 0; row < rows; row++ {
+		vals := []any{int64(r.Intn(50)), r.NormFloat64(), []string{"x", "y", "z"}[r.Intn(3)], r.Intn(2) == 0}
+		if row%13 == 0 {
+			vals[1] = math.NaN()
+		}
+		vals[r.Intn(4)] = nil
+		b.MustAppendRow(vals...)
+	}
+	return b.MustBuild()
+}
+
+// TestCutConformance: a cut RPC answers exactly what ComputeCut over the
+// shard's own table answers — every kind, over the whole shard and over
+// a slice of its selection words, values compared bit for bit.
+func TestCutConformance(t *testing.T) {
+	const rows = 4_500
+	path := filepath.Join(t.TempDir(), "t.atl")
+	if err := colstore.WriteFile(path, cutTable(rows), 256); err != nil {
+		t.Fatal(err)
+	}
+	served, err := colstore.OpenWith(path, colstore.Options{Mode: colstore.ModeLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	ts := httptest.NewServer(remote.NewServer(served).Handler())
+	defer ts.Close()
+	opener := remote.NewOpener(remote.Options{})
+	defer opener.Close()
+	client, err := opener.OpenShard(context.Background(), []string{ts.URL}, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	words := (rows + 63) / 64
+	r := rand.New(rand.NewSource(31))
+	slice := make([]uint64, words-5)
+	for i := range slice {
+		slice[i] = r.Uint64()
+	}
+	slice[len(slice)-1] &= 1<<(rows%64) - 1 // the slice ends at the shard's last word
+	in := func(attr string, vals ...string) query.Predicate { return query.NewIn(attr, vals...) }
+	for _, req := range []shard.CutRequest{
+		{Kind: shard.CutValues, Cols: []int{0}},
+		{Kind: shard.CutValues, Cols: []int{1, 0}},
+		{Kind: shard.CutCategories, Cols: []int{2}},
+		{Kind: shard.CutBools, Cols: []int{3}},
+		{Kind: shard.CutPartition, Cols: []int{2}, Preds: []query.Predicate{in("s", "y"), in("s", "x", "z")}},
+		{Kind: shard.CutPartition, Cols: []int{3}, Preds: []query.Predicate{query.NewBoolEq("b", true), query.NewBoolEq("b", false)}},
+	} {
+		for _, sel := range []struct {
+			w0    int
+			words []uint64
+		}{{0, nil}, {5, slice}} {
+			req.W0, req.Sel = sel.w0, sel.words
+			var want, got shard.CutAnswer
+			if err := shard.ComputeCut(context.Background(), served.Table(), req, &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.Cut(context.Background(), req, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cutBits(got), cutBits(want)) {
+				t.Errorf("kind %d of columns %v from word %d: the RPC answer differs from ComputeCut's", req.Kind, req.Cols, req.W0)
+			}
+		}
+	}
+}
+
+// cutBits is an answer with every float as its bit pattern, so that NaN
+// compares equal to itself.
+func cutBits(a shard.CutAnswer) any {
+	type run struct {
+		Vals     []uint64
+		Present  []uint64
+		NaN      int
+		Min, Max uint64
+	}
+	runs := make([]run, len(a.Values))
+	for i, v := range a.Values {
+		runs[i] = run{Present: v.Present, NaN: v.Sum.NaN, Min: math.Float64bits(v.Sum.Min), Max: math.Float64bits(v.Sum.Max)}
+		for _, x := range v.Vals {
+			runs[i].Vals = append(runs[i].Vals, math.Float64bits(x))
+		}
+	}
+	return []any{a.W0, runs, a.Counts, a.Falses, a.Trues, a.Bits}
 }
