@@ -214,7 +214,7 @@ func cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts CutOptions) 
 	counts := make([]int, len(cand.Regions))
 	for ri, r := range cand.Regions {
 		cats[ri] = r.Query.Preds[r.Query.PredOn(attr)]
-		if cats[ri].Kind == query.In && len(cats[ri].Values) != 1 {
+		if c := cats[ri]; c.Kind != query.BoolEq && (c.Kind != query.In || len(c.Values) != 1) {
 			return nil, nil, false, nil
 		}
 		counts[ri] = bitvec.AndCount(cand.assign.RegionBits(ri), sel)

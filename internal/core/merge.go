@@ -93,12 +93,11 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 // its parent query: exactly composition's first level, which is then
 // taken from it instead of being cut again.
 //
-// A numeric attribute's regions are cut from one extraction of its
-// values under parentSel — the one x holds from its candidate cut, or
-// one read here — each region restricting it to its own rows, so the
-// column is read at most once however many regions there are. A
-// categorical or boolean attribute whose candidate map x holds, cut one
-// region per category, is cut from that map's bitmaps alone.
+// A numeric attribute whose values under parentSel x holds from its
+// candidate cut has its regions cut from them, each restricting them to
+// its own rows, so its column is not read again. A categorical or
+// boolean attribute whose candidate map x holds, cut one region per
+// category, is cut from that map's bitmaps alone.
 func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent query.Query, attrs []string, opts CutOptions, maxRegions int) (*Map, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("core: composition over zero attributes")
@@ -142,35 +141,23 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 		if len(regions)*2 > maxRegions {
 			break // even binary cuts would blow the budget
 		}
-		col, err := x.t.ColumnByName(attr)
-		if err != nil {
-			return nil, err
-		}
-		// A numeric attribute cuts every region from its values in hand,
-		// and a categorical or boolean one whose candidate map has a
-		// region per category from that map's bitmaps. Otherwise the
-		// provider is asked twice per region — counts, then partition —
-		// and the regions are cut all at once, so a remote table's round
-		// trips overlap.
+		// A numeric attribute cuts every region from its candidate's
+		// values when they are in hand, one region after another, and a
+		// categorical or boolean one whose candidate map has a region per
+		// category from that map's bitmaps. Otherwise the provider reads
+		// each region, and the regions are cut all at once, so a remote
+		// table's round trips overlap.
 		type regionCut struct {
 			preds []query.Predicate
 			bits  []*bitvec.Vector
 		}
 		cuts := make([]regionCut, len(regions))
-		var ext, read *engine.NumericExtract // read: ext when read here, recycled after the level
+		ext := held[attr].ext
 		workers := len(regions)
-		if col.Type().IsNumeric() {
+		if ext != nil {
 			workers = 1
-			if ext = held[attr].ext; ext == nil {
-				read = extractPool.Get().(*engine.NumericExtract)
-				if err := x.sp.Extract(x.ctx, []*engine.NumericExtract{read}, []string{attr}, parentSel); err != nil {
-					extractPool.Put(read)
-					return nil, err
-				}
-				ext = read
-			}
 		}
-		err = parallelFor(workers, len(regions), func(ri int) error {
+		err := parallelFor(workers, len(regions), func(ri int) error {
 			b := bits[ri]
 			var (
 				preds []query.Predicate
@@ -196,9 +183,6 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			cuts[ri] = regionCut{preds, pb}
 			return err
 		})
-		if read != nil {
-			extractPool.Put(read)
-		}
 		if err != nil {
 			return nil, err
 		}

@@ -76,9 +76,9 @@ type PartialSpec struct {
 // space — the Set remaps them into union space during the reduce — and
 // must be exactly what ComputeCut over the shard's table produces
 // (values in row order, exact counts, identical bitmaps), which is what
-// keeps remote explorations byte-identical. Every call that may touch the wire takes the request
-// context first, so a traced exploration attributes each fan-out RPC to
-// the pipeline phase that issued it.
+// keeps remote explorations byte-identical. Every call that may touch
+// the wire takes the request context first, so a traced exploration
+// attributes each fan-out RPC to the pipeline phase that issued it.
 type RemoteBackend interface {
 	Backend
 	// Cut answers one CUT read of the shard into a (see CutRequest),
