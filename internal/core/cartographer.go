@@ -308,8 +308,9 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// per-candidate re-evaluation of the parent query is skipped: the cut
 	// runs directly on base, and the partition kernel materializes every
 	// region's selection in a single column pass. Under a sub-selection
-	// the numeric candidates' values are read together and stay in hand
-	// until the exploration ends, for composition to cut regions from.
+	// the numeric candidates' values are read a worker's share per call
+	// and stay in hand until the exploration ends, for composition to cut
+	// regions from.
 	baseFull := res.BaseCount == res.TotalRows
 	type candOut struct {
 		m       *Map
@@ -317,7 +318,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	}
 	outs := make([]candOut, len(attrs))
 	cutCtx, endCut := scanSpan(ctx, "cut")
-	exts, err := c.extractCandidates(cutCtx, base, baseFull, attrs)
+	exts, err := c.extractCandidates(cutCtx, base, baseFull, attrs, workers)
 	defer func() {
 		for _, ext := range exts {
 			if ext != nil {
@@ -444,37 +445,42 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	return res, nil
 }
 
-// extractCandidates reads, in one provider call, the values under base
-// of every numeric attribute among attrs, so that a sharded table
-// answers a stage's numeric cuts with one request per shard. out[i]
-// holds attrs[i]'s extraction, nil for the others; the caller recycles
-// them, also on error. The full selection reads nothing here: the memo
-// answers its cuts, and its first touches each read their own column.
-func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vector, full bool, attrs []string) ([]*engine.NumericExtract, error) {
+// extractCandidates reads the values under base of every numeric
+// attribute among attrs, in one provider call per worker, each call
+// carrying its share of the attributes: a sharded table answers a
+// call with one request per shard, and the workers' calls overlap.
+// out[i] holds attrs[i]'s extraction, nil for the others; the caller
+// recycles them, also on error. The full selection reads nothing here:
+// the memo answers its cuts, and its first touches each read their own
+// column.
+func (c *Cartographer) extractCandidates(ctx context.Context, base *bitvec.Vector, full bool, attrs []string, workers int) ([]*engine.NumericExtract, error) {
 	out := make([]*engine.NumericExtract, len(attrs))
 	if full {
 		return out, nil
 	}
-	var (
-		xs    []*engine.NumericExtract
-		names []string
-	)
+	var numeric []int
 	for i, attr := range attrs {
 		col, err := c.table.ColumnByName(attr)
 		if err != nil {
 			return out, err
 		}
-		if !col.Type().IsNumeric() {
-			continue
+		if col.Type().IsNumeric() {
+			out[i] = extractPool.Get().(*engine.NumericExtract)
+			numeric = append(numeric, i)
 		}
-		out[i] = extractPool.Get().(*engine.NumericExtract)
-		xs = append(xs, out[i])
-		names = append(names, attr)
 	}
-	if len(xs) == 0 {
-		return out, nil
-	}
-	return out, c.sp.Extract(ctx, xs, names, base)
+	calls := min(workers, len(numeric))
+	return out, parallelFor(calls, calls, func(w int) error {
+		var (
+			xs    []*engine.NumericExtract
+			names []string
+		)
+		for j := w; j < len(numeric); j += calls {
+			xs = append(xs, out[numeric[j]])
+			names = append(names, attrs[numeric[j]])
+		}
+		return c.sp.Extract(ctx, xs, names, base)
+	})
 }
 
 // candidateAttrs selects the attributes to cut, applying screening and
