@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bitvec"
@@ -177,6 +178,34 @@ type Result struct {
 	Flagged []ScreenFinding
 	// Elapsed is the wall-clock time of the pipeline.
 	Elapsed time.Duration
+
+	// rendered memoizes Rendered. The pipeline allocates it; a pointer,
+	// so that copying a Result copies no lock.
+	rendered *renderMemo
+}
+
+// renderMemo holds one result's rendering. owner is the result it was
+// allocated for: a copy of that result, which may differ in any field,
+// shares the pointer but not the memo.
+type renderMemo struct {
+	owner *Result
+	once  sync.Once
+	b     []byte
+}
+
+// Rendered returns render(r), computed once per result the pipeline
+// produced and kept for the result's lifetime: a result shared through
+// a cache is rendered by its first reader only. Every caller must pass
+// the same render, and the result must be final, as a returned Result
+// is. A Result built outside the pipeline, or copied, renders on every
+// call. The bytes are shared: callers must not modify them.
+func (r *Result) Rendered(render func(*Result) []byte) []byte {
+	m := r.rendered
+	if m == nil || m.owner != r {
+		return render(r)
+	}
+	m.once.Do(func() { m.b = render(r) })
+	return m.b
 }
 
 // Explore runs the four-step framework of Section 3 on a user query:
@@ -293,6 +322,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		TotalRows: c.table.NumRows(),
 		BaseCount: base.Count(),
 	}
+	res.rendered = &renderMemo{owner: res}
 	if res.BaseCount == 0 {
 		res.Elapsed = time.Since(start)
 		return res, nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
@@ -35,11 +37,37 @@ type Map struct {
 	Entropy float64
 
 	assign *engine.Assignment
+
+	// textsOnce guards texts, the regions' canonical query texts,
+	// rendered on first use (see RegionText).
+	textsOnce sync.Once
+	texts     []string
 }
 
 // Assignment returns the cached per-row region labeling, or nil when the
 // map was built without one.
 func (m *Map) Assignment() *engine.Assignment { return m.assign }
+
+// RegionText returns region i's canonical query text, Regions[i].Query
+// rendered as CQL. The first call renders every region's text once and
+// the map keeps them for its lifetime, so the texts of a shared map —
+// a response body's region queries, a result-cache key — cost nothing
+// after the first reader. Call it only once the map's regions are
+// final; it is safe for concurrent use.
+func (m *Map) RegionText(i int) string {
+	m.textsOnce.Do(func() {
+		regionTextRenders.Add(1)
+		m.texts = make([]string, len(m.Regions))
+		for ri := range m.Regions {
+			m.texts[ri] = m.Regions[ri].Query.String()
+		}
+	})
+	return m.texts[i]
+}
+
+// regionTextRenders counts the maps whose region texts were rendered;
+// tests read it.
+var regionTextRenders atomic.Int64
 
 // Key returns a deterministic identity string for the map's attribute
 // set, used for grouping and stable ordering.

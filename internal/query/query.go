@@ -130,39 +130,70 @@ func (p Predicate) Empty() bool {
 }
 
 // String renders the predicate in CQL syntax.
-func (p Predicate) String() string {
+func (p Predicate) String() string { return string(p.appendText(nil)) }
+
+// appendText appends the predicate's CQL text to b.
+func (p Predicate) appendText(b []byte) []byte {
 	switch p.Kind {
 	case Range:
-		lb, rb := "[", "]"
-		if !p.LoIncl {
-			lb = "("
+		b = append(b, p.Attr...)
+		if p.LoIncl {
+			b = append(b, " IN ["...)
+		} else {
+			b = append(b, " IN ("...)
 		}
-		if !p.HiIncl {
-			rb = ")"
+		b = appendNum(b, p.Lo)
+		b = append(b, ", "...)
+		b = appendNum(b, p.Hi)
+		if p.HiIncl {
+			return append(b, ']')
 		}
-		return fmt.Sprintf("%s IN %s%s, %s%s", p.Attr, lb, fmtNum(p.Lo), fmtNum(p.Hi), rb)
+		return append(b, ')')
 	case In:
-		parts := make([]string, len(p.Values))
+		b = append(b, p.Attr...)
+		b = append(b, " IN {"...)
 		for i, v := range p.Values {
-			parts[i] = quote(v)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendQuoted(b, v)
 		}
-		return fmt.Sprintf("%s IN {%s}", p.Attr, strings.Join(parts, ", "))
+		return append(b, '}')
 	case BoolEq:
-		return fmt.Sprintf("%s = %t", p.Attr, p.BoolVal)
+		b = append(b, p.Attr...)
+		b = append(b, " = "...)
+		return strconv.AppendBool(b, p.BoolVal)
 	default:
-		return fmt.Sprintf("<invalid predicate on %s>", p.Attr)
+		b = append(b, "<invalid predicate on "...)
+		b = append(b, p.Attr...)
+		return append(b, '>')
 	}
 }
 
-func fmtNum(v float64) string {
+// appendNum renders integral values below 1e15 as integers and every
+// other value in the shortest 'g' form that round-trips.
+func appendNum(b []byte, v float64) []byte {
 	if v == math.Floor(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-func quote(v string) string {
-	return "'" + strings.ReplaceAll(v, "'", "''") + "'"
+// appendQuoted appends v as a CQL string literal: single quotes, with
+// embedded quotes doubled.
+func appendQuoted(b []byte, v string) []byte {
+	b = append(b, '\'')
+	for {
+		i := strings.IndexByte(v, '\'')
+		if i < 0 {
+			break
+		}
+		b = append(b, v[:i+1]...)
+		b = append(b, '\'')
+		v = v[i+1:]
+	}
+	b = append(b, v...)
+	return append(b, '\'')
 }
 
 // Equal reports semantic equality of two predicates.
@@ -258,22 +289,26 @@ func (q Query) Empty() bool {
 
 // String renders the query in CQL syntax.
 func (q Query) String() string {
-	var b strings.Builder
-	b.WriteString("EXPLORE ")
+	n := len("EXPLORE ") + len(q.Table) + len(" WHERE ")
+	for _, p := range q.Preds {
+		n += len(p.Attr) + 56 + len(" AND ")
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "EXPLORE "...)
 	if q.Table == "" {
-		b.WriteString("?")
+		b = append(b, '?')
 	} else {
-		b.WriteString(q.Table)
+		b = append(b, q.Table...)
 	}
-	if len(q.Preds) > 0 {
-		b.WriteString(" WHERE ")
-		parts := make([]string, len(q.Preds))
-		for i, p := range q.Preds {
-			parts[i] = p.String()
+	for i, p := range q.Preds {
+		if i == 0 {
+			b = append(b, " WHERE "...)
+		} else {
+			b = append(b, " AND "...)
 		}
-		b.WriteString(strings.Join(parts, " AND "))
+		b = p.appendText(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Equal reports semantic equality (same table, same predicates in order).

@@ -219,8 +219,8 @@ func TestFmtNum(t *testing.T) {
 		{1, "1"}, {-3, "-3"}, {1.5, "1.5"}, {0, "0"},
 	}
 	for _, c := range cases {
-		if got := fmtNum(c.v); got != c.want {
-			t.Errorf("fmtNum(%v) = %q, want %q", c.v, got, c.want)
+		if got := string(appendNum(nil, c.v)); got != c.want {
+			t.Errorf("appendNum(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }

@@ -122,23 +122,24 @@ func (qr *queryRun) finish(s *Server, qerr error) {
 // header, not a body field: answers stay byte-identical either way.
 const headerResultCache = "X-Atlas-Result-Cache"
 
-// attach copies the run's bill (and, when asked for, its profile) onto
-// the response DTO, and the cache verdict onto the response headers.
-func (qr *queryRun) attach(w http.ResponseWriter, dto *ResultDTO) {
+// attach sets the cache verdict on the response headers and returns the
+// run's own body fields: its bill and, when asked for, its profile.
+func (qr *queryRun) attach(w http.ResponseWriter) *requestFields {
 	if qr.cached {
 		w.Header().Set(headerResultCache, "hit")
 	} else {
 		w.Header().Set(headerResultCache, "miss")
 	}
-	dto.Ledger = qr.entry.Ledger
+	rf := &requestFields{Ledger: qr.entry.Ledger}
 	switch qr.mode {
 	case "tree":
-		dto.Profile = qr.tree
+		rf.Profile = qr.tree
 	case "perfetto":
 		if b, err := obsv.PerfettoTrace(qr.tree); err == nil {
-			dto.ProfilePerfetto = b
+			rf.ProfilePerfetto = b
 		}
 	}
+	return rf
 }
 
 // ---- EXPLAIN ----

@@ -9,9 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/colstore"
@@ -255,7 +257,9 @@ type MapDTO struct {
 	Regions []RegionDTO `json:"regions"`
 }
 
-// ResultDTO is the answer to one exploration.
+// ResultDTO is the answer to one exploration. The fields up to Flagged
+// depend on the result alone: renderResult renders them once per
+// result. The embedded requestFields belong to the request that asked.
 type ResultDTO struct {
 	Input     string   `json:"input"`
 	TotalRows int      `json:"totalRows"`
@@ -263,6 +267,13 @@ type ResultDTO struct {
 	ElapsedMs float64  `json:"elapsedMs"`
 	Maps      []MapDTO `json:"maps"`
 	Flagged   []string `json:"flagged,omitempty"`
+	requestFields
+}
+
+// requestFields are the fields of a result body that belong to the
+// request, not to the result: a cache hit answers with the result's
+// once-rendered body and these spliced in.
+type requestFields struct {
 	// Profile is the exploration's span tree, present when the request
 	// asked for one (?profile=1). Offsets are nanoseconds from the
 	// trace start; remote (shard-server) subtrees are flagged.
@@ -270,49 +281,115 @@ type ResultDTO struct {
 	// ProfilePerfetto is the same trace as Chrome trace-event JSON
 	// (?profile=perfetto) — save it to a file and open it in Perfetto.
 	ProfilePerfetto json.RawMessage `json:"profilePerfetto,omitempty"`
-	// Ledger is the query's resource bill — always present: every query
-	// runs with a ledger threaded through its context.
+	// Ledger is the query's resource bill — always present on a route
+	// that ran a query: every query runs with a ledger threaded through
+	// its context.
 	Ledger *obsv.LedgerSnapshot `json:"ledger,omitempty"`
 }
 
-// NodeDTO is one session node.
-type NodeDTO struct {
-	ID       int       `json:"id"`
-	Parent   int       `json:"parent"`
-	Children []int     `json:"children"`
-	Result   ResultDTO `json:"result"`
-}
+// resultRenders counts the result bodies renderResult produced; tests
+// read it.
+var resultRenders atomic.Int64
 
-func toResultDTO(r *core.Result) ResultDTO {
-	out := ResultDTO{
+// renderResult renders the request-independent fields of a result's
+// body as one JSON object, through encoding/json like every other
+// body. Results keep it (core.Result.Rendered), so a cached result is
+// rendered by its first reader only. It returns nil for a result the
+// encoder refuses.
+func renderResult(r *core.Result) []byte {
+	resultRenders.Add(1)
+	dto := ResultDTO{
 		Input:     r.Input.String(),
 		TotalRows: r.TotalRows,
 		BaseCount: r.BaseCount,
 		ElapsedMs: float64(r.Elapsed.Microseconds()) / 1000.0,
-	}
-	for _, m := range r.Maps {
-		md := MapDTO{Attrs: m.Attrs, Entropy: m.Entropy}
-		for _, reg := range m.Regions {
-			md.Regions = append(md.Regions, RegionDTO{
-				Query: reg.Query.String(),
-				Count: reg.Count,
-				Cover: reg.Cover,
-			})
-		}
-		out.Maps = append(out.Maps, md)
+		Maps:      mapDTOs(r.Maps),
 	}
 	for _, f := range r.Flagged {
-		out.Flagged = append(out.Flagged, fmt.Sprintf("%s (%s)", f.Attr, f.Reason))
+		dto.Flagged = append(dto.Flagged, fmt.Sprintf("%s (%s)", f.Attr, f.Reason))
+	}
+	b, err := json.Marshal(dto)
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// mapDTOs converts maps for a response; region queries are the maps'
+// memoized texts.
+func mapDTOs(maps []*core.Map) []MapDTO {
+	var out []MapDTO
+	for _, m := range maps {
+		md := MapDTO{Attrs: m.Attrs, Entropy: m.Entropy}
+		for ri, reg := range m.Regions {
+			md.Regions = append(md.Regions, RegionDTO{Query: m.RegionText(ri), Count: reg.Count, Cover: reg.Cover})
+		}
+		out = append(out, md)
 	}
 	return out
 }
 
-func toNodeDTO(n *session.Node) NodeDTO {
-	return NodeDTO{
-		ID:       n.ID,
-		Parent:   n.Parent,
-		Children: append([]int(nil), n.Children...),
-		Result:   toResultDTO(n.Result),
+// appendResult appends a result's body: its once-rendered fields, then
+// the request's own (rf, nil on routes that ran no query). It returns
+// nil for a body the encoder refuses.
+func appendResult(b []byte, res *core.Result, rf *requestFields) []byte {
+	body := res.Rendered(renderResult)
+	if body == nil {
+		return nil
+	}
+	b = slices.Grow(b, len(body)+512)
+	b = append(b, body[:len(body)-1]...)
+	if rf != nil {
+		own, err := json.Marshal(rf)
+		if err != nil {
+			return nil
+		}
+		if len(own) > len("{}") {
+			b = append(b, ',')
+			b = append(b, own[1:len(own)-1]...)
+		}
+	}
+	return append(b, '}')
+}
+
+// appendNode appends a session node's body,
+// {"id":…,"parent":…,"children":[…]|null,"result":{…}}, or returns nil
+// as appendResult does.
+func appendNode(b []byte, n *session.Node, rf *requestFields) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, int64(n.ID), 10)
+	b = append(b, `,"parent":`...)
+	b = strconv.AppendInt(b, int64(n.Parent), 10)
+	b = append(b, `,"children":`...)
+	if len(n.Children) == 0 {
+		b = append(b, "null"...)
+	} else {
+		for i, c := range n.Children {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"result":`...)
+	if b = appendResult(b, n.Result, rf); b == nil {
+		return nil
+	}
+	return append(b, '}')
+}
+
+// writeResult writes the body of every result-bearing route — session
+// explore, drill, back, current, history and stateless explore — with
+// the headers and trailing newline of writeJSON. A nil body, one that
+// failed to render, leaves the response empty, as a failed encode did.
+func writeResult(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if body != nil {
+		_, _ = w.Write(append(body, '\n'))
 	}
 }
 
@@ -354,9 +431,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	dto := toResultDTO(res)
-	qr.attach(w, &dto)
-	writeJSON(w, http.StatusOK, dto)
+	writeResult(w, appendResult(nil, res, qr.attach(w)))
 }
 
 // runCQL parses, binds and executes a stateless CQL exploration,
@@ -373,7 +448,7 @@ func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, ca
 	if err != nil {
 		return nil, false, &badRequest{err}
 	}
-	return s.results.Get(ctx, effective, q, func() (*core.Result, error) {
+	return s.results.Get(ctx, effective, q.String(), func() (*core.Result, error) {
 		cart, err := s.cartFor(effective)
 		if err != nil {
 			return nil, err
@@ -416,9 +491,7 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, se
 		return
 	}
 	sess.Prefetch(4) // anticipative computation, Section 5.1
-	dto := toNodeDTO(node)
-	qr.attach(w, &dto.Result)
-	writeJSON(w, http.StatusOK, dto)
+	writeResult(w, appendNode(nil, node, qr.attach(w)))
 }
 
 func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
@@ -447,9 +520,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request, sess *sessi
 		return
 	}
 	sess.Prefetch(4)
-	dto := toNodeDTO(node)
-	qr.attach(w, &dto.Result)
-	writeJSON(w, http.StatusOK, dto)
+	writeResult(w, appendNode(nil, node, qr.attach(w)))
 }
 
 func (s *Server) handleBack(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
@@ -458,7 +529,7 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request, sess *sessio
 		writeError(w, &badRequest{err})
 		return
 	}
-	writeJSON(w, http.StatusOK, toNodeDTO(node))
+	writeResult(w, appendNode(nil, node, nil))
 }
 
 func (s *Server) handleCurrent(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
@@ -467,15 +538,26 @@ func (s *Server) handleCurrent(w http.ResponseWriter, r *http.Request, sess *ses
 		writeError(w, &notFound{err})
 		return
 	}
-	writeJSON(w, http.StatusOK, toNodeDTO(node))
+	writeResult(w, appendNode(nil, node, nil))
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, sess *session.Session, _ int) {
-	var out []NodeDTO
-	for _, n := range sess.History() {
-		out = append(out, toNodeDTO(n))
+	nodes := sess.History()
+	if len(nodes) == 0 {
+		writeResult(w, []byte("null"))
+		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	b := []byte{'['}
+	for i, n := range nodes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b = appendNode(b, n, nil); b == nil {
+			writeResult(w, nil)
+			return
+		}
+	}
+	writeResult(w, append(b, ']'))
 }
 
 // ProfileDTO is one attribute explanation for a region.
@@ -526,20 +608,7 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request, sess
 		writeError(w, &notFound{err})
 		return
 	}
-	maps := sess.PersonalizedMaps(cur.Result)
-	var out []MapDTO
-	for _, m := range maps {
-		md := MapDTO{Attrs: m.Attrs, Entropy: m.Entropy}
-		for _, reg := range m.Regions {
-			md.Regions = append(md.Regions, RegionDTO{
-				Query: reg.Query.String(),
-				Count: reg.Count,
-				Cover: reg.Cover,
-			})
-		}
-		out = append(out, md)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, mapDTOs(sess.PersonalizedMaps(cur.Result)))
 }
 
 // ShardDTO describes one shard of a sharded table. Remote shards

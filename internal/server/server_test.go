@@ -12,6 +12,14 @@ import (
 	"repro/internal/datagen"
 )
 
+// NodeDTO decodes one session node of a response body (see appendNode).
+type NodeDTO struct {
+	ID       int       `json:"id"`
+	Parent   int       `json:"parent"`
+	Children []int     `json:"children"`
+	Result   ResultDTO `json:"result"`
+}
+
 func newTestServer(t testing.TB) *httptest.Server {
 	t.Helper()
 	tbl := datagen.Census(5000, 1)

@@ -43,7 +43,7 @@ type ResultCache struct {
 
 type resultKey struct {
 	opts core.Options
-	q    string // query.Query.String()
+	q    string // the canonical query text (query.Query's String)
 }
 
 type resultEntry struct {
@@ -64,15 +64,16 @@ func newResultCache(budget int64) *ResultCache {
 	return &ResultCache{budget: budget, order: list.New(), byKey: map[resultKey]*list.Element{}}
 }
 
-// Get returns the result of exploring q under opts, running compute on
-// a miss. cached reports that this call ran no pipeline: the result was
+// Get returns the result of exploring, under opts, the query whose
+// canonical text (query.Query's String) is q, running compute on a
+// miss. cached reports that this call ran no pipeline: the result was
 // resident, or another caller's in-flight computation delivered it; the
 // span ctx carries, if any, is then marked resultCached.
 // compute runs under the caller's own context (capture it in the
 // closure); ctx governs only this caller's wait on someone else's
 // flight, which it abandons without disturbing the flight.
-func (c *ResultCache) Get(ctx context.Context, opts core.Options, q query.Query, compute func() (*core.Result, error)) (res *core.Result, cached bool, err error) {
-	key := resultKey{opts: opts, q: q.String()}
+func (c *ResultCache) Get(ctx context.Context, opts core.Options, q string, compute func() (*core.Result, error)) (res *core.Result, cached bool, err error) {
+	key := resultKey{opts: opts, q: q}
 	for {
 		c.mu.Lock()
 		el, ok := c.byKey[key]
@@ -140,14 +141,15 @@ func (c *ResultCache) lead(e *resultEntry, el *list.Element, compute func() (*co
 	return compute()
 }
 
-// Contains reports whether the result is resident or being computed,
-// without touching the LRU order — the pre-check of a prefetch, which
-// must neither promote entries it does not use nor start a second
-// computation of one in flight.
-func (c *ResultCache) Contains(opts core.Options, q query.Query) bool {
+// Contains reports whether the result of the query whose canonical
+// text is q is resident or being computed, without touching the LRU
+// order — the pre-check of a prefetch, which must neither promote
+// entries it does not use nor start a second computation of one in
+// flight.
+func (c *ResultCache) Contains(opts core.Options, q string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byKey[resultKey{opts: opts, q: q.String()}]
+	_, ok := c.byKey[resultKey{opts: opts, q: q}]
 	return ok
 }
 
@@ -197,13 +199,14 @@ func (c *ResultCache) Stats() ResultCacheStats {
 
 // resultBytes estimates the memory a result pins. The region bitmaps
 // each map keeps through its assignment (rows/8 bytes per region, at
-// any selectivity) dominate; query texts and region records ride along.
+// any selectivity) dominate; query texts and region records ride along,
+// and so do the renderings a served result keeps (renderAllowance).
 // Singleton clusters put the same *Map in Candidates and Maps, so maps
 // are counted once by identity.
 func resultBytes(r *core.Result) int64 {
 	const perRegion = 128 // Region record, its query's predicates, counts
 	seen := make(map[*core.Map]struct{}, len(r.Maps)+len(r.Candidates))
-	var n int64 = 256
+	n := 256 + renderAllowance(r)
 	for _, maps := range [][]*core.Map{r.Maps, r.Candidates} {
 		for _, m := range maps {
 			if _, dup := seen[m]; dup {
@@ -221,4 +224,46 @@ func resultBytes(r *core.Result) int64 {
 		}
 	}
 	return n
+}
+
+// renderAllowance bounds what a result pins once it has been served:
+// its ranked maps' region texts (core.Map.RegionText) and its memoized
+// JSON body (core.Result.Rendered). It is counted up front, when the
+// result enters the cache, because both are rendered later, by readers.
+// JSON escapes a byte into at most six; the constants cover the keys,
+// numbers and brackets around each value.
+func renderAllowance(r *core.Result) int64 {
+	text, names := textBound(r.Input)
+	n := 256 + text + 5*names
+	for _, f := range r.Flagged {
+		n += 6*int64(len(f.Attr)+len(f.Reason)+3) + 3
+	}
+	for _, m := range r.Maps {
+		n += 96
+		for _, a := range m.Attrs {
+			n += 6*int64(len(a)) + 3
+		}
+		for _, reg := range m.Regions {
+			text, names := textBound(reg.Query)
+			n += 16 + text + (text + 5*names + 96) // the text and its header, then its JSON
+		}
+	}
+	return n
+}
+
+// textBound bounds the length of q's canonical text, and of the part of
+// it that names the table and attributes or quotes values: the only
+// bytes JSON may escape.
+func textBound(q query.Query) (text, names int64) {
+	names = int64(len(q.Table))
+	text = int64(len("EXPLORE ? WHERE "))
+	for _, p := range q.Preds {
+		names += int64(len(p.Attr))
+		text += 64 // " IN [", two numbers of at most 24 bytes, ", ", "]", " AND "
+		for _, v := range p.Values {
+			names += 2*int64(len(v)) + 2 // quoted, its quotes doubled
+			text += 2                    // ", "
+		}
+	}
+	return text + names, names
 }

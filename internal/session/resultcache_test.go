@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/obsv"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // mapsText renders the part of a result an answer is made of.
@@ -64,7 +66,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	get := func(i int) {
 		defer wg.Done()
 		calling.Done()
-		res, _, err := c.Get(context.Background(), cart.Options(), q, compute)
+		res, _, err := c.Get(context.Background(), cart.Options(), q.String(), compute)
 		if err != nil {
 			t.Error(err)
 		}
@@ -107,7 +109,7 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 	started := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(leaderCtx, opts, q, func() (*core.Result, error) {
+		_, _, err := c.Get(leaderCtx, opts, q.String(), func() (*core.Result, error) {
 			close(started)
 			<-leaderCtx.Done()
 			return nil, obsv.Cancelled(leaderCtx, "test.leader")
@@ -125,7 +127,7 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			calling.Done()
-			res, _, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) {
+			res, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
 				computes.Add(1)
 				return s.cart.Explore(q)
 			})
@@ -143,7 +145,7 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("followers recomputed %d times, want exactly one new leader", n)
 	}
-	if !c.Contains(opts, q) {
+	if !c.Contains(opts, q.String()) {
 		t.Fatal("the new leader's result was not cached")
 	}
 }
@@ -156,7 +158,7 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) {
+		_, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
 			close(started)
 			<-release
 			return s.cart.Explore(q)
@@ -166,7 +168,7 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	<-started
 	wctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Get(wctx, opts, q, func() (*core.Result, error) {
+	_, _, err := c.Get(wctx, opts, q.String(), func() (*core.Result, error) {
 		t.Error("a waiter must not compute while the flight is live")
 		return nil, nil
 	})
@@ -177,7 +179,7 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if _, cached, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) {
+	if _, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
 		return nil, errors.New("recomputed a cached result")
 	}); err != nil || !cached {
 		t.Fatalf("flight result not cached: cached=%v err=%v", cached, err)
@@ -190,13 +192,13 @@ func TestResultCacheErrorNotCached(t *testing.T) {
 	s := newSession(t)
 	c, opts, q := s.results, s.cart.Options(), ageBand(35)
 	boom := errors.New("boom")
-	if _, _, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Contains(opts, q) || c.Stats().Entries != 0 {
+	if c.Contains(opts, q.String()) || c.Stats().Entries != 0 {
 		t.Fatal("a failed exploration left an entry behind")
 	}
-	res, cached, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) { return s.cart.Explore(q) })
+	res, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return s.cart.Explore(q) })
 	if err != nil || cached || res == nil {
 		t.Fatalf("retry after an error: cached=%v err=%v", cached, err)
 	}
@@ -217,7 +219,7 @@ func TestResultCacheKeyedByOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, cached, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) { return cart.Explore(q) })
+		res, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return cart.Explore(q) })
 		if err != nil || cached {
 			t.Fatalf("MaxMaps=%d: cached=%v err=%v", opts.MaxMaps, cached, err)
 		}
@@ -260,7 +262,7 @@ func TestResultCacheEvictionHonorsBudget(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				for k := 0; k < nq; k++ {
 					i := (k*(g+1) + round) % nq
-					res, _, err := c.Get(context.Background(), cart.Options(), queries[i], func() (*core.Result, error) {
+					res, _, err := c.Get(context.Background(), cart.Options(), queries[i].String(), func() (*core.Result, error) {
 						return cart.Explore(queries[i])
 					})
 					if err != nil {
@@ -290,7 +292,9 @@ func TestResultCacheEvictionHonorsBudget(t *testing.T) {
 }
 
 // TestResultBytesCountsRegionBitmaps: the size estimate is at least the
-// region bitmaps the result's maps keep, each counted once.
+// region bitmaps the result's maps keep, each counted once; the
+// allowance for renderings (renderAllowance, checked on its own below)
+// comes on top.
 func TestResultBytesCountsRegionBitmaps(t *testing.T) {
 	s := newSession(t)
 	n, err := s.Explore(query.New("census"))
@@ -308,8 +312,8 @@ func TestResultBytesCountsRegionBitmaps(t *testing.T) {
 		}
 	}
 	got := resultBytes(n.Result)
-	if got < bitmaps || got > 2*bitmaps {
-		t.Fatalf("resultBytes = %d, region bitmaps alone = %d", got, bitmaps)
+	if rest := got - renderAllowance(n.Result); rest < bitmaps || rest > 2*bitmaps {
+		t.Fatalf("resultBytes = %d less a render allowance of %d, region bitmaps alone = %d", got, got-rest, bitmaps)
 	}
 	if st := s.results.Stats(); st.Bytes != got {
 		t.Fatalf("cache accounts %d bytes for its one result, estimate %d", st.Bytes, got)
@@ -360,12 +364,110 @@ func TestResultCachePanickingLeaderFreesSlot(t *testing.T) {
 				t.Error("the leader's panic was swallowed")
 			}
 		}()
-		_, _, _ = c.Get(context.Background(), opts, q, func() (*core.Result, error) { panic("boom") })
+		_, _, _ = c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { panic("boom") })
 	}()
-	if c.Contains(opts, q) {
+	if c.Contains(opts, q.String()) {
 		t.Fatal("a panicked flight left its entry behind")
 	}
-	if _, cached, err := c.Get(context.Background(), opts, q, func() (*core.Result, error) { return s.cart.Explore(q) }); err != nil || cached {
+	if _, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return s.cart.Explore(q) }); err != nil || cached {
 		t.Fatalf("lookup after a panicked flight: cached=%v err=%v", cached, err)
 	}
+}
+
+// renderLikeServer renders a result as the server's body does (the
+// server's identity test pins the exact bytes): the region texts of its
+// ranked maps and its request-independent JSON fields.
+func renderLikeServer(r *core.Result) []byte {
+	type region struct {
+		Query string  `json:"query"`
+		Count int     `json:"count"`
+		Cover float64 `json:"cover"`
+	}
+	type dataMap struct {
+		Attrs   []string `json:"attrs"`
+		Entropy float64  `json:"entropy"`
+		Regions []region `json:"regions"`
+	}
+	var body struct {
+		Input     string    `json:"input"`
+		TotalRows int       `json:"totalRows"`
+		BaseCount int       `json:"baseCount"`
+		ElapsedMs float64   `json:"elapsedMs"`
+		Maps      []dataMap `json:"maps"`
+		Flagged   []string  `json:"flagged,omitempty"`
+	}
+	body.Input, body.TotalRows, body.BaseCount = r.Input.String(), r.TotalRows, r.BaseCount
+	body.ElapsedMs = float64(r.Elapsed.Microseconds()) / 1000.0
+	for _, m := range r.Maps {
+		dm := dataMap{Attrs: m.Attrs, Entropy: m.Entropy}
+		for ri, reg := range m.Regions {
+			dm.Regions = append(dm.Regions, region{m.RegionText(ri), reg.Count, reg.Cover})
+		}
+		body.Maps = append(body.Maps, dm)
+	}
+	for _, f := range r.Flagged {
+		body.Flagged = append(body.Flagged, fmt.Sprintf("%s (%s)", f.Attr, f.Reason))
+	}
+	b, err := json.Marshal(body)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestRenderAllowanceCoversRenderings: once a census and a sky result
+// have been served — every region text of their ranked maps and their
+// JSON bodies rendered — renderAllowance is at least the bytes those
+// renderings hold.
+func TestRenderAllowanceCoversRenderings(t *testing.T) {
+	for _, c := range []struct {
+		tbl  *storage.Table
+		with []query.Predicate
+	}{
+		{tbl: datagen.Census(5000, 1), with: []query.Predicate{query.NewRange("age", 17, 60)}},
+		{tbl: datagen.Census(5000, 2)},
+		{tbl: datagen.SkySurvey(5000, 1)},
+		{tbl: datagen.SkySurvey(5000, 3), with: []query.Predicate{query.NewRange("dec", -10, 40)}},
+	} {
+		cart, err := core.NewCartographer(c.tbl, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := query.New(c.tbl.Name(), c.with...)
+		res, err := cart.Explore(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Maps) == 0 {
+			t.Fatalf("%s: no maps", q)
+		}
+		held := int64(len(res.Rendered(renderLikeServer)))
+		for _, m := range res.Maps {
+			held += 24 // the texts slice header
+			for ri := range m.Regions {
+				held += 16 + int64(len(m.RegionText(ri)))
+			}
+		}
+		if allow := renderAllowance(res); allow < held {
+			t.Errorf("%s: render allowance %d < %d bytes held", q, allow, held)
+		} else {
+			t.Logf("%s: render allowance %d for %d bytes held", q, allow, held)
+		}
+	}
+}
+
+// TestPrefetchPrecheckBuildsNoText: once the regions Prefetch would warm
+// are resident, its pre-check reads the maps' memoized region texts —
+// it allocates nothing, so it builds no query text.
+func TestPrefetchPrecheckBuildsNoText(t *testing.T) {
+	s := newSession(t)
+	if _, err := s.Explore(ageBand(20)); err != nil {
+		t.Fatal(err)
+	}
+	s.Prefetch(4)
+	s.Wait()
+	if allocs := testing.AllocsPerRun(20, func() { s.Prefetch(4) }); allocs != 0 {
+		t.Fatalf("Prefetch over resident regions allocates %.1f times per call", allocs)
+	}
+	s.Wait()
 }

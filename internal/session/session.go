@@ -77,10 +77,10 @@ func NewWithCache(cart *core.Cartographer, results *ResultCache, totals *obsv.Le
 	return &Session{cart: cart, current: -1, results: results, totals: totals}
 }
 
-// exploreLocked runs (or serves from cache) an exploration and appends a
-// node. Caller holds s.mu.
-func (s *Session) exploreLocked(ctx context.Context, q query.Query, base *bitvec.Vector, parent int) (*Node, error) {
-	res, cached, err := s.resultFor(ctx, q, base)
+// exploreLocked runs (or serves from cache) an exploration of q, whose
+// canonical text is key, and appends a node. Caller holds s.mu.
+func (s *Session) exploreLocked(ctx context.Context, key string, q query.Query, base *bitvec.Vector, parent int) (*Node, error) {
+	res, cached, err := s.resultFor(ctx, key, q, base)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +93,15 @@ func (s *Session) exploreLocked(ctx context.Context, q query.Query, base *bitvec
 	return n, nil
 }
 
-// resultFor serves q's result from the result cache, computing it (or
-// joining a computation already in flight, a prefetch included) on a
-// miss. A nil base explores q from the table, as a stateless
-// exploration does; otherwise base is Eval(q) already in hand — a
-// parent region's bitmap — and the pipeline starts from a copy of it
-// with no base scan. Failed and cancelled explorations cache nothing.
-func (s *Session) resultFor(ctx context.Context, q query.Query, base *bitvec.Vector) (*core.Result, bool, error) {
-	return s.results.Get(ctx, s.cart.Options(), q, func() (*core.Result, error) {
+// resultFor serves q's result from the result cache under key, q's
+// canonical text, computing it (or joining a computation already in
+// flight, a prefetch included) on a miss. A nil base explores q from
+// the table, as a stateless exploration does; otherwise base is Eval(q)
+// already in hand — a parent region's bitmap — and the pipeline starts
+// from a copy of it with no base scan. Failed and cancelled
+// explorations cache nothing.
+func (s *Session) resultFor(ctx context.Context, key string, q query.Query, base *bitvec.Vector) (*core.Result, bool, error) {
+	return s.results.Get(ctx, s.cart.Options(), key, func() (*core.Result, error) {
 		if base == nil {
 			return s.cart.ExploreCtx(ctx, q)
 		}
@@ -119,7 +120,7 @@ func (s *Session) Explore(q query.Query) (*Node, error) {
 func (s *Session) ExploreCtx(ctx context.Context, q query.Query) (*Node, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.exploreLocked(ctx, q, nil, -1)
+	return s.exploreLocked(ctx, q.String(), q, nil, -1)
 }
 
 // DrillDown explores region regionIdx of map mapIdx of the current
@@ -148,7 +149,7 @@ func (s *Session) DrillDownCtx(ctx context.Context, mapIdx, regionIdx int) (*Nod
 		return nil, fmt.Errorf("%w: region index %d out of range (%d regions)", ErrBadDrill, regionIdx, len(m.Regions))
 	}
 	s.recordInterest(m.Attrs)
-	return s.exploreLocked(ctx, m.Regions[regionIdx].Query, m.Assignment().RegionBits(regionIdx), cur.ID)
+	return s.exploreLocked(ctx, m.RegionText(regionIdx), m.Regions[regionIdx].Query, m.Assignment().RegionBits(regionIdx), cur.ID)
 }
 
 // Back moves the cursor to the parent of the current node and returns it.
@@ -226,7 +227,8 @@ func (s *Session) Prefetch(limit int) {
 				continue
 			}
 			limit--
-			if s.results.Contains(s.cart.Options(), r.Query) {
+			key := m.RegionText(ri)
+			if s.results.Contains(s.cart.Options(), key) {
 				continue
 			}
 			q, base := r.Query, m.Assignment().RegionBits(ri)
@@ -237,7 +239,7 @@ func (s *Session) Prefetch(limit int) {
 				// own, added to the totals once it finishes. Best-effort: an
 				// error caches nothing and is dropped.
 				led := new(obsv.Ledger)
-				_, _, _ = s.resultFor(obsv.WithLedger(context.Background(), led), q, base)
+				_, _, _ = s.resultFor(obsv.WithLedger(context.Background(), led), key, q, base)
 				s.totals.Add(led.Snapshot())
 			}()
 		}

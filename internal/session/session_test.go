@@ -218,7 +218,7 @@ func TestSessionPrefetchWarmsCache(t *testing.T) {
 	opts := s.cart.Options()
 	for mi, m := range cur.Result.Maps {
 		for ri, r := range m.Regions {
-			if !s.results.Contains(opts, r.Query) {
+			if !s.results.Contains(opts, r.Query.String()) {
 				continue
 			}
 			n, err := s.DrillDown(mi, ri)
