@@ -145,6 +145,10 @@ const (
 	DistNMI = core.DistNMI
 )
 
+// ErrWithClause rejects a WITH clause where none applies (a query, an
+// anytime run, a session explore).
+var ErrWithClause = cql.ErrWithClause
+
 // DefaultOptions returns the paper's pipeline configuration (8 regions,
 // 3 cut attributes, 8 maps, binary median cuts, normalized VI at 0.95,
 // composition merging, screening on).
@@ -195,10 +199,11 @@ func (e *Explorer) Table() *Table { return e.table }
 // Explore parses a CQL statement ("EXPLORE t WHERE … [WITH …]"),
 // validates it against the table, and returns the ranked data maps. WITH
 // options override the explorer's defaults for this call only; WITH
-// SAMPLE f runs the pipeline on a uniform f-fraction sample. Calls
-// without overrides run on the explorer's shared Cartographer, so
-// repeated explorations reuse its memoized full-selection cuts instead
-// of re-cutting the same columns.
+// SAMPLE f explores a uniform f-fraction sample of the rows (see
+// README "Sampling"), and the result describes the sample. Calls
+// without pipeline overrides run on the explorer's shared Cartographer,
+// so repeated explorations reuse its memoized full-selection cuts
+// instead of re-cutting the same columns.
 func (e *Explorer) Explore(cqlText string) (res *Result, err error) {
 	return e.exploreCtx(context.Background(), cqlText)
 }
@@ -220,20 +225,7 @@ func (e *Explorer) ExploreProfiled(cqlText string) (*Result, *SpanProfile, error
 	return res, tr.Tree(), nil
 }
 
-func (e *Explorer) exploreCtx(ctx context.Context, cqlText string) (res *Result, err error) {
-	// Sampling gathers rows through lazy columns before a Cartographer
-	// exists; surface chunk-fetch failures there as errors too.
-	defer func() {
-		if r := recover(); r != nil {
-			ce := storage.AsChunkPanic(r)
-			if ce == nil {
-				panic(r)
-			}
-			if err == nil {
-				res, err = nil, ce
-			}
-		}
-	}()
+func (e *Explorer) exploreCtx(ctx context.Context, cqlText string) (*Result, error) {
 	q, o, err := cql.ParseAndBind(cqlText, e.table)
 	if err != nil {
 		return nil, err
@@ -242,28 +234,18 @@ func (e *Explorer) exploreCtx(ctx context.Context, cqlText string) (res *Result,
 	if err != nil {
 		return nil, err
 	}
-	sampled := o.Sample > 0 && o.Sample < 1
-	if !sampled && effective == e.opts {
-		return e.cart.ExploreCtx(ctx, q)
-	}
-	tbl := e.table
-	if sampled {
-		k := int(o.Sample * float64(tbl.NumRows()))
-		if k < 1 {
-			k = 1
+	cart := e.cart
+	if effective != e.opts {
+		var sp core.StatProvider // nil: the table's own passes
+		if e.set != nil {
+			sp = e.set.Provider(effective.Parallelism) // keep the per-shard fan-out
 		}
-		tbl = sample.Table(tbl, k, 1)
+		if cart, err = core.NewCartographerWith(e.table, effective, sp); err != nil {
+			return nil, err
+		}
 	}
-	var cart *core.Cartographer
-	if !sampled && e.set != nil {
-		// WITH overrides on a sharded explorer keep the per-shard stat
-		// fan-out; sampling materializes a new table, which does not.
-		cart, err = core.NewCartographerWith(tbl, effective, e.set.Provider(effective.Parallelism))
-	} else {
-		cart, err = core.NewCartographer(tbl, effective)
-	}
-	if err != nil {
-		return nil, err
+	if o.Sample > 0 {
+		return cart.ExploreSample(ctx, q, sample.Fraction(e.table.NumRows(), o.Sample))
 	}
 	return cart.ExploreCtx(ctx, q)
 }
@@ -275,9 +257,9 @@ func (e *Explorer) ExploreQuery(q Query) (*Result, error) {
 
 // ExploreAnytime runs the progressive Section 5.1 loop: results refine
 // over growing samples until they stabilize, the data is exhausted, or
-// ctx is done.
+// ctx is done. A WITH clause fails with ErrWithClause.
 func (e *Explorer) ExploreAnytime(ctx context.Context, cqlText string, opts AnytimeOptions) (*AnytimeResult, error) {
-	q, _, err := cql.ParseAndBind(cqlText, e.table)
+	q, err := cql.ParseQuery(cqlText, e.table)
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +286,10 @@ func (e *Explorer) Explain(cqlText string) (*QueryExplain, error) {
 	return engine.ExplainQuery(e.table, q)
 }
 
-// ParseQuery parses and binds a CQL statement without executing it.
+// ParseQuery parses and binds a CQL statement without executing it; a
+// WITH clause fails with ErrWithClause.
 func (e *Explorer) ParseQuery(cqlText string) (Query, error) {
-	q, _, err := cql.ParseAndBind(cqlText, e.table)
-	return q, err
+	return cql.ParseQuery(cqlText, e.table)
 }
 
 // Count evaluates a query and returns how many rows it selects.

@@ -2,9 +2,17 @@ package atlas
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func TestFacadeExplore(t *testing.T) {
@@ -117,6 +125,70 @@ func TestFacadeAnytime(t *testing.T) {
 	}
 	if res.Final == nil || len(res.Rounds) == 0 {
 		t.Fatal("anytime returned nothing")
+	}
+}
+
+// TestFacadeParseQueryRejectsWith: a query carries no pipeline options,
+// so ParseQuery (the REPL's explore) refuses a WITH clause by name.
+func TestFacadeParseQueryRejectsWith(t *testing.T) {
+	ex, err := New(CensusDataset(200, 6), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.ParseQuery("EXPLORE census WITH MAPS 2"); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("ParseQuery with WITH MAPS 2: %v, want ErrWithClause", err)
+	}
+}
+
+// TestFacadeAnytimeRejectsWith: the anytime rounds choose their own
+// samples, so a WITH clause is refused by name rather than dropped.
+func TestFacadeAnytimeRejectsWith(t *testing.T) {
+	ex, err := New(CensusDataset(200, 6), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.ExploreAnytime(context.Background(), "EXPLORE census WITH SAMPLE 0.5", DefaultAnytimeOptions()); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("ExploreAnytime with WITH SAMPLE 0.5: %v, want ErrWithClause", err)
+	}
+}
+
+// TestFacadeAndServerSampleAlike: one sampled statement answers with the
+// same rows and maps through the façade and through POST /api/explore.
+func TestFacadeAndServerSampleAlike(t *testing.T) {
+	tbl := CensusDataset(5000, 4)
+	const text = "EXPLORE census WHERE age BETWEEN 20 AND 60 WITH SAMPLE 0.2"
+	ex, err := New(tbl, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ex.Explore(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(tbl, DefaultOptions()).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/api/explore", "application/json", strings.NewReader(fmt.Sprintf(`{"cql":%q}`, text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got server.ResultDTO
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || got.TotalRows != 1000 || got.TotalRows != want.TotalRows || got.BaseCount != want.BaseCount {
+		t.Fatalf("status %d, %d of %d rows over HTTP; the façade: %d of %d, want 1000 in all", resp.StatusCode, got.BaseCount, got.TotalRows, want.BaseCount, want.TotalRows)
+	}
+	var maps []server.MapDTO
+	for _, m := range want.Maps {
+		md := server.MapDTO{Attrs: m.Attrs, Entropy: m.Entropy}
+		for ri, reg := range m.Regions {
+			md.Regions = append(md.Regions, server.RegionDTO{Query: m.RegionText(ri), Count: reg.Count, Cover: reg.Cover})
+		}
+		maps = append(maps, md)
+	}
+	if len(maps) == 0 || !reflect.DeepEqual(got.Maps, maps) {
+		t.Fatalf("maps differ:\nHTTP:    %+v\nfaçade:  %+v", got.Maps, maps)
 	}
 }
 

@@ -7,7 +7,8 @@ package atlas
 // +0, constant and all-NULL columns, row counts one off a chunk
 // boundary — and random band and IN queries, with a drill into a region
 // of each answer, must format byte-identically everywhere, at
-// Parallelism 1 and 2.
+// Parallelism 1 and 2. Each query explored WITH SAMPLE must format as
+// the same query over a table of the sample's rows alone.
 
 import (
 	"flag"
@@ -16,6 +17,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/remote"
+	"repro/internal/sample"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -106,10 +109,16 @@ type residency struct {
 	sp    core.StatProvider // nil: the table's own passes
 }
 
+// identitySamples are the WITH SAMPLE fractions of the net: one row
+// (the tables hold fewer than 1000), and about a third of them.
+var identitySamples = []string{"0.001", "0.3"}
+
 // identityAnswers explores every query, and a drill into the last
 // non-empty region of each answer's first map, on res at parallelism
-// par, and formats each answer.
-func identityAnswers(t *testing.T, res residency, par int, queries []string) []string {
+// par, and formats each answer: exact. Between one query and the next
+// it explores the query WITH SAMPLE each of identitySamples, through
+// the façade on the same Cartographer: sampled.
+func identityAnswers(t *testing.T, res residency, par int, queries []string) (exact, sampled []string) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Parallelism = par
@@ -117,11 +126,7 @@ func identityAnswers(t *testing.T, res residency, par int, queries []string) []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	format := func(r *core.Result) string {
-		r.Elapsed = 0
-		return FormatResult(r)
-	}
-	var out []string
+	ex := &Explorer{table: res.table, opts: opts, cart: cart}
 	for _, text := range queries {
 		q, _, err := cql.ParseAndBind(text, res.table)
 		if err != nil {
@@ -131,26 +136,76 @@ func identityAnswers(t *testing.T, res residency, par int, queries []string) []s
 		if err != nil {
 			t.Fatalf("%s on %s: %v", text, res.name, err)
 		}
-		out = append(out, format(r))
-		if len(r.Maps) == 0 {
-			continue
-		}
-		m, ri := r.Maps[0], -1
-		for i, reg := range m.Regions {
-			if reg.Count > 0 {
-				ri = i
+		exact = append(exact, formatIdentity(r))
+		if m, ri := lastNonEmpty(r); ri >= 0 {
+			d, err := cart.ExploreSel(m.Regions[ri].Query, m.Assignment().RegionBits(ri).Clone())
+			if err != nil {
+				t.Fatalf("drill %d of %s on %s: %v", ri, text, res.name, err)
 			}
+			exact = append(exact, formatIdentity(d))
 		}
-		if ri < 0 {
-			continue
+		for _, f := range identitySamples {
+			s, err := ex.Explore(text + " WITH SAMPLE " + f)
+			if err != nil {
+				t.Fatalf("%s WITH SAMPLE %s on %s: %v", text, f, res.name, err)
+			}
+			sampled = append(sampled, formatIdentity(s))
 		}
-		d, err := cart.ExploreSel(m.Regions[ri].Query, m.Assignment().RegionBits(ri).Clone())
-		if err != nil {
-			t.Fatalf("drill %d of %s on %s: %v", ri, text, res.name, err)
+	}
+	return exact, sampled
+}
+
+// gatheredAnswers is the oracle of identityAnswers' sampled answers:
+// each query explored on a fresh in-memory Cartographer over a table of
+// the sample's rows alone, the copying path WITH SAMPLE used to take.
+func gatheredAnswers(t *testing.T, tbl *storage.Table, par int, queries []string) []string {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	var out []string
+	for _, text := range queries {
+		for _, f := range identitySamples {
+			frac, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := tbl.Gather(tbl.Name(), sample.Fraction(tbl.NumRows(), frac).Indexes())
+			cart, err := core.NewCartographer(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, _, err := cql.ParseAndBind(text, g)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			r, err := cart.Explore(q)
+			if err != nil {
+				t.Fatalf("%s on the gathered sample %s: %v", text, f, err)
+			}
+			out = append(out, formatIdentity(r))
 		}
-		out = append(out, format(d))
 	}
 	return out
+}
+
+func formatIdentity(r *core.Result) string {
+	r.Elapsed = 0
+	return FormatResult(r)
+}
+
+// lastNonEmpty returns the first map of r and its last non-empty
+// region, or -1 when there is none.
+func lastNonEmpty(r *core.Result) (*core.Map, int) {
+	if len(r.Maps) == 0 {
+		return nil, -1
+	}
+	m, last := r.Maps[0], -1
+	for i, reg := range m.Regions {
+		if reg.Count > 0 {
+			last = i
+		}
+	}
+	return m, last
 }
 
 // serveShards serves every shard file of a local manifest over loopback
@@ -202,7 +257,7 @@ func TestGeneratedFabricIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		queries := identityQueries(r, 5, cats)
-		want := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
+		want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
 		for _, shards := range []int{1 + r.Intn(2), 3 + r.Intn(3)} {
 			local := filepath.Join(t.TempDir(), "t.atlm")
 			if _, err := shard.WriteSharded(local, tbl, shard.IngestOptions{Shards: shards, ChunkSize: identityChunk}); err != nil {
@@ -223,16 +278,23 @@ func TestGeneratedFabricIdentity(t *testing.T) {
 			}
 			defer fabric.Close()
 			for _, par := range []int{1, 2} {
+				wantSampled := gatheredAnswers(t, tbl, par, queries)
 				for _, res := range []residency{
 					{"memory", tbl, nil},
 					{"lazy shards", lazy.Table(), lazy.Provider(par)},
 					{"fabric", fabric.Table(), fabric.Provider(par)},
 				} {
-					got := identityAnswers(t, res, par, queries)
+					got, gotSampled := identityAnswers(t, res, par, queries)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Errorf("seed %d, %d rows, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
 								seed, rows, shards, res.name, par, i, want[i], got[i])
+						}
+					}
+					for i := range wantSampled {
+						if gotSampled[i] != wantSampled[i] {
+							t.Errorf("seed %d, %d rows, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
+								seed, rows, shards, res.name, par, i, wantSampled[i], gotSampled[i])
 						}
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/query"
 	"repro/internal/sample"
 )
@@ -73,11 +74,14 @@ type AnytimeResult struct {
 	Interrupted bool
 }
 
-// ExploreAnytime runs Explore on progressively larger nested samples,
+// ExploreAnytime explores q on progressively larger nested samples,
 // returning after the grouping stabilizes, the sample covers the full
-// table, or ctx is done — whichever comes first. It always returns the
-// best result so far; ctx expiry is not an error (that is the point of
-// an anytime algorithm).
+// table, or ctx is done — whichever comes first. It evaluates q's WHERE
+// clause once; each round then runs the pipeline on q's rows among the
+// round's sample (see ExploreSample), on this Cartographer and under
+// ctx, so a deadline interrupts a round, not only the gap between two.
+// It always returns the best result so far; ctx expiry is not an error
+// (that is the point of an anytime algorithm).
 func (c *Cartographer) ExploreAnytime(ctx context.Context, q query.Query, opts AnytimeOptions) (res *AnytimeResult, rerr error) {
 	defer recoverChunkPanic(&rerr)
 	if err := opts.validate(); err != nil {
@@ -87,38 +91,26 @@ func (c *Cartographer) ExploreAnytime(ctx context.Context, q query.Query, opts A
 	if err != nil {
 		return nil, err
 	}
+	base := bitvec.NewFull(c.table.NumRows())
+	if err := c.scanBase(ctx, q, base); err != nil {
+		return nil, err
+	}
 	out := &AnytimeResult{}
 	var prevGrouping [][]string
 	stable := 0
-	for prog.Remaining() {
-		if ctx.Err() != nil {
+	for s, ok := prog.Next(); ok; s, ok = prog.Next() {
+		start := time.Now()
+		size := s.Count()
+		res, err := c.exploreBase(ctx, q, s.Clone().And(base), size, start)
+		if err != nil && ctx.Err() != nil {
 			out.Interrupted = true
 			break
 		}
-		rows, ok := prog.Next()
-		if !ok {
-			break
-		}
-		start := time.Now()
-		// A sample covering every row is the ascending identity (samples
-		// are sorted row indexes), so the final round can run on the
-		// cartographer itself — reusing its warm full-selection cut memo
-		// instead of re-materializing the table and re-cutting columns.
-		cart := c
-		if len(rows) < c.table.NumRows() {
-			sub := c.table.Gather(c.table.Name(), rows)
-			var err error
-			cart, err = NewCartographer(sub, c.opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res, err := cart.Explore(q)
 		if err != nil {
 			return nil, err
 		}
 		round := Round{
-			SampleSize:         len(rows),
+			SampleSize:         size,
 			Result:             res,
 			GroupingSimilarity: 1,
 			Elapsed:            time.Since(start),

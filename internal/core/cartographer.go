@@ -162,7 +162,8 @@ func recoverChunkPanic(err *error) {
 type Result struct {
 	// Input is the user query that was mapped.
 	Input query.Query
-	// TotalRows is the table size.
+	// TotalRows is the number of rows the result describes: the table's,
+	// or a sample's (Cartographer.ExploreSample).
 	TotalRows int
 	// BaseCount is the number of rows the input query selects.
 	BaseCount int
@@ -229,29 +230,43 @@ func (c *Cartographer) Explore(q query.Query) (*Result, error) {
 // spans of remote statistic and chunk fetches nest
 // under the phase that issued them. Untraced contexts cost one nil
 // check per phase.
-func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (res *Result, err error) {
+func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (*Result, error) {
+	return c.ExploreSample(ctx, q, bitvec.NewFull(c.table.NumRows()))
+}
+
+// ExploreSample is ExploreCtx over a sample of the table's rows, the
+// selection s (see internal/sample): the base is q's rows among s, and
+// the result describes s as a table of s's rows alone would — TotalRows
+// is |s| and each region's Cover its Count over |s|. s must have the
+// table's length; the Cartographer takes ownership of it.
+func (c *Cartographer) ExploreSample(ctx context.Context, q query.Query, s *bitvec.Vector) (res *Result, err error) {
 	defer recoverChunkPanic(&err)
 	start := time.Now()
-	if err := c.checkTable(q); err != nil {
+	total := s.Count()
+	if err := c.scanBase(ctx, q, s); err != nil {
 		return nil, err
+	}
+	return c.exploreBase(ctx, q, s, total, start)
+}
+
+// scanBase checks that q targets the table and narrows sel to q's rows,
+// under the base-scan span.
+func (c *Cartographer) scanBase(ctx context.Context, q query.Query, sel *bitvec.Vector) error {
+	if err := c.checkTable(q); err != nil {
+		return err
 	}
 	bctx, endBase := scanSpan(ctx, BaseSpan)
-	base := bitvec.NewFull(c.table.NumRows())
-	sopts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Ctx: bctx}
-	err = engine.EvalAndIntoOpts(c.table, q, base, sopts)
-	endBase()
-	if err != nil {
-		return nil, err
-	}
-	return c.exploreBase(ctx, q, base, start)
+	defer endBase()
+	return engine.EvalAndIntoOpts(c.table, q, sel, engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Ctx: bctx})
 }
 
 // ExploreSel runs the pipeline on a precomputed base selection — the
 // entry point for callers that already hold Eval(table, q) (for
 // example, a session drilling into a region: the parent map's
 // assignment holds the region's rows). base must have exactly the
-// table's length and must select exactly the rows matching q; the
-// Cartographer takes ownership of it.
+// table's length and must select the rows the result describes; its
+// TotalRows and covers are over the whole table. The Cartographer takes
+// ownership of base.
 func (c *Cartographer) ExploreSel(q query.Query, base *bitvec.Vector) (*Result, error) {
 	return c.ExploreSelCtx(context.Background(), q, base)
 }
@@ -266,7 +281,7 @@ func (c *Cartographer) ExploreSelCtx(ctx context.Context, q query.Query, base *b
 	if base.Len() != c.table.NumRows() {
 		return nil, fmt.Errorf("core: base selection length %d != table rows %d", base.Len(), c.table.NumRows())
 	}
-	return c.exploreBase(ctx, q, base, start)
+	return c.exploreBase(ctx, q, base, c.table.NumRows(), start)
 }
 
 // BaseSpan names the base-scan span of an exploration. Every other span
@@ -314,12 +329,14 @@ func (c *Cartographer) checkTable(q query.Query) error {
 	return nil
 }
 
-// exploreBase is the shared pipeline body behind Explore and ExploreSel.
-func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bitvec.Vector, start time.Time) (*Result, error) {
+// exploreBase is the shared pipeline body behind every entry point: it
+// maps the rows of base, a subset of the total rows the result
+// describes.
+func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bitvec.Vector, total int, start time.Time) (*Result, error) {
 	workers := resolveParallelism(c.opts.Parallelism)
 	res := &Result{
 		Input:     q,
-		TotalRows: c.table.NumRows(),
+		TotalRows: total,
 		BaseCount: base.Count(),
 	}
 	res.rendered = &renderMemo{owner: res}
@@ -340,8 +357,9 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 	// region's selection in a single column pass. Under a sub-selection
 	// the numeric candidates' values are read a worker's share per call
 	// and stay in hand until the exploration ends, for composition to cut
-	// regions from.
-	baseFull := res.BaseCount == res.TotalRows
+	// regions from. Only the table's every row is the full selection: a
+	// sample is never full, so its cuts never read or fill the memo.
+	baseFull := res.BaseCount == c.table.NumRows()
 	type candOut struct {
 		m       *Map
 		flagged bool
@@ -382,7 +400,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		for ri, p := range preds {
 			regions[ri] = applyPredicate(q, p)
 		}
-		m, err := buildMapFromBits(c.table, base, []string{attrs[i]}, regions, bits)
+		m, err := buildMapFromBits(total, base, []string{attrs[i]}, regions, bits)
 		if err != nil {
 			return err
 		}
@@ -438,7 +456,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		// base IS the parent query's selection, so composition starts from
 		// it directly instead of re-evaluating q against the table, and
 		// its first level is the cluster's first candidate map
-		x := cutter{t: c.table, sp: c.sp, cache: c.stats, ctx: mctx, held: held}
+		x := cutter{t: c.table, total: total, sp: c.sp, cache: c.stats, ctx: mctx, held: held}
 		m, err := x.mergeCluster(base, base, true, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {

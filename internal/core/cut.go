@@ -105,6 +105,7 @@ func (e *ErrDegenerate) Error() string {
 // create and confined to one goroutine; the memo it points to is shared.
 type cutter struct {
 	t     *storage.Table
+	total int // the rows its maps' covers are over: the table's or a sample's
 	sp    StatProvider
 	cache *statCache // nil = unmemoized
 	// ctx is the exploration's context — its trace span, request ID and

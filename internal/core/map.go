@@ -20,7 +20,7 @@ type Region struct {
 	// Count is the number of selected rows the region covers.
 	Count int
 	// Cover is C(Q): Count divided by the total rows of the table
-	// (Section 3's definition).
+	// (Section 3's definition), or of the sample explored.
 	Cover float64
 }
 
@@ -103,24 +103,23 @@ func BuildMap(t *storage.Table, base *bitvec.Vector, attrs []string, regions []q
 	if err != nil {
 		return nil, err
 	}
-	return mapFromAssignment(t, attrs, regions, assign), nil
+	return mapFromAssignment(t.NumRows(), attrs, regions, assign), nil
 }
 
 // buildMapFromBits is BuildMap for callers that already materialized the
 // disjoint per-region selections (the CUT partition kernel): no region
-// query is re-evaluated.
-func buildMapFromBits(t *storage.Table, base *bitvec.Vector, attrs []string, regions []query.Query, regionBits []*bitvec.Vector) (*Map, error) {
+// query is re-evaluated. Covers are over total rows.
+func buildMapFromBits(total int, base *bitvec.Vector, attrs []string, regions []query.Query, regionBits []*bitvec.Vector) (*Map, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("core: map with zero regions")
 	}
 	if len(regions) != len(regionBits) {
 		return nil, fmt.Errorf("core: %d regions with %d bitmaps", len(regions), len(regionBits))
 	}
-	return mapFromAssignment(t, attrs, regions, engine.AssignFromPartition(regionBits, base)), nil
+	return mapFromAssignment(total, attrs, regions, engine.AssignFromPartition(regionBits, base)), nil
 }
 
-func mapFromAssignment(t *storage.Table, attrs []string, regions []query.Query, assign *engine.Assignment) *Map {
-	total := t.NumRows()
+func mapFromAssignment(total int, attrs []string, regions []query.Query, assign *engine.Assignment) *Map {
 	out := make([]Region, len(regions))
 	for i, rq := range regions {
 		cover := 0.0
@@ -137,23 +136,4 @@ func mapFromAssignment(t *storage.Table, attrs []string, regions []query.Query, 
 		Entropy: assign.Entropy(),
 		assign:  assign,
 	}
-}
-
-// DropEmptyRegions returns a copy of m without zero-count regions,
-// re-measured against the table (assignment and entropy refreshed).
-// Returns m unchanged when no region is empty.
-func (m *Map) DropEmptyRegions(t *storage.Table, base *bitvec.Vector) (*Map, error) {
-	var keep []query.Query
-	for _, r := range m.Regions {
-		if r.Count > 0 {
-			keep = append(keep, r.Query)
-		}
-	}
-	if len(keep) == len(m.Regions) {
-		return m, nil
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("core: map on {%s} is entirely empty", m.Key())
-	}
-	return BuildMap(t, base, m.Attrs, keep)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 func TestBuildMapMeasuresRegions(t *testing.T) {
@@ -67,41 +68,32 @@ func TestBuildMapSortsAttrs(t *testing.T) {
 	}
 }
 
+// TestDropEmptyRegions: a product keeps only the non-empty cells of its
+// grid, each with its count and its cover over the total rows given,
+// and ranks by the entropy of those cells alone.
 func TestDropEmptyRegions(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	tbl := numTable(t, vals)
-	base := fullSel(tbl)
-	regions := []query.Query{
-		query.New("t", query.NewRange("x", 1, 5)),
-		query.New("t", query.NewRange("x", 100, 200)), // empty
+	// x and y put every row in the same half: the off-diagonal cells of
+	// their product are empty.
+	b := storage.NewBuilder("t", storage.MustSchema(
+		storage.Field{Name: "x", Type: storage.Float64},
+		storage.Field{Name: "y", Type: storage.Float64},
+	))
+	for i := range 100 {
+		b.MustAppendRow(float64(i), float64(i))
 	}
-	m, err := BuildMap(tbl, base, []string{"x"}, regions)
+	tbl := b.MustBuild()
+	maps := []*Map{candidateMap(t, tbl, "x", DefaultCutOptions()), candidateMap(t, tbl, "y", DefaultCutOptions())}
+	prod, err := productMaps(tbl, 400, fullSel(tbl), query.New("t"), maps, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := m.DropEmptyRegions(tbl, base)
-	if err != nil {
-		t.Fatal(err)
+	if len(prod.Regions) != 2 || prod.Entropy != 1 {
+		t.Fatalf("%d regions, entropy %v; want the 2 diagonal cells, 1 bit", len(prod.Regions), prod.Entropy)
 	}
-	if len(m2.Regions) != 1 {
-		t.Fatalf("regions = %d, want 1", len(m2.Regions))
-	}
-	// no empties: same map returned
-	m3, err := m2.DropEmptyRegions(tbl, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3 != m2 {
-		t.Fatal("expected identical map when nothing to drop")
-	}
-	// all empty
-	allEmpty := []query.Query{query.New("t", query.NewRange("x", 100, 200))}
-	me, err := BuildMap(tbl, base, []string{"x"}, allEmpty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := me.DropEmptyRegions(tbl, base); err == nil {
-		t.Fatal("fully empty map should error")
+	for _, r := range prod.Regions {
+		if r.Count != 50 || r.Cover != 50.0/400 {
+			t.Fatalf("region %v: count %d, cover %v; want 50, 0.125", r.Query, r.Count, r.Cover)
+		}
 	}
 }
 

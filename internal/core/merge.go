@@ -35,14 +35,14 @@ func (m MergeKind) validate() error {
 	}
 }
 
-// ProductMaps implements Definition 3: the ×-product of candidate maps.
+// productMaps implements Definition 3: the ×-product of candidate maps.
 // Region queries are the k-wise conjunctions of the candidates' regions
 // applied over the shared parent query. The operator is associative and
 // commutative, so any number of maps can be merged; maps are folded in
 // order and a map whose inclusion would push the region count beyond
 // maxRegions (readability budget, Section 2) is skipped. Empty
-// intersections are dropped.
-func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps []*Map, maxRegions int) (*Map, error) {
+// intersections are dropped. Covers are over total rows.
+func productMaps(t *storage.Table, total int, base *bitvec.Vector, parent query.Query, maps []*Map, maxRegions int) (*Map, error) {
 	if len(maps) == 0 {
 		return nil, errors.New("core: product of zero maps")
 	}
@@ -71,11 +71,17 @@ func ProductMaps(t *storage.Table, base *bitvec.Vector, parent query.Query, maps
 		}
 		regions = next
 	}
-	built, err := BuildMap(t, base, attrs, regions)
+	assign, err := engine.Assign(t, regions, base)
 	if err != nil {
 		return nil, err
 	}
-	return built.DropEmptyRegions(t, base)
+	keep, bits := regions[:0], []*bitvec.Vector{} // filtered in place
+	for ri, rq := range regions {
+		if assign.Counts[ri] > 0 {
+			keep, bits = append(keep, rq), append(bits, assign.RegionBits(ri))
+		}
+	}
+	return buildMapFromBits(total, base, attrs, keep, bits)
 }
 
 // composeMaps implements Definition 4: starting from the parent query,
@@ -208,7 +214,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 	if len(regions) == 1 {
 		return nil, &ErrDegenerate{Attr: fmt.Sprint(attrs), Reason: "no attribute could be cut"}
 	}
-	return buildMapFromBits(x.t, base, usedAttrs, regions, bits)
+	return buildMapFromBits(x.total, base, usedAttrs, regions, bits)
 }
 
 // MergeCluster combines the candidate maps of one dendrogram cluster into
@@ -216,7 +222,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 // budget. For MergeCompose the composition order follows the given
 // candidate order (base map first).
 func MergeCluster(t *storage.Table, base *bitvec.Vector, parent query.Query, cluster []*Map, kind MergeKind, cutOpts CutOptions, maxRegions int) (*Map, error) {
-	x := cutter{t: t, sp: NewTableProvider(t, 1), ctx: context.Background()}
+	x := cutter{t: t, total: t.NumRows(), sp: NewTableProvider(t, 1), ctx: context.Background()}
 	return x.mergeCluster(base, nil, false, parent, cluster, kind, cutOpts, maxRegions)
 }
 
@@ -234,7 +240,7 @@ func (x *cutter) mergeCluster(base, parentSel *bitvec.Vector, seeded bool, paren
 		return cluster[0], nil
 	}
 	if kind == MergeProduct {
-		return ProductMaps(x.t, base, parent, cluster, maxRegions)
+		return productMaps(x.t, x.total, base, parent, cluster, maxRegions)
 	}
 	var attrs []string
 	for _, m := range cluster {

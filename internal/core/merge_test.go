@@ -62,7 +62,7 @@ func TestProductMapsGrid(t *testing.T) {
 	base := fullSel(tbl)
 	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
 	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
-	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 8)
+	prod, err := productMaps(tbl, tbl.NumRows(), base, query.New("fig5"), []*Map{ms, mw}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProductMapsBudget(t *testing.T) {
 	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
 	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
 	// budget 2: the second map cannot be folded in
-	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 2)
+	prod, err := productMaps(tbl, tbl.NumRows(), base, query.New("fig5"), []*Map{ms, mw}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestProductMapsBudget(t *testing.T) {
 
 func TestProductMapsErrors(t *testing.T) {
 	tbl, _ := clusteredTable(t, 10)
-	if _, err := ProductMaps(tbl, fullSel(tbl), query.New("fig5"), nil, 8); err == nil {
+	if _, err := productMaps(tbl, tbl.NumRows(), fullSel(tbl), query.New("fig5"), nil, 8); err == nil {
 		t.Fatal("zero maps should error")
 	}
 }
@@ -167,7 +167,7 @@ func TestProductVsComposeEntropy(t *testing.T) {
 	base := fullSel(tbl)
 	ms := candidateMap(t, tbl, "size", DefaultCutOptions())
 	mw := candidateMap(t, tbl, "weight", DefaultCutOptions())
-	prod, err := ProductMaps(tbl, base, query.New("fig5"), []*Map{ms, mw}, 8)
+	prod, err := productMaps(tbl, tbl.NumRows(), base, query.New("fig5"), []*Map{ms, mw}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

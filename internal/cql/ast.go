@@ -145,11 +145,13 @@ func (s *Statement) String() string {
 		}
 		b.WriteString(strings.Join(parts, " AND "))
 	}
-	b.WriteString(s.Options.render())
+	b.WriteString(s.Options.String())
 	return b.String()
 }
 
-func (o Options) render() string {
+// String renders the WITH clause canonically, with a leading space, or
+// "" when no option is set.
+func (o Options) String() string {
 	var parts []string
 	if o.Maps > 0 {
 		parts = append(parts, fmt.Sprintf("MAPS %d", o.Maps))

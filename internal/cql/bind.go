@@ -1,6 +1,7 @@
 package cql
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -133,6 +134,20 @@ func bindPred(p Pred, typ storage.DataType) (query.Predicate, error) {
 		}
 	}
 	return query.Predicate{}, fmt.Errorf("cql: unhandled predicate %T", p)
+}
+
+// ErrWithClause rejects a WITH clause given to a caller that runs the
+// statement under options of its own (a session, the anytime rounds).
+var ErrWithClause = errors.New("cql: WITH options are not accepted here")
+
+// ParseQuery is ParseAndBind for those callers: a statement with a WITH
+// clause fails with ErrWithClause.
+func ParseQuery(input string, t *storage.Table) (query.Query, error) {
+	q, o, err := ParseAndBind(input, t)
+	if err == nil && o != (Options{}) {
+		q, err = query.Query{}, fmt.Errorf("%w:%s", ErrWithClause, o)
+	}
+	return q, err
 }
 
 // ParseAndBind is the one-call convenience path: parse the input and bind

@@ -148,6 +148,7 @@ func TestParseErrors(t *testing.T) {
 		"EXPLORE t WITH MAPS 0",
 		"EXPLORE t WITH MAPS 2 MAPS 3",
 		"EXPLORE t WITH SAMPLE -1",
+		"EXPLORE t WITH SAMPLE 1.5",
 		"EXPLORE t trailing",
 	}
 	for _, in := range cases {

@@ -8,8 +8,8 @@ import (
 
 // ApplyOptions overlays a statement's WITH clause onto a base pipeline
 // configuration, validating the names against the engine's strategies.
-// Unset fields keep the base values. The SAMPLE option is not applied
-// here — sampling happens outside the pipeline (see the atlas facade).
+// Unset fields keep the base values. SAMPLE picks the rows, not the
+// pipeline: callers pass sample.Fraction to Cartographer.ExploreSample.
 func ApplyOptions(base core.Options, o Options) (core.Options, error) {
 	out := base
 	if o.Maps > 0 {

@@ -309,6 +309,9 @@ func (p *parser) parseOptions(o *Options) error {
 			if v <= 0 {
 				return p.errf("%s needs a positive number", kw)
 			}
+			if kw == "SAMPLE" && v > 1 {
+				return p.errf("SAMPLE needs a fraction in (0, 1]")
+			}
 			if kw == "THRESHOLD" {
 				o.Threshold = v
 			} else {

@@ -1,36 +1,26 @@
-// Package sample provides the row-sampling machinery behind Section 5.1:
-// uniform samples without replacement, and nested progressive samples for the anytime algorithm (each round's sample
-// extends the previous one, so successive results converge rather than
-// jitter).
+// Package sample provides the row samples behind Section 5.1 as
+// selections over global row ids: the uniform sample WITH SAMPLE
+// explores, and the nested progressive samples of the anytime algorithm
+// (each round's sample extends the previous one, so successive results
+// converge rather than jitter). All of them are prefixes of one seeded
+// permutation of the rows.
 package sample
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
-	"repro/internal/storage"
+	"repro/internal/bitvec"
 )
 
-// Rows returns k distinct row indexes sampled uniformly from [0, n),
-// in ascending order, deterministic in seed. k is clamped to n.
-func Rows(n, k int, seed int64) []int {
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil
-	}
-	r := rand.New(rand.NewSource(seed))
-	perm := r.Perm(n)[:k]
-	sort.Ints(perm)
-	return perm
-}
-
-// Table materializes a uniform sample of k rows as a new table with the
-// same name and schema.
-func Table(t *storage.Table, k int, seed int64) *storage.Table {
-	return t.Gather(t.Name(), Rows(t.NumRows(), k, seed))
+// Fraction returns the selection WITH SAMPLE f explores over n rows: the
+// first k = max(1, ⌊f·n⌋) rows of the seed-1 permutation, which is the
+// first round of NewProgressive(n, k, 2, 1). k is clamped to n, and n
+// must not be negative.
+func Fraction(n int, f float64) *bitvec.Vector {
+	p, _ := NewProgressive(n, max(1, int(f*float64(n))), 2, 1) // fails only for n < 0
+	s, _ := p.Next()
+	return s
 }
 
 // Progressive produces a nested sequence of samples whose sizes grow
@@ -39,6 +29,7 @@ func Table(t *storage.Table, k int, seed int64) *storage.Table {
 // r-1's rows.
 type Progressive struct {
 	perm   []int
+	sel    *bitvec.Vector
 	size   int
 	factor int
 	done   bool
@@ -57,25 +48,26 @@ func NewProgressive(n, start, factor int, seed int64) (*Progressive, error) {
 		return nil, fmt.Errorf("sample: factor must be >= 2, got %d", factor)
 	}
 	r := rand.New(rand.NewSource(seed))
-	return &Progressive{perm: r.Perm(n), size: start, factor: factor}, nil
+	return &Progressive{perm: r.Perm(n), sel: bitvec.New(n), size: start, factor: factor}, nil
 }
 
-// Next returns the next sample (ascending row indexes) and true, or nil
-// and false after the full population has been returned once.
-func (p *Progressive) Next() ([]int, bool) {
+// Next returns the next sample, a selection over the n rows, and true,
+// or nil and false after the full population has been returned once.
+// The selection is the sampler's own: the next call extends it in place
+// by the rows of the next round.
+func (p *Progressive) Next() (*bitvec.Vector, bool) {
 	if p.done {
 		return nil, false
 	}
+	prev := p.sel.Count()
 	size := p.size
 	if size >= len(p.perm) {
 		size = len(p.perm)
 		p.done = true
 	}
 	p.size *= p.factor
-	out := append([]int(nil), p.perm[:size]...)
-	sort.Ints(out)
-	return out, true
+	for _, row := range p.perm[prev:size] {
+		p.sel.Set(row)
+	}
+	return p.sel, true
 }
-
-// Remaining reports whether another round is available.
-func (p *Progressive) Remaining() bool { return !p.done }

@@ -1,56 +1,30 @@
 package sample
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
-
-	"repro/internal/storage"
 )
 
-func TestRows(t *testing.T) {
-	got := Rows(100, 10, 1)
-	if len(got) != 10 {
-		t.Fatalf("len = %d", len(got))
-	}
-	seen := map[int]bool{}
-	prev := -1
-	for _, i := range got {
-		if i < 0 || i >= 100 {
-			t.Fatalf("index %d out of range", i)
+// TestFraction: WITH SAMPLE f selects max(1, ⌊f·n⌋) rows, the prefix of
+// the seed-1 permutation that the row-list sampler took — the same rows
+// as before sampling became a selection.
+func TestFraction(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		f    float64
+		want int
+	}{{100, 0.1, 10}, {100, 0.001, 1}, {5, 1, 5}, {2000, 0.77, 1540}, {0, 0.5, 0}} {
+		s := Fraction(c.n, c.f)
+		if s.Len() != c.n || s.Count() != c.want {
+			t.Fatalf("Fraction(%d, %g): %d of %d rows, want %d of %d", c.n, c.f, s.Count(), s.Len(), c.want, c.n)
 		}
-		if seen[i] {
-			t.Fatalf("duplicate index %d", i)
+		perm := rand.New(rand.NewSource(1)).Perm(c.n)[:c.want]
+		sort.Ints(perm)
+		if got := s.Indexes(); !slices.Equal(got, perm) && c.want > 0 {
+			t.Fatalf("Fraction(%d, %g) = %v, want the seed-1 prefix %v", c.n, c.f, got, perm)
 		}
-		if i <= prev {
-			t.Fatal("not ascending")
-		}
-		seen[i] = true
-		prev = i
-	}
-	// determinism
-	again := Rows(100, 10, 1)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-	// clamping and degenerate cases
-	if len(Rows(5, 10, 1)) != 5 {
-		t.Fatal("k > n should clamp")
-	}
-	if Rows(5, 0, 1) != nil {
-		t.Fatal("k=0 should be nil")
-	}
-}
-
-func TestTableSample(t *testing.T) {
-	b := storage.NewBuilder("t", storage.MustSchema(storage.Field{Name: "x", Type: storage.Int64}))
-	for i := 0; i < 100; i++ {
-		b.MustAppendRow(i)
-	}
-	tbl := b.MustBuild()
-	s := Table(tbl, 20, 3)
-	if s.NumRows() != 20 || s.Name() != "t" {
-		t.Fatalf("rows=%d name=%s", s.NumRows(), s.Name())
 	}
 }
 
@@ -59,36 +33,27 @@ func TestProgressiveNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prev map[int]bool
+	var prev []int
 	sizes := []int{}
 	for {
 		s, ok := p.Next()
 		if !ok {
 			break
 		}
-		sizes = append(sizes, len(s))
-		cur := map[int]bool{}
-		for _, i := range s {
-			cur[i] = true
-		}
+		sizes = append(sizes, s.Count())
 		// nested: previous sample is a subset
-		for i := range prev {
-			if !cur[i] {
+		for _, i := range prev {
+			if !s.Get(i) {
 				t.Fatal("samples not nested")
 			}
 		}
-		prev = cur
+		prev = s.Indexes()
 	}
 	want := []int{10, 20, 40, 80, 160, 320, 640, 1000}
-	if len(sizes) != len(want) {
-		t.Fatalf("sizes = %v", sizes)
+	if !slices.Equal(sizes, want) {
+		t.Fatalf("sizes = %v, want %v", sizes, want)
 	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes = %v, want %v", sizes, want)
-		}
-	}
-	if p.Remaining() {
+	if _, ok := p.Next(); ok {
 		t.Fatal("should be exhausted")
 	}
 }
@@ -99,7 +64,7 @@ func TestProgressiveSmallPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ok := p.Next()
-	if !ok || len(s) != 5 {
+	if !ok || s.Count() != 5 {
 		t.Fatalf("s=%v ok=%v", s, ok)
 	}
 	if _, ok := p.Next(); ok {

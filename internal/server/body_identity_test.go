@@ -333,7 +333,7 @@ func (g *identityRig) explore(query, cql, wantCache string) {
 // (miss, then another session's hit), drill, back (the parent with its
 // children), current, history and stateless explore, with and without
 // profiles, over flagged columns, category values that JSON and CQL
-// escape, a WITH override and an empty base selection.
+// escape, a WITH override, a sample and an empty base selection.
 func TestResultBodiesMatchOracle(t *testing.T) {
 	g := newIdentityRig(t, identityTable(t))
 	s0, s1 := g.newSession(), g.newSession()
@@ -359,8 +359,10 @@ func TestResultBodiesMatchOracle(t *testing.T) {
 	g.explore("?profile=perfetto", "EXPLORE t WITH MAPS 2", "miss")
 	g.explore("?profile=1", "EXPLORE t WITH MAPS 2", "hit")
 	g.explore("", "EXPLORE t WHERE score BETWEEN 5000 AND 6000", "hit")
+	g.explore("", "EXPLORE t WHERE score BETWEEN 10 AND 90 WITH SAMPLE 0.4", "miss")
+	g.explore("?profile=1", "EXPLORE t WHERE score BETWEEN 10 AND 90 WITH SAMPLE 0.4", "hit")
 
-	g.covered(`"flagged":[`, `"baseCount":0,`, `"maps":null`, `"children":null`, `"children":[`,
+	g.covered(`"totalRows":1200,`, `"flagged":[`, `"baseCount":0,`, `"maps":null`, `"children":null`, `"children":[`,
 		`\u003c`, `\u0026`, `\u2028`, `''`, `"profile":{`, `"profilePerfetto":`, `"ledger":{`, "null\n")
 }
 

@@ -238,6 +238,33 @@ func TestWithOverridesCachedUnderOwnKey(t *testing.T) {
 	}
 }
 
+// TestSampleCachedUnderOwnKey: a sample is part of the question. After
+// the exact answer is cached, WITH SAMPLE misses, explores the sample
+// and reports its rows as the total; repeated, it hits. A fraction
+// above 1 is a 400.
+func TestSampleCachedUnderOwnKey(t *testing.T) {
+	ts := newTestServer(t) // census, 5000 rows
+	post := func(cql string) (*http.Response, map[string]json.RawMessage) {
+		return postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": cql})
+	}
+	if resp, _ := post("EXPLORE census"); resp.Header.Get(headerResultCache) != "miss" {
+		t.Fatalf("first explore: %q", resp.Header.Get(headerResultCache))
+	}
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := post("EXPLORE census WITH SAMPLE 0.1")
+		var total int
+		if err := json.Unmarshal(body["totalRows"], &total); err != nil {
+			t.Fatal(err)
+		}
+		if v := resp.Header.Get(headerResultCache); resp.StatusCode != http.StatusOK || v != want || total != 500 {
+			t.Fatalf("WITH SAMPLE 0.1: status %d, verdict %q, totalRows %d; want 200, %q, 500", resp.StatusCode, v, total, want)
+		}
+	}
+	if resp, body := post("EXPLORE census WITH SAMPLE 1.5"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("WITH SAMPLE 1.5: status %d %s", resp.StatusCode, body["error"])
+	}
+}
+
 // TestSharedResultNeverMutated: every reader of one cached result —
 // session nodes and history, personalized re-ranking, describe — runs
 // concurrently under -race, and the cached answer is unchanged after.

@@ -22,6 +22,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/par"
 	"repro/internal/remote"
+	"repro/internal/sample"
 	"repro/internal/session"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -436,9 +437,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 // runCQL parses, binds and executes a stateless CQL exploration,
 // honoring its WITH options, through the shared result cache: WITH
-// overrides that change the pipeline options are cached under their own
-// key. cached reports that no pipeline ran for this call. A trace span
-// in ctx profiles the run.
+// overrides that change the pipeline options, and a sample, are cached
+// under their own key. cached reports that no pipeline ran for this
+// call. A trace span in ctx profiles the run.
 func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, cached bool, err error) {
 	q, opts, err := cql.ParseAndBind(input, s.table)
 	if err != nil {
@@ -448,10 +449,14 @@ func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, ca
 	if err != nil {
 		return nil, false, &badRequest{err}
 	}
-	return s.results.Get(ctx, effective, q.String(), func() (*core.Result, error) {
+	sampled := cql.Options{Sample: opts.Sample} // its text ends the key
+	return s.results.Get(ctx, effective, q.String()+sampled.String(), func() (*core.Result, error) {
 		cart, err := s.cartFor(effective)
 		if err != nil {
 			return nil, err
+		}
+		if opts.Sample > 0 {
+			return cart.ExploreSample(ctx, q, sample.Fraction(s.table.NumRows(), opts.Sample))
 		}
 		return cart.ExploreCtx(ctx, q)
 	})
@@ -471,7 +476,7 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, se
 	if !readJSON(w, r, &req) {
 		return
 	}
-	q, _, err := cql.ParseAndBind(req.CQL, s.table)
+	q, err := cql.ParseQuery(req.CQL, s.table)
 	if err != nil {
 		writeError(w, &badRequest{err})
 		return

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cql"
 	"repro/internal/datagen"
 )
 
@@ -239,6 +241,26 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if len(hist) != 2 {
 		t.Fatalf("history = %d nodes", len(hist))
+	}
+}
+
+// TestSessionExploreRejectsWith: a session explores under its server's
+// options, so a WITH clause is a 400 naming it, not an answer that drops
+// it.
+func TestSessionExploreRejectsWith(t *testing.T) {
+	ts := newTestServer(t)
+	resp, body := postJSON(t, ts.URL+"/api/sessions", map[string]string{})
+	var id int
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(body["id"], &id) != nil {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	resp, body = postJSON(t, fmt.Sprintf("%s/api/sessions/%d/explore", ts.URL, id), map[string]string{"cql": "EXPLORE census WITH SAMPLE 0.1"})
+	var msg string
+	if err := json.Unmarshal(body["error"], &msg); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, cql.ErrWithClause.Error()) {
+		t.Fatalf("session explore WITH SAMPLE: status %d, error %q; want 400 naming %q", resp.StatusCode, msg, cql.ErrWithClause)
 	}
 }
 
