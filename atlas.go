@@ -277,9 +277,10 @@ func (e *Explorer) NewSession() *Session {
 // Explain dry-runs a CQL statement: predicates are compiled exactly as
 // Explore compiles them, then judged chunk by chunk against zone maps
 // alone — per-predicate and combined prune/full/scan verdicts plus a
-// cold-cache I/O estimate, without decoding a single chunk.
+// cold-cache I/O estimate, without decoding a single chunk. The plan is
+// the full-table scan's, so a WITH clause fails with ErrWithClause.
 func (e *Explorer) Explain(cqlText string) (*QueryExplain, error) {
-	q, _, err := cql.ParseAndBind(cqlText, e.table)
+	q, err := cql.ParseQuery(cqlText, e.table)
 	if err != nil {
 		return nil, err
 	}

@@ -140,6 +140,22 @@ func TestFacadeParseQueryRejectsWith(t *testing.T) {
 	}
 }
 
+// TestFacadeExplainRejectsWith: EXPLAIN plans the full-table scan, which
+// a sampled exploration does not run, so a WITH clause is refused by
+// name rather than dropped.
+func TestFacadeExplainRejectsWith(t *testing.T) {
+	ex, err := New(CensusDataset(200, 6), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Explain("EXPLORE census WITH SAMPLE 0.1"); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("Explain with WITH SAMPLE 0.1: %v, want ErrWithClause", err)
+	}
+	if _, err := ex.Explain("EXPLORE census"); err != nil {
+		t.Fatalf("Explain without WITH: %v", err)
+	}
+}
+
 // TestFacadeAnytimeRejectsWith: the anytime rounds choose their own
 // samples, so a WITH clause is refused by name rather than dropped.
 func TestFacadeAnytimeRejectsWith(t *testing.T) {

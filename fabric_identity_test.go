@@ -7,7 +7,8 @@ package atlas
 // +0, constant and all-NULL columns, row counts one off a chunk
 // boundary — and random band and IN queries, with a drill into a region
 // of each answer, must format byte-identically everywhere, at
-// Parallelism 1 and 2. Each query explored WITH SAMPLE must format as
+// Parallelism 1 and 2 — on the table as generated and sorted by one
+// column, under narrow bands of it. Each query explored WITH SAMPLE must format as
 // the same query over a table of the sample's rows alone.
 
 import (
@@ -17,6 +18,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -241,7 +243,10 @@ func serveShards(t *testing.T, local string) string {
 }
 
 // TestGeneratedFabricIdentity runs the net on a fixed seed and a fresh
-// one (or on -identity.seed alone); every failure names its seed.
+// one (or on -identity.seed alone); every failure names its seed. Each
+// seed's table runs it twice: as generated, and sorted by i with narrow
+// bands on i, so that selections whose bitmaps hold a few words of the
+// table meet every residency, drill and sample.
 func TestGeneratedFabricIdentity(t *testing.T) {
 	seeds := []int64{1, time.Now().UnixNano()}
 	if *identitySeed != 0 {
@@ -257,45 +262,76 @@ func TestGeneratedFabricIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		queries := identityQueries(r, 5, cats)
-		want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
-		for _, shards := range []int{1 + r.Intn(2), 3 + r.Intn(3)} {
-			local := filepath.Join(t.TempDir(), "t.atlm")
-			if _, err := shard.WriteSharded(local, tbl, shard.IngestOptions{Shards: shards, ChunkSize: identityChunk}); err != nil {
-				t.Fatal(err)
-			}
-			lazy, err := shard.OpenWith(local, shard.Options{Store: colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lazy.Close()
-			fabric, err := shard.OpenWith(serveShards(t, local), shard.Options{
-				Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10},
-				Defer:  true,
-				Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fabric.Close()
-			for _, par := range []int{1, 2} {
-				wantSampled := gatheredAnswers(t, tbl, par, queries)
-				for _, res := range []residency{
-					{"memory", tbl, nil},
-					{"lazy shards", lazy.Table(), lazy.Provider(par)},
-					{"fabric", fabric.Table(), fabric.Provider(par)},
-				} {
-					got, gotSampled := identityAnswers(t, res, par, queries)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("seed %d, %d rows, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
-								seed, rows, shards, res.name, par, i, want[i], got[i])
-						}
+		identityNet(t, r, fmt.Sprintf("seed %d, %d rows", seed, rows), tbl, queries)
+		narrow := []string{"EXPLORE t"}
+		for len(narrow) < 5 {
+			lo := r.Intn(40)
+			narrow = append(narrow, fmt.Sprintf("EXPLORE t WHERE i BETWEEN %d AND %d", lo, lo+r.Intn(3)))
+		}
+		identityNet(t, r, fmt.Sprintf("seed %d, %d rows sorted by i", seed, rows), sortedBy(tbl, "i"), append(narrow, queries[1:]...))
+	}
+}
+
+// sortedBy returns tbl's rows ordered by the Int64 column attr, NULLs
+// last, ties in row order.
+func sortedBy(tbl *storage.Table, attr string) *storage.Table {
+	col := tbl.Column(tbl.Schema().Index(attr)).(*storage.Int64Column)
+	idx := make([]int, tbl.NumRows())
+	for i := range idx {
+		idx[i] = i
+	}
+	key := func(row int) (bool, int64) { return col.IsNull(row), col.At(row) }
+	sort.SliceStable(idx, func(a, b int) bool {
+		na, va := key(idx[a])
+		nb, vb := key(idx[b])
+		return !na && (nb || va < vb)
+	})
+	return tbl.Gather(tbl.Name(), idx)
+}
+
+// identityNet checks that every query, its drill and its samples answer
+// on tbl's lazy shards and fabric — a few shards and several, drawn from
+// r — exactly as in memory, at Parallelism 1 and 2.
+func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, queries []string) {
+	t.Helper()
+	want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
+	for _, shards := range []int{1 + r.Intn(2), 3 + r.Intn(3)} {
+		local := filepath.Join(t.TempDir(), "t.atlm")
+		if _, err := shard.WriteSharded(local, tbl, shard.IngestOptions{Shards: shards, ChunkSize: identityChunk}); err != nil {
+			t.Fatal(err)
+		}
+		lazy, err := shard.OpenWith(local, shard.Options{Store: colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lazy.Close()
+		fabric, err := shard.OpenWith(serveShards(t, local), shard.Options{
+			Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10},
+			Defer:  true,
+			Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fabric.Close()
+		for _, par := range []int{1, 2} {
+			wantSampled := gatheredAnswers(t, tbl, par, queries)
+			for _, res := range []residency{
+				{"memory", tbl, nil},
+				{"lazy shards", lazy.Table(), lazy.Provider(par)},
+				{"fabric", fabric.Table(), fabric.Provider(par)},
+			} {
+				got, gotSampled := identityAnswers(t, res, par, queries)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, want[i], got[i])
 					}
-					for i := range wantSampled {
-						if gotSampled[i] != wantSampled[i] {
-							t.Errorf("seed %d, %d rows, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
-								seed, rows, shards, res.name, par, i, wantSampled[i], gotSampled[i])
-						}
+				}
+				for i := range wantSampled {
+					if gotSampled[i] != wantSampled[i] {
+						t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
 					}
 				}
 			}

@@ -1,6 +1,14 @@
 // Package bitvec provides packed bit vectors used as selection vectors
 // throughout the engine: a bit per row of a table, set when the row is
 // selected. All binary operations require operands of identical length.
+//
+// A vector holds only a window of its words: [w0, w0+len(words)). Every
+// bit outside the window is zero, and every kernel walks only the
+// windows of its operands, so a selection costs the span of its rows,
+// not the table's length. New and NewFull hold every word; Trim narrows
+// a vector to its set bits and NewLike allocates another vector's
+// window. Writing a bit outside a vector's window panics, as a length
+// mismatch does.
 package bitvec
 
 import (
@@ -14,15 +22,19 @@ const wordBits = 64
 // vector of length 0; use New to create one of a given length.
 type Vector struct {
 	n     int
-	words []uint64
+	w0    int      // the window's first word
+	words []uint64 // words [w0, w0+len(words)); all others are zero
 }
 
-// New returns an all-zero vector of length n.
+// numWords is the number of words n bits occupy.
+func numWords(n int) int { return (n + wordBits - 1) / wordBits }
+
+// New returns an all-zero vector of length n, holding every word.
 func New(n int) *Vector {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
-	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	return &Vector{n: n, words: make([]uint64, numWords(n))}
 }
 
 // NewFull returns an all-ones vector of length n.
@@ -31,8 +43,26 @@ func NewFull(n int) *Vector {
 	for i := range v.words {
 		v.words[i] = ^uint64(0)
 	}
-	v.trim()
+	v.clearTail()
 	return v
+}
+
+// NewLike returns an all-zero vector with o's length and window: the
+// vector a kernel writes a subset of o's rows into.
+func NewLike(o *Vector) *Vector {
+	return &Vector{n: o.n, w0: o.w0, words: make([]uint64, len(o.words))}
+}
+
+// ResetLike makes v an all-zero vector with o's length and window,
+// reusing v's backing when it has room. It costs o's window.
+func (v *Vector) ResetLike(o *Vector) {
+	if cap(v.words) < len(o.words) {
+		v.words = make([]uint64, len(o.words))
+	} else {
+		v.words = v.words[:len(o.words)]
+		clear(v.words)
+	}
+	v.n, v.w0 = o.n, o.w0
 }
 
 // FromIndexes returns a vector of length n with exactly the given bits set.
@@ -44,23 +74,25 @@ func FromIndexes(n int, idx []int) *Vector {
 	return v
 }
 
-// FromWords returns a vector of length n over words, which it takes
-// ownership of: exactly the words n bits need, with every tail bit
-// beyond n clear — the check a bitmap read off the wire must pass.
-func FromWords(n int, words []uint64) (*Vector, error) {
-	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
-		return nil, fmt.Errorf("bitvec: %d words for %d bits", len(words), n)
+// FromWindow returns a vector of length n holding words, not copied, as
+// its window from word w0 on: the window must lie within the n bits'
+// words and set no bit beyond n — the check a bitmap read off the wire
+// must pass.
+func FromWindow(n, w0 int, words []uint64) (*Vector, error) {
+	if n < 0 || w0 < 0 || w0+len(words) > numWords(n) {
+		return nil, fmt.Errorf("bitvec: words [%d,%d) for %d bits", w0, w0+len(words), n)
 	}
-	if r := n % wordBits; r != 0 && words[len(words)-1]>>uint(r) != 0 {
+	v := &Vector{n: n, w0: w0, words: words}
+	if r := n % wordBits; r != 0 && v.end() == numWords(n) && len(words) > 0 && words[len(words)-1]>>uint(r) != 0 {
 		return nil, fmt.Errorf("bitvec: bits set beyond length %d", n)
 	}
-	return &Vector{n: n, words: words}, nil
+	return v, nil
 }
 
-// trim clears the unused tail bits of the last word so that Count and
-// word-wise equality stay exact.
-func (v *Vector) trim() {
-	if r := v.n % wordBits; r != 0 && len(v.words) > 0 {
+// clearTail clears the unused tail bits of the last word so that Count
+// and word-wise equality stay exact.
+func (v *Vector) clearTail() {
+	if r := v.n % wordBits; r != 0 && len(v.words) > 0 && v.end() == numWords(v.n) {
 		v.words[len(v.words)-1] &= (uint64(1) << uint(r)) - 1
 	}
 }
@@ -68,15 +100,56 @@ func (v *Vector) trim() {
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
-// Words exposes the packed backing words, low bits first. The tail bits
-// beyond Len are always zero. Callers may mutate words in place for
-// word-level kernels, but must never set tail bits.
-func (v *Vector) Words() []uint64 { return v.words }
+// Window returns the words v holds, low bits first: words[i] is word
+// w0+i of the vector, and every word outside the window is zero. The
+// tail bits beyond Len are always zero. Callers may mutate the words in
+// place for word-level kernels, but must never set tail bits.
+func (v *Vector) Window() (w0 int, words []uint64) { return v.w0, v.words }
 
-// CopyFrom overwrites v with o's bits. Lengths must match.
+// end is the word just past the window.
+func (v *Vector) end() int { return v.w0 + len(v.words) }
+
+// Trim narrows v's window to the words from its first to its last set
+// bit — one pass over the window and a reslice. An empty vector keeps
+// no words.
+func (v *Vector) Trim() {
+	a, b := 0, len(v.words)
+	for a < b && v.words[a] == 0 {
+		a++
+	}
+	for b > a && v.words[b-1] == 0 {
+		b--
+	}
+	v.w0 += a
+	v.words = v.words[a:b]
+}
+
+// overlap returns the words [lo, hi) both a and b hold; lo >= hi when
+// they share none.
+func overlap(a, b *Vector) (lo, hi int) {
+	return max(a.w0, b.w0), min(a.end(), b.end())
+}
+
+// within panics unless o's window lies within v's: v is about to take
+// o's bits.
+func (v *Vector) within(o *Vector) {
+	if len(o.words) > 0 && (o.w0 < v.w0 || o.end() > v.end()) {
+		panic(fmt.Sprintf("bitvec: window [%d,%d) outside window [%d,%d)", o.w0, o.end(), v.w0, v.end()))
+	}
+}
+
+// CopyFrom overwrites v with o's bits. Lengths must match, and o's
+// window must lie within v's.
 func (v *Vector) CopyFrom(o *Vector) *Vector {
 	v.sameLen(o)
-	copy(v.words, o.words)
+	v.within(o)
+	lo, hi := o.w0-v.w0, o.end()-v.w0
+	if len(o.words) == 0 {
+		lo, hi = 0, 0
+	}
+	clear(v.words[:lo])
+	copy(v.words[lo:hi], o.words)
+	clear(v.words[hi:])
 	return v
 }
 
@@ -84,9 +157,13 @@ func (v *Vector) CopyFrom(o *Vector) *Vector {
 // intersection — the fused word-level kernel behind contingency tables.
 func AndCount(a, b *Vector) int {
 	a.sameLen(b)
+	lo, hi := overlap(a, b)
 	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w & b.words[i])
+	if lo < hi {
+		bw := b.words[lo-b.w0 : hi-b.w0]
+		for i, w := range a.words[lo-a.w0 : hi-a.w0] {
+			c += bits.OnesCount64(w & bw[i])
+		}
 	}
 	return c
 }
@@ -94,46 +171,67 @@ func AndCount(a, b *Vector) int {
 // AndNotCount returns Count(a AND NOT b) without materializing.
 func AndNotCount(a, b *Vector) int {
 	a.sameLen(b)
-	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w &^ b.words[i])
-	}
-	return c
+	return a.Count() - AndCount(a, b)
 }
 
 // ClaimInto sets dst = src AND NOT taken, marks the claimed bits in
 // taken, and returns the number of bits claimed — one fused pass for the
 // first-match-wins region assignment. All three vectors must share one
-// length; dst must not alias src or taken.
+// length, and src's window must lie within dst's and taken's; dst must
+// not alias src or taken.
 func ClaimInto(dst, src, taken *Vector) int {
 	dst.sameLen(src)
 	dst.sameLen(taken)
+	dst.within(src)
+	taken.within(src)
+	if len(src.words) == 0 {
+		clear(dst.words)
+		return 0
+	}
+	dw := dst.words[src.w0-dst.w0 : src.end()-dst.w0]
+	tw := taken.words[src.w0-taken.w0 : src.end()-taken.w0]
+	clear(dst.words[:src.w0-dst.w0])
+	clear(dst.words[src.end()-dst.w0:])
 	c := 0
 	for i, sw := range src.words {
-		w := sw &^ taken.words[i]
-		dst.words[i] = w
-		taken.words[i] |= w
+		w := sw &^ tw[i]
+		dw[i] = w
+		tw[i] |= w
 		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
-// Set sets bit i.
+// Set sets bit i, which must lie in v's window.
 func (v *Vector) Set(i int) {
 	v.check(i)
-	v.words[i/wordBits] |= uint64(1) << uint(i%wordBits)
+	wi := i/wordBits - v.w0
+	if wi < 0 || wi >= len(v.words) {
+		panic(fmt.Sprintf("bitvec: bit %d outside window [%d,%d)", i, v.w0*wordBits, v.end()*wordBits))
+	}
+	v.words[wi] |= uint64(1) << uint(i%wordBits)
 }
 
 // Clear clears bit i.
 func (v *Vector) Clear(i int) {
 	v.check(i)
-	v.words[i/wordBits] &^= uint64(1) << uint(i%wordBits)
+	if wi := i/wordBits - v.w0; wi >= 0 && wi < len(v.words) {
+		v.words[wi] &^= uint64(1) << uint(i%wordBits)
+	}
 }
 
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool {
 	v.check(i)
-	return v.words[i/wordBits]&(uint64(1)<<uint(i%wordBits)) != 0
+	return v.word(i/wordBits)&(uint64(1)<<uint(i%wordBits)) != 0
+}
+
+// word returns word wi of v, zero outside the window.
+func (v *Vector) word(wi int) uint64 {
+	if wi -= v.w0; wi >= 0 && wi < len(v.words) {
+		return v.words[wi]
+	}
+	return 0
 }
 
 func (v *Vector) check(i int) {
@@ -151,9 +249,9 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// Clone returns a deep copy of v.
+// Clone returns a deep copy of v, window and all.
 func (v *Vector) Clone() *Vector {
-	w := &Vector{n: v.n, words: make([]uint64, len(v.words))}
+	w := NewLike(v)
 	copy(w.words, v.words)
 	return w
 }
@@ -161,17 +259,45 @@ func (v *Vector) Clone() *Vector {
 // And sets v = v AND o and returns v.
 func (v *Vector) And(o *Vector) *Vector {
 	v.sameLen(o)
-	for i := range v.words {
-		v.words[i] &= o.words[i]
+	lo, hi := overlap(v, o)
+	if lo >= hi {
+		clear(v.words)
+		return v
+	}
+	clear(v.words[:lo-v.w0])
+	clear(v.words[hi-v.w0:])
+	ow := o.words[lo-o.w0 : hi-o.w0]
+	for i, w := range ow {
+		v.words[lo-v.w0+i] &= w
 	}
 	return v
 }
 
-// Or sets v = v OR o and returns v.
+// Or sets v = v OR o and returns v. o's window must lie within v's.
 func (v *Vector) Or(o *Vector) *Vector {
 	v.sameLen(o)
-	for i := range v.words {
-		v.words[i] |= o.words[i]
+	v.within(o)
+	for i, w := range o.words {
+		v.words[o.w0-v.w0+i] |= w
+	}
+	return v
+}
+
+// OrAnd sets v = v OR (a AND b) and returns v. The words a and b share
+// must lie within v's window.
+func (v *Vector) OrAnd(a, b *Vector) *Vector {
+	v.sameLen(a)
+	v.sameLen(b)
+	lo, hi := overlap(a, b)
+	if lo >= hi {
+		return v
+	}
+	if lo < v.w0 || hi > v.end() {
+		panic(fmt.Sprintf("bitvec: window [%d,%d) outside window [%d,%d)", lo, hi, v.w0, v.end()))
+	}
+	aw, bw := a.words[lo-a.w0:hi-a.w0], b.words[lo-b.w0:hi-b.w0]
+	for i, w := range aw {
+		v.words[lo-v.w0+i] |= w & bw[i]
 	}
 	return v
 }
@@ -179,27 +305,33 @@ func (v *Vector) Or(o *Vector) *Vector {
 // AndNot sets v = v AND NOT o and returns v.
 func (v *Vector) AndNot(o *Vector) *Vector {
 	v.sameLen(o)
-	for i := range v.words {
-		v.words[i] &^= o.words[i]
+	lo, hi := overlap(v, o)
+	for wi := lo; wi < hi; wi++ {
+		v.words[wi-v.w0] &^= o.words[wi-o.w0]
 	}
 	return v
 }
 
-// Xor sets v = v XOR o and returns v.
+// Xor sets v = v XOR o and returns v. o's window must lie within v's.
 func (v *Vector) Xor(o *Vector) *Vector {
 	v.sameLen(o)
-	for i := range v.words {
-		v.words[i] ^= o.words[i]
+	v.within(o)
+	for i, w := range o.words {
+		v.words[o.w0-v.w0+i] ^= w
 	}
 	return v
 }
 
-// Not flips every bit in place and returns v.
+// Not flips every bit in place and returns v, which must hold every
+// word: the zeros outside a narrower window would become ones.
 func (v *Vector) Not() *Vector {
+	if v.w0 != 0 || len(v.words) != numWords(v.n) {
+		panic(fmt.Sprintf("bitvec: Not of window [%d,%d) of %d words", v.w0, v.end(), numWords(v.n)))
+	}
 	for i := range v.words {
 		v.words[i] = ^v.words[i]
 	}
-	v.trim()
+	v.clearTail()
 	return v
 }
 
@@ -209,13 +341,19 @@ func (v *Vector) sameLen(o *Vector) {
 	}
 }
 
-// Equal reports whether v and o have identical length and bits.
+// Equal reports whether v and o have identical length and bits,
+// whatever their windows.
 func (v *Vector) Equal(o *Vector) bool {
 	if v.n != o.n {
 		return false
 	}
-	for i := range v.words {
-		if v.words[i] != o.words[i] {
+	for i, w := range v.words {
+		if w != o.word(v.w0+i) {
+			return false
+		}
+	}
+	for i, w := range o.words {
+		if wi := o.w0 + i; w != 0 && (wi < v.w0 || wi >= v.end()) {
 			return false
 		}
 	}
@@ -235,13 +373,10 @@ func (v *Vector) Any() bool {
 // Indexes returns the positions of all set bits in ascending order.
 func (v *Vector) Indexes() []int {
 	out := make([]int, 0, v.Count())
-	for wi, w := range v.words {
-		base := wi * wordBits
-		for w != 0 {
-			out = append(out, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
+	v.ForEach(func(i int) bool {
+		out = append(out, i)
+		return true
+	})
 	return out
 }
 
@@ -249,7 +384,7 @@ func (v *Vector) Indexes() []int {
 // fn returns false.
 func (v *Vector) ForEach(fn func(i int) bool) {
 	for wi, w := range v.words {
-		base := wi * wordBits
+		base := (v.w0 + wi) * wordBits
 		for w != 0 {
 			if !fn(base + bits.TrailingZeros64(w)) {
 				return
@@ -261,29 +396,31 @@ func (v *Vector) ForEach(fn func(i int) bool) {
 
 // Slice returns a new vector holding bits [lo, hi) of v — the bit-range
 // counterpart of slicing a value array, used to carve per-shard views out
-// of a whole-table bitmap. Word-aligned lo copies words; unaligned slices
-// stitch each output word from two input words.
+// of a whole-table bitmap. Its window is the words v's window reaches;
+// word-aligned lo copies words, unaligned slices stitch each output word
+// from two input words.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	if lo < 0 || hi < lo || hi > v.n {
 		panic(fmt.Sprintf("bitvec: slice [%d,%d) out of range [0,%d]", lo, hi, v.n))
 	}
-	out := New(hi - lo)
-	if out.n == 0 {
+	out := &Vector{n: hi - lo}
+	// The bits of [lo, hi) v's window holds, in v's and out's numbering.
+	b0, b1 := max(lo, v.w0*wordBits), min(hi, v.end()*wordBits)
+	if b0 >= b1 {
 		return out
 	}
-	w0 := lo / wordBits
-	if shift := uint(lo % wordBits); shift == 0 {
-		copy(out.words, v.words[w0:])
-	} else {
-		for i := range out.words {
-			w := v.words[w0+i] >> shift
-			if w0+i+1 < len(v.words) {
-				w |= v.words[w0+i+1] << (wordBits - shift)
-			}
-			out.words[i] = w
+	out.w0 = (b0 - lo) / wordBits
+	out.words = make([]uint64, numWords(b1-lo)-out.w0)
+	shift := uint(lo % wordBits)
+	for i := range out.words {
+		src := (out.w0+i)*wordBits + lo // v's bit at out's word start
+		w := v.word(src/wordBits) >> shift
+		if shift != 0 {
+			w |= v.word(src/wordBits+1) << (wordBits - shift)
 		}
+		out.words[i] = w
 	}
-	out.trim()
+	out.clearTail()
 	return out
 }
 
@@ -291,16 +428,20 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 // v[off+i] |= src[i] for every i. It is how shard-local selection bitmaps
 // land in their row range of a global bitmap; blitting disjoint ranges of
 // a zeroed vector reassembles the exact concatenation. off need not be
-// word-aligned.
+// word-aligned; the words src's window lands on must lie in v's window.
 func (v *Vector) OrBlit(off int, src *Vector) {
 	if off < 0 || off+src.n > v.n {
 		panic(fmt.Sprintf("bitvec: blit [%d,%d) out of range [0,%d]", off, off+src.n, v.n))
 	}
-	if src.n == 0 {
+	if len(src.words) == 0 {
 		return
 	}
-	d := off / wordBits
-	shift := uint(off % wordBits)
+	start := off + src.w0*wordBits
+	if last := min(off+src.n, off+src.end()*wordBits) - 1; start/wordBits < v.w0 || last/wordBits >= v.end() {
+		panic(fmt.Sprintf("bitvec: blit of bits [%d,%d] outside window [%d,%d)", start, last, v.w0*wordBits, v.end()*wordBits))
+	}
+	d := start/wordBits - v.w0
+	shift := uint(start % wordBits)
 	if shift == 0 {
 		for i, w := range src.words {
 			v.words[d+i] |= w
@@ -324,12 +465,12 @@ func (v *Vector) Rank(i int) int {
 		panic(fmt.Sprintf("bitvec: rank index %d out of range [0,%d]", i, v.n))
 	}
 	c := 0
-	full := i / wordBits
-	for wi := 0; wi < full; wi++ {
-		c += bits.OnesCount64(v.words[wi])
+	full := min(i/wordBits, v.end())
+	for wi := v.w0; wi < full; wi++ {
+		c += bits.OnesCount64(v.words[wi-v.w0])
 	}
 	if r := i % wordBits; r != 0 {
-		c += bits.OnesCount64(v.words[full] & ((uint64(1) << uint(r)) - 1))
+		c += bits.OnesCount64(v.word(i/wordBits) & ((uint64(1) << uint(r)) - 1))
 	}
 	return c
 }

@@ -604,7 +604,7 @@ func (lf *lazyFile) decodeColumn(c int) (storage.Column, error) {
 		col.Codes = make([]uint32, rows)
 	}
 	nulls := bitvec.New(rows)
-	nullWords := nulls.Words()
+	_, nullWords := nulls.Window()
 	hasNulls := false
 	for k, ref := range lf.dir[c] {
 		raw, err := lf.readRange(ref.off, ref.length)

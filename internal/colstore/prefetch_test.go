@@ -40,7 +40,7 @@ func TestSequentialPrefetchNoExtraDecodes(t *testing.T) {
 	const n, chunk = 4096, 256
 	s := prefetchStore(t, n, chunk, Options{})
 	sum := int64(0)
-	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_, _ int, p *storage.ChunkPayload) {
+	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_ int, _ []uint64, p *storage.ChunkPayload) {
 		for _, v := range p.Ints {
 			sum += v
 		}
@@ -69,8 +69,8 @@ func TestSelectedPrefetchOnlyTouchedChunks(t *testing.T) {
 	sel.Set(2*chunk + 5)
 	sel.Set(9*chunk + 7)
 	seen := 0
-	err := s.Table().Runs(0).WalkUntil(context.Background(), sel.Words(), "test", nil, func(w0, w1 int, p *storage.ChunkPayload) bool {
-		for _, w := range sel.Words()[w0:w1] {
+	err := s.Table().Runs(0).WalkUntil(context.Background(), sel, "test", nil, func(_ int, sw []uint64, p *storage.ChunkPayload) bool {
+		for _, w := range sw {
 			seen += bits.OnesCount64(w)
 		}
 		return true
@@ -95,7 +95,7 @@ func TestPrefetchEvictionAware(t *testing.T) {
 	// evict chunk k mid-scan.
 	s := prefetchStore(t, n, chunk, Options{CacheBytes: chunk * 8})
 	rows := 0
-	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_, _ int, p *storage.ChunkPayload) {
+	err := s.Table().Runs(0).Walk(context.Background(), nil, 1, "test", nil, func(_ int, _ []uint64, p *storage.ChunkPayload) {
 		rows += p.Rows()
 	})
 	if err != nil {

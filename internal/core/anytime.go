@@ -34,13 +34,9 @@ func DefaultAnytimeOptions() AnytimeOptions {
 	return AnytimeOptions{InitialSample: 1024, GrowthFactor: 2, StableRounds: 2, Seed: 1}
 }
 
+// validate checks what the rounds use; InitialSample and GrowthFactor
+// are the sampler's, which sample.NewProgressive checks.
 func (o AnytimeOptions) validate() error {
-	if o.InitialSample < 1 {
-		return fmt.Errorf("core: InitialSample must be >= 1, got %d", o.InitialSample)
-	}
-	if o.GrowthFactor < 2 {
-		return fmt.Errorf("core: GrowthFactor must be >= 2, got %d", o.GrowthFactor)
-	}
 	if o.StableRounds < 0 {
 		return fmt.Errorf("core: StableRounds must be >= 0, got %d", o.StableRounds)
 	}
@@ -95,13 +91,14 @@ func (c *Cartographer) ExploreAnytime(ctx context.Context, q query.Query, opts A
 	if err := c.scanBase(ctx, q, base); err != nil {
 		return nil, err
 	}
+	base.Trim() // each round's base is a copy of it: its window is theirs
 	out := &AnytimeResult{}
 	var prevGrouping [][]string
 	stable := 0
 	for s, ok := prog.Next(); ok; s, ok = prog.Next() {
 		start := time.Now()
 		size := s.Count()
-		res, err := c.exploreBase(ctx, q, s.Clone().And(base), size, start)
+		res, err := c.exploreBase(ctx, q, base.Clone().And(s), size, start)
 		if err != nil && ctx.Err() != nil {
 			out.Interrupted = true
 			break

@@ -16,14 +16,29 @@ func TestAnytimeOptionsValidate(t *testing.T) {
 	if err := DefaultAnytimeOptions().validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []AnytimeOptions{
+	if err := (AnytimeOptions{InitialSample: 10, GrowthFactor: 2, StableRounds: -1}).validate(); err == nil {
+		t.Error("StableRounds -1 should fail")
+	}
+}
+
+// TestAnytimeSamplerOptionsCheckedOnce: InitialSample and GrowthFactor
+// are the sampler's inputs, so a bad one fails with sample's own error,
+// checked there and only there.
+func TestAnytimeSamplerOptionsCheckedOnce(t *testing.T) {
+	c, err := NewCartographer(datagen.Census(500, 3), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []AnytimeOptions{
 		{InitialSample: 0, GrowthFactor: 2},
 		{InitialSample: 10, GrowthFactor: 1},
-		{InitialSample: 10, GrowthFactor: 2, StableRounds: -1},
-	}
-	for i, o := range bad {
-		if err := o.validate(); err == nil {
-			t.Errorf("case %d should fail", i)
+	} {
+		_, want := sample.NewProgressive(500, o.InitialSample, o.GrowthFactor, o.Seed)
+		if want == nil {
+			t.Fatalf("%+v: the sampler accepts it", o)
+		}
+		if _, err := c.ExploreAnytime(context.Background(), query.New("census"), o); err == nil || err.Error() != want.Error() {
+			t.Errorf("%+v: ExploreAnytime error %v, want the sampler's %q", o, err, want)
 		}
 	}
 }

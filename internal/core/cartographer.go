@@ -331,8 +331,11 @@ func (c *Cartographer) checkTable(q query.Query) error {
 
 // exploreBase is the shared pipeline body behind every entry point: it
 // maps the rows of base, a subset of the total rows the result
-// describes.
+// describes. Every entry point hands base over, so it is first trimmed
+// to the span of its rows, before anything shares it: every bitmap cut
+// from it holds that window, and every kernel over them costs it.
 func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bitvec.Vector, total int, start time.Time) (*Result, error) {
+	base.Trim()
 	workers := resolveParallelism(c.opts.Parallelism)
 	res := &Result{
 		Input:     q,

@@ -238,10 +238,10 @@ func cutByCategory(cand *Map, sel *bitvec.Vector, attr string, opts CutOptions) 
 	}
 	bits = make([]*bitvec.Vector, len(preds))
 	for pi, p := range preds {
-		bits[pi] = bitvec.New(sel.Len())
+		bits[pi] = bitvec.NewLike(sel)
 		for ri, c := range cats {
 			if p.Kind == query.BoolEq && c.BoolVal == p.BoolVal || p.Kind == query.In && slices.Contains(p.Values, c.Values[0]) {
-				orAnd(bits[pi].Words(), cand.assign.RegionBits(ri).Words(), sel.Words())
+				bits[pi].OrAnd(cand.assign.RegionBits(ri), sel)
 			}
 		}
 	}
@@ -253,13 +253,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// orAnd sets dst |= a & b, word by word.
-func orAnd(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] |= a[i] & b[i]
-	}
 }
 
 // cutRestricted cuts attr under sel, a selection within the one parent

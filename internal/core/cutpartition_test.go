@@ -100,7 +100,7 @@ func (s *countingSource) FetchChunk(_ context.Context, _, k int) (*storage.Chunk
 		}
 	}
 	if nulls.Any() {
-		p.Nulls = nulls.Words()
+		_, p.Nulls = nulls.Window()
 	}
 	return p, false, nil
 }

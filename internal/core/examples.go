@@ -104,7 +104,7 @@ func RepresentativeExamples(t *storage.Table, q query.Query, k int) (out_ []Exam
 		}
 		j := 0
 		for oi, row := range rows {
-			if x.Present[row>>6]&(1<<uint(row&63)) == 0 {
+			if !x.Present.Get(row) {
 				costs[oi] += 1 // penalize missing values
 				continue
 			}

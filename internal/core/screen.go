@@ -116,10 +116,9 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 	settled := func(share float64) int { return int(math.Ceil(share*float64(min(limit, selected)))) + 1 }
 	// walk hands visit the runs holding selected rows, in row order, until
 	// it returns false; EachRow then visits a run's selected non-NULL rows.
-	words := sel.Words()
 	bill := obsv.LedgerFrom(ctx).Scan().BillFetch
-	walk := func(visit func(w0, w1 int, p *storage.ChunkPayload) bool) {
-		if err := runs.WalkUntil(ctx, words, "core.screen", bill, visit); err != nil {
+	walk := func(visit func(w0 int, sw []uint64, p *storage.ChunkPayload) bool) {
+		if err := runs.WalkUntil(ctx, sel, "core.screen", bill, visit); err != nil {
 			panic(&storage.ChunkError{Col: -1, Chunk: -1, Err: err})
 		}
 	}
@@ -135,8 +134,8 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 		var seen []uint64
 		rows, distinct := 0, 0
 		dups, checked, smallDict := settled(1-opts.UniqueRatio), false, false
-		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
-			return p.EachRow(words, w0, w1, func(_, l int) bool {
+		walk(func(w0 int, sw []uint64, p *storage.ChunkPayload) bool {
+			return p.EachRow(sw, w0, func(_, l int) bool {
 				c := p.Codes[l]
 				if wi := int(c >> 6); wi >= len(seen) {
 					seen = append(seen, make([]uint64, wi+1-len(seen))...)
@@ -165,8 +164,8 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 	case storage.Int64:
 		distinct := map[int64]struct{}{}
 		rows, dups := 0, settled(0.05)
-		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
-			return p.EachRow(words, w0, w1, func(_, l int) bool {
+		walk(func(w0 int, sw []uint64, p *storage.ChunkPayload) bool {
+			return p.EachRow(sw, w0, func(_, l int) bool {
 				rows++
 				distinct[p.Ints[l]] = struct{}{}
 				return rows < limit && (rows-len(distinct) < dups || len(distinct) < 2)
@@ -187,8 +186,8 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 		// degenerate ones.
 		var first float64
 		rows, constant := 0, true
-		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
-			return p.EachRow(words, w0, w1, func(_, l int) bool {
+		walk(func(w0 int, sw []uint64, p *storage.ChunkPayload) bool {
+			return p.EachRow(sw, w0, func(_, l int) bool {
 				if rows == 0 {
 					first = p.Floats[l]
 				} else if p.Floats[l] != first {
@@ -208,8 +207,8 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 		return nil
 	case storage.Bool:
 		falses, trues, rows := 0, 0, 0
-		walk(func(w0, w1 int, p *storage.ChunkPayload) bool {
-			return p.EachRow(words, w0, w1, func(_, l int) bool {
+		walk(func(w0 int, sw []uint64, p *storage.ChunkPayload) bool {
+			return p.EachRow(sw, w0, func(_, l int) bool {
 				rows++
 				if p.Bools[l] {
 					trues++

@@ -37,9 +37,9 @@ func Assign(t *storage.Table, regions []query.Query, base *bitvec.Vector) (*Assi
 	if base.Len() != t.NumRows() {
 		return nil, fmt.Errorf("engine: base selection length %d != table rows %d", base.Len(), t.NumRows())
 	}
-	n := t.NumRows()
-	taken := bitvec.New(n)
-	scratch := bitvec.New(n)
+	// Every bitmap holds base's window: region rows are base's rows.
+	taken := bitvec.NewLike(base)
+	scratch := bitvec.NewLike(base)
 	counts := make([]int, len(regions))
 	regionBits := make([]*bitvec.Vector, len(regions))
 	for ri, rq := range regions {
@@ -49,7 +49,7 @@ func Assign(t *storage.Table, regions []query.Query, base *bitvec.Vector) (*Assi
 		if err := evalAndInto(t, rq, scratch); err != nil {
 			return nil, err
 		}
-		rv := bitvec.New(n)
+		rv := bitvec.NewLike(base)
 		counts[ri] = bitvec.ClaimInto(rv, scratch, taken)
 		regionBits[ri] = rv
 	}
@@ -57,7 +57,7 @@ func Assign(t *storage.Table, regions []query.Query, base *bitvec.Vector) (*Assi
 		Regions:    len(regions),
 		Counts:     counts,
 		Rest:       bitvec.AndNotCount(base, taken),
-		n:          n,
+		n:          base.Len(),
 		regionBits: regionBits,
 	}, nil
 }

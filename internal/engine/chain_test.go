@@ -106,16 +106,16 @@ func matcherPartition(t *testing.T, tbl *storage.Table, attr string, preds []que
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
 	for i := range out {
-		out[i] = bitvec.New(tbl.NumRows())
-		outWords[i] = out[i].Words()
+		out[i] = bitvec.NewLike(sel)
+		_, outWords[i] = out[i].Window()
 	}
 	ms := compileRanges(preds)
-	selWords := sel.Words()
-	err := tbl.Runs(tbl.Schema().Index(attr)).Walk(context.Background(), selWords, 1, "test", nil, func(w0, w1 int, p *storage.ChunkPayload) {
+	sw0, _ := sel.Window()
+	err := tbl.Runs(tbl.Schema().Index(attr)).Walk(context.Background(), sel, 1, "test", nil, func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 		if p.Ints != nil {
-			partitionRanges(ms, p.Ints, p.Nulls, selWords, outWords, w0, w1)
+			partitionRanges(ms, p.Ints, p.Nulls, sw, outWords, w0-sw0)
 		} else {
-			partitionRanges(ms, p.Floats, p.Nulls, selWords, outWords, w0, w1)
+			partitionRanges(ms, p.Floats, p.Nulls, sw, outWords, w0-sw0)
 		}
 	})
 	if err != nil {
@@ -191,13 +191,14 @@ func TestEdgeChainMatchesMatcher(t *testing.T) {
 							}
 							sameRegions(t, label+" "+tb.name+": value pass", got, want)
 							// the value kernel's own oracle, on the same extraction
+							_, present := tx.Present.Window()
 							oracle := make([][]uint64, len(preds))
 							for ri := range oracle {
-								oracle[ri] = make([]uint64, len(tx.Present))
+								oracle[ri] = make([]uint64, len(present))
 							}
-							partitionValues(compileRanges(preds), tx.Vals, tx.Present, oracle)
+							partitionValues(compileRanges(preds), tx.Vals, present, oracle)
 							for ri := range oracle {
-								if !slices.Equal(got[ri].Words(), oracle[ri]) {
+								if _, gw := got[ri].Window(); !slices.Equal(gw, oracle[ri]) {
 									t.Errorf("%s %s: value pass region %d differs from the matcher value kernel", label, tb.name, ri)
 								}
 							}

@@ -116,51 +116,33 @@ type NumericExtract struct {
 	// Vals are the selected non-NULL values in row order, Int64 widened.
 	Vals []float64
 	// Present marks the rows the values came from — the selection less
-	// the column's NULLs, one bit per row: Vals[j] is the value of the
-	// j-th set bit. PartitionValues reads the two in step.
-	Present []uint64
+	// the column's NULLs, in the selection's window: Vals[j] is the
+	// value of the j-th set bit. PartitionValues reads the two in step.
+	Present bitvec.Vector
 	// Sum summarizes Vals.
 	Sum NumericSummary
-
-	rows int // table length, the length of the bitmaps Present spans
-	// lo and hi bound the words of Present that may hold a bit: every
-	// word outside [lo, hi) is zero, so the passes over an extraction —
-	// and clearing it for the next — cost its span, not the table's.
-	lo, hi int
 }
 
-// Reset empties x for an extraction over a table of rows rows, clearing
-// only the words the previous extraction used.
-func (x *NumericExtract) Reset(rows int) {
-	words := (rows + 63) / 64
-	switch {
-	case len(x.Present) == words:
-		clear(x.Present[x.lo:x.hi])
-	case cap(x.Present) >= words:
-		x.Present = x.Present[:words]
-		clear(x.Present)
-	default:
-		x.Present = make([]uint64, words)
-	}
-	x.Vals, x.Sum, x.rows, x.lo, x.hi = x.Vals[:0], SummarizeNumeric(nil), rows, 0, 0
+// Reset empties x for an extraction under sel: Present takes sel's
+// window, and clearing it costs that window.
+func (x *NumericExtract) Reset(sel *bitvec.Vector) {
+	x.Present.ResetLike(sel)
+	x.Vals, x.Sum = x.Vals[:0], SummarizeNumeric(nil)
 }
 
 // AppendRun appends the extraction of a run of rows that starts at word
-// w0, past every run appended before it: present marks its rows, vals
-// holds their values in row order and sum summarizes them. Runs
-// extracted apart and appended in row order make the extraction of
-// their union — how a sharded table's answers reassemble. vals may
-// already lie where they belong, just past x.Vals in its spare
-// capacity; they are then not copied.
+// w0, inside Present's window and past every run appended before it:
+// present marks its rows, vals holds their values in row order and sum
+// summarizes them. Runs extracted apart and appended in row order make
+// the extraction of their union — how a sharded table's answers
+// reassemble. vals may already lie where they belong, just past x.Vals
+// in its spare capacity; they are then not copied.
 func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum NumericSummary) {
 	if len(present) == 0 {
 		return
 	}
-	copy(x.Present[w0:], present)
-	if x.lo == x.hi {
-		x.lo = w0
-	}
-	x.hi = w0 + len(present)
+	pw0, words := x.Present.Window()
+	copy(words[w0-pw0:w0-pw0+len(present)], present)
 	if n := len(x.Vals); len(vals) > 0 && cap(x.Vals) > n && &x.Vals[:n+1][n] == &vals[0] {
 		x.Vals = x.Vals[:n+len(vals)]
 	} else {
@@ -172,36 +154,37 @@ func (x *NumericExtract) AppendRun(w0 int, present []uint64, vals []float64, sum
 // Restrict sets dst to the extraction of x's column under sel, a
 // selection within the one x was extracted under: the values of x whose
 // rows sel keeps, in row order, and their summary. It reads no column,
-// and costs the words of x's span plus its values, each copied without
-// a branch on whether it is kept.
+// and costs the words of Present's window plus its values, each copied
+// without a branch on whether it is kept.
 func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
-	dst.Reset(x.rows)
-	selWords := sel.Words()
-	kept := 0
-	for wi := x.lo; wi < x.hi; wi++ {
-		kept += bits.OnesCount64(x.Present[wi] & selWords[wi])
-	}
+	dst.Reset(sel)
+	pw0, present := x.Present.Window()
+	sw0, selWords := sel.Window()
+	_, keptWords := dst.Present.Window()
+	kept := bitvec.AndCount(&x.Present, sel)
 	// One slot to spare: a value that is not kept is written past the
 	// last kept one.
 	out := slices.Grow(dst.Vals[:0], kept+1)[:kept+1]
 	n := 0
 	vals := x.Vals
-	for wi := x.lo; wi < x.hi; wi++ {
-		word := x.Present[wi]
+	// Only the words both windows hold can keep a value; those of
+	// Present before them hold values to pass over.
+	lo, hi := max(pw0, sw0), min(pw0+len(present), sw0+len(selWords))
+	for wi := pw0; wi < min(lo, hi); wi++ {
+		vals = vals[bits.OnesCount64(present[wi-pw0]):]
+	}
+	for wi := lo; wi < hi; wi++ {
+		word := present[wi-pw0]
 		if word == 0 {
 			continue
 		}
 		row := vals[:bits.OnesCount64(word)]
 		vals = vals[len(row):]
-		keep := word & selWords[wi]
+		keep := word & selWords[wi-sw0]
 		if keep == 0 {
 			continue
 		}
-		if dst.lo == dst.hi {
-			dst.lo = wi
-		}
-		dst.hi = wi + 1
-		dst.Present[wi] = keep
+		keptWords[wi-sw0] = keep
 		if keep == word {
 			n += copy(out[n:], row)
 			continue
@@ -223,7 +206,7 @@ func (x *NumericExtract) Restrict(dst *NumericExtract, sel *bitvec.Vector) {
 // and their summary. Only the runs holding a selected row are read; a
 // lazy column's fetches are billed like a scan's (see ScanOptions.Stats).
 func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *bitvec.Vector, opts ScanOptions) error {
-	x.Reset(sel.Len())
+	x.Reset(sel)
 	if err := obsv.CheckCtx(opts.context(), "engine.stats"); err != nil {
 		return err
 	}
@@ -240,20 +223,14 @@ func ExtractNumericUnder(x *NumericExtract, t *storage.Table, attr string, sel *
 	if !col.Type().IsNumeric() {
 		return fmt.Errorf("engine: column %q is not numeric (type %v)", attr, col.Type())
 	}
-	// Runs with no selected row are never read and keep no present bits;
-	// the serial walk visits runs in row order, so the first and last it
-	// reads bound the span.
-	selWords := sel.Words()
+	pw0, present := x.Present.Window()
 	ctx := opts.context()
-	return t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
-		if x.lo == x.hi {
-			x.lo = w0
-		}
-		x.hi = w1
+	return t.Runs(t.Schema().Index(attr)).Walk(ctx, sel, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0 int, sw []uint64, p *storage.ChunkPayload) {
+		pr := present[w0-pw0 : w0-pw0+len(sw)]
 		if p.Ints != nil {
-			x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
+			x.Vals = appendSelected(x.Vals, &x.Sum, p.Ints, p.Nulls, sw, pr)
 		} else {
-			x.Vals = appendSelected(x.Vals, &x.Sum, p.Floats, p.Nulls, selWords[w0:w1], x.Present[w0:w1])
+			x.Vals = appendSelected(x.Vals, &x.Sum, p.Floats, p.Nulls, sw, pr)
 		}
 	})
 }
@@ -306,11 +283,10 @@ func CategoryCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, 
 		return nil, nil, err
 	}
 	counts = make([]int, len(dict))
-	selWords := sel.Words()
 	ctx := opts.context()
-	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, sel, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 		codes := p.Codes
-		p.EachRow(selWords, w0, w1, func(_, l int) bool {
+		p.EachRow(sw, w0, func(_, l int) bool {
 			counts[codes[l]]++
 			return true
 		})
@@ -340,11 +316,10 @@ func BoolCountsUnderOpts(t *storage.Table, attr string, sel *bitvec.Vector, opts
 	if col.Type() != storage.Bool {
 		return 0, 0, fmt.Errorf("engine: column %q is not boolean (type %v)", attr, col.Type())
 	}
-	selWords := sel.Words()
 	ctx := opts.context()
-	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, selWords, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0, w1 int, p *storage.ChunkPayload) {
+	err = t.Runs(t.Schema().Index(attr)).Walk(ctx, sel, 1, "engine.stats", opts.sink(ctx).BillFetch, func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 		vals := p.Bools
-		p.EachRow(selWords, w0, w1, func(_, l int) bool {
+		p.EachRow(sw, w0, func(_, l int) bool {
 			if vals[l] {
 				trues++
 			} else {

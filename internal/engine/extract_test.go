@@ -48,10 +48,8 @@ func sameExtract(t *testing.T, label string, got, want *NumericExtract) {
 			t.Fatalf("%s: value %d is %v, want %v", label, i, got.Vals[i], want.Vals[i])
 		}
 	}
-	for wi := range want.Present {
-		if got.Present[wi] != want.Present[wi] {
-			t.Fatalf("%s: present word %d is %x, want %x", label, wi, got.Present[wi], want.Present[wi])
-		}
+	if !got.Present.Equal(&want.Present) {
+		t.Fatalf("%s: present rows %v, want %v", label, got.Present.Indexes(), want.Present.Indexes())
 	}
 	g, w := got.Sum, want.Sum
 	if g.NaN != w.NaN || math.Float64bits(g.Min) != math.Float64bits(w.Min) || math.Float64bits(g.Max) != math.Float64bits(w.Max) {
@@ -98,7 +96,7 @@ func TestAppendRunEqualsExtraction(t *testing.T) {
 		}
 		cut := 64 * (1 + r.Intn(n/64))
 		var got NumericExtract
-		got.Reset(n)
+		got.Reset(sel)
 		got.Vals = append(got.Vals, make([]float64, len(want.Vals))...)[:0]
 		for _, part := range [][2]int{{0, cut}, {cut, n}} {
 			lo, hi := part[0], part[1]
@@ -117,7 +115,8 @@ func TestAppendRunEqualsExtraction(t *testing.T) {
 			if trial%2 == 0 { // decoded in place, as a fabric answer is
 				vals = append(got.Vals[len(got.Vals):len(got.Vals)], run.Vals...)
 			}
-			got.AppendRun(lo/64, run.Present[:len(run.Present)], vals, run.Sum)
+			w0, present := run.Present.Window()
+			got.AppendRun(lo/64+w0, present, vals, run.Sum)
 		}
 		sameExtract(t, "appended runs", &got, &want)
 	}

@@ -48,44 +48,45 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			return nil, fmt.Errorf("engine: partition predicate on %q, want %q", p.Attr, attr)
 		}
 	}
-	n := t.NumRows()
+	// The region bitmaps hold sel's window: only its words can hold a
+	// row, and outWords[ri][wi] is word sw0+wi.
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
 	for i := range out {
-		out[i] = bitvec.New(n)
-		outWords[i] = out[i].Words()
+		out[i] = bitvec.NewLike(sel)
+		_, outWords[i] = out[i].Window()
 	}
-	selWords := sel.Words()
+	sw0, _ := sel.Window()
 	runs := t.Runs(t.Schema().Index(attr))
 
-	// part resolves the selected rows of words [w0, w1), those of run p:
-	// tests each against the predicates in order and records the first
-	// match. Rows are only ever touched once and runs cover disjoint
-	// word ranges, so driving part over several runs from several
-	// workers races on nothing. Runs with no selected row are never
-	// read.
-	var part func(w0, w1 int, p *storage.ChunkPayload)
+	// part resolves the selected rows sw of run p, whose row 0 is the
+	// first row of word w0: tests each against the predicates in order
+	// and records the first match. Rows are only ever touched once and
+	// runs cover disjoint word ranges, so driving part over several runs
+	// from several workers races on nothing. Runs with no selected row
+	// are never read.
+	var part func(w0 int, sw []uint64, p *storage.ChunkPayload)
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
 			return nil, err
 		}
 		if c, ok := chainOf(preds); ok {
-			part = func(w0, w1 int, p *storage.ChunkPayload) {
+			part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 				if p.Ints != nil {
-					partitionChain(&c, p.Ints, p.Nulls, selWords, outWords, w0, w1)
+					partitionChain(&c, p.Ints, p.Nulls, sw, outWords, w0-sw0)
 				} else {
-					partitionChain(&c, p.Floats, p.Nulls, selWords, outWords, w0, w1)
+					partitionChain(&c, p.Floats, p.Nulls, sw, outWords, w0-sw0)
 				}
 			}
 			break
 		}
 		ms := compileRanges(preds)
-		part = func(w0, w1 int, p *storage.ChunkPayload) {
+		part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 			if p.Ints != nil {
-				partitionRanges(ms, p.Ints, p.Nulls, selWords, outWords, w0, w1)
+				partitionRanges(ms, p.Ints, p.Nulls, sw, outWords, w0-sw0)
 			} else {
-				partitionRanges(ms, p.Floats, p.Nulls, selWords, outWords, w0, w1)
+				partitionRanges(ms, p.Floats, p.Nulls, sw, outWords, w0-sw0)
 			}
 		}
 	case storage.String:
@@ -108,11 +109,11 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 				}
 			}
 		}
-		part = func(w0, w1 int, p *storage.ChunkPayload) {
+		part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 			codes := p.Codes
-			p.EachRow(selWords, w0, w1, func(i, l int) bool {
+			p.EachRow(sw, w0, func(i, l int) bool {
 				if ri := region[codes[l]]; ri >= 0 {
-					outWords[ri][i>>6] |= uint64(1) << uint(i&63)
+					outWords[ri][i>>6-sw0] |= uint64(1) << uint(i&63)
 				}
 				return true
 			})
@@ -121,12 +122,12 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		if err := predsAreKind(preds, query.BoolEq, col); err != nil {
 			return nil, err
 		}
-		part = func(w0, w1 int, p *storage.ChunkPayload) {
+		part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 			vals := p.Bools
-			p.EachRow(selWords, w0, w1, func(i, l int) bool {
+			p.EachRow(sw, w0, func(i, l int) bool {
 				for ri := range preds {
 					if preds[ri].MatchBool(vals[l]) {
-						outWords[ri][i>>6] |= uint64(1) << uint(i&63)
+						outWords[ri][i>>6-sw0] |= uint64(1) << uint(i&63)
 						break
 					}
 				}
@@ -137,7 +138,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		return nil, fmt.Errorf("engine: unsupported column type %v", col.Type())
 	}
 	ctx := opts.context()
-	if err := runs.Walk(ctx, selWords, opts.Workers, "engine.partition", opts.sink(ctx).BillFetch, part); err != nil {
+	if err := runs.Walk(ctx, sel, opts.Workers, "engine.partition", opts.sink(ctx).BillFetch, part); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -162,15 +163,15 @@ func PartitionValues(x *NumericExtract, preds []query.Predicate) ([]*bitvec.Vect
 			return nil, fmt.Errorf("engine: value partition needs Range predicates, got %v on %q", p.Kind, p.Attr)
 		}
 	}
-	// Only the words of x's span can hold a row: the kernels read and
-	// write that span alone.
+	// The region bitmaps hold Present's window, the only words that can
+	// hold a row: the kernels read and write that window alone.
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
 	for i := range out {
-		out[i] = bitvec.New(x.rows)
-		outWords[i] = out[i].Words()[x.lo:x.hi]
+		out[i] = bitvec.NewLike(&x.Present)
+		_, outWords[i] = out[i].Window()
 	}
-	present := x.Present[x.lo:x.hi]
+	_, present := x.Present.Window()
 	if c, ok := chainOf(preds); ok {
 		gate := x.Sum.NaN > 0 || x.Sum.Min < c.lo || x.Sum.Max > c.hi
 		partitionChainValues(&c, gate, x.Vals, present, outWords)

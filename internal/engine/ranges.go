@@ -56,10 +56,11 @@ func (m *rangeMatcher) match(v float64) bool {
 // values are widened to the engine's float comparison space.
 type numeric interface{ ~int64 | ~float64 }
 
-// partitionRanges assigns every selected non-NULL row of words [w0, w1)
-// to the first matcher admitting it. sel and every out[ri] are whole
-// bitmaps; vals and nulls (nil when the run has no NULLs) hold the run
-// alone: vals[0] is row w0*64, nulls[0] covers the rows of sel[w0].
+// partitionRanges assigns every selected non-NULL row of a run to the
+// first matcher admitting it. vals, nulls (nil when the run has no
+// NULLs) and sel, its selection words, hold the run alone: vals[0] is
+// the first row of sel[0], nulls[0] covers it. out[ri][off+wi] is the
+// word of region ri that sel[wi] lands in.
 //
 // Rows are resolved a selection word at a time, matcher by matcher: each
 // matcher tests the rows no earlier one took, collects its hits in a
@@ -67,16 +68,15 @@ type numeric interface{ ~int64 | ~float64 }
 // falls to is data (a median split sends every other row the other way),
 // so the row test is written without a branch on it. Disjoint word ranges
 // can be partitioned concurrently.
-func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64, out [][]uint64, w0, w1 int) {
-	for wi := w0; wi < w1; wi++ {
-		free := sel[wi]
+func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64, out [][]uint64, off int) {
+	for wi, free := range sel {
 		if nulls != nil {
-			free &^= nulls[wi-w0]
+			free &^= nulls[wi]
 		}
 		if free == 0 {
 			continue
 		}
-		row := vals[(wi-w0)*64:]
+		row := vals[wi*64:]
 		for ri := range ms {
 			m := ms[ri]
 			var hits uint64
@@ -84,7 +84,7 @@ func partitionRanges[T numeric](ms []rangeMatcher, vals []T, nulls, sel []uint64
 				v := float64(row[bits.TrailingZeros64(w)])
 				hits |= (w & -w) & -m.admits(v)
 			}
-			out[ri][wi] |= hits
+			out[ri][off+wi] |= hits
 			if free &^= hits; free == 0 {
 				break
 			}
@@ -134,16 +134,15 @@ func chainOf(preds []query.Predicate) (edgeChain, bool) {
 
 // partitionChain is partitionRanges for a chain: same layout, same
 // bitmaps.
-func partitionChain[T numeric](c *edgeChain, vals []T, nulls, sel []uint64, out [][]uint64, w0, w1 int) {
-	for wi := w0; wi < w1; wi++ {
-		lanes := sel[wi]
+func partitionChain[T numeric](c *edgeChain, vals []T, nulls, sel []uint64, out [][]uint64, off int) {
+	for wi, lanes := range sel {
 		if nulls != nil {
-			lanes &^= nulls[wi-w0]
+			lanes &^= nulls[wi]
 		}
 		if lanes == 0 {
 			continue
 		}
-		row := vals[(wi-w0)*64:]
+		row := vals[wi*64:]
 		var in uint64
 		for m := lanes; m != 0; m &= m - 1 {
 			v := float64(row[bits.TrailingZeros64(m)])
@@ -156,10 +155,10 @@ func partitionChain[T numeric](c *edgeChain, vals []T, nulls, sel []uint64, out 
 			for m := in; m != 0; m &= m - 1 {
 				ge |= (m & -m) & -b2u(float64(row[bits.TrailingZeros64(m)]) >= e)
 			}
-			out[r][wi], in = in&^ge, ge
+			out[r][off+wi], in = in&^ge, ge
 		}
 		if in != 0 {
-			out[r][wi] = in
+			out[r][off+wi] = in
 		}
 	}
 }

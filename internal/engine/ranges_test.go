@@ -170,12 +170,12 @@ func TestNumericKernelsMatchPerRowReference(t *testing.T) {
 				})
 				for _, kind := range kinds {
 					label := fmt.Sprintf("n=%d %s %s %s", n, attr, selName, kind.name)
-					x := NumericExtract{Vals: make([]float64, 3, 8), Present: []uint64{^uint64(0)}}
+					x := NumericExtract{Vals: make([]float64, 3, 8), Present: *bitvec.NewFull(70)}
 					if err := ExtractNumericUnder(&x, kind.tbl, attr, sel, ScanOptions{}); err != nil {
 						t.Fatalf("%s: extract: %v", label, err)
 					}
 					got, sum := x.Vals, x.Sum
-					if !slices.Equal(x.Present, wantPresent.Words()) {
+					if !x.Present.Equal(wantPresent) {
 						t.Errorf("%s: present bitmap differs from the selected non-NULL rows", label)
 					}
 					if len(got) != len(wantVals) {

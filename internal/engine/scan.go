@@ -88,9 +88,9 @@ type compiledPred struct {
 	colIdx int
 	runs   *storage.Runs
 	zone   func(zm storage.ZoneMap, chunkRows int) zoneVerdict
-	// and clears, in words[w0:w1], the bits of the rows of run p (whose
-	// row 0 is row w0*64) that are NULL or fail the predicate.
-	and func(p *storage.ChunkPayload, words []uint64, w0, w1 int)
+	// and clears, in words, the bits of the rows of run p (whose row 0
+	// is the first row of words[0]) that are NULL or fail the predicate.
+	and func(p *storage.ChunkPayload, words []uint64)
 	// never marks predicates proven unsatisfiable at compile time (an In
 	// set with no dictionary hits): the scan clears the selection without
 	// visiting rows.
@@ -138,11 +138,11 @@ func compilePred(t *storage.Table, p query.Predicate) (compiledPred, error) {
 		}
 		cp.zone = rangeZone(p)
 		m := compileRange(p)
-		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+		cp.and = func(pl *storage.ChunkPayload, words []uint64) {
 			if pl.Ints != nil {
-				andRange(&m, pl.Ints, pl.Nulls, words, w0, w1)
+				andRange(&m, pl.Ints, pl.Nulls, words)
 			} else {
-				andRange(&m, pl.Floats, pl.Nulls, words, w0, w1)
+				andRange(&m, pl.Floats, pl.Nulls, words)
 			}
 		}
 	case storage.String:
@@ -169,18 +169,18 @@ func compilePred(t *storage.Table, p query.Predicate) (compiledPred, error) {
 			return cp, nil
 		}
 		cp.zone = codeSetZone(admitWords)
-		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+		cp.and = func(pl *storage.ChunkPayload, words []uint64) {
 			codes := pl.Codes
-			andRows(pl.Nulls, words, w0, w1, func(l int) bool { return admit[codes[l]] })
+			andRows(pl.Nulls, words, func(l int) bool { return admit[codes[l]] })
 		}
 	case storage.Bool:
 		if p.Kind != query.BoolEq {
 			return compiledPred{}, kindErr(p, col)
 		}
 		cp.zone = zoneNullOnly
-		cp.and = func(pl *storage.ChunkPayload, words []uint64, w0, w1 int) {
+		cp.and = func(pl *storage.ChunkPayload, words []uint64) {
 			vals := pl.Bools
-			andRows(pl.Nulls, words, w0, w1, func(l int) bool { return vals[l] == p.BoolVal })
+			andRows(pl.Nulls, words, func(l int) bool { return vals[l] == p.BoolVal })
 		}
 	default:
 		return compiledPred{}, fmt.Errorf("engine: unsupported column type %v", col.Type())
@@ -251,10 +251,11 @@ func rangeZone(p query.Predicate) func(zm storage.ZoneMap, chunkRows int) zoneVe
 
 // evalCompiled narrows sel by every compiled predicate, chunk by chunk
 // — an unchunked table is one chunk without a zone map — optionally
-// sharding chunks across workers. On chunked tables each predicate
-// consults the chunk's zone map first, and its column's run is read
-// only when the verdict is "scan": pruned and all-match chunks of lazy
-// columns stay undecoded, and fetch failures (corrupt or truncated
+// sharding chunks across workers. Only the chunks sel's window reaches
+// are visited, each on its words of the window. On chunked tables each
+// predicate consults the chunk's zone map first, and its column's run is
+// read only when the verdict is "scan": pruned and all-match chunks of
+// lazy columns stay undecoded, and fetch failures (corrupt or truncated
 // chunks) surface as errors. Only chunked tables record chunk verdicts.
 func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts ScanOptions) error {
 	if len(cps) == 0 {
@@ -263,10 +264,9 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	ctx := opts.context()
 	sink := opts.sink(ctx)
 	bill := sink.BillFetch
-	words := sel.Words()
+	sw0, words := sel.Window()
 	ck := t.Chunking()
 	size := t.RunRows()
-	numChunks := (t.NumRows() + size - 1) / size
 	wordsPerChunk := size / 64
 	chunkRowsOf := func(k int) int { return min(size, t.NumRows()-k*size) }
 	verdict := func(cp *compiledPred, k int) zoneVerdict {
@@ -278,27 +278,37 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		}
 		return zoneScan
 	}
+	// The window reaches chunks [k0, k1); chunk k holds words cw of it,
+	// which skip of the chunk's own words precede.
+	k0, k1 := 0, 0
+	if len(words) > 0 {
+		k0, k1 = sw0/wordsPerChunk, (sw0+len(words)-1)/wordsPerChunk+1
+	}
+	chunkWords := func(k int) (skip int, cw []uint64) {
+		a, b := max(k*wordsPerChunk, sw0), min((k+1)*wordsPerChunk, sw0+len(words))
+		return a - k*wordsPerChunk, words[a-sw0 : b-sw0]
+	}
 	// A lazy fetch is preceded by the hint of the window it opens — the
 	// chunk, then those this predicate will certainly scan after it — so a
 	// remote source that would miss loads them in one round trip instead;
 	// pruned, all-match and possibly-emptied chunks are never named.
-	certain := certainFetches(cps, verdict, words, wordsPerChunk, numChunks)
-	scanChunk := func(k int) error {
+	certain := certainFetches(cps, verdict, chunkWords, k0, k1)
+	scanChunk := func(ci int) error {
 		// Chunk-granular cancellation: a dead caller abandons the scan
 		// here, before any fetch or row test for this chunk.
 		if err := obsv.CheckCtx(ctx, "engine.scan"); err != nil {
 			return err
 		}
-		w0 := k * wordsPerChunk
-		w1 := min(w0+wordsPerChunk, len(words))
+		k := k0 + ci
+		skip, cw := chunkWords(k)
 		for i := range cps {
-			if !anyWordsRange(words, w0, w1) {
+			if !anyWords(cw) {
 				return nil
 			}
 			cp := &cps[i]
 			switch verdict(cp, k) {
 			case zonePrune:
-				zeroWordsRange(words, w0, w1)
+				clear(cw)
 				if ck != nil {
 					sink.BillPruned()
 				}
@@ -312,7 +322,7 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 				if err != nil {
 					return err
 				}
-				cp.and(pl, words, w0, w1)
+				cp.and(pl.FromWord(skip), cw)
 				if ck != nil {
 					sink.BillScanned()
 				}
@@ -320,20 +330,19 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		}
 		return nil
 	}
-	return par.For(opts.Workers, numChunks, scanChunk)
+	return par.For(opts.Workers, k1-k0, scanChunk)
 }
 
-// certainFetches lists, per predicate, the chunks the scan will
-// certainly read for it: chunks holding a selected row at scan start, on
-// which every earlier predicate's verdict is full — so their bits are
-// untouched when this predicate's turn comes — and its own is scan.
-// Only these may be hinted: a hint names chunks the scan reads, never
-// ones an earlier predicate could still empty.
-func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, words []uint64, wordsPerChunk, numChunks int) [][]int {
+// certainFetches lists, per predicate, the chunks among [k0, k1) the
+// scan will certainly read for it: chunks holding a selected row at scan
+// start, on which every earlier predicate's verdict is full — so their
+// bits are untouched when this predicate's turn comes — and its own is
+// scan. Only these may be hinted: a hint names chunks the scan reads,
+// never ones an earlier predicate could still empty.
+func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, chunkWords func(k int) (int, []uint64), k0, k1 int) [][]int {
 	certain := make([][]int, len(cps))
-	for k := 0; k < numChunks; k++ {
-		w0 := k * wordsPerChunk
-		if !anyWordsRange(words, w0, min(w0+wordsPerChunk, len(words))) {
+	for k := k0; k < k1; k++ {
+		if _, cw := chunkWords(k); !anyWords(cw) {
 			continue
 		}
 		for i := range cps {
@@ -358,21 +367,21 @@ func fetchWindow(dst, certain []int, k int) []int {
 	return append(dst, certain[ti:min(ti+storage.PrefetchWindow-1, len(certain))]...)
 }
 
-// andRange clears, in words[w0:w1], the bits of the rows of a numeric
-// run (vals[0] is row w0*64; nulls, nil without NULLs, is the run's)
-// that are NULL or fall outside m. Zero words cost one load each, so
-// the cost of a conjunction shrinks with its selectivity; a word's
-// remaining rows are tested without a branch on the outcome.
-func andRange[T numeric](m *rangeMatcher, vals []T, nulls, words []uint64, w0, w1 int) {
-	for wi := w0; wi < w1; wi++ {
-		w := words[wi]
+// andRange clears, in words, the bits of the rows of a numeric run
+// (vals[0] is the first row of words[0]; nulls, nil without NULLs, is
+// the run's from there) that are NULL or fall outside m. Zero words cost
+// one load each, so the cost of a conjunction shrinks with its
+// selectivity; a word's remaining rows are tested without a branch on
+// the outcome.
+func andRange[T numeric](m *rangeMatcher, vals []T, nulls, words []uint64) {
+	for wi, w := range words {
 		if w == 0 {
 			continue
 		}
 		if nulls != nil {
-			w &^= nulls[wi-w0]
+			w &^= nulls[wi]
 		}
-		row := vals[(wi-w0)*64:]
+		row := vals[wi*64:]
 		var keep uint64
 		for m2 := w; m2 != 0; m2 &= m2 - 1 {
 			keep |= (m2 & -m2) & -m.admits(float64(row[bits.TrailingZeros64(m2)]))
@@ -381,19 +390,18 @@ func andRange[T numeric](m *rangeMatcher, vals []T, nulls, words []uint64, w0, w
 	}
 }
 
-// andRows clears, in words[w0:w1], the bits of the rows of a run that
-// are NULL (per the run's nulls) or fail keep(l), l the row's index in
-// the run.
-func andRows(nulls, words []uint64, w0, w1 int, keep func(l int) bool) {
-	for wi := w0; wi < w1; wi++ {
-		w := words[wi]
+// andRows clears, in words, the bits of the rows of a run that are NULL
+// (per the run's nulls) or fail keep(l), l the row's index in the run
+// from the first row of words[0] on.
+func andRows(nulls, words []uint64, keep func(l int) bool) {
+	for wi, w := range words {
 		if w == 0 {
 			continue
 		}
 		if nulls != nil {
-			w &^= nulls[wi-w0]
+			w &^= nulls[wi]
 		}
-		base := (wi - w0) * 64
+		base := wi * 64
 		for m := w; m != 0; m &= m - 1 {
 			if bi := bits.TrailingZeros64(m); !keep(base + bi) {
 				w &^= uint64(1) << uint(bi)
@@ -403,15 +411,9 @@ func andRows(nulls, words []uint64, w0, w1 int, keep func(l int) bool) {
 	}
 }
 
-func zeroWordsRange(words []uint64, w0, w1 int) {
-	for wi := w0; wi < w1; wi++ {
-		words[wi] = 0
-	}
-}
-
-func anyWordsRange(words []uint64, w0, w1 int) bool {
-	for wi := w0; wi < w1; wi++ {
-		if words[wi] != 0 {
+func anyWords(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
 			return true
 		}
 	}

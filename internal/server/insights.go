@@ -202,13 +202,14 @@ func shardVerdict(ex *engine.QueryExplain) string {
 // handleExplain dry-runs a CQL query: predicates are compiled and
 // judged against manifest statistics and zone maps only, so the plan —
 // per-shard routing, per-chunk verdicts, estimated bytes — comes back
-// without decoding a single chunk.
+// without decoding a single chunk. The plan is the full-table scan's,
+// so a WITH clause is a bad request (cql.ErrWithClause).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	q, _, err := cql.ParseAndBind(req.CQL, s.table)
+	q, err := cql.ParseQuery(req.CQL, s.table)
 	if err != nil {
 		writeError(w, &badRequest{err})
 		return

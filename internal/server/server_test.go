@@ -264,6 +264,23 @@ func TestSessionExploreRejectsWith(t *testing.T) {
 	}
 }
 
+// TestExplainRejectsWith: EXPLAIN plans the full-table scan, so a WITH
+// clause answers 400 naming cql.ErrWithClause instead of that plan.
+func TestExplainRejectsWith(t *testing.T) {
+	ts := newTestServer(t)
+	resp, body := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census WITH SAMPLE 0.1"})
+	var msg string
+	if err := json.Unmarshal(body["error"], &msg); err != nil {
+		t.Fatalf("status %d, no error message: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, cql.ErrWithClause.Error()) {
+		t.Fatalf("explain WITH SAMPLE: status %d, error %q; want 400 naming %q", resp.StatusCode, msg, cql.ErrWithClause)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain without WITH: status %d", resp.StatusCode)
+	}
+}
+
 func TestSessionNotFound(t *testing.T) {
 	ts := newTestServer(t)
 	resp, _ := postJSON(t, ts.URL+"/api/sessions/99/explore", map[string]string{"cql": "EXPLORE census"})

@@ -198,11 +198,13 @@ func (c *ResultCache) Stats() ResultCacheStats {
 }
 
 // resultBytes estimates the memory a result pins. The region bitmaps
-// each map keeps through its assignment (rows/8 bytes per region, at
-// any selectivity) dominate; query texts and region records ride along,
-// and so do the renderings a served result keeps (renderAllowance).
-// Singleton clusters put the same *Map in Candidates and Maps, so maps
-// are counted once by identity.
+// each map keeps through its assignment dominate: 8 bytes per word of
+// each bitmap's window, so a result over a narrow band of a clustered
+// column is charged its span, a scattered one up to rows/8 bytes per
+// region. Query texts and region records ride along, and so do the
+// renderings a served result keeps (renderAllowance). Singleton
+// clusters put the same *Map in Candidates and Maps, so maps are
+// counted once by identity.
 func resultBytes(r *core.Result) int64 {
 	const perRegion = 128 // Region record, its query's predicates, counts
 	seen := make(map[*core.Map]struct{}, len(r.Maps)+len(r.Candidates))
@@ -218,7 +220,8 @@ func resultBytes(r *core.Result) int64 {
 			for ri := range m.Regions {
 				n += perRegion + int64(len(m.Regions[ri].Query.Preds))*64
 				if a != nil {
-					n += int64(len(a.RegionBits(ri).Words())) * 8
+					_, words := a.RegionBits(ri).Window()
+					n += int64(len(words)) * 8
 				}
 			}
 		}

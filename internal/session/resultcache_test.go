@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,38 @@ func TestResultBytesCountsRegionBitmaps(t *testing.T) {
 	}
 	if st := s.results.Stats(); st.Bytes != got {
 		t.Fatalf("cache accounts %d bytes for its one result, estimate %d", st.Bytes, got)
+	}
+}
+
+// TestResultBytesChargesWindows: a region bitmap is charged by its
+// window, so a 1 % band of a table sorted by the band's column pins a
+// small fraction of what the full-table result does.
+func TestResultBytesChargesWindows(t *testing.T) {
+	sky := datagen.SkySurvey(100000, 1)
+	ra := sky.Column(sky.Schema().Index("ra")).(*storage.Float64Column)
+	idx := make([]int, sky.NumRows())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return ra.At(idx[a]) < ra.At(idx[b]) })
+	cart, err := core.NewCartographer(sky.Gather("sky", idx), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cart)
+	full, err := s.Explore(query.New("sky"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := s.Explore(query.New("sky", query.NewRange("ra", 100, 103.6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(band.Result.Maps) == 0 {
+		t.Fatal("the band explored to no map")
+	}
+	if fb, bb := resultBytes(full.Result), resultBytes(band.Result); bb*10 >= fb {
+		t.Fatalf("1%% band charged %d bytes, full table %d: want under a tenth", bb, fb)
 	}
 }
 

@@ -92,28 +92,20 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 			return fmt.Errorf("shard: cut kind %d does not apply to %v column %q", req.Kind, f.Type, f.Name)
 		}
 	}
-	rows := t.NumRows()
-	words := (rows + 63) / 64
-	w0, w1 := 0, words
-	var sel *bitvec.Vector
+	// The selection is the request's words, read in place: every pass
+	// below only reads it, and every bitmap it makes holds its window.
+	var (
+		sel *bitvec.Vector
+		err error
+	)
 	if req.Sel == nil {
-		sel = bitvec.NewFull(rows)
-	} else {
-		w0, w1 = req.W0, req.W0+len(req.Sel)
-		if w0 < 0 || w1 > words {
-			return fmt.Errorf("shard: selection words [%d,%d) outside the shard's %d", w0, w1, words)
-		}
-		buf := make([]uint64, words)
-		copy(buf[w0:], req.Sel)
-		var err error
-		if sel, err = bitvec.FromWords(rows, buf); err != nil {
-			return fmt.Errorf("shard: cut selection: %w", err)
-		}
+		sel = bitvec.NewFull(t.NumRows())
+	} else if sel, err = bitvec.FromWindow(t.NumRows(), req.W0, req.Sel); err != nil {
+		return fmt.Errorf("shard: cut selection: %w", err)
 	}
-	a.W0 = w0
+	a.W0, _ = sel.Window()
 	attr := t.Schema().Field(req.Cols[0]).Name
 	opts := engine.ScanOptions{Ctx: ctx}
-	var err error
 	switch req.Kind {
 	case CutValues:
 		a.Values = slices.Grow(a.Values[:0], len(req.Cols))[:len(req.Cols)]
@@ -127,7 +119,8 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 			// buffer stays owned by exactly one of x and a.
 			v := &a.Values[c]
 			v.Vals, x.Vals = x.Vals, v.Vals[:0]
-			v.Present = append(v.Present[:0], x.Present[w0:w1]...)
+			_, present := x.Present.Window()
+			v.Present = append(v.Present[:0], present...)
 			v.Sum = x.Sum
 		}
 	case CutCategories:
@@ -139,7 +132,8 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 		if out, err = engine.PartitionBitsOpts(t, attr, req.Preds, sel, opts); err == nil {
 			a.Bits = slices.Grow(a.Bits[:0], len(out))[:len(out)]
 			for i, v := range out {
-				a.Bits[i] = append(a.Bits[i][:0], v.Words()[w0:w1]...)
+				_, bits := v.Window()
+				a.Bits[i] = append(a.Bits[i][:0], bits...)
 			}
 		}
 	}

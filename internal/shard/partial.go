@@ -140,7 +140,7 @@ func columnPartial(ctx context.Context, t *storage.Table, ci int, lo, hi float64
 	default:
 		return nil, fmt.Errorf("shard: unsupported column type %v", runs.Type())
 	}
-	err := runs.Walk(ctx, nil, 1, "shard.partial", nil, func(_, _ int, pl *storage.ChunkPayload) { visit(pl) })
+	err := runs.Walk(ctx, nil, 1, "shard.partial", nil, func(_ int, _ []uint64, pl *storage.ChunkPayload) { visit(pl) })
 	if err != nil {
 		return nil, err
 	}

@@ -71,17 +71,13 @@ func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, att
 	if p.local != nil {
 		return p.local.Extract(ctx, xs, attrs, sel)
 	}
-	words := sel.Words()
 	room := make([]int, p.s.NumShards()+1) // shard i's values go from room[i] on
 	for i := range p.s.shards {
-		lo := p.s.offsets[i] / 64
-		room[i+1] = room[i]
-		for _, w := range words[lo : lo+(p.s.manifest.Shards[i].Rows+63)/64] {
-			room[i+1] += bits.OnesCount64(w)
-		}
+		_, part := p.s.shardWindow(i, sel)
+		room[i+1] = room[i] + countWords(part)
 	}
 	for _, x := range xs {
-		x.Reset(sel.Len())
+		x.Reset(sel)
 		x.Vals = slices.Grow(x.Vals, room[len(room)-1])
 	}
 	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attrs, sel, func(i int, a *CutAnswer) {
@@ -174,7 +170,7 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 	}
 	out := make([]*bitvec.Vector, len(preds))
 	for r := range out {
-		out[r] = bitvec.New(sel.Len())
+		out[r] = bitvec.NewLike(sel)
 	}
 	for i, a := range answers {
 		if a == nil {
@@ -182,7 +178,8 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 		}
 		w0 := p.s.offsets[i]/64 + a.W0
 		for r, words := range a.Bits {
-			copy(out[r].Words()[w0:], words)
+			ow0, ow := out[r].Window()
+			copy(ow[w0-ow0:], words)
 		}
 	}
 	return out, nil
@@ -204,10 +201,9 @@ func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, s
 		}
 		req.Cols[c] = ci
 	}
-	words := sel.Words()
 	answers := make([]*CutAnswer, p.s.NumShards())
 	err := par.For(len(answers), len(answers), func(i int) error {
-		r, ok := p.s.shardSlice(i, words)
+		r, ok := p.s.shardSlice(i, sel)
 		if !ok {
 			return nil
 		}
@@ -244,36 +240,39 @@ func releaseAnswers(answers []*CutAnswer) {
 	}
 }
 
-// shardSlice is shard i's slice of the combined selection words: the
-// words from its first to its last selected row, in shard-local word
-// numbers, or no words when it selects every row of the shard. ok is
-// false when it selects none. Shards start on chunk boundaries, which
-// are word boundaries.
-func (s *Set) shardSlice(i int, words []uint64) (req CutRequest, ok bool) {
-	rows := s.manifest.Shards[i].Rows
+// shardWindow returns the words of sel's window over shard i's rows:
+// part, from combined word w0 on, is empty when the window misses the
+// shard. Shards start on chunk boundaries, which are word boundaries.
+func (s *Set) shardWindow(i int, sel *bitvec.Vector) (w0 int, part []uint64) {
+	sw0, words := sel.Window()
 	lo := s.offsets[i] / 64
-	part := words[lo : lo+(rows+63)/64]
-	a, b := 0, len(part)
-	for a < b && part[a] == 0 {
-		a++
+	a, b := max(lo, sw0), min(lo+(s.manifest.Shards[i].Rows+63)/64, sw0+len(words))
+	if a >= b {
+		return a, nil
 	}
-	if a == b {
-		return req, false
-	}
-	for part[b-1] == 0 {
-		b--
-	}
-	if a == 0 && b == len(part) && allSelected(part, rows) {
-		return req, true
-	}
-	return CutRequest{W0: a, Sel: part[a:b]}, true
+	return a, words[a-sw0 : b-sw0]
 }
 
-// allSelected reports whether words select every one of rows rows.
-func allSelected(words []uint64, rows int) bool {
+// shardSlice is shard i's slice of the combined selection: the words of
+// its window over the shard, in shard-local word numbers, or no words
+// when it selects every row of the shard. ok is false when it selects
+// none.
+func (s *Set) shardSlice(i int, sel *bitvec.Vector) (req CutRequest, ok bool) {
+	w0, part := s.shardWindow(i, sel)
+	switch countWords(part) {
+	case 0:
+		return req, false
+	case s.manifest.Shards[i].Rows:
+		return req, true
+	}
+	return CutRequest{W0: w0 - s.offsets[i]/64, Sel: part}, true
+}
+
+// countWords returns the number of bits set in words.
+func countWords(words []uint64) int {
 	n := 0
 	for _, w := range words {
 		n += bits.OnesCount64(w)
 	}
-	return n == rows
+	return n
 }

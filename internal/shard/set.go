@@ -941,7 +941,7 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 // bounds.
 func exactMinMax(ctx context.Context, t *storage.Table, ci int) (lo, hi float64, ok bool) {
 	sum := engine.SummarizeNumeric(nil)
-	_ = t.Runs(ci).Walk(ctx, nil, 1, "shard.partial", nil, func(_, _ int, p *storage.ChunkPayload) {
+	_ = t.Runs(ci).Walk(ctx, nil, 1, "shard.partial", nil, func(_ int, _ []uint64, p *storage.ChunkPayload) {
 		p.EachFloat(sum.Observe)
 	})
 	return sum.Min, sum.Max, sum.Min <= sum.Max

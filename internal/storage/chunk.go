@@ -259,19 +259,26 @@ func computeZone(col Column, lo, hi int) ZoneMap {
 // store serializer, or nil when the column has no nulls. The returned
 // slice must not be modified.
 func NullWords(c Column) []uint64 {
-	var v *bitvec.Vector
-	switch col := c.(type) {
-	case *Int64Column:
-		v = col.nulls
-	case *Float64Column:
-		v = col.nulls
-	case *StringColumn:
-		v = col.nulls
-	case *BoolColumn:
-		v = col.nulls
-	}
+	v := nullsOf(c)
 	if v == nil {
 		return nil
 	}
-	return v.Words()
+	_, words := v.Window() // null bitmaps hold every word
+	return words
+}
+
+// nullsOf returns a resident column's null bitmap, nil when it has no
+// nulls.
+func nullsOf(c Column) *bitvec.Vector {
+	switch col := c.(type) {
+	case *Int64Column:
+		return col.nulls
+	case *Float64Column:
+		return col.nulls
+	case *StringColumn:
+		return col.nulls
+	case *BoolColumn:
+		return col.nulls
+	}
+	return nil
 }

@@ -73,9 +73,7 @@ func concatNulls(parts []*Table, ci, rows int) *bitvec.Vector {
 	out := bitvec.New(rows)
 	off := 0
 	for _, p := range parts {
-		if words := NullWords(p.cols[ci]); words != nil {
-			pv := bitvec.New(p.rows)
-			copy(pv.Words(), words)
+		if pv := nullsOf(p.cols[ci]); pv != nil {
 			out.OrBlit(off, pv)
 		}
 		off += p.rows
@@ -151,9 +149,7 @@ func (t *Table) SliceRows(name string, lo, hi int) (*Table, error) {
 	cols := make([]Column, len(t.cols))
 	for ci, c := range t.cols {
 		var nulls *bitvec.Vector
-		if words := NullWords(c); words != nil {
-			full := bitvec.New(t.rows)
-			copy(full.Words(), words)
+		if full := nullsOf(c); full != nil {
 			nulls = full.Slice(lo, hi)
 			if !nulls.Any() {
 				nulls = nil

@@ -392,7 +392,7 @@ func (c *LazyColumn) Materialize() (Column, error) {
 		codes = make([]uint32, c.rows)
 	}
 	var nulls *bitvec.Vector
-	err := lazyRuns(c).Walk(context.TODO(), nil, 1, "storage.materialize", nil, func(w0, _ int, p *ChunkPayload) {
+	err := lazyRuns(c).Walk(context.TODO(), nil, 1, "storage.materialize", nil, func(w0 int, _ []uint64, p *ChunkPayload) {
 		lo := w0 * 64
 		switch c.typ {
 		case Int64:
@@ -410,7 +410,8 @@ func (c *LazyColumn) Materialize() (Column, error) {
 			}
 			// Chunk boundaries are word-aligned, so the chunk's null words
 			// blit straight into the column bitmap.
-			copy(nulls.Words()[w0:], p.Nulls)
+			_, words := nulls.Window()
+			copy(words[w0:], p.Nulls)
 		}
 	})
 	if err != nil {

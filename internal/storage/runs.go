@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/obsv"
 	"repro/internal/par"
 )
@@ -118,15 +119,18 @@ func (r *Runs) Run(ctx context.Context, k int, bill func(hit bool)) (*ChunkPaylo
 
 // Walk reads, in row order, every run (sel nil) or only the runs holding
 // a selected row of sel, a bitmap over the column's rows, and hands each
-// to fn with the selection words [w0, w1) it covers; run row 0 is row
-// w0*64. Every fetch is preceded by the hint of the window of runs it
+// to fn: p is the run's payload, w0 the word of p's row 0 and sw sel's
+// words over p's rows (nil when sel is nil). Only the runs sel's window
+// reaches are visited, and a run the window cuts short is handed from
+// the window's first word on, p starting there, and with sw ending at
+// its last. Every fetch is preceded by the hint of the window of runs it
 // opens, so a remote source loads a window per round trip; real fetches
 // are reported to bill as Run does. With workers > 1 runs are read
 // concurrently, each on its own words. The walk polls ctx before each
 // run, failing with the cancellation error of stage op.
-func (r *Runs) Walk(ctx context.Context, sel []uint64, workers int, op string, bill func(hit bool), fn func(w0, w1 int, p *ChunkPayload)) error {
-	return r.walk(ctx, sel, workers, op, bill, true, func(w0, w1 int, p *ChunkPayload) bool {
-		fn(w0, w1, p)
+func (r *Runs) Walk(ctx context.Context, sel *bitvec.Vector, workers int, op string, bill func(hit bool), fn func(w0 int, sw []uint64, p *ChunkPayload)) error {
+	return r.walk(ctx, sel, workers, op, bill, true, func(w0 int, sw []uint64, p *ChunkPayload) bool {
+		fn(w0, sw, p)
 		return true
 	})
 }
@@ -135,26 +139,31 @@ func (r *Runs) Walk(ctx context.Context, sel []uint64, workers int, op string, b
 // may stop early, its first fetch is not hinted — a walk that ends in
 // its first run loads no window. Its fetches are reported to bill as
 // Walk's are.
-func (r *Runs) WalkUntil(ctx context.Context, sel []uint64, op string, bill func(hit bool), fn func(w0, w1 int, p *ChunkPayload) bool) error {
+func (r *Runs) WalkUntil(ctx context.Context, sel *bitvec.Vector, op string, bill func(hit bool), fn func(w0 int, sw []uint64, p *ChunkPayload) bool) error {
 	return r.walk(ctx, sel, 1, op, bill, false, fn)
 }
 
 // errStopWalk ends a walk whose visitor has seen enough.
 var errStopWalk = errors.New("storage: walk stopped")
 
-func (r *Runs) walk(ctx context.Context, sel []uint64, workers int, op string, bill func(hit bool), hintFirst bool, fn func(w0, w1 int, p *ChunkPayload) bool) error {
+func (r *Runs) walk(ctx context.Context, sel *bitvec.Vector, workers int, op string, bill func(hit bool), hintFirst bool, fn func(w0 int, sw []uint64, p *ChunkPayload) bool) error {
 	words, wordsPerRun := (r.rows+63)/64, r.size/64
-	var ks []int
+	var (
+		ks       []int
+		sw0      int
+		selWords []uint64
+	)
 	if sel == nil {
 		ks = make([]int, (r.rows+r.size-1)/r.size)
 		for k := range ks {
 			ks[k] = k
 		}
 	} else {
-		if len(sel) != words {
-			return fmt.Errorf("storage: selection of %d words over %d rows", len(sel), r.rows)
+		if sel.Len() != r.rows {
+			return fmt.Errorf("storage: selection of %d rows over %d rows", sel.Len(), r.rows)
 		}
-		ks = touchedChunks(sel, wordsPerRun)
+		sw0, selWords = sel.Window()
+		ks = touchedChunks(sw0, selWords, wordsPerRun)
 	}
 	err := par.For(workers, len(ks), func(ti int) error {
 		if err := obsv.CheckCtx(ctx, op); err != nil {
@@ -169,7 +178,12 @@ func (r *Runs) walk(ctx context.Context, sel []uint64, workers int, op string, b
 			return err
 		}
 		w0 := k * wordsPerRun
-		if !fn(w0, min(w0+wordsPerRun, words), p) {
+		var sw []uint64
+		if sel != nil {
+			a, b := max(w0, sw0), min(w0+wordsPerRun, words, sw0+len(selWords))
+			p, w0, sw = p.FromWord(a-w0), a, selWords[a-sw0:b-sw0]
+		}
+		if !fn(w0, sw, p) {
 			return errStopWalk
 		}
 		return nil
@@ -178,6 +192,31 @@ func (r *Runs) walk(ctx context.Context, sel []uint64, workers int, op string, b
 		return nil
 	}
 	return err
+}
+
+// FromWord returns the payload of p's rows from word k of the run on: a
+// view sharing p's slices, or p itself when k is 0.
+func (p *ChunkPayload) FromWord(k int) *ChunkPayload {
+	if k == 0 {
+		return p
+	}
+	q, lo := *p, k*64
+	if p.Ints != nil {
+		q.Ints = p.Ints[lo:]
+	}
+	if p.Floats != nil {
+		q.Floats = p.Floats[lo:]
+	}
+	if p.Bools != nil {
+		q.Bools = p.Bools[lo:]
+	}
+	if p.Codes != nil {
+		q.Codes = p.Codes[lo:]
+	}
+	if p.Nulls != nil {
+		q.Nulls = p.Nulls[k:]
+	}
+	return &q
 }
 
 // residentRun is the zero-copy payload view of rows [lo, hi) of a
@@ -198,7 +237,8 @@ func residentRun(col Column, lo, hi int) (*ChunkPayload, error) {
 		return nil, fmt.Errorf("storage: unsupported column type %T", col)
 	}
 	if nulls.nulls != nil {
-		runWords := nulls.nulls.Words()[lo/64 : (hi+63)/64]
+		_, words := nulls.nulls.Window() // null bitmaps hold every word
+		runWords := words[lo/64 : (hi+63)/64]
 		for _, w := range runWords {
 			if w != 0 {
 				p.Nulls = runWords
@@ -210,17 +250,21 @@ func residentRun(col Column, lo, hi int) (*ChunkPayload, error) {
 }
 
 // touchedChunks lists, ascending, the chunks (wordsPerChunk selection
-// words each) that hold at least one selected row — the chunks a
-// selection-driven pass fetches, known before it fetches any.
-func touchedChunks(words []uint64, wordsPerChunk int) []int {
+// words each) that hold at least one selected row of words, a
+// selection's window from word w0 on — the chunks a selection-driven
+// pass fetches, known before it fetches any.
+func touchedChunks(w0 int, words []uint64, wordsPerChunk int) []int {
 	var touched []int
-	for w0 := 0; w0 < len(words); w0 += wordsPerChunk {
-		for _, w := range words[w0:min(w0+wordsPerChunk, len(words))] {
+	for i := 0; i < len(words); {
+		k := (w0 + i) / wordsPerChunk
+		next := min((k+1)*wordsPerChunk-w0, len(words))
+		for _, w := range words[i:next] {
 			if w != 0 {
-				touched = append(touched, w0/wordsPerChunk)
+				touched = append(touched, k)
 				break
 			}
 		}
+		i = next
 	}
 	return touched
 }
@@ -233,11 +277,12 @@ func hintWindow(touched []int, ti int) []int {
 }
 
 // EachRow calls fn(i, l) for the non-NULL rows of the run that sel
-// selects, in ascending order, until fn returns false: sel[w0:w1] are the
-// selection words the run covers, i is the row and l its index in the
-// run. It reports whether fn never returned false.
-func (p *ChunkPayload) EachRow(sel []uint64, w0, w1 int, fn func(i, l int) bool) bool {
-	for wi, w := range sel[w0:w1] {
+// selects, in ascending order, until fn returns false: sel are the
+// selection words over the run's rows, w0 the word of its row 0, i is
+// the row and l its index in the run. It reports whether fn never
+// returned false.
+func (p *ChunkPayload) EachRow(sel []uint64, w0 int, fn func(i, l int) bool) bool {
+	for wi, w := range sel {
 		if p.Nulls != nil {
 			w &^= p.Nulls[wi]
 		}

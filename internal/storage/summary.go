@@ -62,7 +62,7 @@ func Summarize(t *Table) []ColumnSummary {
 		s := ColumnSummary{Name: f.Name, Type: f.Type, Rows: t.NumRows(), Nulls: t.Column(ci).NullCount()}
 		runs := t.Runs(ci)
 		walk := func(fn func(p *ChunkPayload)) {
-			_ = runs.Walk(ctx, nil, 1, "storage.summary", nil, func(_, _ int, p *ChunkPayload) { fn(p) })
+			_ = runs.Walk(ctx, nil, 1, "storage.summary", nil, func(_ int, _ []uint64, p *ChunkPayload) { fn(p) })
 		}
 		switch f.Type {
 		case Int64, Float64:
