@@ -61,7 +61,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/query"
 	"repro/internal/remote"
-	"repro/internal/sample"
 	"repro/internal/session"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -117,6 +116,9 @@ type (
 	ValueLift = core.ValueLift
 	// ExampleRow is one sampled tuple from a region.
 	ExampleRow = core.ExampleRow
+	// Statement is one parsed and bound CQL statement: its query and its
+	// WITH clause.
+	Statement = cql.Statement
 )
 
 // Re-exported configuration constants.
@@ -157,16 +159,9 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // DefaultAnytimeOptions returns the progressive-exploration defaults.
 func DefaultAnytimeOptions() AnytimeOptions { return core.DefaultAnytimeOptions() }
 
-// Explorer is the top-level handle: one table plus a pipeline
-// configuration.
-type Explorer struct {
-	table *Table
-	opts  Options
-	cart  *core.Cartographer
-	// set is non-nil for sharded explorers (NewSharded): column stats
-	// reduce from per-shard partials.
-	set *shard.Set
-}
+// Explorer is the top-level handle: one table and the one Cartographer
+// every exploration of it runs on.
+type Explorer struct{ cart *core.Cartographer }
 
 // New builds an Explorer over a table.
 func New(table *Table, opts Options) (*Explorer, error) {
@@ -174,7 +169,7 @@ func New(table *Table, opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Explorer{table: table, opts: opts, cart: cart}, nil
+	return &Explorer{cart}, nil
 }
 
 // NewSharded builds an Explorer over an opened sharded table. The
@@ -190,20 +185,21 @@ func NewSharded(st *ShardedTable, opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Explorer{table: st.set.Table(), opts: opts, cart: cart, set: st.set}, nil
+	return &Explorer{cart}, nil
 }
 
 // Table returns the explored table.
-func (e *Explorer) Table() *Table { return e.table }
+func (e *Explorer) Table() *Table { return e.cart.Table() }
 
 // Explore parses a CQL statement ("EXPLORE t WHERE … [WITH …]"),
 // validates it against the table, and returns the ranked data maps. WITH
 // options override the explorer's defaults for this call only; WITH
 // SAMPLE f explores a uniform f-fraction sample of the rows (see
-// README "Sampling"), and the result describes the sample. Calls
-// without pipeline overrides run on the explorer's shared Cartographer,
-// so repeated explorations reuse its memoized full-selection cuts
-// instead of re-cutting the same columns.
+// README "Sampling"), and the result describes the sample. Every call
+// runs on the explorer's one Cartographer, overrides on a view of it, so
+// repeated explorations — under the defaults or a WITH clause — reuse
+// its memoized full-selection cuts instead of re-cutting the same
+// columns. The server's POST /api/explore runs statements the same way.
 func (e *Explorer) Explore(cqlText string) (res *Result, err error) {
 	return e.exploreCtx(context.Background(), cqlText)
 }
@@ -226,28 +222,11 @@ func (e *Explorer) ExploreProfiled(cqlText string) (*Result, *SpanProfile, error
 }
 
 func (e *Explorer) exploreCtx(ctx context.Context, cqlText string) (*Result, error) {
-	q, o, err := cql.ParseAndBind(cqlText, e.table)
+	st, err := e.Parse(cqlText)
 	if err != nil {
 		return nil, err
 	}
-	effective, err := cql.ApplyOptions(e.opts, o)
-	if err != nil {
-		return nil, err
-	}
-	cart := e.cart
-	if effective != e.opts {
-		var sp core.StatProvider // nil: the table's own passes
-		if e.set != nil {
-			sp = e.set.Provider(effective.Parallelism) // keep the per-shard fan-out
-		}
-		if cart, err = core.NewCartographerWith(e.table, effective, sp); err != nil {
-			return nil, err
-		}
-	}
-	if o.Sample > 0 {
-		return cart.ExploreSample(ctx, q, sample.Fraction(e.table.NumRows(), o.Sample))
-	}
-	return cart.ExploreCtx(ctx, q)
+	return cql.Explore(ctx, e.cart, st)
 }
 
 // ExploreQuery runs the pipeline on an already-built query.
@@ -259,7 +238,7 @@ func (e *Explorer) ExploreQuery(q Query) (*Result, error) {
 // over growing samples until they stabilize, the data is exhausted, or
 // ctx is done. A WITH clause fails with ErrWithClause.
 func (e *Explorer) ExploreAnytime(ctx context.Context, cqlText string, opts AnytimeOptions) (*AnytimeResult, error) {
-	q, err := cql.ParseQuery(cqlText, e.table)
+	q, err := e.plain(cqlText)
 	if err != nil {
 		return nil, err
 	}
@@ -280,40 +259,50 @@ func (e *Explorer) NewSession() *Session {
 // cold-cache I/O estimate, without decoding a single chunk. The plan is
 // the full-table scan's, so a WITH clause fails with ErrWithClause.
 func (e *Explorer) Explain(cqlText string) (*QueryExplain, error) {
-	q, err := cql.ParseQuery(cqlText, e.table)
+	q, err := e.plain(cqlText)
 	if err != nil {
 		return nil, err
 	}
-	return engine.ExplainQuery(e.table, q)
+	return engine.ExplainQuery(e.Table(), q)
 }
 
-// ParseQuery parses and binds a CQL statement without executing it; a
-// WITH clause fails with ErrWithClause.
-func (e *Explorer) ParseQuery(cqlText string) (Query, error) {
-	return cql.ParseQuery(cqlText, e.table)
+// Parse parses and binds a CQL statement against the table without
+// executing it. A caller that runs its query under options of its own,
+// as a session does, takes Statement.Plain, which refuses a WITH clause
+// with ErrWithClause.
+func (e *Explorer) Parse(cqlText string) (Statement, error) {
+	return cql.Parse(cqlText, e.Table())
+}
+
+func (e *Explorer) plain(cqlText string) (Query, error) {
+	st, err := e.Parse(cqlText)
+	if err == nil {
+		st.Query, err = st.Plain()
+	}
+	return st.Query, err
 }
 
 // Count evaluates a query and returns how many rows it selects.
-func (e *Explorer) Count(q Query) (int, error) { return engine.Count(e.table, q) }
+func (e *Explorer) Count(q Query) (int, error) { return engine.Count(e.Table(), q) }
 
 // DescribeRegion explains why a region is interesting by profiling every
 // non-pinned attribute inside the region against the whole table
 // (Section 5.2's explanation feature). Profiles come back sorted by
 // decreasing deviation.
 func (e *Explorer) DescribeRegion(q Query) ([]AttrProfile, error) {
-	return core.DescribeRegion(e.table, q)
+	return core.DescribeRegion(e.Table(), q)
 }
 
 // RegionExamples returns up to k random example tuples from a region —
 // the Section 5.2 presentation aid. Deterministic in seed.
 func (e *Explorer) RegionExamples(q Query, k int, seed int64) ([]ExampleRow, error) {
-	return core.RegionExamples(e.table, q, k, seed)
+	return core.RegionExamples(e.Table(), q, k, seed)
 }
 
 // RepresentativeExamples returns up to k tuples chosen near the region's
 // numeric medians — "representative" rather than random examples.
 func (e *Explorer) RepresentativeExamples(q Query, k int) ([]ExampleRow, error) {
-	return core.RepresentativeExamples(e.table, q, k)
+	return core.RepresentativeExamples(e.Table(), q, k)
 }
 
 // LoadCSV reads a table from CSV with type inference (first row must be

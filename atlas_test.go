@@ -128,15 +128,20 @@ func TestFacadeAnytime(t *testing.T) {
 	}
 }
 
-// TestFacadeParseQueryRejectsWith: a query carries no pipeline options,
-// so ParseQuery (the REPL's explore) refuses a WITH clause by name.
-func TestFacadeParseQueryRejectsWith(t *testing.T) {
+// TestFacadeStatementPlainRejectsWith: Parse keeps a statement's WITH
+// clause, and Plain — what the REPL's explore, a session, takes — refuses
+// it by name.
+func TestFacadeStatementPlainRejectsWith(t *testing.T) {
 	ex, err := New(CensusDataset(200, 6), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.ParseQuery("EXPLORE census WITH MAPS 2"); !errors.Is(err, ErrWithClause) {
-		t.Fatalf("ParseQuery with WITH MAPS 2: %v, want ErrWithClause", err)
+	st, err := ex.Parse("EXPLORE census WITH MAPS 2")
+	if err != nil || st.With.Maps != 2 || st.String() != "EXPLORE census WITH MAPS 2" {
+		t.Fatalf("Parse: %+v, %v", st, err)
+	}
+	if _, err := st.Plain(); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("Plain with WITH MAPS 2: %v, want ErrWithClause", err)
 	}
 }
 
@@ -214,11 +219,11 @@ func TestFacadeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ex.NewSession()
-	q, err := ex.ParseQuery("EXPLORE census")
+	st, err := ex.Parse("EXPLORE census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Explore(q); err != nil {
+	if _, err := s.Explore(st.Query); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.DrillDown(0, 0); err != nil {

@@ -188,7 +188,12 @@ func main() {
 			}
 			printExplain(plan)
 		case "explore":
-			q, err := ex.ParseQuery(rest)
+			st, err := ex.Parse(rest)
+			if err != nil {
+				fmt.Println("error:", err)
+				continue
+			}
+			q, err := st.Plain() // a session runs under the explorer's options
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

@@ -23,13 +23,13 @@ func main() {
 	fmt.Println("Step 1 — the user issues the introductory query of the paper:")
 	cql := "EXPLORE census WHERE age BETWEEN 17 AND 90 AND education IN ('HS','BSc','MSc')"
 	fmt.Println("   ", cql)
-	q, err := ex.ParseQuery(cql)
+	st, err := ex.Parse(cql)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	sess := ex.NewSession()
-	node, err := sess.Explore(q)
+	node, err := sess.Explore(st.Query)
 	if err != nil {
 		log.Fatal(err)
 	}

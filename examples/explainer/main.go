@@ -21,11 +21,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sess := ex.NewSession()
-	q, err := ex.ParseQuery("EXPLORE census")
+	st, err := ex.Parse("EXPLORE census")
 	if err != nil {
 		log.Fatal(err)
 	}
-	node, err := sess.Explore(q)
+	node, err := sess.Explore(st.Query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,13 +9,19 @@ package atlas
 // of each answer, must format byte-identically everywhere, at
 // Parallelism 1 and 2 — on the table as generated and sorted by one
 // column, under narrow bands of it. Each query explored WITH SAMPLE must format as
-// the same query over a table of the sample's rows alone.
+// the same query over a table of the sample's rows alone. Each query is
+// also a statement, plain and under one WITH clause in turn, that
+// answers alike through the façade, POST /api/explore and a session
+// root, all on one Cartographer, and as a Cartographer of its own under
+// the clause's options.
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
@@ -29,6 +35,7 @@ import (
 	"repro/internal/cql"
 	"repro/internal/remote"
 	"repro/internal/sample"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -108,7 +115,24 @@ func identityQueries(r *rand.Rand, n int, cats []string) []string {
 type residency struct {
 	name  string
 	table *storage.Table
-	sp    core.StatProvider // nil: the table's own passes
+	set   *shard.Set // nil: in memory
+}
+
+// cartographer builds res's Cartographer at parallelism par, its
+// statistics read per shard when res is a shard set.
+func (res residency) cartographer(t *testing.T, par int) *core.Cartographer {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	var sp core.StatProvider // nil: the table's own passes
+	if res.set != nil {
+		sp = res.set.Provider(par)
+	}
+	cart, err := core.NewCartographerWith(res.table, opts, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cart
 }
 
 // identitySamples are the WITH SAMPLE fractions of the net: one row
@@ -122,19 +146,14 @@ var identitySamples = []string{"0.001", "0.3"}
 // the façade on the same Cartographer: sampled.
 func identityAnswers(t *testing.T, res residency, par int, queries []string) (exact, sampled []string) {
 	t.Helper()
-	opts := core.DefaultOptions()
-	opts.Parallelism = par
-	cart, err := core.NewCartographerWith(res.table, opts, res.sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := &Explorer{table: res.table, opts: opts, cart: cart}
+	cart := res.cartographer(t, par)
+	ex := &Explorer{cart}
 	for _, text := range queries {
-		q, _, err := cql.ParseAndBind(text, res.table)
+		st, err := cql.Parse(text, res.table)
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-		r, err := cart.Explore(q)
+		r, err := cart.Explore(st.Query)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", text, res.name, err)
 		}
@@ -176,11 +195,11 @@ func gatheredAnswers(t *testing.T, tbl *storage.Table, par int, queries []string
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, _, err := cql.ParseAndBind(text, g)
+			st, err := cql.Parse(text, g)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
-			r, err := cart.Explore(q)
+			r, err := cart.Explore(st.Query)
 			if err != nil {
 				t.Fatalf("%s on the gathered sample %s: %v", text, f, err)
 			}
@@ -188,6 +207,118 @@ func gatheredAnswers(t *testing.T, tbl *storage.Table, par int, queries []string
 		}
 	}
 	return out
+}
+
+// statementSurfaces names the answers statementAnswers gives per query.
+var statementSurfaces = []string{"façade plain", "façade WITH", "façade plain again", "HTTP plain", "HTTP WITH", "HTTP plain again", "session root"}
+
+// identityOps are the WITH clauses of the net's statement ops: query i
+// runs under identityOps[i%len(identityOps)].
+var identityOps = []string{"CUT variance", "CUT equiwidth", "SPLITS 3", "MAPS 2", "MERGE product"}
+
+// statementAnswers runs each query as a statement on res at parallelism
+// par, interleaved on one Cartographer per surface: plain, under its
+// WITH clause, plain again — through the façade and POST /api/explore —
+// and plain through a session root. Every answer is its response body
+// (bodyOf); a session root's follows the façade's three.
+func statementAnswers(t *testing.T, res residency, par int, queries []string) []string {
+	t.Helper()
+	ex := &Explorer{res.cartographer(t, par)}
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	srv := server.New(res.table, opts)
+	if res.set != nil {
+		srv = server.NewSharded(res.set, opts)
+	}
+	var out []string
+	for i, text := range queries {
+		seq := []string{text, text + " WITH " + identityOps[i%len(identityOps)], text}
+		for _, stmt := range seq {
+			r, err := ex.Explore(stmt)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", stmt, res.name, err)
+			}
+			out = append(out, bodyOf(r, r.Input.String()+r.With))
+		}
+		for _, stmt := range seq {
+			req := httptest.NewRequest(http.MethodPost, "/api/explore", strings.NewReader(`{"cql":`+strconv.Quote(stmt)+`}`))
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			var dto server.ResultDTO
+			if err := json.Unmarshal(rec.Body.Bytes(), &dto); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("POST %s on %s: status %d, %v: %s", stmt, res.name, rec.Code, err, rec.Body)
+			}
+			dto.ElapsedMs, dto.Ledger = 0, nil
+			b, err := json.Marshal(dto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		st, err := ex.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := ex.NewSession().Explore(st.Query)
+		if err != nil {
+			t.Fatalf("session root %s on %s: %v", text, res.name, err)
+		}
+		out = append(out, bodyOf(node.Result, node.Result.Input.String()+node.Result.With))
+	}
+	return out
+}
+
+// statementOracle is statementAnswers' reference: each statement
+// explored in memory on a fresh Cartographer of its own under
+// cql.ApplyOptions, the per-call path WITH clauses used to take, in the
+// order statementAnswers answers.
+func statementOracle(t *testing.T, tbl *storage.Table, par int, queries []string) []string {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	var out []string
+	for i, text := range queries {
+		var bodies [2]string // plain, then under its WITH clause
+		for k, stmt := range []string{text, text + " WITH " + identityOps[i%len(identityOps)]} {
+			st, err := cql.Parse(stmt, tbl)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			cart, err := core.NewCartographerWith(tbl, cql.ApplyOptions(opts, st.With), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := cart.Explore(st.Query)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			bodies[k] = bodyOf(r, st.String())
+		}
+		plain, over := bodies[0], bodies[1]
+		out = append(out, plain, over, plain, plain, over, plain, plain)
+	}
+	return out
+}
+
+// bodyOf is the body POST /api/explore answers r with under input, its
+// elapsed time and ledger aside.
+func bodyOf(r *core.Result, input string) string {
+	dto := server.ResultDTO{Input: input, TotalRows: r.TotalRows, BaseCount: r.BaseCount}
+	for _, m := range r.Maps {
+		md := server.MapDTO{Attrs: m.Attrs, Entropy: m.Entropy}
+		for ri, reg := range m.Regions {
+			md.Regions = append(md.Regions, server.RegionDTO{Query: m.RegionText(ri), Count: reg.Count, Cover: reg.Cover})
+		}
+		dto.Maps = append(dto.Maps, md)
+	}
+	for _, f := range r.Flagged {
+		dto.Flagged = append(dto.Flagged, fmt.Sprintf("%s (%s)", f.Attr, f.Reason))
+	}
+	b, err := json.Marshal(dto)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
 
 func formatIdentity(r *core.Result) string {
@@ -316,10 +447,11 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 		defer fabric.Close()
 		for _, par := range []int{1, 2} {
 			wantSampled := gatheredAnswers(t, tbl, par, queries)
+			wantStatements := statementOracle(t, tbl, par, queries)
 			for _, res := range []residency{
 				{"memory", tbl, nil},
-				{"lazy shards", lazy.Table(), lazy.Provider(par)},
-				{"fabric", fabric.Table(), fabric.Provider(par)},
+				{"lazy shards", lazy.Table(), lazy},
+				{"fabric", fabric.Table(), fabric},
 			} {
 				got, gotSampled := identityAnswers(t, res, par, queries)
 				for i := range want {
@@ -332,6 +464,12 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 					if gotSampled[i] != wantSampled[i] {
 						t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
 							label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
+					}
+				}
+				for i, got := range statementAnswers(t, res, par, queries) {
+					if want := wantStatements[i]; got != want {
+						t.Errorf("%s, %d shards, %s at parallelism %d, statement answer %d (%s) differs from its own Cartographer's:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, statementSurfaces[i%len(statementSurfaces)], want, got)
 					}
 				}
 			}

@@ -73,7 +73,8 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) validate() error {
+// Validate reports the first option the pipeline cannot run under.
+func (o Options) Validate() error {
 	if o.MaxRegions < 2 {
 		return fmt.Errorf("core: MaxRegions must be >= 2, got %d", o.MaxRegions)
 	}
@@ -102,15 +103,16 @@ func (o Options) validate() error {
 // engine of the paper's architecture (Section 4, layer 2). A
 // Cartographer is safe for concurrent use: the table and options are
 // immutable and the full-selection cut memo is internally synchronized, so one
-// instance can serve many sessions or HTTP requests at once.
+// instance can serve many sessions or HTTP requests at once. With gives
+// a view of it under other options that shares its memo.
 type Cartographer struct {
 	table *storage.Table
 	opts  Options
 	// sp reads every column statistic CUT needs.
 	sp StatProvider
 	// stats memoizes each attribute's CUT answer under the full
-	// selection, computed once and shared read-only across goroutines
-	// and Explore calls.
+	// selection, computed once and shared read-only across goroutines,
+	// Explore calls and views.
 	stats *statCache
 }
 
@@ -127,13 +129,33 @@ func NewCartographerWith(t *storage.Table, opts Options, sp StatProvider) (*Cart
 	if t == nil {
 		return nil, errors.New("core: nil table")
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if sp == nil {
 		sp = NewTableProvider(t, resolveParallelism(opts.Parallelism))
 	}
 	return &Cartographer{table: t, opts: opts, sp: sp, stats: newStatCache(opts.Cut)}, nil
+}
+
+// With returns a Cartographer over the same table that runs under opts:
+// a view sharing c's stat provider and full-selection cut memo, so a
+// call under other options (a WITH clause) reads no column that a call
+// under the same cut options has cut before. The provider was sized by
+// c's Parallelism, which opts must keep. opts equal to c's return c.
+func (c *Cartographer) With(opts Options) (*Cartographer, error) {
+	if opts == c.opts {
+		return c, nil
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Parallelism != c.opts.Parallelism {
+		return nil, fmt.Errorf("core: a view keeps its Cartographer's Parallelism %d, got %d", c.opts.Parallelism, opts.Parallelism)
+	}
+	v := *c
+	v.opts = opts
+	return &v, nil
 }
 
 // Table returns the table being explored.
@@ -162,6 +184,10 @@ func recoverChunkPanic(err *error) {
 type Result struct {
 	// Input is the user query that was mapped.
 	Input query.Query
+	// With is the WITH clause of the statement the result answers, in
+	// canonical CQL with a leading space, or "": the statement's text is
+	// Input's followed by it.
+	With string
 	// TotalRows is the number of rows the result describes: the table's,
 	// or a sample's (Cartographer.ExploreSample).
 	TotalRows int

@@ -14,7 +14,7 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().validate(); err != nil {
+	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []func(*Options){
@@ -29,7 +29,7 @@ func TestOptionsValidate(t *testing.T) {
 	for i, mutate := range bad {
 		o := DefaultOptions()
 		mutate(&o)
-		if err := o.validate(); err == nil {
+		if err := o.Validate(); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}

@@ -158,12 +158,6 @@ func CutPredicates(t *storage.Table, sel *bitvec.Vector, attr string, opts CutOp
 	return x.cut(sel, attr, opts, s, &s.NumericExtract, false)
 }
 
-// memoized reports whether the memo answers a cut under opts of a
-// selection that full says is, or is not, the whole table.
-func (x *cutter) memoized(full bool, opts CutOptions) bool {
-	return x.cache != nil && full && opts == x.cache.opts
-}
-
 // cutPartition is CUT followed by the partition of sel's rows into the
 // cut's regions, one bitmap per predicate; full reports that sel selects
 // every row, in which case the answer comes from (and goes to) the memo.
@@ -176,10 +170,10 @@ func (x *cutter) cutPartition(sel *bitvec.Vector, full bool, attr string, opts C
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
-	if !x.memoized(full, opts) {
+	if x.cache == nil || !full {
 		return x.partition(sel, attr, opts, pre)
 	}
-	return x.cache.cut(attr, func() ([]query.Predicate, []*bitvec.Vector, error) {
+	return x.cache.cut(attr, opts, func() ([]query.Predicate, []*bitvec.Vector, error) {
 		return x.partition(sel, attr, opts, pre)
 	})
 }

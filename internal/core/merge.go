@@ -172,7 +172,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			)
 			full, inHand := b.Count() == n, false
 			switch cand := held[attr].m; {
-			case x.memoized(full, opts):
+			case x.cache != nil && full: // the memo answers
 			case ext != nil:
 				preds, pb, err = cutRestricted(ext, b, attr, opts)
 				inHand = true

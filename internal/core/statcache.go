@@ -71,24 +71,33 @@ func (p tableProvider) Partition(ctx context.Context, attr string, preds []query
 }
 
 // statCache memoizes the CUT answer under the full selection (every row
-// of the table), one entry per attribute: the predicates with the
-// partition of the table's rows into their regions, or the
+// of the table), one entry per attribute and CutOptions: the predicates
+// with the partition of the table's rows into their regions, or the
 // *ErrDegenerate saying the attribute cannot be cut. Tables are
-// immutable and a Cartographer's CutOptions never change, so an answer
-// never goes stale and the memo is bounded by the schema. Answers are
-// shared read-only across goroutines, repeated Explore calls and anytime
+// immutable, so an answer never goes stale. The memo keeps the answers
+// under own, the Cartographer's cut options, for its life, and those
+// under the most recent other cut options (a WITH clause's) until
+// another set arrives, so it stays bounded by the schema whatever cut
+// options calls ask for. Answers are shared read-only across goroutines,
+// repeated Explore calls, the Cartographer's views (With) and anytime
 // rounds, so a repeated full exploration reads no column to build its
-// candidates; selections that do not cover the whole table, or cuts
-// under other options, bypass the memo.
+// candidates; selections that do not cover the whole table bypass the
+// memo.
 //
 // No other failure is cached: a cancelled first touch, or a remote
 // shard's transient error, must not poison the attribute, so the next
 // caller recomputes under its own context.
 type statCache struct {
-	opts CutOptions
+	own CutOptions
 
-	mu   sync.Mutex
-	cuts map[string]*cutMemo
+	mu    sync.Mutex
+	other CutOptions // the other cut options whose answers cuts holds
+	cuts  map[cutKey]*cutMemo
+}
+
+type cutKey struct {
+	attr string
+	opts CutOptions
 }
 
 // cutMemo is one attribute's memoized answer. Its mutex single-flights
@@ -101,18 +110,29 @@ type cutMemo struct {
 	err   error // nil or *ErrDegenerate
 }
 
-func newStatCache(opts CutOptions) *statCache {
-	return &statCache{opts: opts, cuts: map[string]*cutMemo{}}
+func newStatCache(own CutOptions) *statCache {
+	return &statCache{own: own, cuts: map[cutKey]*cutMemo{}}
 }
 
-// cut returns attr's memoized answer, running compute on the first touch
-// and again after any failure that is not *ErrDegenerate.
-func (s *statCache) cut(attr string, compute func() ([]query.Predicate, []*bitvec.Vector, error)) ([]query.Predicate, []*bitvec.Vector, error) {
+// cut returns attr's memoized answer under opts, running compute on the
+// first touch and again after any failure that is not *ErrDegenerate.
+// Cut options other than own and the current other ones drop the other
+// ones' answers.
+func (s *statCache) cut(attr string, opts CutOptions, compute func() ([]query.Predicate, []*bitvec.Vector, error)) ([]query.Predicate, []*bitvec.Vector, error) {
+	key := cutKey{attr, opts}
 	s.mu.Lock()
-	m := s.cuts[attr]
+	if opts != s.own && opts != s.other {
+		for k := range s.cuts {
+			if k.opts == s.other {
+				delete(s.cuts, k)
+			}
+		}
+		s.other = opts
+	}
+	m := s.cuts[key]
 	if m == nil {
 		m = &cutMemo{}
-		s.cuts[attr] = m
+		s.cuts[key] = m
 	}
 	s.mu.Unlock()
 

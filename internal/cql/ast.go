@@ -6,12 +6,12 @@ import (
 	"strings"
 )
 
-// Statement is a parsed EXPLORE statement, before binding to a schema.
-type Statement struct {
+// tree is a parsed EXPLORE statement, before binding to a schema.
+type tree struct {
 	// Table is the explored table name.
 	Table string
 	// Preds is the WHERE conjunction, in source order.
-	Preds []Pred
+	Preds []pred
 	// Options holds the WITH clause, zero-valued fields meaning unset.
 	Options Options
 }
@@ -30,124 +30,66 @@ type Options struct {
 	Sample     float64 // WITH SAMPLE fraction (0 = unset)
 }
 
-// Pred is one syntactic predicate. Exactly one concrete type implements
+// pred is one syntactic predicate. Exactly one concrete type implements
 // each form.
-type Pred interface {
+type pred interface {
 	// Attr returns the attribute the predicate constrains.
 	Attr() string
-	// String renders the predicate in CQL syntax.
-	String() string
 }
 
-// RangePred is `attr BETWEEN lo AND hi` or `attr IN [lo, hi)`.
-type RangePred struct {
+// rangePred is `attr BETWEEN lo AND hi` or `attr IN [lo, hi)`.
+type rangePred struct {
 	Name           string
 	Lo, Hi         float64
 	LoIncl, HiIncl bool
-	Pos            int
 }
 
-// Attr implements Pred.
-func (p *RangePred) Attr() string { return p.Name }
+// Attr implements pred.
+func (p *rangePred) Attr() string { return p.Name }
 
-func (p *RangePred) String() string {
-	lb, rb := "[", "]"
-	if !p.LoIncl {
-		lb = "("
-	}
-	if !p.HiIncl {
-		rb = ")"
-	}
-	return fmt.Sprintf("%s IN %s%s, %s%s", p.Name, lb, num(p.Lo), num(p.Hi), rb)
-}
-
-// SetPred is `attr IN ('a', 'b')` or `attr IN {'a', 'b'}`.
-type SetPred struct {
+// setPred is `attr IN ('a', 'b')` or `attr IN {'a', 'b'}`.
+type setPred struct {
 	Name   string
 	Values []string
-	Pos    int
 }
 
-// Attr implements Pred.
-func (p *SetPred) Attr() string { return p.Name }
+// Attr implements pred.
+func (p *setPred) Attr() string { return p.Name }
 
-func (p *SetPred) String() string {
-	parts := make([]string, len(p.Values))
-	for i, v := range p.Values {
-		parts[i] = "'" + strings.ReplaceAll(v, "'", "''") + "'"
-	}
-	return fmt.Sprintf("%s IN {%s}", p.Name, strings.Join(parts, ", "))
-}
-
-// CmpPred is `attr < v`, `attr <= v`, `attr > v`, `attr >= v` for
+// cmpPred is `attr < v`, `attr <= v`, `attr > v`, `attr >= v` for
 // numeric v.
-type CmpPred struct {
+type cmpPred struct {
 	Name string
 	Op   TokenKind // TokLt, TokLe, TokGt, TokGe
 	Val  float64
-	Pos  int
 }
 
-// Attr implements Pred.
-func (p *CmpPred) Attr() string { return p.Name }
+// Attr implements pred.
+func (p *cmpPred) Attr() string { return p.Name }
 
-func (p *CmpPred) String() string {
-	op := map[TokenKind]string{TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">="}[p.Op]
-	return fmt.Sprintf("%s %s %s", p.Name, op, num(p.Val))
-}
-
-// EqPred is `attr = literal` where the literal is a number, string or
+// eqPred is `attr = literal` where the literal is a number, string or
 // boolean.
-type EqPred struct {
+type eqPred struct {
 	Name string
 	// exactly one of the following is meaningful, per Kind
-	Kind    LitKind
+	Kind    litKind
 	NumVal  float64
 	StrVal  string
 	BoolVal bool
-	Pos     int
 }
 
-// LitKind classifies EqPred literals.
-type LitKind int
+// litKind classifies eqPred literals.
+type litKind int
 
 // Literal kinds.
 const (
-	LitNumber LitKind = iota
-	LitString
-	LitBool
+	litNumber litKind = iota
+	litString
+	litBool
 )
 
-// Attr implements Pred.
-func (p *EqPred) Attr() string { return p.Name }
-
-func (p *EqPred) String() string {
-	switch p.Kind {
-	case LitNumber:
-		return fmt.Sprintf("%s = %s", p.Name, num(p.NumVal))
-	case LitString:
-		return fmt.Sprintf("%s = '%s'", p.Name, strings.ReplaceAll(p.StrVal, "'", "''"))
-	default:
-		return fmt.Sprintf("%s = %t", p.Name, p.BoolVal)
-	}
-}
-
-// String renders the statement in parseable CQL.
-func (s *Statement) String() string {
-	var b strings.Builder
-	b.WriteString("EXPLORE ")
-	b.WriteString(s.Table)
-	if len(s.Preds) > 0 {
-		b.WriteString(" WHERE ")
-		parts := make([]string, len(s.Preds))
-		for i, p := range s.Preds {
-			parts[i] = p.String()
-		}
-		b.WriteString(strings.Join(parts, " AND "))
-	}
-	b.WriteString(s.Options.String())
-	return b.String()
-}
+// Attr implements pred.
+func (p *eqPred) Attr() string { return p.Name }
 
 // String renders the WITH clause canonically, with a leading space, or
 // "" when no option is set.

@@ -1,7 +1,6 @@
 package cql
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 // BindError reports a semantic error found while binding a statement to a
 // schema (unknown column, type mismatch).
 type BindError struct {
-	Pos  int
 	Attr string
 	Msg  string
 }
@@ -22,9 +20,9 @@ func (e *BindError) Error() string {
 	return fmt.Sprintf("cql: column %q: %s", e.Attr, e.Msg)
 }
 
-// Bind type-checks the statement against the table schema and lowers it
-// to an executable conjunctive query.
-func Bind(stmt *Statement, t *storage.Table) (query.Query, error) {
+// bind type-checks the statement's query against the table schema and
+// lowers it to an executable conjunctive query.
+func bind(stmt *tree, t *storage.Table) (query.Query, error) {
 	if stmt.Table != t.Name() {
 		return query.Query{}, fmt.Errorf("cql: statement explores %q, table is %q", stmt.Table, t.Name())
 	}
@@ -32,7 +30,7 @@ func Bind(stmt *Statement, t *storage.Table) (query.Query, error) {
 	for _, p := range stmt.Preds {
 		idx := t.Schema().Index(p.Attr())
 		if idx < 0 {
-			return query.Query{}, &BindError{posOf(p), p.Attr(), "no such column"}
+			return query.Query{}, &BindError{p.Attr(), "no such column"}
 		}
 		typ := t.Schema().Field(idx).Type
 		bound, err := bindPred(p, typ)
@@ -44,32 +42,17 @@ func Bind(stmt *Statement, t *storage.Table) (query.Query, error) {
 	return q, nil
 }
 
-func posOf(p Pred) int {
+func bindPred(p pred, typ storage.DataType) (query.Predicate, error) {
 	switch v := p.(type) {
-	case *RangePred:
-		return v.Pos
-	case *SetPred:
-		return v.Pos
-	case *CmpPred:
-		return v.Pos
-	case *EqPred:
-		return v.Pos
-	default:
-		return 0
-	}
-}
-
-func bindPred(p Pred, typ storage.DataType) (query.Predicate, error) {
-	switch v := p.(type) {
-	case *RangePred:
+	case *rangePred:
 		if !typ.IsNumeric() {
-			return query.Predicate{}, &BindError{v.Pos, v.Name, fmt.Sprintf("range predicate needs a numeric column, found %v", typ)}
+			return query.Predicate{}, &BindError{v.Name, fmt.Sprintf("range predicate needs a numeric column, found %v", typ)}
 		}
 		out := query.NewRange(v.Name, v.Lo, v.Hi)
 		out.LoIncl, out.HiIncl = v.LoIncl, v.HiIncl
 		return out, nil
 
-	case *SetPred:
+	case *setPred:
 		switch typ {
 		case storage.String:
 			return query.NewIn(v.Name, v.Values...), nil
@@ -82,18 +65,18 @@ func bindPred(p Pred, typ storage.DataType) (query.Predicate, error) {
 			if len(v.Values) == 1 {
 				x, err := strconv.ParseFloat(v.Values[0], 64)
 				if err != nil {
-					return query.Predicate{}, &BindError{v.Pos, v.Name, fmt.Sprintf("value %q is not numeric", v.Values[0])}
+					return query.Predicate{}, &BindError{v.Name, fmt.Sprintf("value %q is not numeric", v.Values[0])}
 				}
 				return query.NewRange(v.Name, x, x), nil
 			}
-			return query.Predicate{}, &BindError{v.Pos, v.Name, "numeric IN-lists with multiple values are not expressible as one conjunctive predicate; use a range [lo, hi]"}
+			return query.Predicate{}, &BindError{v.Name, "numeric IN-lists with multiple values are not expressible as one conjunctive predicate; use a range [lo, hi]"}
 		default:
-			return query.Predicate{}, &BindError{v.Pos, v.Name, fmt.Sprintf("set predicate needs a categorical column, found %v", typ)}
+			return query.Predicate{}, &BindError{v.Name, fmt.Sprintf("set predicate needs a categorical column, found %v", typ)}
 		}
 
-	case *CmpPred:
+	case *cmpPred:
 		if !typ.IsNumeric() {
-			return query.Predicate{}, &BindError{v.Pos, v.Name, fmt.Sprintf("comparison needs a numeric column, found %v", typ)}
+			return query.Predicate{}, &BindError{v.Name, fmt.Sprintf("comparison needs a numeric column, found %v", typ)}
 		}
 		switch v.Op {
 		case TokLt:
@@ -110,56 +93,28 @@ func bindPred(p Pred, typ storage.DataType) (query.Predicate, error) {
 			return query.NewRange(v.Name, v.Val, math.Inf(1)), nil
 		}
 
-	case *EqPred:
+	case *eqPred:
 		switch typ {
 		case storage.Int64, storage.Float64:
-			if v.Kind != LitNumber {
-				return query.Predicate{}, &BindError{v.Pos, v.Name, "numeric column compared with non-numeric literal"}
+			if v.Kind != litNumber {
+				return query.Predicate{}, &BindError{v.Name, "numeric column compared with non-numeric literal"}
 			}
 			return query.NewRange(v.Name, v.NumVal, v.NumVal), nil
 		case storage.String:
 			switch v.Kind {
-			case LitString:
+			case litString:
 				return query.NewIn(v.Name, v.StrVal), nil
-			case LitBool:
-				return query.Predicate{}, &BindError{v.Pos, v.Name, "string column compared with boolean literal"}
+			case litBool:
+				return query.Predicate{}, &BindError{v.Name, "string column compared with boolean literal"}
 			default:
-				return query.Predicate{}, &BindError{v.Pos, v.Name, "string column compared with numeric literal"}
+				return query.Predicate{}, &BindError{v.Name, "string column compared with numeric literal"}
 			}
 		case storage.Bool:
-			if v.Kind != LitBool {
-				return query.Predicate{}, &BindError{v.Pos, v.Name, "boolean column compared with non-boolean literal"}
+			if v.Kind != litBool {
+				return query.Predicate{}, &BindError{v.Name, "boolean column compared with non-boolean literal"}
 			}
 			return query.NewBoolEq(v.Name, v.BoolVal), nil
 		}
 	}
 	return query.Predicate{}, fmt.Errorf("cql: unhandled predicate %T", p)
-}
-
-// ErrWithClause rejects a WITH clause given to a caller that runs the
-// statement under options of its own (a session, the anytime rounds).
-var ErrWithClause = errors.New("cql: WITH options are not accepted here")
-
-// ParseQuery is ParseAndBind for those callers: a statement with a WITH
-// clause fails with ErrWithClause.
-func ParseQuery(input string, t *storage.Table) (query.Query, error) {
-	q, o, err := ParseAndBind(input, t)
-	if err == nil && o != (Options{}) {
-		q, err = query.Query{}, fmt.Errorf("%w:%s", ErrWithClause, o)
-	}
-	return q, err
-}
-
-// ParseAndBind is the one-call convenience path: parse the input and bind
-// it against the table.
-func ParseAndBind(input string, t *storage.Table) (query.Query, Options, error) {
-	stmt, err := Parse(input)
-	if err != nil {
-		return query.Query{}, Options{}, err
-	}
-	q, err := Bind(stmt, t)
-	if err != nil {
-		return query.Query{}, Options{}, err
-	}
-	return q, stmt.Options, nil
 }

@@ -1,6 +1,7 @@
 package cql
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestLexNumbers(t *testing.T) {
 }
 
 func TestParseMinimal(t *testing.T) {
-	stmt, err := Parse("EXPLORE adult")
+	stmt, err := parse("EXPLORE adult")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,41 +81,41 @@ func TestParseMinimal(t *testing.T) {
 
 func TestParseFullQuery(t *testing.T) {
 	in := "explore adult where age between 17 and 90 and sex = 'Male' and edu in {'BSc','MSc'} and salary in [0, 50000) and active = true and score < 10"
-	stmt, err := Parse(in)
+	stmt, err := parse(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stmt.Preds) != 6 {
 		t.Fatalf("preds = %d", len(stmt.Preds))
 	}
-	r, ok := stmt.Preds[0].(*RangePred)
+	r, ok := stmt.Preds[0].(*rangePred)
 	if !ok || r.Lo != 17 || r.Hi != 90 || !r.LoIncl || !r.HiIncl {
 		t.Fatalf("pred 0 = %#v", stmt.Preds[0])
 	}
-	e, ok := stmt.Preds[1].(*EqPred)
-	if !ok || e.Kind != LitString || e.StrVal != "Male" {
+	e, ok := stmt.Preds[1].(*eqPred)
+	if !ok || e.Kind != litString || e.StrVal != "Male" {
 		t.Fatalf("pred 1 = %#v", stmt.Preds[1])
 	}
-	s, ok := stmt.Preds[2].(*SetPred)
+	s, ok := stmt.Preds[2].(*setPred)
 	if !ok || len(s.Values) != 2 {
 		t.Fatalf("pred 2 = %#v", stmt.Preds[2])
 	}
-	r2, ok := stmt.Preds[3].(*RangePred)
+	r2, ok := stmt.Preds[3].(*rangePred)
 	if !ok || r2.HiIncl {
 		t.Fatalf("pred 3 = %#v (interval [0,50000) must be half-open)", stmt.Preds[3])
 	}
-	b, ok := stmt.Preds[4].(*EqPred)
-	if !ok || b.Kind != LitBool || !b.BoolVal {
+	b, ok := stmt.Preds[4].(*eqPred)
+	if !ok || b.Kind != litBool || !b.BoolVal {
 		t.Fatalf("pred 4 = %#v", stmt.Preds[4])
 	}
-	c, ok := stmt.Preds[5].(*CmpPred)
+	c, ok := stmt.Preds[5].(*cmpPred)
 	if !ok || c.Op != TokLt || c.Val != 10 {
 		t.Fatalf("pred 5 = %#v", stmt.Preds[5])
 	}
 }
 
 func TestParseWithOptions(t *testing.T) {
-	stmt, err := Parse("EXPLORE t WITH MAPS 5 REGIONS 6 PREDICATES 2 SPLITS 3 CUT variance MERGE product DISTANCE nmi THRESHOLD 0.8 SAMPLE 0.25")
+	stmt, err := parse("EXPLORE t WITH MAPS 5 REGIONS 6 PREDICATES 2 SPLITS 3 CUT variance MERGE product DISTANCE nmi THRESHOLD 0.8 SAMPLE 0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,25 +153,27 @@ func TestParseErrors(t *testing.T) {
 		"EXPLORE t trailing",
 	}
 	for _, in := range cases {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) should fail", in)
+		if _, err := parse(in); err == nil {
+			t.Errorf("parse(%q) should fail", in)
 		}
 	}
 }
 
 func TestParseStringRoundTrip(t *testing.T) {
+	tbl := testTable(t)
 	inputs := []string{
 		"EXPLORE adult",
-		"EXPLORE adult WHERE age IN [17, 90] AND sex = 'Male'",
-		"EXPLORE t WHERE edu IN {'BSc', 'MSc'} AND x IN [0, 1) AND b = true",
-		"EXPLORE t WITH MAPS 4 CUT median",
+		"EXPLORE adult WHERE age IN [17, 90] AND edu = 'BSc'",
+		"EXPLORE adult WHERE edu IN {'BSc', 'MSc'} AND salary IN [0, 1) AND active = true",
+		"EXPLORE adult WITH MAPS 4 CUT median",
+		"EXPLORE adult WHERE age > 17 AND salary <= 5000 AND age IN (17, 90]",
 	}
 	for _, in := range inputs {
-		s1, err := Parse(in)
+		s1, err := Parse(in, tbl)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)
 		}
-		s2, err := Parse(s1.String())
+		s2, err := Parse(s1.String(), tbl)
 		if err != nil {
 			t.Fatalf("reparse of %q: %v", s1.String(), err)
 		}
@@ -195,14 +198,15 @@ func testTable(t *testing.T) *storage.Table {
 
 func TestBindTypesCorrectly(t *testing.T) {
 	tbl := testTable(t)
-	q, opts, err := ParseAndBind(
+	st, err := Parse(
 		"EXPLORE adult WHERE age BETWEEN 17 AND 90 AND edu IN ('BSc','MSc') AND active = true AND salary >= 1000 WITH MAPS 3",
 		tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Maps != 3 {
-		t.Fatalf("opts = %+v", opts)
+	q := st.Query
+	if st.With.Maps != 3 {
+		t.Fatalf("opts = %+v", st.With)
 	}
 	if q.NumPreds() != 4 {
 		t.Fatalf("preds = %d", q.NumPreds())
@@ -235,11 +239,11 @@ func TestBindComparisonOperators(t *testing.T) {
 		{"EXPLORE adult WHERE age = 30", 30, 30, true, true},
 	}
 	for _, c := range cases {
-		q, _, err := ParseAndBind(c.in, tbl)
+		st, err := Parse(c.in, tbl)
 		if err != nil {
 			t.Fatalf("%s: %v", c.in, err)
 		}
-		p := q.Preds[0]
+		p := st.Query.Preds[0]
 		if p.Lo != c.lo || p.Hi != c.hi || p.LoIncl != c.loIncl || p.HiIncl != c.hiIncl {
 			t.Errorf("%s: bound to %+v", c.in, p)
 		}
@@ -262,33 +266,33 @@ func TestBindErrors(t *testing.T) {
 		"EXPLORE adult WHERE age = 'x'",              // numeric vs string
 	}
 	for _, in := range cases {
-		if _, _, err := ParseAndBind(in, tbl); err == nil {
-			t.Errorf("ParseAndBind(%q) should fail", in)
+		if _, err := Parse(in, tbl); err == nil {
+			t.Errorf("Parse(%q) should fail", in)
 		}
 	}
 }
 
 func TestBindNumericSingletonInList(t *testing.T) {
 	tbl := testTable(t)
-	q, _, err := ParseAndBind("EXPLORE adult WHERE age IN (30)", tbl)
+	st, err := Parse("EXPLORE adult WHERE age IN (30)", tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Preds[0].Lo != 30 || q.Preds[0].Hi != 30 {
-		t.Fatalf("pred = %+v", q.Preds[0])
+	if p := st.Query.Preds[0]; p.Lo != 30 || p.Hi != 30 {
+		t.Fatalf("pred = %+v", p)
 	}
 }
 
 func TestBindErrorMessages(t *testing.T) {
 	tbl := testTable(t)
-	_, _, err := ParseAndBind("EXPLORE adult WHERE ghost = 1", tbl)
+	_, err := Parse("EXPLORE adult WHERE ghost = 1", tbl)
 	if err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("error should name the column: %v", err)
 	}
 }
 
 func TestStatementStringWithOptions(t *testing.T) {
-	stmt, err := Parse("EXPLORE t WITH MAPS 4 THRESHOLD 0.9")
+	stmt, err := Parse("EXPLORE adult WITH MAPS 4 THRESHOLD 0.9", testTable(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,18 +306,48 @@ func TestStatementStringWithOptions(t *testing.T) {
 // encoded length, and a byte that is not UTF-8 is a syntax error rather
 // than a Latin-1 letter.
 func TestLexUTF8(t *testing.T) {
-	stmt, err := Parse("EXPLORE größe WHERE höhe_2 >= 1 WITH CUT Médian")
+	stmt, err := parse("EXPLORE größe WHERE höhe_2 >= 1 WITH CUT Médian")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stmt.Table != "größe" || stmt.Preds[0].Attr() != "höhe_2" || stmt.Options.Cut != "médian" {
-		t.Errorf("parsed %q", stmt.String())
+		t.Errorf("parsed %+v", stmt)
 	}
 	for _, in := range []string{"EXPLORE \xf3", "EXPLORE t WITH MERGE \xf3", "EXPLORE t WHERE a = 1\xff"} {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) accepted a byte that is not UTF-8", in)
+		if _, err := parse(in); err == nil {
+			t.Errorf("parse(%q) accepted a byte that is not UTF-8", in)
 		} else if _, ok := err.(*SyntaxError); !ok {
-			t.Errorf("Parse(%q): %T, want *SyntaxError", in, err)
+			t.Errorf("parse(%q): %T, want *SyntaxError", in, err)
 		}
+	}
+}
+
+// TestParseBindsWithClause: Parse checks each WITH value against the
+// pipeline's rules, naming the option it refuses, reads CUT sketch as
+// median, and renders the statement as its query's text and its clause.
+func TestParseBindsWithClause(t *testing.T) {
+	tbl := testTable(t)
+	for _, opt := range []string{"SPLITS 1", "REGIONS 1", "CUT bogus", "MERGE bogus", "DISTANCE bogus"} {
+		_, err := Parse("EXPLORE adult WITH "+opt, tbl)
+		if err == nil || !strings.Contains(err.Error(), "WITH "+opt) {
+			t.Errorf("WITH %s: %v, want an error naming it", opt, err)
+		}
+	}
+	st, err := Parse("EXPLORE adult WHERE age BETWEEN 17 AND 90 WITH CUT sketch MAPS 2", tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "EXPLORE adult WHERE age IN [17, 90] WITH MAPS 2 CUT median"; st.String() != want {
+		t.Errorf("String = %q, want %q", st.String(), want)
+	}
+	if _, err := st.Plain(); !errors.Is(err, ErrWithClause) || !strings.Contains(err.Error(), "MAPS 2") {
+		t.Errorf("Plain: %v, want ErrWithClause naming the clause", err)
+	}
+	plain, err := Parse("EXPLORE adult WHERE age BETWEEN 17 AND 90", tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, err := plain.Plain(); err != nil || plain.String() != q.String() {
+		t.Errorf("plain statement: %q, %v; want its query's text", plain.String(), err)
 	}
 }

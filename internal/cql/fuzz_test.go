@@ -1,11 +1,16 @@
 package cql
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseCQL: any input either fails to parse with a *SyntaxError or
-// parses to a statement whose rendering parses back to a statement that
-// renders the same — Parse never panics, and String() is CQL. Seed
-// corpus under testdata/fuzz.
+	"repro/internal/storage"
+)
+
+// FuzzParseCQL: any input either fails to parse with a *SyntaxError, or
+// parses to a statement that, bound against a table shaped after it,
+// has a canonical text (Statement.String) that parses and binds back
+// to the same text — parsing never panics, and the text that keys and
+// echoes results is CQL. Seed corpus under testdata/fuzz.
 func FuzzParseCQL(f *testing.F) {
 	for _, s := range []string{
 		"EXPLORE census",
@@ -17,20 +22,47 @@ func FuzzParseCQL(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		s1, err := Parse(in)
+		s, err := parse(in)
 		if err != nil {
 			if _, ok := err.(*SyntaxError); !ok {
-				t.Fatalf("Parse(%q): %T is not a *SyntaxError: %v", in, err, err)
+				t.Fatalf("parse(%q): %T is not a *SyntaxError: %v", in, err, err)
 			}
 			return
 		}
-		out := s1.String()
-		s2, err := Parse(out)
+		tbl := tableFor(s)
+		st, err := Parse(in, tbl)
 		if err != nil {
-			t.Fatalf("rendering %q of %q does not parse: %v", out, in, err)
+			return // a predicate the shape cannot type, or a refused WITH value
 		}
-		if again := s2.String(); again != out {
-			t.Fatalf("rendering of %q unstable: %q -> %q", in, out, again)
+		out := st.String()
+		again, err := Parse(out, tbl)
+		if err != nil {
+			t.Fatalf("canonical text %q of %q does not parse: %v", out, in, err)
+		}
+		if again.String() != out {
+			t.Fatalf("canonical text of %q unstable: %q -> %q", in, out, again.String())
 		}
 	})
+}
+
+// tableFor returns an empty table named as s explores, with one column
+// per attribute its predicates constrain, typed after the first of them.
+func tableFor(s *tree) *storage.Table {
+	var fields []storage.Field
+	seen := map[string]bool{}
+	for _, p := range s.Preds {
+		if seen[p.Attr()] {
+			continue
+		}
+		seen[p.Attr()] = true
+		typ := storage.Float64
+		switch v := p.(type) {
+		case *setPred:
+			typ = storage.String
+		case *eqPred:
+			typ = [...]storage.DataType{litNumber: storage.Float64, litString: storage.String, litBool: storage.Bool}[v.Kind]
+		}
+		fields = append(fields, storage.Field{Name: p.Attr(), Type: typ})
+	}
+	return storage.NewBuilder(s.Table, storage.MustSchema(fields...)).MustBuild()
 }

@@ -8,7 +8,8 @@
 //	pred    = ident "BETWEEN" number "AND" number
 //	        | ident "IN" "(" literal { "," literal } ")"
 //	        | ident "IN" "{" literal { "," literal } "}"
-//	        | ident "IN" ("["|"(") number "," number ("]"|")")
+//	        | ident "IN" "[" number "," number ("]"|")")
+//	        | ident "IN" "(" number "," number "]"
 //	        | ident ("="|"<"|"<="|">"|">=") literal
 //	option  = ("MAPS"|"REGIONS"|"PREDICATES"|"SPLITS") integer
 //	        | ("CUT"|"MERGE"|"DISTANCE") ident
@@ -16,7 +17,8 @@
 //	literal = number | string | "TRUE" | "FALSE"
 //
 // Strings are single-quoted with ” escaping. The bracketed IN form gives
-// the paper's interval notation: age IN [17, 90].
+// the paper's interval notation: age IN [17, 90]; a bound a comparison
+// leaves open is ±Inf, as a statement's canonical text renders it.
 package cql
 
 import (
@@ -49,43 +51,17 @@ const (
 	TokGe
 )
 
+var tokenNames = [...]string{
+	TokEOF: "end of input", TokIdent: "identifier", TokNumber: "number", TokString: "string",
+	TokComma: "','", TokLParen: "'('", TokRParen: "')'", TokLBracket: "'['", TokRBracket: "']'",
+	TokLBrace: "'{'", TokRBrace: "'}'", TokEq: "'='", TokLt: "'<'", TokLe: "'<='", TokGt: "'>'", TokGe: "'>='",
+}
+
 func (k TokenKind) String() string {
-	switch k {
-	case TokEOF:
-		return "end of input"
-	case TokIdent:
-		return "identifier"
-	case TokNumber:
-		return "number"
-	case TokString:
-		return "string"
-	case TokComma:
-		return "','"
-	case TokLParen:
-		return "'('"
-	case TokRParen:
-		return "')'"
-	case TokLBracket:
-		return "'['"
-	case TokRBracket:
-		return "']'"
-	case TokLBrace:
-		return "'{'"
-	case TokRBrace:
-		return "'}'"
-	case TokEq:
-		return "'='"
-	case TokLt:
-		return "'<'"
-	case TokLe:
-		return "'<='"
-	case TokGt:
-		return "'>'"
-	case TokGe:
-		return "'>='"
-	default:
-		return fmt.Sprintf("TokenKind(%d)", int(k))
+	if k >= 0 && int(k) < len(tokenNames) {
+		return tokenNames[k]
 	}
+	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
 
 // Token is one lexical unit with its source position.
@@ -108,7 +84,7 @@ func (e *SyntaxError) Error() string {
 // Lex tokenizes the input. It returns a token stream ending with TokEOF,
 // or a SyntaxError on malformed input. Outside string literals the input
 // must be UTF-8: identifiers are runs of Unicode letters, digits and
-// underscores; numbers are ASCII.
+// underscores; numbers are ASCII, ±Inf included.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
 	i := 0
@@ -183,6 +159,11 @@ func Lex(input string) ([]Token, error) {
 				return nil, &SyntaxError{start, "unterminated string literal"}
 			}
 			toks = append(toks, Token{TokString, sb.String(), start})
+		case (c == '-' || c == '+') && strings.HasPrefix(input[i+1:], "Inf"):
+			// A range bound a comparison left open, as query.Query's
+			// String renders it.
+			toks = append(toks, Token{TokNumber, input[i : i+4], i})
+			i += 4
 		case isASCIIDigit(input[i]) || c == '-' || c == '+' || c == '.':
 			start := i
 			i++

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Parse lexes and parses one EXPLORE statement.
-func Parse(input string) (*Statement, error) {
+// parse lexes and parses one EXPLORE statement into its syntax tree.
+func parse(input string) (*tree, error) {
 	toks, err := Lex(input)
 	if err != nil {
 		return nil, err
@@ -68,7 +68,7 @@ func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) parseStatement() (*Statement, error) {
+func (p *parser) parseStatement() (*tree, error) {
 	if err := p.expectKeyword("EXPLORE"); err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (p *parser) parseStatement() (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &Statement{Table: tbl.Text}
+	stmt := &tree{Table: tbl.Text}
 	if p.atKeyword("WHERE") {
 		p.next()
 		for {
@@ -100,7 +100,7 @@ func (p *parser) parseStatement() (*Statement, error) {
 	return stmt, nil
 }
 
-func (p *parser) parsePred() (Pred, error) {
+func (p *parser) parsePred() (pred, error) {
 	attr, err := p.expect(TokIdent)
 	if err != nil {
 		return nil, err
@@ -119,17 +119,17 @@ func (p *parser) parsePred() (Pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &RangePred{Name: attr.Text, Lo: lo, Hi: hi, LoIncl: true, HiIncl: true, Pos: attr.Pos}, nil
+		return &rangePred{Name: attr.Text, Lo: lo, Hi: hi, LoIncl: true, HiIncl: true}, nil
 
 	case p.atKeyword("IN"):
 		p.next()
 		switch p.peek().Kind {
 		case TokLParen, TokLBracket:
-			// could be a numeric interval [lo, hi) / (lo, hi] / … or a
-			// parenthesized value list; disambiguate on the first token
-			// inside: a number followed by a comma and a number closed by
-			// a bracket/paren is an interval only for the bracket form.
-			if p.at(TokLBracket) {
+			// could be a numeric interval [lo, hi] / [lo, hi) / (lo, hi]
+			// or a parenthesized value list: an opening bracket, or a
+			// closing one after two numbers, makes an interval, so
+			// (lo, hi) is a list.
+			if p.at(TokLBracket) || p.leftOpenInterval() {
 				return p.parseInterval(attr)
 			}
 			return p.parseValueList(attr, TokRParen)
@@ -148,13 +148,13 @@ func (p *parser) parsePred() (Pred, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &EqPred{Name: attr.Text, Kind: LitNumber, NumVal: v, Pos: attr.Pos}, nil
+			return &eqPred{Name: attr.Text, Kind: litNumber, NumVal: v}, nil
 		case t.Kind == TokString:
 			p.next()
-			return &EqPred{Name: attr.Text, Kind: LitString, StrVal: t.Text, Pos: attr.Pos}, nil
+			return &eqPred{Name: attr.Text, Kind: litString, StrVal: t.Text}, nil
 		case isKeyword(t, "TRUE"), isKeyword(t, "FALSE"):
 			p.next()
-			return &EqPred{Name: attr.Text, Kind: LitBool, BoolVal: isKeyword(t, "TRUE"), Pos: attr.Pos}, nil
+			return &eqPred{Name: attr.Text, Kind: litBool, BoolVal: isKeyword(t, "TRUE")}, nil
 		default:
 			return nil, p.errf("expected literal after '=', found %s", p.describe(t))
 		}
@@ -165,18 +165,30 @@ func (p *parser) parsePred() (Pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CmpPred{Name: attr.Text, Op: op.Kind, Val: v, Pos: attr.Pos}, nil
+		return &cmpPred{Name: attr.Text, Op: op.Kind, Val: v}, nil
 
 	default:
 		return nil, p.errf("expected BETWEEN, IN or a comparison after %q", attr.Text)
 	}
 }
 
-// parseInterval parses `[lo, hi]` or `[lo, hi)` after IN.
-func (p *parser) parseInterval(attr Token) (Pred, error) {
-	if _, err := p.expect(TokLBracket); err != nil {
-		return nil, err
+// leftOpenInterval reports whether the tokens ahead read `( lo , hi ]`.
+func (p *parser) leftOpenInterval() bool {
+	want := []TokenKind{TokLParen, TokNumber, TokComma, TokNumber, TokRBracket}
+	if p.pos+len(want) > len(p.toks) {
+		return false
 	}
+	for i, k := range want {
+		if p.toks[p.pos+i].Kind != k {
+			return false
+		}
+	}
+	return true
+}
+
+// parseInterval parses `[lo, hi]`, `[lo, hi)` or `(lo, hi]` after IN.
+func (p *parser) parseInterval(attr Token) (pred, error) {
+	loIncl := p.next().Kind == TokLBracket
 	lo, err := p.parseNumber()
 	if err != nil {
 		return nil, err
@@ -198,34 +210,31 @@ func (p *parser) parseInterval(attr Token) (Pred, error) {
 	default:
 		return nil, p.errf("expected ']' or ')' to close interval")
 	}
-	return &RangePred{Name: attr.Text, Lo: lo, Hi: hi, LoIncl: true, HiIncl: hiIncl, Pos: attr.Pos}, nil
+	if !loIncl && !hiIncl {
+		return nil, p.errf("an interval open at both ends is a value list: use (lo, hi] or [lo, hi)")
+	}
+	return &rangePred{Name: attr.Text, Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}, nil
 }
 
 // parseValueList parses a delimited list of literals after IN.
-func (p *parser) parseValueList(attr Token, closer TokenKind) (Pred, error) {
+func (p *parser) parseValueList(attr Token, closer TokenKind) (pred, error) {
 	p.next() // consume the opener
 	var strs []string
-	var nums []float64
-	allNums := true
 	for {
 		t := p.peek()
 		switch t.Kind {
 		case TokString:
 			p.next()
 			strs = append(strs, t.Text)
-			allNums = false
 		case TokNumber:
-			v, err := p.parseNumber()
-			if err != nil {
+			if _, err := p.parseNumber(); err != nil {
 				return nil, err
 			}
-			nums = append(nums, v)
 			strs = append(strs, t.Text)
 		default:
 			if isKeyword(t, "TRUE") || isKeyword(t, "FALSE") {
 				p.next()
 				strs = append(strs, strings.ToLower(t.Text))
-				allNums = false
 				break
 			}
 			return nil, p.errf("expected literal in value list, found %s", p.describe(t))
@@ -242,12 +251,9 @@ func (p *parser) parseValueList(attr Token, closer TokenKind) (Pred, error) {
 	if len(strs) == 0 {
 		return nil, p.errf("empty value list")
 	}
-	// A list of exactly two numbers in parens is still a set here; only
-	// the bracket form denotes an interval. Numeric sets are represented
-	// as their texts and resolved at bind time.
-	_ = allNums
-	_ = nums
-	return &SetPred{Name: attr.Text, Values: strs, Pos: attr.Pos}, nil
+	// Numeric sets are represented as their texts and resolved at bind
+	// time.
+	return &setPred{Name: attr.Text, Values: strs}, nil
 }
 
 func (p *parser) parseNumber() (float64, error) {

@@ -63,21 +63,31 @@ func TestPropertyQueryRoundTrip(t *testing.T) {
 		}
 		orig := query.New("t", preds...)
 		text := orig.String()
-		got, _, err := ParseAndBind(text, tbl)
+		st, err := Parse(text, tbl)
 		if err != nil {
 			t.Fatalf("round trip parse failed for %q: %v", text, err)
 		}
-		if !got.Equal(orig) {
+		if got := st.Query; !got.Equal(orig) {
 			t.Fatalf("round trip changed the query:\n  orig %s\n  got  %s", orig, got)
 		}
 	}
 }
 
-// TestPropertyStatementStringStable: any statement that parses renders to
-// a string that parses to the same render (idempotent normal form).
+// TestPropertyStatementStringStable: any statement that parses and
+// binds renders to a canonical text that parses and binds to the same
+// text (idempotent normal form), WITH clause included.
 func TestPropertyStatementStringStable(t *testing.T) {
+	b := storage.NewBuilder("t", storage.MustSchema(
+		storage.Field{Name: "a", Type: storage.Float64},
+		storage.Field{Name: "b", Type: storage.Int64},
+		storage.Field{Name: "c", Type: storage.Float64},
+		storage.Field{Name: "s", Type: storage.String},
+	))
+	b.MustAppendRow(1.0, int64(1), 1.0, "v1")
+	tbl := b.MustBuild()
 	r := rand.New(rand.NewSource(31))
 	attrs := []string{"a", "b", "c"}
+	withs := []string{"", " WITH MAPS 3", " WITH CUT variance SAMPLE 0.5", " WITH SPLITS 4 MERGE product DISTANCE vi THRESHOLD 0.25"}
 	for trial := 0; trial < 100; trial++ {
 		var parts []string
 		for i := 0; i < 1+r.Intn(3); i++ {
@@ -88,19 +98,19 @@ func TestPropertyStatementStringStable(t *testing.T) {
 			case 1:
 				parts = append(parts, fmt.Sprintf("%s IN [%d, %d)", attr, r.Intn(10), 10+r.Intn(10)))
 			case 2:
-				parts = append(parts, fmt.Sprintf("%s IN ('v%d', 'v%d')", attr, r.Intn(5), r.Intn(5)))
+				parts = append(parts, fmt.Sprintf("s IN ('v%d', 'v%d')", r.Intn(5), r.Intn(5)))
 			case 3:
 				parts = append(parts, fmt.Sprintf("%s = %d", attr, r.Intn(100)))
 			default:
 				parts = append(parts, fmt.Sprintf("%s < %d", attr, r.Intn(100)))
 			}
 		}
-		in := "EXPLORE t WHERE " + strings.Join(parts, " AND ")
-		s1, err := Parse(in)
+		in := "EXPLORE t WHERE " + strings.Join(parts, " AND ") + withs[r.Intn(len(withs))]
+		s1, err := Parse(in, tbl)
 		if err != nil {
 			t.Fatalf("parse %q: %v", in, err)
 		}
-		s2, err := Parse(s1.String())
+		s2, err := Parse(s1.String(), tbl)
 		if err != nil {
 			t.Fatalf("reparse %q: %v", s1.String(), err)
 		}

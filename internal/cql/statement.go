@@ -1,0 +1,138 @@
+package cql
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/query"
+	"repro/internal/sample"
+	"repro/internal/storage"
+)
+
+// Statement is one bound EXPLORE statement: the query it explores and
+// the WITH clause it runs under, whose values the pipeline accepts.
+type Statement struct {
+	Query query.Query
+	With  Options
+}
+
+// Parse lexes, parses and binds one EXPLORE statement against t: the
+// query is type-checked against t's schema, and each WITH value must be
+// one the pipeline runs under (the deprecated CUT sketch reads as
+// median).
+func Parse(input string, t *storage.Table) (Statement, error) {
+	s, err := parse(input)
+	if err != nil {
+		return Statement{}, err
+	}
+	q, err := bind(s, t)
+	if err != nil {
+		return Statement{}, err
+	}
+	with, err := bindOptions(s.Options)
+	if err != nil {
+		return Statement{}, err
+	}
+	return Statement{Query: q, With: with}, nil
+}
+
+// String renders the statement canonically: its query's text, then its
+// WITH clause. It is the statement's result-cache key and its result's
+// input.
+func (st Statement) String() string { return st.Query.String() + st.With.String() }
+
+// ErrWithClause rejects a WITH clause given to a caller that runs the
+// statement under options of its own (a session, the anytime rounds, a
+// plan).
+var ErrWithClause = errors.New("cql: WITH options are not accepted here")
+
+// Plain returns the statement's query for those callers: a statement
+// with a WITH clause fails with ErrWithClause, naming the clause.
+func (st Statement) Plain() (query.Query, error) {
+	if st.With != (Options{}) {
+		return query.Query{}, fmt.Errorf("%w:%s", ErrWithClause, st.With)
+	}
+	return st.Query, nil
+}
+
+// ParseAndBind is Parse, returning the statement's parts.
+//
+// Deprecated: use Parse. bench/layers.go still calls it.
+func ParseAndBind(input string, t *storage.Table) (query.Query, Options, error) {
+	st, err := Parse(input, t)
+	return st.Query, st.With, err
+}
+
+// Explore runs st on c, the table's one Cartographer: st's WITH clause
+// overrides c's options for this call on a view that shares c's
+// full-selection cut memo (core.Cartographer.With), WITH SAMPLE f
+// explores a uniform f-fraction of the rows (see internal/sample), and
+// the result's text is st's. Every runner of a statement calls it.
+func Explore(ctx context.Context, c *core.Cartographer, st Statement) (*core.Result, error) {
+	v, err := c.With(ApplyOptions(c.Options(), st.With))
+	if err != nil {
+		return nil, err
+	}
+	var res *core.Result
+	if st.With.Sample > 0 {
+		res, err = v.ExploreSample(ctx, st.Query, sample.Fraction(c.Table().NumRows(), st.With.Sample))
+	} else {
+		res, err = v.ExploreCtx(ctx, st.Query)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.With = st.With.String()
+	return res, nil
+}
+
+// ApplyOptions overlays a statement's WITH clause, as Parse bound it,
+// onto a base pipeline configuration: unset fields keep the base
+// values. SAMPLE picks the rows, not the pipeline, and is left to
+// Explore.
+func ApplyOptions(base core.Options, o Options) core.Options {
+	out := base
+	if o.Maps > 0 {
+		out.MaxMaps = o.Maps
+	}
+	if o.Regions > 0 {
+		out.MaxRegions = o.Regions
+	}
+	if o.Predicates > 0 {
+		out.MaxPredicates = o.Predicates
+	}
+	if o.Splits > 0 {
+		out.Cut.Splits = o.Splits
+	}
+	if o.Cut != "" {
+		out.Cut.Numeric = core.NumericCut(o.Cut)
+	}
+	if o.Merge != "" {
+		out.Merge = core.MergeKind(o.Merge)
+	}
+	if o.Distance != "" {
+		out.Distance = core.Distance(o.Distance)
+	}
+	if o.Threshold > 0 {
+		out.DependencyThreshold = o.Threshold
+	}
+	return out
+}
+
+// bindOptions checks a WITH clause against the pipeline's own rules and
+// returns it in canonical form. Each option is checked on its own, so
+// overlaying the clause on the defaults and validating the result checks
+// exactly the clause's values.
+func bindOptions(o Options) (Options, error) {
+	if o.Cut == "sketch" {
+		// Deprecated alias: the GK sketch approximated the median, which
+		// an exact selection now computes faster.
+		o.Cut = string(core.CutMedian)
+	}
+	if err := ApplyOptions(core.DefaultOptions(), o).Validate(); err != nil {
+		return Options{}, fmt.Errorf("cql: WITH%s: %w", o, err)
+	}
+	return o, nil
+}

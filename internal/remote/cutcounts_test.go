@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/cql"
 	"repro/internal/datagen"
 	"repro/internal/obsv"
 	"repro/internal/query"
@@ -44,8 +45,15 @@ func phaseWorkOf(tr *obsv.Trace) map[string]phaseWork {
 // exploreTraced runs one exploration under a fresh trace and ledger.
 func exploreTraced(t *testing.T, cart *core.Cartographer, q query.Query) (*core.Result, map[string]phaseWork) {
 	t.Helper()
+	return runTraced(t, cart, cql.Statement{Query: q})
+}
+
+// runTraced runs one statement, as every runner of one does, under a
+// fresh trace and ledger.
+func runTraced(t *testing.T, cart *core.Cartographer, st cql.Statement) (*core.Result, map[string]phaseWork) {
+	t.Helper()
 	tr, sp := obsv.NewTrace("explore")
-	res, err := cart.ExploreCtx(obsv.WithLedger(obsv.WithSpan(context.Background(), sp), new(obsv.Ledger)), q)
+	res, err := cql.Explore(obsv.WithLedger(obsv.WithSpan(context.Background(), sp), new(obsv.Ledger)), cart, st)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +109,10 @@ func TestFabricCutsFetchNoChunks(t *testing.T) {
 // TestRepeatFullExploreRunsNoPartition: a second exploration of the full
 // selection takes every candidate — predicates and region bitmaps — from
 // the memo, so its cut phase reads no column: no chunk fetch on a lazy
-// local store, no RPC on the fabric.
+// local store, no RPC on the fabric. A WITH clause runs on a view that
+// shares the memo, keyed by cut options: a second WITH CUT variance
+// exploration, and a WITH MAPS 4 one after the plain ones, read nothing
+// in their cut phase either.
 func TestRepeatFullExploreRunsNoPartition(t *testing.T) {
 	tbl := datagen.SkySurvey(6_000, 53)
 	local := writeShardedInputs(t, tbl, 4, 256)
@@ -137,6 +148,20 @@ func TestRepeatFullExploreRunsNoPartition(t *testing.T) {
 			}
 			if renderResult(second) != renderResult(first) {
 				t.Errorf("repeat answer differs:\n%s\nvs\n%s", renderResult(second), renderResult(first))
+			}
+			for i, text := range []string{"EXPLORE sky WITH CUT variance", "EXPLORE sky WITH CUT variance", "EXPLORE sky WITH MAPS 4"} {
+				st, err := cql.Parse(text, set.Table())
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, work := runTraced(t, cart, st)
+				read := work["cut"].fetches + int64(len(work["cut"].rpcs))
+				if i == 0 && read == 0 {
+					t.Errorf("%s, first: the cut phase read nothing under new cut options", text)
+				}
+				if i > 0 && read != 0 {
+					t.Errorf("%s, after the same cut options: cut phase fetched %d chunks and made RPCs %v, want none", text, work["cut"].fetches, work["cut"].rpcs)
+				}
 			}
 		})
 	}

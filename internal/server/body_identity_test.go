@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cql"
 	"repro/internal/datagen"
 	"repro/internal/obsv"
 	"repro/internal/session"
@@ -316,16 +317,21 @@ func (g *identityRig) history(sid int) {
 	g.check(fmt.Sprintf("session %d history", sid), hdr, body, oracleEncode(g.t, want), "")
 }
 
-func (g *identityRig) explore(query, cql, wantCache string) {
+func (g *identityRig) explore(query, text, wantCache string) {
 	g.t.Helper()
-	hdr, body := g.do(http.MethodPost, "/api/explore"+query, fmt.Sprintf(`{"cql":%q}`, cql))
-	res, _, err := g.srv.runCQL(context.Background(), cql)
+	hdr, body := g.do(http.MethodPost, "/api/explore"+query, fmt.Sprintf(`{"cql":%q}`, text))
+	res, _, err := g.srv.runCQL(context.Background(), text)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	st, err := cql.Parse(text, g.srv.table)
 	if err != nil {
 		g.t.Fatal(err)
 	}
 	dto := oracleResultDTO(res)
+	dto.Input = st.String() // a statement's input echoes its WITH clause
 	withRequestFields(g.t, &dto, body, false)
-	g.check(fmt.Sprintf("explore%s %q", query, cql), hdr, body, oracleEncode(g.t, dto), wantCache)
+	g.check(fmt.Sprintf("explore%s %q", query, text), hdr, body, oracleEncode(g.t, dto), wantCache)
 }
 
 // TestResultBodiesMatchOracle: every result-bearing route answers with
@@ -333,7 +339,9 @@ func (g *identityRig) explore(query, cql, wantCache string) {
 // (miss, then another session's hit), drill, back (the parent with its
 // children), current, history and stateless explore, with and without
 // profiles, over flagged columns, category values that JSON and CQL
-// escape, a WITH override, a sample and an empty base selection.
+// escape, a WITH override, a sample and an empty base selection. A
+// stateless explore's input is its statement's canonical text, WITH
+// clause included.
 func TestResultBodiesMatchOracle(t *testing.T) {
 	g := newIdentityRig(t, identityTable(t))
 	s0, s1 := g.newSession(), g.newSession()

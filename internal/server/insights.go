@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cql"
 	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/shard"
@@ -209,9 +208,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	q, err := cql.ParseQuery(req.CQL, s.table)
+	q, err := s.plainQuery(req.CQL)
 	if err != nil {
-		writeError(w, &badRequest{err})
+		writeError(w, err)
 		return
 	}
 	combined, err := engine.ExplainQuery(s.table, q)

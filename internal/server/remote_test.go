@@ -255,7 +255,7 @@ func TestDrillPipelineFailureIs5xx(t *testing.T) {
 		target := drillRequest{Map: -1}
 		for mi, m := range cur.Result.Maps {
 			for ri, r := range m.Regions {
-				if target.Map < 0 && r.Count > 0 && !srv.results.Contains(srv.opts, r.Query.String()) {
+				if target.Map < 0 && r.Count > 0 && !srv.results.Contains(r.Query.String()) {
 					target = drillRequest{Map: mi, Region: ri}
 				}
 			}

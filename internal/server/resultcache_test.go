@@ -238,6 +238,28 @@ func TestWithOverridesCachedUnderOwnKey(t *testing.T) {
 	}
 }
 
+// TestWithStatementInputEchoed: a stateless statement's input is its
+// canonical text, WITH clause included, and each WITH clause is cached
+// under that text: its own entry, a miss first and a hit after.
+func TestWithStatementInputEchoed(t *testing.T) {
+	ts := newTestServer(t)
+	for _, stmt := range []string{"EXPLORE census", "EXPLORE census WITH SAMPLE 0.1", "EXPLORE census WITH MAPS 2", "EXPLORE census WITH MAPS 8"} {
+		for _, want := range []string{"miss", "hit"} {
+			resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": stmt})
+			var input string
+			if err := json.Unmarshal(body["input"], &input); err != nil {
+				t.Fatal(err)
+			}
+			if v := resp.Header.Get(headerResultCache); resp.StatusCode != http.StatusOK || input != stmt || v != want {
+				t.Errorf("%q: status %d, input %q, verdict %q; want 200, the statement, %q", stmt, resp.StatusCode, input, v, want)
+			}
+		}
+	}
+	if rc := statsOf(t, ts.URL).ResultCache; rc.Entries != 4 || rc.Misses != 4 || rc.Hits != 4 {
+		t.Errorf("result cache %+v, want 4 entries, 4 misses, 4 hits", rc)
+	}
+}
+
 // TestSampleCachedUnderOwnKey: a sample is part of the question. After
 // the exact answer is cached, WITH SAMPLE misses, explores the sample
 // and reports its rows as the total; repeated, it hits. A fraction

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,24 +20,27 @@ import (
 	"repro/internal/cql"
 	"repro/internal/obsv"
 	"repro/internal/par"
+	"repro/internal/query"
 	"repro/internal/remote"
-	"repro/internal/sample"
 	"repro/internal/session"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// Server holds one explorable table and its sessions. All requests that
-// run with the server's default options share a single Cartographer —
-// safe for concurrent use — so its full-selection cut memo warms once and
-// serves every session and stateless exploration — and every request
+// Server holds one explorable table and its sessions. Every request
+// runs on a single Cartographer — safe for concurrent use; WITH
+// overrides on a view of it — so its full-selection cut memo warms once
+// and serves every session and stateless exploration, and every request
 // shares one result cache, so a map is computed once however many
 // sessions, prefetches and stateless explorations ask for it.
 type Server struct {
 	table *storage.Table
 	opts  core.Options
-	cart  *core.Cartographer // shared; nil only when opts fail validation
+	// cart is shared by every exploration; nil when opts fail
+	// validation, which cartErr then says, and every exploration answers.
+	cart    *core.Cartographer
+	cartErr error
 	// set is non-nil when serving a sharded table: sessions assemble
 	// selections per shard, the cut memo fills from per-shard statistics,
 	// and /api/shards reports the layout.
@@ -98,27 +100,25 @@ type Server struct {
 
 // New creates a server over a table with the given pipeline defaults.
 func New(table *storage.Table, opts core.Options) *Server {
-	s := &Server{table: table, opts: opts, sessions: newSessionTable(), results: session.NewResultCache(),
+	s := newServer(table, opts)
+	s.cart, s.cartErr = core.NewCartographer(table, opts)
+	return s
+}
+
+func newServer(table *storage.Table, opts core.Options) *Server {
+	return &Server{table: table, opts: opts, sessions: newSessionTable(), results: session.NewResultCache(),
 		qlog: obsv.NewQueryLog(obsv.DefaultQueryLogDepth), totals: &obsv.Ledger{},
 		gate: newAdmissionGate(),
 		wrec: workload.NewRecorder(table.Name(), workload.RecorderOptions{MaxEntries: workloadCaptureDepth})}
-	if cart, err := core.NewCartographer(table, opts); err == nil {
-		s.cart = cart
-	}
-	return s
 }
 
 // NewSharded creates a server over an opened shard set: explorations —
 // stateless and session ones alike — run on the combined table with
 // column statistics reduced from per-shard partials.
 func NewSharded(set *shard.Set, opts core.Options) *Server {
-	s := &Server{table: set.Table(), opts: opts, set: set, sessions: newSessionTable(), results: session.NewResultCache(),
-		qlog: obsv.NewQueryLog(obsv.DefaultQueryLogDepth), totals: &obsv.Ledger{},
-		gate: newAdmissionGate(),
-		wrec: workload.NewRecorder(set.Table().Name(), workload.RecorderOptions{MaxEntries: workloadCaptureDepth})}
-	if cart, err := core.NewCartographerWith(s.table, opts, set.Provider(opts.Parallelism)); err == nil {
-		s.cart = cart
-	}
+	s := newServer(set.Table(), opts)
+	s.set = set
+	s.cart, s.cartErr = core.NewCartographerWith(s.table, opts, set.Provider(opts.Parallelism))
 	s.ioStats = set.IOStats
 	s.fleet = newFleetPoller(set)
 	return s
@@ -192,19 +192,6 @@ func (s *Server) Close() error {
 
 // Table returns the served table.
 func (s *Server) Table() *storage.Table { return s.table }
-
-// cartFor returns the shared Cartographer when the effective options
-// match the server defaults, and builds a throwaway one otherwise (WITH
-// overrides change the pipeline configuration).
-func (s *Server) cartFor(opts core.Options) (*core.Cartographer, error) {
-	if s.cart != nil && opts == s.opts {
-		return s.cart, nil
-	}
-	if s.set != nil {
-		return core.NewCartographerWith(s.table, opts, s.set.Provider(opts.Parallelism))
-	}
-	return core.NewCartographer(s.table, opts)
-}
 
 // Handler returns the HTTP routing for the API.
 func (s *Server) Handler() http.Handler {
@@ -300,7 +287,7 @@ var resultRenders atomic.Int64
 func renderResult(r *core.Result) []byte {
 	resultRenders.Add(1)
 	dto := ResultDTO{
-		Input:     r.Input.String(),
+		Input:     r.Input.String() + r.With,
 		TotalRows: r.TotalRows,
 		BaseCount: r.BaseCount,
 		ElapsedMs: float64(r.Elapsed.Microseconds()) / 1000.0,
@@ -435,40 +422,44 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, appendResult(nil, res, qr.attach(w)))
 }
 
-// runCQL parses, binds and executes a stateless CQL exploration,
-// honoring its WITH options, through the shared result cache: WITH
-// overrides that change the pipeline options, and a sample, are cached
-// under their own key. cached reports that no pipeline ran for this
-// call. A trace span in ctx profiles the run.
+// runCQL parses, binds and runs a stateless CQL statement, WITH clause
+// and all, through the shared result cache under the statement's
+// canonical text (cql.Statement.String), so a WITH clause or a sample
+// is cached under its own key. cached reports that no pipeline ran for
+// this call. A trace span in ctx profiles the run.
 func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, cached bool, err error) {
-	q, opts, err := cql.ParseAndBind(input, s.table)
+	st, err := cql.Parse(input, s.table)
 	if err != nil {
 		return nil, false, &badRequest{err}
 	}
-	effective, err := cql.ApplyOptions(s.opts, opts)
-	if err != nil {
-		return nil, false, &badRequest{err}
+	if s.cart == nil {
+		return nil, false, s.cartErr
 	}
-	sampled := cql.Options{Sample: opts.Sample} // its text ends the key
-	return s.results.Get(ctx, effective, q.String()+sampled.String(), func() (*core.Result, error) {
-		cart, err := s.cartFor(effective)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Sample > 0 {
-			return cart.ExploreSample(ctx, q, sample.Fraction(s.table.NumRows(), opts.Sample))
-		}
-		return cart.ExploreCtx(ctx, q)
+	return s.results.Get(ctx, st.String(), func() (*core.Result, error) {
+		return cql.Explore(ctx, s.cart, st)
 	})
 }
 
-func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
-	cart, err := s.cartFor(s.opts)
+// plainQuery parses and binds a statement for a route that runs its
+// query under the server's options (a session explore, a plan): a WITH
+// clause, like any other CQL error, is a bad request.
+func (s *Server) plainQuery(input string) (query.Query, error) {
+	st, err := cql.Parse(input, s.table)
+	if err == nil {
+		st.Query, err = st.Plain()
+	}
 	if err != nil {
-		writeError(w, err)
+		return query.Query{}, &badRequest{err}
+	}
+	return st.Query, nil
+}
+
+func (s *Server) handleNewSession(w http.ResponseWriter, _ *http.Request) {
+	if s.cart == nil {
+		writeError(w, s.cartErr)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(session.NewWithCache(cart, s.results, s.totals))})
+	writeJSON(w, http.StatusCreated, map[string]int{"id": s.sessions.add(session.NewWithCache(s.cart, s.results, s.totals))})
 }
 
 func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, sess *session.Session, sid int) {
@@ -476,9 +467,9 @@ func (s *Server) handleSessionExplore(w http.ResponseWriter, r *http.Request, se
 	if !readJSON(w, r, &req) {
 		return
 	}
-	q, err := cql.ParseQuery(req.CQL, s.table)
+	q, err := s.plainQuery(req.CQL)
 	if err != nil {
-		writeError(w, &badRequest{err})
+		writeError(w, err)
 		return
 	}
 	release, err := s.admit(r, "session-explore", req.CQL, sid)
@@ -931,8 +922,6 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.As(err, &nf):
 		status = http.StatusNotFound
-	case strings.Contains(err.Error(), "cql:"):
-		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

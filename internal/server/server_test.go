@@ -281,6 +281,40 @@ func TestExplainRejectsWith(t *testing.T) {
 	}
 }
 
+// TestExploreBadWithValue400: a WITH value the pipeline cannot run
+// under is the client's fault, a 400 naming the option, like any other
+// CQL error.
+func TestExploreBadWithValue400(t *testing.T) {
+	ts := newTestServer(t)
+	for _, opt := range []string{"SPLITS 1", "REGIONS 1"} {
+		resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": "EXPLORE census WITH " + opt})
+		var msg string
+		if err := json.Unmarshal(body["error"], &msg); err != nil {
+			t.Fatalf("WITH %s: status %d, no error message: %v", opt, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, opt) {
+			t.Errorf("WITH %s: status %d, error %q; want 400 naming %q", opt, resp.StatusCode, msg, opt)
+		}
+	}
+}
+
+// TestInvalidDefaultsAnswerTheirError: a server built with options that
+// fail validation answers every exploration, and a new session, with
+// that validation error instead of failing on a missing Cartographer.
+func TestInvalidDefaultsAnswerTheirError(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.MaxRegions = 1
+	ts := httptest.NewServer(New(datagen.Census(500, 1), opts).Handler())
+	defer ts.Close()
+	for _, path := range []string{"/api/explore", "/api/sessions"} {
+		resp, body := postJSON(t, ts.URL+path, map[string]string{"cql": "EXPLORE census WITH MAPS 2"})
+		var msg string
+		if err := json.Unmarshal(body["error"], &msg); err != nil || !strings.Contains(msg, "MaxRegions") {
+			t.Errorf("%s: status %d, error %q (%v); want the options' validation error", path, resp.StatusCode, msg, err)
+		}
+	}
+}
+
 func TestSessionNotFound(t *testing.T) {
 	ts := newTestServer(t)
 	resp, _ := postJSON(t, ts.URL+"/api/sessions/99/explore", map[string]string{"cql": "EXPLORE census"})

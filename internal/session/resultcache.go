@@ -18,11 +18,13 @@ import (
 const resultCacheBudgetBytes = 256 << 20
 
 // ResultCache is the bounded, concurrency-safe cache of exploration
-// results: an LRU over (pipeline options, canonical query text) with a
-// byte budget. The table behind a Cartographer is immutable, so a
-// result is a pure function of its key and entries never go stale. One
-// cache serves every session and stateless exploration of a server;
-// a standalone session owns a private one.
+// results: an LRU over canonical statement texts (cql.Statement's
+// String: a query's text, then its WITH clause) with a byte budget.
+// Every user of one cache explores one table on one Cartographer, under
+// its options unless the text's WITH clause says otherwise, and the
+// table is immutable, so a result is a pure function of its key and
+// entries never go stale. One cache serves every session and stateless
+// exploration of a server; a standalone session owns a private one.
 //
 // Lookups are single-flight per key — concurrent identical misses run
 // the pipeline once and every waiter receives the same *core.Result —
@@ -36,18 +38,13 @@ type ResultCache struct {
 	budget int64
 	used   int64
 	order  *list.List // front = most recently used
-	byKey  map[resultKey]*list.Element
+	byKey  map[string]*list.Element
 
 	hits, misses, coalesced, evictions int64
 }
 
-type resultKey struct {
-	opts core.Options
-	q    string // the canonical query text (query.Query's String)
-}
-
 type resultEntry struct {
-	key   resultKey
+	key   string
 	res   *core.Result
 	bytes int64
 	ready chan struct{} // closed when res/err are set
@@ -61,19 +58,17 @@ type resultEntry struct {
 func NewResultCache() *ResultCache { return newResultCache(resultCacheBudgetBytes) }
 
 func newResultCache(budget int64) *ResultCache {
-	return &ResultCache{budget: budget, order: list.New(), byKey: map[resultKey]*list.Element{}}
+	return &ResultCache{budget: budget, order: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// Get returns the result of exploring, under opts, the query whose
-// canonical text (query.Query's String) is q, running compute on a
-// miss. cached reports that this call ran no pipeline: the result was
+// Get returns the result of the statement whose canonical text is key,
+// running compute on a miss. cached reports that this call ran no pipeline: the result was
 // resident, or another caller's in-flight computation delivered it; the
 // span ctx carries, if any, is then marked resultCached.
 // compute runs under the caller's own context (capture it in the
 // closure); ctx governs only this caller's wait on someone else's
 // flight, which it abandons without disturbing the flight.
-func (c *ResultCache) Get(ctx context.Context, opts core.Options, q string, compute func() (*core.Result, error)) (res *core.Result, cached bool, err error) {
-	key := resultKey{opts: opts, q: q}
+func (c *ResultCache) Get(ctx context.Context, key string, compute func() (*core.Result, error)) (res *core.Result, cached bool, err error) {
 	for {
 		c.mu.Lock()
 		el, ok := c.byKey[key]
@@ -141,15 +136,15 @@ func (c *ResultCache) lead(e *resultEntry, el *list.Element, compute func() (*co
 	return compute()
 }
 
-// Contains reports whether the result of the query whose canonical
-// text is q is resident or being computed, without touching the LRU
+// Contains reports whether the result of the statement whose canonical
+// text is key is resident or being computed, without touching the LRU
 // order — the pre-check of a prefetch, which must neither promote
 // entries it does not use nor start a second computation of one in
 // flight.
-func (c *ResultCache) Contains(opts core.Options, q string) bool {
+func (c *ResultCache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byKey[resultKey{opts: opts, q: q}]
+	_, ok := c.byKey[key]
 	return ok
 }
 
@@ -237,7 +232,7 @@ func resultBytes(r *core.Result) int64 {
 // numbers and brackets around each value.
 func renderAllowance(r *core.Result) int64 {
 	text, names := textBound(r.Input)
-	n := 256 + text + 5*names
+	n := 256 + text + 5*names + int64(len(r.With))
 	for _, f := range r.Flagged {
 		n += 6*int64(len(f.Attr)+len(f.Reason)+3) + 3
 	}

@@ -67,7 +67,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	get := func(i int) {
 		defer wg.Done()
 		calling.Done()
-		res, _, err := c.Get(context.Background(), cart.Options(), q.String(), compute)
+		res, _, err := c.Get(context.Background(), q.String(), compute)
 		if err != nil {
 			t.Error(err)
 		}
@@ -105,12 +105,12 @@ func TestResultCacheSingleFlight(t *testing.T) {
 // one of them recomputes under its own context.
 func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 	s := newSession(t)
-	c, opts, q := s.results, s.cart.Options(), ageBand(25)
+	c, q := s.results, ageBand(25)
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(leaderCtx, opts, q.String(), func() (*core.Result, error) {
+		_, _, err := c.Get(leaderCtx, q.String(), func() (*core.Result, error) {
 			close(started)
 			<-leaderCtx.Done()
 			return nil, obsv.Cancelled(leaderCtx, "test.leader")
@@ -128,7 +128,7 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			calling.Done()
-			res, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
+			res, _, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) {
 				computes.Add(1)
 				return s.cart.Explore(q)
 			})
@@ -146,7 +146,7 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("followers recomputed %d times, want exactly one new leader", n)
 	}
-	if !c.Contains(opts, q.String()) {
+	if !c.Contains(q.String()) {
 		t.Fatal("the new leader's result was not cached")
 	}
 }
@@ -155,11 +155,11 @@ func TestResultCacheCancelledLeaderHandsOff(t *testing.T) {
 // ends gives up alone; the flight completes and is cached.
 func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	s := newSession(t)
-	c, opts, q := s.results, s.cart.Options(), ageBand(30)
+	c, q := s.results, ageBand(30)
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
+		_, _, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) {
 			close(started)
 			<-release
 			return s.cart.Explore(q)
@@ -169,7 +169,7 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	<-started
 	wctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Get(wctx, opts, q.String(), func() (*core.Result, error) {
+	_, _, err := c.Get(wctx, q.String(), func() (*core.Result, error) {
 		t.Error("a waiter must not compute while the flight is live")
 		return nil, nil
 	})
@@ -180,7 +180,7 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if _, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) {
+	if _, cached, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) {
 		return nil, errors.New("recomputed a cached result")
 	}); err != nil || !cached {
 		t.Fatalf("flight result not cached: cached=%v err=%v", cached, err)
@@ -191,42 +191,20 @@ func TestResultCacheCancelledWaiterLeavesFlight(t *testing.T) {
 // and the next lookup recomputes.
 func TestResultCacheErrorNotCached(t *testing.T) {
 	s := newSession(t)
-	c, opts, q := s.results, s.cart.Options(), ageBand(35)
+	c, q := s.results, ageBand(35)
 	boom := errors.New("boom")
-	if _, _, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Contains(opts, q.String()) || c.Stats().Entries != 0 {
+	if c.Contains(q.String()) || c.Stats().Entries != 0 {
 		t.Fatal("a failed exploration left an entry behind")
 	}
-	res, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return s.cart.Explore(q) })
+	res, cached, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) { return s.cart.Explore(q) })
 	if err != nil || cached || res == nil {
 		t.Fatalf("retry after an error: cached=%v err=%v", cached, err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 2 misses, 1 entry", st)
-	}
-}
-
-// TestResultCacheKeyedByOptions: the same query under different pipeline
-// options is a different entry.
-func TestResultCacheKeyedByOptions(t *testing.T) {
-	s := newSession(t)
-	c, q := s.results, ageBand(20)
-	two := s.cart.Options()
-	two.MaxMaps = 2
-	for _, opts := range []core.Options{s.cart.Options(), two} {
-		cart, err := core.NewCartographer(s.cart.Table(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return cart.Explore(q) })
-		if err != nil || cached {
-			t.Fatalf("MaxMaps=%d: cached=%v err=%v", opts.MaxMaps, cached, err)
-		}
-		if len(res.Maps) > opts.MaxMaps {
-			t.Fatalf("MaxMaps=%d answered with %d maps", opts.MaxMaps, len(res.Maps))
-		}
 	}
 }
 
@@ -263,7 +241,7 @@ func TestResultCacheEvictionHonorsBudget(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				for k := 0; k < nq; k++ {
 					i := (k*(g+1) + round) % nq
-					res, _, err := c.Get(context.Background(), cart.Options(), queries[i].String(), func() (*core.Result, error) {
+					res, _, err := c.Get(context.Background(), queries[i].String(), func() (*core.Result, error) {
 						return cart.Explore(queries[i])
 					})
 					if err != nil {
@@ -390,19 +368,19 @@ func TestSessionsShareResults(t *testing.T) {
 // its caller and leaves no entry for later lookups to hang on.
 func TestResultCachePanickingLeaderFreesSlot(t *testing.T) {
 	s := newSession(t)
-	c, opts, q := s.results, s.cart.Options(), ageBand(40)
+	c, q := s.results, ageBand(40)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("the leader's panic was swallowed")
 			}
 		}()
-		_, _, _ = c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { panic("boom") })
+		_, _, _ = c.Get(context.Background(), q.String(), func() (*core.Result, error) { panic("boom") })
 	}()
-	if c.Contains(opts, q.String()) {
+	if c.Contains(q.String()) {
 		t.Fatal("a panicked flight left its entry behind")
 	}
-	if _, cached, err := c.Get(context.Background(), opts, q.String(), func() (*core.Result, error) { return s.cart.Explore(q) }); err != nil || cached {
+	if _, cached, err := c.Get(context.Background(), q.String(), func() (*core.Result, error) { return s.cart.Explore(q) }); err != nil || cached {
 		t.Fatalf("lookup after a panicked flight: cached=%v err=%v", cached, err)
 	}
 }

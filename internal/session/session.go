@@ -49,7 +49,7 @@ type Session struct {
 	cart    *core.Cartographer
 	nodes   []*Node
 	current int
-	// results caches whole explorations by (options, query): private to a
+	// results caches whole explorations by query text: private to a
 	// standalone session, shared across sessions when a server owns it.
 	results *ResultCache
 	// totals, when set, receives the ledger of every prefetch: the
@@ -72,7 +72,7 @@ func New(cart *core.Cartographer) *Session {
 // cache a server shares across its sessions and stateless explorations,
 // so none of them recomputes a map another already holds — and adds
 // each prefetch's bill to totals (nil keeps no totals). Every user of
-// one cache must explore the same table.
+// one cache must explore the same table on the same Cartographer.
 func NewWithCache(cart *core.Cartographer, results *ResultCache, totals *obsv.Ledger) *Session {
 	return &Session{cart: cart, current: -1, results: results, totals: totals}
 }
@@ -101,7 +101,7 @@ func (s *Session) exploreLocked(ctx context.Context, key string, q query.Query, 
 // from a copy of it with no base scan. Failed and cancelled
 // explorations cache nothing.
 func (s *Session) resultFor(ctx context.Context, key string, q query.Query, base *bitvec.Vector) (*core.Result, bool, error) {
-	return s.results.Get(ctx, s.cart.Options(), key, func() (*core.Result, error) {
+	return s.results.Get(ctx, key, func() (*core.Result, error) {
 		if base == nil {
 			return s.cart.ExploreCtx(ctx, q)
 		}
@@ -228,7 +228,7 @@ func (s *Session) Prefetch(limit int) {
 			}
 			limit--
 			key := m.RegionText(ri)
-			if s.results.Contains(s.cart.Options(), key) {
+			if s.results.Contains(key) {
 				continue
 			}
 			q, base := r.Query, m.Assignment().RegionBits(ri)

@@ -215,10 +215,9 @@ func TestSessionPrefetchWarmsCache(t *testing.T) {
 	}
 	// drilling into a prefetched region must be a hit
 	cur, _ := s.Current()
-	opts := s.cart.Options()
 	for mi, m := range cur.Result.Maps {
 		for ri, r := range m.Regions {
-			if !s.results.Contains(opts, r.Query.String()) {
+			if !s.results.Contains(r.Query.String()) {
 				continue
 			}
 			n, err := s.DrillDown(mi, ri)

@@ -33,7 +33,6 @@ var reachAllowlist = map[string]string{
 	"internal/bitvec.Vector.Xor":                  reachOracle,
 	"internal/colstore.Write":                     reachTestOnly,
 	"internal/core.AgglomerateNaive":              reachOracle,
-	"internal/core.Cartographer.Table":            reachTestOnly,
 	"internal/datagen.ClusterPair":                reachTestOnly,
 	"internal/datagen.WithJunkColumns":            reachTestOnly,
 	"internal/engine.PartitionBits":               reachOracle,

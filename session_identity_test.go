@@ -82,10 +82,11 @@ func TestSessionDrillMatchesStatelessExplore(t *testing.T) {
 		explorers[s.name] = ex
 	}
 	for name, ex := range explorers {
-		q, err := ex.ParseQuery("EXPLORE census WHERE age BETWEEN 20 AND 70")
+		st, err := ex.Parse("EXPLORE census WHERE age BETWEEN 20 AND 70")
 		if err != nil {
 			t.Fatal(err)
 		}
+		q := st.Query
 		sess := ex.NewSession()
 		node, err := sess.Explore(q)
 		if err != nil {

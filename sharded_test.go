@@ -96,10 +96,11 @@ func TestShardedSessionFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := exShard.ParseQuery("EXPLORE census")
+		stmt, err := exShard.Parse("EXPLORE census")
 		if err != nil {
 			t.Fatal(err)
 		}
+		q := stmt.Query
 		sp := exPlain.NewSession()
 		ss := exShard.NewSession()
 		np, err := sp.Explore(q)
