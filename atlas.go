@@ -148,7 +148,8 @@ const (
 )
 
 // ErrWithClause rejects a WITH clause where none applies (a query, an
-// anytime run, a session explore).
+// anytime run, a session explore) and, in a plan, any WITH option but
+// SAMPLE.
 var ErrWithClause = cql.ErrWithClause
 
 // DefaultOptions returns the paper's pipeline configuration (8 regions,
@@ -253,17 +254,23 @@ func (e *Explorer) NewSession() *Session {
 	return session.New(e.cart)
 }
 
-// Explain dry-runs a CQL statement: predicates are compiled exactly as
-// Explore compiles them, then judged chunk by chunk against zone maps
-// alone — per-predicate and combined prune/full/scan verdicts plus a
-// cold-cache I/O estimate, without decoding a single chunk. The plan is
-// the full-table scan's, so a WITH clause fails with ErrWithClause.
+// Explain dry-runs a CQL statement's base scan: predicates are compiled
+// exactly as Explore compiles them, then judged chunk by chunk against
+// zone maps alone — per-predicate and combined prune/full/scan verdicts
+// plus a cold-cache I/O estimate, without decoding a single chunk. Under
+// WITH SAMPLE f the plan counts only the chunks holding a sampled row,
+// as the sampled scan visits only those; any other WITH option fails
+// with ErrWithClause, since it does not shape the scan.
 func (e *Explorer) Explain(cqlText string) (*QueryExplain, error) {
-	q, err := e.plain(cqlText)
+	st, err := e.Parse(cqlText)
 	if err != nil {
 		return nil, err
 	}
-	return engine.ExplainQuery(e.Table(), q)
+	q, sample, err := st.Scan(e.Table().NumRows())
+	if err != nil {
+		return nil, err
+	}
+	return engine.ExplainQuery(e.Table(), q, sample)
 }
 
 // Parse parses and binds a CQL statement against the table without

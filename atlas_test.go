@@ -145,16 +145,22 @@ func TestFacadeStatementPlainRejectsWith(t *testing.T) {
 	}
 }
 
-// TestFacadeExplainRejectsWith: EXPLAIN plans the full-table scan, which
-// a sampled exploration does not run, so a WITH clause is refused by
-// name rather than dropped.
+// TestFacadeExplainRejectsWith: EXPLAIN plans the base scan, which only
+// WITH SAMPLE shapes, so any other WITH option is refused by name rather
+// than dropped, and a sample is planned.
 func TestFacadeExplainRejectsWith(t *testing.T) {
 	ex, err := New(CensusDataset(200, 6), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Explain("EXPLORE census WITH SAMPLE 0.1"); !errors.Is(err, ErrWithClause) {
-		t.Fatalf("Explain with WITH SAMPLE 0.1: %v, want ErrWithClause", err)
+	if _, err := ex.Explain("EXPLORE census WITH MAPS 2"); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("Explain with WITH MAPS 2: %v, want ErrWithClause", err)
+	}
+	if _, err := ex.Explain("EXPLORE census WITH SAMPLE 0.1 MAPS 2"); !errors.Is(err, ErrWithClause) {
+		t.Fatalf("Explain with WITH SAMPLE 0.1 MAPS 2: %v, want ErrWithClause", err)
+	}
+	if _, err := ex.Explain("EXPLORE census WITH SAMPLE 0.1"); err != nil {
+		t.Fatalf("Explain with WITH SAMPLE 0.1: %v", err)
 	}
 	if _, err := ex.Explain("EXPLORE census"); err != nil {
 		t.Fatalf("Explain without WITH: %v", err)

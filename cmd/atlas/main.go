@@ -506,15 +506,7 @@ func loadTable(dataset string, rows int, seed int64, csvPath, tblName string) (*
 // the combined chunk outcome, and the cold-cache I/O estimate — all
 // computed without decoding a single chunk.
 func printExplain(p *atlas.QueryExplain) {
-	fmt.Printf("EXPLAIN %s: %d rows", p.Table, p.Rows)
-	if p.Unchunked {
-		fmt.Println(" (unchunked: whole-column scan, no zone verdicts)")
-		for _, pe := range p.Preds {
-			fmt.Printf("  %s\n", pe.Pred)
-		}
-		return
-	}
-	fmt.Printf(", %d chunk(s) of %d rows\n", p.NumChunks, p.ChunkSize)
+	fmt.Printf("EXPLAIN %s: %d rows, %d chunk(s) of %d rows\n", p.Table, p.Rows, p.NumChunks, p.ChunkSize)
 	for _, pe := range p.Preds {
 		if pe.Never {
 			fmt.Printf("  %-40s never matches (empty dictionary intersection)\n", pe.Pred)
@@ -522,7 +514,11 @@ func printExplain(p *atlas.QueryExplain) {
 		}
 		fmt.Printf("  %-40s prune=%d full=%d scan=%d\n", pe.Pred, pe.Prune, pe.Full, pe.Scan)
 	}
-	fmt.Printf("chunks: %d pruned, %d full, %d scanned\n", p.ChunksPruned, p.ChunksFull, p.ChunksScanned)
+	fmt.Printf("chunks: %d pruned, %d full, %d scanned", p.ChunksPruned, p.ChunksFull, p.ChunksScanned)
+	if p.Unsampled > 0 {
+		fmt.Printf(", %d unsampled", p.Unsampled)
+	}
+	fmt.Println()
 	fmt.Printf("cold-cache estimate: %d chunk fetch(es), ~%d KiB decoded\n",
 		p.EstChunkFetches, (p.EstBytesDecoded+1023)/1024)
 }

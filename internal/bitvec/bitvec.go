@@ -38,8 +38,15 @@ func New(n int) *Vector {
 }
 
 // NewFull returns an all-ones vector of length n.
-func NewFull(n int) *Vector {
-	v := New(n)
+func NewFull(n int) *Vector { return NewFullWindow(n, 0, numWords(n)) }
+
+// NewFullWindow returns a vector of length n holding words [w0, w1),
+// whose bits are all set: the rows of those words, and no others.
+func NewFullWindow(n, w0, w1 int) *Vector {
+	if n < 0 || w0 < 0 || w0 > w1 || w1 > numWords(n) {
+		panic(fmt.Sprintf("bitvec: window [%d,%d) over %d bits", w0, w1, n))
+	}
+	v := &Vector{n: n, w0: w0, words: make([]uint64, w1-w0)}
 	for i := range v.words {
 		v.words[i] = ^uint64(0)
 	}

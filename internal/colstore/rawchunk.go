@@ -43,9 +43,6 @@ func (s *Store) AppendRawChunk(dst []byte, ci, k int) ([]byte, uint32, error) {
 		return dst, 0, fmt.Errorf("colstore: column %d out of range", ci)
 	}
 	ck := t.Chunking()
-	if ck == nil {
-		return dst, 0, fmt.Errorf("colstore: store table has no chunk metadata")
-	}
 	numChunks := ck.NumChunks(t.NumRows())
 	if k < 0 || k >= numChunks {
 		return dst, 0, fmt.Errorf("colstore: chunk (%d,%d) out of range", ci, k)

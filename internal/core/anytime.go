@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/query"
 	"repro/internal/sample"
 )
@@ -87,8 +86,8 @@ func (c *Cartographer) ExploreAnytime(ctx context.Context, q query.Query, opts A
 	if err != nil {
 		return nil, err
 	}
-	base := bitvec.NewFull(c.table.NumRows())
-	if err := c.scanBase(ctx, q, base); err != nil {
+	base, err := c.scanBase(ctx, q, nil)
+	if err != nil {
 		return nil, err
 	}
 	base.Trim() // each round's base is a copy of it: its window is theirs

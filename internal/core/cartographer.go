@@ -241,9 +241,9 @@ func (r *Result) Rendered(render func(*Result) []byte) []byte {
 // embarrassingly parallel stages — per-attribute cuts, pairwise
 // distances and per-cluster merges — fan out over Options.Parallelism
 // workers; all results are collected by index, so the answer is
-// identical at any parallelism. On chunk-aware tables (column-store
-// backed) the base scan itself is sharded chunk-by-chunk over the same
-// worker pool and prunes chunks via zone maps.
+// identical at any parallelism. The base scan itself is sharded
+// chunk-by-chunk over the same worker pool and prunes chunks via zone
+// maps.
 func (c *Cartographer) Explore(q query.Query) (*Result, error) {
 	return c.ExploreCtx(context.Background(), q)
 }
@@ -256,8 +256,11 @@ func (c *Cartographer) Explore(q query.Query) (*Result, error) {
 // spans of remote statistic and chunk fetches nest
 // under the phase that issued them. Untraced contexts cost one nil
 // check per phase.
+//
+// The base starts as the rows of the chunks the zone maps do not prune
+// (engine.EvalBase), so it never costs the table's length.
 func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (*Result, error) {
-	return c.ExploreSample(ctx, q, bitvec.NewFull(c.table.NumRows()))
+	return c.explore(ctx, q, nil)
 }
 
 // ExploreSample is ExploreCtx over a sample of the table's rows, the
@@ -265,25 +268,40 @@ func (c *Cartographer) ExploreCtx(ctx context.Context, q query.Query) (*Result, 
 // the result describes s as a table of s's rows alone would — TotalRows
 // is |s| and each region's Cover its Count over |s|. s must have the
 // table's length; the Cartographer takes ownership of it.
-func (c *Cartographer) ExploreSample(ctx context.Context, q query.Query, s *bitvec.Vector) (res *Result, err error) {
-	defer recoverChunkPanic(&err)
-	start := time.Now()
-	total := s.Count()
-	if err := c.scanBase(ctx, q, s); err != nil {
-		return nil, err
-	}
-	return c.exploreBase(ctx, q, s, total, start)
+func (c *Cartographer) ExploreSample(ctx context.Context, q query.Query, s *bitvec.Vector) (*Result, error) {
+	return c.explore(ctx, q, s)
 }
 
-// scanBase checks that q targets the table and narrows sel to q's rows,
-// under the base-scan span.
-func (c *Cartographer) scanBase(ctx context.Context, q query.Query, sel *bitvec.Vector) error {
+// explore maps q's rows among the sample s, or among every row when s
+// is nil.
+func (c *Cartographer) explore(ctx context.Context, q query.Query, s *bitvec.Vector) (res *Result, err error) {
+	defer recoverChunkPanic(&err)
+	start := time.Now()
+	total := c.table.NumRows()
+	if s != nil {
+		total = s.Count()
+	}
+	base, err := c.scanBase(ctx, q, s)
+	if err != nil {
+		return nil, err
+	}
+	return c.exploreBase(ctx, q, base, total, start)
+}
+
+// scanBase checks that q targets the table and returns q's rows among
+// sel, narrowed in place, or among every row when sel is nil, under the
+// base-scan span.
+func (c *Cartographer) scanBase(ctx context.Context, q query.Query, sel *bitvec.Vector) (*bitvec.Vector, error) {
 	if err := c.checkTable(q); err != nil {
-		return err
+		return nil, err
 	}
 	bctx, endBase := scanSpan(ctx, BaseSpan)
 	defer endBase()
-	return engine.EvalAndIntoOpts(c.table, q, sel, engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Ctx: bctx})
+	opts := engine.ScanOptions{Workers: resolveParallelism(c.opts.Parallelism), Ctx: bctx}
+	if sel == nil {
+		return engine.EvalBase(c.table, q, opts)
+	}
+	return sel, engine.EvalAndIntoOpts(c.table, q, sel, opts)
 }
 
 // ExploreSel runs the pipeline on a precomputed base selection — the
@@ -485,7 +503,7 @@ func (c *Cartographer) exploreBase(ctx context.Context, q query.Query, base *bit
 		// base IS the parent query's selection, so composition starts from
 		// it directly instead of re-evaluating q against the table, and
 		// its first level is the cluster's first candidate map
-		x := cutter{t: c.table, total: total, sp: c.sp, cache: c.stats, ctx: mctx, held: held}
+		x := cutter{t: c.table, total: total, sp: c.sp, cache: c.stats, ctx: mctx, held: held, workers: workers}
 		m, err := x.mergeCluster(base, base, true, q, group, c.opts.Merge, c.opts.Cut, c.opts.MaxRegions)
 		var deg *ErrDegenerate
 		if errors.As(err, &deg) {

@@ -116,6 +116,9 @@ type cutter struct {
 	// by attribute, all under the base selection. Composition cuts
 	// regions from it instead of reading the column again. Read-only.
 	held map[string]heldCut
+	// workers is the exploration's worker count, which composition cuts
+	// regions from held values over; <= 1 cuts them one after another.
+	workers int
 }
 
 // heldCut is one candidate cut kept for composition: its map, and for

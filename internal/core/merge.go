@@ -148,11 +148,12 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 			break // even binary cuts would blow the budget
 		}
 		// A numeric attribute cuts every region from its candidate's
-		// values when they are in hand, one region after another, and a
-		// categorical or boolean one whose candidate map has a region per
-		// category from that map's bitmaps. Otherwise the provider reads
-		// each region, and the regions are cut all at once, so a remote
-		// table's round trips overlap.
+		// values when they are in hand, over the exploration's workers,
+		// and a categorical or boolean one whose candidate map has a
+		// region per category from that map's bitmaps. Otherwise the
+		// provider reads each region, and the regions are cut all at once,
+		// so a remote table's round trips overlap. Cuts are collected by
+		// region index, so the map is the same at any worker count.
 		type regionCut struct {
 			preds []query.Predicate
 			bits  []*bitvec.Vector
@@ -161,7 +162,7 @@ func (x *cutter) composeMaps(base, parentSel *bitvec.Vector, seed *Map, parent q
 		ext := held[attr].ext
 		workers := len(regions)
 		if ext != nil {
-			workers = 1
+			workers = x.workers
 		}
 		err := parallelFor(workers, len(regions), func(ri int) error {
 			b := bits[ri]

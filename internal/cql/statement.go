@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/sample"
@@ -44,8 +45,8 @@ func Parse(input string, t *storage.Table) (Statement, error) {
 func (st Statement) String() string { return st.Query.String() + st.With.String() }
 
 // ErrWithClause rejects a WITH clause given to a caller that runs the
-// statement under options of its own (a session, the anytime rounds, a
-// plan).
+// statement under options of its own (a session, the anytime rounds),
+// or a WITH option other than SAMPLE given to a plan.
 var ErrWithClause = errors.New("cql: WITH options are not accepted here")
 
 // Plain returns the statement's query for those callers: a statement
@@ -55,6 +56,28 @@ func (st Statement) Plain() (query.Query, error) {
 		return query.Query{}, fmt.Errorf("%w:%s", ErrWithClause, st.With)
 	}
 	return st.Query, nil
+}
+
+// Scan returns what st's base scan reads over a table of rows rows: its
+// query, and under WITH SAMPLE f the sample's rows (nil for every row) —
+// the plan EXPLAIN reports. Any other WITH option shapes the pipeline,
+// not the scan, and fails with ErrWithClause rather than being dropped.
+func (st Statement) Scan(rows int) (query.Query, *bitvec.Vector, error) {
+	plain := st
+	plain.With.Sample = 0
+	if _, err := plain.Plain(); err != nil {
+		return query.Query{}, nil, err
+	}
+	return st.Query, st.sample(rows), nil
+}
+
+// sample returns the rows WITH SAMPLE f explores over a table of rows
+// rows, nil without a sample.
+func (st Statement) sample(rows int) *bitvec.Vector {
+	if st.With.Sample > 0 {
+		return sample.Fraction(rows, st.With.Sample)
+	}
+	return nil
 }
 
 // ParseAndBind is Parse, returning the statement's parts.
@@ -76,8 +99,8 @@ func Explore(ctx context.Context, c *core.Cartographer, st Statement) (*core.Res
 		return nil, err
 	}
 	var res *core.Result
-	if st.With.Sample > 0 {
-		res, err = v.ExploreSample(ctx, st.Query, sample.Fraction(c.Table().NumRows(), st.With.Sample))
+	if s := st.sample(c.Table().NumRows()); s != nil {
+		res, err = v.ExploreSample(ctx, st.Query, s)
 	} else {
 		res, err = v.ExploreCtx(ctx, st.Query)
 	}

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+
+	"repro/internal/bitvec"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -28,6 +31,9 @@ const (
 	// VerdictFull: every row of the chunk matches; the scan would keep
 	// its bits without I/O.
 	VerdictFull ChunkVerdict = "full"
+	// VerdictUnsampled: the chunk holds no row of the sample; the scan
+	// never visits it, and no predicate judges it.
+	VerdictUnsampled ChunkVerdict = "unsampled"
 )
 
 // PredExplain is one predicate's compile + zone-map summary.
@@ -56,18 +62,18 @@ type QueryExplain struct {
 	// Table is the table name, Rows its row count.
 	Table string `json:"table"`
 	Rows  int    `json:"rows"`
-	// Unchunked reports a table without chunk metadata: the scan is a
-	// whole-column pass and zone verdicts do not exist.
-	Unchunked bool `json:"unchunked,omitempty"`
 	// NumChunks and ChunkSize describe the chunk grid.
 	NumChunks int `json:"numChunks,omitempty"`
 	ChunkSize int `json:"chunkSize,omitempty"`
+	// Unsampled counts the chunks a sampled plan skips: they hold no
+	// sampled row.
+	Unsampled int `json:"unsampled,omitempty"`
 	// Preds summarizes each predicate in query order.
 	Preds []PredExplain `json:"preds"`
 	// ChunksPruned / ChunksFull / ChunksScanned are the combined
-	// per-chunk outcomes: a chunk is pruned when any predicate prunes
-	// it, full when every predicate proves full match, scanned
-	// otherwise.
+	// per-chunk outcomes over the chunks the scan visits: a chunk is
+	// pruned when any predicate prunes it, full when every predicate
+	// proves full match, scanned otherwise.
 	ChunksPruned  int `json:"chunksPruned"`
 	ChunksFull    int `json:"chunksFull"`
 	ChunksScanned int `json:"chunksScanned"`
@@ -95,11 +101,15 @@ func typeWidth(t storage.DataType) int64 {
 	}
 }
 
-// ExplainQuery dry-runs q against t: predicates are compiled exactly
-// as EvalAndIntoOpts compiles them, then judged chunk by chunk against
-// zone maps only. No chunk payload is fetched — on a lazy store the
-// decoded-chunk counter does not move.
-func ExplainQuery(t *storage.Table, q query.Query) (*QueryExplain, error) {
+// ExplainQuery dry-runs q against t over the rows of sample, or every
+// row when sample is nil: predicates are compiled exactly as
+// EvalAndIntoOpts compiles them, then each chunk holding a sampled row
+// is judged against zone maps only. No chunk payload is fetched — on a
+// lazy store the decoded-chunk counter does not move.
+func ExplainQuery(t *storage.Table, q query.Query, sample *bitvec.Vector) (*QueryExplain, error) {
+	if sample != nil && sample.Len() != t.NumRows() {
+		return nil, fmt.Errorf("engine: sample of %d rows over %d rows", sample.Len(), t.NumRows())
+	}
 	cps, err := compileQuery(t, q)
 	if err != nil {
 		return nil, err
@@ -109,10 +119,6 @@ func ExplainQuery(t *storage.Table, q query.Query) (*QueryExplain, error) {
 		ex.Preds[i] = PredExplain{Attr: p.Attr, Pred: p.String(), Never: cps[i].never}
 	}
 	ck := t.Chunking()
-	if ck == nil {
-		ex.Unchunked = true
-		return ex, nil
-	}
 	numChunks := ck.NumChunks(t.NumRows())
 	ex.NumChunks = numChunks
 	ex.ChunkSize = ck.Size
@@ -127,6 +133,11 @@ func ExplainQuery(t *storage.Table, q query.Query) (*QueryExplain, error) {
 		chunkRows := ck.Size
 		if k == numChunks-1 {
 			chunkRows = lastRows
+		}
+		if sample != nil && !sampled(sample, k, ck.Size) {
+			ex.Verdicts[k] = VerdictUnsampled
+			ex.Unsampled++
+			continue
 		}
 		combined := VerdictFull
 		for i := range cps {
@@ -166,4 +177,12 @@ func ExplainQuery(t *storage.Table, q query.Query) (*QueryExplain, error) {
 	}
 	ex.EstChunkFetches = len(fetched)
 	return ex, nil
+}
+
+// sampled reports whether chunk k, of size rows, holds a row of sample.
+func sampled(sample *bitvec.Vector, k, size int) bool {
+	w0, words := sample.Window()
+	wordsPerChunk := size / 64
+	a, b := max(k*wordsPerChunk, w0), min((k+1)*wordsPerChunk, w0+len(words))
+	return a < b && anyWords(words[a-w0:b-w0])
 }

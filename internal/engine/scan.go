@@ -21,8 +21,8 @@ type ScanStats = obsv.ScanStats
 
 // ScanOptions tunes one scan.
 type ScanOptions struct {
-	// Workers shards the scan across chunks when the table carries chunk
-	// metadata; <=1 scans serially. Chunks map to disjoint word ranges
+	// Workers shards the scan across the table's chunks; <=1 scans
+	// serially. Chunks map to disjoint word ranges
 	// of the selection bitmap, so results are byte-identical at any
 	// worker count.
 	Workers int
@@ -55,7 +55,7 @@ func (o ScanOptions) sink(ctx context.Context) *ScanStats {
 }
 
 // EvalAndIntoOpts is EvalAndInto with scan options: zone-map pruning is
-// always on for chunked tables; Workers additionally shards the scan.
+// always on; Workers additionally shards the scan.
 func EvalAndIntoOpts(t *storage.Table, q query.Query, sel *bitvec.Vector, opts ScanOptions) error {
 	if sel.Len() != t.NumRows() {
 		return fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
@@ -65,6 +65,56 @@ func EvalAndIntoOpts(t *storage.Table, q query.Query, sel *bitvec.Vector, opts S
 		return err
 	}
 	return evalCompiled(t, cps, sel, opts)
+}
+
+// EvalBase returns the rows of t that q selects as an exploration's
+// base: a bitmap whose window spans only the chunks from the first to
+// the last that no predicate's zone map prunes, so the base costs that
+// span, not the table's length. The chunks outside it are billed as the
+// scan bills the chunks it prunes.
+func EvalBase(t *storage.Table, q query.Query, opts ScanOptions) (*bitvec.Vector, error) {
+	cps, err := compileQuery(t, q)
+	if err != nil {
+		return nil, err
+	}
+	ck, rows := t.Chunking(), t.NumRows()
+	verdict := chunkVerdict(t)
+	sink := opts.sink(opts.context())
+	// prune reports whether a predicate prunes chunk k; with bill it bills
+	// the chunk as the scan would: its full verdicts up to the prune.
+	prune := func(k int, bill bool) bool {
+		for i := range cps {
+			switch verdict(&cps[i], k) {
+			case zonePrune:
+				if bill {
+					sink.BillPruned()
+				}
+				return true
+			case zoneFull:
+				if bill {
+					sink.BillFull()
+				}
+			}
+		}
+		return false
+	}
+	n := ck.NumChunks(rows)
+	k0, k1 := 0, n
+	for k0 < k1 && prune(k0, false) {
+		k0++
+	}
+	for k1 > k0 && prune(k1-1, false) {
+		k1--
+	}
+	for k := range n {
+		if k < k0 || k >= k1 {
+			prune(k, true)
+		}
+	}
+	wordsPerChunk := ck.Size / 64
+	w1 := min(k1*wordsPerChunk, (rows+63)/64)
+	sel := bitvec.NewFullWindow(rows, min(k0*wordsPerChunk, w1), w1)
+	return sel, evalCompiled(t, cps, sel, opts)
 }
 
 // zoneVerdict is a zone map's answer for one (predicate, chunk) pair.
@@ -249,14 +299,13 @@ func rangeZone(p query.Predicate) func(zm storage.ZoneMap, chunkRows int) zoneVe
 	}
 }
 
-// evalCompiled narrows sel by every compiled predicate, chunk by chunk
-// — an unchunked table is one chunk without a zone map — optionally
-// sharding chunks across workers. Only the chunks sel's window reaches
-// are visited, each on its words of the window. On chunked tables each
+// evalCompiled narrows sel by every compiled predicate, chunk by chunk,
+// optionally sharding chunks across workers. Only the chunks sel's
+// window reaches are visited, each on its words of the window. Each
 // predicate consults the chunk's zone map first, and its column's run is
 // read only when the verdict is "scan": pruned and all-match chunks of
 // lazy columns stay undecoded, and fetch failures (corrupt or truncated
-// chunks) surface as errors. Only chunked tables record chunk verdicts.
+// chunks) surface as errors.
 func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts ScanOptions) error {
 	if len(cps) == 0 {
 		return nil
@@ -266,18 +315,8 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	bill := sink.BillFetch
 	sw0, words := sel.Window()
 	ck := t.Chunking()
-	size := t.RunRows()
-	wordsPerChunk := size / 64
-	chunkRowsOf := func(k int) int { return min(size, t.NumRows()-k*size) }
-	verdict := func(cp *compiledPred, k int) zoneVerdict {
-		switch {
-		case ck != nil:
-			return cp.zone(ck.Zones[cp.colIdx][k], chunkRowsOf(k))
-		case cp.never:
-			return zonePrune
-		}
-		return zoneScan
-	}
+	wordsPerChunk := ck.Size / 64
+	verdict := chunkVerdict(t)
 	// The window reaches chunks [k0, k1); chunk k holds words cw of it,
 	// which skip of the chunk's own words precede.
 	k0, k1 := 0, 0
@@ -309,23 +348,20 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 			switch verdict(cp, k) {
 			case zonePrune:
 				clear(cw)
-				if ck != nil {
-					sink.BillPruned()
-				}
+				sink.BillPruned()
 				return nil
 			case zoneFull:
 				sink.BillFull()
 			default:
-				var window [storage.PrefetchWindow]int
-				cp.runs.Hint(ctx, fetchWindow(window[:0], certain[i], k))
+				if cp.runs.Fetches() {
+					hintFetch(ctx, cp.runs, certain[i], k)
+				}
 				pl, err := cp.runs.Run(ctx, k, bill)
 				if err != nil {
 					return err
 				}
 				cp.and(pl.FromWord(skip), cw)
-				if ck != nil {
-					sink.BillScanned()
-				}
+				sink.BillScanned()
 			}
 		}
 		return nil
@@ -333,13 +369,26 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 	return par.For(opts.Workers, k1-k0, scanChunk)
 }
 
+// chunkVerdict returns the zone-map verdict of a compiled predicate of
+// t on chunk k.
+func chunkVerdict(t *storage.Table) func(cp *compiledPred, k int) zoneVerdict {
+	ck := t.Chunking()
+	return func(cp *compiledPred, k int) zoneVerdict {
+		return cp.zone(ck.Zones[cp.colIdx][k], min(ck.Size, t.NumRows()-k*ck.Size))
+	}
+}
+
 // certainFetches lists, per predicate, the chunks among [k0, k1) the
 // scan will certainly read for it: chunks holding a selected row at scan
 // start, on which every earlier predicate's verdict is full — so their
 // bits are untouched when this predicate's turn comes — and its own is
 // scan. Only these may be hinted: a hint names chunks the scan reads,
-// never ones an earlier predicate could still empty.
+// never ones an earlier predicate could still empty. A scan over
+// resident columns hints nothing, and gets nil.
 func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, chunkWords func(k int) (int, []uint64), k0, k1 int) [][]int {
+	if !slices.ContainsFunc(cps, func(cp compiledPred) bool { return cp.runs.Fetches() }) {
+		return nil
+	}
 	certain := make([][]int, len(cps))
 	for k := k0; k < k1; k++ {
 		if _, cw := chunkWords(k); !anyWords(cw) {
@@ -356,6 +405,13 @@ func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVer
 		}
 	}
 	return certain
+}
+
+// hintFetch hands runs the hint that precedes a fetch of chunk k for a
+// predicate whose certain fetches are certain.
+func hintFetch(ctx context.Context, runs *storage.Runs, certain []int, k int) {
+	var window [storage.PrefetchWindow]int
+	runs.Hint(ctx, fetchWindow(window[:0], certain, k))
 }
 
 // fetchWindow appends to dst the hint that precedes a fetch of chunk k

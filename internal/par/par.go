@@ -29,34 +29,36 @@ func For(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	var (
+	// One value holds the pool's shared state, so a fan-out allocates it
+	// once rather than each variable its goroutines share.
+	st := &struct {
 		next     atomic.Int64
 		failed   atomic.Bool
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		errIdx   = n
+		errIdx   int
 		firstErr error
-	)
-	wg.Add(workers)
+	}{errIdx: n}
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
+			defer st.wg.Done()
+			for !st.failed.Load() {
+				i := int(st.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < errIdx {
-						errIdx, firstErr = i, err
+					st.mu.Lock()
+					if i < st.errIdx {
+						st.errIdx, st.firstErr = i, err
 					}
-					mu.Unlock()
-					failed.Store(true)
+					st.mu.Unlock()
+					st.failed.Store(true)
 				}
 			}
 		}()
 	}
-	wg.Wait()
-	return firstErr
+	st.wg.Wait()
+	return st.firstErr
 }

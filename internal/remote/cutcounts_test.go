@@ -166,3 +166,67 @@ func TestRepeatFullExploreRunsNoPartition(t *testing.T) {
 		})
 	}
 }
+
+// TestCompositionFanOutIdentical: composition cuts the regions of a
+// numeric attribute from the values in hand over the exploration's
+// workers, and collects the cuts by region, so at Splits 3, MaxRegions 8
+// and MaxPredicates 3 every answer is byte-identical at Parallelism 1
+// and 4 — in memory and on a lazy 4-shard store, whose merge phase
+// still fetches no chunk.
+func TestCompositionFanOutIdentical(t *testing.T) {
+	tbl := datagen.SkySurvey(12_000, 61)
+	local := writeShardedInputs(t, tbl, 4, 256)
+	set, err := shard.OpenWith(local, shard.Options{Store: lazyThrash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	queries := []query.Query{
+		query.New("sky", query.NewRange("dec", -40, 50)),
+		query.New("sky", query.NewRange("ra", 30, 200)),
+		query.New("sky", query.NewRange("mag_r", 14, 19), query.NewRange("dec", -60, 60)),
+	}
+	composed := false
+	answers := func(par int, lazy bool) []string {
+		opts := core.DefaultOptions()
+		opts.Parallelism, opts.Cut.Splits, opts.MaxRegions, opts.MaxPredicates = par, 3, 8, 3
+		var (
+			cart *core.Cartographer
+			err  error
+		)
+		if lazy {
+			cart, err = core.NewCartographerWith(set.Table(), opts, set.Provider(par))
+		} else {
+			cart, err = core.NewCartographer(tbl, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, q := range queries {
+			res, work := exploreTraced(t, cart, q)
+			if lazy && work["merge"].fetches != 0 {
+				t.Errorf("%s at parallelism %d: the merge phase fetched %d chunks, want none", q, par, work["merge"].fetches)
+			}
+			for _, m := range res.Maps {
+				composed = composed || len(m.Attrs) > 1
+			}
+			out = append(out, renderResult(res))
+		}
+		return out
+	}
+	want := answers(1, false)
+	if !composed {
+		t.Fatal("no map composes two attributes: composition went untested")
+	}
+	for _, tc := range []struct {
+		par  int
+		lazy bool
+	}{{4, false}, {1, true}, {4, true}} {
+		for i, got := range answers(tc.par, tc.lazy) {
+			if got != want[i] {
+				t.Errorf("parallelism %d, lazy %v: answer %d differs from the serial in-memory one:\nwant:\n%s\ngot:\n%s", tc.par, tc.lazy, i, want[i], got)
+			}
+		}
+	}
+}

@@ -273,10 +273,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleZones(w http.ResponseWriter, _ *http.Request) {
 	ck := s.tbl.Chunking()
-	if ck == nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("shard table has no chunk metadata"))
-		return
-	}
 	dto := zonesDTO{Zones: make([][]zoneDTO, len(ck.Zones))}
 	for ci, zones := range ck.Zones {
 		out := make([]zoneDTO, len(zones))

@@ -8,7 +8,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/cql"
 	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/shard"
@@ -189,7 +191,7 @@ type ExplainDTO struct {
 // otherwise "full" (every surviving chunk answered by its zone map).
 func shardVerdict(ex *engine.QueryExplain) string {
 	switch {
-	case ex.Unchunked || ex.ChunksScanned > 0:
+	case ex.ChunksScanned > 0:
 		return string(engine.VerdictScan)
 	case ex.ChunksFull == 0:
 		return string(engine.VerdictPrune)
@@ -201,25 +203,31 @@ func shardVerdict(ex *engine.QueryExplain) string {
 // handleExplain dry-runs a CQL query: predicates are compiled and
 // judged against manifest statistics and zone maps only, so the plan —
 // per-shard routing, per-chunk verdicts, estimated bytes — comes back
-// without decoding a single chunk. The plan is the full-table scan's,
-// so a WITH clause is a bad request (cql.ErrWithClause).
+// without decoding a single chunk. Under WITH SAMPLE f each plan counts
+// only the chunks holding a sampled row; any other WITH option is a bad
+// request (cql.ErrWithClause), since it does not shape the scan.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	q, err := s.plainQuery(req.CQL)
+	st, err := cql.Parse(req.CQL, s.table)
 	if err != nil {
-		writeError(w, err)
+		writeError(w, &badRequest{err})
 		return
 	}
-	combined, err := engine.ExplainQuery(s.table, q)
+	q, sample, err := st.Scan(s.table.NumRows())
+	if err != nil {
+		writeError(w, &badRequest{err})
+		return
+	}
+	combined, err := engine.ExplainQuery(s.table, q, sample)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	dto := ExplainDTO{
-		Input:           q.String(),
+		Input:           st.String(),
 		Sharded:         s.set != nil,
 		Combined:        combined,
 		EstChunkFetches: combined.EstChunkFetches,
@@ -247,7 +255,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			} else {
 				sd.Plane = "chunk"
 			}
-			ex, err := engine.ExplainQuery(s.set.ShardTable(i), q)
+			var shardSample *bitvec.Vector
+			if sample != nil {
+				off := s.set.ShardOffset(i)
+				shardSample = sample.Slice(off, off+s.set.ShardTable(i).NumRows())
+			}
+			ex, err := engine.ExplainQuery(s.set.ShardTable(i), q, shardSample)
 			if err != nil {
 				writeError(w, err)
 				return

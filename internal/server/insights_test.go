@@ -110,6 +110,25 @@ func TestExplainEndpointSharded(t *testing.T) {
 		t.Errorf("no cold-cache I/O estimate: fetches=%d bytes=%d",
 			dto.EstChunkFetches, dto.EstBytesDecoded)
 	}
+
+	// A sampled plan judges only the chunks holding a sampled row, on the
+	// combined table and on each shard's slice of the sample alike.
+	const sampled = "EXPLORE census WHERE age IN [25, 40] WITH SAMPLE 0.002"
+	dto = explainOn(t, srv, sampled)
+	if c := dto.Combined; dto.Input != sampled || c.Unsampled == 0 || c.ChunksPruned+c.ChunksFull+c.ChunksScanned+c.Unsampled != c.NumChunks {
+		t.Fatalf("sampled plan of %q: input %q, %+v", sampled, dto.Input, c)
+	}
+	var sum engine.QueryExplain
+	for _, sd := range dto.Shards {
+		sum.ChunksPruned += sd.Explain.ChunksPruned
+		sum.ChunksFull += sd.Explain.ChunksFull
+		sum.ChunksScanned += sd.Explain.ChunksScanned
+		sum.Unsampled += sd.Explain.Unsampled
+	}
+	if c := dto.Combined; sum.ChunksPruned != c.ChunksPruned || sum.ChunksFull != c.ChunksFull || sum.ChunksScanned != c.ChunksScanned || sum.Unsampled != c.Unsampled {
+		t.Errorf("shards' sampled plans sum to %d pruned, %d full, %d scanned, %d unsampled; combined %d, %d, %d, %d",
+			sum.ChunksPruned, sum.ChunksFull, sum.ChunksScanned, sum.Unsampled, c.ChunksPruned, c.ChunksFull, c.ChunksScanned, c.Unsampled)
+	}
 }
 
 // TestExplainEndpointRemote: over a remote manifest the shards must be

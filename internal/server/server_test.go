@@ -264,17 +264,22 @@ func TestSessionExploreRejectsWith(t *testing.T) {
 	}
 }
 
-// TestExplainRejectsWith: EXPLAIN plans the full-table scan, so a WITH
-// clause answers 400 naming cql.ErrWithClause instead of that plan.
+// TestExplainRejectsWith: EXPLAIN plans the base scan, which only WITH
+// SAMPLE shapes, so any other WITH option answers 400 naming
+// cql.ErrWithClause instead of a plan that ignores it, and a sample is
+// planned.
 func TestExplainRejectsWith(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census WITH SAMPLE 0.1"})
+	resp, body := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census WITH MAPS 2"})
 	var msg string
 	if err := json.Unmarshal(body["error"], &msg); err != nil {
 		t.Fatalf("status %d, no error message: %v", resp.StatusCode, err)
 	}
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, cql.ErrWithClause.Error()) {
-		t.Fatalf("explain WITH SAMPLE: status %d, error %q; want 400 naming %q", resp.StatusCode, msg, cql.ErrWithClause)
+		t.Fatalf("explain WITH MAPS 2: status %d, error %q; want 400 naming %q", resp.StatusCode, msg, cql.ErrWithClause)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census WITH SAMPLE 0.1"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain WITH SAMPLE 0.1: status %d", resp.StatusCode)
 	}
 	if resp, _ := postJSON(t, ts.URL+"/api/explain", map[string]string{"cql": "EXPLORE census"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain without WITH: status %d", resp.StatusCode)

@@ -191,12 +191,7 @@ func openFileBackend(path string, o colstore.Options) (*fileBackend, error) {
 	if src == nil {
 		// Eagerly decoded file: serve chunk payloads as zero-copy slices
 		// of its columns.
-		tsrc, err := storage.TableChunkSource(st.Table())
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		src = tsrc
+		src = storage.TableChunkSource(st.Table())
 	}
 	return &fileBackend{st: st, src: src}, nil
 }

@@ -866,70 +866,15 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 	}
 
 	// Multi-shard: string columns were re-encoded against a union
-	// dictionary, so the shards' categorical zone maps are remapped into
-	// union-code space before they are reused. The union index of each
-	// string column is built once and shared across parts.
-	unionIndex := make([]map[string]uint32, combined.NumCols())
-	for ci := 0; ci < combined.NumCols(); ci++ {
-		if combined.Schema().Field(ci).Type == storage.String {
-			dict, err := storage.Dictionary(combined.Column(ci))
-			if err != nil {
-				return nil, err
-			}
-			idx := make(map[string]uint32, len(dict))
-			for code, v := range dict {
-				idx[v] = uint32(code)
-			}
-			unionIndex[ci] = idx
-		}
-	}
-	viewZones := make([][][]storage.ZoneMap, len(parts)) // [part][col][chunk]
-	for i, p := range parts {
-		if viewZones[i], err = remapZones(p, unionIndex); err != nil {
-			return nil, err
-		}
-	}
-
-	// Stitch the combined chunking when every shard boundary falls on a
-	// chunk boundary (range partitioning guarantees it); otherwise one
-	// pass recomputes it.
-	aligned := true
-	for i := 0; i < len(parts)-1; i++ {
-		if parts[i].NumRows()%m.ChunkSize != 0 {
-			aligned = false
-			break
-		}
-	}
-	var ck *storage.Chunking
-	if aligned {
-		ck = &storage.Chunking{Size: m.ChunkSize, Zones: make([][]storage.ZoneMap, combined.NumCols())}
-		for ci := 0; ci < combined.NumCols(); ci++ {
-			var zones []storage.ZoneMap
-			for i := range parts {
-				zones = append(zones, viewZones[i][ci]...)
-			}
-			ck.Zones[ci] = zones
-		}
-	} else {
-		ck, err = storage.ComputeChunking(combined, m.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.combined, err = combined.WithChunking(ck)
-	if err != nil {
-		return nil, err
-	}
-
+	// dictionary, and the concatenation computed its zone maps on the
+	// shards' chunk grid. A shard's view keeps that grid from its first
+	// row on: its zone maps are the combined table's own when the shard
+	// starts a chunk (range partitioning guarantees it), and otherwise
+	// computed for its rows.
+	s.combined = combined
 	s.views = make([]*storage.Table, len(parts))
 	for i, p := range parts {
-		view, err := s.combined.SliceRows(m.Table, s.offsets[i], s.offsets[i]+p.NumRows())
-		if err != nil {
-			return nil, err
-		}
-		vck := &storage.Chunking{Size: m.ChunkSize, Zones: viewZones[i]}
-		s.views[i], err = view.WithChunking(vck)
-		if err != nil {
+		if s.views[i], err = combined.SliceRows(m.Table, s.offsets[i], s.offsets[i]+p.NumRows()); err != nil {
 			return nil, err
 		}
 	}
@@ -945,32 +890,6 @@ func exactMinMax(ctx context.Context, t *storage.Table, ci int) (lo, hi float64,
 		p.EachFloat(sum.Observe)
 	})
 	return sum.Min, sum.Max, sum.Min <= sum.Max
-}
-
-// remapZones copies part's zone maps, translating categorical code sets
-// from the part's dictionary into the combined table's union dictionary
-// via the precomputed per-column union indexes.
-func remapZones(part *storage.Table, unionIndex []map[string]uint32) ([][]storage.ZoneMap, error) {
-	ck := part.Chunking()
-	out := make([][]storage.ZoneMap, part.NumCols())
-	for ci := range out {
-		zones := append([]storage.ZoneMap(nil), ck.Zones[ci]...)
-		if unionIndex[ci] != nil {
-			partDict, err := storage.Dictionary(part.Column(ci))
-			if err != nil {
-				return nil, err
-			}
-			remap := make([]uint32, len(partDict))
-			for code, v := range partDict {
-				remap[code] = unionIndex[ci][v]
-			}
-			for k := range zones {
-				zones[k].CodeSet = remapCodeSet(zones[k].CodeSet, remap, len(unionIndex[ci]))
-			}
-		}
-		out[ci] = zones
-	}
-	return out, nil
 }
 
 // remapCodeSet translates a code bitset through remap into a bitset over

@@ -52,9 +52,8 @@ type ZoneMap struct {
 // benefit.
 const MaxZoneCodes = 4096
 
-// Chunking is the chunk-level metadata of a table whose columns were
-// ingested in fixed-size row chunks: the chunk size and one zone map per
-// (column, chunk). Tables without chunking metadata scan normally.
+// Chunking is the chunk-level metadata every table carries: the chunk
+// size and one zone map per (column, chunk).
 type Chunking struct {
 	// Size is the number of rows per chunk (the last chunk may be
 	// shorter). Always a positive multiple of 64.
@@ -89,12 +88,22 @@ func (c *Chunking) validate(cols, rows int) error {
 	return nil
 }
 
+// ResidentChunkRows is the chunk size of every table built from resident
+// columns (NewTable, Builder.Build, Gather, ReadCSV, joins): each carries
+// zone maps over 4 096-row chunks from construction, so a scan over it
+// prunes and shards across workers as one over a store does. A chunk
+// pass costs a few milliseconds per 200k rows, paid where the table is
+// built, never by an exploration.
+const ResidentChunkRows = 4096
+
 // NewChunkedTable is NewTable for chunk-aware tables: the columns came
 // from fixed-size chunked segments (a column store) and chunking carries
-// their per-chunk zone maps. The engine's scan path uses the zone maps
-// to skip chunks that cannot match and to shard one scan across workers.
+// their per-chunk zone maps, which the table keeps as given — no chunk
+// is read, and a lazy column's stay unfetched. The engine's scan path
+// uses the zone maps to skip chunks that cannot match and to shard one
+// scan across workers.
 func NewChunkedTable(name string, schema *Schema, cols []Column, chunking *Chunking) (*Table, error) {
-	t, err := NewTable(name, schema, cols)
+	t, err := newTable(name, schema, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -104,18 +113,17 @@ func NewChunkedTable(name string, schema *Schema, cols []Column, chunking *Chunk
 	if err := chunking.validate(len(cols), t.rows); err != nil {
 		return nil, err
 	}
-	t.chunking = chunking
-	return t, nil
+	return t.attach(chunking), nil
 }
 
-// Chunking returns the table's chunk metadata, or nil when the table is
-// not chunk-aware (in-memory builds, gathers, joins).
+// Chunking returns the table's chunk grid and zone maps: a store's, or
+// for a table built from resident columns its own ResidentChunkRows
+// grid. Every table has one.
 func (t *Table) Chunking() *Chunking { return t.chunking }
 
 // ComputeChunking scans a table's columns once and builds zone maps for
 // fixed chunks of size rows each (0 means ChunkRows). It is what a
-// column store runs at ingest; it can also retrofit chunk metadata onto
-// an in-memory table so scans over it prune and parallelize.
+// column store runs at ingest on a grid other than the table's own.
 func ComputeChunking(t *Table, size int) (*Chunking, error) {
 	if size == 0 {
 		size = ChunkRows
@@ -123,23 +131,56 @@ func ComputeChunking(t *Table, size int) (*Chunking, error) {
 	if size <= 0 || size%64 != 0 {
 		return nil, fmt.Errorf("storage: chunk size %d must be a positive multiple of 64", size)
 	}
-	ck := &Chunking{Size: size, Zones: make([][]ZoneMap, t.NumCols())}
-	n := t.NumRows()
-	numChunks := ck.NumChunks(n)
-	for ci := 0; ci < t.NumCols(); ci++ {
+	if t.chunking != nil && t.chunking.Size == size {
+		return t.chunking, nil
+	}
+	return computeChunking(t.cols, t.rows, size), nil
+}
+
+// computeChunking builds the zone maps of resident cols, rows long, over
+// chunks of size rows.
+func computeChunking(cols []Column, rows, size int) *Chunking {
+	ck := &Chunking{Size: size, Zones: make([][]ZoneMap, len(cols))}
+	numChunks := ck.NumChunks(rows)
+	for ci, col := range cols {
 		zones := make([]ZoneMap, numChunks)
-		col := t.Column(ci)
-		for k := 0; k < numChunks; k++ {
+		for k := range zones {
 			lo := k * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			zones[k] = computeZone(col, lo, hi)
+			zones[k] = computeZone(col, lo, min(lo+size, rows))
 		}
 		ck.Zones[ci] = zones
 	}
-	return ck, nil
+	return ck
+}
+
+// chunked gives t, whose columns are resident, its zone maps over
+// size-row chunks and returns it.
+func (t *Table) chunked(size int) *Table {
+	return t.attach(computeChunking(t.cols, t.rows, size))
+}
+
+// attach sets t's chunking and builds each resident column's run
+// payloads on its grid, once for the table's life; a lazy column's runs
+// are fetched instead. It returns t.
+func (t *Table) attach(ck *Chunking) *Table {
+	t.chunking = ck
+	t.runs = make([][]ChunkPayload, len(t.cols))
+	n := ck.NumChunks(t.rows)
+	for ci, col := range t.cols {
+		if _, lazy := col.(*LazyColumn); lazy {
+			continue
+		}
+		runs := make([]ChunkPayload, n)
+		for k := range runs {
+			lo := k * ck.Size
+			if residentRun(&runs[k], col, lo, min(lo+ck.Size, t.rows)) != nil {
+				runs = nil // a column type with no runs: reading one fails
+				break
+			}
+		}
+		t.runs[ci] = runs
+	}
+	return t
 }
 
 // computeZone builds the zone map of col rows [lo, hi).

@@ -174,9 +174,11 @@ func TestChunkingSurvivesProjectAndRename(t *testing.T) {
 	if ct.Rename("x").Chunking() == nil {
 		t.Error("rename dropped chunking")
 	}
-	// Gather reorders rows: chunk metadata must not survive.
-	if ct.Gather("g", []int{5, 3, 1}).Chunking() != nil {
-		t.Error("gather must drop chunking")
+	// Gather reorders rows: it computes zone maps of its own, on the
+	// resident grid, rather than keeping the source's.
+	g := ct.Gather("g", []int{5, 3, 1})
+	if gck := g.Chunking(); gck == nil || gck.Size != ResidentChunkRows || gck.Zones[0][0].Min != 1 || gck.Zones[0][0].Max != 5 {
+		t.Errorf("gather chunking = %+v, want its own %d-row zone maps over ids 5, 3, 1", gck, ResidentChunkRows)
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 //
 // A single part is returned as a rename (columns and chunk metadata
 // shared, no copy), so a one-shard store costs the same as an unsharded
-// one. Multi-part concatenations carry no chunk metadata; callers that
-// know the parts' chunk layouts can reattach stitched metadata with
-// WithChunking.
+// one. A multi-part concatenation computes its zone maps on the parts'
+// chunk grid when they share one, and on ResidentChunkRows otherwise.
 func ConcatTables(name string, parts []*Table) (*Table, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("storage: concat of zero tables")
@@ -35,6 +34,12 @@ func ConcatTables(name string, parts []*Table) (*Table, error) {
 		}
 		rows += p.rows
 	}
+	size := parts[0].chunking.Size
+	for _, p := range parts[1:] {
+		if p.chunking.Size != size {
+			size = ResidentChunkRows
+		}
+	}
 	cols := make([]Column, schema.NumFields())
 	for ci := range cols {
 		col, err := concatColumn(schema.Field(ci), parts, ci, rows)
@@ -43,7 +48,8 @@ func ConcatTables(name string, parts []*Table) (*Table, error) {
 		}
 		cols[ci] = col
 	}
-	return &Table{name: name, schema: schema, cols: cols, rows: rows}, nil
+	out := &Table{name: name, schema: schema, cols: cols, rows: rows}
+	return out.chunked(size), nil
 }
 
 func describeSchema(s *Schema) string {
@@ -138,10 +144,10 @@ func concatColumn(f Field, parts []*Table, ci, rows int) (Column, error) {
 
 // SliceRows returns a view of rows [lo, hi) of t under a new name. Value
 // storage (and string dictionaries) is shared with t; only null bitmaps
-// are re-packed when present. The view carries no chunk metadata —
-// callers holding per-range zone maps reattach them with WithChunking.
-// It is the physical operator behind per-shard views of a reassembled
-// sharded table.
+// are re-packed when present. The view keeps t's chunk grid: when lo
+// starts a chunk its zone maps are t's own, and otherwise they are
+// computed from the view's first row on. It is the physical operator
+// behind per-shard views of a reassembled sharded table.
 func (t *Table) SliceRows(name string, lo, hi int) (*Table, error) {
 	if lo < 0 || hi < lo || hi > t.rows {
 		return nil, fmt.Errorf("storage: slice rows [%d,%d) out of range [0,%d]", lo, hi, t.rows)
@@ -168,7 +174,16 @@ func (t *Table) SliceRows(name string, lo, hi int) (*Table, error) {
 			return nil, fmt.Errorf("storage: slice of unsupported column type %T", c)
 		}
 	}
-	return &Table{name: name, schema: t.schema, cols: cols, rows: hi - lo}, nil
+	out := &Table{name: name, schema: t.schema, cols: cols, rows: hi - lo}
+	size := t.chunking.Size
+	if lo%size != 0 || (hi%size != 0 && hi != t.rows) {
+		return out.chunked(size), nil
+	}
+	ck := &Chunking{Size: size, Zones: make([][]ZoneMap, len(cols))}
+	for ci, zones := range t.chunking.Zones {
+		ck.Zones[ci] = zones[lo/size : lo/size+ck.NumChunks(hi-lo)]
+	}
+	return out.attach(ck), nil
 }
 
 // WithChunking returns t with the given chunk metadata attached (columns
@@ -180,5 +195,6 @@ func (t *Table) WithChunking(ck *Chunking) (*Table, error) {
 	if err := ck.validate(len(t.cols), t.rows); err != nil {
 		return nil, err
 	}
-	return &Table{name: t.name, schema: t.schema, cols: t.cols, rows: t.rows, chunking: ck}, nil
+	out := &Table{name: t.name, schema: t.schema, cols: t.cols, rows: t.rows}
+	return out.attach(ck), nil
 }

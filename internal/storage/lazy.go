@@ -463,32 +463,15 @@ func MaterializeColumn(col Column) (Column, error) {
 // columns — zero-copy views, no decode. It is what lets a shard set
 // present eagerly-opened shard files through the same lazy combined
 // view that removes the concat-at-open memory peak.
-type tableSource struct {
-	t  *Table
-	ck *Chunking
-}
+type tableSource struct{ t *Table }
 
-// TableChunkSource wraps an eager table with chunk metadata as a
-// ChunkSource. Payload slices alias the table's columns.
-func TableChunkSource(t *Table) (ChunkSource, error) {
-	ck := t.Chunking()
-	if ck == nil {
-		return nil, fmt.Errorf("storage: table %q has no chunk metadata", t.Name())
-	}
-	return &tableSource{t: t, ck: ck}, nil
-}
+// TableChunkSource wraps an eager table as a ChunkSource on its chunk
+// grid. Payload slices alias the table's columns.
+func TableChunkSource(t *Table) ChunkSource { return &tableSource{t: t} }
 
 // FetchChunk implements ChunkSource.
-func (s *tableSource) FetchChunk(_ context.Context, ci, k int) (*ChunkPayload, bool, error) {
-	lo := k * s.ck.Size
-	hi := lo + s.ck.Size
-	if hi > s.t.NumRows() {
-		hi = s.t.NumRows()
-	}
-	if lo < 0 || lo >= hi {
-		return nil, false, fmt.Errorf("chunk %d out of range", k)
-	}
-	p, err := residentRun(s.t.Column(ci), lo, hi)
+func (s *tableSource) FetchChunk(ctx context.Context, ci, k int) (*ChunkPayload, bool, error) {
+	p, err := s.t.Runs(ci).Run(ctx, k, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -13,31 +13,23 @@ import (
 
 // Runs reads one column of a table as word-aligned runs of chunk
 // payloads: the one reader of every scan, partition, extraction, screen,
-// partial and summary, whatever holds the column. A resident column's runs are zero-copy views of its slices — one run
-// for an unchunked table, one per chunk for a chunked one — and a lazy
-// column's runs are its chunks, fetched on demand. Every run but the
-// last holds the same number of rows, a multiple of 64, so runs cover
-// disjoint ranges of selection words.
+// partial and summary, whatever holds the column. Runs are the table's
+// chunks: a resident column's are zero-copy views of its slices, built
+// once with its table, and a lazy column's are fetched on demand. Every
+// run but the last holds the same number of rows, a multiple of 64, so
+// runs cover disjoint ranges of selection words.
 type Runs struct {
-	col  Column
-	lazy *LazyColumn // nil for resident columns
-	size int
-	rows int
-	err  error // a lazy column whose chunks are not the table's runs
-}
-
-// RunRows returns the rows per run of every column of t: its chunk
-// size, or for an unchunked table all its rows, rounded up to a word.
-func (t *Table) RunRows() int {
-	if t.chunking != nil {
-		return t.chunking.Size
-	}
-	return max(64, (t.rows+63)&^63)
+	col   Column
+	lazy  *LazyColumn    // nil for resident columns
+	views []ChunkPayload // a resident column's runs
+	size  int
+	rows  int
+	err   error // a lazy column whose chunks are not the table's runs
 }
 
 // Runs returns the reader of column ci.
 func (t *Table) Runs(ci int) *Runs {
-	r := &Runs{col: t.cols[ci], rows: t.rows, size: t.RunRows()}
+	r := &Runs{col: t.cols[ci], views: t.runs[ci], rows: t.rows, size: t.chunking.Size}
 	if lc, ok := r.col.(*LazyColumn); ok {
 		r.lazy = lc
 		if lc.chunkSize != r.size {
@@ -104,8 +96,10 @@ func (r *Runs) Run(ctx context.Context, k int, bill func(hit bool)) (*ChunkPaylo
 		return nil, r.err
 	}
 	if r.lazy == nil {
-		lo := k * r.size
-		return residentRun(r.col, lo, min(lo+r.size, r.rows))
+		if k < 0 || k >= len(r.views) {
+			return nil, fmt.Errorf("storage: run %d of a %T out of range", k, r.col)
+		}
+		return &r.views[k], nil
 	}
 	p, hit, err := r.lazy.Chunk(ctx, k)
 	if err != nil {
@@ -149,41 +143,62 @@ var errStopWalk = errors.New("storage: walk stopped")
 func (r *Runs) walk(ctx context.Context, sel *bitvec.Vector, workers int, op string, bill func(hit bool), hintFirst bool, fn func(w0 int, sw []uint64, p *ChunkPayload) bool) error {
 	words, wordsPerRun := (r.rows+63)/64, r.size/64
 	var (
-		ks       []int
 		sw0      int
 		selWords []uint64
 	)
-	if sel == nil {
-		ks = make([]int, (r.rows+r.size-1)/r.size)
-		for k := range ks {
-			ks[k] = k
-		}
-	} else {
+	// The walk visits runs [k0, k1): every run, or those sel's window
+	// reaches. A fetching walk lists the runs it reads in ks first, to
+	// hint each window of them before fetching; a resident walk skips
+	// its empty runs in place.
+	k0, k1 := 0, (r.rows+r.size-1)/r.size
+	if sel != nil {
 		if sel.Len() != r.rows {
 			return fmt.Errorf("storage: selection of %d rows over %d rows", sel.Len(), r.rows)
 		}
 		sw0, selWords = sel.Window()
-		ks = touchedChunks(sw0, selWords, wordsPerRun)
+		k0, k1 = 0, 0
+		if len(selWords) > 0 {
+			k0, k1 = sw0/wordsPerRun, (sw0+len(selWords)-1)/wordsPerRun+1
+		}
 	}
-	err := par.For(workers, len(ks), func(ti int) error {
+	var ks []int
+	if r.lazy != nil {
+		if sel == nil {
+			ks = make([]int, k1)
+			for k := range ks {
+				ks[k] = k
+			}
+		} else {
+			ks = touchedChunks(sw0, selWords, wordsPerRun)
+		}
+		k0, k1 = 0, len(ks)
+	}
+	err := par.For(workers, k1-k0, func(ti int) error {
 		if err := obsv.CheckCtx(ctx, op); err != nil {
 			return err
 		}
-		if ti > 0 || hintFirst {
-			r.Hint(ctx, hintWindow(ks, ti))
+		k := k0 + ti
+		if ks != nil {
+			if ti > 0 || hintFirst {
+				r.Hint(ctx, hintWindow(ks, ti))
+			}
+			k = ks[ti]
 		}
-		k := ks[ti]
+		w0 := k * wordsPerRun
+		var sw []uint64
+		a := w0
+		if sel != nil {
+			a = max(w0, sw0)
+			sw = selWords[a-sw0 : min(w0+wordsPerRun, words, sw0+len(selWords))-sw0]
+			if ks == nil && !anyWord(sw) {
+				return nil
+			}
+		}
 		p, err := r.Run(ctx, k, bill)
 		if err != nil {
 			return err
 		}
-		w0 := k * wordsPerRun
-		var sw []uint64
-		if sel != nil {
-			a, b := max(w0, sw0), min(w0+wordsPerRun, words, sw0+len(selWords))
-			p, w0, sw = p.FromWord(a-w0), a, selWords[a-sw0:b-sw0]
-		}
-		if !fn(w0, sw, p) {
+		if !fn(a, sw, p.FromWord(a-w0)) {
 			return errStopWalk
 		}
 		return nil
@@ -219,10 +234,9 @@ func (p *ChunkPayload) FromWord(k int) *ChunkPayload {
 	return &q
 }
 
-// residentRun is the zero-copy payload view of rows [lo, hi) of a
+// residentRun sets p to the zero-copy payload view of rows [lo, hi) of a
 // resident column; lo is a multiple of 64.
-func residentRun(col Column, lo, hi int) (*ChunkPayload, error) {
-	p := &ChunkPayload{}
+func residentRun(p *ChunkPayload, col Column, lo, hi int) error {
 	var nulls *nullSet
 	switch c := col.(type) {
 	case *Int64Column:
@@ -234,7 +248,7 @@ func residentRun(col Column, lo, hi int) (*ChunkPayload, error) {
 	case *StringColumn:
 		p.Codes, nulls = c.codes[lo:hi], &c.nullSet
 	default:
-		return nil, fmt.Errorf("storage: unsupported column type %T", col)
+		return fmt.Errorf("storage: unsupported column type %T", col)
 	}
 	if nulls.nulls != nil {
 		_, words := nulls.nulls.Window() // null bitmaps hold every word
@@ -246,7 +260,17 @@ func residentRun(col Column, lo, hi int) (*ChunkPayload, error) {
 			}
 		}
 	}
-	return p, nil
+	return nil
+}
+
+// anyWord reports whether any of words is non-zero.
+func anyWord(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // touchedChunks lists, ascending, the chunks (wordsPerChunk selection

@@ -12,14 +12,35 @@ type Table struct {
 	schema *Schema
 	cols   []Column
 	rows   int
-	// chunking carries per-chunk zone maps when the table came from a
-	// chunked store (see chunk.go); nil for plain in-memory tables.
+	// chunking carries the table's chunk grid and per-chunk zone maps
+	// (see chunk.go): a store's, or for a table built from resident
+	// columns its own, computed at construction.
 	chunking *Chunking
+	// runs holds, per resident column, its run payloads on the chunk
+	// grid, built once with the table; nil for a lazy column.
+	runs [][]ChunkPayload
 }
 
-// NewTable assembles a table. All columns must match the schema's types
-// and share one length.
+// NewTable assembles a table from resident columns and computes its zone
+// maps over ResidentChunkRows-row chunks. All columns must match the
+// schema's types and share one length; a lazy column's table comes from
+// NewChunkedTable, with the chunking its store wrote.
 func NewTable(name string, schema *Schema, cols []Column) (*Table, error) {
+	t, err := newTable(name, schema, cols)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cols {
+		if _, lazy := c.(*LazyColumn); lazy {
+			return nil, fmt.Errorf("storage: column %q is lazy; its table needs the store's chunking (NewChunkedTable)", schema.Field(i).Name)
+		}
+	}
+	return t.chunked(ResidentChunkRows), nil
+}
+
+// newTable checks that cols fit the schema and share one length and
+// returns their table, not yet chunked.
+func newTable(name string, schema *Schema, cols []Column) (*Table, error) {
 	if len(cols) != schema.NumFields() {
 		return nil, fmt.Errorf("storage: %d columns for %d fields", len(cols), schema.NumFields())
 	}
@@ -71,14 +92,16 @@ func (t *Table) ColumnByName(name string) (Column, error) {
 	return t.cols[i], nil
 }
 
-// Gather materializes a new table holding the given rows, in order.
-// It is the physical operator behind sampling and join materialization.
+// Gather materializes a new table holding the given rows, in order,
+// with zone maps of its own. It is the physical operator behind hash
+// sharding and join materialization.
 func (t *Table) Gather(name string, idx []int) *Table {
 	cols := make([]Column, len(t.cols))
 	for i, c := range t.cols {
 		cols[i] = c.Gather(idx)
 	}
-	return &Table{name: name, schema: t.schema, cols: cols, rows: len(idx)}
+	out := &Table{name: name, schema: t.schema, cols: cols, rows: len(idx)}
+	return out.chunked(ResidentChunkRows)
 }
 
 // Project returns a table restricted to the named columns, sharing column
@@ -98,25 +121,27 @@ func (t *Table) Project(name string, colNames ...string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := NewTable(name, s, cols)
+	out, err := newTable(name, s, cols)
 	if err != nil {
 		return nil, err
 	}
-	// A projection keeps row order, so per-column chunk metadata stays
-	// valid for the surviving columns.
-	if t.chunking != nil {
-		zones := make([][]ZoneMap, 0, len(colNames))
-		for _, cn := range colNames {
-			zones = append(zones, t.chunking.Zones[t.schema.Index(cn)])
-		}
-		out.chunking = &Chunking{Size: t.chunking.Size, Zones: zones}
+	// A projection keeps row order, so per-column chunk metadata and run
+	// payloads stay valid for the surviving columns.
+	out.chunking = &Chunking{Size: t.chunking.Size, Zones: make([][]ZoneMap, 0, len(colNames))}
+	out.runs = make([][]ChunkPayload, 0, len(colNames))
+	for _, cn := range colNames {
+		i := t.schema.Index(cn)
+		out.chunking.Zones = append(out.chunking.Zones, t.chunking.Zones[i])
+		out.runs = append(out.runs, t.runs[i])
 	}
 	return out, nil
 }
 
 // Rename returns the same table under a new name (columns shared).
 func (t *Table) Rename(name string) *Table {
-	return &Table{name: name, schema: t.schema, cols: t.cols, rows: t.rows, chunking: t.chunking}
+	out := *t
+	out.name = name
+	return &out
 }
 
 // Builder accumulates rows and produces a Table. It is the row-oriented

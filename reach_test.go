@@ -79,6 +79,7 @@ var reachAllowlist = map[string]string{
 	"internal/storage.Float64Column.At":           reachTestOnly,
 	"internal/storage.LazyColumn.NumChunks":       reachTestOnly,
 	"internal/storage.MustTable":                  reachTestOnly,
+	"internal/storage.Table.WithChunking":         reachTestOnly,
 }
 
 // TestInternalAPIReachable fails on any exported identifier under
