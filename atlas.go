@@ -576,8 +576,9 @@ func IsShardManifest(path string) bool { return shard.IsManifest(path) }
 // ColumnSummary holds the descriptive statistics of one column.
 type ColumnSummary = storage.ColumnSummary
 
-// Summarize computes descriptive statistics for every column of a table.
-func Summarize(t *Table) []ColumnSummary { return storage.Summarize(t) }
+// Summarize computes descriptive statistics for every column of a
+// table; a chunk that fails to decode fails it.
+func Summarize(t *Table) ([]ColumnSummary, error) { return storage.Summarize(t) }
 
 // JoinFK materializes the inner FK join of a fact table with a dimension
 // table (Section 5.2 multi-table exploration).

@@ -405,7 +405,10 @@ func TestFacadeLoadCSVFile(t *testing.T) {
 }
 
 func TestFacadeSummarize(t *testing.T) {
-	sums := Summarize(CensusDataset(100, 11))
+	sums, err := Summarize(CensusDataset(100, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sums) != 5 {
 		t.Fatalf("summaries = %d", len(sums))
 	}

@@ -177,7 +177,12 @@ func main() {
 		case "help":
 			printHelp()
 		case "schema":
-			for _, sum := range atlas.Summarize(table) {
+			sums, err := atlas.Summarize(table)
+			if err != nil {
+				fmt.Println("error:", err)
+				continue
+			}
+			for _, sum := range sums {
 				fmt.Println(" ", sum.String())
 			}
 		case "explain":

@@ -47,8 +47,8 @@ type PredExplain struct {
 	// without touching any chunk.
 	Never bool `json:"never,omitempty"`
 	// Prune, Full, Scan count this predicate's chunk verdicts. Chunks a
-	// preceding predicate already pruned are not re-judged — exactly
-	// like the real scan, which stops a chunk at its first prune.
+	// preceding predicate already pruned are not re-judged: the first
+	// prune decides the chunk's plan.
 	Prune int `json:"prune"`
 	Full  int `json:"full"`
 	Scan  int `json:"scan"`
@@ -128,6 +128,7 @@ func ExplainQuery(t *storage.Table, q query.Query, sample *bitvec.Vector) (*Quer
 	ex.Verdicts = make([]ChunkVerdict, numChunks)
 	type colChunk struct{ ci, k int }
 	fetched := make(map[colChunk]struct{})
+	verdict := chunkVerdict(t)
 	lastRows := t.NumRows() - (numChunks-1)*ck.Size
 	for k := 0; k < numChunks; k++ {
 		chunkRows := ck.Size
@@ -139,39 +140,36 @@ func ExplainQuery(t *storage.Table, q query.Query, sample *bitvec.Vector) (*Quer
 			ex.Unsampled++
 			continue
 		}
-		combined := VerdictFull
+		plan := planChunk(cps, verdict, k)
+	preds:
 		for i := range cps {
 			cp := &cps[i]
-			switch cp.zone(ck.Zones[cp.colIdx][k], chunkRows) {
+			switch verdict(cp, k) {
 			case zonePrune:
 				ex.Preds[i].Prune++
-				combined = VerdictPrune
+				break preds // the first prune decides the plan
 			case zoneFull:
 				ex.Preds[i].Full++
-				continue
 			default:
 				ex.Preds[i].Scan++
-				if combined != VerdictPrune {
-					combined = VerdictScan
-				}
-				if cp.runs.Fetches() {
+				if plan == zoneScan && cp.runs.Fetches() {
 					cc := colChunk{cp.colIdx, k}
 					if _, ok := fetched[cc]; !ok {
 						fetched[cc] = struct{}{}
 						ex.EstBytesDecoded += typeWidth(t.Schema().Field(cp.colIdx).Type) * int64(chunkRows)
 					}
 				}
-				continue
 			}
-			break // first prune ends the chunk, like the real scan
 		}
-		ex.Verdicts[k] = combined
-		switch combined {
-		case VerdictPrune:
+		switch plan {
+		case zonePrune:
+			ex.Verdicts[k] = VerdictPrune
 			ex.ChunksPruned++
-		case VerdictFull:
+		case zoneFull:
+			ex.Verdicts[k] = VerdictFull
 			ex.ChunksFull++
 		default:
+			ex.Verdicts[k] = VerdictScan
 			ex.ChunksScanned++
 		}
 	}

@@ -69,9 +69,9 @@ func EvalAndIntoOpts(t *storage.Table, q query.Query, sel *bitvec.Vector, opts S
 
 // EvalBase returns the rows of t that q selects as an exploration's
 // base: a bitmap whose window spans only the chunks from the first to
-// the last that no predicate's zone map prunes, so the base costs that
-// span, not the table's length. The chunks outside it are billed as the
-// scan bills the chunks it prunes.
+// the last that the plan does not prune, so the base costs that span,
+// not the table's length. The chunks outside it are billed as the scan
+// bills the chunks it prunes.
 func EvalBase(t *storage.Table, q query.Query, opts ScanOptions) (*bitvec.Vector, error) {
 	cps, err := compileQuery(t, q)
 	if err != nil {
@@ -80,36 +80,17 @@ func EvalBase(t *storage.Table, q query.Query, opts ScanOptions) (*bitvec.Vector
 	ck, rows := t.Chunking(), t.NumRows()
 	verdict := chunkVerdict(t)
 	sink := opts.sink(opts.context())
-	// prune reports whether a predicate prunes chunk k; with bill it bills
-	// the chunk as the scan would: its full verdicts up to the prune.
-	prune := func(k int, bill bool) bool {
-		for i := range cps {
-			switch verdict(&cps[i], k) {
-			case zonePrune:
-				if bill {
-					sink.BillPruned()
-				}
-				return true
-			case zoneFull:
-				if bill {
-					sink.BillFull()
-				}
-			}
-		}
-		return false
-	}
+	prune := func(k int) bool { return planChunk(cps, verdict, k) == zonePrune }
 	n := ck.NumChunks(rows)
 	k0, k1 := 0, n
-	for k0 < k1 && prune(k0, false) {
+	for k0 < k1 && prune(k0) {
 		k0++
 	}
-	for k1 > k0 && prune(k1-1, false) {
+	for k1 > k0 && prune(k1-1) {
 		k1--
 	}
-	for k := range n {
-		if k < k0 || k >= k1 {
-			prune(k, true)
-		}
+	for range n - (k1 - k0) {
+		sink.BillPruned()
 	}
 	wordsPerChunk := ck.Size / 64
 	w1 := min(k1*wordsPerChunk, (rows+63)/64)
@@ -340,33 +321,58 @@ func evalCompiled(t *storage.Table, cps []compiledPred, sel *bitvec.Vector, opts
 		}
 		k := k0 + ci
 		skip, cw := chunkWords(k)
+		if !anyWords(cw) {
+			return nil
+		}
+		switch planChunk(cps, verdict, k) {
+		case zonePrune:
+			clear(cw)
+			sink.BillPruned()
+			return nil
+		case zoneFull:
+			sink.BillFull()
+			return nil
+		}
+		sink.BillScanned()
 		for i := range cps {
-			if !anyWords(cw) {
-				return nil
-			}
 			cp := &cps[i]
-			switch verdict(cp, k) {
-			case zonePrune:
-				clear(cw)
-				sink.BillPruned()
-				return nil
-			case zoneFull:
-				sink.BillFull()
-			default:
-				if cp.runs.Fetches() {
-					hintFetch(ctx, cp.runs, certain[i], k)
-				}
-				pl, err := cp.runs.Run(ctx, k, bill)
-				if err != nil {
-					return err
-				}
-				cp.and(pl.FromWord(skip), cw)
-				sink.BillScanned()
+			// Every verdict is scan or full here; once a predicate's test
+			// empties the chunk, later ones have nothing left to test.
+			if verdict(cp, k) == zoneFull || !anyWords(cw) {
+				continue
 			}
+			if cp.runs.Fetches() {
+				hintFetch(ctx, cp.runs, certain[i], k)
+			}
+			pl, err := cp.runs.Run(ctx, k, bill)
+			if err != nil {
+				return err
+			}
+			cp.and(pl.FromWord(skip), cw)
 		}
 		return nil
 	}
 	return par.For(opts.Workers, k1-k0, scanChunk)
+}
+
+// planChunk is chunk k's plan under the conjunction cps, judged from
+// zone maps alone before any fetch: prune when any predicate prunes it,
+// full when every predicate proves a full match, scan otherwise. The
+// scan bills it as the chunk's one verdict and fetches only under a
+// scan plan, EvalBase trims the base's window by it, the fetch hints
+// name only chunks it scans, and EXPLAIN reports it, so all of them
+// agree.
+func planChunk(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, k int) zoneVerdict {
+	plan := zoneFull
+	for i := range cps {
+		switch verdict(&cps[i], k) {
+		case zonePrune:
+			return zonePrune
+		case zoneScan:
+			plan = zoneScan
+		}
+	}
+	return plan
 }
 
 // chunkVerdict returns the zone-map verdict of a compiled predicate of
@@ -380,26 +386,23 @@ func chunkVerdict(t *storage.Table) func(cp *compiledPred, k int) zoneVerdict {
 
 // certainFetches lists, per predicate, the chunks among [k0, k1) the
 // scan will certainly read for it: chunks holding a selected row at scan
-// start, on which every earlier predicate's verdict is full — so their
-// bits are untouched when this predicate's turn comes — and its own is
-// scan. Only these may be hinted: a hint names chunks the scan reads,
-// never ones an earlier predicate could still empty. A scan over
-// resident columns hints nothing, and gets nil.
+// start whose plan is scan and whose first scan verdict is this
+// predicate's — every earlier one is full, so their bits are untouched
+// when this predicate's turn comes. Only these may be hinted: a hint
+// names chunks the scan reads, never ones an earlier predicate could
+// still empty. A scan over resident columns hints nothing, and gets nil.
 func certainFetches(cps []compiledPred, verdict func(*compiledPred, int) zoneVerdict, chunkWords func(k int) (int, []uint64), k0, k1 int) [][]int {
 	if !slices.ContainsFunc(cps, func(cp compiledPred) bool { return cp.runs.Fetches() }) {
 		return nil
 	}
 	certain := make([][]int, len(cps))
 	for k := k0; k < k1; k++ {
-		if _, cw := chunkWords(k); !anyWords(cw) {
+		if _, cw := chunkWords(k); !anyWords(cw) || planChunk(cps, verdict, k) != zoneScan {
 			continue
 		}
 		for i := range cps {
-			v := verdict(&cps[i], k)
-			if v == zoneScan {
+			if verdict(&cps[i], k) == zoneScan {
 				certain[i] = append(certain[i], k)
-			}
-			if v != zoneFull {
 				break
 			}
 		}

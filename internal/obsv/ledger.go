@@ -56,10 +56,11 @@ type Ledger struct {
 	cancelledAt atomic.Pointer[string]
 }
 
-// ScanStats is the scan plane: chunk-level scan decisions, one per
-// (predicate, chunk) pair of a chunked table — ChunksScanned (rows
-// tested), ChunksPruned (the zone map proves no row matches: disjoint
-// range or all NULL) and ChunksFull (it proves every row matches) — and
+// ScanStats is the scan plane: chunk-level scan decisions, one per chunk
+// a conjunctive scan visits, judged for all its predicates at once —
+// ChunksScanned (rows tested), ChunksPruned (a zone map proves no row
+// matches: disjoint range or all NULL) and ChunksFull (they prove every
+// row matches) — and
 // the lazy chunk fetches of a pass: ChunksDecoded (cache misses; pruned
 // and all-match chunks never decode, which makes zone maps an I/O
 // filter) and ChunkCacheHits (decoded-cache hits and zero-copy payloads
@@ -80,7 +81,7 @@ type ScanSnapshot struct {
 	ChunkCacheHits int64 `json:"chunkCacheHits"`
 }
 
-// BillScanned bills one (predicate, chunk) pair whose rows were tested.
+// BillScanned bills one chunk whose rows were tested.
 func (s *ScanStats) BillScanned() {
 	if s != nil {
 		s.ChunksScanned.Add(1)

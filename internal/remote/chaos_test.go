@@ -147,12 +147,11 @@ func TestFailoverMidExploreByteIdentical(t *testing.T) {
 	}
 }
 
-// probe issues one statistics-plane RPC — one column's partials — the
-// round trip the breaker, failover and cancellation tests drive
+// probe issues one statistics-plane RPC — a cut, one column's summary —
+// the round trip the breaker, failover and cancellation tests drive
 // replicas with.
 func probe(ctx context.Context, c *Client) error {
-	_, err := c.ColumnPartials(ctx, []shard.PartialSpec{{Col: 0}})
-	return err
+	return c.Cut(ctx, shard.CutRequest{Kind: shard.CutSummary, Cols: []int{0}}, new(shard.CutAnswer))
 }
 
 // TestReplicaBreakerAndRecovery walks the breaker state machine:

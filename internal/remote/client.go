@@ -686,35 +686,8 @@ func (c *Client) Cut(ctx context.Context, req shard.CutRequest, a *shard.CutAnsw
 		return &ShardError{Location: c.primary, Op: "cut", Err: errors.New("cut of no column")}
 	}
 	body := appendCutRequest(nil, req, c.schema.Field(req.Cols[0]).Type)
-	read := func(data []byte) error { return parseCutAnswer(data, req, c.rows, a) }
+	read := func(data []byte) error { return parseCutAnswer(data, req, c.schema, c.rows, a) }
 	return c.do(ctx, "cut", http.MethodPost, "/shard/v1/cut", nil, body, cutAnswerLimit(req, c.rows), read)
-}
-
-// ColumnPartials implements shard.RemoteBackend: every requested column's
-// mergeable bundle in one round trip.
-func (c *Client) ColumnPartials(ctx context.Context, specs []shard.PartialSpec) ([]*shard.ColumnPartial, error) {
-	req := partialsReqDTO{Specs: make([]partialSpecDTO, len(specs))}
-	for i, s := range specs {
-		d := partialSpecDTO{Col: s.Col, UseHist: s.UseHist}
-		if s.UseHist {
-			d.Lo, d.Hi = fbits(s.Lo), fbits(s.Hi)
-		}
-		req.Specs[i] = d
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, &ShardError{Location: c.primary, Op: "partials", Err: err}
-	}
-	var out []*shard.ColumnPartial
-	// A malformed answer is retried like a transport failure.
-	read := func(data []byte) (err error) {
-		out, err = parsePartials(data, len(specs))
-		return err
-	}
-	if err := c.do(ctx, "partials", http.MethodPost, "/shard/v1/partials", nil, body, 0, read); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ServerStats implements shard.RemoteBackend: one RPC fetching

@@ -22,8 +22,10 @@ import (
 //
 // Request:
 //
-//	u8 kind, u8 flags (bit 0: a selection follows), u32 m, m u32 columns
+//	u8 kind, u8 flags (bit 0: a selection follows, bit 1: ranges
+//	follow), u32 m, m u32 columns
 //	[selection]  u32 w0, u32 n, then n u64 words
+//	[ranges]     m pairs of u64 lo bits, u64 hi bits (summary only)
 //	[partition]  u32 k, then k predicates: for a string column u32 m and
 //	             m values (u32 length, bytes); for a bool column one u8
 //
@@ -35,20 +37,31 @@ import (
 //	categories  u32 m, m u64 counts
 //	bools       u64 falses, u64 trues
 //	partition   u32 k, k bitmaps of one word per request word
+//	summary     per requested column, by its type: for a numeric one
+//	            u64 count, u64 NaN count, u64 sum bits, u64 min bits,
+//	            u64 max bits, then with ranges one u64 count per bin of
+//	            shard.SummaryHist(lo, hi); for a string one u32 m, m u64
+//	            counts; for a bool one u64 falses, u64 trues
 //
 // where the request's words are its selection's, or all the shard's when
 // it sent none. Nothing may follow; the parsers below check every count
 // against the bytes and the selection, so a bad frame is a named error.
 
-// cutRequestFlagSel marks a request that carries a selection.
-const cutRequestFlagSel = 1
+// The request flags: a selection follows, ranges follow.
+const (
+	cutRequestFlagSel    = 1
+	cutRequestFlagRanges = 2
+)
 
 // appendCutRequest encodes req, a cut of columns whose first has type
 // typ.
 func appendCutRequest(dst []byte, req shard.CutRequest, typ storage.DataType) []byte {
 	flags := byte(0)
 	if req.Sel != nil {
-		flags = cutRequestFlagSel
+		flags |= cutRequestFlagSel
+	}
+	if req.Ranges != nil {
+		flags |= cutRequestFlagRanges
 	}
 	dst = append(dst, byte(req.Kind), flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Cols)))
@@ -59,6 +72,10 @@ func appendCutRequest(dst []byte, req shard.CutRequest, typ storage.DataType) []
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(req.W0))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Sel)))
 		dst = colstore.AppendWords(dst, req.Sel)
+	}
+	for _, r := range req.Ranges {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r[0]))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r[1]))
 	}
 	if req.Kind == shard.CutPartition {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Preds)))
@@ -147,7 +164,8 @@ func (r *frameReader) done() error {
 // parseCutRequest decodes and validates a cut request against the
 // shard's schema and row count: a known kind that applies to the
 // column's type, a selection that lies within the shard's words and
-// sets no bit past its last row, and well-formed predicates.
+// sets no bit past its last row, well-formed predicates, and ranges
+// only for a summary of numeric columns, each with lo <= hi.
 func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRequest, error) {
 	r := &frameReader{b: body}
 	var req shard.CutRequest
@@ -157,13 +175,16 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 	if r.err != nil {
 		return req, r.err
 	}
-	if req.Kind < shard.CutValues || req.Kind > shard.CutPartition {
+	if req.Kind < shard.CutValues || req.Kind > shard.CutSummary {
 		return req, fmt.Errorf("unknown cut kind %d", req.Kind)
 	}
-	if flags&^cutRequestFlagSel != 0 {
+	if flags&^(cutRequestFlagSel|cutRequestFlagRanges) != 0 {
 		return req, fmt.Errorf("unknown cut request flags %#x", flags)
 	}
-	if m == 0 || m > schema.NumFields() || req.Kind != shard.CutValues && m > 1 {
+	if flags&cutRequestFlagRanges != 0 && req.Kind != shard.CutSummary {
+		return req, fmt.Errorf("cut kind %d with ranges", req.Kind)
+	}
+	if m == 0 || m > schema.NumFields() || !req.Kind.ManyColumns() && m > 1 {
 		return req, fmt.Errorf("cut kind %d of %d columns", req.Kind, m)
 	}
 	for i := 0; i < m; i++ {
@@ -190,6 +211,19 @@ func parseCutRequest(body []byte, schema *storage.Schema, rows int) (shard.CutRe
 		req.Sel = readWords(r, []uint64(nil), n, "selection")
 		if r.err == nil && req.W0+n == words && tailBits(req.Sel[n-1], rows) != 0 {
 			return req, fmt.Errorf("selection sets bits past row %d", rows)
+		}
+	}
+	if flags&cutRequestFlagRanges != 0 {
+		req.Ranges = make([][2]float64, m)
+		for c, ci := range req.Cols {
+			lo, hi := math.Float64frombits(r.u64("range")), math.Float64frombits(r.u64("range"))
+			if r.err != nil {
+				return req, r.err
+			}
+			if !schema.Field(ci).Type.IsNumeric() || !(lo <= hi) {
+				return req, fmt.Errorf("range [%g, %g] of %v column %d", lo, hi, schema.Field(ci).Type, ci)
+			}
+			req.Ranges[c] = [2]float64{lo, hi}
 		}
 	}
 	if req.Kind == shard.CutPartition {
@@ -239,10 +273,11 @@ func sealCutAnswer(dst []byte, at int) []byte {
 	return dst
 }
 
-// appendCutPayload encodes a's fields of kind k, without the CRC. The
-// value runs of a CutValues answer may be appended a few at a time.
-func appendCutPayload(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
-	switch k {
+// appendCutPayload encodes a's answer to req, a cut of a shard with
+// schema, without the CRC. The value runs of a CutValues answer may be
+// appended a few at a time.
+func appendCutPayload(dst []byte, req shard.CutRequest, schema *storage.Schema, a *shard.CutAnswer) []byte {
+	switch req.Kind {
 	case shard.CutValues:
 		for _, v := range a.Values {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Vals)))
@@ -265,12 +300,35 @@ func appendCutPayload(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
 		for _, b := range a.Bits {
 			dst = colstore.AppendWords(dst, b)
 		}
+	case shard.CutSummary:
+		for c, s := range a.Summaries {
+			switch schema.Field(req.Cols[c]).Type {
+			case storage.String:
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Counts)))
+				for _, n := range s.Counts {
+					dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+				}
+			case storage.Bool:
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Falses))
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Trues))
+			default:
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Count))
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Stats.NaN))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Sum))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Stats.Min))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Stats.Max))
+				for _, n := range s.Bins {
+					dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+				}
+			}
+		}
 	}
 	return dst
 }
 
 // cutAnswerLimit is the most bytes an answer to req over a shard of rows
-// rows can take, or 0 when only the shard's dictionary bounds it.
+// rows can take, or 0 when only the shard's dictionaries bound it (a
+// categories or summary answer).
 func cutAnswerLimit(req shard.CutRequest, rows int) int64 {
 	n := int64(reqWords(req, rows))
 	switch req.Kind {
@@ -293,12 +351,13 @@ func reqWords(req shard.CutRequest, rows int) int {
 }
 
 // parseCutAnswer decodes the answer to req from a shard of rows rows
-// into a, trusting nothing: the CRC must match, every count agree with
-// the bytes that carry it, every bitmap lie within the request's
-// selection — which also keeps it clear of the bits past the shard's
-// last row — and present words hold exactly one bit per value. a's
-// slices are reused; none aliases body.
-func parseCutAnswer(body []byte, req shard.CutRequest, rows int, a *shard.CutAnswer) error {
+// with schema into a, trusting nothing: the CRC must match, every count
+// agree with the bytes that carry it and total no more than the rows it
+// counts, every bitmap lie within the request's selection — which also
+// keeps it clear of the bits past the shard's last row — and present
+// words hold exactly one bit per value. a's slices are reused; none
+// aliases body.
+func parseCutAnswer(body []byte, req shard.CutRequest, schema *storage.Schema, rows int, a *shard.CutAnswer) error {
 	if len(body) < 4 {
 		return fmt.Errorf("cut answer of %d bytes has no checksum", len(body))
 	}
@@ -365,29 +424,23 @@ func parseCutAnswer(body []byte, req shard.CutRequest, rows int, a *shard.CutAns
 			return err
 		}
 	case shard.CutCategories:
-		m := r.u32("category count")
-		raw := r.take(8*m, "category counts")
+		counts, err := readCounts(r, a.Counts[:0], r.u32("category count"), selected, "category counts")
+		if err != nil {
+			return err
+		}
 		if err := r.done(); err != nil {
 			return err
 		}
-		a.Counts = a.Counts[:0]
-		total := uint64(0)
-		for j := 0; j < m; j++ {
-			c := binary.LittleEndian.Uint64(raw[8*j:])
-			if total += c; c > uint64(selected) || total > uint64(selected) {
-				return fmt.Errorf("category counts total more than the %d selected rows", selected)
-			}
-			a.Counts = append(a.Counts, int(c))
-		}
+		a.Counts = counts
 	case shard.CutBools:
-		f, t := r.u64("falses"), r.u64("trues")
+		f, t, err := readBools(r, selected)
+		if err != nil {
+			return err
+		}
 		if err := r.done(); err != nil {
 			return err
 		}
-		if f > uint64(selected) || t > uint64(selected)-f {
-			return fmt.Errorf("%d falses and %d trues among %d selected rows", f, t, selected)
-		}
-		a.Falses, a.Trues = int(f), int(t)
+		a.Falses, a.Trues = f, t
 	case shard.CutPartition:
 		k := r.u32("region count")
 		if r.err == nil && k != len(req.Preds) {
@@ -412,8 +465,91 @@ func parseCutAnswer(body []byte, req shard.CutRequest, rows int, a *shard.CutAns
 				}
 			}
 		}
+	case shard.CutSummary:
+		a.Summaries = slices.Grow(a.Summaries[:0], len(req.Cols))[:len(req.Cols)]
+		for c, ci := range req.Cols {
+			s := &a.Summaries[c]
+			*s = shard.Summary{}
+			var err error
+			switch schema.Field(ci).Type {
+			case storage.String:
+				s.Counts, err = readCounts(r, nil, r.u32("category count"), selected, "category counts")
+				for _, n := range s.Counts {
+					s.Count += n
+				}
+			case storage.Bool:
+				s.Falses, s.Trues, err = readBools(r, selected)
+				s.Count = s.Falses + s.Trues
+			default:
+				err = readNumericSummary(r, req, c, selected, s)
+			}
+			if err != nil {
+				return fmt.Errorf("column %d: %w", ci, err)
+			}
+		}
+		if err := r.done(); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("unknown cut kind %d", req.Kind)
 	}
 	return nil
+}
+
+// readCounts appends m counts off r to dst, failing when they total
+// more than limit.
+func readCounts(r *frameReader, dst []int, m, limit int, what string) ([]int, error) {
+	raw := r.take(8*m, what)
+	if r.err != nil {
+		return dst, r.err
+	}
+	total := uint64(0)
+	for j := 0; j < m; j++ {
+		c := binary.LittleEndian.Uint64(raw[8*j:])
+		if total += c; c > uint64(limit) || total > uint64(limit) {
+			return dst, fmt.Errorf("%s total more than the %d selected rows", what, limit)
+		}
+		dst = append(dst, int(c))
+	}
+	return dst, nil
+}
+
+// readBools reads a bool column's tallies off r, failing when they
+// total more than the selected rows.
+func readBools(r *frameReader, selected int) (falses, trues int, err error) {
+	f, t := r.u64("falses"), r.u64("trues")
+	if r.err != nil {
+		return 0, 0, r.err
+	}
+	if f > uint64(selected) || t > uint64(selected)-f {
+		return 0, 0, fmt.Errorf("%d falses and %d trues among %d selected rows", f, t, selected)
+	}
+	return int(f), int(t), nil
+}
+
+// readNumericSummary reads the summary of req's c-th column, a numeric
+// one, off r into s: no more values than selected rows, no more NaN
+// than values, and with a range, bins holding no more than the values
+// other than NaN.
+func readNumericSummary(r *frameReader, req shard.CutRequest, c, selected int, s *shard.Summary) error {
+	n, nan := r.u64("value count"), r.u64("NaN count")
+	s.Sum = math.Float64frombits(r.u64("sum"))
+	s.Stats.Min = math.Float64frombits(r.u64("min"))
+	s.Stats.Max = math.Float64frombits(r.u64("max"))
+	if r.err != nil {
+		return r.err
+	}
+	if n > uint64(selected) || nan > n {
+		return fmt.Errorf("%d values, %d NaN, among %d selected rows", n, nan, selected)
+	}
+	s.Count, s.Stats.NaN = int(n), int(nan)
+	if req.Ranges == nil {
+		return nil
+	}
+	h, err := shard.SummaryHist(req.Ranges[c][0], req.Ranges[c][1])
+	if err != nil {
+		return err
+	}
+	s.Bins, err = readCounts(r, h.Counts[:0], len(h.Counts), s.Count-s.Stats.NaN, "bin counts")
+	return err
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"math"
 	"math/bits"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/shard"
-	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -80,12 +78,12 @@ var cutFuzzSchema = storage.MustSchema(
 
 const cutFuzzRows = 130
 
-// appendCutAnswer encodes a, the answer to a request of kind k, under
+// appendCutAnswer encodes a, the answer to req over cutFuzzSchema, under
 // its CRC, as the server frames it.
-func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
+func appendCutAnswer(dst []byte, req shard.CutRequest, a *shard.CutAnswer) []byte {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	return sealCutAnswer(appendCutPayload(dst, k, a), at)
+	return sealCutAnswer(appendCutPayload(dst, req, cutFuzzSchema, a), at)
 }
 
 // FuzzCutFrames: a cut request either parses into one the shard can
@@ -98,7 +96,7 @@ func appendCutAnswer(dst []byte, k shard.CutKind, a *shard.CutAnswer) []byte {
 func FuzzCutFrames(f *testing.F) {
 	// seed adds a request and the answer a to it.
 	seed := func(req shard.CutRequest, a *shard.CutAnswer) {
-		f.Add(appendCutRequest(nil, req, cutFuzzSchema.Field(req.Cols[0]).Type), appendCutAnswer(nil, req.Kind, a))
+		f.Add(appendCutRequest(nil, req, cutFuzzSchema.Field(req.Cols[0]).Type), appendCutAnswer(nil, req, a))
 	}
 	sel := []uint64{0b1011, 0b11}
 	seed(shard.CutRequest{Kind: shard.CutValues, Cols: []int{1}},
@@ -118,6 +116,20 @@ func FuzzCutFrames(f *testing.F) {
 	seed(shard.CutRequest{Kind: shard.CutPartition, Cols: []int{3},
 		Preds: []query.Predicate{query.NewBoolEq("b", false), query.NewBoolEq("b", true)}},
 		&shard.CutAnswer{Bits: [][]uint64{{1, 0, 0}, {2, 0, 0}}})
+	seed(shard.CutRequest{Kind: shard.CutSummary, Cols: []int{0, 1, 2, 3}},
+		&shard.CutAnswer{Summaries: []shard.Summary{
+			{Count: 3, Sum: 6, Stats: engine.NumericSummary{Min: 1, Max: 3}},
+			{Count: 2, Sum: math.NaN(), Stats: engine.NumericSummary{NaN: 1, Min: -0.5, Max: -0.5}},
+			{Count: 4, Counts: []int{3, 1}},
+			{Count: 4, Falses: 1, Trues: 3},
+		}})
+	bins := make([]int, shard.SummaryBins)
+	bins[0], bins[shard.SummaryBins-1] = 1, 1
+	seed(shard.CutRequest{Kind: shard.CutSummary, Cols: []int{1, 0}, W0: 1, Sel: sel, Ranges: [][2]float64{{-2, 5}, {4, 4}}},
+		&shard.CutAnswer{Summaries: []shard.Summary{
+			{Count: 2, Sum: 3, Stats: engine.NumericSummary{Min: -2, Max: 5}, Bins: bins},
+			{Count: 1, Sum: 4, Stats: engine.NumericSummary{Min: 4, Max: 4}, Bins: []int{1}},
+		}})
 	f.Fuzz(func(t *testing.T, reqBody, answer []byte) {
 		req, err := parseCutRequest(reqBody, cutFuzzSchema, cutFuzzRows)
 		if err != nil {
@@ -131,8 +143,18 @@ func FuzzCutFrames(f *testing.F) {
 				t.Fatalf("kind %d accepted for column %d", req.Kind, ci)
 			}
 		}
-		if len(req.Cols) == 0 || req.Kind != shard.CutValues && len(req.Cols) != 1 {
+		if len(req.Cols) == 0 || !req.Kind.ManyColumns() && len(req.Cols) != 1 {
 			t.Fatalf("kind %d accepted over %d columns", req.Kind, len(req.Cols))
+		}
+		if req.Ranges != nil {
+			if req.Kind != shard.CutSummary || len(req.Ranges) != len(req.Cols) {
+				t.Fatalf("kind %d accepted with %d ranges for %d columns", req.Kind, len(req.Ranges), len(req.Cols))
+			}
+			for c, r := range req.Ranges {
+				if !cutFuzzSchema.Field(req.Cols[c]).Type.IsNumeric() || !(r[0] <= r[1]) {
+					t.Fatalf("range %v accepted for column %d", r, req.Cols[c])
+				}
+			}
 		}
 		const words = (cutFuzzRows + 63) / 64
 		if req.Sel != nil {
@@ -147,7 +169,7 @@ func FuzzCutFrames(f *testing.F) {
 			t.Fatalf("kind %d with %d predicates", req.Kind, len(req.Preds))
 		}
 		var a shard.CutAnswer
-		if err := parseCutAnswer(answer, req, cutFuzzRows, &a); err != nil {
+		if err := parseCutAnswer(answer, req, cutFuzzSchema, cutFuzzRows, &a); err != nil {
 			if err.Error() == "" {
 				t.Fatal("unnamed answer error")
 			}
@@ -218,46 +240,25 @@ func FuzzCutFrames(f *testing.F) {
 					seen[j] |= w
 				}
 			}
-		}
-	})
-}
-
-// FuzzPartials: a partials answer to a request for n columns decodes
-// into exactly n bundles, each histogram with one count per bin — or
-// fails with an error.
-func FuzzPartials(f *testing.F) {
-	ok, err := json.Marshal([]partialDTO{
-		partialToDTO(&shard.ColumnPartial{Rows: 4, Nulls: 1, Count: 3, Sum: 6, Min: 1, Max: 3, HasMinMax: true,
-			Hist: &stats.Histogram{Edges: []float64{1, 2, 3}, Counts: []int{1, 2}}}),
-		partialToDTO(&shard.ColumnPartial{Rows: 4, Count: 4, CatCounts: []int{3, 1}}),
-		partialToDTO(&shard.ColumnPartial{Rows: 4, Count: 4, Falses: 1, Trues: 3}),
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ok, uint8(3))
-	f.Add(ok, uint8(2))
-	f.Add(ok[:len(ok)-5], uint8(3))
-	f.Add([]byte(`[{"rows":1,"histEdges":["0"],"histCounts":[]}]`), uint8(1))
-	f.Add([]byte(`[{"rows":1,"hasMinMax":true,"min":"zz"}]`), uint8(1))
-	f.Add([]byte(`null`), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
-		parts, err := parsePartials(data, int(n))
-		if err != nil {
-			if err.Error() == "" {
-				t.Fatal("unnamed error")
+		case shard.CutSummary:
+			if len(a.Summaries) != len(req.Cols) {
+				t.Fatalf("%d summaries for %d columns", len(a.Summaries), len(req.Cols))
 			}
-			return
-		}
-		if len(parts) != int(n) {
-			t.Fatalf("%d partials for %d specs", len(parts), n)
-		}
-		for i, p := range parts {
-			if p == nil {
-				t.Fatalf("partial %d is nil", i)
-			}
-			if h := p.Hist; h != nil && (len(h.Edges) < 2 || len(h.Counts) != len(h.Edges)-1) {
-				t.Fatalf("partial %d: histogram of %d edges with %d counts", i, len(h.Edges), len(h.Counts))
+			for c, sum := range a.Summaries {
+				bins := 0
+				for _, n := range sum.Bins {
+					bins += n
+				}
+				if sum.Count > selected || sum.Stats.NaN > sum.Count || bins > sum.Count-sum.Stats.NaN ||
+					sum.Falses+sum.Trues > selected {
+					t.Fatalf("column %d: summary %+v over %d selected rows", req.Cols[c], sum, selected)
+				}
+				if req.Ranges != nil {
+					h, _ := shard.SummaryHist(req.Ranges[c][0], req.Ranges[c][1])
+					if len(sum.Bins) != h.NumBins() {
+						t.Fatalf("column %d: %d bins for %d", req.Cols[c], len(sum.Bins), h.NumBins())
+					}
+				}
 			}
 		}
 	})

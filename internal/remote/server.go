@@ -2,21 +2,22 @@
 // from its own process (atlasd -serve-shard) and consuming such shards
 // from a coordinator that opens a manifest whose shard locations are
 // http(s):// URLs. It is the scale-out seam of the atlas — the same
-// manifest, zone maps, mergeable partial statistics and decoded-chunk
-// cache as the local sharded store, with HTTP between the coordinator
+// manifest, zone maps, mergeable statistics and decoded-chunk cache as
+// the local sharded store, with HTTP between the coordinator
 // and each shard's data.
 //
 // # Two RPC planes
 //
 // The statistics plane answers per-shard questions where the data
-// lives, in two calls: cut (one CUT read under the shard's slice of a
+// lives, in one call: cut (one CUT read under the shard's slice of a
 // selection — a numeric column's selected values with their rows and
-// summary, category or boolean counts, or the partition of the selected
-// rows by a cut's predicates; no slice means every row) and partials
-// (mergeable ColumnPartial bundles: counts and fixed-edge histograms) —
-// so a sharded exploration's cuts fan out as small requests to the
-// shards holding selected rows, and reduce in shard order
-// (internal/shard/provider.go), byte-identical to the local computation.
+// summary, category or boolean counts, the partition of the selected
+// rows by a cut's predicates, or any columns' summaries with fixed-edge
+// bin counts; no slice means every row) — so a sharded exploration's
+// cuts fan out as small requests to the shards holding selected rows,
+// and reduce in shard order (internal/shard/provider.go), byte-identical
+// to the local computation; a set's column table (Set.Partials) is two
+// summary rounds over every row.
 //
 // The chunk plane serves raw encoded chunk payloads: the coordinator's
 // storage.ChunkSource for that shard, feeding the shared decoded-chunk
@@ -34,8 +35,7 @@
 //	GET  zones                        per-(column, chunk) zone maps
 //	GET  dict?col=N                   string column dictionary
 //	POST chunk                        one column's listed chunks, one CRC'd frame each
-//	POST cut                          one column's CUT read under a selection slice
-//	POST partials                     mergeable ColumnPartial per requested column
+//	POST cut                          one CUT read or summary under a selection slice
 //	GET  health                       liveness probe
 //	GET  stats                        the server's own counters
 package remote
@@ -133,7 +133,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /shard/v1/dict", s.wrap("dict", s.handleDict))
 	mux.HandleFunc("POST /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
 	mux.HandleFunc("POST /shard/v1/cut", s.wrap("cut", s.handleCut))
-	mux.HandleFunc("POST /shard/v1/partials", s.wrap("partials", s.handlePartials))
 	mux.HandleFunc("GET /shard/v1/health", s.wrap("health", s.handleHealth))
 	mux.HandleFunc("GET /shard/v1/stats", s.wrap("stats", s.handleStats))
 	return mux
@@ -400,49 +399,11 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		buf = appendCutPayload(buf, req.Kind, a)
+		buf = appendCutPayload(buf, one, s.tbl.Schema(), a)
 	}
 	buf = sealCutAnswer(buf, 0)
 	s.statComputes.Add(1)
 	s.writeBody(w, "application/octet-stream", buf)
-}
-
-func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
-	var req partialsReqDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	ctx, psp := obsv.StartSpan(r.Context(), "partials compute")
-	defer psp.End()
-	out := make([]partialDTO, len(req.Specs))
-	for i, spec := range req.Specs {
-		var lo, hi float64
-		var err error
-		if spec.Lo != "" {
-			if lo, err = parseFbits(spec.Lo); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		if spec.Hi != "" {
-			if hi, err = parseFbits(spec.Hi); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		if spec.Col < 0 || spec.Col >= s.tbl.NumCols() {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("column %d out of range", spec.Col))
-			return
-		}
-		p, err := shard.ComputeColumnPartial(ctx, s.tbl, spec.Col, lo, hi, spec.UseHist)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		out[i] = partialToDTO(p)
-	}
-	s.writeJSON(w, out)
 }
 
 // handleStats answers GET /shard/v1/stats: the server's own counters

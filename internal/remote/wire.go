@@ -3,15 +3,12 @@ package remote
 import (
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"sort"
 	"strconv"
 
-	"repro/internal/shard"
-	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -277,110 +274,6 @@ func (p *bufPool) put(b []byte) {
 	case p.free <- b:
 	default:
 	}
-}
-
-// partialsReqDTO is POST /shard/v1/partials.
-type partialsReqDTO struct {
-	Specs []partialSpecDTO `json:"specs"`
-}
-
-type partialSpecDTO struct {
-	Col     int    `json:"col"`
-	Lo      string `json:"lo,omitempty"`
-	Hi      string `json:"hi,omitempty"`
-	UseHist bool   `json:"useHist,omitempty"`
-}
-
-// partialDTO is one column's mergeable bundle on the wire (local
-// dictionary space for CatCounts).
-type partialDTO struct {
-	Rows       int      `json:"rows"`
-	Nulls      int      `json:"nulls,omitempty"`
-	Count      int      `json:"count,omitempty"`
-	Sum        string   `json:"sum,omitempty"`
-	Min        string   `json:"min,omitempty"`
-	Max        string   `json:"max,omitempty"`
-	HasMinMax  bool     `json:"hasMinMax,omitempty"`
-	HistEdges  []string `json:"histEdges,omitempty"`
-	HistCounts []int    `json:"histCounts,omitempty"`
-	CatCounts  []int    `json:"catCounts,omitempty"`
-	Falses     int      `json:"falses,omitempty"`
-	Trues      int      `json:"trues,omitempty"`
-}
-
-func partialToDTO(p *shard.ColumnPartial) partialDTO {
-	d := partialDTO{
-		Rows: p.Rows, Nulls: p.Nulls, Count: p.Count,
-		Sum: fbits(p.Sum), HasMinMax: p.HasMinMax,
-		CatCounts: p.CatCounts, Falses: p.Falses, Trues: p.Trues,
-	}
-	if p.HasMinMax {
-		d.Min, d.Max = fbits(p.Min), fbits(p.Max)
-	}
-	if p.Hist != nil {
-		d.HistEdges = make([]string, len(p.Hist.Edges))
-		for i, e := range p.Hist.Edges {
-			d.HistEdges[i] = fbits(e)
-		}
-		d.HistCounts = p.Hist.Counts
-	}
-	return d
-}
-
-// parsePartials decodes a partials answer to a request for n columns:
-// exactly n bundles, each with a histogram of one count per bin.
-func parsePartials(data []byte, n int) ([]*shard.ColumnPartial, error) {
-	var dtos []partialDTO
-	if err := json.Unmarshal(data, &dtos); err != nil {
-		return nil, fmt.Errorf("remote: partials answer: %w", err)
-	}
-	if len(dtos) != n {
-		return nil, fmt.Errorf("remote: %d partials for %d specs", len(dtos), n)
-	}
-	out := make([]*shard.ColumnPartial, n)
-	for i, d := range dtos {
-		p, err := partialFromDTO(d)
-		if err != nil {
-			return nil, fmt.Errorf("remote: partial %d: %w", i, err)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-func partialFromDTO(d partialDTO) (*shard.ColumnPartial, error) {
-	p := &shard.ColumnPartial{
-		Rows: d.Rows, Nulls: d.Nulls, Count: d.Count,
-		HasMinMax: d.HasMinMax,
-		CatCounts: d.CatCounts, Falses: d.Falses, Trues: d.Trues,
-	}
-	var err error
-	if d.Sum != "" {
-		if p.Sum, err = parseFbits(d.Sum); err != nil {
-			return nil, err
-		}
-	}
-	if d.HasMinMax {
-		if p.Min, err = parseFbits(d.Min); err != nil {
-			return nil, err
-		}
-		if p.Max, err = parseFbits(d.Max); err != nil {
-			return nil, err
-		}
-	}
-	if len(d.HistEdges) > 0 {
-		if len(d.HistEdges) < 2 || len(d.HistCounts) != len(d.HistEdges)-1 {
-			return nil, fmt.Errorf("remote: histogram of %d edges with %d counts", len(d.HistEdges), len(d.HistCounts))
-		}
-		edges := make([]float64, len(d.HistEdges))
-		for i, s := range d.HistEdges {
-			if edges[i], err = parseFbits(s); err != nil {
-				return nil, err
-			}
-		}
-		p.Hist = &stats.Histogram{Edges: edges, Counts: d.HistCounts}
-	}
-	return p, nil
 }
 
 // healthDTO is GET /shard/v1/health.

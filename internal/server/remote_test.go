@@ -271,3 +271,45 @@ func TestDrillPipelineFailureIs5xx(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsColumnTableRetriesAfterFailure: /api/shards keeps only a
+// column table it computed. With a shard killed the request fails; once
+// the shard heals the next request answers 200 with every column,
+// instead of the first failure until the server restarts.
+func TestShardsColumnTableRetriesAfterFailure(t *testing.T) {
+	var injs []*chaos.Injector
+	remoteManifest, _ := startRemoteManifestWith(t, 2, func(_ int, h http.Handler) http.Handler {
+		inj := chaos.Wrap(h)
+		injs = append(injs, inj)
+		return inj
+	})
+	// A breaker that never trips: the healed shard is dialed at once.
+	opener := remote.NewOpener(remote.Options{Timeout: 10 * time.Second, Retries: -1, BreakerThreshold: 1 << 20})
+	defer opener.Close()
+	srv, err := NewFromStoreWith(remoteManifest, core.DefaultOptions(), StoreConfig{Remote: opener})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/shards", nil))
+		return w
+	}
+	injs[1].SetFault(chaos.Kill)
+	if w := get(); w.Code == http.StatusOK {
+		t.Fatalf("shard 1 killed: HTTP 200: %s", w.Body.String())
+	}
+	injs[1].SetFault(chaos.None)
+	w := get()
+	if w.Code != http.StatusOK {
+		t.Fatalf("shard 1 healed: HTTP %d: %s", w.Code, w.Body.String())
+	}
+	var dto ShardsDTO
+	if err := json.Unmarshal(w.Body.Bytes(), &dto); err != nil {
+		t.Fatal(err)
+	}
+	if len(dto.Columns) != srv.Table().NumCols() {
+		t.Errorf("healed answer has %d columns, want %d", len(dto.Columns), srv.Table().NumCols())
+	}
+}

@@ -51,12 +51,12 @@ type Server struct {
 	// closeStore releases what NewFromStoreWith opened (see Close); nil
 	// when the caller owns the table or set.
 	closeStore func() error
-	// partialsOnce guards the merged per-column partials behind
-	// /api/shards: tables are immutable, so the per-shard scans run once
-	// and every later request serves the cached reduction.
-	partialsOnce sync.Once
-	partials     []*shard.ColumnPartial
-	partialsErr  error
+	// partials is the merged column table behind /api/shards, under
+	// partialsMu: tables are immutable, so once computed every later
+	// request serves it. A failure is not kept — remote shards heal, and
+	// the next request computes it again.
+	partialsMu sync.Mutex
+	partials   []*shard.ColumnPartial
 
 	// sessions is the bounded session registry (see sessions.go).
 	sessions *sessionTable
@@ -114,7 +114,7 @@ func newServer(table *storage.Table, opts core.Options) *Server {
 
 // NewSharded creates a server over an opened shard set: explorations —
 // stateless and session ones alike — run on the combined table with
-// column statistics reduced from per-shard partials.
+// column statistics reduced from per-shard statistics.
 func NewSharded(set *shard.Set, opts core.Options) *Server {
 	s := newServer(set.Table(), opts)
 	s.set = set
@@ -645,7 +645,7 @@ type ReplicaDTO struct {
 }
 
 // ShardsDTO describes the sharded layout behind the served table, plus
-// merged per-column aggregates reduced from per-shard partials.
+// merged per-column aggregates reduced from per-shard summaries.
 type ShardsDTO struct {
 	Sharded      bool           `json:"sharded"`
 	Partitioning string         `json:"partitioning,omitempty"`
@@ -669,7 +669,7 @@ type ShardColsDTO struct {
 	Edges []float64 `json:"histEdges,omitempty"`
 }
 
-// handleShards reports the shard layout and the merged partial
+// handleShards reports the shard layout and the merged column
 // statistics of the served table; unsharded servers report
 // {"sharded": false}.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
@@ -694,7 +694,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err := obsv.CheckCtx(r.Context(), "server.shards"); err != nil {
-		writeError(w, err) // skip the partials pass nobody will read
+		writeError(w, err) // skip the statistics pass nobody will read
 		return
 	}
 	for i, sf := range m.Shards {
@@ -723,14 +723,12 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		}
 		dto.Shards = append(dto.Shards, sd)
 	}
-	s.partialsOnce.Do(func() {
-		s.partials, s.partialsErr = s.set.Partials(s.opts.Parallelism)
-	})
-	if s.partialsErr != nil {
-		writeError(w, s.partialsErr)
+	partials, err := s.shardPartials()
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	for ci, p := range s.partials {
+	for ci, p := range partials {
 		col := ShardColsDTO{Name: s.table.Schema().Field(ci).Name, Rows: p.Rows, Nulls: p.Nulls}
 		if p.HasMinMax {
 			col.Min, col.Max = p.Min, p.Max
@@ -745,6 +743,21 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		dto.Columns = append(dto.Columns, col)
 	}
 	writeJSON(w, http.StatusOK, dto)
+}
+
+// shardPartials returns the set's merged column table, computing it
+// when no earlier request has.
+func (s *Server) shardPartials() ([]*shard.ColumnPartial, error) {
+	s.partialsMu.Lock()
+	defer s.partialsMu.Unlock()
+	if s.partials == nil {
+		p, err := s.set.Partials(s.opts.Parallelism)
+		if err != nil {
+			return nil, err
+		}
+		s.partials = p
+	}
+	return s.partials, nil
 }
 
 // StoreStatsDTO reports a memory-tiered store's I/O counters.

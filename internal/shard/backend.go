@@ -56,21 +56,9 @@ type Backend interface {
 	Close() error
 }
 
-// PartialSpec names one column's partial-statistics request: the
-// set-wide histogram range agreed by the coordinator before the
-// fan-out.
-type PartialSpec struct {
-	// Col is the column index.
-	Col int
-	// Lo and Hi fix the histogram edges; UseHist is false when the set
-	// has no finite range (no histogram is built then).
-	Lo, Hi  float64
-	UseHist bool
-}
-
 // RemoteBackend is a shard served by another process: a Backend plus
-// the statistics plane — CUT's reads and per-shard partials computed
-// where the shard's data lives, so a sharded exploration fans out as
+// the statistics plane — cut reads computed where the shard's data
+// lives, so a sharded exploration or a set's column table fans out as
 // small requests instead of pulling chunks — and the fabric's
 // diagnostics. Statistics answers are in the shard's local dictionary
 // space — the Set remaps them into union space during the reduce — and
@@ -85,9 +73,6 @@ type RemoteBackend interface {
 	// reusing a's slices. Category counts are in the shard's own
 	// dictionary space.
 	Cut(ctx context.Context, req CutRequest, a *CutAnswer) error
-	// ColumnPartials computes one mergeable partial per spec, in one
-	// round trip.
-	ColumnPartials(ctx context.Context, specs []PartialSpec) ([]*ColumnPartial, error)
 	// Health round-trips a liveness check, returning its latency.
 	Health(ctx context.Context) (time.Duration, error)
 	// Replicas reports per-replica circuit-breaker state.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -28,13 +29,26 @@ const (
 	// CutPartition asks for the partition of the selected rows of a
 	// string or bool column by a cut's predicates: one bitmap each.
 	CutPartition
+	// CutSummary asks for the statistics of any number of columns of
+	// any type under one selection: one Summary each.
+	CutSummary
 )
+
+// SummaryBins is the number of equal-width bins a CutSummary counts a
+// ranged numeric column into.
+const SummaryBins = 64
+
+// SummaryHist returns the empty histogram a CutSummary counts a column
+// ranged [lo, hi] into: SummaryBins bins, or one when lo == hi.
+func SummaryHist(lo, hi float64) (*stats.Histogram, error) {
+	return stats.FixedHist(lo, hi, SummaryBins)
+}
 
 // CutRequest is one CUT read of one shard: a statistic of columns Cols
 // under the shard's slice of the selection — one column, or for
-// CutValues any number. Sel holds the selection's words from
-// shard-local word W0 on; words outside it select nothing. A nil Sel
-// selects every row of the shard.
+// CutValues and CutSummary any number. Sel holds the selection's words
+// from shard-local word W0 on; words outside it select nothing. A nil
+// Sel selects every row of the shard.
 type CutRequest struct {
 	Kind CutKind
 	Cols []int
@@ -43,6 +57,10 @@ type CutRequest struct {
 	// Preds are a CutPartition's predicates, all on its column: In
 	// predicates for a string column, BoolEq for a bool one.
 	Preds []query.Predicate
+	// Ranges, when non-nil, give a CutSummary of numeric columns one
+	// range [lo, hi] per column, lo <= hi: each column's values are also
+	// counted into the bins of SummaryHist(lo, hi).
+	Ranges [][2]float64
 }
 
 // CutAnswer is a shard's answer to a CutRequest. Bitmaps cover the
@@ -61,6 +79,26 @@ type CutAnswer struct {
 	Falses, Trues int
 	// Bits is CutPartition's answer, one bitmap per predicate.
 	Bits [][]uint64
+	// Summaries is CutSummary's answer, one per requested column.
+	Summaries []Summary
+}
+
+// Summary is one column's statistics in a CutSummary answer, over the
+// selected rows. Count is the column's non-NULL selected rows whatever
+// its type; the other fields are those of its type.
+type Summary struct {
+	Count int
+	// Sum adds a numeric column's values in row order from +0, and Stats
+	// holds their NaN count and extremes; Bins counts them into the
+	// request's range, when it gave one.
+	Sum   float64
+	Stats engine.NumericSummary
+	Bins  []int
+	// Counts are a string column's per-code counts, in the shard's
+	// dictionary.
+	Counts []int
+	// Falses and Trues tally a bool column.
+	Falses, Trues int
 }
 
 // ValueRun is one column's values in a CutValues answer: the values,
@@ -81,15 +119,22 @@ var extractPool = sync.Pool{New: func() any { return new(engine.NumericExtract) 
 // computation behind every shard's cut answers, local or served over
 // the fabric. It validates what the request asks of t's schema.
 func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAnswer) error {
-	if len(req.Cols) == 0 || req.Kind != CutValues && len(req.Cols) > 1 {
+	if len(req.Cols) == 0 || !req.Kind.ManyColumns() && len(req.Cols) > 1 {
 		return fmt.Errorf("shard: cut kind %d of %d columns", req.Kind, len(req.Cols))
 	}
-	for _, ci := range req.Cols {
+	if req.Ranges != nil && (req.Kind != CutSummary || len(req.Ranges) != len(req.Cols)) {
+		return fmt.Errorf("shard: cut kind %d of %d columns with %d ranges", req.Kind, len(req.Cols), len(req.Ranges))
+	}
+	for c, ci := range req.Cols {
 		if ci < 0 || ci >= t.NumCols() {
 			return fmt.Errorf("shard: cut of column %d out of range", ci)
 		}
-		if f := t.Schema().Field(ci); !req.Kind.Fits(f.Type) {
+		f := t.Schema().Field(ci)
+		if !req.Kind.Fits(f.Type) {
 			return fmt.Errorf("shard: cut kind %d does not apply to %v column %q", req.Kind, f.Type, f.Name)
+		}
+		if req.Ranges != nil && (!f.Type.IsNumeric() || !(req.Ranges[c][0] <= req.Ranges[c][1])) {
+			return fmt.Errorf("shard: range %v of %v column %q", req.Ranges[c], f.Type, f.Name)
 		}
 	}
 	// The selection is the request's words, read in place: every pass
@@ -136,6 +181,57 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 				a.Bits[i] = append(a.Bits[i][:0], bits...)
 			}
 		}
+	case CutSummary:
+		a.Summaries = slices.Grow(a.Summaries[:0], len(req.Cols))[:len(req.Cols)]
+		for c, ci := range req.Cols {
+			var rng *[2]float64
+			if req.Ranges != nil {
+				rng = &req.Ranges[c]
+			}
+			if err := summarize(t, ci, sel, rng, opts, &a.Summaries[c]); err != nil {
+				return err
+			}
+		}
+	}
+	return err
+}
+
+// summarize computes column ci's Summary under sel into s, counting a
+// numeric column's values into the bins of rng when it is non-nil.
+func summarize(t *storage.Table, ci int, sel *bitvec.Vector, rng *[2]float64, opts engine.ScanOptions, s *Summary) error {
+	*s = Summary{}
+	attr := t.Schema().Field(ci).Name
+	var err error
+	switch t.Schema().Field(ci).Type {
+	case storage.String:
+		if _, s.Counts, err = engine.CategoryCountsUnderOpts(t, attr, sel, opts); err == nil {
+			for _, n := range s.Counts {
+				s.Count += n
+			}
+		}
+	case storage.Bool:
+		s.Falses, s.Trues, err = engine.BoolCountsUnderOpts(t, attr, sel, opts)
+		s.Count = s.Falses + s.Trues
+	default:
+		x := extractPool.Get().(*engine.NumericExtract)
+		defer extractPool.Put(x)
+		if err = engine.ExtractNumericUnder(x, t, attr, sel, opts); err != nil {
+			return err
+		}
+		s.Count, s.Stats = len(x.Vals), x.Sum
+		for _, v := range x.Vals {
+			s.Sum += v
+		}
+		if rng != nil {
+			h, err := SummaryHist(rng[0], rng[1])
+			if err != nil {
+				return err
+			}
+			for _, v := range x.Vals {
+				h.Observe(v)
+			}
+			s.Bins = h.Counts
+		}
 	}
 	return err
 }
@@ -151,6 +247,12 @@ func (k CutKind) Fits(typ storage.DataType) bool {
 		return typ == storage.Bool
 	case CutPartition:
 		return typ == storage.String || typ == storage.Bool
+	case CutSummary:
+		return typ.IsNumeric() || typ == storage.String || typ == storage.Bool
 	}
 	return false
 }
+
+// ManyColumns reports whether a cut of kind k may read several columns
+// at once.
+func (k CutKind) ManyColumns() bool { return k == CutValues || k == CutSummary }

@@ -8,8 +8,8 @@
 // decomposes cleanly per row range — scans, partition bitmaps and
 // contingency counts are all row-local — so a table split into shards
 // fans those passes out across a worker pool and reduces the results
-// through mergeable partial statistics (counts, category-count vectors
-// and histograms; see partial.go).
+// through mergeable statistics (values, counts, category-count vectors
+// and histograms; see cut.go and provider.go).
 // Explorations over a shard set return maps byte-identical to the
 // unsharded table at any shard count and any parallelism.
 //

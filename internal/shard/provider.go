@@ -126,11 +126,7 @@ func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vect
 		if a == nil {
 			continue
 		}
-		if !p.s.shards[i].isRemote() {
-			if err := AddCounts(counts, a.Counts); err != nil {
-				return nil, nil, err
-			}
-		} else if err := p.s.addUnionCounts(counts, i, ci, a.Counts); err != nil {
+		if err := p.s.addShardCounts(counts, i, ci, a.Counts); err != nil {
 			return nil, nil, err
 		}
 	}

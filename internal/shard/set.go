@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/par"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -772,6 +773,28 @@ func (s *Set) addUnionCounts(dst []int, i, ci int, counts []int) error {
 	return nil
 }
 
+// addShardCounts adds shard i's count vector for string column ci into
+// dst, which counts in the set's dictionary: a remote shard counts in
+// its own dictionary, a local shard's view in the set's.
+func (s *Set) addShardCounts(dst []int, i, ci int, counts []int) error {
+	if s.shards != nil && s.shards[i].isRemote() {
+		return s.addUnionCounts(dst, i, ci, counts)
+	}
+	return AddCounts(dst, counts)
+}
+
+// AddCounts adds src into dst element-wise — the reduction for category
+// counts and any other count vector keyed by a shared dictionary.
+func AddCounts(dst, src []int) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("shard: count vectors of length %d vs %d", len(dst), len(src))
+	}
+	for i, v := range src {
+		dst[i] += v
+	}
+	return nil
+}
+
 // ShardHealthInfo is one shard's liveness snapshot (see ShardHealth).
 type ShardHealthInfo struct {
 	// Location is the manifest's shard location (file or URL).
@@ -881,17 +904,6 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 	return s, nil
 }
 
-// exactMinMax scans numeric column ci of t for its finite (non-NaN,
-// non-NULL) value range — the fallback when zone maps dropped a chunk's
-// bounds.
-func exactMinMax(ctx context.Context, t *storage.Table, ci int) (lo, hi float64, ok bool) {
-	sum := engine.SummarizeNumeric(nil)
-	_ = t.Runs(ci).Walk(ctx, nil, 1, "shard.partial", nil, func(_ int, _ []uint64, p *storage.ChunkPayload) {
-		p.EachFloat(sum.Observe)
-	})
-	return sum.Min, sum.Max, sum.Min <= sum.Max
-}
-
 // remapCodeSet translates a code bitset through remap into a bitset over
 // unionCard codes, or nil when the union dictionary outgrew zone-map
 // code tracking.
@@ -924,114 +936,121 @@ func (s *Set) ShardTable(i int) *storage.Table { return s.views[i] }
 // ShardOffset returns the combined-table row offset of shard i.
 func (s *Set) ShardOffset(i int) int { return s.offsets[i] }
 
-// Partials computes one merged ColumnPartial per column: each shard
-// builds its bundle independently (counts, fixed-edge histogram,
-// category counts) and the bundles reduce in shard order. It is
-// the aggregate-statistics path front-ends use — no shard's raw values
-// are ever centralized — and the consistency check behind "do the
-// shards still sum to the table the manifest promises".
+// ColumnPartial is one column's statistics over a whole set, merged
+// from its shards' summaries.
+type ColumnPartial struct {
+	// Rows and Nulls count the set's rows and this column's NULLs.
+	Rows, Nulls int
+	// Count is the column's non-NULL rows. Sum adds a numeric column's
+	// values, NaN included; Min and Max are the extremes of those other
+	// than NaN, valid when HasMinMax.
+	Count     int
+	Sum       float64
+	Min, Max  float64
+	HasMinMax bool
+	// Hist counts a numeric column's values into SummaryHist(Min, Max);
+	// nil when HasMinMax is false.
+	Hist *stats.Histogram
+	// CatCounts are a string column's per-code counts in the set's
+	// dictionary.
+	CatCounts []int
+	// Falses and Trues tally a bool column.
+	Falses, Trues int
+}
+
+// Partials computes every column's ColumnPartial in two CutSummary
+// rounds over all rows of every shard: the first agrees each numeric
+// column's histogram range, the second counts the values into its bins.
+// Each shard computes its summaries where it lives, and they fold in
+// shard order, so every field, the sum included, is the same whatever
+// holds the shards. No shard's raw values are centralized.
 func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 	ctx := context.TODO() // the context-free signature is pinned by bench/
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	nCols := s.combined.NumCols()
-	rows := s.combined.NumRows()
-	// Histogram edges must be agreed before the fan-out: the combined
-	// table's zone maps give the global value range without a scan —
-	// except for chunks that dropped their min/max (NaN-containing), in
-	// which case one exact pass over the column recovers the finite
-	// range so no value silently falls outside the edges.
-	los := make([]float64, nCols)
-	his := make([]float64, nCols)
-	useHist := make([]bool, nCols)
-	ck := s.combined.Chunking()
-	for ci := 0; ci < nCols; ci++ {
-		if !s.combined.Schema().Field(ci).Type.IsNumeric() {
-			continue
-		}
-		unbounded := false
-		for k, zm := range ck.Zones[ci] {
-			if zm.HasMinMax {
-				if !useHist[ci] {
-					los[ci], his[ci], useHist[ci] = zm.Min, zm.Max, true
-				} else {
-					if zm.Min < los[ci] {
-						los[ci] = zm.Min
-					}
-					if zm.Max > his[ci] {
-						his[ci] = zm.Max
-					}
-				}
-				continue
-			}
-			chunkRows := ck.Size
-			if hi := (k + 1) * ck.Size; hi > rows {
-				chunkRows = rows - k*ck.Size
-			}
-			if zm.NullCount < chunkRows {
-				unbounded = true
-			}
-		}
-		if unbounded {
-			los[ci], his[ci], useHist[ci] = exactMinMax(ctx, s.combined, ci)
-		}
+	schema := s.combined.Schema()
+	all := CutRequest{Kind: CutSummary, Cols: make([]int, schema.NumFields())}
+	for ci := range all.Cols {
+		all.Cols[ci] = ci
 	}
-	perShard := make([][]*ColumnPartial, s.NumShards())
-	err := par.For(parallelism, s.NumShards(), func(i int) error {
-		if sb, err := s.remoteBackend(ctx, i); err != nil {
-			return err
-		} else if sb != nil {
-			// Statistics plane: all columns in one round trip, computed
-			// where the shard lives; only the local→union category remap
-			// happens here.
-			specs := make([]PartialSpec, nCols)
-			for ci := range specs {
-				specs[ci] = PartialSpec{Col: ci, Lo: los[ci], Hi: his[ci], UseHist: useHist[ci]}
-			}
-			parts, err := sb.ColumnPartials(ctx, specs)
-			if err != nil {
-				return err
-			}
-			if len(parts) != nCols {
-				return fmt.Errorf("shard: shard %d returned %d partials for %d columns", i, len(parts), nCols)
-			}
-			for ci, p := range parts {
-				if p != nil && p.CatCounts != nil {
-					if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
-						return err
-					}
-					u := make([]int, len(s.unionDict[ci]))
-					if err := s.addUnionCounts(u, i, ci, p.CatCounts); err != nil {
-						return err
-					}
-					p.CatCounts = u
-				}
-			}
-			perShard[i] = parts
-			return nil
-		}
-		out := make([]*ColumnPartial, nCols)
-		for ci := 0; ci < nCols; ci++ {
-			p, err := columnPartial(ctx, s.views[i], ci, los[ci], his[ci], useHist[ci])
-			if err != nil {
-				return err
-			}
-			out[ci] = p
-		}
-		perShard[i] = out
-		return nil
-	})
+	sums, err := s.summaries(ctx, parallelism, all)
 	if err != nil {
 		return nil, err
 	}
-	merged := perShard[0]
-	for _, sp := range perShard[1:] {
-		for ci := range merged {
-			if err := merged[ci].Merge(sp[ci]); err != nil {
+	out := make([]*ColumnPartial, len(all.Cols))
+	ranged := CutRequest{Kind: CutSummary}
+	for ci := range out {
+		p := &ColumnPartial{Rows: s.combined.NumRows()}
+		ext := engine.SummarizeNumeric(nil)
+		if schema.Field(ci).Type == storage.String {
+			dict, err := storage.Dictionary(s.combined.Column(ci))
+			if err != nil {
+				return nil, err
+			}
+			p.CatCounts = make([]int, len(dict))
+		}
+		for i, shardSums := range sums {
+			sum := &shardSums[ci]
+			p.Count += sum.Count
+			p.Sum += sum.Sum
+			ext.Merge(sum.Stats)
+			p.Falses += sum.Falses
+			p.Trues += sum.Trues
+			if p.CatCounts != nil {
+				if err := s.addShardCounts(p.CatCounts, i, ci, sum.Counts); err != nil {
+					return nil, err
+				}
+			}
+		}
+		p.Nulls = p.Rows - p.Count
+		if schema.Field(ci).Type.IsNumeric() && p.Count > ext.NaN {
+			p.Min, p.Max, p.HasMinMax = ext.Min, ext.Max, true
+			ranged.Cols = append(ranged.Cols, ci)
+			ranged.Ranges = append(ranged.Ranges, [2]float64{ext.Min, ext.Max})
+		}
+		out[ci] = p
+	}
+	if len(ranged.Cols) == 0 {
+		return out, nil
+	}
+	if sums, err = s.summaries(ctx, parallelism, ranged); err != nil {
+		return nil, err
+	}
+	for c, ci := range ranged.Cols {
+		h, err := SummaryHist(out[ci].Min, out[ci].Max)
+		if err != nil {
+			return nil, err
+		}
+		for _, shardSums := range sums {
+			if err := AddCounts(h.Counts, shardSums[c].Bins); err != nil {
 				return nil, err
 			}
 		}
+		out[ci].Hist = h
 	}
-	return merged, nil
+	return out, nil
+}
+
+// summaries answers req, a CutSummary of every row, on each shard: a
+// remote shard over the fabric, a local one with ComputeCut over its
+// view. req carries no selection, so the shards need not start on a
+// selection word (an unaligned hash set's do not).
+func (s *Set) summaries(ctx context.Context, parallelism int, req CutRequest) ([][]Summary, error) {
+	out := make([][]Summary, s.NumShards())
+	err := par.For(parallelism, len(out), func(i int) error {
+		var a CutAnswer
+		sb, err := s.remoteBackend(ctx, i)
+		if err != nil {
+			return err
+		}
+		if sb != nil {
+			err = sb.Cut(ctx, req, &a)
+		} else {
+			err = ComputeCut(ctx, s.views[i], req, &a)
+		}
+		out[i] = a.Summaries
+		return err
+	})
+	return out, err
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
@@ -427,9 +426,9 @@ func TestPartialsWithNaN(t *testing.T) {
 }
 
 // TestPartials: merged per-shard partials equal whole-table statistics,
-// and neither depends on how the data is held: the set's shards opened
-// eagerly or lazily merge to the same partials, and one table's partial
-// is the same in memory, as an eager .atl and as a lazy .atl.
+// and the set's shards opened eagerly or lazily merge to the same
+// partials. TestColumnTableResidencies, at the root, holds every
+// residency to a gathered oracle.
 func TestPartials(t *testing.T) {
 	tbl := datagen.Census(6_000, 13)
 	set, path := writeTestSet(t, tbl, IngestOptions{Shards: 3, ChunkSize: 128})
@@ -451,32 +450,10 @@ func TestPartials(t *testing.T) {
 			t.Errorf("shards opened in mode %v: partials differ", mode)
 		}
 	}
-	atl := filepath.Join(t.TempDir(), "t.atl")
-	if err := colstore.WriteFile(atl, tbl, 128); err != nil {
+	sums, err := storage.Summarize(tbl)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []colstore.Options{{Mode: colstore.ModeEager}, {Mode: colstore.ModeLazy, CacheBytes: 128 * 9}} {
-		st, err := colstore.OpenWith(atl, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci, p := range partials {
-			lo, hi, useHist := p.Min, p.Max, p.Hist != nil
-			want, err := ComputeColumnPartial(context.Background(), tbl, ci, lo, hi, useHist)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ComputeColumnPartial(context.Background(), st.Table(), ci, lo, hi, useHist)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("column %d in mode %v: partial %+v, in memory %+v", ci, o.Mode, got, want)
-			}
-		}
-		st.Close()
-	}
-	sums := storage.Summarize(tbl)
 	for ci, p := range partials {
 		s := sums[ci]
 		if p.Rows != s.Rows || p.Nulls != s.Nulls {

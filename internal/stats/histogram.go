@@ -76,8 +76,8 @@ func EquiWidthHist(vals []float64, k int) (*Histogram, error) {
 
 // FixedHist returns an empty k-bin equal-width histogram over [lo, hi] —
 // the shape distributed counting needs: every shard observes its values
-// into a histogram with identical, pre-agreed edges, and the partials
-// Merge into exactly the histogram a single pass would build.
+// into a histogram with identical, pre-agreed edges, and the shards'
+// counts add up to exactly the histogram a single pass would build.
 func FixedHist(lo, hi float64, k int) (*Histogram, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("stats: histogram needs k > 0, got %d", k)
@@ -102,23 +102,6 @@ func (h *Histogram) Observe(v float64) {
 	if b := h.BinOf(v); b >= 0 {
 		h.Counts[b]++
 	}
-}
-
-// Merge adds o's counts into h. Both histograms must share identical
-// edges (built by FixedHist over the same range).
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.Edges) != len(o.Edges) {
-		return fmt.Errorf("stats: merge of histograms with %d vs %d edges", len(h.Edges), len(o.Edges))
-	}
-	for i := range h.Edges {
-		if h.Edges[i] != o.Edges[i] {
-			return fmt.Errorf("stats: merge of histograms with different edges at %d (%g vs %g)", i, h.Edges[i], o.Edges[i])
-		}
-	}
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	return nil
 }
 
 // QuantileSorted returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted

@@ -52,23 +52,23 @@ func (s ColumnSummary) String() string {
 // Summarize computes descriptive statistics for every column. Min and
 // Max are the extremes of the non-NULL values other than NaN (0 when
 // there are none); Mean averages every non-NULL value. A chunk that
-// fails to decode truncates the summary (display statistics are
-// best-effort; scans surface the error properly).
-func Summarize(t *Table) []ColumnSummary {
+// fails to decode fails the summary, naming the column.
+func Summarize(t *Table) ([]ColumnSummary, error) {
 	ctx := context.TODO() // Summarize is a display helper with no request behind it
 	out := make([]ColumnSummary, 0, t.NumCols())
 	for ci := 0; ci < t.NumCols(); ci++ {
 		f := t.Schema().Field(ci)
 		s := ColumnSummary{Name: f.Name, Type: f.Type, Rows: t.NumRows(), Nulls: t.Column(ci).NullCount()}
 		runs := t.Runs(ci)
-		walk := func(fn func(p *ChunkPayload)) {
-			_ = runs.Walk(ctx, nil, 1, "storage.summary", nil, func(_ int, _ []uint64, p *ChunkPayload) { fn(p) })
+		walk := func(fn func(p *ChunkPayload)) error {
+			return runs.Walk(ctx, nil, 1, "storage.summary", nil, func(_ int, _ []uint64, p *ChunkPayload) { fn(p) })
 		}
+		var err error
 		switch f.Type {
 		case Int64, Float64:
 			sum, count := 0.0, 0
 			s.Min, s.Max = math.Inf(1), math.Inf(-1)
-			walk(func(p *ChunkPayload) {
+			err = walk(func(p *ChunkPayload) {
 				p.EachFloat(func(v float64) {
 					if v < s.Min { // false for NaN
 						s.Min = v
@@ -87,23 +87,26 @@ func Summarize(t *Table) []ColumnSummary {
 				s.Mean = sum / float64(count)
 			}
 		case String:
-			dict, err := Dictionary(t.Column(ci))
-			if err != nil {
+			var dict []string
+			if dict, err = Dictionary(t.Column(ci)); err != nil {
 				break
 			}
 			s.Cardinality = len(dict)
 			counts := make([]int, len(dict))
-			walk(func(p *ChunkPayload) { p.CountCodes(counts) })
+			err = walk(func(p *ChunkPayload) { p.CountCodes(counts) })
 			s.TopValues = topValues(dict, counts)
 		case Bool:
-			walk(func(p *ChunkPayload) {
+			err = walk(func(p *ChunkPayload) {
 				_, trues := p.CountBools()
 				s.TrueCount += trues
 			})
 		}
+		if err != nil {
+			return nil, fmt.Errorf("storage: summarizing column %q: %w", f.Name, err)
+		}
 		out = append(out, s)
 	}
-	return out
+	return out, nil
 }
 
 // topValues returns up to 5 dictionary values by descending count, ties

@@ -47,7 +47,13 @@ func residencies(t *testing.T, tbl *storage.Table) []struct {
 func summarizeEach(t *testing.T, tbl *storage.Table, check func(t *testing.T, sums []storage.ColumnSummary)) {
 	t.Helper()
 	for _, r := range residencies(t, tbl) {
-		t.Run(r.name, func(t *testing.T) { check(t, storage.Summarize(r.tbl)) })
+		t.Run(r.name, func(t *testing.T) {
+			sums, err := storage.Summarize(r.tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, sums)
+		})
 	}
 }
 

@@ -129,6 +129,29 @@ func TestLazyStoreCorruptExploreError(t *testing.T) {
 	}
 }
 
+// TestLazyStoreCorruptSummarizeError: summarizing a lazy store with a
+// corrupt chunk fails with the chunk's checksum error instead of
+// answering a summary truncated at that chunk.
+func TestLazyStoreCorruptSummarizeError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "census.atl")
+	if err := SaveStore(CensusDataset(5_000, 1), path); err != nil {
+		t.Fatal(err)
+	}
+	corruptFirstValueChunk(t, path)
+	handle, err := OpenStoreWith(path, StoreOpenOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer handle.Close()
+	sums, err := Summarize(handle.Table())
+	if err == nil {
+		t.Fatalf("summary of a corrupt lazy store answered %d columns and no error", len(sums))
+	}
+	if !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("error should name the chunk checksum failure, got: %v", err)
+	}
+}
+
 // corruptFirstValueChunk flips one byte in the middle of the file's
 // value region and reseals the trailer CRC, so only the per-chunk CRC
 // of the unlucky chunk trips — on first touch, not at open.
