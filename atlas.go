@@ -376,7 +376,8 @@ type StoreOpenOptions struct {
 	// Defer (sharded opens only) postpones opening shard files until a
 	// chunk or statistic of that shard is first touched; the manifest's
 	// per-shard statistics stand in for zone maps until then, so
-	// selective explorations skip whole shard files.
+	// selective explorations skip whole shard files. A string column's
+	// dictionary needed before any shard opens opens shard 0 alone.
 	Defer bool
 	// VerifyCRC forces the whole-file trailer checksum even on lazy
 	// opens (lazy opens otherwise rely on per-chunk CRCs).

@@ -48,7 +48,7 @@
 // JSON. -pprof additionally mounts /debug/pprof/.
 //
 // With -serve-shard, the /shard/v1/* fabric endpoints are served
-// instead (meta, zones, dict, chunk, cut, health, stats).
+// instead (meta, chunk, cut, health, stats).
 package main
 
 import (

@@ -87,9 +87,8 @@ func (c *ChunkCache) HasRoom(n int64) bool {
 func (c *ChunkCache) Budget() int64 { return c.budget }
 
 // Get returns the payload cached under (owner, ci, k), loading it via
-// load on a miss. Stores and the composite sources above them (shard
-// sets caching remapped payloads) all come through here, which is how
-// they share one budget. owner is compared by identity. ctx governs the
+// load on a miss. Stores and the remote shard clients all come through
+// here, which is how they share one budget. owner is compared by identity. ctx governs the
 // wait: a waiter whose ctx is done abandons the flight with a named
 // cancellation error without disturbing the load, and a loader whose
 // own load is cancelled hands the slot off so waiting goroutines (or

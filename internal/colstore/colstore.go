@@ -775,37 +775,23 @@ func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storag
 	}
 	zm.NullCount = int(d.uv())
 	zm.Distinct = int(d.uv())
-	if d.err != nil {
-		return storage.ZoneMap{}, 0, d.err
-	}
-	if zm.NullCount < 0 || zm.NullCount > chunkRows {
-		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: null count %d out of range", k, zm.NullCount)
-	}
 	if flags&flagCodeSet != 0 {
-		// The writer only emits code sets for dictionary columns whose
-		// cardinality fits the zone-code bound, always sized to the
-		// dictionary. Anything else is a malformed file — reject it
-		// rather than let a short bitset mis-prune scans.
+		// Bound the words before allocating them; zm.Check below refuses
+		// a set the column or its dictionary cannot hold.
 		nw := int(d.uv())
-		if f.Type != storage.String {
-			return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: code set on %v column", k, f.Type)
-		}
-		maxWords := (storage.MaxZoneCodes + 63) / 64
-		if dictLen >= 0 {
-			if dictLen == 0 || dictLen > storage.MaxZoneCodes || nw != (dictLen+63)/64 {
-				return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: code set of %d words for %d dictionary entries", k, nw, dictLen)
-			}
-		} else if nw <= 0 || nw > maxWords {
+		if d.err == nil && (nw <= 0 || nw > (storage.MaxZoneCodes+63)/64) {
 			return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: implausible code set of %d words", k, nw)
 		}
-		set := make([]uint64, nw)
-		for wi := range set {
-			set[wi] = d.u64()
+		zm.CodeSet = make([]uint64, nw)
+		for wi := range zm.CodeSet {
+			zm.CodeSet[wi] = d.u64()
 		}
-		zm.CodeSet = set
 	}
 	if d.err != nil {
 		return storage.ZoneMap{}, 0, d.err
+	}
+	if err := zm.Check(f.Type, dictLen, chunkRows); err != nil {
+		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: %w", k, err)
 	}
 	return zm, flags, nil
 }

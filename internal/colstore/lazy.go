@@ -361,12 +361,9 @@ func (lf *lazyFile) validateDir(h *header) error {
 			if ref.off < int64(h.end) || ref.length <= 0 || ref.off+ref.length > lf.size-footerLen {
 				return fmt.Errorf("column %q chunk %d: byte range [%d,+%d) outside the file body", f.Name, k, ref.off, ref.length)
 			}
-			if set := lf.zones[c][k].CodeSet; set != nil {
-				dictLen := len(lf.dicts[c])
-				if dictLen == 0 || dictLen > storage.MaxZoneCodes || len(set) != (dictLen+63)/64 {
-					return fmt.Errorf("column %q chunk %d: code set of %d words for %d dictionary entries",
-						f.Name, k, len(set), dictLen)
-				}
+			chunkRows := min(h.chunkSize, h.rows-k*h.chunkSize)
+			if err := lf.zones[c][k].Check(f.Type, len(lf.dicts[c]), chunkRows); err != nil {
+				return fmt.Errorf("column %q chunk %d: %w", f.Name, k, err)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,82 +98,27 @@ type Client struct {
 	ownBytes  atomic.Int64
 	ownChunks atomic.Int64
 
-	// Shard snapshot, fetched at open.
-	table     string
-	rows      int
-	chunkSize int
-	schema    *storage.Schema
-	zones     [][]storage.ZoneMap
-
-	// dicts memoizes string dictionaries per column, each behind its own
-	// lock so first touches of different columns fetch concurrently; a
-	// failed fetch is not cached (the next touch retries).
-	dicts []dictSlot
+	// meta is the shard's open snapshot, fetched at open.
+	meta shard.BackendMeta
 
 	closed atomic.Bool
 }
 
 var _ shard.RemoteBackend = (*Client)(nil)
 
-type dictSlot struct {
-	mu   sync.Mutex
-	vals []string
-	done bool
-}
-
-// init fetches and validates the shard's metadata and zone maps. The
-// context is the caller's: when a query forces a deferred shard open,
-// the open's own RPCs are traced and billed to that query.
+// init fetches and checks the shard's open snapshot in one round trip.
+// The context is the caller's: when a query forces a deferred shard
+// open, the open's RPC is traced and billed to that query.
 func (c *Client) init(ctx context.Context) error {
-	var meta metaDTO
-	if err := c.getJSON(ctx, "meta", "/shard/v1/meta", nil, &meta); err != nil {
+	var dto metaDTO
+	if err := c.getJSON(ctx, "meta", "/shard/v1/meta", nil, &dto); err != nil {
 		return err
 	}
-	if meta.Rows < 0 || meta.ChunkSize <= 0 || meta.ChunkSize%64 != 0 {
-		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("implausible shape rows=%d chunkSize=%d", meta.Rows, meta.ChunkSize)}
-	}
-	if meta.Version != colstore.Version {
-		return &ShardError{Location: c.primary, Op: "meta", Err: fmt.Errorf("chunk encoding: %w %d (this client reads version %d only)", colstore.ErrVersion, meta.Version, colstore.Version)}
-	}
-	fields := make([]storage.Field, len(meta.Columns))
-	for i, col := range meta.Columns {
-		typ, err := parseTypeName(col.Type)
-		if err != nil {
-			return &ShardError{Location: c.primary, Op: "meta", Err: err}
-		}
-		fields[i] = storage.Field{Name: col.Name, Type: typ}
-	}
-	schema, err := storage.NewSchema(fields...)
+	meta, err := dto.snapshot()
 	if err != nil {
 		return &ShardError{Location: c.primary, Op: "meta", Err: err}
 	}
-	c.table, c.rows, c.chunkSize = meta.Table, meta.Rows, meta.ChunkSize
-	c.schema = schema
-	c.dicts = make([]dictSlot, len(fields))
-
-	var zdto zonesDTO
-	if err := c.getJSON(ctx, "zones", "/shard/v1/zones", nil, &zdto); err != nil {
-		return err
-	}
-	numChunks := c.numChunks()
-	if len(zdto.Zones) != len(fields) {
-		return &ShardError{Location: c.primary, Op: "zones", Err: fmt.Errorf("%d zone columns for %d fields", len(zdto.Zones), len(fields))}
-	}
-	zones := make([][]storage.ZoneMap, len(fields))
-	for ci, col := range zdto.Zones {
-		if len(col) != numChunks {
-			return &ShardError{Location: c.primary, Op: "zones", Err: fmt.Errorf("column %d has %d zone maps for %d chunks", ci, len(col), numChunks)}
-		}
-		zones[ci] = make([]storage.ZoneMap, numChunks)
-		for k, d := range col {
-			zm, err := zoneFromDTO(d)
-			if err != nil {
-				return &ShardError{Location: c.primary, Op: "zones", Err: err}
-			}
-			zones[ci][k] = zm
-		}
-	}
-	c.zones = zones
+	c.meta = meta
 	return nil
 }
 
@@ -199,10 +143,7 @@ func (c *Client) warmReplicas() {
 }
 
 func (c *Client) numChunks() int {
-	if c.rows == 0 {
-		return 0
-	}
-	return (c.rows + c.chunkSize - 1) / c.chunkSize
+	return (c.meta.Rows + c.meta.ChunkSize - 1) / c.meta.ChunkSize
 }
 
 // ---- transport ----
@@ -490,41 +431,7 @@ func (c *Client) postJSON(ctx context.Context, op, path string, reqBody, into an
 // ---- shard.Backend ----
 
 // Meta implements shard.Backend.
-func (c *Client) Meta() shard.BackendMeta {
-	return shard.BackendMeta{Table: c.table, Rows: c.rows, ChunkSize: c.chunkSize, Schema: c.schema}
-}
-
-// Zones implements shard.Backend.
-func (c *Client) Zones() [][]storage.ZoneMap { return c.zones }
-
-// Dicts implements shard.Backend, fetching each string dictionary once
-// (per-column locks, so different columns' first touches overlap). The
-// first-touch fetch runs under the caller's context — so a chunk load's
-// implied dictionary round trip is traced and billed with the query
-// that caused it.
-func (c *Client) Dicts(ctx context.Context, ci int) ([]string, error) {
-	if ci < 0 || ci >= c.schema.NumFields() {
-		return nil, &ShardError{Location: c.primary, Op: "dict", Err: fmt.Errorf("column %d out of range", ci)}
-	}
-	if c.schema.Field(ci).Type != storage.String {
-		return nil, nil
-	}
-	slot := &c.dicts[ci]
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.done {
-		return slot.vals, nil
-	}
-	var dto dictDTO
-	if err := c.getJSON(ctx, "dict", "/shard/v1/dict", url.Values{"col": {strconv.Itoa(ci)}}, &dto); err != nil {
-		return nil, err
-	}
-	if dto.Values == nil {
-		dto.Values = []string{}
-	}
-	slot.vals, slot.done = dto.Values, true
-	return slot.vals, nil
-}
+func (c *Client) Meta() shard.BackendMeta { return c.meta }
 
 // Source implements shard.Backend: the client is its own chunk source.
 func (c *Client) Source() storage.ChunkSource { return c }
@@ -557,7 +464,7 @@ func (c *Client) IOStats() colstore.IOStats {
 // request context rides into the RPC, so a traced exploration sees which
 // phase pulled which chunk over the wire.
 func (c *Client) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
-	if ci < 0 || ci >= c.schema.NumFields() || k < 0 || k >= c.numChunks() {
+	if ci < 0 || ci >= c.meta.Schema.NumFields() || k < 0 || k >= c.numChunks() {
 		return nil, false, &ShardError{Location: c.primary, Op: "chunk", Err: fmt.Errorf("chunk (%d,%d) out of range", ci, k)}
 	}
 	return c.cache.Get(ctx, c, ci, k, func() (*storage.ChunkPayload, error) {
@@ -579,7 +486,7 @@ func (c *Client) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPaylo
 // nothing and re-arms every claimed slot: the scan's own fetch retries
 // and reports the failure.
 func (c *Client) PrefetchChunks(ctx context.Context, ci int, ks []int) {
-	if c.closed.Load() || ci < 0 || ci >= c.schema.NumFields() {
+	if c.closed.Load() || ci < 0 || ci >= c.meta.Schema.NumFields() {
 		return
 	}
 	for i, k := range ks {
@@ -607,14 +514,14 @@ func (c *Client) PrefetchChunks(ctx context.Context, ci int, ks []int) {
 func (c *Client) windowCap() int {
 	n := storage.PrefetchWindow
 	if b := c.cache.Budget(); b > 0 {
-		n = min(n, int(b/8/(int64(c.chunkSize)*8)))
+		n = min(n, int(b/8/(int64(c.meta.ChunkSize)*8)))
 	}
 	return n
 }
 
 // chunkRows returns the row count of chunk k.
 func (c *Client) chunkRows(k int) int {
-	return min(c.chunkSize, c.rows-k*c.chunkSize)
+	return min(c.meta.ChunkSize, c.meta.Rows-k*c.meta.ChunkSize)
 }
 
 // fetchChunks is the chunk plane's one fetch: chunks ks (ascending) of
@@ -626,15 +533,8 @@ func (c *Client) chunkRows(k int) int {
 // the buffer. A bad answer is retried like a truncated one. Each chunk
 // is billed as a store decode; the RPC once.
 func (c *Client) fetchChunks(ctx context.Context, ci int, ks []int) ([]*storage.ChunkPayload, error) {
-	f := c.schema.Field(ci)
-	dictLen := 0
-	if f.Type == storage.String {
-		dict, err := c.Dicts(ctx, ci)
-		if err != nil {
-			return nil, err
-		}
-		dictLen = len(dict)
-	}
+	f := c.meta.Schema.Field(ci)
+	dictLen := len(c.meta.Dicts[ci])
 	body, err := json.Marshal(chunkReqDTO{Col: ci, Chunks: ks})
 	if err != nil {
 		return nil, &ShardError{Location: c.primary, Op: "chunk", Err: err}
@@ -678,16 +578,16 @@ func (c *Client) fetchChunks(ctx context.Context, ci int, ks []int) ([]*storage.
 // truncated one.
 func (c *Client) Cut(ctx context.Context, req shard.CutRequest, a *shard.CutAnswer) error {
 	for _, ci := range req.Cols {
-		if ci < 0 || ci >= c.schema.NumFields() {
+		if ci < 0 || ci >= c.meta.Schema.NumFields() {
 			return &ShardError{Location: c.primary, Op: "cut", Err: fmt.Errorf("column %d out of range", ci)}
 		}
 	}
 	if len(req.Cols) == 0 {
 		return &ShardError{Location: c.primary, Op: "cut", Err: errors.New("cut of no column")}
 	}
-	body := appendCutRequest(nil, req, c.schema.Field(req.Cols[0]).Type)
-	read := func(data []byte) error { return parseCutAnswer(data, req, c.schema, c.rows, a) }
-	return c.do(ctx, "cut", http.MethodPost, "/shard/v1/cut", nil, body, cutAnswerLimit(req, c.rows), read)
+	body := appendCutRequest(nil, req, c.meta.Schema.Field(req.Cols[0]).Type)
+	read := func(data []byte) error { return parseCutAnswer(data, req, c.meta.Schema, c.meta.Rows, a) }
+	return c.do(ctx, "cut", http.MethodPost, "/shard/v1/cut", nil, body, cutAnswerLimit(req, c.meta.Rows), read)
 }
 
 // ServerStats implements shard.RemoteBackend: one RPC fetching

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"math"
 	"math/bits"
@@ -258,6 +259,43 @@ func FuzzCutFrames(f *testing.F) {
 					if len(sum.Bins) != h.NumBins() {
 						t.Fatalf("column %d: %d bins for %d", req.Cols[c], len(sum.Bins), h.NumBins())
 					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzShardMeta: a meta answer either builds a snapshot every one of
+// whose zone maps passes the checks a shard file's reader applies —
+// sized to the shard's chunks and, for code sets, to the column's
+// dictionary — or fails with an error. Seeded with a real server's
+// answer.
+func FuzzShardMeta(f *testing.F) {
+	f.Add(servedMeta(f, f.TempDir()))
+	f.Add([]byte(`{"rows":1,"chunkSize":64,"version":3,"columns":[{"name":"s","type":"string","dict":["a"],"zones":[{"nulls":1,"codeSet":"AQAAAAAAAAA="}]}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var dto metaDTO
+		if json.Unmarshal(body, &dto) != nil {
+			return
+		}
+		meta, err := dto.snapshot()
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("unnamed error")
+			}
+			return
+		}
+		numChunks := (meta.Rows + meta.ChunkSize - 1) / meta.ChunkSize
+		for ci, f := range meta.Schema.Fields() {
+			if f.Type != storage.String && meta.Dicts[ci] != nil {
+				t.Fatalf("column %q: dictionary on a %v column", f.Name, f.Type)
+			}
+			if len(meta.Zones[ci]) != numChunks {
+				t.Fatalf("column %q: %d zone maps for %d chunks", f.Name, len(meta.Zones[ci]), numChunks)
+			}
+			for k, zm := range meta.Zones[ci] {
+				if err := zm.Check(f.Type, len(meta.Dicts[ci]), min(meta.ChunkSize, meta.Rows-k*meta.ChunkSize)); err != nil {
+					t.Fatalf("column %q chunk %d accepted: %v", f.Name, k, err)
 				}
 			}
 		}

@@ -31,9 +31,7 @@
 //
 // # Endpoints (all under /shard/v1/)
 //
-//	GET  meta                         shard identity (rows, chunk size, schema)
-//	GET  zones                        per-(column, chunk) zone maps
-//	GET  dict?col=N                   string column dictionary
+//	GET  meta                         open snapshot: identity, schema, zone maps, dictionaries
 //	POST chunk                        one column's listed chunks, one CRC'd frame each
 //	POST cut                          one CUT read or summary under a selection slice
 //	GET  health                       liveness probe
@@ -129,8 +127,6 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /shard/v1/meta", s.wrap("meta", s.handleMeta))
-	mux.HandleFunc("GET /shard/v1/zones", s.wrap("zones", s.handleZones))
-	mux.HandleFunc("GET /shard/v1/dict", s.wrap("dict", s.handleDict))
 	mux.HandleFunc("POST /shard/v1/chunk", s.wrap("chunk", s.handleChunk))
 	mux.HandleFunc("POST /shard/v1/cut", s.wrap("cut", s.handleCut))
 	mux.HandleFunc("GET /shard/v1/health", s.wrap("health", s.handleHealth))
@@ -257,6 +253,8 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	http.Error(w, err.Error(), status)
 }
 
+// handleMeta answers GET /shard/v1/meta: the shard's whole open
+// snapshot in one body.
 func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	dto := metaDTO{
 		Table:     s.tbl.Name(),
@@ -264,50 +262,23 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		ChunkSize: s.st.ChunkSize,
 		Version:   int(s.st.WireVersion()),
 	}
-	for _, f := range s.tbl.Schema().Fields() {
-		dto.Columns = append(dto.Columns, colDTO{Name: f.Name, Type: typeName(f.Type)})
-	}
-	s.writeJSON(w, dto)
-}
-
-func (s *Server) handleZones(w http.ResponseWriter, _ *http.Request) {
-	ck := s.tbl.Chunking()
-	dto := zonesDTO{Zones: make([][]zoneDTO, len(ck.Zones))}
-	for ci, zones := range ck.Zones {
-		out := make([]zoneDTO, len(zones))
-		for k, zm := range zones {
-			out[k] = zoneToDTO(zm)
+	zones := s.tbl.Chunking().Zones
+	for ci, f := range s.tbl.Schema().Fields() {
+		col := colDTO{Name: f.Name, Type: typeName(f.Type), Zones: make([]zoneDTO, len(zones[ci]))}
+		for k, zm := range zones[ci] {
+			col.Zones[k] = zoneToDTO(zm)
 		}
-		dto.Zones[ci] = out
+		if f.Type == storage.String {
+			dict, err := storage.Dictionary(s.tbl.Column(ci))
+			if err != nil {
+				httpError(w, http.StatusInternalServerError, err)
+				return
+			}
+			col.Dict = dict
+		}
+		dto.Columns = append(dto.Columns, col)
 	}
 	s.writeJSON(w, dto)
-}
-
-// colParam parses and bounds-checks a column index parameter.
-func (s *Server) colParam(r *http.Request) (int, error) {
-	ci, err := strconv.Atoi(r.URL.Query().Get("col"))
-	if err != nil || ci < 0 || ci >= s.tbl.NumCols() {
-		return 0, fmt.Errorf("bad column %q", r.URL.Query().Get("col"))
-	}
-	return ci, nil
-}
-
-func (s *Server) handleDict(w http.ResponseWriter, r *http.Request) {
-	ci, err := s.colParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.tbl.Schema().Field(ci).Type != storage.String {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("column %d is not a string column", ci))
-		return
-	}
-	dict, err := storage.Dictionary(s.tbl.Column(ci))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, dictDTO{Values: dict})
 }
 
 // handleChunk answers POST /shard/v1/chunk: one frame per requested

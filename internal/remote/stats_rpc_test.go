@@ -29,7 +29,7 @@ func TestServerStatsRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The open itself already cost meta and zones RPCs.
+	// The open's meta request and this stats request are counted.
 	if st.Requests < 2 {
 		t.Errorf("Requests = %d, want >= 2 after an open", st.Requests)
 	}

@@ -303,7 +303,7 @@ func TestPoisonedWireBufferLeavesPayloads(t *testing.T) {
 		ks[i] = i
 	}
 	ctx := context.Background()
-	for ci := 0; ci < c.schema.NumFields(); ci++ {
+	for ci := 0; ci < c.meta.Schema.NumFields(); ci++ {
 		c.PrefetchChunks(ctx, ci, ks)
 	}
 
@@ -324,7 +324,7 @@ func TestPoisonedWireBufferLeavesPayloads(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("no recycled wire buffer to poison")
 	}
-	for ci := 0; ci < c.schema.NumFields(); ci++ {
+	for ci := 0; ci < c.meta.Schema.NumFields(); ci++ {
 		for _, k := range ks {
 			got, _, err := c.FetchChunk(ctx, ci, k)
 			if err != nil {

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/colstore"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -56,7 +58,9 @@ const (
 	headerDeadline = "X-Atlas-Deadline"
 )
 
-// metaDTO is GET /shard/v1/meta: the shard's identity.
+// metaDTO is GET /shard/v1/meta: the shard's open snapshot — identity,
+// schema, and every column's zone maps and dictionary — in one body, so
+// opening a remote shard is one round trip.
 type metaDTO struct {
 	Table     string `json:"table"`
 	Rows      int    `json:"rows"`
@@ -70,6 +74,63 @@ type metaDTO struct {
 type colDTO struct {
 	Name string `json:"name"`
 	Type string `json:"type"`
+	// Dict is a string column's dictionary; absent on other columns.
+	Dict []string `json:"dict,omitempty"`
+	// Zones holds the column's zone maps, one per chunk.
+	Zones []zoneDTO `json:"zones"`
+}
+
+// snapshot checks the answer and builds the shard's open snapshot from
+// it. It refuses what a shard file's own reader refuses, because each
+// would mis-prune scans silently: a NULL count outside the chunk's rows,
+// a code set on a non-string column or one not sized to the dictionary.
+// A dictionary on a non-string column, a zone map per chunk missing or
+// in excess, an implausible shape and a foreign chunk encoding are
+// refused too.
+func (m *metaDTO) snapshot() (shard.BackendMeta, error) {
+	if m.Rows < 0 || m.ChunkSize <= 0 || m.ChunkSize%64 != 0 {
+		return shard.BackendMeta{}, fmt.Errorf("implausible shape rows=%d chunkSize=%d", m.Rows, m.ChunkSize)
+	}
+	if m.Version != colstore.Version {
+		return shard.BackendMeta{}, fmt.Errorf("chunk encoding: %w %d (this client reads version %d only)", colstore.ErrVersion, m.Version, colstore.Version)
+	}
+	fields := make([]storage.Field, len(m.Columns))
+	for ci, col := range m.Columns {
+		typ, err := parseTypeName(col.Type)
+		if err != nil {
+			return shard.BackendMeta{}, err
+		}
+		fields[ci] = storage.Field{Name: col.Name, Type: typ}
+	}
+	schema, err := storage.NewSchema(fields...)
+	if err != nil {
+		return shard.BackendMeta{}, err
+	}
+	out := shard.BackendMeta{Table: m.Table, Rows: m.Rows, ChunkSize: m.ChunkSize, Schema: schema,
+		Zones: make([][]storage.ZoneMap, len(fields)), Dicts: make([][]string, len(fields))}
+	numChunks := (m.Rows + m.ChunkSize - 1) / m.ChunkSize
+	for ci, col := range m.Columns {
+		f := fields[ci]
+		if col.Dict != nil && f.Type != storage.String {
+			return shard.BackendMeta{}, fmt.Errorf("column %q: dictionary on a %v column", f.Name, f.Type)
+		}
+		if len(col.Zones) != numChunks {
+			return shard.BackendMeta{}, fmt.Errorf("column %q has %d zone maps for %d chunks", f.Name, len(col.Zones), numChunks)
+		}
+		zones := make([]storage.ZoneMap, numChunks)
+		for k, d := range col.Zones {
+			zm, err := zoneFromDTO(d)
+			if err == nil {
+				err = zm.Check(f.Type, len(col.Dict), min(m.ChunkSize, m.Rows-k*m.ChunkSize))
+			}
+			if err != nil {
+				return shard.BackendMeta{}, fmt.Errorf("column %q chunk %d: %w", f.Name, k, err)
+			}
+			zones[k] = zm
+		}
+		out.Zones[ci], out.Dicts[ci] = zones, col.Dict
+	}
+	return out, nil
 }
 
 func typeName(t storage.DataType) string {
@@ -100,7 +161,7 @@ func parseTypeName(s string) (storage.DataType, error) {
 	}
 }
 
-// zoneDTO is one zone map of GET /shard/v1/zones.
+// zoneDTO is one zone map of GET /shard/v1/meta.
 type zoneDTO struct {
 	Min       string `json:"min,omitempty"` // Float64bits hex, valid with HasMinMax
 	Max       string `json:"max,omitempty"`
@@ -110,11 +171,6 @@ type zoneDTO struct {
 	// CodeSet is the chunk's categorical code bitset, base64 over
 	// little-endian u64 words; empty when untracked.
 	CodeSet string `json:"codeSet,omitempty"`
-}
-
-// zonesDTO is GET /shard/v1/zones: [column][chunk].
-type zonesDTO struct {
-	Zones [][]zoneDTO `json:"zones"`
 }
 
 func zoneToDTO(zm storage.ZoneMap) zoneDTO {
@@ -155,11 +211,6 @@ func zoneFromDTO(d zoneDTO) (storage.ZoneMap, error) {
 		zm.CodeSet = words
 	}
 	return zm, nil
-}
-
-// dictDTO is GET /shard/v1/dict?col=N.
-type dictDTO struct {
-	Values []string `json:"values"`
 }
 
 // chunkReqDTO is POST /shard/v1/chunk: one column and the chunks wanted

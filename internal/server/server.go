@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -372,13 +373,15 @@ func appendNode(b []byte, n *session.Node, rf *requestFields) []byte {
 // writeResult writes the body of every result-bearing route — session
 // explore, drill, back, current, history and stateless explore — with
 // the headers and trailing newline of writeJSON. A nil body, one that
-// failed to render, leaves the response empty, as a failed encode did.
+// failed to render, answers 500 with an error body, as writeJSON does.
 func writeResult(w http.ResponseWriter, body []byte) {
+	if body == nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "result cannot be encoded as JSON"})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if body != nil {
-		_, _ = w.Write(append(body, '\n'))
-	}
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // ---- handlers ----
@@ -659,14 +662,28 @@ type ShardsDTO struct {
 // ShardColsDTO is one column's merged aggregate: exact counts, extremes
 // and mean plus the merged fixed-edge histogram.
 type ShardColsDTO struct {
-	Name  string    `json:"name"`
-	Rows  int       `json:"rows"`
-	Nulls int       `json:"nulls"`
-	Min   float64   `json:"min,omitempty"`
-	Max   float64   `json:"max,omitempty"`
-	Mean  float64   `json:"mean,omitempty"`
-	Hist  []int     `json:"hist,omitempty"`
-	Edges []float64 `json:"histEdges,omitempty"`
+	Name  string      `json:"name"`
+	Rows  int         `json:"rows"`
+	Nulls int         `json:"nulls"`
+	Min   JSONFloat   `json:"min,omitempty"`
+	Max   JSONFloat   `json:"max,omitempty"`
+	Mean  JSONFloat   `json:"mean,omitempty"`
+	Hist  []int       `json:"hist,omitempty"`
+	Edges []JSONFloat `json:"histEdges,omitempty"`
+}
+
+// JSONFloat is a statistic that may not be finite — the mean of values
+// that include NaN, the extremes of values that include ±Inf. JSON
+// numbers cannot carry those, so a non-finite value encodes as null.
+type JSONFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(v)
 }
 
 // handleShards reports the shard layout and the merged column
@@ -731,13 +748,16 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	for ci, p := range partials {
 		col := ShardColsDTO{Name: s.table.Schema().Field(ci).Name, Rows: p.Rows, Nulls: p.Nulls}
 		if p.HasMinMax {
-			col.Min, col.Max = p.Min, p.Max
+			col.Min, col.Max = JSONFloat(p.Min), JSONFloat(p.Max)
 			if p.Count > 0 {
-				col.Mean = p.Sum / float64(p.Count)
+				col.Mean = JSONFloat(p.Sum / float64(p.Count))
 			}
 			if p.Hist != nil {
 				col.Hist = p.Hist.Counts
-				col.Edges = p.Hist.Edges
+				col.Edges = make([]JSONFloat, len(p.Hist.Edges))
+				for i, e := range p.Hist.Edges {
+					col.Edges[i] = JSONFloat(e)
+				}
 			}
 		}
 		dto.Columns = append(dto.Columns, col)
@@ -908,10 +928,17 @@ func readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// writeJSON encodes v before it writes the status, so a value JSON
+// cannot carry answers 500 with an error body, not a 200 with none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, err error) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 // TestNewFromStoreManifest: -store accepts a shard manifest, serves the
@@ -132,5 +134,84 @@ func TestShardsEndpointUnsharded(t *testing.T) {
 	}
 	if dto.Sharded || dto.Rows != 500 {
 		t.Fatalf("dto = %+v", dto)
+	}
+}
+
+// TestShardsEndpointNonFinite: a column whose values include NaN or ±Inf
+// has non-finite statistics, which JSON cannot carry. GET /api/shards
+// reports each as null and still answers every other column.
+func TestShardsEndpointNonFinite(t *testing.T) {
+	const n = 512
+	schema := storage.MustSchema(
+		storage.Field{Name: "nan", Type: storage.Float64},
+		storage.Field{Name: "inf", Type: storage.Float64},
+		storage.Field{Name: "k", Type: storage.Int64},
+		storage.Field{Name: "s", Type: storage.String},
+	)
+	b := storage.NewBuilder("t", schema)
+	for i := 0; i < n; i++ {
+		nan, inf := float64(i), float64(i)
+		switch i {
+		case 7:
+			nan = math.NaN()
+		case 300:
+			inf = math.Inf(1)
+		case 301:
+			inf = math.Inf(-1)
+		}
+		b.MustAppendRow(nan, inf, int64(i%10), []string{"a", "b"}[i%2])
+	}
+	path := filepath.Join(t.TempDir(), "t.atlm")
+	if _, err := shard.WriteSharded(path, b.MustBuild(), shard.IngestOptions{Shards: 2, ChunkSize: 128}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewFromStoreWith(path, core.DefaultOptions(), StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/shards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var body struct {
+		Columns []map[string]any `json:"columns"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("body does not parse: %v", err)
+	}
+	if len(body.Columns) != 4 {
+		t.Fatalf("%d columns reported, want 4", len(body.Columns))
+	}
+	nan, inf, k, s := body.Columns[0], body.Columns[1], body.Columns[2], body.Columns[3]
+	if v, ok := nan["mean"]; !ok || v != nil {
+		t.Errorf("NaN column's mean = %v (present %v), want null", v, ok)
+	}
+	if nan["max"] != float64(n-1) {
+		t.Errorf("NaN column's max = %v, want %d", nan["max"], n-1)
+	}
+	for _, f := range []string{"min", "max", "mean"} {
+		if v, ok := inf[f]; !ok || v != nil {
+			t.Errorf("±Inf column's %s = %v (present %v), want null", f, v, ok)
+		}
+	}
+	sum := 0
+	for i := 0; i < n; i++ {
+		sum += i % 10
+	}
+	if k["rows"] != float64(n) || k["max"] != 9.0 || k["mean"] != float64(sum)/n {
+		t.Errorf("int column = %v", k)
+	}
+	if hist, _ := k["hist"].([]any); len(hist) != shard.SummaryBins {
+		t.Errorf("int column's histogram has %d bins, want %d", len(hist), shard.SummaryBins)
+	}
+	if s["rows"] != float64(n) || s["nulls"] != 0.0 {
+		t.Errorf("string column = %v", s)
 	}
 }

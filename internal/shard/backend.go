@@ -10,17 +10,18 @@ import (
 )
 
 // This file is the backend seam of the shard layer: everything a Set
-// needs from one member shard — metadata, zone maps, dictionaries and a
-// chunk source — behind an interface, so a shard can live in a local
-// .atl file (fileBackend, below) or behind another process's RPC
-// endpoints (internal/remote's client). The Set's assembly, pruning and
-// fan-out logic is identical either way; only where bytes come from
-// differs. A Set knows which kind a shard is from its manifest location
-// (IsRemoteLocation) and holds it under the matching static type, so
-// nothing here is discovered by type assertion.
+// needs from one member shard — its open snapshot (identity, schema,
+// zone maps, dictionaries) and a chunk source — behind an interface, so
+// a shard can live in a local .atl file (fileBackend, below) or behind
+// another process's RPC endpoints (internal/remote's client). The Set's
+// assembly, pruning and fan-out logic is identical either way; only
+// where bytes come from differs. A Set knows which kind a shard is from
+// its manifest location (IsRemoteLocation) and holds it under the
+// matching static type, so nothing here is discovered by type assertion.
 
-// BackendMeta is a shard's identity: what the manifest's per-shard
-// entries are validated against at open.
+// BackendMeta is a shard's open snapshot: the identity the manifest's
+// per-shard entries are validated against, and the zone maps and
+// dictionaries the set checks and serves.
 type BackendMeta struct {
 	// Table is the shard's stored table name.
 	Table string
@@ -30,6 +31,12 @@ type BackendMeta struct {
 	ChunkSize int
 	// Schema is the shard's column schema.
 	Schema *storage.Schema
+	// Zones holds the shard's per-column, per-chunk zone maps.
+	Zones [][]storage.ZoneMap
+	// Dicts holds each string column's dictionary (nil for other
+	// columns). Every shard of a set holds the set's: the table's
+	// dictionary, which the shard's codes index.
+	Dicts [][]string
 }
 
 // Backend serves one shard's data to a Set — what a local file and a
@@ -37,17 +44,9 @@ type BackendMeta struct {
 // use; every method after a successful open answers from the same
 // immutable snapshot.
 type Backend interface {
-	// Meta returns the shard's identity.
+	// Meta returns the shard's open snapshot.
 	Meta() BackendMeta
-	// Zones returns the shard's per-column, per-chunk zone maps in the
-	// shard's own (local-dictionary) code space.
-	Zones() [][]storage.ZoneMap
-	// Dicts returns the dictionary of string column ci (nil for
-	// non-string columns). A first-use fetch runs under ctx, so a
-	// dictionary pulled mid-query is traced and billed to that query.
-	Dicts(ctx context.Context, ci int) ([]string, error)
-	// Source serves the shard's decoded chunk payloads (local code
-	// space; the Set remaps into union space where needed).
+	// Source serves the shard's decoded chunk payloads.
 	Source() storage.ChunkSource
 	// IOStats reports the backend's cumulative I/O: bytes read (over the
 	// wire, for a remote shard) and chunks decoded.
@@ -60,8 +59,7 @@ type Backend interface {
 // the statistics plane — cut reads computed where the shard's data
 // lives, so a sharded exploration or a set's column table fans out as
 // small requests instead of pulling chunks — and the fabric's
-// diagnostics. Statistics answers are in the shard's local dictionary
-// space — the Set remaps them into union space during the reduce — and
+// diagnostics. Statistics answers count in the set's one dictionary and
 // must be exactly what ComputeCut over the shard's table produces
 // (values in row order, exact counts, identical bitmaps), which is what
 // keeps remote explorations byte-identical. Every call that may touch
@@ -70,8 +68,7 @@ type Backend interface {
 type RemoteBackend interface {
 	Backend
 	// Cut answers one CUT read of the shard into a (see CutRequest),
-	// reusing a's slices. Category counts are in the shard's own
-	// dictionary space.
+	// reusing a's slices.
 	Cut(ctx context.Context, req CutRequest, a *CutAnswer) error
 	// Health round-trips a liveness check, returning its latency.
 	Health(ctx context.Context) (time.Duration, error)
@@ -144,7 +141,7 @@ func (s ServerStats) CacheHitRate() float64 {
 // serving the same immutable shard — and the backend fails over among
 // them. The store options carry the set's shared decoded-chunk cache,
 // so remote payloads honor the same byte budget as local ones. The
-// open's own round trips (metadata, zone maps) run under ctx: when a
+// open's one round trip (its snapshot) runs under ctx: when a
 // query forces a deferred shard open they land in its trace and
 // resource ledger. Implemented by internal/remote.Opener; shard itself
 // stays transport-free.
@@ -160,8 +157,9 @@ func IsRemoteLocation(loc string) bool {
 
 // fileBackend adapts a local .atl store to the Backend interface.
 type fileBackend struct {
-	st  *colstore.Store
-	src storage.ChunkSource
+	st   *colstore.Store
+	src  storage.ChunkSource
+	meta BackendMeta
 }
 
 var _ Backend = (*fileBackend)(nil)
@@ -172,34 +170,40 @@ func openFileBackend(path string, o colstore.Options) (*fileBackend, error) {
 	if err != nil {
 		return nil, err
 	}
+	meta, err := tableMeta(st.Table(), st.ChunkSize)
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
 	src := st.Source()
 	if src == nil {
 		// Eagerly decoded file: serve chunk payloads as zero-copy slices
 		// of its columns.
 		src = storage.TableChunkSource(st.Table())
 	}
-	return &fileBackend{st: st, src: src}, nil
+	return &fileBackend{st: st, src: src, meta: meta}, nil
+}
+
+// tableMeta is the open snapshot of a shard file's table; a file's
+// dictionaries are read at open.
+func tableMeta(t *storage.Table, chunkSize int) (BackendMeta, error) {
+	meta := BackendMeta{Table: t.Name(), Rows: t.NumRows(), ChunkSize: chunkSize, Schema: t.Schema(),
+		Zones: t.Chunking().Zones, Dicts: make([][]string, t.NumCols())}
+	for ci := range meta.Dicts {
+		if t.Schema().Field(ci).Type != storage.String {
+			continue
+		}
+		d, err := storage.Dictionary(t.Column(ci))
+		if err != nil {
+			return BackendMeta{}, err
+		}
+		meta.Dicts[ci] = d
+	}
+	return meta, nil
 }
 
 // Meta implements Backend.
-func (fb *fileBackend) Meta() BackendMeta {
-	t := fb.st.Table()
-	return BackendMeta{Table: t.Name(), Rows: t.NumRows(), ChunkSize: fb.st.ChunkSize, Schema: t.Schema()}
-}
-
-// Zones implements Backend.
-func (fb *fileBackend) Zones() [][]storage.ZoneMap {
-	return fb.st.Table().Chunking().Zones
-}
-
-// Dicts implements Backend; a file's dictionaries are read at open.
-func (fb *fileBackend) Dicts(_ context.Context, ci int) ([]string, error) {
-	t := fb.st.Table()
-	if t.Schema().Field(ci).Type != storage.String {
-		return nil, nil
-	}
-	return storage.Dictionary(t.Column(ci))
-}
+func (fb *fileBackend) Meta() BackendMeta { return fb.meta }
 
 // Source implements Backend.
 func (fb *fileBackend) Source() storage.ChunkSource { return fb.src }

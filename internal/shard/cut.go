@@ -22,7 +22,7 @@ const (
 	// of columns under one selection.
 	CutValues CutKind = 1 + iota
 	// CutCategories asks for a string column's per-code counts, in the
-	// shard's own dictionary.
+	// dictionary every shard of the set holds.
 	CutCategories
 	// CutBools asks for a bool column's (false, true) tallies.
 	CutBools

@@ -39,13 +39,9 @@ type recordingBackend struct {
 }
 
 func (b *recordingBackend) Meta() BackendMeta           { return b.fb.Meta() }
-func (b *recordingBackend) Zones() [][]storage.ZoneMap  { return b.fb.Zones() }
 func (b *recordingBackend) Source() storage.ChunkSource { return b.src }
 func (b *recordingBackend) IOStats() colstore.IOStats   { return b.fb.IOStats() }
 func (b *recordingBackend) Close() error                { return b.fb.Close() }
-func (b *recordingBackend) Dicts(ctx context.Context, ci int) ([]string, error) {
-	return b.fb.Dicts(ctx, ci)
-}
 
 // recordingOpener opens the local file behind each fake URL. A set opens
 // its shards concurrently, so both maps are filled before the open and
@@ -101,7 +97,7 @@ func TestPrefetchHintCarriesCallerLedger(t *testing.T) {
 
 	led := obsv.NewLedger()
 	ctx := obsv.WithLedger(context.Background(), led)
-	const loadCol = 1 // "load": numeric, so no dictionary remap is involved
+	const loadCol = 1 // "load"
 	// Shards hold chunks 0–3 and 4–7 of the combined table. A combined
 	// window across the boundary splits into one part per shard, in each
 	// shard's own indexes; a shard view's window goes to its shard alone.

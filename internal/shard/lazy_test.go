@@ -92,10 +92,10 @@ func TestLazyShardedExploreMatchesEager(t *testing.T) {
 	}
 }
 
-// eventsNumTable is eventsTable without categorical columns: the union
-// dictionary of a string column must read every shard's dictionary, so
-// whole-file skipping is observable only on numeric schemas (mixed
-// schemas still skip the chunk decodes — see the mixed assertion in
+// eventsNumTable is eventsTable without categorical columns: no
+// dictionary is needed, so a selective exploration opens exactly the
+// shards its base touches (a mixed schema also opens the shard the
+// dictionaries come from — see the mixed leg of
 // TestDeferredShardFilePruning).
 func eventsNumTable(t testing.TB, n int) *storage.Table {
 	t.Helper()
@@ -151,9 +151,9 @@ func TestDeferredShardFilePruning(t *testing.T) {
 		t.Errorf("decoded %d of %d chunks; want under half", io.ChunksDecoded, totalChunks)
 	}
 
-	// Mixed schema (categorical column present): the union dictionary
-	// requires every shard's metadata, but chunk decodes must still be
-	// confined to the selected shard.
+	// Mixed schema (categorical column present): the dictionaries come
+	// from one shard, so the exploration opens at most that one and the
+	// selected shard, and confines chunk decodes to the selected shard.
 	mixed := eventsTable(t, 8_192)
 	mpath := filepath.Join(dir, "mixed.atlm")
 	if _, err := WriteSharded(mpath, mixed, IngestOptions{Shards: 4, ChunkSize: 128}); err != nil {
@@ -170,6 +170,9 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	}
 	if _, err := mcart.Explore(q); err != nil {
 		t.Fatal(err)
+	}
+	if got := ms.OpenedShards(); got > 2 {
+		t.Errorf("mixed schema: selective explore opened %d shard files, want at most 2", got)
 	}
 	mio := ms.IOStats()
 	mTotal := int64(4 * (8192 / 4 / 128) * 4)

@@ -20,8 +20,8 @@ import (
 // GOMAXPROCS). A set with remote shards asks each shard about its slice
 // of the selection — only shards holding a selected row, each sent the
 // words that hold one — and merges the answers exactly, in shard (=
-// combined row) order: values concatenate, summaries fold, counts add in
-// the union dictionary and bitmaps land in place, so every answer
+// combined row) order: values concatenate, summaries fold, counts add
+// under the set's one dictionary and bitmaps land in place, so every answer
 // matches the unsharded computation.
 func (s *Set) Provider(parallelism int) *Provider {
 	if parallelism <= 0 {
@@ -102,9 +102,8 @@ func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, att
 	return nil
 }
 
-// Categories implements core.StatProvider. Remote shards count in their
-// own dictionaries; the merge remaps each into the set's union
-// dictionary, which a local shard's view already counts in.
+// Categories implements core.StatProvider. Every shard counts in the
+// set's one dictionary, so the counts add.
 func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vector) ([]string, []int, error) {
 	if p.local != nil {
 		return p.local.Categories(ctx, attr, sel)
@@ -118,19 +117,20 @@ func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vect
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := p.s.loadDicts(ctx, p.s.combined.Schema()); err != nil {
+	dict, err := p.s.dict(ctx, ci)
+	if err != nil {
 		return nil, nil, err
 	}
-	counts := make([]int, len(p.s.unionDict[ci]))
-	for i, a := range answers {
+	counts := make([]int, len(dict))
+	for _, a := range answers {
 		if a == nil {
 			continue
 		}
-		if err := p.s.addShardCounts(counts, i, ci, a.Counts); err != nil {
+		if err := AddCounts(counts, a.Counts); err != nil {
 			return nil, nil, err
 		}
 	}
-	return p.s.unionDict[ci], counts, nil
+	return dict, counts, nil
 }
 
 // Bools implements core.StatProvider.

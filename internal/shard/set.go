@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/colstore"
@@ -40,6 +40,12 @@ import (
 // themselves open on first touch, and the manifest's statistics stand
 // in for zone maps until then — a selective exploration skips whole
 // shard files without ever opening them.
+//
+// Every shard of a set holds the table's dictionary for each string
+// column, so the shards count and code in one space: opening a shard
+// checks its schema and dictionaries against the set's (those of the
+// first shard to open) and refuses a shard that disagrees, naming it and
+// the column.
 type Set struct {
 	manifest *Manifest
 	combined *storage.Table
@@ -53,20 +59,12 @@ type Set struct {
 	cache     *colstore.ChunkCache
 	shards    []*lazyShard
 	chunkOffs []int // shard i's first combined chunk
-	// src is the combined table's routing source — also the cache-entry
-	// owner of remapped string payloads, dropped at Close.
-	src *setSource
 
-	// dictsOnce loads every shard's dictionaries, builds the union
-	// dictionaries and the per-(shard, column) code remap tables. In
-	// deferred mode it runs on first dictionary demand. dictsDone flips
-	// after a successful build — the side-effect-free check prefetch
-	// hints rely on.
-	dictsOnce sync.Once
-	dictsDone atomic.Bool
-	dictsErr  error
-	unionDict [][]string   // per column; nil for non-string
-	remaps    [][][]uint32 // [shard][col] local→union code map; nil = identity
+	// refMu guards ref, the open snapshot of refShard: the first shard
+	// to open, whose schema and dictionaries are the set's.
+	refMu    sync.Mutex
+	ref      *BackendMeta
+	refShard int
 }
 
 // Options tunes OpenWith — how a shard set materializes.
@@ -76,14 +74,12 @@ type Options struct {
 	// creates one cache shared by every shard file, so Store.CacheBytes
 	// bounds the whole set's decoded bytes, not each file's.
 	Store colstore.Options
-	// Defer postpones opening shard files until a chunk, dictionary or
-	// statistic of that shard is first touched. The engine then prunes
-	// on manifest-level statistics (file min/max spread to every chunk)
-	// until a shard actually opens. Note that the union dictionary of a
-	// string column spans every shard, so the first categorical
-	// predicate compile or category statistic opens all files (cheaply:
-	// metadata only) — whole-file skipping is at its best on numeric
-	// workloads.
+	// Defer postpones opening shard files until a chunk or statistic of
+	// that shard is first touched. The engine then prunes on
+	// manifest-level statistics (file min/max spread to every chunk)
+	// until a shard actually opens. A string column's dictionary is the
+	// first opened shard's, so a categorical predicate or statistic
+	// needed before any open opens shard 0 (metadata only) and no other.
 	Defer bool
 	// Remote opens backends for manifests whose shard locations are
 	// http(s):// URLs (see internal/remote). Opening such a manifest
@@ -93,8 +89,9 @@ type Options struct {
 
 // OpenWith opens a manifest with explicit memory-tier options. Every
 // opened shard is validated against the manifest (row count, chunk
-// size) and the set's schema, with errors naming the bad shard; in
-// deferred mode that validation runs when the shard first opens.
+// size) and the set's schema and dictionaries, with errors naming the
+// bad shard; in deferred mode that validation runs when the shard first
+// opens.
 func OpenWith(manifestPath string, o Options) (*Set, error) {
 	ctx := context.TODO() // opening a set has no request behind it
 	m, err := ReadManifest(manifestPath)
@@ -176,19 +173,10 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		schema = s.shards[0].be.Meta().Schema
-		for i := 1; i < n; i++ {
-			if !schema.Equal(s.shards[i].be.Meta().Schema) {
-				return nil, fmt.Errorf("shard: schema mismatch: shard 0 (%s) and shard %d (%s) disagree",
-					m.Shards[0].File, i, m.Shards[i].File)
-			}
-		}
-		if err := s.loadDicts(ctx, schema); err != nil {
-			return nil, err
-		}
+		schema = s.ref.Schema
 		viewZones = make([][][]storage.ZoneMap, n)
-		for i := range s.shards {
-			viewZones[i] = s.remapShardZones(i, s.shards[i].be.Zones())
+		for i, ls := range s.shards {
+			viewZones[i] = ls.be.Meta().Zones
 		}
 	}
 	if err := s.build(schema, viewZones, o.Defer); err != nil {
@@ -203,32 +191,27 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 func openEager(m *Manifest, dir string) (*Set, error) {
 	n := len(m.Shards)
 	parts := make([]*storage.Table, n)
+	metas := make([]BackendMeta, n)
 	err := par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
 		st, err := colstore.OpenWith(filepath.Join(dir, m.Shards[i].File), colstore.Options{Mode: colstore.ModeEager})
 		if err != nil {
 			return fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
-		if err := validateShard(m, i, st); err != nil {
+		if metas[i], err = tableMeta(st.Table(), st.ChunkSize); err != nil {
 			return err
 		}
 		parts[i] = st.Table()
-		return nil
+		return validateShardMeta(m, i, metas[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i := 1; i < n; i++ {
-		if !parts[0].Schema().Equal(parts[i].Schema()) {
-			return nil, fmt.Errorf("shard: schema mismatch: shard 0 (%s) and shard %d (%s) disagree",
-				m.Shards[0].File, i, m.Shards[i].File)
+		if err := agree(m, 0, metas[0], i, metas[i]); err != nil {
+			return nil, err
 		}
 	}
 	return assemble(m, parts)
-}
-
-// validateShard cross-checks an opened shard file against the manifest.
-func validateShard(m *Manifest, i int, st *colstore.Store) error {
-	return validateShardMeta(m, i, BackendMeta{Rows: st.Table().NumRows(), ChunkSize: st.ChunkSize})
 }
 
 // validateShardMeta cross-checks a backend's identity against the
@@ -241,6 +224,23 @@ func validateShardMeta(m *Manifest, i int, meta BackendMeta) error {
 	if meta.ChunkSize != m.ChunkSize {
 		return fmt.Errorf("shard: shard %d (%s) has chunk size %d, manifest says %d",
 			i, m.Shards[i].File, meta.ChunkSize, m.ChunkSize)
+	}
+	return nil
+}
+
+// agree checks that shard i's schema and dictionaries are those of shard
+// ref: a shard written with another dictionary codes in another space,
+// and is refused.
+func agree(m *Manifest, ref int, refMeta BackendMeta, i int, meta BackendMeta) error {
+	if !meta.Schema.Equal(refMeta.Schema) {
+		return fmt.Errorf("shard: schema mismatch: shard %d (%s) and shard %d (%s) disagree",
+			ref, m.Shards[ref].File, i, m.Shards[i].File)
+	}
+	for ci, d := range refMeta.Dicts {
+		if !slices.Equal(d, meta.Dicts[ci]) {
+			return fmt.Errorf("shard: dictionary mismatch: shard %d (%s) and shard %d (%s) disagree on column %q; every shard must hold the table's dictionary",
+				ref, m.Shards[ref].File, i, m.Shards[i].File, meta.Schema.Field(ci).Name)
+		}
 	}
 	return nil
 }
@@ -308,15 +308,47 @@ func (ls *lazyShard) backend(ctx context.Context) (Backend, error) {
 		be.Close()
 		return fail(err)
 	}
-	// Deferred sets validate the schema against the manifest's on first
-	// open (non-deferred sets cross-check shard 0 at set open).
+	// Deferred sets validate the schema against the manifest's.
 	if ls.s.combined != nil && !meta.Schema.Equal(ls.s.combined.Schema()) {
 		be.Close()
 		return fail(fmt.Errorf("shard: shard %d (%s) schema disagrees with the manifest",
 			ls.idx, ls.s.manifest.Shards[ls.idx].File))
 	}
+	if err := ls.s.agreeRef(ls.idx, meta); err != nil {
+		be.Close()
+		return fail(err)
+	}
 	ls.be, ls.file, ls.remote = be, file, rb
 	return ls.be, nil
+}
+
+// agreeRef checks shard i's snapshot against the set's reference, or
+// makes it the reference when no shard has opened before it.
+func (s *Set) agreeRef(i int, meta BackendMeta) error {
+	s.refMu.Lock()
+	defer s.refMu.Unlock()
+	if s.ref == nil {
+		s.ref, s.refShard = &meta, i
+		return nil
+	}
+	return agree(s.manifest, s.refShard, *s.ref, i, meta)
+}
+
+// dict returns string column ci's dictionary: the first opened shard's,
+// opening shard 0 when none has opened.
+func (s *Set) dict(ctx context.Context, ci int) ([]string, error) {
+	s.refMu.Lock()
+	ref := s.ref
+	s.refMu.Unlock()
+	if ref == nil {
+		if _, err := s.shards[0].backend(ctx); err != nil {
+			return nil, err
+		}
+		s.refMu.Lock()
+		ref = s.ref
+		s.refMu.Unlock()
+	}
+	return ref.Dicts[ci], nil
 }
 
 // opened returns the shard's backend only if it is already open (nil
@@ -329,9 +361,8 @@ func (ls *lazyShard) opened() Backend {
 }
 
 // setSource routes chunk fetches of the combined table — or, offset by
-// a shard's first chunk, of that shard's view — to the owning shard,
-// remapping string codes into the union dictionary when shard
-// dictionaries differ. It implements storage.ChunkSource.
+// a shard's first chunk, of that shard's view — to the owning shard. It
+// implements storage.ChunkSource.
 type setSource struct {
 	s *Set
 	// off is the combined index of this source's chunk 0.
@@ -353,32 +384,6 @@ func (s *Set) shardOfChunk(gk int) int {
 func (ss *setSource) FetchChunk(ctx context.Context, ci, k int) (*storage.ChunkPayload, bool, error) {
 	s, gk := ss.s, ss.off+k
 	i := s.shardOfChunk(gk)
-	remap, err := s.remapFor(ctx, i, ci)
-	if err != nil {
-		return nil, false, err
-	}
-	if remap == nil {
-		return s.shardChunk(ctx, i, ci, gk)
-	}
-	// Distinct shard dictionaries: the remapped payload is its own cache
-	// entry (keyed by the combined table's source) so the copy happens
-	// once per residency, not per touch.
-	return s.cache.Get(ctx, s.src, ci, gk, func() (*storage.ChunkPayload, error) {
-		p, _, err := s.shardChunk(ctx, i, ci, gk)
-		if err != nil {
-			return nil, err
-		}
-		codes := make([]uint32, len(p.Codes))
-		for o, c := range p.Codes {
-			codes[o] = remap[c]
-		}
-		return &storage.ChunkPayload{Codes: codes, Nulls: p.Nulls}, nil
-	})
-}
-
-// shardChunk fetches combined chunk gk of column ci from shard i's own
-// source (local code space), opening the shard if needed.
-func (s *Set) shardChunk(ctx context.Context, i, ci, gk int) (*storage.ChunkPayload, bool, error) {
 	be, err := s.shards[i].backend(ctx)
 	if err != nil {
 		return nil, false, err
@@ -390,12 +395,9 @@ func (s *Set) shardChunk(ctx context.Context, i, ci, gk int) (*storage.ChunkPayl
 // shard and each part routed to its shard's source, in local chunk
 // indexes — with the caller's ctx, so the load bills the query that
 // hinted it. A part is dropped when its shard is not open yet (a hint
-// never opens a deferred file; the scan's own fetch will) or its column
-// is remapped into the union dictionary (remapped payloads are cache
-// entries of the set itself, loaded by the fetch that needs them).
+// never opens a deferred file; the scan's own fetch will).
 func (ss *setSource) PrefetchChunks(ctx context.Context, ci int, ks []int) {
 	s := ss.s
-	remapped := s.combined != nil && s.combined.Schema().Field(ci).Type == storage.String
 	var buf [storage.PrefetchWindow]int
 	for len(ks) > 0 {
 		i := s.shardOfChunk(ss.off + ks[0])
@@ -406,7 +408,7 @@ func (ss *setSource) PrefetchChunks(ctx context.Context, ci int, ks []int) {
 		part := ks[:n]
 		ks = ks[n:]
 		be := s.shards[i].opened()
-		if be == nil || remapped && (!s.dictsDone.Load() || s.remaps[i][ci] != nil) {
+		if be == nil {
 			continue
 		}
 		local := buf[:0]
@@ -415,98 +417,6 @@ func (ss *setSource) PrefetchChunks(ctx context.Context, ci int, ks []int) {
 		}
 		be.Source().PrefetchChunks(ctx, ci, local)
 	}
-}
-
-// remapFor returns the local→union code remap of (shard, col), nil for
-// identity or non-string columns. Loads dictionaries on first use.
-func (s *Set) remapFor(ctx context.Context, shard, ci int) ([]uint32, error) {
-	if s.combined.Schema().Field(ci).Type != storage.String {
-		return nil, nil
-	}
-	if err := s.loadDicts(ctx, s.combined.Schema()); err != nil {
-		return nil, err
-	}
-	return s.remaps[shard][ci], nil
-}
-
-// loadDicts runs the one-time union-dictionary build (all shards open)
-// under the first caller's ctx: on a deferred set the shard opens and
-// dictionary fetches are billed to the query that forced them. schema
-// is the set's — passed in because the non-deferred open builds the
-// dictionaries before the combined table exists.
-func (s *Set) loadDicts(ctx context.Context, schema *storage.Schema) error {
-	s.dictsOnce.Do(func() {
-		s.dictsErr = s.buildDicts(ctx, schema)
-		if s.dictsErr == nil {
-			s.dictsDone.Store(true)
-		}
-	})
-	return s.dictsErr
-}
-
-// buildDicts opens every shard, reads the string dictionaries, unions
-// them in (shard, dictionary) order — exactly the order the eager
-// concatenation builds — and derives per-shard remap tables (nil when a
-// shard's dictionary already equals the union prefix).
-func (s *Set) buildDicts(ctx context.Context, schema *storage.Schema) error {
-	n := len(s.shards)
-	shardDicts := make([][][]string, n) // [shard][col]
-	err := par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
-		be, err := s.shards[i].backend(ctx)
-		if err != nil {
-			return err
-		}
-		dicts := make([][]string, schema.NumFields())
-		for ci := 0; ci < schema.NumFields(); ci++ {
-			if schema.Field(ci).Type != storage.String {
-				continue
-			}
-			d, err := be.Dicts(ctx, ci)
-			if err != nil {
-				return fmt.Errorf("shard: shard %d column %d dictionary: %w", i, ci, err)
-			}
-			dicts[ci] = d
-		}
-		shardDicts[i] = dicts
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.unionDict = make([][]string, schema.NumFields())
-	s.remaps = make([][][]uint32, n)
-	for i := range s.remaps {
-		s.remaps[i] = make([][]uint32, schema.NumFields())
-	}
-	for ci := 0; ci < schema.NumFields(); ci++ {
-		if schema.Field(ci).Type != storage.String {
-			continue
-		}
-		var union []string
-		index := map[string]uint32{}
-		for i := 0; i < n; i++ {
-			pd := shardDicts[i][ci]
-			remap := make([]uint32, len(pd))
-			identity := true
-			for code, v := range pd {
-				uc, ok := index[v]
-				if !ok {
-					uc = uint32(len(union))
-					index[v] = uc
-					union = append(union, v)
-				}
-				remap[code] = uc
-				if int(uc) != code {
-					identity = false
-				}
-			}
-			if !identity {
-				s.remaps[i][ci] = remap
-			}
-		}
-		s.unionDict[ci] = union
-	}
-	return nil
 }
 
 // manifestZones synthesizes per-shard zone maps from the manifest's
@@ -552,33 +462,6 @@ func manifestZones(m *Manifest) [][][]storage.ZoneMap {
 	return out
 }
 
-// remapShardZones copies an opened shard's zone maps, translating
-// categorical code sets into union-dictionary space.
-func (s *Set) remapShardZones(i int, shardZones [][]storage.ZoneMap) [][]storage.ZoneMap {
-	schema := s.shards[i].be.Meta().Schema
-	out := make([][]storage.ZoneMap, len(shardZones))
-	for ci := range out {
-		zones := append([]storage.ZoneMap(nil), shardZones[ci]...)
-		if schema.Field(ci).Type == storage.String {
-			unionCard := len(s.unionDict[ci])
-			remap := s.remaps[i][ci]
-			for k := range zones {
-				if remap == nil {
-					// Identical dictionaries; the code set is only valid if
-					// the union did not outgrow the zone-code bound.
-					if unionCard > storage.MaxZoneCodes {
-						zones[k].CodeSet = nil
-					}
-					continue
-				}
-				zones[k].CodeSet = remapCodeSet(zones[k].CodeSet, remap, unionCard)
-			}
-		}
-		out[ci] = zones
-	}
-	return out
-}
-
 // build assembles the combined lazy table and per-shard views from the
 // per-shard zone maps.
 func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, deferred bool) error {
@@ -609,10 +492,7 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 					// lifetime, on an accessor with no context: run detached,
 					// so the first toucher's cancellation cannot fail the
 					// column for good.
-					if err := s.loadDicts(context.Background(), schema); err != nil {
-						return nil, err
-					}
-					return s.unionDict[ci], nil
+					return s.dict(context.Background(), ci)
 				}
 			}
 			col, err := storage.NewLazyColumn(cfg)
@@ -650,8 +530,7 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 		}
 		s.views[i] = view
 	}
-	s.src = &setSource{s: s}
-	combined, err := lazyTable(s.src, m.Rows, zones, nulls)
+	combined, err := lazyTable(&setSource{s: s}, m.Rows, zones, nulls)
 	if err != nil {
 		return err
 	}
@@ -669,11 +548,6 @@ func (s *Set) Close() error {
 				first = err
 			}
 		}
-	}
-	// Remapped string payloads are cached under the set's own source
-	// key; drop them so a caller-shared cache does not pin a closed set.
-	if s.cache != nil && s.src != nil {
-		s.cache.Drop(s.src)
 	}
 	return first
 }
@@ -749,38 +623,6 @@ func (s *Set) colIndex(attr string) (int, error) {
 		}
 	}
 	return -1, fmt.Errorf("shard: no column %q", attr)
-}
-
-// addUnionCounts adds shard i's local-dictionary count vector for
-// column ci into dst, which counts in union-code space — the reduce-side
-// translation of statistics computed where a remote shard lives. The
-// union dictionaries must be loaded.
-func (s *Set) addUnionCounts(dst []int, i, ci int, counts []int) error {
-	remap := s.remaps[i][ci]
-	if remap == nil {
-		// Identity remap: the shard's dictionary is a prefix of the union.
-		if len(counts) > len(dst) {
-			return fmt.Errorf("shard: shard %d column %d returned %d category counts for %d union codes", i, ci, len(counts), len(dst))
-		}
-		return AddCounts(dst[:len(counts)], counts)
-	}
-	if len(counts) > len(remap) {
-		return fmt.Errorf("shard: shard %d column %d returned %d category counts for %d dictionary codes", i, ci, len(counts), len(remap))
-	}
-	for c, n := range counts {
-		dst[remap[c]] += n
-	}
-	return nil
-}
-
-// addShardCounts adds shard i's count vector for string column ci into
-// dst, which counts in the set's dictionary: a remote shard counts in
-// its own dictionary, a local shard's view in the set's.
-func (s *Set) addShardCounts(dst []int, i, ci int, counts []int) error {
-	if s.shards != nil && s.shards[i].isRemote() {
-		return s.addUnionCounts(dst, i, ci, counts)
-	}
-	return AddCounts(dst, counts)
 }
 
 // AddCounts adds src into dst element-wise — the reduction for category
@@ -888,8 +730,7 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 		return s, nil
 	}
 
-	// Multi-shard: string columns were re-encoded against a union
-	// dictionary, and the concatenation computed its zone maps on the
+	// Multi-shard: the concatenation computed its zone maps on the
 	// shards' chunk grid. A shard's view keeps that grid from its first
 	// row on: its zone maps are the combined table's own when the shard
 	// starts a chunk (range partitioning guarantees it), and otherwise
@@ -902,22 +743,6 @@ func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
 		}
 	}
 	return s, nil
-}
-
-// remapCodeSet translates a code bitset through remap into a bitset over
-// unionCard codes, or nil when the union dictionary outgrew zone-map
-// code tracking.
-func remapCodeSet(set []uint64, remap []uint32, unionCard int) []uint64 {
-	if set == nil || unionCard > storage.MaxZoneCodes {
-		return nil
-	}
-	out := make([]uint64, (unionCard+63)/64)
-	for oldCode, newCode := range remap {
-		if oldCode/64 < len(set) && set[oldCode/64]&(1<<uint(oldCode%64)) != 0 {
-			out[newCode/64] |= 1 << uint(newCode%64)
-		}
-	}
-	return out
 }
 
 // Table returns the combined, chunk-aware table the pipeline explores.
@@ -990,7 +815,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			}
 			p.CatCounts = make([]int, len(dict))
 		}
-		for i, shardSums := range sums {
+		for _, shardSums := range sums {
 			sum := &shardSums[ci]
 			p.Count += sum.Count
 			p.Sum += sum.Sum
@@ -998,7 +823,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			p.Falses += sum.Falses
 			p.Trues += sum.Trues
 			if p.CatCounts != nil {
-				if err := s.addShardCounts(p.CatCounts, i, ci, sum.Counts); err != nil {
+				if err := AddCounts(p.CatCounts, sum.Counts); err != nil {
 					return nil, err
 				}
 			}

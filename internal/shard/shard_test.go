@@ -309,6 +309,77 @@ func TestOpenMixedSchema(t *testing.T) {
 	}
 }
 
+// mixedDictManifest hand-assembles one manifest over two census shard
+// files of rows rows each, generated from different seeds: one schema,
+// two dictionaries per string column. The files are what WriteSharded
+// writes, statistics and all; only the manifest that joins them is made
+// by hand, as TestOpenMixedSchema's is.
+func mixedDictManifest(t *testing.T, rows int, p Partitioning) string {
+	t.Helper()
+	dir := t.TempDir()
+	var m *Manifest
+	for i, name := range []string{"a", "b"} {
+		mi, err := WriteSharded(filepath.Join(dir, name+".atlm"), datagen.Census(rows, int64(i+1)), IngestOptions{Shards: 1, ChunkSize: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == nil {
+			m = mi
+			continue
+		}
+		m.Shards = append(m.Shards, mi.Shards...)
+		m.Rows += mi.Rows
+	}
+	m.Table, m.Partitioning = "mixed", p
+	if p == PartitionHash {
+		m.Key = "education"
+	}
+	path := filepath.Join(dir, "mixed.atlm")
+	if err := writeManifest(path, m); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// wantDictMismatch checks that err refuses shard 1 for holding another
+// dictionary than shard 0, naming both files and a string column.
+func wantDictMismatch(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("shards with different dictionaries were accepted")
+	}
+	for _, want := range []string{"dictionary mismatch", "a.00000.atl", "b.00000.atl", "on column"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+}
+
+// TestOpenMixedDictionaries: a set whose shard files were written with
+// different dictionaries is refused — opened whole, deferred (when the
+// second shard opens), and reassembled eagerly from an unaligned hash
+// layout — with an error naming the shard and the column.
+func TestOpenMixedDictionaries(t *testing.T) {
+	aligned := mixedDictManifest(t, 1_024, PartitionRange)
+	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
+	wantDictMismatch(t, err)
+
+	s, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true})
+	if err != nil {
+		t.Fatalf("deferred open touched a shard: %v", err)
+	}
+	defer s.Close()
+	cart, err := core.NewCartographer(s.Table(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cart.Explore(query.New("mixed"))
+	wantDictMismatch(t, err)
+
+	_, err = OpenWith(mixedDictManifest(t, 1_000, PartitionHash), Options{})
+	wantDictMismatch(t, err)
+}
+
 // TestOpenRowCountMismatch: a manifest lying about a shard's rows fails.
 func TestOpenRowCountMismatch(t *testing.T) {
 	tbl := datagen.Census(2_000, 1)

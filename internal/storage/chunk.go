@@ -52,6 +52,33 @@ type ZoneMap struct {
 // benefit.
 const MaxZoneCodes = 4096
 
+// Check reports why zm cannot be a zone map of a chunk of chunkRows rows
+// of a column of type t whose dictionary holds dictLen entries: a NULL
+// count outside [0, chunkRows], a code set on a non-string column, or a
+// code set not sized to the dictionary. Each would mis-prune scans
+// silently. With dictLen -1 (the dictionary is not at hand) a code set
+// meets the structural bound only.
+func (zm ZoneMap) Check(t DataType, dictLen, chunkRows int) error {
+	if zm.NullCount < 0 || zm.NullCount > chunkRows {
+		return fmt.Errorf("null count %d out of range", zm.NullCount)
+	}
+	if zm.CodeSet == nil {
+		return nil
+	}
+	nw := len(zm.CodeSet)
+	switch {
+	case t != String:
+		return fmt.Errorf("code set on %v column", t)
+	case dictLen < 0:
+		if nw == 0 || nw > (MaxZoneCodes+63)/64 {
+			return fmt.Errorf("implausible code set of %d words", nw)
+		}
+	case dictLen == 0 || dictLen > MaxZoneCodes || nw != (dictLen+63)/64:
+		return fmt.Errorf("code set of %d words for %d dictionary entries", nw, dictLen)
+	}
+	return nil
+}
+
 // Chunking is the chunk-level metadata every table carries: the chunk
 // size and one zone map per (column, chunk).
 type Chunking struct {

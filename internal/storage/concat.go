@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -9,10 +10,10 @@ import (
 // ConcatTables materializes the row-wise concatenation of parts, in
 // order, under one name — the physical operator that reassembles a
 // sharded table from its shard segments. All parts must share one schema
-// (same field names and types, in order). String columns are re-encoded
-// against a union dictionary built in first-seen order across parts, so
-// the result is a well-formed dictionary column regardless of how the
-// shards were split.
+// (same field names and types, in order), and each string column one
+// dictionary: the codes concatenate under it, so parts cut from one table
+// (SliceRows, Gather) concatenate and parts with different dictionaries
+// are refused.
 //
 // A single part is returned as a rename (columns and chunk metadata
 // shared, no copy), so a one-shard store costs the same as an unsharded
@@ -109,32 +110,15 @@ func concatColumn(f Field, parts []*Table, ci, rows int) (Column, error) {
 		}
 		return NewBoolColumn(vals, nulls), nil
 	case String:
-		// Union dictionary in first-seen order across parts; per-part code
-		// remap tables re-encode each segment.
-		var dict []string
-		index := map[string]uint32{}
+		dict := parts[0].cols[ci].(*StringColumn).Dict()
 		codes := make([]uint32, 0, rows)
 		for _, p := range parts {
 			sc := p.cols[ci].(*StringColumn)
-			pd := sc.Dict()
-			if len(pd) == 0 {
-				// all-NULL segment: placeholder codes stay 0 (never read)
-				codes = append(codes, sc.Codes()...)
-				continue
+			if !slices.Equal(sc.Dict(), dict) {
+				return nil, fmt.Errorf("table %q holds a dictionary of %d values, table %q one of %d: parts must share one dictionary",
+					p.name, len(sc.Dict()), parts[0].name, len(dict))
 			}
-			remap := make([]uint32, len(pd))
-			for code, v := range pd {
-				uc, ok := index[v]
-				if !ok {
-					uc = uint32(len(dict))
-					index[v] = uc
-					dict = append(dict, v)
-				}
-				remap[code] = uc
-			}
-			for _, c := range sc.Codes() {
-				codes = append(codes, remap[c])
-			}
+			codes = append(codes, sc.Codes()...)
 		}
 		return &StringColumn{nullSet{nulls}, dict, codes}, nil
 	default:

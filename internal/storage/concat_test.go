@@ -65,14 +65,23 @@ func TestConcatTablesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The union dictionary must hold each value once.
-	sc := got.Column(2).(*StringColumn)
-	seen := map[string]bool{}
-	for _, v := range sc.Dict() {
-		if seen[v] {
-			t.Fatalf("dictionary value %q duplicated", v)
-		}
-		seen[v] = true
+	// The parts share the table's dictionary, and so does their
+	// concatenation.
+	if !slices.Equal(got.Column(2).(*StringColumn).Dict(), tbl.Column(2).(*StringColumn).Dict()) {
+		t.Error("concatenation changed the parts' dictionary")
+	}
+}
+
+// TestConcatRefusesMixedDictionaries: parts whose string columns hold
+// different dictionaries code in different spaces; their concatenation
+// is refused, not re-encoded.
+func TestConcatRefusesMixedDictionaries(t *testing.T) {
+	schema := MustSchema(Field{Name: "s", Type: String})
+	a := MustTable("a", schema, []Column{NewStringColumn([]string{"red", "green"}, nil)})
+	b := MustTable("b", schema, []Column{NewStringColumn([]string{"green", "blue"}, nil)})
+	_, err := ConcatTables("t", []*Table{a, b})
+	if err == nil || !strings.Contains(err.Error(), "one dictionary") || !strings.Contains(err.Error(), `"s"`) {
+		t.Errorf("err = %v, want a refusal naming column s", err)
 	}
 }
 
