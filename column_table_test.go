@@ -20,13 +20,16 @@ import (
 // column with NULLs, −0 and +0 as its smallest values, +0 first, and
 // its largest value in a chunk that also holds a NaN, so no zone map
 // bounds it (TestPartialsWithNaN's case); an all-NULL and an all-NaN
-// column; an integer key; and NULL-salted string and bool columns whose
-// shards meet their values in different orders.
+// column; a column holding −Inf and +Inf in different shards, whose
+// histogram bins only its finite values; an integer key; and
+// NULL-salted string and bool columns whose shards meet their values in
+// different orders.
 func columnTableEdges() *storage.Table {
 	b := storage.NewBuilder("edges", storage.MustSchema(
 		storage.Field{Name: "f", Type: storage.Float64},
 		storage.Field{Name: "none", Type: storage.Float64},
 		storage.Field{Name: "nan", Type: storage.Float64},
+		storage.Field{Name: "inf", Type: storage.Float64},
 		storage.Field{Name: "k", Type: storage.Int64},
 		storage.Field{Name: "c", Type: storage.String},
 		storage.Field{Name: "b", Type: storage.Bool},
@@ -52,7 +55,14 @@ func columnTableEdges() *storage.Table {
 		if row%7 == 0 {
 			bo = nil
 		}
-		b.MustAppendRow(f, nil, math.NaN(), int64(row*7919%1000), c, bo)
+		inf := float64(row % 29)
+		switch row {
+		case 90, 91:
+			inf = math.Inf(1)
+		case 500:
+			inf = math.Inf(-1)
+		}
+		b.MustAppendRow(f, nil, math.NaN(), inf, int64(row*7919%1000), c, bo)
 	}
 	return b.MustBuild()
 }
@@ -60,7 +70,8 @@ func columnTableEdges() *storage.Table {
 // columnTableOracle computes set's column table in one pass over its
 // combined rows, gathered into memory and read a value at a time: the
 // sum restarts at each shard's first row and the shards' sums add in
-// shard order, as the merge adds them.
+// shard order, as the merge adds them, and the histogram bins the finite
+// values over their extremes, counting −Inf and +Inf apart.
 func columnTableOracle(t *testing.T, set *shard.Set) []*shard.ColumnPartial {
 	t.Helper()
 	tbl, err := set.Table().Materialize()
@@ -82,7 +93,7 @@ func columnTableOracle(t *testing.T, set *shard.Set) []*shard.ColumnPartial {
 			}
 			p.CatCounts = make([]int, len(dict))
 		}
-		var vals []float64
+		var finite []float64
 		shardSum := 0.0
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for row := 0; row < tbl.NumRows(); row++ {
@@ -110,8 +121,15 @@ func columnTableOracle(t *testing.T, set *shard.Set) []*shard.ColumnPartial {
 				if !ok {
 					x = float64(v.(int64))
 				}
-				vals = append(vals, x)
 				shardSum += x
+				switch {
+				case math.IsInf(x, -1):
+					p.NegInf++
+				case math.IsInf(x, 1):
+					p.PosInf++
+				case x == x:
+					finite = append(finite, x)
+				}
 				if x < lo {
 					lo = x
 				}
@@ -123,10 +141,21 @@ func columnTableOracle(t *testing.T, set *shard.Set) []*shard.ColumnPartial {
 		p.Sum += shardSum
 		if lo <= hi {
 			p.Min, p.Max, p.HasMinMax = lo, hi, true
-			if p.Hist, err = shard.SummaryHist(lo, hi); err != nil {
+		}
+		if len(finite) > 0 {
+			flo, fhi := math.Inf(1), math.Inf(-1)
+			for _, x := range finite {
+				if x < flo {
+					flo = x
+				}
+				if x > fhi {
+					fhi = x
+				}
+			}
+			if p.Hist, err = shard.SummaryHist(flo, fhi); err != nil {
 				t.Fatal(err)
 			}
-			for _, x := range vals {
+			for _, x := range finite {
 				p.Hist.Observe(x)
 			}
 		}

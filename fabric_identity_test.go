@@ -6,7 +6,8 @@ package atlas
 // values that broke residency identity before — NULL, NaN, ±Inf, −0 and
 // +0, constant and all-NULL columns, row counts one off a chunk
 // boundary — and random band and IN queries, with a drill into a region
-// of each answer, must format byte-identically everywhere, at
+// of each answer, must format byte-identically everywhere — an
+// unaligned hash set's against its own row order in memory — at
 // Parallelism 1 and 2 — on the table as generated and sorted by one
 // column, under narrow bands of it. Each query explored WITH SAMPLE must format as
 // the same query over a table of the sample's rows alone. Each query is
@@ -238,7 +239,11 @@ func statementAnswers(t *testing.T, res residency, par int, queries []string) []
 			if err != nil {
 				t.Fatalf("%s on %s: %v", stmt, res.name, err)
 			}
-			out = append(out, bodyOf(r, r.Input.String()+r.With))
+			st, err := ex.Parse(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, bodyOf(r, st.String()))
 		}
 		for _, stmt := range seq {
 			req := httptest.NewRequest(http.MethodPost, "/api/explore", strings.NewReader(`{"cql":`+strconv.Quote(stmt)+`}`))
@@ -263,7 +268,7 @@ func statementAnswers(t *testing.T, res residency, par int, queries []string) []
 		if err != nil {
 			t.Fatalf("session root %s on %s: %v", text, res.name, err)
 		}
-		out = append(out, bodyOf(node.Result, node.Result.Input.String()+node.Result.With))
+		out = append(out, bodyOf(node.Result, node.Result.Input.String()))
 	}
 	return out
 }
@@ -420,9 +425,35 @@ func sortedBy(tbl *storage.Table, attr string) *storage.Table {
 	return tbl.Gather(tbl.Name(), idx)
 }
 
+// unalignedHash writes tbl hash-partitioned into shards shards, and
+// opens the set eagerly: one whose shards do not all start on a chunk,
+// so that it answers as one member, its concatenated table. It keys on
+// i, or on c or z where the shards by i happen to align.
+func unalignedHash(t *testing.T, tbl *storage.Table, shards int) *shard.Set {
+	t.Helper()
+	for _, key := range []string{"i", "c", "z"} {
+		path := filepath.Join(t.TempDir(), "hash.atlm")
+		if _, err := shard.WriteSharded(path, tbl, shard.IngestOptions{Shards: shards, HashKey: key, ChunkSize: identityChunk}); err != nil {
+			t.Fatal(err)
+		}
+		set, err := shard.OpenWith(path, shard.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !set.LazyViews() {
+			t.Cleanup(func() { set.Close() })
+			return set
+		}
+		set.Close()
+	}
+	t.Fatalf("every hash set of %d shards is chunk-aligned; want an unaligned one", shards)
+	return nil
+}
+
 // identityNet checks that every query, its drill and its samples answer
 // on tbl's lazy shards and fabric — a few shards and several, drawn from
-// r — exactly as in memory, at Parallelism 1 and 2.
+// r — exactly as in memory, at Parallelism 1 and 2; and on a hash set of
+// tbl's rows, which reorders them, exactly as its own rows in memory.
 func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, queries []string) {
 	t.Helper()
 	want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
@@ -445,31 +476,42 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 			t.Fatal(err)
 		}
 		defer fabric.Close()
+		hash := unalignedHash(t, tbl, shards+1)
+		hashWant, _ := identityAnswers(t, residency{name: "memory", table: hash.Table()}, 1, queries)
 		for _, par := range []int{1, 2} {
-			wantSampled := gatheredAnswers(t, tbl, par, queries)
-			wantStatements := statementOracle(t, tbl, par, queries)
-			for _, res := range []residency{
-				{"memory", tbl, nil},
-				{"lazy shards", lazy.Table(), lazy},
-				{"fabric", fabric.Table(), fabric},
+			for _, g := range []struct {
+				tbl  *storage.Table // the rows in memory, in the residencies' order
+				want []string
+				sets []residency
+			}{
+				{tbl, want, []residency{
+					{"memory", tbl, nil},
+					{"lazy shards", lazy.Table(), lazy},
+					{"fabric", fabric.Table(), fabric},
+				}},
+				{hash.Table(), hashWant, []residency{{"hash shards", hash.Table(), hash}}},
 			} {
-				got, gotSampled := identityAnswers(t, res, par, queries)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
-							label, shards, res.name, par, i, want[i], got[i])
+				wantSampled := gatheredAnswers(t, g.tbl, par, queries)
+				wantStatements := statementOracle(t, g.tbl, par, queries)
+				for _, res := range g.sets {
+					got, gotSampled := identityAnswers(t, res, par, queries)
+					for i := range g.want {
+						if got[i] != g.want[i] {
+							t.Errorf("%s, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
+								label, shards, res.name, par, i, g.want[i], got[i])
+						}
 					}
-				}
-				for i := range wantSampled {
-					if gotSampled[i] != wantSampled[i] {
-						t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
-							label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
+					for i := range wantSampled {
+						if gotSampled[i] != wantSampled[i] {
+							t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
+								label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
+						}
 					}
-				}
-				for i, got := range statementAnswers(t, res, par, queries) {
-					if want := wantStatements[i]; got != want {
-						t.Errorf("%s, %d shards, %s at parallelism %d, statement answer %d (%s) differs from its own Cartographer's:\nwant:\n%s\ngot:\n%s",
-							label, shards, res.name, par, i, statementSurfaces[i%len(statementSurfaces)], want, got)
+					for i, got := range statementAnswers(t, res, par, queries) {
+						if want := wantStatements[i]; got != want {
+							t.Errorf("%s, %d shards, %s at parallelism %d, statement answer %d (%s) differs from its own Cartographer's:\nwant:\n%s\ngot:\n%s",
+								label, shards, res.name, par, i, statementSurfaces[i%len(statementSurfaces)], want, got)
+						}
 					}
 				}
 			}

@@ -184,10 +184,6 @@ func recoverChunkPanic(err *error) {
 type Result struct {
 	// Input is the user query that was mapped.
 	Input query.Query
-	// With is the WITH clause of the statement the result answers, in
-	// canonical CQL with a leading space, or "": the statement's text is
-	// Input's followed by it.
-	With string
 	// TotalRows is the number of rows the result describes: the table's,
 	// or a sample's (Cartographer.ExploreSample).
 	TotalRows int

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -349,5 +350,33 @@ func TestParseBindsWithClause(t *testing.T) {
 	}
 	if q, err := plain.Plain(); err != nil || plain.String() != q.String() {
 		t.Errorf("plain statement: %q, %v; want its query's text", plain.String(), err)
+	}
+}
+
+// TestStatementKey: a statement's cache key is its query's text plus
+// only the WITH options that differ from the Cartographer's, so a
+// clause that restates them keys as the plain query; SAMPLE always
+// counts, and the statement's own text keeps the whole clause.
+func TestStatementKey(t *testing.T) {
+	tbl := testTable(t)
+	base := core.DefaultOptions()
+	for _, tc := range []struct{ in, key string }{
+		{"EXPLORE adult", "EXPLORE adult"},
+		{"EXPLORE adult WITH MAPS 8", "EXPLORE adult"},
+		{"EXPLORE adult WITH MAPS 8 REGIONS 8 PREDICATES 3 CUT median MERGE compose DISTANCE nvi THRESHOLD 0.95", "EXPLORE adult"},
+		{"EXPLORE adult WITH MAPS 2", "EXPLORE adult WITH MAPS 2"},
+		{"EXPLORE adult WITH MAPS 8 CUT variance", "EXPLORE adult WITH CUT variance"},
+		{"EXPLORE adult WITH SAMPLE 1", "EXPLORE adult WITH SAMPLE 1"},
+	} {
+		st, err := Parse(tc.in, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Key(base); got != tc.key {
+			t.Errorf("%q: key %q, want %q", tc.in, got, tc.key)
+		}
+		if got := st.String(); got != tc.in {
+			t.Errorf("%q: text %q", tc.in, got)
+		}
 	}
 }

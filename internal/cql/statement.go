@@ -40,9 +40,46 @@ func Parse(input string, t *storage.Table) (Statement, error) {
 }
 
 // String renders the statement canonically: its query's text, then its
-// WITH clause. It is the statement's result-cache key and its result's
-// input.
+// WITH clause. It is the input a response to the statement echoes.
 func (st Statement) String() string { return st.Query.String() + st.With.String() }
+
+// Key returns st's result-cache key on a Cartographer whose options are
+// base: its query's text, then the WITH options whose values differ
+// from base's. A statement whose clause restates base's values runs the
+// same pipeline as its plain query, and shares its key.
+func (st Statement) Key(base core.Options) string {
+	return st.Query.String() + st.With.except(base).String()
+}
+
+// except returns o less the options that restate base's values. SAMPLE
+// is kept: it picks the rows, not the pipeline.
+func (o Options) except(base core.Options) Options {
+	if o.Maps == base.MaxMaps {
+		o.Maps = 0
+	}
+	if o.Regions == base.MaxRegions {
+		o.Regions = 0
+	}
+	if o.Predicates == base.MaxPredicates {
+		o.Predicates = 0
+	}
+	if o.Splits == base.Cut.Splits {
+		o.Splits = 0
+	}
+	if core.NumericCut(o.Cut) == base.Cut.Numeric {
+		o.Cut = ""
+	}
+	if core.MergeKind(o.Merge) == base.Merge {
+		o.Merge = ""
+	}
+	if core.Distance(o.Distance) == base.Distance {
+		o.Distance = ""
+	}
+	if o.Threshold == base.DependencyThreshold {
+		o.Threshold = 0
+	}
+	return o
+}
 
 // ErrWithClause rejects a WITH clause given to a caller that runs the
 // statement under options of its own (a session, the anytime rounds),
@@ -90,25 +127,18 @@ func ParseAndBind(input string, t *storage.Table) (query.Query, Options, error) 
 
 // Explore runs st on c, the table's one Cartographer: st's WITH clause
 // overrides c's options for this call on a view that shares c's
-// full-selection cut memo (core.Cartographer.With), WITH SAMPLE f
-// explores a uniform f-fraction of the rows (see internal/sample), and
-// the result's text is st's. Every runner of a statement calls it.
+// full-selection cut memo (core.Cartographer.With), and WITH SAMPLE f
+// explores a uniform f-fraction of the rows (see internal/sample). Every
+// runner of a statement calls it.
 func Explore(ctx context.Context, c *core.Cartographer, st Statement) (*core.Result, error) {
 	v, err := c.With(ApplyOptions(c.Options(), st.With))
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
 	if s := st.sample(c.Table().NumRows()); s != nil {
-		res, err = v.ExploreSample(ctx, st.Query, s)
-	} else {
-		res, err = v.ExploreCtx(ctx, st.Query)
+		return v.ExploreSample(ctx, st.Query, s)
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.With = st.With.String()
-	return res, nil
+	return v.ExploreCtx(ctx, st.Query)
 }
 
 // ApplyOptions overlays a statement's WITH clause, as Parse bound it,

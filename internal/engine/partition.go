@@ -33,28 +33,37 @@ func PartitionBits(t *storage.Table, attr string, preds []query.Predicate, sel *
 // disjoint word ranges of every output bitmap, so the partition is
 // byte-identical at any worker count.
 func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, sel *bitvec.Vector, opts ScanOptions) ([]*bitvec.Vector, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("engine: partition with zero predicates")
-	}
-	if sel.Len() != t.NumRows() {
-		return nil, fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
-	}
-	col, err := t.ColumnByName(attr)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range preds {
-		if p.Attr != attr {
-			return nil, fmt.Errorf("engine: partition predicate on %q, want %q", p.Attr, attr)
-		}
-	}
-	// The region bitmaps hold sel's window: only its words can hold a
-	// row, and outWords[ri][wi] is word sw0+wi.
 	out := make([]*bitvec.Vector, len(preds))
 	outWords := make([][]uint64, len(preds))
 	for i := range out {
 		out[i] = bitvec.NewLike(sel)
 		_, outWords[i] = out[i].Window()
+	}
+	if err := PartitionBitsInto(outWords, t, attr, preds, sel, opts); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PartitionBitsInto is PartitionBitsOpts writing region i's bitmap into
+// outWords[i], one zero word per word of sel's window (only its words
+// can hold a row): a caller that owns the bitmaps' memory partitions
+// into it in place.
+func PartitionBitsInto(outWords [][]uint64, t *storage.Table, attr string, preds []query.Predicate, sel *bitvec.Vector, opts ScanOptions) error {
+	if len(preds) == 0 {
+		return fmt.Errorf("engine: partition with zero predicates")
+	}
+	if sel.Len() != t.NumRows() {
+		return fmt.Errorf("engine: selection length %d != table rows %d", sel.Len(), t.NumRows())
+	}
+	col, err := t.ColumnByName(attr)
+	if err != nil {
+		return err
+	}
+	for _, p := range preds {
+		if p.Attr != attr {
+			return fmt.Errorf("engine: partition predicate on %q, want %q", p.Attr, attr)
+		}
 	}
 	sw0, _ := sel.Window()
 	runs := t.Runs(t.Schema().Index(attr))
@@ -69,7 +78,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 	switch col.Type() {
 	case storage.Int64, storage.Float64:
 		if err := predsAreKind(preds, query.Range, col); err != nil {
-			return nil, err
+			return err
 		}
 		if c, ok := chainOf(preds); ok {
 			part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
@@ -91,11 +100,11 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		}
 	case storage.String:
 		if err := predsAreKind(preds, query.In, col); err != nil {
-			return nil, err
+			return err
 		}
 		dict, err := storage.Dictionary(col)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// compile once: dictionary code → first admitting region
 		region := make([]int32, len(dict))
@@ -120,7 +129,7 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 		}
 	case storage.Bool:
 		if err := predsAreKind(preds, query.BoolEq, col); err != nil {
-			return nil, err
+			return err
 		}
 		part = func(w0 int, sw []uint64, p *storage.ChunkPayload) {
 			vals := p.Bools
@@ -135,13 +144,13 @@ func PartitionBitsOpts(t *storage.Table, attr string, preds []query.Predicate, s
 			})
 		}
 	default:
-		return nil, fmt.Errorf("engine: unsupported column type %v", col.Type())
+		return fmt.Errorf("engine: unsupported column type %v", col.Type())
 	}
 	ctx := opts.context()
 	if err := runs.Walk(ctx, sel, opts.Workers, "engine.partition", opts.sink(ctx).BillFetch, part); err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	return nil
 }
 
 // PartitionValues is PartitionBits computed from an extraction instead

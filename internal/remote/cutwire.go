@@ -38,10 +38,12 @@ import (
 //	bools       u64 falses, u64 trues
 //	partition   u32 k, k bitmaps of one word per request word
 //	summary     per requested column, by its type: for a numeric one
-//	            u64 count, u64 NaN count, u64 sum bits, u64 min bits,
-//	            u64 max bits, then with ranges one u64 count per bin of
-//	            shard.SummaryHist(lo, hi); for a string one u32 m, m u64
-//	            counts; for a bool one u64 falses, u64 trues
+//	            u64 count, u64 NaN count, u64 −Inf count, u64 +Inf
+//	            count, u64 sum bits, u64 min bits, u64 max bits, u64
+//	            finite min bits, u64 finite max bits, then with ranges
+//	            one u64 count per bin of shard.SummaryHist(lo, hi); for
+//	            a string one u32 m, m u64 counts; for a bool one u64
+//	            falses, u64 trues
 //
 // where the request's words are its selection's, or all the shard's when
 // it sent none. Nothing may follow; the parsers below check every count
@@ -314,9 +316,13 @@ func appendCutPayload(dst []byte, req shard.CutRequest, schema *storage.Schema, 
 			default:
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Count))
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Stats.NaN))
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.NegInf))
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(s.PosInf))
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Sum))
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Stats.Min))
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Stats.Max))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Finite.Min))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Finite.Max))
 				for _, n := range s.Bins {
 					dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
 				}
@@ -528,21 +534,24 @@ func readBools(r *frameReader, selected int) (falses, trues int, err error) {
 }
 
 // readNumericSummary reads the summary of req's c-th column, a numeric
-// one, off r into s: no more values than selected rows, no more NaN
-// than values, and with a range, bins holding no more than the values
-// other than NaN.
+// one, off r into s: no more values than selected rows, no more NaN and
+// infinities than values, and with a range, bins holding no more than
+// the finite values.
 func readNumericSummary(r *frameReader, req shard.CutRequest, c, selected int, s *shard.Summary) error {
-	n, nan := r.u64("value count"), r.u64("NaN count")
+	n, nan, negInf, posInf := r.u64("value count"), r.u64("NaN count"), r.u64("-Inf count"), r.u64("+Inf count")
 	s.Sum = math.Float64frombits(r.u64("sum"))
 	s.Stats.Min = math.Float64frombits(r.u64("min"))
 	s.Stats.Max = math.Float64frombits(r.u64("max"))
+	s.Finite.Min = math.Float64frombits(r.u64("finite min"))
+	s.Finite.Max = math.Float64frombits(r.u64("finite max"))
 	if r.err != nil {
 		return r.err
 	}
-	if n > uint64(selected) || nan > n {
-		return fmt.Errorf("%d values, %d NaN, among %d selected rows", n, nan, selected)
+	if n > uint64(selected) || nan > n || negInf > n-nan || posInf > n-nan-negInf {
+		return fmt.Errorf("%d values, %d NaN, %d -Inf, %d +Inf, among %d selected rows", n, nan, negInf, posInf, selected)
 	}
-	s.Count, s.Stats.NaN = int(n), int(nan)
+	s.Count, s.Stats.NaN, s.Finite.NaN = int(n), int(nan), int(nan)
+	s.NegInf, s.PosInf = int(negInf), int(posInf)
 	if req.Ranges == nil {
 		return nil
 	}
@@ -550,6 +559,6 @@ func readNumericSummary(r *frameReader, req shard.CutRequest, c, selected int, s
 	if err != nil {
 		return err
 	}
-	s.Bins, err = readCounts(r, h.Counts[:0], len(h.Counts), s.Count-s.Stats.NaN, "bin counts")
+	s.Bins, err = readCounts(r, h.Counts[:0], len(h.Counts), s.Count-s.Stats.NaN-s.NegInf-s.PosInf, "bin counts")
 	return err
 }

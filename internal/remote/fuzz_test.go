@@ -128,8 +128,16 @@ func FuzzCutFrames(f *testing.F) {
 	bins[0], bins[shard.SummaryBins-1] = 1, 1
 	seed(shard.CutRequest{Kind: shard.CutSummary, Cols: []int{1, 0}, W0: 1, Sel: sel, Ranges: [][2]float64{{-2, 5}, {4, 4}}},
 		&shard.CutAnswer{Summaries: []shard.Summary{
-			{Count: 2, Sum: 3, Stats: engine.NumericSummary{Min: -2, Max: 5}, Bins: bins},
-			{Count: 1, Sum: 4, Stats: engine.NumericSummary{Min: 4, Max: 4}, Bins: []int{1}},
+			{Count: 2, Sum: 3, Stats: engine.NumericSummary{Min: -2, Max: 5}, Finite: engine.NumericSummary{Min: -2, Max: 5}, Bins: bins},
+			{Count: 1, Sum: 4, Stats: engine.NumericSummary{Min: 4, Max: 4}, Finite: engine.NumericSummary{Min: 4, Max: 4}, Bins: []int{1}},
+		}})
+	// Infinities are counted apart, and only the finite value is binned.
+	oneBin := make([]int, shard.SummaryBins)
+	oneBin[3] = 1
+	seed(shard.CutRequest{Kind: shard.CutSummary, Cols: []int{1}, Ranges: [][2]float64{{0, 64}}},
+		&shard.CutAnswer{Summaries: []shard.Summary{
+			{Count: 4, Sum: math.NaN(), Stats: engine.NumericSummary{Min: math.Inf(-1), Max: math.Inf(1)},
+				NegInf: 1, PosInf: 2, Finite: engine.NumericSummary{Min: 3.5, Max: 3.5}, Bins: oneBin},
 		}})
 	f.Fuzz(func(t *testing.T, reqBody, answer []byte) {
 		req, err := parseCutRequest(reqBody, cutFuzzSchema, cutFuzzRows)
@@ -250,8 +258,9 @@ func FuzzCutFrames(f *testing.F) {
 				for _, n := range sum.Bins {
 					bins += n
 				}
-				if sum.Count > selected || sum.Stats.NaN > sum.Count || bins > sum.Count-sum.Stats.NaN ||
-					sum.Falses+sum.Trues > selected {
+				finite := sum.Count - sum.Stats.NaN - sum.NegInf - sum.PosInf
+				if sum.Count > selected || sum.Stats.NaN > sum.Count || sum.NegInf < 0 || sum.PosInf < 0 ||
+					finite < 0 || bins > finite || sum.Falses+sum.Trues > selected {
 					t.Fatalf("column %d: summary %+v over %d selected rows", req.Cols[c], sum, selected)
 				}
 				if req.Ranges != nil {

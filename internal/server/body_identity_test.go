@@ -320,7 +320,7 @@ func (g *identityRig) history(sid int) {
 func (g *identityRig) explore(query, text, wantCache string) {
 	g.t.Helper()
 	hdr, body := g.do(http.MethodPost, "/api/explore"+query, fmt.Sprintf(`{"cql":%q}`, text))
-	res, _, err := g.srv.runCQL(context.Background(), text)
+	_, res, _, err := g.srv.runCQL(context.Background(), text)
 	if err != nil {
 		g.t.Fatal(err)
 	}

@@ -239,24 +239,34 @@ func TestWithOverridesCachedUnderOwnKey(t *testing.T) {
 }
 
 // TestWithStatementInputEchoed: a stateless statement's input is its
-// canonical text, WITH clause included, and each WITH clause is cached
-// under that text: its own entry, a miss first and a hit after.
+// canonical text, WITH clause included, and a WITH clause that changes
+// the pipeline is cached under its own entry, a miss first and a hit
+// after. One that restates the server's options (MAPS 8 is the default)
+// hits the plain statement's entry, and still echoes its own clause.
 func TestWithStatementInputEchoed(t *testing.T) {
 	ts := newTestServer(t)
-	for _, stmt := range []string{"EXPLORE census", "EXPLORE census WITH SAMPLE 0.1", "EXPLORE census WITH MAPS 2", "EXPLORE census WITH MAPS 8"} {
-		for _, want := range []string{"miss", "hit"} {
-			resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": stmt})
+	for _, tc := range []struct {
+		stmt  string
+		first string
+	}{
+		{"EXPLORE census", "miss"},
+		{"EXPLORE census WITH SAMPLE 0.1", "miss"},
+		{"EXPLORE census WITH MAPS 2", "miss"},
+		{"EXPLORE census WITH MAPS 8", "hit"},
+	} {
+		for _, want := range []string{tc.first, "hit"} {
+			resp, body := postJSON(t, ts.URL+"/api/explore", map[string]string{"cql": tc.stmt})
 			var input string
 			if err := json.Unmarshal(body["input"], &input); err != nil {
 				t.Fatal(err)
 			}
-			if v := resp.Header.Get(headerResultCache); resp.StatusCode != http.StatusOK || input != stmt || v != want {
-				t.Errorf("%q: status %d, input %q, verdict %q; want 200, the statement, %q", stmt, resp.StatusCode, input, v, want)
+			if v := resp.Header.Get(headerResultCache); resp.StatusCode != http.StatusOK || input != tc.stmt || v != want {
+				t.Errorf("%q: status %d, input %q, verdict %q; want 200, the statement, %q", tc.stmt, resp.StatusCode, input, v, want)
 			}
 		}
 	}
-	if rc := statsOf(t, ts.URL).ResultCache; rc.Entries != 4 || rc.Misses != 4 || rc.Hits != 4 {
-		t.Errorf("result cache %+v, want 4 entries, 4 misses, 4 hits", rc)
+	if rc := statsOf(t, ts.URL).ResultCache; rc.Entries != 3 || rc.Misses != 3 || rc.Hits != 5 {
+		t.Errorf("result cache %+v, want 3 entries, 3 misses, 5 hits", rc)
 	}
 }
 

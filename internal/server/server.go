@@ -283,12 +283,12 @@ var resultRenders atomic.Int64
 // renderResult renders the request-independent fields of a result's
 // body as one JSON object, through encoding/json like every other
 // body. Results keep it (core.Result.Rendered), so a cached result is
-// rendered by its first reader only. It returns nil for a result the
-// encoder refuses.
+// rendered by its first reader only. Its input is empty: statements
+// that share a result echo their own (see appendResult). It returns nil
+// for a result the encoder refuses.
 func renderResult(r *core.Result) []byte {
 	resultRenders.Add(1)
 	dto := ResultDTO{
-		Input:     r.Input.String() + r.With,
 		TotalRows: r.TotalRows,
 		BaseCount: r.BaseCount,
 		ElapsedMs: float64(r.Elapsed.Microseconds()) / 1000.0,
@@ -318,16 +318,22 @@ func mapDTOs(maps []*core.Map) []MapDTO {
 	return out
 }
 
-// appendResult appends a result's body: its once-rendered fields, then
-// the request's own (rf, nil on routes that ran no query). It returns
-// nil for a body the encoder refuses.
-func appendResult(b []byte, res *core.Result, rf *requestFields) []byte {
+// appendResult appends a result's body: input, the text of the
+// statement the request asked, then the result's once-rendered fields,
+// then the request's own (rf, nil on routes that ran no query). It
+// returns nil for a body the encoder refuses.
+func appendResult(b []byte, input string, res *core.Result, rf *requestFields) []byte {
 	body := res.Rendered(renderResult)
 	if body == nil {
 		return nil
 	}
-	b = slices.Grow(b, len(body)+512)
-	b = append(b, body[:len(body)-1]...)
+	in, _ := json.Marshal(input) // a string always encodes
+	// body begins with the empty input renderResult gives it.
+	const emptyInput = `{"input":""`
+	b = slices.Grow(b, len(body)+len(in)+512)
+	b = append(b, `{"input":`...)
+	b = append(b, in...)
+	b = append(b, body[len(emptyInput):len(body)-1]...)
 	if rf != nil {
 		own, err := json.Marshal(rf)
 		if err != nil {
@@ -364,7 +370,7 @@ func appendNode(b []byte, n *session.Node, rf *requestFields) []byte {
 		b = append(b, ']')
 	}
 	b = append(b, `,"result":`...)
-	if b = appendResult(b, n.Result, rf); b == nil {
+	if b = appendResult(b, n.Result.Input.String(), n.Result, rf); b == nil {
 		return nil
 	}
 	return append(b, '}')
@@ -415,32 +421,33 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	qr := s.startQuery(r, "explore", req.CQL, workload.StatelessSession)
-	res, cached, err := s.runCQL(qr.ctx, req.CQL)
+	st, res, cached, err := s.runCQL(qr.ctx, req.CQL)
 	qr.cached = cached
 	qr.finish(s, err)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeResult(w, appendResult(nil, res, qr.attach(w)))
+	writeResult(w, appendResult(nil, st.String(), res, qr.attach(w)))
 }
 
 // runCQL parses, binds and runs a stateless CQL statement, WITH clause
-// and all, through the shared result cache under the statement's
-// canonical text (cql.Statement.String), so a WITH clause or a sample
-// is cached under its own key. cached reports that no pipeline ran for
-// this call. A trace span in ctx profiles the run.
-func (s *Server) runCQL(ctx context.Context, input string) (res *core.Result, cached bool, err error) {
-	st, err := cql.Parse(input, s.table)
-	if err != nil {
-		return nil, false, &badRequest{err}
+// and all, through the shared result cache under the statement's key
+// (cql.Statement.Key): a WITH option that changes the pipeline, or a
+// sample, is cached under its own key, and one that restates the
+// server's options shares the plain query's entry. cached reports that
+// no pipeline ran for this call. A trace span in ctx profiles the run.
+func (s *Server) runCQL(ctx context.Context, input string) (st cql.Statement, res *core.Result, cached bool, err error) {
+	if st, err = cql.Parse(input, s.table); err != nil {
+		return st, nil, false, &badRequest{err}
 	}
 	if s.cart == nil {
-		return nil, false, s.cartErr
+		return st, nil, false, s.cartErr
 	}
-	return s.results.Get(ctx, st.String(), func() (*core.Result, error) {
+	res, cached, err = s.results.Get(ctx, st.Key(s.cart.Options()), func() (*core.Result, error) {
 		return cql.Explore(ctx, s.cart, st)
 	})
+	return st, res, cached, err
 }
 
 // plainQuery parses and binds a statement for a route that runs its
@@ -662,14 +669,18 @@ type ShardsDTO struct {
 // ShardColsDTO is one column's merged aggregate: exact counts, extremes
 // and mean plus the merged fixed-edge histogram.
 type ShardColsDTO struct {
-	Name  string      `json:"name"`
-	Rows  int         `json:"rows"`
-	Nulls int         `json:"nulls"`
-	Min   JSONFloat   `json:"min,omitempty"`
-	Max   JSONFloat   `json:"max,omitempty"`
-	Mean  JSONFloat   `json:"mean,omitempty"`
-	Hist  []int       `json:"hist,omitempty"`
-	Edges []JSONFloat `json:"histEdges,omitempty"`
+	Name  string    `json:"name"`
+	Rows  int       `json:"rows"`
+	Nulls int       `json:"nulls"`
+	Min   JSONFloat `json:"min,omitempty"`
+	Max   JSONFloat `json:"max,omitempty"`
+	Mean  JSONFloat `json:"mean,omitempty"`
+	// NegInf and PosInf count −Inf and +Inf values, which the histogram
+	// of the finite values leaves out.
+	NegInf int         `json:"negInf,omitempty"`
+	PosInf int         `json:"posInf,omitempty"`
+	Hist   []int       `json:"hist,omitempty"`
+	Edges  []JSONFloat `json:"histEdges,omitempty"`
 }
 
 // JSONFloat is a statistic that may not be finite — the mean of values
@@ -746,7 +757,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for ci, p := range partials {
-		col := ShardColsDTO{Name: s.table.Schema().Field(ci).Name, Rows: p.Rows, Nulls: p.Nulls}
+		col := ShardColsDTO{Name: s.table.Schema().Field(ci).Name, Rows: p.Rows, Nulls: p.Nulls, NegInf: p.NegInf, PosInf: p.PosInf}
 		if p.HasMinMax {
 			col.Min, col.Max = JSONFloat(p.Min), JSONFloat(p.Max)
 			if p.Count > 0 {

@@ -201,6 +201,31 @@ func TestShardsEndpointNonFinite(t *testing.T) {
 			t.Errorf("±Inf column's %s = %v (present %v), want null", f, v, ok)
 		}
 	}
+	// The histogram bins the finite values over their extremes and the
+	// infinities are counted apart: 510 values spread over every bin.
+	if inf["negInf"] != 1.0 || inf["posInf"] != 1.0 {
+		t.Errorf("±Inf column counts %v −Inf and %v +Inf, want 1 and 1", inf["negInf"], inf["posInf"])
+	}
+	edges, _ := inf["histEdges"].([]any)
+	if len(edges) != shard.SummaryBins+1 || edges[0] != 0.0 || edges[len(edges)-1] != float64(n-1) {
+		t.Errorf("±Inf column's histogram edges = %v, want %d from 0 to %d", edges, shard.SummaryBins+1, n-1)
+	}
+	for i, e := range edges {
+		if _, ok := e.(float64); !ok {
+			t.Errorf("±Inf column's edge %d = %v, want a finite number", i, e)
+		}
+	}
+	hist, _ := inf["hist"].([]any)
+	total := 0.0
+	for i, c := range hist {
+		if c.(float64) < 1 || c.(float64) > 16 {
+			t.Errorf("±Inf column's bin %d holds %v of 510 finite values, want them spread", i, c)
+		}
+		total += c.(float64)
+	}
+	if total != n-2 {
+		t.Errorf("±Inf column's histogram holds %v values, want the %d finite ones", total, n-2)
+	}
 	sum := 0
 	for i := 0; i < n; i++ {
 		sum += i % 10

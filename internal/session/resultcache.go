@@ -232,7 +232,7 @@ func resultBytes(r *core.Result) int64 {
 // numbers and brackets around each value.
 func renderAllowance(r *core.Result) int64 {
 	text, names := textBound(r.Input)
-	n := 256 + text + 5*names + int64(len(r.With))
+	n := 256 + text + 5*names
 	for _, f := range r.Flagged {
 		n += 6*int64(len(f.Attr)+len(f.Reason)+3) + 3
 	}

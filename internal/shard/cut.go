@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -38,8 +39,9 @@ const (
 // ranged numeric column into.
 const SummaryBins = 64
 
-// SummaryHist returns the empty histogram a CutSummary counts a column
-// ranged [lo, hi] into: SummaryBins bins, or one when lo == hi.
+// SummaryHist returns the empty histogram a CutSummary counts a column's
+// finite values ranged [lo, hi] into: SummaryBins bins, or one when
+// lo == hi.
 func SummaryHist(lo, hi float64) (*stats.Histogram, error) {
 	return stats.FixedHist(lo, hi, SummaryBins)
 }
@@ -89,11 +91,15 @@ type CutAnswer struct {
 type Summary struct {
 	Count int
 	// Sum adds a numeric column's values in row order from +0, and Stats
-	// holds their NaN count and extremes; Bins counts them into the
-	// request's range, when it gave one.
-	Sum   float64
-	Stats engine.NumericSummary
-	Bins  []int
+	// holds their NaN count and extremes. NegInf and PosInf count its
+	// −Inf and +Inf values, and Finite summarizes the others: their NaN
+	// count and the extremes of the finite ones. Bins counts the finite
+	// values into the request's range, when it gave one.
+	Sum            float64
+	Stats          engine.NumericSummary
+	NegInf, PosInf int
+	Finite         engine.NumericSummary
+	Bins           []int
 	// Counts are a string column's per-code counts, in the shard's
 	// dictionary.
 	Counts []int
@@ -110,14 +116,15 @@ type ValueRun struct {
 	Sum     engine.NumericSummary
 }
 
-// extractPool recycles ComputeCut's extractions. An answer's slices are
-// its own, whoever fills it next: an extraction's value buffer is traded
-// for the answer's, its present words copied.
+// extractPool recycles ComputeCut's extractions' present words. An
+// answer's slices are its own, whoever fills it next: values are
+// extracted into the answer's buffer, present words copied.
 var extractPool = sync.Pool{New: func() any { return new(engine.NumericExtract) }}
 
 // ComputeCut answers req over t, a shard's table, into a: the one
-// computation behind every shard's cut answers, local or served over
-// the fabric. It validates what the request asks of t's schema.
+// computation behind every cut answer of a set, in process for a local
+// shard (or an unaligned set's combined table) and on the shard server
+// for a remote one. It validates what the request asks of t's schema.
 func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAnswer) error {
 	if len(req.Cols) == 0 || !req.Kind.ManyColumns() && len(req.Cols) > 1 {
 		return fmt.Errorf("shard: cut kind %d of %d columns", req.Kind, len(req.Cols))
@@ -157,13 +164,14 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 		x := extractPool.Get().(*engine.NumericExtract)
 		defer extractPool.Put(x)
 		for c, ci := range req.Cols {
-			if err := engine.ExtractNumericUnder(x, t, t.Schema().Field(ci).Name, sel, opts); err != nil {
+			// Into the answer's buffer, where a caller may have placed it.
+			v := &a.Values[c]
+			x.Vals = v.Vals[:0]
+			err := engine.ExtractNumericUnder(x, t, t.Schema().Field(ci).Name, sel, opts)
+			v.Vals, x.Vals = x.Vals, nil
+			if err != nil {
 				return err
 			}
-			// The values change hands instead of being copied: each
-			// buffer stays owned by exactly one of x and a.
-			v := &a.Values[c]
-			v.Vals, x.Vals = x.Vals, v.Vals[:0]
 			_, present := x.Present.Window()
 			v.Present = append(v.Present[:0], present...)
 			v.Sum = x.Sum
@@ -173,14 +181,14 @@ func ComputeCut(ctx context.Context, t *storage.Table, req CutRequest, a *CutAns
 	case CutBools:
 		a.Falses, a.Trues, err = engine.BoolCountsUnderOpts(t, attr, sel, opts)
 	case CutPartition:
-		var out []*bitvec.Vector
-		if out, err = engine.PartitionBitsOpts(t, attr, req.Preds, sel, opts); err == nil {
-			a.Bits = slices.Grow(a.Bits[:0], len(out))[:len(out)]
-			for i, v := range out {
-				_, bits := v.Window()
-				a.Bits[i] = append(a.Bits[i][:0], bits...)
-			}
+		// Into the answer's words, where a caller may have placed them.
+		_, words := sel.Window()
+		a.Bits = slices.Grow(a.Bits[:0], len(req.Preds))[:len(req.Preds)]
+		for i := range a.Bits {
+			a.Bits[i] = slices.Grow(a.Bits[i][:0], len(words))[:len(words)]
+			clear(a.Bits[i])
 		}
+		err = engine.PartitionBitsInto(a.Bits, t, attr, req.Preds, sel, opts)
 	case CutSummary:
 		a.Summaries = slices.Grow(a.Summaries[:0], len(req.Cols))[:len(req.Cols)]
 		for c, ci := range req.Cols {
@@ -218,9 +226,17 @@ func summarize(t *storage.Table, ci int, sel *bitvec.Vector, rng *[2]float64, op
 		if err = engine.ExtractNumericUnder(x, t, attr, sel, opts); err != nil {
 			return err
 		}
-		s.Count, s.Stats = len(x.Vals), x.Sum
+		s.Count, s.Stats, s.Finite = len(x.Vals), x.Sum, engine.SummarizeNumeric(nil)
 		for _, v := range x.Vals {
 			s.Sum += v
+			switch {
+			case math.IsInf(v, -1):
+				s.NegInf++
+			case math.IsInf(v, 1):
+				s.PosInf++
+			default:
+				s.Finite.Observe(v)
+			}
 		}
 		if rng != nil {
 			h, err := SummaryHist(rng[0], rng[1])

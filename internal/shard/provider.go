@@ -2,8 +2,8 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -12,43 +12,41 @@ import (
 	"repro/internal/engine"
 	"repro/internal/par"
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
-// Provider returns the set's core.StatProvider. A set with no remote
-// shard answers with passes over its combined table, whose chunks are
-// the shards' own, partitioning on up to parallelism workers (0 means
-// GOMAXPROCS). A set with remote shards asks each shard about its slice
-// of the selection — only shards holding a selected row, each sent the
-// words that hold one — and merges the answers exactly, in shard (=
-// combined row) order: values concatenate, summaries fold, counts add
-// under the set's one dictionary and bitmaps land in place, so every answer
-// matches the unsharded computation.
+// Provider returns the set's core.StatProvider, which answers every set
+// one way. Each member holding a selected row answers for its slice of
+// the selection — only the words that hold one — a local shard with
+// ComputeCut over its view, a remote one over the fabric, all at once.
+// The answers merge exactly, in member (= combined row) order: values
+// concatenate, summaries fold, counts add under the set's one dictionary
+// and bitmaps land in place, so every answer matches the unsharded
+// computation. The members are the set's shards, or, for an unaligned
+// set whose shards do not all start on a selection word, one member: the
+// combined table.
+//
+// parallelism is unused: the members of a fan-out already answer
+// concurrently, and a member's pass runs on one worker.
 func (s *Set) Provider(parallelism int) *Provider {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	p := &Provider{s: s}
-	if !s.anyRemote() {
-		p.local = core.NewTableProvider(s.combined, parallelism)
-	}
-	return p
-}
-
-// anyRemote reports whether any shard is served over the fabric.
-func (s *Set) anyRemote() bool {
-	for _, ls := range s.shards {
-		if ls.isRemote() {
-			return true
+	p := &Provider{s: s, tables: s.views, starts: s.offsets}
+	for _, off := range s.offsets {
+		if off%64 != 0 {
+			p.tables, p.starts = []*storage.Table{s.combined}, []int{0}
+			break
 		}
 	}
-	return false
+	return p
 }
 
 // Provider implements core.StatProvider over a Set. See Set.Provider.
 type Provider struct {
 	s *Set
-	// local answers for a set with no remote shard; nil otherwise.
-	local core.StatProvider
+	// tables hold the members' rows, and starts their first combined
+	// rows, each on a word boundary. Member i is shard i, unless the set
+	// has one member, its combined table.
+	tables []*storage.Table
+	starts []int
 }
 
 var _ core.StatProvider = (*Provider)(nil)
@@ -62,41 +60,35 @@ func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutO
 	return x.Vals, x.Sum, err
 }
 
-// Extract implements core.StatProvider: one cut RPC per shard carries
-// every attribute. A remote shard's values are decoded straight into
-// the part of each xs[c].Vals they end up in: each shard gets room for
-// as many values as it has selected rows, so unless a NULL leaves a gap
-// before them, the merge copies none.
+// Extract implements core.StatProvider: one cut per member carries
+// every attribute. Each member gets room in each xs[c].Vals for as many
+// values as it has selected rows and extracts its values straight into
+// it, so unless a NULL leaves a gap before them, the merge copies none.
 func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error {
-	if p.local != nil {
-		return p.local.Extract(ctx, xs, attrs, sel)
-	}
-	room := make([]int, p.s.NumShards()+1) // shard i's values go from room[i] on
-	for i := range p.s.shards {
-		_, part := p.s.shardWindow(i, sel)
-		room[i+1] = room[i] + countWords(part)
+	parts := p.parts(sel)
+	total := 0
+	if len(parts) > 0 {
+		last := parts[len(parts)-1]
+		total = last.before + last.rows
 	}
 	for _, x := range xs {
 		x.Reset(sel)
-		x.Vals = slices.Grow(x.Vals, room[len(room)-1])
+		x.Vals = slices.Grow(x.Vals, total)
 	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attrs, sel, func(i int, a *CutAnswer) {
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutValues}, attrs, parts, func(pt *part, a *CutAnswer) {
 		a.Values = slices.Grow(a.Values[:0], len(xs))[:len(xs)]
 		for c, x := range xs {
-			a.Values[c].Vals = x.Vals[room[i]:room[i]:room[i+1]]
+			a.Values[c].Vals = x.Vals[pt.before : pt.before : pt.before+pt.rows]
 		}
 	})
 	defer releaseAnswers(answers)
 	if err != nil {
 		return err
 	}
-	for i, a := range answers {
-		if a == nil {
-			continue
-		}
+	for _, a := range answers {
 		for c, x := range xs {
 			v := &a.Values[c]
-			x.AppendRun(p.s.offsets[i]/64+a.W0, v.Present, v.Vals, v.Sum)
+			x.AppendRun(a.W0, v.Present, v.Vals, v.Sum)
 		}
 	}
 	return nil
@@ -105,27 +97,21 @@ func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, att
 // Categories implements core.StatProvider. Every shard counts in the
 // set's one dictionary, so the counts add.
 func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vector) ([]string, []int, error) {
-	if p.local != nil {
-		return p.local.Categories(ctx, attr, sel)
-	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, []string{attr}, sel, nil)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutCategories}, []string{attr}, p.parts(sel), nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return nil, nil, err
 	}
-	ci, err := p.s.colIndex(attr)
+	col, err := p.s.combined.ColumnByName(attr)
 	if err != nil {
 		return nil, nil, err
 	}
-	dict, err := p.s.dict(ctx, ci)
+	dict, err := storage.Dictionary(col)
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := make([]int, len(dict))
 	for _, a := range answers {
-		if a == nil {
-			continue
-		}
 		if err := AddCounts(counts, a.Counts); err != nil {
 			return nil, nil, err
 		}
@@ -135,133 +121,129 @@ func (p *Provider) Categories(ctx context.Context, attr string, sel *bitvec.Vect
 
 // Bools implements core.StatProvider.
 func (p *Provider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (int, int, error) {
-	if p.local != nil {
-		return p.local.Bools(ctx, attr, sel)
-	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, []string{attr}, sel, nil)
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutBools}, []string{attr}, p.parts(sel), nil)
 	defer releaseAnswers(answers)
 	if err != nil {
 		return 0, 0, err
 	}
 	f, t := 0, 0
 	for _, a := range answers {
-		if a != nil {
-			f += a.Falses
-			t += a.Trues
-		}
+		f += a.Falses
+		t += a.Trues
 	}
 	return f, t, nil
 }
 
 // Partition implements core.StatProvider for string and bool columns,
-// the ones a cut partitions without values in hand.
+// the ones a cut partitions without values in hand. Each member writes
+// its words of the region bitmaps where they belong.
 func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error) {
-	if p.local != nil {
-		return p.local.Partition(ctx, attr, preds, sel)
-	}
-	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, []string{attr}, sel, nil)
-	defer releaseAnswers(answers)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*bitvec.Vector, len(preds))
 	for r := range out {
 		out[r] = bitvec.NewLike(sel)
 	}
-	for i, a := range answers {
-		if a == nil {
-			continue
+	ow0, _ := sel.Window()
+	answers, err := p.fanOut(ctx, CutRequest{Kind: CutPartition, Preds: preds}, []string{attr}, p.parts(sel), func(pt *part, a *CutAnswer) {
+		lo, hi := pt.w0-ow0, pt.w0-ow0+len(pt.words)
+		a.Bits = slices.Grow(a.Bits[:0], len(out))[:len(out)]
+		for r, v := range out {
+			_, words := v.Window()
+			a.Bits[r] = words[lo:hi:hi]
 		}
-		w0 := p.s.offsets[i]/64 + a.W0
+	})
+	defer releaseAnswers(answers)
+	if err != nil {
+		return nil, err
+	}
+	// An answer read where it was placed copies onto itself.
+	for _, a := range answers {
 		for r, words := range a.Bits {
-			ow0, ow := out[r].Window()
-			copy(ow[w0-ow0:], words)
+			_, ow := out[r].Window()
+			copy(ow[a.W0-ow0:], words)
 		}
 	}
 	return out, nil
 }
 
-// fanOut asks every shard holding a row of sel for req's statistic of
-// attrs under its slice of sel, all at once — remote shards over the
-// fabric, where the caller only waits; local ones with ComputeCut over
-// their views.
-// place, when non-nil, readies a remote shard's answer before its RPC.
-// answers[i] is shard i's, nil when no row of it is selected; the caller
-// releases them, also on error.
-func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, sel *bitvec.Vector, place func(i int, a *CutAnswer)) ([]*CutAnswer, error) {
+// part is member i's part of a selection: its words, from combined
+// word w0 on, and its selected rows, after before selected rows of the
+// members before it.
+type part struct {
+	i, w0        int
+	words        []uint64
+	before, rows int
+}
+
+// parts returns the parts of sel over the members holding a selected
+// row, in member order.
+func (p *Provider) parts(sel *bitvec.Vector) []part {
+	sw0, words := sel.Window()
+	out := make([]part, 0, len(p.tables))
+	before := 0
+	for i, t := range p.tables {
+		lo := p.starts[i] / 64
+		a, b := max(lo, sw0), min(lo+(t.NumRows()+63)/64, sw0+len(words))
+		if a >= b {
+			continue
+		}
+		pt := part{i: i, w0: a, words: words[a-sw0 : b-sw0], before: before}
+		if pt.rows = countWords(pt.words); pt.rows > 0 {
+			out = append(out, pt)
+			before += pt.rows
+		}
+	}
+	return out
+}
+
+// fanOut asks the member of each part for req's statistic of attrs
+// under its slice of the selection, all at once: a remote shard over the
+// fabric, where the caller only waits, a local member with ComputeCut.
+// place, when non-nil, readies a member's answer before it is computed.
+// answers[j] is parts[j]'s, its W0 a combined word; the caller releases
+// them, also on error.
+func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, parts []part, place func(pt *part, a *CutAnswer)) ([]*CutAnswer, error) {
 	req.Cols = make([]int, len(attrs))
 	for c, attr := range attrs {
-		ci, err := p.s.colIndex(attr)
-		if err != nil {
-			return nil, err
+		if req.Cols[c] = p.s.combined.Schema().Index(attr); req.Cols[c] < 0 {
+			return nil, fmt.Errorf("shard: no column %q", attr)
 		}
-		req.Cols[c] = ci
 	}
-	answers := make([]*CutAnswer, p.s.NumShards())
-	err := par.For(len(answers), len(answers), func(i int) error {
-		r, ok := p.s.shardSlice(i, sel)
-		if !ok {
-			return nil
-		}
-		r.Kind, r.Cols, r.Preds = req.Kind, req.Cols, req.Preds
+	answers := make([]*CutAnswer, len(parts))
+	err := par.For(len(parts), len(parts), func(j int) error {
+		pt := &parts[j]
 		a := answerPool.Get().(*CutAnswer)
-		answers[i] = a
-		sb, err := p.s.remoteBackend(ctx, i)
-		if err != nil {
+		answers[j] = a
+		if place != nil {
+			place(pt, a)
+		}
+		t, lo, r := p.tables[pt.i], p.starts[pt.i]/64, req
+		if pt.rows < t.NumRows() {
+			r.W0, r.Sel = pt.w0-lo, pt.words
+		}
+		if err := p.s.cut(ctx, pt.i, t, r, a); err != nil {
 			return err
 		}
-		if sb == nil {
-			return ComputeCut(ctx, p.s.views[i], r, a)
-		}
-		if place != nil {
-			place(i, a)
-		}
-		return sb.Cut(ctx, r, a)
+		a.W0 += lo
+		return nil
 	})
 	return answers, err
 }
 
 var answerPool = sync.Pool{New: func() any { return new(CutAnswer) }}
 
-// releaseAnswers recycles answers, less any values placed in a buffer
-// the caller owns.
+// releaseAnswers recycles answers, less any values or bitmaps placed in
+// buffers the caller owns.
 func releaseAnswers(answers []*CutAnswer) {
 	for _, a := range answers {
-		if a != nil {
-			for c := range a.Values {
-				a.Values[c].Vals = nil
-			}
-			answerPool.Put(a)
+		if a == nil {
+			continue
 		}
+		for c := range a.Values {
+			a.Values[c].Vals = nil
+		}
+		clear(a.Bits)
+		answerPool.Put(a)
 	}
-}
-
-// shardWindow returns the words of sel's window over shard i's rows:
-// part, from combined word w0 on, is empty when the window misses the
-// shard. Shards start on chunk boundaries, which are word boundaries.
-func (s *Set) shardWindow(i int, sel *bitvec.Vector) (w0 int, part []uint64) {
-	sw0, words := sel.Window()
-	lo := s.offsets[i] / 64
-	a, b := max(lo, sw0), min(lo+(s.manifest.Shards[i].Rows+63)/64, sw0+len(words))
-	if a >= b {
-		return a, nil
-	}
-	return a, words[a-sw0 : b-sw0]
-}
-
-// shardSlice is shard i's slice of the combined selection: the words of
-// its window over the shard, in shard-local word numbers, or no words
-// when it selects every row of the shard. ok is false when it selects
-// none.
-func (s *Set) shardSlice(i int, sel *bitvec.Vector) (req CutRequest, ok bool) {
-	w0, part := s.shardWindow(i, sel)
-	switch countWords(part) {
-	case 0:
-		return req, false
-	case s.manifest.Shards[i].Rows:
-		return req, true
-	}
-	return CutRequest{W0: w0 - s.offsets[i]/64, Sel: part}, true
 }
 
 // countWords returns the number of bits set in words.

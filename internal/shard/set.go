@@ -24,12 +24,12 @@ import (
 // The combined table is what the pipeline explores. Its chunk metadata
 // is stitched from the shards' zone maps (range partitioning aligns
 // every shard boundary to a chunk boundary, so the shard files' zone
-// maps concatenate verbatim), which is what lets the engine's existing
-// chunk drivers — predicate scans, partition bitmaps, contingency
-// counts — fan one pass out across shard boundaries on the shared
-// worker pool. The per-shard views carry the same zone maps restricted
-// to their row range; they are what per-shard work (partial statistics,
-// EXPLAIN's per-shard verdicts) runs against.
+// maps concatenate verbatim), which is what lets the engine's chunk
+// drivers run a base scan as one pass across shard boundaries. The
+// per-shard views carry the same zone maps restricted to their row
+// range; they are what per-shard work runs against: every CUT read
+// (Provider), the column table (Partials) and EXPLAIN's per-shard
+// verdicts.
 //
 // Chunk-aligned sets (range partitioning always; hash when every
 // non-final shard is a chunk multiple) assemble WITHOUT materializing:
@@ -111,22 +111,22 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 			break
 		}
 	}
-	anyRemote := false
+	remoteShards := false
 	for _, sf := range m.Shards {
 		if IsRemoteLocation(sf.File) {
-			anyRemote = true
+			remoteShards = true
 			break
 		}
 	}
 	if !aligned {
-		if anyRemote {
+		if remoteShards {
 			// Eager reassembly re-encodes whole columns; pulling every
 			// remote chunk just to concatenate defeats the fabric.
 			return nil, fmt.Errorf("shard: remote shards require chunk-aligned manifests (every non-final shard a multiple of %d rows)", m.ChunkSize)
 		}
 		return openEager(m, dir)
 	}
-	if anyRemote && o.Remote == nil {
+	if remoteShards && o.Remote == nil {
 		return nil, fmt.Errorf("shard: manifest names remote shards but no remote opener is configured")
 	}
 
@@ -601,9 +601,10 @@ func (s *Set) ShardMayMatch(i int, p query.Predicate) bool {
 }
 
 // remoteBackend returns shard i's backend when it is served over the
-// fabric, opening it (under ctx) if needed. Local shards return
-// (nil, nil): their statistics run against the shard views, sharing the
-// chunk cache and the scan-verdict counters.
+// fabric, opening it (under ctx) if needed. Local shards, and every
+// shard of an eagerly reassembled set, return (nil, nil): their cuts
+// run with ComputeCut in process (see cut), sharing the chunk cache and
+// the query's ledger.
 func (s *Set) remoteBackend(ctx context.Context, i int) (RemoteBackend, error) {
 	if s.shards == nil || !s.shards[i].isRemote() {
 		return nil, nil
@@ -612,17 +613,6 @@ func (s *Set) remoteBackend(ctx context.Context, i int) (RemoteBackend, error) {
 		return nil, err
 	}
 	return s.shards[i].remote, nil
-}
-
-// colIndex resolves an attribute name against the combined schema.
-func (s *Set) colIndex(attr string) (int, error) {
-	schema := s.combined.Schema()
-	for ci := 0; ci < schema.NumFields(); ci++ {
-		if schema.Field(ci).Name == attr {
-			return ci, nil
-		}
-	}
-	return -1, fmt.Errorf("shard: no column %q", attr)
 }
 
 // AddCounts adds src into dst element-wise — the reduction for category
@@ -768,13 +758,15 @@ type ColumnPartial struct {
 	Rows, Nulls int
 	// Count is the column's non-NULL rows. Sum adds a numeric column's
 	// values, NaN included; Min and Max are the extremes of those other
-	// than NaN, valid when HasMinMax.
-	Count     int
-	Sum       float64
-	Min, Max  float64
-	HasMinMax bool
-	// Hist counts a numeric column's values into SummaryHist(Min, Max);
-	// nil when HasMinMax is false.
+	// than NaN, valid when HasMinMax. NegInf and PosInf count its −Inf
+	// and +Inf values.
+	Count          int
+	Sum            float64
+	Min, Max       float64
+	HasMinMax      bool
+	NegInf, PosInf int
+	// Hist counts a numeric column's finite values into SummaryHist over
+	// their extremes; nil when it has none.
 	Hist *stats.Histogram
 	// CatCounts are a string column's per-code counts in the set's
 	// dictionary.
@@ -785,7 +777,8 @@ type ColumnPartial struct {
 
 // Partials computes every column's ColumnPartial in two CutSummary
 // rounds over all rows of every shard: the first agrees each numeric
-// column's histogram range, the second counts the values into its bins.
+// column's histogram range, the extremes of its finite values, and the
+// second counts those values into its bins.
 // Each shard computes its summaries where it lives, and they fold in
 // shard order, so every field, the sum included, is the same whatever
 // holds the shards. No shard's raw values are centralized.
@@ -807,7 +800,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 	ranged := CutRequest{Kind: CutSummary}
 	for ci := range out {
 		p := &ColumnPartial{Rows: s.combined.NumRows()}
-		ext := engine.SummarizeNumeric(nil)
+		ext, fin := engine.SummarizeNumeric(nil), engine.SummarizeNumeric(nil)
 		if schema.Field(ci).Type == storage.String {
 			dict, err := storage.Dictionary(s.combined.Column(ci))
 			if err != nil {
@@ -820,6 +813,9 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 			p.Count += sum.Count
 			p.Sum += sum.Sum
 			ext.Merge(sum.Stats)
+			fin.Merge(sum.Finite)
+			p.NegInf += sum.NegInf
+			p.PosInf += sum.PosInf
 			p.Falses += sum.Falses
 			p.Trues += sum.Trues
 			if p.CatCounts != nil {
@@ -831,8 +827,10 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 		p.Nulls = p.Rows - p.Count
 		if schema.Field(ci).Type.IsNumeric() && p.Count > ext.NaN {
 			p.Min, p.Max, p.HasMinMax = ext.Min, ext.Max, true
-			ranged.Cols = append(ranged.Cols, ci)
-			ranged.Ranges = append(ranged.Ranges, [2]float64{ext.Min, ext.Max})
+			if fin.Min <= fin.Max {
+				ranged.Cols = append(ranged.Cols, ci)
+				ranged.Ranges = append(ranged.Ranges, [2]float64{fin.Min, fin.Max})
+			}
 		}
 		out[ci] = p
 	}
@@ -843,7 +841,7 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 		return nil, err
 	}
 	for c, ci := range ranged.Cols {
-		h, err := SummaryHist(out[ci].Min, out[ci].Max)
+		h, err := SummaryHist(ranged.Ranges[c][0], ranged.Ranges[c][1])
 		if err != nil {
 			return nil, err
 		}
@@ -865,17 +863,24 @@ func (s *Set) summaries(ctx context.Context, parallelism int, req CutRequest) ([
 	out := make([][]Summary, s.NumShards())
 	err := par.For(parallelism, len(out), func(i int) error {
 		var a CutAnswer
-		sb, err := s.remoteBackend(ctx, i)
-		if err != nil {
-			return err
-		}
-		if sb != nil {
-			err = sb.Cut(ctx, req, &a)
-		} else {
-			err = ComputeCut(ctx, s.views[i], req, &a)
-		}
+		err := s.cut(ctx, i, s.views[i], req, &a)
 		out[i] = a.Summaries
 		return err
 	})
 	return out, err
+}
+
+// cut answers req for shard i into a: over the fabric when the shard is
+// remote, otherwise with ComputeCut over t, a table of the shard's rows
+// (the whole combined table when an unaligned set answers as one
+// member). It is the one dispatch behind every cut of a set.
+func (s *Set) cut(ctx context.Context, i int, t *storage.Table, req CutRequest, a *CutAnswer) error {
+	rb, err := s.remoteBackend(ctx, i)
+	if err != nil {
+		return err
+	}
+	if rb != nil {
+		return rb.Cut(ctx, req, a)
+	}
+	return ComputeCut(ctx, t, req, a)
 }
