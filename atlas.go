@@ -373,11 +373,12 @@ type StoreOpenOptions struct {
 	// byte budget (shared across the files of a sharded set), <= 0 means
 	// unbounded.
 	CacheBytes int64
-	// Defer (sharded opens only) postpones opening shard files until a
-	// chunk or statistic of that shard is first touched; the manifest's
-	// per-shard statistics stand in for zone maps until then, so
-	// selective explorations skip whole shard files. A string column's
-	// dictionary needed before any shard opens opens shard 0 alone.
+	// Defer (sharded opens only) postpones opening each shard file until
+	// a chunk or statistic of that shard is first needed. It decides
+	// only when shards open: the set plans with the manifest's zone maps
+	// and dictionaries either way, so a selective exploration reads the
+	// same chunks deferred or not, and never opens a shard none of whose
+	// chunks it reads.
 	Defer bool
 	// VerifyCRC forces the whole-file trailer checksum even on lazy
 	// opens (lazy opens otherwise rely on per-chunk CRCs).
@@ -546,8 +547,8 @@ func OpenSharded(manifestPath string) (*ShardedTable, error) {
 }
 
 // OpenShardedWith is OpenSharded with explicit memory-tier options;
-// with Defer set, shard files open only when first touched and the
-// manifest's per-shard statistics prune whole files beforehand.
+// with Defer set, shard files open only when first touched, and a shard
+// whose chunks the manifest's zone maps all prune never opens.
 //
 // Manifests whose shard locations are http(s):// URLs open through the
 // remote shard fabric (see internal/remote): each such shard is served

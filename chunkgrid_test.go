@@ -187,3 +187,69 @@ func TestExplainSampleCountsLedgerScan(t *testing.T) {
 		t.Errorf("the sampled plan scans %d chunks, the full one %d: want the sample's few", scanned[sampled], scanned[full])
 	}
 }
+
+// TestDeferredPlansLikeEager: on the ra-sorted sky in 4 shards of
+// 4 096-row chunks, a deferred open plans every chunk as an eager open
+// does — before any shard opens and after the first explore has opened
+// some — because both plan with the manifest's zone maps. A 1 % ra band
+// scans at most its two edge chunks, in EXPLAIN and in the ledger of one
+// explore, and opens only the shard that holds it.
+func TestDeferredPlansLikeEager(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "sky.atlm")
+	if err := SaveSharded(raSortedSky(200_000, 7), manifest, ShardIngestOptions{Shards: 4, ChunkSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	bands := []string{
+		"EXPLORE sky WHERE ra BETWEEN 180 AND 183.6", // 1 %
+		"EXPLORE sky WHERE ra BETWEEN 90 AND 126",    // 10 %
+		"EXPLORE sky WHERE ra BETWEEN 90 AND 270",    // 50 %
+	}
+	open := func(deferred bool) (*StoreHandle, *Explorer) {
+		st, err := OpenStoreWith(manifest, StoreOpenOptions{Lazy: true, CacheBytes: 1 << 20, Defer: deferred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		ex, err := st.NewExplorer(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, ex
+	}
+	_, eager := open(false)
+	st, deferred := open(true)
+	plans := func(when string) {
+		for _, text := range bands {
+			want, err := eager.Explain(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := deferred.Explain(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got.Verdicts) != fmt.Sprint(want.Verdicts) {
+				t.Errorf("%s, %s: deferred verdicts %v, eager %v", when, text, got.Verdicts, want.Verdicts)
+			}
+		}
+	}
+	plans("before any shard opens")
+	if n := st.Sharded().OpenedShards(); n != 0 {
+		t.Fatalf("planning opened %d shards", n)
+	}
+	plan, err := deferred.Explain(bands[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := new(obsv.Ledger)
+	if _, err := deferred.exploreCtx(obsv.WithLedger(context.Background(), led), bands[0]); err != nil {
+		t.Fatal(err)
+	}
+	if sn := led.Snapshot(); plan.ChunksScanned > 2 || sn.ChunksScanned > 2 {
+		t.Errorf("the 1 %% band scans %d chunks in EXPLAIN and %d in the ledger, want at most 2", plan.ChunksScanned, sn.ChunksScanned)
+	}
+	if n := st.Sharded().OpenedShards(); n != 1 {
+		t.Errorf("the 1 %% band opened %d shards, want the one that holds it", n)
+	}
+	plans("after the first explore")
+}

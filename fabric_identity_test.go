@@ -2,7 +2,8 @@ package atlas
 
 // A generated identity net over the ways of holding a table that CUT's
 // pushdown changes the reader of: in memory, as lazy local range
-// shards, and behind loopback fabric servers. Seeded tables carry the
+// shards, and behind loopback fabric servers, each shard set opened
+// eagerly and deferred. Seeded tables carry the
 // values that broke residency identity before — NULL, NaN, ±Inf, −0 and
 // +0, constant and all-NULL columns, row counts one off a chunk
 // boundary — and random band and IN queries, with a drill into a region
@@ -14,9 +15,11 @@ package atlas
 // also a statement, plain and under one WITH clause in turn, that
 // answers alike through the façade, POST /api/explore and a session
 // root, all on one Cartographer, and as a Cartographer of its own under
-// the clause's options.
+// the clause's options. Deferred and eager opens of one manifest plan
+// every query alike, before their shards open and after.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,6 +37,8 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/cql"
+	"repro/internal/engine"
+	"repro/internal/obsv"
 	"repro/internal/remote"
 	"repro/internal/sample"
 	"repro/internal/server"
@@ -451,9 +456,12 @@ func unalignedHash(t *testing.T, tbl *storage.Table, shards int) *shard.Set {
 }
 
 // identityNet checks that every query, its drill and its samples answer
-// on tbl's lazy shards and fabric — a few shards and several, drawn from
-// r — exactly as in memory, at Parallelism 1 and 2; and on a hash set of
-// tbl's rows, which reorders them, exactly as its own rows in memory.
+// on tbl's lazy shards and fabric, each opened eagerly and deferred — a
+// few shards and several, drawn from r — exactly as in memory, at
+// Parallelism 1 and 2; and on a hash set of tbl's rows, which reorders
+// them, exactly as its own rows in memory. Before any of that opens a
+// deferred set's shards, samePlans checks that it plans as its eager
+// twin.
 func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, queries []string) {
 	t.Helper()
 	want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
@@ -467,15 +475,31 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 			t.Fatal(err)
 		}
 		defer lazy.Close()
-		fabric, err := shard.OpenWith(serveShards(t, local), shard.Options{
-			Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10},
-			Defer:  true,
-			Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
-		})
+		deferred, err := shard.OpenWith(local, shard.Options{Store: colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10}, Defer: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer fabric.Close()
+		defer deferred.Close()
+		served := serveShards(t, local)
+		openFabric := func(deferred bool) *shard.Set {
+			set, err := shard.OpenWith(served, shard.Options{
+				Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: 4 << 10},
+				Defer:  deferred,
+				Remote: remote.NewOpener(remote.Options{Timeout: 10 * time.Second}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { set.Close() })
+			return set
+		}
+		fabric, fabricEager := openFabric(true), openFabric(false)
+		for _, pair := range []struct{ eager, deferred residency }{
+			{residency{"lazy shards", lazy.Table(), lazy}, residency{"deferred shards", deferred.Table(), deferred}},
+			{residency{"fabric eager", fabricEager.Table(), fabricEager}, residency{"fabric", fabric.Table(), fabric}},
+		} {
+			samePlans(t, fmt.Sprintf("%s, %d shards", label, shards), pair.eager, pair.deferred, queries)
+		}
 		hash := unalignedHash(t, tbl, shards+1)
 		hashWant, _ := identityAnswers(t, residency{name: "memory", table: hash.Table()}, 1, queries)
 		for _, par := range []int{1, 2} {
@@ -487,7 +511,9 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 				{tbl, want, []residency{
 					{"memory", tbl, nil},
 					{"lazy shards", lazy.Table(), lazy},
+					{"deferred shards", deferred.Table(), deferred},
 					{"fabric", fabric.Table(), fabric},
+					{"fabric eager", fabricEager.Table(), fabricEager},
 				}},
 				{hash.Table(), hashWant, []residency{{"hash shards", hash.Table(), hash}}},
 			} {
@@ -517,4 +543,59 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 			}
 		}
 	}
+}
+
+// samePlans checks that a deferred set plans every query as the eager
+// set of the same manifest: EXPLAIN gives the same verdict for every
+// chunk before the deferred set opens a shard (planning opens none) and
+// after its explorations have opened them, and one exploration of each
+// query bills the same chunks scanned, pruned and full to its ledger.
+func samePlans(t *testing.T, label string, eager, deferred residency, queries []string) {
+	t.Helper()
+	explains := func(res residency) []string {
+		var out []string
+		for _, text := range queries {
+			st, err := cql.Parse(text, res.table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := engine.ExplainQuery(res.table, st.Query, nil)
+			if err != nil {
+				t.Fatalf("%s: explain %s on %s: %v", label, text, res.name, err)
+			}
+			out = append(out, fmt.Sprint(ex.Verdicts))
+		}
+		return out
+	}
+	ledgers := func(res residency) []string {
+		cart := res.cartographer(t, 1)
+		var out []string
+		for _, text := range queries {
+			st, err := cql.Parse(text, res.table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			led := new(obsv.Ledger)
+			if _, err := cart.ExploreCtx(obsv.WithLedger(context.Background(), led), st.Query); err != nil {
+				t.Fatalf("%s: %s on %s: %v", label, text, res.name, err)
+			}
+			sn := led.Snapshot()
+			out = append(out, fmt.Sprintf("%d scanned, %d pruned, %d full", sn.ChunksScanned, sn.ChunksPruned, sn.ChunksFull))
+		}
+		return out
+	}
+	compare := func(what string, got, want []string) {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s of %s on %s: %s, on %s: %s", label, what, queries[i], deferred.name, got[i], eager.name, want[i])
+			}
+		}
+	}
+	wantPlans, before := explains(eager), explains(deferred)
+	if n := deferred.set.OpenedShards(); n != 0 {
+		t.Errorf("%s: planning opened %d shards of %s", label, n, deferred.name)
+	}
+	compare("the plan before its shards open", before, wantPlans)
+	compare("the ledger", ledgers(deferred), ledgers(eager))
+	compare("the plan after its shards open", explains(deferred), wantPlans)
 }

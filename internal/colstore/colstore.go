@@ -313,7 +313,7 @@ func write(w io.Writer, t *storage.Table, chunkSize int) (*storage.Chunking, err
 			de.uv(uint64(ref.off))
 			de.uv(uint64(ref.length))
 			de.u32(ref.crc)
-			de.zoneHeader(ck.Zones[c][k])
+			de.zone(ck.Zones[c][k])
 		}
 	}
 	if de.err != nil {
@@ -351,6 +351,7 @@ type encoder struct {
 	err error
 	n   int64
 	buf [binary.MaxVarintLen64]byte
+	rec []byte // zone-record scratch
 }
 
 func (e *encoder) raw(b []byte) {
@@ -387,46 +388,17 @@ func (e *encoder) bytes(b []byte) {
 	e.raw(b)
 }
 
-const (
-	flagNulls   = 1
-	flagMinMax  = 2
-	flagCodeSet = 4
-)
-
-// zoneHeader writes one zone map in the shared header encoding (flags,
-// optional min/max, null count, distinct, optional code set) — the
-// prefix of every chunk, and the per-chunk metadata record of the
-// directory.
-func (e *encoder) zoneHeader(zm storage.ZoneMap) {
-	var flags byte
-	if zm.NullCount > 0 {
-		flags |= flagNulls
-	}
-	if zm.HasMinMax {
-		flags |= flagMinMax
-	}
-	if zm.CodeSet != nil {
-		flags |= flagCodeSet
-	}
-	e.u8(flags)
-	if zm.HasMinMax {
-		e.u64(math.Float64bits(zm.Min))
-		e.u64(math.Float64bits(zm.Max))
-	}
-	e.uv(uint64(zm.NullCount))
-	e.uv(uint64(zm.Distinct))
-	if zm.CodeSet != nil {
-		e.uv(uint64(len(zm.CodeSet)))
-		for _, w := range zm.CodeSet {
-			e.u64(w)
-		}
-	}
+// zone writes zm's zone-map record (see AppendZone): the prefix of every
+// chunk, and the per-chunk metadata record of the directory.
+func (e *encoder) zone(zm storage.ZoneMap) {
+	e.rec = AppendZone(e.rec[:0], zm)
+	e.raw(e.rec)
 }
 
 // chunk writes one column chunk: zone map, null words, values.
 func (e *encoder) chunk(col storage.Column, zm storage.ZoneMap, nullWords []uint64, lo, hi int) {
 	w0, w1 := lo/64, (hi+63)/64
-	e.zoneHeader(zm)
+	e.zone(zm)
 	if zm.NullCount > 0 {
 		// Chunk boundaries are word-aligned, so the chunk's null words
 		// are a verbatim slice of the column bitmap.
@@ -669,7 +641,7 @@ func (d *decoder) directory(h *header, numChunks int) (dictRanges []byteRange, d
 			// Code-set sizing is validated against the real dictionary once
 			// it is loaded (validateDir); the directory pass applies the
 			// structural bound only (dictLen -1).
-			zm, _, zerr := d.zoneHeader(f, -1, chunkRows, k)
+			zm, zerr := d.zoneHeader(f, -1, chunkRows, k)
 			if zerr != nil {
 				return nil, nil, nil, zerr
 			}
@@ -757,43 +729,18 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
-// zoneHeader decodes one zone map in the shared header encoding (the
-// prefix of every chunk, and the directory's per-chunk record). dictLen
-// is the column's dictionary size, used to validate code-set sizing;
-// pass -1 when the dictionary is not at hand (directory pass), which
-// applies the structural bound only.
-func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storage.ZoneMap, byte, error) {
-	flags := d.u8()
-	if d.err == nil && flags&^(flagNulls|flagMinMax|flagCodeSet) != 0 {
-		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: unknown flags %#x", k, flags)
-	}
-	zm := storage.ZoneMap{}
-	if flags&flagMinMax != 0 {
-		zm.Min = math.Float64frombits(d.u64())
-		zm.Max = math.Float64frombits(d.u64())
-		zm.HasMinMax = true
-	}
-	zm.NullCount = int(d.uv())
-	zm.Distinct = int(d.uv())
-	if flags&flagCodeSet != 0 {
-		// Bound the words before allocating them; zm.Check below refuses
-		// a set the column or its dictionary cannot hold.
-		nw := int(d.uv())
-		if d.err == nil && (nw <= 0 || nw > (storage.MaxZoneCodes+63)/64) {
-			return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: implausible code set of %d words", k, nw)
-		}
-		zm.CodeSet = make([]uint64, nw)
-		for wi := range zm.CodeSet {
-			zm.CodeSet[wi] = d.u64()
-		}
-	}
+// zoneHeader decodes the zone-map record at d's position (see
+// ParseZone), naming chunk k in its error.
+func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storage.ZoneMap, error) {
 	if d.err != nil {
-		return storage.ZoneMap{}, 0, d.err
+		return storage.ZoneMap{}, d.err
 	}
-	if err := zm.Check(f.Type, dictLen, chunkRows); err != nil {
-		return storage.ZoneMap{}, 0, fmt.Errorf("chunk %d: %w", k, err)
+	zm, n, err := ParseZone(d.data[d.off:], f.Type, dictLen, chunkRows)
+	if err != nil {
+		return storage.ZoneMap{}, fmt.Errorf("chunk %d: %w", k, err)
 	}
-	return zm, flags, nil
+	d.off += n
+	return zm, nil
 }
 
 // decodeChunk is the one chunk decoder: it decodes an encoded chunk
@@ -806,14 +753,14 @@ func (d *decoder) zoneHeader(f storage.Field, dictLen, chunkRows, k int) (storag
 // chunk's row count and k its index (error context).
 func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *storage.ChunkPayload) (storage.ZoneMap, error) {
 	d := &decoder{data: raw}
-	zm, flags, err := d.zoneHeader(f, dictLen, chunkRows, k)
+	zm, err := d.zoneHeader(f, dictLen, chunkRows, k)
 	if err != nil {
 		return zm, err
 	}
 	chunkWords := (chunkRows + 63) / 64
 	nullDst := p.Nulls
 	p.Nulls = nil
-	if flags&flagNulls != 0 {
+	if zm.NullCount > 0 {
 		if !d.need(8 * chunkWords) {
 			return zm, d.err
 		}
@@ -834,8 +781,6 @@ func decodeChunk(raw []byte, f storage.Field, dictLen, chunkRows, k int, p *stor
 			return zm, fmt.Errorf("null bitmap holds %d NULLs, header claims %d", count, zm.NullCount)
 		}
 		p.Nulls = nullDst
-	} else if zm.NullCount > 0 {
-		return zm, fmt.Errorf("chunk claims %d nulls but carries no bitmap", zm.NullCount)
 	}
 	// Values decode with one bounds check per chunk, not per element;
 	// 8-byte runs are one copy on little-endian hosts (see words.go).

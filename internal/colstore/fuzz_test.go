@@ -85,7 +85,7 @@ func sealAtl(data []byte) []byte {
 					off, length := d.uv(), d.uv()
 					at := d.off
 					d.u32()
-					if _, _, err := d.zoneHeader(f, -1, min(h.chunkSize, h.rows-k*h.chunkSize), k); err != nil {
+					if _, err := d.zoneHeader(f, -1, min(h.chunkSize, h.rows-k*h.chunkSize), k); err != nil {
 						break walk
 					}
 					if off <= uint64(n) && length <= uint64(n)-off {

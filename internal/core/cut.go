@@ -332,7 +332,7 @@ func cutNumeric(ext *engine.NumericExtract, attr string, opts CutOptions, s *cut
 	var edges []float64
 	switch opts.Numeric {
 	case CutEquiWidth:
-		edges = equiWidthEdges(lo, hi, k)
+		edges, _ = stats.EqualWidth(lo, hi, k)
 	case CutMedian:
 		mid := stats.SelectQuantiles(nn, lo, hi, splitPoints(k), &s.candidates)
 		edges = append(append([]float64{lo}, mid...), hi)
@@ -352,16 +352,6 @@ func cutNumeric(ext *engine.NumericExtract, attr string, opts CutOptions, s *cut
 		preds = append(preds, p)
 	}
 	return preds, nil
-}
-
-func equiWidthEdges(lo, hi float64, k int) []float64 {
-	edges := make([]float64, k+1)
-	w := (hi - lo) / float64(k)
-	for i := 0; i <= k; i++ {
-		edges[i] = lo + w*float64(i)
-	}
-	edges[k] = hi
-	return edges
 }
 
 // splitPoints are the quantiles a k-way cut reads: 1/k … (k−1)/k.
@@ -388,21 +378,18 @@ func varianceEdges(vals []float64, lo, hi float64, k int) []float64 {
 	if k > b {
 		k = b
 	}
-	// Bin representatives (midpoints) and weights; prefix sums for O(1)
-	// SSE of any bin range.
-	mid := make([]float64, b)
-	w := make([]float64, b)
-	for i := 0; i < b; i++ {
-		mid[i] = (h.Edges[i] + h.Edges[i+1]) / 2
-		w[i] = float64(h.Counts[i])
-	}
+	// Bin representatives and weights; prefix sums for O(1) SSE of any
+	// bin range. The bins are equally wide, so the same boundaries
+	// minimize the SSE in bin units (midpoint i + 0.5), which neither
+	// overflows nor depends on the values' scale.
 	pw := make([]float64, b+1)  // weight prefix
 	pwx := make([]float64, b+1) // weight*mid prefix
 	pwx2 := make([]float64, b+1)
 	for i := 0; i < b; i++ {
-		pw[i+1] = pw[i] + w[i]
-		pwx[i+1] = pwx[i] + w[i]*mid[i]
-		pwx2[i+1] = pwx2[i] + w[i]*mid[i]*mid[i]
+		w, mid := float64(h.Counts[i]), float64(i)+0.5
+		pw[i+1] = pw[i] + w
+		pwx[i+1] = pwx[i] + w*mid
+		pwx2[i+1] = pwx2[i] + w*mid*mid
 	}
 	sse := func(i, j int) float64 { // bins [i, j)
 		wt := pw[j] - pw[i]

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/colstore"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -44,7 +45,7 @@ func referenceNumericEdges(vals []float64, opts CutOptions) (edges []float64, ok
 	}
 	switch opts.Numeric {
 	case CutEquiWidth:
-		edges = equiWidthEdges(lo, hi, k)
+		edges, _ = stats.EqualWidth(lo, hi, k)
 	case CutMedian:
 		edges = []float64{lo}
 		for _, q := range splitPoints(k) {

@@ -91,6 +91,44 @@ func TestCutEquiWidth(t *testing.T) {
 	}
 }
 
+// TestCutHugeSpan: equiwidth and variance cuts of a column whose finite
+// span overflows a float64 (±1e308, and ±MaxFloat64) give finite,
+// ordered edges, and their regions cover every row exactly once.
+func TestCutHugeSpan(t *testing.T) {
+	for _, m := range []float64{1e308, math.MaxFloat64} {
+		var vals []float64
+		for i := -50; i <= 50; i++ {
+			vals = append(vals, m*(float64(i)/50))
+		}
+		tbl := numTable(t, vals)
+		for _, strategy := range []NumericCut{CutEquiWidth, CutVariance} {
+			opts := DefaultCutOptions()
+			opts.Numeric = strategy
+			preds, err := CutPredicates(tbl, fullSel(tbl), "x", opts)
+			if err != nil {
+				t.Fatalf("±%g %v: %v", m, strategy, err)
+			}
+			for i, p := range preds {
+				if math.IsInf(p.Lo, 0) || math.IsInf(p.Hi, 0) || math.IsNaN(p.Lo) || math.IsNaN(p.Hi) || !(p.Lo < p.Hi) ||
+					i > 0 && p.Lo != preds[i-1].Hi {
+					t.Fatalf("±%g %v: region %d is %v", m, strategy, i, p)
+				}
+			}
+			for _, v := range vals {
+				n := 0
+				for _, p := range preds {
+					if p.MatchFloat(v) {
+						n++
+					}
+				}
+				if n != 1 {
+					t.Errorf("±%g %v: %g lies in %d regions of %v", m, strategy, v, n, preds)
+				}
+			}
+		}
+	}
+}
+
 func TestCutVarianceFindsClusterGap(t *testing.T) {
 	// Two tight clusters at 0 and 100: the variance-optimal binary cut
 	// separates them; the equi-width cut would too, but a median cut on

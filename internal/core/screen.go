@@ -127,13 +127,11 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 		// Dictionary cardinality is the global distinct count; check the
 		// selection-local counts up to the sample limit. seen is a bitset
 		// over the codes met so far. The dictionary's length bounds the
-		// distinct count, but it is asked for only once the duplicates
-		// would settle the verdict, and used only when known without a
-		// load: the screen itself resolves no dictionary and opens no
-		// deferred shard.
+		// distinct count; it settles the verdict once the duplicates
+		// would.
 		var seen []uint64
 		rows, distinct := 0, 0
-		dups, checked, smallDict := settled(1-opts.UniqueRatio), false, false
+		dups, smallDict := settled(1-opts.UniqueRatio), runs.DictLen() <= opts.MaxCardinality
 		walk(func(w0 int, sw []uint64, p *storage.ChunkPayload) bool {
 			return p.EachRow(sw, w0, func(_, l int) bool {
 				c := p.Codes[l]
@@ -143,11 +141,7 @@ func screenColumn(ctx context.Context, runs *storage.Runs, f storage.Field, sel 
 				distinct += int(^seen[c>>6] >> (c & 63) & 1)
 				seen[c>>6] |= 1 << (c & 63)
 				rows++
-				if !checked && rows-distinct >= dups && distinct > 1 {
-					n, ok := runs.DictLen()
-					checked, smallDict = true, ok && n <= opts.MaxCardinality
-				}
-				return rows < limit && !smallDict
+				return rows < limit && !(smallDict && rows-distinct >= dups && distinct > 1)
 			})
 		})
 		switch {

@@ -12,10 +12,8 @@ import (
 // fused conjunctive scan that compiles the query's predicates and
 // replays the chunk loop against zone maps ALONE — no chunk payload is
 // ever fetched or decoded, so explaining a query against a cold remote
-// fabric costs zero chunk-plane I/O. (Compiling an In predicate on a
-// lazy string column resolves the dictionary, which on remote shards is
-// one statistics-plane round trip; that is the same cost the real scan
-// pays at compile time.)
+// fabric costs zero chunk-plane I/O. A shard set's zone maps and
+// dictionaries are its manifest's, so explaining opens no shard.
 
 // ChunkVerdict is a zone map's answer for one chunk, as EXPLAIN
 // reports it.
@@ -56,8 +54,8 @@ type PredExplain struct {
 
 // QueryExplain is the dry-run plan of one conjunctive query against
 // one table: per-predicate and combined chunk verdicts, and the I/O
-// the scan would cost, all read off manifest statistics and zone maps
-// before any chunk is touched.
+// the scan would cost, all read off zone maps before any chunk is
+// touched.
 type QueryExplain struct {
 	// Table is the table name, Rows its row count.
 	Table string `json:"table"`

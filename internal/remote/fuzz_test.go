@@ -275,13 +275,14 @@ func FuzzCutFrames(f *testing.F) {
 }
 
 // FuzzShardMeta: a meta answer either builds a snapshot every one of
-// whose zone maps passes the checks a shard file's reader applies —
+// whose zone-map records passes the checks a shard file's reader applies —
 // sized to the shard's chunks and, for code sets, to the column's
 // dictionary — or fails with an error. Seeded with a real server's
 // answer.
 func FuzzShardMeta(f *testing.F) {
 	f.Add(servedMeta(f, f.TempDir()))
-	f.Add([]byte(`{"rows":1,"chunkSize":64,"version":3,"columns":[{"name":"s","type":"string","dict":["a"],"zones":[{"nulls":1,"codeSet":"AQAAAAAAAAA="}]}]}`))
+	f.Add([]byte(`{"rows":1,"chunkSize":64,"version":3,"columns":[{"name":"s","type":"string","dict":["a"],"zones":"BQEBAQEAAAAAAAAA"}]}`))
+	f.Add([]byte(`{"rows":9223372036854775807,"chunkSize":64,"version":3,"columns":[{"name":"n","type":"int64","zones":"AAAA"}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var dto metaDTO
 		if json.Unmarshal(body, &dto) != nil {

@@ -2,8 +2,8 @@ package remote
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -84,25 +84,32 @@ func TestOpenShardOneRequest(t *testing.T) {
 // chunk.
 func TestOpenShardRefusesCraftedZones(t *testing.T) {
 	good := servedMeta(t, t.TempDir())
-	word := base64.StdEncoding.EncodeToString(make([]byte, 8))
 	for _, tc := range []struct {
 		name, col string
-		craft     func(z *zoneDTO)
+		craft     func(z *storage.ZoneMap)
 	}{
-		{"null count above the chunk's rows", "age", func(z *zoneDTO) { z.Nulls = 65 }},
-		{"negative null count", "sex", func(z *zoneDTO) { z.Nulls = -1 }},
-		{"code set on a numeric column", "age", func(z *zoneDTO) { z.CodeSet = word }},
-		{"code set not sized to the dictionary", "education", func(z *zoneDTO) { z.CodeSet = word + word }},
+		{"null count above the chunk's rows", "age", func(z *storage.ZoneMap) { z.NullCount = 65 }},
+		{"negative null count", "sex", func(z *storage.ZoneMap) { z.NullCount = -1 }},
+		{"code set on a numeric column", "age", func(z *storage.ZoneMap) { z.CodeSet = []uint64{1} }},
+		{"code set not sized to the dictionary", "education", func(z *storage.ZoneMap) { z.CodeSet = []uint64{1, 0} }},
+		{"min above max", "age", func(z *storage.ZoneMap) { z.Min, z.Max = z.Max+1, z.Min }},
+		{"NaN max", "age", func(z *storage.ZoneMap) { z.Max = math.NaN() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var dto metaDTO
 			if err := json.Unmarshal(good, &dto); err != nil {
 				t.Fatal(err)
 			}
-			for ci := range dto.Columns {
-				if dto.Columns[ci].Name == tc.col {
-					tc.craft(&dto.Columns[ci].Zones[1])
+			for ci, col := range dto.Columns {
+				if col.Name != tc.col {
+					continue
 				}
+				zones, err := colstore.DecodeZones(col.Zones, storage.String, -1, dto.Rows, dto.ChunkSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.craft(&zones[1])
+				dto.Columns[ci].Zones = colstore.EncodeZones(zones)
 			}
 			body, err := json.Marshal(dto)
 			if err != nil {
@@ -129,79 +136,130 @@ func TestOpenShardRefusesCraftedZones(t *testing.T) {
 	}
 }
 
-// TestFabricRefusesMixedDictionaries: a 2-shard fabric whose shard files
-// were written with different dictionaries is refused at open, naming
-// the shard and the column.
+// TestShardMetaRefusesHugeRows: a meta answer claiming rows near MaxInt
+// is refused with an error, not a panic from an overflowed chunk count.
+func TestShardMetaRefusesHugeRows(t *testing.T) {
+	dto := metaDTO{Rows: math.MaxInt64, ChunkSize: 64, Version: colstore.Version,
+		Columns: []colDTO{{Name: "n", Type: "int64", Zones: colstore.EncodeZones(make([]storage.ZoneMap, 1))}}}
+	if _, err := dto.snapshot(); err == nil || !strings.Contains(err.Error(), `column "n"`) {
+		t.Fatalf("rows = MaxInt64: err = %v", err)
+	}
+}
+
+// TestFabricRefusesMixedDictionaries: a fabric shard that disagrees with
+// the manifest — a file written with another dictionary, other rows
+// under the same dictionary, or another schema — is refused when it
+// opens, eagerly or deferred, naming the shard's location, the column
+// and, for zone maps, the chunk.
 func TestFabricRefusesMixedDictionaries(t *testing.T) {
-	dir := t.TempDir()
-	var m *shard.Manifest
-	for i, name := range []string{"a", "b"} {
-		mi, err := shard.WriteSharded(filepath.Join(dir, name+".atlm"), datagen.Census(1_024, int64(i+1)), shard.IngestOptions{Shards: 1, ChunkSize: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m == nil {
-			m = mi
-			continue
-		}
-		m.Shards = append(m.Shards, mi.Shards...)
-		m.Rows += mi.Rows
-	}
-	local := filepath.Join(dir, "mixed.atlm")
-	if err := shard.WriteManifestFile(local, m); err != nil {
-		t.Fatal(err)
-	}
-	f := startFabric(t, local, nil)
-	opener := testOpener()
-	defer opener.Close()
-	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
-	if err == nil {
-		set.Close()
-		t.Fatal("shards with different dictionaries were accepted")
-	}
-	if !strings.Contains(err.Error(), "dictionary mismatch") || !strings.Contains(err.Error(), "on column") {
-		t.Errorf("error %q does not name the dictionary mismatch and its column", err)
-	}
-	if !strings.Contains(err.Error(), f.servers[0].URL) || !strings.Contains(err.Error(), f.servers[1].URL) {
-		t.Errorf("error %q does not name the shards", err)
+	tbl := datagen.Census(2_048, 1)
+	for _, tc := range []struct {
+		name    string
+		replace func() *storage.Table
+		want    string
+	}{
+		{"dictionary", func() *storage.Table { return datagen.Census(1_024, 2) }, "dictionary mismatch on column"},
+		{"zone maps", func() *storage.Table {
+			p, err := tbl.SliceRows("census", 0, 1_024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, `zone map mismatch on column "age" chunk 0`},
+		{"schema", func() *storage.Table { return datagen.SkySurvey(1_024, 1) }, "7 columns, manifest declares 5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local := writeShardedInputs(t, tbl, 2, 128)
+			m, err := shard.ReadManifest(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := colstore.WriteFile(filepath.Join(filepath.Dir(local), m.Shards[1].File), tc.replace(), 128); err != nil {
+				t.Fatal(err)
+			}
+			f := startFabric(t, local, nil)
+			opener := testOpener()
+			defer opener.Close()
+			want := func(err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatal("a shard that disagrees with its manifest was accepted")
+				}
+				for _, s := range []string{"shard 1 (" + f.servers[1].URL + ") disagrees with the manifest", tc.want} {
+					if !strings.Contains(err.Error(), s) {
+						t.Errorf("error %q does not say %q", err, s)
+					}
+				}
+			}
+			set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener})
+			if err == nil {
+				set.Close()
+			}
+			want(err)
+			set, err = shard.OpenWith(f.manifest, shard.Options{Remote: opener, Defer: true})
+			if err != nil {
+				t.Fatalf("deferred open touched a shard: %v", err)
+			}
+			defer set.Close()
+			cart, err := core.NewCartographer(set.Table(), core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = cart.Explore(query.New("census"))
+			want(err)
+		})
 	}
 }
 
 // TestDeferredFabricCategoricalOpens: a selective exploration of a
-// deferred 4-shard fabric with a string column opens at most the shard
-// its base touches and the one the dictionaries come from.
+// deferred 4-shard fabric with a string column opens exactly the shards
+// whose zone maps admit its predicates — a ts band, or an IN on a kind
+// column clustered by shard — and none only to supply a dictionary,
+// which is the manifest's.
 func TestDeferredFabricCategoricalOpens(t *testing.T) {
 	const n = 8192
 	schema := storage.MustSchema(
 		storage.Field{Name: "ts", Type: storage.Int64},
 		storage.Field{Name: "load", Type: storage.Float64},
 		storage.Field{Name: "kind", Type: storage.String},
+		storage.Field{Name: "mode", Type: storage.String},
 	)
 	b := storage.NewBuilder("events", schema)
 	for i := 0; i < n; i++ {
-		b.MustAppendRow(int64(i), float64((i*37)%1000)/10, []string{"read", "write", "scan"}[i%3])
+		// kind is "read" on shards 0 and 3, "write" on 1, "scan" on 2.
+		b.MustAppendRow(int64(i), float64((i*37)%1000)/10, []string{"read", "write", "scan", "read"}[i/2048], []string{"a", "b", "c"}[i%3])
 	}
 	f := startFabric(t, writeShardedInputs(t, b.MustBuild(), 4, 256), nil)
 	opener := testOpener()
 	defer opener.Close()
-	set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener, Defer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	cart, err := core.NewCartographer(set.Table(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A band of shard 2's rows.
-	res, err := cart.Explore(query.New("events", query.NewRange("ts", 4400, 4600)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BaseCount != 201 {
-		t.Fatalf("base count %d, want 201", res.BaseCount)
-	}
-	if opened := set.OpenedShards(); opened > 2 {
-		t.Errorf("opened %d of 4 remote shards, want at most 2", opened)
+	for _, tc := range []struct {
+		q      query.Query
+		base   int
+		opened int
+	}{
+		{query.New("events", query.NewRange("ts", 4400, 4600)), 201, 1},
+		{query.New("events", query.NewIn("kind", "write")), 2048, 1},
+		{query.New("events", query.NewIn("kind", "read")), 4096, 2},
+		{query.New("events", query.NewIn("kind", "write"), query.NewIn("mode", "b")), 682, 1},
+	} {
+		set, err := shard.OpenWith(f.manifest, shard.Options{Remote: opener, Defer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cart, err := core.NewCartographer(set.Table(), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cart.Explore(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BaseCount != tc.base {
+			t.Errorf("%s: base count %d, want %d", tc.q, res.BaseCount, tc.base)
+		}
+		if opened := set.OpenedShards(); opened != tc.opened {
+			t.Errorf("%s: opened %d of 4 remote shards, want %d", tc.q, opened, tc.opened)
+		}
+		set.Close()
 	}
 }

@@ -25,9 +25,9 @@
 // scan's window, or a single missed chunk — and the answer is one body
 // of frames (k, len, crc, bytes). The wire format IS the .atl chunk
 // encoding, so the directory's per-chunk CRCs travel in the frames and
-// are re-verified on the client; zone-map pruning and manifest-level
-// shard pruning (ShardMayMatch, deferred opens) keep chunks out of the
-// request the way they skip file reads locally.
+// are re-verified on the client; zone-map pruning (the manifest's zone
+// maps, on deferred sets before the shard connects) keeps chunks out of
+// the request the way it skips file reads locally.
 //
 // # Endpoints (all under /shard/v1/)
 //
@@ -264,10 +264,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	}
 	zones := s.tbl.Chunking().Zones
 	for ci, f := range s.tbl.Schema().Fields() {
-		col := colDTO{Name: f.Name, Type: typeName(f.Type), Zones: make([]zoneDTO, len(zones[ci]))}
-		for k, zm := range zones[ci] {
-			col.Zones[k] = zoneToDTO(zm)
-		}
+		col := colDTO{Name: f.Name, Type: typeName(f.Type), Zones: colstore.EncodeZones(zones[ci])}
 		if f.Type == storage.String {
 			dict, err := storage.Dictionary(s.tbl.Column(ci))
 			if err != nil {

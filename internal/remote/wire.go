@@ -1,13 +1,10 @@
 package remote
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/colstore"
 	"repro/internal/shard"
@@ -17,27 +14,14 @@ import (
 // This file defines the fabric's wire representations. Two rules keep
 // the protocol honest:
 //
-//   - Floats travel as IEEE-754 bit patterns (hex for JSON fields,
-//     little-endian u64 for binary bodies), never as decimal text: the
+//   - Floats travel as IEEE-754 bit patterns (little-endian u64 in
+//     binary bodies and in zone-map records), never as decimal text: the
 //     coordinator must reconstruct *exactly* the value the shard holds
 //     (byte-identical explorations depend on it), and JSON numbers
 //     cannot carry NaN or ±Inf at all.
 //   - Bulk payloads (chunk bytes, cut requests and answers) are binary;
-//     everything metadata-shaped is JSON.
-
-// fbits encodes a float64 as its hex bit pattern.
-func fbits(v float64) string {
-	return strconv.FormatUint(math.Float64bits(v), 16)
-}
-
-// parseFbits decodes a hex bit pattern back into a float64.
-func parseFbits(s string) (float64, error) {
-	u, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("remote: bad float bits %q", s)
-	}
-	return math.Float64frombits(u), nil
-}
+//     everything metadata-shaped is JSON, zone maps in it as the .atl
+//     zone-map records (colstore.EncodeZones).
 
 // Header names of the fabric.
 const (
@@ -76,17 +60,18 @@ type colDTO struct {
 	Type string `json:"type"`
 	// Dict is a string column's dictionary; absent on other columns.
 	Dict []string `json:"dict,omitempty"`
-	// Zones holds the column's zone maps, one per chunk.
-	Zones []zoneDTO `json:"zones"`
+	// Zones holds the column's zone maps, one record per chunk
+	// (colstore.EncodeZones).
+	Zones string `json:"zones"`
 }
 
 // snapshot checks the answer and builds the shard's open snapshot from
-// it. It refuses what a shard file's own reader refuses, because each
-// would mis-prune scans silently: a NULL count outside the chunk's rows,
-// a code set on a non-string column or one not sized to the dictionary.
-// A dictionary on a non-string column, a zone map per chunk missing or
-// in excess, an implausible shape and a foreign chunk encoding are
-// refused too.
+// it. Its zone maps pass the reader a shard file's and a manifest's pass
+// (colstore.DecodeZones), because each fault would mis-prune scans
+// silently: a NULL count outside the chunk's rows, a code set on a
+// non-string column or one not sized to the dictionary, a zone map per
+// chunk missing or in excess. A dictionary on a non-string column, an
+// implausible shape and a foreign chunk encoding are refused too.
 func (m *metaDTO) snapshot() (shard.BackendMeta, error) {
 	if m.Rows < 0 || m.ChunkSize <= 0 || m.ChunkSize%64 != 0 {
 		return shard.BackendMeta{}, fmt.Errorf("implausible shape rows=%d chunkSize=%d", m.Rows, m.ChunkSize)
@@ -108,25 +93,14 @@ func (m *metaDTO) snapshot() (shard.BackendMeta, error) {
 	}
 	out := shard.BackendMeta{Table: m.Table, Rows: m.Rows, ChunkSize: m.ChunkSize, Schema: schema,
 		Zones: make([][]storage.ZoneMap, len(fields)), Dicts: make([][]string, len(fields))}
-	numChunks := (m.Rows + m.ChunkSize - 1) / m.ChunkSize
 	for ci, col := range m.Columns {
 		f := fields[ci]
 		if col.Dict != nil && f.Type != storage.String {
 			return shard.BackendMeta{}, fmt.Errorf("column %q: dictionary on a %v column", f.Name, f.Type)
 		}
-		if len(col.Zones) != numChunks {
-			return shard.BackendMeta{}, fmt.Errorf("column %q has %d zone maps for %d chunks", f.Name, len(col.Zones), numChunks)
-		}
-		zones := make([]storage.ZoneMap, numChunks)
-		for k, d := range col.Zones {
-			zm, err := zoneFromDTO(d)
-			if err == nil {
-				err = zm.Check(f.Type, len(col.Dict), min(m.ChunkSize, m.Rows-k*m.ChunkSize))
-			}
-			if err != nil {
-				return shard.BackendMeta{}, fmt.Errorf("column %q chunk %d: %w", f.Name, k, err)
-			}
-			zones[k] = zm
+		zones, err := colstore.DecodeZones(col.Zones, f.Type, len(col.Dict), m.Rows, m.ChunkSize)
+		if err != nil {
+			return shard.BackendMeta{}, fmt.Errorf("column %q: %w", f.Name, err)
 		}
 		out.Zones[ci], out.Dicts[ci] = zones, col.Dict
 	}
@@ -159,58 +133,6 @@ func parseTypeName(s string) (storage.DataType, error) {
 	default:
 		return 0, fmt.Errorf("remote: unknown column type %q", s)
 	}
-}
-
-// zoneDTO is one zone map of GET /shard/v1/meta.
-type zoneDTO struct {
-	Min       string `json:"min,omitempty"` // Float64bits hex, valid with HasMinMax
-	Max       string `json:"max,omitempty"`
-	HasMinMax bool   `json:"hasMinMax,omitempty"`
-	Nulls     int    `json:"nulls,omitempty"`
-	Distinct  int    `json:"distinct,omitempty"`
-	// CodeSet is the chunk's categorical code bitset, base64 over
-	// little-endian u64 words; empty when untracked.
-	CodeSet string `json:"codeSet,omitempty"`
-}
-
-func zoneToDTO(zm storage.ZoneMap) zoneDTO {
-	d := zoneDTO{HasMinMax: zm.HasMinMax, Nulls: zm.NullCount, Distinct: zm.Distinct}
-	if zm.HasMinMax {
-		d.Min, d.Max = fbits(zm.Min), fbits(zm.Max)
-	}
-	if zm.CodeSet != nil {
-		buf := make([]byte, 8*len(zm.CodeSet))
-		for i, w := range zm.CodeSet {
-			binary.LittleEndian.PutUint64(buf[i*8:], w)
-		}
-		d.CodeSet = base64.StdEncoding.EncodeToString(buf)
-	}
-	return d
-}
-
-func zoneFromDTO(d zoneDTO) (storage.ZoneMap, error) {
-	zm := storage.ZoneMap{HasMinMax: d.HasMinMax, NullCount: d.Nulls, Distinct: d.Distinct}
-	if d.HasMinMax {
-		var err error
-		if zm.Min, err = parseFbits(d.Min); err != nil {
-			return zm, err
-		}
-		if zm.Max, err = parseFbits(d.Max); err != nil {
-			return zm, err
-		}
-	}
-	if d.CodeSet != "" {
-		buf, err := base64.StdEncoding.DecodeString(d.CodeSet)
-		if err != nil || len(buf)%8 != 0 {
-			return zm, fmt.Errorf("remote: bad code set encoding")
-		}
-		words := make([]uint64, len(buf)/8)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-		zm.CodeSet = words
-	}
-	return zm, nil
 }
 
 // chunkReqDTO is POST /shard/v1/chunk: one column and the chunks wanted

@@ -19,8 +19,9 @@ import (
 
 // This file is the query-insights surface: the per-query resource
 // ledger and always-on tracing every exploration runs under, the
-// EXPLAIN endpoint that dry-runs a query against manifest statistics
-// and zone maps before any chunk I/O, and the bounded query log behind
+// EXPLAIN endpoint that dry-runs a query against zone maps (a shard
+// set's are its manifest's) before any chunk I/O, and the bounded query
+// log behind
 // GET /api/querylog.
 
 // profileMode reads the request's ?profile= parameter: "" (no profile
@@ -152,24 +153,24 @@ type ExplainShardDTO struct {
 	Rows  int    `json:"rows"`
 	// Remote reports whether the shard is served over the fabric.
 	Remote bool `json:"remote,omitempty"`
-	// Plane is where the verdict was decided: "manifest" (per-shard
-	// statistics proved the shard disjoint — no backend was touched),
-	// "stat" (a remote shard: predicates route over the statistics
+	// Plane is where the verdict was decided: "manifest" (the manifest's
+	// zone maps prune every chunk of the shard, so a query never opens
+	// it), "stat" (a remote shard: predicates route over the statistics
 	// plane, chunks stream only for scan-verdict chunks) or "chunk" (a
-	// local shard judged by its zone maps).
+	// local shard whose chunks need reading).
 	Plane string `json:"plane"`
 	// Verdict summarizes the shard: "prune" (no chunk can match),
 	// "full" (zone maps answer every chunk — no chunk I/O) or "scan"
 	// (at least one chunk needs its rows).
 	Verdict string `json:"verdict"`
-	// Explain carries the per-chunk dry run; nil for manifest-pruned
-	// shards, which are never probed.
+	// Explain carries the per-chunk dry run over the shard's zone maps,
+	// the manifest's: planning a shard never opens it.
 	Explain *engine.QueryExplain `json:"explain,omitempty"`
 }
 
 // ExplainDTO is the POST /api/explain answer: the plan of a query,
-// computed from manifest statistics and zone maps before any chunk is
-// decoded.
+// computed from zone maps before any chunk is decoded or any shard
+// opened.
 type ExplainDTO struct {
 	Input   string `json:"input"`
 	Sharded bool   `json:"sharded"`
@@ -178,7 +179,8 @@ type ExplainDTO struct {
 	Combined *engine.QueryExplain `json:"combined"`
 	// Shards holds one entry per shard of a sharded table.
 	Shards []ExplainShardDTO `json:"shards,omitempty"`
-	// ShardsPruned counts shards dismissed on the manifest plane.
+	// ShardsPruned counts shards every chunk of which the manifest's zone
+	// maps prune.
 	ShardsPruned int `json:"shardsPruned,omitempty"`
 	// EstChunkFetches / EstBytesDecoded total the combined dry run's
 	// cold-cache I/O estimate.
@@ -201,11 +203,12 @@ func shardVerdict(ex *engine.QueryExplain) string {
 }
 
 // handleExplain dry-runs a CQL query: predicates are compiled and
-// judged against manifest statistics and zone maps only, so the plan —
-// per-shard routing, per-chunk verdicts, estimated bytes — comes back
-// without decoding a single chunk. Under WITH SAMPLE f each plan counts
-// only the chunks holding a sampled row; any other WITH option is a bad
-// request (cql.ErrWithClause), since it does not shape the scan.
+// judged against zone maps only (a shard set's are its manifest's), so
+// the plan — per-shard routing, per-chunk verdicts, estimated bytes —
+// comes back without decoding a single chunk. Under WITH SAMPLE f each
+// plan counts only the chunks holding a sampled row; any other WITH
+// option is a bad request (cql.ErrWithClause), since it does not shape
+// the scan.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
 	if !readJSON(w, r, &req) {
@@ -237,24 +240,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		m := s.set.Manifest()
 		for i, sf := range m.Shards {
 			sd := ExplainShardDTO{Shard: i, File: sf.File, Rows: sf.Rows, Remote: shard.IsRemoteLocation(sf.File)}
-			pruned := false
-			for _, p := range q.Preds {
-				if !s.set.ShardMayMatch(i, p) {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
-				sd.Plane, sd.Verdict = "manifest", string(engine.VerdictPrune)
-				dto.ShardsPruned++
-				dto.Shards = append(dto.Shards, sd)
-				continue
-			}
-			if sd.Remote {
-				sd.Plane = "stat"
-			} else {
-				sd.Plane = "chunk"
-			}
 			var shardSample *bitvec.Vector
 			if sample != nil {
 				off := s.set.ShardOffset(i)
@@ -266,6 +251,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			sd.Explain, sd.Verdict = ex, shardVerdict(ex)
+			switch {
+			case sd.Verdict == string(engine.VerdictPrune):
+				sd.Plane = "manifest"
+				dto.ShardsPruned++
+			case sd.Remote:
+				sd.Plane = "stat"
+			default:
+				sd.Plane = "chunk"
+			}
 			dto.Shards = append(dto.Shards, sd)
 		}
 	}

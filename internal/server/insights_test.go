@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/remote"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 // explainOn POSTs /api/explain against a server and decodes the answer.
@@ -128,6 +129,45 @@ func TestExplainEndpointSharded(t *testing.T) {
 	if c := dto.Combined; sum.ChunksPruned != c.ChunksPruned || sum.ChunksFull != c.ChunksFull || sum.ChunksScanned != c.ChunksScanned || sum.Unsampled != c.Unsampled {
 		t.Errorf("shards' sampled plans sum to %d pruned, %d full, %d scanned, %d unsampled; combined %d, %d, %d, %d",
 			sum.ChunksPruned, sum.ChunksFull, sum.ChunksScanned, sum.Unsampled, c.ChunksPruned, c.ChunksFull, c.ChunksScanned, c.Unsampled)
+	}
+}
+
+// TestExplainDeferredManifestPlane: EXPLAIN over a deferred sharded
+// store plans every shard from the manifest's zone maps and opens none;
+// a shard all of whose chunks prune is reported on the manifest plane.
+func TestExplainDeferredManifestPlane(t *testing.T) {
+	b := storage.NewBuilder("events", storage.MustSchema(
+		storage.Field{Name: "ts", Type: storage.Int64},
+		storage.Field{Name: "kind", Type: storage.String},
+	))
+	for i := 0; i < 3072; i++ {
+		b.MustAppendRow(int64(i), []string{"a", "b", "c"}[i%3])
+	}
+	path := filepath.Join(t.TempDir(), "events.atlm")
+	if _, err := shard.WriteSharded(path, b.MustBuild(), shard.IngestOptions{Shards: 3, ChunkSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewFromStoreWith(path, core.DefaultOptions(), StoreConfig{
+		Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dto := explainOn(t, srv, "EXPLORE events WHERE ts BETWEEN 1100 AND 1200 AND kind IN {'a'}")
+	if len(dto.Shards) != 3 || dto.ShardsPruned != 2 {
+		t.Fatalf("%d shards, %d pruned; want 3 and 2", len(dto.Shards), dto.ShardsPruned)
+	}
+	for i, sd := range dto.Shards {
+		plane, verdict := "manifest", string(engine.VerdictPrune)
+		if i == 1 {
+			plane, verdict = "chunk", string(engine.VerdictScan)
+		}
+		if sd.Plane != plane || sd.Verdict != verdict || sd.Explain == nil {
+			t.Errorf("shard %d: plane %q, verdict %q, plan %v; want %q, %q and a plan", i, sd.Plane, sd.Verdict, sd.Explain != nil, plane, verdict)
+		}
+	}
+	if n := srv.set.OpenedShards(); n != 0 {
+		t.Errorf("explain opened %d shards", n)
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 // its manifest location (IsRemoteLocation) and holds it under the
 // matching static type, so nothing here is discovered by type assertion.
 
-// BackendMeta is a shard's open snapshot: the identity the manifest's
-// per-shard entries are validated against, and the zone maps and
-// dictionaries the set checks and serves.
+// BackendMeta is a shard's open snapshot: its identity, schema, zone
+// maps and dictionaries. The manifest carries the same for every shard,
+// and a set refuses a shard whose snapshot differs from its manifest
+// entry in any of them.
 type BackendMeta struct {
 	// Table is the shard's stored table name.
 	Table string

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/base64"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -73,7 +72,14 @@ func WriteSharded(manifestPath string, t *storage.Table, o IngestOptions) (*Mani
 	}
 	for i := 0; i < t.NumCols(); i++ {
 		f := t.Schema().Field(i)
-		m.Columns = append(m.Columns, ColumnSchema{Name: f.Name, Type: columnTypeName(f.Type)})
+		c := ColumnSchema{Name: f.Name, Type: columnTypeName(f.Type)}
+		if f.Type == storage.String {
+			// Every shard holds the table's dictionary (see Set).
+			if c.Dict, err = storage.Dictionary(t.Column(i)); err != nil {
+				return nil, err
+			}
+		}
+		m.Columns = append(m.Columns, c)
 	}
 	dir := filepath.Dir(manifestPath)
 	base := strings.TrimSuffix(filepath.Base(manifestPath), filepath.Ext(manifestPath))
@@ -92,7 +98,11 @@ func WriteSharded(manifestPath string, t *storage.Table, o IngestOptions) (*Mani
 		if err != nil {
 			return fmt.Errorf("shard: writing shard %d: %w", i, err)
 		}
-		m.Shards[i] = ShardFile{File: name, Rows: parts[i].NumRows(), Stats: shardStats(parts[i], ck)}
+		sf := ShardFile{File: name, Rows: parts[i].NumRows(), Zones: make([]string, len(ck.Zones))}
+		for ci, zones := range ck.Zones {
+			sf.Zones[ci] = colstore.EncodeZones(zones)
+		}
+		m.Shards[i] = sf
 		return nil
 	})
 	if err != nil {
@@ -105,88 +115,6 @@ func WriteSharded(manifestPath string, t *storage.Table, o IngestOptions) (*Mani
 		return nil, err
 	}
 	return m, nil
-}
-
-// shardStats reduces a shard's ingest-time zone maps into the manifest's
-// per-shard column statistics: file-level min/max and NULL counts,
-// and the 256-bit category hash bitset — the index a selective Explore
-// prunes whole shard files with, before opening them.
-func shardStats(p *storage.Table, ck *storage.Chunking) []ColumnStats {
-	rows := p.NumRows()
-	numChunks := ck.NumChunks(rows)
-	out := make([]ColumnStats, p.NumCols())
-	for ci := 0; ci < p.NumCols(); ci++ {
-		st := &out[ci]
-		trackCats := p.Schema().Field(ci).Type == storage.String
-		var catBits []byte
-		var dict []string
-		if sc, ok := p.Column(ci).(*storage.StringColumn); ok {
-			dict = sc.Dict()
-		}
-		haveCodes := trackCats && dict != nil
-		var seen []uint64
-		if haveCodes {
-			catBits = make([]byte, CatBitsSize)
-			seen = make([]uint64, (len(dict)+63)/64)
-		}
-		for k := 0; k < numChunks; k++ {
-			zm := ck.Zones[ci][k]
-			st.Nulls += zm.NullCount
-			chunkRows := ck.Size
-			if hi := (k + 1) * ck.Size; hi > rows {
-				chunkRows = rows - k*ck.Size
-			}
-			if zm.HasMinMax {
-				if !st.HasMinMax {
-					st.Min, st.Max, st.HasMinMax = zm.Min, zm.Max, true
-				} else {
-					if zm.Min < st.Min {
-						st.Min = zm.Min
-					}
-					if zm.Max > st.Max {
-						st.Max = zm.Max
-					}
-				}
-			} else if zm.NullCount < chunkRows && p.Schema().Field(ci).Type.IsNumeric() {
-				// A chunk with values but no bounds (NaN) poisons the
-				// file-level range: pruning on it would be unsound.
-				st.HasMinMax = false
-				st.Min, st.Max = 0, 0
-				// Poisoned for good — only null counts remain to tally.
-				for k++; k < numChunks; k++ {
-					st.Nulls += ck.Zones[ci][k].NullCount
-				}
-				break
-			}
-			if haveCodes {
-				if zm.CodeSet == nil {
-					// Cardinality outgrew zone-code tracking; no bitset.
-					haveCodes = false
-					catBits = nil
-				} else {
-					for wi, w := range zm.CodeSet {
-						seen[wi] |= w
-					}
-				}
-			}
-		}
-		if st.HasMinMax && (math.IsInf(st.Min, 0) || math.IsInf(st.Max, 0)) {
-			// The manifest's JSON cannot carry an infinite bound; a shard
-			// without bounds is never pruned, which is always sound.
-			st.HasMinMax = false
-			st.Min, st.Max = 0, 0
-		}
-		if catBits != nil {
-			for code := range dict {
-				if seen[code/64]&(1<<uint(code%64)) != 0 {
-					b := CatBitsHash(dict[code])
-					catBits[b/8] |= 1 << uint(b%8)
-				}
-			}
-			st.CatBits = base64.StdEncoding.EncodeToString(catBits)
-		}
-	}
-	return out
 }
 
 // rangeParts slices t into up to n contiguous row ranges whose

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -92,11 +94,7 @@ func TestLazyShardedExploreMatchesEager(t *testing.T) {
 	}
 }
 
-// eventsNumTable is eventsTable without categorical columns: no
-// dictionary is needed, so a selective exploration opens exactly the
-// shards its base touches (a mixed schema also opens the shard the
-// dictionaries come from — see the mixed leg of
-// TestDeferredShardFilePruning).
+// eventsNumTable is eventsTable without categorical columns.
 func eventsNumTable(t testing.TB, n int) *storage.Table {
 	t.Helper()
 	schema := storage.MustSchema(
@@ -111,8 +109,9 @@ func eventsNumTable(t testing.TB, n int) *storage.Table {
 }
 
 // TestDeferredShardFilePruning: a selective exploration over a deferred
-// set must leave shard files that cannot match unopened, and decode
-// well under half the chunks.
+// set must leave shard files that cannot match unopened — with or
+// without a string column, whose dictionary the manifest holds — and
+// decode well under half the chunks.
 func TestDeferredShardFilePruning(t *testing.T) {
 	tbl := eventsNumTable(t, 8_192)
 	dir := t.TempDir()
@@ -152,8 +151,8 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	}
 
 	// Mixed schema (categorical column present): the dictionaries come
-	// from one shard, so the exploration opens at most that one and the
-	// selected shard, and confines chunk decodes to the selected shard.
+	// from the manifest, so the exploration opens the selected shard
+	// alone.
 	mixed := eventsTable(t, 8_192)
 	mpath := filepath.Join(dir, "mixed.atlm")
 	if _, err := WriteSharded(mpath, mixed, IngestOptions{Shards: 4, ChunkSize: 128}); err != nil {
@@ -171,8 +170,8 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	if _, err := mcart.Explore(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := ms.OpenedShards(); got > 2 {
-		t.Errorf("mixed schema: selective explore opened %d shard files, want at most 2", got)
+	if got := ms.OpenedShards(); got != 1 {
+		t.Errorf("mixed schema: selective explore opened %d shard files, want 1", got)
 	}
 	mio := ms.IOStats()
 	mTotal := int64(4 * (8192 / 4 / 128) * 4)
@@ -198,11 +197,11 @@ func TestDeferredShardFilePruning(t *testing.T) {
 	}
 }
 
-// TestManifestV2Stats: WriteSharded records schema and per-shard stats
-// (the fields manifest version 2 introduced), and ShardMayMatch prunes
-// on them.
-func TestManifestV2Stats(t *testing.T) {
-	tbl := eventsTable(t, 2_048)
+// TestManifestCarriesShardZones: WriteSharded records every shard's zone
+// maps and each string column's dictionary, and they read back equal to
+// what the shard files hold.
+func TestManifestCarriesShardZones(t *testing.T) {
+	tbl := eventsTable(t, 2_000)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.atlm")
 	m, err := WriteSharded(path, tbl, IngestOptions{Shards: 4, ChunkSize: 128})
@@ -215,46 +214,31 @@ func TestManifestV2Stats(t *testing.T) {
 	if len(m.Columns) != 4 || m.Columns[0].Name != "ts" || m.Columns[0].Type != "int64" {
 		t.Fatalf("bad manifest schema %+v", m.Columns)
 	}
+	want, _ := storage.Dictionary(tbl.Column(2))
+	if !slices.Equal(m.Columns[2].Dict, want) || m.Columns[0].Dict != nil {
+		t.Errorf("manifest dictionaries %v / %v, want the kind column's %v only", m.Columns[2].Dict, m.Columns[0].Dict, want)
+	}
 	m2, err := ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sf := range m2.Shards {
-		if len(sf.Stats) != 4 {
-			t.Fatalf("shard %d has %d stats", i, len(sf.Stats))
+		st, err := colstore.OpenWith(filepath.Join(dir, sf.File), colstore.Options{Mode: colstore.ModeLazy})
+		if err != nil {
+			t.Fatal(err)
 		}
-		ts := sf.Stats[0] // column 0 = ts
-		if !ts.HasMinMax {
-			t.Fatalf("shard %d ts stats missing min/max", i)
+		fileZones := st.Table().Chunking().Zones
+		for ci, zones := range m2.zones[i] {
+			if len(zones) != len(fileZones[ci]) {
+				t.Fatalf("shard %d column %d: %d zone maps, file holds %d", i, ci, len(zones), len(fileZones[ci]))
+			}
+			for k, zm := range zones {
+				if !sameZone(zm, fileZones[ci][k]) {
+					t.Errorf("shard %d column %d chunk %d: manifest %+v, file %+v", i, ci, k, zm, fileZones[ci][k])
+				}
+			}
 		}
-		if want := float64(i * 512); ts.Min != want {
-			t.Errorf("shard %d ts min %g, want %g", i, ts.Min, want)
-		}
-	}
-	// Range pruning: a band inside shard 2 must exclude the others.
-	p := query.NewRange("ts", 1100, 1200)
-	for i := 0; i < 4; i++ {
-		want := i == 2
-		if got := m2.ShardMayMatch(i, p); got != want {
-			t.Errorf("ShardMayMatch(%d, ts∈[1100,1200]) = %v, want %v", i, got, want)
-		}
-	}
-	// Category pruning: every shard holds every kind value, so an In on
-	// a present value matches everywhere; a foreign value nowhere.
-	for i := 0; i < 4; i++ {
-		if !m2.ShardMayMatch(i, query.NewIn("kind", "k3")) {
-			t.Errorf("shard %d should admit kind=k3", i)
-		}
-		if m2.ShardMayMatch(i, query.NewIn("kind", "nosuchkind")) {
-			t.Errorf("shard %d should prune kind=nosuchkind", i)
-		}
-	}
-	// Unknown columns and predicate shapes stay conservative.
-	if !m2.ShardMayMatch(0, query.NewRange("nosuchcol", 0, 1)) {
-		t.Error("unknown column must not prune")
-	}
-	if !m2.ShardMayMatch(0, query.NewBoolEq("ok", true)) {
-		t.Error("bool predicates must not prune")
+		st.Close()
 	}
 }
 
@@ -300,9 +284,10 @@ func TestParallelIngestDeterministic(t *testing.T) {
 	}
 }
 
-// TestSessionShardPruning: the manifest proves exactly the shards
-// disjoint with the query, the judgement that lets a deferred set skip
-// scanning (and opening) them.
+// TestSessionShardPruning: the manifest's zone maps prune every chunk of
+// exactly the shards disjoint with the query, the judgement that lets a
+// deferred set skip scanning (and opening) them — planned without
+// opening any shard.
 func TestSessionShardPruning(t *testing.T) {
 	tbl := eventsTable(t, 4_096)
 	dir := t.TempDir()
@@ -315,11 +300,28 @@ func TestSessionShardPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var p query.Predicate = query.NewRange("ts", 1100, 1200)
-	for i := 0; i < 4; i++ {
-		want := i == 1
-		if got := s.ShardMayMatch(i, p); got != want {
-			t.Errorf("ShardMayMatch(%d) = %v, want %v", i, got, want)
+	for _, q := range []query.Query{
+		query.New("events", query.NewRange("ts", 1100, 1200)),
+		query.New("events", query.NewRange("ts", 1100, 1200), query.NewIn("kind", "k3")),
+	} {
+		for i := 0; i < 4; i++ {
+			ex, err := engine.ExplainQuery(s.ShardTable(i), q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pruned := ex.ChunksScanned+ex.ChunksFull == 0; pruned != (i != 1) {
+				t.Errorf("%s: shard %d pruned = %v, want %v", q, i, pruned, i != 1)
+			}
 		}
+	}
+	ex, err := engine.ExplainQuery(s.Table(), query.New("events", query.NewIn("kind", "nosuchkind")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.ChunksScanned+ex.ChunksFull != 0 {
+		t.Errorf("a value outside the dictionary left %d chunks to read", ex.ChunksScanned+ex.ChunksFull)
+	}
+	if n := s.OpenedShards(); n != 0 {
+		t.Errorf("planning opened %d shards", n)
 	}
 }

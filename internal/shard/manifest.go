@@ -13,13 +13,13 @@
 // Explorations over a shard set return maps byte-identical to the
 // unsharded table at any shard count and any parallelism.
 //
-// # Manifest format (version 3)
+// # Manifest format (version 4)
 //
 // A manifest is a JSON object, conventionally stored next to its shard
 // files with an ".atlm" extension:
 //
 //	{
-//	  "version": 3,
+//	  "version": 4,
 //	  "table": "census",            // logical table name
 //	  "partitioning": "range",      // "range" or "hash"
 //	  "key": "cid",                 // hash partitioning key (hash only)
@@ -27,17 +27,15 @@
 //	  "rows": 1000000,              // total rows across shards
 //	  "columns": [                  // the shared schema
 //	    {"name": "age", "type": "int64"},
-//	    {"name": "education", "type": "string"}
+//	    {"name": "education", "type": "string",
+//	     "dict": ["Bachelors", "HS-grad", ...]}  // the table's dictionary
 //	  ],
 //	  "shards": [
 //	    {"file": "census.00000.atl", "rows": 131072,
-//	     "stats": [                 // one entry per column
-//	       {"min": 17, "max": 90, "has_min_max": true, "nulls": 12},
-//	       {"nulls": 0, "cat_bits": "AAEC...iA=="}
-//	     ]},
+//	     "zones": ["AgAAAAAAADFA...", "BAAKAQE..."]},  // one per column
 //	    {"file": "http://10.0.0.7:8093", "rows": 131072,
 //	     "replicas": ["http://10.0.0.8:8093"],   // failover peers
-//	     "stats": [...]}
+//	     "zones": [...]}
 //	  ]
 //	}
 //
@@ -49,16 +47,15 @@
 // a key column, which keeps all rows of one key in one shard (the layout
 // FK-join and per-key workloads want) at the cost of reordering rows.
 //
-// The per-shard column statistics are the shard-file pruning index:
-// numeric min/max in the engine's float comparison space, NULL counts,
-// and — for categorical columns — a 256-bit hash bitset of the values
-// present in the shard (bit fnv1a(value) mod 256). A selective
-// exploration consults them to skip whole shard files before opening
-// them; together with the schema they also let a deferred open build a
-// working (coarser) zone map layer without touching any shard file. The
-// schema and one statistics entry per column and shard are required,
-// and validated as outside input: a manifest is read only at version 3,
-// and older ones are re-ingested with `atlas ingest`.
+// The manifest carries exactly what a shard's open snapshot
+// (BackendMeta) does: each string column's dictionary, which every
+// shard holds, and every shard's zone maps — per column, one record per
+// chunk in the .atl zone-map encoding (colstore.AppendZone), base64. A
+// set plans every query with them, deferred or not, and checks each
+// shard against them when it opens. They are outside input: a manifest
+// is read only at version 4, with every zone map checked against its
+// chunk's rows, its column's type and dictionary, and older manifests
+// are re-ingested with `atlas ingest`.
 //
 // A remote shard entry may list additional http(s):// URLs in
 // "replicas", each serving the same immutable shard file. The remote
@@ -70,15 +67,13 @@ package shard
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/query"
+	"repro/internal/colstore"
 	"repro/internal/storage"
 )
 
@@ -95,33 +90,20 @@ const (
 )
 
 // ManifestVersion is the manifest format version this package writes
-// and the only one it reads. Version 2 added the schema and per-shard
-// column statistics; version 3 added per-shard replica locations.
-const ManifestVersion = 3
-
-// CatBitsSize is the byte size of a categorical hash bitset (256 bits).
-const CatBitsSize = 32
+// and the only one it reads. Version 2 added the schema, version 3
+// per-shard replica locations, and version 4 every shard's zone maps
+// and each string column's dictionary.
+const ManifestVersion = 4
 
 // ColumnSchema names one column of the sharded table in the manifest.
 type ColumnSchema struct {
 	Name string `json:"name"`
 	// Type is the storage type: "int64", "float64", "string" or "bool".
 	Type string `json:"type"`
-}
-
-// ColumnStats is one shard's pruning statistics for one column.
-type ColumnStats struct {
-	// Min/Max bound the shard's non-null values in the engine's float
-	// comparison space (Int64 values widened), valid when HasMinMax.
-	Min       float64 `json:"min,omitempty"`
-	Max       float64 `json:"max,omitempty"`
-	HasMinMax bool    `json:"has_min_max,omitempty"`
-	// Nulls is the shard's NULL count in this column.
-	Nulls int `json:"nulls"`
-	// CatBits is the base64 256-bit hash bitset of the categorical
-	// values present in the shard (bit CatBitsHash(v) set for every
-	// distinct value v); empty when untracked.
-	CatBits string `json:"cat_bits,omitempty"`
+	// Dict is a string column's dictionary — the table's, which every
+	// shard holds and whose codes its zone maps' code sets index. Absent
+	// on other columns.
+	Dict []string `json:"dict,omitempty"`
 }
 
 // ShardFile describes one shard segment of a manifest.
@@ -130,8 +112,9 @@ type ShardFile struct {
 	File string `json:"file"`
 	// Rows is the shard's row count, checked against the opened file.
 	Rows int `json:"rows"`
-	// Stats holds one ColumnStats per schema column.
-	Stats []ColumnStats `json:"stats"`
+	// Zones holds one entry per schema column: the shard's zone maps,
+	// one record per chunk (colstore.EncodeZones).
+	Zones []string `json:"zones"`
 	// Replicas lists additional http(s):// locations serving the same
 	// shard. Only valid when File is itself a remote location; the
 	// remote client fails over to them when File's server misbehaves.
@@ -160,6 +143,10 @@ type Manifest struct {
 	// Columns is the shared schema.
 	Columns []ColumnSchema `json:"columns"`
 	Shards  []ShardFile    `json:"shards"`
+
+	// zones holds every shard's zone maps, [shard][column][chunk],
+	// decoded and checked when the manifest validates.
+	zones [][][]storage.ZoneMap
 }
 
 // Schema reconstructs the storage schema the manifest declares.
@@ -203,53 +190,24 @@ func columnTypeName(t storage.DataType) string {
 	}
 }
 
-// CatBitsHash returns the bit index of a categorical value in a shard's
-// 256-bit category bitset.
-func CatBitsHash(v string) int {
-	h := fnv.New32a()
-	h.Write([]byte(v))
-	return int(h.Sum32() % (CatBitsSize * 8))
-}
-
-// catBitsDecode unpacks a base64 bitset; nil when absent.
-func catBitsDecode(s string) ([]byte, error) {
-	if s == "" {
-		return nil, nil
-	}
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil || len(b) != CatBitsSize {
-		return nil, fmt.Errorf("cat_bits is not the base64 of %d bytes", CatBitsSize)
-	}
-	return b, nil
-}
-
-// validateStats checks shard i's column statistics, which pruning and
-// deferred opens trust without reading the shard: a NULL count within
-// the shard's rows, an ordered NaN-free range, and a well-formed
-// category bitset on string columns only.
-func (m *Manifest) validateStats(i int, schema *storage.Schema) error {
+// decodeZones decodes and checks shard i's zone maps: one entry per
+// column, one record per chunk, each sized to its chunk's rows and its
+// column's type and dictionary. The error names the shard, the column
+// and the chunk.
+func (m *Manifest) decodeZones(i int, schema *storage.Schema) ([][]storage.ZoneMap, error) {
 	sf := m.Shards[i]
-	if len(sf.Stats) != len(m.Columns) {
-		return fmt.Errorf("shard: shard %d has %d column stats for %d columns", i, len(sf.Stats), len(m.Columns))
+	if len(sf.Zones) != len(m.Columns) {
+		return nil, fmt.Errorf("shard: shard %d has zone maps for %d columns, manifest declares %d", i, len(sf.Zones), len(m.Columns))
 	}
-	for ci, st := range sf.Stats {
-		_, bitsErr := catBitsDecode(st.CatBits)
-		var err error
-		switch {
-		case st.Nulls < 0 || st.Nulls > sf.Rows:
-			err = fmt.Errorf("nulls %d outside [0, %d]", st.Nulls, sf.Rows)
-		case st.HasMinMax && !(st.Min <= st.Max):
-			err = fmt.Errorf("min %v and max %v are not an ordered range", st.Min, st.Max)
-		case bitsErr != nil:
-			err = bitsErr
-		case st.CatBits != "" && schema.Field(ci).Type != storage.String:
-			err = fmt.Errorf("cat_bits on a %v column", schema.Field(ci).Type)
-		}
+	out := make([][]storage.ZoneMap, len(sf.Zones))
+	for ci, enc := range sf.Zones {
+		zones, err := colstore.DecodeZones(enc, schema.Field(ci).Type, len(m.Columns[ci].Dict), sf.Rows, m.ChunkSize)
 		if err != nil {
-			return fmt.Errorf("shard: shard %d (%s) column %q stats: %w", i, sf.File, m.Columns[ci].Name, err)
+			return nil, fmt.Errorf("shard: shard %d (%s) column %q: %w", i, sf.File, m.Columns[ci].Name, err)
 		}
+		out[ci] = zones
 	}
-	return nil
+	return out, nil
 }
 
 func (m *Manifest) validate() error {
@@ -262,6 +220,11 @@ func (m *Manifest) validate() error {
 	schema, err := m.Schema()
 	if err != nil {
 		return err
+	}
+	for _, c := range m.Columns {
+		if c.Dict != nil && c.Type != "string" {
+			return fmt.Errorf("shard: column %q: dictionary on a %s column", c.Name, c.Type)
+		}
 	}
 	switch m.Partitioning {
 	case PartitionRange:
@@ -282,6 +245,7 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("shard: manifest lists no shards")
 	}
 	sum := 0
+	zones := make([][][]storage.ZoneMap, len(m.Shards))
 	for i, sf := range m.Shards {
 		if sf.File == "" {
 			return fmt.Errorf("shard: shard %d has no file", i)
@@ -292,7 +256,7 @@ func (m *Manifest) validate() error {
 		if sf.Rows < 0 {
 			return fmt.Errorf("shard: shard %d has negative row count %d", i, sf.Rows)
 		}
-		if err := m.validateStats(i, schema); err != nil {
+		if zones[i], err = m.decodeZones(i, schema); err != nil {
 			return err
 		}
 		if len(sf.Replicas) > 0 {
@@ -310,62 +274,8 @@ func (m *Manifest) validate() error {
 	if sum != m.Rows {
 		return fmt.Errorf("shard: shard rows sum to %d, manifest claims %d", sum, m.Rows)
 	}
+	m.zones = zones
 	return nil
-}
-
-// ShardMayMatch reports whether predicate p could select any row of
-// shard i, judged from the manifest's per-shard statistics alone — the
-// shard-file pruning test that runs before any shard file is opened. It
-// is conservative: unknown columns, untracked statistics (a range
-// poisoned by NaN, a category set past the zone-code bound) and other
-// predicate shapes report true.
-func (m *Manifest) ShardMayMatch(i int, p query.Predicate) bool {
-	if i < 0 || i >= len(m.Shards) {
-		return true
-	}
-	ci := -1
-	for c, col := range m.Columns {
-		if col.Name == p.Attr {
-			ci = c
-			break
-		}
-	}
-	if ci < 0 {
-		return true
-	}
-	sf := m.Shards[i]
-	st := sf.Stats[ci]
-	if sf.Rows > 0 && st.Nulls == sf.Rows {
-		// All-NULL shard column: NULL rows never match any predicate.
-		return false
-	}
-	switch p.Kind {
-	case query.Range:
-		if !st.HasMinMax {
-			return true
-		}
-		// Same interval test as the engine's zone pruning, in the same
-		// float comparison space.
-		if p.Hi < st.Min || p.Lo > st.Max ||
-			(p.Hi == st.Min && !p.HiIncl) || (p.Lo == st.Max && !p.LoIncl) {
-			return false
-		}
-		return true
-	case query.In:
-		bits, _ := catBitsDecode(st.CatBits)
-		if bits == nil {
-			return true
-		}
-		for _, v := range p.Values {
-			b := CatBitsHash(v)
-			if bits[b/8]&(1<<uint(b%8)) != 0 {
-				return true
-			}
-		}
-		return false
-	default:
-		return true
-	}
 }
 
 // ReadManifest parses and validates a manifest file.
@@ -392,8 +302,8 @@ func ReadManifest(path string) (*Manifest, error) {
 // on that shard's .atl file. An entry may name several replicas
 // separated by '|' ("http://a:8093|http://b:8093"): the first is the
 // primary, the rest are failover peers serving the same shard. Rows,
-// statistics and ordering carry over unchanged, so shard-file pruning
-// and deferred opens keep working; an empty urls[i] keeps shard i local
+// zone maps, dictionaries and ordering carry over unchanged, so the set
+// plans exactly as it does locally; an empty urls[i] keeps shard i local
 // (mixed deployments are fine).
 func RemoteManifest(m *Manifest, urls []string) (*Manifest, error) {
 	if len(urls) != len(m.Shards) {

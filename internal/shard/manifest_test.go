@@ -8,17 +8,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/query"
+	"repro/internal/colstore"
 	"repro/internal/storage"
 )
 
 // remoteTestManifest builds a minimal valid remote manifest with the
 // given shard locations (primary + replicas): one int64 column, and
-// empty statistics for every shard that names none.
+// empty zone maps for every shard that names none.
 func remoteTestManifest(shards []ShardFile, rows int) *Manifest {
 	for i := range shards {
-		if shards[i].Stats == nil {
-			shards[i].Stats = []ColumnStats{{}}
+		if shards[i].Zones == nil {
+			shards[i].Zones = []string{colstore.EncodeZones(make([]storage.ZoneMap, (shards[i].Rows+63)/64))}
 		}
 	}
 	return &Manifest{
@@ -32,64 +32,110 @@ func remoteTestManifest(shards []ShardFile, rows int) *Manifest {
 	}
 }
 
-// schemaColumns declares schema's columns in a manifest, returning them
-// with one empty statistics entry per column.
-func schemaColumns(schema *storage.Schema) ([]ColumnSchema, []ColumnStats) {
-	cols := make([]ColumnSchema, schema.NumFields())
-	for i, f := range schema.Fields() {
-		cols[i] = ColumnSchema{Name: f.Name, Type: columnTypeName(f.Type)}
+// TestManifestZoneValidation: a manifest's zone maps are outside input —
+// every set plans with them and never rereads them from a shard before
+// it opens — so a record that would mis-prune fails validation, with an
+// error naming the shard, the column and the chunk.
+func TestManifestZoneValidation(t *testing.T) {
+	valid := func() [][]storage.ZoneMap {
+		return [][]storage.ZoneMap{
+			{{Min: 1, Max: 9, HasMinMax: true, Distinct: 9}, {NullCount: 36}},
+			{{CodeSet: []uint64{3}, Distinct: 2}, {CodeSet: []uint64{1}, Distinct: 1}},
+		}
 	}
-	return cols, make([]ColumnStats, len(cols))
-}
-
-// TestManifestStatsValidation: per-shard statistics are outside input —
-// pruning and deferred opens trust them without reading a shard — so a
-// malformed entry fails validation with an error naming the shard and
-// the column.
-func TestManifestStatsValidation(t *testing.T) {
-	bits := base64.StdEncoding.EncodeToString(make([]byte, CatBitsSize))
 	for _, tc := range []struct {
 		name  string
 		col   int // 0 = int64 "n", 1 = string "s"
-		st    ColumnStats
+		craft func(zones [][]storage.ZoneMap, enc []string)
 		wants string // "" = valid
 	}{
-		{"valid range", 0, ColumnStats{Min: 1, Max: 9, HasMinMax: true, Nulls: 10}, ""},
-		{"valid cat bits", 1, ColumnStats{CatBits: bits}, ""},
-		{"negative nulls", 0, ColumnStats{Nulls: -1}, "nulls"},
-		{"nulls past rows", 0, ColumnStats{Nulls: 11}, "nulls"},
-		{"min above max", 0, ColumnStats{Min: 9, Max: 1, HasMinMax: true}, "ordered range"},
-		{"NaN min", 0, ColumnStats{Min: math.NaN(), Max: 1, HasMinMax: true}, "ordered range"},
-		{"NaN max", 0, ColumnStats{Min: 1, Max: math.NaN(), HasMinMax: true}, "ordered range"},
-		{"cat bits not base64", 1, ColumnStats{CatBits: "!!"}, "cat_bits"},
-		{"cat bits too short", 1, ColumnStats{CatBits: base64.StdEncoding.EncodeToString(make([]byte, 8))}, "cat_bits"},
-		{"cat bits on a number", 0, ColumnStats{CatBits: bits}, "cat_bits on"},
+		{"valid", 0, func([][]storage.ZoneMap, []string) {}, ""},
+		{"truncated record", 0, func(_ [][]storage.ZoneMap, enc []string) {
+			b, _ := base64.StdEncoding.DecodeString(enc[0])
+			enc[0] = base64.StdEncoding.EncodeToString(b[:len(b)-1])
+		}, "chunk 1"},
+		{"wrong zone count", 1, func(zones [][]storage.ZoneMap, enc []string) {
+			enc[1] = colstore.EncodeZones(zones[1][:1])
+		}, "zone maps"},
+		{"null count past the chunk's rows", 0, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[0][1].NullCount = 37
+			enc[0] = colstore.EncodeZones(zones[0])
+		}, "chunk 1: null count"},
+		{"code set on a numeric column", 0, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[0][0].CodeSet = []uint64{1}
+			enc[0] = colstore.EncodeZones(zones[0])
+		}, "chunk 0: code set on"},
+		{"code set not sized to the dictionary", 1, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[1][1].CodeSet = []uint64{1, 0}
+			enc[1] = colstore.EncodeZones(zones[1])
+		}, "chunk 1: code set of 2 words"},
+		{"min above max", 0, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[0][0].Min, zones[0][0].Max = 5, 1
+			enc[0] = colstore.EncodeZones(zones[0])
+		}, "chunk 0: bounds"},
+		{"NaN min", 0, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[0][0].Min = math.NaN()
+			enc[0] = colstore.EncodeZones(zones[0])
+		}, "chunk 0: bounds"},
+		{"NaN max", 0, func(zones [][]storage.ZoneMap, enc []string) {
+			zones[0][0].Max = math.NaN()
+			enc[0] = colstore.EncodeZones(zones[0])
+		}, "chunk 0: bounds"},
+		{"not base64", 1, func(_ [][]storage.ZoneMap, enc []string) { enc[1] = "!!" }, "base64"},
 	} {
+		zones := valid()
+		enc := []string{colstore.EncodeZones(zones[0]), colstore.EncodeZones(zones[1])}
+		tc.craft(zones, enc)
 		m := &Manifest{
-			Version: ManifestVersion, Table: "t", Partitioning: PartitionRange, ChunkSize: 64, Rows: 10,
-			Columns: []ColumnSchema{{Name: "n", Type: "int64"}, {Name: "s", Type: "string"}},
-			Shards:  []ShardFile{{File: "t.00000.atl", Rows: 10, Stats: make([]ColumnStats, 2)}},
+			Version: ManifestVersion, Table: "t", Partitioning: PartitionRange, ChunkSize: 64, Rows: 100,
+			Columns: []ColumnSchema{{Name: "n", Type: "int64"}, {Name: "s", Type: "string", Dict: []string{"a", "b"}}},
+			Shards:  []ShardFile{{File: "t.00000.atl", Rows: 100, Zones: enc}},
 		}
-		m.Shards[0].Stats[tc.col] = tc.st
 		err := m.validate()
 		switch {
 		case tc.wants == "" && err != nil:
-			t.Errorf("%s: valid stats rejected: %v", tc.name, err)
+			t.Errorf("%s: valid zone maps rejected: %v", tc.name, err)
 		case tc.wants == "":
+			if got := m.zones[0]; len(got) != 2 || !sameZone(got[0][0], zones[0][0]) || !sameZone(got[1][1], zones[1][1]) {
+				t.Errorf("%s: zone maps read back as %+v", tc.name, got)
+			}
 		case err == nil || !strings.Contains(err.Error(), tc.wants):
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wants)
 		case !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), `"`+m.Columns[tc.col].Name+`"`):
 			t.Errorf("%s: error %q does not name the shard and the column", tc.name, err)
 		}
 	}
+	// A row count near MaxInt must not overflow the chunk count into a
+	// negative length.
+	huge := &Manifest{
+		Version: ManifestVersion, Table: "t", Partitioning: PartitionRange, ChunkSize: 64, Rows: math.MaxInt64,
+		Columns: []ColumnSchema{{Name: "n", Type: "int64"}},
+		Shards:  []ShardFile{{File: "t.00000.atl", Rows: math.MaxInt64, Zones: []string{colstore.EncodeZones(make([]storage.ZoneMap, 1))}}},
+	}
+	if err := huge.validate(); err == nil || !strings.Contains(err.Error(), "zone maps") {
+		t.Errorf("rows = MaxInt64: err = %v", err)
+	}
+	m := &Manifest{
+		Version: ManifestVersion, Table: "t", Partitioning: PartitionRange, ChunkSize: 64, Rows: 1,
+		Columns: []ColumnSchema{{Name: "n", Type: "int64", Dict: []string{"a"}}},
+		Shards:  []ShardFile{{File: "t.00000.atl", Rows: 1, Zones: []string{colstore.EncodeZones(make([]storage.ZoneMap, 1))}}},
+	}
+	if err := m.validate(); err == nil || !strings.Contains(err.Error(), "dictionary on a int64 column") {
+		t.Errorf("dictionary on a numeric column: err = %v", err)
+	}
 }
 
 // FuzzReadManifest: arbitrary manifest bytes either read into a
-// validated manifest or fail with a named error — never a panic.
+// validated manifest or fail with a named error — never a panic — and
+// every zone map of a manifest that reads passes the .atl reader's
+// check against its chunk's rows and its column's dictionary.
 func FuzzReadManifest(f *testing.F) {
-	f.Add([]byte(`{"version":3,"table":"t","partitioning":"range","chunk_size":64,"rows":10,` +
-		`"columns":[{"name":"n","type":"int64"},{"name":"s","type":"string"}],` +
-		`"shards":[{"file":"t.00000.atl","rows":10,"stats":[{"min":1,"max":9,"has_min_max":true,"nulls":0},{"nulls":1}]}]}`))
+	f.Add([]byte(`{"version":4,"table":"t","partitioning":"range","chunk_size":64,"rows":10,` +
+		`"columns":[{"name":"n","type":"int64"},{"name":"s","type":"string","dict":["a"]}],` +
+		`"shards":[{"file":"t.00000.atl","rows":10,"zones":["AgAAAAAAAPA/AAAAAAAAIkAACQ==","BQEBAQEAAAAAAAAA"]}]}`))
+	f.Add([]byte(`{"version":4,"table":"t","partitioning":"range","chunk_size":64,"rows":9223372036854775807,` +
+		`"columns":[{"name":"n","type":"int64"}],` +
+		`"shards":[{"file":"t.00000.atl","rows":9223372036854775807,"zones":["AAAA"]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.atlm")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -102,12 +148,24 @@ func FuzzReadManifest(f *testing.F) {
 			}
 			return
 		}
-		// A manifest that reads is one pruning can trust: every shard has
-		// a statistics entry per column.
-		for i := range m.Shards {
-			for _, c := range m.Columns {
-				m.ShardMayMatch(i, query.NewRange(c.Name, 0, 1))
-				m.ShardMayMatch(i, query.NewIn(c.Name, "x"))
+		schema, err := m.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sf := range m.Shards {
+			zones := m.zones[i]
+			if len(zones) != len(m.Columns) {
+				t.Fatalf("shard %d: zone maps for %d of %d columns", i, len(zones), len(m.Columns))
+			}
+			for ci, c := range m.Columns {
+				if len(zones[ci]) != (sf.Rows+m.ChunkSize-1)/m.ChunkSize {
+					t.Fatalf("shard %d column %q: %d zone maps for %d rows", i, c.Name, len(zones[ci]), sf.Rows)
+				}
+				for k, zm := range zones[ci] {
+					if err := zm.Check(schema.Field(ci).Type, len(c.Dict), min(m.ChunkSize, sf.Rows-k*m.ChunkSize)); err != nil {
+						t.Fatalf("shard %d column %q chunk %d accepted: %v", i, c.Name, k, err)
+					}
+				}
 			}
 		}
 	})
@@ -146,7 +204,7 @@ func TestManifestV3ReplicaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestReplicaValidation: replicas demand a v3 manifest and a
+// TestManifestReplicaValidation: replicas demand a current manifest and a
 // remote primary, and must themselves be http(s):// locations.
 func TestManifestReplicaValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.atlm")

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/par"
-	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -22,9 +22,9 @@ import (
 // table, and one chunk-aware view per shard sharing its storage.
 //
 // The combined table is what the pipeline explores. Its chunk metadata
-// is stitched from the shards' zone maps (range partitioning aligns
-// every shard boundary to a chunk boundary, so the shard files' zone
-// maps concatenate verbatim), which is what lets the engine's chunk
+// is the manifest's: every shard's zone maps, concatenated (range
+// partitioning aligns every shard boundary to a chunk boundary, so the
+// shards' chunk grids line up), which is what lets the engine's chunk
 // drivers run a base scan as one pass across shard boundaries. The
 // per-shard views carry the same zone maps restricted to their row
 // range; they are what per-shard work runs against: every CUT read
@@ -35,17 +35,18 @@ import (
 // non-final shard is a chunk multiple) assemble WITHOUT materializing:
 // the combined table's columns are storage.LazyColumn views routing
 // each chunk fetch to its shard file through one shared decoded-chunk
-// cache, so open touches no values and holds no concatenated copy (the
-// old transient 2× peak is gone). With Options.Defer the shard files
-// themselves open on first touch, and the manifest's statistics stand
-// in for zone maps until then — a selective exploration skips whole
-// shard files without ever opening them.
+// cache, so open touches no values and holds no concatenated copy.
+// Their zone maps and dictionaries come from the manifest whether the
+// shards open now or on first touch (Options.Defer), so a set plans
+// every query the same way either way: a chunk its zone maps prune is
+// never fetched, and a shard none of whose chunks a query reads is never
+// opened.
 //
 // Every shard of a set holds the table's dictionary for each string
-// column, so the shards count and code in one space: opening a shard
-// checks its schema and dictionaries against the set's (those of the
-// first shard to open) and refuses a shard that disagrees, naming it and
-// the column.
+// column, so the shards count and code in one space. Opening a shard
+// checks its open snapshot against the manifest — rows, chunk size,
+// schema, dictionaries and zone maps — and refuses a shard that
+// disagrees, naming it and, where it applies, the column and the chunk.
 type Set struct {
 	manifest *Manifest
 	combined *storage.Table
@@ -59,12 +60,6 @@ type Set struct {
 	cache     *colstore.ChunkCache
 	shards    []*lazyShard
 	chunkOffs []int // shard i's first combined chunk
-
-	// refMu guards ref, the open snapshot of refShard: the first shard
-	// to open, whose schema and dictionaries are the set's.
-	refMu    sync.Mutex
-	ref      *BackendMeta
-	refShard int
 }
 
 // Options tunes OpenWith — how a shard set materializes.
@@ -74,12 +69,11 @@ type Options struct {
 	// creates one cache shared by every shard file, so Store.CacheBytes
 	// bounds the whole set's decoded bytes, not each file's.
 	Store colstore.Options
-	// Defer postpones opening shard files until a chunk or statistic of
-	// that shard is first touched. The engine then prunes on
-	// manifest-level statistics (file min/max spread to every chunk)
-	// until a shard actually opens. A string column's dictionary is the
-	// first opened shard's, so a categorical predicate or statistic
-	// needed before any open opens shard 0 (metadata only) and no other.
+	// Defer postpones opening each shard file (or remote connection)
+	// until a chunk or statistic of that shard is first needed. It
+	// decides only when shards open: the set plans with the manifest's
+	// zone maps and dictionaries either way, so a query reads, and
+	// opens, exactly the same shards and chunks deferred or not.
 	Defer bool
 	// Remote opens backends for manifests whose shard locations are
 	// http(s):// URLs (see internal/remote). Opening such a manifest
@@ -88,10 +82,9 @@ type Options struct {
 }
 
 // OpenWith opens a manifest with explicit memory-tier options. Every
-// opened shard is validated against the manifest (row count, chunk
-// size) and the set's schema and dictionaries, with errors naming the
-// bad shard; in deferred mode that validation runs when the shard first
-// opens.
+// opened shard is checked against the manifest (see checkShard), with
+// errors naming the bad shard; in deferred mode that check runs when the
+// shard first opens.
 func OpenWith(manifestPath string, o Options) (*Set, error) {
 	ctx := context.TODO() // opening a set has no request behind it
 	m, err := ReadManifest(manifestPath)
@@ -155,17 +148,9 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		s.shards[i] = &lazyShard{s: s, idx: i, locs: locs}
 	}
 
-	var schema *storage.Schema
-	var viewZones [][][]storage.ZoneMap // [shard][col][chunk]
-	if o.Defer {
-		schema, err = m.Schema()
-		if err != nil {
-			return nil, err
-		}
-		viewZones = manifestZones(m)
-	} else {
+	if !o.Defer {
 		// Open every shard now (cheap for lazy files and remote backends:
-		// metadata only), concurrently, and use their exact zone maps.
+		// metadata only), concurrently.
 		err = par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
 			_, err := s.shards[i].backend(ctx)
 			return err
@@ -173,13 +158,8 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		schema = s.ref.Schema
-		viewZones = make([][][]storage.ZoneMap, n)
-		for i, ls := range s.shards {
-			viewZones[i] = ls.be.Meta().Zones
-		}
 	}
-	if err := s.build(schema, viewZones, o.Defer); err != nil {
+	if err := s.build(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -191,58 +171,73 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 func openEager(m *Manifest, dir string) (*Set, error) {
 	n := len(m.Shards)
 	parts := make([]*storage.Table, n)
-	metas := make([]BackendMeta, n)
 	err := par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
 		st, err := colstore.OpenWith(filepath.Join(dir, m.Shards[i].File), colstore.Options{Mode: colstore.ModeEager})
 		if err != nil {
 			return fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
-		if metas[i], err = tableMeta(st.Table(), st.ChunkSize); err != nil {
+		meta, err := tableMeta(st.Table(), st.ChunkSize)
+		if err != nil {
 			return err
 		}
 		parts[i] = st.Table()
-		return validateShardMeta(m, i, metas[i])
+		return checkShard(m, i, meta)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < n; i++ {
-		if err := agree(m, 0, metas[0], i, metas[i]); err != nil {
-			return nil, err
-		}
-	}
 	return assemble(m, parts)
 }
 
-// validateShardMeta cross-checks a backend's identity against the
-// manifest.
-func validateShardMeta(m *Manifest, i int, meta BackendMeta) error {
+// checkShard refuses shard i when its open snapshot disagrees with the
+// manifest — in rows, chunk size, schema, a dictionary or a zone map —
+// naming the shard and, where it applies, the column and the chunk. The
+// set plans with the manifest's zone maps and codes in its
+// dictionaries, so a shard that disagrees would answer wrongly.
+func checkShard(m *Manifest, i int, meta BackendMeta) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("shard: shard %d (%s) disagrees with the manifest: %s", i, m.Shards[i].File, fmt.Sprintf(format, args...))
+	}
 	if meta.Rows != m.Shards[i].Rows {
-		return fmt.Errorf("shard: shard %d (%s) holds %d rows, manifest says %d",
-			i, m.Shards[i].File, meta.Rows, m.Shards[i].Rows)
+		return fail("it holds %d rows, manifest says %d", meta.Rows, m.Shards[i].Rows)
 	}
 	if meta.ChunkSize != m.ChunkSize {
-		return fmt.Errorf("shard: shard %d (%s) has chunk size %d, manifest says %d",
-			i, m.Shards[i].File, meta.ChunkSize, m.ChunkSize)
+		return fail("chunk size %d, manifest says %d", meta.ChunkSize, m.ChunkSize)
+	}
+	if meta.Schema.NumFields() != len(m.Columns) {
+		return fail("%d columns, manifest declares %d", meta.Schema.NumFields(), len(m.Columns))
+	}
+	// Schema and dictionaries first: a shard that disagrees there
+	// disagrees in its zone maps too, and the first says why.
+	for ci, c := range m.Columns {
+		if f := meta.Schema.Field(ci); f.Name != c.Name || columnTypeName(f.Type) != c.Type {
+			return fail("column %d is %q %s, manifest says %q %s", ci, f.Name, columnTypeName(f.Type), c.Name, c.Type)
+		}
+		if !slices.Equal(meta.Dicts[ci], c.Dict) {
+			return fail("dictionary mismatch on column %q; every shard must hold the table's dictionary", c.Name)
+		}
+	}
+	for ci, c := range m.Columns {
+		zones := m.zones[i][ci]
+		if len(meta.Zones[ci]) != len(zones) {
+			return fail("column %q has %d zone maps, manifest %d", c.Name, len(meta.Zones[ci]), len(zones))
+		}
+		for k, zm := range zones {
+			if !sameZone(zm, meta.Zones[ci][k]) {
+				return fail("zone map mismatch on column %q chunk %d", c.Name, k)
+			}
+		}
 	}
 	return nil
 }
 
-// agree checks that shard i's schema and dictionaries are those of shard
-// ref: a shard written with another dictionary codes in another space,
-// and is refused.
-func agree(m *Manifest, ref int, refMeta BackendMeta, i int, meta BackendMeta) error {
-	if !meta.Schema.Equal(refMeta.Schema) {
-		return fmt.Errorf("shard: schema mismatch: shard %d (%s) and shard %d (%s) disagree",
-			ref, m.Shards[ref].File, i, m.Shards[i].File)
+// sameZone reports whether two zone maps are the same record, bounds
+// compared bit for bit.
+func sameZone(a, b storage.ZoneMap) bool {
+	if a.HasMinMax != b.HasMinMax || a.NullCount != b.NullCount || a.Distinct != b.Distinct || !slices.Equal(a.CodeSet, b.CodeSet) {
+		return false
 	}
-	for ci, d := range refMeta.Dicts {
-		if !slices.Equal(d, meta.Dicts[ci]) {
-			return fmt.Errorf("shard: dictionary mismatch: shard %d (%s) and shard %d (%s) disagree on column %q; every shard must hold the table's dictionary",
-				ref, m.Shards[ref].File, i, m.Shards[i].File, meta.Schema.Field(ci).Name)
-		}
-	}
-	return nil
+	return !a.HasMinMax || math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
 // lazyShard is one member of an aligned set — a local .atl file or a
@@ -303,52 +298,12 @@ func (ls *lazyShard) backend(ctx context.Context) (Backend, error) {
 	if err != nil {
 		return fail(fmt.Errorf("shard: opening shard %d: %w", ls.idx, err))
 	}
-	meta := be.Meta()
-	if err := validateShardMeta(ls.s.manifest, ls.idx, meta); err != nil {
-		be.Close()
-		return fail(err)
-	}
-	// Deferred sets validate the schema against the manifest's.
-	if ls.s.combined != nil && !meta.Schema.Equal(ls.s.combined.Schema()) {
-		be.Close()
-		return fail(fmt.Errorf("shard: shard %d (%s) schema disagrees with the manifest",
-			ls.idx, ls.s.manifest.Shards[ls.idx].File))
-	}
-	if err := ls.s.agreeRef(ls.idx, meta); err != nil {
+	if err := checkShard(ls.s.manifest, ls.idx, be.Meta()); err != nil {
 		be.Close()
 		return fail(err)
 	}
 	ls.be, ls.file, ls.remote = be, file, rb
 	return ls.be, nil
-}
-
-// agreeRef checks shard i's snapshot against the set's reference, or
-// makes it the reference when no shard has opened before it.
-func (s *Set) agreeRef(i int, meta BackendMeta) error {
-	s.refMu.Lock()
-	defer s.refMu.Unlock()
-	if s.ref == nil {
-		s.ref, s.refShard = &meta, i
-		return nil
-	}
-	return agree(s.manifest, s.refShard, *s.ref, i, meta)
-}
-
-// dict returns string column ci's dictionary: the first opened shard's,
-// opening shard 0 when none has opened.
-func (s *Set) dict(ctx context.Context, ci int) ([]string, error) {
-	s.refMu.Lock()
-	ref := s.ref
-	s.refMu.Unlock()
-	if ref == nil {
-		if _, err := s.shards[0].backend(ctx); err != nil {
-			return nil, err
-		}
-		s.refMu.Lock()
-		ref = s.ref
-		s.refMu.Unlock()
-	}
-	return ref.Dicts[ci], nil
 }
 
 // opened returns the shard's backend only if it is already open (nil
@@ -419,62 +374,24 @@ func (ss *setSource) PrefetchChunks(ctx context.Context, ci int, ks []int) {
 	}
 }
 
-// manifestZones synthesizes per-shard zone maps from the manifest's
-// statistics for a deferred open: every chunk of a shard inherits the
-// file-level min/max, and the null count degrades to the sound
-// three-state {none, some, all} the pruning rules need. Coarser than
-// the real zone maps — but no shard file is touched, and a predicate
-// disjoint with a whole file prunes all its chunks, so the file is
-// never opened.
-func manifestZones(m *Manifest) [][][]storage.ZoneMap {
-	out := make([][][]storage.ZoneMap, len(m.Shards))
-	for i, sf := range m.Shards {
-		numChunks := (sf.Rows + m.ChunkSize - 1) / m.ChunkSize
-		cols := make([][]storage.ZoneMap, len(m.Columns))
-		for ci := range m.Columns {
-			zones := make([]storage.ZoneMap, numChunks)
-			st := sf.Stats[ci]
-			for k := range zones {
-				chunkRows := m.ChunkSize
-				if hi := (k + 1) * m.ChunkSize; hi > sf.Rows {
-					chunkRows = sf.Rows - k*m.ChunkSize
-				}
-				zm := storage.ZoneMap{Min: st.Min, Max: st.Max, HasMinMax: st.HasMinMax}
-				switch {
-				case sf.Rows > 0 && st.Nulls == sf.Rows:
-					zm.NullCount = chunkRows
-				case st.Nulls > 0 && chunkRows > 1:
-					// "Some nulls, unknown where": 1 blocks the all-match
-					// shortcut without enabling the all-NULL prune.
-					zm.NullCount = 1
-				case st.Nulls > 0:
-					// A one-row chunk that may be NULL: 1 would prune it as
-					// all NULL, and 0 with bounds would take it as matching.
-					// Without bounds every verdict scans it.
-					zm = storage.ZoneMap{}
-				}
-				zones[k] = zm
-			}
-			cols[ci] = zones
-		}
-		out[i] = cols
-	}
-	return out
-}
-
 // build assembles the combined lazy table and per-shard views from the
-// per-shard zone maps.
-func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, deferred bool) error {
+// manifest's zone maps and dictionaries.
+func (s *Set) build() error {
 	m := s.manifest
 	n := len(s.shards)
-	if fb := s.shards[0].file; n == 1 && !deferred && fb != nil {
+	if fb := s.shards[0].file; n == 1 && fb != nil {
 		// Single opened local shard: the combined table IS the shard
-		// file's table (chunk metadata included); no indirection needed.
-		// (A single remote shard takes the routed assembly below.)
+		// file's table (its zone maps are the manifest's, checked at
+		// open); no indirection needed. (A single remote or deferred
+		// shard takes the routed assembly below.)
 		tbl := fb.Table().Rename(m.Table)
 		s.combined = tbl
 		s.views = []*storage.Table{tbl}
 		return nil
+	}
+	schema, err := m.Schema()
+	if err != nil {
+		return err
 	}
 	nf := schema.NumFields()
 	// lazyTable builds one routed chunk-aware table: the combined table
@@ -482,20 +399,10 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 	lazyTable := func(src *setSource, rows int, zones [][]storage.ZoneMap, nulls []int) (*storage.Table, error) {
 		cols := make([]storage.Column, nf)
 		for ci := range cols {
-			cfg := storage.LazyColumnConfig{
-				Source: src, Col: ci, Type: schema.Field(ci).Type,
-				Rows: rows, ChunkSize: m.ChunkSize, NullCount: nulls[ci],
-			}
-			if cfg.Type == storage.String {
-				cfg.DictFn = func() ([]string, error) {
-					// A column's dictionary resolves once for the set's
-					// lifetime, on an accessor with no context: run detached,
-					// so the first toucher's cancellation cannot fail the
-					// column for good.
-					return s.dict(context.Background(), ci)
-				}
-			}
-			col, err := storage.NewLazyColumn(cfg)
+			col, err := storage.NewLazyColumn(storage.LazyColumnConfig{
+				Source: src, Col: ci, Type: schema.Field(ci).Type, Rows: rows,
+				ChunkSize: m.ChunkSize, NullCount: nulls[ci], Dict: m.Columns[ci].Dict,
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -510,21 +417,16 @@ func (s *Set) build(schema *storage.Schema, viewZones [][][]storage.ZoneMap, def
 	nulls := make([]int, nf)
 	s.views = make([]*storage.Table, n)
 	for i := range s.shards {
+		viewZones := m.zones[i]
 		vnulls := make([]int, nf)
 		for ci := range vnulls {
-			if deferred {
-				// Manifest-derived zone maps only say none/some/all; the
-				// shard's statistics carry the count.
-				vnulls[ci] = m.Shards[i].Stats[ci].Nulls
-			} else {
-				for _, zm := range viewZones[i][ci] {
-					vnulls[ci] += zm.NullCount
-				}
+			for _, zm := range viewZones[ci] {
+				vnulls[ci] += zm.NullCount
 			}
 			nulls[ci] += vnulls[ci]
-			zones[ci] = append(zones[ci], viewZones[i][ci]...)
+			zones[ci] = append(zones[ci], viewZones[ci]...)
 		}
-		view, err := lazyTable(&setSource{s: s, off: s.chunkOffs[i]}, m.Shards[i].Rows, viewZones[i], vnulls)
+		view, err := lazyTable(&setSource{s: s, off: s.chunkOffs[i]}, m.Shards[i].Rows, viewZones, vnulls)
 		if err != nil {
 			return err
 		}
@@ -590,14 +492,6 @@ func (s *Set) IOStats() colstore.IOStats {
 		out.CacheBytes = cs.Bytes
 	}
 	return out
-}
-
-// ShardMayMatch reports whether predicate p could select rows of shard
-// i, judged from the manifest statistics alone (see
-// Manifest.ShardMayMatch). EXPLAIN uses it to report a shard as pruned
-// by the manifest, without opening its file (or remote connection).
-func (s *Set) ShardMayMatch(i int, p query.Predicate) bool {
-	return s.manifest.ShardMayMatch(i, p)
 }
 
 // remoteBackend returns shard i's backend when it is served over the

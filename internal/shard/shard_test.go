@@ -273,98 +273,48 @@ func TestOpenCorruptShard(t *testing.T) {
 	}
 }
 
-// TestOpenMixedSchema: shards with different schemas are rejected.
-func TestOpenMixedSchema(t *testing.T) {
-	dir := t.TempDir()
-	a := datagen.Census(1_000, 1)
-	b := datagen.SkySurvey(1_000, 1)
-	for i, tbl := range []*storage.Table{a, b} {
-		if err := colstore.WriteFile(filepath.Join(dir, fmt.Sprintf("t.%05d.atl", i)), tbl, 128); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cols, stats := schemaColumns(a.Schema())
-	m := &Manifest{
-		Version:      ManifestVersion,
-		Table:        "mixed",
-		Partitioning: PartitionRange,
-		ChunkSize:    128,
-		Rows:         2_000,
-		Columns:      cols,
-		Shards: []ShardFile{
-			{File: "t.00000.atl", Rows: 1_000, Stats: stats},
-			{File: "t.00001.atl", Rows: 1_000, Stats: stats},
-		},
-	}
-	path := filepath.Join(dir, "t.atlm")
-	if err := writeManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenWith(path, Options{})
-	if err == nil {
-		t.Fatal("open with mixed schemas succeeded")
-	}
-	if !strings.Contains(err.Error(), "schema mismatch") {
-		t.Errorf("error %q does not report the schema mismatch", err)
-	}
-}
-
-// mixedDictManifest hand-assembles one manifest over two census shard
-// files of rows rows each, generated from different seeds: one schema,
-// two dictionaries per string column. The files are what WriteSharded
-// writes, statistics and all; only the manifest that joins them is made
-// by hand, as TestOpenMixedSchema's is.
-func mixedDictManifest(t *testing.T, rows int, p Partitioning) string {
+// swappedShardManifest writes a 2 048-row census table as two shards
+// under p, then overwrites shard 1's file with what replace returns for
+// its row count: a shard file that disagrees with the manifest it was
+// ingested with.
+func swappedShardManifest(t *testing.T, p Partitioning, replace func(tbl *storage.Table, rows int) *storage.Table) string {
 	t.Helper()
 	dir := t.TempDir()
-	var m *Manifest
-	for i, name := range []string{"a", "b"} {
-		mi, err := WriteSharded(filepath.Join(dir, name+".atlm"), datagen.Census(rows, int64(i+1)), IngestOptions{Shards: 1, ChunkSize: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m == nil {
-			m = mi
-			continue
-		}
-		m.Shards = append(m.Shards, mi.Shards...)
-		m.Rows += mi.Rows
-	}
-	m.Table, m.Partitioning = "mixed", p
+	path := filepath.Join(dir, "t.atlm")
+	tbl := datagen.Census(2_048, 1)
+	o := IngestOptions{Shards: 2, ChunkSize: 128}
 	if p == PartitionHash {
-		m.Key = "education"
+		o.HashKey = "education"
 	}
-	path := filepath.Join(dir, "mixed.atlm")
-	if err := writeManifest(path, m); err != nil {
+	m, err := WriteSharded(path, tbl, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := colstore.WriteFile(filepath.Join(dir, m.Shards[1].File), replace(tbl, m.Shards[1].Rows), 128); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// wantDictMismatch checks that err refuses shard 1 for holding another
-// dictionary than shard 0, naming both files and a string column.
-func wantDictMismatch(t *testing.T, err error) {
+// wantRefusal checks that err refuses shard 1 as disagreeing with the
+// manifest, saying each of wants.
+func wantRefusal(t *testing.T, err error, wants ...string) {
 	t.Helper()
 	if err == nil {
-		t.Fatal("shards with different dictionaries were accepted")
+		t.Fatal("a shard that disagrees with its manifest was accepted")
 	}
-	for _, want := range []string{"dictionary mismatch", "a.00000.atl", "b.00000.atl", "on column"} {
+	for _, want := range append([]string{"shard 1 (t.00001.atl) disagrees with the manifest"}, wants...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
 }
 
-// TestOpenMixedDictionaries: a set whose shard files were written with
-// different dictionaries is refused — opened whole, deferred (when the
-// second shard opens), and reassembled eagerly from an unaligned hash
-// layout — with an error naming the shard and the column.
-func TestOpenMixedDictionaries(t *testing.T) {
-	aligned := mixedDictManifest(t, 1_024, PartitionRange)
-	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
-	wantDictMismatch(t, err)
-
-	s, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true})
+// exploreAll opens path deferred — which touches no shard — and explores
+// every row, which opens every shard.
+func exploreAll(t *testing.T, path string) error {
+	t.Helper()
+	s, err := OpenWith(path, Options{Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true})
 	if err != nil {
 		t.Fatalf("deferred open touched a shard: %v", err)
 	}
@@ -373,11 +323,72 @@ func TestOpenMixedDictionaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cart.Explore(query.New("mixed"))
-	wantDictMismatch(t, err)
+	_, err = cart.Explore(query.New("census"))
+	return err
+}
 
-	_, err = OpenWith(mixedDictManifest(t, 1_000, PartitionHash), Options{})
-	wantDictMismatch(t, err)
+// TestOpenMixedSchema: a shard whose schema differs from the manifest's
+// is refused, naming the shard and the column.
+func TestOpenMixedSchema(t *testing.T) {
+	wider := swappedShardManifest(t, PartitionRange, func(_ *storage.Table, rows int) *storage.Table {
+		return datagen.SkySurvey(rows, 1)
+	})
+	_, err := OpenWith(wider, Options{})
+	wantRefusal(t, err, "7 columns, manifest declares 5")
+	renamed := swappedShardManifest(t, PartitionRange, func(tbl *storage.Table, rows int) *storage.Table {
+		fields := tbl.Schema().Fields()
+		fields[1].Name = "years"
+		cols := make([]storage.Column, tbl.NumCols())
+		for ci := range cols {
+			cols[ci] = tbl.Column(ci)
+		}
+		p, err := storage.NewTable("census", storage.MustSchema(fields...), cols)
+		if err == nil {
+			p, err = p.SliceRows("census", 0, rows)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	})
+	_, err = OpenWith(renamed, Options{})
+	wantRefusal(t, err, `column 1 is "years"`)
+	wantRefusal(t, exploreAll(t, renamed), `column 1 is "years"`)
+}
+
+// TestOpenMixedDictionaries: a shard file written with another
+// dictionary than the manifest's is refused — opened whole, deferred
+// (when it opens), and reassembled eagerly from an unaligned hash layout
+// — with an error naming the shard and the column.
+func TestOpenMixedDictionaries(t *testing.T) {
+	other := func(_ *storage.Table, rows int) *storage.Table { return datagen.Census(rows, 2) }
+	aligned := swappedShardManifest(t, PartitionRange, other)
+	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
+	wantRefusal(t, err, "dictionary mismatch on column")
+	wantRefusal(t, exploreAll(t, aligned), "dictionary mismatch on column")
+	_, err = OpenWith(swappedShardManifest(t, PartitionHash, other), Options{})
+	wantRefusal(t, err, "dictionary mismatch on column")
+}
+
+// TestOpenRefusesZoneMismatch: a shard file whose zone maps differ from
+// the manifest's — same schema and dictionary, other rows — is refused
+// opened whole, deferred and reassembled eagerly, naming the shard, the
+// column and the chunk: the set plans with the manifest's zone maps, so
+// such a shard would answer wrongly.
+func TestOpenRefusesZoneMismatch(t *testing.T) {
+	head := func(tbl *storage.Table, rows int) *storage.Table {
+		p, err := tbl.SliceRows("census", 0, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	aligned := swappedShardManifest(t, PartitionRange, head)
+	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
+	wantRefusal(t, err, `zone map mismatch on column "age" chunk 0`)
+	wantRefusal(t, exploreAll(t, aligned), `zone map mismatch on column "age" chunk 0`)
+	_, err = OpenWith(swappedShardManifest(t, PartitionHash, head), Options{})
+	wantRefusal(t, err, "zone map mismatch on column", "chunk")
 }
 
 // TestOpenRowCountMismatch: a manifest lying about a shard's rows fails.
@@ -389,13 +400,25 @@ func TestOpenRowCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Shards[0].Rows += 64
-	m.Shards[1].Rows -= 64
+	// A lie that keeps every shard's chunk count is caught when the shard
+	// opens; one that moves a chunk no longer matches the manifest's zone
+	// maps, and the manifest does not read.
+	m.Shards[1].Rows -= 16
+	m.Rows -= 16
 	if err := writeManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenWith(path, Options{}); err == nil || !strings.Contains(err.Error(), "manifest says") {
 		t.Errorf("row-count lie not caught: %v", err)
+	}
+	m.Shards[0].Rows += 64
+	m.Shards[1].Rows -= 48
+	m.Rows += 16
+	if err := writeManifest(path, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenWith(path, Options{}); err == nil || !strings.Contains(err.Error(), "8 zone maps for 9 chunks") {
+		t.Errorf("row-count lie across a chunk not caught: %v", err)
 	}
 }
 
@@ -405,7 +428,7 @@ func TestManifestValidation(t *testing.T) {
 		return &Manifest{
 			Version: ManifestVersion, Table: "t", Partitioning: PartitionRange,
 			ChunkSize: 128, Rows: 10, Columns: []ColumnSchema{{Name: "x", Type: "int64"}},
-			Shards: []ShardFile{{File: "x.atl", Rows: 10, Stats: []ColumnStats{{}}}},
+			Shards: []ShardFile{{File: "x.atl", Rows: 10, Zones: []string{colstore.EncodeZones(make([]storage.ZoneMap, 1))}}},
 		}
 	}
 	cases := []struct {
@@ -414,10 +437,10 @@ func TestManifestValidation(t *testing.T) {
 		wants string
 	}{
 		{"bad version", func(m *Manifest) { m.Version = 99 }, "version"},
-		{"pre-v3 version", func(m *Manifest) { m.Version = 2 }, "atlas ingest"},
+		{"pre-v4 version", func(m *Manifest) { m.Version = 3 }, "atlas ingest"},
 		{"no columns", func(m *Manifest) { m.Columns = nil }, "no columns"},
 		{"bad column type", func(m *Manifest) { m.Columns[0].Type = "decimal" }, "unknown column type"},
-		{"missing stats", func(m *Manifest) { m.Shards[0].Stats = nil }, "column stats"},
+		{"missing zone maps", func(m *Manifest) { m.Shards[0].Zones = nil }, "zone maps for 0 columns"},
 		{"bad partitioning", func(m *Manifest) { m.Partitioning = "round-robin" }, "partitioning"},
 		{"hash without key", func(m *Manifest) { m.Partitioning = PartitionHash }, "key"},
 		{"range with key", func(m *Manifest) { m.Key = "x" }, "key"},

@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestFixedHistMergeEqualsSinglePass(t *testing.T) {
 	vals := make([]float64, 1000)
@@ -55,5 +58,43 @@ func TestFixedHistDegenerate(t *testing.T) {
 	}
 	if _, err := FixedHist(0, 1, 0); err == nil {
 		t.Error("zero bins accepted")
+	}
+}
+
+// TestEqualWidth: while hi−lo is finite, the edges are lo + w·i with
+// w = (hi−lo)/k, bit for bit; once it overflows, they stay finite and
+// ordered from lo to hi, and bin places the edges in order, each in its
+// own bin or, by rounding, the one below.
+func TestEqualWidth(t *testing.T) {
+	lo, hi, k := 0.1, 0.7, 3
+	edges, _ := EqualWidth(lo, hi, k)
+	w := (hi - lo) / float64(k)
+	for i := 0; i < k; i++ {
+		if edges[i] != lo+w*float64(i) {
+			t.Errorf("edge %d = %v, want lo + w·i = %v", i, edges[i], lo+w*float64(i))
+		}
+	}
+	for _, span := range [][2]float64{{-math.MaxFloat64, math.MaxFloat64}, {-1e308, 1e308}, {-math.MaxFloat64, 0.5}} {
+		for _, k := range []int{2, 3, 4, 7} {
+			edges, bin := EqualWidth(span[0], span[1], k)
+			if edges[0] != span[0] || edges[k] != span[1] {
+				t.Errorf("%v in %d bins: edges %v do not run from lo to hi", span, k, edges)
+			}
+			for i := 1; i <= k; i++ {
+				if math.IsInf(edges[i], 0) || math.IsNaN(edges[i]) || !(edges[i-1] < edges[i]) {
+					t.Fatalf("%v in %d bins: edges %v are not finite and ordered", span, k, edges)
+				}
+			}
+			for i, prev := 0, 0; i < k; i++ {
+				b := bin(edges[i])
+				if b < prev || b != i && b != i-1 {
+					t.Errorf("%v in %d bins: edge %d (%v) falls in bin %d", span, k, i, edges[i], b)
+				}
+				prev = b
+			}
+			if b := bin(span[1]); b != k-1 {
+				t.Errorf("%v in %d bins: hi falls in bin %d", span, k, b)
+			}
+		}
 	}
 }

@@ -54,24 +54,46 @@ func EquiWidthHist(vals []float64, k int) (*Histogram, error) {
 	if lo == hi {
 		return &Histogram{Edges: []float64{lo, hi}, Counts: []int{len(vals)}}, nil
 	}
-	edges := make([]float64, k+1)
-	width := (hi - lo) / float64(k)
-	for i := 0; i <= k; i++ {
-		edges[i] = lo + width*float64(i)
-	}
-	edges[k] = hi // avoid floating error excluding the max
+	edges, bin := EqualWidth(lo, hi, k)
 	counts := make([]int, k)
 	for _, v := range vals {
-		b := int((v - lo) / width)
-		if b >= k {
-			b = k - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
+		counts[bin(v)]++
 	}
 	return &Histogram{Edges: edges, Counts: counts}, nil
+}
+
+// EqualWidth returns the k+1 edges of k equal-width bins over [lo, hi]
+// (lo < hi, both finite; edges[k] is hi exactly, so floating error never
+// excludes the maximum) and bin, the index in [0, k) of a value in
+// [lo, hi]. The width is (hi−lo)/k, and edge i is lo + width·i. When
+// hi−lo overflows, the width is hi/k − lo/k instead, edge i is that sum
+// taken at half scale and doubled, and bin divides before it subtracts:
+// the same grid, without an infinite width.
+func EqualWidth(lo, hi float64, k int) (edges []float64, bin func(v float64) int) {
+	edges = make([]float64, k+1)
+	w := (hi - lo) / float64(k)
+	wide := math.IsInf(w, 0)
+	if wide {
+		w = hi/float64(k) - lo/float64(k)
+	}
+	for i := range edges {
+		if wide {
+			edges[i] = 2 * (lo/2 + w/2*float64(i))
+		} else {
+			edges[i] = lo + w*float64(i)
+		}
+	}
+	edges[k] = hi
+	bin = func(v float64) int {
+		var b int
+		if wide {
+			b = int(v/w - lo/w)
+		} else {
+			b = int((v - lo) / w)
+		}
+		return min(max(b, 0), k-1)
+	}
+	return edges, bin
 }
 
 // FixedHist returns an empty k-bin equal-width histogram over [lo, hi] —
@@ -88,12 +110,7 @@ func FixedHist(lo, hi float64, k int) (*Histogram, error) {
 	if lo == hi {
 		return &Histogram{Edges: []float64{lo, hi}, Counts: []int{0}}, nil
 	}
-	edges := make([]float64, k+1)
-	width := (hi - lo) / float64(k)
-	for i := 0; i <= k; i++ {
-		edges[i] = lo + width*float64(i)
-	}
-	edges[k] = hi
+	edges, _ := EqualWidth(lo, hi, k)
 	return &Histogram{Edges: edges, Counts: make([]int, k)}, nil
 }
 

@@ -54,13 +54,16 @@ const MaxZoneCodes = 4096
 
 // Check reports why zm cannot be a zone map of a chunk of chunkRows rows
 // of a column of type t whose dictionary holds dictLen entries: a NULL
-// count outside [0, chunkRows], a code set on a non-string column, or a
-// code set not sized to the dictionary. Each would mis-prune scans
-// silently. With dictLen -1 (the dictionary is not at hand) a code set
+// count outside [0, chunkRows], bounds that are NaN or not ordered
+// (min above max), a code set on a non-string column, or a code set not
+// sized to the dictionary. Each would mis-prune scans silently. With dictLen -1 (the dictionary is not at hand) a code set
 // meets the structural bound only.
 func (zm ZoneMap) Check(t DataType, dictLen, chunkRows int) error {
 	if zm.NullCount < 0 || zm.NullCount > chunkRows {
 		return fmt.Errorf("null count %d out of range", zm.NullCount)
+	}
+	if zm.HasMinMax && !(zm.Min <= zm.Max) {
+		return fmt.Errorf("bounds [%v, %v] are not ordered", zm.Min, zm.Max)
 	}
 	if zm.CodeSet == nil {
 		return nil

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 )
@@ -145,15 +143,7 @@ type LazyColumn struct {
 	rows      int
 	chunkSize int
 	nullCount int
-
-	// dictOnce resolves the dictionary of String columns on first use;
-	// deferred stores load it without touching value chunks.
-	dictOnce sync.Once
-	dictFn   func() ([]string, error)
-	dict     []string
-	dictErr  error
-	// dictReady is set once dict holds the resolved dictionary.
-	dictReady atomic.Bool
+	dict      []string
 }
 
 // LazyColumnConfig assembles a LazyColumn.
@@ -170,12 +160,9 @@ type LazyColumnConfig struct {
 	ChunkSize int
 	// NullCount is the column's total NULL count (known from zone maps).
 	NullCount int
-	// Dict is the dictionary of String columns. Exactly one of Dict and
-	// DictFn must be set for String columns.
+	// Dict is the dictionary of String columns, which every chunk's codes
+	// index.
 	Dict []string
-	// DictFn lazily resolves the dictionary on first use, for sources
-	// that can defer even metadata reads.
-	DictFn func() ([]string, error)
 }
 
 // NewLazyColumn builds a lazy column over a chunk source.
@@ -191,12 +178,7 @@ func NewLazyColumn(cfg LazyColumnConfig) (*LazyColumn, error) {
 	}
 	c := &LazyColumn{
 		src: cfg.Source, ci: cfg.Col, typ: cfg.Type, rows: cfg.Rows,
-		chunkSize: cfg.ChunkSize, nullCount: cfg.NullCount,
-		dictFn: cfg.DictFn,
-	}
-	if cfg.Type == String && cfg.DictFn == nil {
-		dict := cfg.Dict
-		c.dictFn = func() ([]string, error) { return dict, nil }
+		chunkSize: cfg.ChunkSize, nullCount: cfg.NullCount, dict: cfg.Dict,
 	}
 	return c, nil
 }
@@ -249,32 +231,8 @@ func (c *LazyColumn) PrefetchHint(ctx context.Context, ks []int) {
 	}
 }
 
-// DictValues returns the dictionary of a String column, resolving it on
-// first use.
-func (c *LazyColumn) DictValues() ([]string, error) {
-	if c.typ != String {
-		return nil, fmt.Errorf("storage: DictValues on %v column", c.typ)
-	}
-	c.dictOnce.Do(func() {
-		c.dict, c.dictErr = c.dictFn()
-		c.dictReady.Store(c.dictErr == nil)
-	})
-	return c.dict, c.dictErr
-}
-
-// Dict returns the dictionary, panicking with a *ChunkError when it
-// cannot be resolved — the error-free counterpart of DictValues for
-// Column-interface consumers.
-func (c *LazyColumn) Dict() []string {
-	dict, err := c.DictValues()
-	if err != nil {
-		panic(&ChunkError{Col: c.ci, Chunk: -1, Err: err})
-	}
-	return dict
-}
-
 // Cardinality returns the dictionary size of a String column.
-func (c *LazyColumn) Cardinality() int { return len(c.Dict()) }
+func (c *LazyColumn) Cardinality() int { return len(c.dict) }
 
 // IsNull implements Column, faulting in the row's chunk.
 func (c *LazyColumn) IsNull(i int) bool {
@@ -300,7 +258,7 @@ func (c *LazyColumn) Value(i int) any {
 	case Bool:
 		return p.Bools[l]
 	default:
-		return c.Dict()[p.Codes[l]]
+		return c.dict[p.Codes[l]]
 	}
 }
 
@@ -368,7 +326,7 @@ func (c *LazyColumn) Gather(idx []int) Column {
 	case Bool:
 		return NewBoolColumn(bools, nulls)
 	default:
-		return NewStringColumnFromDict(c.Dict(), codes, nulls)
+		return NewStringColumnFromDict(c.dict, codes, nulls)
 	}
 }
 
@@ -425,11 +383,7 @@ func (c *LazyColumn) Materialize() (Column, error) {
 	case Bool:
 		return NewBoolColumn(bools, nulls), nil
 	default:
-		dict, err := c.DictValues()
-		if err != nil {
-			return nil, err
-		}
-		return NewStringColumnFromDict(dict, codes, nulls), nil
+		return NewStringColumnFromDict(c.dict, codes, nulls), nil
 	}
 }
 

@@ -51,32 +51,24 @@ func (r *Runs) Type() DataType { return r.col.Type() }
 // as a lazy column's do, rather than viewing resident memory.
 func (r *Runs) Fetches() bool { return r.lazy != nil }
 
-// Dictionary returns the dictionary of a String column, resolving a
-// lazy column's on first use.
+// Dictionary returns the dictionary of a String column, resident or
+// lazy.
 func Dictionary(c Column) ([]string, error) {
 	switch c := c.(type) {
 	case *StringColumn:
 		return c.dict, nil
 	case *LazyColumn:
-		return c.DictValues()
-	default:
-		return nil, fmt.Errorf("storage: no dictionary on a %v column", c.Type())
-	}
-}
-
-// DictLen returns the dictionary length of a String column when it is
-// known without loading anything — a resident column's, or a lazy
-// column's once resolved — and ok false otherwise.
-func (r *Runs) DictLen() (n int, ok bool) {
-	switch c := r.col.(type) {
-	case *StringColumn:
-		return len(c.dict), true
-	case *LazyColumn:
-		if c.dictReady.Load() {
-			return len(c.dict), true
+		if c.typ == String {
+			return c.dict, nil
 		}
 	}
-	return 0, false
+	return nil, fmt.Errorf("storage: no dictionary on a %v column", c.Type())
+}
+
+// DictLen returns the dictionary length of a String column.
+func (r *Runs) DictLen() int {
+	dict, _ := Dictionary(r.col)
+	return len(dict)
 }
 
 // Hint hands a lazy column's source the window ks of runs the caller is
