@@ -174,7 +174,7 @@ func New(table *Table, opts Options) (*Explorer, error) {
 }
 
 // NewSharded builds an Explorer over an opened sharded table. The
-// pipeline runs on the reassembled combined table — scans, partition
+// pipeline runs on the combined table — scans, partition
 // bitmaps and contingency counts fan out chunk-by-chunk across shard
 // boundaries — while full-selection column statistics (values in row
 // order, category counts) are computed per shard on the worker pool and
@@ -439,13 +439,9 @@ func (h *StoreHandle) Table() *Table {
 // single-file store.
 func (h *StoreHandle) Sharded() *ShardedTable { return h.set }
 
-// Lazy reports whether the store serves chunks on demand.
-func (h *StoreHandle) Lazy() bool {
-	if h.set != nil {
-		return h.set.Lazy()
-	}
-	return h.store.Lazy()
-}
+// Lazy reports whether the store serves chunks on demand: always for a
+// shard set, whose combined table routes every chunk to its shard.
+func (h *StoreHandle) Lazy() bool { return h.set != nil || h.store.Lazy() }
 
 // Close releases every file mapping and descriptor the handle holds.
 func (h *StoreHandle) Close() error {
@@ -474,8 +470,8 @@ func (h *StoreHandle) NewExplorer(opts Options) (*Explorer, error) {
 }
 
 // ShardedTable is an opened sharded table: N ".atl" shard files plus
-// their manifest (see internal/shard for the manifest format),
-// reassembled into one combined chunk-aware table with per-shard views.
+// their manifest (see internal/shard for the manifest format), assembled
+// into one combined chunk-aware table with per-shard views.
 type ShardedTable struct {
 	set *shard.Set
 	// opener dials the set's remote shards; Close releases its pooled
@@ -494,12 +490,11 @@ func (s *ShardedTable) ShardTable(i int) *Table { return s.set.ShardTable(i) }
 
 // ShardIngestOptions configures SaveSharded.
 type ShardIngestOptions struct {
-	// Shards is the requested shard count (>= 1).
+	// Shards is the requested shard count (>= 1). Every shard holds a
+	// contiguous row range in table order, and every shard but the last
+	// a whole number of chunks, so the shards concatenate back into the
+	// original table bit for bit.
 	Shards int
-	// HashKey selects hash partitioning by the named column; empty uses
-	// range partitioning in row order (the default — shards concatenate
-	// back into the original table bit for bit).
-	HashKey string
 	// ChunkSize is rows per chunk in every shard file (0 = 65536; must
 	// be a positive multiple of 64).
 	ChunkSize int
@@ -512,15 +507,10 @@ type ShardIngestOptions struct {
 func SaveSharded(t *Table, manifestPath string, o ShardIngestOptions) error {
 	_, err := shard.WriteSharded(manifestPath, t, shard.IngestOptions{
 		Shards:    o.Shards,
-		HashKey:   o.HashKey,
 		ChunkSize: o.ChunkSize,
 	})
 	return err
 }
-
-// Lazy reports whether the set assembled as lazy views over its shard
-// files rather than a materialized concatenation.
-func (s *ShardedTable) Lazy() bool { return s.set.LazyViews() }
 
 // Close closes every opened shard file and the idle connections to
 // remote shard servers.
@@ -538,10 +528,11 @@ func (s *ShardedTable) IOStats() StoreIOStats { return s.set.IOStats() }
 func (s *ShardedTable) OpenedShards() int { return s.set.OpenedShards() }
 
 // OpenSharded opens a shard manifest and every shard file it references,
-// validating shard schemas, row counts and chunk sizes against each
-// other. Explore the result with NewSharded. Chunk-aligned sets
-// assemble as lazy views sharing one decoded-chunk cache — open holds
-// no concatenated copy of the columns.
+// checking each shard's rows, chunk size, schema, dictionaries and zone
+// maps against the manifest. Explore the result with NewSharded. A set
+// assembles as lazy views over its shards sharing one decoded-chunk
+// cache — open holds no concatenated copy of the columns. A manifest
+// that is not a chunk-aligned range partition is refused.
 func OpenSharded(manifestPath string) (*ShardedTable, error) {
 	return OpenShardedWith(manifestPath, StoreOpenOptions{})
 }

@@ -8,7 +8,7 @@
 //	atlas -store data.atl            # explore a columnar store file
 //	atlas -store data.atlm           # explore a sharded store (manifest)
 //	atlas ingest -csv data.csv -out data.atl [-table name] [-chunk 65536]
-//	atlas ingest -csv data.csv -shards 4 [-by keycol] [-out data.atlm]
+//	atlas ingest -csv data.csv -shards 4 [-out data.atlm]
 //	atlas remote-manifest -manifest data.atlm -out remote.atlm \
 //	    -urls http://host1:9001,http://host2:9001
 //	atlas workload -in workload.jsonl [-v]
@@ -18,8 +18,8 @@
 // store format (".atl"): per-column chunked segments with zone maps,
 // which reopen without re-parsing and let scans skip chunks that cannot
 // match a predicate. With -shards N it splits the table into N shard
-// files plus a JSON manifest (range partitioning by row order, or hash
-// partitioning by the -by column), which explorations fan out across.
+// files plus a JSON manifest (contiguous, chunk-aligned row ranges in
+// table order), which explorations fan out across.
 // -store explores either kind of file directly — manifests are detected
 // by content, not extension.
 //
@@ -353,7 +353,6 @@ func runIngest(args []string, out io.Writer) error {
 		tblName = fs.String("table", "", "table name stored in the file (default: CSV path)")
 		chunk   = fs.Int("chunk", 0, "rows per chunk; positive multiple of 64 (default 65536)")
 		shards  = fs.Int("shards", 1, "split the table across this many shard files plus a manifest")
-		hashBy  = fs.String("by", "", "hash-partition shards by this key column (default: range partitioning by row order)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -363,9 +362,6 @@ func runIngest(args []string, out io.Writer) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1")
-	}
-	if *hashBy != "" && *shards == 1 {
-		return fmt.Errorf("-by needs -shards > 1")
 	}
 	sharded := *shards > 1
 	dst := *outPath
@@ -385,7 +381,6 @@ func runIngest(args []string, out io.Writer) error {
 	if sharded {
 		err = atlas.SaveSharded(table, dst, atlas.ShardIngestOptions{
 			Shards:    *shards,
-			HashKey:   *hashBy,
 			ChunkSize: *chunk,
 		})
 	} else {
@@ -404,12 +399,8 @@ func runIngest(args []string, out io.Writer) error {
 	}
 	chunks := (table.NumRows() + size - 1) / size
 	if sharded {
-		mode := "range"
-		if *hashBy != "" {
-			mode = "hash(" + *hashBy + ")"
-		}
-		fmt.Fprintf(out, "ingested %q: %d rows, %d columns, %d chunk(s), %d %s shard(s) -> %s\n",
-			table.Name(), table.NumRows(), table.NumCols(), chunks, *shards, mode, dst)
+		fmt.Fprintf(out, "ingested %q: %d rows, %d columns, %d chunk(s), %d range shard(s) -> %s\n",
+			table.Name(), table.NumRows(), table.NumCols(), chunks, *shards, dst)
 	} else {
 		fmt.Fprintf(out, "ingested %q: %d rows, %d columns, %d chunk(s) -> %s (%d bytes)\n",
 			table.Name(), table.NumRows(), table.NumCols(), chunks, dst, info.Size())

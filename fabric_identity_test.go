@@ -7,10 +7,11 @@ package atlas
 // values that broke residency identity before — NULL, NaN, ±Inf, −0 and
 // +0, constant and all-NULL columns, row counts one off a chunk
 // boundary — and random band and IN queries, with a drill into a region
-// of each answer, must format byte-identically everywhere — an
-// unaligned hash set's against its own row order in memory — at
+// of each answer, must format byte-identically everywhere at
 // Parallelism 1 and 2 — on the table as generated and sorted by one
-// column, under narrow bands of it. Each query explored WITH SAMPLE must format as
+// column, under narrow bands of it. So must answers that depend on row
+// position: screening that stops early, and the random and
+// representative examples of a region. Each query explored WITH SAMPLE must format as
 // the same query over a table of the sample's rows alone. Each query is
 // also a statement, plain and under one WITH clause in turn, that
 // answers alike through the façade, POST /api/explore and a session
@@ -130,9 +131,15 @@ func (res residency) cartographer(t *testing.T, par int) *core.Cartographer {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Parallelism = par
+	return res.cartographerWith(t, opts)
+}
+
+// cartographerWith is cartographer under opts.
+func (res residency) cartographerWith(t *testing.T, opts core.Options) *core.Cartographer {
+	t.Helper()
 	var sp core.StatProvider // nil: the table's own passes
 	if res.set != nil {
-		sp = res.set.Provider(par)
+		sp = res.set.Provider(opts.Parallelism)
 	}
 	cart, err := core.NewCartographerWith(res.table, opts, sp)
 	if err != nil {
@@ -180,6 +187,47 @@ func identityAnswers(t *testing.T, res residency, par int, queries []string) (ex
 		}
 	}
 	return exact, sampled
+}
+
+// rowOrderAnswers explores every query on res at parallelism par with
+// screening capped at a third of the table's rows, so that the rows it
+// reads before it stops are the first ones, and formats each answer
+// with three random and three representative examples of the last
+// non-empty region of its first map: answers that depend on row
+// position, each example carrying its row index.
+func rowOrderAnswers(t *testing.T, res residency, par int, queries []string) []string {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Parallelism = par
+	opts.ScreenOpts.SampleRows = res.table.NumRows() / 3
+	cart := res.cartographerWith(t, opts)
+	ex := &Explorer{cart}
+	var out []string
+	for _, text := range queries {
+		st, err := cql.Parse(text, res.table)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		r, err := cart.Explore(st.Query)
+		if err != nil {
+			t.Fatalf("%s on %s with early screening: %v", text, res.name, err)
+		}
+		answer := formatIdentity(r)
+		if m, ri := lastNonEmpty(r); ri >= 0 {
+			q := m.Regions[ri].Query
+			random, err := ex.RegionExamples(q, 3, 1)
+			if err != nil {
+				t.Fatalf("examples of %s on %s: %v", q.String(), res.name, err)
+			}
+			central, err := ex.RepresentativeExamples(q, 3)
+			if err != nil {
+				t.Fatalf("representative examples of %s on %s: %v", q.String(), res.name, err)
+			}
+			answer += fmt.Sprintf("random %v\nrepresentative %v\n", random, central)
+		}
+		out = append(out, answer)
+	}
+	return out
 }
 
 // gatheredAnswers is the oracle of identityAnswers' sampled answers:
@@ -430,41 +478,17 @@ func sortedBy(tbl *storage.Table, attr string) *storage.Table {
 	return tbl.Gather(tbl.Name(), idx)
 }
 
-// unalignedHash writes tbl hash-partitioned into shards shards, and
-// opens the set eagerly: one whose shards do not all start on a chunk,
-// so that it answers as one member, its concatenated table. It keys on
-// i, or on c or z where the shards by i happen to align.
-func unalignedHash(t *testing.T, tbl *storage.Table, shards int) *shard.Set {
-	t.Helper()
-	for _, key := range []string{"i", "c", "z"} {
-		path := filepath.Join(t.TempDir(), "hash.atlm")
-		if _, err := shard.WriteSharded(path, tbl, shard.IngestOptions{Shards: shards, HashKey: key, ChunkSize: identityChunk}); err != nil {
-			t.Fatal(err)
-		}
-		set, err := shard.OpenWith(path, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !set.LazyViews() {
-			t.Cleanup(func() { set.Close() })
-			return set
-		}
-		set.Close()
-	}
-	t.Fatalf("every hash set of %d shards is chunk-aligned; want an unaligned one", shards)
-	return nil
-}
-
-// identityNet checks that every query, its drill and its samples answer
-// on tbl's lazy shards and fabric, each opened eagerly and deferred — a
-// few shards and several, drawn from r — exactly as in memory, at
-// Parallelism 1 and 2; and on a hash set of tbl's rows, which reorders
-// them, exactly as its own rows in memory. Before any of that opens a
-// deferred set's shards, samePlans checks that it plans as its eager
-// twin.
+// identityNet checks that every query, its drill, its samples and its
+// row-order answers (rowOrderAnswers) answer on tbl's lazy shards and
+// fabric, each opened eagerly and deferred — a few shards and several,
+// drawn from r — exactly as in memory, at Parallelism 1 and 2. Before
+// any of that opens a deferred set's shards, samePlans checks that it
+// plans as its eager twin.
 func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, queries []string) {
 	t.Helper()
-	want, _ := identityAnswers(t, residency{name: "memory", table: tbl}, 1, queries)
+	memory := residency{name: "memory", table: tbl}
+	want, _ := identityAnswers(t, memory, 1, queries)
+	wantOrder := rowOrderAnswers(t, memory, 1, queries)
 	for _, shards := range []int{1 + r.Intn(2), 3 + r.Intn(3)} {
 		local := filepath.Join(t.TempDir(), "t.atlm")
 		if _, err := shard.WriteSharded(local, tbl, shard.IngestOptions{Shards: shards, ChunkSize: identityChunk}); err != nil {
@@ -500,44 +524,39 @@ func identityNet(t *testing.T, r *rand.Rand, label string, tbl *storage.Table, q
 		} {
 			samePlans(t, fmt.Sprintf("%s, %d shards", label, shards), pair.eager, pair.deferred, queries)
 		}
-		hash := unalignedHash(t, tbl, shards+1)
-		hashWant, _ := identityAnswers(t, residency{name: "memory", table: hash.Table()}, 1, queries)
 		for _, par := range []int{1, 2} {
-			for _, g := range []struct {
-				tbl  *storage.Table // the rows in memory, in the residencies' order
-				want []string
-				sets []residency
-			}{
-				{tbl, want, []residency{
-					{"memory", tbl, nil},
-					{"lazy shards", lazy.Table(), lazy},
-					{"deferred shards", deferred.Table(), deferred},
-					{"fabric", fabric.Table(), fabric},
-					{"fabric eager", fabricEager.Table(), fabricEager},
-				}},
-				{hash.Table(), hashWant, []residency{{"hash shards", hash.Table(), hash}}},
+			wantSampled := gatheredAnswers(t, tbl, par, queries)
+			wantStatements := statementOracle(t, tbl, par, queries)
+			for _, res := range []residency{
+				memory,
+				{"lazy shards", lazy.Table(), lazy},
+				{"deferred shards", deferred.Table(), deferred},
+				{"fabric", fabric.Table(), fabric},
+				{"fabric eager", fabricEager.Table(), fabricEager},
 			} {
-				wantSampled := gatheredAnswers(t, g.tbl, par, queries)
-				wantStatements := statementOracle(t, g.tbl, par, queries)
-				for _, res := range g.sets {
-					got, gotSampled := identityAnswers(t, res, par, queries)
-					for i := range g.want {
-						if got[i] != g.want[i] {
-							t.Errorf("%s, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
-								label, shards, res.name, par, i, g.want[i], got[i])
-						}
+				got, gotSampled := identityAnswers(t, res, par, queries)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s, %d shards, %s at parallelism %d, answer %d differs:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, want[i], got[i])
 					}
-					for i := range wantSampled {
-						if gotSampled[i] != wantSampled[i] {
-							t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
-								label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
-						}
+				}
+				for i := range wantSampled {
+					if gotSampled[i] != wantSampled[i] {
+						t.Errorf("%s, %d shards, %s at parallelism %d, sampled answer %d differs from the gathered sample:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, wantSampled[i], gotSampled[i])
 					}
-					for i, got := range statementAnswers(t, res, par, queries) {
-						if want := wantStatements[i]; got != want {
-							t.Errorf("%s, %d shards, %s at parallelism %d, statement answer %d (%s) differs from its own Cartographer's:\nwant:\n%s\ngot:\n%s",
-								label, shards, res.name, par, i, statementSurfaces[i%len(statementSurfaces)], want, got)
-						}
+				}
+				for i, got := range statementAnswers(t, res, par, queries) {
+					if want := wantStatements[i]; got != want {
+						t.Errorf("%s, %d shards, %s at parallelism %d, statement answer %d (%s) differs from its own Cartographer's:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, statementSurfaces[i%len(statementSurfaces)], want, got)
+					}
+				}
+				for i, got := range rowOrderAnswers(t, res, par, queries) {
+					if got != wantOrder[i] {
+						t.Errorf("%s, %d shards, %s at parallelism %d, row-order answer %d differs:\nwant:\n%s\ngot:\n%s",
+							label, shards, res.name, par, i, wantOrder[i], got)
 					}
 				}
 			}

@@ -9,11 +9,11 @@ import (
 	"sync/atomic"
 )
 
-// For runs fn(i) for every i in [0, n) on up to workers goroutines
-// pulling indices from a shared counter. Callers collect results by
-// index, which keeps output ordering — and therefore answers —
-// independent of the schedule. With workers <= 1 (or n <= 1) it
-// degenerates to a plain serial loop.
+// For runs fn(i) for every i in [0, n) on up to workers workers pulling
+// indices from a shared counter: workers−1 new goroutines and the
+// caller's own. Callers collect results by index, which keeps output
+// ordering — and therefore answers — independent of the schedule. With
+// workers <= 1 (or n <= 1) it degenerates to a plain serial loop.
 //
 // On failure the error with the smallest index among the executed calls
 // is returned and remaining indices are abandoned.
@@ -39,26 +39,30 @@ func For(workers, n int, fn func(i int) error) error {
 		errIdx   int
 		firstErr error
 	}{errIdx: n}
-	st.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for !st.failed.Load() {
+			i := int(st.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				st.mu.Lock()
+				if i < st.errIdx {
+					st.errIdx, st.firstErr = i, err
+				}
+				st.mu.Unlock()
+				st.failed.Store(true)
+			}
+		}
+	}
+	st.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer st.wg.Done()
-			for !st.failed.Load() {
-				i := int(st.next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					st.mu.Lock()
-					if i < st.errIdx {
-						st.errIdx, st.firstErr = i, err
-					}
-					st.mu.Unlock()
-					st.failed.Store(true)
-				}
-			}
+			work()
 		}()
 	}
+	work() // the caller is the last worker
 	st.wg.Wait()
 	return st.firstErr
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -208,6 +209,79 @@ func TestFabricRefusesMixedDictionaries(t *testing.T) {
 			_, err = cart.Explore(query.New("census"))
 			want(err)
 		})
+	}
+}
+
+// TestFabricRefusesUnalignedAndHash: a remote manifest that is not a
+// chunk-aligned range partition is refused, opened whole or deferred,
+// before any shard server is asked: one whose shard 0 holds 1 000 rows
+// of 128-row chunks, naming the shard, and a hash manifest, naming the
+// file. The servers serve files that match each manifest's rows and
+// zone maps, so alignment alone decides.
+func TestFabricRefusesUnalignedAndHash(t *testing.T) {
+	tbl := datagen.Census(2_048, 1)
+	local := writeShardedInputs(t, tbl, 2, 128)
+	m, err := shard.ReadManifest(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unaligned := make([]shard.ShardFile, len(m.Shards))
+	for i, rows := range [][2]int{{0, 1_000}, {1_000, 2_048}} {
+		part, err := tbl.SliceRows("census", rows[0], rows[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := colstore.WriteFileStats(filepath.Join(filepath.Dir(local), m.Shards[i].File), part, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unaligned[i].Rows = part.NumRows()
+		for _, zones := range ck.Zones {
+			unaligned[i].Zones = append(unaligned[i].Zones, colstore.EncodeZones(zones))
+		}
+	}
+	f := startFabric(t, local, nil)
+	rm, err := shard.ReadManifest(f.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, m shard.Manifest) string {
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	hash := *rm
+	hash.Partitioning = "hash"
+	ragged := *rm
+	ragged.Shards = append([]shard.ShardFile(nil), rm.Shards...)
+	for i := range ragged.Shards {
+		ragged.Shards[i].Rows, ragged.Shards[i].Zones = unaligned[i].Rows, unaligned[i].Zones
+	}
+	hashPath := write("hash.atlm", hash)
+	opener := testOpener()
+	defer opener.Close()
+	for _, tc := range []struct{ path, want string }{
+		{write("unaligned.atlm", ragged), "shard 0 (" + f.servers[0].URL + ") holds 1000 rows, not a multiple of the chunk size 128"},
+		{hashPath, hashPath + `: shard: "hash" partitioning is not supported`},
+	} {
+		for _, deferred := range []bool{false, true} {
+			set, err := shard.OpenWith(tc.path, shard.Options{Remote: opener, Defer: deferred})
+			if err == nil {
+				set.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("deferred %v: err = %v, want %q", deferred, err, tc.want)
+			}
+		}
+	}
+	if st := opener.Stats(); st.RPCs != 0 {
+		t.Errorf("refused manifests made %d RPCs", st.RPCs)
 	}
 }
 

@@ -341,99 +341,50 @@ func TestPoisonedWireBufferLeavesPayloads(t *testing.T) {
 	}
 }
 
-// hashAlignedTable is census with a "bucket" key column whose every
-// value covers a multiple of 1024 rows, so hash sharding by it yields
-// chunk-aligned shards a remote manifest can serve.
-func hashAlignedTable(n int) *storage.Table {
-	base := datagen.Census(n, 29)
-	fields := append(base.Schema().Fields(), storage.Field{Name: "bucket", Type: storage.String})
-	cols := make([]storage.Column, 0, len(fields))
-	for ci := 0; ci < base.NumCols(); ci++ {
-		cols = append(cols, base.Column(ci))
-	}
-	dict := []string{"b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"}
-	codes := make([]uint32, n)
-	for i := range codes {
-		codes[i] = uint32(i/1024) % uint32(len(dict))
-	}
-	cols = append(cols, storage.NewStringColumnFromDict(dict, codes, nil))
-	return storage.MustTable("census", storage.MustSchema(fields...), cols)
-}
-
 // TestRemoteExploreIdentityAcrossWindows: remote explorations answer
 // byte-identically to in-memory ones whatever the cache does to windows
 // — a 1-chunk budget (no window fits), 64 KiB (a few chunks) and
-// unbounded (full windows) — at Parallelism 1 and 4, over range and
-// hash manifests.
+// unbounded (full windows) — at Parallelism 1 and 4.
 func TestRemoteExploreIdentityAcrossWindows(t *testing.T) {
 	queries := []query.Query{
 		query.New("census"),
 		query.New("census", query.NewRange("age", 20, 70)),
 		query.New("census", query.NewRange("age", 25, 60), query.NewIn("sex", "F")),
 	}
-	for _, layout := range []struct {
-		name string
-		opts shard.IngestOptions
-	}{
-		{"range", shard.IngestOptions{Shards: 2, ChunkSize: 256}},
-		{"hash", shard.IngestOptions{Shards: 2, HashKey: "bucket", ChunkSize: 256}},
-	} {
-		tbl := hashAlignedTable(8192)
-		local := filepath.Join(t.TempDir(), "t.atlm")
-		if _, err := shard.WriteSharded(local, tbl, layout.opts); err != nil {
-			t.Fatal(err)
-		}
-		// The in-memory reference holds the rows in the set's order.
-		localSet, err := shard.OpenWith(local, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := materialize(t, localSet.Table())
-		localSet.Close()
-		f := startFabric(t, local, nil)
-		for _, budget := range []int64{256 * 8, 64 << 10, 0} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/budget=%d/workers=%d", layout.name, budget, workers)
-				set, err := shard.OpenWith(f.manifest, shard.Options{
-					Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: budget},
-					Remote: testOpener(),
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				opts := core.DefaultOptions()
-				opts.Parallelism = workers
-				cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range queries {
-					res, err := cart.Explore(q)
-					if err != nil {
-						t.Fatalf("%s query %d: %v", name, qi, err)
-					}
-					if got, want := renderResult(res), unshardedRef(t, ref, q); got != want {
-						t.Errorf("%s query %d: remote result differs from in-memory\nwant:\n%s\ngot:\n%s", name, qi, want, got)
-					}
-				}
-				set.Close()
+	ref := datagen.Census(8192, 29)
+	local := filepath.Join(t.TempDir(), "t.atlm")
+	if _, err := shard.WriteSharded(local, ref, shard.IngestOptions{Shards: 2, ChunkSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	f := startFabric(t, local, nil)
+	for _, budget := range []int64{256 * 8, 64 << 10, 0} {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("budget=%d/workers=%d", budget, workers)
+			set, err := shard.OpenWith(f.manifest, shard.Options{
+				Store:  colstore.Options{Mode: colstore.ModeLazy, CacheBytes: budget},
+				Remote: testOpener(),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			opts := core.DefaultOptions()
+			opts.Parallelism = workers
+			cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				res, err := cart.Explore(q)
+				if err != nil {
+					t.Fatalf("%s query %d: %v", name, qi, err)
+				}
+				if got, want := renderResult(res), unshardedRef(t, ref, q); got != want {
+					t.Errorf("%s query %d: remote result differs from in-memory\nwant:\n%s\ngot:\n%s", name, qi, want, got)
+				}
+			}
+			set.Close()
 		}
 	}
-}
-
-// materialize copies a table's columns into memory.
-func materialize(t *testing.T, tbl *storage.Table) *storage.Table {
-	t.Helper()
-	cols := make([]storage.Column, tbl.NumCols())
-	for ci := range cols {
-		col, err := storage.MaterializeColumn(tbl.Column(ci))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cols[ci] = col
-	}
-	return storage.MustTable(tbl.Name(), tbl.Schema(), cols)
 }
 
 // TestWindowLedgerBillsHinter: a window loaded on a query's hint bills

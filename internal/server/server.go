@@ -659,7 +659,6 @@ type ReplicaDTO struct {
 type ShardsDTO struct {
 	Sharded      bool           `json:"sharded"`
 	Partitioning string         `json:"partitioning,omitempty"`
-	Key          string         `json:"key,omitempty"`
 	ChunkSize    int            `json:"chunkSize,omitempty"`
 	Rows         int            `json:"rows"`
 	Shards       []ShardDTO     `json:"shards,omitempty"`
@@ -709,7 +708,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	dto := ShardsDTO{
 		Sharded:      true,
 		Partitioning: string(m.Partitioning),
-		Key:          m.Key,
 		ChunkSize:    m.ChunkSize,
 		Rows:         m.Rows,
 	}
@@ -872,7 +870,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		dto.Store = &StoreStatsDTO{BytesRead: io.BytesRead, ChunksDecoded: io.ChunksDecoded, CacheHits: io.CacheHits,
 			CacheEvictions: io.CacheEvictions, CacheBytes: io.CacheBytes}
 		if s.set != nil {
-			dto.Store.Lazy, dto.Store.OpenedShards = s.set.LazyViews(), s.set.OpenedShards()
+			dto.Store.Lazy, dto.Store.OpenedShards = true, s.set.OpenedShards()
 		} else {
 			dto.Store.Lazy = s.store.Lazy()
 		}

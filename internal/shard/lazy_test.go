@@ -42,9 +42,9 @@ func formatStable(r *core.Result) string {
 	return out
 }
 
-// TestLazyShardedExploreMatchesEager: the lazy-view assembly (open
-// modes eager and lazy, deferred and not) must explore byte-identically
-// to the materializing reassembly.
+// TestLazyShardedExploreMatchesEager: a set whose shard files open
+// lazily, deferred or not, explores byte-identically to one whose shard
+// files decode eagerly.
 func TestLazyShardedExploreMatchesEager(t *testing.T) {
 	tbl := datagen.Census(6_000, 7)
 	dir := t.TempDir()

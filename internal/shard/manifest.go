@@ -1,8 +1,8 @@
 // Package shard implements the sharded atlas: one logical table split
-// across several .atl segment stores (see internal/colstore), described
-// by a small versioned JSON manifest, and reassembled at open into a
-// combined chunk-aware table plus per-shard views that share its
-// storage.
+// into contiguous, chunk-aligned row ranges across several .atl segment
+// stores (see internal/colstore), described by a small versioned JSON
+// manifest, and assembled at open into a combined chunk-aware table
+// plus per-shard views that route every chunk fetch to its shard.
 //
 // Sharding is the system's scaling unit. The cartography pipeline
 // decomposes cleanly per row range — scans, partition bitmaps and
@@ -21,8 +21,7 @@
 //	{
 //	  "version": 4,
 //	  "table": "census",            // logical table name
-//	  "partitioning": "range",      // "range" or "hash"
-//	  "key": "cid",                 // hash partitioning key (hash only)
+//	  "partitioning": "range",      // always "range"
 //	  "chunk_size": 65536,          // rows per chunk in every shard
 //	  "rows": 1000000,              // total rows across shards
 //	  "columns": [                  // the shared schema
@@ -39,13 +38,13 @@
 //	  ]
 //	}
 //
-// Shard file paths are relative to the manifest's directory. Range
-// partitioning preserves row order — the concatenation of the shards in
-// manifest order is exactly the original table — and aligns every shard
-// boundary to a chunk boundary, so the reassembled table stitches the
-// shards' zone maps without rescanning. Hash partitioning routes rows by
-// a key column, which keeps all rows of one key in one shard (the layout
-// FK-join and per-key workloads want) at the cost of reordering rows.
+// Shard file paths are relative to the manifest's directory. Every set
+// is a range partition: the concatenation of the shards in manifest
+// order is exactly the original table, and every shard but the last
+// holds a whole number of chunks, so each shard starts on a chunk (and
+// a selection word) of the combined table and the set stitches the
+// shards' zone maps without rescanning. A manifest that names another
+// partitioning, or whose shards are not chunk-aligned, is refused.
 //
 // The manifest carries exactly what a shard's open snapshot
 // (BackendMeta) does: each string column's dictionary, which every
@@ -80,14 +79,10 @@ import (
 // Partitioning names a row-routing strategy.
 type Partitioning string
 
-const (
-	// PartitionRange splits rows by position: shard i holds a contiguous,
-	// chunk-aligned row range, in table order.
-	PartitionRange Partitioning = "range"
-	// PartitionHash routes each row by a hash of its key column, keeping
-	// equal keys co-resident.
-	PartitionHash Partitioning = "hash"
-)
+// PartitionRange splits rows by position: shard i holds a contiguous,
+// chunk-aligned row range, in table order. It is the only partitioning
+// a manifest may name.
+const PartitionRange Partitioning = "range"
 
 // ManifestVersion is the manifest format version this package writes
 // and the only one it reads. Version 2 added the schema, version 3
@@ -136,10 +131,8 @@ type Manifest struct {
 	Version      int          `json:"version"`
 	Table        string       `json:"table"`
 	Partitioning Partitioning `json:"partitioning"`
-	// Key is the hash partitioning column; empty for range partitioning.
-	Key       string `json:"key,omitempty"`
-	ChunkSize int    `json:"chunk_size"`
-	Rows      int    `json:"rows"`
+	ChunkSize    int          `json:"chunk_size"`
+	Rows         int          `json:"rows"`
 	// Columns is the shared schema.
 	Columns []ColumnSchema `json:"columns"`
 	Shards  []ShardFile    `json:"shards"`
@@ -226,17 +219,8 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("shard: column %q: dictionary on a %s column", c.Name, c.Type)
 		}
 	}
-	switch m.Partitioning {
-	case PartitionRange:
-		if m.Key != "" {
-			return fmt.Errorf("shard: range manifest must not name a key column")
-		}
-	case PartitionHash:
-		if m.Key == "" {
-			return fmt.Errorf("shard: hash manifest must name a key column")
-		}
-	default:
-		return fmt.Errorf("shard: unknown partitioning %q", m.Partitioning)
+	if m.Partitioning != PartitionRange {
+		return errPartitioning(m.Partitioning)
 	}
 	if m.ChunkSize <= 0 || m.ChunkSize%64 != 0 {
 		return fmt.Errorf("shard: invalid chunk size %d", m.ChunkSize)
@@ -259,6 +243,9 @@ func (m *Manifest) validate() error {
 		if zones[i], err = m.decodeZones(i, schema); err != nil {
 			return err
 		}
+		if i < len(m.Shards)-1 && sf.Rows%m.ChunkSize != 0 {
+			return fmt.Errorf("shard: shard %d (%s) holds %d rows, not a multiple of the chunk size %d: every shard but the last must hold whole chunks; re-ingest the table with `atlas ingest`", i, sf.File, sf.Rows, m.ChunkSize)
+		}
 		if len(sf.Replicas) > 0 {
 			if !IsRemoteLocation(sf.File) {
 				return fmt.Errorf("shard: shard %d lists replicas for local file %q (replicas need a remote primary)", i, sf.File)
@@ -278,6 +265,12 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
+// errPartitioning refuses a manifest that names partitioning p: every
+// set is a chunk-aligned range partition.
+func errPartitioning(p Partitioning) error {
+	return fmt.Errorf("shard: %q partitioning is not supported: every shard set is a chunk-aligned range partition; re-ingest the table with `atlas ingest`", p)
+}
+
 // ReadManifest parses and validates a manifest file.
 func ReadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
@@ -288,6 +281,11 @@ func ReadManifest(path string) (*Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
+		// A hash manifest fails on its "key" field; say what it is.
+		var p struct{ Partitioning Partitioning }
+		if json.Unmarshal(data, &p) == nil && p.Partitioning != "" && p.Partitioning != PartitionRange {
+			err = errPartitioning(p.Partitioning)
+		}
 		return nil, fmt.Errorf("shard: %s: %w", path, err)
 	}
 	if err := m.validate(); err != nil {

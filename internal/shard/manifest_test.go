@@ -126,9 +126,11 @@ func TestManifestZoneValidation(t *testing.T) {
 }
 
 // FuzzReadManifest: arbitrary manifest bytes either read into a
-// validated manifest or fail with a named error — never a panic — and
-// every zone map of a manifest that reads passes the .atl reader's
-// check against its chunk's rows and its column's dictionary.
+// validated manifest or fail with a named error — never a panic. A
+// manifest that reads is a chunk-aligned range partition, every shard
+// but the last a whole number of chunks, and every zone map of it
+// passes the .atl reader's check against its chunk's rows and its
+// column's dictionary. The corpus's hash-written manifest must fail.
 func FuzzReadManifest(f *testing.F) {
 	f.Add([]byte(`{"version":4,"table":"t","partitioning":"range","chunk_size":64,"rows":10,` +
 		`"columns":[{"name":"n","type":"int64"},{"name":"s","type":"string","dict":["a"]}],` +
@@ -148,11 +150,17 @@ func FuzzReadManifest(f *testing.F) {
 			}
 			return
 		}
+		if m.Partitioning != PartitionRange {
+			t.Fatalf("%q partitioning accepted", m.Partitioning)
+		}
 		schema, err := m.Schema()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, sf := range m.Shards {
+			if i < len(m.Shards)-1 && sf.Rows%m.ChunkSize != 0 {
+				t.Fatalf("shard %d of %d rows accepted with chunk size %d", i, sf.Rows, m.ChunkSize)
+			}
 			zones := m.zones[i]
 			if len(zones) != len(m.Columns) {
 				t.Fatalf("shard %d: zone maps for %d of %d columns", i, len(zones), len(m.Columns))

@@ -15,39 +15,21 @@ import (
 	"repro/internal/storage"
 )
 
-// Provider returns the set's core.StatProvider, which answers every set
-// one way. Each member holding a selected row answers for its slice of
-// the selection — only the words that hold one — a local shard with
-// ComputeCut over its view, a remote one over the fabric, all at once.
-// The answers merge exactly, in member (= combined row) order: values
-// concatenate, summaries fold, counts add under the set's one dictionary
-// and bitmaps land in place, so every answer matches the unsharded
-// computation. The members are the set's shards, or, for an unaligned
-// set whose shards do not all start on a selection word, one member: the
-// combined table.
+// Provider returns the set's core.StatProvider. Each shard holding a
+// selected row answers for its slice of the selection — only the words
+// that hold one; every shard starts on a chunk, so on a selection word —
+// a local shard with ComputeCut over its view, a remote one over the
+// fabric, all at once. The answers merge exactly, in shard (= combined
+// row) order: values concatenate, summaries fold, counts add under the
+// set's one dictionary and bitmaps land in place, so every answer
+// matches the unsharded computation.
 //
-// parallelism is unused: the members of a fan-out already answer
-// concurrently, and a member's pass runs on one worker.
-func (s *Set) Provider(parallelism int) *Provider {
-	p := &Provider{s: s, tables: s.views, starts: s.offsets}
-	for _, off := range s.offsets {
-		if off%64 != 0 {
-			p.tables, p.starts = []*storage.Table{s.combined}, []int{0}
-			break
-		}
-	}
-	return p
-}
+// parallelism is unused: the shards of a fan-out already answer
+// concurrently, and a shard's pass runs on one worker.
+func (s *Set) Provider(parallelism int) *Provider { return &Provider{s: s} }
 
 // Provider implements core.StatProvider over a Set. See Set.Provider.
-type Provider struct {
-	s *Set
-	// tables hold the members' rows, and starts their first combined
-	// rows, each on a word boundary. Member i is shard i, unless the set
-	// has one member, its combined table.
-	tables []*storage.Table
-	starts []int
-}
+type Provider struct{ s *Set }
 
 var _ core.StatProvider = (*Provider)(nil)
 
@@ -60,8 +42,8 @@ func (p *Provider) NumericStats(ctx context.Context, attr string, opts core.CutO
 	return x.Vals, x.Sum, err
 }
 
-// Extract implements core.StatProvider: one cut per member carries
-// every attribute. Each member gets room in each xs[c].Vals for as many
+// Extract implements core.StatProvider: one cut per shard carries
+// every attribute. Each shard gets room in each xs[c].Vals for as many
 // values as it has selected rows and extracts its values straight into
 // it, so unless a NULL leaves a gap before them, the merge copies none.
 func (p *Provider) Extract(ctx context.Context, xs []*engine.NumericExtract, attrs []string, sel *bitvec.Vector) error {
@@ -135,7 +117,7 @@ func (p *Provider) Bools(ctx context.Context, attr string, sel *bitvec.Vector) (
 }
 
 // Partition implements core.StatProvider for string and bool columns,
-// the ones a cut partitions without values in hand. Each member writes
+// the ones a cut partitions without values in hand. Each shard writes
 // its words of the region bitmaps where they belong.
 func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Predicate, sel *bitvec.Vector) ([]*bitvec.Vector, error) {
 	out := make([]*bitvec.Vector, len(preds))
@@ -165,23 +147,23 @@ func (p *Provider) Partition(ctx context.Context, attr string, preds []query.Pre
 	return out, nil
 }
 
-// part is member i's part of a selection: its words, from combined
-// word w0 on, and its selected rows, after before selected rows of the
-// members before it.
+// part is shard i's part of a selection: its words, from combined word
+// w0 on, and its selected rows, after before selected rows of the shards
+// before it.
 type part struct {
 	i, w0        int
 	words        []uint64
 	before, rows int
 }
 
-// parts returns the parts of sel over the members holding a selected
-// row, in member order.
+// parts returns the parts of sel over the shards holding a selected
+// row, in shard order.
 func (p *Provider) parts(sel *bitvec.Vector) []part {
 	sw0, words := sel.Window()
-	out := make([]part, 0, len(p.tables))
+	out := make([]part, 0, len(p.s.views))
 	before := 0
-	for i, t := range p.tables {
-		lo := p.starts[i] / 64
+	for i, t := range p.s.views {
+		lo := p.s.offsets[i] / 64
 		a, b := max(lo, sw0), min(lo+(t.NumRows()+63)/64, sw0+len(words))
 		if a >= b {
 			continue
@@ -195,10 +177,10 @@ func (p *Provider) parts(sel *bitvec.Vector) []part {
 	return out
 }
 
-// fanOut asks the member of each part for req's statistic of attrs
-// under its slice of the selection, all at once: a remote shard over the
-// fabric, where the caller only waits, a local member with ComputeCut.
-// place, when non-nil, readies a member's answer before it is computed.
+// fanOut asks the shard of each part for req's statistic of attrs under
+// its slice of the selection, all at once: a remote shard over the
+// fabric, where the caller only waits, a local one with ComputeCut.
+// place, when non-nil, readies a shard's answer before it is computed.
 // answers[j] is parts[j]'s, its W0 a combined word; the caller releases
 // them, also on error.
 func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, parts []part, place func(pt *part, a *CutAnswer)) ([]*CutAnswer, error) {
@@ -216,11 +198,11 @@ func (p *Provider) fanOut(ctx context.Context, req CutRequest, attrs []string, p
 		if place != nil {
 			place(pt, a)
 		}
-		t, lo, r := p.tables[pt.i], p.starts[pt.i]/64, req
-		if pt.rows < t.NumRows() {
+		lo, r := p.s.offsets[pt.i]/64, req
+		if pt.rows < p.s.views[pt.i].NumRows() {
 			r.W0, r.Sel = pt.w0-lo, pt.words
 		}
-		if err := p.s.cut(ctx, pt.i, t, r, a); err != nil {
+		if err := p.s.cut(ctx, pt.i, r, a); err != nil {
 			return err
 		}
 		a.W0 += lo

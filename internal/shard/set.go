@@ -22,25 +22,22 @@ import (
 // table, and one chunk-aware view per shard sharing its storage.
 //
 // The combined table is what the pipeline explores. Its chunk metadata
-// is the manifest's: every shard's zone maps, concatenated (range
-// partitioning aligns every shard boundary to a chunk boundary, so the
-// shards' chunk grids line up), which is what lets the engine's chunk
-// drivers run a base scan as one pass across shard boundaries. The
-// per-shard views carry the same zone maps restricted to their row
-// range; they are what per-shard work runs against: every CUT read
-// (Provider), the column table (Partials) and EXPLAIN's per-shard
-// verdicts.
+// is the manifest's: every shard's zone maps, concatenated (every shard
+// but the last holds whole chunks, so the shards' chunk grids line up),
+// which is what lets the engine's chunk drivers run a base scan as one
+// pass across shard boundaries. The per-shard views carry the same zone
+// maps restricted to their row range; they are what per-shard work runs
+// against: every CUT read (Provider), the column table (Partials) and
+// EXPLAIN's per-shard verdicts.
 //
-// Chunk-aligned sets (range partitioning always; hash when every
-// non-final shard is a chunk multiple) assemble WITHOUT materializing:
-// the combined table's columns are storage.LazyColumn views routing
-// each chunk fetch to its shard file through one shared decoded-chunk
-// cache, so open touches no values and holds no concatenated copy.
-// Their zone maps and dictionaries come from the manifest whether the
-// shards open now or on first touch (Options.Defer), so a set plans
-// every query the same way either way: a chunk its zone maps prune is
-// never fetched, and a shard none of whose chunks a query reads is never
-// opened.
+// A set assembles WITHOUT materializing: the combined table's columns
+// are storage.LazyColumn views routing each chunk fetch to its shard
+// through one shared decoded-chunk cache, so open touches no values and
+// holds no concatenated copy. The zone maps and dictionaries come from
+// the manifest whether the shards open now or on first touch
+// (Options.Defer), so a set plans every query the same way either way:
+// a chunk its zone maps prune is never fetched, and a shard none of
+// whose chunks a query reads is never opened.
 //
 // Every shard of a set holds the table's dictionary for each string
 // column, so the shards count and code in one space. Opening a shard
@@ -53,8 +50,6 @@ type Set struct {
 	views    []*storage.Table
 	offsets  []int
 
-	// Aligned (lazy-view) sets only; nil after an eager reassembly.
-	dir       string
 	storeOpts colstore.Options
 	remote    RemoteOpener
 	cache     *colstore.ChunkCache
@@ -91,59 +86,27 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := filepath.Dir(manifestPath)
-	n := len(m.Shards)
-
-	// Chunk alignment decides the assembly: aligned sets stitch lazy
-	// views; unaligned ones (hash partitions with odd sizes) must
-	// re-encode rows and fall back to eager reassembly.
-	aligned := true
-	for i := 0; i < n-1; i++ {
-		if m.Shards[i].Rows%m.ChunkSize != 0 {
-			aligned = false
-			break
-		}
-	}
-	remoteShards := false
-	for _, sf := range m.Shards {
-		if IsRemoteLocation(sf.File) {
-			remoteShards = true
-			break
-		}
-	}
-	if !aligned {
-		if remoteShards {
-			// Eager reassembly re-encodes whole columns; pulling every
-			// remote chunk just to concatenate defeats the fabric.
-			return nil, fmt.Errorf("shard: remote shards require chunk-aligned manifests (every non-final shard a multiple of %d rows)", m.ChunkSize)
-		}
-		return openEager(m, dir)
-	}
-	if remoteShards && o.Remote == nil {
-		return nil, fmt.Errorf("shard: manifest names remote shards but no remote opener is configured")
-	}
-
-	s := &Set{manifest: m, dir: dir, storeOpts: o.Store, remote: o.Remote}
+	dir, n := filepath.Dir(manifestPath), len(m.Shards)
+	s := &Set{manifest: m, storeOpts: o.Store, remote: o.Remote}
 	if s.storeOpts.Cache == nil {
 		s.storeOpts.Cache = colstore.NewChunkCache(s.storeOpts.CacheBytes)
 	}
 	s.cache = s.storeOpts.Cache
 	s.offsets = make([]int, n)
 	s.chunkOffs = make([]int, n)
+	s.shards = make([]*lazyShard, n)
 	off, chunkOff := 0, 0
 	for i, sf := range m.Shards {
 		s.offsets[i] = off
 		s.chunkOffs[i] = chunkOff
 		off += sf.Rows
 		chunkOff += (sf.Rows + m.ChunkSize - 1) / m.ChunkSize
-	}
-	s.shards = make([]*lazyShard, n)
-	for i := range s.shards {
-		var locs []string
-		if IsRemoteLocation(m.Shards[i].File) {
-			locs = m.Shards[i].Locations()
-		} else {
-			locs = []string{filepath.Join(dir, m.Shards[i].File)}
+		locs := []string{filepath.Join(dir, sf.File)}
+		if IsRemoteLocation(sf.File) {
+			if o.Remote == nil {
+				return nil, fmt.Errorf("shard: manifest names remote shards but no remote opener is configured")
+			}
+			locs = sf.Locations()
 		}
 		s.shards[i] = &lazyShard{s: s, idx: i, locs: locs}
 	}
@@ -163,30 +126,6 @@ func OpenWith(manifestPath string, o Options) (*Set, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// openEager is the materializing path for unaligned sets: every shard
-// decodes eagerly and the combined table is a row-wise concatenation
-// (the pre-memory-tier behavior).
-func openEager(m *Manifest, dir string) (*Set, error) {
-	n := len(m.Shards)
-	parts := make([]*storage.Table, n)
-	err := par.For(runtime.GOMAXPROCS(0), n, func(i int) error {
-		st, err := colstore.OpenWith(filepath.Join(dir, m.Shards[i].File), colstore.Options{Mode: colstore.ModeEager})
-		if err != nil {
-			return fmt.Errorf("shard: opening shard %d: %w", i, err)
-		}
-		meta, err := tableMeta(st.Table(), st.ChunkSize)
-		if err != nil {
-			return err
-		}
-		parts[i] = st.Table()
-		return checkShard(m, i, meta)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemble(m, parts)
 }
 
 // checkShard refuses shard i when its open snapshot disagrees with the
@@ -240,9 +179,8 @@ func sameZone(a, b storage.ZoneMap) bool {
 	return !a.HasMinMax || math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
-// lazyShard is one member of an aligned set — a local .atl file or a
-// remote shard server — opened on demand (immediately for non-deferred
-// sets).
+// lazyShard is one member of a set — a local .atl file or a remote
+// shard server — opened on demand (immediately for non-deferred sets).
 type lazyShard struct {
 	s    *Set
 	idx  int
@@ -440,8 +378,7 @@ func (s *Set) build() error {
 	return nil
 }
 
-// Close closes every opened shard backend. Safe on eagerly reassembled
-// sets (no-op) and idempotent.
+// Close closes every opened shard backend. It is idempotent.
 func (s *Set) Close() error {
 	var first error
 	for _, ls := range s.shards {
@@ -454,17 +391,9 @@ func (s *Set) Close() error {
 	return first
 }
 
-// LazyViews reports whether the set assembled as lazy views over its
-// shard files (chunk-aligned sets) rather than a materialized
-// concatenation.
-func (s *Set) LazyViews() bool { return s.shards != nil }
-
 // OpenedShards counts shard files opened so far — the observable
 // measure of shard-file pruning under deferred opens.
 func (s *Set) OpenedShards() int {
-	if s.shards == nil {
-		return len(s.views)
-	}
 	n := 0
 	for _, ls := range s.shards {
 		if ls.opened() != nil {
@@ -485,22 +414,19 @@ func (s *Set) IOStats() colstore.IOStats {
 			out.ChunksDecoded += st.ChunksDecoded
 		}
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		out.CacheHits = cs.Hits
-		out.CacheEvictions = cs.Evictions
-		out.CacheBytes = cs.Bytes
-	}
+	cs := s.cache.Stats()
+	out.CacheHits = cs.Hits
+	out.CacheEvictions = cs.Evictions
+	out.CacheBytes = cs.Bytes
 	return out
 }
 
 // remoteBackend returns shard i's backend when it is served over the
-// fabric, opening it (under ctx) if needed. Local shards, and every
-// shard of an eagerly reassembled set, return (nil, nil): their cuts
-// run with ComputeCut in process (see cut), sharing the chunk cache and
-// the query's ledger.
+// fabric, opening it (under ctx) if needed. Local shards return (nil,
+// nil): their cuts run with ComputeCut in process (see cut), sharing the
+// chunk cache and the query's ledger.
 func (s *Set) remoteBackend(ctx context.Context, i int) (RemoteBackend, error) {
-	if s.shards == nil || !s.shards[i].isRemote() {
+	if !s.shards[i].isRemote() {
 		return nil, nil
 	}
 	if _, err := s.shards[i].backend(ctx); err != nil {
@@ -548,11 +474,6 @@ type ShardHealthInfo struct {
 // replica. It is what GET /api/shards surfaces per shard.
 func (s *Set) ShardHealth(ctx context.Context, i int) ShardHealthInfo {
 	info := ShardHealthInfo{Location: s.manifest.Shards[i].File}
-	if s.shards == nil {
-		// Eagerly reassembled set: everything was opened and validated.
-		info.Opened, info.Healthy = true, true
-		return info
-	}
 	ls := s.shards[i]
 	info.Remote = ls.isRemote()
 	info.Opened = ls.opened() != nil
@@ -591,42 +512,6 @@ func (s *Set) ShardServerStats(ctx context.Context, i int) (stats ServerStats, p
 	}
 	stats, err = rb.ServerStats(ctx)
 	return stats, true, err
-}
-
-// assemble builds the combined table and per-shard views from opened,
-// validated shard tables.
-func assemble(m *Manifest, parts []*storage.Table) (*Set, error) {
-	combined, err := storage.ConcatTables(m.Table, parts)
-	if err != nil {
-		return nil, err
-	}
-	s := &Set{manifest: m, offsets: make([]int, len(parts))}
-	off := 0
-	for i, p := range parts {
-		s.offsets[i] = off
-		off += p.NumRows()
-	}
-	if len(parts) == 1 {
-		// Single shard: the combined table IS the shard file's table
-		// (chunk metadata included); no re-encoding happened.
-		s.combined = combined
-		s.views = []*storage.Table{combined}
-		return s, nil
-	}
-
-	// Multi-shard: the concatenation computed its zone maps on the
-	// shards' chunk grid. A shard's view keeps that grid from its first
-	// row on: its zone maps are the combined table's own when the shard
-	// starts a chunk (range partitioning guarantees it), and otherwise
-	// computed for its rows.
-	s.combined = combined
-	s.views = make([]*storage.Table, len(parts))
-	for i, p := range parts {
-		if s.views[i], err = combined.SliceRows(m.Table, s.offsets[i], s.offsets[i]+p.NumRows()); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // Table returns the combined, chunk-aware table the pipeline explores.
@@ -751,13 +636,12 @@ func (s *Set) Partials(parallelism int) ([]*ColumnPartial, error) {
 
 // summaries answers req, a CutSummary of every row, on each shard: a
 // remote shard over the fabric, a local one with ComputeCut over its
-// view. req carries no selection, so the shards need not start on a
-// selection word (an unaligned hash set's do not).
+// view.
 func (s *Set) summaries(ctx context.Context, parallelism int, req CutRequest) ([][]Summary, error) {
 	out := make([][]Summary, s.NumShards())
 	err := par.For(parallelism, len(out), func(i int) error {
 		var a CutAnswer
-		err := s.cut(ctx, i, s.views[i], req, &a)
+		err := s.cut(ctx, i, req, &a)
 		out[i] = a.Summaries
 		return err
 	})
@@ -765,10 +649,9 @@ func (s *Set) summaries(ctx context.Context, parallelism int, req CutRequest) ([
 }
 
 // cut answers req for shard i into a: over the fabric when the shard is
-// remote, otherwise with ComputeCut over t, a table of the shard's rows
-// (the whole combined table when an unaligned set answers as one
-// member). It is the one dispatch behind every cut of a set.
-func (s *Set) cut(ctx context.Context, i int, t *storage.Table, req CutRequest, a *CutAnswer) error {
+// remote, otherwise with ComputeCut over its view. It is the one
+// dispatch behind every cut of a set.
+func (s *Set) cut(ctx context.Context, i int, req CutRequest, a *CutAnswer) error {
 	rb, err := s.remoteBackend(ctx, i)
 	if err != nil {
 		return err
@@ -776,5 +659,5 @@ func (s *Set) cut(ctx context.Context, i int, t *storage.Table, req CutRequest, 
 	if rb != nil {
 		return rb.Cut(ctx, req, a)
 	}
-	return ComputeCut(ctx, t, req, a)
+	return ComputeCut(ctx, s.views[i], req, a)
 }

@@ -1,12 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,68 +136,104 @@ func TestShardRoundTripCells(t *testing.T) {
 	}
 }
 
-// TestHashPartitioning: hash sharding keeps every key's rows in one
-// shard and loses no rows.
-func TestHashPartitioning(t *testing.T) {
-	tbl := datagen.Census(8_000, 11)
-	set, _ := writeTestSet(t, tbl, IngestOptions{Shards: 4, HashKey: "education", ChunkSize: 128})
-	if set.Manifest().Partitioning != PartitionHash {
-		t.Fatalf("partitioning = %q", set.Manifest().Partitioning)
+// unalignedManifest writes a 2 048-row census table as two shards of
+// 1 000 and 1 048 rows in 128-row chunks, with a manifest whose zone
+// maps match the files: a set consistent in every respect but chunk
+// alignment. It returns the manifest's path.
+func unalignedManifest(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.atlm")
+	tbl := datagen.Census(2_048, 1)
+	m, err := WriteSharded(path, tbl, IngestOptions{Shards: 2, ChunkSize: 128})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if set.Table().NumRows() != tbl.NumRows() {
-		t.Fatalf("combined rows %d, want %d", set.Table().NumRows(), tbl.NumRows())
+	for i, rows := range [][2]int{{0, 1_000}, {1_000, 2_048}} {
+		part, err := tbl.SliceRows("census", rows[0], rows[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := colstore.WriteFileStats(filepath.Join(dir, m.Shards[i].File), part, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Shards[i].Rows = part.NumRows()
+		for ci, zones := range ck.Zones {
+			m.Shards[i].Zones[ci] = colstore.EncodeZones(zones)
+		}
 	}
-	// Each education value must appear in exactly one shard.
-	valueShard := map[string]int{}
-	for i := 0; i < set.NumShards(); i++ {
-		view := set.ShardTable(i)
-		ci := view.Schema().Index("education")
-		for r := 0; r < view.NumRows(); r++ {
-			v := view.Column(ci).Render(r)
-			if prev, ok := valueShard[v]; ok && prev != i {
-				t.Fatalf("education %q in shards %d and %d", v, prev, i)
+	if err := writeManifest(path, m); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestManifestRefusesUnaligned: a manifest whose non-final shard holds
+// a partial chunk is refused — read, opened whole and opened deferred —
+// with an error naming the shard, its rows and the chunk size.
+func TestManifestRefusesUnaligned(t *testing.T) {
+	path := unalignedManifest(t)
+	const want = "shard 0 (t.00000.atl) holds 1000 rows, not a multiple of the chunk size 128"
+	_, err := ReadManifest(path)
+	errs := []error{err}
+	for _, o := range []Options{{}, {Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true}} {
+		_, err := OpenWith(path, o)
+		errs = append(errs, err)
+	}
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("open %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestManifestRefusesHash: a hash-partitioned manifest — as the removed
+// hash ingest wrote it, with its key, or naming only the partitioning —
+// is refused, read, opened whole and opened deferred, with an error
+// naming the file. So is the fuzz corpus's hash-written manifest.
+func TestManifestRefusesHash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.atlm")
+	if _, err := WriteSharded(path, datagen.Census(2_048, 1), IngestOptions{Shards: 2, ChunkSize: 128}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	range_ := []byte(`"partitioning": "range",`)
+	if !bytes.Contains(data, range_) {
+		t.Fatalf("manifest has no range partitioning: %s", data)
+	}
+	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadManifest", "hash-written"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(strings.SplitN(string(corpus), "\n", 2)[1]), "[]byte("), ")")
+	written, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, manifest := range map[string][]byte{
+		"with key":    bytes.Replace(data, range_, []byte(`"partitioning": "hash", "key": "education",`), 1),
+		"without key": bytes.Replace(data, range_, []byte(`"partitioning": "hash",`), 1),
+		"fuzz corpus": []byte(written),
+	} {
+		hashed := filepath.Join(filepath.Dir(path), "hash.atlm")
+		if err := os.WriteFile(hashed, manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadManifest(hashed)
+		errs := []error{err}
+		for _, o := range []Options{{}, {Store: colstore.Options{Mode: colstore.ModeLazy}, Defer: true}} {
+			_, err := OpenWith(hashed, o)
+			errs = append(errs, err)
+		}
+		for i, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), hashed) || !strings.Contains(err.Error(), `"hash" partitioning is not supported`) {
+				t.Errorf("%s, open %d: err = %v, want the file named and hash refused", name, i, err)
 			}
-			valueShard[v] = i
 		}
-	}
-	// Row multiset is preserved: compare sorted per-column renderings.
-	for c := 0; c < tbl.NumCols(); c++ {
-		var a, b []string
-		for r := 0; r < tbl.NumRows(); r++ {
-			a = append(a, tbl.Column(c).Render(r))
-			b = append(b, set.Table().Column(c).Render(r))
-		}
-		sort.Strings(a)
-		sort.Strings(b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("col %d: row multiset differs at %d: %q vs %q", c, i, a[i], b[i])
-			}
-		}
-	}
-	// A hash set still explores byte-identically to its own combined
-	// table (the reference order for hash layouts).
-	opts := core.DefaultOptions()
-	opts.Parallelism = 1
-	refCart, err := core.NewCartographer(set.Table(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.New("census", query.NewRange("age", 20, 70))
-	ref, err := refCart.Explore(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cart, err := core.NewCartographerWith(set.Table(), opts, set.Provider(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cart.Explore(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResult(res) != renderResult(ref) {
-		t.Errorf("hash-sharded result differs from combined-table result")
 	}
 }
 
@@ -273,20 +310,16 @@ func TestOpenCorruptShard(t *testing.T) {
 	}
 }
 
-// swappedShardManifest writes a 2 048-row census table as two shards
-// under p, then overwrites shard 1's file with what replace returns for
+// swappedShardManifest writes a 2 048-row census table as two shards,
+// then overwrites shard 1's file with what replace returns for
 // its row count: a shard file that disagrees with the manifest it was
 // ingested with.
-func swappedShardManifest(t *testing.T, p Partitioning, replace func(tbl *storage.Table, rows int) *storage.Table) string {
+func swappedShardManifest(t *testing.T, replace func(tbl *storage.Table, rows int) *storage.Table) string {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.atlm")
 	tbl := datagen.Census(2_048, 1)
-	o := IngestOptions{Shards: 2, ChunkSize: 128}
-	if p == PartitionHash {
-		o.HashKey = "education"
-	}
-	m, err := WriteSharded(path, tbl, o)
+	m, err := WriteSharded(path, tbl, IngestOptions{Shards: 2, ChunkSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +363,12 @@ func exploreAll(t *testing.T, path string) error {
 // TestOpenMixedSchema: a shard whose schema differs from the manifest's
 // is refused, naming the shard and the column.
 func TestOpenMixedSchema(t *testing.T) {
-	wider := swappedShardManifest(t, PartitionRange, func(_ *storage.Table, rows int) *storage.Table {
+	wider := swappedShardManifest(t, func(_ *storage.Table, rows int) *storage.Table {
 		return datagen.SkySurvey(rows, 1)
 	})
 	_, err := OpenWith(wider, Options{})
 	wantRefusal(t, err, "7 columns, manifest declares 5")
-	renamed := swappedShardManifest(t, PartitionRange, func(tbl *storage.Table, rows int) *storage.Table {
+	renamed := swappedShardManifest(t, func(tbl *storage.Table, rows int) *storage.Table {
 		fields := tbl.Schema().Fields()
 		fields[1].Name = "years"
 		cols := make([]storage.Column, tbl.NumCols())
@@ -357,23 +390,19 @@ func TestOpenMixedSchema(t *testing.T) {
 }
 
 // TestOpenMixedDictionaries: a shard file written with another
-// dictionary than the manifest's is refused — opened whole, deferred
-// (when it opens), and reassembled eagerly from an unaligned hash layout
-// — with an error naming the shard and the column.
+// dictionary than the manifest's is refused — opened whole and deferred
+// (when it opens) — with an error naming the shard and the column.
 func TestOpenMixedDictionaries(t *testing.T) {
 	other := func(_ *storage.Table, rows int) *storage.Table { return datagen.Census(rows, 2) }
-	aligned := swappedShardManifest(t, PartitionRange, other)
+	aligned := swappedShardManifest(t, other)
 	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
 	wantRefusal(t, err, "dictionary mismatch on column")
 	wantRefusal(t, exploreAll(t, aligned), "dictionary mismatch on column")
-	_, err = OpenWith(swappedShardManifest(t, PartitionHash, other), Options{})
-	wantRefusal(t, err, "dictionary mismatch on column")
 }
 
 // TestOpenRefusesZoneMismatch: a shard file whose zone maps differ from
 // the manifest's — same schema and dictionary, other rows — is refused
-// opened whole, deferred and reassembled eagerly, naming the shard, the
-// column and the chunk: the set plans with the manifest's zone maps, so
+// opened whole and deferred, naming the shard, the column and the chunk: the set plans with the manifest's zone maps, so
 // such a shard would answer wrongly.
 func TestOpenRefusesZoneMismatch(t *testing.T) {
 	head := func(tbl *storage.Table, rows int) *storage.Table {
@@ -383,12 +412,10 @@ func TestOpenRefusesZoneMismatch(t *testing.T) {
 		}
 		return p
 	}
-	aligned := swappedShardManifest(t, PartitionRange, head)
+	aligned := swappedShardManifest(t, head)
 	_, err := OpenWith(aligned, Options{Store: colstore.Options{Mode: colstore.ModeLazy}})
 	wantRefusal(t, err, `zone map mismatch on column "age" chunk 0`)
 	wantRefusal(t, exploreAll(t, aligned), `zone map mismatch on column "age" chunk 0`)
-	_, err = OpenWith(swappedShardManifest(t, PartitionHash, head), Options{})
-	wantRefusal(t, err, "zone map mismatch on column", "chunk")
 }
 
 // TestOpenRowCountMismatch: a manifest lying about a shard's rows fails.
@@ -442,8 +469,12 @@ func TestManifestValidation(t *testing.T) {
 		{"bad column type", func(m *Manifest) { m.Columns[0].Type = "decimal" }, "unknown column type"},
 		{"missing zone maps", func(m *Manifest) { m.Shards[0].Zones = nil }, "zone maps for 0 columns"},
 		{"bad partitioning", func(m *Manifest) { m.Partitioning = "round-robin" }, "partitioning"},
-		{"hash without key", func(m *Manifest) { m.Partitioning = PartitionHash }, "key"},
-		{"range with key", func(m *Manifest) { m.Key = "x" }, "key"},
+		{"hash partitioning", func(m *Manifest) { m.Partitioning = "hash" }, "chunk-aligned range partition"},
+		{"unaligned shard", func(m *Manifest) {
+			m.Shards = append(m.Shards, m.Shards[0])
+			m.Shards[1].File = "y.atl"
+			m.Rows = 20
+		}, "shard 0 (x.atl) holds 10 rows, not a multiple of the chunk size 128"},
 		{"bad chunk", func(m *Manifest) { m.ChunkSize = 100 }, "chunk"},
 		{"no shards", func(m *Manifest) { m.Shards = nil }, "no shards"},
 		{"absolute path", func(m *Manifest) { m.Shards[0].File = "/etc/passwd" }, "relative"},

@@ -416,7 +416,7 @@ func MaterializeColumn(col Column) (Column, error) {
 // tableSource serves chunk payloads by slicing an eager chunked table's
 // columns — zero-copy views, no decode. It is what lets a shard set
 // present eagerly-opened shard files through the same lazy combined
-// view that removes the concat-at-open memory peak.
+// view as lazily opened ones.
 type tableSource struct{ t *Table }
 
 // TableChunkSource wraps an eager table as a ChunkSource on its chunk

@@ -93,8 +93,7 @@ func (t *Table) ColumnByName(name string) (Column, error) {
 }
 
 // Gather materializes a new table holding the given rows, in order,
-// with zone maps of its own. It is the physical operator behind hash
-// sharding and join materialization.
+// with zone maps of its own.
 func (t *Table) Gather(name string, idx []int) *Table {
 	cols := make([]Column, len(t.cols))
 	for i, c := range t.cols {

@@ -18,6 +18,7 @@ import (
 const (
 	reachOracle   = "oracle: tests check production code against it"
 	reachTestOnly = "test support: an accessor, fixture writer or fault control only tests use"
+	reachOrphaned = "orphaned: its last caller is gone; it and the tests of it are due for deletion together"
 )
 
 // reachAllowlist names exported identifiers under internal/ that no
@@ -25,6 +26,7 @@ const (
 // reachable, or stops existing, fails the test too.
 var reachAllowlist = map[string]string{
 	"internal/bitvec.Vector.AndNot":               reachOracle,
+	"internal/bitvec.Vector.OrBlit":               reachOrphaned,
 	"internal/bitvec.Vector.Clear":                reachOracle,
 	"internal/bitvec.Vector.Equal":                reachOracle,
 	"internal/bitvec.Vector.Not":                  reachOracle,
@@ -75,6 +77,7 @@ var reachAllowlist = map[string]string{
 	"internal/stats.Quantile":                     reachOracle,
 	"internal/stats.QuantileSorted":               reachOracle,
 	"internal/storage.Builder.NumRows":            reachTestOnly,
+	"internal/storage.Schema.Equal":               reachOrphaned,
 	"internal/storage.ChunkPayload.Rows":          reachTestOnly,
 	"internal/storage.Float64Column.At":           reachTestOnly,
 	"internal/storage.LazyColumn.NumChunks":       reachTestOnly,

@@ -44,8 +44,7 @@ func serveShardsRemotely(t *testing.T, localManifest string) string {
 // the parent region's bitmap, yet answers — FormatResult byte for byte —
 // what a stateless Explore of the region's CQL answers, two levels deep,
 // on every storage tier: in memory, a lazy store behind a one-chunk
-// cache, range- and hash-sharded sets, and shards served over the
-// remote fabric.
+// cache, a sharded set, and shards served over the remote fabric.
 func TestSessionDrillMatchesStatelessExplore(t *testing.T) {
 	tbl := CensusDataset(8_000, 9)
 	dir := t.TempDir()
@@ -54,14 +53,12 @@ func TestSessionDrillMatchesStatelessExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranged := writeShardedCensus(t, tbl, ShardIngestOptions{Shards: 3, ChunkSize: 256})
-	hashed := writeShardedCensus(t, tbl, ShardIngestOptions{Shards: 3, HashKey: "education", ChunkSize: 256})
 	stores := []struct {
 		name, path string
 		open       StoreOpenOptions
 	}{
 		{"lazy/1chunk", single, StoreOpenOptions{Lazy: true, CacheBytes: 8 * 512}},
-		{"range-sharded", ranged, StoreOpenOptions{}},
-		{"hash-sharded", hashed, StoreOpenOptions{}},
+		{"sharded", ranged, StoreOpenOptions{}},
 		{"remote", serveShardsRemotely(t, ranged), StoreOpenOptions{}},
 	}
 	plain, err := New(tbl, DefaultOptions())

@@ -6,7 +6,10 @@ package atlas
 // ingest, open and sessions all run through the public facade.
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -131,31 +134,28 @@ func TestShardedSessionFacade(t *testing.T) {
 	}
 }
 
-// TestShardedHashIngestFacade: hash partitioning through the facade
-// keeps all rows and explores cleanly.
-func TestShardedHashIngestFacade(t *testing.T) {
-	tbl := CensusDataset(8_000, 7)
-	path := writeShardedCensus(t, tbl, ShardIngestOptions{Shards: 4, HashKey: "education", ChunkSize: 256})
+// TestShardedHashManifestRefused: the façade refuses a hash-partitioned
+// manifest, as hash ingest used to write it, on every open path, naming
+// the file: a set is a chunk-aligned range partition.
+func TestShardedHashManifestRefused(t *testing.T) {
+	path := writeShardedCensus(t, CensusDataset(8_000, 7), ShardIngestOptions{Shards: 4, ChunkSize: 256})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"partitioning": "range",`), []byte(`"partitioning": "hash", "key": "education",`), 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if !IsShardManifest(path) {
 		t.Fatal("manifest not detected")
 	}
-	st, err := OpenSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Table().NumRows() != tbl.NumRows() {
-		t.Fatalf("rows %d, want %d", st.Table().NumRows(), tbl.NumRows())
-	}
-	ex, err := NewSharded(st, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Explore("EXPLORE census")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Maps) == 0 || res.BaseCount != tbl.NumRows() {
-		t.Fatalf("hash-sharded explore: %d maps, base %d", len(res.Maps), res.BaseCount)
+	_, errSharded := OpenSharded(path)
+	_, errStore := OpenStoreWith(path, StoreOpenOptions{Lazy: true, Defer: true})
+	for _, err := range []error{errSharded, errStore} {
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"hash" partitioning is not supported`) {
+			t.Errorf("err = %v, want %s refused as a hash manifest", err, path)
+		}
 	}
 }
 
